@@ -272,6 +272,17 @@ func renderTop(w io.Writer, cur, prev metricSample, dt time.Duration, rpcEpoch u
 		ms(cur.get(`qpgc_query_seconds{quantile="0.99"}`)),
 		ms(cur.get("qpgc_query_seconds_max")),
 		cur.get("qpgc_query_seconds_count"))
+	if n := cur.get("qpgc_store_apply_seconds_count"); n > 0 {
+		// The write path's budget per stage (medians; reach and pattern are
+		// per batch, wal and publish per coalesced group).
+		stage := func(name string) string {
+			return ms(cur.get(`qpgc_store_apply_seconds{stage="` + name + `",quantile="0.5"}`))
+		}
+		fmt.Fprintf(w, "write   p50 %s  p99 %s  =  wal %s + reach %s + pattern %s + publish %s  (n=%.0f)\n",
+			ms(cur.get(`qpgc_store_apply_seconds{quantile="0.5"}`)),
+			ms(cur.get(`qpgc_store_apply_seconds{quantile="0.99"}`)),
+			stage("wal"), stage("reach"), stage("pattern"), stage("publish"), n)
+	}
 	fmt.Fprintf(w, "server  inflight %.0f  epoch-waits %.0f  rejects %.0f\n",
 		cur.get("qpgc_server_inflight"),
 		cur.get("qpgc_server_epoch_waits_total"),

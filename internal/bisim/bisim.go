@@ -39,13 +39,12 @@ type Partition struct {
 // NumBlocks returns the number of equivalence classes.
 func (p *Partition) NumBlocks() int { return len(p.Blocks) }
 
-// newPartition assembles a Partition from a block id slice, renumbering
+// PartitionOf assembles a Partition from a block id slice, renumbering
 // blocks canonically by their smallest member node so that structurally
 // equal partitions compare equal regardless of the producing algorithm.
 // Raw ids are dense-ish (bounded by the producing engine's block count), so
-// the renumbering uses a slice map, and the member lists are carved out of
-// one flat array by counting sort.
-func newPartition(blockOf []int32) *Partition {
+// the renumbering uses a slice map.
+func PartitionOf(blockOf []int32) *Partition {
 	n := len(blockOf)
 	maxRaw := int32(-1)
 	for _, raw := range blockOf {
@@ -69,20 +68,7 @@ func newPartition(blockOf []int32) *Partition {
 		}
 		canon[v] = id
 	}
-	size := make([]int32, canonCount)
-	for _, id := range canon {
-		size[id]++
-	}
-	flat := make([]graph.Node, n)
-	blocks := make([][]graph.Node, canonCount)
-	off := int32(0)
-	for b := int32(0); b < canonCount; b++ {
-		blocks[b] = flat[off : off : off+size[b]]
-		off += size[b]
-	}
-	for v := 0; v < n; v++ {
-		blocks[canon[v]] = append(blocks[canon[v]], graph.Node(v))
-	}
+	blocks := graph.GroupNodes(canon, int(canonCount))
 	return &Partition{BlockOf: canon, Blocks: blocks}
 }
 
@@ -157,7 +143,7 @@ func RefineNaive(g *graph.Graph) *Partition {
 			break
 		}
 	}
-	return newPartition(blockOf)
+	return PartitionOf(blockOf)
 }
 
 func appendInt32(buf []byte, v int32) []byte {

@@ -224,11 +224,11 @@ func TestEnginesAgreeOnLargerRandomGraphs(t *testing.T) {
 
 func TestPartitionCanonicalNumbering(t *testing.T) {
 	// Blocks must be numbered by smallest member, making Same order-free.
-	p := newPartition([]int32{7, 7, 3, 3, 9})
+	p := PartitionOf([]int32{7, 7, 3, 3, 9})
 	if p.BlockOf[0] != 0 || p.BlockOf[2] != 1 || p.BlockOf[4] != 2 {
 		t.Fatalf("canonical numbering wrong: %v", p.BlockOf)
 	}
-	q := newPartition([]int32{0, 0, 1, 1, 2})
+	q := PartitionOf([]int32{0, 0, 1, 1, 2})
 	if !p.Same(q) {
 		t.Fatal("identical partitions with different raw ids not Same")
 	}
@@ -357,5 +357,39 @@ func TestCompressSharesLabelTable(t *testing.T) {
 	c := Compress(g)
 	if c.Gr.Labels() != g.Labels() {
 		t.Fatal("pattern compression must share the label table")
+	}
+}
+
+// TestStratumRefinerExactUnderHashCollisions swaps in a constant signature
+// hash: every lookup then lands in one probe chain and groups are told
+// apart only by comparing signatures against the stored representatives.
+// The partitions must still equal the other engines' — the hash is an
+// accelerator, never the arbiter.
+func TestStratumRefinerExactUnderHashCollisions(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(90)
+		g := randomLabeled(rng, n, rng.Intn(4*n), 1+rng.Intn(3))
+		want := RefinePT(g)
+
+		rk := ComputeRanks(g)
+		ref := NewStratumRefiner(n)
+		ref.constHash = true
+		blockOf := make([]int32, n)
+		next := int32(0)
+		for _, stratum := range rk.Strata() {
+			if len(stratum) == 0 {
+				continue
+			}
+			groupOf, groups := ref.Refine(g, stratum, blockOf)
+			for i, v := range stratum {
+				blockOf[v] = next + groupOf[i]
+			}
+			next += int32(groups)
+		}
+		if got := PartitionOf(blockOf); !got.Same(want) {
+			t.Fatalf("trial %d: colliding hashes changed the partition\ngraph %v edges %v\ngot %v\nwant %v",
+				trial, g, g.EdgeList(), got.Blocks, want.Blocks)
+		}
 	}
 }

@@ -93,37 +93,37 @@ func QuotientCSR(c *graph.CSR, p *Partition) *Compressed {
 	return quotient(c, p)
 }
 
-// quotient builds the compressed graph in bulk: the class edges (including
-// self-loops from intra-class member edges) are projected to packed pairs,
-// sort-deduplicated, and handed to graph.BuildFromSortedAdj — no per-edge
-// sorted insertion and no hash-based dedup.
+// quotient builds the compressed graph in bulk: each class's row (including
+// its self-loop from intra-class member edges) is collected from its
+// members' edges with a per-class stamp for deduplication, sorted — rows are
+// short — and handed to graph.BuildFromSortedAdj. No per-edge sorted
+// insertion, no hash-based dedup and no sort over all of E.
 func quotient(c *graph.CSR, p *Partition) *Compressed {
 	numBlocks := p.NumBlocks()
-	pairs := make([]uint64, 0, c.NumEdges())
-	c.Edges(func(u, v graph.Node) bool {
-		a, b := p.BlockOf[u], p.BlockOf[v]
-		pairs = append(pairs, uint64(uint32(a))<<32|uint64(uint32(b)))
-		return true
-	})
-	slices.Sort(pairs)
-	pairs = slices.Compact(pairs)
-
-	outDeg := make([]int32, numBlocks)
-	for _, pr := range pairs {
-		outDeg[pr>>32]++
-	}
-	flat := make([]graph.Node, len(pairs))
-	rows := make([][]graph.Node, numBlocks)
+	seen := make([]int32, numBlocks) // class -> 1 + the last source class that listed it
+	flat := make([]graph.Node, 0, numBlocks)
+	end := make([]int32, numBlocks)
 	labelArr := make([]graph.Label, numBlocks)
-	off := int32(0)
-	for b := 0; b < numBlocks; b++ {
-		rows[b] = flat[off : off : off+outDeg[b]]
-		off += outDeg[b]
-		labelArr[b] = c.Label(p.Blocks[b][0])
+	for a, members := range p.Blocks {
+		start := len(flat)
+		for _, v := range members {
+			for _, w := range c.Successors(v) {
+				if b := p.BlockOf[w]; seen[b] != int32(a)+1 {
+					seen[b] = int32(a) + 1
+					flat = append(flat, b)
+				}
+			}
+		}
+		slices.Sort(flat[start:])
+		end[a] = int32(len(flat))
+		labelArr[a] = c.Label(members[0])
 	}
-	for _, pr := range pairs {
-		a := pr >> 32
-		rows[a] = append(rows[a], graph.Node(uint32(pr)))
+	// Rows are carved only now: flat may have moved while it grew.
+	rows := make([][]graph.Node, numBlocks)
+	start := int32(0)
+	for a, e := range end {
+		rows[a] = flat[start:e:e]
+		start = e
 	}
 	gr := graph.BuildFromSortedAdj(c.Labels(), labelArr, rows)
 

@@ -17,7 +17,7 @@ func RefinePT(g *graph.Graph) *Partition { return RefinePTCSR(g.Freeze()) }
 func RefinePTCSR(c *graph.CSR) *Partition {
 	pt := newPTState(c)
 	pt.run()
-	return newPartition(pt.pblockOf)
+	return PartitionOf(pt.pblockOf)
 }
 
 type pblock struct {

@@ -232,3 +232,40 @@ func TestReadErrors(t *testing.T) {
 		}
 	}
 }
+
+func TestReduceRules(t *testing.T) {
+	g := New(nil)
+	a := g.AddNodeNamed("A")
+	b := g.AddNodeNamed("B")
+	c := g.AddNodeNamed("C")
+	g.AddEdge(a, b)
+
+	// Insert existing, delete missing: both no-ops.
+	eff := g.Reduce([]Update{Insertion(a, b), Deletion(a, c)})
+	if len(eff) != 0 {
+		t.Fatalf("no-ops survived: %v", eff)
+	}
+	// Cancellation: insert then delete a fresh edge.
+	eff = g.Reduce([]Update{Insertion(b, c), Deletion(b, c)})
+	if len(eff) != 0 {
+		t.Fatalf("cancelled pair survived: %v", eff)
+	}
+	// Delete then re-insert an existing edge: also net zero.
+	eff = g.Reduce([]Update{Deletion(a, b), Insertion(a, b)})
+	if len(eff) != 0 {
+		t.Fatalf("delete+reinsert survived: %v", eff)
+	}
+	// Duplicates collapse to one effective update.
+	eff = g.Reduce([]Update{Insertion(b, c), Insertion(b, c)})
+	if len(eff) != 1 {
+		t.Fatalf("duplicates = %v", eff)
+	}
+	// The survivors keep first-appearance order and g is untouched.
+	eff = g.Reduce([]Update{Insertion(c, a), Deletion(a, b), Insertion(c, a)})
+	if len(eff) != 2 || eff[0] != Insertion(c, a) || eff[1] != Deletion(a, b) {
+		t.Fatalf("order = %v", eff)
+	}
+	if g.NumEdges() != 1 {
+		t.Fatal("Reduce mutated the graph")
+	}
+}

@@ -83,8 +83,10 @@ func TestEdgeSupportConsistency(t *testing.T) {
 		g := randomTestGraph(rng, n, rng.Intn(4*n), 2)
 		s := Tarjan(g)
 		sum := 0
-		for _, v := range s.EdgeSupport {
-			sum += v
+		for a := range s.Out {
+			for _, b := range s.Out[a] {
+				sum += s.Support(int32(a), b)
+			}
 		}
 		inter := 0
 		g.Edges(func(u, v Node) bool {

@@ -1,8 +1,8 @@
 package graph
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 )
 
 // This file implements locality-aware CSR reordering: a node permutation
@@ -54,12 +54,11 @@ func ReorderPerm(c *CSR) []Node {
 	for v := range roots {
 		roots[v] = Node(v)
 	}
-	sort.Slice(roots, func(i, j int) bool {
-		di, dj := c.OutDegree(roots[i]), c.OutDegree(roots[j])
-		if di != dj {
-			return di > dj
+	slices.SortFunc(roots, func(a, b Node) int {
+		if d := cmp.Compare(c.OutDegree(b), c.OutDegree(a)); d != 0 {
+			return d
 		}
-		return roots[i] < roots[j]
+		return cmp.Compare(a, b)
 	})
 	newID := make([]Node, n)
 	for v := range newID {
@@ -153,8 +152,8 @@ func IsTopoOrdered(c *CSR) bool {
 // a bijection on [0, NumNodes) — ReorderPerm's output, or a permutation
 // recovered from a snapshot file (validated there). It panics on a
 // malformed permutation. The label table is shared with c; adjacency rows
-// are remapped and re-sorted so every CSR invariant (ascending rows) holds
-// in the new id space.
+// are remapped so that every CSR invariant (ascending rows) holds in the
+// new id space, in O(|V|+|E|).
 func ApplyPerm(c *CSR, newID []Node) *Reordered {
 	n := c.NumNodes()
 	if len(newID) != n {
@@ -178,23 +177,32 @@ func ApplyPerm(c *CSR, newID []Node) *Reordered {
 		inOff:  make([]int32, n+1),
 		inAdj:  make([]Node, len(c.inAdj)),
 	}
-	remap := func(off []int32, adj []Node, row func(Node) []Node) {
-		pos := int32(0)
-		for x := 0; x < n; x++ {
-			old := row(oldID[x])
-			dst := adj[pos : pos+int32(len(old))]
-			for i, w := range old {
-				dst[i] = newID[w]
-			}
-			slices.Sort(dst)
-			pos += int32(len(old))
-			off[x+1] = pos
+	for x := 0; x < n; x++ {
+		old := oldID[x]
+		p.label[x] = c.label[old]
+		p.outOff[x+1] = p.outOff[x] + int32(c.OutDegree(old))
+		p.inOff[x+1] = p.inOff[x] + int32(c.InDegree(old))
+	}
+	// Each side is the transpose of the other, scattered in ascending new
+	// id of the far endpoint, so every row comes out sorted without a sort:
+	// walking sources in new order fills the predecessor rows, walking
+	// targets in new order the successor rows.
+	cursor := make([]int32, n)
+	copy(cursor, p.inOff)
+	for x := 0; x < n; x++ {
+		for _, w := range c.Successors(oldID[x]) {
+			nw := newID[w]
+			p.inAdj[cursor[nw]] = Node(x)
+			cursor[nw]++
 		}
 	}
-	for x := 0; x < n; x++ {
-		p.label[x] = c.label[oldID[x]]
+	copy(cursor, p.outOff)
+	for y := 0; y < n; y++ {
+		for _, u := range c.Predecessors(oldID[y]) {
+			nu := newID[u]
+			p.outAdj[cursor[nu]] = Node(y)
+			cursor[nu]++
+		}
 	}
-	remap(p.outOff, p.outAdj, c.Successors)
-	remap(p.inOff, p.inAdj, c.Predecessors)
 	return &Reordered{C: p, NewID: newID, OldID: oldID}
 }

@@ -19,10 +19,10 @@ type SCC struct {
 	// are views into two flat backing arrays (CSR layout) and must not be
 	// modified or appended to.
 	Out, In [][]int32
-	// EdgeSupport counts, for each condensation edge (a,b) with a != b, the
-	// number of member edges (u,v) in E with comp(u)=a, comp(v)=b. Keyed by
-	// packed pair. Used by incremental maintenance.
-	EdgeSupport map[[2]int32]int
+	// OutSupport is aligned with Out: OutSupport[a][i] counts the member
+	// edges (u,v) in E with comp(u)=a, comp(v)=Out[a][i]. Incremental
+	// maintenance seeds its support counters from it.
+	OutSupport [][]int32
 	// Cyclic reports whether a component contains a cycle: it has more than
 	// one member or a self-loop.
 	Cyclic []bool
@@ -30,6 +30,15 @@ type SCC struct {
 
 // NumComponents returns the number of strongly connected components.
 func (s *SCC) NumComponents() int { return len(s.Members) }
+
+// Support returns the number of member edges behind the condensation edge
+// (a,b), 0 when there is none.
+func (s *SCC) Support(a, b int32) int {
+	if i, ok := slices.BinarySearch(s.Out[a], b); ok {
+		return int(s.OutSupport[a][i])
+	}
+	return 0
+}
 
 // Tarjan computes the strongly connected components of g with an iterative
 // Tarjan algorithm (safe for deep graphs) and returns the decomposition
@@ -146,9 +155,8 @@ func TarjanCSR(c *CSR) *SCC {
 	}
 
 	// Condensation: project every edge to a packed component pair, sort,
-	// and dedup — one map insertion per distinct condensation edge instead
-	// of one per graph edge, and the Out/In rows come out sorted inside two
-	// flat backing arrays.
+	// and dedup; the Out/In rows and the support counts come out sorted
+	// inside flat backing arrays.
 	pairs := make([]uint64, 0, c.NumEdges())
 	for u := 0; u < n; u++ {
 		a := comp[u]
@@ -161,29 +169,35 @@ func TarjanCSR(c *CSR) *SCC {
 			pairs = append(pairs, uint64(uint32(a))<<32|uint64(uint32(b)))
 		}
 	}
-	s.Out, s.In, s.EdgeSupport = condense(pairs, len(members))
+	s.Out, s.In, s.OutSupport = condense(pairs, len(members))
 	return s
 }
 
 // condense turns packed (a,b) component pairs (a != b, with multiplicity)
-// into sorted CSR-backed Out/In adjacency plus the EdgeSupport counts.
-func condense(pairs []uint64, numComp int) (out, in [][]int32, support map[[2]int32]int) {
+// into sorted CSR-backed Out/In adjacency plus the support counts aligned
+// with Out.
+func condense(pairs []uint64, numComp int) (out, in, support [][]int32) {
 	slices.Sort(pairs)
-	support = make(map[[2]int32]int)
-	// Dedup in place, counting multiplicities.
+	// Dedup in place, counting multiplicities; distinct pairs stay sorted,
+	// so the counts line up with the Out rows carved below.
 	distinct := pairs[:0]
+	var counts []int32
 	for i := 0; i < len(pairs); {
 		j := i
 		for j < len(pairs) && pairs[j] == pairs[i] {
 			j++
 		}
-		a := int32(pairs[i] >> 32)
-		b := int32(uint32(pairs[i]))
-		support[[2]int32{a, b}] = j - i
+		counts = append(counts, int32(j-i))
 		distinct = append(distinct, pairs[i])
 		i = j
 	}
 	out, in = AdjFromSortedPairs(distinct, numComp)
+	support = make([][]int32, numComp)
+	off := 0
+	for a := range out {
+		support[a] = counts[off : off+len(out[a]) : off+len(out[a])]
+		off += len(out[a])
+	}
 	return out, in, support
 }
 

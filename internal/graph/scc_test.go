@@ -85,8 +85,8 @@ func TestTarjanEdgeSupport(t *testing.T) {
 	g := buildGraph(3, [][2]Node{{0, 1}, {1, 0}, {0, 2}, {1, 2}})
 	s := Tarjan(g)
 	a, b := s.Comp[0], s.Comp[2]
-	if got := s.EdgeSupport[[2]int32{a, b}]; got != 2 {
-		t.Fatalf("EdgeSupport = %d, want 2", got)
+	if got := s.Support(a, b); got != 2 {
+		t.Fatalf("Support = %d, want 2", got)
 	}
 	if len(s.Out[a]) != 1 {
 		t.Fatal("condensation edge duplicated")

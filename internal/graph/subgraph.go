@@ -44,3 +44,24 @@ func ExtractGroup(c *CSR, groupOf []int32, group int32, members []Node, localID 
 	}
 	return BuildFromSortedAdj(c.Labels(), label, rows)
 }
+
+// GroupNodes inverts a class map: it returns, for each of the n classes,
+// the nodes v with classOf[v] equal to it, ascending. The rows are carved
+// out of one flat array by counting sort over node ids.
+func GroupNodes(classOf []Node, n int) [][]Node {
+	size := make([]int32, n)
+	for _, c := range classOf {
+		size[c]++
+	}
+	flat := make([]Node, len(classOf))
+	rows := make([][]Node, n)
+	off := int32(0)
+	for c := range rows {
+		rows[c] = flat[off : off : off+size[c]]
+		off += size[c]
+	}
+	for v, c := range classOf {
+		rows[c] = append(rows[c], Node(v))
+	}
+	return rows
+}

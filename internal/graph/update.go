@@ -34,3 +34,31 @@ func (g *Graph) Apply(batch []Update) int {
 	}
 	return n
 }
+
+// Reduce is the minDelta preprocessing of Section 5.2, against g's current
+// edge set: it removes no-op updates (inserting an existing edge, deleting
+// an absent one), collapses duplicates, and cancels insert/delete pairs
+// over the same edge (the last operation per edge wins, then is checked
+// against presence). Every update of the result changes g, and no edge
+// occurs twice. g is not modified.
+func (g *Graph) Reduce(batch []Update) []Update {
+	type edge struct{ u, v Node }
+	last := make(map[edge]int, len(batch)) // edge -> index of its entry in out
+	out := make([]Update, 0, len(batch))
+	for _, up := range batch {
+		e := edge{up.From, up.To}
+		if i, seen := last[e]; seen {
+			out[i].Insert = up.Insert
+			continue
+		}
+		last[e] = len(out)
+		out = append(out, up)
+	}
+	eff := out[:0]
+	for _, up := range out {
+		if up.Insert != g.HasEdge(up.From, up.To) {
+			eff = append(eff, up)
+		}
+	}
+	return eff
+}

@@ -9,23 +9,32 @@
 // update reduction (minDelta), and split/merge of blocks propagated in
 // ascending rank order.
 //
-// # Engineering deviations, documented
+// # What a batch costs
 //
-// Two linear-cost components are recomputed per batch rather than
-// maintained: the rank function (a cheap O(|V|+|E|) pass) and the quotient
-// edge set. The superlinear partition refinement — the dominant cost of
-// compressB — is incrementalized exactly as in the paper: only strata
-// containing dirty nodes are re-refined, and recomputed blocks are
-// canonically matched against the previous partition so that unchanged
-// blocks do not propagate dirt to their predecessors. Property tests
-// enforce that the maintained compression is identical (as a partition) to
-// batch recompression after every batch.
+// The graph and its SCC condensation are maintained by internal/dynscc
+// and may be shared with increach (see Over). Ranks are a bottom-up DP
+// over that condensation — work on the condensation, not a Tarjan pass
+// over G — and only nodes whose rank changed move between the maintained
+// stratum lists. A stratum is re-refined when it holds the source of an
+// update, gained or lost a node, or has a successor whose block changed;
+// refinement runs in bisim.StratumRefiner, dense and exact. Recomputed
+// groups are matched against the previous partition by block id and size,
+// so unchanged blocks do not propagate dirt to their predecessors.
+//
+// What is not incremental: a dirty stratum is refined from its label
+// seed, and ranks do not subdivide a cyclic graph (an NWF child does not
+// raise its parent's rank, so a giant SCC and all its ancestors form one
+// stratum). On such graphs an update inside that stratum re-refines most
+// of G; the cost is the refiner's, a few linear rounds. Compressed
+// projects the quotient from G once per generation, on demand.
+//
+// Property tests enforce that the maintained compression is identical (as
+// a partition) to batch recompression after every batch.
 package incbisim
 
 import (
-	"sort"
-
 	"repro/internal/bisim"
+	"repro/internal/dynscc"
 	"repro/internal/graph"
 )
 
@@ -43,68 +52,107 @@ type Stats struct {
 	ChangedBlocks int
 }
 
-// Maintainer owns an evolving graph and maintains its pattern preserving
-// compression across batches of edge updates.
+// rankUnset marks a component slot whose rank was never computed; it is
+// not a value RankDP produces.
+const rankUnset = bisim.RankNegInf + 1
+
+// Maintainer maintains the pattern preserving compression of an evolving
+// graph across batches of edge updates.
 type Maintainer struct {
-	g       *graph.Graph
-	blockOf []int32
-	members map[int32][]graph.Node
-	ranks   []int32
-	nextID  int32
-	comp    *bisim.Compressed // lazily rebuilt
-	grCSR   *graph.CSR        // frozen snapshot of comp.Gr, nil when stale
-	dirtyGr bool
+	cond *dynscc.Cond
+
+	blockOf []int32 // node -> block id; ids are sparse, recycled when a block empties
+	size    []int32 // block id -> member count
+	freeIDs []int32
+	emptied []int32 // ids that emptied during the current sweep, recycled after it
+
+	rank     []int32 // node -> rank
+	compRank []int32 // component slot -> rank as of the last batch
+	compWF   []bool
+	newRank  []int32 // RankDP output buffers, swapped with the two above
+	newWF    []bool
+	order    []int32
+
+	// strata[bisim.StratumIndex(r)] lists the nodes of rank r; spos is each
+	// node's position in its list, for O(1) moves.
+	strata [][]graph.Node
+	spos   []int32
+	dirty  []bool  // stratum index -> queued for refinement
+	queue  []int32 // min-heap of dirty stratum indices
+
+	ref    *bisim.StratumRefiner
+	oldID  []int32 // group -> common old block of its members, -1 if mixed
+	count  []int32 // group -> size
+	assign []int32 // group -> block id given by this refinement
+
+	gen   uint64
+	part  *bisim.Partition  // canonical partition, nil when stale
+	comp  *bisim.Compressed // nil when stale
+	grCSR *graph.CSR        // frozen comp.Gr, nil when stale
 }
 
 // New takes ownership of g, computes the initial compression with the
 // stratified engine, and returns the maintainer.
-func New(g *graph.Graph) *Maintainer {
-	p := bisim.RefineStratified(g)
+func New(g *graph.Graph) *Maintainer { return Over(dynscc.New(g)) }
+
+// Over returns a maintainer of the graph behind cond that shares the
+// condensation instead of owning one. Whoever applies a batch to cond
+// passes the effective updates and the change log to Absorb; Apply does
+// both and is for a maintainer that is cond's only driver.
+func Over(cond *dynscc.Cond) *Maintainer {
+	n := cond.Graph().NumNodes()
 	m := &Maintainer{
-		g:       g,
-		blockOf: append([]int32(nil), p.BlockOf...),
-		members: make(map[int32][]graph.Node, p.NumBlocks()),
-		ranks:   bisim.ComputeRanks(g).Of,
-		nextID:  int32(p.NumBlocks()),
+		cond:    cond,
+		blockOf: make([]int32, n),
+		rank:    make([]int32, n),
+		spos:    make([]int32, n),
+		ref:     bisim.NewStratumRefiner(n),
 	}
-	for id, ms := range p.Blocks {
-		m.members[int32(id)] = append([]graph.Node(nil), ms...)
+	// The initial compression is the maintenance sweep with every stratum
+	// dirty and no old blocks to match.
+	m.rerank()
+	for c := int32(0); c < int32(cond.NumSlots()); c++ {
+		if cond.Live(c) {
+			for _, v := range cond.Members(c) {
+				m.blockOf[v] = -1
+				m.rank[v] = m.compRank[c]
+				m.enter(v)
+			}
+		}
 	}
-	m.comp = bisim.Quotient(g, p)
+	var st Stats
+	m.sweep(&st)
 	return m
 }
 
 // Graph returns the maintained graph. Callers must not mutate it directly;
 // use Apply.
-func (m *Maintainer) Graph() *graph.Graph { return m.g }
+func (m *Maintainer) Graph() *graph.Graph { return m.cond.Graph() }
+
+// Generation counts the batches that held an effective update: two calls
+// returning the same value bracket a span in which Compressed did not
+// change.
+func (m *Maintainer) Generation() uint64 { return m.gen }
 
 // Compressed returns the current compressed form R(G). The quotient is
-// rebuilt lazily after updates.
+// projected once per generation, on demand.
 func (m *Maintainer) Compressed() *bisim.Compressed {
-	if m.dirtyGr {
-		m.comp = bisim.Quotient(m.g, m.Partition())
-		m.grCSR = nil
-		m.dirtyGr = false
-	}
-	return m.comp
+	c, _ := m.CompressedCSR(nil)
+	return c
 }
 
 // CompressedCSR returns the current compressed form together with a frozen
-// CSR snapshot of its quotient graph. This is the cheap post-Apply hook for
-// read-side consumers: the partition is already maintained incrementally,
-// so only the quotient projection and its freeze are (re)built, and both
-// are cached between Applies. base, if non-nil, must be a CSR snapshot of a
-// graph identical in content to Graph()'s current state (the concurrent
-// store passes the snapshot of G it freezes once per epoch, saving a second
-// O(|G|) freeze); pass nil to have the maintainer freeze its own graph.
+// CSR snapshot of its quotient graph, both cached per generation. base, if
+// non-nil, must be a CSR snapshot of a graph identical in content to
+// Graph()'s current state (the concurrent store passes the snapshot of G
+// it freezes once per epoch, saving a second O(|G|) freeze); pass nil to
+// have the maintainer freeze its own graph.
 func (m *Maintainer) CompressedCSR(base *graph.CSR) (*bisim.Compressed, *graph.CSR) {
-	if m.dirtyGr {
+	if m.comp == nil {
 		if base == nil {
-			base = m.g.Freeze()
+			base = m.Graph().Freeze()
 		}
 		m.comp = bisim.QuotientCSR(base, m.Partition())
-		m.grCSR = nil
-		m.dirtyGr = false
 	}
 	if m.grCSR == nil {
 		m.grCSR = m.comp.Gr.Freeze()
@@ -112,127 +160,21 @@ func (m *Maintainer) CompressedCSR(base *graph.CSR) (*bisim.Compressed, *graph.C
 	return m.comp, m.grCSR
 }
 
-// Partition returns the maintained bisimulation partition (canonically
-// renumbered).
+// Partition returns the maintained bisimulation partition, canonically
+// renumbered so that it compares Same to a batch result; cached per
+// generation.
 func (m *Maintainer) Partition() *bisim.Partition {
-	// Renumber canonically via the bisim package by round-tripping through
-	// a Partition literal: build blocks from blockOf.
-	return partitionFromBlockOf(m.blockOf)
-}
-
-// ReduceBatch is the minDelta preprocessing (Section 5.2): it removes
-// no-op updates (inserting an existing edge, deleting an absent one),
-// collapses duplicates, and cancels insert/delete pairs over the same edge
-// (the paper's cancellation rule), returning the effective batch.
-func (m *Maintainer) ReduceBatch(batch []graph.Update) []graph.Update {
-	// Net effect per edge: the last surviving operation, checked against
-	// current presence.
-	type key struct{ u, v graph.Node }
-	last := make(map[key]bool, len(batch)) // edge -> final op (insert?)
-	order := make([]key, 0, len(batch))
-	for _, up := range batch {
-		k := key{up.From, up.To}
-		if _, seen := last[k]; !seen {
-			order = append(order, k)
-		}
-		last[k] = up.Insert
+	if m.part == nil {
+		m.part = bisim.PartitionOf(m.blockOf)
 	}
-	out := make([]graph.Update, 0, len(order))
-	for _, k := range order {
-		ins := last[k]
-		if ins == m.g.HasEdge(k.u, k.v) {
-			continue // no-op or cancelled
-		}
-		out = append(out, graph.Update{From: k.u, To: k.v, Insert: ins})
-	}
-	return out
+	return m.part
 }
 
 // Apply applies ΔG and updates the maintained compression so that it
 // equals R(G ⊕ ΔG).
 func (m *Maintainer) Apply(batch []graph.Update) Stats {
-	var st Stats
-	eff := m.ReduceBatch(batch)
-	st.EffectiveUpdates = len(eff)
-	if len(eff) == 0 {
-		return st
-	}
-
-	oldRanks := m.ranks
-	dirtyRank := make(map[int32]bool)
-	dirtyNode := make(map[graph.Node]bool)
-
-	for _, up := range eff {
-		if up.Insert {
-			m.g.AddEdge(up.From, up.To)
-		} else {
-			m.g.RemoveEdge(up.From, up.To)
-		}
-		// The source's signature changes; its stratum must be re-refined.
-		dirtyNode[up.From] = true
-	}
-	m.dirtyGr = true
-
-	// Recompute ranks; nodes whose rank changed dirty both their old and
-	// new strata (the old stratum may coarsen after losing a member).
-	m.ranks = bisim.ComputeRanks(m.g).Of
-	for v := range m.ranks {
-		if m.ranks[v] != oldRanks[v] {
-			dirtyNode[graph.Node(v)] = true
-			dirtyRank[oldRanks[v]] = true
-			dirtyRank[m.ranks[v]] = true
-		}
-	}
-	for v := range dirtyNode {
-		dirtyRank[m.ranks[v]] = true
-	}
-
-	// Build rank -> stratum index.
-	strata := make(map[int32][]graph.Node)
-	for v, r := range m.ranks {
-		strata[r] = append(strata[r], graph.Node(v))
-	}
-	rankValues := make([]int32, 0, len(strata))
-	for r := range strata {
-		rankValues = append(rankValues, r)
-	}
-	sort.Slice(rankValues, func(i, j int) bool { return rankValues[i] < rankValues[j] })
-
-	// Ascending rank sweep: re-refine dirty strata; dirt from changed
-	// blocks propagates only to strictly higher ranks (predecessors have
-	// rank >= successor; same-rank predecessors are covered by the
-	// wholesale stratum recompute).
-	for _, r := range rankValues {
-		if !dirtyRank[r] {
-			continue
-		}
-		st.RecomputedStrata++
-		changed := m.refineStratum(strata[r])
-		st.DirtyNodes += len(strata[r])
-		st.ChangedBlocks += len(changed)
-		for _, v := range changed {
-			for _, p := range m.g.Predecessors(v) {
-				// A predecessor's rank is always >= its successor's
-				// (RankNegInf is math.MinInt32, so plain comparison
-				// respects the -∞-first order); equal-rank predecessors
-				// live in the stratum just recomputed wholesale.
-				if m.ranks[p] > r {
-					dirtyRank[m.ranks[p]] = true
-					dirtyNode[p] = true
-				}
-			}
-		}
-	}
-
-	// Rebuild the member index from blockOf: partial splits during the
-	// sweep can leave stale lists for blocks that lost members to other
-	// strata (rank migrations), and retired ids must be dropped.
-	m.members = make(map[int32][]graph.Node, len(m.members))
-	for v := 0; v < len(m.blockOf); v++ {
-		id := m.blockOf[v]
-		m.members[id] = append(m.members[id], graph.Node(v))
-	}
-	return st
+	eff := m.Graph().Reduce(batch)
+	return m.Absorb(eff, m.cond.Apply(eff))
 }
 
 // ApplySingly processes a batch one update at a time — the IncBsim
@@ -251,144 +193,203 @@ func (m *Maintainer) ApplySingly(batch []graph.Update) Stats {
 	return total
 }
 
-// refineStratum recomputes the blocks of one stratum from scratch (label
-// seed + signature fixpoint over lower-strata final blocks and same-stratum
-// local blocks), then matches the resulting groups against the previous
-// partition: groups identical to an old block keep its id; all others get
-// fresh ids. It returns the nodes whose block identity changed.
-func (m *Maintainer) refineStratum(stratum []graph.Node) (changed []graph.Node) {
-	inStratum := make(map[graph.Node]bool, len(stratum))
-	for _, v := range stratum {
-		inStratum[v] = true
+// Absorb updates the compression after the condensation applied the
+// effective updates eff with change log d.
+func (m *Maintainer) Absorb(eff []graph.Update, d *dynscc.Delta) Stats {
+	st := Stats{EffectiveUpdates: len(eff)}
+	if len(eff) == 0 {
+		return st
 	}
+	m.gen++
+	m.part, m.comp, m.grCSR = nil, nil, nil
 
-	// Local refinement: cur maps node -> local group id.
-	cur := make(map[graph.Node]int32, len(stratum))
-	labelIDs := make(map[graph.Label]int32)
-	var seed int32
-	for _, v := range stratum {
-		l := m.g.Label(v)
-		id, ok := labelIDs[l]
-		if !ok {
-			id = seed
-			seed++
-			labelIDs[l] = id
+	// Re-rank over the condensation. A component whose rank changed moves
+	// all its members; a node that changed component is checked on its
+	// own. Both the stratum left and the one entered are dirty (the old
+	// stratum may coarsen after losing a member).
+	old := m.compRank
+	m.rerank()
+	for _, c := range m.order {
+		if int(c) >= len(old) || old[c] != m.compRank[c] {
+			for _, v := range m.cond.Members(c) {
+				m.setRank(v, m.compRank[c])
+			}
 		}
-		cur[v] = id
 	}
-	numGroups := seed
+	for _, v := range d.Moved {
+		m.setRank(v, m.compRank[m.cond.CompOf(v)])
+	}
+	// An update changes its source's signature.
+	for _, up := range eff {
+		m.markDirty(bisim.StratumIndex(m.rank[up.From]))
+	}
+	m.sweep(&st)
+	return st
+}
 
-	scratch := make([]int64, 0, 16)
-	for {
-		ids := make(map[string]int32)
-		nxt := make(map[graph.Node]int32, len(stratum))
-		var count int32
-		for _, v := range stratum {
-			scratch = scratch[:0]
-			for _, w := range m.g.Successors(v) {
-				if inStratum[w] {
-					scratch = append(scratch, int64(cur[w])|int64(1)<<40)
-				} else {
-					scratch = append(scratch, int64(m.blockOf[w]))
-				}
-			}
-			sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-			buf := make([]byte, 0, 8+8*len(scratch))
-			buf = appendInt64(buf, int64(cur[v]))
-			prev := int64(-1)
-			for _, s := range scratch {
-				if s != prev {
-					buf = appendInt64(buf, s)
-					prev = s
-				}
-			}
-			id, ok := ids[string(buf)]
-			if !ok {
-				id = count
-				count++
-				ids[string(buf)] = id
-			}
-			nxt[v] = id
-		}
-		stable := count == numGroups
-		cur = nxt
-		numGroups = count
-		if stable {
+// rerank recomputes every live component's rank into compRank/compWF,
+// leaving the previous values in newRank/newWF.
+func (m *Maintainer) rerank() {
+	m.order = m.cond.TopoOrder(m.order[:0])
+	m.compRank, m.newRank = m.newRank, m.compRank
+	m.compWF, m.newWF = m.newWF, m.compWF
+	for len(m.compRank) < m.cond.NumSlots() {
+		m.compRank = append(m.compRank, rankUnset)
+		m.compWF = append(m.compWF, false)
+	}
+	bisim.RankDP(m.order, m.cond.Out, m.cond.Cyclic, m.compRank, m.compWF)
+}
+
+// setRank moves v to the stratum of rank r, dirtying both strata.
+func (m *Maintainer) setRank(v graph.Node, r int32) {
+	if m.rank[v] == r {
+		return
+	}
+	i := bisim.StratumIndex(m.rank[v])
+	list := m.strata[i]
+	last := list[len(list)-1]
+	list[m.spos[v]] = last
+	m.spos[last] = m.spos[v]
+	m.strata[i] = list[:len(list)-1]
+	m.markDirty(i)
+	m.rank[v] = r
+	m.enter(v)
+}
+
+// enter appends v to the stratum of its rank and dirties it.
+func (m *Maintainer) enter(v graph.Node) {
+	i := bisim.StratumIndex(m.rank[v])
+	for len(m.strata) <= i {
+		m.strata = append(m.strata, nil)
+		m.dirty = append(m.dirty, false)
+	}
+	m.spos[v] = int32(len(m.strata[i]))
+	m.strata[i] = append(m.strata[i], v)
+	m.markDirty(i)
+}
+
+// markDirty queues stratum i for refinement.
+func (m *Maintainer) markDirty(i int) {
+	if m.dirty[i] {
+		return
+	}
+	m.dirty[i] = true
+	q := append(m.queue, int32(i))
+	for k := len(q) - 1; k > 0; {
+		p := (k - 1) / 2
+		if q[p] <= q[k] {
 			break
 		}
+		q[p], q[k] = q[k], q[p]
+		k = p
 	}
+	m.queue = q
+}
 
-	// Collect groups.
-	groups := make(map[int32][]graph.Node)
-	for _, v := range stratum {
-		groups[cur[v]] = append(groups[cur[v]], v)
+// popDirty removes and returns the lowest queued stratum index.
+func (m *Maintainer) popDirty() int {
+	q := m.queue
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for k := 0; ; {
+		c := 2*k + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1] < q[c] {
+			c++
+		}
+		if q[k] <= q[c] {
+			break
+		}
+		q[k], q[c] = q[c], q[k]
+		k = c
 	}
+	m.queue = q
+	m.dirty[top] = false
+	return int(top)
+}
 
-	// Match each group against the old partition. A group keeps its old
-	// block id only if every member already maps to that id AND the old
-	// block consisted of exactly these members; otherwise it is a new
-	// block and its members propagate dirt upward.
-	for _, members := range groups {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		oldID := m.blockOf[members[0]]
-		allMap := true
-		for _, v := range members[1:] {
-			if m.blockOf[v] != oldID {
-				allMap = false
-				break
+// sweep re-refines the dirty strata in ascending rank order. Dirt from
+// changed blocks propagates only to strictly higher ranks: a predecessor's
+// rank is never below its successor's (RankNegInf is math.MinInt32, so
+// plain comparison respects the -∞-first order), and equal-rank
+// predecessors live in the stratum just recomputed wholesale.
+func (m *Maintainer) sweep(st *Stats) {
+	g := m.Graph()
+	for len(m.queue) > 0 {
+		i := m.popDirty()
+		stratum := m.strata[i]
+		if len(stratum) == 0 {
+			continue
+		}
+		st.RecomputedStrata++
+		st.DirtyNodes += len(stratum)
+		groupOf, groups := m.ref.Refine(g, stratum, m.blockOf)
+
+		// Match each group against the old partition: it keeps its block id
+		// iff every member carries that id and the block has no other
+		// members; otherwise it is a new block.
+		if cap(m.oldID) < groups {
+			m.oldID = make([]int32, groups+groups/4)
+			m.count = make([]int32, groups+groups/4)
+			m.assign = make([]int32, groups+groups/4)
+		}
+		oldID, count, assign := m.oldID[:groups], m.count[:groups], m.assign[:groups]
+		clear(count)
+		for k, v := range stratum {
+			gi := groupOf[k]
+			if count[gi] == 0 {
+				oldID[gi] = m.blockOf[v]
+			} else if oldID[gi] != m.blockOf[v] {
+				oldID[gi] = -1
+			}
+			count[gi]++
+		}
+		for gi := range assign {
+			if id := oldID[gi]; id >= 0 && m.size[id] == count[gi] {
+				assign[gi] = -1 // block survived unchanged
+				continue
+			}
+			assign[gi] = m.newID(count[gi])
+			st.ChangedBlocks++
+		}
+		r := m.rank[stratum[0]]
+		for k, v := range stratum {
+			id := assign[groupOf[k]]
+			if id < 0 {
+				continue
+			}
+			if was := m.blockOf[v]; was >= 0 {
+				m.size[was]--
+				if m.size[was] == 0 {
+					m.emptied = append(m.emptied, was)
+				}
+			}
+			m.blockOf[v] = id
+			for _, p := range g.Predecessors(v) {
+				if m.rank[p] > r {
+					m.markDirty(bisim.StratumIndex(m.rank[p]))
+				}
 			}
 		}
-		if allMap && sameMembers(m.members[oldID], members) {
-			continue // block survived unchanged
-		}
-		id := m.nextID
-		m.nextID++
-		for _, v := range members {
-			m.blockOf[v] = id
-		}
-		m.members[id] = members
-		changed = append(changed, members...)
 	}
-	return changed
+	// Ids are recycled only across sweeps: within one, an unchanged id must
+	// mean "had this id before the batch".
+	m.freeIDs = append(m.freeIDs, m.emptied...)
+	m.emptied = m.emptied[:0]
 }
 
-func sameMembers(a, b []graph.Node) bool {
-	if len(a) != len(b) {
-		return false
+// newID returns an unused block id, recording its size.
+func (m *Maintainer) newID(size int32) int32 {
+	if n := len(m.freeIDs); n > 0 {
+		id := m.freeIDs[n-1]
+		m.freeIDs = m.freeIDs[:n-1]
+		m.size[id] = size
+		return id
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func partitionFromBlockOf(blockOf []int32) *bisim.Partition {
-	// Canonical renumbering by smallest member node, mirroring the bisim
-	// package's convention so that Same() comparisons hold across batch
-	// and incremental results.
-	n := len(blockOf)
-	rawToCanon := make(map[int32]int32)
-	canon := make([]int32, n)
-	var next int32
-	for v := 0; v < n; v++ {
-		id, ok := rawToCanon[blockOf[v]]
-		if !ok {
-			id = next
-			next++
-			rawToCanon[blockOf[v]] = id
-		}
-		canon[v] = id
-	}
-	blocks := make([][]graph.Node, next)
-	for v := 0; v < n; v++ {
-		blocks[canon[v]] = append(blocks[canon[v]], graph.Node(v))
-	}
-	return &bisim.Partition{BlockOf: canon, Blocks: blocks}
-}
-
-func appendInt64(buf []byte, v int64) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+	m.size = append(m.size, size)
+	return int32(len(m.size) - 1)
 }

@@ -92,36 +92,6 @@ func TestApplySingleDeleteRemerges(t *testing.T) {
 	checkAgainstBatch(t, m)
 }
 
-func TestReduceBatchRules(t *testing.T) {
-	g := graph.New(nil)
-	a := g.AddNodeNamed("A")
-	b := g.AddNodeNamed("B")
-	c := g.AddNodeNamed("C")
-	g.AddEdge(a, b)
-	m := New(g)
-
-	// Insert existing, delete missing: both no-ops.
-	eff := m.ReduceBatch([]graph.Update{graph.Insertion(a, b), graph.Deletion(a, c)})
-	if len(eff) != 0 {
-		t.Fatalf("no-ops survived: %v", eff)
-	}
-	// Cancellation: insert then delete a fresh edge.
-	eff = m.ReduceBatch([]graph.Update{graph.Insertion(b, c), graph.Deletion(b, c)})
-	if len(eff) != 0 {
-		t.Fatalf("cancelled pair survived: %v", eff)
-	}
-	// Delete then re-insert an existing edge: also net zero.
-	eff = m.ReduceBatch([]graph.Update{graph.Deletion(a, b), graph.Insertion(a, b)})
-	if len(eff) != 0 {
-		t.Fatalf("delete+reinsert survived: %v", eff)
-	}
-	// Duplicates collapse to one effective update.
-	eff = m.ReduceBatch([]graph.Update{graph.Insertion(b, c), graph.Insertion(b, c)})
-	if len(eff) != 1 {
-		t.Fatalf("duplicates = %v", eff)
-	}
-}
-
 func TestNoOpBatchDoesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomLabeled(rng, 20, 40, 2)

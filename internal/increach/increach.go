@@ -4,31 +4,48 @@
 //
 // The problem is unbounded even for unit updates (Theorem 6), so no
 // algorithm can run in time f(|AFF|); the paper's incRCM runs in
-// O(|AFF|·|Gr|), touching the compressed graph and the affected area but
-// never re-traversing all of G. This maintainer follows that structure:
+// O(|AFF|·|Gr|), working on the compressed graph and the affected area.
+// This maintainer follows that structure in two layers:
 //
-//   - It owns the evolving graph and maintains the SCC condensation
-//     incrementally: insertions that close a cycle merge the components on
-//     the new cycle (found by forward/backward search over the condensation
-//     DAG, not over G); intra-component deletions re-decompose only that
-//     component's member subgraph; inter-component deletions decrement
-//     member-edge support counts and drop the condensation edge at zero.
-//   - Redundant updates are reduced exactly (the paper's step 1): an
-//     insertion whose endpoints are already connected and a deletion with a
-//     surviving alternate path leave the transitive closure — and hence the
-//     compression — untouched. Detection uses condensation-level search
-//     only.
-//   - The affected area AFF is the set of components whose strict
-//     ancestor or descendant set changed. It is computed as the
-//     backward/forward cones of the update endpoints over the condensation
-//     DAG (augmented with deleted condensation edges, so shrinkage is
-//     covered too), plus all merged/split components.
-//   - Only AFF components get their (ancestor set, descendant set)
-//     signature recomputed, by BFS over the condensation. They are
-//     regrouped among themselves and matched against surviving classes
-//     filtered by (topological rank, |desc|, |anc|) — Lemma 7 justifies the
-//     rank filter. Non-AFF components keep their classes: their signatures
-//     are unchanged by construction of AFF.
+//   - The SCC layer (internal/dynscc) owns the evolving graph and its
+//     condensation, reduces redundant updates exactly (an insertion whose
+//     endpoints are already connected, a deletion with a surviving
+//     alternate path leave the transitive closure — and hence the
+//     compression — untouched), and logs where the closure changed. It
+//     may be shared with incbisim (see Over).
+//   - The class layer, this package, keeps the reachability classes as
+//     blocks of condensation components and regroups them on Gr.
+//
+// # Regrouping on Gr
+//
+// Two facts replace per-component signatures.
+//
+// Lemma (insertions split classes only at update endpoints). Let c1, c2
+// be equivalent before a set of edge insertions, neither containing an
+// endpoint of an inserted edge. Then they are equivalent afterwards.
+// Proof: a new path from c1 starts with an old (possibly empty) segment to
+// the tail x of its first inserted edge; c1 holds no endpoint, so x is a
+// strict old descendant of c1, hence of c2, and the same path suffix
+// serves c2: desc′(c1) = desc′(c2). Symmetrically anc′(c1) = anc′(c2). If
+// c1 lands on a new cycle then c1 ∈ desc′(c1) = desc′(c2) and
+// c1 ∈ anc′(c1) = anc′(c2), so c2 is on it too. ∎ So the affected area of
+// an insertion is its endpoint components and merge hosts, not their
+// cones. Deletions can separate classmates where a lost path mattered, but
+// far from everywhere one was lost: components that lose the same set of
+// ancestors or descendants stay classmates, which confines the affected
+// area of a closure-changing deletion or SCC split to its loss area (the
+// dynscc package doc states and proves the rule).
+//
+// Quotient lift. For any partition of the components whose blocks are
+// mutually equivalent in the updated graph, reachability between blocks is
+// uniform, so two components are equivalent iff their blocks are
+// equivalent in the block quotient H, and one representative per block
+// carries the block's out-edges (its descendant set is everyone's). Apply
+// therefore singles the affected components out of their classes, builds H
+// over {remaining classes} ∪ {affected components} from representatives,
+// runs the batch compressor on H, and merges what it merges. H's
+// compression is the new Gr. The worst case — everything affected — is
+// batch cost on the condensation, never a pass over G.
 //
 // Property tests verify after every batch that the maintained compression
 // equals batch recompression (reach.Compress) of the current graph, both
@@ -36,126 +53,108 @@
 package increach
 
 import (
-	"sort"
+	"slices"
 
+	"repro/internal/dynscc"
 	"repro/internal/graph"
 	"repro/internal/reach"
 )
 
 // Stats reports the work of one Apply call.
 type Stats struct {
-	// EffectiveUpdates counts updates that survived no-op reduction.
+	// EffectiveUpdates counts updates that survived minDelta reduction.
 	EffectiveUpdates int
 	// RedundantUpdates counts effective updates that provably left the
 	// transitive closure unchanged (the paper's reduced ΔG).
 	RedundantUpdates int
-	// AffComponents is |AFF|: components whose signature was recomputed.
+	// AffComponents is |AFF|: components singled out of their classes and
+	// regrouped.
 	AffComponents int
 	// Merges and Splits count SCC structure changes.
 	Merges, Splits int
 }
 
-type sccInfo struct {
-	members []graph.Node
-	out     map[int32]int32 // successor component -> member-edge support
-	in      map[int32]int32
-	cyclic  bool
-	dead    bool
-}
-
-// Maintainer owns an evolving graph and maintains its reachability
-// preserving compression across update batches.
+// Maintainer maintains the reachability preserving compression of an
+// evolving graph across update batches.
 type Maintainer struct {
-	g      *graph.Graph
-	compOf []int32 // node -> component id
-	sccs   []sccInfo
+	cond *dynscc.Cond
 
-	classOfScc []int32           // component -> class id
-	classSccs  map[int32][]int32 // class id -> live component ids
-	nextClass  int32
+	// Classes are blocks of components. Block ids are stable across
+	// batches (only affected components move), so a regroup touches the
+	// affected components and the blocks of H, not every component.
+	blockOf []int32   // component -> block, -1 when dead
+	pos     []int32   // component -> index in blocks[blockOf]
+	blocks  [][]int32 // block -> components; empty when free
+	node    []int32   // block -> node of gr
+	live    []int32   // blocks in use (may hold emptied ones until the next regroup)
+	free    []int32   // recyclable block ids
 
-	// Cached signature cardinalities per component; exact for live
-	// components because every component whose sets change is in AFF and
-	// refreshed by regroup.
-	descCount, ancCount []int32
+	gr     *graph.Graph // the quotient Gr over the live blocks
+	cyclic []bool       // per gr node
+	gen    uint64
 
-	comp    *reach.Compressed
-	grCSR   *graph.CSR // frozen snapshot of comp.Gr, lazily built, nil when stale
-	dirtyGr bool
+	comp  *reach.Compressed // node-level view of the classes, nil when stale
+	grCSR *graph.CSR        // frozen gr, nil when stale
 
-	// visited is reusable traversal scratch over component ids;
-	// visitedNodes over node ids. Both cleaned after every use.
-	visited      []bool
-	visitedNodes []bool
-	visited2     []byte
+	sigma  *graph.Labels // H's one-label table
+	hb     []int32       // H node -> block
+	hidx   []int32       // block -> H node
+	seen   []int32       // H node -> row stamp
+	rowBuf []graph.Node
+	rowEnd []int32
+	mark   []uint32 // component -> stamp of the batch that singled it out
+	stamp  uint32
 }
 
 // New takes ownership of g, compresses it, and returns the maintainer.
-func New(g *graph.Graph) *Maintainer {
-	m := &Maintainer{g: g}
-	m.initFromGraph()
+func New(g *graph.Graph) *Maintainer { return Over(dynscc.New(g)) }
+
+// Over returns a maintainer of the graph behind cond that shares the
+// condensation instead of owning one. Whoever applies a batch to cond
+// passes the change log to Absorb; Apply does both and is for a maintainer
+// that is cond's only driver.
+func Over(cond *dynscc.Cond) *Maintainer {
+	m := &Maintainer{cond: cond, sigma: graph.NewLabels()}
+	m.sigma.Intern(reach.SigmaLabel)
+	// Every component starts as its own block; the first regroup is batch
+	// compression of the condensation.
+	m.growTo(cond.NumSlots())
+	for c := int32(0); c < int32(cond.NumSlots()); c++ {
+		if cond.Live(c) {
+			m.singleOut(c)
+		}
+	}
+	m.regroup()
 	return m
 }
 
-// initFromGraph (re)derives all maintained state from m.g. Used at
-// construction and as the large-AFF fallback: when the affected area
-// approaches the whole condensation, batch recomputation (windowed DP,
-// word-parallel) is cheaper than per-component BFS, so the maintainer
-// degrades gracefully to batch cost instead of exceeding it — mirroring
-// how the unboundedness of RCM (Theorem 6) manifests in practice.
-func (m *Maintainer) initFromGraph() {
-	g := m.g
-	m.classSccs = make(map[int32][]int32)
-	m.nextClass = 0
-	s := graph.Tarjan(g)
-	m.compOf = append([]int32(nil), s.Comp...)
-	m.sccs = make([]sccInfo, s.NumComponents())
-	for id := range m.sccs {
-		m.sccs[id] = sccInfo{
-			members: append([]graph.Node(nil), s.Members[id]...),
-			out:     make(map[int32]int32),
-			in:      make(map[int32]int32),
-			cyclic:  s.Cyclic[id],
-		}
-	}
-	for key, support := range s.EdgeSupport {
-		m.sccs[key[0]].out[key[1]] = int32(support)
-		m.sccs[key[1]].in[key[0]] = int32(support)
-	}
-	// Initial classes come from the batch compressor (windowed DP — far
-	// cheaper than per-component BFS), as do the signature cardinalities.
-	c := reach.CompressSCC(g, s)
-	m.comp = c
-	m.grCSR = nil
-	m.dirtyGr = false
-	m.classOfScc = make([]int32, len(m.sccs))
-	for comp := range m.sccs {
-		cls := int32(c.ClassOf(m.sccs[comp].members[0]))
-		m.classOfScc[comp] = cls
-		m.classSccs[cls] = append(m.classSccs[cls], int32(comp))
-	}
-	m.nextClass = int32(c.NumClasses())
-	m.descCount, m.ancCount = reach.SetCounts(s)
-}
-
 // Graph returns the maintained graph; mutate only through Apply.
-func (m *Maintainer) Graph() *graph.Graph { return m.g }
+func (m *Maintainer) Graph() *graph.Graph { return m.cond.Graph() }
 
-// Compressed returns the current compression R(G), rebuilding the quotient
-// lazily after updates.
+// Generation counts the batches that changed the compression: two calls
+// returning the same value bracket a span in which Compressed did not
+// change.
+func (m *Maintainer) Generation() uint64 { return m.gen }
+
+// Compressed returns the current compression R(G). Gr is maintained by
+// Apply; the node-level class index is materialized here, once per
+// generation.
 func (m *Maintainer) Compressed() *reach.Compressed {
-	if m.dirtyGr {
-		m.rebuildGr()
+	if m.comp != nil {
+		return m.comp
 	}
+	classOf := make([]graph.Node, m.Graph().NumNodes())
+	for v := range classOf {
+		classOf[v] = m.node[m.blockOf[m.cond.CompOf(graph.Node(v))]]
+	}
+	members := graph.GroupNodes(classOf, m.gr.NumNodes())
+	m.comp = reach.AssembleCompressed(m.gr, classOf, members, m.cyclic)
 	return m.comp
 }
 
 // CompressedCSR returns the current compression together with a frozen CSR
-// snapshot of its quotient graph Gr. This is the cheap post-Apply read-side
-// hook: the quotient is rebuilt from the maintained component/class layers
-// (never by recompressing G), and the freeze is cached, so calling it after
-// every batch costs O(|Gr|) — not O(|G|). The returned CSR is immutable and
-// safe to publish to concurrent readers.
+// snapshot of its quotient graph Gr, cached per generation. The returned
+// CSR is immutable and safe to publish to concurrent readers.
 func (m *Maintainer) CompressedCSR() (*reach.Compressed, *graph.CSR) {
 	c := m.Compressed()
 	if m.grCSR == nil {
@@ -167,642 +166,164 @@ func (m *Maintainer) CompressedCSR() (*reach.Compressed, *graph.CSR) {
 // Apply applies ΔG and updates the maintained compression so that it
 // equals R(G ⊕ ΔG).
 func (m *Maintainer) Apply(batch []graph.Update) Stats {
-	var st Stats
+	eff := m.Graph().Reduce(batch)
+	return m.Absorb(len(eff), m.cond.Apply(eff))
+}
 
-	aff := make(map[int32]bool)      // structurally changed components
-	ancSeeds := make(map[int32]bool) // components whose ancestors' desc sets change
-	descSeeds := make(map[int32]bool)
-	var deletedCondEdges [][2]int32 // condensation edges removed this batch
-
-	// Insertion-only batches admit a cheap exact pre-filter against the
-	// start-of-batch compressed graph: reachability is monotone under
-	// insertions, so if R(u) already reaches R(v) in Gr, inserting (u,v)
-	// can never change the transitive closure, no matter how the rest of
-	// the batch interleaves. This is the paper's redundant-update
-	// reduction (incRCM step 1) evaluated on Gr, where it costs a BFS
-	// over the tiny compressed graph instead of the condensation.
-	insertOnly := true
-	for _, up := range batch {
-		if !up.Insert {
-			insertOnly = false
-			break
-		}
+// Absorb updates the compression after the condensation applied a batch of
+// eff effective updates with change log d.
+func (m *Maintainer) Absorb(eff int, d *dynscc.Delta) Stats {
+	st := Stats{
+		EffectiveUpdates: eff,
+		RedundantUpdates: d.Redundant,
+		Merges:           d.Merges,
+		Splits:           d.Splits,
 	}
-	var preGr *reach.Compressed
-	if insertOnly && len(batch) > 0 {
-		preGr = m.Compressed()
-	}
-
-	for _, up := range batch {
-		if up.Insert {
-			if preGr != nil && up.From != up.To {
-				cu, cv := preGr.Rewrite(up.From, up.To)
-				if grReachable(preGr.Gr, cu, cv) {
-					if m.g.AddEdge(up.From, up.To) {
-						st.EffectiveUpdates++
-						st.RedundantUpdates++
-						a, b := m.compOf[up.From], m.compOf[up.To]
-						if a != b {
-							m.addSupport(a, b)
-						}
-					}
-					continue
-				}
-			}
-			if !m.g.AddEdge(up.From, up.To) {
-				continue
-			}
-			st.EffectiveUpdates++
-			if m.applyInsert(up.From, up.To, aff, ancSeeds, descSeeds, &st) {
-				st.RedundantUpdates++
-			}
-		} else {
-			if !m.g.RemoveEdge(up.From, up.To) {
-				continue
-			}
-			st.EffectiveUpdates++
-			if m.applyDelete(up.From, up.To, aff, ancSeeds, descSeeds, &deletedCondEdges, &st) {
-				st.RedundantUpdates++
-			}
-		}
-	}
-	if len(aff) == 0 && len(ancSeeds) == 0 && len(descSeeds) == 0 {
+	if !d.ClosureChanged() {
 		return st
 	}
-	m.dirtyGr = true
-
-	// Expand seeds into full cones over the condensation DAG, augmented
-	// with this batch's deleted condensation edges so that components that
-	// LOST reachability are covered as well.
-	for _, c := range m.backwardCone(ancSeeds, deletedCondEdges) {
-		aff[c] = true
-	}
-	for _, c := range m.forwardCone(descSeeds, deletedCondEdges) {
-		aff[c] = true
+	m.growTo(m.cond.NumSlots())
+	for _, c := range d.Dead {
+		m.detach(c)
 	}
 
-	affList := make([]int32, 0, len(aff))
-	for c := range aff {
-		if !m.sccs[c].dead {
-			affList = append(affList, c)
+	m.stamp++
+	if m.stamp == 0 {
+		clear(m.mark)
+		m.stamp = 1
+	}
+	for _, v := range d.Touched {
+		if c := m.cond.CompOf(v); m.mark[c] != m.stamp {
+			m.mark[c] = m.stamp
+			m.detach(c)
+			m.singleOut(c)
+			st.AffComponents++
 		}
 	}
-	sort.Slice(affList, func(i, j int) bool { return affList[i] < affList[j] })
-	st.AffComponents = len(affList)
-
-	// regroup works within a visit budget; when the affected cones are so
-	// large that batch recomputation is cheaper, it aborts and the
-	// maintainer rebuilds from the graph (the practical face of Theorem
-	// 6's unboundedness).
-	if !m.regroup(affList) {
-		m.initFromGraph()
-	}
+	m.regroup()
 	return st
 }
 
-// applyInsert updates the SCC layer for an inserted edge and records
-// affected-area seeds. It reports whether the update was redundant
-// (closure unchanged).
-func (m *Maintainer) applyInsert(u, v graph.Node, aff, ancSeeds, descSeeds map[int32]bool, st *Stats) bool {
-	a, b := m.compOf[u], m.compOf[v]
-	if a == b {
-		if u == v && !m.sccs[a].cyclic {
-			// Self-loop on a trivial component: it becomes cyclic, which
-			// changes only the pair (u,u) — the component must leave its
-			// trivial class.
-			m.sccs[a].cyclic = true
-			aff[a] = true
-			return false
-		}
-		return true // intra-component edge: closure unchanged
+// growTo extends the per-component arrays to n component slots.
+func (m *Maintainer) growTo(n int) {
+	for len(m.blockOf) < n {
+		m.blockOf = append(m.blockOf, -1)
+		m.pos = append(m.pos, 0)
+		m.mark = append(m.mark, 0)
 	}
-	already := m.sccReach(a, b)
-	m.addSupport(a, b)
-	if already {
-		return true // a could already reach b
-	}
-	if m.sccReach(b, a) {
-		// New cycle: merge every component on a path b ⇝ a.
-		merged, safe := m.mergeCycle(a, b)
-		st.Merges++
-		aff[merged] = true
-		if !safe {
-			ancSeeds[merged] = true
-			descSeeds[merged] = true
-		} else {
-			// Safe merges cannot split outside classes, but components
-			// that could newly coarsen with the host's neighbors must
-			// still be re-examined; keep the host's immediate frontier in
-			// AFF (cheap) rather than the full cones.
-			for f := range m.sccs[merged].in {
-				aff[f] = true
-			}
-			for t := range m.sccs[merged].out {
-				aff[t] = true
-			}
-		}
-		return false
-	}
-	ancSeeds[a] = true
-	descSeeds[b] = true
-	aff[a] = true
-	aff[b] = true
-	return false
 }
 
-// applyDelete updates the SCC layer for a deleted edge; see applyInsert.
-func (m *Maintainer) applyDelete(u, v graph.Node, aff, ancSeeds, descSeeds map[int32]bool, deletedCondEdges *[][2]int32, st *Stats) bool {
-	a, b := m.compOf[u], m.compOf[v]
-	if a == b {
-		if u == v {
-			// Self-loop removal.
-			if len(m.sccs[a].members) == 1 {
-				m.sccs[a].cyclic = false
-				aff[a] = true
-			}
-			return len(m.sccs[a].members) > 1
-		}
-		if m.stillConnected(u, v, a) {
-			return true // component survived intact: closure unchanged
-		}
-		parts := m.resplit(a)
-		if len(parts) == 1 {
-			return true // component survived intact
-		}
-		st.Splits++
-		for _, p := range parts {
-			aff[p] = true
-			ancSeeds[p] = true
-			descSeeds[p] = true
-		}
-		return false
-	}
-	left := m.decSupport(a, b)
-	if left > 0 {
-		return true // another member edge keeps the condensation edge
-	}
-	*deletedCondEdges = append(*deletedCondEdges, [2]int32{a, b})
-	if m.sccReach(a, b) {
-		// Alternate path: closure unchanged (see package doc; the DAG
-		// property rules out all alternate paths depending on the deleted
-		// edge).
-		return true
-	}
-	ancSeeds[a] = true
-	descSeeds[b] = true
-	aff[a] = true
-	aff[b] = true
-	return false
-}
-
-// scratch returns the reusable visited slice, grown to the current
-// component count.
-func (m *Maintainer) scratch() []bool {
-	if len(m.visited) < len(m.sccs) {
-		m.visited = make([]bool, len(m.sccs)*2)
-	}
-	return m.visited
-}
-
-// sccReach reports whether component a reaches component b (a != b means
-// via condensation edges; a == b means a is cyclic).
-// sccReach searches bidirectionally, always expanding the smaller
-// frontier: reach checks against a hub component then cost only the size
-// of the small side.
-func (m *Maintainer) sccReach(a, b int32) bool {
-	if a == b {
-		return m.sccs[a].cyclic
-	}
-	if len(m.visited2) < len(m.sccs) {
-		m.visited2 = make([]byte, len(m.sccs)*2)
-	}
-	mark := m.visited2 // 0 unseen, 1 forward, 2 backward
-	stamp := []int32{a, b}
-	mark[a] = 1
-	mark[b] = 2
-	fwd := []int32{a}
-	bwd := []int32{b}
-	found := false
-	for len(fwd) > 0 && len(bwd) > 0 && !found {
-		if len(fwd) <= len(bwd) {
-			var next []int32
-			for _, x := range fwd {
-				for c := range m.sccs[x].out {
-					switch mark[c] {
-					case 2:
-						found = true
-					case 0:
-						mark[c] = 1
-						stamp = append(stamp, c)
-						next = append(next, c)
-					}
-				}
-				if found {
-					break
-				}
-			}
-			fwd = next
-		} else {
-			var next []int32
-			for _, x := range bwd {
-				for c := range m.sccs[x].in {
-					switch mark[c] {
-					case 1:
-						found = true
-					case 0:
-						mark[c] = 2
-						stamp = append(stamp, c)
-						next = append(next, c)
-					}
-				}
-				if found {
-					break
-				}
-			}
-			bwd = next
-		}
-	}
-	for _, c := range stamp {
-		mark[c] = 0
-	}
-	return found
-}
-
-func (m *Maintainer) addSupport(a, b int32) {
-	m.sccs[a].out[b]++
-	m.sccs[b].in[a]++
-}
-
-func (m *Maintainer) decSupport(a, b int32) int32 {
-	m.sccs[a].out[b]--
-	m.sccs[b].in[a]--
-	left := m.sccs[a].out[b]
-	if left <= 0 {
-		delete(m.sccs[a].out, b)
-		delete(m.sccs[b].in, a)
-	}
-	return left
-}
-
-// mergeCycle merges all components on some path b ⇝ a (plus a and b) into
-// one cyclic component and returns its id. Runs entirely on the
-// condensation. The largest member absorbs the others (union-into-largest),
-// so merging a small component into a giant SCC costs only the small
-// side's degree — the common case when social graphs gain edges.
-//
-// The second result reports whether the merge is "safe": at most one
-// merged part has edges from outside the merge set, and at most one has
-// edges to outside. A safe merge cannot change the equivalence grouping of
-// any component outside the merge set, so the affected area collapses to
-// the merged component itself:
-//
-//   - No outside pair can SPLIT under any merge: equal ancestor/descendant
-//     id-sets are transformed identically (merged ids are replaced by the
-//     host id).
-//   - An outside pair can COARSEN only if the two id-sets differed solely
-//     inside the merge set. With a unique entry part q, every outside
-//     ancestor sees the same within-merge reach (the parts reachable from
-//     q), and with a unique exit part e, every outside descendant is
-//     reached by the same parts (those reaching e). Either uniqueness
-//     removes the respective source of intra-merge-set differences, so
-//     differing-only-inside pairs cannot exist.
-//
-// The typical social-network insertion — a previously untouched fan pulled
-// into the giant SCC — is safe, which is what keeps incRCM's per-update
-// work constant-ish there.
-func (m *Maintainer) mergeCycle(a, b int32) (int32, bool) {
-	// Members = forward cone of b ∩ backward cone of a. The backward
-	// search is restricted to the forward cone, so its cost is bounded by
-	// the smaller region (an unrestricted backward search from a giant SCC
-	// would visit every ancestor in the graph).
-	fwd := m.forwardCone(map[int32]bool{b: true}, nil)
-	inF := make(map[int32]bool, len(fwd))
-	for _, c := range fwd {
-		inF[c] = true
-	}
-	members := []int32{a}
-	seen := map[int32]bool{a: true}
-	stack := []int32{a}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for f := range m.sccs[x].in {
-			if inF[f] && !seen[f] {
-				seen[f] = true
-				members = append(members, f)
-				stack = append(stack, f)
-			}
-		}
-	}
-
-	// Host: the member with the largest footprint keeps its identity.
-	host := members[0]
-	hostCost := -1
-	for _, c := range members {
-		cost := len(m.sccs[c].members) + len(m.sccs[c].out) + len(m.sccs[c].in)
-		if cost > hostCost {
-			hostCost = cost
-			host = c
-		}
-	}
-	inMerge := make(map[int32]bool, len(members))
-	for _, c := range members {
-		inMerge[c] = true
-	}
-
-	// Safety analysis on the pre-merge adjacency.
-	entries, exits := 0, 0
-	for _, c := range members {
-		hasEntry, hasExit := false, false
-		for f := range m.sccs[c].in {
-			if !inMerge[f] {
-				hasEntry = true
-				break
-			}
-		}
-		for t := range m.sccs[c].out {
-			if !inMerge[t] {
-				hasExit = true
-				break
-			}
-		}
-		if hasEntry {
-			entries++
-		}
-		if hasExit {
-			exits++
-		}
-	}
-	safe := entries <= 1 && exits <= 1
-
-	h := &m.sccs[host]
-	for _, c := range members {
-		if c == host {
-			continue
-		}
-		old := &m.sccs[c]
-		h.members = append(h.members, old.members...)
-		for _, v := range old.members {
-			m.compOf[v] = host
-		}
-		for t, s := range old.out {
-			if !inMerge[t] {
-				h.out[t] += s
-				m.sccs[t].in[host] += s
-				delete(m.sccs[t].in, c)
-			}
-		}
-		for f, s := range old.in {
-			if !inMerge[f] {
-				h.in[f] += s
-				m.sccs[f].out[host] += s
-				delete(m.sccs[f].out, c)
-			}
-		}
-		m.removeFromClass(c)
-		old.dead = true
-		old.out, old.in, old.members = nil, nil, nil
-		// The host's own references to the absorbed component become
-		// internal edges.
-		delete(h.out, c)
-		delete(h.in, c)
-	}
-	h.cyclic = true
-	m.removeFromClass(host)
-	return host, safe
-}
-
-// stillConnected reports whether u still reaches v inside their (common)
-// component's member subgraph. After deleting an intra-component edge
-// (u,v), the component remains strongly connected iff this holds: paths
-// leaving the component cannot return (the condensation is a DAG), so
-// within-component reachability is decided by member edges alone, and any
-// broken pair must involve the deleted edge's endpoints.
-func (m *Maintainer) stillConnected(u, v graph.Node, comp int32) bool {
-	if u == v {
-		return true
-	}
-	if len(m.visitedNodes) < m.g.NumNodes() {
-		m.visitedNodes = make([]bool, m.g.NumNodes()*2)
-	}
-	seen := m.visitedNodes
-	seen[u] = true
-	stamp := []graph.Node{u}
-	stack := []graph.Node{u}
-	found := false
-	for len(stack) > 0 && !found {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range m.g.Successors(x) {
-			if m.compOf[w] != comp || seen[w] {
-				continue
-			}
-			if w == v {
-				found = true
-				break
-			}
-			seen[w] = true
-			stamp = append(stamp, w)
-			stack = append(stack, w)
-		}
-	}
-	for _, w := range stamp {
-		seen[w] = false
-	}
-	return found
-}
-
-// grReachable is a plain BFS over the (small) compressed graph.
-func grReachable(gr *graph.Graph, u, v graph.Node) bool {
-	seen := make([]bool, gr.NumNodes())
-	stack := []graph.Node{}
-	for _, w := range gr.Successors(u) {
-		if w == v {
-			return true
-		}
-		if !seen[w] {
-			seen[w] = true
-			stack = append(stack, w)
-		}
-	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range gr.Successors(x) {
-			if w == v {
-				return true
-			}
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return false
-}
-
-// resplit re-decomposes one component after an internal edge deletion,
-// replacing it with the resulting components. Only the member subgraph is
-// traversed. Returns the new component ids (a single id if intact).
-func (m *Maintainer) resplit(a int32) []int32 {
-	members := m.sccs[a].members
-	idx := make(map[graph.Node]int32, len(members))
-	for i, v := range members {
-		idx[v] = int32(i)
-	}
-	// Local Tarjan on the member-induced subgraph.
-	sub := graph.New(nil)
-	l := sub.Labels().Intern("x")
-	for range members {
-		sub.AddNode(l)
-	}
-	for i, v := range members {
-		for _, w := range m.g.Successors(v) {
-			if j, ok := idx[w]; ok {
-				sub.AddEdge(int32(i), j)
-			}
-		}
-	}
-	s := graph.Tarjan(sub)
-	if s.NumComponents() == 1 {
-		// Intact; cyclic status may still change (e.g. a 1-node component
-		// cannot arise here since a!=b deletions are handled elsewhere).
-		m.sccs[a].cyclic = s.Cyclic[0]
-		return []int32{a}
-	}
-
-	// Allocate new component ids.
-	parts := make([]int32, s.NumComponents())
-	for i := range parts {
-		id := int32(len(m.sccs))
-		parts[i] = id
-		m.sccs = append(m.sccs, sccInfo{
-			out:    make(map[int32]int32),
-			in:     make(map[int32]int32),
-			cyclic: s.Cyclic[i],
-		})
-		m.classOfScc = append(m.classOfScc, -1)
-		m.descCount = append(m.descCount, 0)
-		m.ancCount = append(m.ancCount, 0)
-	}
-	for i, v := range members {
-		id := parts[s.Comp[i]]
-		m.compOf[v] = id
-		m.sccs[id].members = append(m.sccs[id].members, v)
-	}
-	// Internal condensation edges between the parts.
-	for key, support := range s.EdgeSupport {
-		f, t := parts[key[0]], parts[key[1]]
-		m.sccs[f].out[t] += int32(support)
-		m.sccs[t].in[f] += int32(support)
-	}
-	// External edges: recount member edges crossing the old boundary.
-	old := &m.sccs[a]
-	for t, s := range old.out {
-		delete(m.sccs[t].in, a)
-		_ = s
-	}
-	for f, s := range old.in {
-		delete(m.sccs[f].out, a)
-		_ = s
-	}
-	for _, v := range members {
-		cv := m.compOf[v]
-		for _, w := range m.g.Successors(v) {
-			if _, internal := idx[w]; internal {
-				continue
-			}
-			cw := m.compOf[w]
-			m.sccs[cv].out[cw]++
-			m.sccs[cw].in[cv]++
-		}
-		for _, w := range m.g.Predecessors(v) {
-			if _, internal := idx[w]; internal {
-				continue
-			}
-			cw := m.compOf[w]
-			m.sccs[cw].out[cv]++
-			m.sccs[cv].in[cw]++
-		}
-	}
-	m.removeFromClass(a)
-	old.dead = true
-	old.out, old.in, old.members = nil, nil, nil
-	return parts
-}
-
-// forwardCone returns seeds plus everything reachable from them over the
-// condensation (as a node list), additionally traversing the given
-// (already removed) condensation edges.
-func (m *Maintainer) forwardCone(seeds map[int32]bool, extra [][2]int32) []int32 {
-	return m.cone(seeds, extra, true)
-}
-
-func (m *Maintainer) backwardCone(seeds map[int32]bool, extra [][2]int32) []int32 {
-	return m.cone(seeds, extra, false)
-}
-
-func (m *Maintainer) cone(seeds map[int32]bool, extra [][2]int32, forward bool) []int32 {
-	extraAdj := make(map[int32][]int32, len(extra))
-	for _, e := range extra {
-		if forward {
-			extraAdj[e[0]] = append(extraAdj[e[0]], e[1])
-		} else {
-			extraAdj[e[1]] = append(extraAdj[e[1]], e[0])
-		}
-	}
-	seen := m.scratch()
-	var out []int32
-	var stack []int32
-	push := func(c int32) {
-		if !seen[c] && !m.sccs[c].dead {
-			seen[c] = true
-			out = append(out, c)
-			stack = append(stack, c)
-		}
-	}
-	for c := range seeds {
-		if !m.sccs[c].dead {
-			push(c)
-		}
-	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		adj := m.sccs[x].out
-		if !forward {
-			adj = m.sccs[x].in
-		}
-		for c := range adj {
-			push(c)
-		}
-		for _, c := range extraAdj[x] {
-			push(c)
-		}
-	}
-	for _, c := range out {
-		seen[c] = false
-	}
-	return out
-}
-
-func (m *Maintainer) removeFromClass(c int32) {
-	cls := m.classOfScc[c]
-	if cls < 0 {
+// detach removes component c from its block in O(1).
+func (m *Maintainer) detach(c int32) {
+	b := m.blockOf[c]
+	if b < 0 {
 		return
 	}
-	list := m.classSccs[cls]
-	for i, x := range list {
-		if x == c {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(m.classSccs, cls)
+	list := m.blocks[b]
+	last := list[len(list)-1]
+	list[m.pos[c]] = last
+	m.pos[last] = m.pos[c]
+	m.blocks[b] = list[:len(list)-1]
+	m.blockOf[c] = -1
+}
+
+// singleOut puts the detached component c into a block of its own.
+func (m *Maintainer) singleOut(c int32) {
+	var b int32
+	if n := len(m.free); n > 0 {
+		b = m.free[n-1]
+		m.free = m.free[:n-1]
+		m.blocks[b] = append(m.blocks[b], c)
 	} else {
-		m.classSccs[cls] = list
+		b = int32(len(m.blocks))
+		m.blocks = append(m.blocks, []int32{c})
+		m.node = append(m.node, 0)
+		m.hidx = append(m.hidx, 0)
 	}
-	m.classOfScc[c] = -1
+	m.blockOf[c], m.pos[c] = b, 0
+	m.live = append(m.live, b)
+}
+
+// regroup recomputes the classes and Gr from the current blocks, whose
+// members must be mutually equivalent: it compresses the block quotient H
+// and merges the blocks H's compression puts in one class.
+func (m *Maintainer) regroup() {
+	// H's nodes are the non-empty blocks.
+	hb := m.hb[:0]
+	for _, b := range m.live {
+		if len(m.blocks[b]) == 0 {
+			m.free = append(m.free, b)
+			continue
+		}
+		m.hidx[b] = int32(len(hb))
+		hb = append(hb, b)
+	}
+	hn := len(hb)
+	if len(m.seen) < hn {
+		m.seen = make([]int32, hn+hn/4)
+	}
+	seen := m.seen[:hn]
+	clear(seen)
+
+	// One representative's out-edges per block: equivalent components have
+	// the same descendants, so the closure of H is that of the full block
+	// quotient.
+	buf := m.rowBuf[:0]
+	ends := m.rowEnd[:0]
+	for i, b := range hb {
+		rep := m.blocks[b][0]
+		start := len(buf)
+		for _, t := range m.cond.Out(rep) {
+			if h := m.hidx[m.blockOf[t]]; seen[h] != int32(i)+1 {
+				seen[h] = int32(i) + 1
+				buf = append(buf, h)
+			}
+		}
+		if m.cond.Cyclic(rep) {
+			buf = append(buf, graph.Node(i))
+		}
+		slices.Sort(buf[start:])
+		ends = append(ends, int32(len(buf)))
+	}
+	// Rows are carved only now: buf may have moved while it grew.
+	rows := make([][]graph.Node, hn)
+	start := int32(0)
+	for i, end := range ends {
+		rows[i] = buf[start:end:end]
+		start = end
+	}
+	m.rowEnd = ends[:0]
+	m.rowBuf = buf[:0]
+
+	hc := reach.Compress(graph.BuildFromSortedAdj(m.sigma, make([]graph.Label, hn), rows))
+
+	// Merge the blocks of each class into its largest one.
+	m.live = m.live[:0]
+	for k, hs := range hc.Members {
+		keep := hb[hs[0]]
+		for _, h := range hs[1:] {
+			if b := hb[h]; len(m.blocks[b]) > len(m.blocks[keep]) {
+				keep = b
+			}
+		}
+		for _, h := range hs {
+			b := hb[h]
+			if b == keep {
+				continue
+			}
+			for _, c := range m.blocks[b] {
+				m.blockOf[c] = keep
+				m.pos[c] = int32(len(m.blocks[keep]))
+				m.blocks[keep] = append(m.blocks[keep], c)
+			}
+			m.blocks[b] = m.blocks[b][:0]
+			m.free = append(m.free, b)
+		}
+		m.node[keep] = int32(k)
+		m.live = append(m.live, keep)
+	}
+	m.hb = hb[:0]
+	m.gr, m.cyclic = hc.Gr, hc.CyclicClass
+	m.comp, m.grCSR = nil, nil
+	m.gen++
 }

@@ -86,32 +86,6 @@ func TestAncestorDPIsDualOfDescendantDP(t *testing.T) {
 	}
 }
 
-func TestSetCountsMatchDP(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(40)
-		g := randomGraph(rng, n, rng.Intn(3*n))
-		s := graph.Tarjan(g)
-		dc, ac := SetCounts(s)
-		want := bruteDesc(s)
-		for c := range want {
-			if int(dc[c]) != len(want[c]) {
-				t.Fatalf("descCount[%d] = %d, want %d", c, dc[c], len(want[c]))
-			}
-		}
-		// Sum of ancestor counts equals sum of descendant counts (each
-		// reachable pair counted once on each side).
-		var sd, sa int32
-		for c := range dc {
-			sd += dc[c]
-			sa += ac[c]
-		}
-		if sd != sa {
-			t.Fatalf("Σdesc=%d != Σanc=%d", sd, sa)
-		}
-	}
-}
-
 func TestSetGrouperExactness(t *testing.T) {
 	sg := newSetGrouper()
 	a := bitset.New(100)

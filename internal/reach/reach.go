@@ -54,9 +54,9 @@ func (c *Compressed) Ratio(g *graph.Graph) float64 {
 	return float64(c.Gr.Size()) / float64(g.Size())
 }
 
-// AssembleCompressed packages an externally maintained quotient (as built
-// by BuildQuotientGraph) with its node mapping into a Compressed value.
-// Used by the incremental maintainer.
+// AssembleCompressed packages an externally maintained or decoded quotient
+// with its node mapping into a Compressed value. Used by the incremental
+// maintainer, the store's reorder pass and the snapshot decoder.
 func AssembleCompressed(gr *graph.Graph, classOf []graph.Node, members [][]graph.Node, cyclic []bool) *Compressed {
 	return &Compressed{Gr: gr, classOf: classOf, Members: members, CyclicClass: cyclic}
 }
@@ -70,41 +70,8 @@ func Compress(g *graph.Graph) *Compressed {
 	return compressFromSCC(g, scc)
 }
 
-// CompressSCC is Compress with a caller-provided condensation, for callers
-// (e.g. the incremental maintainer's rebuild path) that already computed
-// it.
-func CompressSCC(g *graph.Graph, scc *graph.SCC) *Compressed {
-	return compressFromSCC(g, scc)
-}
-
-// SetCounts computes, with the windowed word-parallel DP, the cardinality
-// of the strict descendant and ancestor component sets of every
-// condensation node. Used by the incremental maintainer as its
-// merge-candidate filter.
-func SetCounts(scc *graph.SCC) (descCount, ancCount []int32) {
-	n := scc.NumComponents()
-	descCount = make([]int32, n)
-	ancCount = make([]int32, n)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		descendantDP(scc, func(comp int32, d *bitset.Set) {
-			descCount[comp] = int32(d.Count())
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		ancestorDP(scc, func(comp int32, a *bitset.Set) {
-			ancCount[comp] = int32(a.Count())
-		})
-	}()
-	wg.Wait()
-	return
-}
-
-// compressFromSCC performs the quotient construction given a precomputed
-// condensation; shared with the incremental maintainer.
+// compressFromSCC performs the quotient construction given the
+// condensation.
 func compressFromSCC(g *graph.Graph, scc *graph.SCC) *Compressed {
 	n := scc.NumComponents()
 
@@ -161,14 +128,12 @@ func compressFromSCC(g *graph.Graph, scc *graph.SCC) *Compressed {
 
 	c := &Compressed{
 		classOf:     make([]graph.Node, g.NumNodes()),
-		Members:     make([][]graph.Node, numClasses),
 		CyclicClass: make([]bool, numClasses),
 	}
-	for v := 0; v < g.NumNodes(); v++ {
-		cls := classOfComp[scc.Comp[v]]
-		c.classOf[v] = cls
-		c.Members[cls] = append(c.Members[cls], graph.Node(v))
+	for v := range c.classOf {
+		c.classOf[v] = classOfComp[scc.Comp[v]]
 	}
+	c.Members = graph.GroupNodes(c.classOf, numClasses)
 	for comp := 0; comp < n; comp++ {
 		if scc.Cyclic[comp] {
 			c.CyclicClass[classOfComp[comp]] = true
@@ -189,8 +154,7 @@ func compressFromSCC(g *graph.Graph, scc *graph.SCC) *Compressed {
 // BuildQuotientGraph constructs a reachability-compressed graph from raw
 // (possibly duplicated) class-level adjacency: class nodes labeled σ,
 // deduplicated inter-class edges with transitive reduction applied, and
-// self-loops on cyclic classes. Exported for the incremental maintainer,
-// which produces the class adjacency from its own bookkeeping.
+// self-loops on cyclic classes.
 //
 // Candidate edges are deduplicated by a packed-pair sort rather than a
 // hash map, the reduction runs one pooled pass in reverse topological order

@@ -21,7 +21,7 @@ const (
 	tagReachIdx = 0x160
 	tagPatC     = 0x180
 	tagPatGr    = 0x1a0
-	tagPatIdx   = 0x1c0
+	tagPatIdx   = 0x1c0 // no longer written; decoded and dropped from older files
 	tagMeta     = 0x200 // sharded: K, ShardOf, NodeLabel, CrossOut
 	tagSummary  = 0x300
 	tagStitched = 0x320
@@ -31,8 +31,9 @@ const (
 
 // StoreParts is the complete decoded state of one monolithic Store
 // snapshot: the frozen CSR of G, both compressed artifacts (quotient CSR,
-// node mapping, member index), and the optional 2-hop indexes. Slices
-// alias the load buffer; everything is immutable after decode.
+// node mapping, member index), and the optional 2-hop index over the
+// reachability quotient. Slices alias the load buffer; everything is
+// immutable after decode.
 type StoreParts struct {
 	// Epoch is the snapshot's batch epoch.
 	Epoch uint64
@@ -63,8 +64,6 @@ type StoreParts struct {
 	PatternBlockOf []graph.Node
 	// PatternMembers lists each block's member nodes.
 	PatternMembers [][]graph.Node
-	// PatternIndex is the 2-hop index over PatternGr, nil when absent.
-	PatternIndex *hop2.Index
 }
 
 // EncodeStore serializes a monolithic snapshot to its file image.
@@ -98,7 +97,6 @@ func encodeStore(p *StoreParts) *writer {
 	putIndex(w, tagReachIdx, p.ReachIndex)
 	putCompressed(w, tagPatC, p.PatternBlockOf, p.PatternMembers, nil)
 	putCSR(w, tagPatGr, p.PatternGr, shared)
-	putIndex(w, tagPatIdx, p.PatternIndex)
 	return w
 }
 
@@ -158,8 +156,13 @@ func DecodeStore(data []byte) (*StoreParts, error) {
 	if err = validateCompressed("pattern", n, p.PatternGr.NumNodes(), p.PatternBlockOf, p.PatternMembers, nil); err != nil {
 		return nil, err
 	}
-	if p.PatternIndex, err = readIndex(r, tagPatIdx, p.PatternGr.NumNodes()); err != nil {
-		return nil, err
+	// Snapshots written while the store still built a 2-hop index over the
+	// pattern quotient end with it. No query path ever read that index, so
+	// it is validated like any block and dropped: old directories still open.
+	if r.left > 0 {
+		if _, err = readIndex(r, tagPatIdx, p.PatternGr.NumNodes()); err != nil {
+			return nil, err
+		}
 	}
 	return p, nil
 }

@@ -34,7 +34,6 @@ func buildStoreParts(g *graph.Graph, epoch uint64, indexes bool) *StoreParts {
 	}
 	if indexes {
 		p.ReachIndex = hop2.BuildCSR(p.ReachGr)
-		p.PatternIndex = hop2.BuildCSR(p.PatternGr)
 	}
 	return p
 }
@@ -84,8 +83,8 @@ func TestStoreRoundTrip(t *testing.T) {
 		sameCSR(t, "G", want.G, got.G)
 		sameCSR(t, "ReachGr", want.ReachGr, got.ReachGr)
 		sameCSR(t, "PatternGr", want.PatternGr, got.PatternGr)
-		if (got.ReachIndex != nil) != indexes || (got.PatternIndex != nil) != indexes {
-			t.Fatalf("indexes round trip mismatch (want present=%v)", indexes)
+		if (got.ReachIndex != nil) != indexes {
+			t.Fatalf("index round trip mismatch (want present=%v)", indexes)
 		}
 
 		// Query equivalence: every sampled pair answers identically on the
@@ -243,5 +242,38 @@ func TestKindMismatchRejected(t *testing.T) {
 	data := EncodeStore(buildStoreParts(g, 1, false))
 	if _, err := DecodeSharded(data); err == nil {
 		t.Fatal("store snapshot accepted by sharded decoder")
+	}
+}
+
+// TestStoreDecodesLegacyPatternIndex pins backward compatibility: images
+// written when the store still persisted a 2-hop index over the pattern
+// quotient end with that block group, and must keep decoding — to the same
+// parts, the index dropped — whether the index was present or absent.
+func TestStoreDecodesLegacyPatternIndex(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(11)), 200, 800, 3)
+	for _, indexes := range []bool{true, false} {
+		want := buildStoreParts(g.Clone(), 5, indexes)
+		w := encodeStore(want)
+		var legacy *hop2.Index
+		if indexes {
+			legacy = hop2.BuildCSR(want.PatternGr)
+		}
+		putIndex(w, tagPatIdx, legacy)
+		got, err := DecodeStore(w.encode())
+		if err != nil {
+			t.Fatalf("legacy image (indexes=%v): %v", indexes, err)
+		}
+		sameCSR(t, "G", want.G, got.G)
+		sameCSR(t, "PatternGr", want.PatternGr, got.PatternGr)
+		if (got.ReachIndex != nil) != indexes {
+			t.Fatalf("reach index presence = %v, want %v", got.ReachIndex != nil, indexes)
+		}
+	}
+	// A corrupt legacy trailer is still rejected, not skipped blindly.
+	want := buildStoreParts(g.Clone(), 5, false)
+	w := encodeStore(want)
+	w.u64(tagPatIdx+7, 0)
+	if _, err := DecodeStore(w.encode()); err == nil {
+		t.Fatal("trailing block with a foreign tag decoded")
 	}
 }

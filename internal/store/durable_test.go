@@ -93,7 +93,9 @@ func diffShardedVsReference(t *testing.T, name string, got *ShardedStore, mirror
 // monolithic store, on every generated topology: acked batches must
 // survive a crash (read-your-writes after reopen, differentially equal to
 // an uninterrupted store), the torn tail of an unacked batch must be
-// dropped, and recovery must replay the WAL tail through the maintainers.
+// dropped, and recovery — which folds the WAL tail into the checkpointed
+// graph and compresses once, instead of replaying it batch by batch — must
+// land on the uninterrupted run's state: same graph, same quotients.
 func TestCrashRecoveryStore(t *testing.T) {
 	for name, g := range shardedTopologies(21) {
 		t.Run(name, func(t *testing.T) {
@@ -124,6 +126,7 @@ func TestCrashRecoveryStore(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			want := s.Stats()
 			s.Close()
 			// Phase 3: the crash tears a half-written, never-acked batch
 			// onto the log tail.
@@ -134,8 +137,16 @@ func TestCrashRecoveryStore(t *testing.T) {
 				t.Fatalf("recover: %v", err)
 			}
 			defer r.Close()
-			if got := r.Stats().Epoch; got != 7 {
-				t.Fatalf("recovered epoch %d, want 7 (3 checkpointed + 4 replayed, torn batch dropped)", got)
+			got := r.Stats()
+			if got.Epoch != 7 {
+				t.Fatalf("recovered epoch %d, want 7 (3 checkpointed + 4 in the tail, torn batch dropped)", got.Epoch)
+			}
+			if r.m == nil {
+				t.Fatal("a WAL tail must leave the recovered store with live maintainers")
+			}
+			if got.Edges != want.Edges || got.ReachClasses != want.ReachClasses || got.PatternClasses != want.PatternClasses ||
+				got.ReachRatio != want.ReachRatio || got.PatternRatio != want.PatternRatio {
+				t.Fatalf("recovered state %+v differs from the uninterrupted run's %+v", got, want)
 			}
 			diffStoreVsReference(t, name, r, mirror)
 
@@ -152,8 +163,9 @@ func TestCrashRecoveryStore(t *testing.T) {
 
 // TestCrashRecoverySharded is the sharded twin: the epoch vector (per-
 // shard views, boundary summary, stitched quotient) recovers from the
-// checkpoint, the WAL tail replays through the per-shard pipelines with
-// cross-shard routing intact, and the torn tail is dropped.
+// checkpoint, the WAL tail is routed — cross-shard updates to the
+// coordinator, the rest folded into the shard graphs before their
+// pipelines are built — and the torn tail is dropped.
 func TestCrashRecoverySharded(t *testing.T) {
 	for name, g := range shardedTopologies(22) {
 		t.Run(name, func(t *testing.T) {
@@ -181,6 +193,7 @@ func TestCrashRecoverySharded(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			want := s.Stats()
 			s.Close()
 			tearWAL(t, dir)
 
@@ -192,6 +205,10 @@ func TestCrashRecoverySharded(t *testing.T) {
 			st := r.Stats()
 			if st.Epoch != 7 {
 				t.Fatalf("recovered epoch %d, want 7", st.Epoch)
+			}
+			if st.Edges != want.Edges || st.CrossEdges != want.CrossEdges || st.Boundary != want.Boundary ||
+				st.SummaryEdges != want.SummaryEdges || st.ReachClasses != want.ReachClasses || st.StitchClasses != want.StitchClasses {
+				t.Fatalf("recovered state %+v differs from the uninterrupted run's %+v", st, want)
 			}
 			if st.Shards != 3 {
 				t.Fatalf("recovered %d shards, want 3 (snapshot's k must win)", st.Shards)
@@ -238,14 +255,14 @@ func TestSnapshotLoadIsLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.rm != nil || r.pm != nil {
+	if r.m != nil {
 		t.Fatal("maintainers built during a clean snapshot load (lazy path broken)")
 	}
-	if sn := r.Snapshot(); sn.Reach.Index == nil || sn.Pattern.Index == nil {
-		t.Fatal("recovered snapshot lost its 2-hop indexes")
+	if sn := r.Snapshot(); sn.Reach.Index == nil {
+		t.Fatal("recovered snapshot lost its 2-hop index")
 	}
 	diffStoreVsReference(t, "lazy", r, mirror)
-	if r.rm != nil {
+	if r.m != nil {
 		t.Fatal("reads must not materialize the maintainers")
 	}
 
@@ -254,7 +271,7 @@ func TestSnapshotLoadIsLazy(t *testing.T) {
 	if _, err := r.ApplyBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if r.rm == nil || r.pm == nil {
+	if r.m == nil {
 		t.Fatal("first write did not materialize the maintainers")
 	}
 	diffStoreVsReference(t, "lazy+write", r, mirror)

@@ -19,8 +19,12 @@ import (
 type storeObs struct {
 	apply   *obs.Histogram // writer latency per coalesced group (WAL + maintain + publish)
 	publish *obs.Histogram // snapshot assembly + swap latency
-	leaf    *obs.Histogram // qpgc_query stage: leaf engine time per wave (sampled)
-	summary *obs.Histogram // qpgc_query stage: cross-shard summary hop per wave (sampled)
+	// The apply latency by stage, qpgc_store_apply_seconds{stage=...}: WAL
+	// append + commit and publish per coalesced group, the condensation
+	// plus incRCM and incPCM per batch (per shard sub-batch when sharded).
+	stageWAL, stageReach, stagePattern, stagePublish *obs.Histogram
+	leaf                                             *obs.Histogram // qpgc_query stage: leaf engine time per wave (sampled)
+	summary                                          *obs.Histogram // qpgc_query stage: cross-shard summary hop per wave (sampled)
 
 	lastPublish atomic.Int64  // unix nanos of the latest publish, for epoch age
 	tick        atomic.Uint32 // wave sample clock for sampleWave
@@ -52,8 +56,13 @@ func newStoreObs(r *obs.Registry) *storeObs {
 	so := &storeObs{
 		apply:   r.Histogram("qpgc_store_apply_seconds"),
 		publish: r.Histogram("qpgc_store_publish_seconds"),
-		leaf:    r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageLeaf.String())),
-		summary: r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageSummary.String())),
+
+		stageWAL:     r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "wal")),
+		stageReach:   r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "reach")),
+		stagePattern: r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "pattern")),
+		stagePublish: r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "publish")),
+		leaf:         r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageLeaf.String())),
+		summary:      r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageSummary.String())),
 	}
 	so.lastPublish.Store(time.Now().UnixNano())
 	return so
@@ -65,6 +74,7 @@ func (so *storeObs) notePublish(d time.Duration) {
 		return
 	}
 	so.publish.Observe(d)
+	so.stagePublish.Observe(d)
 	so.lastPublish.Store(time.Now().UnixNano())
 }
 

@@ -1,0 +1,83 @@
+package store
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/obs"
+)
+
+// TestApplyStageHistograms pins the write-path budget a registry exposes:
+// qpgc_store_apply_seconds splits into wal, reach, pattern and publish
+// stages that are each observed and together stay within the total, on
+// both store kinds; a store opened without a registry wires no stage
+// clocks at all.
+func TestApplyStageHistograms(t *testing.T) {
+	const batches = 6
+	stage := func(r *obs.Registry, name string) obs.HistSnapshot {
+		return r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", name)).Snapshot()
+	}
+	check := func(t *testing.T, r *obs.Registry, perBatch uint64) {
+		t.Helper()
+		total := r.Histogram("qpgc_store_apply_seconds").Snapshot()
+		if total.Count != batches {
+			t.Fatalf("apply observed %d groups, want %d", total.Count, batches)
+		}
+		wal, reach, pat, pub := stage(r, "wal"), stage(r, "reach"), stage(r, "pattern"), stage(r, "publish")
+		if wal.Count != batches || pub.Count < batches {
+			t.Fatalf("wal observed %d, publish %d; want %d each (plus the epoch-0 publish)", wal.Count, pub.Count, batches)
+		}
+		if reach.Count != perBatch || pat.Count != perBatch {
+			t.Fatalf("reach observed %d, pattern %d; want %d each", reach.Count, pat.Count, perBatch)
+		}
+		if reach.Sum <= 0 || pat.Sum <= 0 {
+			t.Fatalf("maintainer stages recorded no time: reach %v, pattern %v", reach.Sum, pat.Sum)
+		}
+		if wal.Sum+reach.Sum+pat.Sum > total.Sum {
+			t.Fatalf("stages wal %v + reach %v + pattern %v exceed the total %v", wal.Sum, reach.Sum, pat.Sum, total.Sum)
+		}
+	}
+
+	t.Run("store", func(t *testing.T) {
+		g := gen.Social(rand.New(rand.NewSource(3)), 400, 1600, 3)
+		reg := obs.NewRegistry()
+		s := mustOpen(t, g.Clone(), &Options{Dir: t.TempDir(), Obs: reg})
+		defer s.Close()
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < batches; i++ {
+			if _, err := s.ApplyBatch(gen.RandomBatch(rng, g, 16, 0.5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, reg, batches)
+
+		bare := mustOpen(t, g.Clone(), nil)
+		defer bare.Close()
+		if bare.ob != nil || bare.m.ReachTime != nil || bare.m.PatternTime != nil {
+			t.Fatal("a store without a registry must carry no stage clocks")
+		}
+	})
+	t.Run("sharded", func(t *testing.T) {
+		g := gen.Social(rand.New(rand.NewSource(5)), 400, 1600, 3)
+		reg := obs.NewRegistry()
+		s := mustOpenSharded(t, g.Clone(), &ShardedOptions{Shards: 2, Dir: t.TempDir(), Obs: reg})
+		defer s.Close()
+		rng := rand.New(rand.NewSource(6))
+		for i := 0; i < batches; i++ {
+			if _, err := s.ApplyBatch(gen.RandomBatch(rng, g, 16, 0.5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Every shard observes its own sub-batch; with 16 updates over two
+		// shards each batch reaches both with near certainty, but only a
+		// lower bound is exact.
+		reach := stage(reg, "reach")
+		if reach.Count < batches || reach.Count != stage(reg, "pattern").Count {
+			t.Fatalf("shards observed reach %d, pattern %d sub-batches for %d batches", reach.Count, stage(reg, "pattern").Count, batches)
+		}
+		if stage(reg, "wal").Count != batches {
+			t.Fatalf("wal observed %d groups, want %d", stage(reg, "wal").Count, batches)
+		}
+	})
+}

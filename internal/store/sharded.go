@@ -8,7 +8,7 @@
 // OpenSharded splits G into k shards with part.Split (SCC-aware, so local
 // reachability structure never straddles shards) and starts one writer
 // goroutine per shard, each owning that shard's incremental maintainers
-// (increach + incbisim over the shard's local subgraph). A coordinator
+// (a maintain.Pair over the shard's local subgraph). A coordinator
 // goroutine serializes ApplyBatch calls, routes each update to the shard
 // owning both endpoints — or, for cross-shard edges, applies it to the
 // coordinator-owned cross adjacency — fans the per-shard sub-batches out
@@ -43,8 +43,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/graph"
 	"repro/internal/hop2"
-	"repro/internal/incbisim"
-	"repro/internal/increach"
+	"repro/internal/maintain"
 	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/pattern"
@@ -471,14 +470,18 @@ type shardWorker struct {
 	reqs  chan *shardCmd
 	done  chan struct{}
 	hist  *obs.Histogram // per-shard batch latency; nil when metrics are off
+	ob    *storeObs      // the store's stage histograms; nil when metrics are off
 }
 
 func (w *shardWorker) run() {
 	defer close(w.done)
-	rm := increach.New(w.local)
-	pm := incbisim.New(w.local.Clone())
+	m := maintain.New(w.local)
+	if w.ob != nil {
+		m.ReachTime, m.PatternTime = w.ob.stageReach, w.ob.stagePattern
+	}
 	w.local = nil
 	var cached shardEpochView
+	reachGen := uint64(noGen)
 	for cmd := range w.reqs {
 		if len(cmd.batch) > 0 || cached.g == nil {
 			var start time.Time
@@ -486,18 +489,21 @@ func (w *shardWorker) run() {
 				start = time.Now()
 			}
 			if len(cmd.batch) > 0 {
-				rm.Apply(cmd.batch)
-				pm.Apply(cmd.batch)
+				m.Apply(cmd.batch)
 			}
-			cached.g = rm.Graph().Freeze()
-			cached.rc, cached.rGr = rm.CompressedCSR()
-			// Locality pass: the shard's quotient is relabeled by its
-			// BFS-from-hubs permutation, baked into the class mapping so
-			// the routed read path and the boundary summary build see one
-			// consistent (permuted) id space.
-			cached.rc, cached.rGr = reorderReach(cached.rc, cached.rGr)
-			cached.part = pm.Partition()
-			cmd.view.dirty = true
+			cached.g = m.Graph().Freeze()
+			// The reach view — and with it the coordinator's 2-hop index
+			// for this shard — is rebuilt only when the shard's
+			// compression moved. Locality pass: the quotient is relabeled
+			// by its topological permutation, baked into the class mapping
+			// so the routed read path and the boundary summary build see
+			// one consistent (permuted) id space.
+			if gen := m.Reach.Generation(); gen != reachGen {
+				cached.rc, cached.rGr = reorderReach(m.Reach.CompressedCSR())
+				reachGen = gen
+				cmd.view.dirty = true
+			}
+			cached.part = m.Pattern.Partition()
 			if w.hist != nil {
 				w.hist.Observe(time.Since(start))
 			}
@@ -641,17 +647,11 @@ func openShardedMem(g *graph.Graph, o ShardedOptions) *ShardedStore {
 		ob:            newStoreObs(o.Obs),
 	}
 	s.scratch.New = func() any { return NewRouteScratch() }
-	s.workers = make([]*shardWorker, o.Shards)
-	for i := 0; i < o.Shards; i++ {
-		w := &shardWorker{
-			local: p.Subgraph(c, i),
-			reqs:  make(chan *shardCmd),
-			done:  make(chan struct{}),
-			hist:  shardBatchHist(o.Obs, i),
-		}
-		s.workers[i] = w
-		go w.run() // builds the shard pipeline, then serves commands
+	locals := make([]*graph.Graph, o.Shards)
+	for i := range locals {
+		locals[i] = p.Subgraph(c, i)
 	}
+	s.startWorkers(locals) // each builds its shard pipeline, then serves commands
 	s.roundTrip(make([][]graph.Update, o.Shards))
 	s.publish(0)
 	s.sched = s.newSched()
@@ -741,29 +741,45 @@ func (s *ShardedStore) applyCross(u, v graph.Node, insert bool) bool {
 }
 
 // ensureWorkers materializes the per-shard writers of a store recovered
-// from a snapshot: local graphs are thawed from the loaded shard views and
-// the incremental maintainers rebuilt, paying on the first write the
-// compression cost the warm restart skipped. Coordinator goroutine only.
-func (s *ShardedStore) ensureWorkers() {
+// from a snapshot: local graphs are thawed from the loaded shard views,
+// pending[i] (shard i's share of a WAL tail; nil for none) is folded in,
+// and the incremental maintainers are built once on the result, paying
+// here the compression cost the warm restart skipped. Coordinator
+// goroutine only.
+func (s *ShardedStore) ensureWorkers(pending [][]graph.Update) {
 	if s.workers != nil {
 		return
 	}
 	sn := s.snap.Load()
-	s.workers = make([]*shardWorker, s.opts.Shards)
-	for i := range s.workers {
-		w := &shardWorker{
-			local: sn.Shards[i].G.Thaw(),
-			reqs:  make(chan *shardCmd),
-			done:  make(chan struct{}),
-			hist:  shardBatchHist(s.opts.Obs, i),
+	locals := make([]*graph.Graph, s.opts.Shards)
+	for i := range locals {
+		locals[i] = sn.Shards[i].G.Thaw()
+		if pending != nil {
+			locals[i].Apply(pending[i])
 		}
-		s.workers[i] = w
-		go w.run()
 	}
+	s.startWorkers(locals)
 	for i := range s.views {
 		s.views[i] = nil // force every writer to materialize its view
 	}
 	s.roundTrip(make([][]graph.Update, s.opts.Shards))
+}
+
+// startWorkers starts one writer per shard, each building its maintainers
+// over locals[i] concurrently.
+func (s *ShardedStore) startWorkers(locals []*graph.Graph) {
+	s.workers = make([]*shardWorker, len(locals))
+	for i, local := range locals {
+		w := &shardWorker{
+			local: local,
+			reqs:  make(chan *shardCmd),
+			done:  make(chan struct{}),
+			hist:  shardBatchHist(s.opts.Obs, i),
+			ob:    s.ob,
+		}
+		s.workers[i] = w
+		go w.run()
+	}
 }
 
 // routeBatch splits one global batch into per-shard local sub-batches and
@@ -833,7 +849,10 @@ func (s *ShardedStore) run() {
 				continue
 			}
 		}
-		s.ensureWorkers()
+		if s.ob != nil {
+			s.ob.stageWAL.Observe(time.Since(applyStart))
+		}
+		s.ensureWorkers(nil)
 		k := s.opts.Shards
 		batches := make([][]graph.Update, k)
 		results := make([]shardedApplyOutcome, len(pending))
@@ -983,7 +1002,8 @@ func shardedParts(s *ShardedStore, sn *ShardedSnapshot) *snapfile.ShardedParts {
 
 // recoverSharded reopens a durable sharded directory: rebuild the static
 // partition and the full epoch vector from the checkpoint by slicing, then
-// replay the WAL tail through freshly materialized shard pipelines.
+// fold the WAL tail into the shard graphs and materialize the shard
+// pipelines once on the result.
 func recoverSharded(o ShardedOptions) (*ShardedStore, error) {
 	d, err := newDurable(o.durableCfg(), snapfile.KindSharded)
 	if err != nil {
@@ -1095,15 +1115,15 @@ func recoverSharded(o ShardedOptions) (*ShardedStore, error) {
 		return nil, err
 	}
 	if len(tail) > 0 {
-		// Replay the tail as one coalesced group: routing order per shard
-		// and cross-adjacency application order match the original run's.
-		s.ensureWorkers()
+		// Route the tail as one coalesced group — routing order per shard
+		// and cross-adjacency application order match the original run's —
+		// and build every shard's maintainers on its final local graph.
 		batches := make([][]graph.Update, k)
 		var res ShardedApplyResult
 		for _, batch := range tail {
 			s.routeBatch(batch, batches, &res)
 		}
-		s.roundTrip(batches)
+		s.ensureWorkers(batches)
 		epoch := sn.Epoch + uint64(len(tail))
 		s.batches.Store(epoch)
 		s.publish(epoch)

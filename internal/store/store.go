@@ -37,8 +37,8 @@
 // periodically checkpointed to a binary snapshot file (internal/snapfile),
 // after which the covered log prefix is truncated. Reopening the directory
 // (Open with a nil graph) loads the newest checkpoint by slicing its flat
-// layout — no recompression — and replays any log tail through the
-// incremental maintainers' Replay entry points. A store recovered with an
+// layout — no recompression — and, when a log tail exists, folds it into
+// the thawed graph and compresses that once. A store recovered with an
 // empty tail serves reads straight from the loaded snapshot and defers
 // building maintainer state until the first write. See DESIGN.md,
 // "Durability".
@@ -57,6 +57,7 @@ import (
 	"repro/internal/hop2"
 	"repro/internal/incbisim"
 	"repro/internal/increach"
+	"repro/internal/maintain"
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/queries"
@@ -95,10 +96,10 @@ const maxCoalesce = 32
 
 // Options configures a Store.
 type Options struct {
-	// Indexes controls whether each snapshot carries 2-hop reachability
-	// indexes built over the two compressed graphs (the paper's Fig. 12(d)
-	// point: indexing Gr is cheap where indexing G is not). Building them
-	// adds per-epoch work proportional to the (small) quotients. When
+	// Indexes controls whether each snapshot carries a 2-hop reachability
+	// index built over the reachability quotient (the paper's Fig. 12(d)
+	// point: indexing Gr is cheap where indexing G is not). Building it
+	// adds per-epoch work proportional to the (small) quotient. When
 	// recovering from a durable directory, the loaded snapshot's own
 	// index presence wins, so a store restarts with the configuration it
 	// was serving.
@@ -195,9 +196,6 @@ type PatternView struct {
 	// Compressed carries the class mapping and member index used by the
 	// post-processing function P (pattern.Expand).
 	Compressed *bisim.Compressed
-	// Index is a 2-hop reachability labeling over Gr, nil unless
-	// Options.Indexes.
-	Index *hop2.Index
 }
 
 // Snapshot is the immutable query state of one epoch. All fields are safe
@@ -357,13 +355,15 @@ type applyReq struct {
 type Store struct {
 	opts Options
 
-	// rm/pm own the authoritative write-side state (pm keeps its own graph
-	// copy in lockstep). Both are nil in a store recovered from a snapshot
-	// until the first write forces ensureMaintainers — the lazy path that
-	// makes a warm restart O(read) instead of O(recompress). Only the
-	// writer goroutine (or Open, before it starts) touches them.
-	rm *increach.Maintainer
-	pm *incbisim.Maintainer
+	// m owns the authoritative write-side state: the graph and both
+	// incremental maintainers over it. It is nil in a store recovered from
+	// a snapshot until the first write forces ensureMaintainers — the lazy
+	// path that makes a warm restart O(read) instead of O(recompress).
+	// reachGen/patternGen are the maintainer generations the current
+	// snapshot's views were built at (noGen when they came from a file).
+	// Only the writer goroutine (or Open, before it starts) touches these.
+	m                    *maintain.Pair
+	reachGen, patternGen uint64
 
 	dur *durable // nil for in-memory stores
 
@@ -450,12 +450,11 @@ func openMem(g *graph.Graph, o Options) *Store {
 	// goroutines and must not touch the writer-owned graph
 	s := &Store{
 		opts: o,
-		rm:   increach.New(g),
-		pm:   incbisim.New(g.Clone()),
 		reqs: make(chan applyReq),
 		idle: make(chan struct{}),
 		ob:   newStoreObs(o.Obs),
 	}
+	s.setMaintainers(g)
 	s.scratch.New = func() any { return queries.NewScratch(n) }
 	s.publish(0)
 	s.sched = s.newSched()
@@ -483,17 +482,28 @@ func (s *Store) newSched() *scheduler {
 		})
 }
 
+// noGen is a maintainer generation no maintainer reports: views tagged with
+// it are always rebuilt by the next publish.
+const noGen = ^uint64(0)
+
+// setMaintainers takes ownership of g and compresses it under both schemes
+// as the store's write-side state.
+func (s *Store) setMaintainers(g *graph.Graph) {
+	s.m = maintain.New(g)
+	s.reachGen, s.patternGen = noGen, noGen
+	if s.ob != nil {
+		s.m.ReachTime, s.m.PatternTime = s.ob.stageReach, s.ob.stagePattern
+	}
+}
+
 // ensureMaintainers materializes the incremental maintainers of a store
 // recovered from a snapshot with no WAL tail: the first write pays the
 // one-time compression cost that the warm restart skipped. Writer
 // goroutine only.
 func (s *Store) ensureMaintainers() {
-	if s.rm != nil {
-		return
+	if s.m == nil {
+		s.setMaintainers(s.Snapshot().G.Thaw())
 	}
-	gm := s.Snapshot().G.Thaw()
-	s.rm = increach.New(gm)
-	s.pm = incbisim.New(gm.Clone())
 }
 
 // publish rebuilds the snapshot from the maintainers and swaps it in.
@@ -503,33 +513,39 @@ func (s *Store) publish(epoch uint64) {
 	if s.ob != nil {
 		pubStart = time.Now()
 	}
-	csrG := s.rm.Graph().Freeze()
-	rc, rGr := s.rm.CompressedCSR()
-	// The two maintainers hold separate graph copies with identical
-	// content, so the pattern quotient can be rebuilt over the snapshot of
-	// G already frozen above instead of freezing a second time.
-	pc, pGr := s.pm.CompressedCSR(csrG)
-	// Locality pass: both quotients are relabeled by their locality
-	// permutation (baked into the class mappings, so queries need no
-	// translation); G's reordered traversal view is materialized lazily
-	// by GOrd, off the write path.
-	rc, rGr = reorderReach(rc, rGr)
-	pc, pGr = reorderPattern(pc, pGr)
-	sn := &Snapshot{
-		Epoch:   epoch,
-		G:       csrG,
-		Reach:   ReachView{Gr: rGr, Compressed: rc},
-		Pattern: PatternView{Gr: pGr, Compressed: pc},
+	old := s.snap.Load()
+	sn := &Snapshot{Epoch: epoch, G: s.m.Graph().Freeze()}
+	// A view is rebuilt only when its maintainer's compression moved since
+	// the previous snapshot; an epoch whose updates were all redundant for
+	// a scheme carries that scheme's view — class index, reordered Gr,
+	// 2-hop index — over untouched. When rebuilt, the quotient is relabeled
+	// by its locality permutation (baked into the class mapping, so queries
+	// need no translation); G's reordered traversal view is materialized
+	// lazily by GOrd, off the write path.
+	if gen := s.m.Reach.Generation(); gen == s.reachGen {
+		sn.Reach = old.Reach
+	} else {
+		rc, rGr := reorderReach(s.m.Reach.CompressedCSR())
+		sn.Reach = ReachView{Gr: rGr, Compressed: rc}
+		if s.opts.Indexes {
+			sn.Reach.Index = hop2.BuildCSR(rGr)
+		}
+		s.reachGen = gen
 	}
-	if s.opts.Indexes {
-		sn.Reach.Index = hop2.BuildCSR(rGr)
-		sn.Pattern.Index = hop2.BuildCSR(pGr)
+	if gen := s.m.Pattern.Generation(); gen == s.patternGen {
+		sn.Pattern = old.Pattern
+	} else {
+		// The pattern quotient is projected over the snapshot of G frozen
+		// above instead of freezing a second time.
+		pc, pGr := reorderPattern(s.m.Pattern.CompressedCSR(sn.G))
+		sn.Pattern = PatternView{Gr: pGr, Compressed: pc}
+		s.patternGen = gen
 	}
 	// Fold the retiring snapshot's batch counters into the store
 	// accumulators — the epoch swap that also retires its hub cache.
 	// Readers still pinning the old snapshot may bump its counters after
 	// the fold; those late events are dropped (stats, not a ledger).
-	if old := s.snap.Load(); old != nil {
+	if old != nil {
 		s.batchLanes.Add(old.bstats.lanes.Load())
 		s.hop2Peeled.Add(old.bstats.hop2Peeled.Load())
 		s.hubLanes.Add(old.bstats.hubLanes.Load())
@@ -591,14 +607,14 @@ func (s *Store) run() {
 				continue
 			}
 		}
+		if s.ob != nil {
+			s.ob.stageWAL.Observe(time.Since(applyStart))
+		}
 		s.ensureMaintainers()
 		results := make([]applyOutcome, len(pending))
 		for i, p := range pending {
-			results[i].res = ApplyResult{
-				Epoch:   epochs[i],
-				Reach:   s.rm.Apply(p.batch),
-				Pattern: s.pm.Apply(p.batch),
-			}
+			results[i].res.Epoch = epochs[i]
+			results[i].res.Reach, results[i].res.Pattern = s.m.Apply(p.batch)
 			s.updates.Add(uint64(len(p.batch)))
 		}
 		s.publish(epochs[len(epochs)-1])
@@ -736,13 +752,12 @@ func storeParts(sn *Snapshot) *snapfile.StoreParts {
 		PatternGr:      sn.Pattern.Gr,
 		PatternBlockOf: sn.Pattern.Compressed.ClassMap(),
 		PatternMembers: sn.Pattern.Compressed.Members,
-		PatternIndex:   sn.Pattern.Index,
 	}
 }
 
 // recoverStore reopens a durable directory: load the newest checkpoint,
-// replay the WAL tail through the maintainers' Replay entry points, and
-// start serving. With an empty tail no compression work happens at all.
+// fold the WAL tail into its graph and compress the result once, and start
+// serving. With an empty tail no compression work happens at all.
 func recoverStore(o Options) (*Store, error) {
 	d, err := newDurable(o.durableCfg(), snapfile.KindStore)
 	if err != nil {
@@ -772,7 +787,6 @@ func recoverStore(o Options) (*Store, error) {
 		Pattern: PatternView{
 			Gr:         parts.PatternGr,
 			Compressed: bisim.AssembleCompressed(parts.PatternGr.Thaw(), parts.PatternBlockOf, parts.PatternMembers),
-			Index:      parts.PatternIndex,
 		},
 	}
 	s := &Store{
@@ -801,12 +815,15 @@ func recoverStore(o Options) (*Store, error) {
 	}
 	if len(tail) > 0 {
 		// The tail exists only when the last run crashed or closed between
-		// checkpoints; replaying it re-pays maintenance for those batches
-		// but never recompresses the checkpointed prefix.
+		// checkpoints. The maintainers are built from scratch either way,
+		// so the tail is folded into the graph first and the final graph is
+		// compressed once — maintained state is a function of the graph
+		// alone, so the answers equal the uninterrupted run's.
 		gm := sn.G.Thaw()
-		gp := gm.Clone()
-		s.rm = increach.Replay(gm, tail)
-		s.pm = incbisim.Replay(gp, tail)
+		for _, batch := range tail {
+			gm.Apply(batch)
+		}
+		s.setMaintainers(gm)
 		s.batches.Store(sn.Epoch + uint64(len(tail)))
 		s.updates.Store(updates)
 		s.publish(sn.Epoch + uint64(len(tail)))
