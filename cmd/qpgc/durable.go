@@ -10,18 +10,8 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/queries"
 	"repro/internal/store"
 )
-
-// openRecovered opens the durable directory with the entry point matching
-// its manifest kind, returning either store flavor behind a uniform
-// querying face for the recover/checkpoint subcommands.
-type recoveredStore struct {
-	info  store.DirInfo
-	mono  *store.Store
-	shard *store.ShardedStore
-}
 
 // displayKind renders a manifest kind for prose ("store" reads badly in
 // "recovered store store").
@@ -32,7 +22,10 @@ func displayKind(kind string) string {
 	return kind
 }
 
-func openRecovered(dir string) *recoveredStore {
+// openRecovered opens the durable directory as whichever kind its manifest
+// names, for the recover/checkpoint/scrub subcommands; info is the
+// directory as it was before the open.
+func openRecovered(dir string) (s store.Handle, info store.DirInfo) {
 	if !store.HasState(dir) {
 		fatal(fmt.Errorf("%s holds no durable store state (no MANIFEST)", dir))
 	}
@@ -40,66 +33,24 @@ func openRecovered(dir string) *recoveredStore {
 	if err != nil {
 		fatal(err)
 	}
-	r := &recoveredStore{info: info}
-	if info.Kind == "sharded" {
-		if r.shard, err = store.OpenSharded(nil, &store.ShardedOptions{Dir: dir}); err != nil {
-			fatal(err)
-		}
-	} else {
-		if r.mono, err = store.Open(nil, &store.Options{Dir: dir}); err != nil {
-			fatal(err)
-		}
+	if s, err = store.OpenDir(store.Options{Dir: dir}); err != nil {
+		fatal(err)
 	}
-	return r
+	return s, info
 }
 
-func (r *recoveredStore) close() {
-	if r.shard != nil {
-		r.shard.Close()
-	} else {
-		r.mono.Close()
-	}
-}
-
-func (r *recoveredStore) checkpoint() error {
-	if r.shard != nil {
-		return r.shard.Checkpoint()
-	}
-	return r.mono.Checkpoint()
-}
-
-func (r *recoveredStore) epochNodes() (uint64, int) {
-	if r.shard != nil {
-		st := r.shard.Stats()
-		return st.Epoch, st.Nodes
-	}
-	st := r.mono.Stats()
-	return st.Epoch, st.Nodes
-}
-
-func (r *recoveredStore) printStats() {
-	if r.shard != nil {
-		st := r.shard.Stats()
+// printStats prints the kind's own summary line of a recovered store.
+func printStats(s store.Handle) {
+	switch s := s.(type) {
+	case *store.ShardedStore:
+		st := s.Stats()
 		fmt.Printf("state: epoch %d  |V|=%d |E|=%d  %d shards  boundary %d  reach classes %d  stitched classes %d\n",
 			st.Epoch, st.Nodes, st.Edges, st.Shards, st.Boundary, st.ReachClasses, st.StitchClasses)
-		return
+	case *store.Store:
+		st := s.Stats()
+		fmt.Printf("state: epoch %d  |V|=%d |E|=%d  Gr-reach %d classes (ratio %.2f%%)  Gr-pattern %d classes (ratio %.2f%%)\n",
+			st.Epoch, st.Nodes, st.Edges, st.ReachClasses, 100*st.ReachRatio, st.PatternClasses, 100*st.PatternRatio)
 	}
-	st := r.mono.Stats()
-	fmt.Printf("state: epoch %d  |V|=%d |E|=%d  Gr-reach %d classes (ratio %.2f%%)  Gr-pattern %d classes (ratio %.2f%%)\n",
-		st.Epoch, st.Nodes, st.Edges, st.ReachClasses, 100*st.ReachRatio, st.PatternClasses, 100*st.PatternRatio)
-}
-
-// answer runs one reachability query on the recovered store's compressed
-// path and its uncompressed baseline path.
-func (r *recoveredStore) answer(u, v graph.Node) (compressed, baseline bool) {
-	if r.shard != nil {
-		sn := r.shard.Snapshot()
-		rs := store.NewRouteScratch()
-		return sn.Reachable(rs, u, v), sn.ReachableOnG(rs, u, v)
-	}
-	sn := r.mono.Snapshot()
-	sc := queries.NewScratch(0)
-	return sn.Reachable(sc, u, v), sn.ReachableOnG(sc, u, v)
 }
 
 // cmdCheckpoint forces a synchronous checkpoint of a durable directory:
@@ -112,12 +63,11 @@ func cmdCheckpoint(args []string) {
 	if *data == "" {
 		fatal(fmt.Errorf("checkpoint: -data is required"))
 	}
-	r := openRecovered(*data)
-	defer r.close()
-	epoch, _ := r.epochNodes()
+	r, info := openRecovered(*data)
+	defer r.Close()
 	fmt.Printf("recovered %s store at epoch %d (checkpoint was epoch %d, WAL %d bytes)\n",
-		displayKind(r.info.Kind), epoch, r.info.Epoch, r.info.WALBytes)
-	if err := r.checkpoint(); err != nil {
+		displayKind(info.Kind), r.Epoch(), info.Epoch, info.WALBytes)
+	if err := r.Checkpoint(); err != nil {
 		fatal(err)
 	}
 	after, err := store.Inspect(*data)
@@ -155,13 +105,13 @@ func cmdRecover(args []string) {
 		fmt.Printf("quarantined (corrupt, preserved by a prior scrub): %s\n", q)
 	}
 	start := time.Now()
-	r := openRecovered(*data)
-	defer r.close()
+	r, _ := openRecovered(*data)
+	defer r.Close()
 	loadTime := time.Since(start)
-	epoch, nodes := r.epochNodes()
+	epoch, nodes := r.Epoch(), r.NumNodes()
 	fmt.Printf("recovered in %v: epoch %d (%d batches replayed from the WAL tail)\n",
 		loadTime.Round(time.Microsecond), epoch, epoch-info.Epoch)
-	r.printStats()
+	printStats(r)
 	if !*verify {
 		return
 	}
@@ -170,7 +120,9 @@ func cmdRecover(args []string) {
 	for i := 0; i < *pairs; i++ {
 		u := graph.Node(rng.Intn(nodes))
 		v := graph.Node(rng.Intn(nodes))
-		got, want := r.answer(u, v)
+		// Nothing writes to the recovered store, so both answers are on the
+		// one snapshot it holds.
+		got, want := r.Reachable(u, v), r.ReachableOnG(u, v)
 		if got != want {
 			mismatches++
 			fmt.Printf("MISMATCH QR(%d,%d): compressed %v, baseline %v\n", u, v, got, want)
@@ -225,10 +177,10 @@ func cmdScrub(args []string) {
 	if len(rep.Corrupt) > 0 {
 		quarantineCorrupt(*data, rep.Corrupt)
 	}
-	r := openRecovered(*data)
-	defer r.close()
-	epoch, _ := r.epochNodes()
-	if err := r.checkpoint(); err != nil {
+	r, _ := openRecovered(*data)
+	defer r.Close()
+	epoch := r.Epoch()
+	if err := r.Checkpoint(); err != nil {
 		fatal(err)
 	}
 	if len(rep.Corrupt) == 0 {

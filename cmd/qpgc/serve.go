@@ -69,21 +69,19 @@ func cmdWorkload(args []string) {
 // one snapshot is pinned for the whole batch, all queries are answered by
 // the store's lane-mask batch path, and verification compares the full
 // batch against the other representation of that same snapshot, returning
-// the mismatch count. apply submits one update batch; report prints the
-// store-specific summary and the verify verdict.
+// the mismatch count. report prints the store-specific summary and the
+// verify verdict. Everything that does not depend on the store's kind —
+// writes, -batch auto's scheduler reads and its stats, health — goes
+// through st.
 type serveBackend struct {
+	st             store.Handle
 	newReader      func(verify bool) func(u, v graph.Node) (got, mismatch bool)
 	newBatchReader func(verify bool) func(us, vs []graph.Node, out []bool) (mismatches int)
-	// sched answers one quotient query through the store's wave scheduler
-	// (-batch auto); schedStats is its shutdown report.
-	sched      func(u, v graph.Node) bool
-	schedStats func() store.SchedStats
-	apply      func(batch []graph.Update) error
-	report     func(mismatches int64)
-	// health is non-nil only for durable stores: the writer rides through
-	// degraded windows by stalling (the store self-heals) instead of
-	// dying, and the shutdown report includes the health summary.
-	health func() store.Health
+	report         func(mismatches int64)
+	// durable stores ride through degraded windows: the writer stalls (the
+	// store self-heals) instead of dying, and the shutdown report includes
+	// the health summary.
+	durable bool
 }
 
 // cmdServe drives a workload against a concurrent store: the write stream
@@ -242,8 +240,6 @@ func cmdServe(args []string) {
 	}
 
 	var backend serveBackend
-	var netBackend server.Backend
-	shardCount := 1
 	if sharded {
 		s, err := store.OpenSharded(g, &store.ShardedOptions{
 			Shards: *shards, Indexes: true,
@@ -254,15 +250,8 @@ func cmdServe(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		defer s.Close()
-		checkOps(s.Stats().Nodes)
-		shardCount = s.Stats().Shards
-		netBackend = server.NewShardedBackend(s)
-		var health func() store.Health
-		if *data != "" {
-			health = s.Health
-		}
 		backend = serveBackend{
+			st: s,
 			newReader: func(verify bool) func(u, v graph.Node) (got, mismatch bool) {
 				rs := store.NewRouteScratch()
 				ref := store.NewRouteScratch()
@@ -316,10 +305,6 @@ func cmdServe(args []string) {
 					return mm
 				}
 			},
-			sched:      s.SchedReachable,
-			schedStats: s.SchedStats,
-			apply:      func(batch []graph.Update) error { _, err := s.ApplyBatch(batch); return err },
-			health:     health,
 			report: func(mismatches int64) {
 				st := s.Stats()
 				fmt.Printf("writer: epoch %d (%d updates, %d cross-shard edges at close)\n",
@@ -345,14 +330,8 @@ func cmdServe(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		defer s.Close()
-		checkOps(s.Stats().Nodes)
-		netBackend = server.NewStoreBackend(s)
-		var health func() store.Health
-		if *data != "" {
-			health = s.Health
-		}
 		backend = serveBackend{
+			st: s,
 			newReader: func(verify bool) func(u, v graph.Node) (got, mismatch bool) {
 				sc := queries.NewScratch(0)
 				ref := queries.NewScratch(0)
@@ -363,7 +342,10 @@ func cmdServe(args []string) {
 					case "g":
 						got = sn.ReachableOnG(sc, u, v)
 					case "hop2":
-						got = sn.ReachableHop2(u, v)
+						var ok bool
+						if got, ok = sn.ReachableHop2(u, v); !ok {
+							got = sn.Reachable(sc, u, v) // recovered without an index
+						}
 					default:
 						got = sn.Reachable(sc, u, v)
 					}
@@ -389,8 +371,12 @@ func cmdServe(args []string) {
 					case "g":
 						sn.BatchReachableOnG(bs, us, vs, out)
 					case "hop2":
+						if sn.Reach.Index == nil { // recovered without an index
+							sn.BatchReachable(bs, us, vs, out)
+							break
+						}
 						for i := range us {
-							out[i] = sn.ReachableHop2(us[i], vs[i])
+							out[i], _ = sn.ReachableHop2(us[i], vs[i])
 						}
 					default:
 						sn.BatchReachable(bs, us, vs, out)
@@ -416,10 +402,6 @@ func cmdServe(args []string) {
 					return mm
 				}
 			},
-			sched:      s.SchedReachable,
-			schedStats: s.SchedStats,
-			apply:      func(batch []graph.Update) error { _, err := s.ApplyBatch(batch); return err },
-			health:     health,
 			report: func(mismatches int64) {
 				st := s.Stats()
 				fmt.Printf("writer: epoch %d (%d updates)\n", st.Epoch, st.Updates)
@@ -435,6 +417,9 @@ func cmdServe(args []string) {
 			},
 		}
 	}
+	defer backend.st.Close()
+	backend.durable = *data != ""
+	checkOps(backend.st.NumNodes())
 	// -listen fronts the same store over TCP, concurrently with any local
 	// workload drive; with -data set the endpoint also ships snapshots and
 	// WAL segments to replicas.
@@ -448,7 +433,7 @@ func cmdServe(args []string) {
 	}
 	if *listen != "" {
 		srv, err := server.Start(*listen, server.Options{
-			Backend: netBackend, ReplDir: *data, MaxQPS: *maxqps,
+			Backend: server.NewBackend(backend.st), ReplDir: *data, MaxQPS: *maxqps,
 			Obs: reg, SlowQuery: *slowQuery,
 		})
 		if err != nil {
@@ -469,7 +454,7 @@ func cmdServe(args []string) {
 		}
 	}
 	stopProf := startCPUProfile(*cpuprofile)
-	runServe(backend, ops, *readers, *wbatch, qbatch, shardCount, *target, *verify)
+	runServe(backend, ops, *readers, *wbatch, qbatch, backend.st.Info().Shards, *target, *verify)
 	stopProf()
 	writeMemProfile(*memprofile)
 	if inject != nil {
@@ -516,7 +501,7 @@ func runServe(b serveBackend, ops []gen.Op, readers, batchSize, qbatch, shards i
 				// adaptively sized 64-lane sweeps across all readers.
 				for op := range queryCh {
 					t0 := time.Now()
-					got := b.sched(op.U, op.V)
+					got := b.st.SchedReachable(op.U, op.V)
 					latencies[r] = append(latencies[r], time.Since(t0))
 					if got {
 						reached.Add(1)
@@ -591,8 +576,8 @@ func runServe(b serveBackend, ops []gen.Op, readers, batchSize, qbatch, shards i
 			if n > len(updates) {
 				n = len(updates)
 			}
-			if err := b.apply(updates[:n]); err != nil {
-				if b.health == nil {
+			if _, err := b.st.Apply(updates[:n]); err != nil {
+				if !b.durable {
 					fatal(err)
 				}
 				stalls++
@@ -651,7 +636,7 @@ feed:
 		float64(nq)/readElapsed.Seconds())
 	switch {
 	case qbatch == -1:
-		st := b.schedStats()
+		st := b.st.SchedStats()
 		fmt.Printf("scheduled reads (-batch auto): %d workers, %d waves in flight at close\n",
 			st.Workers, st.WavesInFlight)
 		fmt.Printf("scheduler: %d waves, mean wave size %.1f (target %d), %d singles coalesced\n",
@@ -676,8 +661,8 @@ feed:
 	}
 	fmt.Printf("reachable answers: %d/%d\n", reached.Load(), nq)
 	b.report(mismatches.Load())
-	if b.health != nil {
-		h := b.health()
+	if b.durable {
+		h := b.st.Health()
 		fmt.Printf("health: %s", h.State)
 		if h.Reason != "" {
 			fmt.Printf(" (%s)", h.Reason)

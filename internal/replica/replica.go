@@ -130,28 +130,16 @@ func (e *LagError) Error() string {
 	return msg + ")"
 }
 
-// localStore is the follower's view of its own durable store: lifecycle
-// plus the term surface promotion needs. Both store kinds satisfy it.
-type localStore interface {
-	Close() error
-	Term() uint64
-	Fenced() bool
-	AdoptTerm(uint64) error
-	ObserveTerm(uint64) error
-	BumpTerm(uint64) (uint64, error)
-}
-
 // Follower is a live read replica. It satisfies server.Backend, so a
 // Server can front it directly; Apply returns server.ErrReadOnly until
 // Promote turns the follower into a leader.
 type Follower struct {
 	opts    Options
-	kind    string
 	leaders []string // replication source retry list
 
 	mu     sync.RWMutex   // guards b/closer across resync swaps
 	b      server.Backend // local store, swapped on resync
-	closer localStore
+	closer store.Handle   // the same store's lifecycle and term surface
 
 	leaderEpoch atomic.Uint64
 	leaderTerm  atomic.Uint64 // highest term any source reported
@@ -212,11 +200,11 @@ func Start(opts Options) (*Follower, error) {
 			return nil, err
 		}
 	}
-	b, closer, kind, err := openLocal(opts)
+	b, closer, err := openLocal(opts)
 	if err != nil {
 		return nil, err
 	}
-	f.b, f.closer, f.kind = b, closer, kind
+	f.b, f.closer = b, closer
 	// A snapshot fetched during bootstrap reported the source's term;
 	// adopt it so the local store starts at the cluster's term, not 0.
 	if t := f.leaderTerm.Load(); t > 0 {
@@ -310,31 +298,18 @@ func (f *Follower) noteLeaderTerm(t uint64) {
 	}
 }
 
-// openLocal recovers the directory's store and wraps it as a backend.
-func openLocal(opts Options) (server.Backend, localStore, string, error) {
-	info, err := store.Inspect(opts.Dir)
-	if err != nil {
-		return nil, nil, "", err
-	}
+// openLocal recovers the directory's store, whichever kind it holds, and
+// wraps it as a backend.
+func openLocal(opts Options) (server.Backend, store.Handle, error) {
 	sync := store.SyncNone
 	if opts.SyncAlways {
 		sync = store.SyncAlways
 	}
-	switch info.Kind {
-	case "store":
-		s, err := store.Open(nil, &store.Options{Dir: opts.Dir, FS: opts.FS, Sync: sync, Obs: opts.Obs})
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return server.NewStoreBackend(s), s, "store", nil
-	case "sharded":
-		s, err := store.OpenSharded(nil, &store.ShardedOptions{Dir: opts.Dir, FS: opts.FS, Sync: sync, Obs: opts.Obs})
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return server.NewShardedBackend(s), s, "sharded", nil
+	s, err := store.OpenDir(store.Options{Dir: opts.Dir, FS: opts.FS, Sync: sync, Obs: opts.Obs})
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, "", fmt.Errorf("replica: unknown store kind %q in %s", info.Kind, opts.Dir)
+	return server.NewBackend(s), s, nil
 }
 
 // backend returns the currently serving local store.
@@ -345,7 +320,7 @@ func (f *Follower) backend() server.Backend {
 }
 
 // local returns the currently serving store's lifecycle/term surface.
-func (f *Follower) local() localStore {
+func (f *Follower) local() store.Handle {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.closer
@@ -640,7 +615,7 @@ func (f *Follower) resync() error {
 	if err := store.InstallSnapshot(f.opts.Dir, kind, epoch, data); err != nil {
 		return err
 	}
-	b, closer, k, err := openLocal(f.opts)
+	b, closer, err := openLocal(f.opts)
 	if err != nil {
 		return err
 	}
@@ -653,7 +628,7 @@ func (f *Follower) resync() error {
 		}
 	}
 	f.mu.Lock()
-	f.b, f.closer, f.kind = b, closer, k
+	f.b, f.closer = b, closer
 	f.mu.Unlock()
 	f.caughtUp.Store(false)
 	return nil
@@ -773,11 +748,10 @@ func (f *Follower) Fenced() bool { return f.local().Fenced() }
 func (f *Follower) Writable() bool { return f.promoted.Load() && !f.local().Fenced() }
 
 // Info implements server.Backend, reporting the local store's summary
-// with the kind a follower actually serves and its own writability (the
-// local store believes it is writable; an unpromoted follower is not).
+// with the follower's own writability (the local store believes it is
+// writable; an unpromoted follower is not).
 func (f *Follower) Info() server.Info {
 	in := f.backend().Info()
-	in.Kind = f.kind
 	in.Term = f.local().Term()
 	in.Writable = f.Writable()
 	return in

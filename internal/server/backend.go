@@ -61,15 +61,22 @@ type Promoter interface {
 	Promote(wait time.Duration) (epoch, term uint64, err error)
 }
 
-// storeBackend fronts a monolithic Store.
-type storeBackend struct{ s *store.Store }
+// storeBackend fronts a local store of either kind through the surface
+// both share.
+type storeBackend struct{ s store.Handle }
+
+// NewBackend adapts an open store of either kind to the serving interface.
+func NewBackend(s store.Handle) Backend { return storeBackend{s} }
 
 // NewStoreBackend adapts a Store to the serving interface.
 func NewStoreBackend(s *store.Store) Backend { return storeBackend{s} }
 
-func (b storeBackend) Epoch() uint64 { return b.s.Snapshot().Epoch }
+// NewShardedBackend adapts a ShardedStore to the serving interface.
+func NewShardedBackend(s *store.ShardedStore) Backend { return storeBackend{s} }
 
-func (b storeBackend) NumNodes() int { return b.s.Snapshot().G.NumNodes() }
+func (b storeBackend) Epoch() uint64 { return b.s.Epoch() }
+
+func (b storeBackend) NumNodes() int { return b.s.NumNodes() }
 
 func (b storeBackend) Reachable(u, v graph.Node, onG bool) bool {
 	if onG {
@@ -88,13 +95,7 @@ func (b storeBackend) BatchReachable(us, vs []graph.Node) []bool {
 
 func (b storeBackend) Match(p *pattern.Pattern) *pattern.Result { return b.s.Match(p) }
 
-func (b storeBackend) Apply(batch []graph.Update) (uint64, error) {
-	res, err := b.s.ApplyBatch(batch)
-	if err != nil {
-		return 0, err
-	}
-	return res.Epoch, nil
-}
+func (b storeBackend) Apply(batch []graph.Update) (uint64, error) { return b.s.Apply(batch) }
 
 func (b storeBackend) Term() uint64 { return b.s.Term() }
 
@@ -107,66 +108,9 @@ func (b storeBackend) ObserveTerm(t uint64) error { return b.s.ObserveTerm(t) }
 func (b storeBackend) Writable() bool { return !b.s.Fenced() }
 
 func (b storeBackend) Info() Info {
-	st := b.s.Stats()
+	st := b.s.Info()
 	return Info{
-		Kind:  "store",
-		Epoch: st.Epoch, Batches: st.Batches, Updates: st.Updates, Reads: st.Reads,
-		Nodes: st.Nodes, Edges: st.Edges, Shards: 1,
-		Term: b.s.Term(), Writable: !b.s.Fenced(),
-	}
-}
-
-// shardedBackend fronts a ShardedStore.
-type shardedBackend struct{ s *store.ShardedStore }
-
-// NewShardedBackend adapts a ShardedStore to the serving interface.
-func NewShardedBackend(s *store.ShardedStore) Backend { return shardedBackend{s} }
-
-func (b shardedBackend) Epoch() uint64 { return b.s.Snapshot().Epoch }
-
-func (b shardedBackend) NumNodes() int {
-	st := b.s.Stats()
-	return st.Nodes
-}
-
-func (b shardedBackend) Reachable(u, v graph.Node, onG bool) bool {
-	if onG {
-		return b.s.ReachableOnG(u, v)
-	}
-	return b.s.Reachable(u, v)
-}
-
-func (b shardedBackend) SchedReachable(u, v graph.Node) bool {
-	return b.s.SchedReachable(u, v)
-}
-
-func (b shardedBackend) BatchReachable(us, vs []graph.Node) []bool {
-	return b.s.BatchReachable(us, vs)
-}
-
-func (b shardedBackend) Match(p *pattern.Pattern) *pattern.Result { return b.s.Match(p) }
-
-func (b shardedBackend) Apply(batch []graph.Update) (uint64, error) {
-	res, err := b.s.ApplyBatch(batch)
-	if err != nil {
-		return 0, err
-	}
-	return res.Epoch, nil
-}
-
-func (b shardedBackend) Term() uint64 { return b.s.Term() }
-
-// Fenced reports the store's fence state, as storeBackend.Fenced.
-func (b shardedBackend) Fenced() bool { return b.s.Fenced() }
-
-func (b shardedBackend) ObserveTerm(t uint64) error { return b.s.ObserveTerm(t) }
-
-func (b shardedBackend) Writable() bool { return !b.s.Fenced() }
-
-func (b shardedBackend) Info() Info {
-	st := b.s.Stats()
-	return Info{
-		Kind:  "sharded",
+		Kind:  st.Kind,
 		Epoch: st.Epoch, Batches: st.Batches, Updates: st.Updates, Reads: st.Reads,
 		Nodes: st.Nodes, Edges: st.Edges, Shards: st.Shards,
 		Term: b.s.Term(), Writable: !b.s.Fenced(),

@@ -240,6 +240,63 @@ func TestWireRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestNodeIDValidationBothKinds pins the bounds check on wire input: a
+// sharded-backed server accepts the same ids and rejects the same ones,
+// with the same message, as a monolithic one — on point reads, batch reads
+// and writes — and both report the same |V|.
+func TestNodeIDValidationBothKinds(t *testing.T) {
+	g := testGraph(6)
+	n := graph.Node(g.NumNodes())
+	_, monoSrv := startStoreServer(t, g.Clone(), Options{})
+	sh, err := store.OpenSharded(g.Clone(), &store.ShardedOptions{Shards: 3, Indexes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.Close() })
+	shSrv, err := Start("127.0.0.1:0", Options{Backend: NewShardedBackend(sh)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shSrv.Close() })
+
+	// probe runs every request shape with one endpoint at id and returns
+	// the errors' text ("" for an accepted request).
+	probe := func(addr string, id graph.Node) (errs [3]string) {
+		cli, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		text := func(err error) string {
+			if err != nil {
+				return err.Error()
+			}
+			return ""
+		}
+		_, _, err = cli.Reachable(id, 0, 0, false)
+		errs[0] = text(err)
+		_, _, err = cli.BatchReachable([]graph.Node{0, id}, []graph.Node{id, 0}, 0)
+		errs[1] = text(err)
+		_, err = cli.Apply([]graph.Update{graph.Insertion(0, id)})
+		errs[2] = text(err)
+		if info, err := cli.Stats(); err != nil || info.Nodes != int(n) {
+			t.Fatalf("Stats = (%+v, %v), want |V| = %d", info, err, n)
+		}
+		return errs
+	}
+	for _, id := range []graph.Node{n - 1, n, n + 1000} {
+		mono, sharded := probe(monoSrv.Addr(), id), probe(shSrv.Addr(), id)
+		if mono != sharded {
+			t.Fatalf("id %d of %d nodes: monolithic server said %q, sharded %q", id, n, mono, sharded)
+		}
+		for i, msg := range mono {
+			if (msg != "") != (id >= n) {
+				t.Fatalf("id %d of %d nodes, request %d: error %q", id, n, i, msg)
+			}
+		}
+	}
+}
+
 // TestSnapshotAndTailShipping exercises the replication source directly:
 // fetch the checkpoint, install it elsewhere, tail the WAL to catch up.
 func TestSnapshotAndTailShipping(t *testing.T) {

@@ -99,77 +99,62 @@ type durable struct {
 // inconsistent concrete types.
 type errBox struct{ err error }
 
-// durableConfig is the durable layer's cut of a store's options, shared by
-// both option types.
-type durableConfig struct {
-	dir              string
-	sync             SyncMode
-	ckptBatches      int
-	ckptBytes        int64
-	fs               faultfs.FS
-	writeRetries     int
-	retryBackoff     time.Duration
-	recoveryInterval time.Duration
-	scrubInterval    time.Duration
-	scrubRate        int64
-	segBytes         int64
-	obsReg           *obs.Registry // nil disables durable-layer metrics
-}
-
-func newDurable(cfg durableConfig, kind snapfile.Kind) (*durable, error) {
-	fsys := faultfs.Or(cfg.fs)
-	if err := fsys.MkdirAll(cfg.dir, 0o777); err != nil {
+// newDurable opens the durable layer of a store of the given kind over
+// o.Dir, reading the manifest and TERM file a previous run left there.
+func newDurable(o Options, kind snapfile.Kind) (*durable, error) {
+	fsys := faultfs.Or(o.FS)
+	if err := fsys.MkdirAll(o.Dir, 0o777); err != nil {
 		return nil, err
 	}
 	d := &durable{
-		dir:       cfg.dir,
+		dir:       o.Dir,
 		kind:      kind,
 		fs:        fsys,
-		syncMode:  cfg.sync,
+		syncMode:  o.Sync,
 		stop:      make(chan struct{}),
-		scrubRate: cfg.scrubRate,
-		segBytes:  cfg.segBytes,
+		scrubRate: o.ScrubRate,
+		segBytes:  o.WALSegmentBytes,
 	}
 	switch {
-	case cfg.ckptBatches == 0:
+	case o.CheckpointBatches == 0:
 		d.ckptBatches = 256
-	case cfg.ckptBatches > 0:
-		d.ckptBatches = uint64(cfg.ckptBatches)
+	case o.CheckpointBatches > 0:
+		d.ckptBatches = uint64(o.CheckpointBatches)
 	}
 	switch {
-	case cfg.ckptBytes == 0:
+	case o.CheckpointBytes == 0:
 		d.ckptBytes = 8 << 20
-	case cfg.ckptBytes > 0:
-		d.ckptBytes = cfg.ckptBytes
+	case o.CheckpointBytes > 0:
+		d.ckptBytes = o.CheckpointBytes
 	}
 	switch {
-	case cfg.writeRetries == 0:
+	case o.WriteRetries == 0:
 		d.retries = defaultWriteRetries
-	case cfg.writeRetries > 0:
-		d.retries = cfg.writeRetries
+	case o.WriteRetries > 0:
+		d.retries = o.WriteRetries
 	}
 	switch {
-	case cfg.retryBackoff == 0:
+	case o.RetryBackoff == 0:
 		d.backoff = defaultRetryBackoff
-	case cfg.retryBackoff > 0:
-		d.backoff = cfg.retryBackoff
+	case o.RetryBackoff > 0:
+		d.backoff = o.RetryBackoff
 	}
 	switch {
-	case cfg.recoveryInterval == 0:
+	case o.RecoveryInterval == 0:
 		d.recoveryInterval = defaultRecoveryInterval
-	case cfg.recoveryInterval > 0:
-		d.recoveryInterval = cfg.recoveryInterval
+	case o.RecoveryInterval > 0:
+		d.recoveryInterval = o.RecoveryInterval
 	}
-	if cfg.scrubInterval > 0 {
-		d.scrubInterval = cfg.scrubInterval
+	if o.ScrubInterval > 0 {
+		d.scrubInterval = o.ScrubInterval
 	}
-	if HasState(cfg.dir) {
-		m, err := readManifest(cfg.dir)
+	if HasState(o.Dir) {
+		m, err := readManifest(o.Dir)
 		if err != nil {
 			return nil, err
 		}
 		if m.kind != kind {
-			return nil, fmt.Errorf("store: %s holds a %v store; open it with the matching entry point", cfg.dir, m.kind)
+			return nil, fmt.Errorf("store: %s holds a %v store; open it with the matching entry point", o.Dir, m.kind)
 		}
 		d.manifestEpoch = m.epoch
 		d.manifestSnapshot = m.snapshot
@@ -179,7 +164,7 @@ func newDurable(cfg durableConfig, kind snapfile.Kind) (*durable, error) {
 	if err := d.loadTerm(); err != nil {
 		return nil, err
 	}
-	d.bindObs(cfg.obsReg)
+	d.bindObs(o.Obs)
 	return d, nil
 }
 
@@ -318,23 +303,25 @@ func (d *durable) appendGroup(epochs []uint64, batch func(i int) []graph.Update)
 	return d.degradedErr()
 }
 
-// maybeCheckpoint starts write on a background goroutine when the batch
-// or byte threshold is crossed at epoch and no checkpoint is in flight.
-// The caller captures the snapshot to persist inside write, keeping the
-// concurrency choreography (single-flight CAS, close-time wait, error
-// recording) in one place for both store kinds.
-func (d *durable) maybeCheckpoint(epoch uint64, write func() error) {
+// maybeCheckpoint starts a background checkpoint when the batch or byte
+// threshold is crossed at epoch and none is in flight. image pins the view
+// to persist — on the calling (writer) goroutine, so the checkpoint covers
+// the epoch that crossed the threshold — and the write itself runs off it;
+// the concurrency choreography (single-flight CAS, close-time wait, error
+// recording) lives here.
+func (d *durable) maybeCheckpoint(epoch uint64, image func() (uint64, func(path string) error)) {
 	if !d.shouldCheckpoint(epoch) {
 		return
 	}
 	if !d.busy.CompareAndSwap(false, true) {
 		return
 	}
+	epoch, write := image()
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
 		defer d.busy.Store(false)
-		d.noteErr(d.withRetry(write))
+		d.noteErr(d.withRetry(func() error { return d.checkpoint(epoch, write, false) }))
 	}()
 }
 
@@ -374,16 +361,10 @@ func (d *durable) shouldCheckpoint(epoch uint64) bool {
 // the snapshot image to the path it is given, then the manifest is swapped
 // and the WAL prefix the checkpoint covers is truncated, along with older
 // snapshot files. Concurrent and repeated calls are safe; a checkpoint at
-// or below the newest one is a no-op.
-func (d *durable) checkpoint(epoch uint64, write func(path string) error) error {
-	return d.checkpointAt(epoch, write, false)
-}
-
-// checkpointAt is checkpoint with an explicit force flag: a forced call
-// rewrites the checkpoint even at or below the newest epoch. The scrubber
-// needs it after quarantining the manifest's own snapshot — the epoch did
-// not advance, only the file is gone.
-func (d *durable) checkpointAt(epoch uint64, write func(path string) error, force bool) error {
+// or below the newest one is a no-op unless forced, which rewrites it. The
+// scrubber needs that after quarantining the manifest's own snapshot — the
+// epoch did not advance, only the file is gone.
+func (d *durable) checkpoint(epoch uint64, write func(path string) error, force bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	last := d.lastCkpt.Load()

@@ -1,0 +1,521 @@
+package store
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/faultfs"
+	"repro/internal/graph"
+	"repro/internal/pattern"
+	"repro/internal/snapfile"
+)
+
+// This file holds the epoch engine, the lifecycle both store kinds embed:
+// ordered request queue → coalesce → assign epochs → durable group append →
+// apply → publish → ack → checkpoint trigger, plus everything that hangs
+// off the durable layer (checkpoint, recovery, health, terms, scrub,
+// close), the scheduler and the metrics binding. A kind contributes its
+// snapshot type, its read methods and the pipeline below.
+
+// pipeline is the seam between the engine and a store kind. Only the writer
+// goroutine (and the open path, before it starts) calls through it; reads
+// never do — each kind answers queries from its own typed snapshot pointer.
+type pipeline[R any] interface {
+	// materialize builds the write-side state (maintainers, shard writers)
+	// from the current view plus tail — recovery's WAL tail, nil for the
+	// first write after a warm restart — unless it already exists.
+	materialize(tail [][]graph.Update)
+	// apply folds one accepted batch into the write-side state and reports
+	// the kind's result for it, stamped with epoch.
+	apply(epoch uint64, batch []graph.Update) R
+	// publish builds the view of everything applied so far and swaps it in
+	// as epoch's snapshot.
+	publish(epoch uint64)
+	// image pins the current view for a checkpoint: its epoch and a function
+	// writing it as a snapshot file. Safe on any goroutine.
+	image() (epoch uint64, write func(path string) error)
+	// edges is |E| of the current view. Safe on any goroutine.
+	edges() int
+	// stop releases what materialize started, as the writer exits.
+	stop()
+}
+
+// Handle is the kind-independent surface of an open store — what a server,
+// a replica or a CLI needs when it does not care whether it holds a Store
+// or a ShardedStore. Both satisfy it, almost entirely through the engine
+// they embed.
+type Handle interface {
+	// Epoch is the latest published epoch and NumNodes the static |V|; both
+	// are O(1), cheap enough to call per wire request.
+	Epoch() uint64
+	NumNodes() int
+	// Info summarizes the store.
+	Info() Info
+
+	// The read paths, on the current snapshot.
+	Reachable(u, v graph.Node) bool
+	ReachableOnG(u, v graph.Node) bool
+	SchedReachable(u, v graph.Node) bool
+	BatchReachable(us, vs []graph.Node) []bool
+	Match(p *pattern.Pattern) *pattern.Result
+	SchedStats() SchedStats
+
+	// Apply is ApplyBatch reporting only the visibility epoch.
+	Apply(batch []graph.Update) (uint64, error)
+
+	// The durable lifecycle.
+	Checkpoint() error
+	Health() Health
+	ScrubNow() (ScrubReport, error)
+	Term() uint64
+	Fenced() bool
+	ObserveTerm(t uint64) error
+	AdoptTerm(t uint64) error
+	BumpTerm(min uint64) (uint64, error)
+	Close() error
+}
+
+// Info is the kind-independent summary of a store.
+type Info struct {
+	// Kind is "store" or "sharded"; Shards is 1 for the former.
+	Kind   string
+	Shards int
+	// Epoch, Batches, Updates and Reads count work, as in Stats.
+	Epoch, Batches, Updates, Reads uint64
+	// Nodes and Edges describe G at the latest snapshot.
+	Nodes, Edges int
+}
+
+type applyOutcome[R any] struct {
+	res   R
+	epoch uint64
+	err   error
+}
+
+type applyReq[R any] struct {
+	batch []graph.Update
+	res   chan applyOutcome[R]
+}
+
+// engine is the epoch engine one store kind embeds; R is the kind's
+// ApplyBatch result. The counters sit here by value so a kind's read
+// methods bump them at a fixed offset of the store itself.
+type engine[R any] struct {
+	p      pipeline[R]
+	kind   snapfile.Kind
+	cfg    Options // the kind-independent options
+	shards int
+	nodes  int // static |V|
+
+	dur   *durable   // nil for in-memory stores
+	sched *scheduler // multi-wave batch scheduler; nil only before open finishes
+	ob    *storeObs  // nil unless Options.Obs
+
+	reqs chan applyReq[R]
+	idle chan struct{} // closed when the writer goroutine exits
+
+	mu     sync.RWMutex // guards closed vs. sends on reqs
+	closed bool
+
+	epoch   atomic.Uint64 // latest published epoch
+	batches atomic.Uint64 // latest assigned epoch
+	updates atomic.Uint64
+	reads   atomic.Uint64
+
+	// Batch read-path counters: live is the current view's, retired the sum
+	// over every view track has swapped out.
+	live    atomic.Pointer[batchCounters]
+	retired batchCounters
+}
+
+// init readies the engine of a store under construction and starts its
+// writer, which idles until the open has returned and a first batch
+// arrives — so from here on Close is the one way out, also for an open
+// that fails half way.
+func (e *engine[R]) init(p pipeline[R], kind snapfile.Kind, cfg Options, shards int) {
+	e.p, e.kind, e.cfg, e.shards = p, kind, cfg, shards
+	e.ob = newStoreObs(cfg.Obs)
+	e.reqs = make(chan applyReq[R])
+	e.idle = make(chan struct{})
+	go e.run()
+}
+
+// openMode validates the (graph, Dir) combination Open and OpenSharded
+// accept and reports whether the call recovers existing state.
+func openMode(fn string, g *graph.Graph, dir string) (reopen bool, err error) {
+	reopen = dir != "" && HasState(dir)
+	switch {
+	case g == nil && dir == "":
+		err = fmt.Errorf("store: %s needs a graph when no Dir is set", fn)
+	case g == nil && !reopen:
+		err = fmt.Errorf("store: %s holds no recoverable state and no graph was given", dir)
+	case g != nil && reopen:
+		err = fmt.Errorf("%w (%s)", ErrStateExists, dir)
+	}
+	return reopen, err
+}
+
+// OpenDir recovers the durable directory o.Dir with the entry point its
+// manifest names, for callers that serve whichever kind they find.
+func OpenDir(o Options) (Handle, error) {
+	m, err := readManifest(o.Dir)
+	if err != nil {
+		return nil, err
+	}
+	var s Handle
+	if m.kind == snapfile.KindSharded {
+		s, err = openSharded(nil, 0, o)
+	} else {
+		s, err = Open(nil, &o)
+	}
+	if err != nil {
+		return nil, err // not s: it would be a typed nil
+	}
+	return s, nil
+}
+
+// create makes a just-built store durable in a fresh directory: the epoch-0
+// checkpoint, then the log. No-op without a Dir.
+func (e *engine[R]) create() error {
+	if e.cfg.Dir == "" {
+		return nil
+	}
+	d, err := newDurable(e.cfg, e.kind)
+	if err != nil {
+		return err
+	}
+	e.dur = d
+	if err := e.persist(false); err != nil {
+		return err
+	}
+	if err := d.openLog(1); err != nil {
+		return err
+	}
+	d.startBackground(e.persist)
+	return nil
+}
+
+// reopen recovers a durable directory: load reassembles and installs the
+// kind's view from the newest checkpoint (setting e.nodes) and reports its
+// epoch; the WAL tail is then folded in. With an empty tail no compression
+// work happens at all.
+func (e *engine[R]) reopen(load func(fsys faultfs.FS, path string) (epoch uint64, err error)) error {
+	d, err := newDurable(e.cfg, e.kind)
+	if err != nil {
+		return err
+	}
+	epoch, err := load(d.fs, d.snapshotPath())
+	if err != nil {
+		return err
+	}
+	if epoch != d.manifestEpoch {
+		return fmt.Errorf("store: snapshot %s is epoch %d, manifest says %d", d.manifestSnapshot, epoch, d.manifestEpoch)
+	}
+	e.dur = d
+	e.epoch.Store(epoch)
+	if err := d.openLog(epoch + 1); err != nil {
+		return err
+	}
+	tail, updates, err := d.replayTail(epoch, e.nodes)
+	if err != nil {
+		return err
+	}
+	if len(tail) > 0 {
+		// The tail exists only when the last run crashed or closed between
+		// checkpoints. The write-side state is built from scratch either
+		// way, so the tail is folded into the graph first and the result
+		// is compressed once — maintained state is a function of the graph
+		// alone, so the answers equal the uninterrupted run's.
+		e.p.materialize(tail)
+		epoch += uint64(len(tail))
+		e.updates.Store(updates)
+		e.advance(epoch)
+	}
+	e.batches.Store(epoch)
+	d.startBackground(e.persist)
+	return nil
+}
+
+// serve finishes an open: the scheduler and the metrics binding.
+func (e *engine[R]) serve(sc *scheduler) {
+	e.sched = sc
+	e.bindObs()
+}
+
+// advance publishes epoch and moves the O(1) epoch frontier behind it, so
+// a reader that saw Epoch() = k finds a snapshot of at least k.
+func (e *engine[R]) advance(epoch uint64) {
+	e.p.publish(epoch)
+	e.epoch.Store(epoch)
+}
+
+// track makes next the live view's batch counters and folds the retiring
+// view's into the lifetime totals — the epoch swap that also retires its
+// hub cache. Readers still pinning the old view may bump its counters
+// after the fold; those late events are dropped (stats, not a ledger).
+func (e *engine[R]) track(next *batchCounters) {
+	if old := e.live.Swap(next); old != nil {
+		e.retired.lanes.Add(old.lanes.Load())
+		e.retired.hop2Peeled.Add(old.hop2Peeled.Load())
+		e.retired.hubLanes.Add(old.hubLanes.Load())
+		e.retired.hubPrunes.Add(old.hubPrunes.Load())
+	}
+}
+
+// run is the writer goroutine: it serializes batches, folds queued requests
+// into one snapshot rebuild, logs the group to the WAL (group commit)
+// before any state changes, and signals completion after publication.
+func (e *engine[R]) run() {
+	defer close(e.idle)
+	defer e.p.stop()
+	for req := range e.reqs {
+		pending := []applyReq[R]{req}
+	drain:
+		for len(pending) < maxCoalesce {
+			select {
+			case r, ok := <-e.reqs:
+				if !ok {
+					break drain
+				}
+				pending = append(pending, r)
+			default:
+				break drain
+			}
+		}
+		// WAL first: the group is appended and committed before any batch
+		// is applied or acknowledged, so acked ⇒ durable. A log failure
+		// that survives the in-place retries degrades the write path —
+		// reads keep working on the last snapshot, writes fail fast — until
+		// the background recovery loop re-arms it: with the log behind the
+		// write-side state, continuing would acknowledge updates a restart
+		// silently forgets.
+		start := time.Now()
+		epochs := make([]uint64, len(pending))
+		for i := range pending {
+			epochs[i] = e.batches.Add(1)
+		}
+		if e.dur != nil {
+			if err := e.dur.appendGroup(epochs, func(i int) []graph.Update { return pending[i].batch }); err != nil {
+				// Roll the epoch counter back so the next accepted group —
+				// possibly after a recovery reset the WAL — continues the
+				// acked sequence with no gap.
+				e.batches.Store(epochs[0] - 1)
+				for _, p := range pending {
+					p.res <- applyOutcome[R]{err: err}
+				}
+				continue
+			}
+		}
+		if e.ob != nil {
+			e.ob.stageWAL.Observe(time.Since(start))
+		}
+		e.p.materialize(nil)
+		results := make([]applyOutcome[R], len(pending))
+		for i, p := range pending {
+			results[i].epoch = epochs[i]
+			results[i].res = e.p.apply(epochs[i], p.batch)
+			e.updates.Add(uint64(len(p.batch)))
+		}
+		last := epochs[len(epochs)-1]
+		e.advance(last)
+		if e.ob != nil {
+			e.ob.apply.Observe(time.Since(start))
+		}
+		for i, p := range pending {
+			p.res <- results[i]
+		}
+		if e.dur != nil {
+			e.dur.maybeCheckpoint(last, e.p.image)
+		}
+	}
+}
+
+// submit queues one batch and waits for the writer's verdict on it.
+func (e *engine[R]) submit(batch []graph.Update) applyOutcome[R] {
+	req := applyReq[R]{batch: batch, res: make(chan applyOutcome[R], 1)}
+	e.mu.RLock()
+	if e.closed {
+		e.mu.RUnlock()
+		return applyOutcome[R]{err: ErrClosed}
+	}
+	e.reqs <- req
+	e.mu.RUnlock()
+	return <-req.res
+}
+
+// ApplyBatch submits one batch ΔG and blocks until the snapshot containing
+// it is published; the store then equals G ⊕ ΔG for every reader, and — on
+// a durable store — the batch is on stable storage per the Sync policy.
+// Batches from concurrent callers are applied in arrival order. It returns
+// ErrClosed after Close. On a durable store whose write path is degraded
+// by a persistent storage fault it fails fast with the degradation reason
+// — no state changes, nothing is acknowledged — until background recovery
+// re-arms the path (see Health).
+func (e *engine[R]) ApplyBatch(batch []graph.Update) (R, error) {
+	out := e.submit(batch)
+	return out.res, out.err
+}
+
+// Apply is ApplyBatch reporting only the epoch at which the batch became
+// visible — the write of the kind-independent Handle.
+func (e *engine[R]) Apply(batch []graph.Update) (uint64, error) {
+	out := e.submit(batch)
+	return out.epoch, out.err
+}
+
+// Close stops the writer goroutine (and a sharded store's shard writers)
+// after the queue drains, stops the recovery and scrub loops, waits for any
+// in-flight background checkpoint, and closes the WAL. Queries remain
+// answerable on the final snapshot; further ApplyBatch calls fail with
+// ErrClosed. Close is idempotent and does not checkpoint: a reopen replays
+// the WAL tail instead (call Checkpoint first to make the next start a pure
+// snapshot load). It returns a background checkpoint failure still
+// outstanding at close, so a caller that never checked Health sees the
+// directory ended behind where it should be.
+func (e *engine[R]) Close() error {
+	e.mu.Lock()
+	if !e.closed {
+		e.closed = true
+		close(e.reqs)
+	}
+	e.mu.Unlock()
+	<-e.idle
+	if e.sched != nil {
+		e.sched.close()
+	}
+	if e.dur != nil {
+		return e.dur.close()
+	}
+	return nil
+}
+
+// Epoch returns the latest published epoch in O(1). A Snapshot loaded
+// afterwards is at that epoch or a later one.
+func (e *engine[R]) Epoch() uint64 { return e.epoch.Load() }
+
+// NumNodes returns |V| in O(1); the node set is static for the life of a
+// store.
+func (e *engine[R]) NumNodes() int { return e.nodes }
+
+// Info summarizes the store independent of its kind.
+func (e *engine[R]) Info() Info {
+	return Info{
+		Kind: e.kind.String(), Shards: e.shards,
+		Epoch: e.Epoch(), Batches: e.batches.Load(), Updates: e.updates.Load(), Reads: e.reads.Load(),
+		Nodes: e.nodes, Edges: e.p.edges(),
+	}
+}
+
+// SetSchedWorkers resizes the scheduler's worker pool; n <= 0 means
+// GOMAXPROCS.
+func (e *engine[R]) SetSchedWorkers(n int) { e.sched.setWorkers(n) }
+
+// SchedStats reports the multi-wave scheduler and the batch read path's
+// hybrid-leaf counters (retired epochs' counts plus the live snapshot's).
+// On a sharded store Hop2Peeled counts same-shard index answers and the hub
+// fields the per-shard hub caches.
+func (e *engine[R]) SchedStats() SchedStats {
+	st := e.sched.stats()
+	st.BatchLanes, st.Hop2Peeled, st.HubCacheLanes, st.HubCachePrunes = e.readTotals()
+	if st.BatchLanes > 0 {
+		st.HubCacheHitRate = float64(st.HubCacheLanes) / float64(st.BatchLanes)
+	}
+	return st
+}
+
+// readTotals sums the lifetime batch read-path counters.
+func (e *engine[R]) readTotals() (lanes, hop2Peeled, hubLanes, hubPrunes uint64) {
+	live, old := e.live.Load(), &e.retired
+	return old.lanes.Load() + live.lanes.Load(), old.hop2Peeled.Load() + live.hop2Peeled.Load(),
+		old.hubLanes.Load() + live.hubLanes.Load(), old.hubPrunes.Load() + live.hubPrunes.Load()
+}
+
+// persist checkpoints the current view; Checkpoint, the recovery loop and
+// the scrubber call it (force rewrites even at the newest epoch).
+func (e *engine[R]) persist(force bool) error {
+	epoch, write := e.p.image()
+	return e.dur.checkpoint(epoch, write, force)
+}
+
+// Checkpoint synchronously writes the current snapshot to the durable
+// directory, points the manifest at it, and truncates the WAL prefix it
+// covers. After Checkpoint, reopening the directory is a pure snapshot
+// load. It fails with ErrNotDurable on an in-memory store.
+func (e *engine[R]) Checkpoint() error {
+	if e.dur == nil {
+		return ErrNotDurable
+	}
+	return e.persist(false)
+}
+
+// Health reports the write path's health: state, degradation reason,
+// retry/degradation/recovery counters and the last scrub. A sharded store
+// logs the global update stream through one WAL, so health is a whole-store
+// property. An in-memory store is always Healthy.
+func (e *engine[R]) Health() Health {
+	if e.dur == nil {
+		return Health{State: Healthy}
+	}
+	return e.dur.healthReport()
+}
+
+// Term returns the store's persisted leader term; 0 on an in-memory store
+// (terms only mean something for durable, replicable stores).
+func (e *engine[R]) Term() uint64 {
+	if e.dur == nil {
+		return 0
+	}
+	return e.dur.term.Load()
+}
+
+// Fenced reports whether the store has fenced itself read-only after
+// observing a newer leader term.
+func (e *engine[R]) Fenced() bool {
+	return e.dur != nil && HealthState(e.dur.health.Load()) == Fenced
+}
+
+// ObserveTerm is the leader-side term check: if t is above the store's own
+// term, another node was promoted and this store fences itself read-only
+// (writes fail fast with ErrFenced; reads keep serving). Equal or lower
+// terms, and in-memory stores, are no-ops.
+func (e *engine[R]) ObserveTerm(t uint64) error {
+	if e.dur == nil {
+		return nil
+	}
+	return e.dur.observeTerm(t)
+}
+
+// AdoptTerm is the follower-side term check: raise the store's term to t
+// without fencing, so a follower tailing a newly promoted leader keeps
+// applying shipped batches. Equal or lower terms, and in-memory stores,
+// are no-ops.
+func (e *engine[R]) AdoptTerm(t uint64) error {
+	if e.dur == nil {
+		return nil
+	}
+	return e.dur.adoptTerm(t)
+}
+
+// BumpTerm moves the store to a fresh term strictly above both its own
+// term and min, fsyncs it, and clears any fence — the promotion step. It
+// returns the new term, or ErrNotDurable on an in-memory store.
+func (e *engine[R]) BumpTerm(min uint64) (uint64, error) {
+	if e.dur == nil {
+		return 0, ErrNotDurable
+	}
+	return e.dur.bumpTerm(min)
+}
+
+// ScrubNow runs one integrity scrub pass synchronously — verify sealed WAL
+// segments and snapshot checksums, quarantine corrupt files, re-checkpoint
+// if anything was set aside — and returns its report. It works whether or
+// not the background scrubber is enabled; ErrNotDurable on an in-memory
+// store.
+func (e *engine[R]) ScrubNow() (ScrubReport, error) {
+	if e.dur == nil {
+		return ScrubReport{}, ErrNotDurable
+	}
+	return e.dur.scrubOnce(e.persist), nil
+}

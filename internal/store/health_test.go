@@ -26,76 +26,6 @@ func faultTopologies(seed int64) map[string]*graph.Graph {
 	}
 }
 
-// faultyStore is the kind-agnostic handle the injection tests drive.
-type faultyStore struct {
-	apply  func(batch []graph.Update) error
-	health func() Health
-	scrub  func() (ScrubReport, error)
-	epoch  func() uint64
-	close  func() error
-	diff   func(t *testing.T, label string, mirror *graph.Graph)
-}
-
-// openFaulty opens a durable store of the given kind with the health
-// machinery tuned for millisecond-scale test convergence.
-func openFaulty(t *testing.T, kind string, g *graph.Graph, o Options) *faultyStore {
-	t.Helper()
-	switch kind {
-	case "mono":
-		s, err := Open(g, &o)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		return &faultyStore{
-			apply:  func(b []graph.Update) error { _, err := s.ApplyBatch(b); return err },
-			health: s.Health,
-			scrub:  s.ScrubNow,
-			epoch:  func() uint64 { return s.Snapshot().Epoch },
-			close:  s.Close,
-			diff: func(t *testing.T, label string, mirror *graph.Graph) {
-				diffStoreVsReference(t, label, s, mirror)
-			},
-		}
-	case "sharded":
-		so := &ShardedOptions{
-			Shards: 3, Indexes: o.Indexes, Dir: o.Dir, Sync: o.Sync,
-			CheckpointBatches: o.CheckpointBatches, CheckpointBytes: o.CheckpointBytes,
-			FS: o.FS, WriteRetries: o.WriteRetries, RetryBackoff: o.RetryBackoff,
-			RecoveryInterval: o.RecoveryInterval, ScrubInterval: o.ScrubInterval,
-			ScrubRate: o.ScrubRate, WALSegmentBytes: o.WALSegmentBytes,
-		}
-		s, err := OpenSharded(g, so)
-		if err != nil {
-			t.Fatalf("OpenSharded: %v", err)
-		}
-		return &faultyStore{
-			apply:  func(b []graph.Update) error { _, err := s.ApplyBatch(b); return err },
-			health: s.Health,
-			scrub:  s.ScrubNow,
-			epoch:  func() uint64 { return s.Snapshot().Epoch },
-			close:  s.Close,
-			diff: func(t *testing.T, label string, mirror *graph.Graph) {
-				diffShardedVsReference(t, label, s, mirror)
-			},
-		}
-	default:
-		t.Fatalf("unknown kind %q", kind)
-		return nil
-	}
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestInjectedFaultDifferential is the robustness acceptance matrix: every
 // fault schedule × three topologies × both store kinds. Under each
 // schedule the store must keep every acked batch (differential equality
@@ -144,7 +74,7 @@ func TestInjectedFaultDifferential(t *testing.T) {
 					if sched.mode == "scrub" {
 						o.WALSegmentBytes = 384
 					}
-					ts := openFaulty(t, kind, g, o)
+					ts := openKind(t, kind, g, o)
 
 					rng := rand.New(rand.NewSource(7))
 					acked := 0
@@ -162,7 +92,7 @@ func TestInjectedFaultDifferential(t *testing.T) {
 							t.Fatalf("fault window never drained: fired %d, log %v", in.Fired(), in.Log())
 						}
 						batch := gen.RandomBatch(rng, mirror, 12, 0.5)
-						if err := ts.apply(batch); err != nil {
+						if _, err := ts.Apply(batch); err != nil {
 							sawErr = true
 							okRun = 0
 							time.Sleep(2 * time.Millisecond)
@@ -174,14 +104,14 @@ func TestInjectedFaultDifferential(t *testing.T) {
 					}
 
 					if sched.mode == "scrub" {
-						rep, err := ts.scrub()
+						rep, err := ts.ScrubNow()
 						if err != nil {
 							t.Fatalf("ScrubNow: %v", err)
 						}
 						if len(rep.Quarantined) == 0 || !rep.Repaired {
 							t.Fatalf("scrub under bit-flips: quarantined %v, repaired %v (err %q)", rep.Quarantined, rep.Repaired, rep.Err)
 						}
-						if got := ts.health().LastScrub; !got.Repaired {
+						if got := ts.Health().LastScrub; !got.Repaired {
 							t.Fatal("Health does not carry the scrub report")
 						}
 					}
@@ -193,18 +123,18 @@ func TestInjectedFaultDifferential(t *testing.T) {
 					}
 
 					waitFor(t, 5*time.Second, "store to return to Healthy", func() bool {
-						return ts.health().State == Healthy
+						return ts.Health().State == Healthy
 					})
 					// The store must take writes again once faults stop.
 					for i := 0; i < 5; i++ {
 						batch := gen.RandomBatch(rng, mirror, 12, 0.5)
-						if err := ts.apply(batch); err != nil {
+						if _, err := ts.Apply(batch); err != nil {
 							t.Fatalf("post-fault apply %d: %v", i, err)
 						}
 						mirror.Apply(batch)
 						acked++
 					}
-					h := ts.health()
+					h := ts.Health()
 					if sched.mode == "write" {
 						if h.Degradations == 0 || h.Recoveries != h.Degradations {
 							t.Fatalf("health counters: %d degradations, %d recoveries", h.Degradations, h.Recoveries)
@@ -212,21 +142,21 @@ func TestInjectedFaultDifferential(t *testing.T) {
 					}
 					// Epoch sequence gapless: epoch counts exactly the acked
 					// batches, with failed ones leaving no hole.
-					if got := ts.epoch(); got != uint64(acked) {
+					if got := ts.Epoch(); got != uint64(acked) {
 						t.Fatalf("epoch %d after %d acked batches", got, acked)
 					}
-					ts.diff(t, "live", mirror)
-					if err := ts.close(); err != nil {
+					diffVsReference(t, "live", ts, mirror)
+					if err := ts.Close(); err != nil {
 						t.Fatalf("Close: %v", err)
 					}
 
 					// Reopen on a clean disk: every acked batch must be there.
-					reopened := openFaulty(t, kind, nil, Options{Dir: dir})
-					defer reopened.close()
-					if got := reopened.epoch(); got != uint64(acked) {
+					reopened := openKind(t, kind, nil, Options{Dir: dir})
+					defer reopened.Close()
+					if got := reopened.Epoch(); got != uint64(acked) {
 						t.Fatalf("reopened at epoch %d, %d batches acked", got, acked)
 					}
-					reopened.diff(t, "reopened", mirror)
+					diffVsReference(t, "reopened", reopened, mirror)
 				})
 			}
 		}
@@ -238,70 +168,69 @@ func TestInjectedFaultDifferential(t *testing.T) {
 // the store fails writes fast with the degradation cause, keeps serving
 // reads at the last published epoch, and re-arms only when the disk heals.
 func TestDegradedFailFast(t *testing.T) {
-	g := faultTopologies(33)["social"]
-	mirror := g.Clone()
-	in := faultfs.NewInject(faultfs.Disk) // no rules yet: open cleanly
-	s, err := Open(g.Clone(), &Options{
-		Indexes: true, Dir: t.TempDir(), FS: in,
-		WriteRetries: 1, RetryBackoff: time.Millisecond,
-		RecoveryInterval:  3 * time.Millisecond,
-		CheckpointBatches: -1, CheckpointBytes: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 3; i++ {
-		batch := gen.RandomBatch(rng, mirror, 15, 0.5)
-		mirror.Apply(batch)
-		if _, err := s.ApplyBatch(batch); err != nil {
-			t.Fatal(err)
+	forKinds(t, func(t *testing.T, kind string) {
+		g := faultTopologies(33)["social"]
+		mirror := g.Clone()
+		in := faultfs.NewInject(faultfs.Disk) // no rules yet: open cleanly
+		s := openKind(t, kind, g.Clone(), Options{
+			Indexes: true, Dir: t.TempDir(), FS: in,
+			WriteRetries: 1, RetryBackoff: time.Millisecond,
+			RecoveryInterval:  3 * time.Millisecond,
+			CheckpointBatches: -1, CheckpointBytes: -1,
+		})
+		defer s.Close()
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 3; i++ {
+			batch := gen.RandomBatch(rng, mirror, 15, 0.5)
+			mirror.Apply(batch)
+			if _, err := s.Apply(batch); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	epochBefore := s.Snapshot().Epoch
+		epochBefore := s.Epoch()
 
-	// The disk fills: every write and fsync — including the recovery
-	// probe's — fails until further notice.
-	in.AddRule(faultfs.Rule{Op: faultfs.OpWrite | faultfs.OpSync, Err: faultfs.ErrNoSpace})
-	lost := gen.RandomBatch(rng, mirror, 15, 0.5)
-	if _, err := s.ApplyBatch(lost); !errors.Is(err, faultfs.ErrNoSpace) {
-		t.Fatalf("apply on full disk = %v, want ENOSPC after retries", err)
-	}
-	h := s.Health()
-	if h.State != Degraded || h.Reason == "" {
-		t.Fatalf("after ENOSPC: %+v", h)
-	}
-	// Fail-fast: a degraded store rejects without touching the log.
-	if _, err := s.ApplyBatch(lost); !errors.Is(err, faultfs.ErrNoSpace) {
-		t.Fatalf("degraded apply = %v", err)
-	}
-	// Reads hold the last published epoch and keep answering.
-	if got := s.Snapshot().Epoch; got != epochBefore {
-		t.Fatalf("degraded store moved epoch %d -> %d", epochBefore, got)
-	}
-	diffStoreVsReference(t, "degraded", s, mirror)
-
-	// The disk heals; the recovery loop must re-arm on its own.
-	in.Disarm()
-	waitFor(t, 5*time.Second, "recovery to re-arm the write path", func() bool {
-		return s.Health().State == Healthy
-	})
-	for i := 0; i < 3; i++ {
-		batch := gen.RandomBatch(rng, mirror, 15, 0.5)
-		mirror.Apply(batch)
-		if _, err := s.ApplyBatch(batch); err != nil {
-			t.Fatalf("post-recovery apply: %v", err)
+		// The disk fills: every write and fsync — including the recovery
+		// probe's — fails until further notice.
+		in.AddRule(faultfs.Rule{Op: faultfs.OpWrite | faultfs.OpSync, Err: faultfs.ErrNoSpace})
+		lost := gen.RandomBatch(rng, mirror, 15, 0.5)
+		if _, err := s.Apply(lost); !errors.Is(err, faultfs.ErrNoSpace) {
+			t.Fatalf("apply on full disk = %v, want ENOSPC after retries", err)
 		}
-	}
-	h = s.Health()
-	if h.State != Healthy || h.Degradations != 1 || h.Recoveries != 1 {
-		t.Fatalf("after recovery: %+v", h)
-	}
-	if got, want := s.Snapshot().Epoch, epochBefore+3; got != want {
-		t.Fatalf("epoch %d after recovery, want %d (no gap, no resurrection)", got, want)
-	}
-	diffStoreVsReference(t, "recovered", s, mirror)
+		h := s.Health()
+		if h.State != Degraded || h.Reason == "" {
+			t.Fatalf("after ENOSPC: %+v", h)
+		}
+		// Fail-fast: a degraded store rejects without touching the log.
+		if _, err := s.Apply(lost); !errors.Is(err, faultfs.ErrNoSpace) {
+			t.Fatalf("degraded apply = %v", err)
+		}
+		// Reads hold the last published epoch and keep answering.
+		if got := s.Epoch(); got != epochBefore {
+			t.Fatalf("degraded store moved epoch %d -> %d", epochBefore, got)
+		}
+		diffVsReference(t, "degraded", s, mirror)
+
+		// The disk heals; the recovery loop must re-arm on its own.
+		in.Disarm()
+		waitFor(t, 5*time.Second, "recovery to re-arm the write path", func() bool {
+			return s.Health().State == Healthy
+		})
+		for i := 0; i < 3; i++ {
+			batch := gen.RandomBatch(rng, mirror, 15, 0.5)
+			mirror.Apply(batch)
+			if _, err := s.Apply(batch); err != nil {
+				t.Fatalf("post-recovery apply: %v", err)
+			}
+		}
+		h = s.Health()
+		if h.State != Healthy || h.Degradations != 1 || h.Recoveries != 1 {
+			t.Fatalf("after recovery: %+v", h)
+		}
+		if got, want := s.Epoch(), epochBefore+3; got != want {
+			t.Fatalf("epoch %d after recovery, want %d (no gap, no resurrection)", got, want)
+		}
+		diffVsReference(t, "recovered", s, mirror)
+	})
 }
 
 // TestCloseReturnsStickyCheckpointError pins the Checkpoint error plumbing:
@@ -309,45 +238,41 @@ func TestDegradedFailFast(t *testing.T) {
 // outstanding at Close surfaces there — while the WAL keeps every acked
 // batch recoverable regardless.
 func TestCloseReturnsStickyCheckpointError(t *testing.T) {
-	g := faultTopologies(35)["citation"]
-	mirror := g.Clone()
-	dir := t.TempDir()
-	in := faultfs.NewInject(faultfs.Disk)
-	s, err := Open(g.Clone(), &Options{
-		Indexes: true, Dir: dir, FS: in,
-		WriteRetries: 2, RetryBackoff: time.Millisecond,
-		CheckpointBatches: 2, CheckpointBytes: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	// Every manifest swap fails from here on: background checkpoints
-	// exhaust their retries and record a sticky error.
-	in.AddRule(faultfs.Rule{Op: faultfs.OpRename, Path: manifestName})
-	for i := 0; i < 6; i++ {
-		batch := gen.RandomBatch(rng, mirror, 15, 0.5)
-		mirror.Apply(batch)
-		if _, err := s.ApplyBatch(batch); err != nil {
-			t.Fatalf("apply %d (checkpoint faults must not break the write path): %v", i, err)
+	forKinds(t, func(t *testing.T, kind string) {
+		g := faultTopologies(35)["citation"]
+		mirror := g.Clone()
+		dir := t.TempDir()
+		in := faultfs.NewInject(faultfs.Disk)
+		s := openKind(t, kind, g.Clone(), Options{
+			Indexes: true, Dir: dir, FS: in,
+			WriteRetries: 2, RetryBackoff: time.Millisecond,
+			CheckpointBatches: 2, CheckpointBytes: -1,
+		})
+		rng := rand.New(rand.NewSource(11))
+		// Every manifest swap fails from here on: background checkpoints
+		// exhaust their retries and record a sticky error.
+		in.AddRule(faultfs.Rule{Op: faultfs.OpRename, Path: manifestName})
+		for i := 0; i < 6; i++ {
+			batch := gen.RandomBatch(rng, mirror, 15, 0.5)
+			mirror.Apply(batch)
+			if _, err := s.Apply(batch); err != nil {
+				t.Fatalf("apply %d (checkpoint faults must not break the write path): %v", i, err)
+			}
 		}
-	}
-	waitFor(t, 5*time.Second, "background checkpoint to fail through its retries", func() bool {
-		return s.Health().CheckpointError != ""
+		waitFor(t, 5*time.Second, "background checkpoint to fail through its retries", func() bool {
+			return s.Health().CheckpointError != ""
+		})
+		if err := s.Close(); err == nil || !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("Close = %v, want the sticky checkpoint failure", err)
+		}
+		// The checkpoint never landed but the WAL did: reopen recovers all.
+		r := openKind(t, kind, nil, Options{Dir: dir})
+		defer r.Close()
+		if got := r.Epoch(); got != 6 {
+			t.Fatalf("reopened at epoch %d, want 6", got)
+		}
+		diffVsReference(t, "reopened", r, mirror)
 	})
-	if err := s.Close(); err == nil || !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("Close = %v, want the sticky checkpoint failure", err)
-	}
-	// The checkpoint never landed but the WAL did: reopen recovers all.
-	r, err := Open(nil, &Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := r.Snapshot().Epoch; got != 6 {
-		t.Fatalf("reopened at epoch %d, want 6", got)
-	}
-	diffStoreVsReference(t, "reopened", r, mirror)
 }
 
 // TestScrubRepairsCorruptSnapshot pins snapshot scrubbing: a bit flipped
@@ -406,7 +331,7 @@ func TestScrubRepairsCorruptSnapshot(t *testing.T) {
 		t.Fatalf("reopen after repair: %v", err)
 	}
 	defer r.Close()
-	diffStoreVsReference(t, "repaired", r, mirror)
+	diffVsReference(t, "repaired", r, mirror)
 }
 
 // TestScrubDirOffline pins the offline integrity check behind `qpgc

@@ -7,10 +7,10 @@ import (
 	"repro/internal/queries"
 )
 
-// TestReachableHop2Fallback covers the Indexes:false configuration: the OK
-// variant reports the missing index, the Store-level method falls back to
-// the compressed traversal path, and the panicking variant fails loudly
-// rather than with a nil dereference.
+// TestReachableHop2Fallback covers the Indexes:false configuration: the
+// snapshot method reports the missing index and the Store-level method
+// falls back to the compressed traversal path; with indexes on, both agree
+// with the traversal.
 func TestReachableHop2Fallback(t *testing.T) {
 	g := socialGraph(21, 120, 500)
 	mirror := g.Clone()
@@ -21,8 +21,8 @@ func TestReachableHop2Fallback(t *testing.T) {
 	sc := queries.NewScratch(0)
 	for u := graph.Node(0); u < 30; u++ {
 		for v := graph.Node(0); v < 30; v++ {
-			if _, ok := sn.ReachableHop2OK(u, v); ok {
-				t.Fatalf("ReachableHop2OK reported an index with Indexes:false")
+			if _, ok := sn.ReachableHop2(u, v); ok {
+				t.Fatalf("Snapshot.ReachableHop2 reported an index with Indexes:false")
 			}
 			want := sn.Reachable(sc, u, v)
 			if got := s.ReachableHop2(u, v); got != want {
@@ -30,25 +30,16 @@ func TestReachableHop2Fallback(t *testing.T) {
 			}
 		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Snapshot.ReachableHop2 should panic without indexes")
-			}
-		}()
-		sn.ReachableHop2(0, 1)
-	}()
 
-	// With indexes on, all three agree.
 	s2 := mustOpen(t, mirror.Clone(), nil)
 	defer s2.Close()
 	sn2 := s2.Snapshot()
 	for u := graph.Node(0); u < 30; u++ {
 		for v := graph.Node(0); v < 30; v++ {
 			want := sn2.Reachable(sc, u, v)
-			got, ok := sn2.ReachableHop2OK(u, v)
+			got, ok := sn2.ReachableHop2(u, v)
 			if !ok || got != want {
-				t.Fatalf("ReachableHop2OK(%d,%d)=(%v,%v) want (%v,true)", u, v, got, ok, want)
+				t.Fatalf("Snapshot.ReachableHop2(%d,%d)=(%v,%v) want (%v,true)", u, v, got, ok, want)
 			}
 			if s2.ReachableHop2(u, v) != want {
 				t.Fatalf("Store.ReachableHop2(%d,%d) != %v", u, v, want)
@@ -57,42 +48,42 @@ func TestReachableHop2Fallback(t *testing.T) {
 	}
 }
 
-// TestStoreCloseServesLastEpoch strengthens the Close contract test: after
-// Close, both Store-level queries and pinned snapshots answer with exactly
-// the final epoch's state.
-func TestStoreCloseServesLastEpoch(t *testing.T) {
-	g := socialGraph(22, 100, 400)
-	mirror := g.Clone()
-	s := mustOpen(t, g, nil)
-	batch := []graph.Update{
-		graph.Insertion(0, 1), graph.Insertion(1, 2), graph.Deletion(0, 1),
-	}
-	mirror.Apply(batch)
-	res, err := s.ApplyBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s.Close() // double Close is safe
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(3, 4)}); err != ErrClosed {
-		t.Fatalf("ApplyBatch after Close: want ErrClosed, got %v", err)
-	}
-	sn := s.Snapshot()
-	if sn.Epoch != res.Epoch {
-		t.Fatalf("post-Close epoch %d, want %d", sn.Epoch, res.Epoch)
-	}
-	ref := mirror.Freeze()
-	sc := queries.NewScratch(0)
-	refSc := queries.NewScratch(0)
-	for u := graph.Node(0); u < 25; u++ {
-		for v := graph.Node(0); v < 25; v++ {
-			want := queries.ReachableBiCSR(ref, refSc, u, v)
-			if got := s.Reachable(u, v); got != want {
-				t.Fatalf("post-Close Reachable(%d,%d)=%v want %v", u, v, got, want)
-			}
-			if got := sn.ReachableOnG(sc, u, v); got != want {
-				t.Fatalf("post-Close ReachableOnG(%d,%d)=%v want %v", u, v, got, want)
+// TestCloseLifecycle pins the Close contract on both kinds: a second Close
+// is safe, ApplyBatch afterwards returns ErrClosed, and queries keep
+// answering with exactly the final epoch's state.
+func TestCloseLifecycle(t *testing.T) {
+	forKinds(t, func(t *testing.T, kind string) {
+		g := socialGraph(22, 100, 400)
+		mirror := g.Clone()
+		s := openKind(t, kind, g, Options{Indexes: true})
+		batch := []graph.Update{
+			graph.Insertion(0, 1), graph.Insertion(1, 2), graph.Deletion(0, 1),
+		}
+		mirror.Apply(batch)
+		epoch, err := s.Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		s.Close() // double Close is safe
+		if _, err := s.Apply([]graph.Update{graph.Insertion(3, 4)}); err != ErrClosed {
+			t.Fatalf("Apply after Close: want ErrClosed, got %v", err)
+		}
+		if got := s.Epoch(); got != epoch {
+			t.Fatalf("post-Close epoch %d, want %d", got, epoch)
+		}
+		ref := mirror.Freeze()
+		refSc := queries.NewScratch(0)
+		for u := graph.Node(0); u < 25; u++ {
+			for v := graph.Node(0); v < 25; v++ {
+				want := queries.ReachableBiCSR(ref, refSc, u, v)
+				if got := s.Reachable(u, v); got != want {
+					t.Fatalf("post-Close Reachable(%d,%d)=%v want %v", u, v, got, want)
+				}
+				if got := s.ReachableOnG(u, v); got != want {
+					t.Fatalf("post-Close ReachableOnG(%d,%d)=%v want %v", u, v, got, want)
+				}
 			}
 		}
-	}
+	})
 }

@@ -1,4 +1,4 @@
-// Metrics bindings for both store kinds. The design follows internal/obs's
+// Metrics bindings of the epoch engine. The design follows internal/obs's
 // rules: instruments are looked up once here and held as fields, lifetime
 // counters the stores already keep are exposed through scrape-time
 // callbacks, and everything degrades to nil (a store opened without a
@@ -14,8 +14,8 @@ import (
 )
 
 // storeObs holds the instruments the write and batch read paths feed
-// directly; everything else (counters the store already maintains) is
-// registered as scrape-time callbacks by bindStoreObs/bindShardedObs.
+// directly; everything else (counters the engine already maintains) is
+// registered as scrape-time callbacks by engine.bindObs.
 type storeObs struct {
 	apply   *obs.Histogram // writer latency per coalesced group (WAL + maintain + publish)
 	publish *obs.Histogram // snapshot assembly + swap latency
@@ -68,11 +68,13 @@ func newStoreObs(r *obs.Registry) *storeObs {
 	return so
 }
 
-// notePublish records one publish: its latency and the epoch-age anchor.
-func (so *storeObs) notePublish(d time.Duration) {
+// notePublish records one publish begun at start: its latency and the
+// epoch-age anchor.
+func (so *storeObs) notePublish(start time.Time) {
 	if so == nil {
 		return
 	}
+	d := time.Since(start)
 	so.publish.Observe(d)
 	so.stagePublish.Observe(d)
 	so.lastPublish.Store(time.Now().UnixNano())
@@ -112,66 +114,28 @@ func bindSchedObs(r *obs.Registry, sc *scheduler) {
 	})
 }
 
-// bindStoreObs registers the monolithic store's scrape-time callbacks.
-// Called once from openMem/recoverStore after the scheduler exists (s.ob
-// itself is created before the first publish so every snapshot carries the
-// stage histograms).
-func (s *Store) bindStoreObs() {
-	r := s.opts.Obs
+// bindObs registers the engine's scrape-time callbacks. Called once from
+// serve, after the scheduler exists (e.ob itself is created before the
+// first publish so every snapshot carries the stage histograms).
+func (e *engine[R]) bindObs() {
+	r := e.cfg.Obs
 	if r == nil {
 		return
 	}
-	bindSchedObs(r, s.sched)
-	r.CounterFunc("qpgc_store_batches_total", s.batches.Load)
-	r.CounterFunc("qpgc_store_updates_total", s.updates.Load)
-	r.CounterFunc("qpgc_store_reads_total", s.reads.Load)
-	r.GaugeFunc("qpgc_store_epoch", func() float64 { return float64(s.Snapshot().Epoch) })
-	r.GaugeFunc("qpgc_store_epoch_age_seconds", s.ob.ageSeconds)
-	r.GaugeFunc("qpgc_store_shards", func() float64 { return 1 })
-	// Batch read-path counters: accumulator plus the live snapshot's share,
-	// exactly the SchedStats sums — Prometheus rate() (or qpgc top's poll
-	// deltas) turns these lifetime totals into the interval rates.
-	r.CounterFunc("qpgc_sched_batch_lanes_total", func() uint64 {
-		return s.batchLanes.Load() + s.Snapshot().bstats.lanes.Load()
-	})
-	r.CounterFunc("qpgc_sched_hop2_peeled_total", func() uint64 {
-		return s.hop2Peeled.Load() + s.Snapshot().bstats.hop2Peeled.Load()
-	})
-	r.CounterFunc("qpgc_sched_hub_lanes_total", func() uint64 {
-		return s.hubLanes.Load() + s.Snapshot().bstats.hubLanes.Load()
-	})
-	r.CounterFunc("qpgc_sched_hub_prunes_total", func() uint64 {
-		return s.hubPrunes.Load() + s.Snapshot().bstats.hubPrunes.Load()
-	})
-}
-
-// bindShardedObs registers the sharded store's scrape-time callbacks.
-// Called once from openShardedMem/recoverSharded after the scheduler
-// exists (s.ob itself is created before the first publish).
-func (s *ShardedStore) bindShardedObs() {
-	r := s.opts.Obs
-	if r == nil {
-		return
-	}
-	bindSchedObs(r, s.sched)
-	r.CounterFunc("qpgc_store_batches_total", s.batches.Load)
-	r.CounterFunc("qpgc_store_updates_total", s.updates.Load)
-	r.CounterFunc("qpgc_store_reads_total", s.reads.Load)
-	r.GaugeFunc("qpgc_store_epoch", func() float64 { return float64(s.Snapshot().Epoch) })
-	r.GaugeFunc("qpgc_store_epoch_age_seconds", s.ob.ageSeconds)
-	r.GaugeFunc("qpgc_store_shards", func() float64 { return float64(s.opts.Shards) })
-	r.CounterFunc("qpgc_sched_batch_lanes_total", func() uint64 {
-		return s.batchLanes.Load() + s.Snapshot().bstats.lanes.Load()
-	})
-	r.CounterFunc("qpgc_sched_hop2_peeled_total", func() uint64 {
-		return s.hop2Peeled.Load() + s.Snapshot().bstats.hop2Peeled.Load()
-	})
-	r.CounterFunc("qpgc_sched_hub_lanes_total", func() uint64 {
-		return s.hubLanes.Load() + s.Snapshot().bstats.hubLanes.Load()
-	})
-	r.CounterFunc("qpgc_sched_hub_prunes_total", func() uint64 {
-		return s.hubPrunes.Load() + s.Snapshot().bstats.hubPrunes.Load()
-	})
+	bindSchedObs(r, e.sched)
+	r.CounterFunc("qpgc_store_batches_total", e.batches.Load)
+	r.CounterFunc("qpgc_store_updates_total", e.updates.Load)
+	r.CounterFunc("qpgc_store_reads_total", e.reads.Load)
+	r.GaugeFunc("qpgc_store_epoch", func() float64 { return float64(e.Epoch()) })
+	r.GaugeFunc("qpgc_store_epoch_age_seconds", e.ob.ageSeconds)
+	r.GaugeFunc("qpgc_store_shards", func() float64 { return float64(e.shards) })
+	// Batch read-path counters, exactly the SchedStats sums — Prometheus
+	// rate() (or qpgc top's poll deltas) turns these lifetime totals into
+	// the interval rates.
+	r.CounterFunc("qpgc_sched_batch_lanes_total", func() uint64 { n, _, _, _ := e.readTotals(); return n })
+	r.CounterFunc("qpgc_sched_hop2_peeled_total", func() uint64 { _, n, _, _ := e.readTotals(); return n })
+	r.CounterFunc("qpgc_sched_hub_lanes_total", func() uint64 { _, _, n, _ := e.readTotals(); return n })
+	r.CounterFunc("qpgc_sched_hub_prunes_total", func() uint64 { _, _, _, n := e.readTotals(); return n })
 }
 
 // shardBatchHist is the per-shard writer-latency histogram, the input the

@@ -1,23 +1,24 @@
 // Sharded store: k partition-parallel compression pipelines behind one
 // coordinator, with a frozen boundary summary graph for cross-shard
 // reachability and a stitched bisimulation quotient for cross-shard
-// pattern matching.
+// pattern matching. This file is the sharded kind — its snapshot type, its
+// read methods and the k-shard pipeline (routeBatch + roundTrip + publish)
+// that the epoch engine in engine.go drives; the lifecycle and the
+// consistency model are the engine's, exactly as for the unsharded Store.
 //
 // # Architecture (one writer per shard, routed from a coordinator)
 //
 // OpenSharded splits G into k shards with part.Split (SCC-aware, so local
 // reachability structure never straddles shards) and starts one writer
 // goroutine per shard, each owning that shard's incremental maintainers
-// (a maintain.Pair over the shard's local subgraph). A coordinator
-// goroutine serializes ApplyBatch calls, routes each update to the shard
-// owning both endpoints — or, for cross-shard edges, applies it to the
-// coordinator-owned cross adjacency — fans the per-shard sub-batches out
-// to the shard writers, and, once all writers acknowledge, assembles and
-// publishes the epoch's ShardedSnapshot by one atomic pointer swap:
-// a vector of per-shard snapshots plus the boundary summary and stitched
-// quotient. The consistency model is the same as the unsharded Store's:
-// batch-atomic visibility, read-your-writes for the ApplyBatch caller,
-// coalescing under pressure.
+// (a maintain.Pair over the shard's local subgraph). The engine's writer
+// goroutine is the coordinator: it routes each update of an accepted batch
+// to the shard owning both endpoints — or, for cross-shard edges, applies
+// it to the coordinator-owned cross adjacency — fans the group's per-shard
+// sub-batches out to the shard writers, and, once all writers acknowledge,
+// assembles and publishes the epoch's ShardedSnapshot by one atomic pointer
+// swap: a vector of per-shard snapshots plus the boundary summary and
+// stitched quotient.
 //
 // # Query routing
 //
@@ -32,8 +33,6 @@
 package store
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,21 +107,24 @@ type ShardedOptions struct {
 	Obs *obs.Registry
 }
 
-// durableCfg projects the durable layer's cut of the options.
-func (o ShardedOptions) durableCfg() durableConfig {
-	return durableConfig{
-		dir:              o.Dir,
-		sync:             o.Sync,
-		ckptBatches:      o.CheckpointBatches,
-		ckptBytes:        o.CheckpointBytes,
-		fs:               o.FS,
-		writeRetries:     o.WriteRetries,
-		retryBackoff:     o.RetryBackoff,
-		recoveryInterval: o.RecoveryInterval,
-		scrubInterval:    o.ScrubInterval,
-		scrubRate:        o.ScrubRate,
-		segBytes:         o.WALSegmentBytes,
-		obsReg:           o.Obs,
+// durableCfg projects the kind-independent cut of the options — everything
+// the engine and its durable layer read, that is all but Shards.
+func (o ShardedOptions) durableCfg() Options {
+	return Options{
+		Indexes:           o.Indexes,
+		Dir:               o.Dir,
+		Sync:              o.Sync,
+		CheckpointBatches: o.CheckpointBatches,
+		CheckpointBytes:   o.CheckpointBytes,
+		FS:                o.FS,
+		WriteRetries:      o.WriteRetries,
+		RetryBackoff:      o.RetryBackoff,
+		RecoveryInterval:  o.RecoveryInterval,
+		ScrubInterval:     o.ScrubInterval,
+		ScrubRate:         o.ScrubRate,
+		WALSegmentBytes:   o.WALSegmentBytes,
+		SchedWorkers:      o.SchedWorkers,
+		Obs:               o.Obs,
 	}
 }
 
@@ -156,8 +158,10 @@ type ShardedSnapshot struct {
 	// Stitched is the epoch's cross-shard pattern quotient.
 	Stitched *part.Stitched
 
-	p        *part.Partition
-	crossOut [][]graph.Node // per-epoch immutable cross-shard successors
+	p          *part.Partition
+	crossOut   [][]graph.Node // per-epoch immutable cross-shard successors
+	crossEdges int            // total length of crossOut's rows
+	edges      int            // |E| of the composite G: every shard's local edges plus crossEdges
 
 	// Batch read-path counters, epoch-local like Snapshot.bstats; pure
 	// metadata, folded into the store accumulators at the next publish.
@@ -435,16 +439,6 @@ type ShardedStats struct {
 	ReachClasses, StitchClasses int
 }
 
-type shardedApplyOutcome struct {
-	res ShardedApplyResult
-	err error
-}
-
-type shardedApplyReq struct {
-	batch []graph.Update
-	res   chan shardedApplyOutcome
-}
-
 // shardCmd asks a shard writer to apply a local sub-batch (possibly empty)
 // and refresh its epoch view.
 type shardCmd struct {
@@ -519,16 +513,16 @@ func (w *shardWorker) run() {
 // ShardedStore is a concurrent compressed-graph store with k
 // partition-parallel write pipelines: one coordinator, one writer per
 // shard, any number of readers. See the file documentation for the
-// architecture and consistency model.
+// architecture; the lifecycle methods are the embedded engine's, as on
+// Store.
 type ShardedStore struct {
-	opts   ShardedOptions
+	engine[ShardedApplyResult]
+
 	p      *part.Partition
 	labels *graph.Labels
 
-	dur *durable // nil for in-memory stores
-
 	// workers is nil in a store recovered from a snapshot until the first
-	// write forces ensureWorkers (the lazy warm-restart path). Only the
+	// write forces materialize (the lazy warm-restart path). Only the
 	// coordinator goroutine (or OpenSharded, before it starts) touches it.
 	workers []*shardWorker
 
@@ -541,35 +535,13 @@ type ShardedStore struct {
 	boundary      []graph.Node   // cached global boundary list
 	shardBoundary [][]graph.Node // cached per-shard boundary lists
 	boundaryDirty bool
-	byClass       [][][]graph.Node  // per-shard class -> summary ids
 	hopIdx        []*hop2.Index     // cached per-shard 2-hop indexes
 	views         []*shardEpochView // latest per-shard views
+	routed        [][]graph.Update  // per-shard sub-batches routed since the last round trip
 
 	snap     atomic.Pointer[ShardedSnapshot]
 	scratch  sync.Pool // *RouteScratch
 	bscratch sync.Pool // *BatchRouteScratch
-
-	sched *scheduler // multi-wave batch scheduler; nil only before open finishes
-
-	reqs chan shardedApplyReq
-	idle chan struct{}
-
-	mu     sync.RWMutex // guards closed vs. sends on reqs
-	closed bool
-
-	batches atomic.Uint64
-	updates atomic.Uint64
-	reads   atomic.Uint64
-
-	// Batch read-path counters folded in from retired snapshots by
-	// publish, as on Store: lanes and 2-hop peels (same-shard index
-	// answers) plus the per-shard hub caches' lanes and prunes.
-	batchLanes atomic.Uint64
-	hop2Peeled atomic.Uint64
-	hubLanes   atomic.Uint64
-	hubPrunes  atomic.Uint64
-
-	ob *storeObs // nil unless ShardedOptions.Obs
 }
 
 // OpenSharded returns a running ShardedStore with opts.Shards
@@ -589,75 +561,55 @@ func OpenSharded(g *graph.Graph, opts *ShardedOptions) (*ShardedStore, error) {
 	if opts != nil {
 		o = *opts
 	}
-	if o.Shards < 1 {
-		o.Shards = 1
+	return openSharded(g, max(o.Shards, 1), o.durableCfg())
+}
+
+// openSharded is OpenSharded over the projected options; k is ignored when
+// the call recovers (the checkpoint's own shard count wins).
+func openSharded(g *graph.Graph, k int, o Options) (*ShardedStore, error) {
+	reopen, err := openMode("OpenSharded", g, o.Dir)
+	if err != nil {
+		return nil, err
 	}
-	if o.Dir == "" {
-		if g == nil {
-			return nil, errors.New("store: OpenSharded needs a graph when no Dir is set")
-		}
-		return openShardedMem(g, o), nil
+	s := &ShardedStore{}
+	s.init(s, snapfile.KindSharded, o, k)
+	s.scratch.New = func() any { return NewRouteScratch() }
+	if reopen {
+		err = s.reopen(s.load)
+	} else {
+		s.build(g)
+		err = s.create()
 	}
-	if HasState(o.Dir) {
-		if g != nil {
-			return nil, fmt.Errorf("%w (%s)", ErrStateExists, o.Dir)
-		}
-		return recoverSharded(o)
-	}
-	if g == nil {
-		return nil, fmt.Errorf("store: %s holds no recoverable state and no graph was given", o.Dir)
-	}
-	s := openShardedMem(g, o)
-	d, err := newDurable(o.durableCfg(), snapfile.KindSharded)
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
-	s.dur = d
-	if err := s.writeCheckpoint(s.Snapshot()); err != nil {
-		s.Close()
-		return nil, err
-	}
-	if err := d.openLog(1); err != nil {
-		s.Close()
-		return nil, err
-	}
-	d.startBackground(s.persistSnapshot)
+	s.serve(s.newSched())
 	return s, nil
 }
 
-// openShardedMem builds the in-memory sharded store with eager per-shard
-// pipelines and starts the coordinator.
-func openShardedMem(g *graph.Graph, o ShardedOptions) *ShardedStore {
+// build partitions g, starts every shard's pipeline (each compresses its
+// subgraph concurrently) and publishes the epoch-0 snapshot.
+func (s *ShardedStore) build(g *graph.Graph) {
 	c := g.Freeze()
-	p := part.Split(c, o.Shards)
-	s := &ShardedStore{
-		opts:          o,
-		p:             p,
-		labels:        c.Labels(),
-		crossOut:      p.CrossOut,
-		crossInDeg:    p.CrossInDeg,
-		crossEdges:    p.CrossEdges,
-		boundaryDirty: true,
-		byClass:       make([][][]graph.Node, o.Shards),
-		hopIdx:        make([]*hop2.Index, o.Shards),
-		views:         make([]*shardEpochView, o.Shards),
-		reqs:          make(chan shardedApplyReq),
-		idle:          make(chan struct{}),
-		ob:            newStoreObs(o.Obs),
-	}
-	s.scratch.New = func() any { return NewRouteScratch() }
-	locals := make([]*graph.Graph, o.Shards)
+	s.setPartition(part.Split(c, s.shards), c.Labels())
+	s.boundaryDirty = true
+	locals := make([]*graph.Graph, s.shards)
 	for i := range locals {
-		locals[i] = p.Subgraph(c, i)
+		locals[i] = s.p.Subgraph(c, i)
 	}
-	s.startWorkers(locals) // each builds its shard pipeline, then serves commands
-	s.roundTrip(make([][]graph.Update, o.Shards))
-	s.publish(0)
-	s.sched = s.newSched()
-	s.bindShardedObs()
-	go s.run()
-	return s
+	s.startWorkers(locals)
+	s.advance(0)
+}
+
+// setPartition adopts the static partition and sizes the coordinator's
+// per-shard tables to it.
+func (s *ShardedStore) setPartition(p *part.Partition, labels *graph.Labels) {
+	s.p, s.labels, s.nodes, s.shards = p, labels, len(p.ShardOf), p.K
+	s.crossOut, s.crossInDeg, s.crossEdges = p.CrossOut, p.CrossInDeg, p.CrossEdges
+	s.hopIdx = make([]*hop2.Index, p.K)
+	s.views = make([]*shardEpochView, p.K)
+	s.routed = make([][]graph.Update, p.K)
 }
 
 // newSched binds a scheduler to this store: cluster keys come from the
@@ -666,11 +618,11 @@ func openShardedMem(g *graph.Graph, o ShardedOptions) *ShardedStore {
 // few shards per wave), singles waves run the sharded batch route with
 // pooled scratch.
 func (s *ShardedStore) newSched() *scheduler {
-	return newScheduler(s.opts.SchedWorkers,
+	return newScheduler(s.cfg.SchedWorkers,
 		func(u, v graph.Node) uint64 {
 			return (uint64(s.p.ShardOf[u])&0xFFFFF)<<20 | uint64(s.p.ShardOf[v])&0xFFFFF
 		},
-		func() int { return s.opts.Shards },
+		func() int { return s.shards },
 		func(us, vs []graph.Node, out []bool) {
 			brs := s.getBatchScratch()
 			s.Snapshot().BatchReachable(brs, us, vs, out)
@@ -678,23 +630,24 @@ func (s *ShardedStore) newSched() *scheduler {
 		})
 }
 
-// roundTrip routes the per-shard sub-batches to the shard writers and
+// roundTrip hands the routed per-shard sub-batches to the shard writers and
 // waits for the touched writers to refresh their views. Shards with an
 // empty sub-batch keep last epoch's view untouched and are not messaged at
-// all (except on the first trip, when every view must be materialized), so
-// a batch naming few shards costs few coordinator-writer handoffs. Touched
-// writers run concurrently; the coordinator blocks until the slowest
-// finishes.
-func (s *ShardedStore) roundTrip(batches [][]graph.Update) {
+// all (except when they have no view yet — at open and after materialize),
+// so a batch naming few shards costs few coordinator-writer handoffs.
+// Touched writers run concurrently; the coordinator blocks until the
+// slowest finishes.
+func (s *ShardedStore) roundTrip() {
 	var wg sync.WaitGroup
 	for i, w := range s.workers {
-		if len(batches[i]) == 0 && s.views[i] != nil {
+		if len(s.routed[i]) == 0 && s.views[i] != nil {
 			continue
 		}
 		view := &shardEpochView{}
 		s.views[i] = view
 		wg.Add(1)
-		w.reqs <- &shardCmd{batch: batches[i], view: view, wg: &wg}
+		w.reqs <- &shardCmd{batch: s.routed[i], view: view, wg: &wg}
+		s.routed[i] = nil
 	}
 	wg.Wait()
 }
@@ -740,29 +693,30 @@ func (s *ShardedStore) applyCross(u, v graph.Node, insert bool) bool {
 	return true
 }
 
-// ensureWorkers materializes the per-shard writers of a store recovered
-// from a snapshot: local graphs are thawed from the loaded shard views,
-// pending[i] (shard i's share of a WAL tail; nil for none) is folded in,
-// and the incremental maintainers are built once on the result, paying
-// here the compression cost the warm restart skipped. Coordinator
-// goroutine only.
-func (s *ShardedStore) ensureWorkers(pending [][]graph.Update) {
+// materialize builds the per-shard writers of a store recovered from a
+// snapshot: tail is routed — per shard and cross-adjacency in the original
+// run's order — local graphs are thawed from the loaded shard views with
+// their share of it folded in, and the incremental maintainers are built
+// once on the result, paying here the compression cost the warm restart
+// skipped. Every view is dropped, so the next publish's round trip has each
+// writer materialize its own.
+func (s *ShardedStore) materialize(tail [][]graph.Update) {
 	if s.workers != nil {
 		return
 	}
+	var res ShardedApplyResult
+	for _, batch := range tail {
+		s.routeBatch(batch, &res)
+	}
 	sn := s.snap.Load()
-	locals := make([]*graph.Graph, s.opts.Shards)
+	locals := make([]*graph.Graph, s.shards)
 	for i := range locals {
 		locals[i] = sn.Shards[i].G.Thaw()
-		if pending != nil {
-			locals[i].Apply(pending[i])
-		}
+		locals[i].Apply(s.routed[i])
+		s.routed[i] = nil
 	}
 	s.startWorkers(locals)
-	for i := range s.views {
-		s.views[i] = nil // force every writer to materialize its view
-	}
-	s.roundTrip(make([][]graph.Update, s.opts.Shards))
+	clear(s.views)
 }
 
 // startWorkers starts one writer per shard, each building its maintainers
@@ -774,7 +728,7 @@ func (s *ShardedStore) startWorkers(locals []*graph.Graph) {
 			local: local,
 			reqs:  make(chan *shardCmd),
 			done:  make(chan struct{}),
-			hist:  shardBatchHist(s.opts.Obs, i),
+			hist:  shardBatchHist(s.cfg.Obs, i),
 			ob:    s.ob,
 		}
 		s.workers[i] = w
@@ -782,13 +736,14 @@ func (s *ShardedStore) startWorkers(locals []*graph.Graph) {
 	}
 }
 
-// routeBatch splits one global batch into per-shard local sub-batches and
-// coordinator-applied cross-shard updates, counting both into res.
-func (s *ShardedStore) routeBatch(batch []graph.Update, batches [][]graph.Update, res *ShardedApplyResult) {
+// routeBatch splits one global batch into per-shard local sub-batches —
+// queued on routed for the next round trip — and coordinator-applied
+// cross-shard updates, counting both into res.
+func (s *ShardedStore) routeBatch(batch []graph.Update, res *ShardedApplyResult) {
 	for _, up := range batch {
 		su, sv := s.p.ShardOf[up.From], s.p.ShardOf[up.To]
 		if su == sv {
-			batches[su] = append(batches[su], graph.Update{
+			s.routed[su] = append(s.routed[su], graph.Update{
 				From:   s.p.LocalID[up.From],
 				To:     s.p.LocalID[up.To],
 				Insert: up.Insert,
@@ -799,176 +754,28 @@ func (s *ShardedStore) routeBatch(batch []graph.Update, batches [][]graph.Update
 			res.CrossUpdates++
 		}
 	}
-	s.updates.Add(uint64(len(batch)))
 }
 
-// run is the coordinator goroutine: it serializes batches, coalesces under
-// pressure, logs the group to the WAL before any state changes, routes
-// updates to the shard writers, and publishes one snapshot per group.
-func (s *ShardedStore) run() {
-	defer func() {
-		for _, w := range s.workers {
-			close(w.reqs)
-		}
-		for _, w := range s.workers {
-			<-w.done
-		}
-		close(s.idle)
-	}()
-	for req := range s.reqs {
-		pending := []shardedApplyReq{req}
-	drain:
-		for len(pending) < maxCoalesce {
-			select {
-			case r, ok := <-s.reqs:
-				if !ok {
-					break drain
-				}
-				pending = append(pending, r)
-			default:
-				break drain
-			}
-		}
-		var applyStart time.Time
-		if s.ob != nil {
-			applyStart = time.Now()
-		}
-		epochs := make([]uint64, len(pending))
-		for i := range pending {
-			epochs[i] = s.batches.Add(1)
-		}
-		if s.dur != nil {
-			if err := s.dur.appendGroup(epochs, func(i int) []graph.Update { return pending[i].batch }); err != nil {
-				// Roll the epoch counter back so the next accepted group —
-				// possibly after a recovery reset the WAL — continues the
-				// acked sequence with no gap.
-				s.batches.Store(epochs[0] - 1)
-				for _, p := range pending {
-					p.res <- shardedApplyOutcome{err: err}
-				}
-				continue
-			}
-		}
-		if s.ob != nil {
-			s.ob.stageWAL.Observe(time.Since(applyStart))
-		}
-		s.ensureWorkers(nil)
-		k := s.opts.Shards
-		batches := make([][]graph.Update, k)
-		results := make([]shardedApplyOutcome, len(pending))
-		for i, p := range pending {
-			results[i].res.Epoch = epochs[i]
-			s.routeBatch(p.batch, batches, &results[i].res)
-		}
-		s.roundTrip(batches)
-		s.publish(epochs[len(epochs)-1])
-		if s.ob != nil {
-			s.ob.apply.Observe(time.Since(applyStart))
-		}
-		for i, p := range pending {
-			p.res <- results[i]
-		}
-		s.maybeCheckpoint()
+func (s *ShardedStore) apply(epoch uint64, batch []graph.Update) ShardedApplyResult {
+	res := ShardedApplyResult{Epoch: epoch}
+	s.routeBatch(batch, &res)
+	return res
+}
+
+// stop ends the shard writers; the coordinator has exited.
+func (s *ShardedStore) stop() {
+	for _, w := range s.workers {
+		close(w.reqs)
+	}
+	for _, w := range s.workers {
+		<-w.done
 	}
 }
 
-// maybeCheckpoint hands the current snapshot to the durable layer's
-// background checkpoint trigger. Coordinator goroutine only.
-func (s *ShardedStore) maybeCheckpoint() {
-	if s.dur == nil {
-		return
-	}
-	sn := s.snap.Load()
-	s.dur.maybeCheckpoint(sn.Epoch, func() error { return s.writeCheckpoint(sn) })
-}
-
-// Checkpoint synchronously writes the current epoch vector to the durable
-// directory and truncates the WAL prefix it covers, as Store.Checkpoint.
-func (s *ShardedStore) Checkpoint() error {
-	if s.dur == nil {
-		return ErrNotDurable
-	}
-	return s.writeCheckpoint(s.Snapshot())
-}
-
-// writeCheckpoint persists sn as the directory's newest checkpoint.
-func (s *ShardedStore) writeCheckpoint(sn *ShardedSnapshot) error {
-	return s.dur.checkpoint(sn.Epoch, func(path string) error {
-		return snapfile.WriteShardedFS(s.dur.fs, path, shardedParts(s, sn))
-	})
-}
-
-// persistSnapshot checkpoints the current snapshot; the recovery loop and
-// the scrubber call it (force rewrites even at the newest epoch).
-func (s *ShardedStore) persistSnapshot(force bool) error {
+// image pins the current snapshot for a checkpoint.
+func (s *ShardedStore) image() (uint64, func(path string) error) {
 	sn := s.Snapshot()
-	return s.dur.checkpointAt(sn.Epoch, func(path string) error {
-		return snapfile.WriteShardedFS(s.dur.fs, path, shardedParts(s, sn))
-	}, force)
-}
-
-// Health reports the coordinator write path's health, as Store.Health. An
-// in-memory store is always Healthy.
-func (s *ShardedStore) Health() Health {
-	if s.dur == nil {
-		return Health{State: Healthy}
-	}
-	return s.dur.healthReport()
-}
-
-// Term returns the store's persisted leader term, as Store.Term; 0 on an
-// in-memory store.
-func (s *ShardedStore) Term() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.term.Load()
-}
-
-// Fenced reports whether the store has fenced itself read-only after
-// observing a newer leader term, as Store.Fenced.
-func (s *ShardedStore) Fenced() bool {
-	if s.dur == nil {
-		return false
-	}
-	return HealthState(s.dur.health.Load()) == Fenced
-}
-
-// ObserveTerm fences the store read-only if t is above its own term, as
-// Store.ObserveTerm. No-op on an in-memory store.
-func (s *ShardedStore) ObserveTerm(t uint64) error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.observeTerm(t)
-}
-
-// AdoptTerm raises the store's term to t without fencing, as
-// Store.AdoptTerm. No-op on an in-memory store.
-func (s *ShardedStore) AdoptTerm(t uint64) error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.adoptTerm(t)
-}
-
-// BumpTerm moves the store to a fresh term above both its own term and
-// min, clearing any fence, as Store.BumpTerm; ErrNotDurable on an
-// in-memory store.
-func (s *ShardedStore) BumpTerm(min uint64) (uint64, error) {
-	if s.dur == nil {
-		return 0, ErrNotDurable
-	}
-	return s.dur.bumpTerm(min)
-}
-
-// ScrubNow runs one integrity scrub pass synchronously, as Store.ScrubNow;
-// ErrNotDurable on an in-memory store.
-func (s *ShardedStore) ScrubNow() (ScrubReport, error) {
-	if s.dur == nil {
-		return ScrubReport{}, ErrNotDurable
-	}
-	return s.dur.scrubOnce(s.persistSnapshot), nil
+	return sn.Epoch, func(path string) error { return snapfile.WriteShardedFS(s.dur.fs, path, shardedParts(s, sn)) }
 }
 
 // shardedParts projects a published sharded snapshot onto the codec's
@@ -1000,25 +807,16 @@ func shardedParts(s *ShardedStore, sn *ShardedSnapshot) *snapfile.ShardedParts {
 	return p
 }
 
-// recoverSharded reopens a durable sharded directory: rebuild the static
-// partition and the full epoch vector from the checkpoint by slicing, then
-// fold the WAL tail into the shard graphs and materialize the shard
-// pipelines once on the result.
-func recoverSharded(o ShardedOptions) (*ShardedStore, error) {
-	d, err := newDurable(o.durableCfg(), snapfile.KindSharded)
+// load rebuilds the static partition and the full epoch vector from a
+// checkpoint file by slicing, and installs it — the sharded half of
+// recovery; the engine replays the WAL tail.
+func (s *ShardedStore) load(fsys faultfs.FS, path string) (uint64, error) {
+	parts, err := snapfile.LoadShardedFS(fsys, path)
 	if err != nil {
-		return nil, err
-	}
-	parts, err := snapfile.LoadShardedFS(d.fs, d.snapshotPath())
-	if err != nil {
-		return nil, err
-	}
-	if parts.Epoch != d.manifestEpoch {
-		return nil, fmt.Errorf("store: snapshot %s is epoch %d, manifest says %d", d.manifestSnapshot, parts.Epoch, d.manifestEpoch)
+		return 0, err
 	}
 	k := parts.K
-	o.Shards = k
-	o.Indexes = parts.Shards[0].ReachIndex != nil
+	s.cfg.Indexes = parts.Shards[0].ReachIndex != nil
 
 	// The static partition: ShardOf and the label array are stored; the
 	// dense local ids and per-shard node lists are re-derived exactly as
@@ -1045,112 +843,37 @@ func recoverSharded(o ShardedOptions) (*ShardedStore, error) {
 		}
 	}
 
-	s := &ShardedStore{
-		opts:       o,
-		p:          p,
-		labels:     parts.Labels,
-		dur:        d,
-		crossOut:   p.CrossOut,
-		crossInDeg: p.CrossInDeg,
-		crossEdges: p.CrossEdges,
-		boundary:   parts.Summary.Boundary,
-		byClass:    make([][][]graph.Node, k),
-		hopIdx:     make([]*hop2.Index, k),
-		views:      make([]*shardEpochView, k),
-		reqs:       make(chan shardedApplyReq),
-		idle:       make(chan struct{}),
-	}
-	s.scratch.New = func() any { return NewRouteScratch() }
-	s.shardBoundary = make([][]graph.Node, k)
-	for _, v := range s.boundary {
-		sh := p.ShardOf[v]
-		s.shardBoundary[sh] = append(s.shardBoundary[sh], v)
-	}
+	s.setPartition(p, parts.Labels)
+	s.setBoundary(parts.Summary.Boundary)
 
-	// Reassemble the epoch vector: per-shard views with re-derived
-	// class→summary-id maps, exactly as publish builds them.
+	// Reassemble the epoch vector, per-shard views first.
 	shards := make([]ShardView, k)
 	for i := 0; i < k; i++ {
 		sp := &parts.Shards[i]
 		rc := reach.AssembleCompressed(sp.ReachGr.Thaw(), sp.ReachClassOf, sp.ReachMembers, sp.ReachCyclic)
-		by := make([][]graph.Node, rc.NumClasses())
-		for _, g := range s.shardBoundary[i] {
-			cls := rc.ClassOf(p.LocalID[g])
-			by[cls] = append(by[cls], parts.Summary.SumID(g))
-		}
-		s.byClass[i] = by
-		if o.Indexes {
+		if s.cfg.Indexes {
 			s.hopIdx[i] = sp.ReachIndex
 		}
-		shards[i] = ShardView{
-			G:       sp.G,
-			Reach:   ReachView{Gr: sp.ReachGr, Compressed: rc, Index: sp.ReachIndex},
-			byClass: by,
-		}
+		shards[i] = s.shardView(i, sp.G, ReachView{Gr: sp.ReachGr, Compressed: rc, Index: sp.ReachIndex}, parts.Summary)
 	}
-	sn := &ShardedSnapshot{
+	s.install(&ShardedSnapshot{
 		Epoch:    parts.Epoch,
 		Shards:   shards,
 		Summary:  parts.Summary,
 		Stitched: parts.Stitched,
-		p:        p,
-		crossOut: append([][]graph.Node(nil), s.crossOut...),
-		hubs:     make([]shardHubSlot, k),
-	}
-	s.ob = newStoreObs(o.Obs)
-	if s.ob != nil {
-		sn.leafHist = s.ob.leaf
-		sn.sumHist = s.ob.summary
-		sn.so = s.ob
-	}
-	s.snap.Store(sn)
-	s.batches.Store(sn.Epoch)
-
-	if err := d.openLog(parts.Epoch + 1); err != nil {
-		return nil, err
-	}
-	tail, _, err := d.replayTail(parts.Epoch, n) // routeBatch recounts updates
-	if err != nil {
-		d.close()
-		return nil, err
-	}
-	if len(tail) > 0 {
-		// Route the tail as one coalesced group — routing order per shard
-		// and cross-adjacency application order match the original run's —
-		// and build every shard's maintainers on its final local graph.
-		batches := make([][]graph.Update, k)
-		var res ShardedApplyResult
-		for _, batch := range tail {
-			s.routeBatch(batch, batches, &res)
-		}
-		s.ensureWorkers(batches)
-		epoch := sn.Epoch + uint64(len(tail))
-		s.batches.Store(epoch)
-		s.publish(epoch)
-	}
-	d.startBackground(s.persistSnapshot)
-	s.sched = s.newSched()
-	s.bindShardedObs()
-	go s.run()
-	return s, nil
+	})
+	return parts.Epoch, nil
 }
 
-// publish assembles and swaps in the epoch's snapshot from the latest
-// shard views and cross-shard state. Called from OpenSharded and then only
-// from the coordinator goroutine.
+// publish completes the group's round trip, then assembles and swaps in
+// the epoch's snapshot from the latest shard views and cross-shard state.
+// Called from OpenSharded and then only from the coordinator goroutine.
 func (s *ShardedStore) publish(epoch uint64) {
-	var pubStart time.Time
-	if s.ob != nil {
-		pubStart = time.Now()
-	}
-	k := s.opts.Shards
+	s.roundTrip()
+	start := time.Now()
+	k := s.shards
 	if s.boundaryDirty {
-		s.boundary = part.BoundaryNodes(s.crossOut, s.crossInDeg)
-		s.shardBoundary = make([][]graph.Node, k)
-		for _, v := range s.boundary {
-			sh := s.p.ShardOf[v]
-			s.shardBoundary[sh] = append(s.shardBoundary[sh], v)
-		}
+		s.setBoundary(part.BoundaryNodes(s.crossOut, s.crossInDeg))
 		s.boundaryDirty = false
 	}
 
@@ -1162,24 +885,12 @@ func (s *ShardedStore) publish(epoch uint64) {
 		v := s.views[i]
 		rcs[i] = v.rc
 		grs[i] = v.rGr
-		if s.opts.Indexes && (v.dirty || s.hopIdx[i] == nil) {
+		if s.cfg.Indexes && (v.dirty || s.hopIdx[i] == nil) {
 			hopWanted[i] = v.rGr
 		}
 	}
 	summary := part.BuildSummary(s.boundary, s.crossOut, s.shardBoundary, s.p.LocalID, rcs, grs)
-	// Class -> summary-id maps are rebuilt every publish: they are cheap
-	// (O(classes + boundary) per shard) and summary ids shift whenever the
-	// boundary set changes.
-	for i := 0; i < k; i++ {
-		v := s.views[i]
-		by := make([][]graph.Node, v.rc.NumClasses())
-		for _, g := range s.shardBoundary[i] {
-			cls := v.rc.ClassOf(s.p.LocalID[g])
-			by[cls] = append(by[cls], summary.SumID(g))
-		}
-		s.byClass[i] = by
-	}
-	if s.opts.Indexes {
+	if s.cfg.Indexes {
 		built := hop2.BuildAll(hopWanted, 0)
 		for i := 0; i < k; i++ {
 			if built[i] != nil {
@@ -1199,85 +910,53 @@ func (s *ShardedStore) publish(epoch uint64) {
 	shards := make([]ShardView, k)
 	for i := 0; i < k; i++ {
 		v := s.views[i]
-		shards[i] = ShardView{
-			G: v.g,
-			Reach: ReachView{
-				Gr:         v.rGr,
-				Compressed: v.rc,
-				Index:      s.hopIdx[i],
-			},
-			byClass: s.byClass[i],
-		}
+		shards[i] = s.shardView(i, v.g, ReachView{Gr: v.rGr, Compressed: v.rc, Index: s.hopIdx[i]}, summary)
 		v.dirty = false
 	}
-	sn := &ShardedSnapshot{
-		Epoch:    epoch,
-		Shards:   shards,
-		Summary:  summary,
-		Stitched: stitched,
-		p:        s.p,
-		crossOut: append([][]graph.Node(nil), s.crossOut...),
-		hubs:     make([]shardHubSlot, k),
+	s.install(&ShardedSnapshot{Epoch: epoch, Shards: shards, Summary: summary, Stitched: stitched})
+	s.ob.notePublish(start)
+}
+
+// setBoundary caches the global boundary list and its per-shard split.
+func (s *ShardedStore) setBoundary(boundary []graph.Node) {
+	s.boundary = boundary
+	s.shardBoundary = make([][]graph.Node, s.shards)
+	for _, v := range boundary {
+		sh := s.p.ShardOf[v]
+		s.shardBoundary[sh] = append(s.shardBoundary[sh], v)
 	}
-	// Fold the retiring snapshot's batch counters, as in Store.publish —
-	// all four: dropping the hub pair here is how the sharded SchedStats
-	// used to under-report the hub-cache leaf.
-	if old := s.snap.Load(); old != nil {
-		s.batchLanes.Add(old.bstats.lanes.Load())
-		s.hop2Peeled.Add(old.bstats.hop2Peeled.Load())
-		s.hubLanes.Add(old.bstats.hubLanes.Load())
-		s.hubPrunes.Add(old.bstats.hubPrunes.Load())
+}
+
+// shardView assembles shard i's slice of a snapshot. Its class → summary-id
+// map is rebuilt for every snapshot: it is cheap (O(classes + boundary)) and
+// summary ids shift whenever the boundary set changes.
+func (s *ShardedStore) shardView(i int, g *graph.CSR, rv ReachView, sum *part.Summary) ShardView {
+	by := make([][]graph.Node, rv.Compressed.NumClasses())
+	for _, b := range s.shardBoundary[i] {
+		cls := rv.Compressed.ClassOf(s.p.LocalID[b])
+		by[cls] = append(by[cls], sum.SumID(b))
 	}
+	return ShardView{G: g, Reach: rv, byClass: by}
+}
+
+// install completes sn from the coordinator's state — the partition, this
+// epoch's cross-shard rows, empty hub slots — and makes it the current
+// snapshot.
+func (s *ShardedStore) install(sn *ShardedSnapshot) {
+	sn.p = s.p
+	sn.crossOut = append([][]graph.Node(nil), s.crossOut...)
+	sn.crossEdges, sn.edges = s.crossEdges, s.crossEdges
+	for i := range sn.Shards {
+		sn.edges += sn.Shards[i].G.NumEdges()
+	}
+	sn.hubs = make([]shardHubSlot, s.shards)
 	if s.ob != nil {
 		sn.leafHist = s.ob.leaf
 		sn.sumHist = s.ob.summary
 		sn.so = s.ob
 	}
 	s.snap.Store(sn)
-	if s.ob != nil {
-		s.ob.notePublish(time.Since(pubStart))
-	}
-}
-
-// ApplyBatch submits one batch ΔG and blocks until the snapshot containing
-// it is published. Semantics match Store.ApplyBatch: arrival order,
-// batch-atomic visibility, WAL durability before acknowledgement on a
-// durable store, ErrClosed after Close.
-func (s *ShardedStore) ApplyBatch(batch []graph.Update) (ShardedApplyResult, error) {
-	req := shardedApplyReq{batch: batch, res: make(chan shardedApplyOutcome, 1)}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ShardedApplyResult{}, ErrClosed
-	}
-	s.reqs <- req
-	s.mu.RUnlock()
-	out := <-req.res
-	return out.res, out.err
-}
-
-// Close stops the coordinator and every shard writer after the queue
-// drains, stops the recovery and scrub loops, waits for any in-flight
-// background checkpoint, and closes the WAL. Queries remain answerable on
-// the final snapshot; further ApplyBatch calls fail with ErrClosed. Close
-// is idempotent and, like Store.Close, does not checkpoint — call
-// Checkpoint first for a pure-load restart. It returns a background
-// checkpoint failure still outstanding at close.
-func (s *ShardedStore) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.reqs)
-	}
-	s.mu.Unlock()
-	<-s.idle
-	if s.sched != nil {
-		s.sched.close()
-	}
-	if s.dur != nil {
-		return s.dur.close()
-	}
-	return nil
+	s.track(&sn.bstats)
 }
 
 // Snapshot returns the current epoch's immutable query state. Use it to
@@ -1289,37 +968,13 @@ func (s *ShardedStore) Snapshot() *ShardedSnapshot { return s.snap.Load() }
 // waves over the sharded batch route. After Close it falls back to the
 // scalar routed path on the final snapshot.
 func (s *ShardedStore) SchedReachable(u, v graph.Node) bool {
-	s.reads.Add(1)
 	if s.sched != nil {
 		if ans, ok := s.sched.query(u, v); ok {
+			s.reads.Add(1)
 			return ans
 		}
 	}
-	rs := s.getScratch()
-	ok := s.Snapshot().Reachable(rs, u, v)
-	s.scratch.Put(rs)
-	return ok
-}
-
-// SetSchedWorkers resizes the scheduler's worker pool; n <= 0 means
-// GOMAXPROCS.
-func (s *ShardedStore) SetSchedWorkers(n int) { s.sched.setWorkers(n) }
-
-// SchedStats reports the multi-wave scheduler and batch read-path
-// counters, as Store.SchedStats. Hop2Peeled counts same-shard index
-// answers; the hub fields count the per-shard hub caches' O(1) lanes and
-// subtree prunes in the unindexed local sweeps.
-func (s *ShardedStore) SchedStats() SchedStats {
-	st := s.sched.stats()
-	sn := s.Snapshot()
-	st.BatchLanes = s.batchLanes.Load() + sn.bstats.lanes.Load()
-	st.Hop2Peeled = s.hop2Peeled.Load() + sn.bstats.hop2Peeled.Load()
-	st.HubCacheLanes = s.hubLanes.Load() + sn.bstats.hubLanes.Load()
-	st.HubCachePrunes = s.hubPrunes.Load() + sn.bstats.hubPrunes.Load()
-	if st.BatchLanes > 0 {
-		st.HubCacheHitRate = float64(st.HubCacheLanes) / float64(st.BatchLanes)
-	}
-	return st
+	return s.Reachable(u, v)
 }
 
 // getScratch pools routing scratch across readers.
@@ -1352,6 +1007,8 @@ func (s *ShardedStore) Match(p *pattern.Pattern) *pattern.Result {
 	return s.Snapshot().Match(p)
 }
 
+func (s *ShardedStore) edges() int { return s.Snapshot().edges }
+
 // Stats summarizes the store at the current snapshot.
 func (s *ShardedStore) Stats() ShardedStats {
 	sn := s.Snapshot()
@@ -1360,19 +1017,16 @@ func (s *ShardedStore) Stats() ShardedStats {
 		Batches:       s.batches.Load(),
 		Updates:       s.updates.Load(),
 		Reads:         s.reads.Load(),
-		Shards:        s.opts.Shards,
-		Nodes:         len(s.p.ShardOf),
+		Shards:        s.shards,
+		Nodes:         s.nodes,
+		Edges:         sn.edges,
+		CrossEdges:    sn.crossEdges,
 		Boundary:      sn.Summary.NumBoundary(),
 		SummaryEdges:  sn.Summary.S.NumEdges(),
 		StitchClasses: sn.Stitched.NumBlocks(),
 	}
 	for i := range sn.Shards {
-		st.Edges += sn.Shards[i].G.NumEdges()
 		st.ReachClasses += sn.Shards[i].Reach.Gr.NumNodes()
 	}
-	for _, row := range sn.crossOut {
-		st.CrossEdges += len(row)
-	}
-	st.Edges += st.CrossEdges
 	return st
 }

@@ -129,45 +129,6 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedCloseLifecycle mirrors the unsharded Close contract:
-// ApplyBatch after Close returns ErrClosed, double Close is safe, and
-// queries keep answering on the last published epoch.
-func TestShardedCloseLifecycle(t *testing.T) {
-	g := socialGraph(3, 80, 300)
-	mirror := g.Clone()
-	s := mustOpenSharded(t, g, &ShardedOptions{Shards: 3, Indexes: true})
-	batch := []graph.Update{graph.Insertion(0, 1), graph.Insertion(1, 2)}
-	mirror.Apply(batch)
-	if _, err := s.ApplyBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	lastEpoch := s.Snapshot().Epoch
-	s.Close()
-	s.Close() // idempotent
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(2, 3)}); err != ErrClosed {
-		t.Fatalf("want ErrClosed, got %v", err)
-	}
-	sn := s.Snapshot()
-	if sn.Epoch != lastEpoch {
-		t.Fatalf("post-Close epoch %d, want %d", sn.Epoch, lastEpoch)
-	}
-	// Queries must still answer, on both the store and a pinned snapshot.
-	rs := NewRouteScratch()
-	ref := queries.NewScratch(0)
-	refCSR := mirror.Freeze()
-	for u := graph.Node(0); u < 20; u++ {
-		for v := graph.Node(0); v < 20; v++ {
-			want := queries.ReachableBiCSR(refCSR, ref, u, v)
-			if got := s.Reachable(u, v); got != want {
-				t.Fatalf("post-Close Reachable(%d,%d)=%v want %v", u, v, got, want)
-			}
-			if got := sn.Reachable(rs, u, v); got != want {
-				t.Fatalf("post-Close snapshot Reachable(%d,%d)=%v want %v", u, v, got, want)
-			}
-		}
-	}
-}
-
 // TestShardedStressReadersVsWriter is the sharded counterpart of the store
 // stress test: reader goroutines race the coordinator and shard writers,
 // and every sharded answer is validated against the observed snapshot's

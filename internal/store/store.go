@@ -4,6 +4,12 @@
 // reachability, incPCM for patterns) and serves queries from immutable
 // per-epoch snapshots while batches of edge updates land.
 //
+// The lifecycle — request queue, WAL group commit, epoch publication,
+// checkpoints, recovery, health, terms — is the epoch engine in engine.go,
+// which Store and ShardedStore both embed; this file is the monolithic kind:
+// its snapshot type, its read methods, and the k = 1 pipeline the engine
+// drives (maintain.Pair + publish).
+//
 // # Consistency model (snapshot per epoch, batch-atomic visibility)
 //
 // All writes funnel through a single writer goroutine. Each ApplyBatch call
@@ -46,7 +52,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,24 +160,6 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// durableCfg projects the durable layer's cut of the options.
-func (o Options) durableCfg() durableConfig {
-	return durableConfig{
-		dir:              o.Dir,
-		sync:             o.Sync,
-		ckptBatches:      o.CheckpointBatches,
-		ckptBytes:        o.CheckpointBytes,
-		fs:               o.FS,
-		writeRetries:     o.WriteRetries,
-		retryBackoff:     o.RetryBackoff,
-		recoveryInterval: o.RecoveryInterval,
-		scrubInterval:    o.ScrubInterval,
-		scrubRate:        o.ScrubRate,
-		segBytes:         o.WALSegmentBytes,
-		obsReg:           o.Obs,
-	}
-}
-
 // DefaultOptions returns the standard configuration: 2-hop indexes on,
 // in-memory (no Dir), SyncAlways once a Dir is set.
 func DefaultOptions() Options { return Options{Indexes: true} }
@@ -276,21 +263,11 @@ func (sn *Snapshot) ReachableOnG(s *queries.Scratch, u, v graph.Node) bool {
 }
 
 // ReachableHop2 answers QR(u,v) from the snapshot's 2-hop labels over
-// Gr-reach: no graph traversal at all. It panics if the store was opened
-// with Options.Indexes false; callers that cannot guarantee indexes are on
-// should use ReachableHop2OK instead.
-func (sn *Snapshot) ReachableHop2(u, v graph.Node) bool {
-	if sn.Reach.Index == nil {
-		panic("store: ReachableHop2 on a snapshot without 2-hop indexes (Options.Indexes false); use ReachableHop2OK")
-	}
-	cu, cv := sn.Reach.Compressed.Rewrite(u, v)
-	return sn.Reach.Index.Reachable(cu, cv)
-}
-
-// ReachableHop2OK is the non-panicking form of ReachableHop2: it reports
-// ok = false (and an unspecified first result) when the snapshot carries no
-// 2-hop index, letting callers fall back to a traversal-based path.
-func (sn *Snapshot) ReachableHop2OK(u, v graph.Node) (reachable, ok bool) {
+// Gr-reach: no graph traversal at all. It reports ok = false (and an
+// unspecified first result) when the snapshot carries no 2-hop index
+// (Options.Indexes false), letting callers fall back to a traversal-based
+// path.
+func (sn *Snapshot) ReachableHop2(u, v graph.Node) (reachable, ok bool) {
 	if sn.Reach.Index == nil {
 		return false, false
 	}
@@ -340,57 +317,26 @@ type Stats struct {
 	PatternRatio   float64
 }
 
-type applyOutcome struct {
-	res ApplyResult
-	err error
-}
-
-type applyReq struct {
-	batch []graph.Update
-	res   chan applyOutcome
-}
-
 // Store is a concurrent compressed-graph store: one writer, any number of
-// readers. See the package documentation for the consistency model.
+// readers. See the package documentation for the consistency model. The
+// lifecycle methods (ApplyBatch, Checkpoint, Health, the term surface,
+// Close, ...) are the embedded engine's.
 type Store struct {
-	opts Options
+	engine[ApplyResult]
 
 	// m owns the authoritative write-side state: the graph and both
 	// incremental maintainers over it. It is nil in a store recovered from
-	// a snapshot until the first write forces ensureMaintainers — the lazy
-	// path that makes a warm restart O(read) instead of O(recompress).
+	// a snapshot until the first write forces materialize — the lazy path
+	// that makes a warm restart O(read) instead of O(recompress).
 	// reachGen/patternGen are the maintainer generations the current
 	// snapshot's views were built at (noGen when they came from a file).
 	// Only the writer goroutine (or Open, before it starts) touches these.
 	m                    *maintain.Pair
 	reachGen, patternGen uint64
 
-	dur *durable // nil for in-memory stores
-
 	snap     atomic.Pointer[Snapshot]
 	scratch  sync.Pool // *queries.Scratch
 	bscratch sync.Pool // *queries.BatchScratch
-
-	sched *scheduler // multi-wave batch scheduler; nil only before open finishes
-
-	reqs chan applyReq
-	idle chan struct{} // closed when the writer goroutine exits
-
-	mu     sync.RWMutex // guards closed vs. sends on reqs
-	closed bool
-
-	batches atomic.Uint64
-	updates atomic.Uint64
-	reads   atomic.Uint64
-
-	// Batch read-path counters folded in from retired snapshots by
-	// publish; SchedStats adds the live snapshot's share on top.
-	batchLanes atomic.Uint64
-	hop2Peeled atomic.Uint64
-	hubLanes   atomic.Uint64
-	hubPrunes  atomic.Uint64
-
-	ob *storeObs // nil unless Options.Obs
 }
 
 // Open returns a running Store serving queries on both compressed forms
@@ -409,58 +355,29 @@ func Open(g *graph.Graph, opts *Options) (*Store, error) {
 	if opts != nil {
 		o = *opts
 	}
-	if o.Dir == "" {
-		if g == nil {
-			return nil, errors.New("store: Open needs a graph when no Dir is set")
-		}
-		return openMem(g, o), nil
+	reopen, err := openMode("Open", g, o.Dir)
+	if err != nil {
+		return nil, err
 	}
-	if HasState(o.Dir) {
-		if g != nil {
-			return nil, fmt.Errorf("%w (%s)", ErrStateExists, o.Dir)
-		}
-		return recoverStore(o)
+	s := &Store{}
+	s.init(s, snapfile.KindStore, o, 1)
+	// nodes is read when a reader first needs a scratch, long after open
+	// fixed it; the closure must not touch the writer-owned graph.
+	s.scratch.New = func() any { return queries.NewScratch(s.nodes) }
+	if reopen {
+		err = s.reopen(s.load)
+	} else {
+		s.nodes = g.NumNodes()
+		s.setMaintainers(g)
+		s.advance(0)
+		err = s.create()
 	}
-	if g == nil {
-		return nil, fmt.Errorf("store: %s holds no recoverable state and no graph was given", o.Dir)
-	}
-	s := openMem(g, o)
-	d, err := newDurable(o.durableCfg(), snapfile.KindStore)
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
-	s.dur = d
-	if err := s.writeCheckpoint(s.Snapshot()); err != nil {
-		s.Close()
-		return nil, err
-	}
-	if err := d.openLog(1); err != nil {
-		s.Close()
-		return nil, err
-	}
-	d.startBackground(s.persistSnapshot)
+	s.serve(s.newSched())
 	return s, nil
-}
-
-// openMem builds the in-memory store around fresh maintainers and starts
-// the writer.
-func openMem(g *graph.Graph, o Options) *Store {
-	n := g.NumNodes() // captured now: the closure below runs on reader
-	// goroutines and must not touch the writer-owned graph
-	s := &Store{
-		opts: o,
-		reqs: make(chan applyReq),
-		idle: make(chan struct{}),
-		ob:   newStoreObs(o.Obs),
-	}
-	s.setMaintainers(g)
-	s.scratch.New = func() any { return queries.NewScratch(n) }
-	s.publish(0)
-	s.sched = s.newSched()
-	s.bindStoreObs()
-	go s.run()
-	return s
 }
 
 // newSched binds a scheduler to this store: cluster keys come from the
@@ -468,7 +385,7 @@ func openMem(g *graph.Graph, o Options) *Store {
 // key's high half per the scheduler's 40-bit layout), singles waves run
 // the snapshot batch path with pooled scratch.
 func (s *Store) newSched() *scheduler {
-	return newScheduler(s.opts.SchedWorkers,
+	return newScheduler(s.cfg.SchedWorkers,
 		func(u, v graph.Node) uint64 {
 			sn := s.Snapshot()
 			cu, cv := sn.Reach.Compressed.Rewrite(u, v)
@@ -496,23 +413,34 @@ func (s *Store) setMaintainers(g *graph.Graph) {
 	}
 }
 
-// ensureMaintainers materializes the incremental maintainers of a store
-// recovered from a snapshot with no WAL tail: the first write pays the
-// one-time compression cost that the warm restart skipped. Writer
-// goroutine only.
-func (s *Store) ensureMaintainers() {
-	if s.m == nil {
-		s.setMaintainers(s.Snapshot().G.Thaw())
+// materialize builds the incremental maintainers of a store recovered from
+// a snapshot, over its graph with tail folded in: the first write (or a WAL
+// tail) pays the one-time compression cost that the warm restart skipped.
+func (s *Store) materialize(tail [][]graph.Update) {
+	if s.m != nil {
+		return
 	}
+	g := s.Snapshot().G.Thaw()
+	for _, batch := range tail {
+		g.Apply(batch)
+	}
+	s.setMaintainers(g)
 }
+
+func (s *Store) apply(epoch uint64, batch []graph.Update) ApplyResult {
+	res := ApplyResult{Epoch: epoch}
+	res.Reach, res.Pattern = s.m.Apply(batch)
+	return res
+}
+
+func (s *Store) edges() int { return s.Snapshot().G.NumEdges() }
+
+func (s *Store) stop() {}
 
 // publish rebuilds the snapshot from the maintainers and swaps it in.
 // Called from Open and then only from the writer goroutine.
 func (s *Store) publish(epoch uint64) {
-	var pubStart time.Time
-	if s.ob != nil {
-		pubStart = time.Now()
-	}
+	start := time.Now()
 	old := s.snap.Load()
 	sn := &Snapshot{Epoch: epoch, G: s.m.Graph().Freeze()}
 	// A view is rebuilt only when its maintainer's compression moved since
@@ -527,7 +455,7 @@ func (s *Store) publish(epoch uint64) {
 	} else {
 		rc, rGr := reorderReach(s.m.Reach.CompressedCSR())
 		sn.Reach = ReachView{Gr: rGr, Compressed: rc}
-		if s.opts.Indexes {
+		if s.cfg.Indexes {
 			sn.Reach.Index = hop2.BuildCSR(rGr)
 		}
 		s.reachGen = gen
@@ -541,200 +469,24 @@ func (s *Store) publish(epoch uint64) {
 		sn.Pattern = PatternView{Gr: pGr, Compressed: pc}
 		s.patternGen = gen
 	}
-	// Fold the retiring snapshot's batch counters into the store
-	// accumulators — the epoch swap that also retires its hub cache.
-	// Readers still pinning the old snapshot may bump its counters after
-	// the fold; those late events are dropped (stats, not a ledger).
-	if old != nil {
-		s.batchLanes.Add(old.bstats.lanes.Load())
-		s.hop2Peeled.Add(old.bstats.hop2Peeled.Load())
-		s.hubLanes.Add(old.bstats.hubLanes.Load())
-		s.hubPrunes.Add(old.bstats.hubPrunes.Load())
-	}
+	s.install(sn)
+	s.ob.notePublish(start)
+}
+
+// install makes sn the current snapshot.
+func (s *Store) install(sn *Snapshot) {
 	if s.ob != nil {
 		sn.leafHist = s.ob.leaf
 		sn.so = s.ob
 	}
 	s.snap.Store(sn)
-	if s.ob != nil {
-		s.ob.notePublish(time.Since(pubStart))
-	}
+	s.track(&sn.bstats)
 }
 
-// run is the writer goroutine: it serializes batches, folds queued requests
-// into one snapshot rebuild, logs the group to the WAL (group commit)
-// before any state changes, and signals completion after publication.
-func (s *Store) run() {
-	defer close(s.idle)
-	for req := range s.reqs {
-		pending := []applyReq{req}
-	drain:
-		for len(pending) < maxCoalesce {
-			select {
-			case r, ok := <-s.reqs:
-				if !ok {
-					break drain
-				}
-				pending = append(pending, r)
-			default:
-				break drain
-			}
-		}
-		// WAL first: the group is appended and committed before any batch
-		// is applied or acknowledged, so acked ⇒ durable. A log failure
-		// that survives the in-place retries degrades the write path —
-		// reads keep working on the last snapshot, writes fail fast — until
-		// the background recovery loop re-arms it: with the log behind the
-		// maintainers' state, continuing would acknowledge updates a
-		// restart silently forgets.
-		var applyStart time.Time
-		if s.ob != nil {
-			applyStart = time.Now()
-		}
-		epochs := make([]uint64, len(pending))
-		for i := range pending {
-			epochs[i] = s.batches.Add(1)
-		}
-		if s.dur != nil {
-			if err := s.dur.appendGroup(epochs, func(i int) []graph.Update { return pending[i].batch }); err != nil {
-				// Roll the epoch counter back so the next accepted group —
-				// possibly after a recovery reset the WAL — continues the
-				// acked sequence with no gap.
-				s.batches.Store(epochs[0] - 1)
-				for _, p := range pending {
-					p.res <- applyOutcome{err: err}
-				}
-				continue
-			}
-		}
-		if s.ob != nil {
-			s.ob.stageWAL.Observe(time.Since(applyStart))
-		}
-		s.ensureMaintainers()
-		results := make([]applyOutcome, len(pending))
-		for i, p := range pending {
-			results[i].res.Epoch = epochs[i]
-			results[i].res.Reach, results[i].res.Pattern = s.m.Apply(p.batch)
-			s.updates.Add(uint64(len(p.batch)))
-		}
-		s.publish(epochs[len(epochs)-1])
-		if s.ob != nil {
-			s.ob.apply.Observe(time.Since(applyStart))
-		}
-		for i, p := range pending {
-			p.res <- results[i]
-		}
-		s.maybeCheckpoint()
-	}
-}
-
-// maybeCheckpoint hands the current snapshot to the durable layer's
-// background checkpoint trigger. Writer goroutine only.
-func (s *Store) maybeCheckpoint() {
-	if s.dur == nil {
-		return
-	}
-	sn := s.snap.Load()
-	s.dur.maybeCheckpoint(sn.Epoch, func() error { return s.writeCheckpoint(sn) })
-}
-
-// Checkpoint synchronously writes the current snapshot to the durable
-// directory, points the manifest at it, and truncates the WAL prefix it
-// covers. After Checkpoint, reopening the directory is a pure snapshot
-// load. It fails with ErrNotDurable on an in-memory store.
-func (s *Store) Checkpoint() error {
-	if s.dur == nil {
-		return ErrNotDurable
-	}
-	return s.writeCheckpoint(s.Snapshot())
-}
-
-// writeCheckpoint persists sn as the directory's newest checkpoint.
-func (s *Store) writeCheckpoint(sn *Snapshot) error {
-	return s.dur.checkpoint(sn.Epoch, func(path string) error {
-		return snapfile.WriteStoreFS(s.dur.fs, path, storeParts(sn))
-	})
-}
-
-// persistSnapshot checkpoints the current snapshot; the recovery loop and
-// the scrubber call it (force rewrites even at the newest epoch).
-func (s *Store) persistSnapshot(force bool) error {
+// image pins the current snapshot for a checkpoint.
+func (s *Store) image() (uint64, func(path string) error) {
 	sn := s.Snapshot()
-	return s.dur.checkpointAt(sn.Epoch, func(path string) error {
-		return snapfile.WriteStoreFS(s.dur.fs, path, storeParts(sn))
-	}, force)
-}
-
-// Health reports the write path's health: state, degradation reason,
-// retry/degradation/recovery counters and the last scrub. An in-memory
-// store is always Healthy.
-func (s *Store) Health() Health {
-	if s.dur == nil {
-		return Health{State: Healthy}
-	}
-	return s.dur.healthReport()
-}
-
-// Term returns the store's persisted leader term; 0 on an in-memory store
-// (terms only mean something for durable, replicable stores).
-func (s *Store) Term() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.term.Load()
-}
-
-// Fenced reports whether the store has fenced itself read-only after
-// observing a newer leader term.
-func (s *Store) Fenced() bool {
-	if s.dur == nil {
-		return false
-	}
-	return HealthState(s.dur.health.Load()) == Fenced
-}
-
-// ObserveTerm is the leader-side term check: if t is above the store's own
-// term, another node was promoted and this store fences itself read-only
-// (writes fail fast with ErrFenced; reads keep serving). Equal or lower
-// terms, and in-memory stores, are no-ops.
-func (s *Store) ObserveTerm(t uint64) error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.observeTerm(t)
-}
-
-// AdoptTerm is the follower-side term check: raise the store's term to t
-// without fencing, so a follower tailing a newly promoted leader keeps
-// applying shipped batches. Equal or lower terms, and in-memory stores,
-// are no-ops.
-func (s *Store) AdoptTerm(t uint64) error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.adoptTerm(t)
-}
-
-// BumpTerm moves the store to a fresh term strictly above both its own
-// term and min, fsyncs it, and clears any fence — the promotion step. It
-// returns the new term, or ErrNotDurable on an in-memory store.
-func (s *Store) BumpTerm(min uint64) (uint64, error) {
-	if s.dur == nil {
-		return 0, ErrNotDurable
-	}
-	return s.dur.bumpTerm(min)
-}
-
-// ScrubNow runs one integrity scrub pass synchronously — verify sealed WAL
-// segments and snapshot checksums, quarantine corrupt files, re-checkpoint
-// if anything was set aside — and returns its report. It works whether or
-// not the background scrubber is enabled; ErrNotDurable on an in-memory
-// store.
-func (s *Store) ScrubNow() (ScrubReport, error) {
-	if s.dur == nil {
-		return ScrubReport{}, ErrNotDurable
-	}
-	return s.dur.scrubOnce(s.persistSnapshot), nil
+	return sn.Epoch, func(path string) error { return snapfile.WriteStoreFS(s.dur.fs, path, storeParts(sn)) }
 }
 
 // storeParts projects a published snapshot onto the codec's flat form. The
@@ -755,27 +507,20 @@ func storeParts(sn *Snapshot) *snapfile.StoreParts {
 	}
 }
 
-// recoverStore reopens a durable directory: load the newest checkpoint,
-// fold the WAL tail into its graph and compress the result once, and start
-// serving. With an empty tail no compression work happens at all.
-func recoverStore(o Options) (*Store, error) {
-	d, err := newDurable(o.durableCfg(), snapfile.KindStore)
+// load reassembles the snapshot a checkpoint file holds and installs it —
+// the monolithic half of recovery; the engine replays the WAL tail.
+func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
+	parts, err := snapfile.LoadStoreFS(fsys, path)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	parts, err := snapfile.LoadStoreFS(d.fs, d.snapshotPath())
-	if err != nil {
-		return nil, err
-	}
-	if parts.Epoch != d.manifestEpoch {
-		return nil, fmt.Errorf("store: snapshot %s is epoch %d, manifest says %d", d.manifestSnapshot, parts.Epoch, d.manifestEpoch)
-	}
-	o.Indexes = parts.ReachIndex != nil
+	s.cfg.Indexes = parts.ReachIndex != nil
+	s.nodes = parts.G.NumNodes()
 	// The locality permutation of G round-trips through the snapshot file:
 	// GOrd applies it instead of recomputing the numbering, so a recovered
 	// snapshot serves the exact layout it checkpointed. Older snapshots
 	// without one fall back to recomputing on first use.
-	sn := &Snapshot{
+	s.install(&Snapshot{
 		Epoch: parts.Epoch,
 		G:     parts.G,
 		gperm: parts.GPerm,
@@ -788,97 +533,8 @@ func recoverStore(o Options) (*Store, error) {
 			Gr:         parts.PatternGr,
 			Compressed: bisim.AssembleCompressed(parts.PatternGr.Thaw(), parts.PatternBlockOf, parts.PatternMembers),
 		},
-	}
-	s := &Store{
-		opts: o,
-		dur:  d,
-		reqs: make(chan applyReq),
-		idle: make(chan struct{}),
-		ob:   newStoreObs(o.Obs),
-	}
-	n := sn.G.NumNodes()
-	s.scratch.New = func() any { return queries.NewScratch(n) }
-	if s.ob != nil {
-		sn.leafHist = s.ob.leaf
-		sn.so = s.ob
-	}
-	s.snap.Store(sn)
-	s.batches.Store(sn.Epoch)
-
-	if err := d.openLog(parts.Epoch + 1); err != nil {
-		return nil, err
-	}
-	tail, updates, err := d.replayTail(parts.Epoch, n)
-	if err != nil {
-		d.close()
-		return nil, err
-	}
-	if len(tail) > 0 {
-		// The tail exists only when the last run crashed or closed between
-		// checkpoints. The maintainers are built from scratch either way,
-		// so the tail is folded into the graph first and the final graph is
-		// compressed once — maintained state is a function of the graph
-		// alone, so the answers equal the uninterrupted run's.
-		gm := sn.G.Thaw()
-		for _, batch := range tail {
-			gm.Apply(batch)
-		}
-		s.setMaintainers(gm)
-		s.batches.Store(sn.Epoch + uint64(len(tail)))
-		s.updates.Store(updates)
-		s.publish(sn.Epoch + uint64(len(tail)))
-	}
-	d.startBackground(s.persistSnapshot)
-	s.sched = s.newSched()
-	s.bindStoreObs()
-	go s.run()
-	return s, nil
-}
-
-// ApplyBatch submits one batch ΔG and blocks until the snapshot containing
-// it is published; the store then equals G ⊕ ΔG for every reader, and — on
-// a durable store — the batch is on stable storage per the Sync policy.
-// Batches from concurrent callers are applied in arrival order. It returns
-// ErrClosed after Close. On a durable store whose write path is degraded
-// by a persistent storage fault it fails fast with the degradation reason
-// — no state changes, nothing is acknowledged — until background recovery
-// re-arms the path (see Health).
-func (s *Store) ApplyBatch(batch []graph.Update) (ApplyResult, error) {
-	req := applyReq{batch: batch, res: make(chan applyOutcome, 1)}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ApplyResult{}, ErrClosed
-	}
-	s.reqs <- req
-	s.mu.RUnlock()
-	out := <-req.res
-	return out.res, out.err
-}
-
-// Close stops the writer goroutine after the queue drains, stops the
-// recovery and scrub loops, waits for any in-flight background checkpoint,
-// and closes the WAL. Queries remain answerable on the final snapshot;
-// further ApplyBatch calls fail. Close does not checkpoint: a reopen
-// replays the WAL tail instead (call Checkpoint first to make the next
-// start a pure snapshot load). It returns a background checkpoint failure
-// still outstanding at close, so a caller that never checked Health sees
-// the directory ended behind where it should be.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.reqs)
-	}
-	s.mu.Unlock()
-	<-s.idle
-	if s.sched != nil {
-		s.sched.close()
-	}
-	if s.dur != nil {
-		return s.dur.close()
-	}
-	return nil
+	})
+	return parts.Epoch, nil
 }
 
 // Snapshot returns the current epoch's immutable query state. Use it to pin
@@ -892,35 +548,13 @@ func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 // Reachable; after Close it falls back to the scalar path on the final
 // snapshot.
 func (s *Store) SchedReachable(u, v graph.Node) bool {
-	s.reads.Add(1)
 	if s.sched != nil {
 		if ans, ok := s.sched.query(u, v); ok {
+			s.reads.Add(1)
 			return ans
 		}
 	}
-	sc := s.getScratch()
-	ok := s.Snapshot().Reachable(sc, u, v)
-	s.scratch.Put(sc)
-	return ok
-}
-
-// SetSchedWorkers resizes the scheduler's worker pool; n <= 0 means
-// GOMAXPROCS.
-func (s *Store) SetSchedWorkers(n int) { s.sched.setWorkers(n) }
-
-// SchedStats reports the multi-wave scheduler and the batch read path's
-// hybrid-leaf counters (retired epochs' counts plus the live snapshot's).
-func (s *Store) SchedStats() SchedStats {
-	st := s.sched.stats()
-	sn := s.Snapshot()
-	st.BatchLanes = s.batchLanes.Load() + sn.bstats.lanes.Load()
-	st.Hop2Peeled = s.hop2Peeled.Load() + sn.bstats.hop2Peeled.Load()
-	st.HubCacheLanes = s.hubLanes.Load() + sn.bstats.hubLanes.Load()
-	st.HubCachePrunes = s.hubPrunes.Load() + sn.bstats.hubPrunes.Load()
-	if st.BatchLanes > 0 {
-		st.HubCacheHitRate = float64(st.HubCacheLanes) / float64(st.BatchLanes)
-	}
-	return st
+	return s.Reachable(u, v)
 }
 
 // getScratch pools traversal scratch across readers; with steady traffic
@@ -943,7 +577,7 @@ func (s *Store) Reachable(u, v graph.Node) bool {
 func (s *Store) ReachableHop2(u, v graph.Node) bool {
 	s.reads.Add(1)
 	sn := s.Snapshot()
-	if got, ok := sn.ReachableHop2OK(u, v); ok {
+	if got, ok := sn.ReachableHop2(u, v); ok {
 		return got
 	}
 	sc := s.getScratch()

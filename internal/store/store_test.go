@@ -58,7 +58,7 @@ func TestStoreAnswersMatchBatchRecompression(t *testing.T) {
 			if got := s.ReachableOnG(u, v); got != want {
 				t.Fatalf("round %d: ReachableOnG(%d,%d)=%v want %v", round, u, v, got, want)
 			}
-			if got := sn.ReachableHop2(u, v); got != want {
+			if got, ok := sn.ReachableHop2(u, v); !ok || got != want {
 				t.Fatalf("round %d: ReachableHop2(%d,%d)=%v want %v", round, u, v, got, want)
 			}
 		}
@@ -119,62 +119,48 @@ func TestStoreSnapshotPinning(t *testing.T) {
 	}
 }
 
-// TestStoreClose verifies ErrClosed and that reads survive Close.
-func TestStoreClose(t *testing.T) {
-	g := socialGraph(3, 50, 200)
-	s := mustOpen(t, g, nil)
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(0, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s.Close() // idempotent
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(1, 2)}); err != ErrClosed {
-		t.Fatalf("want ErrClosed, got %v", err)
-	}
-	s.Reachable(0, 1) // must not panic after Close
-}
-
 // TestStoreConcurrentAppliers serializes batches from many goroutines and
 // checks the final state equals applying them in some order (all inserts,
 // so order-independent).
 func TestStoreConcurrentAppliers(t *testing.T) {
-	g := socialGraph(4, 200, 600)
-	mirror := g.Clone()
-	s := mustOpen(t, g, nil)
-	defer s.Close()
+	forKinds(t, func(t *testing.T, kind string) {
+		g := socialGraph(4, 200, 600)
+		mirror := g.Clone()
+		s := openKind(t, kind, g, Options{Indexes: true})
+		defer s.Close()
 
-	rng := rand.New(rand.NewSource(5))
-	const writers, perWriter = 8, 6
-	batches := make([][]graph.Update, writers*perWriter)
-	for i := range batches {
-		batches[i] = gen.RandomBatch(rng, mirror, 10, 1.0)
-		mirror.Apply(batches[i])
-	}
+		rng := rand.New(rand.NewSource(5))
+		const writers, perWriter = 8, 6
+		batches := make([][]graph.Update, writers*perWriter)
+		for i := range batches {
+			batches[i] = gen.RandomBatch(rng, mirror, 10, 1.0)
+			mirror.Apply(batches[i])
+		}
 
-	var wg sync.WaitGroup
-	wg.Add(writers)
-	for w := 0; w < writers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if _, err := s.ApplyBatch(batches[w*perWriter+i]); err != nil {
-					t.Error(err)
-					return
+		var wg sync.WaitGroup
+		wg.Add(writers)
+		for w := 0; w < writers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					if _, err := s.Apply(batches[w*perWriter+i]); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
+			}(w)
+		}
+		wg.Wait()
 
-	st := s.Stats()
-	if st.Batches != writers*perWriter {
-		t.Fatalf("batches %d want %d", st.Batches, writers*perWriter)
-	}
-	if st.Edges != mirror.NumEdges() {
-		t.Fatalf("edges %d want %d", st.Edges, mirror.NumEdges())
-	}
-	sn := s.Snapshot()
-	if sn.Epoch != uint64(writers*perWriter) {
-		t.Fatalf("final epoch %d", sn.Epoch)
-	}
+		st := s.Info()
+		if st.Batches != writers*perWriter {
+			t.Fatalf("batches %d want %d", st.Batches, writers*perWriter)
+		}
+		if st.Edges != mirror.NumEdges() {
+			t.Fatalf("edges %d want %d", st.Edges, mirror.NumEdges())
+		}
+		if st.Epoch != uint64(writers*perWriter) {
+			t.Fatalf("final epoch %d", st.Epoch)
+		}
+	})
 }

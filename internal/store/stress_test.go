@@ -81,7 +81,7 @@ func TestStoreStressReadersVsWriter(t *testing.T) {
 					t.Errorf("epoch %d: ReachableOnG(%d,%d)=%v want %v", sn.Epoch, u, v, got, want)
 					return
 				}
-				if got := sn.ReachableHop2(u, v); got != want {
+				if got, ok := sn.ReachableHop2(u, v); !ok || got != want {
 					t.Errorf("epoch %d: ReachableHop2(%d,%d)=%v want %v", sn.Epoch, u, v, got, want)
 					return
 				}

@@ -88,124 +88,99 @@ func TestTermDurability(t *testing.T) {
 // makes every subsequent write fail ErrFenced while reads keep serving,
 // the fence survives a crash-reopen, and only a term bump clears it.
 func TestObserveTermFences(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, termGraph(), &Options{Dir: dir, Sync: SyncNone})
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(0, 1)}); err != nil {
-		t.Fatalf("ApplyBatch: %v", err)
-	}
-	epoch := s.Snapshot().Epoch
+	forKinds(t, func(t *testing.T, kind string) {
+		dir := t.TempDir()
+		s := openKind(t, kind, termGraph(), Options{Dir: dir, Sync: SyncNone})
+		if _, err := s.Apply([]graph.Update{graph.Insertion(0, 1)}); err != nil {
+			t.Fatalf("ApplyBatch: %v", err)
+		}
+		epoch := s.Epoch()
 
-	if err := s.ObserveTerm(3); err != nil {
-		t.Fatalf("ObserveTerm: %v", err)
-	}
-	if !s.Fenced() || s.Term() != 3 {
-		t.Fatalf("after observe: term %d fenced %v, want 3 fenced", s.Term(), s.Fenced())
-	}
-	if h := s.Health(); h.State != Fenced || h.Term != 3 {
-		t.Fatalf("health = %+v, want Fenced at term 3", h)
-	}
-	_, err := s.ApplyBatch([]graph.Update{graph.Insertion(1, 2)})
-	if !errors.Is(err, ErrFenced) {
-		t.Fatalf("write on fenced store: %v, want ErrFenced", err)
-	}
-	// Reads still serve the last published epoch.
-	s.Reachable(0, 1)
-	if got := s.Snapshot().Epoch; got != epoch {
-		t.Fatalf("fenced epoch moved: %d -> %d", epoch, got)
-	}
-	// Lower and equal terms are no-ops either way.
-	if err := s.ObserveTerm(2); err != nil {
-		t.Fatalf("ObserveTerm(lower): %v", err)
-	}
-	if s.Term() != 3 {
-		t.Fatalf("term regressed to %d", s.Term())
-	}
-	s.Close()
+		if err := s.ObserveTerm(3); err != nil {
+			t.Fatalf("ObserveTerm: %v", err)
+		}
+		if !s.Fenced() || s.Term() != 3 {
+			t.Fatalf("after observe: term %d fenced %v, want 3 fenced", s.Term(), s.Fenced())
+		}
+		if h := s.Health(); h.State != Fenced || h.Term != 3 {
+			t.Fatalf("health = %+v, want Fenced at term 3", h)
+		}
+		_, err := s.Apply([]graph.Update{graph.Insertion(1, 2)})
+		if !errors.Is(err, ErrFenced) {
+			t.Fatalf("write on fenced store: %v, want ErrFenced", err)
+		}
+		// Reads still serve the last published epoch.
+		s.Reachable(0, 1)
+		if got := s.Epoch(); got != epoch {
+			t.Fatalf("fenced epoch moved: %d -> %d", epoch, got)
+		}
+		// Lower and equal terms are no-ops either way.
+		if err := s.ObserveTerm(2); err != nil {
+			t.Fatalf("ObserveTerm(lower): %v", err)
+		}
+		if s.Term() != 3 {
+			t.Fatalf("term regressed to %d", s.Term())
+		}
+		s.Close()
 
-	// The fence is durable: a restarted stale leader stays read-only.
-	s = mustOpen(t, nil, &Options{Dir: dir, Sync: SyncNone, RecoveryInterval: 5 * time.Millisecond})
-	if !s.Fenced() || s.Term() != 3 {
-		t.Fatalf("reopened: term %d fenced %v, want 3 fenced", s.Term(), s.Fenced())
-	}
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(1, 2)}); !errors.Is(err, ErrFenced) {
-		t.Fatalf("write on reopened fenced store: %v, want ErrFenced", err)
-	}
-	// The background recovery loop must never re-arm a fence: it repairs
-	// faults, and a fence is not a fault.
-	time.Sleep(50 * time.Millisecond)
-	if !s.Fenced() {
-		t.Fatal("recovery loop cleared a fence")
-	}
-	// Promotion (a term bump) is the only way back to writable.
-	term, err := s.BumpTerm(0)
-	if err != nil {
-		t.Fatalf("BumpTerm: %v", err)
-	}
-	if term != 4 || s.Fenced() {
-		t.Fatalf("after bump: term %d fenced %v, want 4 unfenced", term, s.Fenced())
-	}
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(1, 2)}); err != nil {
-		t.Fatalf("write after bump: %v", err)
-	}
-	s.Close()
+		// The fence is durable: a restarted stale leader stays read-only.
+		s = openKind(t, kind, nil, Options{Dir: dir, Sync: SyncNone, RecoveryInterval: 5 * time.Millisecond})
+		if !s.Fenced() || s.Term() != 3 {
+			t.Fatalf("reopened: term %d fenced %v, want 3 fenced", s.Term(), s.Fenced())
+		}
+		if _, err := s.Apply([]graph.Update{graph.Insertion(1, 2)}); !errors.Is(err, ErrFenced) {
+			t.Fatalf("write on reopened fenced store: %v, want ErrFenced", err)
+		}
+		// The background recovery loop must never re-arm a fence: it repairs
+		// faults, and a fence is not a fault.
+		time.Sleep(50 * time.Millisecond)
+		if !s.Fenced() {
+			t.Fatal("recovery loop cleared a fence")
+		}
+		// Promotion (a term bump) is the only way back to writable.
+		term, err := s.BumpTerm(0)
+		if err != nil {
+			t.Fatalf("BumpTerm: %v", err)
+		}
+		if term != 4 || s.Fenced() {
+			t.Fatalf("after bump: term %d fenced %v, want 4 unfenced", term, s.Fenced())
+		}
+		if _, err := s.Apply([]graph.Update{graph.Insertion(1, 2)}); err != nil {
+			t.Fatalf("write after bump: %v", err)
+		}
+		s.Close()
+	})
 }
 
 // TestAdoptTerm pins the follower-side rule: adoption raises the term
 // without fencing (a follower must keep applying its leader's frames) and
 // never regresses.
 func TestAdoptTerm(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, termGraph(), &Options{Dir: dir, Sync: SyncNone})
-	if err := s.AdoptTerm(5); err != nil {
-		t.Fatalf("AdoptTerm: %v", err)
-	}
-	if s.Term() != 5 || s.Fenced() {
-		t.Fatalf("after adopt: term %d fenced %v, want 5 unfenced", s.Term(), s.Fenced())
-	}
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(0, 1)}); err != nil {
-		t.Fatalf("write after adopt: %v", err)
-	}
-	if err := s.AdoptTerm(3); err != nil {
-		t.Fatalf("AdoptTerm(lower): %v", err)
-	}
-	if s.Term() != 5 {
-		t.Fatalf("adoption regressed the term to %d", s.Term())
-	}
-	s.Close()
-	s = mustOpen(t, nil, &Options{Dir: dir, Sync: SyncNone})
-	defer s.Close()
-	if s.Term() != 5 || s.Fenced() {
-		t.Fatalf("reopened: term %d fenced %v, want 5 unfenced", s.Term(), s.Fenced())
-	}
-}
-
-// TestShardedTerm runs the fence kernel on the sharded kind: one TERM file
-// governs all shards.
-func TestShardedTerm(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpenSharded(t, termGraph(), &ShardedOptions{Shards: 3, Dir: dir, Sync: SyncNone})
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(0, 1)}); err != nil {
-		t.Fatalf("ApplyBatch: %v", err)
-	}
-	if err := s.ObserveTerm(9); err != nil {
-		t.Fatalf("ObserveTerm: %v", err)
-	}
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(1, 2)}); !errors.Is(err, ErrFenced) {
-		t.Fatalf("write on fenced sharded store: %v, want ErrFenced", err)
-	}
-	term, err := s.BumpTerm(0)
-	if err != nil || term != 10 {
-		t.Fatalf("BumpTerm = (%d, %v), want (10, nil)", term, err)
-	}
-	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(1, 2)}); err != nil {
-		t.Fatalf("write after bump: %v", err)
-	}
-	s.Close()
-	s = mustOpenSharded(t, nil, &ShardedOptions{Shards: 3, Dir: dir, Sync: SyncNone})
-	defer s.Close()
-	if s.Term() != 10 || s.Fenced() {
-		t.Fatalf("reopened sharded: term %d fenced %v, want 10 unfenced", s.Term(), s.Fenced())
-	}
+	forKinds(t, func(t *testing.T, kind string) {
+		dir := t.TempDir()
+		s := openKind(t, kind, termGraph(), Options{Dir: dir, Sync: SyncNone})
+		if err := s.AdoptTerm(5); err != nil {
+			t.Fatalf("AdoptTerm: %v", err)
+		}
+		if s.Term() != 5 || s.Fenced() {
+			t.Fatalf("after adopt: term %d fenced %v, want 5 unfenced", s.Term(), s.Fenced())
+		}
+		if _, err := s.Apply([]graph.Update{graph.Insertion(0, 1)}); err != nil {
+			t.Fatalf("write after adopt: %v", err)
+		}
+		if err := s.AdoptTerm(3); err != nil {
+			t.Fatalf("AdoptTerm(lower): %v", err)
+		}
+		if s.Term() != 5 {
+			t.Fatalf("adoption regressed the term to %d", s.Term())
+		}
+		s.Close()
+		s = openKind(t, kind, nil, Options{Dir: dir, Sync: SyncNone})
+		defer s.Close()
+		if s.Term() != 5 || s.Fenced() {
+			t.Fatalf("reopened: term %d fenced %v, want 5 unfenced", s.Term(), s.Fenced())
+		}
+	})
 }
 
 // TestCorruptTermFileFailsOpen: a TERM file that does not decode is a
