@@ -21,9 +21,10 @@ import (
 // batch=64 — the PR 5 invariant this repository must never regress. It is
 // gated behind QPGC_BENCH_SMOKE=1 because wall-clock assertions do not
 // belong in the default unit-test run; CI sets the variable on a dedicated
-// step. The margin on quiet machines is several-fold (see the `batch`
-// harness experiment), so a strict > comparison over sustained averages
-// stays robust against runner noise.
+// step. The margin on quiet machines is several-fold (EXPERIMENTS.md,
+// "Batched reads"; BENCHMARK.json's `batch_qps` tracks it now), so a
+// strict > comparison over sustained averages stays robust against runner
+// noise.
 func TestBatchThroughputRegression(t *testing.T) {
 	if os.Getenv("QPGC_BENCH_SMOKE") == "" {
 		t.Skip("set QPGC_BENCH_SMOKE=1 to run the benchmark regression smoke")

@@ -108,7 +108,7 @@ func BenchmarkCompressPatternPT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bisim.CompressWith(g, bisim.EnginePT)
+		bisim.Quotient(g, bisim.RefinePT(g))
 	}
 }
 
@@ -117,7 +117,7 @@ func BenchmarkCompressPatternNaive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bisim.CompressWith(g, bisim.EngineNaive)
+		bisim.Quotient(g, bisim.RefineNaive(g))
 	}
 }
 
@@ -126,7 +126,7 @@ func BenchmarkCompressPatternStratified(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bisim.CompressWith(g, bisim.EngineStratified)
+		bisim.Quotient(g, bisim.RefineStratified(g))
 	}
 }
 

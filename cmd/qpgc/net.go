@@ -217,7 +217,7 @@ func driveWorkload(cli endpoint, path string, wbatch int) {
 	if err != nil {
 		fatal(err)
 	}
-	wl, err := gen.ParseWorkload(wf)
+	ops, err := gen.ReadWorkload(wf)
 	wf.Close()
 	if err != nil {
 		fatal(err)
@@ -234,7 +234,7 @@ func driveWorkload(cli endpoint, path string, wbatch int) {
 	}
 	var queries, reached, batches int
 	start := time.Now()
-	for _, op := range wl.Ops {
+	for _, op := range ops {
 		switch op.Kind {
 		case gen.OpQuery:
 			got, _, err := cli.Reachable(op.U, op.V, cli.LastEpoch(), false)

@@ -23,9 +23,7 @@ import (
 	"repro/internal/store"
 )
 
-// cmdWorkload generates a mixed read/write workload file for serve. With
-// -batch n >= 2 the file carries the batch-mode directive, asking serve to
-// coalesce up to n queued queries into one vectorized read.
+// cmdWorkload generates a mixed read/write workload file for serve.
 func cmdWorkload(args []string) {
 	fs := flag.NewFlagSet("workload", flag.ExitOnError)
 	in := fs.String("in", "", "input graph file")
@@ -33,7 +31,6 @@ func cmdWorkload(args []string) {
 	ops := fs.Int("ops", 10000, "total operations")
 	write := fs.Float64("write", 0.05, "fraction of operations that are edge updates")
 	insert := fs.Float64("insert", 0.5, "fraction of updates that are insertions")
-	batch := fs.Int("batch", 0, "batch-mode directive: queries coalesced per vectorized read (0/1 = scalar)")
 	seed := fs.Int64("seed", 1, "seed")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
@@ -46,7 +43,7 @@ func cmdWorkload(args []string) {
 		fatal(err)
 	}
 	defer f.Close()
-	if err := gen.WriteWorkloadBatch(f, w, *batch); err != nil {
+	if err := gen.WriteWorkload(f, w); err != nil {
 		fatal(err)
 	}
 	var q, u int
@@ -84,6 +81,23 @@ type serveBackend struct {
 	durable bool
 }
 
+// checkTarget validates serve's -target against the store kind. An unknown
+// value used to fall through to the quotient path silently, and hop2 on a
+// sharded store served the routed quotient path while the report line said
+// "hop2": the 2-hop index exists only on the monolithic kind.
+func checkTarget(target string, sharded bool) error {
+	switch target {
+	case "gr", "g":
+		return nil
+	case "hop2":
+		if sharded {
+			return fmt.Errorf("serve: -target hop2 reads the monolithic store's 2-hop index; a sharded store has none (use gr or g)")
+		}
+		return nil
+	}
+	return fmt.Errorf("serve: unknown -target %q (want gr, g or hop2)", target)
+}
+
 // cmdServe drives a workload against a concurrent store: the write stream
 // is applied as batches on the store's writer while reader goroutines
 // answer the query stream on immutable snapshots. With -shards k > 1 the
@@ -99,7 +113,7 @@ func cmdServe(args []string) {
 	in := fs.String("in", "", "input graph file")
 	workload := fs.String("workload", "", "workload file (qpgc workload)")
 	readers := fs.Int("readers", 4, "reader goroutines")
-	qbatchFlag := fs.String("batch", "", "queries coalesced per vectorized read: n (1 = scalar; 0/empty = workload's batch directive, else 1) or \"auto\" (adaptive scheduler waves)")
+	qbatchFlag := fs.String("batch", "", "queries coalesced per vectorized read: n (0/1/empty = scalar) or \"auto\" (adaptive scheduler waves)")
 	wbatch := fs.Int("wbatch", 64, "updates per ApplyBatch")
 	shards := fs.Int("shards", 1, "shard count (1 = monolithic store; ignored when -data recovers)")
 	target := fs.String("target", "gr", "read path: gr (compressed), g (original), hop2 (index on Gr; monolithic only)")
@@ -126,7 +140,7 @@ func cmdServe(args []string) {
 	}
 	// -batch auto is the sentinel qbatch = -1: readers feed point queries
 	// to the store's wave scheduler, which coalesces them adaptively.
-	qbatch := 0
+	qbatch := 1
 	switch *qbatchFlag {
 	case "", "0":
 	case "auto":
@@ -137,6 +151,24 @@ func cmdServe(args []string) {
 			fatal(fmt.Errorf("serve: -batch must be a non-negative integer or \"auto\""))
 		}
 		qbatch = n
+	}
+	// A durable directory with state takes precedence over -in: the store
+	// recovers its own graph (and, for a sharded directory, its own k), so
+	// -in is neither required nor parsed then — the whole point of the
+	// warm restart is skipping that cost. The kind is resolved here, before
+	// any work, because -target's validity depends on it.
+	recovering := *data != "" && store.HasState(*data)
+	sharded := *shards > 1
+	var info store.DirInfo
+	if recovering {
+		var err error
+		if info, err = store.Inspect(*data); err != nil {
+			fatal(err)
+		}
+		sharded = info.Kind == "sharded"
+	}
+	if err := checkTarget(*target, sharded); err != nil {
+		fatal(err)
 	}
 	if qbatch == -1 {
 		if *verify {
@@ -194,34 +226,15 @@ func cmdServe(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		wl, err := gen.ParseWorkload(wf)
+		ops, err = gen.ReadWorkload(wf)
 		wf.Close()
 		if err != nil {
 			fatal(err)
 		}
-		ops = wl.Ops
-		// -batch wins over the file's directive; both absent means scalar.
-		if qbatch == 0 {
-			qbatch = wl.Batch
-		}
-	}
-	if qbatch == 0 {
-		qbatch = 1
 	}
 
-	// A durable directory with state takes precedence over -in: the store
-	// recovers its own graph (and, for a sharded directory, its own k), so
-	// -in is neither required nor parsed then — the whole point of the
-	// warm restart is skipping that cost.
-	recovering := *data != "" && store.HasState(*data)
-	sharded := *shards > 1
 	var g *graph.Graph
 	if recovering {
-		info, err := store.Inspect(*data)
-		if err != nil {
-			fatal(err)
-		}
-		sharded = info.Kind == "sharded"
 		fmt.Printf("recovering %s store from %s (checkpoint epoch %d, WAL %d bytes in %d segment(s))\n",
 			displayKind(info.Kind), *data, info.Epoch, info.WALBytes, info.WALSegments)
 	} else {

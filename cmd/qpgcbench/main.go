@@ -14,10 +14,11 @@
 // -workers bounds the pool used by the non-timing sweeps (table1, table2,
 // fig12d); timing experiments always run their measurements sequentially.
 // -json additionally writes the results in machine-readable form (one
-// record per experiment: id, title, header, rows, elapsed ns, config) so
-// the perf trajectory can be tracked as BENCH_*.json files across changes;
+// record per experiment: id, title, header, rows, elapsed ns, config);
 // its meta header records the git revision and CPU counts that produced
-// the snapshot, keeping BENCH_*.json files attributable across PRs.
+// the snapshot. BENCH_PAPER.json is that record for all fourteen ids at
+// scale 1.0, seed 42. Systems-side numbers (store, server, replica, WAL)
+// are measured by benchmark/ and BENCHMARK.json, not here.
 package main
 
 import (
@@ -45,8 +46,8 @@ type jsonRecord struct {
 	ElapsedNs int64      `json:"elapsed_ns"`
 }
 
-// jsonMeta attributes a BENCH_*.json snapshot to the code revision and
-// machine that produced it, so results stay comparable across PRs.
+// jsonMeta attributes a -json snapshot to the code revision and machine
+// that produced it, so results stay comparable across PRs.
 type jsonMeta struct {
 	GitRevision string `json:"git_revision"`
 	GitDirty    bool   `json:"git_dirty,omitempty"`
@@ -108,6 +109,21 @@ func buildMeta() jsonMeta {
 	}
 }
 
+// checkFlags rejects configurations whose tables would be meaningless: a
+// non-positive scale builds degenerate datasets and zero pairs leaves
+// every timing loop empty, yet both used to print a full table and exit 0.
+func checkFlags(scale float64, pairs, workers int) error {
+	switch {
+	case !(scale > 0):
+		return fmt.Errorf("-scale must be > 0, got %v", scale)
+	case pairs < 1:
+		return fmt.Errorf("-pairs must be >= 1, got %d", pairs)
+	case workers < 0:
+		return fmt.Errorf("-workers must be >= 0, got %d", workers)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
@@ -121,6 +137,10 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
 	flag.Parse()
+	if err := checkFlags(*scale, *pairs, *workers); err != nil {
+		fmt.Fprintf(os.Stderr, "qpgcbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	stopCPU, err := profutil.StartCPU(*cpuProf)
 	if err != nil {

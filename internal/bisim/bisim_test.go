@@ -101,6 +101,18 @@ func partitionMatchesRelation(p *Partition, rel [][]bool) bool {
 	return true
 }
 
+// refiners are the three partition-refinement algorithms. All must produce
+// the identical (maximum bisimulation) partition; Compress uses RefinePT
+// (over a shared CSR), the other two are references.
+var refiners = []struct {
+	name   string
+	refine func(*graph.Graph) *Partition
+}{
+	{"naive", RefineNaive},
+	{"pt", RefinePT},
+	{"stratified", RefineStratified},
+}
+
 func TestPaperFig6Example(t *testing.T) {
 	// From Fig. 6 / Example 4: A1 has one B child with a C child; A2 has B
 	// children with C and D children. A1 and A2 must not be bisimilar, but
@@ -115,8 +127,9 @@ func TestPaperFig6Example(t *testing.T) {
 			{3, 4}, {4, 5}, {3, 6}, {6, 7},
 			{8, 9}, {9, 10},
 		})
-	for _, engine := range []Engine{EngineNaive, EnginePT, EngineStratified} {
-		c := CompressWith(g, engine)
+	for _, r := range refiners {
+		engine := r.name
+		c := Quotient(g, r.refine(g))
 		if c.ClassOf(0) == c.ClassOf(3) {
 			t.Fatalf("engine %v: A1 and A2 wrongly bisimilar", engine)
 		}
@@ -153,8 +166,9 @@ func TestCycleBisimilarity(t *testing.T) {
 	// proper coarsest computation.
 	g := labeledGraph([]string{"A", "B", "A", "B"},
 		[][2]graph.Node{{0, 1}, {1, 0}, {2, 3}, {3, 2}})
-	for _, engine := range []Engine{EngineNaive, EnginePT, EngineStratified} {
-		c := CompressWith(g, engine)
+	for _, r := range refiners {
+		engine := r.name
+		c := Quotient(g, r.refine(g))
 		if c.NumClasses() != 2 {
 			t.Fatalf("engine %v: classes = %d, want 2", engine, c.NumClasses())
 		}
@@ -172,8 +186,9 @@ func TestSelfLoopVsTwoCycle(t *testing.T) {
 	// A self-loop A and a 2-cycle of As are bisimilar (classic).
 	g := labeledGraph([]string{"A", "A", "A"},
 		[][2]graph.Node{{0, 0}, {1, 2}, {2, 1}})
-	for _, engine := range []Engine{EngineNaive, EnginePT, EngineStratified} {
-		c := CompressWith(g, engine)
+	for _, r := range refiners {
+		engine := r.name
+		c := Quotient(g, r.refine(g))
 		if c.NumClasses() != 1 {
 			t.Fatalf("engine %v: classes = %d, want 1", engine, c.NumClasses())
 		}
@@ -189,16 +204,9 @@ func TestEnginesAgainstBruteForce(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		g := randomLabeled(rng, n, rng.Intn(3*n), 1+rng.Intn(3))
 		rel := bruteBisim(g)
-		for _, engine := range []Engine{EngineNaive, EnginePT, EngineStratified} {
-			var p *Partition
-			switch engine {
-			case EngineNaive:
-				p = RefineNaive(g)
-			case EnginePT:
-				p = RefinePT(g)
-			default:
-				p = RefineStratified(g)
-			}
+		for _, r := range refiners {
+			engine := r.name
+			p := r.refine(g)
 			if !partitionMatchesRelation(p, rel) {
 				t.Fatalf("trial %d engine %v: partition disagrees with brute force\ngraph %v edges %v\nblocks %v",
 					trial, engine, g, g.EdgeList(), p.Blocks)

@@ -45,36 +45,16 @@ func (c *Compressed) Ratio(g *graph.Graph) float64 {
 	return float64(c.Gr.Size()) / float64(g.Size())
 }
 
-// Engine selects the partition-refinement algorithm used by Compress.
-type Engine int
-
-const (
-	// EnginePT is Paige–Tarjan, the default (Theorem 4's O(|E| log |V|)).
-	EnginePT Engine = iota
-	// EngineNaive is global signature refinement.
-	EngineNaive
-	// EngineStratified is the DPP rank-stratified algorithm.
-	EngineStratified
-)
-
 // Compress computes the pattern preserving compression R(G) of g
-// (algorithm compressB, Fig. 7) using Paige–Tarjan refinement.
-func Compress(g *graph.Graph) *Compressed { return CompressWith(g, EnginePT) }
-
-// CompressWith is Compress with an explicit choice of refinement engine.
-// All engines produce the identical (maximum bisimulation) partition. The
-// Paige–Tarjan path freezes one CSR snapshot and shares it between the
-// refinement and the quotient construction.
-func CompressWith(g *graph.Graph, e Engine) *Compressed {
-	switch e {
-	case EngineNaive:
-		return quotient(g.Freeze(), RefineNaive(g))
-	case EngineStratified:
-		return quotient(g.Freeze(), RefineStratified(g))
-	default:
-		c := g.Freeze()
-		return quotient(c, RefinePTCSR(c))
-	}
+// (algorithm compressB, Fig. 7) using Paige–Tarjan refinement (Theorem 4's
+// O(|E| log |V|)). It freezes one CSR snapshot and shares it between the
+// refinement and the quotient construction. RefineNaive and
+// RefineStratified produce the identical (maximum bisimulation) partition
+// and stay as the references tests compare against: Quotient(g,
+// RefineNaive(g)) is the same compression by the slow road.
+func Compress(g *graph.Graph) *Compressed {
+	c := g.Freeze()
+	return quotient(c, RefinePTCSR(c))
 }
 
 // Quotient materializes the compressed graph for an arbitrary bisimulation

@@ -16,7 +16,7 @@ func TestCompressCSRPathMatchesNaiveEngine(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(50)
 		g := randomLabeled(rng, n, rng.Intn(3*n), 1+rng.Intn(4))
-		fast := Compress(g) // EnginePT over CSR
+		fast := Compress(g) // Paige–Tarjan over CSR
 		ref := RefineNaive(g)
 
 		// Identical partitions: both numberings are canonical.

@@ -12,7 +12,7 @@ import (
 func RefinePT(g *graph.Graph) *Partition { return RefinePTCSR(g.Freeze()) }
 
 // RefinePTCSR is RefinePT over a frozen CSR snapshot. Callers that already
-// hold a snapshot (e.g. CompressWith, which also feeds it to the quotient
+// hold a snapshot (e.g. Compress, which also feeds it to the quotient
 // construction) avoid a second Freeze.
 func RefinePTCSR(c *graph.CSR) *Partition {
 	pt := newPTState(c)

@@ -18,6 +18,7 @@ func FuzzReadWorkload(f *testing.F) {
 	f.Add("q -1 2\n")  // negative node
 	f.Add("+ 1 2 3\n") // extra field
 	f.Add("q 99999999999999999999 0\n")
+	f.Add("batch 64\nq 0 1\n") // retired coalescing directive: an unknown op
 	f.Fuzz(func(t *testing.T, input string) {
 		ops, err := ReadWorkload(strings.NewReader(input))
 		if err != nil {

@@ -83,34 +83,15 @@ func Mixed(rng *rand.Rand, g *graph.Graph, ops int, writeFrac, insertFrac float6
 	return out
 }
 
-// Workload is a parsed serve workload: the op stream plus the optional
-// batch directive recommending how many queued queries the server
-// coalesces into one vectorized read (0 = unspecified, serve scalar).
-type Workload struct {
-	// Ops is the operation stream in file order.
-	Ops []Op
-	// Batch is the "batch <n>" directive's value, 0 when absent.
-	Batch int
-}
-
 // WriteWorkload serializes a workload in the line-oriented text format:
 //
 //	# comment
-//	batch <n>     — optional batch-mode directive (once, before any op)
 //	q <u> <v>     — reachability query
 //	+ <u> <v>     — edge insertion
 //	- <u> <v>     — edge deletion
-func WriteWorkload(w io.Writer, ops []Op) error { return WriteWorkloadBatch(w, ops, 0) }
-
-// WriteWorkloadBatch is WriteWorkload plus the batch-mode directive: with
-// batch >= 2 the file asks servers to coalesce up to that many queued
-// queries into one vectorized read. 0 or 1 writes no directive.
-func WriteWorkloadBatch(w io.Writer, ops []Op, batch int) error {
+func WriteWorkload(w io.Writer, ops []Op) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# qpgc workload ops=%d\n", len(ops))
-	if batch >= 2 {
-		fmt.Fprintf(bw, "batch %d\n", batch)
-	}
 	for _, op := range ops {
 		var tag byte
 		switch op.Kind {
@@ -130,20 +111,9 @@ func WriteWorkloadBatch(w io.Writer, ops []Op, batch int) error {
 	return bw.Flush()
 }
 
-// ReadWorkload parses the text format of WriteWorkload, discarding any
-// batch directive. Callers that honor batch mode use ParseWorkload.
+// ReadWorkload parses the text format of WriteWorkload.
 func ReadWorkload(r io.Reader) ([]Op, error) {
-	w, err := ParseWorkload(r)
-	if err != nil {
-		return nil, err
-	}
-	return w.Ops, nil
-}
-
-// ParseWorkload parses the text format of WriteWorkloadBatch: ops plus the
-// optional "batch <n>" directive (at most once, n >= 2).
-func ParseWorkload(r io.Reader) (*Workload, error) {
-	out := &Workload{}
+	var out []Op
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	lineNo := 0
@@ -154,20 +124,6 @@ func ParseWorkload(r io.Reader) (*Workload, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if fields[0] == "batch" {
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("gen: line %d: want 'batch <n>'", lineNo)
-			}
-			if out.Batch != 0 {
-				return nil, fmt.Errorf("gen: line %d: duplicate batch directive", lineNo)
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 2 {
-				return nil, fmt.Errorf("gen: line %d: bad batch size %q (want an integer >= 2)", lineNo, fields[1])
-			}
-			out.Batch = n
-			continue
-		}
 		if len(fields) != 3 {
 			return nil, fmt.Errorf("gen: line %d: want '<q|+|-> <u> <v>'", lineNo)
 		}
@@ -190,7 +146,7 @@ func ParseWorkload(r io.Reader) (*Workload, error) {
 		if err != nil || v < 0 {
 			return nil, fmt.Errorf("gen: line %d: bad target node %q", lineNo, fields[2])
 		}
-		out.Ops = append(out.Ops, Op{Kind: kind, U: graph.Node(u), V: graph.Node(v)})
+		out = append(out, Op{Kind: kind, U: graph.Node(u), V: graph.Node(v)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package gen
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -93,7 +92,9 @@ func TestWorkloadRoundTrip(t *testing.T) {
 
 // TestReadWorkloadErrors exercises the parser's error paths.
 func TestReadWorkloadErrors(t *testing.T) {
-	for _, bad := range []string{"x 1 2\n", "q 1\n", "q a 2\n", "+ 1 b\n"} {
+	// "batch 64" was once a coalescing directive; serve -batch is the only
+	// place to set that now, so the line is malformed like any other.
+	for _, bad := range []string{"x 1 2\n", "q 1\n", "q a 2\n", "+ 1 b\n", "batch 64\n", "batch 64\nq 1 2\n"} {
 		if _, err := ReadWorkload(bytes.NewBufferString(bad)); err == nil {
 			t.Fatalf("no error for %q", bad)
 		}
@@ -101,49 +102,5 @@ func TestReadWorkloadErrors(t *testing.T) {
 	ops, err := ReadWorkload(bytes.NewBufferString("# comment\n\nq 1 2\n"))
 	if err != nil || len(ops) != 1 || ops[0] != (Op{Kind: OpQuery, U: 1, V: 2}) {
 		t.Fatalf("comment handling broken: %v %v", ops, err)
-	}
-}
-
-// TestWorkloadBatchDirectiveRoundTrip pins the batch-mode directive: it
-// round-trips through write/parse, legacy ReadWorkload ignores it, and
-// malformed directives are rejected.
-func TestWorkloadBatchDirectiveRoundTrip(t *testing.T) {
-	ops := []Op{
-		{Kind: OpQuery, U: 1, V: 2},
-		{Kind: OpInsert, U: 2, V: 3},
-		{Kind: OpQuery, U: 3, V: 1},
-	}
-	var buf bytes.Buffer
-	if err := WriteWorkloadBatch(&buf, ops, 64); err != nil {
-		t.Fatal(err)
-	}
-	w, err := ParseWorkload(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Batch != 64 || len(w.Ops) != len(ops) {
-		t.Fatalf("parsed batch=%d ops=%d, want 64/%d", w.Batch, len(w.Ops), len(ops))
-	}
-	legacy, err := ReadWorkload(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy) != len(ops) {
-		t.Fatalf("legacy read got %d ops", len(legacy))
-	}
-
-	// batch 0/1 writes no directive.
-	buf.Reset()
-	if err := WriteWorkloadBatch(&buf, ops, 1); err != nil {
-		t.Fatal(err)
-	}
-	if w, err = ParseWorkload(bytes.NewReader(buf.Bytes())); err != nil || w.Batch != 0 {
-		t.Fatalf("batch=1 round trip: %v, batch=%d", err, w.Batch)
-	}
-
-	for _, bad := range []string{"batch\n", "batch x\n", "batch 1\n", "batch 8\nbatch 8\n"} {
-		if _, err := ParseWorkload(strings.NewReader(bad)); err == nil {
-			t.Fatalf("accepted malformed directive %q", bad)
-		}
 	}
 }

@@ -69,19 +69,38 @@ func Fig12k(cfg Config) *Table {
 	return t
 }
 
+// reachDataset returns Table 1's dataset of that name.
+func reachDataset(name string) gen.Dataset { return datasetIn(gen.ReachabilityDatasets(), name) }
+
+// patternDataset returns Table 2's labeled dataset of that name. Youtube,
+// Internet and P2P are in both tables and gen.DatasetByName finds Table 1's
+// single-label variant first — and a one-label graph is ONE bisimulation
+// class as soon as every node has a successor, so the pattern figures must
+// ask for the labeled variant explicitly.
+func patternDataset(name string) gen.Dataset { return datasetIn(gen.PatternDatasets(), name) }
+
+func datasetIn(registry []gen.Dataset, name string) gen.Dataset {
+	for _, d := range registry {
+		if d.Name == name {
+			return d
+		}
+	}
+	panic("harness: no dataset " + name + " in that table's registry")
+}
+
 // growthSeries runs the Exp-4 power-law growth protocol: add 5% of |E| per
 // step with 80% preferential attachment, recording the ratio after each
 // step, for the listed datasets.
-func growthSeries(cfg Config, id, title string, names []string,
+func growthSeries(cfg Config, id, title string, datasets []gen.Dataset,
 	ratio func(g *graph.Graph) float64) *Table {
 	t := &Table{
 		ID:     id,
 		Title:  title,
-		Header: append([]string{"Δ|E|%"}, names...),
+		Header: []string{"Δ|E|%"},
 	}
-	graphs := make([]*graph.Graph, len(names))
-	for i, name := range names {
-		d, _ := gen.DatasetByName(name)
+	graphs := make([]*graph.Graph, len(datasets))
+	for i, d := range datasets {
+		t.Header = append(t.Header, d.Name)
 		graphs[i] = d.Scale(cfg.Scale).Build(cfg.Seed)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
@@ -104,7 +123,7 @@ func growthSeries(cfg Config, id, title string, names []string,
 // edges.
 func Fig12j(cfg Config) *Table {
 	t := growthSeries(cfg, "fig12j", "RCr under power-law growth",
-		[]string{"P2P", "wikiVote", "citHepTh"},
+		[]gen.Dataset{reachDataset("P2P"), reachDataset("wikiVote"), reachDataset("citHepTh")},
 		func(g *graph.Graph) float64 { return core.Ratio(g, reach.Compress(g).Gr) })
 	t.Notes = []string{"paper: more edges → more reachability-equivalent nodes → lower RCr"}
 	return t
@@ -114,7 +133,7 @@ func Fig12j(cfg Config) *Table {
 // sharply for web-like graphs than social-like ones.
 func Fig12l(cfg Config) *Table {
 	t := growthSeries(cfg, "fig12l", "PCr under power-law growth",
-		[]string{"California", "Internet", "Youtube"},
+		[]gen.Dataset{patternDataset("California"), patternDataset("Internet"), patternDataset("Youtube")},
 		func(g *graph.Graph) float64 { return core.Ratio(g, bisim.Compress(g).Gr) })
 	t.Notes = []string{"paper: new edges diversify neighborhoods, breaking bisimilarity → higher PCr"}
 	return t

@@ -96,10 +96,8 @@ func Fig12b(cfg Config) *Table {
 		Header: []string{"pattern", "Youtube G", "Youtube Gr", "Citation G", "Citation Gr"},
 		Notes:  []string{"paper: Match on compressed graphs ≈30% of original time"},
 	}
-	dy, _ := gen.DatasetByName("Youtube")
-	dc, _ := gen.DatasetByName("Citation")
-	gy := dy.Scale(cfg.Scale).Build(cfg.Seed)
-	gc := dc.Scale(cfg.Scale).Build(cfg.Seed)
+	gy := patternDataset("Youtube").Scale(cfg.Scale).Build(cfg.Seed)
+	gc := patternDataset("Citation").Scale(cfg.Scale).Build(cfg.Seed)
 	yG, yGr := matchTimes(cfg, gy, 0)
 	cG, cGr := matchTimes(cfg, gc, 0)
 	for i, sz := range patternSizes {

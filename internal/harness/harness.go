@@ -3,8 +3,10 @@
 // paper's layout. The cmd/qpgcbench CLI and the repository-level
 // testing.B benchmarks are thin wrappers around these drivers.
 //
-// Experiment ids: table1, table2, fig12a … fig12l, plus beyond-paper
-// drivers such as serve (see DESIGN.md for the per-experiment index).
+// Experiment ids: table1, table2, fig12a … fig12l (DESIGN.md has the
+// per-experiment index). The package is a leaf over the paper's
+// algorithms: systems-side measurements (store, server, replica, WAL)
+// live in benchmark/ and BENCHMARK.json, not here.
 package harness
 
 import (
@@ -120,15 +122,6 @@ func Experiments() []Experiment {
 		{"fig12j", "RCr under power-law growth (real-life-like)", Fig12j},
 		{"fig12k", "PCr under densification (synthetic)", Fig12k},
 		{"fig12l", "PCr under power-law growth (real-life-like)", Fig12l},
-		{"serve", "Concurrent read throughput under a write stream (store)", ExpServe},
-		{"batch", "Batched (64-lane) vs scalar reachability throughput (store)", ExpBatch},
-		{"batchsched", "Multi-wave scheduled batch vs scalar reachability throughput (store)", ExpBatchSched},
-		{"shard", "Sharded vs monolithic store: build, cut size, write throughput", ExpShard},
-		{"restart", "Durable store restart: cold rebuild vs snapshot load vs WAL replay", ExpRestart},
-		{"faults", "Self-healing under injected write faults: retry, degrade, recover", ExpFaults},
-		{"replicate", "WAL-shipping read replicas: aggregate capacity vs single store", ExpReplicate},
-		{"failover", "Leader failover: unavailability window and post-promotion throughput", ExpFailover},
-		{"obs", "Metrics instrumentation overhead: batched reads/writes A/B (store)", ExpObsOverhead},
 	}
 }
 

@@ -29,9 +29,9 @@ type Options struct {
 	// faultfs.Inject to corrupt shipped bytes deterministically.
 	ShipFS faultfs.FS
 	// MaxQPS caps admitted read requests per second (token bucket), 0 = no
-	// cap. It models a node's fixed serving capacity: the replicate
-	// harness experiment uses it so aggregate throughput measures capacity
-	// multiplication rather than one machine's core count.
+	// cap. It models a node's fixed serving capacity, so a replica set's
+	// aggregate throughput measures capacity multiplication rather than one
+	// machine's core count (serve/replica -maxqps).
 	MaxQPS int
 	// EpochWaitTimeout bounds how long a read waits for its minEpoch (the
 	// RYW token) before failing. 0 means 5s.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // faultTopologies is the injection matrix's graph zoo: three structurally
@@ -167,13 +169,20 @@ func TestInjectedFaultDifferential(t *testing.T) {
 // persistent unfiltered fault (probe fails too, so recovery cannot re-arm)
 // the store fails writes fast with the degradation cause, keeps serving
 // reads at the last published epoch, and re-arms only when the disk heals.
+// The store is opened with a metrics registry, and what an operator would
+// scrape — the qpgc_health_* series — must tell the same story as Health()
+// while degraded and after the heal.
 func TestDegradedFailFast(t *testing.T) {
 	forKinds(t, func(t *testing.T, kind string) {
 		g := faultTopologies(33)["social"]
 		mirror := g.Clone()
 		in := faultfs.NewInject(faultfs.Disk) // no rules yet: open cleanly
+		reg := obs.NewRegistry()
+		in.Observe(func(kind string) {
+			reg.Counter(obs.Label("qpgc_faults_fired_total", "kind", kind)).Inc()
+		})
 		s := openKind(t, kind, g.Clone(), Options{
-			Indexes: true, Dir: t.TempDir(), FS: in,
+			Indexes: true, Dir: t.TempDir(), FS: in, Obs: reg,
 			WriteRetries: 1, RetryBackoff: time.Millisecond,
 			RecoveryInterval:  3 * time.Millisecond,
 			CheckpointBatches: -1, CheckpointBytes: -1,
@@ -209,6 +218,13 @@ func TestDegradedFailFast(t *testing.T) {
 			t.Fatalf("degraded store moved epoch %d -> %d", epochBefore, got)
 		}
 		diffVsReference(t, "degraded", s, mirror)
+		text := reg.PrometheusText()
+		if got := scrapeValue(t, text, "qpgc_health_state"); got != float64(Degraded) {
+			t.Fatalf("scraped qpgc_health_state = %v while degraded, want %d", got, Degraded)
+		}
+		if got := scrapeValue(t, text, "qpgc_health_degradations_total"); got != 1 {
+			t.Fatalf("scraped qpgc_health_degradations_total = %v while degraded, want 1", got)
+		}
 
 		// The disk heals; the recovery loop must re-arm on its own.
 		in.Disarm()
@@ -230,7 +246,53 @@ func TestDegradedFailFast(t *testing.T) {
 			t.Fatalf("epoch %d after recovery, want %d (no gap, no resurrection)", got, want)
 		}
 		diffVsReference(t, "recovered", s, mirror)
+
+		// The scrape after the heal: state back to healthy, the counters
+		// equal to the store's own report, the degraded window accounted
+		// for, and every injected fault counted by kind.
+		text = reg.PrometheusText()
+		if got := scrapeValue(t, text, "qpgc_health_state"); got != float64(Healthy) {
+			t.Fatalf("scraped qpgc_health_state = %v after recovery, want %d", got, Healthy)
+		}
+		if got := scrapeValue(t, text, "qpgc_health_degradations_total"); got != float64(h.Degradations) {
+			t.Fatalf("scraped degradations %v, Health() reports %d", got, h.Degradations)
+		}
+		if got := scrapeValue(t, text, "qpgc_health_recoveries_total"); got != float64(h.Recoveries) {
+			t.Fatalf("scraped recoveries %v, Health() reports %d", got, h.Recoveries)
+		}
+		if got := scrapeValue(t, text, "qpgc_health_retries_total"); got != float64(h.Retries) {
+			t.Fatalf("scraped retries %v, Health() reports %d", got, h.Retries)
+		}
+		if got := scrapeValue(t, text, "qpgc_health_degraded_seconds_total"); got <= 0 {
+			t.Fatalf("scraped degraded seconds %v after a degraded window", got)
+		}
+		var fired float64
+		for _, k := range []string{"write", "sync"} {
+			if series := obs.Label("qpgc_faults_fired_total", "kind", k); strings.Contains(text, series+" ") {
+				fired += scrapeValue(t, text, series)
+			}
+		}
+		if fired != float64(in.Fired()) || fired == 0 {
+			t.Fatalf("scrape counts %v fired faults by kind, the injector fired %d", fired, in.Fired())
+		}
 	})
+}
+
+// scrapeValue extracts one series' value from a Prometheus text exposition;
+// an absent series fails the test.
+func scrapeValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("series %s has unparseable value %q", series, rest)
+			}
+			return v
+		}
+	}
+	t.Fatalf("scrape lacks series %s:\n%s", series, text)
+	return 0
 }
 
 // TestCloseReturnsStickyCheckpointError pins the Checkpoint error plumbing:

@@ -16,12 +16,12 @@ import (
 // TestObsOverheadRegression is the PR 9 CI gate: batched reads on a fully
 // instrumented store (registry bound, scheduler counters, sampled stage
 // histograms live) must stay within 10% of the same store without a
-// registry. The recorded A/B (BENCH_PR9.json, the `obs` harness
-// experiment) shows the true overhead within 2% on a quiet machine; the CI
-// gate is looser because shared runners time noisily, and a flaky gate
-// teaches people to ignore it. Interleaved best-of passes keep a one-off
-// stall from deciding the comparison. Gated behind QPGC_BENCH_SMOKE=1 like
-// the other wall-clock assertions.
+// registry. The A/B recorded at PR 9 (EXPERIMENTS.md; BENCHMARK.json's
+// `obs.overhead_pct` measures it now) shows the true overhead within 2% on
+// a quiet machine; the CI gate is looser because shared runners time
+// noisily, and a flaky gate teaches people to ignore it. Interleaved
+// best-of passes keep a one-off stall from deciding the comparison. Gated
+// behind QPGC_BENCH_SMOKE=1 like the other wall-clock assertions.
 func TestObsOverheadRegression(t *testing.T) {
 	if os.Getenv("QPGC_BENCH_SMOKE") == "" {
 		t.Skip("set QPGC_BENCH_SMOKE=1 to run the benchmark regression smoke")
