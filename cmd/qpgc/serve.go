@@ -384,7 +384,7 @@ func cmdServe(args []string) {
 					case "g":
 						sn.BatchReachableOnG(bs, us, vs, out)
 					case "hop2":
-						if sn.Reach.Index == nil { // recovered without an index
+						if sn.Reach.Index() == nil { // recovered without an index
 							sn.BatchReachable(bs, us, vs, out)
 							break
 						}

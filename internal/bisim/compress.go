@@ -1,6 +1,7 @@
 package bisim
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -14,7 +15,8 @@ type Compressed struct {
 	// Gr is the compressed graph: one node per bisimulation class, labeled
 	// with the common label of its members, with an edge ([v],[w]) whenever
 	// some member edge (v',w') exists — including self-loops when a class
-	// has internal edges (compressB, Fig. 7, lines 7–9).
+	// has internal edges (compressB, Fig. 7, lines 7–9). Nil in the views
+	// of a store snapshot, which publish the quotient as a CSR instead.
 	Gr *graph.Graph
 	// blockOf maps each node of G to its class node in Gr (the mapping R).
 	blockOf []graph.Node
@@ -31,8 +33,9 @@ func (c *Compressed) ClassMap() []graph.Node { return c.blockOf }
 
 // AssembleCompressed packages an externally reconstructed quotient with its
 // node mapping into a Compressed value, taking ownership of all arguments.
-// Used by the snapshot decoder; the incremental maintainer goes through
-// Quotient/QuotientCSR instead.
+// Used by the store for the views it publishes and decodes — with a nil gr,
+// since those carry the quotient as a frozen CSR; the incremental
+// maintainer goes through Quotient/QuotientCSR instead.
 func AssembleCompressed(gr *graph.Graph, blockOf []graph.Node, members [][]graph.Node) *Compressed {
 	return &Compressed{Gr: gr, blockOf: blockOf, Members: members}
 }
@@ -40,8 +43,13 @@ func AssembleCompressed(gr *graph.Graph, blockOf []graph.Node, members [][]graph
 // NumClasses returns |Vr|.
 func (c *Compressed) NumClasses() int { return len(c.Members) }
 
-// Ratio returns PCr = |Gr| / |G|.
+// Ratio returns PCr = |Gr| / |G|. It is NaN for a compression assembled
+// without Gr — the views of a store snapshot, which publish the quotient as
+// a frozen CSR beside the mapping; Store.Stats reports their ratios.
 func (c *Compressed) Ratio(g *graph.Graph) float64 {
+	if c.Gr == nil {
+		return math.NaN()
+	}
 	return float64(c.Gr.Size()) / float64(g.Size())
 }
 

@@ -18,8 +18,10 @@
 // stratum lists. A stratum is re-refined when it holds the source of an
 // update, gained or lost a node, or has a successor whose block changed;
 // refinement runs in bisim.StratumRefiner, dense and exact. Recomputed
-// groups are matched against the previous partition by block id and size,
-// so unchanged blocks do not propagate dirt to their predecessors.
+// groups are matched against the previous partition: a group keeps the id
+// of the old block it holds most of, so only nodes that change sides move,
+// propagate dirt to their predecessors, and appear in the change log
+// (Changes) a mirror of the partition patches itself by.
 //
 // What is not incremental: a dirty stratum is refined from its label
 // seed, and ranks do not subdivide a cyclic graph (an NWF child does not
@@ -81,9 +83,17 @@ type Maintainer struct {
 	queue  []int32 // min-heap of dirty stratum indices
 
 	ref    *bisim.StratumRefiner
-	oldID  []int32 // group -> common old block of its members, -1 if mixed
+	oldID  []int32 // group -> the old block most of its members come from
+	occ    []int32 // group -> members that come from oldID
 	count  []int32 // group -> size
 	assign []int32 // group -> block id given by this refinement
+
+	// The change log since ResetChanges: every block id that gained or lost
+	// a member and every node that changed block, each listed once.
+	logBlocks   []int32
+	logNodes    []graph.Node
+	blockLogged []bool // block id -> listed in logBlocks
+	nodeLogged  []bool // node -> listed in logNodes
 
 	gen   uint64
 	part  *bisim.Partition  // canonical partition, nil when stale
@@ -107,6 +117,8 @@ func Over(cond *dynscc.Cond) *Maintainer {
 		rank:    make([]int32, n),
 		spos:    make([]int32, n),
 		ref:     bisim.NewStratumRefiner(n),
+
+		nodeLogged: make([]bool, n),
 	}
 	// The initial compression is the maintenance sweep with every stratum
 	// dirty and no old blocks to match.
@@ -144,9 +156,10 @@ func (m *Maintainer) Compressed() *bisim.Compressed {
 // CompressedCSR returns the current compressed form together with a frozen
 // CSR snapshot of its quotient graph, both cached per generation. base, if
 // non-nil, must be a CSR snapshot of a graph identical in content to
-// Graph()'s current state (the concurrent store passes the snapshot of G
-// it freezes once per epoch, saving a second O(|G|) freeze); pass nil to
-// have the maintainer freeze its own graph.
+// Graph()'s current state (the store's full-build publish passes the
+// snapshot of G it just built, saving a second O(|G|) freeze; its other
+// epochs patch their view from Changes instead of calling this); pass nil
+// to have the maintainer freeze its own graph.
 func (m *Maintainer) CompressedCSR(base *graph.CSR) (*bisim.Compressed, *graph.CSR) {
 	if m.comp == nil {
 		if base == nil {
@@ -168,6 +181,51 @@ func (m *Maintainer) Partition() *bisim.Partition {
 		m.part = bisim.PartitionOf(m.blockOf)
 	}
 	return m.part
+}
+
+// BlockID returns the maintainer's own id of v's block. These ids are what
+// makes a small change small downstream: a block no batch touched keeps
+// its id, a block that grows, shrinks or splits keeps it on its larger
+// side, and only the rest get fresh or recycled ones — sparse, unlike
+// Partition's canonical numbering.
+func (m *Maintainer) BlockID(v graph.Node) int32 { return m.blockOf[v] }
+
+// BlockSize returns the member count of block id, 0 for an id not in use.
+func (m *Maintainer) BlockSize(id int32) int { return int(m.size[id]) }
+
+// NumBlockIDs returns the bound on block ids: every id in use is below it.
+func (m *Maintainer) NumBlockIDs() int { return len(m.size) }
+
+// Changes returns the change log since ResetChanges (or construction):
+// the ids of the blocks that gained or lost a member — new, shrunk,
+// emptied or recycled — and the nodes whose block id changed, each once
+// and in no particular order. A consumer that mirrors the partition (the
+// store's published pattern view) patches exactly these and resets the
+// log; the slices are valid until the next Apply, Absorb or ResetChanges.
+func (m *Maintainer) Changes() (blocks []int32, nodes []graph.Node) {
+	return m.logBlocks, m.logNodes
+}
+
+// ResetChanges empties the change log.
+func (m *Maintainer) ResetChanges() {
+	for _, b := range m.logBlocks {
+		m.blockLogged[b] = false
+	}
+	for _, v := range m.logNodes {
+		m.nodeLogged[v] = false
+	}
+	m.logBlocks, m.logNodes = m.logBlocks[:0], m.logNodes[:0]
+}
+
+// logBlock lists block id in the change log.
+func (m *Maintainer) logBlock(id int32) {
+	for len(m.blockLogged) <= int(id) {
+		m.blockLogged = append(m.blockLogged, false)
+	}
+	if !m.blockLogged[id] {
+		m.blockLogged[id] = true
+		m.logBlocks = append(m.logBlocks, id)
+	}
 }
 
 // Apply applies ΔG and updates the maintained compression so that it
@@ -329,46 +387,75 @@ func (m *Maintainer) sweep(st *Stats) {
 		st.DirtyNodes += len(stratum)
 		groupOf, groups := m.ref.Refine(g, stratum, m.blockOf)
 
-		// Match each group against the old partition: it keeps its block id
-		// iff every member carries that id and the block has no other
-		// members; otherwise it is a new block.
+		// Match each group against the old partition. A group takes over the
+		// id of the old block most of its members come from (a Boyer–Moore
+		// vote per group, confirmed by a count) when that block also gives
+		// it more than half of its own members — at most one group can claim
+		// that — so a block that grows, shrinks or splits keeps its id on
+		// the larger side and only the nodes that change sides move. Any
+		// other group is a new block. Soundness needs no more than ids
+		// naming blocks one to one at any time and every node whose id
+		// changes dirtying its predecessors: a stratum none of whose
+		// successors changed id sees the same signatures as before.
 		if cap(m.oldID) < groups {
 			m.oldID = make([]int32, groups+groups/4)
+			m.occ = make([]int32, groups+groups/4)
 			m.count = make([]int32, groups+groups/4)
 			m.assign = make([]int32, groups+groups/4)
 		}
-		oldID, count, assign := m.oldID[:groups], m.count[:groups], m.assign[:groups]
+		oldID, occ, count, assign := m.oldID[:groups], m.occ[:groups], m.count[:groups], m.assign[:groups]
 		clear(count)
+		clear(occ)
 		for k, v := range stratum {
 			gi := groupOf[k]
-			if count[gi] == 0 {
-				oldID[gi] = m.blockOf[v]
-			} else if oldID[gi] != m.blockOf[v] {
-				oldID[gi] = -1
+			switch b := m.blockOf[v]; {
+			case occ[gi] == 0:
+				oldID[gi], occ[gi] = b, 1
+			case oldID[gi] == b:
+				occ[gi]++
+			default:
+				occ[gi]--
 			}
 			count[gi]++
 		}
+		clear(occ)
+		for k, v := range stratum {
+			if gi := groupOf[k]; m.blockOf[v] == oldID[gi] {
+				occ[gi]++
+			}
+		}
 		for gi := range assign {
-			if id := oldID[gi]; id >= 0 && m.size[id] == count[gi] {
+			id, n := oldID[gi], occ[gi]
+			switch {
+			case id < 0 || 2*n <= m.size[id]:
+				id = m.newID()
+			case n == count[gi] && n == m.size[id]:
 				assign[gi] = -1 // block survived unchanged
 				continue
 			}
-			assign[gi] = m.newID(count[gi])
+			assign[gi] = id
+			m.logBlock(id)
 			st.ChangedBlocks++
 		}
 		r := m.rank[stratum[0]]
 		for k, v := range stratum {
-			id := assign[groupOf[k]]
-			if id < 0 {
+			id, was := assign[groupOf[k]], m.blockOf[v]
+			if id < 0 || id == was {
 				continue
 			}
-			if was := m.blockOf[v]; was >= 0 {
+			if was >= 0 {
 				m.size[was]--
 				if m.size[was] == 0 {
 					m.emptied = append(m.emptied, was)
 				}
+				m.logBlock(was)
 			}
 			m.blockOf[v] = id
+			m.size[id]++
+			if !m.nodeLogged[v] {
+				m.nodeLogged[v] = true
+				m.logNodes = append(m.logNodes, v)
+			}
 			for _, p := range g.Predecessors(v) {
 				if m.rank[p] > r {
 					m.markDirty(bisim.StratumIndex(m.rank[p]))
@@ -376,20 +463,19 @@ func (m *Maintainer) sweep(st *Stats) {
 			}
 		}
 	}
-	// Ids are recycled only across sweeps: within one, an unchanged id must
-	// mean "had this id before the batch".
+	// Ids are recycled only across sweeps: within one, a node carrying an id
+	// must have carried it before the batch or been moved into it.
 	m.freeIDs = append(m.freeIDs, m.emptied...)
 	m.emptied = m.emptied[:0]
 }
 
-// newID returns an unused block id, recording its size.
-func (m *Maintainer) newID(size int32) int32 {
+// newID returns an unused block id, its size zero.
+func (m *Maintainer) newID() int32 {
 	if n := len(m.freeIDs); n > 0 {
 		id := m.freeIDs[n-1]
 		m.freeIDs = m.freeIDs[:n-1]
-		m.size[id] = size
 		return id
 	}
-	m.size = append(m.size, size)
+	m.size = append(m.size, 0)
 	return int32(len(m.size) - 1)
 }

@@ -186,3 +186,69 @@ func TestStatsReportWork(t *testing.T) {
 		t.Fatalf("effective updates but no strata recomputed: %+v", st)
 	}
 }
+
+// TestChangeLogCoversEveryMove pins the contract a mirror of the partition
+// relies on: between two ResetChanges calls — over one batch or several —
+// every node whose block id differs is in the log's nodes, every id whose
+// member set differs is in its blocks, sizes count carriers, and an id no
+// batch touched names the same members as before.
+func TestChangeLogCoversEveryMove(t *testing.T) {
+	for _, insert := range []int{1, 2, 4} { // 1 in insert updates are deletions
+		rng := rand.New(rand.NewSource(int64(40 + insert)))
+		// Sparse and two-labeled: large blocks of sinks that grow, shrink,
+		// split and empty as edges come and go.
+		g := randomLabeled(rng, 600, 700, 2)
+		m := New(g)
+		m.ResetChanges()
+		prev := append([]int32(nil), m.blockOf...)
+		for round := 0; round < 120; round++ {
+			for k := 1 + round%3; k > 0; k-- { // the log spans 1–3 batches
+				var batch []graph.Update
+				edges := m.Graph().EdgeList()
+				for i := 0; i < 12; i++ {
+					if rng.Intn(insert) == 0 && len(edges) > 0 {
+						e := edges[rng.Intn(len(edges))]
+						batch = append(batch, graph.Deletion(e[0], e[1]))
+					} else {
+						batch = append(batch, graph.Insertion(graph.Node(rng.Intn(600)), graph.Node(rng.Intn(600))))
+					}
+				}
+				m.Apply(batch)
+			}
+			checkAgainstBatch(t, m)
+			blocks, nodes := m.Changes()
+			inBlocks, inNodes := map[int32]bool{}, map[graph.Node]bool{}
+			for _, b := range blocks {
+				if inBlocks[b] {
+					t.Fatalf("round %d: block %d logged twice", round, b)
+				}
+				inBlocks[b] = true
+			}
+			for _, v := range nodes {
+				if inNodes[v] {
+					t.Fatalf("round %d: node %d logged twice", round, v)
+				}
+				inNodes[v] = true
+			}
+			carriers := make([]int, m.NumBlockIDs())
+			for v, id := range m.blockOf {
+				carriers[id]++
+				if id != prev[v] {
+					if !inNodes[graph.Node(v)] {
+						t.Fatalf("round %d: node %d went from block %d to %d unlogged", round, v, prev[v], id)
+					}
+					if !inBlocks[id] || !inBlocks[prev[v]] {
+						t.Fatalf("round %d: node %d went from block %d to %d but the log's blocks are %v", round, v, prev[v], id, blocks)
+					}
+				}
+			}
+			for id, n := range carriers {
+				if m.BlockSize(int32(id)) != n {
+					t.Fatalf("round %d: block %d has size %d but %d carriers", round, id, m.BlockSize(int32(id)), n)
+				}
+			}
+			copy(prev, m.blockOf)
+			m.ResetChanges()
+		}
+	}
+}

@@ -8,6 +8,7 @@
 package maintain
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/dynscc"
@@ -29,16 +30,41 @@ type Pair struct {
 	// spends on the condensation plus incRCM, and on incPCM. With both nil
 	// Apply reads no clock.
 	ReachTime, PatternTime *obs.Histogram
+
+	// sources lists, once each, the nodes whose successor lists changed
+	// since ClearSources: the From of every effective update.
+	sources []graph.Node
+	isSrc   []bool
 }
 
 // New takes ownership of g and compresses it under both schemes.
 func New(g *graph.Graph) *Pair {
 	cond := dynscc.New(g)
-	return &Pair{cond: cond, Reach: increach.Over(cond), Pattern: incbisim.Over(cond)}
+	return &Pair{
+		cond: cond, Reach: increach.Over(cond), Pattern: incbisim.Over(cond),
+		isSrc: make([]bool, g.NumNodes()),
+	}
 }
 
 // Graph returns the maintained graph; mutate it only through Apply.
 func (p *Pair) Graph() *graph.Graph { return p.cond.Graph() }
+
+// Sources returns, ascending and each once, the nodes whose successor
+// lists changed since ClearSources — what graph.FreezePatch needs to bring
+// a snapshot of Graph() taken then up to date. Valid until the next Apply
+// or ClearSources.
+func (p *Pair) Sources() []graph.Node {
+	slices.Sort(p.sources)
+	return p.sources
+}
+
+// ClearSources empties the list Sources returns.
+func (p *Pair) ClearSources() {
+	for _, v := range p.sources {
+		p.isSrc[v] = false
+	}
+	p.sources = p.sources[:0]
+}
 
 // Apply applies ΔG to the graph and brings both compressions to
 // R(G ⊕ ΔG).
@@ -49,6 +75,12 @@ func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {
 		t0 = time.Now()
 	}
 	eff := p.cond.Graph().Reduce(batch)
+	for _, up := range eff {
+		if !p.isSrc[up.From] {
+			p.isSrc[up.From] = true
+			p.sources = append(p.sources, up.From)
+		}
+	}
 	d := p.cond.Apply(eff)
 	rs := p.Reach.Absorb(len(eff), d)
 	if timed {

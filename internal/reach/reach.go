@@ -2,6 +2,7 @@ package reach
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -20,7 +21,8 @@ const SigmaLabel = "σ"
 // needed for reachability).
 type Compressed struct {
 	// Gr is the compressed graph. Any reachability algorithm runs on it
-	// unmodified.
+	// unmodified. Nil in the views of a store snapshot, which publish the
+	// quotient as a CSR instead.
 	Gr *graph.Graph
 	// classOf maps every node of G to its class node in Gr (the mapping R).
 	classOf []graph.Node
@@ -49,14 +51,20 @@ func (c *Compressed) Rewrite(u, v graph.Node) (graph.Node, graph.Node) {
 func (c *Compressed) NumClasses() int { return len(c.Members) }
 
 // Ratio returns the compression ratio RCr = |Gr| / |G| for the original
-// graph g.
+// graph g. It is NaN for a compression assembled without Gr — the views of
+// a store snapshot, which publish the quotient as a frozen CSR beside the
+// mapping; Store.Stats reports their ratios.
 func (c *Compressed) Ratio(g *graph.Graph) float64 {
+	if c.Gr == nil {
+		return math.NaN()
+	}
 	return float64(c.Gr.Size()) / float64(g.Size())
 }
 
 // AssembleCompressed packages an externally maintained or decoded quotient
 // with its node mapping into a Compressed value. Used by the incremental
-// maintainer, the store's reorder pass and the snapshot decoder.
+// maintainer, the store's reorder pass and the snapshot decoder; the store
+// passes a nil gr, since its views carry the quotient as a frozen CSR.
 func AssembleCompressed(gr *graph.Graph, classOf []graph.Node, members [][]graph.Node, cyclic []bool) *Compressed {
 	return &Compressed{Gr: gr, classOf: classOf, Members: members, CyclicClass: cyclic}
 }

@@ -45,7 +45,7 @@ func (sn *Snapshot) BatchReachable(bs *queries.BatchScratch, us, vs []graph.Node
 	checkBatchArgs(len(us), len(vs), len(out))
 	rc := sn.Reach.Compressed
 	gr := sn.Reach.Gr
-	h2 := sn.Reach.Index
+	h2 := sn.Reach.Index()
 	cyc := rc.CyclicClass
 	sn.bstats.lanes.Add(uint64(len(us)))
 	var ru, rv [queries.MaxBatch]graph.Node
@@ -280,8 +280,8 @@ func (sn *ShardedSnapshot) batchWave(brs *BatchRouteScratch, us, vs []graph.Node
 					out[i] = true
 					continue
 				}
-			} else if cu < cv && sh.Reach.Index != nil {
-				if sh.Reach.Index.Reachable(cu, cv) {
+			} else if cu < cv {
+				if idx := sh.Reach.Index(); idx != nil && idx.Reachable(cu, cv) {
 					peeled++ // index-answered: the sharded hybrid leaf
 					out[i] = true
 					continue
@@ -295,7 +295,7 @@ func (sn *ShardedSnapshot) batchWave(brs *BatchRouteScratch, us, vs []graph.Node
 	}
 	for s := 0; s < nshards; s++ {
 		sh := &sn.Shards[s]
-		if sh.Reach.Index != nil {
+		if sh.Reach.hop != nil {
 			continue // already answered above
 		}
 		var lanes uint64

@@ -145,7 +145,7 @@ func TestSnapshotLoadIsLazy(t *testing.T) {
 		if materialized(r) {
 			t.Fatal("write-side state built during a clean snapshot load (lazy path broken)")
 		}
-		if mono, ok := r.(*Store); ok && mono.Snapshot().Reach.Index == nil {
+		if mono, ok := r.(*Store); ok && mono.Snapshot().Reach.Index() == nil {
 			t.Fatal("recovered snapshot lost its 2-hop index")
 		}
 		diffVsReference(t, "lazy", r, mirror)

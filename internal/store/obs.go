@@ -25,6 +25,15 @@ type storeObs struct {
 	stageWAL, stageReach, stagePattern, stagePublish *obs.Histogram
 	leaf                                             *obs.Histogram // qpgc_query stage: leaf engine time per wave (sampled)
 	summary                                          *obs.Histogram // qpgc_query stage: cross-shard summary hop per wave (sampled)
+	// Publish by stage, qpgc_store_publish_seconds{stage=...}: the snapshot
+	// of G, the reach view, the pattern view and the swap on the writer; the
+	// 2-hop index where it is built, which is the first reader that wants
+	// it. pubFull counts publishes that had a snapshot to patch and rebuilt
+	// a view in full anyway; pubRows is the quotient rows patched per epoch.
+	pubStage [numPubStages]*obs.Histogram
+	pubIndex *obs.Histogram
+	pubFull  *obs.Counter
+	pubRows  *obs.Histogram
 
 	lastPublish atomic.Int64  // unix nanos of the latest publish, for epoch age
 	tick        atomic.Uint32 // wave sample clock for sampleWave
@@ -48,6 +57,44 @@ func (so *storeObs) sampleWave() bool {
 	return so != nil && so.tick.Add(1)%obsSampleWaves == 0
 }
 
+// pubStage names a stage of publish on the writer.
+type pubStage int
+
+const (
+	pubFreeze pubStage = iota
+	pubReach
+	pubPattern
+	pubSwap
+	numPubStages
+)
+
+var pubStageNames = [numPubStages]string{"freeze", "reach", "pattern", "swap"}
+
+// publishClock splits one publish into its stages; the zero value (metrics
+// off) reads no clock.
+type publishClock struct {
+	so          *storeObs
+	start, last time.Time
+}
+
+func (so *storeObs) startPublish() publishClock {
+	if so == nil {
+		return publishClock{}
+	}
+	now := time.Now()
+	return publishClock{so: so, start: now, last: now}
+}
+
+// lap charges the time since the previous lap to stage st.
+func (c *publishClock) lap(st pubStage) {
+	if c.so == nil {
+		return
+	}
+	now := time.Now()
+	c.so.pubStage[st].Observe(now.Sub(c.last))
+	c.last = now
+}
+
 // newStoreObs builds the direct-fed instruments; nil registry → nil.
 func newStoreObs(r *obs.Registry) *storeObs {
 	if r == nil {
@@ -63,21 +110,40 @@ func newStoreObs(r *obs.Registry) *storeObs {
 		stagePublish: r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "publish")),
 		leaf:         r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageLeaf.String())),
 		summary:      r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageSummary.String())),
+
+		pubIndex: r.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", "index")),
+		pubFull:  r.Counter("qpgc_store_publish_full_total"),
+		pubRows:  r.Histogram("qpgc_store_publish_patched_rows"),
+	}
+	for st, name := range pubStageNames {
+		so.pubStage[st] = r.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", name))
 	}
 	so.lastPublish.Store(time.Now().UnixNano())
 	return so
 }
 
-// notePublish records one publish begun at start: its latency and the
-// epoch-age anchor.
-func (so *storeObs) notePublish(start time.Time) {
+// notePublish records one publish begun at start: its latency, whether it
+// fell back to a full build, and the epoch-age anchor.
+func (so *storeObs) notePublish(start time.Time, fellBack bool) {
 	if so == nil {
 		return
 	}
-	d := time.Since(start)
+	now := time.Now()
+	d := now.Sub(start)
 	so.publish.Observe(d)
 	so.stagePublish.Observe(d)
-	so.lastPublish.Store(time.Now().UnixNano())
+	if fellBack {
+		so.pubFull.Inc()
+	}
+	so.lastPublish.Store(now.UnixNano())
+}
+
+// notePatched records the quotient rows one publish patched. The histogram
+// counts rows, not time: the exposition's seconds scale reads as rows·1e-9.
+func (so *storeObs) notePatched(rows int) {
+	if so != nil {
+		so.pubRows.ObserveNs(int64(rows))
+	}
 }
 
 // ageSeconds is the epoch-age gauge: seconds since the latest publish.

@@ -3,8 +3,10 @@ package store
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -42,7 +44,7 @@ func TestApplyStageHistograms(t *testing.T) {
 	t.Run("store", func(t *testing.T) {
 		g := gen.Social(rand.New(rand.NewSource(3)), 400, 1600, 3)
 		reg := obs.NewRegistry()
-		s := mustOpen(t, g.Clone(), &Options{Dir: t.TempDir(), Obs: reg})
+		s := mustOpen(t, g.Clone(), &Options{Indexes: true, Dir: t.TempDir(), Obs: reg})
 		defer s.Close()
 		rng := rand.New(rand.NewSource(4))
 		for i := 0; i < batches; i++ {
@@ -51,6 +53,38 @@ func TestApplyStageHistograms(t *testing.T) {
 			}
 		}
 		check(t, reg, batches)
+
+		// Publish splits into the writer's four stages, observed once per
+		// publish and summing to the publish total (the laps leave out only
+		// the bookkeeping after the last one); the 2-hop index is timed where
+		// it is built — by the epoch-0 checkpoint, which writes one, and by
+		// the reader that first asks for it — never on the writer.
+		pub := reg.Histogram("qpgc_store_publish_seconds").Snapshot()
+		var laps time.Duration
+		for _, name := range pubStageNames {
+			h := reg.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", name)).Snapshot()
+			if h.Count != pub.Count {
+				t.Fatalf("publish stage %s observed %d times for %d publishes", name, h.Count, pub.Count)
+			}
+			laps += h.Sum
+		}
+		if laps > pub.Sum || laps < pub.Sum*9/10 {
+			t.Fatalf("publish stages sum to %v of a publish total of %v, want within 10%%", laps, pub.Sum)
+		}
+		index := func() uint64 {
+			return reg.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", "index")).Snapshot().Count
+		}
+		if n := index(); n != 1 {
+			t.Fatalf("%d 2-hop indexes built before any read, want the epoch-0 checkpoint's alone", n)
+		}
+		s.BatchReachable([]graph.Node{0, 1}, []graph.Node{2, 3})
+		s.BatchReachable([]graph.Node{0, 1}, []graph.Node{2, 3})
+		if n := index(); n != 2 {
+			t.Fatalf("two batch reads on one epoch left %d index builds, want one more than before", n)
+		}
+		if rows := reg.Histogram("qpgc_store_publish_patched_rows").Snapshot(); rows.Count == 0 || rows.Count > batches {
+			t.Fatalf("patched-rows histogram observed %d epochs of %d", rows.Count, batches)
+		}
 
 		bare := mustOpen(t, g.Clone(), nil)
 		defer bare.Close()

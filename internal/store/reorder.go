@@ -29,10 +29,9 @@ import (
 // level order (reach quotients are DAGs with self-loops), which both packs
 // BFS levels contiguously and unlocks the one-pass batch sweep
 // (queries.BatchReachableTopo) on the published quotient.
-// The relabel (and the Thaw repopulating the mutable Gr field some
-// consumers expect) is O(|Gr| log d) — the same order as the quotient
-// freeze each publish already pays, and proportional to the SMALL
-// compressed graph, never to G.
+// The relabel is O(|Gr|) plus O(|V|) for the class map. The returned
+// Compressed carries no mutable Gr: the permuted CSR beside it is the
+// quotient every store-side reader uses.
 func reorderReach(rc *reach.Compressed, gr *graph.CSR) (*reach.Compressed, *graph.CSR) {
 	ro := graph.ApplyPerm(gr, graph.ReorderTopoPerm(gr))
 	nq := gr.NumNodes()
@@ -47,7 +46,7 @@ func reorderReach(rc *reach.Compressed, gr *graph.CSR) (*reach.Compressed, *grap
 		members[ro.NewID[c]] = rc.Members[c]
 		cyclic[ro.NewID[c]] = rc.CyclicClass[c]
 	}
-	return reach.AssembleCompressed(ro.C.Thaw(), newClassOf, members, cyclic), ro.C
+	return reach.AssembleCompressed(nil, newClassOf, members, cyclic), ro.C
 }
 
 // reorderPattern is reorderReach for a bisimulation compression.
@@ -63,5 +62,5 @@ func reorderPattern(pc *bisim.Compressed, gr *graph.CSR) (*bisim.Compressed, *gr
 	for b := 0; b < nq; b++ {
 		members[ro.NewID[b]] = pc.Members[b]
 	}
-	return bisim.AssembleCompressed(ro.C.Thaw(), newBlockOf, members), ro.C
+	return bisim.AssembleCompressed(nil, newBlockOf, members), ro.C
 }

@@ -33,6 +33,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,7 +42,6 @@ import (
 	"repro/internal/bisim"
 	"repro/internal/faultfs"
 	"repro/internal/graph"
-	"repro/internal/hop2"
 	"repro/internal/maintain"
 	"repro/internal/obs"
 	"repro/internal/part"
@@ -269,8 +269,8 @@ func (sn *ShardedSnapshot) Reachable(rs *RouteScratch, u, v graph.Node) bool {
 	if su == sv {
 		sh := &sn.Shards[su]
 		cu, cv := sh.Reach.Compressed.Rewrite(lu, lv)
-		if sh.Reach.Index != nil {
-			if sh.Reach.Index.Reachable(cu, cv) {
+		if idx := sh.Reach.Index(); idx != nil {
+			if idx.Reachable(cu, cv) {
 				return true
 			}
 		} else if queries.ReachableBiCSR(sh.Reach.Gr, rs.local, cu, cv) {
@@ -450,21 +450,22 @@ type shardCmd struct {
 // shardEpochView is one shard's contribution to a publish, filled in by
 // the shard writer.
 type shardEpochView struct {
-	g     *graph.CSR
-	rGr   *graph.CSR
-	rc    *reach.Compressed
-	part  *bisim.Partition
-	dirty bool
+	g    *graph.CSR
+	rGr  *graph.CSR
+	rc   *reach.Compressed
+	hop  *hopCell
+	part *bisim.Partition
 }
 
 // shardWorker owns one shard's incremental maintainers; only its writer
 // goroutine touches them.
 type shardWorker struct {
-	local *graph.Graph // handed to run(), which builds the maintainers
-	reqs  chan *shardCmd
-	done  chan struct{}
-	hist  *obs.Histogram // per-shard batch latency; nil when metrics are off
-	ob    *storeObs      // the store's stage histograms; nil when metrics are off
+	local   *graph.Graph // handed to run(), which builds the maintainers
+	indexes bool         // reach views get a 2-hop cell
+	reqs    chan *shardCmd
+	done    chan struct{}
+	hist    *obs.Histogram // per-shard batch latency; nil when metrics are off
+	ob      *storeObs      // the store's stage histograms; nil when metrics are off
 }
 
 func (w *shardWorker) run() {
@@ -475,6 +476,7 @@ func (w *shardWorker) run() {
 	}
 	w.local = nil
 	var cached shardEpochView
+	var gp graph.Patcher
 	reachGen := uint64(noGen)
 	for cmd := range w.reqs {
 		if len(cmd.batch) > 0 || cached.g == nil {
@@ -485,27 +487,35 @@ func (w *shardWorker) run() {
 			if len(cmd.batch) > 0 {
 				m.Apply(cmd.batch)
 			}
-			cached.g = m.Graph().Freeze()
-			// The reach view — and with it the coordinator's 2-hop index
-			// for this shard — is rebuilt only when the shard's
-			// compression moved. Locality pass: the quotient is relabeled
-			// by its topological permutation, baked into the class mapping
-			// so the routed read path and the boundary summary build see
-			// one consistent (permuted) id space.
+			clk := w.ob.startPublish()
+			// The shard's snapshot of its subgraph is the previous one with
+			// the sub-batch's rows spliced in, as on the monolithic store.
+			switch srcs := m.Sources(); {
+			case cached.g == nil || maxPatchShare*len(srcs) > cached.g.NumNodes():
+				cached.g = m.Graph().Freeze()
+			case len(srcs) > 0:
+				cached.g = m.Graph().FreezePatch(&gp, cached.g, srcs)
+			}
+			m.ClearSources()
+			clk.lap(pubFreeze)
+			// The reach view — and with it the shard's 2-hop cell — is
+			// rebuilt only when the shard's compression moved. Locality
+			// pass: the quotient is relabeled by its topological
+			// permutation, baked into the class mapping so the routed read
+			// path and the boundary summary build see one consistent
+			// (permuted) id space.
 			if gen := m.Reach.Generation(); gen != reachGen {
 				cached.rc, cached.rGr = reorderReach(m.Reach.CompressedCSR())
+				cached.hop = newHopCell(w.indexes, w.ob)
 				reachGen = gen
-				cmd.view.dirty = true
 			}
+			clk.lap(pubReach)
 			cached.part = m.Pattern.Partition()
 			if w.hist != nil {
 				w.hist.Observe(time.Since(start))
 			}
 		}
-		cmd.view.g = cached.g
-		cmd.view.rGr = cached.rGr
-		cmd.view.rc = cached.rc
-		cmd.view.part = cached.part
+		*cmd.view = cached
 		cmd.wg.Done()
 	}
 }
@@ -535,7 +545,7 @@ type ShardedStore struct {
 	boundary      []graph.Node   // cached global boundary list
 	shardBoundary [][]graph.Node // cached per-shard boundary lists
 	boundaryDirty bool
-	hopIdx        []*hop2.Index     // cached per-shard 2-hop indexes
+	crossDirty    bool              // a crossOut row changed since the last install
 	views         []*shardEpochView // latest per-shard views
 	routed        [][]graph.Update  // per-shard sub-batches routed since the last round trip
 
@@ -607,7 +617,6 @@ func (s *ShardedStore) build(g *graph.Graph) {
 func (s *ShardedStore) setPartition(p *part.Partition, labels *graph.Labels) {
 	s.p, s.labels, s.nodes, s.shards = p, labels, len(p.ShardOf), p.K
 	s.crossOut, s.crossInDeg, s.crossEdges = p.CrossOut, p.CrossInDeg, p.CrossEdges
-	s.hopIdx = make([]*hop2.Index, p.K)
 	s.views = make([]*shardEpochView, p.K)
 	s.routed = make([][]graph.Update, p.K)
 }
@@ -684,6 +693,7 @@ func (s *ShardedStore) applyCross(u, v graph.Node, insert bool) bool {
 		s.crossInDeg[v]--
 		s.crossEdges--
 	}
+	s.crossDirty = true
 	if isB := len(s.crossOut[u]) > 0 || s.crossInDeg[u] > 0; isB != wasBoundaryU {
 		s.boundaryDirty = true
 	}
@@ -725,11 +735,12 @@ func (s *ShardedStore) startWorkers(locals []*graph.Graph) {
 	s.workers = make([]*shardWorker, len(locals))
 	for i, local := range locals {
 		w := &shardWorker{
-			local: local,
-			reqs:  make(chan *shardCmd),
-			done:  make(chan struct{}),
-			hist:  shardBatchHist(s.cfg.Obs, i),
-			ob:    s.ob,
+			local:   local,
+			indexes: s.cfg.Indexes,
+			reqs:    make(chan *shardCmd),
+			done:    make(chan struct{}),
+			hist:    shardBatchHist(s.cfg.Obs, i),
+			ob:      s.ob,
 		}
 		s.workers[i] = w
 		go w.run()
@@ -801,7 +812,7 @@ func shardedParts(s *ShardedStore, sn *ShardedSnapshot) *snapfile.ShardedParts {
 			ReachClassOf: sv.Reach.Compressed.ClassMap(),
 			ReachMembers: sv.Reach.Compressed.Members,
 			ReachCyclic:  sv.Reach.Compressed.CyclicClass,
-			ReachIndex:   sv.Reach.Index,
+			ReachIndex:   sv.Reach.Index(),
 		}
 	}
 	return p
@@ -850,11 +861,8 @@ func (s *ShardedStore) load(fsys faultfs.FS, path string) (uint64, error) {
 	shards := make([]ShardView, k)
 	for i := 0; i < k; i++ {
 		sp := &parts.Shards[i]
-		rc := reach.AssembleCompressed(sp.ReachGr.Thaw(), sp.ReachClassOf, sp.ReachMembers, sp.ReachCyclic)
-		if s.cfg.Indexes {
-			s.hopIdx[i] = sp.ReachIndex
-		}
-		shards[i] = s.shardView(i, sp.G, ReachView{Gr: sp.ReachGr, Compressed: rc, Index: sp.ReachIndex}, parts.Summary)
+		rc := reach.AssembleCompressed(nil, sp.ReachClassOf, sp.ReachMembers, sp.ReachCyclic)
+		shards[i] = s.shardView(i, sp.G, ReachView{Gr: sp.ReachGr, Compressed: rc, hop: loadedHopCell(sp.ReachIndex)}, parts.Summary)
 	}
 	s.install(&ShardedSnapshot{
 		Epoch:    parts.Epoch,
@@ -870,51 +878,32 @@ func (s *ShardedStore) load(fsys faultfs.FS, path string) (uint64, error) {
 // Called from OpenSharded and then only from the coordinator goroutine.
 func (s *ShardedStore) publish(epoch uint64) {
 	s.roundTrip()
-	start := time.Now()
+	clk := s.ob.startPublish()
 	k := s.shards
 	if s.boundaryDirty {
 		s.setBoundary(part.BoundaryNodes(s.crossOut, s.crossInDeg))
 		s.boundaryDirty = false
 	}
 
-	// Per-shard 2-hop indexes; clean shards reuse the cached index.
-	hopWanted := make([]*graph.CSR, k)
 	rcs := make([]*reach.Compressed, k)
 	grs := make([]*graph.CSR, k)
-	for i := 0; i < k; i++ {
-		v := s.views[i]
-		rcs[i] = v.rc
-		grs[i] = v.rGr
-		if s.cfg.Indexes && (v.dirty || s.hopIdx[i] == nil) {
-			hopWanted[i] = v.rGr
-		}
-	}
-	summary := part.BuildSummary(s.boundary, s.crossOut, s.shardBoundary, s.p.LocalID, rcs, grs)
-	if s.cfg.Indexes {
-		built := hop2.BuildAll(hopWanted, 0)
-		for i := 0; i < k; i++ {
-			if built[i] != nil {
-				s.hopIdx[i] = built[i]
-			}
-		}
-	}
-
 	locals := make([]*graph.CSR, k)
 	parts := make([]*bisim.Partition, k)
-	for i := 0; i < k; i++ {
-		locals[i] = s.views[i].g
-		parts[i] = s.views[i].part
+	for i, v := range s.views {
+		rcs[i], grs[i], locals[i], parts[i] = v.rc, v.rGr, v.g, v.part
 	}
+	summary := part.BuildSummary(s.boundary, s.crossOut, s.shardBoundary, s.p.LocalID, rcs, grs)
+	clk.lap(pubReach)
 	stitched := part.BuildStitched(s.p, locals, parts, s.crossOut, s.labels)
+	clk.lap(pubPattern)
 
 	shards := make([]ShardView, k)
-	for i := 0; i < k; i++ {
-		v := s.views[i]
-		shards[i] = s.shardView(i, v.g, ReachView{Gr: v.rGr, Compressed: v.rc, Index: s.hopIdx[i]}, summary)
-		v.dirty = false
+	for i, v := range s.views {
+		shards[i] = s.shardView(i, v.g, ReachView{Gr: v.rGr, Compressed: v.rc, hop: v.hop}, summary)
 	}
 	s.install(&ShardedSnapshot{Epoch: epoch, Shards: shards, Summary: summary, Stitched: stitched})
-	s.ob.notePublish(start)
+	clk.lap(pubSwap)
+	s.ob.notePublish(clk.start, false)
 }
 
 // setBoundary caches the global boundary list and its per-shard split.
@@ -941,10 +930,17 @@ func (s *ShardedStore) shardView(i int, g *graph.CSR, rv ReachView, sum *part.Su
 
 // install completes sn from the coordinator's state — the partition, this
 // epoch's cross-shard rows, empty hub slots — and makes it the current
-// snapshot.
+// snapshot. Rows of crossOut are copy-on-write, so the |V|-long header is
+// copied only for an epoch that changed one; otherwise the previous
+// snapshot's is carried.
 func (s *ShardedStore) install(sn *ShardedSnapshot) {
 	sn.p = s.p
-	sn.crossOut = append([][]graph.Node(nil), s.crossOut...)
+	if old := s.snap.Load(); old != nil && !s.crossDirty {
+		sn.crossOut = old.crossOut
+	} else {
+		sn.crossOut = slices.Clone(s.crossOut)
+		s.crossDirty = false
+	}
 	sn.crossEdges, sn.edges = s.crossEdges, s.crossEdges
 	for i := range sn.Shards {
 		sn.edges += sn.Shards[i].G.NumEdges()

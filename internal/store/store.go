@@ -103,8 +103,9 @@ const maxCoalesce = 32
 type Options struct {
 	// Indexes controls whether each snapshot carries a 2-hop reachability
 	// index built over the reachability quotient (the paper's Fig. 12(d)
-	// point: indexing Gr is cheap where indexing G is not). Building it
-	// adds per-epoch work proportional to the (small) quotient. When
+	// point: indexing Gr is cheap where indexing G is not). It is built —
+	// work proportional to the (small) quotient — by the first reader of a
+	// reach view that wants it, or a checkpoint, never by the writer. When
 	// recovering from a durable directory, the loaded snapshot's own
 	// index presence wins, so a store restarts with the configuration it
 	// was serving.
@@ -171,9 +172,20 @@ type ReachView struct {
 	// Compressed carries the node mapping R (Rewrite/ClassOf) and the
 	// class member index for this epoch.
 	Compressed *reach.Compressed
-	// Index is a 2-hop reachability labeling over Gr, nil unless
-	// Options.Indexes.
-	Index *hop2.Index
+	// hop holds the 2-hop labeling over Gr, nil unless Options.Indexes.
+	hop *hopCell
+}
+
+// Index returns the 2-hop reachability labeling over Gr, nil unless
+// Options.Indexes. The writer does not build it: the first caller on a
+// view does (the batch read path, ReachableHop2, a checkpoint), later ones
+// and every epoch that carries the view over find it built. Safe for
+// concurrent use.
+func (rv ReachView) Index() *hop2.Index {
+	if rv.hop == nil {
+		return nil
+	}
+	return rv.hop.get(rv.Gr)
 }
 
 // PatternView is the pattern-compressed face of one snapshot.
@@ -268,11 +280,12 @@ func (sn *Snapshot) ReachableOnG(s *queries.Scratch, u, v graph.Node) bool {
 // (Options.Indexes false), letting callers fall back to a traversal-based
 // path.
 func (sn *Snapshot) ReachableHop2(u, v graph.Node) (reachable, ok bool) {
-	if sn.Reach.Index == nil {
+	idx := sn.Reach.Index()
+	if idx == nil {
 		return false, false
 	}
 	cu, cv := sn.Reach.Compressed.Rewrite(u, v)
-	return sn.Reach.Index.Reachable(cu, cv), true
+	return idx.Reachable(cu, cv), true
 }
 
 // Match computes the maximum match of p on the compressed graph and expands
@@ -330,9 +343,15 @@ type Store struct {
 	// that makes a warm restart O(read) instead of O(recompress).
 	// reachGen/patternGen are the maintainer generations the current
 	// snapshot's views were built at (noGen when they came from a file).
-	// Only the writer goroutine (or Open, before it starts) touches these.
+	// full makes the next publish build every view from scratch — set
+	// whenever m is new, so nothing of the previous snapshot describes it.
+	// gp and pp are publish's scratch and id maps (publish.go). Only the
+	// writer goroutine (or Open, before it starts) touches these.
 	m                    *maintain.Pair
 	reachGen, patternGen uint64
+	full                 bool
+	gp                   graph.Patcher
+	pp                   patternPatcher
 
 	snap     atomic.Pointer[Snapshot]
 	scratch  sync.Pool // *queries.Scratch
@@ -407,7 +426,7 @@ const noGen = ^uint64(0)
 // as the store's write-side state.
 func (s *Store) setMaintainers(g *graph.Graph) {
 	s.m = maintain.New(g)
-	s.reachGen, s.patternGen = noGen, noGen
+	s.reachGen, s.patternGen, s.full = noGen, noGen, true
 	if s.ob != nil {
 		s.m.ReachTime, s.m.PatternTime = s.ob.stageReach, s.ob.stagePattern
 	}
@@ -437,16 +456,34 @@ func (s *Store) edges() int { return s.Snapshot().G.NumEdges() }
 
 func (s *Store) stop() {}
 
-// publish rebuilds the snapshot from the maintainers and swaps it in.
-// Called from Open and then only from the writer goroutine.
+// publish builds epoch's snapshot and swaps it in: from the maintainers
+// alone when they are new (open, materialize), otherwise from the previous
+// snapshot patched by what the group changed (publish.go). Called from Open
+// and then only from the writer goroutine.
 func (s *Store) publish(epoch uint64) {
-	start := time.Now()
+	clk := s.ob.startPublish()
 	old := s.snap.Load()
-	sn := &Snapshot{Epoch: epoch, G: s.m.Graph().Freeze()}
+	sn := &Snapshot{Epoch: epoch}
+	fellBack := false
+
+	srcs := s.m.Sources()
+	switch {
+	case s.full:
+		sn.G = s.m.Graph().Freeze()
+	case len(srcs) == 0: // nothing effective: the same G, and its reordered view if one was made
+		sn.G, sn.gperm = old.G, old.gperm
+		sn.gord.Store(old.gord.Load())
+	case maxPatchShare*len(srcs) > s.nodes:
+		sn.G, fellBack = s.m.Graph().Freeze(), true
+	default:
+		sn.G = s.m.Graph().FreezePatch(&s.gp, old.G, srcs)
+	}
+	clk.lap(pubFreeze)
+
 	// A view is rebuilt only when its maintainer's compression moved since
 	// the previous snapshot; an epoch whose updates were all redundant for
 	// a scheme carries that scheme's view — class index, reordered Gr,
-	// 2-hop index — over untouched. When rebuilt, the quotient is relabeled
+	// 2-hop cell — over untouched. When rebuilt, the quotient is relabeled
 	// by its locality permutation (baked into the class mapping, so queries
 	// need no translation); G's reordered traversal view is materialized
 	// lazily by GOrd, off the write path.
@@ -454,23 +491,34 @@ func (s *Store) publish(epoch uint64) {
 		sn.Reach = old.Reach
 	} else {
 		rc, rGr := reorderReach(s.m.Reach.CompressedCSR())
-		sn.Reach = ReachView{Gr: rGr, Compressed: rc}
-		if s.cfg.Indexes {
-			sn.Reach.Index = hop2.BuildCSR(rGr)
-		}
+		sn.Reach = ReachView{Gr: rGr, Compressed: rc, hop: newHopCell(s.cfg.Indexes, s.ob)}
 		s.reachGen = gen
 	}
+	clk.lap(pubReach)
+
 	if gen := s.m.Pattern.Generation(); gen == s.patternGen {
 		sn.Pattern = old.Pattern
 	} else {
-		// The pattern quotient is projected over the snapshot of G frozen
-		// above instead of freezing a second time.
-		pc, pGr := reorderPattern(s.m.Pattern.CompressedCSR(sn.G))
-		sn.Pattern = PatternView{Gr: pGr, Compressed: pc}
+		if !s.full && s.pp.canPatch(s.m.Pattern, s.nodes, old.Pattern.Gr.NumNodes()) {
+			sn.Pattern = s.pp.patch(old.Pattern, s.m.Pattern, sn.G, srcs, &s.gp)
+			s.ob.notePatched(len(s.pp.rows))
+		} else {
+			// The quotient is projected over the snapshot of G built above
+			// instead of freezing a second time.
+			pc, pGr := reorderPattern(s.m.Pattern.CompressedCSR(sn.G))
+			sn.Pattern = PatternView{Gr: pGr, Compressed: pc}
+			s.pp.adopt(sn.Pattern, s.m.Pattern)
+			fellBack = fellBack || !s.full
+		}
 		s.patternGen = gen
 	}
+	clk.lap(pubPattern)
+
+	s.m.ClearSources()
+	s.full = false
 	s.install(sn)
-	s.ob.notePublish(start)
+	clk.lap(pubSwap)
+	s.ob.notePublish(clk.start, fellBack)
 }
 
 // install makes sn the current snapshot.
@@ -500,7 +548,7 @@ func storeParts(sn *Snapshot) *snapfile.StoreParts {
 		ReachClassOf:   sn.Reach.Compressed.ClassMap(),
 		ReachMembers:   sn.Reach.Compressed.Members,
 		ReachCyclic:    sn.Reach.Compressed.CyclicClass,
-		ReachIndex:     sn.Reach.Index,
+		ReachIndex:     sn.Reach.Index(),
 		PatternGr:      sn.Pattern.Gr,
 		PatternBlockOf: sn.Pattern.Compressed.ClassMap(),
 		PatternMembers: sn.Pattern.Compressed.Members,
@@ -526,12 +574,12 @@ func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
 		gperm: parts.GPerm,
 		Reach: ReachView{
 			Gr:         parts.ReachGr,
-			Compressed: reach.AssembleCompressed(parts.ReachGr.Thaw(), parts.ReachClassOf, parts.ReachMembers, parts.ReachCyclic),
-			Index:      parts.ReachIndex,
+			Compressed: reach.AssembleCompressed(nil, parts.ReachClassOf, parts.ReachMembers, parts.ReachCyclic),
+			hop:        loadedHopCell(parts.ReachIndex),
 		},
 		Pattern: PatternView{
 			Gr:         parts.PatternGr,
-			Compressed: bisim.AssembleCompressed(parts.PatternGr.Thaw(), parts.PatternBlockOf, parts.PatternMembers),
+			Compressed: bisim.AssembleCompressed(nil, parts.PatternBlockOf, parts.PatternMembers),
 		},
 	})
 	return parts.Epoch, nil

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -163,4 +164,47 @@ func TestStoreConcurrentAppliers(t *testing.T) {
 			t.Fatalf("final epoch %d", st.Epoch)
 		}
 	})
+}
+
+// TestViewRatiosComeFromStats pins where a store's compression ratios come
+// from: the views it publishes carry the quotient as a frozen CSR and no
+// mutable Gr — after a full build, a patched epoch and a warm restart alike
+// — so Compressed.Ratio answers NaN on them instead of dereferencing nil,
+// and Stats reads the ratios off the CSRs.
+func TestViewRatiosComeFromStats(t *testing.T) {
+	g := socialGraph(3, 300, 1500)
+	mirror := g.Clone()
+	dir := t.TempDir()
+	s := mustOpen(t, g, &Options{Indexes: true, Dir: dir})
+	check := func(at string, s *Store) {
+		t.Helper()
+		sn := s.Snapshot()
+		if sn.Reach.Compressed.Gr != nil || sn.Pattern.Compressed.Gr != nil {
+			t.Fatalf("%s: a published view carries a thawed quotient nobody reads", at)
+		}
+		if r, p := sn.Reach.Compressed.Ratio(mirror), sn.Pattern.Compressed.Ratio(mirror); !math.IsNaN(r) || !math.IsNaN(p) {
+			t.Fatalf("%s: Ratio on store views = %v, %v, want NaN for both", at, r, p)
+		}
+		st := s.Stats()
+		if want := float64(sn.Reach.Gr.Size()) / float64(mirror.Size()); st.ReachRatio != want {
+			t.Fatalf("%s: Stats().ReachRatio = %v, want %v", at, st.ReachRatio, want)
+		}
+		if want := float64(sn.Pattern.Gr.Size()) / float64(mirror.Size()); st.PatternRatio != want {
+			t.Fatalf("%s: Stats().PatternRatio = %v, want %v", at, st.PatternRatio, want)
+		}
+	}
+	check("epoch 0", s)
+	batch := gen.RandomBatch(rand.New(rand.NewSource(4)), mirror, 20, 0.5)
+	mirror.Apply(batch)
+	if _, err := s.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	check("patched epoch", s)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	r := mustOpen(t, nil, &Options{Dir: dir})
+	defer r.Close()
+	check("warm restart", r)
 }
