@@ -55,9 +55,9 @@ func main() {
 		pm.Compressed()
 		incPat += time.Since(start)
 
-		fmt.Printf("round %d: %d updates | incRCM: AFF=%d comps, %d redundant | incPCM: %d strata, %d blocks changed\n",
+		fmt.Printf("round %d: %d updates | incRCM: AFF=%d comps, %d redundant | incPCM: %d nodes re-signed, %d blocks changed\n",
 			round, len(batch), rstats.AffComponents, rstats.RedundantUpdates,
-			pstats.RecomputedStrata, pstats.ChangedBlocks)
+			pstats.DirtyNodes, pstats.ChangedBlocks)
 
 		// Queries keep working against the maintained compressed graphs.
 		u, v := qpgc.Node(rng.Intn(n)), qpgc.Node(rng.Intn(n))

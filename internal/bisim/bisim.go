@@ -18,8 +18,8 @@
 //     the "process the smaller half" strategy and per-edge counters,
 //     O(|E| log |V|) — the bound quoted by Theorem 4.
 //   - RefineStratified: the Dovier–Piazza–Policriti rank-stratified
-//     algorithm [8] (rank.go), which also underlies incremental
-//     maintenance (incPCM).
+//     algorithm [8] (rank.go); incremental maintenance (incPCM) falls
+//     back to it for graphs deeper than the levels it keeps.
 package bisim
 
 import (

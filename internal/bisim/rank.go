@@ -35,9 +35,7 @@ type Ranks struct {
 // share a rank by construction). order lists the components children
 // before parents, out yields a component's condensation children and
 // cyclic whether it contains a cycle; rank and wf are indexed by component
-// id and written for every component of order. Both the batch engine and
-// the incremental maintainer (over its maintained condensation) rank
-// through this one rule.
+// id and written for every component of order.
 func RankDP(order []int32, out func(int32) []int32, cyclic func(int32) bool, rank []int32, wf []bool) {
 	for _, c := range order {
 		children := out(c)
@@ -133,8 +131,10 @@ func (r *Ranks) Strata() [][]graph.Node {
 // strata bottom-up; within each stratum run signature refinement until
 // stable, treating the (already final) blocks of lower strata as fixed.
 // Nodes of different ranks are never bisimilar (Lemma 9(1)), so the result
-// equals the global maximum bisimulation. This engine is the basis of the
-// incremental algorithm incPCM.
+// equals the global maximum bisimulation. The incremental maintainer
+// (internal/incbisim) keeps the refinement's rounds instead of ranks; it
+// calls this engine only for graphs whose refinement is deeper than it
+// stores.
 func RefineStratified(g *graph.Graph) *Partition {
 	n := g.NumNodes()
 	blockOf := make([]int32, n)
@@ -154,9 +154,8 @@ func RefineStratified(g *graph.Graph) *Partition {
 }
 
 // StratumRefiner computes the bisimulation classes of one rank stratum at
-// a time, given final blocks for all lower strata. It is the single
-// refinement engine behind RefineStratified and the incremental maintainer
-// (internal/incbisim). All state is dense and reused across calls: stratum
+// a time, given final blocks for all lower strata: the refinement engine
+// behind RefineStratified. All state is dense and reused across calls: stratum
 // nodes get local indices through one node-indexed slice, the current and
 // next group assignments are slices, and a signature — a node's current
 // group plus its sorted distinct successor groups — is mapped to a group id

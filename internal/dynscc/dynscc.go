@@ -133,7 +133,6 @@ type Cond struct {
 	nbufA, nbufB     []graph.Node
 	nbufC            []graph.Node
 	nframes          []nframe
-	deg              []int32 // TopoOrder's remaining-children counters
 }
 
 type frame struct{ c, i int32 }
@@ -937,35 +936,6 @@ func (c *Cond) sweep(dst []int32, seed int32, bit uint16, forward bool) []int32 
 		for _, x := range adj {
 			if set(x) {
 				dst = append(dst, x)
-			}
-		}
-	}
-	return dst
-}
-
-// TopoOrder appends the live components to dst children before parents
-// (sinks first): the order a bottom-up DP over the condensation needs.
-func (c *Cond) TopoOrder(dst []int32) []int32 {
-	if len(c.deg) < len(c.comps) {
-		c.deg = make([]int32, len(c.comps)+len(c.comps)/4)
-	}
-	deg := c.deg
-	start := len(dst)
-	for id := range c.comps {
-		cp := &c.comps[id]
-		if cp.dead {
-			continue
-		}
-		deg[id] = int32(len(cp.out))
-		if len(cp.out) == 0 {
-			dst = append(dst, int32(id))
-		}
-	}
-	for i := start; i < len(dst); i++ {
-		for _, f := range c.comps[dst[i]].in {
-			deg[f]--
-			if deg[f] == 0 {
-				dst = append(dst, f)
 			}
 		}
 	}

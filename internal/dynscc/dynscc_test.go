@@ -77,21 +77,6 @@ func checkAgainstTarjan(t *testing.T, what string, c *Cond) {
 			t.Fatalf("%s: component %d in list %v, Tarjan has %d edges", what, id, in, len(s.In[ref]))
 		}
 	}
-	pos := make(map[int32]int)
-	order := c.TopoOrder(nil)
-	if len(order) != live {
-		t.Fatalf("%s: TopoOrder lists %d of %d components", what, len(order), live)
-	}
-	for i, id := range order {
-		pos[id] = i
-	}
-	for _, id := range order {
-		for _, b := range c.Out(id) {
-			if pos[b] >= pos[id] {
-				t.Fatalf("%s: TopoOrder puts %d before its child %d", what, id, b)
-			}
-		}
-	}
 }
 
 // classes returns each node's reachability class in g.

@@ -88,7 +88,8 @@ func Fig12g(cfg Config) *Table {
 		Notes: []string{
 			"paper: incPCM wins up to ≈5K updates and always beats IncBsim",
 			"incPCM (cum) totals every batch so far; compressB is ONE recompression: each 2% batch costs less than one compressB,",
-			"and IncBsim (the same maintainer fed one update at a time) is two orders of magnitude slower (EXPERIMENTS.md)",
+			"IncBsim is the same maintainer fed one update at a time: since an update costs the nodes it re-signs, not a stratum, it lands within noise of incPCM —",
+			"batching saves minDelta's cancellations and one materialisation of Gr per batch is in both columns (EXPERIMENTS.md)",
 		},
 	}
 	g := patternDataset("Youtube").Scale(cfg.Scale).Build(cfg.Seed)

@@ -3,38 +3,68 @@
 // the paper).
 //
 // The incremental problem is unbounded (Theorem 8): no algorithm's cost can
-// be a function of |AFF| alone. Our maintainer follows the paper's design:
-// rank-stratified processing (Lemma 9: bisimilar nodes share a rank and a
-// node is only affected by updates of strictly lower rank), redundant
-// update reduction (minDelta), and split/merge of blocks propagated in
-// ascending rank order.
+// be a function of |AFF| alone. The paper's incPCM stratifies G by
+// bisimulation rank and propagates splits and merges through the strata in
+// ascending rank order. That bounds the work by the strata an update
+// reaches — but ranks do not subdivide a cyclic graph: a giant strongly
+// connected component and everything above it are one stratum, and every
+// batch that lands there re-refined most of G from the label seed.
 //
-// # What a batch costs
+// # Levels instead of ranks
 //
-// The graph and its SCC condensation are maintained by internal/dynscc
-// and may be shared with increach (see Over). Ranks are a bottom-up DP
-// over that condensation — work on the condensation, not a Tarjan pass
-// over G — and only nodes whose rank changed move between the maintained
-// stratum lists. A stratum is re-refined when it holds the source of an
-// update, gained or lost a node, or has a successor whose block changed;
-// refinement runs in bisim.StratumRefiner, dense and exact. Recomputed
-// groups are matched against the previous partition: a group keeps the id
-// of the old block it holds most of, so only nodes that change sides move,
-// propagate dirt to their predecessors, and appear in the change log
-// (Changes) a mirror of the partition patches itself by.
+// This maintainer keeps what the refinement computes on its way and batch
+// engines throw away: the k-bisimulation partitions ≈₁, ≈₂, …, one per
+// round. Level 0 is the labelling; the level-k class of v is named by the
+// signature (level k−1 class of v, set of level k−1 classes of v's
+// successors); the top level is the first with as many classes as the one
+// below, and its partition is the maximum bisimulation. Each level is a
+// node → class array and a table from signature to class id (levels.go).
 //
-// What is not incremental: a dirty stratum is refined from its label
-// seed, and ranks do not subdivide a cyclic graph (an NWF child does not
-// raise its parent's rank, so a giant SCC and all its ancestors form one
-// stratum). On such graphs an update inside that stratum re-refines most
-// of G; the cost is the refiner's, a few linear rounds. Compressed
-// projects the quotient from G once per generation, on demand.
+// A batch walks the levels once, bottom-up. At level k only three kinds of
+// node can have a new signature: the sources of the effective updates
+// (minDelta reduction comes first, as in the paper), the nodes whose level
+// k−1 class changed id, and the predecessors of those. They are re-signed
+// and looked up; all other nodes keep their class, its id and its key. A
+// node that comes out with the id it had stops the wave, and ids are
+// handed out so that this is the common case: a class that still has
+// members which were not re-signed keeps its id for them, and a class
+// re-signed as a whole passes its id to the group most of its members form
+// anew. What a batch costs is therefore the nodes whose depth-k unfolding
+// changed, summed over k — the paper's |AFF| counted per level — and not
+// the size of the stratum they sit in (Stats.DirtyNodes; TestWorkBounds and
+// TestPatternApplyScalesWithChange hold it to a multiple of the batch).
+//
+// The result is R(G ⊕ ΔG) by construction rather than by an argument about
+// propagation order: level k is a function of level k−1 and the graph, the
+// nodes re-signed at level k include every node for which that function's
+// arguments changed, so after the walk every level is the k-bisimulation
+// of the new graph — merges inside a cycle included, which no rule that
+// starts from the old partition and compares current signatures can find
+// (two mirror cycles told apart by one edge stay apart under it when the
+// edge goes). Ranks are not needed for exactness, bisimilar nodes sharing
+// a rank anyway, and the maintainer keeps none; it reads nothing of the
+// condensation but the graph.
+//
+// # Depth
+//
+// An update can make the refinement deeper or shallower. When the top two
+// levels differ in class count the next level is built — as a batch over
+// the nodes that differ between them, or whole when most do — and levels
+// above the first stable one are dropped; the public block ids survive
+// both. The depth of every dataset in internal/gen is at most 20, but a
+// same-label chain is as deep as it is long, so past maxLevels the
+// maintainer stops keeping levels: it refines from the seed each batch
+// with bisim.RefineStratified (Stats.Fallbacks), under the same block ids
+// and change log, and tries the levels again every fallbackRetry batches.
+// Compressed projects the quotient from G once per generation, on demand.
 //
 // Property tests enforce that the maintained compression is identical (as
 // a partition) to batch recompression after every batch.
 package incbisim
 
 import (
+	"slices"
+
 	"repro/internal/bisim"
 	"repro/internal/dynscc"
 	"repro/internal/graph"
@@ -45,48 +75,65 @@ import (
 type Stats struct {
 	// EffectiveUpdates counts updates surviving minDelta reduction.
 	EffectiveUpdates int
-	// DirtyNodes counts nodes whose block assignment was re-derived.
+	// DirtyNodes counts the distinct nodes re-signed at some level.
 	DirtyNodes int
-	// RecomputedStrata counts rank strata that were re-refined.
-	RecomputedStrata int
 	// ChangedBlocks counts blocks of the new partition that differ from
 	// every old block (the ΔGr node part of AFF).
 	ChangedBlocks int
+	// LevelRebuilds counts levels built or re-signed whole: a change of
+	// depth costs one or more, the from-seed path one per batch.
+	LevelRebuilds int
+	// Fallbacks counts batches absorbed by refining from the label seed
+	// because the graph's depth exceeds the cap.
+	Fallbacks int
 }
 
-// rankUnset marks a component slot whose rank was never computed; it is
-// not a value RankDP produces.
-const rankUnset = bisim.RankNegInf + 1
+const (
+	// maxLevels caps the partitions kept above the labels. Every dataset
+	// of internal/gen stabilises within 20 levels at scale 1 (EXPERIMENTS.md,
+	// "Write path per layer"), but a same-label chain of n nodes needs n, and
+	// each level costs 4 bytes a node and a table entry a class. Half as
+	// much again as the deepest dataset leaves room for growth; past it the
+	// maintainer keeps one partition and refines from the seed each batch.
+	maxLevels = 32
+	// fallbackRetry is how many batches the from-seed path absorbs between
+	// attempts to build the levels again: an attempt costs up to maxLevels
+	// passes over G, a from-seed batch a few, so retrying adds a fraction.
+	fallbackRetry = 64
+	// extendWholeShare decides how a level is built from the one below:
+	// signed whole when more than one node in extendWholeShare differs
+	// between that level and the one under it, as a batch of those
+	// differences otherwise. Re-signing a node as part of a batch costs a few
+	// times what it costs in a whole pass (its class is left and looked up
+	// again, a representative re-signed to confirm it), and its predecessors
+	// come along.
+	extendWholeShare = 4
+)
 
 // Maintainer maintains the pattern preserving compression of an evolving
 // graph across batches of edge updates.
 type Maintainer struct {
-	cond *dynscc.Cond
+	g    *graph.Graph
+	cond *dynscc.Cond // the condensation g is updated through; nil when the maintainer owns g (New)
 
-	blockOf []int32 // node -> block id; ids are sparse, recycled when a block empties
-	size    []int32 // block id -> member count
-	freeIDs []int32
-	emptied []int32 // ids that emptied during the current sweep, recycled after it
+	// levels[k] is the (k+1)-bisimulation partition, signed over levels[k-1]
+	// (levels[0] over the labels); the last is the first with as many classes
+	// as the one below, hence the maximum bisimulation, and its ids, sizes
+	// and changes are the public ones. In fallback there is one level, signed
+	// over a partition computed from the seed each batch.
+	levels       []level
+	labelClasses int // labels carried by some node: the class count below levels[0]
+	fallback     bool
+	sinceRetry   int // batches absorbed in fallback since the levels were last tried
 
-	rank     []int32 // node -> rank
-	compRank []int32 // component slot -> rank as of the last batch
-	compWF   []bool
-	newRank  []int32 // RankDP output buffers, swapped with the two above
-	newWF    []bool
-	order    []int32
+	mark         []uint32 // node -> epoch of the last pass that re-signed it
+	epoch, first uint32   // see startEpochs
+	seen         []uint32 // class id -> stamp of the last long signature listing it
+	seenStamp    uint32
+	s            scratch
 
-	// strata[bisim.StratumIndex(r)] lists the nodes of rank r; spos is each
-	// node's position in its list, for O(1) moves.
-	strata [][]graph.Node
-	spos   []int32
-	dirty  []bool  // stratum index -> queued for refinement
-	queue  []int32 // min-heap of dirty stratum indices
-
-	ref    *bisim.StratumRefiner
-	oldID  []int32 // group -> the old block most of its members come from
-	occ    []int32 // group -> members that come from oldID
-	count  []int32 // group -> size
-	assign []int32 // group -> block id given by this refinement
+	repScans  int  // findReps calls: passes over a level, which TestPatternApplyScalesWithChange keeps rare
+	constHash bool // test hook: every signature hashes alike
 
 	// The change log since ResetChanges: every block id that gained or lost
 	// a member and every node that changed block, each listed once.
@@ -101,45 +148,42 @@ type Maintainer struct {
 	grCSR *graph.CSR        // frozen comp.Gr, nil when stale
 }
 
-// New takes ownership of g, computes the initial compression with the
-// stratified engine, and returns the maintainer.
-func New(g *graph.Graph) *Maintainer { return Over(dynscc.New(g)) }
+// New takes ownership of g, computes the initial compression and returns
+// the maintainer.
+func New(g *graph.Graph) *Maintainer { return newMaintainer(g, nil, false) }
 
-// Over returns a maintainer of the graph behind cond that shares the
-// condensation instead of owning one. Whoever applies a batch to cond
-// passes the effective updates and the change log to Absorb; Apply does
-// both and is for a maintainer that is cond's only driver.
-func Over(cond *dynscc.Cond) *Maintainer {
-	n := cond.Graph().NumNodes()
+// Over returns a maintainer of the graph behind cond, which it does not
+// own: whoever applies a batch to cond passes the effective updates to
+// Absorb. Apply does both and is for a maintainer that is cond's only
+// driver.
+func Over(cond *dynscc.Cond) *Maintainer { return newMaintainer(cond.Graph(), cond, false) }
+
+func newMaintainer(g *graph.Graph, cond *dynscc.Cond, constHash bool) *Maintainer {
+	n := g.NumNodes()
 	m := &Maintainer{
-		cond:    cond,
-		blockOf: make([]int32, n),
-		rank:    make([]int32, n),
-		spos:    make([]int32, n),
-		ref:     bisim.NewStratumRefiner(n),
-
+		g:          g,
+		cond:       cond,
+		mark:       make([]uint32, n),
 		nodeLogged: make([]bool, n),
+		constHash:  constHash,
 	}
-	// The initial compression is the maintenance sweep with every stratum
-	// dirty and no old blocks to match.
-	m.rerank()
-	for c := int32(0); c < int32(cond.NumSlots()); c++ {
-		if cond.Live(c) {
-			for _, v := range cond.Members(c) {
-				m.blockOf[v] = -1
-				m.rank[v] = m.compRank[c]
-				m.enter(v)
-			}
-		}
-	}
+	// The initial compression is maintenance with every node affected at
+	// every level.
 	var st Stats
-	m.sweep(&st)
+	m.startEpochs()
+	if !m.build(&st) {
+		m.levels = []level{*m.top()}
+		m.fallback = true
+		m.fromSeed(&st)
+		m.ResetChanges()
+	}
+	m.s = scratch{}
 	return m
 }
 
 // Graph returns the maintained graph. Callers must not mutate it directly;
 // use Apply.
-func (m *Maintainer) Graph() *graph.Graph { return m.cond.Graph() }
+func (m *Maintainer) Graph() *graph.Graph { return m.g }
 
 // Generation counts the batches that held an effective update: two calls
 // returning the same value bracket a span in which Compressed did not
@@ -173,28 +217,32 @@ func (m *Maintainer) CompressedCSR(base *graph.CSR) (*bisim.Compressed, *graph.C
 	return m.comp, m.grCSR
 }
 
+// top is the level whose classes are the blocks.
+func (m *Maintainer) top() *level { return &m.levels[len(m.levels)-1] }
+
 // Partition returns the maintained bisimulation partition, canonically
 // renumbered so that it compares Same to a batch result; cached per
 // generation.
 func (m *Maintainer) Partition() *bisim.Partition {
 	if m.part == nil {
-		m.part = bisim.PartitionOf(m.blockOf)
+		m.part = bisim.PartitionOf(m.top().cls)
 	}
 	return m.part
 }
 
 // BlockID returns the maintainer's own id of v's block. These ids are what
 // makes a small change small downstream: a block no batch touched keeps
-// its id, a block that grows, shrinks or splits keeps it on its larger
-// side, and only the rest get fresh or recycled ones — sparse, unlike
-// Partition's canonical numbering.
-func (m *Maintainer) BlockID(v graph.Node) int32 { return m.blockOf[v] }
+// its id, a block that grows, shrinks or splits keeps it — for the members
+// the batch did not reach or, when it reached all, on its larger side — and
+// only the rest get fresh or recycled ones: sparse, unlike Partition's
+// canonical numbering.
+func (m *Maintainer) BlockID(v graph.Node) int32 { return m.top().cls[v] }
 
 // BlockSize returns the member count of block id, 0 for an id not in use.
-func (m *Maintainer) BlockSize(id int32) int { return int(m.size[id]) }
+func (m *Maintainer) BlockSize(id int32) int { return int(m.top().cnt[id]) }
 
 // NumBlockIDs returns the bound on block ids: every id in use is below it.
-func (m *Maintainer) NumBlockIDs() int { return len(m.size) }
+func (m *Maintainer) NumBlockIDs() int { return len(m.top().cnt) }
 
 // Changes returns the change log since ResetChanges (or construction):
 // the ids of the blocks that gained or lost a member — new, shrunk,
@@ -228,10 +276,29 @@ func (m *Maintainer) logBlock(id int32) {
 	}
 }
 
+// logTop records the last pass's changes, made to the top level, in the
+// change log and collects the ids involved for Stats.ChangedBlocks.
+func (m *Maintainer) logTop() {
+	lv := m.top()
+	for i, v := range m.s.chg {
+		m.logBlock(m.s.was[i])
+		m.logBlock(lv.cls[v])
+		m.s.ids = append(m.s.ids, m.s.was[i], lv.cls[v])
+		if !m.nodeLogged[v] {
+			m.nodeLogged[v] = true
+			m.logNodes = append(m.logNodes, v)
+		}
+	}
+}
+
 // Apply applies ΔG and updates the maintained compression so that it
 // equals R(G ⊕ ΔG).
 func (m *Maintainer) Apply(batch []graph.Update) Stats {
-	eff := m.Graph().Reduce(batch)
+	eff := m.g.Reduce(batch)
+	if m.cond == nil {
+		m.g.Apply(eff)
+		return m.Absorb(eff, nil)
+	}
 	return m.Absorb(eff, m.cond.Apply(eff))
 }
 
@@ -245,237 +312,273 @@ func (m *Maintainer) ApplySingly(batch []graph.Update) Stats {
 		st := m.Apply([]graph.Update{up})
 		total.EffectiveUpdates += st.EffectiveUpdates
 		total.DirtyNodes += st.DirtyNodes
-		total.RecomputedStrata += st.RecomputedStrata
 		total.ChangedBlocks += st.ChangedBlocks
+		total.LevelRebuilds += st.LevelRebuilds
+		total.Fallbacks += st.Fallbacks
 	}
 	return total
 }
 
 // Absorb updates the compression after the condensation applied the
-// effective updates eff with change log d.
-func (m *Maintainer) Absorb(eff []graph.Update, d *dynscc.Delta) Stats {
+// effective updates eff; the levels need nothing of its change log.
+func (m *Maintainer) Absorb(eff []graph.Update, _ *dynscc.Delta) Stats {
 	st := Stats{EffectiveUpdates: len(eff)}
 	if len(eff) == 0 {
 		return st
 	}
 	m.gen++
 	m.part, m.comp, m.grCSR = nil, nil, nil
+	m.s.ids = m.s.ids[:0]
+	m.startEpochs()
 
-	// Re-rank over the condensation. A component whose rank changed moves
-	// all its members; a node that changed component is checked on its
-	// own. Both the stratum left and the one entered are dirty (the old
-	// stratum may coarsen after losing a member).
-	old := m.compRank
-	m.rerank()
-	for _, c := range m.order {
-		if int(c) >= len(old) || old[c] != m.compRank[c] {
-			for _, v := range m.cond.Members(c) {
-				m.setRank(v, m.compRank[c])
-			}
+	if m.fallback {
+		m.refall(&st)
+	} else {
+		m.walk(eff, &st)
+		m.fit(&st)
+	}
+
+	// A block counts as changed when it gained or lost a member and still
+	// has some.
+	slices.Sort(m.s.ids)
+	top := m.top()
+	for i, id := range m.s.ids {
+		if (i == 0 || id != m.s.ids[i-1]) && top.cnt[id] > 0 {
+			st.ChangedBlocks++
 		}
 	}
-	for _, v := range d.Moved {
-		m.setRank(v, m.compRank[m.cond.CompOf(v)])
+	if m.s.large {
+		m.s = scratch{}
 	}
-	// An update changes its source's signature.
-	for _, up := range eff {
-		m.markDirty(bisim.StratumIndex(m.rank[up.From]))
-	}
-	m.sweep(&st)
 	return st
 }
 
-// rerank recomputes every live component's rank into compRank/compWF,
-// leaving the previous values in newRank/newWF.
-func (m *Maintainer) rerank() {
-	m.order = m.cond.TopoOrder(m.order[:0])
-	m.compRank, m.newRank = m.newRank, m.compRank
-	m.compWF, m.newWF = m.newWF, m.compWF
-	for len(m.compRank) < m.cond.NumSlots() {
-		m.compRank = append(m.compRank, rankUnset)
-		m.compWF = append(m.compWF, false)
+// Levels returns the number of partitions kept, the label partition
+// included: the depth at which the refinement of the current graph
+// stabilises. It is 0 while that depth exceeds the cap and the maintainer
+// refines from the seed.
+func (m *Maintainer) Levels() int {
+	if m.fallback {
+		return 0
 	}
-	bisim.RankDP(m.order, m.cond.Out, m.cond.Cyclic, m.compRank, m.compWF)
+	return len(m.levels) + 1
 }
 
-// setRank moves v to the stratum of rank r, dirtying both strata.
-func (m *Maintainer) setRank(v graph.Node, r int32) {
-	if m.rank[v] == r {
-		return
+// below returns the classes level k is signed over, nil for the labels.
+func (m *Maintainer) below(k int) []int32 {
+	if k == 0 {
+		return nil
 	}
-	i := bisim.StratumIndex(m.rank[v])
-	list := m.strata[i]
-	last := list[len(list)-1]
-	list[m.spos[v]] = last
-	m.spos[last] = m.spos[v]
-	m.strata[i] = list[:len(list)-1]
-	m.markDirty(i)
-	m.rank[v] = r
-	m.enter(v)
+	return m.levels[k-1].cls
 }
 
-// enter appends v to the stratum of its rank and dirties it.
-func (m *Maintainer) enter(v graph.Node) {
-	i := bisim.StratumIndex(m.rank[v])
-	for len(m.strata) <= i {
-		m.strata = append(m.strata, nil)
-		m.dirty = append(m.dirty, false)
+// startEpochs opens a batch's run of epochs. The nodes a pass re-signs are
+// the marks equal to its epoch, the nodes the batch has re-signed so far
+// the marks above first; a batch starts fewer than 4·maxLevels passes.
+func (m *Maintainer) startEpochs() {
+	if m.epoch > ^uint32(0)-4*maxLevels {
+		clear(m.mark)
+		m.epoch = 0
 	}
-	m.spos[v] = int32(len(m.strata[i]))
-	m.strata[i] = append(m.strata[i], v)
-	m.markDirty(i)
+	m.first = m.epoch
 }
 
-// markDirty queues stratum i for refinement.
-func (m *Maintainer) markDirty(i int) {
-	if m.dirty[i] {
-		return
-	}
-	m.dirty[i] = true
-	q := append(m.queue, int32(i))
-	for k := len(q) - 1; k > 0; {
-		p := (k - 1) / 2
-		if q[p] <= q[k] {
-			break
+// walk takes the batch through the levels bottom-up and logs what changed
+// at the top.
+func (m *Maintainer) walk(eff []graph.Update, st *Stats) {
+	s := &m.s
+	s.eff = append(s.eff[:0], eff...)
+	slices.SortFunc(s.eff, func(a, b graph.Update) int { return int(a.From) - int(b.From) })
+	s.srcs = s.srcs[:0]
+	for i, up := range s.eff {
+		if i == 0 || up.From != s.eff[i-1].From {
+			s.srcs = append(s.srcs, up.From)
 		}
-		q[p], q[k] = q[k], q[p]
-		k = p
 	}
-	m.queue = q
+	s.chg, s.was = s.chg[:0], s.was[:0]
+	for k := range m.levels {
+		m.step(k, st)
+	}
+	m.logTop()
 }
 
-// popDirty removes and returns the lowest queued stratum index.
-func (m *Maintainer) popDirty() int {
-	q := m.queue
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	for k := 0; ; {
-		c := 2*k + 1
-		if c >= n {
-			break
+// step brings level k up to date, given in the scratch the sources of the
+// updates and the nodes whose class one level down changed id, with the ids
+// they had. The nodes whose signature may differ are those and the
+// predecessors of the latter; a node whose class id comes out unchanged
+// stops the wave there.
+func (m *Maintainer) step(k int, st *Stats) {
+	g, s := m.Graph(), &m.s
+	m.epoch++
+	s.a = s.a[:0]
+	add := func(v graph.Node) {
+		if m.mark[v] != m.epoch {
+			if m.mark[v] <= m.first {
+				st.DirtyNodes++
+			}
+			m.mark[v] = m.epoch
+			s.a = append(s.a, v)
 		}
-		if c+1 < n && q[c+1] < q[c] {
-			c++
-		}
-		if q[k] <= q[c] {
-			break
-		}
-		q[k], q[c] = q[c], q[k]
-		k = c
 	}
-	m.queue = q
-	m.dirty[top] = false
-	return int(top)
+	for _, v := range s.srcs {
+		add(v)
+	}
+	for _, v := range s.chg {
+		add(v)
+		for _, p := range g.Predecessors(v) {
+			add(p)
+		}
+	}
+	m.pass(&m.levels[k], m.below(k), s.a, false)
 }
 
-// sweep re-refines the dirty strata in ascending rank order. Dirt from
-// changed blocks propagates only to strictly higher ranks: a predecessor's
-// rank is never below its successor's (RankNegInf is math.MinInt32, so
-// plain comparison respects the -∞-first order), and equal-rank
-// predecessors live in the stratum just recomputed wholesale.
-func (m *Maintainer) sweep(st *Stats) {
+// resignAll re-signs every node at level k over below, the level's keys
+// being unknown or void.
+func (m *Maintainer) resignAll(k int, below []int32, st *Stats) {
+	n := len(m.mark)
+	a := slices.Grow(m.s.a[:0], n)[:n]
+	for v := range a {
+		a[v] = graph.Node(v)
+	}
+	m.s.a = a
+	m.pass(&m.levels[k], below, a, true)
+	st.LevelRebuilds++
+	st.DirtyNodes = n
+}
+
+// stable reports whether the top level has as many classes as the one below:
+// the refinement has stopped and the top is the maximum bisimulation.
+func (m *Maintainer) stable() bool {
+	if k := len(m.levels) - 1; k > 0 {
+		return m.levels[k].live == m.levels[k-1].live
+	}
+	return m.levels[0].live == m.labelClasses
+}
+
+// extend adds the level above the top. It starts as the top's copy, keys
+// included: a node whose class and whose successors' classes carry the same
+// ids at the top as one level down signs the same words over either, so the
+// step from the one to the other is a batch whose changes are the nodes
+// that differ between them — few, when a batch deepens the refinement by a
+// level. The lower levels of a first build differ in most nodes, and a
+// level is then cheaper signed whole. Either way the ids are inherited: a
+// class that does not split keeps its id, and the scratch is left holding
+// only the nodes split off.
+func (m *Maintainer) extend(st *Stats) {
+	g, s := m.Graph(), &m.s
+	top, under := m.top(), m.below(len(m.levels)-1)
+	s.srcs, s.eff, s.chg, s.was = s.srcs[:0], s.eff[:0], s.chg[:0], s.was[:0]
+	for v, c := range top.cls {
+		b := g.Label(graph.Node(v))
+		if under != nil {
+			b = under[v]
+		}
+		if c != b {
+			s.chg = append(s.chg, graph.Node(v))
+			s.was = append(s.was, b)
+		}
+	}
+	whole := extendWholeShare*len(s.chg) > len(top.cls)
+	m.levels = append(m.levels, top.clone(!whole))
+	if k := len(m.levels) - 1; whole {
+		m.resignAll(k, m.below(k), st)
+	} else {
+		m.step(k, st)
+		st.LevelRebuilds++
+	}
+}
+
+// build computes the levels from the label seed, and reports false when
+// the depth cap stopped it short of the stable level.
+func (m *Maintainer) build(st *Stats) bool {
 	g := m.Graph()
-	for len(m.queue) > 0 {
-		i := m.popDirty()
-		stratum := m.strata[i]
-		if len(stratum) == 0 {
-			continue
-		}
-		st.RecomputedStrata++
-		st.DirtyNodes += len(stratum)
-		groupOf, groups := m.ref.Refine(g, stratum, m.blockOf)
-
-		// Match each group against the old partition. A group takes over the
-		// id of the old block most of its members come from (a Boyer–Moore
-		// vote per group, confirmed by a count) when that block also gives
-		// it more than half of its own members — at most one group can claim
-		// that — so a block that grows, shrinks or splits keeps its id on
-		// the larger side and only the nodes that change sides move. Any
-		// other group is a new block. Soundness needs no more than ids
-		// naming blocks one to one at any time and every node whose id
-		// changes dirtying its predecessors: a stratum none of whose
-		// successors changed id sees the same signatures as before.
-		if cap(m.oldID) < groups {
-			m.oldID = make([]int32, groups+groups/4)
-			m.occ = make([]int32, groups+groups/4)
-			m.count = make([]int32, groups+groups/4)
-			m.assign = make([]int32, groups+groups/4)
-		}
-		oldID, occ, count, assign := m.oldID[:groups], m.occ[:groups], m.count[:groups], m.assign[:groups]
-		clear(count)
-		clear(occ)
-		for k, v := range stratum {
-			gi := groupOf[k]
-			switch b := m.blockOf[v]; {
-			case occ[gi] == 0:
-				oldID[gi], occ[gi] = b, 1
-			case oldID[gi] == b:
-				occ[gi]++
-			default:
-				occ[gi]--
-			}
-			count[gi]++
-		}
-		clear(occ)
-		for k, v := range stratum {
-			if gi := groupOf[k]; m.blockOf[v] == oldID[gi] {
-				occ[gi]++
-			}
-		}
-		for gi := range assign {
-			id, n := oldID[gi], occ[gi]
-			switch {
-			case id < 0 || 2*n <= m.size[id]:
-				id = m.newID()
-			case n == count[gi] && n == m.size[id]:
-				assign[gi] = -1 // block survived unchanged
-				continue
-			}
-			assign[gi] = id
-			m.logBlock(id)
-			st.ChangedBlocks++
-		}
-		r := m.rank[stratum[0]]
-		for k, v := range stratum {
-			id, was := assign[groupOf[k]], m.blockOf[v]
-			if id < 0 || id == was {
-				continue
-			}
-			if was >= 0 {
-				m.size[was]--
-				if m.size[was] == 0 {
-					m.emptied = append(m.emptied, was)
-				}
-				m.logBlock(was)
-			}
-			m.blockOf[v] = id
-			m.size[id]++
-			if !m.nodeLogged[v] {
-				m.nodeLogged[v] = true
-				m.logNodes = append(m.logNodes, v)
-			}
-			for _, p := range g.Predecessors(v) {
-				if m.rank[p] > r {
-					m.markDirty(bisim.StratumIndex(m.rank[p]))
-				}
-			}
+	seed := level{cls: make([]int32, g.NumNodes()), cnt: make([]int32, g.Labels().Count())}
+	for v := range seed.cls {
+		l := g.Label(graph.Node(v))
+		seed.cls[v] = l
+		seed.cnt[l]++
+	}
+	m.labelClasses = 0
+	for l, c := range seed.cnt {
+		if c > 0 {
+			m.labelClasses++
+		} else {
+			seed.free = append(seed.free, int32(l))
 		}
 	}
-	// Ids are recycled only across sweeps: within one, a node carrying an id
-	// must have carried it before the batch or been moved into it.
-	m.freeIDs = append(m.freeIDs, m.emptied...)
-	m.emptied = m.emptied[:0]
+	seed.hash, seed.rep = make([]uint32, len(seed.cnt)), make([]int32, len(seed.cnt))
+	m.levels = append(m.levels[:0], seed)
+	m.resignAll(0, nil, st)
+	for !m.stable() {
+		if len(m.levels) == maxLevels {
+			return false
+		}
+		m.extend(st)
+	}
+	return true
 }
 
-// newID returns an unused block id, its size zero.
-func (m *Maintainer) newID() int32 {
-	if n := len(m.freeIDs); n > 0 {
-		id := m.freeIDs[n-1]
-		m.freeIDs = m.freeIDs[:n-1]
-		return id
+// fit restores the depth invariant after a walk: levels above the first
+// stable one are dropped — that level takes over the top's ids, the two
+// being the same partition — and while none is stable one more is built.
+// Past the cap the maintainer changes over to the from-seed path.
+func (m *Maintainer) fit(st *Stats) {
+	below := m.labelClasses
+	for k := range m.levels[:len(m.levels)-1] {
+		if m.levels[k].live == below {
+			m.adoptIDs(k, *m.top(), st)
+			return
+		}
+		below = m.levels[k].live
 	}
-	m.size = append(m.size, 0)
-	return int32(len(m.size) - 1)
+	for !m.stable() {
+		if len(m.levels) == maxLevels {
+			m.levels = []level{*m.top()}
+			m.fallback, m.sinceRetry = true, 0
+			m.fromSeed(st)
+			return
+		}
+		m.extend(st)
+		m.logTop()
+	}
+}
+
+// adoptIDs makes level k the top under the ids of pub, a level over the same
+// nodes: every node is re-signed at k, and a class of pub whose members
+// still form one class keeps its id.
+func (m *Maintainer) adoptIDs(k int, pub level, st *Stats) {
+	clear(m.levels[k+1:])
+	m.levels = m.levels[:k+1]
+	m.levels[k] = pub
+	m.resignAll(k, m.below(k), st)
+	m.logTop()
+}
+
+// fromSeed is a batch on the from-seed path: the maximum bisimulation is
+// refined from the labels by the batch engine, and the one level kept is
+// signed over it — which groups the nodes exactly as it does — so that
+// blocks keep their ids as on the levelled path.
+func (m *Maintainer) fromSeed(st *Stats) {
+	m.resignAll(0, bisim.RefineStratified(m.Graph()).BlockOf, st)
+	st.Fallbacks++
+	m.logTop()
+}
+
+// refall absorbs a batch in fallback, trying the levels again every
+// fallbackRetry batches.
+func (m *Maintainer) refall(st *Stats) {
+	if m.sinceRetry++; m.sinceRetry < fallbackRetry {
+		m.fromSeed(st)
+		return
+	}
+	m.sinceRetry = 0
+	pub := m.levels[0]
+	m.levels = nil
+	if m.build(st) {
+		m.fallback = false
+		m.adoptIDs(len(m.levels)-1, pub, st)
+		return
+	}
+	m.levels = []level{pub}
+	m.fromSeed(st)
 }

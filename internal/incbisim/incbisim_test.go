@@ -98,7 +98,7 @@ func TestNoOpBatchDoesNothing(t *testing.T) {
 	m := New(g)
 	before := m.Partition()
 	st := m.Apply(nil)
-	if st.EffectiveUpdates != 0 || st.RecomputedStrata != 0 {
+	if st.EffectiveUpdates != 0 || st.DirtyNodes != 0 || st.LevelRebuilds != 0 {
 		t.Fatalf("empty batch did work: %+v", st)
 	}
 	if !m.Partition().Same(before) {
@@ -182,16 +182,63 @@ func TestStatsReportWork(t *testing.T) {
 	g := randomLabeled(rng, 30, 60, 2)
 	m := New(g)
 	st := m.Apply(randomBatch(rng, m.Graph(), 3))
-	if st.EffectiveUpdates > 0 && st.RecomputedStrata == 0 {
-		t.Fatalf("effective updates but no strata recomputed: %+v", st)
+	if st.EffectiveUpdates > 0 && (st.DirtyNodes == 0 || m.Levels() < 2) {
+		t.Fatalf("effective updates but no node re-signed: %+v", st)
 	}
 }
 
-// TestChangeLogCoversEveryMove pins the contract a mirror of the partition
-// relies on: between two ResetChanges calls — over one batch or several —
-// every node whose block id differs is in the log's nodes, every id whose
-// member set differs is in its blocks, sizes count carriers, and an id no
-// batch touched names the same members as before.
+// logMirror checks the contract a mirror of the partition relies on:
+// between two ResetChanges calls — over one batch or several — every node
+// whose block id differs is in the log's nodes, every id whose member set
+// differs is in its blocks, sizes count carriers, and an id no batch
+// touched names the same members as before.
+type logMirror struct{ prev []int32 }
+
+func mirrorLog(m *Maintainer) *logMirror {
+	m.ResetChanges()
+	return &logMirror{prev: append([]int32(nil), m.top().cls...)}
+}
+
+// check compares the maintainer's blocks with the mirror's through the
+// change log, then resets the log.
+func (lm *logMirror) check(t *testing.T, m *Maintainer, round int) {
+	t.Helper()
+	blocks, nodes := m.Changes()
+	inBlocks, inNodes := map[int32]bool{}, map[graph.Node]bool{}
+	for _, b := range blocks {
+		if inBlocks[b] {
+			t.Fatalf("round %d: block %d logged twice", round, b)
+		}
+		inBlocks[b] = true
+	}
+	for _, v := range nodes {
+		if inNodes[v] {
+			t.Fatalf("round %d: node %d logged twice", round, v)
+		}
+		inNodes[v] = true
+	}
+	carriers := make([]int, m.NumBlockIDs())
+	for v := range lm.prev {
+		id := m.BlockID(graph.Node(v))
+		carriers[id]++
+		if id != lm.prev[v] {
+			if !inNodes[graph.Node(v)] {
+				t.Fatalf("round %d: node %d went from block %d to %d unlogged", round, v, lm.prev[v], id)
+			}
+			if !inBlocks[id] || !inBlocks[lm.prev[v]] {
+				t.Fatalf("round %d: node %d went from block %d to %d but the log's blocks are %v", round, v, lm.prev[v], id, blocks)
+			}
+		}
+		lm.prev[v] = id
+	}
+	for id, n := range carriers {
+		if m.BlockSize(int32(id)) != n {
+			t.Fatalf("round %d: block %d has size %d but %d carriers", round, id, m.BlockSize(int32(id)), n)
+		}
+	}
+	m.ResetChanges()
+}
+
 func TestChangeLogCoversEveryMove(t *testing.T) {
 	for _, insert := range []int{1, 2, 4} { // 1 in insert updates are deletions
 		rng := rand.New(rand.NewSource(int64(40 + insert)))
@@ -199,8 +246,7 @@ func TestChangeLogCoversEveryMove(t *testing.T) {
 		// split and empty as edges come and go.
 		g := randomLabeled(rng, 600, 700, 2)
 		m := New(g)
-		m.ResetChanges()
-		prev := append([]int32(nil), m.blockOf...)
+		lm := mirrorLog(m)
 		for round := 0; round < 120; round++ {
 			for k := 1 + round%3; k > 0; k-- { // the log spans 1–3 batches
 				var batch []graph.Update
@@ -216,39 +262,7 @@ func TestChangeLogCoversEveryMove(t *testing.T) {
 				m.Apply(batch)
 			}
 			checkAgainstBatch(t, m)
-			blocks, nodes := m.Changes()
-			inBlocks, inNodes := map[int32]bool{}, map[graph.Node]bool{}
-			for _, b := range blocks {
-				if inBlocks[b] {
-					t.Fatalf("round %d: block %d logged twice", round, b)
-				}
-				inBlocks[b] = true
-			}
-			for _, v := range nodes {
-				if inNodes[v] {
-					t.Fatalf("round %d: node %d logged twice", round, v)
-				}
-				inNodes[v] = true
-			}
-			carriers := make([]int, m.NumBlockIDs())
-			for v, id := range m.blockOf {
-				carriers[id]++
-				if id != prev[v] {
-					if !inNodes[graph.Node(v)] {
-						t.Fatalf("round %d: node %d went from block %d to %d unlogged", round, v, prev[v], id)
-					}
-					if !inBlocks[id] || !inBlocks[prev[v]] {
-						t.Fatalf("round %d: node %d went from block %d to %d but the log's blocks are %v", round, v, prev[v], id, blocks)
-					}
-				}
-			}
-			for id, n := range carriers {
-				if m.BlockSize(int32(id)) != n {
-					t.Fatalf("round %d: block %d has size %d but %d carriers", round, id, m.BlockSize(int32(id)), n)
-				}
-			}
-			copy(prev, m.blockOf)
-			m.ResetChanges()
+			lm.check(t, m, round)
 		}
 	}
 }

@@ -26,15 +26,25 @@ type Pair struct {
 	// compressions; batches go through Apply.
 	Reach   *increach.Maintainer
 	Pattern *incbisim.Maintainer
-	// ReachTime and PatternTime, when non-nil, receive the time each Apply
-	// spends on the condensation plus incRCM, and on incPCM. With both nil
+	// Meter, when non-nil, receives what each Apply measured. With none
 	// Apply reads no clock.
-	ReachTime, PatternTime *obs.Histogram
+	Meter *Meter
 
 	// sources lists, once each, the nodes whose successor lists changed
 	// since ClearSources: the From of every effective update.
 	sources []graph.Node
 	isSrc   []bool
+}
+
+// Meter is the instruments a Pair feeds, once per Apply. The two Aff
+// histograms hold the paper's measure next to the clocks: counts, observed
+// on the histogram's nanosecond scale like every count in internal/obs.
+type Meter struct {
+	ReachTime, PatternTime *obs.Histogram // the condensation plus incRCM; incPCM
+	ReachAff, PatternAff   *obs.Histogram // components singled out; nodes re-signed
+	PatternLevels          *obs.Gauge     // partitions incPCM keeps, the label one included; 0 past the depth cap
+	LevelRebuilds          *obs.Counter   // levels incPCM built or re-signed whole
+	Fallbacks              *obs.Counter   // batches incPCM refined from the seed
 }
 
 // New takes ownership of g and compresses it under both schemes.
@@ -69,9 +79,9 @@ func (p *Pair) ClearSources() {
 // Apply applies ΔG to the graph and brings both compressions to
 // R(G ⊕ ΔG).
 func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {
-	timed := p.ReachTime != nil || p.PatternTime != nil
+	mt := p.Meter
 	var t0, t1 time.Time
-	if timed {
+	if mt != nil {
 		t0 = time.Now()
 	}
 	eff := p.cond.Graph().Reduce(batch)
@@ -83,13 +93,18 @@ func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {
 	}
 	d := p.cond.Apply(eff)
 	rs := p.Reach.Absorb(len(eff), d)
-	if timed {
+	if mt != nil {
 		t1 = time.Now()
-		p.ReachTime.Observe(t1.Sub(t0))
+		mt.ReachTime.Observe(t1.Sub(t0))
 	}
 	ps := p.Pattern.Absorb(eff, d)
-	if timed {
-		p.PatternTime.Observe(time.Since(t1))
+	if mt != nil {
+		mt.PatternTime.Observe(time.Since(t1))
+		mt.ReachAff.ObserveNs(int64(rs.AffComponents))
+		mt.PatternAff.ObserveNs(int64(ps.DirtyNodes))
+		mt.PatternLevels.Set(int64(p.Pattern.Levels()))
+		mt.LevelRebuilds.Add(uint64(ps.LevelRebuilds))
+		mt.Fallbacks.Add(uint64(ps.Fallbacks))
 	}
 	return rs, ps
 }

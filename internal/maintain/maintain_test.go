@@ -174,8 +174,10 @@ func TestDifferentialSmallDense(t *testing.T) {
 
 // TestWorkBounds pins the maintainers' work as counts, not times. On a
 // social-shaped graph an insert-only batch singles out at most its
-// endpoint components and merge hosts — never their cones — and a steady
-// stream of mixed batches allocates a bounded number of objects per Apply:
+// endpoint components and merge hosts — never their cones — and, unless it
+// changes the refinement's depth, re-signs a bounded multiple of its
+// updates — never the stratum they fall in; and a steady stream of mixed
+// batches allocates a bounded number of objects per Apply:
 // scratch is reused, so what remains is the batch reduction, the quotient H
 // with its compression, and slices that grow.
 func TestWorkBounds(t *testing.T) {
@@ -188,7 +190,9 @@ func TestWorkBounds(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		batch := gen.RandomBatch(rng, mirror, 32, 1)
 		mirror.Apply(batch)
-		pm.Apply(batch)
+		if st := pm.Apply(batch); st.LevelRebuilds == 0 && st.DirtyNodes > 10*len(batch) {
+			t.Fatalf("insert-only batch %d of %d updates re-signed %d nodes: %+v", i, len(batch), st.DirtyNodes, st)
+		}
 		if st := rm.Apply(batch); st.AffComponents > 4*len(batch) {
 			t.Fatalf("insert-only batch %d of %d updates singled out %d components: %+v", i, len(batch), st.AffComponents, st)
 		}

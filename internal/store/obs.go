@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/maintain"
 	"repro/internal/obs"
 )
 
@@ -20,11 +21,14 @@ type storeObs struct {
 	apply   *obs.Histogram // writer latency per coalesced group (WAL + maintain + publish)
 	publish *obs.Histogram // snapshot assembly + swap latency
 	// The apply latency by stage, qpgc_store_apply_seconds{stage=...}: WAL
-	// append + commit and publish per coalesced group, the condensation
-	// plus incRCM and incPCM per batch (per shard sub-batch when sharded).
-	stageWAL, stageReach, stagePattern, stagePublish *obs.Histogram
-	leaf                                             *obs.Histogram // qpgc_query stage: leaf engine time per wave (sampled)
-	summary                                          *obs.Histogram // qpgc_query stage: cross-shard summary hop per wave (sampled)
+	// append + commit and publish per coalesced group; the condensation
+	// plus incRCM and incPCM per batch (per shard sub-batch when sharded)
+	// through meter, which also carries the affected area next to the
+	// clocks — qpgc_store_aff{scheme=...} — and incPCM's depth.
+	stageWAL, stagePublish *obs.Histogram
+	meter                  maintain.Meter
+	leaf                   *obs.Histogram // qpgc_query stage: leaf engine time per wave (sampled)
+	summary                *obs.Histogram // qpgc_query stage: cross-shard summary hop per wave (sampled)
 	// Publish by stage, qpgc_store_publish_seconds{stage=...}: the snapshot
 	// of G, the reach view, the pattern view and the swap on the writer; the
 	// 2-hop index where it is built, which is the first reader that wants
@@ -105,11 +109,18 @@ func newStoreObs(r *obs.Registry) *storeObs {
 		publish: r.Histogram("qpgc_store_publish_seconds"),
 
 		stageWAL:     r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "wal")),
-		stageReach:   r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "reach")),
-		stagePattern: r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "pattern")),
 		stagePublish: r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "publish")),
-		leaf:         r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageLeaf.String())),
-		summary:      r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageSummary.String())),
+		meter: maintain.Meter{
+			ReachTime:     r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "reach")),
+			PatternTime:   r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "pattern")),
+			ReachAff:      r.Histogram(obs.Label("qpgc_store_aff", "scheme", "reach")),
+			PatternAff:    r.Histogram(obs.Label("qpgc_store_aff", "scheme", "pattern")),
+			PatternLevels: r.Gauge("qpgc_store_pattern_levels"),
+			LevelRebuilds: r.Counter("qpgc_store_pattern_level_rebuilds_total"),
+			Fallbacks:     r.Counter("qpgc_store_pattern_fallbacks_total"),
+		},
+		leaf:    r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageLeaf.String())),
+		summary: r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageSummary.String())),
 
 		pubIndex: r.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", "index")),
 		pubFull:  r.Counter("qpgc_store_publish_full_total"),

@@ -39,6 +39,19 @@ func TestApplyStageHistograms(t *testing.T) {
 		if wal.Sum+reach.Sum+pat.Sum > total.Sum {
 			t.Fatalf("stages wal %v + reach %v + pattern %v exceed the total %v", wal.Sum, reach.Sum, pat.Sum, total.Sum)
 		}
+		// The affected area sits next to the clocks, one observation per
+		// maintainer call: counts, so the sums are nodes and components.
+		for _, scheme := range []string{"reach", "pattern"} {
+			if aff := r.Histogram(obs.Label("qpgc_store_aff", "scheme", scheme)).Snapshot(); aff.Count != perBatch || aff.Sum <= 0 {
+				t.Fatalf("%s affected area observed %d times (sum %d) for %d maintainer calls", scheme, aff.Count, aff.Sum, perBatch)
+			}
+		}
+		if levels := r.Gauge("qpgc_store_pattern_levels").Value(); levels < 2 {
+			t.Fatalf("pattern levels gauge reads %d", levels)
+		}
+		if n := r.Counter("qpgc_store_pattern_fallbacks_total").Value(); n != 0 {
+			t.Fatalf("%d batches refined from the seed on a shallow graph", n)
+		}
 	}
 
 	t.Run("store", func(t *testing.T) {
@@ -88,7 +101,7 @@ func TestApplyStageHistograms(t *testing.T) {
 
 		bare := mustOpen(t, g.Clone(), nil)
 		defer bare.Close()
-		if bare.ob != nil || bare.m.ReachTime != nil || bare.m.PatternTime != nil {
+		if bare.ob != nil || bare.m.Meter != nil {
 			t.Fatal("a store without a registry must carry no stage clocks")
 		}
 	})

@@ -472,7 +472,8 @@ func (w *shardWorker) run() {
 	defer close(w.done)
 	m := maintain.New(w.local)
 	if w.ob != nil {
-		m.ReachTime, m.PatternTime = w.ob.stageReach, w.ob.stagePattern
+		m.Meter = &w.ob.meter
+		w.ob.meter.PatternLevels.Set(int64(m.Pattern.Levels()))
 	}
 	w.local = nil
 	var cached shardEpochView

@@ -428,7 +428,8 @@ func (s *Store) setMaintainers(g *graph.Graph) {
 	s.m = maintain.New(g)
 	s.reachGen, s.patternGen, s.full = noGen, noGen, true
 	if s.ob != nil {
-		s.m.ReachTime, s.m.PatternTime = s.ob.stageReach, s.ob.stagePattern
+		s.m.Meter = &s.ob.meter
+		s.ob.meter.PatternLevels.Set(int64(s.m.Pattern.Levels()))
 	}
 }
 
