@@ -121,15 +121,6 @@ func BenchmarkCompressPatternNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkCompressPatternStratified(b *testing.B) {
-	g := socialGraph(4000, 24000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bisim.Quotient(g, bisim.RefineStratified(g))
-	}
-}
-
 func BenchmarkTarjanSCC(b *testing.B) {
 	g := socialGraph(8000, 48000)
 	b.ReportAllocs()

@@ -8,7 +8,7 @@
 //	qpgc reach     -in g.txt -from 3 -to 17
 //	qpgc gen       -kind social|web|citation|p2p|er -v 1000 -e 5000 -l 4 -out g.txt [-seed n]
 //	qpgc workload  -in g.txt -ops 10000 -write 0.05 -out w.txt [-seed n]
-//	qpgc serve     -in g.txt -workload w.txt [-readers 4] [-batch n|auto] [-shards k] [-target gr|g|hop2] [-verify] [-data dir] [-sync always|none] [-listen addr]
+//	qpgc serve     -in g.txt -workload w.txt [-readers 4] [-batch n] [-shards k] [-target gr|g|hop2] [-verify] [-data dir] [-sync always|none] [-listen addr]
 //	qpgc replica   -leader addr[,addr...] -data dir [-listen addr]
 //	qpgc promote   -addr addr [-wait 10s]
 //	qpgc client    -addr addr[,addr...] [-workload w.txt] [-from u -to v] [-stats] [-verify -addrs a,b,c]

@@ -68,8 +68,7 @@ func cmdWorkload(args []string) {
 // batch against the other representation of that same snapshot, returning
 // the mismatch count. report prints the store-specific summary and the
 // verify verdict. Everything that does not depend on the store's kind —
-// writes, -batch auto's scheduler reads and its stats, health — goes
-// through st.
+// writes, health — goes through st.
 type serveBackend struct {
 	st             store.Handle
 	newReader      func(verify bool) func(u, v graph.Node) (got, mismatch bool)
@@ -113,7 +112,7 @@ func cmdServe(args []string) {
 	in := fs.String("in", "", "input graph file")
 	workload := fs.String("workload", "", "workload file (qpgc workload)")
 	readers := fs.Int("readers", 4, "reader goroutines")
-	qbatchFlag := fs.String("batch", "", "queries coalesced per vectorized read: n (0/1/empty = scalar) or \"auto\" (adaptive scheduler waves)")
+	qbatchFlag := fs.String("batch", "", "queries coalesced per vectorized read: n (0/1/empty = scalar)")
 	wbatch := fs.Int("wbatch", 64, "updates per ApplyBatch")
 	shards := fs.Int("shards", 1, "shard count (1 = monolithic store; ignored when -data recovers)")
 	target := fs.String("target", "gr", "read path: gr (compressed), g (original), hop2 (index on Gr; monolithic only)")
@@ -138,17 +137,11 @@ func cmdServe(args []string) {
 	if *wbatch < 1 {
 		fatal(fmt.Errorf("serve: -wbatch must be >= 1"))
 	}
-	// -batch auto is the sentinel qbatch = -1: readers feed point queries
-	// to the store's wave scheduler, which coalesces them adaptively.
 	qbatch := 1
-	switch *qbatchFlag {
-	case "", "0":
-	case "auto":
-		qbatch = -1
-	default:
+	if *qbatchFlag != "" {
 		n, err := strconv.Atoi(*qbatchFlag)
 		if err != nil || n < 0 {
-			fatal(fmt.Errorf("serve: -batch must be a non-negative integer or \"auto\""))
+			fatal(fmt.Errorf("serve: -batch n takes a non-negative integer, got %q", *qbatchFlag))
 		}
 		qbatch = n
 	}
@@ -169,14 +162,6 @@ func cmdServe(args []string) {
 	}
 	if err := checkTarget(*target, sharded); err != nil {
 		fatal(err)
-	}
-	if qbatch == -1 {
-		if *verify {
-			fatal(fmt.Errorf("serve: -verify cross-checks a snapshot pinned per batch, but -batch auto waves pin their own; use a fixed -batch n"))
-		}
-		if *target != "gr" {
-			fatal(fmt.Errorf("serve: -batch auto answers on the quotient; it requires -target gr"))
-		}
 	}
 	var syncMode store.SyncMode
 	switch *syncFlag {
@@ -508,20 +493,6 @@ func runServe(b serveBackend, ops []gen.Op, readers, batchSize, qbatch, shards i
 	for r := 0; r < readers; r++ {
 		go func(r int) {
 			defer wg.Done()
-			if qbatch == -1 {
-				// -batch auto: every reader feeds the store's wave
-				// scheduler, which coalesces the queued points into
-				// adaptively sized 64-lane sweeps across all readers.
-				for op := range queryCh {
-					t0 := time.Now()
-					got := b.st.SchedReachable(op.U, op.V)
-					latencies[r] = append(latencies[r], time.Since(t0))
-					if got {
-						reached.Add(1)
-					}
-				}
-				return
-			}
 			if qbatch <= 1 {
 				answer := b.newReader(verify)
 				for op := range queryCh {
@@ -647,17 +618,7 @@ feed:
 	fmt.Printf("served %d queries on %q with %d readers, %d shard(s) in %v (%.0f q/s)\n",
 		nq, target, readers, shards, readElapsed.Round(time.Millisecond),
 		float64(nq)/readElapsed.Seconds())
-	switch {
-	case qbatch == -1:
-		st := b.st.SchedStats()
-		fmt.Printf("scheduled reads (-batch auto): %d workers, %d waves in flight at close\n",
-			st.Workers, st.WavesInFlight)
-		fmt.Printf("scheduler: %d waves, mean wave size %.1f (target %d), %d singles coalesced\n",
-			st.Waves, st.MeanWaveSize, st.TargetWave, st.Singles)
-		fmt.Printf("scheduler: cluster hit rate %.1f%%  hub-cache hit rate %.1f%% (%d lanes, %d prunes)  hop2 peeled %d\n",
-			100*st.ClusterHitRate, 100*st.HubCacheHitRate, st.HubCacheLanes, st.HubCachePrunes, st.Hop2Peeled)
-		fmt.Printf("latency p50 %v  p99 %v  max %v\n", pctl(0.50), pctl(0.99), pctl(1.0))
-	case qbatch > 1:
+	if qbatch > 1 {
 		nb := servedBatches.Load()
 		mean := 0.0
 		if nb > 0 {
@@ -665,7 +626,7 @@ feed:
 		}
 		fmt.Printf("batched reads (-batch %d): %d batches, mean size %.1f\n", qbatch, nb, mean)
 		fmt.Printf("batch latency p50 %v  p99 %v  max %v\n", pctl(0.50), pctl(0.99), pctl(1.0))
-	default:
+	} else {
 		fmt.Printf("latency p50 %v  p99 %v  max %v\n", pctl(0.50), pctl(0.99), pctl(1.0))
 	}
 	fmt.Printf("writer: %d batches in %v\n", epochs, elapsed.Round(time.Millisecond))

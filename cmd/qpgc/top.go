@@ -315,12 +315,10 @@ func renderTop(w io.Writer, cur, prev metricSample, dt time.Duration, rpcEpoch u
 		if lanes > 0 {
 			hubPct = 100 * hub / lanes
 		}
-		fmt.Fprintf(w, "sched   waves %.0f  lanes %.0f  clustered %.0f  hub-cached %.0f (%.0f%%)  queue %.0f  target %.0f\n",
+		fmt.Fprintf(w, "sched   waves %.0f  lanes %.0f  clustered %.0f  hub-cached %.0f (%.0f%%)\n",
 			n, lanes,
 			cur.get("qpgc_sched_clustered_lanes_total"),
-			hub, hubPct,
-			cur.get("qpgc_sched_queue_depth"),
-			cur.get("qpgc_sched_target_wave"))
+			hub, hubPct)
 	}
 	if n := cur.get("qpgc_wal_appends_total"); n > 0 {
 		commits := cur.get("qpgc_wal_group_commits_total")

@@ -7,7 +7,7 @@
 // bisimulation Rb is an equivalence relation (Lemma 5); its quotient is the
 // compressed graph of compressB.
 //
-// Three interchangeable engines are provided and cross-checked by tests:
+// Two interchangeable engines are provided and cross-checked by tests:
 //
 //   - RefineNaive: global signature refinement. Starting from the label
 //     partition it repeatedly splits blocks whose members have different
@@ -16,10 +16,9 @@
 //     bisimulation — simple and obviously correct, O(rounds·|E|).
 //   - RefinePT: the Paige–Tarjan three-way splitting algorithm [24] with
 //     the "process the smaller half" strategy and per-edge counters,
-//     O(|E| log |V|) — the bound quoted by Theorem 4.
-//   - RefineStratified: the Dovier–Piazza–Policriti rank-stratified
-//     algorithm [8] (rank.go); incremental maintenance (incPCM) falls
-//     back to it for graphs deeper than the levels it keeps.
+//     O(|E| log |V|) — the bound quoted by Theorem 4. Compress runs it,
+//     and incremental maintenance (incPCM) falls back to it for graphs
+//     deeper than the levels it keeps.
 package bisim
 
 import (

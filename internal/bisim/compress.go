@@ -56,10 +56,10 @@ func (c *Compressed) Ratio(g *graph.Graph) float64 {
 // Compress computes the pattern preserving compression R(G) of g
 // (algorithm compressB, Fig. 7) using Paige–Tarjan refinement (Theorem 4's
 // O(|E| log |V|)). It freezes one CSR snapshot and shares it between the
-// refinement and the quotient construction. RefineNaive and
-// RefineStratified produce the identical (maximum bisimulation) partition
-// and stay as the references tests compare against: Quotient(g,
-// RefineNaive(g)) is the same compression by the slow road.
+// refinement and the quotient construction. RefineNaive produces the
+// identical (maximum bisimulation) partition and stays as the reference
+// tests compare against: Quotient(g, RefineNaive(g)) is the same
+// compression by the slow road.
 func Compress(g *graph.Graph) *Compressed {
 	c := g.Freeze()
 	return quotient(c, RefinePTCSR(c))

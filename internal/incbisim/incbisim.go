@@ -42,8 +42,11 @@
 // starts from the old partition and compares current signatures can find
 // (two mirror cycles told apart by one edge stay apart under it when the
 // edge goes). Ranks are not needed for exactness, bisimilar nodes sharing
-// a rank anyway, and the maintainer keeps none; it reads nothing of the
-// condensation but the graph.
+// a rank anyway, and the maintainer keeps none. Over(cond) takes one thing
+// from the shared condensation, the graph it updates: Apply routes a batch
+// through cond so the graph changes once for every maintainer over it, and
+// Absorb reads the graph cond already changed — no component, order or
+// change log of the condensation is consulted.
 //
 // # Depth
 //
@@ -54,7 +57,7 @@
 // both. The depth of every dataset in internal/gen is at most 20, but a
 // same-label chain is as deep as it is long, so past maxLevels the
 // maintainer stops keeping levels: it refines from the seed each batch
-// with bisim.RefineStratified (Stats.Fallbacks), under the same block ids
+// with bisim.RefinePT (Stats.Fallbacks), under the same block ids
 // and change log, and tries the levels again every fallbackRetry batches.
 // Compressed projects the quotient from G once per generation, on demand.
 //
@@ -297,9 +300,10 @@ func (m *Maintainer) Apply(batch []graph.Update) Stats {
 	eff := m.g.Reduce(batch)
 	if m.cond == nil {
 		m.g.Apply(eff)
-		return m.Absorb(eff, nil)
+	} else {
+		m.cond.Apply(eff)
 	}
-	return m.Absorb(eff, m.cond.Apply(eff))
+	return m.Absorb(eff)
 }
 
 // ApplySingly processes a batch one update at a time — the IncBsim
@@ -319,9 +323,9 @@ func (m *Maintainer) ApplySingly(batch []graph.Update) Stats {
 	return total
 }
 
-// Absorb updates the compression after the condensation applied the
-// effective updates eff; the levels need nothing of its change log.
-func (m *Maintainer) Absorb(eff []graph.Update, _ *dynscc.Delta) Stats {
+// Absorb updates the compression after the effective updates eff were
+// applied to the graph.
+func (m *Maintainer) Absorb(eff []graph.Update) Stats {
 	st := Stats{EffectiveUpdates: len(eff)}
 	if len(eff) == 0 {
 		return st
@@ -559,7 +563,7 @@ func (m *Maintainer) adoptIDs(k int, pub level, st *Stats) {
 // signed over it — which groups the nodes exactly as it does — so that
 // blocks keep their ids as on the levelled path.
 func (m *Maintainer) fromSeed(st *Stats) {
-	m.resignAll(0, bisim.RefineStratified(m.Graph()).BlockOf, st)
+	m.resignAll(0, bisim.RefinePT(m.Graph()).BlockOf, st)
 	st.Fallbacks++
 	m.logTop()
 }

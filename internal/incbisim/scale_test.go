@@ -41,9 +41,9 @@ func patternCost(tb testing.TB, factor, batches int) (ns, resigned []float64, de
 		b := gen.RandomBatch(rng, mirror, 32, 0.5)
 		mirror.Apply(b)
 		eff := g.Reduce(b)
-		delta := cond.Apply(eff)
+		cond.Apply(eff)
 		start := time.Now()
-		st := m.Absorb(eff, delta)
+		st := m.Absorb(eff)
 		took := time.Since(start)
 		switch {
 		case st.Fallbacks != 0:

@@ -97,7 +97,7 @@ func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {
 		t1 = time.Now()
 		mt.ReachTime.Observe(t1.Sub(t0))
 	}
-	ps := p.Pattern.Absorb(eff, d)
+	ps := p.Pattern.Absorb(eff)
 	if mt != nil {
 		mt.PatternTime.Observe(time.Since(t1))
 		mt.ReachAff.ObserveNs(int64(rs.AffComponents))

@@ -53,7 +53,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Unlock()
 
 	// Callbacks run outside the registry lock: they may take subsystem
-	// locks of their own (WAL size, scheduler queue depth).
+	// locks of their own (WAL size, scheduler pool size).
 	for name, fn := range cfuncs {
 		counters[name] = float64(fn())
 	}

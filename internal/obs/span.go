@@ -17,8 +17,7 @@ const (
 	StageAdmission Stage = iota
 	// StageEpochWait is time spent holding for the read-your-writes epoch.
 	StageEpochWait
-	// StageWave is time from scheduler hand-off to wave completion
-	// (queueing plus the shared 64-lane sweep).
+	// StageWave is the read itself; for batches, the scheduler's waves.
 	StageWave
 	// StageLeaf is time inside the leaf engine (topo sweep, hub-cache
 	// pruned sweep, or hop2 peel — the engine choice is counted

@@ -659,12 +659,6 @@ func (f *Follower) Reachable(u, v graph.Node, onG bool) bool {
 	return f.backend().Reachable(u, v, onG)
 }
 
-// SchedReachable implements server.Backend, coalescing point queries into
-// the local store's scheduler waves.
-func (f *Follower) SchedReachable(u, v graph.Node) bool {
-	return f.backend().SchedReachable(u, v)
-}
-
 // BatchReachable implements server.Backend on the local snapshot.
 func (f *Follower) BatchReachable(us, vs []graph.Node) []bool {
 	return f.backend().BatchReachable(us, vs)

@@ -105,6 +105,22 @@ func startFollower(t *testing.T, leaderAddr string, opts Options) *Follower {
 	return f
 }
 
+// serveFollower fronts f with its own Server and returns a client to it.
+func serveFollower(t *testing.T, f *Follower) *server.Client {
+	t.Helper()
+	srv, err := server.Start("127.0.0.1:0", server.Options{Backend: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cli, err := server.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	return cli
+}
+
 // awaitEpoch polls until the follower publishes at least epoch e.
 func awaitEpoch(t *testing.T, f *Follower, e uint64, d time.Duration) {
 	t.Helper()
@@ -208,16 +224,7 @@ func TestFollowerServesOverWire(t *testing.T) {
 	lh := startLeader(t, g, nil)
 	f := startFollower(t, lh.srv.Addr(), Options{})
 
-	fsrv, err := server.Start("127.0.0.1:0", server.Options{Backend: f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fsrv.Close()
-	fcli, err := server.Dial(fsrv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fcli.Close()
+	fcli := serveFollower(t, f)
 
 	mirror := g.Clone()
 	rng := rand.New(rand.NewSource(8))
@@ -245,6 +252,51 @@ func TestFollowerServesOverWire(t *testing.T) {
 	in, err := fcli.Stats()
 	if err != nil || in.Kind != "store" {
 		t.Fatalf("follower stats: %+v, %v", in, err)
+	}
+}
+
+// TestWirePointReadsRunOnTheCaller pins the read-side contract of the wire:
+// a point read served by a leader's or a follower's endpoint is the store's
+// own Reachable on the connection's goroutine — it makes no scheduler wave
+// on either store and answers as the method call does — while a batch wider
+// than one wave still goes through the scheduler.
+func TestWirePointReadsRunOnTheCaller(t *testing.T) {
+	g := matrixTopologies(35)["social"]
+	lh := startLeader(t, g, nil)
+	f := startFollower(t, lh.srv.Addr(), Options{})
+	fcli := serveFollower(t, f)
+
+	n := g.NumNodes()
+	rng := rand.New(rand.NewSource(9))
+	endpoints := map[string]*server.Client{"leader": lh.cli, "follower": fcli}
+	for i := 0; i < 300; i++ {
+		u, v := graph.Node(rng.Intn(n)), graph.Node(rng.Intn(n))
+		want := lh.store.Reachable(u, v)
+		for name, cli := range endpoints {
+			got, _, err := cli.Reachable(u, v, 0, false)
+			if err != nil {
+				t.Fatalf("%s: QR(%d,%d): %v", name, u, v, err)
+			}
+			if got != want {
+				t.Fatalf("%s: QR(%d,%d)=%v, Store.Reachable says %v", name, u, v, got, want)
+			}
+		}
+	}
+	if st := lh.store.SchedStats(); st.Waves != 0 {
+		t.Fatalf("leader: 300 wire point reads made %d scheduler waves, want 0", st.Waves)
+	}
+	if st := f.local().SchedStats(); st.Waves != 0 {
+		t.Fatalf("follower: 300 wire point reads made %d scheduler waves, want 0", st.Waves)
+	}
+
+	us := make([]graph.Node, 1024)
+	vs := make([]graph.Node, 1024)
+	for i := range us {
+		us[i], vs[i] = graph.Node(rng.Intn(n)), graph.Node(rng.Intn(n))
+	}
+	lh.store.BatchReachable(us, vs)
+	if st := lh.store.SchedStats(); st.Waves == 0 {
+		t.Fatal("a 1024-pair BatchReachable made no scheduler wave")
 	}
 }
 

@@ -27,10 +27,6 @@ type Backend interface {
 	// Reachable answers one reachability query on the current snapshot;
 	// onG answers on the uncompressed graph instead of the quotient.
 	Reachable(u, v graph.Node, onG bool) bool
-	// SchedReachable answers one quotient reachability query through the
-	// store's wave scheduler, letting concurrently queued point queries
-	// coalesce into shared 64-lane sweeps.
-	SchedReachable(u, v graph.Node) bool
 	// BatchReachable answers n queries on one snapshot.
 	BatchReachable(us, vs []graph.Node) []bool
 	// Match answers a pattern query on the current snapshot.
@@ -83,10 +79,6 @@ func (b storeBackend) Reachable(u, v graph.Node, onG bool) bool {
 		return b.s.ReachableOnG(u, v)
 	}
 	return b.s.Reachable(u, v)
-}
-
-func (b storeBackend) SchedReachable(u, v graph.Node) bool {
-	return b.s.SchedReachable(u, v)
 }
 
 func (b storeBackend) BatchReachable(us, vs []graph.Node) []bool {

@@ -69,6 +69,7 @@ func fuzzServerInstance() *Server {
 func FuzzHandleRequest(f *testing.F) {
 	f.Add(byte(MsgPing), []byte{})
 	f.Add(byte(MsgReach), reachBody(0, 1, 2))
+	f.Add(byte(MsgReach), append(reachBody(0, 1, 2)[:16], 0xff)) // onG flag out of range
 	f.Add(byte(MsgBatchReach), binary.LittleEndian.AppendUint32(make([]byte, 8), 0))
 	f.Add(byte(MsgMatch), make([]byte, 16))
 	f.Add(byte(MsgApply), binary.LittleEndian.AppendUint32(nil, 0))

@@ -272,12 +272,15 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 		if err := c.fin(); err != nil {
 			return emit(MsgErr, s.errBody(err))
 		}
+		if onG > 1 {
+			return emit(MsgErr, s.errBody(fmt.Errorf("server: onG flag %d, want 0 or 1", onG)))
+		}
 		n := uint32(s.backend.NumNodes())
 		if u >= n || v >= n {
 			return emit(MsgErr, s.errBody(fmt.Errorf("server: node id outside [0,%d)", n)))
 		}
 		// The span walks the point read through the pipeline: admission
-		// wait, epoch wait, then the scheduler wave. The store's leaf and
+		// wait, epoch wait, then the read itself. The store's leaf and
 		// summary stages land in the same qpgc_query family.
 		sp := s.ob.qtracer().Start(u, v)
 		s.admitRead()
@@ -290,16 +293,7 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 			return emit(MsgErr, s.errBody(err))
 		}
 		out := binary.LittleEndian.AppendUint64(nil, epoch)
-		// Quotient-level reads go through the wave scheduler so point
-		// queries queued by concurrent connections coalesce into shared
-		// 64-lane sweeps; onG reads bypass it (the sweep answers on the
-		// quotient only).
-		var reach bool
-		if onG == 1 {
-			reach = s.backend.Reachable(graph.Node(u), graph.Node(v), true)
-		} else {
-			reach = s.backend.SchedReachable(graph.Node(u), graph.Node(v))
-		}
+		reach := s.backend.Reachable(graph.Node(u), graph.Node(v), onG == 1)
 		sp.Step(obs.StageWave)
 		sp.Finish()
 		if reach {

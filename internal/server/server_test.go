@@ -205,6 +205,7 @@ func TestWireRejectsGarbage(t *testing.T) {
 	bad := [][2]interface{}{
 		{MsgReach, []byte{1, 2, 3}},                                 // truncated body
 		{MsgReach, reachBody(0, 100000, 0)},                         // node out of range
+		{MsgReach, append(reachBody(0, 1, 2)[:16], 2)},              // onG flag neither 0 nor 1
 		{MsgApply, []byte{0xff, 0xff, 0xff, 0xff}},                  // absurd batch count
 		{MsgMatch, append(make([]byte, 8), 0xff, 0xff, 0xff, 0xff)}, // absurd pattern
 		{MsgType(0x3f), nil},                                        // unknown type

@@ -57,7 +57,6 @@ type Handle interface {
 	// The read paths, on the current snapshot.
 	Reachable(u, v graph.Node) bool
 	ReachableOnG(u, v graph.Node) bool
-	SchedReachable(u, v graph.Node) bool
 	BatchReachable(us, vs []graph.Node) []bool
 	Match(p *pattern.Pattern) *pattern.Result
 	SchedStats() SchedStats

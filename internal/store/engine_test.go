@@ -57,7 +57,7 @@ func TestEngineFailedAppendLeavesNoGap(t *testing.T) {
 	}
 	e.dur = d
 	e.advance(0)
-	e.serve(newScheduler(1, func(u, v graph.Node) uint64 { return 0 }, func() int { return 1 }, func(us, vs []graph.Node, out []bool) {}))
+	e.serve(newScheduler(1, func(u, v graph.Node) uint64 { return 0 }, func() int { return 1 }))
 
 	batch := []graph.Update{graph.Insertion(0, 1)}
 	for want := uint64(1); want <= 2; want++ {

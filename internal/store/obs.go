@@ -162,8 +162,8 @@ func (so *storeObs) ageSeconds() float64 {
 	return time.Since(time.Unix(0, so.lastPublish.Load())).Seconds()
 }
 
-// bindSchedObs registers the scheduler's counters and controller state with
-// the registry and hands the scheduler its wave-latency histogram.
+// bindSchedObs registers the scheduler's counters and pool state with the
+// registry and hands the scheduler its wave-latency histogram.
 func bindSchedObs(r *obs.Registry, sc *scheduler) {
 	if r == nil || sc == nil {
 		return
@@ -171,19 +171,8 @@ func bindSchedObs(r *obs.Registry, sc *scheduler) {
 	sc.waveHist = r.Histogram("qpgc_sched_wave_seconds")
 	r.CounterFunc("qpgc_sched_waves_total", sc.waves.Load)
 	r.CounterFunc("qpgc_sched_lanes_total", sc.lanes.Load)
-	r.CounterFunc("qpgc_sched_singles_total", sc.singles.Load)
 	r.CounterFunc("qpgc_sched_clustered_lanes_total", sc.clustered.Load)
 	r.GaugeFunc("qpgc_sched_waves_inflight", func() float64 { return float64(sc.inFlight.Load()) })
-	r.GaugeFunc("qpgc_sched_queue_depth", func() float64 {
-		sc.mu.Lock()
-		defer sc.mu.Unlock()
-		return float64(len(sc.q))
-	})
-	r.GaugeFunc("qpgc_sched_target_wave", func() float64 {
-		sc.mu.Lock()
-		defer sc.mu.Unlock()
-		return float64(sc.targetLocked())
-	})
 	r.GaugeFunc("qpgc_sched_workers", func() float64 {
 		sc.mu.Lock()
 		defer sc.mu.Unlock()

@@ -1,30 +1,16 @@
 // Multi-wave batch scheduler: a worker pool that runs many 64-lane waves
-// concurrently across cores. Two kinds of work flow through it:
-//
-//   - Pinned batches (BatchReachable calls wider than one wave): the batch
-//     pins ONE snapshot, its pairs are clustered by quotient-id locality so
-//     co-batched lanes share frontiers, and the resulting waves are claimed
-//     by the pool workers AND the calling goroutine together — the caller
-//     is never idle while its own batch runs.
-//   - Singles (SchedReachable / the network tier's queued point queries):
-//     enqueued items coalesce into shared waves cut by whichever worker
-//     wakes first, so concurrent point queries from many connections pay
-//     one lane sweep instead of one BFS each.
-//
-// An adaptive controller sizes the singles waves from OBSERVED state
-// instead of a fixed -batch n: an EWMA of queue depth at cut time sets the
-// target wave width, and an EWMA of per-wave latency bounds how long an
-// undersized cut lingers for stragglers (a fraction of one wave's cost, so
-// lingering can never dominate latency). Waves always run against the
-// snapshot current at cut time — each query still sees one consistent
-// epoch, and a pinned batch sees exactly one epoch end to end.
+// concurrently across cores. One kind of work flows through it, the pinned
+// batch (a BatchReachable call wider than one wave): the batch pins ONE
+// snapshot, its pairs are clustered by quotient-id locality so co-batched
+// lanes share frontiers, and the resulting waves are claimed by the pool
+// workers AND the calling goroutine together — the caller is never idle
+// while its own batch runs, and the batch sees exactly one epoch end to
+// end. Point reads never come here: they run on the goroutine that asked.
 package store
 
 import (
-	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,13 +24,6 @@ const (
 	// schedMinPinnedWave is the floor for pinned-batch wave splitting:
 	// below it per-wave constants dominate the sweep.
 	schedMinPinnedWave = 8
-	// schedDepthGain / schedLatGain are the controller's EWMA gains for
-	// observed queue depth and per-wave latency.
-	schedDepthGain = 0.25
-	schedLatGain   = 0.2
-	// schedMaxLinger caps how long an undersized singles cut waits for
-	// stragglers regardless of what the latency EWMA suggests.
-	schedMaxLinger = 100 * time.Microsecond
 	// schedClusterMinBuckets is the locality-bucket count below which a
 	// pinned batch skips the cluster sort: the sweep's scan range is that
 	// many bitmap words wide at most, so there is nothing to narrow. Kept
@@ -65,11 +44,6 @@ type SchedStats struct {
 	Waves        uint64
 	Lanes        uint64
 	MeanWaveSize float64
-	// TargetWave is the controller's current singles wave-width target
-	// (EWMA of queue depth, clamped to [1, MaxBatch]).
-	TargetWave int
-	// Singles counts point queries coalesced through the scheduler.
-	Singles uint64
 	// ClusteredLanes counts lanes placed next to a lane with the same
 	// source-locality bucket by the clustering sort; ClusterHitRate is
 	// their fraction of all scheduler lanes.
@@ -89,12 +63,6 @@ type SchedStats struct {
 	HubCacheHitRate float64
 }
 
-// schedItem is one queued point query.
-type schedItem struct {
-	u, v graph.Node
-	res  chan bool
-}
-
 // pinnedJob is one in-flight pinned batch: perm orders the pairs by
 // cluster key (nil = identity, waves slice the batch in place), next is
 // the claim cursor, and wg counts unfinished waves.
@@ -109,37 +77,30 @@ type pinnedJob struct {
 	wg     sync.WaitGroup
 }
 
-// scheduler is the pool. The two closures bind it to a store kind: key
+// scheduler is the pool. Two closures bind it to a store kind: key
 // maps a pair to its 40-bit locality bucket — source bucket in bits
 // [39:20], target bucket in bits [19:0] — leaving the low 24 bits free so
 // runPinned can pack (key, lane index) into one uint64 and cluster-sort a
 // batch with slices.Sort on machine words instead of a closure sort (the
 // closure sort costs more than the sweep itself on collapsed quotients).
-// run answers one wave against the CURRENT snapshot (used for singles;
-// pinned batches carry their own snapshot-bound runner).
+// Every pinned batch carries its own snapshot-bound wave runner.
 type scheduler struct {
 	key     func(u, v graph.Node) uint64
 	buckets func() int // locality-bucket count hint; nil = always sort
-	run     func(us, vs []graph.Node, out []bool)
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	q         []schedItem
-	jobs      []*pinnedJob
-	closed    bool
-	gen       int // bumped by setWorkers; a worker exits when it changes
-	workers   int
-	ewmaDepth float64
+	mu      sync.Mutex
+	cond    *sync.Cond
+	jobs    []*pinnedJob
+	closed  bool
+	gen     int // bumped by setWorkers; a worker exits when it changes
+	workers int
 
-	ewmaLatNs  atomic.Uint64 // math.Float64bits encoded
-	chans      sync.Pool     // chan bool, capacity 1
-	waveBufs   sync.Pool     // *waveBuf, MaxBatch capacity
-	pinScratch sync.Pool     // *pinScratch, grown to the largest batch
+	waveBufs   sync.Pool // *waveBuf, MaxBatch capacity
+	pinScratch sync.Pool // *pinScratch, grown to the largest batch
 
 	inFlight  atomic.Int64
 	waves     atomic.Uint64
 	lanes     atomic.Uint64
-	singles   atomic.Uint64
 	clustered atomic.Uint64
 
 	// waveHist, when non-nil, receives sampled per-wave latencies
@@ -157,39 +118,34 @@ type scheduler struct {
 // spreads lanes over; runPinned skips the cluster sort below
 // schedClusterMinBuckets of them, because a sweep whose whole scan range is
 // a handful of bitmap words cannot be narrowed enough to repay a sort.
-func newScheduler(workers int, key func(u, v graph.Node) uint64, buckets func() int, run func(us, vs []graph.Node, out []bool)) *scheduler {
+func newScheduler(workers int, key func(u, v graph.Node) uint64, buckets func() int) *scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sc := &scheduler{key: key, buckets: buckets, run: run, workers: workers}
+	sc := &scheduler{key: key, buckets: buckets, workers: workers}
 	sc.cond = sync.NewCond(&sc.mu)
-	sc.chans.New = func() any { return make(chan bool, 1) }
 	for i := 0; i < workers; i++ {
 		go sc.worker(0)
 	}
 	return sc
 }
 
-// worker is one pool goroutine: claim pinned waves first (a caller is
-// blocked on them), otherwise cut a singles wave.
+// worker is one pool goroutine: claim a wave of the oldest pinned job, run
+// it, repeat.
 func (sc *scheduler) worker(gen int) {
 	for {
 		sc.mu.Lock()
-		for !sc.closed && sc.gen == gen && len(sc.jobs) == 0 && len(sc.q) == 0 {
+		for !sc.closed && sc.gen == gen && len(sc.jobs) == 0 {
 			sc.cond.Wait()
 		}
 		if sc.closed || sc.gen != gen {
 			sc.mu.Unlock()
 			return
 		}
-		if len(sc.jobs) > 0 {
-			job := sc.jobs[0]
-			lo, hi := sc.claimLocked(job)
-			sc.mu.Unlock()
-			sc.runPinnedWave(job, lo, hi)
-			continue
-		}
-		sc.cutSinglesLocked(gen)
+		job := sc.jobs[0]
+		lo, hi := sc.claimLocked(job)
+		sc.mu.Unlock()
+		sc.runPinnedWave(job, lo, hi)
 	}
 }
 
@@ -403,132 +359,19 @@ func (sc *scheduler) runPinned(us, vs []graph.Node, out []bool, run func(us, vs 
 	}
 }
 
-// query enqueues one point query for wave coalescing and blocks for its
-// answer; ok is false when the scheduler is closed (callers fall back to
-// the scalar path).
-func (sc *scheduler) query(u, v graph.Node) (ans, ok bool) {
-	ch := sc.chans.Get().(chan bool)
-	sc.mu.Lock()
-	if sc.closed {
-		sc.mu.Unlock()
-		sc.chans.Put(ch)
-		return false, false
-	}
-	sc.q = append(sc.q, schedItem{u: u, v: v, res: ch})
-	sc.mu.Unlock()
-	sc.cond.Signal()
-	sc.singles.Add(1)
-	ans = <-ch
-	sc.chans.Put(ch)
-	return ans, true
-}
-
-// cutSinglesLocked cuts one wave from the singles queue — adapting its
-// width to the depth EWMA and lingering (bounded by a fraction of the
-// latency EWMA) when the queue is shallower than target — then runs it
-// against the current snapshot. Called with mu held; returns with mu
-// released.
-func (sc *scheduler) cutSinglesLocked(gen int) {
-	sc.ewmaDepth += schedDepthGain * (float64(len(sc.q)) - sc.ewmaDepth)
-	if len(sc.q) < sc.targetLocked() {
-		linger := time.Duration(sc.loadLat() / 4)
-		if linger > schedMaxLinger {
-			linger = schedMaxLinger
-		}
-		if linger > 0 {
-			sc.mu.Unlock()
-			time.Sleep(linger)
-			sc.mu.Lock()
-			if sc.closed || sc.gen != gen {
-				sc.mu.Unlock()
-				return
-			}
-		}
-	}
-	k := min(len(sc.q), queries.MaxBatch)
-	if k == 0 {
-		sc.mu.Unlock()
-		return
-	}
-	items := make([]schedItem, k)
-	copy(items, sc.q[:k])
-	rest := copy(sc.q, sc.q[k:])
-	sc.q = sc.q[:rest]
-	sc.mu.Unlock()
-
-	// Cluster the wave: lanes sorted by locality key share frontiers in
-	// the lane sweep.
-	keys := make([]uint64, k)
-	for i, it := range items {
-		keys[i] = sc.key(it.u, it.v)
-	}
-	sort.Sort(&keyedItems{items: items, keys: keys})
-	cl := 0
-	us := make([]graph.Node, k)
-	vs := make([]graph.Node, k)
-	out := make([]bool, k)
-	for i, it := range items {
-		us[i], vs[i] = it.u, it.v
-		if i > 0 && keys[i]>>20 == keys[i-1]>>20 {
-			cl++
-		}
-	}
-	sc.clustered.Add(uint64(cl))
-	start := time.Now()
-	sc.inFlight.Add(1)
-	sc.run(us, vs, out)
-	sc.inFlight.Add(-1)
-	sc.noteWave(k, time.Since(start))
-	for i, it := range items {
-		it.res <- out[i]
-	}
-}
-
-// keyedItems co-sorts a singles wave with its cluster keys.
-type keyedItems struct {
-	items []schedItem
-	keys  []uint64
-}
-
-func (s *keyedItems) Len() int           { return len(s.items) }
-func (s *keyedItems) Less(a, b int) bool { return s.keys[a] < s.keys[b] }
-func (s *keyedItems) Swap(a, b int) {
-	s.items[a], s.items[b] = s.items[b], s.items[a]
-	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
-}
-
-// noteWave records one completed wave in the counters and the latency
-// EWMA. The EWMA update is a racy read-modify-write on purpose: lost
-// updates only slow adaptation, and the hot path stays lock-free.
+// noteWave records one completed wave in the counters.
 func (sc *scheduler) noteWave(k int, d time.Duration) {
 	sc.waves.Add(1)
 	sc.lanes.Add(uint64(k))
 	sc.noteLat(d)
 }
 
-// noteLat folds one observed per-wave latency into the controller's EWMA
-// and, on the sampling clock, the wave-latency histogram when one is bound.
+// noteLat observes one per-wave latency, on the sampling clock, in the
+// wave-latency histogram when one is bound.
 func (sc *scheduler) noteLat(d time.Duration) {
 	if sc.waveHist != nil && sc.histTick.Add(1)%obsSampleWaves == 0 {
 		sc.waveHist.Observe(d)
 	}
-	old := sc.loadLat()
-	sc.ewmaLatNs.Store(math.Float64bits(old + schedLatGain*(float64(d.Nanoseconds())-old)))
-}
-
-func (sc *scheduler) loadLat() float64 { return math.Float64frombits(sc.ewmaLatNs.Load()) }
-
-// targetLocked is the controller's singles wave-width target. Caller
-// holds mu.
-func (sc *scheduler) targetLocked() int {
-	t := int(sc.ewmaDepth + 0.5)
-	if t < 1 {
-		t = 1
-	}
-	if t > queries.MaxBatch {
-		t = queries.MaxBatch
-	}
-	return t
 }
 
 // setWorkers resizes the pool: the old generation exits at its next queue
@@ -552,51 +395,15 @@ func (sc *scheduler) setWorkers(n int) {
 	}
 }
 
-// close stops the pool and answers everything still queued inline.
-// Idempotent; safe against concurrent query/runPinned callers (they fall
-// back to inline execution once closed is visible).
+// close stops the pool. Idempotent; safe against concurrent runPinned
+// callers: each drains its own job, so every wave the exiting workers left
+// unclaimed runs inline on the goroutine that is waiting for it.
 func (sc *scheduler) close() {
 	sc.mu.Lock()
-	if sc.closed {
-		sc.mu.Unlock()
-		return
-	}
 	sc.closed = true
-	rest := sc.q
-	sc.q = nil
-	jobs := sc.jobs
 	sc.jobs = nil
 	sc.mu.Unlock()
 	sc.cond.Broadcast()
-	// Orphaned pinned jobs: their callers are helping too, so claim under
-	// the lock exactly as a worker would.
-	for _, job := range jobs {
-		for {
-			sc.mu.Lock()
-			if job.next >= len(job.perm) {
-				sc.mu.Unlock()
-				break
-			}
-			lo, hi := sc.claimLocked(job)
-			sc.mu.Unlock()
-			sc.runPinnedWave(job, lo, hi)
-		}
-	}
-	for off := 0; off < len(rest); off += queries.MaxBatch {
-		end := min(off+queries.MaxBatch, len(rest))
-		k := end - off
-		us := make([]graph.Node, k)
-		vs := make([]graph.Node, k)
-		out := make([]bool, k)
-		for i, it := range rest[off:end] {
-			us[i], vs[i] = it.u, it.v
-		}
-		sc.run(us, vs, out)
-		sc.noteWave(k, 0)
-		for i, it := range rest[off:end] {
-			it.res <- out[i]
-		}
-	}
 }
 
 // stats snapshots the scheduler-side counters (the store layers fill in
@@ -606,7 +413,6 @@ func (sc *scheduler) stats() SchedStats {
 		WavesInFlight:  int(sc.inFlight.Load()),
 		Waves:          sc.waves.Load(),
 		Lanes:          sc.lanes.Load(),
-		Singles:        sc.singles.Load(),
 		ClusteredLanes: sc.clustered.Load(),
 	}
 	if st.Waves > 0 {
@@ -617,7 +423,6 @@ func (sc *scheduler) stats() SchedStats {
 	}
 	sc.mu.Lock()
 	st.Workers = sc.workers
-	st.TargetWave = sc.targetLocked()
 	sc.mu.Unlock()
 	return st
 }

@@ -625,19 +625,13 @@ func (s *ShardedStore) setPartition(p *part.Partition, labels *graph.Labels) {
 // newSched binds a scheduler to this store: cluster keys come from the
 // static partition (shard pair buckets, source shard in the key's high
 // half per the scheduler's 40-bit layout — co-batched lanes then touch
-// few shards per wave), singles waves run the sharded batch route with
-// pooled scratch.
+// few shards per wave).
 func (s *ShardedStore) newSched() *scheduler {
 	return newScheduler(s.cfg.SchedWorkers,
 		func(u, v graph.Node) uint64 {
 			return (uint64(s.p.ShardOf[u])&0xFFFFF)<<20 | uint64(s.p.ShardOf[v])&0xFFFFF
 		},
-		func() int { return s.shards },
-		func(us, vs []graph.Node, out []bool) {
-			brs := s.getBatchScratch()
-			s.Snapshot().BatchReachable(brs, us, vs, out)
-			s.bscratch.Put(brs)
-		})
+		func() int { return s.shards })
 }
 
 // roundTrip hands the routed per-shard sub-batches to the shard writers and
@@ -959,20 +953,6 @@ func (s *ShardedStore) install(sn *ShardedSnapshot) {
 // Snapshot returns the current epoch's immutable query state. Use it to
 // pin a sequence of queries to one consistent epoch.
 func (s *ShardedStore) Snapshot() *ShardedSnapshot { return s.snap.Load() }
-
-// SchedReachable answers QR(u,v) through the multi-wave scheduler, as
-// Store.SchedReachable: concurrent point queries coalesce into shared
-// waves over the sharded batch route. After Close it falls back to the
-// scalar routed path on the final snapshot.
-func (s *ShardedStore) SchedReachable(u, v graph.Node) bool {
-	if s.sched != nil {
-		if ans, ok := s.sched.query(u, v); ok {
-			s.reads.Add(1)
-			return ans
-		}
-	}
-	return s.Reachable(u, v)
-}
 
 // getScratch pools routing scratch across readers.
 func (s *ShardedStore) getScratch() *RouteScratch { return s.scratch.Get().(*RouteScratch) }

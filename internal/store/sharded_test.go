@@ -219,24 +219,9 @@ func TestShardedSchedStatsCountersMove(t *testing.T) {
 		t.Fatal("sharded hub caches built but never answered or pruned a lane")
 	}
 
-	// Concurrent point queries move the singles counters. Wave WIDTHS are
-	// scheduling-dependent (on one P the signaled worker usually cuts each
-	// query as its own wave), so only presence is asserted here; the
-	// clustering counter gets its own deterministic drive below.
-	s.SetSchedWorkers(1)
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; i < len(us); i += 8 {
-				s.SchedReachable(us[i], vs[i])
-			}
-		}(c)
-	}
-	wg.Wait()
-	if st := s.SchedStats(); st.Waves == 0 || st.Lanes == 0 || st.Singles == 0 {
-		t.Fatalf("singles counters stuck: %+v", st)
+	// The 600-pair batch above ran as scheduler waves.
+	if st := s.SchedStats(); st.Waves == 0 || st.Lanes == 0 {
+		t.Fatalf("wave counters stuck: %+v", st)
 	}
 
 	// ClusteredLanes, deterministically: the pinned batch path cluster-sorts

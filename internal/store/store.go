@@ -149,8 +149,7 @@ type Options struct {
 	WALSegmentBytes int64
 	// SchedWorkers sizes the multi-wave batch scheduler's worker pool
 	// (sched.go): large BatchReachable calls split into waves claimed
-	// across the pool, and SchedReachable point queries coalesce into
-	// shared waves. 0 means GOMAXPROCS at Open time; SetSchedWorkers
+	// across the pool. 0 means GOMAXPROCS at Open time; SetSchedWorkers
 	// resizes a running pool.
 	SchedWorkers int
 	// Obs, when non-nil, receives the store's metrics: apply/publish
@@ -401,8 +400,7 @@ func Open(g *graph.Graph, opts *Options) (*Store, error) {
 
 // newSched binds a scheduler to this store: cluster keys come from the
 // current reachability quotient (64-aligned class buckets, source in the
-// key's high half per the scheduler's 40-bit layout), singles waves run
-// the snapshot batch path with pooled scratch.
+// key's high half per the scheduler's 40-bit layout).
 func (s *Store) newSched() *scheduler {
 	return newScheduler(s.cfg.SchedWorkers,
 		func(u, v graph.Node) uint64 {
@@ -410,12 +408,7 @@ func (s *Store) newSched() *scheduler {
 			cu, cv := sn.Reach.Compressed.Rewrite(u, v)
 			return (uint64(cu>>6)&0xFFFFF)<<20 | uint64(cv>>6)&0xFFFFF
 		},
-		func() int { return (s.Snapshot().Reach.Gr.NumNodes() + 63) / 64 },
-		func(us, vs []graph.Node, out []bool) {
-			bs := s.getBatchScratch()
-			s.Snapshot().BatchReachable(bs, us, vs, out)
-			s.bscratch.Put(bs)
-		})
+		func() int { return (s.Snapshot().Reach.Gr.NumNodes() + 63) / 64 })
 }
 
 // noGen is a maintainer generation no maintainer reports: views tagged with
@@ -589,22 +582,6 @@ func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
 // Snapshot returns the current epoch's immutable query state. Use it to pin
 // a sequence of queries to one consistent epoch.
 func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
-
-// SchedReachable answers QR(u,v) through the multi-wave scheduler:
-// concurrent callers' queries coalesce into shared 64-lane waves sized by
-// the adaptive controller, so a loaded serving tier pays one lane sweep
-// per wave instead of one BFS per query. Answers are identical to
-// Reachable; after Close it falls back to the scalar path on the final
-// snapshot.
-func (s *Store) SchedReachable(u, v graph.Node) bool {
-	if s.sched != nil {
-		if ans, ok := s.sched.query(u, v); ok {
-			s.reads.Add(1)
-			return ans
-		}
-	}
-	return s.Reachable(u, v)
-}
 
 // getScratch pools traversal scratch across readers; with steady traffic
 // every goroutine reuses a warm scratch and point queries allocate nothing.

@@ -57,7 +57,7 @@ const (
 	StageAdmission = obs.StageAdmission
 	// StageEpochWait is the wait for a consistent snapshot epoch.
 	StageEpochWait = obs.StageEpochWait
-	// StageWave is the scheduler wait until the query's wave launches.
+	// StageWave is the read itself; for batches, the scheduler's waves.
 	StageWave = obs.StageWave
 	// StageLeaf is the leaf engine traversal over the compressed quotient.
 	StageLeaf = obs.StageLeaf

@@ -278,8 +278,8 @@ type (
 const MaxBatch = queries.MaxBatch
 
 // SchedStats is a point-in-time snapshot of a store's multi-wave batch
-// scheduler: worker count, waves and lanes run, adaptive wave-size target,
-// cluster/hub-cache hit rates, and hop2-peeled lane counts. Both store
+// scheduler: worker count, waves and lanes run, cluster/hub-cache hit
+// rates, and hop2-peeled lane counts. Both store
 // kinds expose it via their SchedStats methods; see DESIGN.md
 // ("Multi-wave scheduling & frontier sharing").
 type SchedStats = store.SchedStats
