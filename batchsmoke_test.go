@@ -103,11 +103,12 @@ func TestBatchSchedThroughputRegression(t *testing.T) {
 		us[i] = graph.Node(rng.Intn(n))
 		vs[i] = graph.Node(rng.Intn(n))
 	}
-	s, err := store.Open(g, &store.Options{Indexes: true, SchedWorkers: 4})
+	s, err := store.Open(g, &store.Options{Indexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.SetSchedWorkers(4)
 
 	sustained := func(fn func()) time.Duration {
 		const rounds = 30
@@ -159,11 +160,12 @@ func TestBatchSchedScalingSmoke(t *testing.T) {
 		us[i] = graph.Node(rng.Intn(n))
 		vs[i] = graph.Node(rng.Intn(n))
 	}
-	s, err := store.Open(g, &store.Options{Indexes: true, SchedWorkers: 4})
+	s, err := store.Open(g, &store.Options{Indexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.SetSchedWorkers(4)
 
 	measure := func(procs int) time.Duration {
 		prev := runtime.GOMAXPROCS(procs)

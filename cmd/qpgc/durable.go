@@ -6,11 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // displayKind renders a manifest kind for prose ("store" reads badly in
@@ -207,25 +208,19 @@ func quarantineCorrupt(dir string, corrupt []string) {
 		}
 		bad[c] = true
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	segs, err := wal.ListDir(nil, dir)
 	if err != nil {
 		fatal(err)
 	}
-	sort.Strings(segs)
-	first := -1
-	for i, s := range segs {
-		if bad[filepath.Base(s)] {
-			first = i
-			break
-		}
-	}
+	first := slices.IndexFunc(segs, func(s wal.SegmentInfo) bool { return bad[s.Name] })
 	if first < 0 {
 		return
 	}
 	for _, s := range segs[first:] {
-		if err := os.Rename(s, s+".quarantine"); err != nil {
+		path := filepath.Join(dir, s.Name)
+		if err := os.Rename(path, path+".quarantine"); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("quarantined: %s (preserved as %s.quarantine)\n", filepath.Base(s), filepath.Base(s))
+		fmt.Printf("quarantined: %s (preserved as %s.quarantine)\n", s.Name, s.Name)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // Options configures a Server.
@@ -53,7 +54,6 @@ type Options struct {
 type Server struct {
 	opts    Options
 	backend Backend
-	tailer  *Tailer
 	limiter *rateLimiter
 
 	ln     net.Listener
@@ -70,9 +70,6 @@ type Server struct {
 // New builds a Server; Serve or Start runs it.
 func New(opts Options) *Server {
 	s := &Server{opts: opts, backend: opts.Backend, conns: make(map[net.Conn]struct{})}
-	if opts.ReplDir != "" {
-		s.tailer = NewTailer(opts.ReplDir, opts.ShipFS)
-	}
 	if opts.MaxQPS > 0 {
 		s.limiter = newRateLimiter(opts.MaxQPS)
 	}
@@ -445,7 +442,7 @@ const snapChunkBytes = 1 << 20
 // bytes are read through the ship FS and not validated here — the
 // follower's InstallSnapshot fully decodes the image before trusting it.
 func (s *Server) handleSnapshot(body []byte, emit func(MsgType, []byte) error) error {
-	if s.tailer == nil {
+	if s.opts.ReplDir == "" {
 		return emit(MsgErr, s.errBody(errors.New("server: not a replication source")))
 	}
 	if len(body) != 0 {
@@ -455,7 +452,7 @@ func (s *Server) handleSnapshot(body []byte, emit func(MsgType, []byte) error) e
 	if err != nil {
 		return emit(MsgErr, s.errBody(err))
 	}
-	data, err := s.tailer.fs.ReadFile(s.opts.ReplDir + "/" + info.Snapshot)
+	data, err := faultfs.Or(s.opts.ShipFS).ReadFile(s.opts.ReplDir + "/" + info.Snapshot)
 	if err != nil {
 		return emit(MsgErr, s.errBody(err))
 	}
@@ -482,8 +479,11 @@ func (s *Server) handleSnapshot(body []byte, emit func(MsgType, []byte) error) e
 
 // handleTail ships one poll's worth of raw WAL frames from the requested
 // seq, ending with MsgCaughtUp (current durable epoch) or MsgSnapNeeded.
+// The frames are read through the ship FS and split by wal.ReadFrames, which
+// validates no checksum — the follower's wal.ParseRecord is the single
+// integrity gate (chaos tests inject read faults right here to prove it).
 func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error) error {
-	if s.tailer == nil {
+	if s.opts.ReplDir == "" {
 		return emit(MsgErr, s.errBody(errors.New("server: not a replication source")))
 	}
 	c := &cursor{b: body}
@@ -503,16 +503,19 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error) error
 		// tails from 1.
 		from = 1
 	}
-	batch, err := s.tailer.Next(from, s.opts.TailBytes)
+	// Collected before anything is sent: a poll that fails ships no frame.
+	var records [][]byte
+	oldest, err := wal.ReadFrames(s.opts.ShipFS, s.opts.ReplDir, from, s.opts.TailBytes, func(seq uint64, frame []byte) {
+		out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(frame)), seq)
+		records = append(records, append(out, frame...))
+	})
 	if err != nil {
 		return emit(MsgErr, s.errBody(err))
 	}
-	if batch.SnapNeeded {
-		return emit(MsgSnapNeeded, binary.LittleEndian.AppendUint64(nil, batch.Oldest))
+	if from < oldest {
+		return emit(MsgSnapNeeded, binary.LittleEndian.AppendUint64(nil, oldest))
 	}
-	for i, frame := range batch.Frames {
-		out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(frame)), batch.Seqs[i])
-		out = append(out, frame...)
+	for _, out := range records {
 		if err := emit(MsgRecord, out); err != nil {
 			return err
 		}

@@ -47,7 +47,7 @@ func (sn *Snapshot) BatchReachable(bs *queries.BatchScratch, us, vs []graph.Node
 	gr := sn.Reach.Gr
 	h2 := sn.Reach.Index()
 	cyc := rc.CyclicClass
-	sn.bstats.lanes.Add(uint64(len(us)))
+	noteLanes(sn.bstats, &sn.swept, len(us))
 	var ru, rv [queries.MaxBatch]graph.Node
 	var lidx [queries.MaxBatch]int
 	var lout [queries.MaxBatch]bool
@@ -159,19 +159,27 @@ func (sn *Snapshot) BatchDescendants(bs *queries.BatchScratch, us []graph.Node) 
 // BatchReachable answers the batch on the current snapshot, pinning one
 // epoch for all queries. Safe for any number of concurrent callers, also
 // during ApplyBatch. Batches wider than one 64-lane wave are clustered by
-// quotient-id locality and run as concurrent waves across the scheduler's
-// worker pool — still against the single snapshot pinned here, so the
-// batch is never torn across epochs.
+// quotient-id locality (64-aligned class buckets of the pinned quotient,
+// source in the key's high half) and run as concurrent scheduler waves —
+// keyed and swept against the single snapshot pinned here, so the batch is
+// never torn across epochs.
 func (s *Store) BatchReachable(us, vs []graph.Node) []bool {
+	checkBatchArgs(len(us), len(vs), len(us))
 	s.reads.Add(uint64(len(us)))
 	out := make([]bool, len(us))
 	sn := s.Snapshot()
-	if s.sched != nil && len(us) > queries.MaxBatch {
-		s.sched.runPinned(us, vs, out, func(wus, wvs []graph.Node, wout []bool) {
-			bs := s.getBatchScratch()
-			sn.BatchReachable(bs, wus, wvs, wout)
-			s.bscratch.Put(bs)
-		})
+	if len(us) > queries.MaxBatch {
+		rc := sn.Reach.Compressed
+		s.sched.runPinned(us, vs, out, (sn.Reach.Gr.NumNodes()+63)/64,
+			func(u, v graph.Node) uint64 {
+				cu, cv := rc.Rewrite(u, v)
+				return (uint64(cu>>6)&0xFFFFF)<<20 | uint64(cv>>6)&0xFFFFF
+			},
+			func(wus, wvs []graph.Node, wout []bool) {
+				bs := s.getBatchScratch()
+				sn.BatchReachable(bs, wus, wvs, wout)
+				s.bscratch.Put(bs)
+			})
 		return out
 	}
 	bs := s.getBatchScratch()
@@ -253,7 +261,7 @@ func (sn *ShardedSnapshot) batchWave(brs *BatchRouteScratch, us, vs []graph.Node
 	p := sn.p
 	k := len(us)
 	nshards := len(sn.Shards)
-	sn.bstats.lanes.Add(uint64(k))
+	noteLanes(sn.bstats, &sn.swept, k)
 	peeled := 0
 	var stageStart time.Time
 	timed := sn.leafHist != nil && sn.so.sampleWave()
@@ -430,17 +438,24 @@ func (sn *ShardedSnapshot) batchWave(brs *BatchRouteScratch, us, vs []graph.Node
 // batched route, pinning one epoch for all queries. Safe for any number of
 // concurrent callers, also during ApplyBatch. Batches wider than one wave
 // run as concurrent scheduler waves against the single pinned snapshot,
-// clustered so co-batched lanes touch few shards.
+// clustered by shard pair (source shard in the key's high half) so
+// co-batched lanes touch few shards.
 func (s *ShardedStore) BatchReachable(us, vs []graph.Node) []bool {
+	checkBatchArgs(len(us), len(vs), len(us))
 	s.reads.Add(uint64(len(us)))
 	out := make([]bool, len(us))
 	sn := s.Snapshot()
-	if s.sched != nil && len(us) > queries.MaxBatch {
-		s.sched.runPinned(us, vs, out, func(wus, wvs []graph.Node, wout []bool) {
-			brs := s.getBatchScratch()
-			sn.BatchReachable(brs, wus, wvs, wout)
-			s.bscratch.Put(brs)
-		})
+	if len(us) > queries.MaxBatch {
+		shardOf := sn.p.ShardOf
+		s.sched.runPinned(us, vs, out, len(sn.Shards),
+			func(u, v graph.Node) uint64 {
+				return (uint64(shardOf[u])&0xFFFFF)<<20 | uint64(shardOf[v])&0xFFFFF
+			},
+			func(wus, wvs []graph.Node, wout []bool) {
+				brs := s.getBatchScratch()
+				sn.BatchReachable(brs, wus, wvs, wout)
+				s.bscratch.Put(brs)
+			})
 		return out
 	}
 	brs := s.getBatchScratch()

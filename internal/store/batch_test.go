@@ -306,3 +306,31 @@ func TestBatchMatchesScalarLargeQuotient(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchReachableChecksLengths pins the parallel-slice contract at the
+// store's entry: a vs one longer or one shorter than us panics with the
+// store's own message, on both kinds, below, at and far above the 64-lane
+// wave boundary — never a silently accepted batch, never a raw slice-bounds
+// panic from inside the scheduler.
+func TestBatchReachableChecksLengths(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(5)), 300, 1200, 4)
+	forKinds(t, func(t *testing.T, kind string) {
+		h := openKind(t, kind, g.Clone(), Options{Indexes: true})
+		defer h.Close()
+		for _, n := range []int{64, 65, 1024} {
+			for _, delta := range []int{+1, -1} {
+				us := make([]graph.Node, n)
+				vs := make([]graph.Node, n+delta)
+				func() {
+					defer func() {
+						const want = "store: batch query us/vs/out length mismatch"
+						if r := recover(); r != want {
+							t.Errorf("%d us, %d vs: recovered %v, want panic %q", n, n+delta, r, want)
+						}
+					}()
+					h.BatchReachable(us, vs)
+				}()
+			}
+		}
+	})
+}

@@ -44,7 +44,6 @@ type durable struct {
 	backoff          time.Duration // first retry's backoff; doubles per attempt, capped
 	recoveryInterval time.Duration // degraded-state probe cadence; 0 disables
 	scrubInterval    time.Duration // integrity scrub cadence; 0 disables
-	scrubRate        int64         // scrub IO budget, bytes/sec
 	segBytes         int64         // WAL segment rotation threshold; 0 = wal default
 
 	log *wal.Log // nil until openLog
@@ -107,13 +106,12 @@ func newDurable(o Options, kind snapfile.Kind) (*durable, error) {
 		return nil, err
 	}
 	d := &durable{
-		dir:       o.Dir,
-		kind:      kind,
-		fs:        fsys,
-		syncMode:  o.Sync,
-		stop:      make(chan struct{}),
-		scrubRate: o.ScrubRate,
-		segBytes:  o.WALSegmentBytes,
+		dir:      o.Dir,
+		kind:     kind,
+		fs:       fsys,
+		syncMode: o.Sync,
+		stop:     make(chan struct{}),
+		segBytes: o.WALSegmentBytes,
 	}
 	switch {
 	case o.CheckpointBatches == 0:
@@ -586,18 +584,20 @@ func Inspect(dir string) (DirInfo, error) {
 	if st, err := os.Stat(filepath.Join(dir, m.snapshot)); err == nil {
 		info.SnapshotBytes = st.Size()
 	}
+	segs, err := wal.ListDir(nil, dir)
+	if err != nil {
+		return DirInfo{}, err
+	}
+	info.WALSegments = len(segs)
+	for _, seg := range segs {
+		info.WALBytes += seg.Size
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return DirInfo{}, err
 	}
 	for _, e := range entries {
-		switch {
-		case strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".seg"):
-			info.WALSegments++
-			if fi, err := e.Info(); err == nil {
-				info.WALBytes += fi.Size()
-			}
-		case strings.HasSuffix(e.Name(), ".quarantine"):
+		if strings.HasSuffix(e.Name(), ".quarantine") {
 			info.Quarantined = append(info.Quarantined, e.Name())
 		}
 	}

@@ -16,8 +16,8 @@ import (
 // ordered request queue → coalesce → assign epochs → durable group append →
 // apply → publish → ack → checkpoint trigger, plus everything that hangs
 // off the durable layer (checkpoint, recovery, health, terms, scrub,
-// close), the scheduler and the metrics binding. A kind contributes its
-// snapshot type, its read methods and the pipeline below.
+// close), the batch scheduler's state and the metrics binding. A kind
+// contributes its snapshot type, its read methods and the pipeline below.
 
 // pipeline is the seam between the engine and a store kind. Only the writer
 // goroutine (and the open path, before it starts) calls through it; reads
@@ -108,9 +108,9 @@ type engine[R any] struct {
 	shards int
 	nodes  int // static |V|
 
-	dur   *durable   // nil for in-memory stores
-	sched *scheduler // multi-wave batch scheduler; nil only before open finishes
-	ob    *storeObs  // nil unless Options.Obs
+	dur   *durable  // nil for in-memory stores
+	sched scheduler // multi-wave batch scheduler (sched.go)
+	ob    *storeObs // nil unless Options.Obs
 
 	reqs chan applyReq[R]
 	idle chan struct{} // closed when the writer goroutine exits
@@ -123,10 +123,10 @@ type engine[R any] struct {
 	updates atomic.Uint64
 	reads   atomic.Uint64
 
-	// Batch read-path counters: live is the current view's, retired the sum
-	// over every view track has swapped out.
-	live    atomic.Pointer[batchCounters]
-	retired batchCounters
+	// bstats counts batch read-path events over the store's life; every
+	// view bumps it through a pointer, so a reader still sweeping a view it
+	// pinned before a publish is counted like any other.
+	bstats batchCounters
 }
 
 // init readies the engine of a store under construction and starts its
@@ -237,30 +237,11 @@ func (e *engine[R]) reopen(load func(fsys faultfs.FS, path string) (epoch uint64
 	return nil
 }
 
-// serve finishes an open: the scheduler and the metrics binding.
-func (e *engine[R]) serve(sc *scheduler) {
-	e.sched = sc
-	e.bindObs()
-}
-
 // advance publishes epoch and moves the O(1) epoch frontier behind it, so
 // a reader that saw Epoch() = k finds a snapshot of at least k.
 func (e *engine[R]) advance(epoch uint64) {
 	e.p.publish(epoch)
 	e.epoch.Store(epoch)
-}
-
-// track makes next the live view's batch counters and folds the retiring
-// view's into the lifetime totals — the epoch swap that also retires its
-// hub cache. Readers still pinning the old view may bump its counters
-// after the fold; those late events are dropped (stats, not a ledger).
-func (e *engine[R]) track(next *batchCounters) {
-	if old := e.live.Swap(next); old != nil {
-		e.retired.lanes.Add(old.lanes.Load())
-		e.retired.hop2Peeled.Add(old.hop2Peeled.Load())
-		e.retired.hubLanes.Add(old.hubLanes.Load())
-		e.retired.hubPrunes.Add(old.hubPrunes.Load())
-	}
 }
 
 // run is the writer goroutine: it serializes batches, folds queued requests
@@ -381,9 +362,6 @@ func (e *engine[R]) Close() error {
 	}
 	e.mu.Unlock()
 	<-e.idle
-	if e.sched != nil {
-		e.sched.close()
-	}
 	if e.dur != nil {
 		return e.dur.close()
 	}
@@ -407,28 +385,23 @@ func (e *engine[R]) Info() Info {
 	}
 }
 
-// SetSchedWorkers resizes the scheduler's worker pool; n <= 0 means
-// GOMAXPROCS.
+// SetSchedWorkers overrides how many helper goroutines wide batches may
+// run beside their callers, over all batches in flight; n <= 0 returns to
+// the default, GOMAXPROCS at the time of each batch.
 func (e *engine[R]) SetSchedWorkers(n int) { e.sched.setWorkers(n) }
 
 // SchedStats reports the multi-wave scheduler and the batch read path's
-// hybrid-leaf counters (retired epochs' counts plus the live snapshot's).
-// On a sharded store Hop2Peeled counts same-shard index answers and the hub
-// fields the per-shard hub caches.
+// hybrid-leaf counters, over every epoch the store has served. On a sharded
+// store Hop2Peeled counts same-shard index answers and the hub fields the
+// per-shard hub caches.
 func (e *engine[R]) SchedStats() SchedStats {
 	st := e.sched.stats()
-	st.BatchLanes, st.Hop2Peeled, st.HubCacheLanes, st.HubCachePrunes = e.readTotals()
+	st.BatchLanes, st.Hop2Peeled = e.bstats.lanes.Load(), e.bstats.hop2Peeled.Load()
+	st.HubCacheLanes, st.HubCachePrunes = e.bstats.hubLanes.Load(), e.bstats.hubPrunes.Load()
 	if st.BatchLanes > 0 {
 		st.HubCacheHitRate = float64(st.HubCacheLanes) / float64(st.BatchLanes)
 	}
 	return st
-}
-
-// readTotals sums the lifetime batch read-path counters.
-func (e *engine[R]) readTotals() (lanes, hop2Peeled, hubLanes, hubPrunes uint64) {
-	live, old := e.live.Load(), &e.retired
-	return old.lanes.Load() + live.lanes.Load(), old.hop2Peeled.Load() + live.hop2Peeled.Load(),
-		old.hubLanes.Load() + live.hubLanes.Load(), old.hubPrunes.Load() + live.hubPrunes.Load()
 }
 
 // persist checkpoints the current view; Checkpoint, the recovery loop and

@@ -15,7 +15,6 @@ import (
 type fakePipeline struct {
 	applied   []uint64 // epochs handed to apply, in order
 	published []uint64
-	live      batchCounters
 	eng       *engine[uint64]
 }
 
@@ -26,7 +25,6 @@ func (f *fakePipeline) apply(epoch uint64, _ []graph.Update) uint64 {
 }
 func (f *fakePipeline) publish(epoch uint64) {
 	f.published = append(f.published, epoch)
-	f.eng.track(&f.live)
 }
 func (f *fakePipeline) image() (uint64, func(string) error) {
 	return f.eng.Epoch(), func(string) error { return errors.New("fake pipeline writes no snapshot") }
@@ -57,7 +55,6 @@ func TestEngineFailedAppendLeavesNoGap(t *testing.T) {
 	}
 	e.dur = d
 	e.advance(0)
-	e.serve(newScheduler(1, func(u, v graph.Node) uint64 { return 0 }, func() int { return 1 }))
 
 	batch := []graph.Update{graph.Insertion(0, 1)}
 	for want := uint64(1); want <= 2; want++ {

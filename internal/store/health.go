@@ -118,7 +118,7 @@ const (
 	defaultRetryBackoff     = 5 * time.Millisecond
 	maxRetryBackoff         = 500 * time.Millisecond
 	defaultRecoveryInterval = 250 * time.Millisecond
-	defaultScrubRate        = 8 << 20 // bytes/sec
+	defaultScrubRate        = 8 << 20 // the scrub IO budget, bytes/sec; a constant, not a knob
 	probeName               = "health.probe"
 )
 
@@ -318,7 +318,6 @@ func (d *durable) probe() error {
 // when anything was quarantined. The report is retained for Health().
 func (d *durable) scrubOnce(ckpt func(force bool) error) ScrubReport {
 	var rep ScrubReport
-	budget := newRateBudget(d.scrubRate)
 
 	// Sealed WAL segments. The active segment is skipped — it is growing
 	// under the writer and its tail is healed on open anyway.
@@ -328,7 +327,7 @@ func (d *durable) scrubOnce(ckpt func(force bool) error) ScrubReport {
 				continue
 			}
 			n, err := d.log.CheckSegment(seg.Name)
-			budget.spend(n)
+			scrubThrottle(n)
 			rep.Bytes += n
 			switch {
 			case err == nil:
@@ -373,7 +372,7 @@ func (d *durable) scrubOnce(ckpt func(force bool) error) ScrubReport {
 		}
 		path := filepath.Join(d.dir, name)
 		n, verr := snapfile.VerifyFS(d.fs, path)
-		budget.spend(n)
+		scrubThrottle(n)
 		rep.Bytes += n
 		switch {
 		case verr == nil:
@@ -430,24 +429,12 @@ func (d *durable) keepReport(rep ScrubReport) {
 	}
 }
 
-// rateBudget throttles scrub IO to roughly rate bytes/sec by sleeping
-// after each chunk.
-type rateBudget struct {
-	rate int64
-}
-
-func newRateBudget(rate int64) *rateBudget {
-	if rate <= 0 {
-		rate = defaultScrubRate
+// scrubThrottle holds scrub IO to roughly defaultScrubRate by sleeping after
+// each file of n bytes.
+func scrubThrottle(n int64) {
+	if n > 0 {
+		time.Sleep(time.Duration(float64(n) / defaultScrubRate * float64(time.Second)))
 	}
-	return &rateBudget{rate: rate}
-}
-
-func (b *rateBudget) spend(n int64) {
-	if n <= 0 {
-		return
-	}
-	time.Sleep(time.Duration(float64(n) / float64(b.rate) * float64(time.Second)))
 }
 
 // DirScrub is the result of ScrubDir: per-file integrity of a durable

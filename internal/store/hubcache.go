@@ -39,17 +39,25 @@ const (
 	hubCacheMaxHubs = 96
 )
 
-// batchCounters accumulates one snapshot's batch read-path events. Pure
-// metadata — the counters never affect answers, so bumping them through
-// atomics preserves the snapshot's immutable-after-publication contract
-// for all query-visible state. publish folds a retired snapshot's counts
-// into the store's accumulators (late bumps from still-active readers may
-// be dropped; the stats are a report, not a ledger).
+// batchCounters accumulates a store's batch read-path events, over every
+// epoch: the engine holds the one instance and each snapshot bumps it
+// through a pointer. Pure metadata — the counters never affect answers.
 type batchCounters struct {
 	lanes      atomic.Uint64 // lanes entering BatchReachable waves
 	hop2Peeled atomic.Uint64 // lanes answered by the 2-hop hybrid leaf
 	hubLanes   atomic.Uint64 // lanes answered O(1) from hub rows
 	hubPrunes  atomic.Uint64 // forward-sweep subtree prunes at hub rows
+}
+
+// noteLanes counts n lanes entering a snapshot's batch read path: in the
+// store's counters always, and in the snapshot's own swept count until the
+// hub-cache gate is open — nothing reads it after that, and a steady reader
+// is spared the second atomic add per wave.
+func noteLanes(total *batchCounters, swept *atomic.Uint64, n int) {
+	total.lanes.Add(uint64(n))
+	if swept.Load() < hubCacheBuildLanes {
+		swept.Add(uint64(n))
+	}
 }
 
 // hubCache implements queries.HubDesc over a fixed set of quotient nodes.
@@ -133,7 +141,7 @@ func (sn *Snapshot) hubFor() queries.HubDesc {
 		}
 		return h
 	}
-	if sn.Reach.Gr.NumNodes() < hubCacheMinNodes || sn.bstats.lanes.Load() < hubCacheBuildLanes {
+	if sn.Reach.Gr.NumNodes() < hubCacheMinNodes || sn.swept.Load() < hubCacheBuildLanes {
 		return nil
 	}
 	sn.hubOnce.Do(func() { sn.hub.Store(buildHubCache(sn.Reach.Gr)) })

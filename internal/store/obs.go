@@ -162,46 +162,40 @@ func (so *storeObs) ageSeconds() float64 {
 	return time.Since(time.Unix(0, so.lastPublish.Load())).Seconds()
 }
 
-// bindSchedObs registers the scheduler's counters and pool state with the
+// bindSchedObs registers the scheduler's counters and settings with the
 // registry and hands the scheduler its wave-latency histogram.
 func bindSchedObs(r *obs.Registry, sc *scheduler) {
-	if r == nil || sc == nil {
-		return
-	}
 	sc.waveHist = r.Histogram("qpgc_sched_wave_seconds")
 	r.CounterFunc("qpgc_sched_waves_total", sc.waves.Load)
 	r.CounterFunc("qpgc_sched_lanes_total", sc.lanes.Load)
 	r.CounterFunc("qpgc_sched_clustered_lanes_total", sc.clustered.Load)
 	r.GaugeFunc("qpgc_sched_waves_inflight", func() float64 { return float64(sc.inFlight.Load()) })
-	r.GaugeFunc("qpgc_sched_workers", func() float64 {
-		sc.mu.Lock()
-		defer sc.mu.Unlock()
-		return float64(sc.workers)
-	})
+	r.GaugeFunc("qpgc_sched_workers", func() float64 { return float64(sc.stats().Workers) })
 }
 
-// bindObs registers the engine's scrape-time callbacks. Called once from
-// serve, after the scheduler exists (e.ob itself is created before the
-// first publish so every snapshot carries the stage histograms).
+// bindObs registers the engine's scrape-time callbacks. Called once, as the
+// last step of a successful open and before any reader has the store (e.ob
+// itself is created before the first publish so every snapshot carries the
+// stage histograms).
 func (e *engine[R]) bindObs() {
 	r := e.cfg.Obs
 	if r == nil {
 		return
 	}
-	bindSchedObs(r, e.sched)
+	bindSchedObs(r, &e.sched)
 	r.CounterFunc("qpgc_store_batches_total", e.batches.Load)
 	r.CounterFunc("qpgc_store_updates_total", e.updates.Load)
 	r.CounterFunc("qpgc_store_reads_total", e.reads.Load)
 	r.GaugeFunc("qpgc_store_epoch", func() float64 { return float64(e.Epoch()) })
 	r.GaugeFunc("qpgc_store_epoch_age_seconds", e.ob.ageSeconds)
 	r.GaugeFunc("qpgc_store_shards", func() float64 { return float64(e.shards) })
-	// Batch read-path counters, exactly the SchedStats sums — Prometheus
+	// Batch read-path counters, exactly the SchedStats fields — Prometheus
 	// rate() (or qpgc top's poll deltas) turns these lifetime totals into
 	// the interval rates.
-	r.CounterFunc("qpgc_sched_batch_lanes_total", func() uint64 { n, _, _, _ := e.readTotals(); return n })
-	r.CounterFunc("qpgc_sched_hop2_peeled_total", func() uint64 { _, n, _, _ := e.readTotals(); return n })
-	r.CounterFunc("qpgc_sched_hub_lanes_total", func() uint64 { _, _, n, _ := e.readTotals(); return n })
-	r.CounterFunc("qpgc_sched_hub_prunes_total", func() uint64 { _, _, _, n := e.readTotals(); return n })
+	r.CounterFunc("qpgc_sched_batch_lanes_total", e.bstats.lanes.Load)
+	r.CounterFunc("qpgc_sched_hop2_peeled_total", e.bstats.hop2Peeled.Load)
+	r.CounterFunc("qpgc_sched_hub_lanes_total", e.bstats.hubLanes.Load)
+	r.CounterFunc("qpgc_sched_hub_prunes_total", e.bstats.hubPrunes.Load)
 }
 
 // shardBatchHist is the per-shard writer-latency histogram, the input the

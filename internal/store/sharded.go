@@ -93,13 +93,8 @@ type ShardedOptions struct {
 	// ScrubInterval enables the background integrity scrubber at this
 	// cadence; 0 (the default) disables it. ScrubNow works either way.
 	ScrubInterval time.Duration
-	// ScrubRate bounds scrub IO in bytes/sec. 0 means the default (8 MiB/s).
-	ScrubRate int64
 	// WALSegmentBytes is the WAL segment rotation threshold, as in Options.
 	WALSegmentBytes int64
-	// SchedWorkers sizes the multi-wave batch scheduler's worker pool, as
-	// in Options.SchedWorkers. 0 means GOMAXPROCS at Open time.
-	SchedWorkers int
 	// Obs, when non-nil, receives the store's metrics, as in Options.Obs;
 	// the sharded store additionally exposes per-shard batch latency
 	// (qpgc_shard_batch_seconds{shard="k"}), the input a self-tuning
@@ -121,9 +116,7 @@ func (o ShardedOptions) durableCfg() Options {
 		RetryBackoff:      o.RetryBackoff,
 		RecoveryInterval:  o.RecoveryInterval,
 		ScrubInterval:     o.ScrubInterval,
-		ScrubRate:         o.ScrubRate,
 		WALSegmentBytes:   o.WALSegmentBytes,
-		SchedWorkers:      o.SchedWorkers,
 		Obs:               o.Obs,
 	}
 }
@@ -163,9 +156,10 @@ type ShardedSnapshot struct {
 	crossEdges int            // total length of crossOut's rows
 	edges      int            // |E| of the composite G: every shard's local edges plus crossEdges
 
-	// Batch read-path counters, epoch-local like Snapshot.bstats; pure
-	// metadata, folded into the store accumulators at the next publish.
-	bstats batchCounters
+	// Batch read-path counters, as on Snapshot: the store's lifetime
+	// counters and this snapshot's own swept-lane count; pure metadata.
+	bstats *batchCounters
+	swept  atomic.Uint64
 	// hubs holds one lazy hub reach-set cache per shard quotient, gated and
 	// invalidated exactly like Snapshot.hub (hubcache.go): a write publishes
 	// a new snapshot with empty slots.
@@ -198,7 +192,7 @@ func (sn *ShardedSnapshot) hubForShard(s int) queries.HubDesc {
 		return h
 	}
 	gr := sn.Shards[s].Reach.Gr
-	if gr.NumNodes() < hubCacheMinNodes || sn.bstats.lanes.Load() < hubCacheBuildLanes {
+	if gr.NumNodes() < hubCacheMinNodes || sn.swept.Load() < hubCacheBuildLanes {
 		return nil
 	}
 	slot.once.Do(func() { slot.hub.Store(buildHubCache(gr)) })
@@ -595,7 +589,7 @@ func openSharded(g *graph.Graph, k int, o Options) (*ShardedStore, error) {
 		s.Close()
 		return nil, err
 	}
-	s.serve(s.newSched())
+	s.bindObs()
 	return s, nil
 }
 
@@ -620,18 +614,6 @@ func (s *ShardedStore) setPartition(p *part.Partition, labels *graph.Labels) {
 	s.crossOut, s.crossInDeg, s.crossEdges = p.CrossOut, p.CrossInDeg, p.CrossEdges
 	s.views = make([]*shardEpochView, p.K)
 	s.routed = make([][]graph.Update, p.K)
-}
-
-// newSched binds a scheduler to this store: cluster keys come from the
-// static partition (shard pair buckets, source shard in the key's high
-// half per the scheduler's 40-bit layout — co-batched lanes then touch
-// few shards per wave).
-func (s *ShardedStore) newSched() *scheduler {
-	return newScheduler(s.cfg.SchedWorkers,
-		func(u, v graph.Node) uint64 {
-			return (uint64(s.p.ShardOf[u])&0xFFFFF)<<20 | uint64(s.p.ShardOf[v])&0xFFFFF
-		},
-		func() int { return s.shards })
 }
 
 // roundTrip hands the routed per-shard sub-batches to the shard writers and
@@ -941,13 +923,13 @@ func (s *ShardedStore) install(sn *ShardedSnapshot) {
 		sn.edges += sn.Shards[i].G.NumEdges()
 	}
 	sn.hubs = make([]shardHubSlot, s.shards)
+	sn.bstats = &s.bstats
 	if s.ob != nil {
 		sn.leafHist = s.ob.leaf
 		sn.sumHist = s.ob.summary
 		sn.so = s.ob
 	}
 	s.snap.Store(sn)
-	s.track(&sn.bstats)
 }
 
 // Snapshot returns the current epoch's immutable query state. Use it to

@@ -237,16 +237,16 @@ func TestShardedSchedStatsCountersMove(t *testing.T) {
 		t.Fatalf("pinned batch over %d shards counted no clustered lanes: %+v", schedClusterMinBuckets+2, st)
 	}
 
-	// A write retires the counting snapshot: publish must fold ALL the
-	// epoch-local counters into the store accumulators, and the fresh
-	// snapshot must start with empty counters and empty hub slots.
+	// A write retires the sweeping snapshot: the store's counters must keep
+	// everything it counted, and the fresh snapshot must start with no lanes
+	// swept and empty hub slots.
 	before := s.SchedStats()
 	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(1, 2)}); err != nil {
 		t.Fatalf("ApplyBatch: %v", err)
 	}
 	sn2 := s.Snapshot()
-	if sn2.bstats.lanes.Load() != 0 || sn2.bstats.hubLanes.Load() != 0 {
-		t.Fatal("fresh sharded snapshot inherited batch counters from the retired epoch")
+	if sn2.swept.Load() != 0 {
+		t.Fatal("fresh sharded snapshot inherited the retired epoch's swept-lane count")
 	}
 	for i := range sn2.hubs {
 		if sn2.hubs[i].hub.Load() != nil {

@@ -141,17 +141,10 @@ type Options struct {
 	// ScrubInterval enables the background integrity scrubber at this
 	// cadence; 0 (the default) disables it. ScrubNow works either way.
 	ScrubInterval time.Duration
-	// ScrubRate bounds scrub IO in bytes/sec. 0 means the default (8 MiB/s).
-	ScrubRate int64
 	// WALSegmentBytes is the WAL's segment rotation threshold. 0 means the
 	// wal package default (4 MiB); smaller values seal segments sooner,
 	// giving checkpoint truncation and the scrubber finer granularity.
 	WALSegmentBytes int64
-	// SchedWorkers sizes the multi-wave batch scheduler's worker pool
-	// (sched.go): large BatchReachable calls split into waves claimed
-	// across the pool. 0 means GOMAXPROCS at Open time; SetSchedWorkers
-	// resizes a running pool.
-	SchedWorkers int
 	// Obs, when non-nil, receives the store's metrics: apply/publish
 	// latency histograms, epoch age, scheduler wave latency and occupancy,
 	// batch read-path leaf counters, WAL fsync latency and group-commit
@@ -212,12 +205,13 @@ type Snapshot struct {
 	gord  atomic.Pointer[graph.Reordered]
 	gperm []graph.Node
 
-	// Batch read-path state, epoch-local by construction: a fresh snapshot
-	// starts with empty counters and no hub cache, so a cached hub
-	// reach-set never outlives its epoch (see hubcache.go). Counters are
-	// metadata only — no query-visible state ever changes after
-	// publication.
-	bstats  batchCounters
+	// Batch read-path state. swept and the hub cache are epoch-local by
+	// construction: a fresh snapshot starts with no lanes swept and no hub
+	// cache, so a cached hub reach-set never outlives its epoch (see
+	// hubcache.go). bstats is the store's lifetime counters. All of it is
+	// metadata only — no query-visible state ever changes after publication.
+	bstats  *batchCounters
+	swept   atomic.Uint64 // lanes this snapshot has swept, counted up to the hub-cache gate
 	hubOnce sync.Once
 	hub     atomic.Pointer[hubCache]
 	// leafHist, when non-nil, times each wave's leaf-engine work
@@ -394,21 +388,8 @@ func Open(g *graph.Graph, opts *Options) (*Store, error) {
 		s.Close()
 		return nil, err
 	}
-	s.serve(s.newSched())
+	s.bindObs()
 	return s, nil
-}
-
-// newSched binds a scheduler to this store: cluster keys come from the
-// current reachability quotient (64-aligned class buckets, source in the
-// key's high half per the scheduler's 40-bit layout).
-func (s *Store) newSched() *scheduler {
-	return newScheduler(s.cfg.SchedWorkers,
-		func(u, v graph.Node) uint64 {
-			sn := s.Snapshot()
-			cu, cv := sn.Reach.Compressed.Rewrite(u, v)
-			return (uint64(cu>>6)&0xFFFFF)<<20 | uint64(cv>>6)&0xFFFFF
-		},
-		func() int { return (s.Snapshot().Reach.Gr.NumNodes() + 63) / 64 })
 }
 
 // noGen is a maintainer generation no maintainer reports: views tagged with
@@ -517,12 +498,12 @@ func (s *Store) publish(epoch uint64) {
 
 // install makes sn the current snapshot.
 func (s *Store) install(sn *Snapshot) {
+	sn.bstats = &s.bstats
 	if s.ob != nil {
 		sn.leafHist = s.ob.leaf
 		sn.so = s.ob
 	}
 	s.snap.Store(sn)
-	s.track(&sn.bstats)
 }
 
 // image pins the current snapshot for a checkpoint.

@@ -759,6 +759,110 @@ func VerifyDir(fsys faultfs.FS, dir string) ([]SegmentCheck, error) {
 	return checks, nil
 }
 
+// ListDir lists the segment files of dir in sequence order without opening
+// a Log, sized from their directory entries; every entry but the last is
+// Sealed. It is how code outside this package finds the log's files — the
+// name format stays here. A nil fsys means the real disk.
+func ListDir(fsys faultfs.FS, dir string) ([]SegmentInfo, error) {
+	entries, err := faultfs.Or(fsys).ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var segs []SegmentInfo
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasPrefix(e.Name(), segPrefix) || !strings.HasSuffix(e.Name(), segSuffix) {
+			continue
+		}
+		first, err := parseSegmentName(e.Name())
+		if err != nil {
+			continue // not a name this package wrote; Open refuses the directory
+		}
+		seg := SegmentInfo{Name: e.Name(), First: first}
+		if fi, err := e.Info(); err == nil { // gone since the listing: size 0
+			seg.Size = fi.Size()
+		}
+		segs = append(segs, seg)
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].First < segs[j].First })
+	for i := 0; i < len(segs)-1; i++ {
+		segs[i].Sealed = true
+	}
+	return segs, nil
+}
+
+// ReadFrames reads raw frames out of a live log directory for shipping: fn
+// is called, in order, with every frame (header + body, exactly as logged)
+// at seq >= from, until maxBytes of them have been passed — at least one
+// regardless, so a single record larger than the budget still ships. The
+// frame aliases a buffer fn must not keep. oldest is the first seq of the
+// oldest segment on disk, 0 for an empty directory; when from < oldest the
+// records asked for were truncated away, nothing is passed, and the caller
+// needs a snapshot instead.
+//
+// Frames are split by their size field WITHOUT validating checksums: the
+// reader's ParseRecord stays the single integrity gate, so damage anywhere
+// on the shipping path — this disk, the read seam, the wire — is caught by
+// the same check. A segment's records run consecutively from its filename's
+// seq, so position determines each frame's seq; the body's embedded seq may
+// be the very corruption being shipped for the reader to reject, and is not
+// trusted for pagination. An incomplete or impossible frame at the end of
+// the newest segment is the writer mid-append (or local damage the scrubber
+// will deal with), not an error: reading stops there and the next call picks
+// it up. In a sealed segment it is an error.
+func ReadFrames(fsys faultfs.FS, dir string, from uint64, maxBytes int, fn func(seq uint64, frame []byte)) (oldest uint64, err error) {
+	fsys = faultfs.Or(fsys)
+	segs, err := ListDir(fsys, dir)
+	if err != nil || len(segs) == 0 {
+		return 0, err
+	}
+	oldest = segs[0].First
+	if from < oldest {
+		return oldest, nil
+	}
+	// The segment containing from is the last one whose first seq is <= from.
+	start := 0
+	for i, s := range segs {
+		if s.First <= from {
+			start = i
+		}
+	}
+	total := 0
+	for _, s := range segs[start:] {
+		data, err := fsys.ReadFile(filepath.Join(dir, s.Name))
+		if err != nil {
+			return oldest, err
+		}
+		seq := s.First
+		for off := 0; off < len(data); seq++ {
+			rest := data[off:]
+			why := ""
+			size := 0
+			if len(rest) < frameHeader {
+				why = fmt.Sprintf("has a %d-byte tail", len(rest))
+			} else if size = int(binary.LittleEndian.Uint32(rest)); size < seqBytes || size > MaxRecordBytes {
+				why = fmt.Sprintf("has impossible record size %d", size)
+			} else if len(rest) < frameHeader+size {
+				why = "ends mid-record"
+			}
+			if why != "" {
+				if !s.Sealed {
+					return oldest, nil
+				}
+				return oldest, fmt.Errorf("wal: sealed segment %s %s", s.Name, why)
+			}
+			off += frameHeader + size
+			if seq < from {
+				continue
+			}
+			fn(seq, rest[:frameHeader+size])
+			if total += frameHeader + size; total >= maxBytes {
+				return oldest, nil
+			}
+		}
+	}
+	return oldest, nil
+}
+
 // listSegments returns the names of all segment files in dir.
 func listSegments(fsys faultfs.FS, dir string) ([]string, error) {
 	entries, err := fsys.ReadDir(dir)
