@@ -27,7 +27,6 @@ func cmdReplica(args []string) {
 	leader := fs.String("leader", "", "replication source retry list, comma-separated (leader first; siblings after, for failover chaining)")
 	data := fs.String("data", "", "replica durable directory (bootstrapped if empty, recovered otherwise)")
 	listen := fs.String("listen", "", "serve replicated reads over TCP on this address")
-	poll := fs.Duration("poll", 0, "tail poll interval when caught up (0 = default 25ms)")
 	maxqps := fs.Int("maxqps", 0, "network read admission cap, queries/s (0 = uncapped)")
 	metricsAddr := fs.String("metrics", "", "HTTP metrics side-listener address (/metrics, /debug/vars, /debug/slowlog)")
 	slowQuery := fs.Duration("slow", 0, "slow-query log threshold for network point reads (0 = off)")
@@ -40,7 +39,7 @@ func cmdReplica(args []string) {
 		reg = obs.NewRegistry()
 	}
 	f, err := replica.Start(replica.Options{
-		Dir: *data, Leader: *leader, PollInterval: *poll, Obs: reg,
+		Dir: *data, Leader: *leader, Obs: reg,
 	})
 	if err != nil {
 		fatal(err)

@@ -332,13 +332,21 @@ func renderTop(w io.Writer, cur, prev metricSample, dt time.Duration, rpcEpoch u
 			cur.get("qpgc_wal_segments"),
 			cur.get("qpgc_wal_segment_bytes")/(1<<20))
 	}
+	// The replication row: a replica's own tail (rounds are long polls, so
+	// an idle follower's count stands still) and, on any endpoint others tail
+	// from, how many of their rounds are parked here right now — the number
+	// to look at when a follower stalls.
 	if role == "replica" {
-		fmt.Fprintf(w, "replica lag %.0f epochs  leader %.0f  shipped %.1f MiB  reconnects %.0f  resyncs %.0f\n",
+		fmt.Fprintf(w, "replica lag %.0f epochs  leader %.0f  shipped %.1f MiB  reconnects %.0f  resyncs %.0f  tail rounds %.0f  followers parked %.0f\n",
 			cur.get("qpgc_replica_lag_epochs"),
 			cur.get("qpgc_replica_leader_epoch"),
 			cur.get("qpgc_replica_shipped_bytes_total")/(1<<20),
 			cur.get("qpgc_replica_reconnects_total"),
-			cur.get("qpgc_replica_resyncs_total"))
+			cur.get("qpgc_replica_resyncs_total"),
+			cur.get("qpgc_replica_tail_rounds_total"),
+			cur.get("qpgc_server_tail_held"))
+	} else if held := cur.get("qpgc_server_tail_held"); held > 0 {
+		fmt.Fprintf(w, "repl    followers parked %.0f\n", held)
 	}
 	if n := cur.get("qpgc_health_retries_total") + cur.get("qpgc_health_degradations_total") +
 		cur.get("qpgc_scrub_passes_total"); n > 0 {

@@ -440,7 +440,7 @@ func TestCloseDuringResync(t *testing.T) {
 
 		f, err := Start(Options{
 			Dir: dir, Leader: lh.srv.Addr(),
-			PollInterval: time.Millisecond, ReconnectBackoff: time.Millisecond,
+			ReconnectBackoff: time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)

@@ -66,7 +66,6 @@ func runFollowerHelper() {
 	f, err := Start(Options{
 		Dir:              dir,
 		Leader:           os.Getenv("QPGC_LEADER"),
-		PollInterval:     2 * time.Millisecond,
 		ReconnectBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 // Package replica turns a durable store directory into a read replica: it
 // bootstraps from the leader's newest snapfile checkpoint, then tails the
-// leader's WAL by polling for raw frames and re-applying them locally.
+// leader's WAL — one long-polled round after another, each answered when
+// the leader publishes an epoch — and re-applies the raw frames locally.
 //
 // The design leans entirely on one invariant the storage layer already
 // guarantees: a WAL record's sequence number IS the batch's epoch. A
@@ -66,8 +67,6 @@ type Options struct {
 	// is always fsynced); set SyncAlways when a promotion must yield a
 	// fsync-per-batch leader.
 	SyncAlways bool
-	// PollInterval is the tail poll cadence once caught up. 0 means 25ms.
-	PollInterval time.Duration
 	// ReconnectBackoff is the delay before redialing a dropped leader
 	// connection. 0 means 100ms.
 	ReconnectBackoff time.Duration
@@ -140,6 +139,10 @@ type Follower struct {
 	mu     sync.RWMutex   // guards b/closer across resync swaps
 	b      server.Backend // local store, swapped on resync
 	closer store.Handle   // the same store's lifecycle and term surface
+	// wake is broadcast when what AwaitEpoch waits on moves: the local store
+	// published a batch, was swapped by a resync, or was fenced. Waiters
+	// park here and not on the store, so a swap carries them over.
+	wake store.Wake
 
 	leaderEpoch atomic.Uint64
 	leaderTerm  atomic.Uint64 // highest term any source reported
@@ -148,8 +151,9 @@ type Follower struct {
 	quarantines atomic.Uint64
 	reconnects  atomic.Uint64
 	resyncs     atomic.Uint64
-	lastErr     atomic.Value // string
-	shipped     *obs.Counter // bytes of WAL frames applied; nil without Obs
+	lastErr     atomic.Value  // string
+	tailRounds  atomic.Uint64 // MsgTail rounds completed
+	shipped     *obs.Counter  // bytes of WAL frames applied; nil without Obs
 
 	// shippedBytes/shippedFrames estimate the mean shipped frame size for
 	// LagError.LagBytes, independent of Obs.
@@ -159,9 +163,12 @@ type Follower struct {
 	nextLeader int // rotation cursor; tail goroutine only
 
 	// The tail loop is separately stoppable so Promote can halt shipping
-	// while the Follower itself stays open.
+	// while the Follower itself stays open. tailCli is the connection its
+	// round may be parked on: whoever stops the loop closes it, since a
+	// parked round returns through nothing else.
 	tailMu   sync.Mutex
 	tailStop chan struct{}
+	tailCli  *server.Client
 	tailWg   sync.WaitGroup
 
 	promoteMu sync.Mutex // serializes Promote calls
@@ -170,6 +177,20 @@ type Follower struct {
 	wg     sync.WaitGroup
 	closed atomic.Bool
 }
+
+const (
+	// tailHold is how long a caught-up follower lets its source park a tail
+	// round. It is not a poll interval — the source answers the moment it
+	// publishes — but the bound on everything that does not wake a parked
+	// round by itself: a term the follower adopted meanwhile reaches the
+	// source, and fences it if stale, within one tailHold.
+	tailHold = time.Second
+	// tailMargin is what a round may take on top of its hold before the
+	// source counts as silent and the follower rotates to the next one.
+	tailMargin = time.Second
+	// snapFrameTimeout bounds the wait for each frame of a snapshot transfer.
+	snapFrameTimeout = 30 * time.Second
+)
 
 // errQuarantine tags shipped-frame validation failures: the frame is
 // rejected, the connection dropped, and catch-up restarts — as opposed to
@@ -184,9 +205,6 @@ func Start(opts Options) (*Follower, error) {
 	leaders := leaderList(opts)
 	if opts.Dir == "" || len(leaders) == 0 {
 		return nil, errors.New("replica: Dir and Leader (or Leaders) are required")
-	}
-	if opts.PollInterval == 0 {
-		opts.PollInterval = 25 * time.Millisecond
 	}
 	if opts.ReconnectBackoff == 0 {
 		opts.ReconnectBackoff = 100 * time.Millisecond
@@ -256,6 +274,7 @@ func (f *Follower) bindObs(r *obs.Registry) {
 	r.CounterFunc("qpgc_replica_quarantines_total", f.quarantines.Load)
 	r.CounterFunc("qpgc_replica_reconnects_total", f.reconnects.Load)
 	r.CounterFunc("qpgc_replica_resyncs_total", f.resyncs.Load)
+	r.CounterFunc("qpgc_replica_tail_rounds_total", f.tailRounds.Load)
 	r.GaugeFunc("qpgc_replica_term", func() float64 { return float64(f.local().Term()) })
 	r.GaugeFunc("qpgc_replica_leader_term", func() float64 { return float64(f.leaderTerm.Load()) })
 	r.GaugeFunc("qpgc_replica_promoted", func() float64 {
@@ -276,6 +295,7 @@ func (f *Follower) bootstrap() error {
 			lastErr = fmt.Errorf("replica: bootstrap dial %s: %w", addr, err)
 			continue
 		}
+		cli.SetTimeout(snapFrameTimeout)
 		kind, epoch, data, err := cli.FetchSnapshot()
 		f.noteLeaderTerm(cli.LastTerm())
 		cli.Close()
@@ -341,8 +361,8 @@ func (f *Follower) startTail() {
 	}()
 }
 
-// stopTail halts the tail loop and waits for it to drain its current
-// round. Idempotent; safe alongside Close.
+// stopTail halts the tail loop — interrupting the round it may be parked
+// in — and waits for it to return. Idempotent; safe alongside Close.
 func (f *Follower) stopTail() {
 	f.tailMu.Lock()
 	st := f.tailStop
@@ -351,7 +371,46 @@ func (f *Follower) stopTail() {
 	if st != nil {
 		close(st)
 	}
+	f.interruptTail()
 	f.tailWg.Wait()
+}
+
+// holdTailConn makes cli the connection interruptTail closes, unless the
+// loop was stopped before it got this far: then cli is refused and the
+// caller gives up. It is the stop signal first, the connection second on
+// both sides, so a stop either finds the connection or is found by it.
+func (f *Follower) holdTailConn(cli *server.Client, tailStop chan struct{}) bool {
+	f.tailMu.Lock()
+	defer f.tailMu.Unlock()
+	if f.stopped(tailStop) {
+		return false
+	}
+	f.tailCli = cli
+	return true
+}
+
+// interruptTail closes the tail loop's connection, failing the round parked
+// on it. Call it after closing the stop channel the loop is to find.
+func (f *Follower) interruptTail() {
+	f.tailMu.Lock()
+	cli := f.tailCli
+	f.tailMu.Unlock()
+	if cli != nil {
+		cli.Close()
+	}
+}
+
+// stopped reports whether the follower, or the tail loop started with
+// tailStop, has been told to stop.
+func (f *Follower) stopped(tailStop chan struct{}) bool {
+	select {
+	case <-f.stop:
+		return true
+	case <-tailStop:
+		return true
+	default:
+		return false
+	}
 }
 
 // Close stops replication and closes the local store. The final snapshot
@@ -361,6 +420,7 @@ func (f *Follower) Close() error {
 		return nil
 	}
 	close(f.stop)
+	f.interruptTail()
 	f.wg.Wait()
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -432,12 +492,8 @@ func (f *Follower) tailLoop(tailStop chan struct{}) {
 	stuck := 0
 	lastEpoch := f.backend().Epoch()
 	for {
-		select {
-		case <-f.stop:
+		if f.stopped(tailStop) {
 			return
-		case <-tailStop:
-			return
-		default:
 		}
 		if err := f.tailConn(tailStop); err != nil {
 			f.lastErr.Store(err.Error())
@@ -486,37 +542,52 @@ func (f *Follower) source() string {
 	return f.leaders[f.nextLeader%len(f.leaders)]
 }
 
+// errNothingShipped tags a round that reported an epoch the follower does
+// not have and shipped nothing toward it. The source read its epoch before
+// its log, so this is no race: the source's read position has lost track of
+// its log (a rollback under it), or the log is damaged where the follower
+// needs it. A fresh connection reads from the directory again.
+var errNothingShipped = errors.New("replica: source shipped nothing of what it has published")
+
 // tailConn runs tail rounds on one source connection until an error or
-// stop. A nil return only happens at stop. Every round carries the local
-// store's term (so a deposed leader fences itself when polled) and adopts
-// the source's term when it is newer; a source whose term is below ours
-// is stale — return errStaleSource so the loop rotates.
+// stop; a nil return only happens at stop. A round is a long poll: the
+// first one of a connection asks for an answer at once (it is how the
+// follower learns where the source stands), every later one lets the source
+// park it for tailHold, and the follower asks again the moment a round
+// returns — the caught-up path has no timer. Every round carries the local
+// store's term (so a deposed leader fences itself when asked) and adopts
+// the source's term when it is newer; a source whose term is below ours is
+// stale — return errStaleSource so the loop rotates. A source that lets a
+// round's deadline pass is silent, and fails the round the same way.
 func (f *Follower) tailConn(tailStop chan struct{}) error {
 	cli, err := server.Dial(f.source())
 	if err != nil {
 		return err
 	}
 	defer cli.Close()
+	if !f.holdTailConn(cli, tailStop) {
+		return nil
+	}
 	cli.SetTerm(f.local().Term())
+	hold := time.Duration(0)
 	for {
-		select {
-		case <-f.stop:
-			return nil
-		case <-tailStop:
-			return nil
-		default:
-		}
 		before := f.backend().Epoch()
-		leaderEpoch, err := cli.TailRound(before+1, f.applyFrame)
+		cli.SetTimeout(hold + tailMargin)
+		leaderEpoch, err := cli.TailRound(before+1, hold, f.applyFrame)
+		if f.stopped(tailStop) {
+			return nil // also when the stop is what failed the round
+		}
 		if err != nil {
 			return err
 		}
+		f.tailRounds.Add(1)
+		hold = tailHold
 		srcTerm := cli.LastTerm()
 		f.noteLeaderTerm(srcTerm)
 		local := f.local()
 		prevTerm := local.Term()
 		if srcTerm < prevTerm || cli.SourceFenced() {
-			// Polling already fenced a deposed leader (the request carried our
+			// Asking already fenced a deposed leader (the request carried our
 			// term), so its term may now LOOK current — the fenced flag is the
 			// durable signal that its history is frozen.
 			return fmt.Errorf("%w: source %s at term %d (local %d, fenced=%v)", errStaleSource, f.source(), srcTerm, prevTerm, cli.SourceFenced())
@@ -533,15 +604,8 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 		}
 		f.leaderEpoch.Store(leaderEpoch)
 		f.caughtUp.Store(after >= leaderEpoch)
-		if after > before {
-			continue // still draining a backlog; poll again immediately
-		}
-		select {
-		case <-f.stop:
-			return nil
-		case <-tailStop:
-			return nil
-		case <-time.After(f.opts.PollInterval):
+		if after == before && leaderEpoch > after {
+			return fmt.Errorf("%w: %s at epoch %d, asked from %d", errNothingShipped, f.source(), leaderEpoch, before+1)
 		}
 	}
 }
@@ -576,6 +640,7 @@ func (f *Follower) applyFrame(claimed uint64, frame []byte) error {
 		// leader's fault; retry after reconnect without quarantining.
 		return fmt.Errorf("replica: local apply: %w", err)
 	}
+	f.wake.Broadcast()
 	if epoch != seq {
 		return fmt.Errorf("%w: batch %d applied at epoch %d; replica diverged", errQuarantine, seq, epoch)
 	}
@@ -595,6 +660,7 @@ func (f *Follower) resync() error {
 	if err != nil {
 		return fmt.Errorf("replica: resync dial %s: %w", f.source(), err)
 	}
+	cli.SetTimeout(snapFrameTimeout)
 	kind, epoch, data, err := cli.FetchSnapshot()
 	f.noteLeaderTerm(cli.LastTerm())
 	cli.Close()
@@ -630,6 +696,7 @@ func (f *Follower) resync() error {
 	f.mu.Lock()
 	f.b, f.closer = b, closer
 	f.mu.Unlock()
+	f.wake.Broadcast() // reads held for an epoch now wait on the new store
 	f.caughtUp.Store(false)
 	return nil
 }
@@ -650,6 +717,14 @@ func wipeDir(dir string) error {
 
 // Epoch implements server.Backend: the local published snapshot epoch.
 func (f *Follower) Epoch() uint64 { return f.backend().Epoch() }
+
+// AwaitEpoch implements server.Backend: it parks until the local store —
+// whichever one is serving by then, a resync may swap it under the wait —
+// has published min, timeout passes, cancel is closed or the store is
+// fenced, and returns the epoch then current.
+func (f *Follower) AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
+	return f.wake.AwaitEpoch(f, min, timeout, cancel)
+}
 
 // NumNodes implements server.Backend.
 func (f *Follower) NumNodes() int { return f.backend().NumNodes() }
@@ -716,7 +791,9 @@ func (f *Follower) Apply(batch []graph.Update) (uint64, error) {
 	if !f.promoted.Load() {
 		return 0, server.ErrReadOnly
 	}
-	return f.backend().Apply(batch)
+	epoch, err := f.backend().Apply(batch)
+	f.wake.Broadcast()
+	return epoch, err
 }
 
 // Term implements server.Backend: the local store's durable leader term.
@@ -728,7 +805,9 @@ func (f *Follower) Term() uint64 { return f.local().Term() }
 // leader and fences itself when superseded.
 func (f *Follower) ObserveTerm(t uint64) error {
 	if f.promoted.Load() {
-		return f.local().ObserveTerm(t)
+		err := f.local().ObserveTerm(t)
+		f.wake.Broadcast() // a fence releases whatever waits on epochs that will not come
+		return err
 	}
 	return f.local().AdoptTerm(t)
 }

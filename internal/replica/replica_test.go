@@ -53,6 +53,13 @@ type leaderHarness struct {
 // shipFS is the filesystem shipped bytes are read through (nil = disk).
 func startLeader(t *testing.T, g *graph.Graph, shipFS faultfs.FS) *leaderHarness {
 	t.Helper()
+	return startLeaderWith(t, g, server.Options{ShipFS: shipFS})
+}
+
+// startLeaderWith is startLeader with the server's options given (Backend
+// and ReplDir are filled in).
+func startLeaderWith(t *testing.T, g *graph.Graph, opts server.Options) *leaderHarness {
+	t.Helper()
 	dir := t.TempDir()
 	// Tiny segments exercise rotation and mid-segment boundaries under
 	// replication; SyncNone keeps the test fast (process-kill durability
@@ -61,11 +68,8 @@ func startLeader(t *testing.T, g *graph.Graph, shipFS faultfs.FS) *leaderHarness
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.Start("127.0.0.1:0", server.Options{
-		Backend: server.NewStoreBackend(s),
-		ReplDir: dir,
-		ShipFS:  shipFS,
-	})
+	opts.Backend, opts.ReplDir = server.NewStoreBackend(s), dir
+	srv, err := server.Start("127.0.0.1:0", opts)
 	if err != nil {
 		s.Close()
 		t.Fatal(err)
@@ -91,9 +95,6 @@ func startFollower(t *testing.T, leaderAddr string, opts Options) *Follower {
 		opts.Dir = t.TempDir()
 	}
 	opts.Leader = leaderAddr
-	if opts.PollInterval == 0 {
-		opts.PollInterval = 2 * time.Millisecond
-	}
 	if opts.ReconnectBackoff == 0 {
 		opts.ReconnectBackoff = 5 * time.Millisecond
 	}

@@ -22,6 +22,11 @@ type Backend interface {
 	// Epoch is the latest published snapshot epoch; reads carrying a
 	// larger minEpoch are held until it catches up.
 	Epoch() uint64
+	// AwaitEpoch parks until the published epoch reaches min, timeout
+	// passes, cancel is closed or the backend is fenced, and returns the
+	// epoch then current. The epoch swap wakes it: read-your-writes holds
+	// and parked tail rounds both hang on it.
+	AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64
 	// NumNodes bounds the node ids wire requests may name.
 	NumNodes() int
 	// Reachable answers one reachability query on the current snapshot;
@@ -71,6 +76,10 @@ func NewStoreBackend(s *store.Store) Backend { return storeBackend{s} }
 func NewShardedBackend(s *store.ShardedStore) Backend { return storeBackend{s} }
 
 func (b storeBackend) Epoch() uint64 { return b.s.Epoch() }
+
+func (b storeBackend) AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
+	return b.s.AwaitEpoch(min, timeout, cancel)
+}
 
 func (b storeBackend) NumNodes() int { return b.s.NumNodes() }
 

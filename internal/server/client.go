@@ -462,18 +462,22 @@ func (c *Client) FetchSnapshot() (kind string, epoch uint64, data []byte, err er
 	}
 }
 
-// TailRound asks for WAL frames from seq. fn is called once per shipped
-// frame with the leader's claimed seq and the raw WAL frame (CRC intact;
-// validate with wal.ParseRecord). It returns the leader's current epoch
-// from the closing MsgCaughtUp, or ErrSnapshotNeeded when from has been
-// truncated away. The frame passed to fn aliases the read buffer — decode
-// within the call.
-func (c *Client) TailRound(from uint64, fn func(seq uint64, frame []byte) error) (leaderEpoch uint64, err error) {
+// TailRound asks for WAL frames from seq, letting the source park the round
+// for up to hold while it has published nothing at or past from (0 = answer
+// at once). fn is called once per shipped frame with the leader's claimed
+// seq and the raw WAL frame (CRC intact; validate with wal.ParseRecord). It
+// returns the leader's published epoch from the closing MsgCaughtUp, or
+// ErrSnapshotNeeded when from has been truncated away. The frame passed to
+// fn aliases the read buffer — decode within the call. A timeout set with
+// SetTimeout must cover the hold. Close, from another goroutine, is what
+// interrupts a parked round.
+func (c *Client) TailRound(from uint64, hold time.Duration, fn func(seq uint64, frame []byte) error) (leaderEpoch uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.arm()
 	req := binary.LittleEndian.AppendUint64(nil, from)
 	req = binary.LittleEndian.AppendUint64(req, c.LastTerm())
+	req = binary.LittleEndian.AppendUint32(req, uint32(hold/time.Millisecond))
 	if err := WriteFrame(c.bw, MsgTail, req); err != nil {
 		return 0, err
 	}

@@ -75,7 +75,9 @@ func FuzzHandleRequest(f *testing.F) {
 	f.Add(byte(MsgApply), binary.LittleEndian.AppendUint32(nil, 0))
 	f.Add(byte(MsgStats), []byte{})
 	f.Add(byte(MsgSnapshot), []byte{})
-	f.Add(byte(MsgTail), make([]byte, 8))
+	f.Add(byte(MsgTail), tailBody(1, 0, 0))
+	f.Add(byte(MsgTail), tailBody(1<<40, 3, 1<<31)) // a hold far past the clamp
+	f.Add(byte(MsgTail), tailBody(1, 0, 0)[:16])    // the pre-hold body: short
 	f.Add(byte(0xee), []byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
 		srv := fuzzServerInstance()
@@ -89,7 +91,7 @@ func FuzzHandleRequest(f *testing.F) {
 				t.Fatalf("response body of %d bytes has no epoch", len(rbody))
 			}
 			return nil
-		})
+		}, &connState{})
 		if err != nil {
 			t.Fatalf("emit never fails here, handler returned %v", err)
 		}
@@ -108,6 +110,6 @@ func TestFuzzSeedsPass(t *testing.T) {
 		raw := make([]byte, rng.Intn(64))
 		rng.Read(raw)
 		DecodeFrame(raw)
-		srv.handleRequest(MsgType(rng.Intn(256)), raw, func(MsgType, []byte) error { return nil })
+		srv.handleRequest(MsgType(rng.Intn(256)), raw, func(MsgType, []byte) error { return nil }, &connState{})
 	}
 }

@@ -16,6 +16,7 @@ import (
 type serverObs struct {
 	reg      *obs.Registry
 	inflight atomic.Int64
+	tailHeld atomic.Int64 // MsgTail rounds parked for an epoch right now
 	rejects  *obs.Counter
 	hists    [16]*obs.Histogram // indexed by request MsgType
 	other    *obs.Histogram
@@ -69,6 +70,7 @@ func newServerObs(s *Server, o Options) *serverObs {
 	r.CounterFunc("qpgc_server_requests_total", s.requests.Load)
 	r.CounterFunc("qpgc_server_epoch_waits_total", s.waits.Load)
 	r.GaugeFunc("qpgc_server_inflight", func() float64 { return float64(ob.inflight.Load()) })
+	r.GaugeFunc("qpgc_server_tail_held", func() float64 { return float64(ob.tailHeld.Load()) })
 	return ob
 }
 
@@ -82,6 +84,16 @@ func (ob *serverObs) observe(t MsgType, d time.Duration) {
 		h = ob.hists[t]
 	}
 	h.Observe(d)
+}
+
+// parkTail moves one MsgTail round into (d = 1) or out of (d = -1) the
+// parked state: a parked round counts in qpgc_server_tail_held — the
+// followers idle on this source — and not in qpgc_server_inflight.
+func (ob *serverObs) parkTail(d int64) {
+	if ob != nil {
+		ob.tailHeld.Add(d)
+		ob.inflight.Add(-d)
+	}
 }
 
 // qtracer returns the query tracer (nil without a registry; a nil tracer

@@ -61,6 +61,8 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 	for _, fam := range []string{
 		"qpgc_server_requests_total",
+		"qpgc_server_tail_held 0\n", // nobody tails this server
+		"qpgc_server_inflight 1\n",  // the scrape itself
 		`qpgc_server_request_seconds_count{type="reach"}`,
 		"qpgc_store_reads_total",
 		"qpgc_store_epoch",

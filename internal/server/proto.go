@@ -56,10 +56,18 @@ const (
 	// MsgSnapMeta, then MsgSnapChunk frames, then MsgSnapDone.
 	MsgSnapshot MsgType = 0x07
 	// MsgTail asks for WAL frames from u64 fromSeq, followed by the u64
-	// callerTerm (0 = no claim): MsgRecord frames for what is on disk now,
-	// then MsgCaughtUp (or MsgSnapNeeded when fromSeq predates the oldest
-	// retained segment). Followers poll; a follower that adopted a newer
-	// term fences a stale source just by polling it.
+	// callerTerm (0 = no claim) and the u32 hold in milliseconds: MsgRecord
+	// frames for what is on disk, then MsgCaughtUp (or MsgSnapNeeded when
+	// fromSeq predates the oldest retained segment). It is a long poll.
+	// With a hold, a source whose published epoch is below fromSeq parks
+	// the round and answers when the epoch swap that publishes fromSeq
+	// wakes it, or when the hold (clamped by the server) runs out, the
+	// server closes, or the source is fenced — a fenced source's history
+	// is frozen, it parks nothing and a fence taken mid-hold releases the
+	// round with the fenced flag set. Hold 0 answers at once with what is
+	// there. A follower asks again the moment a round returns: no timer on
+	// either side. A follower that adopted a newer term fences a stale
+	// source just by asking it.
 	MsgTail MsgType = 0x08
 	// MsgMetrics asks for the server's metrics scrape; the MsgMetricsText
 	// response carries the Prometheus text exposition. No body.
@@ -100,9 +108,10 @@ const (
 	// bytes are exactly what the leader's log holds — CRC intact — so the
 	// follower, not the shipping path, is the integrity gate.
 	MsgRecord MsgType = 0x4a
-	// MsgCaughtUp ends a tail round: the epoch is the leader's newest
-	// durable seq, the follower's staleness reference, followed by the u64
-	// leader term and a u8 fenced flag. A fenced source's WAL is safe,
+	// MsgCaughtUp ends a tail round: the epoch is the source's published
+	// epoch as read before the round read its log — every record up to it
+	// was there to ship — the follower's staleness reference, followed by
+	// the u64 leader term and a u8 fenced flag. A fenced source's WAL is safe,
 	// frozen history that can never advance — followers rotate away.
 	MsgCaughtUp MsgType = 0x4b
 	// MsgSnapNeeded rejects a tail round: fromSeq predates the oldest

@@ -61,6 +61,7 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
+	done   chan struct{} // closed by Close: cancels every held request
 
 	requests atomic.Uint64
 	waits    atomic.Uint64
@@ -69,7 +70,7 @@ type Server struct {
 
 // New builds a Server; Serve or Start runs it.
 func New(opts Options) *Server {
-	s := &Server{opts: opts, backend: opts.Backend, conns: make(map[net.Conn]struct{})}
+	s := &Server{opts: opts, backend: opts.Backend, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
 	if opts.MaxQPS > 0 {
 		s.limiter = newRateLimiter(opts.MaxQPS)
 	}
@@ -143,12 +144,15 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// Close stops accepting, drops live connections and waits for handlers.
-// It does not close the Backend — the caller owns the store.
+// Close stops accepting, drops live connections, releases the requests
+// held for an epoch (reads pinned ahead, parked tail rounds — a handler in
+// a hold is not looking at its connection) and waits for handlers. It does
+// not close the Backend — the caller owns the store.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	close(s.done)
 	if s.ln != nil {
 		s.ln.Close()
 	}
@@ -164,6 +168,17 @@ func (s *Server) Close() error {
 // Requests counts frames handled since start.
 func (s *Server) Requests() uint64 { return s.requests.Load() }
 
+// connState is what one connection keeps between its requests.
+type connState struct {
+	// tail is where the connection's last MsgTail round stopped reading
+	// the WAL, so the next one costs what was appended since.
+	tail wal.Cursor
+	// start is when the request being handled began, for its latency
+	// sample; a tail round that was parked restarts it when it wakes. Zero
+	// without a registry.
+	start time.Time
+}
+
 // serveConn runs one connection's request loop: frames in, frames out,
 // strictly in order. A malformed frame gets a MsgErr response and the
 // connection stays up; only IO errors drop it.
@@ -172,6 +187,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var buf []byte
+	var cs connState
+	defer cs.tail.Close()
 	emit := func(t MsgType, body []byte) error {
 		return WriteFrame(bw, t, body)
 	}
@@ -182,14 +199,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		buf = body[:0] // reuse; handleRequest never retains body
 		s.requests.Add(1)
-		var start time.Time
 		if s.ob != nil {
 			s.ob.inflight.Add(1)
-			start = time.Now()
+			cs.start = time.Now()
 		}
-		herr := s.handleRequest(t, body, emit)
+		herr := s.handleRequest(t, body, emit, &cs)
 		if s.ob != nil {
-			s.ob.observe(t, time.Since(start))
+			s.ob.observe(t, time.Since(cs.start))
 			s.ob.inflight.Add(-1)
 		}
 		if herr != nil {
@@ -227,28 +243,19 @@ func errCode(err error) byte {
 	return ErrCodeGeneric
 }
 
-// waitEpoch blocks until the backend's published epoch reaches minEpoch —
-// the read-your-writes hold — or the configured timeout passes.
+// waitEpoch is the read-your-writes hold: the read parks until the
+// backend's published epoch reaches minEpoch — the epoch swap wakes it — or
+// the configured timeout passes, the server closes or the backend is fenced.
 func (s *Server) waitEpoch(minEpoch uint64) (uint64, error) {
 	e := s.backend.Epoch()
 	if e >= minEpoch {
 		return e, nil
 	}
 	s.waits.Add(1)
-	deadline := time.Now().Add(s.opts.EpochWaitTimeout)
-	sleep := 100 * time.Microsecond
-	for {
-		if time.Now().After(deadline) {
-			return e, fmt.Errorf("server: epoch %d not reached within %v (at %d)", minEpoch, s.opts.EpochWaitTimeout, e)
-		}
-		time.Sleep(sleep)
-		if sleep < 2*time.Millisecond {
-			sleep *= 2
-		}
-		if e = s.backend.Epoch(); e >= minEpoch {
-			return e, nil
-		}
+	if e = s.backend.AwaitEpoch(minEpoch, s.opts.EpochWaitTimeout, s.done); e < minEpoch {
+		return e, fmt.Errorf("server: epoch %d not reached within %v (at %d)", minEpoch, s.opts.EpochWaitTimeout, e)
 	}
+	return e, nil
 }
 
 // handleRequest decodes one request frame and emits its response frames.
@@ -256,7 +263,7 @@ func (s *Server) waitEpoch(minEpoch uint64) (uint64, error) {
 // become MsgErr responses. FuzzHandleRequest drives this function with
 // arbitrary frames: whatever arrives, it must neither panic nor emit an
 // unparseable response.
-func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte) error) error {
+func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte) error, cs *connState) error {
 	switch t {
 	case MsgPing:
 		return emit(MsgEpoch, binary.LittleEndian.AppendUint64(nil, s.backend.Epoch()))
@@ -410,7 +417,7 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 		return s.handleSnapshot(body, emit)
 
 	case MsgTail:
-		return s.handleTail(body, emit)
+		return s.handleTail(body, emit, cs)
 
 	case MsgPromote:
 		c := &cursor{b: body}
@@ -477,23 +484,39 @@ func (s *Server) handleSnapshot(body []byte, emit func(MsgType, []byte) error) e
 	return emit(MsgSnapDone, binary.LittleEndian.AppendUint64(nil, info.Epoch))
 }
 
-// handleTail ships one poll's worth of raw WAL frames from the requested
-// seq, ending with MsgCaughtUp (current durable epoch) or MsgSnapNeeded.
-// The frames are read through the ship FS and split by wal.ReadFrames, which
-// validates no checksum — the follower's wal.ParseRecord is the single
-// integrity gate (chaos tests inject read faults right here to prove it).
-func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error) error {
-	if s.opts.ReplDir == "" {
-		return emit(MsgErr, s.errBody(errors.New("server: not a replication source")))
-	}
+// maxTailHold clamps the hold a MsgTail round may ask for.
+const maxTailHold = 5 * time.Second
+
+// fenced reports whether the backend has fenced itself. Both concrete
+// backends implement it.
+func (s *Server) fenced() bool {
+	fc, ok := s.backend.(interface{ Fenced() bool })
+	return ok && fc.Fenced()
+}
+
+// handleTail ships one round's worth of raw WAL frames from the requested
+// seq, ending with MsgCaughtUp (current published epoch) or MsgSnapNeeded.
+// A round that asks to be held and finds nothing to ship parks until the
+// published epoch reaches its seq — what is shipped is what has been
+// published, and the swap that publishes it is what wakes the round — or
+// until the hold runs out, the server closes or the backend is fenced; a
+// fenced backend never parks a round. The frames are read through the ship
+// FS and split by the connection's wal.Cursor, which validates no checksum —
+// the follower's wal.ParseRecord is the single integrity gate (chaos tests
+// inject read faults right here to prove it).
+func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *connState) error {
 	c := &cursor{b: body}
 	from := c.u64()
 	callerTerm := c.u64()
+	hold := time.Duration(c.u32()) * time.Millisecond
 	if err := c.fin(); err != nil {
 		return emit(MsgErr, s.errBody(err))
 	}
+	if s.opts.ReplDir == "" {
+		return emit(MsgErr, s.errBody(errors.New("server: not a replication source")))
+	}
 	// A follower that adopted a newer term fences a stale source just by
-	// polling it: the shipped WAL stays readable (it is frozen, safe
+	// asking it: the shipped WAL stays readable (it is frozen, safe
 	// history), but the source's write path shuts before it can diverge.
 	if callerTerm > s.backend.Term() {
 		s.backend.ObserveTerm(callerTerm)
@@ -503,9 +526,26 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error) error
 		// tails from 1.
 		from = 1
 	}
-	// Collected before anything is sent: a poll that fails ships no frame.
+	if hold > maxTailHold {
+		hold = maxTailHold
+	}
+	if hold > 0 && s.backend.Epoch() < from && !s.fenced() {
+		// A parked round is an idle follower, not a request in flight: the
+		// latency sample is the service after the wake.
+		s.ob.parkTail(1)
+		s.backend.AwaitEpoch(from, hold, s.done)
+		s.ob.parkTail(-1)
+		if s.ob != nil {
+			cs.start = time.Now()
+		}
+	}
+	// Read before the log is: what the round reports published, it has had
+	// the chance to ship, so a follower told of an epoch it was not sent
+	// knows the round went wrong.
+	epoch := s.backend.Epoch()
+	// Collected before anything is sent: a round that fails ships no frame.
 	var records [][]byte
-	oldest, err := wal.ReadFrames(s.opts.ShipFS, s.opts.ReplDir, from, s.opts.TailBytes, func(seq uint64, frame []byte) {
+	oldest, err := cs.tail.ReadFrames(s.opts.ShipFS, s.opts.ReplDir, from, s.opts.TailBytes, func(seq uint64, frame []byte) {
 		out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(frame)), seq)
 		records = append(records, append(out, frame...))
 	})
@@ -520,13 +560,13 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error) error
 			return err
 		}
 	}
-	out := binary.LittleEndian.AppendUint64(nil, s.backend.Epoch())
+	out := binary.LittleEndian.AppendUint64(nil, epoch)
 	out = binary.LittleEndian.AppendUint64(out, s.backend.Term())
 	// The fenced flag is what lets a follower distinguish a deposed leader
 	// (frozen history, rotate away) from a healthy chained sibling (also
-	// not writable, but advancing). Both concrete backends implement it.
+	// not writable, but advancing).
 	fenced := byte(0)
-	if fc, ok := s.backend.(interface{ Fenced() bool }); ok && fc.Fenced() {
+	if s.fenced() {
 		fenced = 1
 	}
 	return emit(MsgCaughtUp, append(out, fenced))

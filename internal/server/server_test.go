@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -176,7 +177,7 @@ func TestApplyAndRYW(t *testing.T) {
 	fast.handleRequest(MsgReach, reachBody(999999, 0, 1), func(mt MsgType, body []byte) error {
 		gotErr = mt == MsgErr
 		return nil
-	})
+	}, &connState{})
 	if !gotErr {
 		t.Fatal("read far beyond the write frontier did not error")
 	}
@@ -188,6 +189,13 @@ func reachBody(minEpoch uint64, u, v graph.Node) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(u))
 	b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	return append(b, 0)
+}
+
+// tailBody encodes a MsgTail body.
+func tailBody(from, term uint64, holdMs uint32) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, from)
+	b = binary.LittleEndian.AppendUint64(b, term)
+	return binary.LittleEndian.AppendUint32(b, holdMs)
 }
 
 // TestWireRejectsGarbage sends malformed frames and checks the server
@@ -210,6 +218,8 @@ func TestWireRejectsGarbage(t *testing.T) {
 		{MsgMatch, append(make([]byte, 8), 0xff, 0xff, 0xff, 0xff)}, // absurd pattern
 		{MsgType(0x3f), nil},                                        // unknown type
 		{MsgBool, []byte{0, 0, 0, 0, 0, 0, 0, 0, 1}},                // response-typed request
+		{MsgTail, tailBody(1, 0, 0)[:16]},                           // no hold field
+		{MsgTail, append(tailBody(1, 0, 0), 0)},                     // a byte past the hold field
 	}
 	for i, tc := range bad {
 		var body []byte
@@ -363,7 +373,7 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 
 	// Tail from 5: three records then caught-up at 7.
 	next := s2.Snapshot().Epoch + 1
-	leaderEpoch, err := cli.TailRound(next, func(seq uint64, frame []byte) error {
+	leaderEpoch, err := cli.TailRound(next, 0, func(seq uint64, frame []byte) error {
 		pseq, _, err := parseAndApply(s2, frame)
 		if err != nil {
 			return err
@@ -393,7 +403,7 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = cli.TailRound(1, func(uint64, []byte) error { return nil })
+	_, err = cli.TailRound(1, 0, func(uint64, []byte) error { return nil })
 	if err != ErrSnapshotNeeded {
 		t.Fatalf("tail(1) after truncation: %v, want ErrSnapshotNeeded", err)
 	}
@@ -446,3 +456,140 @@ func TestReadOnlyBackendError(t *testing.T) {
 type readOnly struct{ Backend }
 
 func (readOnly) Apply([]graph.Update) (uint64, error) { return 0, ErrReadOnly }
+
+// waitFor polls cond for up to two seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestCloseReleasesHeldRequests pins Close against a request held for an
+// epoch that never comes: the handler is not looking at its connection, so
+// dropping the connection does not end it — Close's own cancel must. The
+// read is pinned one epoch ahead on a store nobody writes to, with the
+// default five-second hold.
+func TestCloseReleasesHeldRequests(t *testing.T) {
+	s, srv := startStoreServer(t, testGraph(21), Options{EpochWaitTimeout: 5 * time.Second})
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	held := make(chan error, 1)
+	go func() {
+		_, _, err := cli.Reachable(0, 1, s.Epoch()+1, false)
+		held <- err
+	}()
+	waitFor(t, "the read to be held", func() bool { return srv.waits.Load() == 1 })
+	start := time.Now()
+	srv.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close sat out a held read for %v", d)
+	}
+	select {
+	case err := <-held:
+		if err == nil {
+			t.Fatal("a read pinned past the frontier answered as the server closed")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the held read's client heard nothing after Close")
+	}
+}
+
+// TestHeldReadWakesOnSwap pins what releases a hold, by counts and not by
+// timings. A read pinned one epoch ahead is parked (the epoch-wait counter
+// moves, no answer comes) until a write publishes that epoch, and is then
+// answered at it. A tail round parked on a source that gets fenced mid-hold
+// comes back at once — long before its hold is up — carrying the fenced
+// flag; and a fenced source parks nothing.
+func TestHeldReadWakesOnSwap(t *testing.T) {
+	g := testGraph(22)
+	dir := t.TempDir()
+	s, err := store.Open(g.Clone(), &store.Options{Dir: dir, Sync: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reg := obs.NewRegistry()
+	srv, err := Start("127.0.0.1:0", Options{Backend: NewStoreBackend(s), ReplDir: dir, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reader, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+
+	n := graph.Node(g.NumNodes() - 1)
+	type answer struct {
+		reach bool
+		epoch uint64
+		err   error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		reach, epoch, err := reader.Reachable(0, n, 1, false)
+		got <- answer{reach, epoch, err}
+	}()
+	waitFor(t, "the pinned read to be held", func() bool { return srv.waits.Load() == 1 })
+	select {
+	case a := <-got:
+		t.Fatalf("a read pinned at epoch 1 answered %+v before anything was written", a)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, err := s.Apply([]graph.Update{graph.Insertion(0, n)}); err != nil {
+		t.Fatal(err)
+	}
+	if a := <-got; a.err != nil || a.epoch != 1 || !a.reach {
+		t.Fatalf("the held read came back %+v, want the inserted edge seen at epoch 1", a)
+	}
+	if text := reg.PrometheusText(); !strings.Contains(text, "qpgc_server_epoch_waits_total 1\n") {
+		t.Fatalf("the hold is not in the scrape:\n%s", text)
+	}
+
+	// A parked tail round, then a fence.
+	tail, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	type round struct {
+		epoch uint64
+		err   error
+	}
+	done := make(chan round, 1)
+	start := time.Now()
+	go func() {
+		epoch, err := tail.TailRound(2, maxTailHold, func(uint64, []byte) error { return nil })
+		done <- round{epoch, err}
+	}()
+	waitFor(t, "the tail round to be parked", func() bool { return srv.ob.tailHeld.Load() == 1 })
+	if in := srv.ob.inflight.Load(); in != 0 {
+		t.Fatalf("a parked tail round counts as %d requests in flight", in)
+	}
+	if err := s.ObserveTerm(s.Term() + 1); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil || r.epoch != 1 || !tail.SourceFenced() {
+		t.Fatalf("the round released by the fence came back epoch %d, fenced %v, %v", r.epoch, tail.SourceFenced(), r.err)
+	}
+	if d := time.Since(start); d > maxTailHold/2 {
+		t.Fatalf("the fence released the round after %v of a %v hold", d, maxTailHold)
+	}
+	if _, err := tail.TailRound(2, maxTailHold, func(uint64, []byte) error { return nil }); err != nil || !tail.SourceFenced() {
+		t.Fatalf("round on a fenced source: fenced %v, %v", tail.SourceFenced(), err)
+	}
+	if d := time.Since(start); d > maxTailHold/2 {
+		t.Fatalf("a fenced source parked a round: %v", d)
+	}
+	if held := srv.ob.tailHeld.Load(); held != 0 {
+		t.Fatalf("%d tail rounds still count as parked", held)
+	}
+}

@@ -51,6 +51,11 @@ type Handle interface {
 	// are O(1), cheap enough to call per wire request.
 	Epoch() uint64
 	NumNodes() int
+	// AwaitEpoch blocks until the published epoch reaches min, timeout
+	// passes, cancel is closed or the store is fenced (a fenced store's
+	// history is frozen: there is nothing to wait for), and returns the
+	// epoch it then reads. The epoch swap wakes it; it does not poll.
+	AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64
 	// Info summarizes the store.
 	Info() Info
 
@@ -119,6 +124,7 @@ type engine[R any] struct {
 	closed bool
 
 	epoch   atomic.Uint64 // latest published epoch
+	wake    Wake          // broadcast when epoch moves or the store is fenced
 	batches atomic.Uint64 // latest assigned epoch
 	updates atomic.Uint64
 	reads   atomic.Uint64
@@ -238,10 +244,13 @@ func (e *engine[R]) reopen(load func(fsys faultfs.FS, path string) (epoch uint64
 }
 
 // advance publishes epoch and moves the O(1) epoch frontier behind it, so
-// a reader that saw Epoch() = k finds a snapshot of at least k.
+// a reader that saw Epoch() = k finds a snapshot of at least k; then it
+// wakes whoever is parked in AwaitEpoch. The writer calls it before it
+// sends the batch's results — Wake.Broadcast says why the order matters.
 func (e *engine[R]) advance(epoch uint64) {
 	e.p.publish(epoch)
 	e.epoch.Store(epoch)
+	e.wake.Broadcast()
 }
 
 // run is the writer goroutine: it serializes batches, folds queued requests
@@ -372,6 +381,13 @@ func (e *engine[R]) Close() error {
 // afterwards is at that epoch or a later one.
 func (e *engine[R]) Epoch() uint64 { return e.epoch.Load() }
 
+// AwaitEpoch blocks until the published epoch reaches min, timeout passes,
+// cancel is closed or the store is fenced, and returns the epoch it then
+// reads. It parks on the wake-up advance broadcasts; nothing polls.
+func (e *engine[R]) AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
+	return e.wake.AwaitEpoch(e, min, timeout, cancel)
+}
+
 // NumNodes returns |V| in O(1); the node set is static for the life of a
 // store.
 func (e *engine[R]) NumNodes() int { return e.nodes }
@@ -456,7 +472,9 @@ func (e *engine[R]) ObserveTerm(t uint64) error {
 	if e.dur == nil {
 		return nil
 	}
-	return e.dur.observeTerm(t)
+	err := e.dur.observeTerm(t)
+	e.wake.Broadcast() // a fence releases whatever waits on epochs that will not come
+	return err
 }
 
 // AdoptTerm is the follower-side term check: raise the store's term to t

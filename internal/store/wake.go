@@ -1,0 +1,78 @@
+package store
+
+import (
+	"runtime"
+	"sync"
+	"time"
+)
+
+// Wake is the wake-up an epoch swap broadcasts: whoever moves a condition
+// others wait on — the engine publishing an epoch or fencing itself, a
+// follower swapping its store — calls Broadcast after the move, and
+// AwaitEpoch parks until the epoch it waits for is there. It replaces sleep-and-poll loops: a
+// waiter costs nothing while parked and runs the moment the swap lands. The
+// zero value is ready; with nobody parked Broadcast is one uncontended lock.
+type Wake struct {
+	mu sync.Mutex
+	ch chan struct{} // non-nil while someone is parked; Broadcast closes it
+}
+
+// Broadcast wakes every parked AwaitEpoch to look again and,
+// if anyone was parked, yields the processor so that they run before the
+// caller goes on. Call it after the state the condition reads has changed,
+// and before telling anyone else about the change: the engine broadcasts
+// an epoch before it sends the batch's results, and the order is measured,
+// not taste. With one P a parked tail round that ships its frame before
+// the ack is flushed costs the ack that one service, ≈ 0.1 ms. Without the
+// yield the result send takes the woken round's turn, the ack is flushed
+// first and the follower's socket is written last; netpoll hands out the
+// goroutine of the socket written last first, and the follower's apply of
+// the batch runs ahead of the client reading its ack: the ack lands ≈ 1 ms
+// into that apply (EXPERIMENTS.md, "Visibility on a follower", has both
+// event logs).
+func (w *Wake) Broadcast() {
+	w.mu.Lock()
+	ch := w.ch
+	w.ch = nil
+	w.mu.Unlock()
+	if ch != nil {
+		close(ch)
+		runtime.Gosched()
+	}
+}
+
+// AwaitEpoch parks until src has published min, timeout passes, cancel is
+// closed or src is fenced — a fenced store publishes nothing more, there is
+// nothing to wait for — and returns the epoch src then reports. It looks at
+// src under the Wake's lock, which is what makes a Broadcast between the
+// look and the park impossible to miss; src must not call back into the
+// Wake.
+func (w *Wake) AwaitEpoch(src interface {
+	Epoch() uint64
+	Fenced() bool
+}, min uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
+	var timer *time.Timer
+	for {
+		w.mu.Lock()
+		if epoch := src.Epoch(); epoch >= min || src.Fenced() {
+			w.mu.Unlock()
+			return epoch
+		}
+		if w.ch == nil {
+			w.ch = make(chan struct{})
+		}
+		ch := w.ch
+		w.mu.Unlock()
+		if timer == nil {
+			timer = time.NewTimer(timeout)
+			defer timer.Stop()
+		}
+		select {
+		case <-ch:
+		case <-timer.C:
+			return src.Epoch()
+		case <-cancel:
+			return src.Epoch()
+		}
+	}
+}

@@ -312,12 +312,22 @@ func frameRecord(seq uint64, payload []byte) []byte {
 	return b
 }
 
+// ReadFrames is a shipping read with no position to continue from: a zero
+// Cursor, read once and dropped.
+func ReadFrames(fsys faultfs.FS, dir string, from uint64, maxBytes int, fn func(seq uint64, frame []byte)) (uint64, error) {
+	var c Cursor
+	defer c.Close()
+	return c.ReadFrames(fsys, dir, from, maxBytes, fn)
+}
+
 // TestReadFrames pins the shipping read: frames come back whole and in
 // order with position-derived seqs from any starting point, one call stops
 // at its byte budget but always ships a frame, a start below the oldest
 // segment reports that segment's first seq and ships nothing, checksums are
 // NOT validated (a flipped body byte ships for ParseRecord to reject), and
 // an incomplete frame is tolerated at the end of the newest segment only.
+// Every row reads through a zero Cursor; TestTailCursorEqualsColdRead pins
+// a Cursor that lives on to the same answers.
 func TestReadFrames(t *testing.T) {
 	dir := t.TempDir()
 	l := open(t, dir, 5, &Options{SegmentBytes: 64, Sync: SyncNone}) // a few records per segment
