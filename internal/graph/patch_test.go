@@ -43,20 +43,35 @@ func FuzzCSRPatch(f *testing.F) {
 		for i := 0; i+1 < len(edges); i += 2 {
 			g.AddEdge(node(edges[i]), node(edges[i+1]))
 		}
-		var p Patcher
+		var p, pu Patcher
 		prev := g.Freeze()
-		// Three updates per round, so rounds patch a patched snapshot.
+		prevU := prev
+		// Three updates per round, so rounds patch a patched snapshot. The
+		// same rounds go through ApplyUpdates as one group of one-update
+		// batches, from the snapshot alone.
 		for len(ups) >= 3 {
 			var round []Update
+			var group [][]Update
 			for k := 0; k < 3 && len(ups) >= 3; k++ {
-				round = append(round, Update{From: node(ups[0]), To: node(ups[1]), Insert: ups[2]&1 == 1})
+				up := Update{From: node(ups[0]), To: node(ups[1]), Insert: ups[2]&1 == 1}
+				round, group = append(round, up), append(group, []Update{up})
 				ups = ups[3:]
 			}
 			got := patchByUpdates(&p, g, prev, round)
-			if want := g.Freeze(); !got.Equal(want) {
+			want := g.Freeze()
+			if !got.Equal(want) {
 				t.Fatalf("patched snapshot differs from Freeze after %v", round)
 			}
-			prev = got
+			gotU, changed := pu.ApplyUpdates(prevU, group)
+			if !gotU.Equal(want) {
+				t.Fatalf("ApplyUpdates differs from Freeze after %v", round)
+			}
+			for _, u := range changed {
+				if slices.Equal(prevU.Successors(u), gotU.Successors(u)) {
+					t.Fatalf("ApplyUpdates lists row %d as changed, but it is not", u)
+				}
+			}
+			prev, prevU = got, gotU
 		}
 	})
 }

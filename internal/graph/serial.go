@@ -59,11 +59,8 @@ func CSRFromParts(labels *Labels, label []Label, outOff []int32, outAdj []Node, 
 	if len(outAdj) != len(inAdj) {
 		return nil, fmt.Errorf("graph: CSRFromParts: %d out-edges vs %d in-edges", len(outAdj), len(inAdj))
 	}
-	nl := Label(labels.Count())
-	for v, lb := range label {
-		if lb < 0 || lb >= nl {
-			return nil, fmt.Errorf("graph: CSRFromParts: node %d has unknown label id %d", v, lb)
-		}
+	if err := checkLabels(labels, label); err != nil {
+		return nil, err
 	}
 	if err := checkAdjacency("out", n, outOff, outAdj); err != nil {
 		return nil, err
@@ -74,24 +71,75 @@ func CSRFromParts(labels *Labels, label []Label, outOff []int32, outAdj []Node, 
 	return &CSR{labels: labels, label: label, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}, nil
 }
 
+// CSRFromRows builds a CSR from its successor side alone — the label ids,
+// the offset table and the flat rows, validated as CSRFromParts validates
+// them — and derives the predecessor side by one transposition, O(|V|+|E|).
+// It is how a decoder that was sent only the rows (a replica's shipped
+// quotient) gets the exact arrays Freeze would give. The slices are
+// retained, not copied.
+func CSRFromRows(labels *Labels, label []Label, outOff []int32, outAdj []Node) (*CSR, error) {
+	if labels == nil {
+		return nil, fmt.Errorf("graph: CSRFromRows: nil label table")
+	}
+	n := len(label)
+	if len(outOff) != n+1 {
+		return nil, fmt.Errorf("graph: CSRFromRows: offset table has %d entries, want %d", len(outOff), n+1)
+	}
+	if err := checkLabels(labels, label); err != nil {
+		return nil, err
+	}
+	if err := checkAdjacency("out", n, outOff, outAdj); err != nil {
+		return nil, err
+	}
+	// Sources are walked in ascending order, so every predecessor row comes
+	// out sorted.
+	inOff := make([]int32, n+1)
+	for _, w := range outAdj {
+		inOff[w+1]++
+	}
+	for v := 0; v < n; v++ {
+		inOff[v+1] += inOff[v]
+	}
+	inAdj := make([]Node, len(outAdj))
+	cursor := append([]int32(nil), inOff[:n]...)
+	for u := 0; u < n; u++ {
+		for _, w := range outAdj[outOff[u]:outOff[u+1]] {
+			inAdj[cursor[w]] = Node(u)
+			cursor[w]++
+		}
+	}
+	return &CSR{labels: labels, label: label, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}, nil
+}
+
+// checkLabels validates every label id against the table.
+func checkLabels(labels *Labels, label []Label) error {
+	nl := Label(labels.Count())
+	for v, lb := range label {
+		if lb < 0 || lb >= nl {
+			return fmt.Errorf("graph: node %d has unknown label id %d", v, lb)
+		}
+	}
+	return nil
+}
+
 // checkAdjacency validates one offset table + flat adjacency pair: offsets
 // monotone from 0 to len(adj), every row sorted strictly increasing, every
 // referenced node id in [0, n).
 func checkAdjacency(side string, n int, off []int32, adj []Node) error {
 	if off[0] != 0 || int(off[n]) != len(adj) {
-		return fmt.Errorf("graph: CSRFromParts: %s offsets span [%d,%d], want [0,%d]", side, off[0], off[n], len(adj))
+		return fmt.Errorf("graph: %s offsets span [%d,%d], want [0,%d]", side, off[0], off[n], len(adj))
 	}
 	for v := 0; v < n; v++ {
-		if off[v+1] < off[v] {
-			return fmt.Errorf("graph: CSRFromParts: %s offsets decrease at node %d", side, v)
+		if off[v+1] < off[v] || int(off[v+1]) > len(adj) {
+			return fmt.Errorf("graph: %s offsets decrease or overrun at node %d", side, v)
 		}
 		prev := Node(-1)
 		for _, w := range adj[off[v]:off[v+1]] {
 			if w <= prev {
-				return fmt.Errorf("graph: CSRFromParts: %s row of node %d not sorted/unique", side, v)
+				return fmt.Errorf("graph: %s row of node %d not sorted/unique", side, v)
 			}
 			if int(w) < 0 || int(w) >= n {
-				return fmt.Errorf("graph: CSRFromParts: %s row of node %d references invalid node %d", side, v, w)
+				return fmt.Errorf("graph: %s row of node %d references invalid node %d", side, v, w)
 			}
 			prev = w
 		}

@@ -102,10 +102,12 @@ func TestPromoteFailoverMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pcli.Close()
+			promoteStart := time.Now()
 			frontier, term, err := pcli.Promote(5 * time.Second)
 			if err != nil {
 				t.Fatalf("promote: %v", err)
 			}
+			promoted := time.Since(promoteStart)
 			if frontier < token {
 				t.Fatalf("promotion frontier %d below acked token %d: acked batches lost", frontier, token)
 			}
@@ -118,15 +120,23 @@ func TestPromoteFailoverMatrix(t *testing.T) {
 
 			// Writes continue against the new leader; f2 must re-point and
 			// follow them.
+			var firstWrite time.Duration
 			for i := 0; i < 6; i++ {
 				batch := gen.RandomBatch(rng, mirror, 12, 0.6)
 				mirror.Apply(batch)
+				writeStart := time.Now()
 				epoch, err := pcli.Apply(batch)
 				if err != nil {
 					t.Fatalf("post-promotion apply %d: %v", i, err)
 				}
+				if i == 0 {
+					firstWrite = time.Since(writeStart)
+				}
 				token = epoch
 			}
+			// Promotion builds the maintainers the follower ran without; the
+			// first write after it pays only its own batch.
+			t.Logf("promote %v (maintainers and the first full view build), first write after it %v", promoted, firstWrite)
 			awaitEpoch(t, f2, token, 15*time.Second)
 			awaitTerm(t, f2, term, 10*time.Second)
 			diffAgainstReference(t, name, mirror, map[string]server.Backend{

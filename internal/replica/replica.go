@@ -1,7 +1,13 @@
 // Package replica turns a durable store directory into a read replica: it
 // bootstraps from the leader's newest snapfile checkpoint, then tails the
 // leader's WAL — one long-polled round after another, each answered when
-// the leader publishes an epoch — and re-applies the raw frames locally.
+// the leader publishes an epoch. Each group of raw frames arrives with its
+// effect: what those batches did to the leader's views (store/effect.go).
+// The follower appends the frames to its own WAL, patches its G from them
+// and its views from the effect, and publishes — it runs no maintainer and
+// holds none until Promote builds them. A round that cannot chain the
+// follower's views brings one image of the leader's instead; frames no
+// effect covers are re-derived through the local maintainers.
 //
 // The design leans entirely on one invariant the storage layer already
 // guarantees: a WAL record's sequence number IS the batch's epoch. A
@@ -16,7 +22,9 @@
 // Shipped bytes are untrusted. Every frame is re-validated with
 // wal.ParseRecord (CRC), its embedded seq must equal both the claimed seq
 // and the follower's next epoch, and the decoded batch must apply at
-// exactly that epoch. Any violation is a quarantine event: the connection
+// exactly that epoch; an effect must decode, chain from the follower's own
+// views and agree with its patched G (store.Store.ApplyEffect checks).
+// Any violation is a quarantine event: the connection
 // is dropped and catch-up restarts from the follower's own epoch — wrong
 // answers are never served. A follower that cannot make progress (or whose
 // tail position the leader has truncated) wipes its directory and
@@ -154,6 +162,10 @@ type Follower struct {
 	lastErr     atomic.Value  // string
 	tailRounds  atomic.Uint64 // MsgTail rounds completed
 	shipped     *obs.Counter  // bytes of WAL frames applied; nil without Obs
+	// diffs and images count the shipped effects applied, by kind; ob times
+	// every apply by path (nil without Obs: then no clock is read).
+	diffs, images atomic.Uint64
+	ob            *followerObs
 
 	// shippedBytes/shippedFrames estimate the mean shipped frame size for
 	// LagError.LagBytes, independent of Obs.
@@ -247,15 +259,36 @@ func leaderList(opts Options) []string {
 	return out
 }
 
+// The ways a shipped group reaches the local store, the path label of
+// qpgc_replica_apply_seconds: a diff of the source's views, an image of
+// them, or the raw frames re-derived by the local maintainers.
+const (
+	pathEffect = iota
+	pathImage
+	pathRaw
+	numPaths
+)
+
+// followerObs is the follower's directly fed instruments.
+type followerObs struct {
+	apply [numPaths]*obs.Histogram // per group (effect, image) or per batch (raw)
+}
+
 // bindObs registers the follower's replication metrics: scrape-time
-// callbacks over the atomics Status already reads, plus the shipped-bytes
-// counter applyFrame feeds. The local store registered its own families
-// when openLocal passed Obs through. No-op on a nil registry.
+// callbacks over the atomics Status already reads, the shipped-bytes counter
+// and the apply histograms a round feeds. The local store registered its own
+// families when openLocal passed Obs through. No-op on a nil registry.
 func (f *Follower) bindObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
 	f.shipped = r.Counter("qpgc_replica_shipped_bytes_total")
+	f.ob = &followerObs{}
+	for p, name := range [numPaths]string{"effect", "image", "raw"} {
+		f.ob.apply[p] = r.Histogram(obs.Label("qpgc_replica_apply_seconds", "path", name))
+	}
+	r.CounterFunc(obs.Label("qpgc_replica_effects_total", "kind", "diff"), f.diffs.Load)
+	r.CounterFunc(obs.Label("qpgc_replica_effects_total", "kind", "image"), f.images.Load)
 	r.GaugeFunc("qpgc_replica_epoch", func() float64 { return float64(f.backend().Epoch()) })
 	r.GaugeFunc("qpgc_replica_leader_epoch", func() float64 { return float64(f.leaderEpoch.Load()) })
 	r.GaugeFunc("qpgc_replica_lag_epochs", func() float64 {
@@ -455,26 +488,25 @@ func (f *Follower) Status() Status {
 // WaitCaughtUp blocks until the follower has completed a tail round with
 // nothing missing, or the timeout passes — in which case it returns a
 // *LagError naming the remaining epoch delta and its byte estimate.
+//
+// It parks on the follower's wake-up, which the tail loop broadcasts when
+// caughtUp turns true; Close releases it.
 func (f *Follower) WaitCaughtUp(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for !f.caughtUp.Load() {
-		if time.Now().After(deadline) {
-			st := f.Status()
-			lag := &LagError{
-				Wait:        timeout,
-				Epoch:       st.Epoch,
-				LeaderEpoch: st.LeaderEpoch,
-				LagEpochs:   st.Lag,
-				LastErr:     st.Err,
-			}
-			if frames := f.shippedFrames.Load(); frames > 0 {
-				lag.LagBytes = st.Lag * (f.shippedBytes.Load() / frames)
-			}
-			return lag
-		}
-		time.Sleep(time.Millisecond)
+	if f.wake.Await(f.caughtUp.Load, timeout, f.stop) {
+		return nil
 	}
-	return nil
+	st := f.Status()
+	lag := &LagError{
+		Wait:        timeout,
+		Epoch:       st.Epoch,
+		LeaderEpoch: st.LeaderEpoch,
+		LagEpochs:   st.Lag,
+		LastErr:     st.Err,
+	}
+	if frames := f.shippedFrames.Load(); frames > 0 {
+		lag.LagBytes = st.Lag * (f.shippedBytes.Load() / frames)
+	}
+	return lag
 }
 
 // errStaleSource tags a replication source whose term is below the
@@ -571,9 +603,15 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 	cli.SetTerm(f.local().Term())
 	hold := time.Duration(0)
 	for {
-		before := f.backend().Epoch()
+		before, lineage := f.position()
 		cli.SetTimeout(hold + tailMargin)
-		leaderEpoch, err := cli.TailRound(before+1, hold, f.applyFrame)
+		rd := round{f: f}
+		leaderEpoch, err := cli.TailRound(before+1, lineage, hold, rd.frame, rd.effect)
+		// Frames no effect covered — a round cut short, a rejected effect, a
+		// source that ships none — are re-derived, whatever ended the round.
+		if ferr := rd.flush(); err == nil {
+			err = ferr
+		}
 		if f.stopped(tailStop) {
 			return nil // also when the stop is what failed the round
 		}
@@ -603,18 +641,39 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 			return err
 		}
 		f.leaderEpoch.Store(leaderEpoch)
-		f.caughtUp.Store(after >= leaderEpoch)
+		if up := after >= leaderEpoch; f.caughtUp.Swap(up) != up && up {
+			f.wake.Broadcast() // WaitCaughtUp parks on it
+		}
 		if after == before && leaderEpoch > after {
 			return fmt.Errorf("%w: %s at epoch %d, asked from %d", errNothingShipped, f.source(), leaderEpoch, before+1)
 		}
 	}
 }
 
-// applyFrame validates one shipped WAL frame end to end and applies it at
-// exactly its sequence number. Frames at or below the local epoch are
-// duplicates from segment re-reads and are skipped; anything else that
-// does not line up perfectly is quarantined.
-func (f *Follower) applyFrame(claimed uint64, frame []byte) error {
+// position is where the local store stands: its epoch and, when it can take
+// effects (the monolithic kind), the lineage of its views — 0 otherwise.
+func (f *Follower) position() (epoch, lineage uint64) {
+	if s, ok := f.local().(*store.Store); ok {
+		sn := s.Snapshot()
+		return sn.Epoch, sn.Lineage
+	}
+	return f.backend().Epoch(), 0
+}
+
+// round is the follower's side of one tail round: shipped frames wait here
+// until the effect that covers them arrives, and go into the local store
+// with it as one group.
+type round struct {
+	f       *Follower
+	batches [][]graph.Update
+	bytes   uint64 // of the frames buffered
+}
+
+// frame validates one shipped WAL frame end to end and buffers its batch:
+// its seq must be the next after the local epoch and the frames already
+// buffered. Frames at or below that are duplicates from segment re-reads
+// and are skipped; anything else that does not line up is quarantined.
+func (r *round) frame(claimed uint64, frame []byte) error {
 	seq, payload, _, err := wal.ParseRecord(frame)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errQuarantine, err)
@@ -622,8 +681,8 @@ func (f *Follower) applyFrame(claimed uint64, frame []byte) error {
 	if seq != claimed {
 		return fmt.Errorf("%w: frame embeds seq %d, leader claims %d", errQuarantine, seq, claimed)
 	}
-	b := f.backend()
-	want := b.Epoch() + 1
+	b := r.f.backend()
+	want := b.Epoch() + 1 + uint64(len(r.batches))
 	if seq < want {
 		return nil // duplicate of an already-applied epoch
 	}
@@ -634,20 +693,80 @@ func (f *Follower) applyFrame(claimed uint64, frame []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", errQuarantine, err)
 	}
-	epoch, err := b.Apply(batch)
+	r.batches = append(r.batches, batch)
+	r.bytes += uint64(len(frame))
+	return nil
+}
+
+// effect applies the buffered frames together with the effect that covers
+// them — patching, not maintaining — and publishes their last epoch. A
+// rejected effect is a quarantine; a local write failure only reconnects.
+func (r *round) effect(epoch uint64, b []byte) error {
+	s, ok := r.f.local().(*store.Store)
+	if last := r.f.backend().Epoch() + uint64(len(r.batches)); !ok || epoch != last {
+		return fmt.Errorf("%w: an effect through epoch %d after frames through %d", errQuarantine, epoch, last)
+	}
+	var start time.Time
+	if r.f.ob != nil {
+		start = time.Now()
+	}
+	_, image, err := s.ApplyEffect(r.batches, b)
+	if errors.Is(err, store.ErrEffect) {
+		return fmt.Errorf("%w: %v", errQuarantine, err)
+	}
 	if err != nil {
-		// A local write failure (degraded store, disk fault) is not the
-		// leader's fault; retry after reconnect without quarantining.
 		return fmt.Errorf("replica: local apply: %w", err)
 	}
-	f.wake.Broadcast()
-	if epoch != seq {
-		return fmt.Errorf("%w: batch %d applied at epoch %d; replica diverged", errQuarantine, seq, epoch)
+	path := pathEffect
+	if image {
+		path = pathImage
+		r.f.images.Add(1)
+	} else {
+		r.f.diffs.Add(1)
 	}
-	f.shipped.Add(uint64(len(frame)))
-	f.shippedBytes.Add(uint64(len(frame)))
-	f.shippedFrames.Add(1)
+	if r.f.ob != nil {
+		r.f.ob.apply[path].Observe(time.Since(start))
+	}
+	r.f.wake.Broadcast()
+	r.f.noteShipped(r.bytes, len(r.batches))
+	r.batches, r.bytes = nil, 0
 	return nil
+}
+
+// flush re-derives the frames no effect covered: each batch through the
+// local store's own write path, maintainers and all, at exactly its seq.
+func (r *round) flush() error {
+	defer func() { r.batches, r.bytes = nil, 0 }()
+	for _, batch := range r.batches {
+		var start time.Time
+		if r.f.ob != nil {
+			start = time.Now()
+		}
+		b := r.f.backend()
+		want := b.Epoch() + 1
+		epoch, err := b.Apply(batch)
+		if err != nil {
+			// A local write failure (degraded store, disk fault) is not the
+			// leader's fault; retry after reconnect without quarantining.
+			return fmt.Errorf("replica: local apply: %w", err)
+		}
+		r.f.wake.Broadcast()
+		if epoch != want {
+			return fmt.Errorf("%w: batch %d applied at epoch %d; replica diverged", errQuarantine, want, epoch)
+		}
+		if r.f.ob != nil {
+			r.f.ob.apply[pathRaw].Observe(time.Since(start))
+		}
+	}
+	r.f.noteShipped(r.bytes, len(r.batches))
+	return nil
+}
+
+// noteShipped counts frames applied and their bytes.
+func (f *Follower) noteShipped(bytes uint64, frames int) {
+	f.shipped.Add(bytes)
+	f.shippedBytes.Add(bytes)
+	f.shippedFrames.Add(uint64(frames))
 }
 
 // resync is the last-resort recovery: fetch a fresh snapshot, wipe the
@@ -729,26 +848,38 @@ func (f *Follower) AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan s
 // NumNodes implements server.Backend.
 func (f *Follower) NumNodes() int { return f.backend().NumNodes() }
 
-// Reachable implements server.Backend on the local snapshot.
-func (f *Follower) Reachable(u, v graph.Node, onG bool) bool {
+// Reachable implements server.Backend on one pinned local snapshot.
+func (f *Follower) Reachable(u, v graph.Node, onG bool) (bool, uint64) {
 	return f.backend().Reachable(u, v, onG)
 }
 
-// BatchReachable implements server.Backend on the local snapshot.
-func (f *Follower) BatchReachable(us, vs []graph.Node) []bool {
+// BatchReachable implements server.Backend on one pinned local snapshot.
+func (f *Follower) BatchReachable(us, vs []graph.Node) ([]bool, uint64) {
 	return f.backend().BatchReachable(us, vs)
 }
 
-// Match implements server.Backend on the local snapshot.
-func (f *Follower) Match(p *pattern.Pattern) *pattern.Result {
+// Match implements server.Backend on one pinned local snapshot.
+func (f *Follower) Match(p *pattern.Pattern) (*pattern.Result, uint64) {
 	return f.backend().Match(p)
+}
+
+// Effects is what a follower chained off this one is shipped beside the raw
+// frames: the effects the local store applied or published itself, or an
+// image of its views (store.Store.Effects). The tail handler asserts it.
+func (f *Follower) Effects(lineage, epoch uint64) []store.Effect {
+	if s, ok := f.local().(*store.Store); ok {
+		return s.Effects(lineage, epoch)
+	}
+	return nil
 }
 
 // Promote turns this follower into the leader, implementing
 // server.Promoter. When wait > 0 it first blocks until the tail has
 // drained (surfacing a *LagError naming the remaining lag on timeout),
 // then stops tailing, bumps and fsyncs the leader term past the highest
-// term any source ever reported, and starts accepting Apply. The returned
+// term any source ever reported, builds the maintainers a follower fed
+// effects goes without (from its G, once: promotion pays for maintenance,
+// not the first write), and starts accepting Apply. The returned
 // epoch is the follower's durable frontier: every batch the old leader
 // acked at or below it survived the failover, and the new term fences the
 // old leader on first contact. Idempotent — promoting a promoted follower
@@ -780,13 +911,13 @@ func (f *Follower) Promote(wait time.Duration) (epoch, term uint64, err error) {
 	}
 	f.promoted.Store(true)
 	f.caughtUp.Store(true)
+	f.wake.Broadcast()
 	f.lastErr.Store("")
 	return f.backend().Epoch(), term, nil
 }
 
 // Apply implements server.Backend: it refuses writes until Promote, then
-// delegates to the local store (the write path materializes lazily on the
-// first batch).
+// delegates to the local store, whose write side Promote has built.
 func (f *Follower) Apply(batch []graph.Update) (uint64, error) {
 	if !f.promoted.Load() {
 		return 0, server.ErrReadOnly

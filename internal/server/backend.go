@@ -29,13 +29,14 @@ type Backend interface {
 	AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64
 	// NumNodes bounds the node ids wire requests may name.
 	NumNodes() int
-	// Reachable answers one reachability query on the current snapshot;
-	// onG answers on the uncompressed graph instead of the quotient.
-	Reachable(u, v graph.Node, onG bool) bool
-	// BatchReachable answers n queries on one snapshot.
-	BatchReachable(us, vs []graph.Node) []bool
-	// Match answers a pattern query on the current snapshot.
-	Match(p *pattern.Pattern) *pattern.Result
+	// The read paths each answer on one pinned snapshot and return the
+	// epoch of that snapshot — the stamp a response carries, exact and not
+	// a lower bound. Reachable answers one reachability query (onG: on the
+	// uncompressed graph instead of the quotient), BatchReachable n of them,
+	// Match a pattern query.
+	Reachable(u, v graph.Node, onG bool) (bool, uint64)
+	BatchReachable(us, vs []graph.Node) ([]bool, uint64)
+	Match(p *pattern.Pattern) (*pattern.Result, uint64)
 	// Apply submits one batch and returns its visibility epoch (the RYW
 	// token); read-only backends return ErrReadOnly.
 	Apply(batch []graph.Update) (uint64, error)
@@ -62,6 +63,16 @@ type Promoter interface {
 	Promote(wait time.Duration) (epoch, term uint64, err error)
 }
 
+// effectSource is the optional surface of a replication source whose
+// followers can take its views as effects instead of re-deriving them:
+// what a tail round from a follower holding the views at (lineage, epoch)
+// ships beside the raw frames (store.Store.Effects). Store backends and
+// followers implement it — for the sharded kind it returns nothing, and its
+// followers re-derive — and the tail handler asserts it, as it does Fenced.
+type effectSource interface {
+	Effects(lineage, epoch uint64) []store.Effect
+}
+
 // storeBackend fronts a local store of either kind through the surface
 // both share.
 type storeBackend struct{ s store.Handle }
@@ -83,18 +94,31 @@ func (b storeBackend) AwaitEpoch(min uint64, timeout time.Duration, cancel <-cha
 
 func (b storeBackend) NumNodes() int { return b.s.NumNodes() }
 
-func (b storeBackend) Reachable(u, v graph.Node, onG bool) bool {
+func (b storeBackend) Reachable(u, v graph.Node, onG bool) (bool, uint64) {
+	vw := b.s.View()
 	if onG {
-		return b.s.ReachableOnG(u, v)
+		return vw.ReachableOnG(u, v), vw.Epoch()
 	}
-	return b.s.Reachable(u, v)
+	return vw.Reachable(u, v), vw.Epoch()
 }
 
-func (b storeBackend) BatchReachable(us, vs []graph.Node) []bool {
-	return b.s.BatchReachable(us, vs)
+func (b storeBackend) BatchReachable(us, vs []graph.Node) ([]bool, uint64) {
+	vw := b.s.View()
+	return vw.BatchReachable(us, vs), vw.Epoch()
 }
 
-func (b storeBackend) Match(p *pattern.Pattern) *pattern.Result { return b.s.Match(p) }
+func (b storeBackend) Match(p *pattern.Pattern) (*pattern.Result, uint64) {
+	vw := b.s.View()
+	return vw.Match(p), vw.Epoch()
+}
+
+// Effects ships a monolithic store's effects; a sharded store has none.
+func (b storeBackend) Effects(lineage, epoch uint64) []store.Effect {
+	if s, ok := b.s.(*store.Store); ok {
+		return s.Effects(lineage, epoch)
+	}
+	return nil
+}
 
 func (b storeBackend) Apply(batch []graph.Update) (uint64, error) { return b.s.Apply(batch) }
 

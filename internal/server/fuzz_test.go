@@ -75,10 +75,12 @@ func FuzzHandleRequest(f *testing.F) {
 	f.Add(byte(MsgApply), binary.LittleEndian.AppendUint32(nil, 0))
 	f.Add(byte(MsgStats), []byte{})
 	f.Add(byte(MsgSnapshot), []byte{})
-	f.Add(byte(MsgTail), tailBody(1, 0, 0))
-	f.Add(byte(MsgTail), tailBody(1<<40, 3, 1<<31)) // a hold far past the clamp
-	f.Add(byte(MsgTail), tailBody(1, 0, 0)[:16])    // the pre-hold body: short
+	f.Add(byte(MsgTail), tailBody(1, 0, 0, 0))
+	f.Add(byte(MsgTail), tailBody(1<<40, 3, 1<<31, 0)) // a hold far past the clamp
+	f.Add(byte(MsgTail), tailBody(1, 0, 0, 0)[:16])    // the pre-hold body: short
 	f.Add(byte(0xee), []byte{1, 2, 3})
+	f.Add(byte(MsgTail), tailBody(1, 0, 0, 0)[:20]) // the pre-lineage body: short
+	f.Add(byte(MsgTail), tailBody(0, 0, 0, 1<<63))  // a lineage the store never drew: an image
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
 		srv := fuzzServerInstance()
 		emitted := 0

@@ -18,6 +18,7 @@ type serverObs struct {
 	inflight atomic.Int64
 	tailHeld atomic.Int64 // MsgTail rounds parked for an epoch right now
 	rejects  *obs.Counter
+	effects  *obs.Counter       // bytes of effects and images shipped to followers
 	hists    [16]*obs.Histogram // indexed by request MsgType
 	other    *obs.Histogram
 	tracer   *obs.Tracer
@@ -67,6 +68,7 @@ func newServerObs(s *Server, o Options) *serverObs {
 	}
 	ob.tracer = obs.NewTracer(r, "qpgc_query", slow)
 	ob.rejects = r.Counter("qpgc_server_rejects_total")
+	ob.effects = r.Counter("qpgc_server_effect_bytes_total")
 	r.CounterFunc("qpgc_server_requests_total", s.requests.Load)
 	r.CounterFunc("qpgc_server_epoch_waits_total", s.waits.Load)
 	r.GaugeFunc("qpgc_server_inflight", func() float64 { return float64(ob.inflight.Load()) })
@@ -93,6 +95,13 @@ func (ob *serverObs) parkTail(d int64) {
 	if ob != nil {
 		ob.tailHeld.Add(d)
 		ob.inflight.Add(-d)
+	}
+}
+
+// effectBytes counts the bytes of one effect or image shipped.
+func (ob *serverObs) effectBytes(n int) {
+	if ob != nil {
+		ob.effects.Add(uint64(n))
 	}
 }
 

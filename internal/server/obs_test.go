@@ -68,7 +68,9 @@ func TestMetricsRoundTrip(t *testing.T) {
 		"qpgc_store_epoch",
 		"qpgc_sched_waves_total",
 		"qpgc_query_seconds",
-		"qpgc_query_total", // the slow-query ring's entry count
+		"qpgc_query_total",                   // the slow-query ring's entry count
+		"qpgc_server_effect_bytes_total 0\n", // nobody tails it: no effect shipped...
+		"qpgc_store_effect_ring_bytes 0\n",   // ...and none recorded
 	} {
 		if !strings.Contains(text, fam) {
 			t.Fatalf("scrape lacks %s:\n%s", fam, text)

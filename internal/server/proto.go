@@ -56,9 +56,16 @@ const (
 	// MsgSnapMeta, then MsgSnapChunk frames, then MsgSnapDone.
 	MsgSnapshot MsgType = 0x07
 	// MsgTail asks for WAL frames from u64 fromSeq, followed by the u64
-	// callerTerm (0 = no claim) and the u32 hold in milliseconds: MsgRecord
-	// frames for what is on disk, then MsgCaughtUp (or MsgSnapNeeded when
-	// fromSeq predates the oldest retained segment). It is a long poll.
+	// callerTerm (0 = no claim), the u32 hold in milliseconds and the u64
+	// lineage of the follower's views (store.Snapshot.Lineage; 0 = it takes
+	// no effects, ship raw frames only): MsgRecord frames for what is on
+	// disk, each group's followed by its MsgEffect, then MsgCaughtUp (or
+	// MsgSnapNeeded when fromSeq predates the oldest retained segment). A
+	// source whose effect ring chains the follower's (lineage, fromSeq-1)
+	// ships the frames as far as the last effect it can send and no further;
+	// one that cannot ships one image instead (a MsgEffect of the current
+	// snapshot's views, after the frames up to it); with no effect to send
+	// the round is raw. It is a long poll.
 	// With a hold, a source whose published epoch is below fromSeq parks
 	// the round and answers when the epoch swap that publishes fromSeq
 	// wakes it, or when the hold (clamped by the server) runs out, the
@@ -125,6 +132,14 @@ const (
 	// follower's frontier (every batch acked at or below it survived the
 	// failover), followed by the u64 new term.
 	MsgPromoted MsgType = 0x4e
+	// MsgEffect ships, inside a tail round, the effect of the group whose
+	// MsgRecord frames precede it — what those batches did to the source's
+	// views — or an image of the source's views: the epoch is the last one it
+	// covers, the rest opaque, CRC-checked bytes that only the follower's
+	// store decodes (store.Store.ApplyEffect). A follower applies the frames
+	// and the effect as one group and runs no maintainer; frames no effect
+	// covers it re-derives.
+	MsgEffect MsgType = 0x4f
 )
 
 // Error codes carried by MsgErr after the epoch, so clients can react to

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/pattern"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -246,16 +247,37 @@ func errCode(err error) byte {
 // waitEpoch is the read-your-writes hold: the read parks until the
 // backend's published epoch reaches minEpoch — the epoch swap wakes it — or
 // the configured timeout passes, the server closes or the backend is fenced.
-func (s *Server) waitEpoch(minEpoch uint64) (uint64, error) {
-	e := s.backend.Epoch()
-	if e >= minEpoch {
-		return e, nil
+func (s *Server) waitEpoch(minEpoch uint64) error {
+	if s.backend.Epoch() >= minEpoch {
+		return nil
 	}
 	s.waits.Add(1)
-	if e = s.backend.AwaitEpoch(minEpoch, s.opts.EpochWaitTimeout, s.done); e < minEpoch {
-		return e, fmt.Errorf("server: epoch %d not reached within %v (at %d)", minEpoch, s.opts.EpochWaitTimeout, e)
+	if e := s.backend.AwaitEpoch(minEpoch, s.opts.EpochWaitTimeout, s.done); e < minEpoch {
+		return fmt.Errorf("server: epoch %d not reached within %v (at %d)", minEpoch, s.opts.EpochWaitTimeout, e)
 	}
-	return e, nil
+	return nil
+}
+
+// pinned is a read that is answered at an epoch of at least minEpoch, and
+// stamped with the epoch it was answered at: it holds the request until the
+// published epoch reaches minEpoch, then runs read — which answers on one
+// pinned snapshot and returns that snapshot's epoch — and returns that
+// epoch. A read that lands on a snapshot below minEpoch (a follower's
+// resync can swap in an older store) waits again. sp is charged the wait
+// and the read as their two stages.
+func (s *Server) pinned(minEpoch uint64, sp *obs.Span, read func() uint64) (uint64, error) {
+	for {
+		err := s.waitEpoch(minEpoch)
+		sp.Step(obs.StageEpochWait)
+		if err != nil {
+			return 0, err
+		}
+		epoch := read()
+		sp.Step(obs.StageWave)
+		if epoch >= minEpoch {
+			return epoch, nil
+		}
+	}
 }
 
 // handleRequest decodes one request frame and emits its response frames.
@@ -289,17 +311,17 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 		sp := s.ob.qtracer().Start(u, v)
 		s.admitRead()
 		sp.Step(obs.StageAdmission)
-		epoch, err := s.waitEpoch(minEpoch)
-		sp.Step(obs.StageEpochWait)
+		var reach bool
+		epoch, err := s.pinned(minEpoch, &sp, func() (epoch uint64) {
+			reach, epoch = s.backend.Reachable(graph.Node(u), graph.Node(v), onG == 1)
+			return epoch
+		})
+		sp.Finish()
 		if err != nil {
 			s.ob.reject()
-			sp.Finish()
 			return emit(MsgErr, s.errBody(err))
 		}
 		out := binary.LittleEndian.AppendUint64(nil, epoch)
-		reach := s.backend.Reachable(graph.Node(u), graph.Node(v), onG == 1)
-		sp.Step(obs.StageWave)
-		sp.Finish()
 		if reach {
 			out = append(out, 1)
 		} else {
@@ -332,12 +354,15 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 				return emit(MsgErr, s.errBody(fmt.Errorf("server: pair %d names node outside [0,%d)", i, n)))
 			}
 		}
-		epoch, err := s.waitEpoch(minEpoch)
+		var res []bool
+		epoch, err := s.pinned(minEpoch, &obs.Span{}, func() (epoch uint64) {
+			res, epoch = s.backend.BatchReachable(us, vs)
+			return epoch
+		})
 		if err != nil {
 			s.ob.reject()
 			return emit(MsgErr, s.errBody(err))
 		}
-		res := s.backend.BatchReachable(us, vs)
 		out := binary.LittleEndian.AppendUint64(nil, epoch)
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(res)))
 		for _, b := range res {
@@ -360,12 +385,15 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 		if perr != nil {
 			return emit(MsgErr, s.errBody(perr))
 		}
-		epoch, err := s.waitEpoch(minEpoch)
+		var res *pattern.Result
+		epoch, err := s.pinned(minEpoch, &obs.Span{}, func() (epoch uint64) {
+			res, epoch = s.backend.Match(p)
+			return epoch
+		})
 		if err != nil {
 			s.ob.reject()
 			return emit(MsgErr, s.errBody(err))
 		}
-		res := s.backend.Match(p)
 		out := binary.LittleEndian.AppendUint64(nil, epoch)
 		out = encodeResult(out, res)
 		return emit(MsgMatched, out)
@@ -495,20 +523,24 @@ func (s *Server) fenced() bool {
 }
 
 // handleTail ships one round's worth of raw WAL frames from the requested
-// seq, ending with MsgCaughtUp (current published epoch) or MsgSnapNeeded.
-// A round that asks to be held and finds nothing to ship parks until the
-// published epoch reaches its seq — what is shipped is what has been
-// published, and the swap that publishes it is what wakes the round — or
-// until the hold runs out, the server closes or the backend is fenced; a
-// fenced backend never parks a round. The frames are read through the ship
-// FS and split by the connection's wal.Cursor, which validates no checksum —
-// the follower's wal.ParseRecord is the single integrity gate (chaos tests
-// inject read faults right here to prove it).
+// seq — each group's followed by its MsgEffect when the backend is an
+// effect source whose ring chains the follower's lineage, or else by one
+// image after the frames up to it — ending with MsgCaughtUp (current
+// published epoch) or MsgSnapNeeded. A round that asks to be held and finds
+// nothing to ship parks until the published epoch reaches its seq — what is
+// shipped is what has been published, and the swap that publishes it is
+// what wakes the round — or until the hold runs out, the server closes or
+// the backend is fenced; a fenced backend never parks a round. The frames
+// are read through the ship FS and split by the connection's wal.Cursor,
+// which validates no checksum — the follower's wal.ParseRecord is the single
+// integrity gate for frames, as its store's decoder is for effects (chaos
+// tests inject faults right here and on the wire to prove it).
 func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *connState) error {
 	c := &cursor{b: body}
 	from := c.u64()
 	callerTerm := c.u64()
 	hold := time.Duration(c.u32()) * time.Millisecond
+	lineage := c.u64()
 	if err := c.fin(); err != nil {
 		return emit(MsgErr, s.errBody(err))
 	}
@@ -543,11 +575,21 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 	// the chance to ship, so a follower told of an epoch it was not sent
 	// knows the round went wrong.
 	epoch := s.backend.Epoch()
+	// Asked before the log is read, too: an image is of a snapshot whose
+	// frames are in the log by then.
+	var effects []store.Effect
+	if src, ok := s.backend.(effectSource); ok {
+		effects = src.Effects(lineage, from-1)
+	}
 	// Collected before anything is sent: a round that fails ships no frame.
-	var records [][]byte
+	type record struct {
+		seq uint64
+		out []byte
+	}
+	var records []record
 	oldest, err := cs.tail.ReadFrames(s.opts.ShipFS, s.opts.ReplDir, from, s.opts.TailBytes, func(seq uint64, frame []byte) {
 		out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(frame)), seq)
-		records = append(records, append(out, frame...))
+		records = append(records, record{seq, append(out, frame...)})
 	})
 	if err != nil {
 		return emit(MsgErr, s.errBody(err))
@@ -555,8 +597,41 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 	if from < oldest {
 		return emit(MsgSnapNeeded, binary.LittleEndian.AppendUint64(nil, oldest))
 	}
-	for _, out := range records {
-		if err := emit(MsgRecord, out); err != nil {
+	// The effects whose frames the read reached go out, each after its
+	// frames; frames past the last of them wait for the next round. With no
+	// effect to send the round is raw: every frame read when the first
+	// effect lies past what TailBytes let it read, else the published ones.
+	limit := from - 1
+	if len(records) > 0 {
+		limit = records[len(records)-1].seq
+	}
+	fit := 0
+	for fit < len(effects) && effects[fit].Epoch <= limit {
+		fit++
+	}
+	switch {
+	case fit > 0:
+		limit = effects[fit-1].Epoch
+	case len(effects) == 0:
+		limit = min(limit, epoch)
+	}
+	next := 0
+	for _, r := range records {
+		if r.seq > limit {
+			break
+		}
+		if err := emit(MsgRecord, r.out); err != nil {
+			return err
+		}
+		for next < fit && effects[next].Epoch == r.seq {
+			if err := s.emitEffect(emit, effects[next]); err != nil {
+				return err
+			}
+			next++
+		}
+	}
+	for ; next < fit; next++ { // an image of the views the follower is at
+		if err := s.emitEffect(emit, effects[next]); err != nil {
 			return err
 		}
 	}
@@ -570,6 +645,13 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 		fenced = 1
 	}
 	return emit(MsgCaughtUp, append(out, fenced))
+}
+
+// emitEffect sends one effect: the last epoch it covers, then its bytes.
+func (s *Server) emitEffect(emit func(MsgType, []byte) error, e store.Effect) error {
+	s.ob.effectBytes(len(e.Bytes))
+	out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(e.Bytes)), e.Epoch)
+	return emit(MsgEffect, append(out, e.Bytes...))
 }
 
 // admitRead blocks until the read rate limiter grants a token (no-op when

@@ -192,10 +192,11 @@ func reachBody(minEpoch uint64, u, v graph.Node) []byte {
 }
 
 // tailBody encodes a MsgTail body.
-func tailBody(from, term uint64, holdMs uint32) []byte {
+func tailBody(from, term uint64, holdMs uint32, lineage uint64) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, from)
 	b = binary.LittleEndian.AppendUint64(b, term)
-	return binary.LittleEndian.AppendUint32(b, holdMs)
+	b = binary.LittleEndian.AppendUint32(b, holdMs)
+	return binary.LittleEndian.AppendUint64(b, lineage)
 }
 
 // TestWireRejectsGarbage sends malformed frames and checks the server
@@ -218,8 +219,10 @@ func TestWireRejectsGarbage(t *testing.T) {
 		{MsgMatch, append(make([]byte, 8), 0xff, 0xff, 0xff, 0xff)}, // absurd pattern
 		{MsgType(0x3f), nil},                                        // unknown type
 		{MsgBool, []byte{0, 0, 0, 0, 0, 0, 0, 0, 1}},                // response-typed request
-		{MsgTail, tailBody(1, 0, 0)[:16]},                           // no hold field
-		{MsgTail, append(tailBody(1, 0, 0), 0)},                     // a byte past the hold field
+		{MsgTail, tailBody(1, 0, 0, 0)[:16]},                        // no hold field
+		{MsgTail, tailBody(1, 0, 0, 0)[:20]},                        // no lineage field
+		{MsgTail, tailBody(1, 0, 0, 7)[:27]},                        // a lineage cut short
+		{MsgTail, append(tailBody(1, 0, 0, 0), 0)},                  // a byte past the lineage field
 	}
 	for i, tc := range bad {
 		var body []byte
@@ -373,7 +376,7 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 
 	// Tail from 5: three records then caught-up at 7.
 	next := s2.Snapshot().Epoch + 1
-	leaderEpoch, err := cli.TailRound(next, 0, func(seq uint64, frame []byte) error {
+	leaderEpoch, err := cli.TailRound(next, 0, 0, func(seq uint64, frame []byte) error {
 		pseq, _, err := parseAndApply(s2, frame)
 		if err != nil {
 			return err
@@ -382,7 +385,7 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 			t.Fatalf("frame claims seq %d, embeds %d", seq, pseq)
 		}
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("tail: %v", err)
 	}
@@ -403,7 +406,7 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = cli.TailRound(1, 0, func(uint64, []byte) error { return nil })
+	_, err = cli.TailRound(1, 0, 0, func(uint64, []byte) error { return nil }, nil)
 	if err != ErrSnapshotNeeded {
 		t.Fatalf("tail(1) after truncation: %v, want ErrSnapshotNeeded", err)
 	}
@@ -566,7 +569,7 @@ func TestHeldReadWakesOnSwap(t *testing.T) {
 	done := make(chan round, 1)
 	start := time.Now()
 	go func() {
-		epoch, err := tail.TailRound(2, maxTailHold, func(uint64, []byte) error { return nil })
+		epoch, err := tail.TailRound(2, 0, maxTailHold, func(uint64, []byte) error { return nil }, nil)
 		done <- round{epoch, err}
 	}()
 	waitFor(t, "the tail round to be parked", func() bool { return srv.ob.tailHeld.Load() == 1 })
@@ -583,7 +586,7 @@ func TestHeldReadWakesOnSwap(t *testing.T) {
 	if d := time.Since(start); d > maxTailHold/2 {
 		t.Fatalf("the fence released the round after %v of a %v hold", d, maxTailHold)
 	}
-	if _, err := tail.TailRound(2, maxTailHold, func(uint64, []byte) error { return nil }); err != nil || !tail.SourceFenced() {
+	if _, err := tail.TailRound(2, 0, maxTailHold, func(uint64, []byte) error { return nil }, nil); err != nil || !tail.SourceFenced() {
 		t.Fatalf("round on a fenced source: fenced %v, %v", tail.SourceFenced(), err)
 	}
 	if d := time.Since(start); d > maxTailHold/2 {

@@ -164,10 +164,13 @@ func (sn *Snapshot) BatchDescendants(bs *queries.BatchScratch, us []graph.Node) 
 // keyed and swept against the single snapshot pinned here, so the batch is
 // never torn across epochs.
 func (s *Store) BatchReachable(us, vs []graph.Node) []bool {
+	return s.batchReachable(s.Snapshot(), us, vs)
+}
+
+func (s *Store) batchReachable(sn *Snapshot, us, vs []graph.Node) []bool {
 	checkBatchArgs(len(us), len(vs), len(us))
 	s.reads.Add(uint64(len(us)))
 	out := make([]bool, len(us))
-	sn := s.Snapshot()
 	if len(us) > queries.MaxBatch {
 		rc := sn.Reach.Compressed
 		s.sched.runPinned(us, vs, out, (sn.Reach.Gr.NumNodes()+63)/64,
@@ -441,10 +444,13 @@ func (sn *ShardedSnapshot) batchWave(brs *BatchRouteScratch, us, vs []graph.Node
 // clustered by shard pair (source shard in the key's high half) so
 // co-batched lanes touch few shards.
 func (s *ShardedStore) BatchReachable(us, vs []graph.Node) []bool {
+	return s.batchReachable(s.Snapshot(), us, vs)
+}
+
+func (s *ShardedStore) batchReachable(sn *ShardedSnapshot, us, vs []graph.Node) []bool {
 	checkBatchArgs(len(us), len(vs), len(us))
 	s.reads.Add(uint64(len(us)))
 	out := make([]bool, len(us))
-	sn := s.Snapshot()
 	if len(us) > queries.MaxBatch {
 		shardOf := sn.p.ShardOf
 		s.sched.runPinned(us, vs, out, len(sn.Shards),

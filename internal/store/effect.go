@@ -1,0 +1,814 @@
+// Effects: what a follower applies instead of re-running maintenance.
+//
+// At publish, a store somebody tails records the effect of the group it
+// just swapped in: how the pattern view's node → block map moved and the
+// quotient rows patternPatcher rebuilt, and — when the reach view moved —
+// an old class → new class map with the nodes that do not follow it, plus
+// the new reach quotient. That is O(|moved| + |rows|) and O(|Gr| + |AFF|),
+// not O(|V|). The effects live in a ring bounded by effectRingBytes and go
+// out beside the raw WAL frames of their groups (server.MsgEffect). A
+// follower holding the views the effect starts from patches G from the raw
+// frames, patches both views from the effect, and publishes once: no
+// dynscc, no incRCM, no incPCM, and no maintainer state at all.
+//
+// Diffs are only valid against the exact layout they were taken from, so
+// every snapshot carries a lineage: a random id drawn by each full view
+// build (open, materialize, the pattern view's fallbacks, a load) and kept
+// by every patch. An effect names the (lineage, epoch) of the views it
+// starts from. A follower whose pair the ring cannot chain — after a
+// bootstrap, a restart, a ring miss or a lineage break — is sent one image
+// of the current snapshot's views instead, and from then on the diffs.
+//
+// Effect bytes are untrusted input: the decoder checks every count and id
+// and a CRC over the whole; the follower recomputes every shipped pattern
+// row from its own patched G and checks that the rows shipped are every row
+// the change could reach. Nothing here goes to disk: the WAL of raw batches
+// stays the one record, and a store that restarts draws a new lineage.
+package store
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/bisim"
+	"repro/internal/graph"
+	"repro/internal/reach"
+)
+
+const (
+	// effectVersion versions the encoding below; a decoder rejects any other.
+	effectVersion = 1
+	// effectRingBytes bounds the encoded effects a store keeps for the
+	// followers tailing it. An effect larger than the whole ring is not kept:
+	// followers behind it get an image.
+	effectRingBytes = 1 << 20
+)
+
+// ErrEffect reports shipped effect bytes a store refused — corrupt, not
+// chaining from its views, or at odds with its graph. Nothing of the group
+// was applied.
+var ErrEffect = errors.New("store: shipped effect rejected")
+
+// Effect is one unit a replication source ships beside the raw WAL frames.
+type Effect struct {
+	// Epoch is the last epoch it covers: a source ships the frames up to
+	// Epoch, then the effect.
+	Epoch uint64
+	// Bytes is the encoding — one group's change to the views, or an image
+	// of them — opaque outside this package and CRC-checked.
+	Bytes []byte
+}
+
+// newLineage draws the id of a fresh view layout; 0 means "none".
+func newLineage() uint64 {
+	for {
+		if l := rand.Uint64(); l != 0 {
+			return l
+		}
+	}
+}
+
+// sigmaLabels is the one-label table of every reach quotient a store
+// builds from shipped rows (reach.BuildQuotientGraph interns σ first).
+var sigmaLabels = func() *graph.Labels {
+	l := graph.NewLabels()
+	l.Intern(reach.SigmaLabel)
+	return l
+}()
+
+// effect is the decoded form of one effect or image.
+type effect struct {
+	image       bool
+	lineage     uint64
+	base, epoch uint64 // the views at (lineage, base) become epoch's; base == epoch for an image
+	nodes       int
+
+	// The pattern view: blocks is the new block count. A diff lists the
+	// nodes whose block id changed (ascending) with their new ids, and the
+	// rebuilt quotient rows (ascending ids, their labels, their successor
+	// blocks); an image the whole node → block map.
+	blocks    int
+	moved, to []graph.Node
+	rows      []graph.Node
+	rowLabel  []graph.Label
+	rowOff    []int32
+	rowAdj    []graph.Node
+	blockOf   []graph.Node
+
+	// The reach view, in a diff only when it moved: an old class → new class
+	// map with the nodes that do not follow it (ascending), or an image's
+	// whole node → class map; then the new quotient's rows and cyclic flags.
+	reach           bool
+	classMap        []graph.Node
+	exNode, exClass []graph.Node
+	classOf         []graph.Node
+	classes         int
+	grOff           []int32
+	grAdj           []graph.Node
+	cyclic          []bool
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// encode returns the wire form: version, kind, lineage, base, epoch and |V|;
+// the pattern part; the reach part; a CRC-32C of everything before it.
+// Counts and ids are u32, little-endian.
+func (ef *effect) encode() []byte {
+	b := make([]byte, 0, 64+4*(2*len(ef.moved)+3*len(ef.rows)+len(ef.rowAdj)+len(ef.blockOf)+
+		len(ef.classMap)+2*len(ef.exNode)+len(ef.classOf)+ef.classes+len(ef.grAdj)))
+	kind := byte(0)
+	if ef.image {
+		kind = 1
+	}
+	b = append(b, effectVersion, kind)
+	b = binary.LittleEndian.AppendUint64(b, ef.lineage)
+	b = binary.LittleEndian.AppendUint64(b, ef.base)
+	b = binary.LittleEndian.AppendUint64(b, ef.epoch)
+	b = appendU32(b, ef.nodes)
+	b = appendU32(b, ef.blocks)
+	if ef.image {
+		b = appendIDs(b, ef.blockOf)
+	} else {
+		b = appendU32(b, len(ef.moved))
+		b = appendIDs(b, ef.moved)
+		b = appendIDs(b, ef.to)
+		b = appendU32(b, len(ef.rows))
+		b = appendIDs(b, ef.rows)
+		b = appendIDs(b, ef.rowLabel)
+		b = appendRows(b, ef.rowOff, ef.rowAdj)
+	}
+	switch {
+	case ef.image:
+		b = appendU32(b, ef.classes)
+		b = appendIDs(b, ef.classOf)
+	case ef.reach:
+		b = append(b, 1)
+		b = appendU32(b, ef.classes)
+		b = appendU32(b, len(ef.classMap))
+		b = appendIDs(b, ef.classMap)
+		b = appendU32(b, len(ef.exNode))
+		b = appendIDs(b, ef.exNode)
+		b = appendIDs(b, ef.exClass)
+	default:
+		b = append(b, 0)
+	}
+	if ef.reach {
+		b = appendRows(b, ef.grOff, ef.grAdj)
+		for _, c := range ef.cyclic {
+			if c {
+				b = append(b, 1)
+			} else {
+				b = append(b, 0)
+			}
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+func appendU32(b []byte, n int) []byte { return binary.LittleEndian.AppendUint32(b, uint32(n)) }
+
+func appendIDs(b []byte, ids []int32) []byte {
+	n := len(b)
+	b = slices.Grow(b, 4*len(ids))[:n+4*len(ids)]
+	for i, v := range ids {
+		binary.LittleEndian.PutUint32(b[n+4*i:], uint32(v))
+	}
+	return b
+}
+
+// appendRows writes the rows off describes: each row's length, then the
+// flat ids.
+func appendRows(b []byte, off []int32, adj []graph.Node) []byte {
+	if len(off) == 0 {
+		return b
+	}
+	for k := 0; k+1 < len(off); k++ {
+		b = appendU32(b, int(off[k+1]-off[k]))
+	}
+	return appendIDs(b, adj[off[0]:off[len(off)-1]])
+}
+
+// effectReader is a bounds-checked reader of an effect's body: a failed
+// read sets a sticky error and returns zero values.
+type effectReader struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (r *effectReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (r *effectReader) take(n int) []byte {
+	if r.err != nil || n < 0 || n > len(r.b)-r.off {
+		r.fail("truncated at byte %d", r.off)
+		return nil
+	}
+	v := r.b[r.off : r.off+n]
+	r.off += n
+	return v
+}
+
+func (r *effectReader) u8() byte {
+	if v := r.take(1); v != nil {
+		return v[0]
+	}
+	return 0
+}
+
+func (r *effectReader) u64() uint64 {
+	if v := r.take(8); v != nil {
+		return binary.LittleEndian.Uint64(v)
+	}
+	return 0
+}
+
+// count reads a u32 count of items of at least size bytes each, rejecting
+// one above max or more than the rest of the body can hold.
+func (r *effectReader) count(what string, size, max int) int {
+	v := r.take(4)
+	if v == nil {
+		return 0
+	}
+	n := int(binary.LittleEndian.Uint32(v))
+	if n > max || n*size > len(r.b)-r.off {
+		r.fail("%s count %d out of range", what, n)
+		return 0
+	}
+	return n
+}
+
+// ids reads n u32 ids, each below bound; ascending makes them strictly
+// increasing as well.
+func (r *effectReader) ids(what string, n, bound int, ascending bool) []graph.Node {
+	v := r.take(4 * n)
+	if v == nil {
+		return nil
+	}
+	out := make([]graph.Node, n)
+	for i := range out {
+		id := binary.LittleEndian.Uint32(v[4*i:])
+		if int64(id) >= int64(bound) || ascending && i > 0 && graph.Node(id) <= out[i-1] {
+			r.fail("%s %d: id %d out of range or order", what, i, id)
+			return nil
+		}
+		out[i] = graph.Node(id)
+	}
+	return out
+}
+
+// rows reads n rows written by appendRows, each strictly increasing and
+// below bound.
+func (r *effectReader) rows(what string, n, bound int) ([]int32, []graph.Node) {
+	lens := r.ids(what+" length", n, bound+1, false)
+	if r.err != nil {
+		return nil, nil
+	}
+	off := make([]int32, n+1)
+	for k, l := range lens {
+		if next := int64(off[k]) + int64(l); 4*next > int64(len(r.b)-r.off) {
+			r.fail("%s rows overrun the body", what)
+			return nil, nil
+		}
+		off[k+1] = off[k] + l
+	}
+	adj := r.ids(what, int(off[n]), bound, false)
+	for k := 0; k < n && r.err == nil; k++ {
+		row := adj[off[k]:off[k+1]]
+		for i := 1; i < len(row); i++ {
+			if row[i] <= row[i-1] {
+				r.fail("%s row %d not sorted", what, k)
+				break
+			}
+		}
+	}
+	return off, adj
+}
+
+// decodeEffect parses and validates an encoded effect: checksum, version,
+// every count against what the body can hold, every id against its range,
+// every list that must be ascending. What needs the follower's own state —
+// |V|, the old views, the graph — is checked where the effect is applied.
+func decodeEffect(b []byte) (*effect, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("effect of %d bytes", len(b))
+	}
+	body := b[:len(b)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
+		return nil, errors.New("effect checksum mismatch")
+	}
+	r := &effectReader{b: body}
+	if v := r.u8(); v != effectVersion {
+		return nil, fmt.Errorf("effect version %d, want %d", v, effectVersion)
+	}
+	kind := r.u8()
+	if kind > 1 {
+		return nil, fmt.Errorf("effect kind %d", kind)
+	}
+	ef := &effect{image: kind == 1, lineage: r.u64(), base: r.u64(), epoch: r.u64()}
+	ef.nodes = r.count("node", 0, math.MaxInt32)
+	ef.blocks = r.count("block", 0, ef.nodes)
+	if ef.image != (ef.base == ef.epoch) || ef.epoch < ef.base {
+		r.fail("effect spans epochs %d..%d", ef.base, ef.epoch)
+	}
+	if ef.image {
+		ef.blockOf = r.ids("block of node", ef.nodes, ef.blocks, false)
+		ef.reach = true
+		ef.classes = r.count("class", 0, ef.nodes)
+		ef.classOf = r.ids("class of node", ef.nodes, ef.classes, false)
+	} else {
+		k := r.count("move", 8, ef.nodes)
+		ef.moved = r.ids("moved node", k, ef.nodes, true)
+		ef.to = r.ids("new block", k, ef.blocks, false)
+		n := r.count("row", 12, ef.blocks)
+		ef.rows = r.ids("row", n, ef.blocks, true)
+		ef.rowLabel = r.ids("row label", n, math.MaxInt32, false)
+		ef.rowOff, ef.rowAdj = r.rows("pattern", n, ef.blocks)
+		switch r.u8() {
+		case 0:
+		case 1:
+			ef.reach = true
+			ef.classes = r.count("class", 0, ef.nodes)
+			m := r.count("old class", 4, ef.nodes)
+			ef.classMap = r.ids("new class", m, ef.classes, false)
+			k := r.count("exception", 8, ef.nodes)
+			ef.exNode = r.ids("excepted node", k, ef.nodes, true)
+			ef.exClass = r.ids("excepted class", k, ef.classes, false)
+		default:
+			r.fail("reach flag out of range")
+		}
+	}
+	if ef.reach {
+		ef.grOff, ef.grAdj = r.rows("reach", ef.classes, ef.classes)
+		ef.cyclic = make([]bool, ef.classes)
+		for c, f := range r.take(ef.classes) {
+			if f > 1 {
+				r.fail("cyclic flag %d of class %d", f, c)
+			}
+			ef.cyclic[c] = f == 1
+		}
+	}
+	if r.err == nil && r.off != len(body) {
+		r.fail("%d trailing bytes", len(body)-r.off)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return ef, nil
+}
+
+// effectRing holds the encoded effects of the latest groups, oldest first,
+// within effectRingBytes. The writer pushes; tail handlers read.
+type effectRing struct {
+	on    atomic.Bool // set by the first tail reader; until then nothing is recorded
+	mu    sync.Mutex
+	ents  []ringEntry // base epochs strictly increasing
+	bytes atomic.Int64
+}
+
+type ringEntry struct {
+	lineage, base, epoch uint64
+	b                    []byte
+}
+
+func (r *effectRing) push(e ringEntry) {
+	if len(e.b) > effectRingBytes {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ents = append(r.ents, e)
+	total, drop := r.bytes.Load()+int64(len(e.b)), 0
+	for total > effectRingBytes {
+		total -= int64(len(r.ents[drop].b))
+		drop++
+	}
+	r.ents = slices.Delete(r.ents, 0, drop)
+	r.bytes.Store(total)
+}
+
+// chain returns the effects that lead, one after another, on from the views
+// at (lineage, epoch).
+func (r *effectRing) chain(lineage, epoch uint64) []Effect {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(r.ents, epoch, func(e ringEntry, t uint64) int { return cmp.Compare(e.base, t) })
+	var out []Effect
+	for ; i < len(r.ents) && r.ents[i].lineage == lineage && r.ents[i].base == epoch; i++ {
+		out = append(out, Effect{Epoch: r.ents[i].epoch, Bytes: r.ents[i].b})
+		epoch = r.ents[i].epoch
+	}
+	return out
+}
+
+// Effects returns what a tail round from a follower whose views are at
+// (lineage, epoch) ships beside the raw frames after epoch: the effects the
+// ring chains from there, in order; failing that, one image of the current
+// snapshot's views; nothing when the follower takes no effects (lineage 0)
+// or already holds the current views. The first call turns recording on: a
+// store nobody tails records no effects. Safe on any goroutine.
+func (s *Store) Effects(lineage, epoch uint64) []Effect {
+	if lineage == 0 {
+		return nil
+	}
+	// On before the pin: a group published after the pin is recorded, one
+	// published before it is in the image.
+	s.ring.on.Store(true)
+	sn := s.Snapshot()
+	if chain := s.ring.chain(lineage, epoch); len(chain) > 0 {
+		return chain
+	}
+	if sn.Epoch < epoch || sn.Epoch == epoch && sn.Lineage == lineage {
+		return nil
+	}
+	return []Effect{{Epoch: sn.Epoch, Bytes: imageOf(sn, s.nodes).encode()}}
+}
+
+// recordEffect files the effect of the group publish just installed, old →
+// sn, in the ring. Writer goroutine, before the epoch is marked: a tail
+// round woken by the swap finds it there.
+func (s *Store) recordEffect(old, sn *Snapshot, reachMoved, patched bool) {
+	ef := &effect{lineage: sn.Lineage, base: old.Epoch, epoch: sn.Epoch, nodes: s.nodes, blocks: sn.Pattern.Gr.NumNodes()}
+	if patched {
+		slices.Sort(s.pp.moves)
+		ef.moved = slices.Compact(s.pp.moves)
+		blockOf := sn.Pattern.Compressed.ClassMap()
+		ef.to = make([]graph.Node, len(ef.moved))
+		for i, v := range ef.moved {
+			ef.to[i] = blockOf[v]
+		}
+		ef.rows, ef.rowOff, ef.rowAdj = s.pp.rows, s.pp.rowOff, s.pp.rowFlat
+		ef.rowLabel = make([]graph.Label, len(ef.rows))
+		for k, r := range ef.rows {
+			ef.rowLabel[k] = sn.Pattern.Gr.Label(r)
+		}
+	}
+	if reachMoved {
+		oldOf, newOf := old.Reach.Compressed.ClassMap(), sn.Reach.Compressed.ClassMap()
+		ef.classMap = make([]graph.Node, len(old.Reach.Compressed.Members))
+		for c, mem := range old.Reach.Compressed.Members {
+			ef.classMap[c] = newOf[mem[0]]
+		}
+		for v, c := range oldOf {
+			if newOf[v] != ef.classMap[c] {
+				ef.exNode = append(ef.exNode, graph.Node(v))
+				ef.exClass = append(ef.exClass, newOf[v])
+			}
+		}
+		ef.setReachGr(sn.Reach)
+	}
+	s.ring.push(ringEntry{lineage: ef.lineage, base: ef.base, epoch: ef.epoch, b: ef.encode()})
+}
+
+// setReachGr points the effect's reach quotient at rv's.
+func (ef *effect) setReachGr(rv ReachView) {
+	ef.reach = true
+	ef.classes = rv.Gr.NumNodes()
+	ef.grOff, ef.grAdj = rv.Gr.OutOffsets(), rv.Gr.OutAdj()
+	ef.cyclic = rv.Compressed.CyclicClass
+}
+
+// imageOf is the image of sn's views: both node maps and the reach
+// quotient. The pattern quotient is not sent; a follower reads each row off
+// one member's successors in its own G, as patternPatcher does.
+func imageOf(sn *Snapshot, nodes int) *effect {
+	ef := &effect{
+		image: true, lineage: sn.Lineage, base: sn.Epoch, epoch: sn.Epoch, nodes: nodes,
+		blocks: sn.Pattern.Gr.NumNodes(), blockOf: sn.Pattern.Compressed.ClassMap(),
+		classOf: sn.Reach.Compressed.ClassMap(),
+	}
+	ef.setReachGr(sn.Reach)
+	return ef
+}
+
+// ApplyEffect applies one shipped group: batches, the raw WAL records of
+// the epochs after the current one, and effect, the encoded change those
+// batches made to the source's views — or an image of the views at the
+// group's last epoch. It appends the batches to the WAL unchanged, patches
+// G from them, patches both views from the effect, and publishes once, at
+// the group's last epoch, which it returns; image reports whether an image
+// was installed. It runs no maintainer and drops any the store holds, as a
+// store recovered from a checkpoint holds none. A rejected effect is
+// ErrEffect and changes nothing; a failed WAL append is returned as is.
+func (s *Store) ApplyEffect(batches [][]graph.Update, effect []byte) (epoch uint64, image bool, err error) {
+	out := s.submitTask(func() applyOutcome[ApplyResult] {
+		var o applyOutcome[ApplyResult]
+		o.epoch, image, o.err = s.applyEffect(batches, effect)
+		return o
+	})
+	return out.epoch, image, out.err
+}
+
+// applyEffect is ApplyEffect on the writer goroutine.
+func (s *Store) applyEffect(batches [][]graph.Update, b []byte) (uint64, bool, error) {
+	var start time.Time
+	if s.ob != nil {
+		start = time.Now()
+	}
+	old := s.Snapshot()
+	sn, ef, err := s.effectSnapshot(old, batches, b)
+	if err != nil {
+		return 0, false, fmt.Errorf("%w: %v", ErrEffect, err)
+	}
+	if s.dur != nil && len(batches) > 0 {
+		var built time.Time
+		if s.ob != nil {
+			built = time.Now()
+		}
+		epochs := make([]uint64, len(batches))
+		for i := range epochs {
+			epochs[i] = old.Epoch + uint64(i) + 1
+		}
+		if err := s.dur.appendGroup(epochs, func(i int) []graph.Update { return batches[i] }); err != nil {
+			return 0, false, err
+		}
+		if s.ob != nil {
+			s.ob.stageWAL.Observe(time.Since(built))
+		}
+	}
+	s.batches.Store(sn.Epoch)
+	for _, batch := range batches {
+		s.updates.Add(uint64(len(batch)))
+	}
+	s.m = nil
+	s.install(sn)
+	if !ef.image && s.ring.on.Load() {
+		s.ring.push(ringEntry{lineage: ef.lineage, base: ef.base, epoch: ef.epoch, b: bytes.Clone(b)})
+	}
+	s.mark(sn.Epoch)
+	if s.ob != nil {
+		s.ob.notePublish(start, false)
+		s.ob.apply.Observe(time.Since(start))
+	}
+	if s.dur != nil {
+		s.dur.maybeCheckpoint(sn.Epoch, s.image)
+	}
+	return sn.Epoch, ef.image, nil
+}
+
+// effectSnapshot builds the snapshot a shipped group makes of old, without
+// installing it.
+func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, b []byte) (*Snapshot, *effect, error) {
+	ef, err := decodeEffect(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch last := old.Epoch + uint64(len(batches)); {
+	case ef.nodes != s.nodes:
+		return nil, nil, fmt.Errorf("effect over %d nodes, store has %d", ef.nodes, s.nodes)
+	case ef.epoch != last || s.batches.Load() != old.Epoch:
+		return nil, nil, fmt.Errorf("effect ends at epoch %d, the shipped frames at %d", ef.epoch, last)
+	case !ef.image && (ef.lineage != old.Lineage || ef.base != old.Epoch):
+		return nil, nil, fmt.Errorf("effect starts from views %x@%d, store holds %x@%d", ef.lineage, ef.base, old.Lineage, old.Epoch)
+	}
+	sn := &Snapshot{Epoch: ef.epoch, Lineage: ef.lineage}
+	g, srcs := s.gp.ApplyUpdates(old.G, batches)
+	sn.G = g
+	if g == old.G {
+		sn.gperm = old.gperm
+		sn.gord.Store(old.gord.Load())
+	}
+	if ef.image {
+		if sn.Reach, err = s.reachView(ef.classOf, ef); err == nil {
+			sn.Pattern, err = imagePattern(g, ef)
+		}
+		return sn, ef, err
+	}
+	sn.Reach = old.Reach
+	if ef.reach {
+		if len(ef.classMap) != len(old.Reach.Compressed.Members) {
+			return nil, nil, fmt.Errorf("reach map over %d classes, store has %d", len(ef.classMap), len(old.Reach.Compressed.Members))
+		}
+		classOf := make([]graph.Node, s.nodes)
+		for v, c := range old.Reach.Compressed.ClassMap() {
+			classOf[v] = ef.classMap[c]
+		}
+		for i, v := range ef.exNode {
+			classOf[v] = ef.exClass[i]
+		}
+		if sn.Reach, err = s.reachView(classOf, ef); err != nil {
+			return nil, nil, err
+		}
+	}
+	sn.Pattern, err = s.patchPattern(old.Pattern, g, srcs, ef)
+	return sn, ef, err
+}
+
+// reachView assembles a reach view from a node → class map and the
+// effect's quotient rows, which must be in topological order, as
+// reorderReach leaves them, with no class empty.
+func (s *Store) reachView(classOf []graph.Node, ef *effect) (ReachView, error) {
+	gr, err := graph.CSRFromRows(sigmaLabels, make([]graph.Label, ef.classes), ef.grOff, ef.grAdj)
+	if err != nil {
+		return ReachView{}, err
+	}
+	if !graph.IsTopoOrdered(gr) {
+		return ReachView{}, errors.New("reach quotient is not in topological order")
+	}
+	members := graph.GroupNodes(classOf, ef.classes)
+	for c, mem := range members {
+		if len(mem) == 0 {
+			return ReachView{}, fmt.Errorf("reach class %d is empty", c)
+		}
+	}
+	return ReachView{Gr: gr, Compressed: reach.AssembleCompressed(nil, classOf, members, ef.cyclic), hop: newHopCell(s.cfg.Indexes, s.ob)}, nil
+}
+
+// imagePattern assembles the pattern view an image's node → block map
+// describes over g: bisimilar nodes have equal successor-block sets, so each
+// quotient row is one member's successors mapped to blocks.
+func imagePattern(g *graph.CSR, ef *effect) (PatternView, error) {
+	members := graph.GroupNodes(ef.blockOf, ef.blocks)
+	label := make([]graph.Label, ef.blocks)
+	off := make([]int32, ef.blocks+1)
+	var adj []graph.Node
+	var seen graph.StampSet
+	for p, mem := range members {
+		if len(mem) == 0 {
+			return PatternView{}, fmt.Errorf("pattern block %d is empty", p)
+		}
+		label[p] = g.Label(mem[0])
+		start := len(adj)
+		seen.Reset(ef.blocks)
+		for _, w := range g.Successors(mem[0]) {
+			if q := ef.blockOf[w]; seen.Add(q) {
+				adj = append(adj, q)
+			}
+		}
+		slices.Sort(adj[start:])
+		off[p+1] = int32(len(adj))
+	}
+	gr, err := graph.CSRFromRows(g.Labels(), label, off, adj)
+	if err != nil {
+		return PatternView{}, err
+	}
+	return PatternView{Gr: gr, Compressed: bisim.AssembleCompressed(nil, ef.blockOf, members)}, nil
+}
+
+// effectScratch is patchPattern's, reused across groups on the writer.
+type effectScratch struct {
+	moved, blocks, rows, seen graph.StampSet
+	aff                       []graph.Node
+	cnt                       []int32
+}
+
+// patchPattern applies a diff's pattern part to old over g, the patched G,
+// whose changed rows are srcs. Before it trusts the shipped rows it checks
+// them: the moves leave no block empty and every dropped block emptied;
+// every row the change can reach was shipped — the blocks that gained or
+// lost members, the blocks of the changed sources, every block with an edge
+// into a moved node (a row outside these keeps its members, its first
+// member's successors and their blocks, hence its contents); and each
+// shipped row is what g gives, read off the block's first member.
+func (s *Store) patchPattern(old PatternView, g *graph.CSR, srcs []graph.Node, ef *effect) (PatternView, error) {
+	oldOf, oldMembers := old.Compressed.ClassMap(), old.Compressed.Members
+	nOld, n := len(oldMembers), ef.blocks
+	if len(ef.moved) == 0 && len(ef.rows) == 0 && len(srcs) == 0 && n == nOld {
+		return old, nil
+	}
+	sc := &s.es
+	nb := slices.Clone(oldOf)
+	sc.moved.Reset(len(nb))
+	span := max(n, nOld)
+	sc.blocks.Reset(span)
+	sc.aff = sc.aff[:0]
+	touch := func(p graph.Node) {
+		if sc.blocks.Add(p) {
+			sc.aff = append(sc.aff, p)
+		}
+	}
+	for i, v := range ef.moved {
+		nb[v] = ef.to[i]
+		sc.moved.Add(v)
+		touch(ef.to[i])
+		touch(oldOf[v])
+	}
+	for q := n; q < nOld; q++ {
+		for _, v := range oldMembers[q] {
+			if !sc.moved.Has(v) {
+				return PatternView{}, fmt.Errorf("dropped block %d still holds node %d", q, v)
+			}
+		}
+	}
+	for p := nOld; p < n; p++ {
+		if !sc.blocks.Has(graph.Node(p)) {
+			return PatternView{}, fmt.Errorf("new block %d gained no member", p)
+		}
+	}
+
+	// Member lists: unchanged blocks share theirs with old; the others are
+	// carved out of one array — kept members, then the moved-in ones.
+	sc.cnt = slices.Grow(sc.cnt[:0], span)[:span]
+	total := 0
+	kept := func(p graph.Node, visit func(v graph.Node)) {
+		if int(p) < nOld {
+			for _, v := range oldMembers[p] {
+				if !sc.moved.Has(v) {
+					visit(v)
+				}
+			}
+		}
+	}
+	for _, p := range sc.aff {
+		sc.cnt[p] = 0
+		if int(p) < n {
+			kept(p, func(graph.Node) { sc.cnt[p]++ })
+		}
+	}
+	for _, p := range ef.to {
+		sc.cnt[p]++
+	}
+	for _, p := range sc.aff {
+		if int(p) < n {
+			total += int(sc.cnt[p])
+		}
+	}
+	nm := make([][]graph.Node, n)
+	copy(nm, oldMembers)
+	buf := make([]graph.Node, total)
+	for _, p := range sc.aff {
+		if int(p) < n {
+			c := sc.cnt[p]
+			nm[p], buf = buf[:0:c], buf[c:]
+			kept(p, func(v graph.Node) { nm[p] = append(nm[p], v) })
+		}
+	}
+	for i, v := range ef.moved {
+		nm[ef.to[i]] = append(nm[ef.to[i]], v)
+	}
+	for _, p := range sc.aff {
+		if int(p) < n {
+			if len(nm[p]) == 0 {
+				return PatternView{}, fmt.Errorf("block %d left empty", p)
+			}
+			slices.Sort(nm[p])
+		}
+	}
+
+	sc.rows.Reset(n)
+	for _, r := range ef.rows {
+		sc.rows.Add(r)
+	}
+	need := func(p graph.Node) error {
+		if !sc.rows.Has(p) {
+			return fmt.Errorf("the change reaches quotient row %d, which was not shipped", p)
+		}
+		return nil
+	}
+	for _, p := range sc.aff {
+		if int(p) < n {
+			if err := need(p); err != nil {
+				return PatternView{}, err
+			}
+		}
+	}
+	for _, u := range srcs {
+		if err := need(nb[u]); err != nil {
+			return PatternView{}, err
+		}
+	}
+	for _, v := range ef.moved {
+		for _, u := range g.Predecessors(v) {
+			if err := need(nb[u]); err != nil {
+				return PatternView{}, err
+			}
+		}
+	}
+	for k, r := range ef.rows {
+		first := nm[r][0]
+		row := ef.rowAdj[ef.rowOff[k]:ef.rowOff[k+1]]
+		if g.Label(first) != ef.rowLabel[k] {
+			return PatternView{}, fmt.Errorf("row %d labeled %d, its members are %d", r, ef.rowLabel[k], g.Label(first))
+		}
+		sc.seen.Reset(n)
+		distinct := 0
+		for _, w := range g.Successors(first) {
+			if q := nb[w]; sc.seen.Add(q) {
+				distinct++
+				if _, ok := slices.BinarySearch(row, q); !ok {
+					return PatternView{}, fmt.Errorf("row %d lacks block %d", r, q)
+				}
+			}
+		}
+		if distinct != len(row) {
+			return PatternView{}, fmt.Errorf("row %d lists %d blocks, its first member reaches %d", r, len(row), distinct)
+		}
+	}
+	gr := s.gp.Patch(old.Gr, n, ef.rows,
+		func(k int) []graph.Node { return ef.rowAdj[ef.rowOff[k]:ef.rowOff[k+1]] },
+		func(k int) graph.Label { return ef.rowLabel[k] })
+	return PatternView{Gr: gr, Compressed: bisim.AssembleCompressed(nil, nb, nm)}, nil
+}

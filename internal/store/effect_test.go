@@ -1,0 +1,254 @@
+package store
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/queries"
+)
+
+// sameViews holds a follower's snapshot to the leader's, array for array:
+// G, both quotients, both node maps, both member indexes, the cyclic flags.
+func sameViews(t *testing.T, at string, got, want *Snapshot) {
+	t.Helper()
+	switch {
+	case got.Epoch != want.Epoch || got.Lineage != want.Lineage:
+		t.Fatalf("%s: follower at %x@%d, leader at %x@%d", at, got.Lineage, got.Epoch, want.Lineage, want.Epoch)
+	case !got.G.Equal(want.G):
+		t.Fatalf("%s: G differs", at)
+	case !got.Reach.Gr.Equal(want.Reach.Gr):
+		t.Fatalf("%s: reach quotient differs", at)
+	case !slices.Equal(got.Reach.Compressed.ClassMap(), want.Reach.Compressed.ClassMap()):
+		t.Fatalf("%s: reach class map differs", at)
+	case !equalRows(got.Reach.Compressed.Members, want.Reach.Compressed.Members):
+		t.Fatalf("%s: reach members differ", at)
+	case !slices.Equal(got.Reach.Compressed.CyclicClass, want.Reach.Compressed.CyclicClass):
+		t.Fatalf("%s: reach cyclic flags differ", at)
+	case !got.Pattern.Gr.Equal(want.Pattern.Gr):
+		t.Fatalf("%s: pattern quotient differs", at)
+	case !slices.Equal(got.Pattern.Compressed.ClassMap(), want.Pattern.Compressed.ClassMap()):
+		t.Fatalf("%s: pattern block map differs", at)
+	case !equalRows(got.Pattern.Compressed.Members, want.Pattern.Compressed.Members):
+		t.Fatalf("%s: pattern members differ", at)
+	}
+}
+
+// TestEffectAppliedEqualsRebuilt is the effect differential. Over seeded
+// histories — coalesced groups, groups that change nothing, hub rows,
+// undone groups, the maxPatchShare and drift fallbacks of the leader's
+// pattern view — a durable follower store is fed only what a tail round
+// ships: each group's raw batches with the effects the leader's ring chains
+// from the follower's views, or an image. After every group its G and both
+// views equal the leader's array for array (the leader's are those
+// TestPatchedEqualsRebuilt holds to a rebuild), and it holds no maintainer.
+// Two more paths are forced: the follower restarts (a lineage break: the
+// next round is an image), and one group goes through the raw path, as
+// when a TailBytes cut ends a round before any effect boundary — the
+// follower re-derives, so its views are its own, equal to the leader's in
+// meaning, and the next round brings an image.
+func TestEffectAppliedEqualsRebuilt(t *testing.T) {
+	histories := []struct {
+		name   string
+		insert float64
+	}{{"mixed", 0.5}, {"insert-only", 1}, {"delete-heavy", 0.4}}
+	const groups = 120
+	for hi, hist := range histories {
+		t.Run(hist.name, func(t *testing.T) {
+			g := gen.Social(rand.New(rand.NewSource(int64(10+hi))), 1200, 1600, 3)
+			mirror := g.Clone()
+			leader := mustOpen(t, g.Clone(), &Options{Indexes: true})
+			defer leader.Close()
+			dir := t.TempDir()
+			follower := mustOpen(t, g, &Options{Indexes: true, Dir: dir, Sync: SyncNone})
+			defer func() { follower.Close() }()
+			hs := newHistory(int64(100+hi), mirror, hist.insert)
+
+			var log [][]graph.Update // every batch, log[e-1] is epoch e's
+			images, diffs, reachDiffs := 0, 0, 0
+			// catchUp ships the follower what tail rounds would: a round ends
+			// where the ring's chain does, at a lineage break, and the next
+			// one brings the image.
+			catchUp := func(at string) {
+				for round := 0; round == 0 || follower.Snapshot().Epoch < leader.Snapshot().Epoch; round++ {
+					fsn := follower.Snapshot()
+					effs := leader.Effects(fsn.Lineage, fsn.Epoch)
+					if len(effs) == 0 || round == 2 {
+						t.Fatalf("%s: round %d ships %d effects from %x@%d, leader at %x@%d", at, round, len(effs), fsn.Lineage, fsn.Epoch, leader.Snapshot().Lineage, leader.Snapshot().Epoch)
+					}
+					for _, e := range effs {
+						from := follower.Snapshot().Epoch
+						epoch, image, err := follower.ApplyEffect(log[from:e.Epoch], e.Bytes)
+						if err != nil {
+							t.Fatalf("%s: apply effect through %d: %v", at, e.Epoch, err)
+						}
+						shipped, _ := decodeEffect(e.Bytes)
+						if epoch != e.Epoch || image != shipped.image {
+							t.Fatalf("%s: applied at %d (image %v), shipped %d (image %v)", at, epoch, image, e.Epoch, shipped.image)
+						}
+						switch {
+						case image:
+							images++
+						case shipped.reach:
+							reachDiffs++
+							fallthrough
+						default:
+							diffs++
+						}
+					}
+				}
+				sameViews(t, at, follower.Snapshot(), leader.Snapshot())
+				if follower.m != nil {
+					t.Fatalf("%s: the follower holds a maintainer", at)
+				}
+			}
+			catchUp("start")
+
+			for i := 0; i < groups; i++ {
+				group, _ := hs.group(i)
+				at := fmt.Sprintf("group %d (%d batches)", i, len(group))
+				applyGroup(&leader.engine, group)
+				log = append(log, group...)
+				switch {
+				case i == 40:
+					// The raw path: a round cut before any effect boundary.
+					for _, b := range group {
+						if _, err := follower.ApplyBatch(b); err != nil {
+							t.Fatal(err)
+						}
+					}
+					fsn, lsn := follower.Snapshot(), leader.Snapshot()
+					if fsn.Lineage == lsn.Lineage || !fsn.G.Equal(lsn.G) {
+						t.Fatalf("%s: the raw path must re-derive its own views over the same G", at)
+					}
+					checkPatternView(t, at, fsn.Pattern, fsn.G, mirror)
+					continue
+				case i == 80:
+					// A restart: the recovered store is a layout of its own.
+					if err := follower.Close(); err != nil {
+						t.Fatal(err)
+					}
+					follower = mustOpen(t, nil, &Options{Dir: dir, Sync: SyncNone})
+				case i%9 == 4:
+					continue // the follower falls two groups behind: a chain of two
+				}
+				catchUp(at)
+				rng := rand.New(rand.NewSource(int64(i)))
+				for k := 0; k < 30; k++ {
+					u, v := graph.Node(rng.Intn(mirror.NumNodes())), graph.Node(rng.Intn(mirror.NumNodes()))
+					if got, want := follower.Reachable(u, v), queries.Reachable(mirror, u, v); got != want {
+						t.Fatalf("%s: QR(%d,%d) = %v on the follower, want %v", at, u, v, got, want)
+					}
+				}
+			}
+			// The start, the two maxPatchShare fallbacks, the raw round and the
+			// restart each cost an image; everything else is a diff.
+			if images < 5 || diffs < groups/2 || reachDiffs == 0 {
+				t.Fatalf("%d images, %d diffs (%d moved the reach view): the history did not cover the paths", images, diffs, reachDiffs)
+			}
+			t.Logf("%d groups: %d diffs (%d moved the reach view), %d images", groups, diffs, reachDiffs, images)
+		})
+	}
+}
+
+// TestEffectRejected corrupts effects the way a wire or a confused source
+// could and checks each is refused whole: ErrEffect, and the follower's
+// epoch, views and WAL unmoved.
+func TestEffectRejected(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(3)), 400, 900, 3)
+	mirror := g.Clone()
+	leader := mustOpen(t, g.Clone(), nil)
+	defer leader.Close()
+	follower := mustOpen(t, g, &Options{Dir: t.TempDir(), Sync: SyncNone})
+	defer follower.Close()
+	img := leader.Effects(follower.Snapshot().Lineage, 0)
+	if _, _, err := follower.ApplyEffect(nil, img[0].Bytes); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	b := gen.RandomBatch(rng, mirror, 40, 0.5)
+	applyGroup(&leader.engine, [][]graph.Update{b})
+	eff := leader.Effects(follower.Snapshot().Lineage, 0)
+	if len(eff) != 1 {
+		t.Fatalf("want one diff, got %d effects", len(eff))
+	}
+	if ef, err := decodeEffect(eff[0].Bytes); err != nil || ef.image {
+		t.Fatalf("want a diff, got an image or %v", err)
+	}
+	body := eff[0].Bytes
+	flipped := slices.Clone(body)
+	flipped[len(flipped)/2] ^= 0x10
+	cases := map[string]struct {
+		batches [][]graph.Update
+		effect  []byte
+	}{
+		"bit flip":        {[][]graph.Update{b}, flipped},
+		"truncated":       {[][]graph.Update{b}, body[:len(body)-7]},
+		"no frames":       {nil, body},
+		"frames past it":  {[][]graph.Update{b, b}, body},
+		"other raw batch": {[][]graph.Update{gen.RandomBatch(rng, mirror, 40, 0.5)}, body},
+	}
+	before := follower.Snapshot()
+	for name, c := range cases {
+		_, _, err := follower.ApplyEffect(c.batches, c.effect)
+		if !errors.Is(err, ErrEffect) {
+			t.Fatalf("%s: ApplyEffect = %v, want ErrEffect", name, err)
+		}
+		if follower.Snapshot() != before || follower.batches.Load() != before.Epoch {
+			t.Fatalf("%s: a rejected effect moved the follower", name)
+		}
+	}
+	if _, _, err := follower.ApplyEffect([][]graph.Update{b}, body); err != nil {
+		t.Fatalf("the intact effect after the rejections: %v", err)
+	}
+	sameViews(t, "after", follower.Snapshot(), leader.Snapshot())
+}
+
+// FuzzDecodeEffect holds the effect decoder to the wire contract: whatever
+// arrives errors or decodes, never panics, and what decodes re-encodes to
+// the same bytes.
+func FuzzDecodeEffect(f *testing.F) {
+	g := gen.Social(rand.New(rand.NewSource(5)), 120, 300, 3)
+	mirror := g.Clone()
+	s, err := Open(g, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	f.Add(s.Effects(1, 0)[0].Bytes)
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 4; i++ {
+		b := gen.RandomBatch(rng, mirror, 6, 0.6)
+		mirror.Apply(b)
+		sn := s.Snapshot()
+		applyGroup(&s.engine, [][]graph.Update{b})
+		for _, e := range s.Effects(sn.Lineage, sn.Epoch) {
+			f.Add(e.Bytes)
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte{effectVersion, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// As sent, and with the checksum made to fit, so the fuzzer reaches
+		// past it into the structure.
+		fixed := slices.Clone(data)
+		if n := len(fixed); n >= 4 {
+			binary.LittleEndian.PutUint32(fixed[n-4:], crc32.Checksum(fixed[:n-4], castagnoli))
+		}
+		for _, in := range [][]byte{data, fixed} {
+			ef, err := decodeEffect(in)
+			if err != nil {
+				continue
+			}
+			if again := ef.encode(); !slices.Equal(again, in) {
+				t.Fatalf("decoded effect re-encodes to %d bytes, not the %d it came from", len(again), len(in))
+			}
+		}
+	})
+}

@@ -65,6 +65,9 @@ type Handle interface {
 	BatchReachable(us, vs []graph.Node) []bool
 	Match(p *pattern.Pattern) *pattern.Result
 	SchedStats() SchedStats
+	// View pins the current snapshot: every read through it answers at the
+	// one epoch it reports, however many epochs publish meanwhile.
+	View() View
 
 	// Apply is ApplyBatch reporting only the visibility epoch.
 	Apply(batch []graph.Update) (uint64, error)
@@ -79,6 +82,18 @@ type Handle interface {
 	AdoptTerm(t uint64) error
 	BumpTerm(min uint64) (uint64, error)
 	Close() error
+}
+
+// View is one pinned snapshot of a store of either kind, read through the
+// store's scratch pools: the epoch it reports is the epoch every answer it
+// gives was computed at — exact, not a lower bound — which is what a
+// server stamps on a response.
+type View interface {
+	Epoch() uint64
+	Reachable(u, v graph.Node) bool
+	ReachableOnG(u, v graph.Node) bool
+	BatchReachable(us, vs []graph.Node) []bool
+	Match(p *pattern.Pattern) *pattern.Result
 }
 
 // Info is the kind-independent summary of a store.
@@ -100,7 +115,10 @@ type applyOutcome[R any] struct {
 
 type applyReq[R any] struct {
 	batch []graph.Update
-	res   chan applyOutcome[R]
+	// task, when set, is a write that is not one batch — a shipped group, the
+	// build of the write side — run by the writer alone, in its turn.
+	task func() applyOutcome[R]
+	res  chan applyOutcome[R]
 }
 
 // engine is the epoch engine one store kind embeds; R is the kind's
@@ -243,29 +261,53 @@ func (e *engine[R]) reopen(load func(fsys faultfs.FS, path string) (epoch uint64
 	return nil
 }
 
-// advance publishes epoch and moves the O(1) epoch frontier behind it, so
-// a reader that saw Epoch() = k finds a snapshot of at least k; then it
-// wakes whoever is parked in AwaitEpoch. The writer calls it before it
-// sends the batch's results — Wake.Broadcast says why the order matters.
+// advance publishes epoch and moves the frontier behind it.
 func (e *engine[R]) advance(epoch uint64) {
 	e.p.publish(epoch)
+	e.mark(epoch)
+}
+
+// mark moves the O(1) epoch frontier to a snapshot already installed, so a
+// reader that saw Epoch() = k finds a snapshot of at least k; then it wakes
+// whoever is parked in AwaitEpoch. The writer calls it before it sends the
+// batch's results — Wake.Broadcast says why the order matters.
+func (e *engine[R]) mark(epoch uint64) {
 	e.epoch.Store(epoch)
 	e.wake.Broadcast()
 }
 
 // run is the writer goroutine: it serializes batches, folds queued requests
 // into one snapshot rebuild, logs the group to the WAL (group commit)
-// before any state changes, and signals completion after publication.
+// before any state changes, and signals completion after publication. A
+// task is never coalesced: it runs alone, after the group before it.
 func (e *engine[R]) run() {
 	defer close(e.idle)
 	defer e.p.stop()
-	for req := range e.reqs {
-		pending := []applyReq[R]{req}
+	var next *applyReq[R] // a task the last drain stopped at
+	for {
+		req := next
+		next = nil
+		if req == nil {
+			r, ok := <-e.reqs
+			if !ok {
+				return
+			}
+			req = &r
+		}
+		if req.task != nil {
+			req.res <- req.task()
+			continue
+		}
+		pending := []applyReq[R]{*req}
 	drain:
 		for len(pending) < maxCoalesce {
 			select {
 			case r, ok := <-e.reqs:
 				if !ok {
+					break drain
+				}
+				if r.task != nil {
+					next = &r
 					break drain
 				}
 				pending = append(pending, r)
@@ -323,7 +365,16 @@ func (e *engine[R]) run() {
 
 // submit queues one batch and waits for the writer's verdict on it.
 func (e *engine[R]) submit(batch []graph.Update) applyOutcome[R] {
-	req := applyReq[R]{batch: batch, res: make(chan applyOutcome[R], 1)}
+	return e.queue(applyReq[R]{batch: batch, res: make(chan applyOutcome[R], 1)})
+}
+
+// submitTask runs task on the writer goroutine, in turn with every write,
+// and returns what it reports.
+func (e *engine[R]) submitTask(task func() applyOutcome[R]) applyOutcome[R] {
+	return e.queue(applyReq[R]{task: task, res: make(chan applyOutcome[R], 1)})
+}
+
+func (e *engine[R]) queue(req applyReq[R]) applyOutcome[R] {
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
@@ -490,12 +541,24 @@ func (e *engine[R]) AdoptTerm(t uint64) error {
 
 // BumpTerm moves the store to a fresh term strictly above both its own
 // term and min, fsyncs it, and clears any fence — the promotion step. It
-// returns the new term, or ErrNotDurable on an in-memory store.
+// then builds the write-side state a store recovered from a snapshot, or
+// fed shipped effects, goes without, and republishes the current epoch
+// from it, so that promotion and not the first write pays for maintenance
+// and its first full view build. It returns the new term, or ErrNotDurable
+// on an in-memory store.
 func (e *engine[R]) BumpTerm(min uint64) (uint64, error) {
 	if e.dur == nil {
 		return 0, ErrNotDurable
 	}
-	return e.dur.bumpTerm(min)
+	term, err := e.dur.bumpTerm(min)
+	if err == nil {
+		e.submitTask(func() applyOutcome[R] {
+			e.p.materialize(nil)
+			e.advance(e.Epoch())
+			return applyOutcome[R]{}
+		})
+	}
+	return term, err
 }
 
 // ScrubNow runs one integrity scrub pass synchronously — verify sealed WAL

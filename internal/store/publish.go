@@ -117,6 +117,10 @@ type patternPatcher struct {
 	reloc                 [][2]int32 // (to, from) published ids of blocks moved into holes
 	rows, rowFlat         []graph.Node
 	rowOff                []int32
+	// moves lists the nodes whose published block id the last patch changed
+	// — the maintainer's moves and the members of blocks that changed id —
+	// for the epoch's effect (effect.go).
+	moves []graph.Node
 }
 
 // adopt points the id maps at a fully rebuilt view.
@@ -213,11 +217,15 @@ func (pp *patternPatcher) patch(old PatternView, m *incbisim.Maintainer, g *grap
 	nb := make([]graph.Node, len(oldBlockOf))
 	copy(nb, oldBlockOf)
 	pp.nodeSet.Reset(len(nb))
+	pp.moves = pp.moves[:0]
 	for _, v := range moved {
 		pp.nodeSet.Add(v)
 		p := pp.pub[m.BlockID(v)]
 		nb[v] = p
 		pp.cnt[p]++
+		if p != oldBlockOf[v] {
+			pp.moves = append(pp.moves, v)
+		}
 	}
 	// kept visits the members block p keeps from the previous epoch.
 	kept := func(p int32, visit func(v graph.Node)) {
@@ -232,7 +240,10 @@ func (pp *patternPatcher) patch(old PatternView, m *incbisim.Maintainer, g *grap
 	total := len(moved)
 	for _, p := range pp.chg {
 		kept(p, func(v graph.Node) {
-			nb[v] = p
+			if nb[v] != p {
+				nb[v] = p
+				pp.moves = append(pp.moves, v)
+			}
 			pp.cnt[p]++
 			total++
 		})
@@ -275,6 +286,7 @@ func (pp *patternPatcher) patch(old PatternView, m *incbisim.Maintainer, g *grap
 			for _, v := range nm[to] {
 				nb[v] = to
 			}
+			pp.moves = append(pp.moves, nm[to]...)
 		}
 	}
 	for _, r := range pp.reloc {

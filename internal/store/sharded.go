@@ -171,6 +171,9 @@ type ShardedSnapshot struct {
 	leafHist *obs.Histogram
 	sumHist  *obs.Histogram
 	so       *storeObs
+	// view is this snapshot pinned for View, made once at install so a
+	// pinned read allocates nothing.
+	view shardedView
 }
 
 // shardHubSlot is one shard's lazy hub-cache cell on a ShardedSnapshot.
@@ -929,6 +932,7 @@ func (s *ShardedStore) install(sn *ShardedSnapshot) {
 		sn.sumHist = s.ob.summary
 		sn.so = s.ob
 	}
+	sn.view = shardedView{s, sn}
 	s.snap.Store(sn)
 }
 
@@ -941,10 +945,12 @@ func (s *ShardedStore) getScratch() *RouteScratch { return s.scratch.Get().(*Rou
 
 // Reachable answers QR(u,v) on the current snapshot via the sharded read
 // path. Safe for any number of concurrent callers, also during ApplyBatch.
-func (s *ShardedStore) Reachable(u, v graph.Node) bool {
+func (s *ShardedStore) Reachable(u, v graph.Node) bool { return s.reachable(s.Snapshot(), u, v) }
+
+func (s *ShardedStore) reachable(sn *ShardedSnapshot, u, v graph.Node) bool {
 	s.reads.Add(1)
 	rs := s.getScratch()
-	ok := s.Snapshot().Reachable(rs, u, v)
+	ok := sn.Reachable(rs, u, v)
 	s.scratch.Put(rs)
 	return ok
 }
@@ -952,19 +958,52 @@ func (s *ShardedStore) Reachable(u, v graph.Node) bool {
 // ReachableOnG answers QR(u,v) on the current snapshot's composite
 // uncompressed graph — the sharded baseline path.
 func (s *ShardedStore) ReachableOnG(u, v graph.Node) bool {
+	return s.reachableOnG(s.Snapshot(), u, v)
+}
+
+func (s *ShardedStore) reachableOnG(sn *ShardedSnapshot, u, v graph.Node) bool {
 	s.reads.Add(1)
 	rs := s.getScratch()
-	ok := s.Snapshot().ReachableOnG(rs, u, v)
+	ok := sn.ReachableOnG(rs, u, v)
 	s.scratch.Put(rs)
 	return ok
 }
 
 // Match answers the pattern query on the current snapshot via the stitched
 // quotient with per-shard expansion.
-func (s *ShardedStore) Match(p *pattern.Pattern) *pattern.Result {
+func (s *ShardedStore) Match(p *pattern.Pattern) *pattern.Result { return s.match(s.Snapshot(), p) }
+
+func (s *ShardedStore) match(sn *ShardedSnapshot, p *pattern.Pattern) *pattern.Result {
 	s.reads.Add(1)
-	return s.Snapshot().Match(p)
+	return sn.Match(p)
 }
+
+// View pins the current snapshot for reads that must report the epoch they
+// were answered at.
+func (s *ShardedStore) View() View { return &s.Snapshot().view }
+
+// shardedView is a ShardedStore's View: its read paths on one snapshot.
+type shardedView struct {
+	s  *ShardedStore
+	sn *ShardedSnapshot
+}
+
+// Epoch is the pinned snapshot's epoch.
+func (v shardedView) Epoch() uint64 { return v.sn.Epoch }
+
+// Reachable is ShardedStore.Reachable on the pinned snapshot.
+func (v shardedView) Reachable(a, b graph.Node) bool { return v.s.reachable(v.sn, a, b) }
+
+// ReachableOnG is ShardedStore.ReachableOnG on the pinned snapshot.
+func (v shardedView) ReachableOnG(a, b graph.Node) bool { return v.s.reachableOnG(v.sn, a, b) }
+
+// BatchReachable is ShardedStore.BatchReachable on the pinned snapshot.
+func (v shardedView) BatchReachable(us, vs []graph.Node) []bool {
+	return v.s.batchReachable(v.sn, us, vs)
+}
+
+// Match is ShardedStore.Match on the pinned snapshot.
+func (v shardedView) Match(p *pattern.Pattern) *pattern.Result { return v.s.match(v.sn, p) }
 
 func (s *ShardedStore) edges() int { return s.Snapshot().edges }
 

@@ -196,6 +196,11 @@ type Snapshot struct {
 	// Epoch counts applied batches: a snapshot with Epoch = k reflects
 	// exactly the first k batches accepted by the store.
 	Epoch uint64
+	// Lineage names the layout of the two views: drawn at random by every
+	// full view build, kept by every patch and by a follower that applies
+	// this layout's effects. Two snapshots with the same (Lineage, Epoch)
+	// hold the same views array for array (effect.go).
+	Lineage uint64
 	// G is the frozen original graph at this epoch, in public node ids.
 	G *graph.CSR
 
@@ -221,6 +226,9 @@ type Snapshot struct {
 	// obsSampleWaves waves pays the clock reads.
 	leafHist *obs.Histogram
 	so       *storeObs
+	// view is this snapshot pinned for View, made once at install so a
+	// pinned read allocates nothing.
+	view storeView
 	// Reach is the reachability-compressed read path.
 	Reach ReachView
 	// Pattern is the pattern-compressed read path.
@@ -345,6 +353,10 @@ type Store struct {
 	full                 bool
 	gp                   graph.Patcher
 	pp                   patternPatcher
+	// ring holds the effects of the latest groups for the followers tailing
+	// this store, es is the scratch of applying shipped ones (effect.go).
+	ring effectRing
+	es   effectScratch
 
 	snap     atomic.Pointer[Snapshot]
 	scratch  sync.Pool // *queries.Scratch
@@ -389,6 +401,7 @@ func Open(g *graph.Graph, opts *Options) (*Store, error) {
 		return nil, err
 	}
 	s.bindObs()
+	o.Obs.GaugeFunc("qpgc_store_effect_ring_bytes", func() float64 { return float64(s.ring.bytes.Load()) })
 	return s, nil
 }
 
@@ -433,13 +446,16 @@ func (s *Store) stop() {}
 
 // publish builds epoch's snapshot and swaps it in: from the maintainers
 // alone when they are new (open, materialize), otherwise from the previous
-// snapshot patched by what the group changed (publish.go). Called from Open
-// and then only from the writer goroutine.
+// snapshot patched by what the group changed (publish.go). A full build of
+// either view layout draws a new lineage; otherwise, while somebody tails
+// the store, the group's effect goes to the ring (effect.go). Called from
+// Open and then only from the writer goroutine.
 func (s *Store) publish(epoch uint64) {
 	clk := s.ob.startPublish()
 	old := s.snap.Load()
 	sn := &Snapshot{Epoch: epoch}
 	fellBack := false
+	rebuilt, reachMoved, patched := s.full, false, false
 
 	srcs := s.m.Sources()
 	switch {
@@ -467,7 +483,7 @@ func (s *Store) publish(epoch uint64) {
 	} else {
 		rc, rGr := reorderReach(s.m.Reach.CompressedCSR())
 		sn.Reach = ReachView{Gr: rGr, Compressed: rc, hop: newHopCell(s.cfg.Indexes, s.ob)}
-		s.reachGen = gen
+		s.reachGen, reachMoved = gen, true
 	}
 	clk.lap(pubReach)
 
@@ -477,6 +493,7 @@ func (s *Store) publish(epoch uint64) {
 		if !s.full && s.pp.canPatch(s.m.Pattern, s.nodes, old.Pattern.Gr.NumNodes()) {
 			sn.Pattern = s.pp.patch(old.Pattern, s.m.Pattern, sn.G, srcs, &s.gp)
 			s.ob.notePatched(len(s.pp.rows))
+			patched = true
 		} else {
 			// The quotient is projected over the snapshot of G built above
 			// instead of freezing a second time.
@@ -484,6 +501,7 @@ func (s *Store) publish(epoch uint64) {
 			sn.Pattern = PatternView{Gr: pGr, Compressed: pc}
 			s.pp.adopt(sn.Pattern, s.m.Pattern)
 			fellBack = fellBack || !s.full
+			rebuilt = true
 		}
 		s.patternGen = gen
 	}
@@ -491,7 +509,15 @@ func (s *Store) publish(epoch uint64) {
 
 	s.m.ClearSources()
 	s.full = false
+	if rebuilt {
+		sn.Lineage = newLineage()
+	} else {
+		sn.Lineage = old.Lineage
+	}
 	s.install(sn)
+	if !rebuilt && s.ring.on.Load() {
+		s.recordEffect(old, sn, reachMoved, patched)
+	}
 	clk.lap(pubSwap)
 	s.ob.notePublish(clk.start, fellBack)
 }
@@ -503,6 +529,7 @@ func (s *Store) install(sn *Snapshot) {
 		sn.leafHist = s.ob.leaf
 		sn.so = s.ob
 	}
+	sn.view = storeView{s, sn}
 	s.snap.Store(sn)
 }
 
@@ -543,10 +570,13 @@ func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
 	// GOrd applies it instead of recomputing the numbering, so a recovered
 	// snapshot serves the exact layout it checkpointed. Older snapshots
 	// without one fall back to recomputing on first use.
+	// A file records no lineage (nothing new goes to disk): a recovered store
+	// is a layout of its own, and a follower that restarts is sent an image.
 	s.install(&Snapshot{
-		Epoch: parts.Epoch,
-		G:     parts.G,
-		gperm: parts.GPerm,
+		Epoch:   parts.Epoch,
+		Lineage: newLineage(),
+		G:       parts.G,
+		gperm:   parts.GPerm,
 		Reach: ReachView{
 			Gr:         parts.ReachGr,
 			Compressed: reach.AssembleCompressed(nil, parts.ReachClassOf, parts.ReachMembers, parts.ReachCyclic),
@@ -570,10 +600,12 @@ func (s *Store) getScratch() *queries.Scratch { return s.scratch.Get().(*queries
 
 // Reachable answers QR(u,v) on the current snapshot's compressed graph.
 // Safe for any number of concurrent callers, also during ApplyBatch.
-func (s *Store) Reachable(u, v graph.Node) bool {
+func (s *Store) Reachable(u, v graph.Node) bool { return s.reachable(s.Snapshot(), u, v) }
+
+func (s *Store) reachable(sn *Snapshot, u, v graph.Node) bool {
 	s.reads.Add(1)
 	sc := s.getScratch()
-	ok := s.Snapshot().Reachable(sc, u, v)
+	ok := sn.Reachable(sc, u, v)
 	s.scratch.Put(sc)
 	return ok
 }
@@ -595,20 +627,51 @@ func (s *Store) ReachableHop2(u, v graph.Node) bool {
 
 // ReachableOnG answers QR(u,v) on the current snapshot of the uncompressed
 // graph — the baseline path.
-func (s *Store) ReachableOnG(u, v graph.Node) bool {
+func (s *Store) ReachableOnG(u, v graph.Node) bool { return s.reachableOnG(s.Snapshot(), u, v) }
+
+func (s *Store) reachableOnG(sn *Snapshot, u, v graph.Node) bool {
 	s.reads.Add(1)
 	sc := s.getScratch()
-	ok := s.Snapshot().ReachableOnG(sc, u, v)
+	ok := sn.ReachableOnG(sc, u, v)
 	s.scratch.Put(sc)
 	return ok
 }
 
 // Match answers the pattern query on the current snapshot via the
 // compressed graph plus post-processing.
-func (s *Store) Match(p *pattern.Pattern) *pattern.Result {
+func (s *Store) Match(p *pattern.Pattern) *pattern.Result { return s.match(s.Snapshot(), p) }
+
+func (s *Store) match(sn *Snapshot, p *pattern.Pattern) *pattern.Result {
 	s.reads.Add(1)
-	return s.Snapshot().Match(p)
+	return sn.Match(p)
 }
+
+// View pins the current snapshot for reads that must report the epoch they
+// were answered at.
+func (s *Store) View() View { return &s.Snapshot().view }
+
+// storeView is a Store's View: its read paths on one snapshot.
+type storeView struct {
+	s  *Store
+	sn *Snapshot
+}
+
+// Epoch is the pinned snapshot's epoch.
+func (v storeView) Epoch() uint64 { return v.sn.Epoch }
+
+// Reachable is Store.Reachable on the pinned snapshot.
+func (v storeView) Reachable(a, b graph.Node) bool { return v.s.reachable(v.sn, a, b) }
+
+// ReachableOnG is Store.ReachableOnG on the pinned snapshot.
+func (v storeView) ReachableOnG(a, b graph.Node) bool { return v.s.reachableOnG(v.sn, a, b) }
+
+// BatchReachable is Store.BatchReachable on the pinned snapshot.
+func (v storeView) BatchReachable(us, vs []graph.Node) []bool {
+	return v.s.batchReachable(v.sn, us, vs)
+}
+
+// Match is Store.Match on the pinned snapshot.
+func (v storeView) Match(p *pattern.Pattern) *pattern.Result { return v.s.match(v.sn, p) }
 
 // MatchOnG answers the pattern query directly on the current snapshot of G.
 func (s *Store) MatchOnG(p *pattern.Pattern) *pattern.Result {

@@ -8,8 +8,8 @@ import (
 
 // Wake is the wake-up an epoch swap broadcasts: whoever moves a condition
 // others wait on — the engine publishing an epoch or fencing itself, a
-// follower swapping its store — calls Broadcast after the move, and
-// AwaitEpoch parks until the epoch it waits for is there. It replaces sleep-and-poll loops: a
+// follower swapping its store or catching up — calls Broadcast after the
+// move, and AwaitEpoch (or Await) parks until what it waits for is there. It replaces sleep-and-poll loops: a
 // waiter costs nothing while parked and runs the moment the swap lands. The
 // zero value is ready; with nobody parked Broadcast is one uncontended lock.
 type Wake struct {
@@ -43,20 +43,27 @@ func (w *Wake) Broadcast() {
 
 // AwaitEpoch parks until src has published min, timeout passes, cancel is
 // closed or src is fenced — a fenced store publishes nothing more, there is
-// nothing to wait for — and returns the epoch src then reports. It looks at
-// src under the Wake's lock, which is what makes a Broadcast between the
-// look and the park impossible to miss; src must not call back into the
-// Wake.
+// nothing to wait for — and returns the epoch src then reports. src must not
+// call back into the Wake.
 func (w *Wake) AwaitEpoch(src interface {
 	Epoch() uint64
 	Fenced() bool
 }, min uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
+	w.Await(func() bool { return src.Epoch() >= min || src.Fenced() }, timeout, cancel)
+	return src.Epoch()
+}
+
+// Await parks until ready reports true, timeout passes or cancel is closed,
+// and reports whether ready held. It calls ready under the Wake's lock,
+// which is what makes a Broadcast between the look and the park impossible
+// to miss; ready must not call back into the Wake.
+func (w *Wake) Await(ready func() bool, timeout time.Duration, cancel <-chan struct{}) bool {
 	var timer *time.Timer
 	for {
 		w.mu.Lock()
-		if epoch := src.Epoch(); epoch >= min || src.Fenced() {
+		if ready() {
 			w.mu.Unlock()
-			return epoch
+			return true
 		}
 		if w.ch == nil {
 			w.ch = make(chan struct{})
@@ -70,9 +77,9 @@ func (w *Wake) AwaitEpoch(src interface {
 		select {
 		case <-ch:
 		case <-timer.C:
-			return src.Epoch()
+			return false
 		case <-cancel:
-			return src.Epoch()
+			return false
 		}
 	}
 }
