@@ -1,6 +1,4 @@
-// Package bitset provides dense fixed-capacity bitsets used by the
-// compression algorithms to represent ancestor/descendant sets over
-// condensation nodes and block memberships.
+// Package bitset provides dense fixed-capacity bitsets.
 //
 // The zero value of Set is an empty set of capacity 0; use New to allocate a
 // set able to hold n bits. All operations on two sets require equal capacity
@@ -58,27 +56,6 @@ func (s *Set) Count() int {
 func (s *Set) Or(t *Set) {
 	for i, w := range t.words {
 		s.words[i] |= w
-	}
-}
-
-// OrBelow sets s to s ∪ t given the caller's guarantee that every bit of t
-// is < bound: only the word prefix covering [0, bound) is scanned. Used by
-// the descendant DP, whose sets over reverse-topological component ids are
-// confined to [0, comp).
-func (s *Set) OrBelow(t *Set, bound int) {
-	w := (bound + wordBits - 1) / wordBits
-	sw, tw := s.words[:w], t.words[:w]
-	for i, x := range tw {
-		sw[i] |= x
-	}
-}
-
-// OrAbove sets s to s ∪ t given the caller's guarantee that every bit of t
-// is >= bound: words before bound's word are skipped. Mirror of OrBelow for
-// the ancestor DP.
-func (s *Set) OrAbove(t *Set, bound int) {
-	for i := bound / wordBits; i < len(t.words); i++ {
-		s.words[i] |= t.words[i]
 	}
 }
 
@@ -176,38 +153,6 @@ func (s *Set) Bits() []int {
 		return true
 	})
 	return out
-}
-
-// Hash returns a 128-bit hash of the set contents as two 64-bit halves.
-// Two equal sets always hash equally; distinct sets collide with negligible
-// probability. The hash is used to group candidate equivalence classes,
-// which are then verified exactly.
-func (s *Set) Hash() (uint64, uint64) {
-	// Two independent FNV-1a style mixes over the words, seeded differently.
-	const (
-		off1   = 14695981039346656037
-		prime1 = 1099511628211
-		off2   = 0x9e3779b97f4a7c15
-		prime2 = 0xff51afd7ed558ccd
-	)
-	h1 := uint64(off1)
-	h2 := uint64(off2)
-	// Zero words are skipped: the sets hashed in practice —
-	// ancestor/descendant sets over topologically ordered components — are
-	// zero over most of their word range. Mixing the word index into every
-	// nonzero contribution keeps positions significant, so equal sets hash
-	// equally and permuted contents do not.
-	for i, w := range s.words {
-		if w == 0 {
-			continue
-		}
-		x := w ^ (uint64(i) * 0x9e3779b97f4a7c15)
-		h1 ^= x
-		h1 *= prime1
-		h2 = (h2 ^ bits.RotateLeft64(x, 31)) * prime2
-		h2 ^= h2 >> 29
-	}
-	return h1, h2
 }
 
 // Words exposes the backing slice for read-only scans (e.g. fast unions in

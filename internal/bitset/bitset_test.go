@@ -127,48 +127,6 @@ func TestForEachOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestHashEqualSets(t *testing.T) {
-	a := New(500)
-	b := New(500)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		k := rng.Intn(500)
-		a.Set(k)
-		b.Set(k)
-	}
-	a1, a2 := a.Hash()
-	b1, b2 := b.Hash()
-	if a1 != b1 || a2 != b2 {
-		t.Fatal("equal sets hash differently")
-	}
-	b.Set(499)
-	b.Clear(499) // restore: hash must not depend on history
-	c1, c2 := b.Hash()
-	if c1 != b1 || c2 != b2 {
-		t.Fatal("hash depends on mutation history")
-	}
-}
-
-func TestHashDistinguishesSmallPerturbations(t *testing.T) {
-	a := New(128)
-	for i := 0; i < 128; i++ {
-		a.Set(i)
-	}
-	h1a, h2a := a.Hash()
-	collisions := 0
-	for i := 0; i < 128; i++ {
-		b := a.Clone()
-		b.Clear(i)
-		h1b, h2b := b.Hash()
-		if h1a == h1b && h2a == h2b {
-			collisions++
-		}
-	}
-	if collisions != 0 {
-		t.Fatalf("%d single-bit perturbations collided", collisions)
-	}
-}
-
 // Property: Or is commutative and associative, And distributes over Or.
 func TestQuickSetAlgebra(t *testing.T) {
 	const n = 192

@@ -40,16 +40,25 @@
 // mutually equivalent in the updated graph, reachability between blocks is
 // uniform, so two components are equivalent iff their blocks are
 // equivalent in the block quotient H, and one representative per block
-// carries the block's out-edges (its descendant set is everyone's). Apply
-// therefore singles the affected components out of their classes, builds H
+// carries the block's out-edges (its descendant set is everyone's). H is a
+// DAG, with a cyclic flag where a block is a cyclic component: blocks that
+// reached each other would share their members' SCC. Apply therefore
+// singles the affected components out of their classes, builds H's rows
 // over {remaining classes} ∪ {affected components} from representatives,
-// runs the batch compressor on H, and merges what it merges. H's
-// compression is the new Gr. The worst case — everything affected — is
-// batch cost on the condensation, never a pass over G.
+// and hands them to the quotient kernel (reach.Kernel), which needs no
+// graph, no Tarjan and no ancestor or descendant sets: in a DAG, equal
+// strict descendant and ancestor sets are equal out- and in-rows of the
+// transitive reduction (the reach package doc proves it), so one reduction
+// pass over H groups its blocks, and the rows it keeps, over classes, are
+// the new Gr. The merged blocks follow. The worst case — everything
+// affected — is batch cost on the condensation, never a pass over G. The
+// kernel's scratch is kept between batches while it stays sized by H.
 //
 // Property tests verify after every batch that the maintained compression
 // equals batch recompression (reach.Compress) of the current graph, both
-// as a partition and as a quotient graph.
+// as a partition and as a quotient graph, and on small graphs that it is
+// reachability equivalence by definition, which shares no code with the
+// kernel.
 package increach
 
 import (
@@ -72,6 +81,9 @@ type Stats struct {
 	AffComponents int
 	// Merges and Splits count SCC structure changes.
 	Merges, Splits int
+	// H is |H|: the nodes of the block quotient the regroup ran over, 0 when
+	// the closure did not change.
+	H int
 }
 
 // Maintainer maintains the reachability preserving compression of an
@@ -96,14 +108,24 @@ type Maintainer struct {
 	comp  *reach.Compressed // node-level view of the classes, nil when stale
 	grCSR *graph.CSR        // frozen gr, nil when stale
 
-	sigma  *graph.Labels // H's one-label table
-	hb     []int32       // H node -> block
-	hidx   []int32       // block -> H node
-	seen   []int32       // H node -> row stamp
-	rowBuf []graph.Node
+	sigma *graph.Labels // Gr's one-label table
+	hidx  []int32       // block -> H node
+	mark  []uint32      // component -> stamp of the batch that singled it out
+	stamp uint32
+	h     hScratch
+}
+
+// hScratch is what a regroup needs besides the kernel's result, kept between
+// regroups while it stays sized by H (regroup drops it otherwise).
+type hScratch struct {
+	kernel reach.Kernel
+	hb     []int32 // H node -> block
+	seen   []int32 // H node -> row stamp
+	cyclic []bool  // H node -> cyclic
+	rowBuf []int32
 	rowEnd []int32
-	mark   []uint32 // component -> stamp of the batch that singled it out
-	stamp  uint32
+	rows   [][]int32
+	keep   []int32 // class -> block its classmates merge into
 }
 
 // New takes ownership of g, compresses it, and returns the maintainer.
@@ -200,7 +222,7 @@ func (m *Maintainer) Absorb(eff int, d *dynscc.Delta) Stats {
 			st.AffComponents++
 		}
 	}
-	m.regroup()
+	st.H = m.regroup()
 	return st
 }
 
@@ -245,11 +267,13 @@ func (m *Maintainer) singleOut(c int32) {
 }
 
 // regroup recomputes the classes and Gr from the current blocks, whose
-// members must be mutually equivalent: it compresses the block quotient H
-// and merges the blocks H's compression puts in one class.
-func (m *Maintainer) regroup() {
+// members must be mutually equivalent: it runs the quotient kernel over the
+// block quotient H and merges the blocks it puts in one class. It returns
+// |H|.
+func (m *Maintainer) regroup() int {
+	h := &m.h
 	// H's nodes are the non-empty blocks.
-	hb := m.hb[:0]
+	hb := h.hb[:0]
 	for _, b := range m.live {
 		if len(m.blocks[b]) == 0 {
 			m.free = append(m.free, b)
@@ -259,71 +283,85 @@ func (m *Maintainer) regroup() {
 		hb = append(hb, b)
 	}
 	hn := len(hb)
-	if len(m.seen) < hn {
-		m.seen = make([]int32, hn+hn/4)
+	if cap(h.seen) < hn {
+		h.seen = make([]int32, hn+hn/4)
+		h.cyclic = make([]bool, hn+hn/4)
 	}
-	seen := m.seen[:hn]
+	seen, cyclic := h.seen[:hn], h.cyclic[:hn]
 	clear(seen)
 
 	// One representative's out-edges per block: equivalent components have
 	// the same descendants, so the closure of H is that of the full block
-	// quotient.
-	buf := m.rowBuf[:0]
-	ends := m.rowEnd[:0]
+	// quotient. H is a DAG — blocks that reached each other would share a
+	// component — with a cyclic flag where the block is a cyclic component.
+	buf := h.rowBuf[:0]
+	ends := h.rowEnd[:0]
 	for i, b := range hb {
 		rep := m.blocks[b][0]
 		start := len(buf)
+		seen[i] = int32(i) + 1
 		for _, t := range m.cond.Out(rep) {
-			if h := m.hidx[m.blockOf[t]]; seen[h] != int32(i)+1 {
-				seen[h] = int32(i) + 1
-				buf = append(buf, h)
+			if x := m.hidx[m.blockOf[t]]; seen[x] != int32(i)+1 {
+				seen[x] = int32(i) + 1
+				buf = append(buf, x)
 			}
-		}
-		if m.cond.Cyclic(rep) {
-			buf = append(buf, graph.Node(i))
 		}
 		slices.Sort(buf[start:])
 		ends = append(ends, int32(len(buf)))
+		cyclic[i] = m.cond.Cyclic(rep)
 	}
 	// Rows are carved only now: buf may have moved while it grew.
-	rows := make([][]graph.Node, hn)
+	rows := slices.Grow(h.rows[:0], hn)[:hn]
 	start := int32(0)
 	for i, end := range ends {
 		rows[i] = buf[start:end:end]
 		start = end
 	}
-	m.rowEnd = ends[:0]
-	m.rowBuf = buf[:0]
 
-	hc := reach.Compress(graph.BuildFromSortedAdj(m.sigma, make([]graph.Label, hn), rows))
+	classOf, grRows, grCyclic := h.kernel.Quotient(rows, cyclic)
 
-	// Merge the blocks of each class into its largest one.
-	m.live = m.live[:0]
-	for k, hs := range hc.Members {
-		keep := hb[hs[0]]
-		for _, h := range hs[1:] {
-			if b := hb[h]; len(m.blocks[b]) > len(m.blocks[keep]) {
-				keep = b
-			}
-		}
-		for _, h := range hs {
-			b := hb[h]
-			if b == keep {
-				continue
-			}
-			for _, c := range m.blocks[b] {
-				m.blockOf[c] = keep
-				m.pos[c] = int32(len(m.blocks[keep]))
-				m.blocks[keep] = append(m.blocks[keep], c)
-			}
-			m.blocks[b] = m.blocks[b][:0]
-			m.free = append(m.free, b)
-		}
-		m.node[keep] = int32(k)
-		m.live = append(m.live, keep)
+	// Merge the blocks of each class into its largest one (the first in H
+	// order among equals).
+	keep := slices.Grow(h.keep[:0], len(grRows))[:len(grRows)]
+	for k := range keep {
+		keep[k] = -1
 	}
-	m.hb = hb[:0]
-	m.gr, m.cyclic = hc.Gr, hc.CyclicClass
+	for i, b := range hb {
+		if k := classOf[i]; keep[k] < 0 || len(m.blocks[b]) > len(m.blocks[keep[k]]) {
+			keep[k] = b
+		}
+	}
+	for i, b := range hb {
+		into := keep[classOf[i]]
+		if b == into {
+			continue
+		}
+		for _, c := range m.blocks[b] {
+			m.blockOf[c] = into
+			m.pos[c] = int32(len(m.blocks[into]))
+			m.blocks[into] = append(m.blocks[into], c)
+		}
+		m.blocks[b] = m.blocks[b][:0]
+		m.free = append(m.free, b)
+	}
+	m.live = m.live[:0]
+	for k, b := range keep {
+		m.node[b] = int32(k)
+		m.live = append(m.live, b)
+	}
+
+	// Keep the scratch only while it is sized by H: the next H is about
+	// this Gr plus a batch's affected components, so scratch that a larger
+	// one grew — Over's first regroup runs over the whole condensation —
+	// goes.
+	if h.kernel.Cap() > 2*len(grRows)+256 {
+		m.h = hScratch{}
+	} else {
+		h.hb, h.rowBuf, h.rowEnd, h.rows, h.keep = hb[:0], buf[:0], ends[:0], rows[:0], keep[:0]
+	}
+	m.gr = graph.BuildFromSortedAdj(m.sigma, make([]graph.Label, len(grRows)), grRows)
+	m.cyclic = grCyclic
 	m.comp, m.grCSR = nil, nil
 	m.gen++
+	return hn
 }

@@ -1,13 +1,47 @@
 package increach
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/queries"
 	"repro/internal/reach"
 )
+
+// sameAsDefinition fails unless the maintained partition is reachability
+// equivalence by its definition — equal strict ancestor and descendant node
+// sets, pairwise — which shares no code with reach.Compress or the quotient
+// kernel both sides of the batch differential run on.
+func sameAsDefinition(t *testing.T, what string, m *Maintainer) {
+	t.Helper()
+	g, c := m.Graph(), m.Compressed()
+	n := g.NumNodes()
+	desc := make([][]bool, n)
+	anc := make([][]bool, n)
+	for v := range n {
+		desc[v] = queries.Descendants(g, graph.Node(v))
+		anc[v] = queries.Ancestors(g, graph.Node(v))
+	}
+	same := func(a, b []bool) bool {
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for u := range n {
+		for v := u + 1; v < n; v++ {
+			want := same(desc[u], desc[v]) && same(anc[u], anc[v])
+			if got := c.ClassOf(graph.Node(u)) == c.ClassOf(graph.Node(v)); got != want {
+				t.Fatalf("%s: nodes %d and %d classmates %v, by definition %v\nedges %v", what, u, v, got, want, g.EdgeList())
+			}
+		}
+	}
+}
 
 func TestStressIncrementalVsBatch(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
@@ -35,6 +69,7 @@ func TestStressIncrementalVsBatch(t *testing.T) {
 				batch = gen.RandomBatch(rng, m.Graph(), size, 0.5)
 			}
 			m.Apply(batch)
+			sameAsDefinition(t, fmt.Sprintf("seed %d round %d", seed, round), m)
 			want := reach.Compress(m.Graph())
 			got := m.Compressed()
 			if got.Gr.NumNodes() != want.Gr.NumNodes() || got.Gr.NumEdges() != want.Gr.NumEdges() {

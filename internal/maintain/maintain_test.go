@@ -178,8 +178,8 @@ func TestDifferentialSmallDense(t *testing.T) {
 // changes the refinement's depth, re-signs a bounded multiple of its
 // updates — never the stratum they fall in; and a steady stream of mixed
 // batches allocates a bounded number of objects per Apply:
-// scratch is reused, so what remains is the batch reduction, the quotient H
-// with its compression, and slices that grow.
+// scratch is reused, so what remains is the batch reduction, the new Gr,
+// and slices that grow.
 func TestWorkBounds(t *testing.T) {
 	d := gen.Dataset{V: 3000, E: 15000, Labels: 8, Kind: gen.KindSocial}
 	g := d.Build(5)
@@ -215,10 +215,10 @@ func TestWorkBounds(t *testing.T) {
 		pm.Apply(batches[next])
 		next++
 	})
-	// incRCM compresses the quotient H of |Gr| + |AFF| nodes with the batch
-	// compressor, which keeps a handful of objects per node of its input
-	// (grouping representatives, rows); nothing is allocated per node or
-	// edge of G.
+	// incRCM runs the quotient kernel over H, |Gr| + |AFF| nodes, in scratch
+	// it keeps; what it allocates per batch is the new Gr, a few dozen
+	// objects whatever |H| (more under -race). Nothing is allocated per node
+	// or edge of G.
 	h := float64(rm.Compressed().NumClasses() + 4*32)
 	t.Logf("allocations per Apply: increach %.0f (|H| <= %.0f), incbisim %.0f", reachAllocs, h, patternAllocs)
 	if reachAllocs > 10*h+300 {

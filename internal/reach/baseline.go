@@ -1,7 +1,6 @@
 package reach
 
 import (
-	"repro/internal/bitset"
 	"repro/internal/graph"
 )
 
@@ -75,62 +74,12 @@ func AHOReduce(g *graph.Graph) *graph.Graph {
 
 	// Transitive reduction of the condensation, realized by one member
 	// edge per kept condensation edge.
-	kept := make([][]int32, n)
-	runReduction(scc, kept)
-
-	for a := 0; a < n; a++ {
-		for _, b := range kept[a] {
-			out.AddEdge(scc.Members[a][0], scc.Members[b][0])
+	var k Kernel
+	k.reduce(scc.Out)
+	for p, a := range k.order {
+		for _, q := range k.outRow(int32(p)) {
+			out.AddEdge(scc.Members[a][0], scc.Members[k.order[q]][0])
 		}
 	}
 	return out
-}
-
-// runReduction fills kept[a] with the non-redundant condensation edges of
-// a: edge (a,b) is redundant iff b is a strict descendant of another child
-// of a.
-func runReduction(s *graph.SCC, kept [][]int32) {
-	n := s.NumComponents()
-	sets := make([]*bitset.Set, n)
-	remaining := make([]int, n)
-	for b := 0; b < n; b++ {
-		remaining[b] = len(s.In[b])
-	}
-	var pool []*bitset.Set
-	alloc := func() *bitset.Set {
-		if len(pool) > 0 {
-			set := pool[len(pool)-1]
-			pool = pool[:len(pool)-1]
-			set.Reset()
-			return set
-		}
-		return bitset.New(n)
-	}
-	for a := 0; a < n; a++ {
-		d := alloc()
-		// First pass: union of descendants of children (excluding the
-		// children themselves) tells which child edges are redundant.
-		for _, b := range s.Out[a] {
-			d.Or(sets[b])
-		}
-		for _, b := range s.Out[a] {
-			if !d.Has(int(b)) {
-				kept[a] = append(kept[a], b)
-			}
-		}
-		// Then complete d into desc(a) and release exhausted children.
-		for _, b := range s.Out[a] {
-			d.Set(int(b))
-			remaining[b]--
-			if remaining[b] == 0 {
-				pool = append(pool, sets[b])
-				sets[b] = nil
-			}
-		}
-		sets[a] = d
-		if remaining[a] == 0 {
-			pool = append(pool, d)
-			sets[a] = nil
-		}
-	}
 }

@@ -45,10 +45,10 @@ func referencePartition(g *graph.Graph) []int {
 }
 
 // TestCompressMatchesReferencePartition: differential test that the
-// CSR-backed compression pipeline (TarjanCSR + parallel DPs + sort-dedup
-// quotient) produces exactly the reachability-equivalence partition
-// defined by the seed query primitives, on randomized graphs with cycles,
-// self-loops and isolated nodes.
+// compression pipeline (TarjanCSR + the quotient kernel) produces exactly
+// the reachability-equivalence partition defined by the seed query
+// primitives, on randomized graphs with cycles, self-loops and isolated
+// nodes.
 func TestCompressMatchesReferencePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {

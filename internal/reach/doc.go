@@ -32,9 +32,9 @@
 //     (each contains itself in its strict sets, the other must too, forcing
 //     mutual reachability).
 //
-// Consequently the algorithm: each cyclic SCC forms its own class, and
-// trivial SCCs are grouped by the pair (ancestor SCC-set, descendant
-// SCC-set) computed over the condensation DAG.
+// Consequently each cyclic SCC forms its own class, and trivial SCCs are
+// grouped by the pair (ancestor SCC-set, descendant SCC-set) over the
+// condensation DAG.
 //
 // # Uniform reachability and self-loops
 //
@@ -57,12 +57,40 @@
 // "no redundant edges" condition of compressR lines 6–8, made
 // deterministic.
 //
+// # One reduction pass
+//
+// The sets themselves are never built. In a DAG, write desc(u) for the
+// strict descendants of u and min(u) for the minimal elements of desc(u):
+// those no other element of desc(u) reaches. min(u) is exactly u's out-row
+// in the transitive reduction (a minimal c is a child of u — an inner node of
+// a longer path would reach it — and the edge (u,c) is kept iff no other
+// child reaches c). Then
+//
+//	desc(u) = desc(v)  ⇔  min(u) = min(v).
+//
+// (⇒) min(u) is a function of the set desc(u). (⇐) Every element of desc(u)
+// is minimal or reached from one, so desc(u) = ⋃_{c ∈ min(u)} {c} ∪ desc(c)
+// is a function of min(u). Dually, equal strict ancestor sets are equal
+// in-rows of the reduction. So two acyclic nodes are equivalent iff their
+// reduced out-rows and in-rows are equal, and Kernel.Quotient finds the
+// classes in four steps: a Kahn order; one children-first pass of pooled
+// descendant bitsets that keeps each node's reduced out-row; a transpose
+// for the in-rows; and grouping the acyclic nodes by the pair of rows, by
+// hash with exact confirmation. Cyclic nodes are singleton classes (fact 2).
+//
+// The class rows need no second reduction: class C's row is any member's
+// reduced row mapped to classes. Were the class edge (A,B) redundant, some
+// C ∉ {A,B} would lie on a class path A → C → … → B. Classmates share their
+// ancestors and descendants, so class reachability is member reachability:
+// the member a behind the kept edge (a,b) would reach a member c of C, and
+// c would reach b — making (a,b) redundant in the DAG.
+//
 // # Complexity
 //
-// Tarjan is linear. The ancestor/descendant DP over the condensation runs
-// in O(|Vscc| · |Escc| / w) word operations with a working set bounded by
-// the antichain width of the DAG (bitsets are released once all their
-// consumers have run); grouping retains one representative bitset per
-// class. This meets the paper's O(|V|(|V|+|E|)) bound for R, and F is O(1)
-// via the node→class index.
+// Tarjan is linear. The reduction pass runs in O(|Vscc| + |Escc| log d +
+// |Er'| · |Vscc| / w) word operations, Er' being the edges it keeps, with a
+// working set bounded by the antichain width of the DAG (a set is released
+// once all its parents have run); the transpose and the grouping are
+// linear in the reduced DAG. This meets the paper's O(|V|(|V|+|E|)) bound
+// for R, and F is O(1) via the node→class index.
 package reach

@@ -79,7 +79,8 @@ func newLineage() uint64 {
 }
 
 // sigmaLabels is the one-label table of every reach quotient a store
-// builds from shipped rows (reach.BuildQuotientGraph interns σ first).
+// builds from shipped rows: σ is label 0, as in every quotient reach.Compress
+// and increach build, so the zero label slice names it.
 var sigmaLabels = func() *graph.Labels {
 	l := graph.NewLabels()
 	l.Intern(reach.SigmaLabel)

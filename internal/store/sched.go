@@ -261,8 +261,7 @@ func (sc *scheduler) runPinned(us, vs []graph.Node, out []bool, buckets int, key
 	// caller, so none starts and the caller drains every wave itself.
 	if procs > 1 {
 		for want := min(workers, (n-1)/wave); want > 0; want-- {
-			if int(sc.helpers.Add(1)) > workers {
-				sc.helpers.Add(-1)
+			if !sc.claimHelper(int32(workers)) {
 				break
 			}
 			job.helpers.Add(1)
@@ -277,6 +276,20 @@ func (sc *scheduler) runPinned(us, vs []graph.Node, out []bool, buckets int, key
 	job.helpers.Wait()
 	if ps != nil {
 		sc.pinScratch.Put(ps)
+	}
+}
+
+// claimHelper takes one of limit helper slots, if one is free. The count is
+// compared before it is raised, so no drainer ever sees more than limit.
+func (sc *scheduler) claimHelper(limit int32) bool {
+	for {
+		h := sc.helpers.Load()
+		if h >= limit {
+			return false
+		}
+		if sc.helpers.CompareAndSwap(h, h+1) {
+			return true
+		}
 	}
 }
 
