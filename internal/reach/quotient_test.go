@@ -98,6 +98,23 @@ func bruteReduced(reach [][]bool) [][]int32 {
 	return out
 }
 
+// reducedRows returns the reduced out- and in-rows the kernel's last call
+// kept for its n nodes, as sorted node ids.
+func reducedRows(k *Kernel, n int) (out, in [][]int32) {
+	out, in = make([][]int32, n), make([][]int32, n)
+	for v := range n {
+		for _, q := range k.outRow(k.pos[v]) {
+			out[v] = append(out[v], k.order[q])
+		}
+		for _, p := range k.inRow(k.pos[v]) {
+			in[v] = append(in[v], k.order[p])
+		}
+		slices.Sort(out[v])
+		slices.Sort(in[v])
+	}
+	return out, in
+}
+
 // checkKernel compares one Quotient call with the definitions: the reduced
 // rows of the DAG, the classes by pairwise reach sets, and the class rows as
 // the reduction of the quotient.
@@ -106,14 +123,10 @@ func checkKernel(dag [][]int32, cyclic []bool, k *Kernel) error {
 	classOf, rows, classCyclic := k.Quotient(dag, cyclic)
 	reach := closure(dag)
 	red := bruteReduced(reach)
+	out, in := reducedRows(k, n)
 	for v := range n {
-		var got []int32
-		for _, q := range k.outRow(k.pos[v]) {
-			got = append(got, k.order[q])
-		}
-		slices.Sort(got)
-		if !slices.Equal(got, red[v]) {
-			return fmt.Errorf("node %d: reduced out-row %v, want %v", v, got, red[v])
+		if !slices.Equal(out[v], red[v]) {
+			return fmt.Errorf("node %d: reduced out-row %v, want %v", v, out[v], red[v])
 		}
 		var want []int32
 		for a := range n {
@@ -121,13 +134,8 @@ func checkKernel(dag [][]int32, cyclic []bool, k *Kernel) error {
 				want = append(want, int32(a))
 			}
 		}
-		got = got[:0]
-		for _, p := range k.inRow(k.pos[v]) {
-			got = append(got, k.order[p])
-		}
-		slices.Sort(got)
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("node %d: reduced in-row %v, want %v", v, got, want)
+		if !slices.Equal(in[v], want) {
+			return fmt.Errorf("node %d: reduced in-row %v, want %v", v, in[v], want)
 		}
 	}
 
@@ -194,6 +202,105 @@ func TestKernelMatchesBruteForce(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDescendantDPMatchesBruteForce: over the condensation of random
+// graphs, as Compress hands it to the kernel, the reduced out-rows span
+// every component's strict descendant set — the sets the reduction pass
+// builds children first, checked against per-node search.
+func TestDescendantDPMatchesBruteForce(t *testing.T) {
+	var k Kernel
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(30)
+		s := graph.Tarjan(randomGraph(rng, n, rng.Intn(3*n)))
+		k.Quotient(s.Out, s.Cyclic)
+		out, _ := reducedRows(&k, s.NumComponents())
+		want, got := closure(s.Out), closure(out)
+		for c := range want {
+			if !slices.Equal(got[c], want[c]) {
+				t.Logf("seed %d: component %d reaches %v along reduced rows, %v in the condensation", seed, c, got[c], want[c])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAncestorDPIsDualOfDescendantDP: the reduced in-rows are the transpose
+// of the reduced out-rows, so the ancestor sets they span are dual to the
+// descendant sets: a ∈ anc(b) ⇔ b ∈ desc(a).
+func TestAncestorDPIsDualOfDescendantDP(t *testing.T) {
+	var k Kernel
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(30)
+		s := graph.Tarjan(randomGraph(rng, n, rng.Intn(3*n)))
+		nc := s.NumComponents()
+		k.Quotient(s.Out, s.Cyclic)
+		out, in := reducedRows(&k, nc)
+		desc, anc := closure(out), closure(in)
+		for a := range nc {
+			for b := range nc {
+				if slices.Contains(out[a], int32(b)) != slices.Contains(in[b], int32(a)) {
+					t.Logf("seed %d: edge %d → %d in one reduced row only", seed, a, b)
+					return false
+				}
+				if desc[a][b] != anc[b][a] {
+					t.Logf("seed %d: %d ∈ desc(%d) is %v, %d ∈ anc(%d) is %v", seed, b, a, desc[a][b], a, b, anc[b][a])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSetGrouperExactness pins the grouping by hash with exact confirmation:
+// two nodes share a class iff both are acyclic and their reduced out- and
+// in-rows are equal. Rows one entry apart stay apart, and a kernel whose
+// table an earlier, different input filled still groups exactly.
+func TestSetGrouperExactness(t *testing.T) {
+	// 0 and 1 have rows ({3, 4}, {}); 2 has ({3, 5}, {}), one entry off; 6
+	// has 0's rows but is cyclic.
+	dag := [][]int32{{3, 4}, {3, 4}, {3, 5}, {}, {}, {}, {3, 4}}
+	cyclic := []bool{false, false, false, false, false, false, true}
+	var k Kernel
+	classOf, rows, _ := k.Quotient(dag, cyclic)
+	if want := []int32{0, 0, 1, 2, 3, 4, 5}; !slices.Equal(classOf, want) {
+		t.Fatalf("classes %v, want %v", classOf, want)
+	}
+	if len(rows) != 6 {
+		t.Fatalf("%d classes, want 6", len(rows))
+	}
+
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(120)
+		dag, cyclic := randomDAG(rng, n, rng.Intn(3*n))
+		classOf, _, _ := k.Quotient(dag, cyclic)
+		out, in := reducedRows(&k, n)
+		for u := range n {
+			for v := range n {
+				same := u == v || !cyclic[u] && !cyclic[v] &&
+					slices.Equal(out[u], out[v]) && slices.Equal(in[u], in[v])
+				if (classOf[u] == classOf[v]) != same {
+					t.Logf("seed %d: nodes %d and %d share a class: %v, rows equal: %v", seed, u, v, !same, same)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

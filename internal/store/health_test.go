@@ -104,6 +104,7 @@ func TestInjectedFaultDifferential(t *testing.T) {
 						acked++
 						okRun++
 					}
+					drained := ts.Epoch()
 
 					if sched.mode == "scrub" {
 						rep, err := ts.ScrubNow()
@@ -135,6 +136,34 @@ func TestInjectedFaultDifferential(t *testing.T) {
 						}
 						mirror.Apply(batch)
 						acked++
+					}
+					if sched.mode == "ckpt" {
+						// One checkpoint runs at a time, and the one that met
+						// the last fault may still be in flight while the
+						// writes above cross the threshold, so they start
+						// none. Write on until a checkpoint newer than the
+						// fault window lands: it clears the sticky failure
+						// Close would otherwise return.
+						deadline := time.Now().Add(5 * time.Second)
+						for {
+							m, err := readManifest(dir)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if m.epoch > drained {
+								break
+							}
+							if time.Now().After(deadline) {
+								t.Fatalf("no checkpoint after the fault window: manifest at epoch %d, faults drained at %d", m.epoch, drained)
+							}
+							batch := gen.RandomBatch(rng, mirror, 12, 0.5)
+							if _, err := ts.Apply(batch); err != nil {
+								t.Fatalf("post-fault apply: %v", err)
+							}
+							mirror.Apply(batch)
+							acked++
+							time.Sleep(time.Millisecond)
+						}
 					}
 					h := ts.Health()
 					if sched.mode == "write" {
