@@ -273,25 +273,27 @@ func renderTop(w io.Writer, cur, prev metricSample, dt time.Duration, rpcEpoch u
 		ms(cur.get("qpgc_query_seconds_max")),
 		cur.get("qpgc_query_seconds_count"))
 	if n := cur.get("qpgc_store_apply_seconds_count"); n > 0 {
-		// The write path's budget per stage (medians; reach and pattern are
-		// per batch, wal and publish per coalesced group).
+		// The write path's budget per stage (medians; scc, reach and pattern
+		// are per batch, wal and publish per coalesced group).
 		stage := func(name string) string {
 			return ms(cur.get(`qpgc_store_apply_seconds{stage="` + name + `",quantile="0.5"}`))
 		}
 		// Next to the clocks, the paper's measure of the same batches — the
 		// components incRCM singled out and the nodes incPCM re-signed, counts
-		// on the exposition's 1e-9 scale — and incPCM's depth.
+		// on the exposition's 1e-9 scale — incPCM's depth, and the SCC splits
+		// the condensation re-decomposed whole instead of peeling.
 		aff := func(scheme string) float64 {
 			return 1e9 * cur.get(`qpgc_store_aff{scheme="`+scheme+`",quantile="0.5"}`)
 		}
-		fmt.Fprintf(w, "write   p50 %s  p99 %s  =  wal %s + reach %s + pattern %s + publish %s  (n=%.0f)  |  aff p50 reach %.0f pattern %.0f  levels %.0f (rebuilt %.0f, from seed %.0f)\n",
+		fmt.Fprintf(w, "write   p50 %s  p99 %s  =  wal %s + scc %s + reach %s + pattern %s + publish %s  (n=%.0f)  |  aff p50 reach %.0f pattern %.0f  levels %.0f (rebuilt %.0f, from seed %.0f)  scc resplits %.0f\n",
 			ms(cur.get(`qpgc_store_apply_seconds{quantile="0.5"}`)),
 			ms(cur.get(`qpgc_store_apply_seconds{quantile="0.99"}`)),
-			stage("wal"), stage("reach"), stage("pattern"), stage("publish"), n,
+			stage("wal"), stage("scc"), stage("reach"), stage("pattern"), stage("publish"), n,
 			aff("reach"), aff("pattern"),
 			cur.get("qpgc_store_pattern_levels"),
 			cur.get("qpgc_store_pattern_level_rebuilds_total"),
-			cur.get("qpgc_store_pattern_fallbacks_total"))
+			cur.get("qpgc_store_pattern_fallbacks_total"),
+			cur.get("qpgc_store_scc_resplits_total"))
 		// Publish by stage: the writer's four, then what moved off it (the
 		// 2-hop index, built by the first reader that wants it). The rows
 		// histogram counts rows on the exposition's 1e-9 scale.

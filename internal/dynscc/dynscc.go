@@ -9,12 +9,12 @@
 // touches: an insertion that closes a cycle merges the components on the
 // new cycle (found by a search over the condensation DAG, smaller side
 // first, the largest component absorbing the rest); an intra-component
-// deletion that breaks its component re-decomposes it on the live graph —
-// usually by verifying that one small part peeled off, else with a Tarjan
-// pass restricted to the member set — the largest part keeping the
-// component's identity; an inter-component deletion decrements a
-// member-edge support count and drops the condensation edge at zero.
-// Component adjacency is kept as small sorted slices and all traversal
+// deletion that breaks its component peels off the parts that leave it, in
+// time proportional to them, and the rest keeps the component's identity —
+// a Tarjan pass over the whole member set runs only when the peel exceeds
+// its budget (see "Splitting a component"); an inter-component deletion
+// decrements a member-edge support count and drops the condensation edge at
+// zero. Component adjacency is kept as small sorted slices and all traversal
 // scratch is stamp-cleared, so a batch allocates only when a list grows.
 //
 // Apply records, per batch, what the consumers need to find their affected
@@ -51,6 +51,62 @@
 // nodes and what little else they alone reach or are reached by — not the
 // giant's cones, whose thousands of components all changed, but
 // uniformly.
+//
+// # Splitting a component
+//
+// Delete (u,v) inside component C. Afterwards every member still reaches u
+// and is reached from v: cut a path to u at its first visit of u, or a path
+// from v at its last visit of v; the piece kept avoids the edge. Let S be a
+// union of new parts closed forward in C (no edge leaves S for the rest of
+// C), T a union closed backward (no edge enters T from the rest of C),
+// R = C ∖ (S ∪ T), and r ∈ R an anchor with u ∈ S or u = r, and v ∈ T or
+// v = r. Then R is strongly connected iff
+//
+//   - every node of R with an edge into S reaches r inside R, and
+//   - r reaches every node of R with an edge from T inside R.
+//
+// Only "if" needs proof. A path between two members of C never leaves C —
+// the condensation is acyclic — and a path from R never enters T (that
+// takes an edge into T from outside it) and never returns from S (no edge
+// leaves S). Take x ∈ R and a path x ⇝ u. If u = r the path stays in R.
+// Otherwise u ∈ S, and the path stays in R up to its first edge into S,
+// whose tail reaches r inside R by the first condition; so does x. Dually
+// take a path v ⇝ x. If v = r it stays in R. Otherwise v ∈ T, after its last
+// edge out of T the path stays in R, and r reaches that edge's head inside R
+// by the second condition; so r reaches x. Every node of R thus reaches r
+// and is reached from it inside R.
+//
+// split starts from the part the lockstep search that proved C broken ran
+// dry on: u's (S is that part, r = v) or v's (T is that part, r = u). It
+// then probes the boundary inside R with the same lockstep search: a node w
+// with an edge into S forward from w and backward from r, a node w with an
+// edge from T forward from r and backward from w. A probe that meets
+// verifies w for that side (a node may be on both), and w is not probed for
+// it again while r stays the anchor. A probe that runs dry has found a
+// closed set:
+//
+//   - w's side. For an S-probe, w's forward closure in R joins S: its edges
+//     lead into itself or S, as no edge from R enters T. For a T-probe, w's
+//     backward closure joins T. Verifications stand: a path from a verified
+//     node to r never enters w's forward closure, which it could not leave,
+//     and dually.
+//   - r's side. For an S-probe, r's backward closure in R joins T (its
+//     in-edges come from itself or T); for a T-probe r's forward closure
+//     joins S. w becomes the anchor and the scan restarts, as what was
+//     verified was verified against r. r is not u here: when u = r every
+//     node of R reaches r inside R, so the backward search from r meets w;
+//     dually r is not v in the other case.
+//
+// Every step moves at least one part out of R and keeps the lemma's
+// premises, and each search costs about twice the side that ran dry, so the
+// work follows what leaves C rather than C — bar one scan of C's member
+// list, which hands the peeled nodes over in member order. When the scan
+// finds every boundary node verified, R keeps C's identity and a Tarjan
+// pass restricted to the peeled nodes decomposes them into parts. The peel
+// gives up, and the same Tarjan pass runs over all of C, once its probes
+// have visited |C| nodes or the peeled nodes pass half of C. Before that R
+// holds at least half of C and, when more than one part left, more than any
+// of them, so it is the part the whole-component pass keeps as well.
 package dynscc
 
 import (
@@ -78,6 +134,9 @@ type Delta struct {
 	Redundant int
 	// Merges and Splits count SCC structure changes.
 	Merges, Splits int
+	// Resplits counts the splits that gave up peeling and re-decomposed the
+	// whole component (package doc, "Splitting a component").
+	Resplits int
 	// Touched holds one member of every component that an update may have
 	// separated from its reachability class: both endpoints of a
 	// closure-changing insertion, merge hosts, components whose self-loop
@@ -93,7 +152,7 @@ type Delta struct {
 }
 
 func (d *Delta) reset() {
-	d.Redundant, d.Merges, d.Splits = 0, 0, 0
+	d.Redundant, d.Merges, d.Splits, d.Resplits = 0, 0, 0, 0
 	d.Touched = d.Touched[:0]
 	d.Moved = d.Moved[:0]
 	d.Dead = d.Dead[:0]
@@ -124,16 +183,26 @@ type Cond struct {
 	nmark    []uint32
 	nstamp   uint32
 
-	// Per-node state of tarjanSplit, valid where nmark carries the pass's
-	// stamp; allocated on the first use.
+	// Per-node state of split, allocated on the first: tarjan's, valid where
+	// nmark carries the pass's stamp, and peel's verified marks, relative to
+	// a stamp handed out by nstamps per anchor.
 	nidx, nlow, npart []int32
+	nver              []uint32
 
 	bufA, bufB, bufC []int32
 	frames           []frame
 	nbufA, nbufB     []graph.Node
 	nbufC            []graph.Node
 	nframes          []nframe
+
+	work splitWork
 }
+
+// splitWork counts what splits did, for tests: the nodes their searches
+// and Tarjan passes visited, the peels that took parts out of S only or T
+// only (package doc), and the anchor restarts — a peel that restarted took
+// parts from both.
+type splitWork struct{ visits, sOnly, tOnly, restarts int }
 
 type frame struct{ c, i int32 }
 
@@ -296,6 +365,7 @@ func (c *Cond) cstamps(k uint32) uint32 {
 func (c *Cond) nstamps(k uint32) uint32 {
 	if c.nstamp > ^uint32(0)-k {
 		clear(c.nmark)
+		clear(c.nver)
 		c.nstamp = 0
 	}
 	c.nstamp += k
@@ -596,6 +666,7 @@ search:
 	}
 	c.nbufA, c.nbufB = fwd[:0], bwd[:0]
 	visited = len(fwd) + len(bwd)
+	c.work.visits += visited
 	switch {
 	case met:
 		return true, nil, false, visited
@@ -612,16 +683,24 @@ search:
 // ids and only their members' edges are re-counted. It returns the ids of
 // all parts.
 func (c *Cond) split(a int32, u, v graph.Node, part []graph.Node, fromU bool) []int32 {
+	if c.nidx == nil {
+		n := len(c.compOf)
+		c.nidx, c.nlow, c.npart = make([]int32, n), make([]int32, n), make([]int32, n)
+		c.nver = make([]uint32, n)
+	}
 	ids := c.peel(a, u, v, part, fromU)
 	if ids == nil {
-		ids = c.tarjanSplit(a)
+		c.delta.Resplits++
+		ids = c.decompose(a)
 	}
 
 	ms := c.cstamps(1)
 	for _, id := range ids {
 		c.cmark[id] = ms
 	}
-	// Hand the peeled nodes, already labeled in compOf, to their components.
+	// Hand the peeled nodes, already labeled in compOf, to their components,
+	// in a's member order. This scan of a's list is split's one step that
+	// costs |a| rather than what leaves it: a read of compOf per member.
 	members := c.comps[a].members
 	keep := members[:0]
 	for _, x := range members {
@@ -672,85 +751,169 @@ func (c *Cond) split(a int32, u, v graph.Node, part []graph.Node, fromU bool) []
 	return ids
 }
 
-// peel is the fast path of split for the common case that a small part
-// breaks off and the rest stays one component. part is exactly u's new
-// component (fromU) or v's. The rest R is strongly connected iff, for
-// fromU, every member of R with an edge into part still reaches v inside
-// R: a member that cannot reach v can only reach u — which every member
-// still does — through such a boundary node that cannot either.
-// Symmetrically for v's part, every member of R with an edge from part
-// must still be reachable from u. Each check is a probe inside R; peel
-// gives up (nil) when the part is the larger side, a check fails, or the
-// checks have visited as many nodes as a has. On success part's nodes are
-// labeled with a fresh id in compOf.
+// Labels peel gives the nodes it takes out of R in compOf: members of S and
+// members of T (package doc). No component has a negative id.
+const (
+	inS int32 = -1 - iota
+	inT
+)
+
+// peel is the fast path of split: it takes the parts that leave component
+// a out of it by the loop of the package doc, starting from part — exactly
+// u's new component (fromU) or v's. On success it labels each peeled node
+// with the fresh id of its part in compOf and returns those ids, then a,
+// which the rest keeps. It gives up (nil), leaving compOf as it found it,
+// once its probes have visited as many nodes as a has or the peeled nodes
+// outnumber the rest.
 func (c *Cond) peel(a int32, u, v graph.Node, part []graph.Node, fromU bool) []int32 {
 	size := len(c.comps[a].members)
 	if 2*len(part) > size {
 		return nil
 	}
-	part = append(c.nbufC[:0], part...) // the probes below reuse part's backing
-	c.nbufC = part[:0]
+	// S ∪ T in the order taken out of R; its own backing, as every probe
+	// reuses part's.
+	peeled := append(c.nbufC[:0], part...)
+	side, anchor := inS, v
+	if !fromU {
+		side, anchor = inT, u
+	}
 	for _, x := range part {
-		c.compOf[x] = -1 // outside R for the probes
+		c.compOf[x] = side
 	}
 	budget := size
+	// A node can have edges into S and from T and is verified once for
+	// each: nver[w] − base holds bit 1 once w is known to reach the anchor,
+	// bit 2 once the anchor is known to reach w, and is out of range for a
+	// mark from before the anchor.
+	base := c.nstamps(4) - 3
 	ok := true
-check:
-	for _, x := range part {
-		nbrs := c.g.Predecessors(x)
-		if !fromU {
-			nbrs = c.g.Successors(x)
+scan:
+	for i := 0; i < len(peeled); i++ {
+		x := peeled[i]
+		intoS := c.compOf[x] == inS
+		nbrs, dir := c.g.Predecessors(x), uint32(1)
+		if !intoS {
+			nbrs, dir = c.g.Successors(x), 2
 		}
 		for _, w := range nbrs {
 			if c.compOf[w] != a {
 				continue
 			}
-			var met bool
-			var visited int
-			if fromU {
-				met, _, _, visited = c.probe(w, v, a)
-			} else {
-				met, _, _, visited = c.probe(u, w, a)
+			seen := c.nver[w] - base
+			if seen > 3 {
+				seen = 0
 			}
-			budget -= visited
-			if !met || budget < 0 {
+			if seen&dir != 0 {
+				continue
+			}
+			// An S-probe searches forward from w and backward from the
+			// anchor, a T-probe the other way round; farDry reports that
+			// w's side ran dry.
+			var met, farDry bool
+			var dry []graph.Node
+			var visited int
+			if intoS {
+				met, dry, farDry, visited = c.probe(w, anchor, a)
+			} else {
+				met, dry, farDry, visited = c.probe(anchor, w, a)
+				farDry = !farDry
+			}
+			if budget -= visited; budget < 0 {
 				ok = false
-				break check
+				break scan
+			}
+			if met {
+				c.nver[w] = base + (seen | dir)
+				continue
+			}
+			// w's closure joins its own side; the anchor's joins the other
+			// and w takes over as the anchor.
+			join := inS
+			if intoS != farDry {
+				join = inT
+			}
+			for _, y := range dry {
+				c.compOf[y] = join
+			}
+			peeled = append(peeled, dry...)
+			if 2*len(peeled) > size {
+				ok = false
+				break scan
+			}
+			if !farDry {
+				anchor, base = w, c.nstamps(4)-3
+				c.work.restarts++
+				i = -1
+				continue scan
 			}
 		}
 	}
+	c.nbufC = peeled[:0]
 	if !ok {
-		for _, x := range part {
+		for _, x := range peeled {
 			c.compOf[x] = a
 		}
 		return nil
 	}
-	id := c.newComp()
-	for _, x := range part {
-		c.compOf[x] = id
+	ids := c.tarjan(peeled, inS, c.bufB[:0])
+	nS := len(ids)
+	ids = c.tarjan(peeled, inT, ids)
+	switch {
+	case nS == len(ids):
+		c.work.sOnly++
+	case nS == 0:
+		c.work.tOnly++
 	}
-	ids := append(c.bufB[:0], a, id)
+	for p := range ids {
+		ids[p] = c.newComp()
+	}
+	for _, x := range peeled {
+		c.compOf[x] = ids[c.npart[x]]
+	}
+	ids = append(ids, a)
 	c.bufB = ids[:0]
 	return ids
 }
 
-// tarjanSplit is the general path of split: a Tarjan pass restricted to
-// a's members on the live graph. The members of every part but the
-// largest are labeled with a fresh id in compOf.
-func (c *Cond) tarjanSplit(a int32) []int32 {
-	if c.nidx == nil {
-		n := len(c.compOf)
-		c.nidx, c.nlow, c.npart = make([]int32, n), make([]int32, n), make([]int32, n)
+// decompose is the general path of split: a Tarjan pass over all of a's
+// members. The members of every part but the largest are labeled with a
+// fresh id in compOf.
+func (c *Cond) decompose(a int32) []int32 {
+	members := c.comps[a].members
+	sizes := c.tarjan(members, a, c.bufB[:0])
+	largest := 0
+	for p, size := range sizes {
+		if size > sizes[largest] {
+			largest = p
+		}
 	}
+	ids := sizes // part index -> component id, overwriting the sizes
+	for p := range ids {
+		if p == largest {
+			ids[p] = a
+		} else {
+			ids[p] = c.newComp()
+		}
+	}
+	c.bufB = ids[:0]
+	for _, x := range members {
+		c.compOf[x] = ids[c.npart[x]]
+	}
+	return ids
+}
+
+// tarjan runs Tarjan's algorithm over the nodes labeled label in compOf,
+// from those of roots, following only edges between such nodes. It records
+// each node's part in npart, numbering the parts on from len(sizes), and
+// returns sizes with the size of each part appended.
+func (c *Cond) tarjan(roots []graph.Node, label int32, sizes []int32) []int32 {
 	st := c.nstamps(1)
 	mark, idx, low, part := c.nmark, c.nidx, c.nlow, c.npart
-	members := c.comps[a].members
 	stack := c.nbufA[:0]
 	frames := c.nframes[:0]
-	sizes := c.bufB[:0]
 	var next int32
-	for _, root := range members {
-		if mark[root] == st {
+	for _, root := range roots {
+		if c.compOf[root] != label || mark[root] == st {
 			continue
 		}
 		mark[root] = st
@@ -764,7 +927,7 @@ func (c *Cond) tarjanSplit(a int32) []int32 {
 			if int(f.i) < len(succ) {
 				w := succ[f.i]
 				f.i++
-				if c.compOf[w] != a {
+				if c.compOf[w] != label {
 					continue
 				}
 				if mark[w] != st {
@@ -802,26 +965,8 @@ func (c *Cond) tarjanSplit(a int32) []int32 {
 		}
 	}
 	c.nbufA, c.nframes = stack[:0], frames[:0]
-
-	largest := 0
-	for p, size := range sizes {
-		if size > sizes[largest] {
-			largest = p
-		}
-	}
-	ids := sizes // part index -> component id, overwriting the sizes
-	for p := range ids {
-		if p == largest {
-			ids[p] = a
-		} else {
-			ids[p] = c.newComp()
-		}
-	}
-	c.bufB = ids[:0]
-	for _, x := range members {
-		c.compOf[x] = ids[part[x]]
-	}
-	return ids
+	c.work.visits += int(next)
+	return sizes
 }
 
 // Bits of the per-component set membership lossArea tracks.

@@ -40,11 +40,13 @@ type Pair struct {
 // histograms hold the paper's measure next to the clocks: counts, observed
 // on the histogram's nanosecond scale like every count in internal/obs.
 type Meter struct {
-	ReachTime, PatternTime *obs.Histogram // the condensation plus incRCM; incPCM
+	SCCTime                *obs.Histogram // the batch reduced and applied to the graph and the condensation
+	ReachTime, PatternTime *obs.Histogram // incRCM; incPCM
 	ReachAff, PatternAff   *obs.Histogram // components singled out; nodes re-signed
 	PatternLevels          *obs.Gauge     // partitions incPCM keeps, the label one included; 0 past the depth cap
 	LevelRebuilds          *obs.Counter   // levels incPCM built or re-signed whole
 	Fallbacks              *obs.Counter   // batches incPCM refined from the seed
+	Resplits               *obs.Counter   // SCC splits re-decomposed whole rather than peeled
 }
 
 // New takes ownership of g and compresses it under both schemes.
@@ -80,7 +82,7 @@ func (p *Pair) ClearSources() {
 // R(G ⊕ ΔG).
 func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {
 	mt := p.Meter
-	var t0, t1 time.Time
+	var t0, t1, t2 time.Time
 	if mt != nil {
 		t0 = time.Now()
 	}
@@ -92,14 +94,19 @@ func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {
 		}
 	}
 	d := p.cond.Apply(eff)
-	rs := p.Reach.Absorb(len(eff), d)
 	if mt != nil {
 		t1 = time.Now()
-		mt.ReachTime.Observe(t1.Sub(t0))
+		mt.SCCTime.Observe(t1.Sub(t0))
+		mt.Resplits.Add(uint64(d.Resplits))
+	}
+	rs := p.Reach.Absorb(len(eff), d)
+	if mt != nil {
+		t2 = time.Now()
+		mt.ReachTime.Observe(t2.Sub(t1))
 	}
 	ps := p.Pattern.Absorb(eff)
 	if mt != nil {
-		mt.PatternTime.Observe(time.Since(t1))
+		mt.PatternTime.Observe(time.Since(t2))
 		mt.ReachAff.ObserveNs(int64(rs.AffComponents))
 		mt.PatternAff.ObserveNs(int64(ps.DirtyNodes))
 		mt.PatternLevels.Set(int64(p.Pattern.Levels()))

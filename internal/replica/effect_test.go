@@ -51,7 +51,7 @@ func TestFollowerRunsNoMaintainer(t *testing.T) {
 	diffAgainstReference(t, "effects", mirror, map[string]server.Backend{"follower": f})
 
 	count := func(name string) uint64 { return reg.Histogram(name).Snapshot().Count }
-	for _, stage := range []string{"reach", "pattern"} {
+	for _, stage := range []string{"scc", "reach", "pattern"} {
 		if n := count(obs.Label("qpgc_store_apply_seconds", "stage", stage)); n != 0 {
 			t.Fatalf("the follower's %s maintainer ran %d times", stage, n)
 		}

@@ -21,10 +21,11 @@ type storeObs struct {
 	apply   *obs.Histogram // writer latency per coalesced group (WAL + maintain + publish)
 	publish *obs.Histogram // snapshot assembly + swap latency
 	// The apply latency by stage, qpgc_store_apply_seconds{stage=...}: WAL
-	// append + commit and publish per coalesced group; the condensation
-	// plus incRCM and incPCM per batch (per shard sub-batch when sharded)
+	// append + commit and publish per coalesced group; the condensation,
+	// incRCM and incPCM per batch (per shard sub-batch when sharded)
 	// through meter, which also carries the affected area next to the
-	// clocks — qpgc_store_aff{scheme=...} — and incPCM's depth.
+	// clocks — qpgc_store_aff{scheme=...} — incPCM's depth and the
+	// condensation's whole-component re-splits.
 	stageWAL, stagePublish *obs.Histogram
 	meter                  maintain.Meter
 	leaf                   *obs.Histogram // qpgc_query stage: leaf engine time per wave (sampled)
@@ -111,6 +112,7 @@ func newStoreObs(r *obs.Registry) *storeObs {
 		stageWAL:     r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "wal")),
 		stagePublish: r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "publish")),
 		meter: maintain.Meter{
+			SCCTime:       r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "scc")),
 			ReachTime:     r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "reach")),
 			PatternTime:   r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "pattern")),
 			ReachAff:      r.Histogram(obs.Label("qpgc_store_aff", "scheme", "reach")),
@@ -118,6 +120,7 @@ func newStoreObs(r *obs.Registry) *storeObs {
 			PatternLevels: r.Gauge("qpgc_store_pattern_levels"),
 			LevelRebuilds: r.Counter("qpgc_store_pattern_level_rebuilds_total"),
 			Fallbacks:     r.Counter("qpgc_store_pattern_fallbacks_total"),
+			Resplits:      r.Counter("qpgc_store_scc_resplits_total"),
 		},
 		leaf:    r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageLeaf.String())),
 		summary: r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageSummary.String())),

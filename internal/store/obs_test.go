@@ -11,7 +11,7 @@ import (
 )
 
 // TestApplyStageHistograms pins the write-path budget a registry exposes:
-// qpgc_store_apply_seconds splits into wal, reach, pattern and publish
+// qpgc_store_apply_seconds splits into wal, scc, reach, pattern and publish
 // stages that are each observed and together stay within the total, on
 // both store kinds; a store opened without a registry wires no stage
 // clocks at all.
@@ -26,18 +26,19 @@ func TestApplyStageHistograms(t *testing.T) {
 		if total.Count != batches {
 			t.Fatalf("apply observed %d groups, want %d", total.Count, batches)
 		}
-		wal, reach, pat, pub := stage(r, "wal"), stage(r, "reach"), stage(r, "pattern"), stage(r, "publish")
+		wal, pub := stage(r, "wal"), stage(r, "publish")
+		scc, reach, pat := stage(r, "scc"), stage(r, "reach"), stage(r, "pattern")
 		if wal.Count != batches || pub.Count < batches {
 			t.Fatalf("wal observed %d, publish %d; want %d each (plus the epoch-0 publish)", wal.Count, pub.Count, batches)
 		}
-		if reach.Count != perBatch || pat.Count != perBatch {
-			t.Fatalf("reach observed %d, pattern %d; want %d each", reach.Count, pat.Count, perBatch)
+		if scc.Count != perBatch || reach.Count != perBatch || pat.Count != perBatch {
+			t.Fatalf("scc observed %d, reach %d, pattern %d; want %d each", scc.Count, reach.Count, pat.Count, perBatch)
 		}
-		if reach.Sum <= 0 || pat.Sum <= 0 {
-			t.Fatalf("maintainer stages recorded no time: reach %v, pattern %v", reach.Sum, pat.Sum)
+		if scc.Sum <= 0 || reach.Sum <= 0 || pat.Sum <= 0 {
+			t.Fatalf("maintainer stages recorded no time: scc %v, reach %v, pattern %v", scc.Sum, reach.Sum, pat.Sum)
 		}
-		if wal.Sum+reach.Sum+pat.Sum > total.Sum {
-			t.Fatalf("stages wal %v + reach %v + pattern %v exceed the total %v", wal.Sum, reach.Sum, pat.Sum, total.Sum)
+		if wal.Sum+scc.Sum+reach.Sum+pat.Sum > total.Sum {
+			t.Fatalf("stages wal %v + scc %v + reach %v + pattern %v exceed the total %v", wal.Sum, scc.Sum, reach.Sum, pat.Sum, total.Sum)
 		}
 		// The affected area sits next to the clocks, one observation per
 		// maintainer call: counts, so the sums are nodes and components.
@@ -119,9 +120,9 @@ func TestApplyStageHistograms(t *testing.T) {
 		// Every shard observes its own sub-batch; with 16 updates over two
 		// shards each batch reaches both with near certainty, but only a
 		// lower bound is exact.
-		reach := stage(reg, "reach")
-		if reach.Count < batches || reach.Count != stage(reg, "pattern").Count {
-			t.Fatalf("shards observed reach %d, pattern %d sub-batches for %d batches", reach.Count, stage(reg, "pattern").Count, batches)
+		scc, reach, pat := stage(reg, "scc"), stage(reg, "reach"), stage(reg, "pattern")
+		if reach.Count < batches || scc.Count != reach.Count || pat.Count != reach.Count {
+			t.Fatalf("shards observed scc %d, reach %d, pattern %d sub-batches for %d batches", scc.Count, reach.Count, pat.Count, batches)
 		}
 		if stage(reg, "wal").Count != batches {
 			t.Fatalf("wal observed %d groups, want %d", stage(reg, "wal").Count, batches)
