@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -19,11 +21,10 @@ import (
 //     the maximum match may grow and a greatest fixpoint cannot be safely
 //     approached from below.
 type IncMatcher struct {
-	g    *graph.Graph
-	p    *Pattern
-	sim  [][]bool
-	size []int
-	ok   bool
+	g  *graph.Graph
+	p  *Pattern
+	s  *sets
+	ok bool
 }
 
 // NewIncMatcher evaluates p on g and returns a maintainer. The matcher
@@ -39,7 +40,11 @@ func (m *IncMatcher) Result() *Result {
 	if !m.ok {
 		return &Result{OK: false}
 	}
-	return resultFromSim(m.sim, m.size)
+	r := m.s.result()
+	for u := range r.Sets {
+		r.Sets[u] = slices.Clone(r.Sets[u])
+	}
+	return r
 }
 
 // Graph returns the maintained graph.
@@ -74,29 +79,15 @@ func (m *IncMatcher) Apply(batch []graph.Update) {
 		return
 	}
 	// Deletions only: refine the previous match downward. The O(|V|+|E|)
-	// re-freeze is dwarfed by even one ReverseWithin pass of the fixpoint.
-	m.ok = refineToFixpoint(m.g.Freeze(), m.p, m.sim, m.size)
+	// re-freeze is the same order as building the counters, which the
+	// refinement does once per bounded target anyway.
+	m.ok, _ = refine(m.g.Freeze(), m.p, m.s)
 }
 
 func (m *IncMatcher) rematch() {
-	np := m.p.NumNodes()
-	n := m.g.NumNodes()
-	m.sim = make([][]bool, np)
-	m.size = make([]int, np)
-	for u := 0; u < np; u++ {
-		m.sim[u] = make([]bool, n)
-		if id, ok := m.g.Labels().Lookup(m.p.labels[u]); ok {
-			for v := 0; v < n; v++ {
-				if m.g.Label(graph.Node(v)) == id {
-					m.sim[u][v] = true
-					m.size[u]++
-				}
-			}
-		}
-		if m.size[u] == 0 {
-			m.ok = false
-			return
-		}
+	c := m.g.Freeze()
+	m.s, m.ok = candidates(c, m.p)
+	if m.ok {
+		m.ok, _ = refine(c, m.p, m.s)
 	}
-	m.ok = refineToFixpoint(m.g.Freeze(), m.p, m.sim, m.size)
 }

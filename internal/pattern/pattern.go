@@ -13,11 +13,57 @@
 // runs identically on G and on the bisimulation-compressed Gr; Expand is
 // the post-processing function P that maps a result on Gr back to the
 // result on G by substituting class members.
+//
+// # Refinement by counters
+//
+// The maximum match is the greatest relation in which v stays in sim(u)
+// only while every pattern edge (u,t,k) finds a nonempty path of length
+// <= k from v into sim(t). Match computes it with counters that each
+// removal updates (Henzinger, Henzinger & Kopke, FOCS 1995, generalised to
+// bounds), not with rounds that re-test every edge until nothing changes.
+//
+// Every pattern node t that is the target of a bounded edge, with K_t the
+// largest bound into t, keeps level counters for j < K_t:
+//
+//	cnt_t[j][v] = |{x ∈ succ(v) : x ∈ sim(t) ∨ cnt_t[j−1][x] > 0}|, cnt_t[−1] ≡ 0
+//
+// so cnt_t[j][v] > 0 iff v has a nonempty path of length <= j+1 into
+// sim(t), and an edge (u,t,k) keeps v in sim(u) iff cnt_t[k−1][v] > 0. All
+// edges into t share t's counters. They are built by one bounded reverse
+// BFS from sim(t) when the first edge into t is examined in pattern-edge
+// order, so a failing pattern fails as early as a round-based refinement.
+//
+// Call x at level j of t while x ∈ sim(t) ∨ cnt_t[j−1][x] > 0. The drop
+// rule keeps the counters exact: when x stops being at level j it drops,
+// which decrements cnt_t[j] at each of x's predecessors. That happens at
+// most once per (t, j, x), on one of two events:
+//
+//   - x leaves sim(t) while cnt_t[j−1][x] = 0 (always, for j = 0);
+//   - cnt_t[j−1][x] reaches 0 while x ∉ sim(t).
+//
+// Two orderings matter, and each has a regression test:
+//
+//   - Removing x from sim(t) checks every level on its own. Mid-cascade a
+//     lower level can still be positive, its decrements pending, while a
+//     higher one has reached 0; stopping at the first positive level loses
+//     that drop (TestMatchChecksEveryLevel).
+//   - When cnt_t[j][q] reaches 0, q's drop at level j+1 is decided (it
+//     drops iff q ∉ sim(t)) before q leaves sim(u) for the edges
+//     (u,t,j+1). When u = t that removal is the event that records the
+//     drop, and deciding after it counts the drop twice
+//     (TestMatchSelfLoopTwoBounds).
+//
+// Each drop scans one predecessor row, so a Match costs O(Σ_t K_t·(|V|+|E|))
+// rather than rounds × |Ep| × (|V| + k·|E|). An edge with bound * or above
+// maxLevel, and every edge into a target past the maxLevels budget, is
+// refined by queries.ReverseWithinCSR instead, rerun only while its target
+// set has changed; its removals feed the counters like any other. So no
+// counter array costs k·|V| for a bound k a client chose.
 package pattern
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bisim"
 	"repro/internal/graph"
@@ -121,11 +167,9 @@ func (r *Result) Size() int {
 	return n
 }
 
-// Match computes the unique maximum match of p in g via greatest-fixpoint
-// refinement: start from the label candidates and repeatedly intersect
-// sim(u) with the set of nodes having a nonempty path of length <= k to
-// some current member of sim(u'), for every pattern edge (u,u',k), until
-// stable. Boolean pattern queries use Match(...).OK.
+// Match computes the unique maximum match of p in g: start from the label
+// candidates and refine them by counters (package doc) down to the
+// greatest fixpoint. Boolean pattern queries use Match(...).OK.
 func Match(g *graph.Graph, p *Pattern) *Result { return MatchCSR(g.Freeze(), p) }
 
 // MatchCSR is Match over a frozen CSR snapshot. The Freeze is O(|V|+|E|)
@@ -133,74 +177,22 @@ func Match(g *graph.Graph, p *Pattern) *Result { return MatchCSR(g.Freeze(), p) 
 // evaluating many patterns against one snapshot should freeze once and call
 // MatchCSR directly.
 func MatchCSR(c *graph.CSR, p *Pattern) *Result {
-	np := p.NumNodes()
-	n := c.NumNodes()
-
-	// Resolve label candidates. The label array scan is one pass per
-	// pattern node over flat memory.
-	sim := make([][]bool, np)
-	size := make([]int, np)
-	for u := 0; u < np; u++ {
-		sim[u] = make([]bool, n)
-		if id, ok := c.Labels().Lookup(p.labels[u]); ok {
-			for v := 0; v < n; v++ {
-				if c.Label(graph.Node(v)) == id {
-					sim[u][v] = true
-					size[u]++
-				}
-			}
-		}
-		if size[u] == 0 {
-			return &Result{OK: false}
-		}
-	}
-
-	if !refineToFixpoint(c, p, sim, size) {
-		return &Result{OK: false}
-	}
-	return resultFromSim(sim, size)
+	r, _ := matchCounted(c, p)
+	return r
 }
 
-// refineToFixpoint runs the greatest-fixpoint refinement in place over a
-// CSR snapshot. It returns false as soon as some pattern node's candidate
-// set empties. Starting sets may be any superset of the maximum match;
-// refinement is deflationary and converges to the maximum match (see
-// incmatch.go for why this also powers incremental deletion maintenance).
-func refineToFixpoint(c *graph.CSR, p *Pattern, sim [][]bool, size []int) bool {
-	n := c.NumNodes()
-	for changed := true; changed; {
-		changed = false
-		for u := int32(0); u < int32(p.NumNodes()); u++ {
-			for _, e := range p.adj[u] {
-				allowed := queries.ReverseWithinCSR(c, sim[e.To], e.Bound)
-				for v := 0; v < n; v++ {
-					if sim[u][v] && !allowed[v] {
-						sim[u][v] = false
-						size[u]--
-						changed = true
-					}
-				}
-				if size[u] == 0 {
-					return false
-				}
-			}
-		}
+// matchCounted is MatchCSR that also returns the predecessor rows the
+// refinement scanned.
+func matchCounted(c *graph.CSR, p *Pattern) (*Result, int) {
+	s, ok := candidates(c, p)
+	if !ok {
+		return &Result{OK: false}, 0
 	}
-	return true
-}
-
-func resultFromSim(sim [][]bool, size []int) *Result {
-	res := &Result{OK: true, Sets: make([][]graph.Node, len(sim))}
-	for u := range sim {
-		set := make([]graph.Node, 0, size[u])
-		for v := range sim[u] {
-			if sim[u][v] {
-				set = append(set, graph.Node(v))
-			}
-		}
-		res.Sets[u] = set
+	ok, rows := refine(c, p, s)
+	if !ok {
+		return &Result{OK: false}, rows
 	}
-	return res
+	return s.result(), rows
 }
 
 // Expand is the post-processing function P of the pattern preserving
@@ -214,16 +206,16 @@ func Expand(r *Result, c *bisim.Compressed) *Result {
 	}
 	out := &Result{OK: true, Sets: make([][]graph.Node, len(r.Sets))}
 	for u, classes := range r.Sets {
-		var set []graph.Node
+		size := 0
+		for _, cls := range classes {
+			size += len(c.Members[cls])
+		}
+		set := make([]graph.Node, 0, size)
 		for _, cls := range classes {
 			set = append(set, c.Members[cls]...)
 		}
-		sortNodes(set)
+		slices.Sort(set)
 		out.Sets[u] = set
 	}
 	return out
-}
-
-func sortNodes(s []graph.Node) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

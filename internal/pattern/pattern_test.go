@@ -266,6 +266,124 @@ func TestPreservationTheorem(t *testing.T) {
 	}
 }
 
+// TestMatchSelfLoopTwoBounds pins the first drop-rule trap (package doc):
+// pattern node a with edges of bounds 2 and 3 to itself, over the chain
+// 0→1→2→3→4 with a self-loop at 0. When a node's level-1 count reaches 0
+// it leaves sim(a) through the bound-2 edge, and that removal records its
+// level-2 drop; deciding the drop after the removal records it twice, and
+// the double decrement empties sim(a).
+func TestMatchSelfLoopTwoBounds(t *testing.T) {
+	g := labeledGraph([]string{"A", "A", "A", "A", "A"},
+		[][2]graph.Node{{0, 0}, {0, 1}, {1, 2}, {2, 3}, {3, 4}})
+	p := New()
+	a := p.AddNode("A")
+	p.AddEdge(a, a, 2)
+	p.AddEdge(a, a, 3)
+	want := &Result{OK: true, Sets: [][]graph.Node{{0}}}
+	if got := Match(g, p); !sameResult(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
+// TestMatchChecksEveryLevel pins the second trap: removing a node from a
+// target checks each of its levels on its own. Pattern x -3-> y -3-> x,
+// y -1-> y; the chain 0→1→2 runs into the cycle 2⇄3 whose 3 is a B, and
+// 4⇄5 is the one A cycle. The chain leaves sim(y) node by node, each while
+// its level-0 count towards y still holds a queued decrement but its
+// level-1 count has reached 0; stopping at the first positive level loses
+// that level-2 drop and keeps 0 in sim(x).
+func TestMatchChecksEveryLevel(t *testing.T) {
+	g := labeledGraph([]string{"A", "A", "A", "B", "A", "A"},
+		[][2]graph.Node{{0, 1}, {1, 2}, {2, 3}, {3, 2}, {4, 5}, {5, 4}})
+	p := New()
+	x := p.AddNode("A")
+	y := p.AddNode("A")
+	p.AddNode("B")
+	p.AddEdge(x, y, 3)
+	p.AddEdge(y, x, 3)
+	p.AddEdge(y, y, 1)
+	want := &Result{OK: true, Sets: [][]graph.Node{{4, 5}, {4, 5}, {3}}}
+	if got := Match(g, p); !sameResult(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
+// FuzzMatch decodes a labeled graph and a pattern from bytes and holds
+// MatchCSR to bruteMatch. Graph bytes: a node count, one label byte per
+// node, then edge pairs. Pattern bytes: a node count, one label byte per
+// node, then (from, to, bound) triples where bound byte b%12 = 0 means *.
+func FuzzMatch(f *testing.F) {
+	// The two regression cases above, then a bound above maxLevel and a *.
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4}, []byte{0, 0, 0, 0, 2, 0, 0, 3})
+	f.Add([]byte{5, 0, 0, 0, 1, 0, 0, 0, 1, 1, 2, 2, 3, 3, 2, 4, 5, 5, 4}, []byte{2, 0, 0, 1, 0, 1, 3, 1, 0, 3, 1, 1, 1})
+	f.Add([]byte{2, 0, 1, 0, 0, 1, 1, 2}, []byte{1, 0, 0, 0, 1, 11, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, gb, pb []byte) {
+		if len(gb) == 0 || len(pb) == 0 {
+			return
+		}
+		n := 1 + int(gb[0])%16
+		if len(gb) < 1+n {
+			return
+		}
+		labels := make([]string, n)
+		for v := range labels {
+			labels[v] = string(rune('A' + gb[1+v]%3))
+		}
+		var edges [][2]graph.Node
+		for i := 1 + n; i+1 < len(gb); i += 2 {
+			edges = append(edges, [2]graph.Node{graph.Node(int(gb[i]) % n), graph.Node(int(gb[i+1]) % n)})
+		}
+		g := labeledGraph(labels, edges)
+		np := 1 + int(pb[0])%4
+		if len(pb) < 1+np {
+			return
+		}
+		p := New()
+		for u := 0; u < np; u++ {
+			p.AddNode(string(rune('A' + pb[1+u]%3)))
+		}
+		for i := 1 + np; i+2 < len(pb) && p.NumEdges() < 8; i += 3 {
+			bound := int(pb[i+2]) % 12
+			if bound == 0 {
+				bound = Unbounded
+			}
+			p.AddEdge(int32(int(pb[i])%np), int32(int(pb[i+1])%np), bound)
+		}
+		if got, want := MatchCSR(g.Freeze(), p), bruteMatch(g, p); !sameResult(got, want) {
+			t.Fatalf("edges %v pattern %+v\ngot %+v\nwant %+v", g.EdgeList(), p.adj, got, want)
+		}
+	})
+}
+
+// TestIncMatcherDeletionHistories runs deletion-only histories over 1 000
+// seeds, bounds up to 4 and * mixed in, and holds the maintained match to
+// the round-based fixpoint after every batch.
+func TestIncMatcherDeletionHistories(t *testing.T) {
+	for seed := int64(0); seed < 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(25)
+		g := randomLabeled(rng, n, 3*n, 1+rng.Intn(3))
+		p := randomPattern(rng, 1+rng.Intn(4), 1+rng.Intn(6), 2, 4)
+		m := NewIncMatcher(g.Clone(), p)
+		for batch := 0; batch < 6; batch++ {
+			edges := g.EdgeList()
+			if len(edges) == 0 {
+				break
+			}
+			var ups []graph.Update
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				e := edges[rng.Intn(len(edges))]
+				ups = append(ups, graph.Deletion(e[0], e[1]))
+			}
+			g.Apply(ups)
+			m.Apply(ups)
+			if got, want := m.Result(), roundsMatch(g.Freeze(), p); !sameResult(got, want) {
+				t.Fatalf("seed %d batch %d: maintained %+v, recomputed %+v", seed, batch, got, want)
+			}
+		}
+	}
+}
+
 func TestPlainSimulationSpecialCase(t *testing.T) {
 	// With all bounds 1 this is graph simulation [12]; check a known
 	// asymmetry: pattern A->B matches A1 with direct B child, not A2 whose

@@ -2,11 +2,18 @@ package server
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/pattern"
+	"repro/internal/queries"
 	"repro/internal/store"
 )
 
@@ -81,6 +88,8 @@ func FuzzHandleRequest(f *testing.F) {
 	f.Add(byte(0xee), []byte{1, 2, 3})
 	f.Add(byte(MsgTail), tailBody(1, 0, 0, 0)[:20]) // the pre-lineage body: short
 	f.Add(byte(MsgTail), tailBody(0, 0, 0, 1<<63))  // a lineage the store never drew: an image
+	f.Add(byte(MsgMatch), EncodePattern(make([]byte, 8), farPattern(1<<20)))
+	f.Add(byte(MsgMatch), EncodePattern(make([]byte, 8), farPattern(9)))
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
 		srv := fuzzServerInstance()
 		emitted := 0
@@ -113,5 +122,111 @@ func TestFuzzSeedsPass(t *testing.T) {
 		rng.Read(raw)
 		DecodeFrame(raw)
 		srv.handleRequest(MsgType(rng.Intn(256)), raw, func(MsgType, []byte) error { return nil }, &connState{})
+	}
+}
+
+// farPattern is a three-node cycle L0 → L1 → L2 → L0 whose edges all carry
+// bound: a bound above the matcher's counter levels must cost a reverse
+// BFS, never bound·|V| counters.
+func farPattern(bound int) *pattern.Pattern {
+	p := pattern.New()
+	a, b, c := p.AddNode("L0"), p.AddNode("L1"), p.AddNode("L2")
+	p.AddEdge(a, b, bound)
+	p.AddEdge(b, c, bound)
+	p.AddEdge(c, a, bound)
+	p.AddEdge(a, a, bound)
+	return p
+}
+
+// roundsFixpoint is the round-based greatest fixpoint (one reverse BFS per
+// pattern edge per round, until a round changes nothing): the oracle for a
+// bound that is not *.
+func roundsFixpoint(c *graph.CSR, p *pattern.Pattern) *pattern.Result {
+	np, n := p.NumNodes(), c.NumNodes()
+	sim := make([][]bool, np)
+	for u := range sim {
+		sim[u] = make([]bool, n)
+		for v := range n {
+			sim[u][v] = c.LabelName(graph.Node(v)) == p.Label(int32(u))
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for u := range np {
+			for _, e := range p.EdgesFrom(int32(u)) {
+				allowed := queries.ReverseWithinCSR(c, sim[e.To], e.Bound)
+				for v := range n {
+					if sim[u][v] && !allowed[v] {
+						sim[u][v], changed = false, true
+					}
+				}
+			}
+		}
+	}
+	res := &pattern.Result{OK: true, Sets: make([][]graph.Node, np)}
+	for u := range sim {
+		for v, in := range sim[u] {
+			if in {
+				res.Sets[u] = append(res.Sets[u], graph.Node(v))
+			}
+		}
+		if len(res.Sets[u]) == 0 {
+			return &pattern.Result{OK: false}
+		}
+	}
+	return res
+}
+
+// maxFarAllocPerNode caps the bytes one far-bound MsgMatch may allocate per
+// node of G. The match allocates ≈ 39 (candidate sets, one reverse BFS at a
+// time, the expanded answer); counters sized by the bound would need up to
+// 4·2^20.
+const maxFarAllocPerNode = 96
+
+// TestMatchFarBoundsOverWire sends patterns with bounds 2^20 (the most the
+// wire accepts) and 9 (one past the counter levels) through handleRequest on
+// a 12 000-node graph. The 2^20 answer must equal the same pattern with *,
+// the 9 answer the round-based fixpoint, and neither request may allocate
+// more than maxFarAllocPerNode bytes per node.
+func TestMatchFarBoundsOverWire(t *testing.T) {
+	const n = 12000
+	s, err := store.Open(gen.Social(rand.New(rand.NewSource(29)), n, 4*n, 5), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := New(Options{Backend: NewStoreBackend(s)})
+	g := s.Snapshot().G
+	for _, bound := range []int{1 << 20, 9} {
+		body := EncodePattern(make([]byte, 8), farPattern(bound))
+		var got *pattern.Result
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := srv.handleRequest(MsgMatch, body, func(mt MsgType, rbody []byte) error {
+			if mt != MsgMatched {
+				return fmt.Errorf("response %#x: %q", byte(mt), rbody)
+			}
+			var derr error
+			got, derr = decodeResult(&cursor{b: rbody, off: 8})
+			return derr
+		}, &connState{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("bound %d: %v", bound, err)
+		}
+		want := roundsFixpoint(g, farPattern(bound))
+		if bound == 1<<20 {
+			want = pattern.MatchCSR(g, farPattern(pattern.Unbounded))
+		}
+		if !want.OK || got.OK != want.OK || !slices.EqualFunc(got.Sets, want.Sets, slices.Equal) {
+			t.Fatalf("bound %d: answer (ok %v, %d pairs) differs from the oracle (ok %v, %d pairs)",
+				bound, got.OK, got.Size(), want.OK, want.Size())
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("bound %d: %d pairs, %d bytes allocated (%.1f per node)", bound, got.Size(), alloc, float64(alloc)/n)
+		if alloc > maxFarAllocPerNode*n {
+			t.Errorf("bound %d allocated %d bytes, ceiling %d", bound, alloc, maxFarAllocPerNode*n)
+		}
 	}
 }
