@@ -1,5 +1,5 @@
 // Command qpgc compresses graphs, answers queries on the compressed form,
-// and serves mixed read/write workloads from the command line.
+// and hosts a compressed store behind a TCP endpoint from the command line.
 //
 // Usage:
 //
@@ -8,10 +8,10 @@
 //	qpgc reach     -in g.txt -from 3 -to 17
 //	qpgc gen       -kind social|web|citation|p2p|er -v 1000 -e 5000 -l 4 -out g.txt [-seed n]
 //	qpgc workload  -in g.txt -ops 10000 -write 0.05 -out w.txt [-seed n]
-//	qpgc serve     -in g.txt -workload w.txt [-readers 4] [-batch n] [-shards k] [-target gr|g|hop2] [-verify] [-data dir] [-sync always|none] [-listen addr]
+//	qpgc serve     -listen addr [-in g.txt] [-shards k] [-data dir] [-sync always|none] [-faults plan] [-scrub 1s] [-maxqps n] [-metrics addr] [-slow 5ms]
 //	qpgc replica   -leader addr[,addr...] -data dir [-listen addr]
 //	qpgc promote   -addr addr [-wait 10s]
-//	qpgc client    -addr addr[,addr...] [-workload w.txt] [-from u -to v] [-stats] [-verify -addrs a,b,c]
+//	qpgc client    -addr addr[,addr...] [-workload w.txt [-wbatch n]] [-from u -to v] [-stats] [-verify [-addrs a,b,c] [-pairs n]]
 //	qpgc top       (-addr addr | -url http://host:port/metrics) [-interval 1s] [-once] [-require fam1,fam2]
 //	qpgc checkpoint -data dir
 //	qpgc recover    -data dir [-verify] [-pairs n]
@@ -20,13 +20,17 @@
 // Graphs use the line-oriented text format of the library ("n id label",
 // "e src dst"). "reach" answers the query twice — by BFS over G and by BFS
 // over the compressed Gr after rewriting — and reports both, demonstrating
-// query preservation. "serve" opens a concurrent store on the graph and
-// drives the workload's write stream through batched updates while reader
-// goroutines answer its queries on immutable snapshots, reporting read
-// throughput and latency percentiles; with -shards k > 1 the store runs k
-// partition-parallel write pipelines and routes cross-shard queries
-// through the boundary summary (answers stay exact; -verify checks them
-// against the composite uncompressed graph on the same snapshot).
+// query preservation.
+//
+// "serve" is a durable host and a network front, nothing else: it opens a
+// concurrent store on the graph — with -shards k > 1, k partition-parallel
+// write pipelines that route cross-shard queries through the boundary
+// summary — and serves it on -listen (the wire protocol of internal/server)
+// until SIGINT/SIGTERM, then prints the requests served, the faults fired
+// and the store's health. "client" is the one driver: it replays a
+// "workload" file over the wire, and with -verify asks every query on G as
+// well as on Gr and holds the two answers to each other at their stamped
+// epoch, then runs the quiesced differential (below).
 //
 // With -data the serve store is durable: accepted batches are write-ahead
 // logged before acknowledgement and the epoch state checkpoints in the
@@ -34,33 +38,32 @@
 // recovers instead of rebuilding, "recover" inspects and verifies a
 // directory (including after a crash: torn WAL tails are healed), and
 // "checkpoint" folds the WAL tail into a fresh snapshot so the next start
-// is a pure load. An interrupted serve (SIGINT/SIGTERM) still prints its
-// throughput/latency report for the portion that ran.
+// is a pure load.
 //
 // The durable store self-heals: transient write faults are retried with
 // capped backoff, persistent ones degrade the store to read-only (writes
 // fail fast, reads keep serving the last published epoch) until a
-// background recovery loop re-arms the write path — serve rides through
-// such windows, stalling its write stream instead of losing it, and prints
-// a health report at shutdown. "scrub" re-verifies every snapshot and WAL
-// segment checksum offline, or with -repair quarantines corrupt files and
-// rewrites a clean checkpoint from the recovered state; serve -scrub runs
-// the same pass periodically inside the store. serve -faults injects a
-// deterministic fault schedule into the store's filesystem (see the rule
-// DSL in internal/faultfs: "enospc@120+40,sync@300+3%wal-") to demonstrate
-// exactly that machinery.
+// background recovery loop re-arms the write path. A degraded store says so
+// on the wire, and client rides through such windows, retrying the same
+// batch instead of losing it and counting the stalls. "scrub" re-verifies
+// every snapshot and WAL segment checksum offline, or with -repair
+// quarantines corrupt files and rewrites a clean checkpoint from the
+// recovered state; serve -scrub runs the same pass periodically inside the
+// store. serve -faults injects a deterministic fault schedule into the
+// store's filesystem (see the rule DSL in internal/faultfs:
+// "enospc@120+40,sync@300+3%wal-") to demonstrate exactly that machinery.
 //
-// serve -listen fronts the same store over TCP (the wire protocol of
-// internal/server); with -data the endpoint also ships snapshots and WAL
-// segments, so "replica" can follow it: a replica bootstraps its -data
-// from the leader's snapshot, tails the WAL (each shipped record's
-// sequence number is the batch epoch it reproduces), and serves read
-// queries on -listen. Every response carries the epoch it was answered
-// at; reads may pin a minimum epoch, which a lagging replica holds — so a
-// session that writes to the leader and reads from a replica still reads
-// its own writes. "client" drives an endpoint: one-shot queries, a
-// workload file, or -verify, the quiesced differential that checks all
-// -addrs answer a seeded query set identically at the leader's epoch.
+// With -data the serve endpoint also ships snapshots and WAL segments, so
+// "replica" can follow it: a replica bootstraps its -data from the
+// leader's snapshot, tails the WAL (each shipped record's sequence number
+// is the batch epoch it reproduces), and serves read queries on -listen.
+// Every response carries the epoch it was answered at; reads may pin a
+// minimum epoch, which a lagging replica holds — so a session that writes
+// to the leader and reads from a replica still reads its own writes.
+// client -verify -addrs a,b,c is the quiesced differential: the first
+// endpoint's batched Gr answers must equal its own point answers on G at
+// its epoch, and every other endpoint must answer the same seeded query
+// set identically at that epoch.
 //
 // The replication tier survives leader loss. Every durable directory
 // carries a fsynced leader term; writes and tail polls ship it, and a
@@ -80,9 +83,10 @@
 // serve and replica instrument every layer (store, scheduler, WAL, health,
 // replication, server) through the internal/obs registry: -metrics starts
 // an HTTP side-listener serving the Prometheus text exposition on /metrics
-// (plus /debug/vars and /debug/slowlog), the same text answers the
-// MsgMetrics RPC on -listen, and -slow records network point reads slower
-// than the threshold into a ring-buffer slow-query log. "top" polls either
+// (plus /debug/vars, /debug/slowlog and the Go runtime's live profiles
+// under /debug/pprof/), the same text answers the MsgMetrics RPC on
+// -listen, and -slow records network point reads slower than the
+// threshold into a ring-buffer slow-query log. "top" polls either
 // surface and renders a live one-screen dashboard with poll-delta rates;
 // top -once -require fam1,fam2 asserts named metric families are present
 // and non-zero, which is how CI smokes the whole metrics path.

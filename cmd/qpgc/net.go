@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -28,11 +29,14 @@ func cmdReplica(args []string) {
 	data := fs.String("data", "", "replica durable directory (bootstrapped if empty, recovered otherwise)")
 	listen := fs.String("listen", "", "serve replicated reads over TCP on this address")
 	maxqps := fs.Int("maxqps", 0, "network read admission cap, queries/s (0 = uncapped)")
-	metricsAddr := fs.String("metrics", "", "HTTP metrics side-listener address (/metrics, /debug/vars, /debug/slowlog)")
+	metricsAddr := fs.String("metrics", "", "HTTP side-listener address (/metrics, /debug/vars, /debug/slowlog, /debug/pprof/)")
 	slowQuery := fs.Duration("slow", 0, "slow-query log threshold for network point reads (0 = off)")
 	fs.Parse(args)
 	if *leader == "" || *data == "" {
 		fatal(fmt.Errorf("replica: -leader and -data are required"))
+	}
+	if *maxqps < 0 {
+		fatal(fmt.Errorf("replica: -maxqps must be >= 0 (0 = uncapped), got %d", *maxqps))
 	}
 	var reg *obs.Registry
 	if *metricsAddr != "" || *listen != "" {
@@ -140,11 +144,13 @@ func dialEndpoint(addr string) (endpoint, error) {
 
 // cmdClient drives a serving endpoint over the wire: one-shot reachability
 // (-from/-to), stats (-stats), a workload file (-workload; updates go to
-// -addr, which must be the leader), or a quiesced differential across
-// several endpoints (-verify -addrs): every endpoint must answer a seeded
-// query set identically at the leader's final epoch. A comma-separated
-// -addr lists the leader and its followers; the client then survives a
-// failover mid-workload by rediscovering the promoted leader.
+// -addr, which must be the leader), and -verify. With -workload, -verify
+// asks every query on G as well as on Gr and holds the two to each other
+// at their stamped epoch; then, quiesced, the first of -addrs must answer a
+// seeded query set batched on Gr as it answers it point by point on G, and
+// every other endpoint must answer it identically at that epoch. A
+// comma-separated -addr lists the leader and its followers; the client then
+// survives a failover mid-workload by rediscovering the promoted leader.
 func cmdClient(args []string) {
 	fs := flag.NewFlagSet("client", flag.ExitOnError)
 	addr := fs.String("addr", "", "server address, or a comma-separated endpoint set for failover")
@@ -154,12 +160,15 @@ func cmdClient(args []string) {
 	from := fs.Int("from", -1, "one-shot reachability source")
 	to := fs.Int("to", -1, "one-shot reachability target")
 	stats := fs.Bool("stats", false, "print the endpoint's stats")
-	verify := fs.Bool("verify", false, "quiesced differential: all -addrs answer identically at the leader's epoch")
+	verify := fs.Bool("verify", false, "check G against Gr on every workload query, then the quiesced differential over -addrs")
 	pairs := fs.Int("pairs", 500, "query pairs per endpoint for -verify")
 	seed := fs.Int64("seed", 1, "seed for the -verify query set")
 	fs.Parse(args)
 	if *addr == "" {
 		fatal(fmt.Errorf("client: -addr is required"))
+	}
+	if *wbatch < 1 || *pairs < 1 {
+		fatal(fmt.Errorf("client: -wbatch and -pairs must be >= 1, got %d and %d", *wbatch, *pairs))
 	}
 	cli, err := dialEndpoint(*addr)
 	if err != nil {
@@ -192,7 +201,18 @@ func cmdClient(args []string) {
 	}
 	if *workload != "" {
 		did = true
-		driveWorkload(cli, *workload, *wbatch)
+		wf, err := os.Open(*workload)
+		if err != nil {
+			fatal(err)
+		}
+		ops, err := gen.ReadWorkload(wf)
+		wf.Close()
+		if err != nil {
+			fatal(err)
+		}
+		if err := driveWorkload(cli, ops, *wbatch, *verify); err != nil {
+			fatal(err)
+		}
 	}
 	if *verify {
 		did = true
@@ -200,49 +220,67 @@ func cmdClient(args []string) {
 		if list == "" {
 			list = *addr
 		}
-		verifyEndpoints(strings.Split(list, ","), *pairs, *seed)
+		if err := verifyEndpoints(strings.Split(list, ","), *pairs, *seed); err != nil {
+			fatal(err)
+		}
 	}
 	if !did {
 		fatal(fmt.Errorf("client: nothing to do (want -stats, -from/-to, -workload or -verify)"))
 	}
 }
 
-// driveWorkload replays a workload file over the wire: updates are applied
-// in batches (each ack's epoch advances the session's read-your-writes
-// token), queries read at that token — so every answer reflects all of the
-// session's own prior writes.
-func driveWorkload(cli endpoint, path string, wbatch int) {
-	wf, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	ops, err := gen.ReadWorkload(wf)
-	wf.Close()
-	if err != nil {
-		fatal(err)
-	}
+// driveWorkload replays a workload over the wire: updates are applied in
+// batches of wbatch (each ack's epoch advances the session's
+// read-your-writes token), queries read at that token — so every answer
+// reflects all of the session's own prior writes. A batch the endpoint
+// rejects because its write path is degraded was not logged, and the store
+// re-arms itself, so the driver stalls and retries that same batch; any
+// other error ends the drive. With verify each query is asked on G too, and
+// the two answers must agree whenever they are stamped with one epoch.
+func driveWorkload(cli endpoint, ops []gen.Op, wbatch int, verify bool) error {
 	var pending []graph.Update
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		if _, err := cli.Apply(pending); err != nil {
-			fatal(fmt.Errorf("apply: %w", err))
+	var queries, reached, batches, stalls, compared, mismatches int
+	flush := func() error {
+		for {
+			_, err := cli.Apply(pending)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, server.ErrDegraded) {
+				return fmt.Errorf("apply: %w", err)
+			}
+			stalls++
+			time.Sleep(10 * time.Millisecond)
 		}
 		pending = pending[:0]
+		batches++
+		return nil
 	}
-	var queries, reached, batches int
 	start := time.Now()
 	for _, op := range ops {
 		switch op.Kind {
 		case gen.OpQuery:
-			got, _, err := cli.Reachable(op.U, op.V, cli.LastEpoch(), false)
+			got, epoch, err := cli.Reachable(op.U, op.V, cli.LastEpoch(), false)
 			if err != nil {
-				fatal(fmt.Errorf("reach: %w", err))
+				return fmt.Errorf("reach: %w", err)
 			}
 			queries++
 			if got {
 				reached++
+			}
+			if !verify {
+				break
+			}
+			onG, epochG, err := cli.Reachable(op.U, op.V, epoch, true)
+			if err != nil {
+				return fmt.Errorf("reach on G: %w", err)
+			}
+			if epochG == epoch { // else a write landed between the two reads
+				compared++
+				if onG != got {
+					mismatches++
+					fmt.Printf("MISMATCH QR(%d,%d) at epoch %d: Gr %v, G %v\n", op.U, op.V, epoch, got, onG)
+				}
 			}
 		case gen.OpInsert:
 			pending = append(pending, graph.Insertion(op.U, op.V))
@@ -250,41 +288,58 @@ func driveWorkload(cli endpoint, path string, wbatch int) {
 			pending = append(pending, graph.Deletion(op.U, op.V))
 		}
 		if len(pending) >= wbatch {
-			flush()
-			batches++
+			if err := flush(); err != nil {
+				return err
+			}
 		}
 	}
 	if len(pending) > 0 {
-		flush()
-		batches++
+		if err := flush(); err != nil {
+			return err
+		}
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("drove %d queries, %d update batches in %v (%.0f q/s), session epoch %d\n",
 		queries, batches, elapsed.Round(time.Millisecond),
 		float64(queries)/elapsed.Seconds(), cli.LastEpoch())
 	fmt.Printf("reachable answers: %d/%d\n", reached, queries)
+	fmt.Printf("writer: stalled %d time(s) on a degraded store; every stalled batch was retried, none lost\n", stalls)
+	if !verify {
+		return nil
+	}
+	if mismatches > 0 {
+		return fmt.Errorf("BUG: %d of %d answers diverged between G and Gr at their stamped epoch", mismatches, compared)
+	}
+	if compared == 0 && queries > 0 {
+		return errors.New("verify: no query was answered on G and Gr at one epoch, so nothing was compared")
+	}
+	fmt.Printf("verify: G and Gr agree on all %d queries answered at one stamped epoch (%d straddled a write)\n", compared, queries-compared)
+	return nil
 }
 
-// verifyEndpoints is the quiesced cross-endpoint differential: the first
-// endpoint's epoch becomes the pin, and every endpoint must answer the
-// same seeded query set with identical results at (or after) that epoch —
-// a replica that lags must hold the reads, not serve stale answers.
-func verifyEndpoints(addrs []string, pairs int, seed int64) {
-	ref, err := server.Dial(strings.TrimSpace(addrs[0]))
+// verifyEndpoints is the quiesced differential. The first endpoint's epoch
+// becomes the pin, and its batched answers on Gr (the scheduler's waves)
+// must equal its point answers on G at the same epoch — with one endpoint,
+// that is the whole check. Every other endpoint must answer the same seeded
+// query set identically at (or after) the pin: a replica that lags must
+// hold the reads, not serve stale answers.
+func verifyEndpoints(addrs []string, pairs int, seed int64) error {
+	refAddr := strings.TrimSpace(addrs[0])
+	ref, err := server.Dial(refAddr)
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("verify %s: %w", refAddr, err)
 	}
 	defer ref.Close()
 	pin, err := ref.Ping()
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("verify %s: %w", refAddr, err)
 	}
 	info, err := ref.Stats()
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("verify %s: %w", refAddr, err)
 	}
 	if info.Nodes == 0 {
-		fatal(fmt.Errorf("verify: reference endpoint serves an empty graph"))
+		return errors.New("verify: reference endpoint serves an empty graph")
 	}
 	rng := rand.New(rand.NewSource(seed))
 	us := make([]graph.Node, pairs)
@@ -293,24 +348,41 @@ func verifyEndpoints(addrs []string, pairs int, seed int64) {
 		us[i] = graph.Node(rng.Intn(info.Nodes))
 		vs[i] = graph.Node(rng.Intn(info.Nodes))
 	}
-	want, _, err := ref.BatchReachable(us, vs, pin)
+	want, at, err := ref.BatchReachable(us, vs, pin)
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("verify %s: %w", refAddr, err)
 	}
+	bad := 0
+	for i := range us {
+		onG, epoch, err := ref.Reachable(us[i], vs[i], at, true)
+		if err != nil {
+			return fmt.Errorf("verify %s: %w", refAddr, err)
+		}
+		if epoch != at {
+			return fmt.Errorf("verify %s: epoch moved %d -> %d during a quiesced verify", refAddr, at, epoch)
+		}
+		if onG != want[i] {
+			bad++
+		}
+	}
+	if bad > 0 {
+		return fmt.Errorf("verify %s: %d/%d batched Gr answers diverge from G at epoch %d", refAddr, bad, pairs, at)
+	}
+	fmt.Printf("verify %s: %d batched Gr answers match G at epoch %d\n", refAddr, pairs, at)
 	mismatches := 0
 	for _, a := range addrs[1:] {
 		a = strings.TrimSpace(a)
 		cli, err := server.Dial(a)
 		if err != nil {
-			fatal(fmt.Errorf("verify %s: %w", a, err))
+			return fmt.Errorf("verify %s: %w", a, err)
 		}
-		got, at, err := cli.BatchReachable(us, vs, pin)
+		got, epoch, err := cli.BatchReachable(us, vs, pin)
 		cli.Close()
 		if err != nil {
-			fatal(fmt.Errorf("verify %s: %w", a, err))
+			return fmt.Errorf("verify %s: %w", a, err)
 		}
-		if at < pin {
-			fatal(fmt.Errorf("verify %s: answered at epoch %d, below the pin %d", a, at, pin))
+		if epoch < pin {
+			return fmt.Errorf("verify %s: answered at epoch %d, below the pin %d", a, epoch, pin)
 		}
 		bad := 0
 		for i := range got {
@@ -319,15 +391,15 @@ func verifyEndpoints(addrs []string, pairs int, seed int64) {
 			}
 		}
 		if bad > 0 {
-			fmt.Printf("verify %s: %d/%d answers diverge from %s at epoch %d\n",
-				a, bad, pairs, addrs[0], pin)
+			fmt.Printf("verify %s: %d/%d answers diverge from %s at epoch %d\n", a, bad, pairs, refAddr, pin)
 			mismatches += bad
 		} else {
-			fmt.Printf("verify %s: %d answers match %s at epoch %d\n", a, pairs, addrs[0], pin)
+			fmt.Printf("verify %s: %d answers match %s at epoch %d\n", a, pairs, refAddr, pin)
 		}
 	}
 	if mismatches > 0 {
-		fatal(fmt.Errorf("verify: %d diverging answers across %d endpoint(s)", mismatches, len(addrs)-1))
+		return fmt.Errorf("verify: %d diverging answers across %d endpoint(s)", mismatches, len(addrs)-1)
 	}
 	fmt.Printf("verify: %d endpoint(s) agree on %d queries at epoch %d\n", len(addrs), pairs, pin)
+	return nil
 }

@@ -4,19 +4,22 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
 // MetricsServer is the HTTP side-listener serving a registry: /metrics
-// (Prometheus text), /debug/vars (expvar-style JSON), and /debug/slowlog
-// (the retained slow-query entries as text).
+// (Prometheus text), /debug/vars (expvar-style JSON), /debug/slowlog (the
+// retained slow-query entries as text), and the Go runtime's live profiles
+// under /debug/pprof/.
 type MetricsServer struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
 // ListenAndServe starts a metrics server for r on addr (":0" picks a free
-// port) in the background; Close stops it.
+// port) in the background; Close stops it. The pprof handlers are mounted
+// on the server's own mux, not http.DefaultServeMux.
 func ListenAndServe(addr string, r *Registry) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -46,6 +49,11 @@ func ListenAndServe(addr string, r *Registry) (*MetricsServer, error) {
 			}
 		}
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // heap, goroutine, block, ... by name
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	ms := &MetricsServer{ln: ln, srv: &http.Server{Handler: mux}}
 	go ms.srv.Serve(ln)
 	return ms, nil

@@ -83,9 +83,6 @@ func NewBackend(s store.Handle) Backend { return storeBackend{s} }
 // NewStoreBackend adapts a Store to the serving interface.
 func NewStoreBackend(s *store.Store) Backend { return storeBackend{s} }
 
-// NewShardedBackend adapts a ShardedStore to the serving interface.
-func NewShardedBackend(s *store.ShardedStore) Backend { return storeBackend{s} }
-
 func (b storeBackend) Epoch() uint64 { return b.s.Epoch() }
 
 func (b storeBackend) AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {

@@ -30,9 +30,14 @@ var ErrFenced = errors.New("server: endpoint fenced by newer leader term")
 // predates a promotion.
 var ErrStaleTerm = errors.New("server: stale leader term")
 
+// ErrDegraded matches (via errors.Is) a WireError reporting that the
+// endpoint's write path is degraded: nothing of the batch was logged, and
+// the store re-arms itself, so the same batch may be retried later.
+var ErrDegraded = errors.New("server: write path degraded")
+
 // WireError is a server-reported failure, carrying the error code and the
 // epoch the endpoint was at. errors.Is matches it against ErrReadOnly,
-// ErrFenced and ErrStaleTerm by code.
+// ErrFenced, ErrStaleTerm and ErrDegraded by code.
 type WireError struct {
 	// Code is one of the ErrCode constants (ErrCodeGeneric for unclassed
 	// failures and pre-failover peers).
@@ -55,6 +60,8 @@ func (e *WireError) Is(target error) bool {
 		return e.Code == ErrCodeFenced
 	case ErrStaleTerm:
 		return e.Code == ErrCodeStaleTerm
+	case ErrDegraded:
+		return e.Code == ErrCodeDegraded
 	}
 	return false
 }

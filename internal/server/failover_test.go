@@ -216,6 +216,7 @@ func TestRetryable(t *testing.T) {
 		{&WireError{Code: ErrCodeFenced, Msg: "fenced"}, true},
 		{&WireError{Code: ErrCodeStaleTerm, Msg: "stale"}, true},
 		{&WireError{Code: ErrCodeGeneric, Msg: "node 9999 out of range"}, false},
+		{&WireError{Code: ErrCodeDegraded, Msg: "write path degraded"}, false},
 		{io.EOF, true},
 		{errors.New("dial tcp: connection refused"), true},
 	} {

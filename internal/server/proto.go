@@ -156,6 +156,9 @@ const (
 	// ErrCodeStaleTerm: the request carried a term below the endpoint's —
 	// the caller's leader view is stale.
 	ErrCodeStaleTerm byte = 3
+	// ErrCodeDegraded: the endpoint's write path is degraded by a storage
+	// fault and heals itself; the same batch may be retried after a pause.
+	ErrCodeDegraded byte = 4
 )
 
 // errShortFrame reports a frame body too short for its type.

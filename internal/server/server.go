@@ -240,6 +240,8 @@ func errCode(err error) byte {
 		return ErrCodeFenced
 	case errors.Is(err, errStaleTerm):
 		return ErrCodeStaleTerm
+	case errors.Is(err, store.ErrDegraded):
+		return ErrCodeDegraded
 	}
 	return ErrCodeGeneric
 }

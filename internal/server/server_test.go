@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -267,7 +269,7 @@ func TestNodeIDValidationBothKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sh.Close() })
-	shSrv, err := Start("127.0.0.1:0", Options{Backend: NewShardedBackend(sh)})
+	shSrv, err := Start("127.0.0.1:0", Options{Backend: NewBackend(sh)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,6 +454,52 @@ func TestReadOnlyBackendError(t *testing.T) {
 	_, err = cli.Apply([]graph.Update{graph.Insertion(0, 1)})
 	if err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("apply on read-only backend: %v", err)
+	}
+}
+
+// TestDegradedApplyOverWire: a fault schedule that degrades a durable
+// store's write path reaches the client as ErrDegraded — not fenced, not
+// generic — both for the batch that hit the fault and for the fail-fast
+// ones after it, and the same batch lands once the disk heals and the
+// store re-arms itself.
+func TestDegradedApplyOverWire(t *testing.T) {
+	in := faultfs.NewInject(faultfs.Disk)
+	o := store.DefaultOptions()
+	o.Dir, o.FS = t.TempDir(), in
+	o.WriteRetries, o.RetryBackoff, o.RecoveryInterval = 1, time.Millisecond, 3*time.Millisecond
+	s, err := store.Open(testGraph(9), &o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv, err := Start("127.0.0.1:0", Options{Backend: NewStoreBackend(s)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Apply([]graph.Update{graph.Insertion(0, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	in.AddRule(faultfs.Rule{Op: faultfs.OpWrite | faultfs.OpSync, Err: faultfs.ErrNoSpace})
+	batch := []graph.Update{graph.Insertion(1, 2)}
+	for i := 0; i < 2; i++ {
+		_, err := cli.Apply(batch)
+		if !errors.Is(err, ErrDegraded) || errors.Is(err, ErrFenced) || errors.Is(err, ErrReadOnly) {
+			t.Fatalf("apply %d on a full disk: %v, want ErrDegraded", i, err)
+		}
+		if retryable(err) {
+			t.Fatalf("a degraded leader is still the leader; %v must not send a failover client elsewhere", err)
+		}
+	}
+	in.Disarm()
+	waitFor(t, "the store to re-arm", func() bool { return s.Health().State == store.Healthy })
+	if epoch, err := cli.Apply(batch); err != nil || epoch != 2 {
+		t.Fatalf("retried batch after recovery: epoch %d, %v; want epoch 2", epoch, err)
 	}
 }
 

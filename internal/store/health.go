@@ -122,6 +122,11 @@ const (
 	probeName               = "health.probe"
 )
 
+// ErrDegraded is the cause a write fails with while the write path is
+// Degraded. It wraps the fault that degraded it, so test it with
+// errors.Is; a fenced store fails with ErrFenced instead.
+var ErrDegraded = errors.New("store: write path degraded")
+
 // degradedErr returns the degradation or fencing reason while not
 // Healthy, nil while Healthy.
 func (d *durable) degradedErr() error {
@@ -131,7 +136,7 @@ func (d *durable) degradedErr() error {
 	if err, ok := d.reason.Load().(error); ok {
 		return err
 	}
-	return errors.New("store: write path degraded")
+	return ErrDegraded
 }
 
 // degrade moves the write path to Degraded. Writer goroutine only. A
@@ -145,11 +150,11 @@ func (d *durable) degrade(cause error) {
 			return
 		}
 		if cur == int32(Degraded) {
-			d.reason.Store(fmt.Errorf("store: write path degraded: %w", cause))
+			d.reason.Store(fmt.Errorf("%w: %w", ErrDegraded, cause))
 			return
 		}
 		if d.health.CompareAndSwap(cur, int32(Degraded)) {
-			d.reason.Store(fmt.Errorf("store: write path degraded: %w", cause))
+			d.reason.Store(fmt.Errorf("%w: %w", ErrDegraded, cause))
 			d.degradations.Add(1)
 			d.degradedSince.Store(time.Now().UnixNano())
 			return

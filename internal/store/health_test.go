@@ -238,9 +238,10 @@ func TestDegradedFailFast(t *testing.T) {
 		if h.State != Degraded || h.Reason == "" {
 			t.Fatalf("after ENOSPC: %+v", h)
 		}
-		// Fail-fast: a degraded store rejects without touching the log.
-		if _, err := s.Apply(lost); !errors.Is(err, faultfs.ErrNoSpace) {
-			t.Fatalf("degraded apply = %v", err)
+		// Fail-fast: a degraded store rejects without touching the log, and
+		// says so apart from the fault.
+		if _, err := s.Apply(lost); !errors.Is(err, faultfs.ErrNoSpace) || !errors.Is(err, ErrDegraded) || errors.Is(err, ErrFenced) {
+			t.Fatalf("degraded apply = %v, want ErrDegraded wrapping ENOSPC", err)
 		}
 		// Reads hold the last published epoch and keep answering.
 		if got := s.Epoch(); got != epochBefore {

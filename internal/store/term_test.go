@@ -106,8 +106,8 @@ func TestObserveTermFences(t *testing.T) {
 			t.Fatalf("health = %+v, want Fenced at term 3", h)
 		}
 		_, err := s.Apply([]graph.Update{graph.Insertion(1, 2)})
-		if !errors.Is(err, ErrFenced) {
-			t.Fatalf("write on fenced store: %v, want ErrFenced", err)
+		if !errors.Is(err, ErrFenced) || errors.Is(err, ErrDegraded) {
+			t.Fatalf("write on fenced store: %v, want ErrFenced and not ErrDegraded", err)
 		}
 		// Reads still serve the last published epoch.
 		s.Reachable(0, 1)

@@ -41,8 +41,6 @@
 package qpgc
 
 import (
-	"io"
-
 	"repro/internal/bisim"
 	"repro/internal/faultfs"
 	"repro/internal/gen"
@@ -62,19 +60,12 @@ type (
 	Graph = graph.Graph
 	// Node identifies a graph node (dense ids from 0).
 	Node = graph.Node
-	// Label identifies an interned node label.
-	Label = graph.Label
 	// Update is one edge insertion or deletion of a batch ΔG.
 	Update = graph.Update
 )
 
 // Read-optimized snapshot types.
 type (
-	// CSR is a frozen compressed-sparse-row snapshot of a Graph: immutable,
-	// flat-array adjacency, safe for concurrent readers. Obtain one with
-	// Graph.Freeze(); all read-only hot paths (compression, BFS, matching,
-	// indexing) run on it.
-	CSR = graph.CSR
 	// QueryScratch is reusable, epoch-stamped traversal state for the
 	// CSR-backed point queries: with a warm scratch, repeated queries over
 	// one snapshot allocate nothing.
@@ -108,9 +99,6 @@ type (
 	// maximum bisimulation quotient of G, a different graph from the
 	// reachability quotient R(G) — under edge updates (algorithm incPCM).
 	PatternMaintainer = incbisim.Maintainer
-	// IncMatcher incrementally maintains one pattern's match over an
-	// evolving graph (the IncBMatch baseline).
-	IncMatcher = pattern.IncMatcher
 )
 
 // Concurrent serving. A Store owns the evolving graph plus both incremental
@@ -120,15 +108,8 @@ type (
 type (
 	// Store is the concurrent compressed-graph store.
 	Store = store.Store
-	// StoreSnapshot is one epoch's immutable query state: frozen CSR forms
-	// of G, Gr-reach and Gr-pattern with their 2-hop indexes.
-	StoreSnapshot = store.Snapshot
 	// StoreOptions configures Open.
 	StoreOptions = store.Options
-	// StoreStats is a point-in-time summary of a Store.
-	StoreStats = store.Stats
-	// ApplyResult reports one Store.ApplyBatch call.
-	ApplyResult = store.ApplyResult
 )
 
 // Sharded serving. A ShardedStore partitions G into k shards (SCC-aware)
@@ -140,63 +121,9 @@ type (
 type (
 	// ShardedStore is the partition-parallel concurrent store.
 	ShardedStore = store.ShardedStore
-	// ShardedSnapshot is one epoch's immutable sharded query state: a
-	// vector of per-shard snapshots plus the boundary summary and the
-	// stitched pattern quotient, published together atomically.
-	ShardedSnapshot = store.ShardedSnapshot
 	// ShardedOptions configures OpenSharded.
 	ShardedOptions = store.ShardedOptions
-	// ShardedStats is a point-in-time summary of a ShardedStore.
-	ShardedStats = store.ShardedStats
-	// ShardedApplyResult reports one ShardedStore.ApplyBatch call.
-	ShardedApplyResult = store.ShardedApplyResult
-	// RouteScratch is reusable traversal state for queries against a
-	// ShardedSnapshot.
-	RouteScratch = store.RouteScratch
 )
-
-// ErrStoreClosed is returned by Store.ApplyBatch after Close.
-var ErrStoreClosed = store.ErrClosed
-
-// ErrStoreStateExists is returned by Open/OpenSharded when a graph is
-// passed but the durable directory already holds state; pass a nil graph
-// to recover it instead.
-var ErrStoreStateExists = store.ErrStateExists
-
-// Self-healing and integrity. A durable store runs an explicit health state
-// machine: transient write-path faults are retried with capped backoff,
-// persistent ones flip the store to a degraded read-only mode (reads keep
-// serving the last published epoch) while a background recovery loop
-// re-probes the directory and re-arms the write path; an optional scrubber
-// re-verifies checkpoints and sealed WAL segments against their checksums,
-// quarantining corrupt files and repairing from the in-memory epoch.
-type (
-	// StoreHealth is a point-in-time health report of a durable store
-	// (Store.Health / ShardedStore.Health).
-	StoreHealth = store.Health
-	// StoreHealthState is the write-path state: StoreHealthy or
-	// StoreDegraded.
-	StoreHealthState = store.HealthState
-	// StoreScrubReport summarizes one integrity scrub pass
-	// (Store.ScrubNow / ShardedStore.ScrubNow).
-	StoreScrubReport = store.ScrubReport
-	// StoreDirScrub is the result of an offline ScrubStoreDir walk.
-	StoreDirScrub = store.DirScrub
-)
-
-// Health states of a durable store's write path.
-const (
-	// StoreHealthy means writes are accepted and the WAL is armed.
-	StoreHealthy = store.Healthy
-	// StoreDegraded means the write path is down: writes fail fast with
-	// the degradation reason while reads serve the last published epoch.
-	StoreDegraded = store.Degraded
-)
-
-// ScrubStoreDir verifies a closed durable directory offline: every
-// snapshot and WAL segment is re-read and checked against its stored
-// CRC-32C sums. Torn final segments are reported as healable, not corrupt.
-func ScrubStoreDir(dir string) (StoreDirScrub, error) { return store.ScrubDir(dir) }
 
 // Fault injection. FaultFS is the filesystem seam threaded through the
 // durable store's WAL and snapshot IO; NewFaultInject wraps a filesystem
@@ -220,15 +147,6 @@ func NewFaultInject(fs FaultFS, rules ...FaultRule) *FaultInject {
 // ("enospc@120+40,sync@300+3%wal-") used by qpgc serve -faults.
 func ParseFaultPlan(spec string) ([]FaultRule, error) { return faultfs.ParsePlan(spec) }
 
-// SyncMode is the durable store's WAL fsync policy.
-type SyncMode = store.SyncMode
-
-// SyncAlways fsyncs the write-ahead log before acknowledging a batch.
-const SyncAlways = store.SyncAlways
-
-// SyncNone leaves WAL flushing to the OS page cache.
-const SyncNone = store.SyncNone
-
 // Open returns a running Store serving queries on both compressed forms
 // while accepting batched edge updates. Pass nil opts for the defaults
 // (in-memory, 2-hop indexes on); it never fails without a StoreOptions.Dir.
@@ -247,89 +165,13 @@ func OpenSharded(g *Graph, opts *ShardedOptions) (*ShardedStore, error) {
 	return store.OpenSharded(g, opts)
 }
 
-// HasStoreState reports whether dir holds a recoverable durable store
-// (of either kind), i.e. whether Open/OpenSharded there must be given a
-// nil graph.
-func HasStoreState(dir string) bool { return store.HasState(dir) }
-
-// NewRouteScratch returns empty routing scratch for ShardedSnapshot
-// queries; all state grows on demand.
-func NewRouteScratch() *RouteScratch { return store.NewRouteScratch() }
-
-// Vectorized batch reads. Up to MaxBatch reachability queries are answered
-// by one 64-lane bitset BFS instead of one traversal each; both store
-// kinds expose BatchReachable methods that pin a single snapshot epoch for
-// the whole batch (ShardedStore additionally batches the boundary
-// summary hop per shard rather than per query).
-type (
-	// BatchScratch is reusable lane-mask BFS state for the CSR-level batch
-	// query functions; one goroutine owns it at a time.
-	BatchScratch = queries.BatchScratch
-	// BatchRouteScratch is reusable state for batched reads against a
-	// ShardedSnapshot.
-	BatchRouteScratch = store.BatchRouteScratch
-	// ReorderedCSR couples a locality-permuted CSR snapshot with its
-	// old↔new id maps (see ReorderCSR).
-	ReorderedCSR = graph.Reordered
-)
-
-// MaxBatch is the lane capacity of the batch read path (one bit of a
-// 64-bit mask per query); larger batches chunk into waves transparently.
-const MaxBatch = queries.MaxBatch
-
-// SchedStats is a point-in-time snapshot of a store's multi-wave batch
-// scheduler: worker count, waves and lanes run, cluster/hub-cache hit
-// rates, and hop2-peeled lane counts. Both store
-// kinds expose it via their SchedStats methods; see DESIGN.md
-// ("Multi-wave scheduling & frontier sharing").
-type SchedStats = store.SchedStats
-
-// NewBatchScratch returns batch traversal scratch pre-sized for an n-node
-// graph; scratches grow on demand.
-func NewBatchScratch(n int) *BatchScratch { return queries.NewBatchScratch(n) }
-
-// NewBatchRouteScratch returns empty batched-routing scratch for
-// ShardedSnapshot batch queries.
-func NewBatchRouteScratch() *BatchRouteScratch { return store.NewBatchRouteScratch() }
-
-// BatchReachableCSR answers up to MaxBatch reachability queries
-// QR(us[i], vs[i]) on a frozen snapshot in one bidirectional lane-mask
-// BFS, writing into out; answers equal len(us) scalar ReachableBiCSR calls.
-func BatchReachableCSR(c *CSR, bs *BatchScratch, us, vs []Node, out []bool) {
-	queries.BatchReachable(c, bs, us, vs, out)
-}
-
-// BatchDescendantsCSR computes the descendant sets of up to MaxBatch
-// sources in one lane-mask BFS over a frozen snapshot; row i lists, in
-// ascending order, every node reachable from us[i] by a nonempty path.
-func BatchDescendantsCSR(c *CSR, bs *BatchScratch, us []Node) [][]Node {
-	return queries.BatchDescendants(c, bs, us)
-}
-
-// ReorderCSR computes the locality permutation of a frozen snapshot (BFS
-// from high-out-degree hubs) and returns the permuted CSR with both id
-// maps. Store snapshots apply this to G and — in topological form — to the
-// published quotients automatically; the function is exported for callers
-// managing their own CSRs.
-func ReorderCSR(c *CSR) *ReorderedCSR { return graph.Reorder(c) }
-
 // TwoHopIndex is a 2-hop reachability labeling; build it over G or over a
 // compressed Gr (the paper's Fig. 12(d) point: indexes compose with
 // compression).
 type TwoHopIndex = hop2.Index
 
-// Unbounded is the pattern edge bound "*".
-const Unbounded = pattern.Unbounded
-
 // NewGraph returns an empty graph with a fresh label table.
 func NewGraph() *Graph { return graph.New(nil) }
-
-// ReadGraph parses a graph in the line-oriented text format ("n id label" /
-// "e src dst").
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
-
-// WriteGraph serializes a graph in the text format.
-func WriteGraph(w io.Writer, g *Graph) error { return graph.Write(w, g) }
 
 // CompressReachability computes the reachability preserving compression
 // R(G) (algorithm compressR; O(|V|(|V|+|E|))).
@@ -343,27 +185,9 @@ func CompressPattern(g *Graph) *PatternCompressed { return bisim.Compress(g) }
 // compressed Gr (after Rewrite).
 func Reachable(g *Graph, u, v Node) bool { return queries.Reachable(g, u, v) }
 
-// ReachableBi answers QR(u,v) by bidirectional BFS.
-func ReachableBi(g *Graph, u, v Node) bool { return queries.ReachableBi(g, u, v) }
-
 // NewQueryScratch returns traversal scratch pre-sized for an n-node graph,
 // for use with the CSR-backed query functions.
 func NewQueryScratch(n int) *QueryScratch { return queries.NewScratch(n) }
-
-// ReachableCSR answers QR(u,v) on a frozen snapshot; allocation-free with
-// a warm scratch.
-func ReachableCSR(c *CSR, s *QueryScratch, u, v Node) bool {
-	return queries.ReachableCSR(c, s, u, v)
-}
-
-// ReachableBiCSR answers QR(u,v) by bidirectional BFS on a frozen
-// snapshot; allocation-free with a warm scratch.
-func ReachableBiCSR(c *CSR, s *QueryScratch, u, v Node) bool {
-	return queries.ReachableBiCSR(c, s, u, v)
-}
-
-// MatchCSR computes the maximum match of p over a frozen snapshot.
-func MatchCSR(c *CSR, p *Pattern) *MatchResult { return pattern.MatchCSR(c, p) }
 
 // NewPattern returns an empty pattern query.
 func NewPattern() *Pattern { return pattern.New() }
@@ -383,10 +207,6 @@ func NewReachMaintainer(g *Graph) *ReachMaintainer { return increach.New(g) }
 // compression incrementally (algorithm incPCM).
 func NewPatternMaintainer(g *Graph) *PatternMaintainer { return incbisim.New(g) }
 
-// NewIncMatcher takes ownership of g and incrementally maintains the match
-// of p over it.
-func NewIncMatcher(g *Graph, p *Pattern) *IncMatcher { return pattern.NewIncMatcher(g, p) }
-
 // BuildTwoHop builds a 2-hop reachability index over g (or a compressed
 // graph).
 func BuildTwoHop(g *Graph) *TwoHopIndex { return hop2.Build(g) }
@@ -403,6 +223,3 @@ type Dataset = gen.Dataset
 
 // ReachabilityDatasets returns the Table 1 dataset registry.
 func ReachabilityDatasets() []Dataset { return gen.ReachabilityDatasets() }
-
-// PatternDatasets returns the Table 2 dataset registry.
-func PatternDatasets() []Dataset { return gen.PatternDatasets() }

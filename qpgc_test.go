@@ -3,6 +3,11 @@ package qpgc
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/pattern"
+	"repro/internal/queries"
 )
 
 // TestFacadeEndToEnd exercises the public API surface the way the README
@@ -23,7 +28,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal("equivalent sources not merged")
 	}
 	u, v := rc.Rewrite(a1, c)
-	if !Reachable(rc.Gr, u, v) || !ReachableBi(rc.Gr, u, v) {
+	if !Reachable(rc.Gr, u, v) || !queries.ReachableBi(rc.Gr, u, v) {
 		t.Fatal("reachability lost under compression")
 	}
 
@@ -59,7 +64,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Incremental matching.
-	im := NewIncMatcher(g.Clone(), p)
+	im := pattern.NewIncMatcher(g.Clone(), p)
 	im.Apply([]Update{Deletion(a1, b)})
 	if im.Result().Contains(pa, a1) {
 		t.Fatal("stale match after deletion")
@@ -67,10 +72,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	// Serialization round trip.
 	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
+	if err := graph.Write(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadGraph(&buf)
+	h, err := graph.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +85,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestDatasetRegistriesExposed(t *testing.T) {
-	if len(ReachabilityDatasets()) != 10 || len(PatternDatasets()) != 5 {
+	if len(ReachabilityDatasets()) != 10 || len(gen.PatternDatasets()) != 5 {
 		t.Fatal("dataset registries incomplete")
 	}
 	g := ReachabilityDatasets()[7].Scale(0.3).Build(1) // P2P
