@@ -52,6 +52,23 @@
 // giant's cones, whose thousands of components all changed, but
 // uniformly.
 //
+// # Which candidate wins
+//
+// A candidate's area is listed as A, then the members of Y outside B that A
+// reaches, then B, then the members of X outside A that reach B; a
+// component listed twice counts twice. The smallest list wins, and of two
+// equal ones the candidate first in the order h, t, host. Six sweeps come
+// first whatever the candidates: X, Y, anc*(h), desc*(t) and, for a split,
+// the host's two cones. They give |A| + |B| for every candidate, and the
+// candidates are evaluated in ascending order of it. The first is listed
+// in full. Every later one is listed only while it can still win, counting
+// B from the start: one that comes before the best so far in the fixed
+// order stops once it counts more than the best, one that comes after it
+// once it counts as many. The winner, and the list it appends to Touched,
+// are therefore those of listing every candidate in full. What a stopped
+// candidate saves is the rest of its cone sweeps: on webcore16 the winning
+// area is a handful of components, the cones of the losers thousands.
+//
 // # Splitting a component
 //
 // Delete (u,v) inside component C. Afterwards every member still reaches u
@@ -110,6 +127,7 @@
 package dynscc
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -137,6 +155,10 @@ type Delta struct {
 	// Resplits counts the splits that gave up peeling and re-decomposed the
 	// whole component (package doc, "Splitting a component").
 	Resplits int
+	// LossSwept counts the components the loss-area sweeps of the batch's
+	// closure-changing deletions marked, once per set they were marked in:
+	// the work of finding their loss areas (package doc).
+	LossSwept int
 	// Touched holds one member of every component that an update may have
 	// separated from its reachability class: both endpoints of a
 	// closure-changing insertion, merge hosts, components whose self-loop
@@ -152,7 +174,7 @@ type Delta struct {
 }
 
 func (d *Delta) reset() {
-	d.Redundant, d.Merges, d.Splits, d.Resplits = 0, 0, 0, 0
+	d.Redundant, d.Merges, d.Splits, d.Resplits, d.LossSwept = 0, 0, 0, 0, 0
 	d.Touched = d.Touched[:0]
 	d.Moved = d.Moved[:0]
 	d.Dead = d.Dead[:0]
@@ -195,14 +217,14 @@ type Cond struct {
 	nbufC            []graph.Node
 	nframes          []nframe
 
-	work splitWork
+	work workCounts
 }
 
-// splitWork counts what splits did, for tests: the nodes their searches
-// and Tarjan passes visited, the peels that took parts out of S only or T
-// only (package doc), and the anchor restarts — a peel that restarted took
-// parts from both.
-type splitWork struct{ visits, sOnly, tOnly, restarts int }
+// workCounts counts what splits and loss areas did, for tests: the nodes
+// the splits' searches and Tarjan passes visited, the peels that took parts
+// out of S only or T only (package doc), the anchor restarts — a peel that
+// restarted took parts from both — and the lossArea calls.
+type workCounts struct{ visits, sOnly, tOnly, restarts, losses int }
 
 type frame struct{ c, i int32 }
 
@@ -993,6 +1015,7 @@ type hub struct{ skipA, skipB, nearA, nearB uint16 }
 // the part host that kept the old component's id (otherwise -1). See the
 // package doc.
 func (c *Cond) lossArea(t, h, host int32) {
+	c.work.losses++
 	c.bitStamp = c.cstamps(1)
 	xs := c.sweep(c.bufA[:0], t, inX, false)
 	ys := c.sweep(c.bufB[:0], h, inY, true)
@@ -1001,55 +1024,130 @@ func (c *Cond) lossArea(t, h, host int32) {
 	// Candidate hubs: h (A = X minus anc*(h), B empty), t (A empty,
 	// B = Y minus desc*(t)) and a split's host part. The size of A ∪ B says
 	// little about the area — one hub-like member of A drags in its whole
-	// cone — so each candidate's area is computed and the smallest taken.
+	// cone — so areas are compared, not A ∪ B; it only orders the candidates
+	// (package doc, "Which candidate wins").
 	c.bufC = c.sweep(c.bufC[:0], h, toH, false)[:0]
 	c.bufC = c.sweep(c.bufC[:0], t, byT, true)[:0]
-	hubs := []hub{
+	hubs := [3]hub{
 		{skipA: toH, skipB: inY, nearA: nearA, nearB: nearB},
 		{skipA: inX, skipB: byT, nearA: nearA << 1, nearB: nearB << 1},
 	}
+	n := 2
 	if host >= 0 && host != t && host != h {
 		c.bufC = c.sweep(c.bufC[:0], host, toHost, false)[:0]
 		c.bufC = c.sweep(c.bufC[:0], host, byHost, true)[:0]
-		hubs = append(hubs, hub{skipA: toHost, skipB: byHost, nearA: nearA << 2, nearB: nearB << 2})
+		hubs[2] = hub{skipA: toHost, skipB: byHost, nearA: nearA << 2, nearB: nearB << 2}
+		n = 3
 	}
-	best := 0
-	var areas [3][]int32
-	for k, hb := range hubs {
-		area := c.area[k][:0]
-		cone := c.bufC[:0]
-		for _, x := range xs {
-			if c.cbits[x]&hb.skipA == 0 {
-				area = append(area, x)
-				cone = c.sweep(cone, x, hb.nearA, true)
+	var sizeA, sizeB [3]int
+	for _, x := range xs {
+		for k := range n {
+			if c.cbits[x]&hubs[k].skipA == 0 {
+				sizeA[k]++
 			}
-		}
-		for _, z := range cone {
-			if c.cbits[z]&inY != 0 && c.cbits[z]&hb.skipB != 0 {
-				area = append(area, z) // in Y, below A, and not listed with B
-			}
-		}
-		cone = cone[:0]
-		for _, y := range ys {
-			if c.cbits[y]&hb.skipB == 0 {
-				area = append(area, y)
-				cone = c.sweep(cone, y, hb.nearB, false)
-			}
-		}
-		for _, z := range cone {
-			if c.cbits[z]&inX != 0 && c.cbits[z]&hb.skipA != 0 {
-				area = append(area, z)
-			}
-		}
-		c.bufC = cone[:0]
-		areas[k], c.area[k] = area, area[:0]
-		if len(area) < len(areas[best]) {
-			best = k
 		}
 	}
-	for _, x := range areas[best] {
+	for _, y := range ys {
+		for k := range n {
+			if c.cbits[y]&hubs[k].skipB == 0 {
+				sizeB[k]++
+			}
+		}
+	}
+	order := [3]int{0, 1, 2}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && sizeA[order[j]]+sizeB[order[j]] < sizeA[order[j-1]]+sizeB[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	best, bestArea := -1, []int32(nil)
+	for _, k := range order[:n] {
+		limit := math.MaxInt
+		if best >= 0 {
+			// k wins a tie iff it comes before the best in the fixed order.
+			if limit = len(bestArea); k < best {
+				limit++
+			}
+		}
+		area, ok := c.hubArea(hubs[k], xs, ys, sizeB[k], limit, c.area[k][:0])
+		c.area[k] = area[:0]
+		if ok {
+			best, bestArea = k, area
+		}
+	}
+	for _, x := range bestArea {
 		c.delta.Touched = append(c.delta.Touched, c.comps[x].members[0])
 	}
+}
+
+// hubArea appends to area the loss area of candidate hb: the members of A,
+// the members of Y outside B that A reaches, the members of B, and the
+// members of X outside A that reach B, in that order, a component that
+// qualifies twice listed twice. sizeB is |B|. It gives up, reporting false,
+// once the list, with B counted from the start, has limit entries.
+func (c *Cond) hubArea(hb hub, xs, ys []int32, sizeB, limit int, area []int32) ([]int32, bool) {
+	for _, x := range xs {
+		if c.cbits[x]&hb.skipA == 0 {
+			area = append(area, x)
+		}
+	}
+	if len(area)+sizeB >= limit {
+		return area, false
+	}
+	area, ok := c.cone(area, xs, hb.skipA, hb.nearA, inY|hb.skipB, true, limit-sizeB)
+	if !ok {
+		return area, false
+	}
+	for _, y := range ys {
+		if c.cbits[y]&hb.skipB == 0 {
+			area = append(area, y)
+		}
+	}
+	return c.cone(area, ys, hb.skipB, hb.nearB, inX|hb.skipA, false, limit)
+}
+
+// cone sweeps, as sweep does with bit, from every seed that lacks skip in
+// turn, and appends to area every component it marks that carries all of
+// keep, in the order marked. It stops, reporting false, once area has limit
+// entries.
+func (c *Cond) cone(area, seeds []int32, skip, bit, keep uint16, forward bool, limit int) ([]int32, bool) {
+	mark, bits, st := c.cmark, c.cbits, c.bitStamp
+	queue := c.bufC[:0]
+	visit := func(x int32) {
+		if mark[x] != st {
+			mark[x], bits[x] = st, 0
+		}
+		if bits[x]&bit == 0 {
+			bits[x] |= bit
+			queue = append(queue, x)
+			if bits[x]&keep == keep {
+				area = append(area, x)
+			}
+		}
+	}
+	for _, s := range seeds {
+		if len(area) >= limit {
+			break
+		}
+		if bits[s]&skip != 0 {
+			continue
+		}
+		i := len(queue)
+		for visit(s); i < len(queue) && len(area) < limit; i++ {
+			adj := c.comps[queue[i]].out
+			if !forward {
+				adj = c.comps[queue[i]].in
+			}
+			for _, x := range adj {
+				if visit(x); len(area) >= limit {
+					break
+				}
+			}
+		}
+	}
+	c.delta.LossSwept += len(queue)
+	c.bufC = queue[:0]
+	return area, len(area) < limit
 }
 
 // sweep marks bit on every component reachable from seed (seed included) —
@@ -1084,5 +1182,6 @@ func (c *Cond) sweep(dst []int32, seed int32, bit uint16, forward bool) []int32 
 			}
 		}
 	}
+	c.delta.LossSwept += len(dst) - first
 	return dst
 }

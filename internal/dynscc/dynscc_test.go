@@ -177,26 +177,38 @@ func coreWithTails(rng *rand.Rand, n int) *graph.Graph {
 	return g
 }
 
+// history runs one of TestCondensationMatchesTarjan's 800 random histories:
+// a graph from seed — random below 400, a core with tails from there — its
+// condensation, and ten random batches, each handed to apply in turn. It
+// returns the condensation.
+func history(seed int64, apply func(c *Cond, batch []graph.Update, round int)) *Cond {
+	rng := rand.New(rand.NewSource(seed % 400))
+	var g *graph.Graph
+	if seed < 400 {
+		n := 2 + rng.Intn(40)
+		g = randomGraph(rng, n, rng.Intn(3*n))
+	} else {
+		g = coreWithTails(rng, 8+rng.Intn(50))
+	}
+	c := New(g)
+	for round := 0; round < 10; round++ {
+		share := []float64{0, 0.5, 1}[rng.Intn(3)]
+		apply(c, gen.RandomBatch(rng, c.Graph(), 1+rng.Intn(8), share), round)
+	}
+	return c
+}
+
 // TestCondensationMatchesTarjan checks the maintained condensation and its
 // change log after every batch of random histories, on random graphs and
 // on cores with tails, and that every way split can go was taken.
 func TestCondensationMatchesTarjan(t *testing.T) {
-	var work splitWork
+	var work workCounts
 	resplits := 0
 	for seed := int64(0); seed < 800; seed++ {
-		rng := rand.New(rand.NewSource(seed % 400))
-		var g *graph.Graph
-		if seed < 400 {
-			n := 2 + rng.Intn(40)
-			g = randomGraph(rng, n, rng.Intn(3*n))
-		} else {
-			g = coreWithTails(rng, 8+rng.Intn(50))
-		}
-		c := New(g)
-		checkAgainstTarjan(t, "initial", c)
-		for round := 0; round < 10; round++ {
-			share := []float64{0, 0.5, 1}[rng.Intn(3)]
-			batch := gen.RandomBatch(rng, c.Graph(), 1+rng.Intn(8), share)
+		c := history(seed, func(c *Cond, batch []graph.Update, round int) {
+			if round == 0 {
+				checkAgainstTarjan(t, "initial", c)
+			}
 			before, compBefore := classes(c.Graph()), compSnapshot(c)
 			eff := c.Graph().Reduce(batch)
 			d := c.Apply(eff)
@@ -207,7 +219,7 @@ func TestCondensationMatchesTarjan(t *testing.T) {
 				t.Fatalf("seed %d: closure reported unchanged but classes moved", seed)
 			}
 			resplits += d.Resplits
-		}
+		})
 		work.sOnly += c.work.sOnly
 		work.tOnly += c.work.tOnly
 		work.restarts += c.work.restarts
@@ -350,7 +362,7 @@ func TestSplitStaysLocal(t *testing.T) {
 		t.Fatalf("setup: the SCC has %d of %d nodes", n, g.NumNodes())
 	}
 
-	c.work = splitWork{}
+	c.work = workCounts{}
 	d := c.Apply([]graph.Update{graph.Deletion(u, v)})
 	checkAgainstTarjan(t, "chains", c)
 	if d.Splits != 1 || d.Resplits != 0 {
@@ -395,48 +407,66 @@ func TestLossAreaStaysLocal(t *testing.T) {
 	checkAgainstTarjan(t, "fan deletion", c)
 }
 
-// FuzzCondensation builds a small graph from seed — a core with tails, or
-// random when shape is odd — and applies the update list decoded from ups
-// in batches of varying size, checking the condensation and its change log
-// after each. Three bytes make an update: a deletion removes the edge out
-// of its first node picked by the second, an insertion adds the edge between
-// the two nodes; the third byte's low bit picks which, and its next bits say
-// whether the update closes its batch.
-func FuzzCondensation(f *testing.F) {
-	f.Add(int64(1), uint8(0), []byte{3, 0, 0, 9, 1, 2, 11, 0, 0, 12, 2, 3})
-	f.Add(int64(403), uint8(0), []byte{3, 0, 2, 9, 0, 2, 5, 0, 2, 6, 0, 2, 1, 1, 2, 11, 0, 6})
-	f.Add(int64(7), uint8(1), []byte{0, 1, 1, 1, 2, 1, 2, 0, 5, 4, 4, 0})
-	f.Add(int64(0), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, seed int64, shape uint8, ups []byte) {
-		rng := rand.New(rand.NewSource(seed))
-		var g *graph.Graph
-		if shape%2 == 0 {
-			g = coreWithTails(rng, 8+rng.Intn(40))
-		} else {
-			n := 2 + rng.Intn(30)
-			g = randomGraph(rng, n, rng.Intn(3*n))
+// fuzzSeeds is FuzzCondensation's seed corpus.
+var fuzzSeeds = []struct {
+	seed  int64
+	shape uint8
+	ups   []byte
+}{
+	{1, 0, []byte{3, 0, 0, 9, 1, 2, 11, 0, 0, 12, 2, 3}},
+	{403, 0, []byte{3, 0, 2, 9, 0, 2, 5, 0, 2, 6, 0, 2, 1, 1, 2, 11, 0, 6}},
+	{7, 1, []byte{0, 1, 1, 1, 2, 1, 2, 0, 5, 4, 4, 0}},
+	{0, 0, []byte{}},
+}
+
+// fuzzHistory builds a small graph from seed — a core with tails, or random
+// when shape is odd — and hands apply, in turn, the batches of updates
+// decoded from ups. Three bytes make an update: a deletion removes the edge
+// out of its first node picked by the second, an insertion adds the edge
+// between the two nodes; the third byte's low bit picks which, and its next
+// bits say whether the update closes its batch.
+func fuzzHistory(seed int64, shape uint8, ups []byte, apply func(c *Cond, batch []graph.Update, round int)) {
+	rng := rand.New(rand.NewSource(seed))
+	var g *graph.Graph
+	if shape%2 == 0 {
+		g = coreWithTails(rng, 8+rng.Intn(40))
+	} else {
+		n := 2 + rng.Intn(30)
+		g = randomGraph(rng, n, rng.Intn(3*n))
+	}
+	n := g.NumNodes()
+	c := New(g)
+	var batch []graph.Update
+	for round := 0; len(ups) >= 3; ups = ups[3:] {
+		from := graph.Node(int(ups[0]) % n)
+		if ups[2]&1 == 1 {
+			batch = append(batch, graph.Insertion(from, graph.Node(int(ups[1])%n)))
+		} else if succ := g.Successors(from); len(succ) > 0 {
+			batch = append(batch, graph.Deletion(from, succ[int(ups[1])%len(succ)]))
 		}
-		n := g.NumNodes()
-		c := New(g)
-		var batch []graph.Update
-		for round := 0; len(ups) >= 3; ups = ups[3:] {
-			from := graph.Node(int(ups[0]) % n)
-			if ups[2]&1 == 1 {
-				batch = append(batch, graph.Insertion(from, graph.Node(int(ups[1])%n)))
-			} else if succ := g.Successors(from); len(succ) > 0 {
-				batch = append(batch, graph.Deletion(from, succ[int(ups[1])%len(succ)]))
-			}
-			if ups[2]&6 != 0 && len(ups) >= 6 {
-				continue
-			}
-			before, compBefore := classes(g), compSnapshot(c)
-			d := c.Apply(g.Reduce(batch))
-			batch = batch[:0]
+		if ups[2]&6 != 0 && len(ups) >= 6 {
+			continue
+		}
+		apply(c, batch, round)
+		batch = batch[:0]
+		round++
+	}
+}
+
+// FuzzCondensation applies the batches fuzzHistory decodes, checking the
+// condensation and its change log after each.
+func FuzzCondensation(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s.seed, s.shape, s.ups)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, ups []byte) {
+		fuzzHistory(seed, shape, ups, func(c *Cond, batch []graph.Update, round int) {
+			before, compBefore := classes(c.Graph()), compSnapshot(c)
+			d := c.Apply(c.Graph().Reduce(batch))
 			what := fmt.Sprintf("round %d", round)
 			checkAgainstTarjan(t, what, c)
 			checkTouched(t, what, c, d, before, compBefore)
-			round++
-		}
+		})
 	})
 }
 
@@ -448,27 +478,37 @@ var webcore16 = gen.Dataset{Name: "webcore16", V: 16300, E: 75000, Labels: 16, K
 // allows. A split that assumed one part leaves gave up on 167 of them.
 const maxResplits = 5
 
+// readInprocWrites returns webcore16 and the read-inproc benchmark's write
+// list for seed: 120 batches of 32 mixed updates, drawn as the benchmark
+// draws them.
+func readInprocWrites(seed int64) (*graph.Graph, [][]graph.Update) {
+	g := webcore16.Build(seed)
+	mirror := g.Clone()
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	batches := make([][]graph.Update, 120)
+	for i := range batches {
+		batches[i] = gen.RandomBatch(rng, mirror, 32, 0.5)
+		mirror.Apply(batches[i])
+	}
+	return g, batches
+}
+
 // TestSplitCostsWhatLeaves applies the read-inproc benchmark's write list
-// for seed 1 — 120 batches of 32 mixed updates on webcore16 — and logs
-// Cond.Apply's median time and the splits. In every split there only 2–9
-// nodes leave the giant SCC, so peeling should settle all of them; it fails
-// above maxResplits whole-component passes, the one number here that does
-// not depend on the host. The time is wall-clock, so the test sits behind
-// QPGC_BENCH_SMOKE like the other regression smokes.
+// for seed 1 on webcore16 and logs Cond.Apply's median time and the splits.
+// In every split there only 2–9 nodes leave the giant SCC, so peeling
+// should settle all of them; it fails above maxResplits whole-component
+// passes, the one number here that does not depend on the host. The time
+// is wall-clock, so the test sits behind QPGC_BENCH_SMOKE like the other
+// regression smokes.
 func TestSplitCostsWhatLeaves(t *testing.T) {
 	if os.Getenv("QPGC_BENCH_SMOKE") == "" {
 		t.Skip("set QPGC_BENCH_SMOKE=1 to run the benchmark regression smoke")
 	}
-	const batches = 120
-	g := webcore16.Build(1)
-	mirror := g.Clone()
+	g, batches := readInprocWrites(1)
 	c := New(g)
-	rng := rand.New(rand.NewSource(1 ^ 0x5eed)) // the benchmark's draw for seed 1
-	ns := make([]float64, batches)
+	ns := make([]float64, len(batches))
 	splits, resplits := 0, 0
-	for i := range batches {
-		b := gen.RandomBatch(rng, mirror, 32, 0.5)
-		mirror.Apply(b)
+	for i, b := range batches {
 		eff := g.Reduce(b)
 		start := time.Now()
 		d := c.Apply(eff)
@@ -478,8 +518,104 @@ func TestSplitCostsWhatLeaves(t *testing.T) {
 	}
 	slices.Sort(ns)
 	t.Logf("Cond.Apply over %d batches: median %.3f ms, p90 %.3f ms; %d splits, %d whole-component passes, %d nodes visited splitting",
-		batches, ns[batches/2]/1e6, ns[batches*9/10]/1e6, splits, resplits, c.work.visits)
+		len(ns), ns[len(ns)/2]/1e6, ns[len(ns)*9/10]/1e6, splits, resplits, c.work.visits)
 	if resplits > maxResplits {
 		t.Errorf("%d of %d splits re-decomposed the whole component, want at most %d", resplits, splits, maxResplits)
+	}
+}
+
+// maxLossSwept is the most components TestLossAreaWorkBounded lets the
+// loss-area sweeps mark per lossArea call, on average. Listing every
+// candidate's area in full marked 12 944.
+const maxLossSwept = 8000
+
+// TestLossAreaWorkBounded applies the same write list and fails when the
+// loss-area sweeps mark more than maxLossSwept components per call on
+// average. It is a count, the same on any host; it sits behind
+// QPGC_BENCH_SMOKE with TestSplitCostsWhatLeaves.
+func TestLossAreaWorkBounded(t *testing.T) {
+	if os.Getenv("QPGC_BENCH_SMOKE") == "" {
+		t.Skip("set QPGC_BENCH_SMOKE=1 to run the benchmark regression smoke")
+	}
+	g, batches := readInprocWrites(1)
+	c := New(g)
+	swept := 0
+	for _, b := range batches {
+		swept += c.Apply(g.Reduce(b)).LossSwept
+	}
+	per := float64(swept) / float64(c.work.losses)
+	t.Logf("%d lossArea calls marked %d components, %.0f per call", c.work.losses, swept, per)
+	if per > maxLossSwept {
+		t.Errorf("lossArea marked %.0f components per call, want at most %d", per, maxLossSwept)
+	}
+}
+
+// applyCheckingLoss applies eff one update at a time. After each
+// closure-changing deletion it lists the loss area again with lossAreaSweep
+// on the same condensation and fails unless lossArea listed the same
+// components in the same order, having marked no more of them. It returns
+// the deletions checked.
+func applyCheckingLoss(t *testing.T, what string, c *Cond, eff []graph.Update) int {
+	t.Helper()
+	checked := 0
+	for _, up := range eff {
+		a, b := c.CompOf(up.From), c.CompOf(up.To)
+		d := c.Apply([]graph.Update{up})
+		if up.Insert || up.From == up.To || d.Redundant > 0 {
+			continue
+		}
+		// Touched is the deletion's endpoints or one member per part of
+		// the split, then the loss area.
+		tail, head, host, lead := a, b, int32(-1), 2
+		if a == b {
+			tail, head, host = c.CompOf(up.From), c.CompOf(up.To), a
+			parts := map[int32]bool{a: true}
+			for _, x := range d.Moved {
+				parts[c.CompOf(x)] = true
+			}
+			lead = len(parts)
+		}
+		n, swept := len(d.Touched), d.LossSwept
+		c.lossAreaSweep(tail, head, host)
+		got, want := d.Touched[lead:n], d.Touched[n:]
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: deleting %v lists the loss area %v, the full sweep %v", what, up, got, want)
+		}
+		if ref := d.LossSwept - swept; swept > ref {
+			t.Fatalf("%s: deleting %v marked %d components, the full sweep %d", what, up, swept, ref)
+		}
+		d.Touched, d.LossSwept = d.Touched[:n], swept
+		checked++
+	}
+	return checked
+}
+
+// TestLossAreaMatchesSweep holds lossArea, which ranks its candidates and
+// stops the ones that can no longer win, to lossAreaSweep, which lists every
+// candidate's area in full: per closure-changing deletion, the same loss
+// area in Touched, as a list. It runs TestCondensationMatchesTarjan's
+// histories, FuzzCondensation's seeds and the read-inproc write list for
+// seed 1 on webcore16.
+func TestLossAreaMatchesSweep(t *testing.T) {
+	checked := 0
+	for seed := int64(0); seed < 800; seed++ {
+		history(seed, func(c *Cond, batch []graph.Update, round int) {
+			checked += applyCheckingLoss(t, fmt.Sprintf("seed %d, batch %d", seed, round), c, c.Graph().Reduce(batch))
+		})
+	}
+	for _, s := range fuzzSeeds {
+		fuzzHistory(s.seed, s.shape, s.ups, func(c *Cond, batch []graph.Update, round int) {
+			checked += applyCheckingLoss(t, fmt.Sprintf("fuzz seed %d, round %d", s.seed, round), c, c.Graph().Reduce(batch))
+		})
+	}
+	g, batches := readInprocWrites(1)
+	c := New(g)
+	web := 0
+	for i, b := range batches {
+		web += applyCheckingLoss(t, fmt.Sprintf("webcore16 batch %d", i), c, g.Reduce(b))
+	}
+	t.Logf("%d closure-changing deletions checked, %d of them on webcore16", checked+web, web)
+	if web == 0 {
+		t.Fatal("no deletion on webcore16 changed the closure")
 	}
 }

@@ -89,6 +89,10 @@ type Stats struct {
 	// Fallbacks counts batches absorbed by refining from the label seed
 	// because the graph's depth exceeds the cap.
 	Fallbacks int
+	// RepScans counts the scans of a whole level for members that can
+	// stand for classes whose representative was re-signed away: the one
+	// step of a levelled batch that costs |V| rather than what changed.
+	RepScans int
 }
 
 const (
@@ -131,12 +135,12 @@ type Maintainer struct {
 
 	mark         []uint32 // node -> epoch of the last pass that re-signed it
 	epoch, first uint32   // see startEpochs
-	seen         []uint32 // class id -> stamp of the last long signature listing it
+	seen         []uint32 // class id -> stamp of the last signature or tail that listed it
 	seenStamp    uint32
 	s            scratch
 
-	repScans  int  // findReps calls: passes over a level, which TestPatternApplyScalesWithChange keeps rare
-	constHash bool // test hook: every signature hashes alike
+	repScans int // findReps calls in the current Absorb: passes over a level (Stats.RepScans)
+	test     testHooks
 
 	// The change log since ResetChanges: every block id that gained or lost
 	// a member and every node that changed block, each listed once.
@@ -151,24 +155,31 @@ type Maintainer struct {
 	grCSR *graph.CSR        // frozen comp.Gr, nil when stale
 }
 
+// testHooks vary how a maintainer signs, for tests; the zero value is the
+// maintainer itself.
+type testHooks struct {
+	constHash bool                    // every signature hashes alike
+	keyOf     func([]uint32) []uint32 // replaces keyOf: another way to drop a signature's repeats
+}
+
 // New takes ownership of g, computes the initial compression and returns
 // the maintainer.
-func New(g *graph.Graph) *Maintainer { return newMaintainer(g, nil, false) }
+func New(g *graph.Graph) *Maintainer { return newMaintainer(g, nil, testHooks{}) }
 
 // Over returns a maintainer of the graph behind cond, which it does not
 // own: whoever applies a batch to cond passes the effective updates to
 // Absorb. Apply does both and is for a maintainer that is cond's only
 // driver.
-func Over(cond *dynscc.Cond) *Maintainer { return newMaintainer(cond.Graph(), cond, false) }
+func Over(cond *dynscc.Cond) *Maintainer { return newMaintainer(cond.Graph(), cond, testHooks{}) }
 
-func newMaintainer(g *graph.Graph, cond *dynscc.Cond, constHash bool) *Maintainer {
+func newMaintainer(g *graph.Graph, cond *dynscc.Cond, test testHooks) *Maintainer {
 	n := g.NumNodes()
 	m := &Maintainer{
 		g:          g,
 		cond:       cond,
 		mark:       make([]uint32, n),
 		nodeLogged: make([]bool, n),
-		constHash:  constHash,
+		test:       test,
 	}
 	// The initial compression is maintenance with every node affected at
 	// every level.
@@ -319,6 +330,7 @@ func (m *Maintainer) ApplySingly(batch []graph.Update) Stats {
 		total.ChangedBlocks += st.ChangedBlocks
 		total.LevelRebuilds += st.LevelRebuilds
 		total.Fallbacks += st.Fallbacks
+		total.RepScans += st.RepScans
 	}
 	return total
 }
@@ -333,6 +345,7 @@ func (m *Maintainer) Absorb(eff []graph.Update) Stats {
 	m.gen++
 	m.part, m.comp, m.grCSR = nil, nil, nil
 	m.s.ids = m.s.ids[:0]
+	m.repScans = 0
 	m.startEpochs()
 
 	if m.fallback {
@@ -351,6 +364,7 @@ func (m *Maintainer) Absorb(eff []graph.Update) Stats {
 			st.ChangedBlocks++
 		}
 	}
+	st.RepScans = m.repScans
 	if m.s.large {
 		m.s = scratch{}
 	}

@@ -8,11 +8,11 @@ import (
 
 // level is one memoised k-bisimulation partition: every node's class and,
 // per class, what is needed to find the class of a signature again. The
-// key of a class — the level-(k−1) class of its members followed by the
-// sorted distinct level-(k−1) classes of their successors — is not stored:
-// a class keeps the key's hash and one member whose signature is the key,
-// and a lookup that meets an equal hash re-signs that member and compares
-// word by word. The hash only chooses where to look.
+// key of a class — the level-(k−1) class of its members and the set of
+// level-(k−1) classes of their successors — is not stored: a class keeps
+// the key's hash and one member whose signature is the key, and a lookup
+// that meets an equal hash re-signs that member and compares the two as
+// sets (sameKey). The hash only chooses where to look.
 //
 // A class is live while cnt > 0; outside a pass the live classes are
 // exactly the ones with a slot in the table.
@@ -161,13 +161,12 @@ type scratch struct {
 	oldEpoch uint32
 }
 
-// sign writes v's signature over the classes below (nil: the labels).
+// sign writes v's signature over the classes below (nil: the labels): v's
+// class, then the distinct classes of its successors in the order they are
+// first met. The tail is only ever read as a set (hashOf, sameKey).
 func (m *Maintainer) sign(below []int32, v graph.Node, buf []uint32) []uint32 {
 	g := m.g
 	succ := g.Successors(v)
-	if len(succ) > 12 {
-		return m.signLong(below, v, buf)
-	}
 	if below == nil {
 		buf = append(buf[:0], uint32(g.Label(v)))
 		for _, w := range succ {
@@ -179,63 +178,109 @@ func (m *Maintainer) sign(below []int32, v graph.Node, buf []uint32) []uint32 {
 			buf = append(buf, uint32(below[w]))
 		}
 	}
-	return sortedSet(buf)
+	return m.keyOf(buf)
 }
 
-// signLong is sign for a node of many successors: their classes repeat, so
-// duplicates are dropped by stamping before the sort instead of after it
-// (a quarter off a batch on webcore16, whose pages link to 20–90 others).
-func (m *Maintainer) signLong(below []int32, v graph.Node, buf []uint32) []uint32 {
-	g := m.g
-	if m.seenStamp++; m.seenStamp == 0 {
-		clear(m.seen)
-		m.seenStamp = 1
+// keyOf turns buf — a class, then the classes of successors with their
+// repeats — into a signature by dropping the repeats from buf[1:], first
+// occurrences staying in place. Pages of webcore16 link to 20–90 others and
+// their classes repeat; a stamp per class finds the repeats in one pass.
+func (m *Maintainer) keyOf(buf []uint32) []uint32 {
+	if m.test.keyOf != nil {
+		return m.test.keyOf(buf)
 	}
-	class := func(x graph.Node) uint32 {
-		if below == nil {
-			return uint32(g.Label(x))
+	st := m.stamp()
+	seen, k := m.seen, 1
+	for _, c := range buf[1:] {
+		if int(c) >= len(seen) {
+			seen = m.growSeen(c)
 		}
-		return uint32(below[x])
-	}
-	buf = append(buf[:0], class(v))
-	for _, w := range g.Successors(v) {
-		c := class(w)
-		if int(c) >= len(m.seen) {
-			m.seen = append(m.seen, make([]uint32, int(c)+1-len(m.seen))...)
-		}
-		if m.seen[c] != m.seenStamp {
-			m.seen[c] = m.seenStamp
-			buf = append(buf, c)
-		}
-	}
-	slices.Sort(buf[1:])
-	return buf
-}
-
-// sortedSet sorts buf[1:] and drops its duplicates.
-func sortedSet(buf []uint32) []uint32 {
-	set := buf[1:]
-	slices.Sort(set)
-	k := 1
-	for i, s := range set {
-		if i == 0 || s != buf[k-1] {
-			buf[k] = s
+		if seen[c] != st {
+			seen[c] = st
+			buf[k] = c
 			k++
 		}
 	}
 	return buf[:k]
 }
 
+// stamp hands out a fresh stamp for seen.
+func (m *Maintainer) stamp() uint32 {
+	if m.seenStamp++; m.seenStamp == 0 {
+		clear(m.seen)
+		m.seenStamp = 1
+	}
+	return m.seenStamp
+}
+
+// growSeen makes seen cover class c and returns it.
+func (m *Maintainer) growSeen(c uint32) []uint32 {
+	m.seen = append(m.seen, make([]uint32, int(c)+1-len(m.seen))...)
+	return m.seen
+}
+
+// smallKey is the tail length up to which sameKey compares two tails by a
+// nested loop rather than by stamping one of them.
+const smallKey = 8
+
+// sameKey reports whether the signatures a and b are one key: the same
+// class, and the same set of successor classes in whatever order. Each
+// tail lists a class at most once, so tails of one length are equal when
+// the one's classes all occur in the other. The first word is not part of
+// the set: a class that is v's own and also a successor's is listed twice.
+func (m *Maintainer) sameKey(a, b []uint32) bool {
+	if len(a) != len(b) || a[0] != b[0] {
+		return false
+	}
+	a, b = a[1:], b[1:]
+	if len(a) <= smallKey {
+	next:
+		for _, x := range a {
+			for _, y := range b {
+				if x == y {
+					continue next
+				}
+			}
+			return false
+		}
+		return true
+	}
+	st := m.stamp()
+	seen := m.seen
+	for _, y := range b {
+		if int(y) >= len(seen) {
+			seen = m.growSeen(y)
+		}
+		seen[y] = st
+	}
+	for _, x := range a {
+		if int(x) >= len(seen) || seen[x] != st {
+			return false
+		}
+	}
+	return true
+}
+
+// hashOf hashes a signature as a set: a mix of the class, plus the sum of
+// the mixes of the successor classes — which no order changes — mixed once
+// more. The class is mixed with bit 32 set, so that it hashes apart from the
+// same id in the tail.
 func (m *Maintainer) hashOf(sig []uint32) uint32 {
-	if m.constHash {
+	if m.test.constHash {
 		return 0
 	}
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, s := range sig {
-		h = (h ^ uint64(s)) * 0xff51afd7ed558ccd
-		h ^= h >> 32
+	h := mix(uint64(sig[0]) | 1<<32)
+	for _, s := range sig[1:] {
+		h += mix(uint64(s))
 	}
-	return uint32(h)
+	return uint32(mix(h))
+}
+
+// mix is a bijection of 64-bit words that spreads every input bit over the
+// low half.
+func mix(x uint64) uint64 {
+	x *= 0xff51afd7ed558ccd
+	return x ^ x>>32
 }
 
 // classOf returns the live class of lv whose key is sig, the signature of
@@ -249,24 +294,8 @@ func (m *Maintainer) classOf(lv *level, below []int32, v graph.Node, sig []uint3
 		if id < 0 {
 			return -1
 		}
-		if lv.hash[id] == h {
-			switch {
-			case lv.rep[id] != repUnknown:
-				m.s.repSig = m.sign(below, lv.rep[id], m.s.repSig)
-			case lv.cls[v] == id:
-				// v was a member, so the key is the signature v had before the
-				// batch; if it has it still, v can vouch for the class from now on.
-				m.s.repSig = m.signBefore(below, v, m.s.repSig)
-				if slices.Equal(m.s.repSig, sig) {
-					lv.rep[id] = v
-				}
-			default:
-				m.findReps(lv)
-				m.s.repSig = m.sign(below, lv.rep[id], m.s.repSig)
-			}
-			if slices.Equal(m.s.repSig, sig) {
-				return id
-			}
+		if lv.hash[id] == h && m.isKey(lv, below, id, v, sig) {
+			return id
 		}
 		if p++; p == len(lv.slots) {
 			p = 0
@@ -274,9 +303,32 @@ func (m *Maintainer) classOf(lv *level, below []int32, v graph.Node, sig []uint3
 	}
 }
 
+// isKey reports whether sig, the signature of the re-signed node v, is the
+// key of class id, by re-signing a member of the class.
+func (m *Maintainer) isKey(lv *level, below []int32, id int32, v graph.Node, sig []uint32) bool {
+	s := &m.s
+	switch {
+	case lv.rep[id] != repUnknown:
+	case lv.cls[v] == id:
+		// v was a member, so the key is the signature v had before the
+		// batch; if it has it still, v can vouch for the class from now on.
+		s.repSig = m.signBefore(below, v, s.repSig)
+		if !m.sameKey(s.repSig, sig) {
+			return false
+		}
+		lv.rep[id] = v
+		return true
+	default:
+		m.findReps(lv)
+	}
+	s.repSig = m.sign(below, lv.rep[id], s.repSig)
+	return m.sameKey(s.repSig, sig)
+}
+
 // signBefore writes the signature v had at this level before the batch:
-// over the successors it had then and the ids the classes below had then.
-// The last pass's change list is still that of the level below.
+// over the successors it had then and the ids the classes below had then,
+// repeats dropped as sign drops them. The last pass's change list is still
+// that of the level below.
 func (m *Maintainer) signBefore(below []int32, v graph.Node, buf []uint32) []uint32 {
 	g, s := m.g, &m.s
 	if s.oldEpoch != m.epoch {
@@ -319,7 +371,7 @@ next:
 			buf = append(buf, before(u.To))
 		}
 	}
-	return sortedSet(buf)
+	return m.keyOf(buf)
 }
 
 // findReps gives every class that lost its representative one of the
@@ -357,7 +409,7 @@ func (m *Maintainer) groupOf(sig []uint32, h uint32, v graph.Node) int32 {
 		if g > 0 {
 			start = s.gend[g-1]
 		}
-		if slices.Equal(s.arena[start:s.gend[g]], sig) {
+		if m.sameKey(s.arena[start:s.gend[g]], sig) {
 			return g
 		}
 	}

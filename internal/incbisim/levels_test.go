@@ -107,7 +107,7 @@ type stepper struct {
 
 func newStepper(t *testing.T, g *graph.Graph, constHash bool) *stepper {
 	mirror := g.Clone()
-	m := newMaintainer(g, nil, constHash)
+	m := newMaintainer(g, nil, testHooks{constHash: constHash})
 	if blocks, nodes := m.Changes(); len(blocks)+len(nodes) != 0 {
 		t.Fatalf("a new maintainer logs %d blocks and %d nodes", len(blocks), len(nodes))
 	}

@@ -45,6 +45,7 @@ func patternCost(tb testing.TB, factor, batches int) (ns, resigned []float64, de
 		start := time.Now()
 		st := m.Absorb(eff)
 		took := time.Since(start)
+		scans += st.RepScans
 		switch {
 		case st.Fallbacks != 0:
 			tb.Fatalf("batch %d at %d× refined from the seed: %+v", i, factor, st)
@@ -58,7 +59,7 @@ func patternCost(tb testing.TB, factor, batches int) (ns, resigned []float64, de
 			resigned = append(resigned, float64(st.DirtyNodes))
 		}
 	}
-	return ns, resigned, deepened, m.repScans
+	return ns, resigned, deepened, scans
 }
 
 func median(xs []float64) float64 {

@@ -47,6 +47,8 @@ type Meter struct {
 	LevelRebuilds          *obs.Counter   // levels incPCM built or re-signed whole
 	Fallbacks              *obs.Counter   // batches incPCM refined from the seed
 	Resplits               *obs.Counter   // SCC splits re-decomposed whole rather than peeled
+	LossSwept              *obs.Histogram // components the condensation's loss-area sweeps marked
+	RepScans               *obs.Counter   // scans of a whole level incPCM made for a lost representative
 }
 
 // New takes ownership of g and compresses it under both schemes.
@@ -98,6 +100,7 @@ func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {
 		t1 = time.Now()
 		mt.SCCTime.Observe(t1.Sub(t0))
 		mt.Resplits.Add(uint64(d.Resplits))
+		mt.LossSwept.ObserveNs(int64(d.LossSwept))
 	}
 	rs := p.Reach.Absorb(len(eff), d)
 	if mt != nil {
@@ -112,6 +115,7 @@ func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {
 		mt.PatternLevels.Set(int64(p.Pattern.Levels()))
 		mt.LevelRebuilds.Add(uint64(ps.LevelRebuilds))
 		mt.Fallbacks.Add(uint64(ps.Fallbacks))
+		mt.RepScans.Add(uint64(ps.RepScans))
 	}
 	return rs, ps
 }

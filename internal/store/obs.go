@@ -24,8 +24,9 @@ type storeObs struct {
 	// append + commit and publish per coalesced group; the condensation,
 	// incRCM and incPCM per batch (per shard sub-batch when sharded)
 	// through meter, which also carries the affected area next to the
-	// clocks — qpgc_store_aff{scheme=...} — incPCM's depth and the
-	// condensation's whole-component re-splits.
+	// clocks — qpgc_store_aff{scheme=...} — incPCM's depth and its scans
+	// for a lost representative, and the condensation's whole-component
+	// re-splits and loss-area sweeps.
 	stageWAL, stagePublish *obs.Histogram
 	meter                  maintain.Meter
 	leaf                   *obs.Histogram // qpgc_query stage: leaf engine time per wave (sampled)
@@ -121,6 +122,8 @@ func newStoreObs(r *obs.Registry) *storeObs {
 			LevelRebuilds: r.Counter("qpgc_store_pattern_level_rebuilds_total"),
 			Fallbacks:     r.Counter("qpgc_store_pattern_fallbacks_total"),
 			Resplits:      r.Counter("qpgc_store_scc_resplits_total"),
+			LossSwept:     r.Histogram("qpgc_store_scc_loss_components"),
+			RepScans:      r.Counter("qpgc_store_pattern_rep_scans_total"),
 		},
 		leaf:    r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageLeaf.String())),
 		summary: r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageSummary.String())),

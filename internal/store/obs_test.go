@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 // TestApplyStageHistograms pins the write-path budget a registry exposes:
 // qpgc_store_apply_seconds splits into wal, scc, reach, pattern and publish
 // stages that are each observed and together stay within the total, on
-// both store kinds; a store opened without a registry wires no stage
-// clocks at all.
+// both store kinds; the loss-area sweeps and incPCM's representative scans
+// are counted once per maintainer call; a store opened without a registry
+// wires no stage clocks at all.
 func TestApplyStageHistograms(t *testing.T) {
 	const batches = 6
 	stage := func(r *obs.Registry, name string) obs.HistSnapshot {
@@ -53,6 +55,9 @@ func TestApplyStageHistograms(t *testing.T) {
 		if n := r.Counter("qpgc_store_pattern_fallbacks_total").Value(); n != 0 {
 			t.Fatalf("%d batches refined from the seed on a shallow graph", n)
 		}
+		if loss := r.Histogram("qpgc_store_scc_loss_components").Snapshot(); loss.Count != perBatch {
+			t.Fatalf("loss-area sweeps observed %d times for %d maintainer calls", loss.Count, perBatch)
+		}
 	}
 
 	t.Run("store", func(t *testing.T) {
@@ -61,12 +66,21 @@ func TestApplyStageHistograms(t *testing.T) {
 		s := mustOpen(t, g.Clone(), &Options{Indexes: true, Dir: t.TempDir(), Obs: reg})
 		defer s.Close()
 		rng := rand.New(rand.NewSource(4))
+		scans := 0
 		for i := 0; i < batches; i++ {
-			if _, err := s.ApplyBatch(gen.RandomBatch(rng, g, 16, 0.5)); err != nil {
+			res, err := s.ApplyBatch(gen.RandomBatch(rng, g, 16, 0.5))
+			if err != nil {
 				t.Fatal(err)
 			}
+			scans += res.Pattern.RepScans
 		}
 		check(t, reg, batches)
+		if n := reg.Counter("qpgc_store_pattern_rep_scans_total").Value(); n != uint64(scans) {
+			t.Fatalf("rep-scan counter reads %d, the batches report %d scans", n, scans)
+		}
+		if text := reg.PrometheusText(); !strings.Contains(text, "qpgc_store_pattern_rep_scans_total") {
+			t.Fatal("/metrics does not list qpgc_store_pattern_rep_scans_total")
+		}
 
 		// Publish splits into the writer's four stages, observed once per
 		// publish and summing to the publish total (the laps leave out only
@@ -123,6 +137,9 @@ func TestApplyStageHistograms(t *testing.T) {
 		scc, reach, pat := stage(reg, "scc"), stage(reg, "reach"), stage(reg, "pattern")
 		if reach.Count < batches || scc.Count != reach.Count || pat.Count != reach.Count {
 			t.Fatalf("shards observed scc %d, reach %d, pattern %d sub-batches for %d batches", scc.Count, reach.Count, pat.Count, batches)
+		}
+		if loss := reg.Histogram("qpgc_store_scc_loss_components").Snapshot(); loss.Count != reach.Count {
+			t.Fatalf("shards observed loss-area sweeps %d times for %d sub-batches", loss.Count, reach.Count)
 		}
 		if stage(reg, "wal").Count != batches {
 			t.Fatalf("wal observed %d groups, want %d", stage(reg, "wal").Count, batches)
