@@ -33,9 +33,9 @@ func (c *Compressed) ClassMap() []graph.Node { return c.blockOf }
 
 // AssembleCompressed packages an externally reconstructed quotient with its
 // node mapping into a Compressed value, taking ownership of all arguments.
-// Used by the store for the views it publishes and decodes — with a nil gr,
-// since those carry the quotient as a frozen CSR; the incremental
-// maintainer goes through Quotient/QuotientCSR instead.
+// Used for the views incPCM publishes and a store decodes or patches — with
+// a nil gr, since those carry the quotient as a frozen CSR — and for the
+// incremental maintainer's Compressed, which thaws one.
 func AssembleCompressed(gr *graph.Graph, blockOf []graph.Node, members [][]graph.Node) *Compressed {
 	return &Compressed{Gr: gr, blockOf: blockOf, Members: members}
 }
@@ -70,15 +70,6 @@ func Compress(g *graph.Graph) *Compressed {
 // compression, pattern compression must preserve labels.
 func Quotient(g *graph.Graph, p *Partition) *Compressed {
 	return quotient(g.Freeze(), p)
-}
-
-// QuotientCSR is Quotient over an already-frozen snapshot, for callers that
-// hold a CSR of the current graph state (e.g. the concurrent store freezes
-// G once per epoch and shares the snapshot between the quotient rebuild and
-// the read path). The partition must describe exactly the graph state c was
-// frozen from.
-func QuotientCSR(c *graph.CSR, p *Partition) *Compressed {
-	return quotient(c, p)
 }
 
 // quotient builds the compressed graph in bulk: each class's row (including

@@ -59,7 +59,14 @@
 // maintainer stops keeping levels: it refines from the seed each batch
 // with bisim.RefinePT (Stats.Fallbacks), under the same block ids
 // and change log, and tries the levels again every fallbackRetry batches.
-// Compressed projects the quotient from G once per generation, on demand.
+//
+// # The published view
+//
+// View publishes the quotient in a dense id space of its own, patched from
+// the change log at the cost of what moved rather than rebuilt from G
+// (view.go); a store publishes it as is and a follower applies the same
+// moves with Patch. Compressed builds R(G) as a mutable graph in
+// Partition's numbering, for callers that want that.
 //
 // Property tests enforce that the maintained compression is identical (as
 // a partition) to batch recompression after every batch.
@@ -142,17 +149,31 @@ type Maintainer struct {
 	repScans int // findReps calls in the current Absorb: passes over a level (Stats.RepScans)
 	test     testHooks
 
-	// The change log since ResetChanges: every block id that gained or lost
-	// a member and every node that changed block, each listed once.
+	// The change log since the last View: every block id that gained or
+	// lost a member, every node that changed block and every source of an
+	// effective update, each listed once.
 	logBlocks   []int32
 	logNodes    []graph.Node
+	logSrcs     []graph.Node
 	blockLogged []bool // block id -> listed in logBlocks
 	nodeLogged  []bool // node -> listed in logNodes
+	srcLogged   []bool // node -> listed in logSrcs
 
-	gen   uint64
-	part  *bisim.Partition  // canonical partition, nil when stale
-	comp  *bisim.Compressed // nil when stale
-	grCSR *graph.CSR        // frozen comp.Gr, nil when stale
+	// The published view (view.go): the one View last returned and the
+	// generation it is of, the block id -> published id map (-1 when not
+	// published) and its inverse, and the rows patched since the last full
+	// build; then View's scratch.
+	view     View
+	viewGen  uint64
+	pub, mid []int32
+	patched  int
+	vp       Patcher
+	ps       struct{ holes, fresh, reloc []int32 }
+	diff     Diff
+
+	gen  uint64            // batches that held an effective update
+	part *bisim.Partition  // canonical partition, nil when stale
+	comp *bisim.Compressed // nil when stale
 }
 
 // testHooks vary how a maintainer signs, for tests; the zero value is the
@@ -179,6 +200,7 @@ func newMaintainer(g *graph.Graph, cond *dynscc.Cond, test testHooks) *Maintaine
 		cond:       cond,
 		mark:       make([]uint32, n),
 		nodeLogged: make([]bool, n),
+		srcLogged:  make([]bool, n),
 		test:       test,
 	}
 	// The initial compression is maintenance with every node affected at
@@ -189,7 +211,7 @@ func newMaintainer(g *graph.Graph, cond *dynscc.Cond, test testHooks) *Maintaine
 		m.levels = []level{*m.top()}
 		m.fallback = true
 		m.fromSeed(&st)
-		m.ResetChanges()
+		m.resetChanges()
 	}
 	m.s = scratch{}
 	return m
@@ -198,38 +220,6 @@ func newMaintainer(g *graph.Graph, cond *dynscc.Cond, test testHooks) *Maintaine
 // Graph returns the maintained graph. Callers must not mutate it directly;
 // use Apply.
 func (m *Maintainer) Graph() *graph.Graph { return m.g }
-
-// Generation counts the batches that held an effective update: two calls
-// returning the same value bracket a span in which Compressed did not
-// change.
-func (m *Maintainer) Generation() uint64 { return m.gen }
-
-// Compressed returns the current compressed form R(G). The quotient is
-// projected once per generation, on demand.
-func (m *Maintainer) Compressed() *bisim.Compressed {
-	c, _ := m.CompressedCSR(nil)
-	return c
-}
-
-// CompressedCSR returns the current compressed form together with a frozen
-// CSR snapshot of its quotient graph, both cached per generation. base, if
-// non-nil, must be a CSR snapshot of a graph identical in content to
-// Graph()'s current state (the store's full-build publish passes the
-// snapshot of G it just built, saving a second O(|G|) freeze; its other
-// epochs patch their view from Changes instead of calling this); pass nil
-// to have the maintainer freeze its own graph.
-func (m *Maintainer) CompressedCSR(base *graph.CSR) (*bisim.Compressed, *graph.CSR) {
-	if m.comp == nil {
-		if base == nil {
-			base = m.Graph().Freeze()
-		}
-		m.comp = bisim.QuotientCSR(base, m.Partition())
-	}
-	if m.grCSR == nil {
-		m.grCSR = m.comp.Gr.Freeze()
-	}
-	return m.comp, m.grCSR
-}
 
 // top is the level whose classes are the blocks.
 func (m *Maintainer) top() *level { return &m.levels[len(m.levels)-1] }
@@ -244,39 +234,38 @@ func (m *Maintainer) Partition() *bisim.Partition {
 	return m.part
 }
 
-// BlockID returns the maintainer's own id of v's block. These ids are what
-// makes a small change small downstream: a block no batch touched keeps
-// its id, a block that grows, shrinks or splits keeps it — for the members
-// the batch did not reach or, when it reached all, on its larger side — and
-// only the rest get fresh or recycled ones: sparse, unlike Partition's
-// canonical numbering.
-func (m *Maintainer) BlockID(v graph.Node) int32 { return m.top().cls[v] }
-
-// BlockSize returns the member count of block id, 0 for an id not in use.
-func (m *Maintainer) BlockSize(id int32) int { return int(m.top().cnt[id]) }
-
-// NumBlockIDs returns the bound on block ids: every id in use is below it.
-func (m *Maintainer) NumBlockIDs() int { return len(m.top().cnt) }
-
-// Changes returns the change log since ResetChanges (or construction):
-// the ids of the blocks that gained or lost a member — new, shrunk,
-// emptied or recycled — and the nodes whose block id changed, each once
-// and in no particular order. A consumer that mirrors the partition (the
-// store's published pattern view) patches exactly these and resets the
-// log; the slices are valid until the next Apply, Absorb or ResetChanges.
-func (m *Maintainer) Changes() (blocks []int32, nodes []graph.Node) {
-	return m.logBlocks, m.logNodes
+// Sources returns, ascending and each once, the nodes whose successor
+// lists changed since the last View or ClearSources: the sources of the
+// effective updates absorbed, which is what graph.FreezePatch needs to
+// bring a snapshot of Graph() taken then up to date. Valid until the next
+// Apply, Absorb, View or ClearSources.
+func (m *Maintainer) Sources() []graph.Node {
+	slices.Sort(m.logSrcs)
+	return m.logSrcs
 }
 
-// ResetChanges empties the change log.
-func (m *Maintainer) ResetChanges() {
+// ClearSources empties the list Sources returns, for a caller that takes no
+// views: the next View is built in full.
+func (m *Maintainer) ClearSources() {
+	for _, v := range m.logSrcs {
+		m.srcLogged[v] = false
+	}
+	m.logSrcs = m.logSrcs[:0]
+	m.view = View{}
+}
+
+// resetChanges empties the change log.
+func (m *Maintainer) resetChanges() {
 	for _, b := range m.logBlocks {
 		m.blockLogged[b] = false
 	}
 	for _, v := range m.logNodes {
 		m.nodeLogged[v] = false
 	}
-	m.logBlocks, m.logNodes = m.logBlocks[:0], m.logNodes[:0]
+	for _, v := range m.logSrcs {
+		m.srcLogged[v] = false
+	}
+	m.logBlocks, m.logNodes, m.logSrcs = m.logBlocks[:0], m.logNodes[:0], m.logSrcs[:0]
 }
 
 // logBlock lists block id in the change log.
@@ -317,24 +306,6 @@ func (m *Maintainer) Apply(batch []graph.Update) Stats {
 	return m.Absorb(eff)
 }
 
-// ApplySingly processes a batch one update at a time — the IncBsim
-// baseline of Fig. 12(g), which invokes a single-update incremental
-// bisimulation algorithm [30] repeatedly and therefore cannot exploit
-// batch-level redundancy (no cross-update minDelta cancellation).
-func (m *Maintainer) ApplySingly(batch []graph.Update) Stats {
-	var total Stats
-	for _, up := range batch {
-		st := m.Apply([]graph.Update{up})
-		total.EffectiveUpdates += st.EffectiveUpdates
-		total.DirtyNodes += st.DirtyNodes
-		total.ChangedBlocks += st.ChangedBlocks
-		total.LevelRebuilds += st.LevelRebuilds
-		total.Fallbacks += st.Fallbacks
-		total.RepScans += st.RepScans
-	}
-	return total
-}
-
 // Absorb updates the compression after the effective updates eff were
 // applied to the graph.
 func (m *Maintainer) Absorb(eff []graph.Update) Stats {
@@ -343,7 +314,13 @@ func (m *Maintainer) Absorb(eff []graph.Update) Stats {
 		return st
 	}
 	m.gen++
-	m.part, m.comp, m.grCSR = nil, nil, nil
+	m.part, m.comp = nil, nil
+	for _, up := range eff {
+		if !m.srcLogged[up.From] {
+			m.srcLogged[up.From] = true
+			m.logSrcs = append(m.logSrcs, up.From)
+		}
+	}
 	m.s.ids = m.s.ids[:0]
 	m.repScans = 0
 	m.startEpochs()

@@ -2,6 +2,7 @@ package incbisim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -148,9 +149,11 @@ func TestApplySinglyEquivalent(t *testing.T) {
 	m2 := New(g.Clone())
 	batch := randomBatch(rng, g, 6)
 	m1.Apply(batch)
-	m2.ApplySingly(batch)
+	for _, up := range batch { // the IncBsim baseline of Fig. 12(g)
+		m2.Apply([]graph.Update{up})
+	}
 	// Both must land on the batch-recompressed partition of the SAME final
-	// graph. ApplySingly applies updates in order, so final graphs match
+	// graph. One at a time applies updates in order, so final graphs match
 	// whenever the batch has no internal cancellations; enforce via reduce.
 	if !m1.Partition().Same(bisim.RefineNaive(m1.Graph())) {
 		t.Fatal("m1 diverged")
@@ -187,23 +190,23 @@ func TestStatsReportWork(t *testing.T) {
 	}
 }
 
-// logMirror checks the contract a mirror of the partition relies on:
-// between two ResetChanges calls — over one batch or several — every node
-// whose block id differs is in the log's nodes, every id whose member set
+// logMirror checks the contract View relies on: between two views — over
+// one batch or several — every node whose block id differs is in the
+// log's nodes, every id whose member set
 // differs is in its blocks, sizes count carriers, and an id no batch
 // touched names the same members as before.
 type logMirror struct{ prev []int32 }
 
 func mirrorLog(m *Maintainer) *logMirror {
-	m.ResetChanges()
+	m.resetChanges()
 	return &logMirror{prev: append([]int32(nil), m.top().cls...)}
 }
 
 // check compares the maintainer's blocks with the mirror's through the
-// change log, then resets the log.
+// change log; the caller then empties the log (checkView).
 func (lm *logMirror) check(t *testing.T, m *Maintainer, round int) {
 	t.Helper()
-	blocks, nodes := m.Changes()
+	blocks, nodes := m.logBlocks, m.logNodes
 	inBlocks, inNodes := map[int32]bool{}, map[graph.Node]bool{}
 	for _, b := range blocks {
 		if inBlocks[b] {
@@ -217,9 +220,10 @@ func (lm *logMirror) check(t *testing.T, m *Maintainer, round int) {
 		}
 		inNodes[v] = true
 	}
-	carriers := make([]int, m.NumBlockIDs())
+	top := m.top()
+	carriers := make([]int, len(top.cnt))
 	for v := range lm.prev {
-		id := m.BlockID(graph.Node(v))
+		id := top.cls[v]
 		carriers[id]++
 		if id != lm.prev[v] {
 			if !inNodes[graph.Node(v)] {
@@ -232,11 +236,46 @@ func (lm *logMirror) check(t *testing.T, m *Maintainer, round int) {
 		lm.prev[v] = id
 	}
 	for id, n := range carriers {
-		if m.BlockSize(int32(id)) != n {
-			t.Fatalf("round %d: block %d has size %d but %d carriers", round, id, m.BlockSize(int32(id)), n)
+		if int(top.cnt[id]) != n {
+			t.Fatalf("round %d: block %d has size %d but %d carriers", round, id, top.cnt[id], n)
 		}
 	}
-	m.ResetChanges()
+}
+
+// checkView takes the maintainer's next view, which empties the change
+// log, and holds it to batch compression of mirror: the same partition,
+// member lists that agree with the block map, and every block's label and
+// quotient rows, both sides, equal to bisim.Compress's through its
+// canonical numbering.
+func checkView(t *testing.T, m *Maintainer, mirror *graph.Graph, round int) {
+	t.Helper()
+	v, diff := m.View()
+	want := bisim.Compress(mirror)
+	blockOf, members := v.Compressed.ClassMap(), v.Compressed.Members
+	if !bisim.PartitionOf(blockOf).Same(bisim.PartitionOf(want.ClassMap())) || v.Gr.NumNodes() != len(members) {
+		t.Fatalf("round %d: view (made %d) has %d blocks over a different partition than batch's %d", round, diff.How, len(members), want.NumClasses())
+	}
+	canon := func(row []graph.Node) []graph.Node {
+		out := make([]graph.Node, len(row))
+		for i, b := range row {
+			out[i] = want.ClassOf(members[b][0])
+		}
+		slices.Sort(out)
+		return out
+	}
+	for b, mem := range members {
+		for _, u := range mem {
+			if blockOf[u] != graph.Node(b) {
+				t.Fatalf("round %d: node %d listed in block %d, mapped to %d", round, u, b, blockOf[u])
+			}
+		}
+		c, pb := want.ClassOf(mem[0]), graph.Node(b)
+		if !slices.IsSorted(mem) || v.Gr.Label(pb) != want.Gr.Label(c) ||
+			!slices.Equal(canon(v.Gr.Successors(pb)), want.Gr.Successors(c)) ||
+			!slices.Equal(canon(v.Gr.Predecessors(pb)), want.Gr.Predecessors(c)) {
+			t.Fatalf("round %d: view (made %d) block %d differs from batch class %d", round, diff.How, b, c)
+		}
+	}
 }
 
 func TestChangeLogCoversEveryMove(t *testing.T) {
@@ -263,6 +302,7 @@ func TestChangeLogCoversEveryMove(t *testing.T) {
 			}
 			checkAgainstBatch(t, m)
 			lm.check(t, m, round)
+			checkView(t, m, m.Graph(), round)
 		}
 	}
 }

@@ -108,7 +108,7 @@ type stepper struct {
 func newStepper(t *testing.T, g *graph.Graph, constHash bool) *stepper {
 	mirror := g.Clone()
 	m := newMaintainer(g, nil, testHooks{constHash: constHash})
-	if blocks, nodes := m.Changes(); len(blocks)+len(nodes) != 0 {
+	if blocks, nodes := m.logBlocks, m.logNodes; len(blocks)+len(nodes) != 0 {
 		t.Fatalf("a new maintainer logs %d blocks and %d nodes", len(blocks), len(nodes))
 	}
 	s := &stepper{t: t, m: m, mirror: mirror, log: mirrorLog(m)}
@@ -124,6 +124,7 @@ func (s *stepper) check() {
 	}
 	checkLevels(s.t, s.m)
 	s.log.check(s.t, s.m, s.round)
+	checkView(s.t, s.m, s.mirror, s.round)
 }
 
 func (s *stepper) apply(batch ...graph.Update) Stats {
@@ -135,7 +136,7 @@ func (s *stepper) apply(batch ...graph.Update) Stats {
 	return st
 }
 
-func (s *stepper) same(u, v graph.Node) bool { return s.m.BlockID(u) == s.m.BlockID(v) }
+func (s *stepper) same(u, v graph.Node) bool { return s.m.top().cls[u] == s.m.top().cls[v] }
 
 // labeled builds a graph with one node per label name and the given edges.
 func labeled(labels []string, edges [][2]graph.Node) *graph.Graph {
@@ -325,8 +326,8 @@ func TestLevelsUnderChurn(t *testing.T) {
 
 // FuzzIncPCM decodes a small labeled graph and an update list from bytes,
 // applies the updates in batches of varying size, and checks after each
-// that the maintained partition equals RefineNaive's and that the change
-// log covers every move.
+// that the maintained partition equals RefineNaive's, that the change log
+// covers every move and that the view patched from it is batch's quotient.
 func FuzzIncPCM(f *testing.F) {
 	f.Add(uint8(7), uint8(1), []byte{0, 6, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3}, []byte{0, 6, 0, 1, 0, 6, 1, 1}) // mirror cycles
 	f.Add(uint8(40), uint8(1), []byte{}, []byte{38, 39, 1, 1, 37, 38, 1, 1, 36, 37, 1, 3})                      // a chain from nothing
@@ -362,6 +363,7 @@ func FuzzIncPCM(f *testing.F) {
 			}
 			checkLevels(t, m)
 			lm.check(t, m, round)
+			checkView(t, m, m.Graph(), round)
 			round++
 		}
 	})

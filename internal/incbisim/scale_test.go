@@ -111,3 +111,53 @@ func BenchmarkIncPCMApply(b *testing.B) {
 		})
 	}
 }
+
+// viewReadsPerChange is the ceiling on the adjacency rows a patched view
+// reads — the predecessors of each moved node and every quotient row it
+// rebuilds — as a multiple of the nodes moved plus the sources of the
+// updates since the previous view. Measured on the stream below, every one
+// of the eight batches reads 1.2–1.3 per change: 319–542 nodes moved (4–7 %
+// of 7 750), ≈ 760 sources, ≈ 1 100 rows rebuilt of 2 600–5 000.
+const viewReadsPerChange = 2
+
+// TestViewCostsWhatMoved holds View to the paper's claim on the Fig. 12(g)
+// stream (Youtube-like at scale 1, seed 42, eight mixed batches of 2 % of
+// |E|, 796 updates each): every view after the first is a patch, and the
+// adjacency rows it reads stay within viewReadsPerChange times what moved
+// plus the sources — counts, not |G|. Behind QPGC_BENCH_SMOKE with the
+// other regression smokes.
+func TestViewCostsWhatMoved(t *testing.T) {
+	if os.Getenv("QPGC_BENCH_SMOKE") == "" {
+		t.Skip("set QPGC_BENCH_SMOKE=1 to run the benchmark regression smoke")
+	}
+	var d gen.Dataset
+	for _, x := range gen.PatternDatasets() {
+		if x.Name == "Youtube" {
+			d = x
+		}
+	}
+	const seed = 42
+	g := d.Build(seed)
+	rng := rand.New(rand.NewSource(seed + 3))
+	m := New(g)
+	if _, diff := m.View(); diff.How != Built {
+		t.Fatalf("the first view was made %d, want built", diff.How)
+	}
+	step := g.NumEdges() / 50
+	for i := 1; i <= 8; i++ {
+		m.Apply(gen.RandomBatch(rng, m.Graph(), step, 0.5))
+		srcs := len(m.Sources())
+		v, diff := m.View()
+		if diff.How != Patched {
+			t.Fatalf("batch %d: the view was made %d, want patched", i, diff.How)
+		}
+		change := len(diff.Moved) + srcs
+		t.Logf("batch %d: %d moved (%.1f %% of %d nodes), %d sources, %d rows rebuilt of %d, %d adjacency rows read (%.1f per change)",
+			i, len(diff.Moved), 100*float64(len(diff.Moved))/float64(g.NumNodes()), g.NumNodes(), srcs,
+			len(diff.Rows.IDs), v.Gr.NumNodes(), m.vp.reads, float64(m.vp.reads)/float64(change))
+		if m.vp.reads > viewReadsPerChange*change {
+			t.Errorf("batch %d: the patch read %d adjacency rows for %d moved nodes and %d sources, want at most %d×",
+				i, m.vp.reads, len(diff.Moved), srcs, viewReadsPerChange)
+		}
+	}
+}

@@ -8,7 +8,6 @@
 package maintain
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/dynscc"
@@ -29,11 +28,6 @@ type Pair struct {
 	// Meter, when non-nil, receives what each Apply measured. With none
 	// Apply reads no clock.
 	Meter *Meter
-
-	// sources lists, once each, the nodes whose successor lists changed
-	// since ClearSources: the From of every effective update.
-	sources []graph.Node
-	isSrc   []bool
 }
 
 // Meter is the instruments a Pair feeds, once per Apply. The two Aff
@@ -54,31 +48,22 @@ type Meter struct {
 // New takes ownership of g and compresses it under both schemes.
 func New(g *graph.Graph) *Pair {
 	cond := dynscc.New(g)
-	return &Pair{
-		cond: cond, Reach: increach.Over(cond), Pattern: incbisim.Over(cond),
-		isSrc: make([]bool, g.NumNodes()),
-	}
+	return &Pair{cond: cond, Reach: increach.Over(cond), Pattern: incbisim.Over(cond)}
 }
 
 // Graph returns the maintained graph; mutate it only through Apply.
 func (p *Pair) Graph() *graph.Graph { return p.cond.Graph() }
 
 // Sources returns, ascending and each once, the nodes whose successor
-// lists changed since ClearSources — what graph.FreezePatch needs to bring
-// a snapshot of Graph() taken then up to date. Valid until the next Apply
-// or ClearSources.
-func (p *Pair) Sources() []graph.Node {
-	slices.Sort(p.sources)
-	return p.sources
-}
+// lists changed since Pattern's last View or ClearSources — what
+// graph.FreezePatch needs to bring a snapshot of Graph() taken then up to
+// date. incPCM's change log keeps them. Valid until the next Apply, View or
+// ClearSources.
+func (p *Pair) Sources() []graph.Node { return p.Pattern.Sources() }
 
-// ClearSources empties the list Sources returns.
-func (p *Pair) ClearSources() {
-	for _, v := range p.sources {
-		p.isSrc[v] = false
-	}
-	p.sources = p.sources[:0]
-}
+// ClearSources empties the list Sources returns, for a caller that takes no
+// pattern views.
+func (p *Pair) ClearSources() { p.Pattern.ClearSources() }
 
 // Apply applies ΔG to the graph and brings both compressions to
 // R(G ⊕ ΔG).
@@ -89,12 +74,6 @@ func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {
 		t0 = time.Now()
 	}
 	eff := p.cond.Graph().Reduce(batch)
-	for _, up := range eff {
-		if !p.isSrc[up.From] {
-			p.isSrc[up.From] = true
-			p.sources = append(p.sources, up.From)
-		}
-	}
 	d := p.cond.Apply(eff)
 	if mt != nil {
 		t1 = time.Now()

@@ -2,7 +2,7 @@
 //
 // At publish, a store somebody tails records the effect of the group it
 // just swapped in: how the pattern view's node → block map moved and the
-// quotient rows patternPatcher rebuilt, and — when the reach view moved —
+// quotient rows incPCM's patch rebuilt, and — when the reach view moved —
 // an old class → new class map with the nodes that do not follow it, plus
 // the new reach quotient. That is O(|moved| + |rows|) and O(|Gr| + |AFF|),
 // not O(|V|). The effects live in a ring bounded by effectRingBytes and go
@@ -20,9 +20,10 @@
 // of the current snapshot's views instead, and from then on the diffs.
 //
 // Effect bytes are untrusted input: the decoder checks every count and id
-// and a CRC over the whole; the follower recomputes every shipped pattern
-// row from its own patched G and checks that the rows shipped are every row
-// the change could reach. Nothing here goes to disk: the WAL of raw batches
+// and a CRC over the whole. The follower runs the moves through the patch
+// the leader ran (incbisim.Patch), which checks them, and it checks that
+// the rows the patch rebuilds from its own patched G are exactly the rows
+// shipped, labels included. Nothing here goes to disk: the WAL of raw batches
 // stays the one record, and a store that restarts draws a new lineage.
 package store
 
@@ -40,8 +41,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bisim"
 	"repro/internal/graph"
+	"repro/internal/incbisim"
 	"repro/internal/reach"
 )
 
@@ -96,14 +97,10 @@ type effect struct {
 
 	// The pattern view: blocks is the new block count. A diff lists the
 	// nodes whose block id changed (ascending) with their new ids, and the
-	// rebuilt quotient rows (ascending ids, their labels, their successor
-	// blocks); an image the whole node → block map.
+	// rebuilt quotient rows; an image the whole node → block map.
 	blocks    int
 	moved, to []graph.Node
-	rows      []graph.Node
-	rowLabel  []graph.Label
-	rowOff    []int32
-	rowAdj    []graph.Node
+	rows      incbisim.Rows
 	blockOf   []graph.Node
 
 	// The reach view, in a diff only when it moved: an old class → new class
@@ -125,7 +122,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // the pattern part; the reach part; a CRC-32C of everything before it.
 // Counts and ids are u32, little-endian.
 func (ef *effect) encode() []byte {
-	b := make([]byte, 0, 64+4*(2*len(ef.moved)+3*len(ef.rows)+len(ef.rowAdj)+len(ef.blockOf)+
+	b := make([]byte, 0, 64+4*(2*len(ef.moved)+3*len(ef.rows.IDs)+len(ef.rows.Adj)+len(ef.blockOf)+
 		len(ef.classMap)+2*len(ef.exNode)+len(ef.classOf)+ef.classes+len(ef.grAdj)))
 	kind := byte(0)
 	if ef.image {
@@ -143,10 +140,10 @@ func (ef *effect) encode() []byte {
 		b = appendU32(b, len(ef.moved))
 		b = appendIDs(b, ef.moved)
 		b = appendIDs(b, ef.to)
-		b = appendU32(b, len(ef.rows))
-		b = appendIDs(b, ef.rows)
-		b = appendIDs(b, ef.rowLabel)
-		b = appendRows(b, ef.rowOff, ef.rowAdj)
+		b = appendU32(b, len(ef.rows.IDs))
+		b = appendIDs(b, ef.rows.IDs)
+		b = appendIDs(b, ef.rows.Label)
+		b = appendRows(b, ef.rows.Off, ef.rows.Adj)
 	}
 	switch {
 	case ef.image:
@@ -335,9 +332,9 @@ func decodeEffect(b []byte) (*effect, error) {
 		ef.moved = r.ids("moved node", k, ef.nodes, true)
 		ef.to = r.ids("new block", k, ef.blocks, false)
 		n := r.count("row", 12, ef.blocks)
-		ef.rows = r.ids("row", n, ef.blocks, true)
-		ef.rowLabel = r.ids("row label", n, math.MaxInt32, false)
-		ef.rowOff, ef.rowAdj = r.rows("pattern", n, ef.blocks)
+		ef.rows.IDs = r.ids("row", n, ef.blocks, true)
+		ef.rows.Label = r.ids("row label", n, math.MaxInt32, false)
+		ef.rows.Off, ef.rows.Adj = r.rows("pattern", n, ef.blocks)
 		switch r.u8() {
 		case 0:
 		case 1:
@@ -439,23 +436,13 @@ func (s *Store) Effects(lineage, epoch uint64) []Effect {
 }
 
 // recordEffect files the effect of the group publish just installed, old →
-// sn, in the ring. Writer goroutine, before the epoch is marked: a tail
-// round woken by the swap finds it there.
-func (s *Store) recordEffect(old, sn *Snapshot, reachMoved, patched bool) {
+// sn, in the ring; diff is how incPCM made sn's pattern view. Writer
+// goroutine, before the epoch is marked: a tail round woken by the swap
+// finds it there.
+func (s *Store) recordEffect(old, sn *Snapshot, reachMoved bool, diff *incbisim.Diff) {
 	ef := &effect{lineage: sn.Lineage, base: old.Epoch, epoch: sn.Epoch, nodes: s.nodes, blocks: sn.Pattern.Gr.NumNodes()}
-	if patched {
-		slices.Sort(s.pp.moves)
-		ef.moved = slices.Compact(s.pp.moves)
-		blockOf := sn.Pattern.Compressed.ClassMap()
-		ef.to = make([]graph.Node, len(ef.moved))
-		for i, v := range ef.moved {
-			ef.to[i] = blockOf[v]
-		}
-		ef.rows, ef.rowOff, ef.rowAdj = s.pp.rows, s.pp.rowOff, s.pp.rowFlat
-		ef.rowLabel = make([]graph.Label, len(ef.rows))
-		for k, r := range ef.rows {
-			ef.rowLabel[k] = sn.Pattern.Gr.Label(r)
-		}
+	if diff.How == incbisim.Patched {
+		ef.moved, ef.to, ef.rows = diff.Moved, diff.To, diff.Rows
 	}
 	if reachMoved {
 		oldOf, newOf := old.Reach.Compressed.ClassMap(), sn.Reach.Compressed.ClassMap()
@@ -483,8 +470,8 @@ func (ef *effect) setReachGr(rv ReachView) {
 }
 
 // imageOf is the image of sn's views: both node maps and the reach
-// quotient. The pattern quotient is not sent; a follower reads each row off
-// one member's successors in its own G, as patternPatcher does.
+// quotient. The pattern quotient is not sent; a follower builds it from the
+// block map over its own G, as incPCM builds its views (incbisim.Build).
 func imageOf(sn *Snapshot, nodes int) *effect {
 	ef := &effect{
 		image: true, lineage: sn.Lineage, base: sn.Epoch, epoch: sn.Epoch, nodes: nodes,
@@ -584,7 +571,7 @@ func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, b []byte
 	}
 	if ef.image {
 		if sn.Reach, err = s.reachView(ef.classOf, ef); err == nil {
-			sn.Pattern, err = imagePattern(g, ef)
+			sn.Pattern, err = incbisim.Build(g, ef.blockOf, ef.blocks, false)
 		}
 		return sn, ef, err
 	}
@@ -628,188 +615,32 @@ func (s *Store) reachView(classOf []graph.Node, ef *effect) (ReachView, error) {
 	return ReachView{Gr: gr, Compressed: reach.AssembleCompressed(nil, classOf, members, ef.cyclic), hop: newHopCell(s.cfg.Indexes, s.ob)}, nil
 }
 
-// imagePattern assembles the pattern view an image's node → block map
-// describes over g: bisimilar nodes have equal successor-block sets, so each
-// quotient row is one member's successors mapped to blocks.
-func imagePattern(g *graph.CSR, ef *effect) (PatternView, error) {
-	members := graph.GroupNodes(ef.blockOf, ef.blocks)
-	label := make([]graph.Label, ef.blocks)
-	off := make([]int32, ef.blocks+1)
-	var adj []graph.Node
-	var seen graph.StampSet
-	for p, mem := range members {
-		if len(mem) == 0 {
-			return PatternView{}, fmt.Errorf("pattern block %d is empty", p)
-		}
-		label[p] = g.Label(mem[0])
-		start := len(adj)
-		seen.Reset(ef.blocks)
-		for _, w := range g.Successors(mem[0]) {
-			if q := ef.blockOf[w]; seen.Add(q) {
-				adj = append(adj, q)
-			}
-		}
-		slices.Sort(adj[start:])
-		off[p+1] = int32(len(adj))
-	}
-	gr, err := graph.CSRFromRows(g.Labels(), label, off, adj)
+// patchPattern applies a diff's pattern part to old over g, the patched G,
+// whose changed rows are srcs: the shipped moves go through incPCM's own
+// patch, which checks them and rebuilds every row the change reaches plus
+// the shipped ones. It must rebuild no row beyond those shipped, and each
+// shipped row and label must be what it read off g.
+func (s *Store) patchPattern(old PatternView, g *graph.CSR, srcs []graph.Node, ef *effect) (PatternView, error) {
+	pv, rows, err := incbisim.Patch(&s.es, g, old, ef.moved, ef.to, ef.blocks, srcs, ef.rows.IDs)
 	if err != nil {
 		return PatternView{}, err
 	}
-	return PatternView{Gr: gr, Compressed: bisim.AssembleCompressed(nil, ef.blockOf, members)}, nil
-}
-
-// effectScratch is patchPattern's, reused across groups on the writer.
-type effectScratch struct {
-	moved, blocks, rows, seen graph.StampSet
-	aff                       []graph.Node
-	cnt                       []int32
-}
-
-// patchPattern applies a diff's pattern part to old over g, the patched G,
-// whose changed rows are srcs. Before it trusts the shipped rows it checks
-// them: the moves leave no block empty and every dropped block emptied;
-// every row the change can reach was shipped — the blocks that gained or
-// lost members, the blocks of the changed sources, every block with an edge
-// into a moved node (a row outside these keeps its members, its first
-// member's successors and their blocks, hence its contents); and each
-// shipped row is what g gives, read off the block's first member.
-func (s *Store) patchPattern(old PatternView, g *graph.CSR, srcs []graph.Node, ef *effect) (PatternView, error) {
-	oldOf, oldMembers := old.Compressed.ClassMap(), old.Compressed.Members
-	nOld, n := len(oldMembers), ef.blocks
-	if len(ef.moved) == 0 && len(ef.rows) == 0 && len(srcs) == 0 && n == nOld {
-		return old, nil
-	}
-	sc := &s.es
-	nb := slices.Clone(oldOf)
-	sc.moved.Reset(len(nb))
-	span := max(n, nOld)
-	sc.blocks.Reset(span)
-	sc.aff = sc.aff[:0]
-	touch := func(p graph.Node) {
-		if sc.blocks.Add(p) {
-			sc.aff = append(sc.aff, p)
-		}
-	}
-	for i, v := range ef.moved {
-		nb[v] = ef.to[i]
-		sc.moved.Add(v)
-		touch(ef.to[i])
-		touch(oldOf[v])
-	}
-	for q := n; q < nOld; q++ {
-		for _, v := range oldMembers[q] {
-			if !sc.moved.Has(v) {
-				return PatternView{}, fmt.Errorf("dropped block %d still holds node %d", q, v)
+	if len(rows.IDs) != len(ef.rows.IDs) {
+		for _, r := range rows.IDs {
+			if _, ok := slices.BinarySearch(ef.rows.IDs, r); !ok {
+				return PatternView{}, fmt.Errorf("the change reaches quotient row %d, which was not shipped", r)
 			}
 		}
 	}
-	for p := nOld; p < n; p++ {
-		if !sc.blocks.Has(graph.Node(p)) {
-			return PatternView{}, fmt.Errorf("new block %d gained no member", p)
+	// Each shipped row is among those rebuilt: found by id, not position.
+	for k, r := range ef.rows.IDs {
+		j, _ := slices.BinarySearch(rows.IDs, r)
+		switch {
+		case rows.Label[j] != ef.rows.Label[k]:
+			return PatternView{}, fmt.Errorf("row %d labeled %d, its members are %d", r, ef.rows.Label[k], rows.Label[j])
+		case !slices.Equal(rows.Row(j), ef.rows.Row(k)):
+			return PatternView{}, fmt.Errorf("row %d lists blocks %v, its first member reaches %v", r, ef.rows.Row(k), rows.Row(j))
 		}
 	}
-
-	// Member lists: unchanged blocks share theirs with old; the others are
-	// carved out of one array — kept members, then the moved-in ones.
-	sc.cnt = slices.Grow(sc.cnt[:0], span)[:span]
-	total := 0
-	kept := func(p graph.Node, visit func(v graph.Node)) {
-		if int(p) < nOld {
-			for _, v := range oldMembers[p] {
-				if !sc.moved.Has(v) {
-					visit(v)
-				}
-			}
-		}
-	}
-	for _, p := range sc.aff {
-		sc.cnt[p] = 0
-		if int(p) < n {
-			kept(p, func(graph.Node) { sc.cnt[p]++ })
-		}
-	}
-	for _, p := range ef.to {
-		sc.cnt[p]++
-	}
-	for _, p := range sc.aff {
-		if int(p) < n {
-			total += int(sc.cnt[p])
-		}
-	}
-	nm := make([][]graph.Node, n)
-	copy(nm, oldMembers)
-	buf := make([]graph.Node, total)
-	for _, p := range sc.aff {
-		if int(p) < n {
-			c := sc.cnt[p]
-			nm[p], buf = buf[:0:c], buf[c:]
-			kept(p, func(v graph.Node) { nm[p] = append(nm[p], v) })
-		}
-	}
-	for i, v := range ef.moved {
-		nm[ef.to[i]] = append(nm[ef.to[i]], v)
-	}
-	for _, p := range sc.aff {
-		if int(p) < n {
-			if len(nm[p]) == 0 {
-				return PatternView{}, fmt.Errorf("block %d left empty", p)
-			}
-			slices.Sort(nm[p])
-		}
-	}
-
-	sc.rows.Reset(n)
-	for _, r := range ef.rows {
-		sc.rows.Add(r)
-	}
-	need := func(p graph.Node) error {
-		if !sc.rows.Has(p) {
-			return fmt.Errorf("the change reaches quotient row %d, which was not shipped", p)
-		}
-		return nil
-	}
-	for _, p := range sc.aff {
-		if int(p) < n {
-			if err := need(p); err != nil {
-				return PatternView{}, err
-			}
-		}
-	}
-	for _, u := range srcs {
-		if err := need(nb[u]); err != nil {
-			return PatternView{}, err
-		}
-	}
-	for _, v := range ef.moved {
-		for _, u := range g.Predecessors(v) {
-			if err := need(nb[u]); err != nil {
-				return PatternView{}, err
-			}
-		}
-	}
-	for k, r := range ef.rows {
-		first := nm[r][0]
-		row := ef.rowAdj[ef.rowOff[k]:ef.rowOff[k+1]]
-		if g.Label(first) != ef.rowLabel[k] {
-			return PatternView{}, fmt.Errorf("row %d labeled %d, its members are %d", r, ef.rowLabel[k], g.Label(first))
-		}
-		sc.seen.Reset(n)
-		distinct := 0
-		for _, w := range g.Successors(first) {
-			if q := nb[w]; sc.seen.Add(q) {
-				distinct++
-				if _, ok := slices.BinarySearch(row, q); !ok {
-					return PatternView{}, fmt.Errorf("row %d lacks block %d", r, q)
-				}
-			}
-		}
-		if distinct != len(row) {
-			return PatternView{}, fmt.Errorf("row %d lists %d blocks, its first member reaches %d", r, len(row), distinct)
-		}
-	}
-	gr := s.gp.Patch(old.Gr, n, ef.rows,
-		func(k int) []graph.Node { return ef.rowAdj[ef.rowOff[k]:ef.rowOff[k+1]] },
-		func(k int) graph.Label { return ef.rowLabel[k] })
-	return PatternView{Gr: gr, Compressed: bisim.AssembleCompressed(nil, nb, nm)}, nil
+	return pv, nil
 }

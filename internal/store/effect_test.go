@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/incbisim"
 	"repro/internal/queries"
 )
 
@@ -127,7 +128,7 @@ func TestEffectAppliedEqualsRebuilt(t *testing.T) {
 					if fsn.Lineage == lsn.Lineage || !fsn.G.Equal(lsn.G) {
 						t.Fatalf("%s: the raw path must re-derive its own views over the same G", at)
 					}
-					checkPatternView(t, at, fsn.Pattern, fsn.G, mirror)
+					checkPatternView(t, at, fsn.Pattern, mirror)
 					continue
 				case i == 80:
 					// A restart: the recovered store is a layout of its own.
@@ -208,6 +209,169 @@ func TestEffectRejected(t *testing.T) {
 		t.Fatalf("the intact effect after the rejections: %v", err)
 	}
 	sameViews(t, "after", follower.Snapshot(), leader.Snapshot())
+}
+
+// TestEffectLiesRejected feeds a follower effects that decode — the CRC
+// fits — but lie about the views: each is a real diff decoded, edited and
+// re-encoded. Each lie is one that only its own check catches; it must be
+// refused whole, ErrEffect and the follower unmoved, and the intact effect
+// must apply after it.
+func TestEffectLiesRejected(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(3)), 400, 900, 3)
+	mirror := g.Clone()
+	leader := mustOpen(t, g.Clone(), nil)
+	defer leader.Close()
+	follower := mustOpen(t, g, &Options{Dir: t.TempDir(), Sync: SyncNone})
+	defer follower.Close()
+	img := leader.Effects(follower.Snapshot().Lineage, 0)
+	if _, _, err := follower.ApplyEffect(nil, img[0].Bytes); err != nil {
+		t.Fatal(err)
+	}
+	// next applies group on the leader and returns the one effect it ships.
+	next := func(group []graph.Update) []byte {
+		fsn := follower.Snapshot()
+		applyGroup(&leader.engine, [][]graph.Update{group})
+		effs := leader.Effects(fsn.Lineage, fsn.Epoch)
+		if len(effs) != 1 {
+			t.Fatalf("want one effect, got %d", len(effs))
+		}
+		return effs[0].Bytes
+	}
+	lie := func(body []byte, edit func(ef *effect)) []byte {
+		ef, err := decodeEffect(body)
+		if err != nil || ef.image {
+			t.Fatalf("want a diff, got an image or %v", err)
+		}
+		edit(ef)
+		return ef.encode()
+	}
+	refused := func(name string, batches [][]graph.Update, b []byte) {
+		t.Run(name, func(t *testing.T) {
+			before := follower.Snapshot()
+			_, _, err := follower.ApplyEffect(batches, b)
+			if !errors.Is(err, ErrEffect) {
+				t.Fatalf("ApplyEffect = %v, want ErrEffect", err)
+			}
+			t.Log(err)
+			if follower.Snapshot() != before || follower.batches.Load() != before.Epoch {
+				t.Fatal("a rejected effect moved the follower")
+			}
+		})
+	}
+	apply := func(batches [][]graph.Update, b []byte) {
+		if _, _, err := follower.ApplyEffect(batches, b); err != nil {
+			t.Fatalf("the intact effect after the lies: %v", err)
+		}
+		sameViews(t, "intact", follower.Snapshot(), leader.Snapshot())
+	}
+
+	// Lies about the moves, on the diff of a group that changes nothing: the
+	// views stay, so every lie is the whole of what the diff says.
+	e := mirror.EdgeList()[0]
+	noop := []graph.Update{graph.Insertion(e[0], e[1])}
+	body := next(noop)
+	pv, fg := follower.Snapshot().Pattern, follower.Snapshot().G
+	blocks := pv.Gr.NumNodes()
+	// Two blocks with one label: emptying the first into the second breaks
+	// no label.
+	var from, into graph.Node = -1, -1
+	for p := 0; p < blocks && into < 0; p++ {
+		for q := p + 1; q < blocks; q++ {
+			if pv.Gr.Label(graph.Node(p)) == pv.Gr.Label(graph.Node(q)) {
+				from, into = graph.Node(p), graph.Node(q)
+				break
+			}
+		}
+	}
+	// A node nothing points at, not first in its block, moved into a block
+	// of another label whose first member precedes it: no row changes.
+	var stray, other graph.Node = -1, -1
+	for v := graph.Node(0); int(v) < fg.NumNodes() && other < 0; v++ {
+		b := pv.Compressed.ClassOf(v)
+		if fg.InDegree(v) > 0 || pv.Compressed.Members[b][0] == v {
+			continue
+		}
+		for q := range pv.Compressed.Members {
+			if pv.Gr.Label(graph.Node(q)) != fg.Label(v) && pv.Compressed.Members[q][0] < v {
+				stray, other = v, graph.Node(q)
+				break
+			}
+		}
+	}
+	if into < 0 || other < 0 {
+		t.Fatal("the graph offers no two blocks of one label or no stray node")
+	}
+	group := [][]graph.Update{noop}
+	refused("block left empty", group, lie(body, func(ef *effect) {
+		ef.moved = slices.Clone(pv.Compressed.Members[from])
+		ef.to = slices.Repeat([]graph.Node{into}, len(ef.moved))
+	}))
+	refused("dropped block still holds a node", group, lie(body, func(ef *effect) { ef.blocks-- }))
+	refused("new block with no member", group, lie(body, func(ef *effect) { ef.blocks++ }))
+	refused("moved node with the wrong label", group, lie(body, func(ef *effect) {
+		ef.moved, ef.to = []graph.Node{stray}, []graph.Node{other}
+		ids := []graph.Node{pv.Compressed.ClassOf(stray), other}
+		slices.Sort(ids)
+		ef.rows = shipRows(ids, []graph.Label{pv.Gr.Label(ids[0]), pv.Gr.Label(ids[1])},
+			[][]graph.Node{pv.Gr.Successors(ids[0]), pv.Gr.Successors(ids[1])})
+	}))
+	apply(group, body)
+
+	// Lies about the rows, on a diff that moves nodes and rebuilds rows.
+	b := gen.RandomBatch(rand.New(rand.NewSource(4)), mirror, 40, 0.5)
+	mirror.Apply(b)
+	body = next(b)
+	shipped, _ := decodeEffect(body)
+	k := -1
+	for i := range shipped.rows.IDs {
+		if len(shipped.rows.Row(i)) > 0 {
+			k = i
+			break
+		}
+	}
+	if len(shipped.moved) == 0 || k < 0 {
+		t.Fatalf("the diff moves %d nodes and rebuilds %d rows, none of them non-empty", len(shipped.moved), len(shipped.rows.IDs))
+	}
+	// edited re-ships the rows with row k as edit leaves it, or without it.
+	edited := func(edit func(label graph.Label, row []graph.Node) (graph.Label, []graph.Node, bool)) func(ef *effect) {
+		return func(ef *effect) {
+			var ids []graph.Node
+			var labels []graph.Label
+			var rows [][]graph.Node
+			for i, id := range ef.rows.IDs {
+				label, row, keep := ef.rows.Label[i], ef.rows.Row(i), true
+				if i == k {
+					label, row, keep = edit(label, row)
+				}
+				if keep {
+					ids, labels, rows = append(ids, id), append(labels, label), append(rows, row)
+				}
+			}
+			ef.rows = shipRows(ids, labels, rows)
+		}
+	}
+	group = [][]graph.Update{b}
+	refused("wrong row", group, lie(body, edited(func(l graph.Label, row []graph.Node) (graph.Label, []graph.Node, bool) {
+		return l, row[:len(row)-1], true
+	})))
+	refused("missing reachable row", group, lie(body, edited(func(graph.Label, []graph.Node) (graph.Label, []graph.Node, bool) {
+		return 0, nil, false
+	})))
+	refused("wrong row label", group, lie(body, edited(func(l graph.Label, row []graph.Node) (graph.Label, []graph.Node, bool) {
+		return (l + 1) % graph.Label(fg.Labels().Count()), row, true
+	})))
+	apply(group, body)
+}
+
+// shipRows packs rows ids, ascending, with their labels and successor
+// blocks as an effect carries them.
+func shipRows(ids []graph.Node, labels []graph.Label, rows [][]graph.Node) incbisim.Rows {
+	r := incbisim.Rows{IDs: ids, Label: labels, Off: []int32{0}}
+	for _, row := range rows {
+		r.Adj = append(r.Adj, row...)
+		r.Off = append(r.Off, int32(len(r.Adj)))
+	}
+	return r
 }
 
 // FuzzDecodeEffect holds the effect decoder to the wire contract: whatever

@@ -35,10 +35,13 @@ type storeObs struct {
 	// of G, the reach view, the pattern view and the swap on the writer; the
 	// 2-hop index where it is built, which is the first reader that wants
 	// it. pubFull counts publishes that had a snapshot to patch and rebuilt
-	// a view in full anyway; pubRows is the quotient rows patched per epoch.
+	// a view in full anyway, pubDrift the pattern views among them built in
+	// full because the patched layout drifted; pubRows is the quotient rows
+	// patched per epoch.
 	pubStage [numPubStages]*obs.Histogram
 	pubIndex *obs.Histogram
 	pubFull  *obs.Counter
+	pubDrift *obs.Counter
 	pubRows  *obs.Histogram
 
 	lastPublish atomic.Int64  // unix nanos of the latest publish, for epoch age
@@ -130,6 +133,7 @@ func newStoreObs(r *obs.Registry) *storeObs {
 
 		pubIndex: r.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", "index")),
 		pubFull:  r.Counter("qpgc_store_publish_full_total"),
+		pubDrift: r.Counter("qpgc_store_publish_drift_total"),
 		pubRows:  r.Histogram("qpgc_store_publish_patched_rows"),
 	}
 	for st, name := range pubStageNames {
@@ -160,6 +164,14 @@ func (so *storeObs) notePublish(start time.Time, fellBack bool) {
 func (so *storeObs) notePatched(rows int) {
 	if so != nil {
 		so.pubRows.ObserveNs(int64(rows))
+	}
+}
+
+// noteDrift records a full build of the pattern view made because its
+// patched layout drifted.
+func (so *storeObs) noteDrift() {
+	if so != nil {
+		so.pubDrift.Inc()
 	}
 }
 

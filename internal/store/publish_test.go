@@ -119,9 +119,9 @@ func equalRows(a, b [][]graph.Node) bool {
 
 // checkPatternView holds a published pattern view to the batch result on
 // mirror: the same partition, member lists and node map that agree, and a
-// quotient equal — both sides, labels included — to bisim.QuotientCSR's,
-// which reads every member's edges where the patcher reads one's.
-func checkPatternView(t *testing.T, at string, pv PatternView, g *graph.CSR, mirror *graph.Graph) {
+// quotient equal — both sides, labels included — to bisim.Quotient's, which
+// reads every member's edges where a view reads one's.
+func checkPatternView(t *testing.T, at string, pv PatternView, mirror *graph.Graph) {
 	t.Helper()
 	blockOf, members := pv.Compressed.ClassMap(), pv.Compressed.Members
 	part := bisim.PartitionOf(blockOf)
@@ -146,7 +146,7 @@ func checkPatternView(t *testing.T, at string, pv PatternView, g *graph.CSR, mir
 	if seen != len(blockOf) {
 		t.Fatalf("%s: member lists hold %d nodes of %d", at, seen, len(blockOf))
 	}
-	want := bisim.QuotientCSR(g, part).Gr
+	want := bisim.Quotient(mirror, part).Gr
 	canon := func(b graph.Node) graph.Node { return part.BlockOf[members[b][0]] }
 	mapped := func(row []graph.Node) []graph.Node {
 		out := make([]graph.Node, len(row))
@@ -258,30 +258,24 @@ func TestPatchedEqualsRebuilt(t *testing.T) {
 				defer func() { close(stop); readers.Wait() }()
 
 				var pins []pinned
-				patchedEpochs, drifted := 0, 0
 				for e := 0; e < epochs; e++ {
 					group, effective := hs.group(e)
 					at := fmt.Sprintf("epoch group %d (%d batches)", e, len(group))
 					switch s := h.(type) {
 					case *Store:
 						prev := s.Snapshot()
-						before, limit := s.pp.patched, patternDriftRows*prev.Pattern.Gr.NumNodes()
 						applyGroup(&s.engine, group)
 						sn := s.Snapshot()
 						if !effective && (sn.G != prev.G || sn.Pattern.Gr != prev.Pattern.Gr || sn.Reach.Gr != prev.Reach.Gr) {
 							t.Fatalf("%s: a group that changed nothing must carry every view over", at)
 						}
-						switch {
-						case s.pp.patched > before:
-							patchedEpochs++
-						case before > limit && s.pp.patched == 0:
-							drifted++
-						}
 						if !sn.G.Equal(mirror.Freeze()) {
 							t.Fatalf("%s: published G differs from Freeze of the graph", at)
 						}
-						checkPatternView(t, at, sn.Pattern, sn.G, mirror)
-						relocated += len(s.pp.reloc)
+						checkPatternView(t, at, sn.Pattern, mirror)
+						if sn.Lineage == prev.Lineage {
+							relocated += relocations(prev.Pattern, sn.Pattern)
+						}
 						pins = append(pins, pinMono(at, sn))
 					case *ShardedStore:
 						prev := s.Snapshot()
@@ -330,10 +324,12 @@ func TestPatchedEqualsRebuilt(t *testing.T) {
 					}
 				}
 				full := reg.Counter("qpgc_store_publish_full_total").Value()
+				drifted := reg.Counter("qpgc_store_publish_drift_total").Value()
+				patchedEpochs := reg.Histogram("qpgc_store_publish_patched_rows").Snapshot().Count
 				if kind != "mono" {
 					return
 				}
-				if full-uint64(drifted) < 2 || drifted < 2 {
+				if full-drifted < 2 || drifted < 2 {
 					t.Fatalf("full-build fallback ran %d times, %d of them for drift: want each threshold crossed at least twice", full, drifted)
 				}
 				t.Logf("%d epochs, %d patched the pattern view, %d full-build fallbacks, %d of them for drift", epochs, patchedEpochs, full, drifted)
@@ -345,6 +341,19 @@ func TestPatchedEqualsRebuilt(t *testing.T) {
 	}
 }
 
+// relocations counts the blocks next, a patch of prev, moved into a freed
+// id: dropped from prev's tail, the same members under a lower id.
+func relocations(prev, next PatternView) int {
+	k, newOf := 0, next.Compressed.ClassMap()
+	for q := next.Gr.NumNodes(); q < prev.Gr.NumNodes(); q++ {
+		mem := prev.Compressed.Members[q]
+		if slices.Equal(next.Compressed.Members[newOf[mem[0]]], mem) {
+			k++
+		}
+	}
+	return k
+}
+
 // social16 is the benchmark's write-heavy graph (benchmark/workloads.go);
 // the scaling checks below run on it and on its 4× version.
 var social16 = gen.Dataset{Name: "social16", V: 15500, E: 79600, Labels: 16, Kind: gen.KindSocial}
@@ -354,7 +363,8 @@ var social16 = gen.Dataset{Name: "social16", V: 15500, E: 79600, Labels: 16, Kin
 // alone cost: its time, the bytes it allocated, and — when retain is set,
 // at the price of two collections an epoch — the bytes the new snapshot
 // keeps alive beyond what the previous one already did. Every fourth epoch
-// is forced down the full-build path and timed into full instead.
+// is forced down the full-build path — G frozen anew, both views rebuilt —
+// and timed into full instead.
 func publishCost(tb testing.TB, factor, epochs int, retain bool) (ns, full, alloc, retained []float64) {
 	d := social16
 	d.V, d.E = d.V*factor, d.E*factor
@@ -371,7 +381,9 @@ func publishCost(tb testing.TB, factor, epochs int, retain bool) (ns, full, allo
 		s.materialize(nil)
 		s.apply(uint64(e), b)
 		old := s.Snapshot()
-		s.full = e%4 == 0
+		if s.full = e%4 == 0; s.full {
+			s.m.ClearSources() // incPCM builds its next view in full
+		}
 		if retain {
 			runtime.GC()
 		}

@@ -2,8 +2,9 @@
 // snapshot's traversal CSRs are permuted so BFS frontiers walk
 // near-sequential memory (see internal/graph/reorder.go):
 //
-//   - The two quotients (Gr-reach, Gr-pattern) are relabeled outright: the
-//     permutation is composed into the class mapping R, so Rewrite already
+//   - The reach quotient is relabeled outright (incPCM relabels the pattern
+//     quotient the same way when it builds its view): the permutation is
+//     composed into the class mapping R, so Rewrite already
 //     lands in the permuted id space and the query hot loop needs no id
 //     translation at all. A relabeled quotient is just a different —
 //     isomorphic — quotient; everything downstream (2-hop indexes, member
@@ -17,7 +18,6 @@
 package store
 
 import (
-	"repro/internal/bisim"
 	"repro/internal/graph"
 	"repro/internal/reach"
 )
@@ -47,20 +47,4 @@ func reorderReach(rc *reach.Compressed, gr *graph.CSR) (*reach.Compressed, *grap
 		cyclic[ro.NewID[c]] = rc.CyclicClass[c]
 	}
 	return reach.AssembleCompressed(nil, newClassOf, members, cyclic), ro.C
-}
-
-// reorderPattern is reorderReach for a bisimulation compression.
-func reorderPattern(pc *bisim.Compressed, gr *graph.CSR) (*bisim.Compressed, *graph.CSR) {
-	ro := graph.Reorder(gr)
-	nq := gr.NumNodes()
-	blockOf := pc.ClassMap()
-	newBlockOf := make([]graph.Node, len(blockOf))
-	for v, b := range blockOf {
-		newBlockOf[v] = ro.NewID[b]
-	}
-	members := make([][]graph.Node, nq)
-	for b := 0; b < nq; b++ {
-		members[ro.NewID[b]] = pc.Members[b]
-	}
-	return bisim.AssembleCompressed(nil, newBlockOf, members), ro.C
 }

@@ -180,14 +180,9 @@ func (rv ReachView) Index() *hop2.Index {
 	return rv.hop.get(rv.Gr)
 }
 
-// PatternView is the pattern-compressed face of one snapshot.
-type PatternView struct {
-	// Gr is the frozen bisimulation quotient.
-	Gr *graph.CSR
-	// Compressed carries the class mapping and member index used by the
-	// post-processing function P (pattern.Expand).
-	Compressed *bisim.Compressed
-}
+// PatternView is the pattern-compressed face of one snapshot: the view
+// incPCM publishes (incbisim.View), or one a follower patched the same way.
+type PatternView = incbisim.View
 
 // Snapshot is the immutable query state of one epoch. All fields are safe
 // for concurrent use by any number of goroutines; a Snapshot never changes
@@ -342,21 +337,21 @@ type Store struct {
 	// incremental maintainers over it. It is nil in a store recovered from
 	// a snapshot until the first write forces materialize — the lazy path
 	// that makes a warm restart O(read) instead of O(recompress).
-	// reachGen/patternGen are the maintainer generations the current
-	// snapshot's views were built at (noGen when they came from a file).
-	// full makes the next publish build every view from scratch — set
-	// whenever m is new, so nothing of the previous snapshot describes it.
-	// gp and pp are publish's scratch and id maps (publish.go). Only the
-	// writer goroutine (or Open, before it starts) touches these.
-	m                    *maintain.Pair
-	reachGen, patternGen uint64
-	full                 bool
-	gp                   graph.Patcher
-	pp                   patternPatcher
+	// reachGen is the reach maintainer's generation the current snapshot's
+	// reach view was built at (noGen when it came from a file); the pattern
+	// maintainer tells by itself whether its view moved. full makes the next
+	// publish build every view from scratch — set whenever m is new, so
+	// nothing of the previous snapshot describes it. gp is publish's
+	// scratch (publish.go). Only the writer goroutine (or Open, before it
+	// starts) touches these.
+	m        *maintain.Pair
+	reachGen uint64
+	full     bool
+	gp       graph.Patcher
 	// ring holds the effects of the latest groups for the followers tailing
 	// this store, es is the scratch of applying shipped ones (effect.go).
 	ring effectRing
-	es   effectScratch
+	es   incbisim.Patcher
 
 	snap     atomic.Pointer[Snapshot]
 	scratch  sync.Pool // *queries.Scratch
@@ -413,7 +408,7 @@ const noGen = ^uint64(0)
 // as the store's write-side state.
 func (s *Store) setMaintainers(g *graph.Graph) {
 	s.m = maintain.New(g)
-	s.reachGen, s.patternGen, s.full = noGen, noGen, true
+	s.reachGen, s.full = noGen, true
 	if s.ob != nil {
 		s.m.Meter = &s.ob.meter
 		s.ob.meter.PatternLevels.Set(int64(s.m.Pattern.Levels()))
@@ -455,7 +450,7 @@ func (s *Store) publish(epoch uint64) {
 	old := s.snap.Load()
 	sn := &Snapshot{Epoch: epoch}
 	fellBack := false
-	rebuilt, reachMoved, patched := s.full, false, false
+	rebuilt, reachMoved := s.full, false
 
 	srcs := s.m.Sources()
 	switch {
@@ -487,27 +482,23 @@ func (s *Store) publish(epoch uint64) {
 	}
 	clk.lap(pubReach)
 
-	if gen := s.m.Pattern.Generation(); gen == s.patternGen {
-		sn.Pattern = old.Pattern
-	} else {
-		if !s.full && s.pp.canPatch(s.m.Pattern, s.nodes, old.Pattern.Gr.NumNodes()) {
-			sn.Pattern = s.pp.patch(old.Pattern, s.m.Pattern, sn.G, srcs, &s.gp)
-			s.ob.notePatched(len(s.pp.rows))
-			patched = true
-		} else {
-			// The quotient is projected over the snapshot of G built above
-			// instead of freezing a second time.
-			pc, pGr := reorderPattern(s.m.Pattern.CompressedCSR(sn.G))
-			sn.Pattern = PatternView{Gr: pGr, Compressed: pc}
-			s.pp.adopt(sn.Pattern, s.m.Pattern)
-			fellBack = fellBack || !s.full
-			rebuilt = true
+	// The pattern view is incPCM's own: patched from its change log, which
+	// this empties, or built in full. A new maintainer's first is a full
+	// build; one that absorbed nothing effective hands back the previous.
+	var diff *incbisim.Diff
+	sn.Pattern, diff = s.m.Pattern.View()
+	switch diff.How {
+	case incbisim.Patched:
+		s.ob.notePatched(len(diff.Rows.IDs))
+	case incbisim.Built, incbisim.Drifted:
+		fellBack = fellBack || !s.full
+		rebuilt = true
+		if diff.How == incbisim.Drifted {
+			s.ob.noteDrift()
 		}
-		s.patternGen = gen
 	}
 	clk.lap(pubPattern)
 
-	s.m.ClearSources()
 	s.full = false
 	if rebuilt {
 		sn.Lineage = newLineage()
@@ -516,7 +507,7 @@ func (s *Store) publish(epoch uint64) {
 	}
 	s.install(sn)
 	if !rebuilt && s.ring.on.Load() {
-		s.recordEffect(old, sn, reachMoved, patched)
+		s.recordEffect(old, sn, reachMoved, diff)
 	}
 	clk.lap(pubSwap)
 	s.ob.notePublish(clk.start, fellBack)
