@@ -6,6 +6,7 @@ package qpgc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bisim"
@@ -127,7 +128,7 @@ func TestMaintainersUnderExperimentWorkloads(t *testing.T) {
 			t.Fatalf("round %d: reach quotient %v, batch %v", round, got.Gr, want.Gr)
 		}
 		// Pattern side: partition must equal batch.
-		if !pm.Partition().Same(bisim.RefineNaive(evolved)) {
+		if !slices.Equal(pm.Partition().BlockOf, bisim.RefineNaive(evolved).BlockOf) {
 			t.Fatalf("round %d: bisim partition diverged", round)
 		}
 	}
@@ -142,7 +143,7 @@ func TestMaintainersUnderExperimentWorkloads(t *testing.T) {
 		if got.Gr.NumNodes() != want.Gr.NumNodes() || got.Gr.NumEdges() != want.Gr.NumEdges() {
 			t.Fatalf("deletion round %d: reach quotient diverged", round)
 		}
-		if !pm.Partition().Same(bisim.RefineNaive(evolved)) {
+		if !slices.Equal(pm.Partition().BlockOf, bisim.RefineNaive(evolved).BlockOf) {
 			t.Fatalf("deletion round %d: bisim partition diverged", round)
 		}
 	}

@@ -71,20 +71,6 @@ func PartitionOf(blockOf []int32) *Partition {
 	return &Partition{BlockOf: canon, Blocks: blocks}
 }
 
-// Same reports whether p and q are the same partition of the same node set.
-// Both are canonically numbered, so equality of BlockOf suffices.
-func (p *Partition) Same(q *Partition) bool {
-	if len(p.BlockOf) != len(q.BlockOf) {
-		return false
-	}
-	for i := range p.BlockOf {
-		if p.BlockOf[i] != q.BlockOf[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // RefineNaive computes the maximum bisimulation partition by global
 // signature refinement.
 func RefineNaive(g *graph.Graph) *Partition {

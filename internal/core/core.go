@@ -19,25 +19,13 @@
 //     class nodes back to their members (Theorem 4).
 //
 // Their incremental counterparts (Section 5) are increach and incbisim.
-// This package holds the scheme-independent plumbing: the Scheme
-// description used by the benchmark harness and compression-ratio
-// helpers shared by the experiment drivers.
+// This package holds the compression-ratio helpers the experiment drivers
+// share.
 package core
 
 import (
 	"repro/internal/graph"
 )
-
-// Scheme describes one query preserving compression scheme for reporting
-// purposes.
-type Scheme struct {
-	// Name identifies the scheme in experiment output, e.g. "reachability"
-	// or "pattern".
-	Name string
-	// Compress runs R and returns the compressed graph together with the
-	// number of equivalence classes.
-	Compress func(g *graph.Graph) (gr *graph.Graph, classes int)
-}
 
 // Ratio is the paper's compression ratio measure |Gr| / |G| with
 // |G| = |V| + |E| (Section 6, Exp-1). Smaller is better.

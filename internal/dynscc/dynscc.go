@@ -272,9 +272,6 @@ func (c *Cond) Live(id int32) bool { return !c.comps[id].dead }
 // CompOf returns the component of node v.
 func (c *Cond) CompOf(v graph.Node) int32 { return c.compOf[v] }
 
-// Members returns the nodes of component id. Read-only.
-func (c *Cond) Members(id int32) []graph.Node { return c.comps[id].members }
-
 // Out returns the successor components of id, ascending. Read-only.
 func (c *Cond) Out(id int32) []int32 { return c.comps[id].out }
 

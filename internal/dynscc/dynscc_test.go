@@ -39,7 +39,7 @@ func checkAgainstTarjan(t *testing.T, what string, c *Cond) {
 			continue
 		}
 		live++
-		ms := c.Members(id)
+		ms := c.comps[id].members
 		if len(ms) == 0 {
 			t.Fatalf("%s: live component %d has no members", what, id)
 		}
@@ -69,7 +69,11 @@ func checkAgainstTarjan(t *testing.T, what string, c *Cond) {
 			if !c.Live(b) {
 				t.Fatalf("%s: edge (%d,%d) points at a dead component", what, id, b)
 			}
-			if got, want := int(c.comps[id].sup[i]), s.Support(ref, toRef[b]); got != want || want == 0 {
+			want := 0
+			if j, ok := slices.BinarySearch(s.Out[ref], toRef[b]); ok {
+				want = int(s.OutSupport[ref][j])
+			}
+			if got := int(c.comps[id].sup[i]); got != want || want == 0 {
 				t.Fatalf("%s: edge (%d,%d) support %d, Tarjan counts %d", what, id, b, got, want)
 			}
 			if _, ok := slices.BinarySearch(c.comps[b].in, id); !ok {
@@ -358,7 +362,7 @@ func TestSplitStaysLocal(t *testing.T) {
 	}
 	g.AddEdge(prev, 1)
 	c := New(g)
-	if n := len(c.Members(c.CompOf(0))); n != g.NumNodes() {
+	if n := len(c.comps[c.CompOf(0)].members); n != g.NumNodes() {
 		t.Fatalf("setup: the SCC has %d of %d nodes", n, g.NumNodes())
 	}
 
@@ -372,8 +376,8 @@ func TestSplitStaysLocal(t *testing.T) {
 		t.Fatalf("%d nodes moved, want the %d chain nodes", len(d.Moved), 4*chain)
 	}
 	for _, end := range []graph.Node{u, v} {
-		if len(c.Members(c.CompOf(end))) != 2 {
-			t.Fatalf("node %d ended in a part of %d nodes, want its 2-cycle", end, len(c.Members(c.CompOf(end))))
+		if len(c.comps[c.CompOf(end)].members) != 2 {
+			t.Fatalf("node %d ended in a part of %d nodes, want its 2-cycle", end, len(c.comps[c.CompOf(end)].members))
 		}
 	}
 	if limit := core / 20; c.work.visits > limit {

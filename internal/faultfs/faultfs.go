@@ -26,8 +26,6 @@ type File interface {
 	io.Closer
 	// Sync flushes the file to stable storage.
 	Sync() error
-	// Name returns the name the file was opened with.
-	Name() string
 }
 
 // FS is the filesystem face of the durable layer: every path the WAL, the

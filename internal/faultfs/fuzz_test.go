@@ -49,7 +49,6 @@ func FuzzParsePlan(f *testing.F) {
 		}
 		in.Fired()
 		in.Armed()
-		in.Log()
 		in.Disarm()
 	})
 }

@@ -38,7 +38,7 @@ const (
 	OpTruncate
 )
 
-// String names the operation set for fault logs.
+// String names the operation set, as injected errors and Observe see it.
 func (o Op) String() string {
 	names := []struct {
 		op   Op
@@ -105,7 +105,6 @@ type Inject struct {
 	mu       sync.Mutex
 	rules    []*Rule
 	fired    int
-	log      []string
 	observer func(kind string)
 }
 
@@ -166,13 +165,6 @@ func (in *Inject) Observe(fn func(kind string)) {
 	in.observer = fn
 }
 
-// Log returns a copy of the fired-fault descriptions, in order.
-func (in *Inject) Log() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]string(nil), in.log...)
-}
-
 // match advances the counters of every rule matching (op, name) and
 // returns the first rule whose window covers this occurrence, or nil.
 func (in *Inject) match(op Op, name string) *Rule {
@@ -192,7 +184,6 @@ func (in *Inject) match(op Op, name string) *Rule {
 			hit = r
 			r.fired++
 			in.fired++
-			in.log = append(in.log, fmt.Sprintf("%s %s (#%d)", op, base, n))
 		}
 	}
 	observer := in.observer
@@ -285,8 +276,6 @@ type injFile struct {
 	f    File
 	name string
 }
-
-func (f *injFile) Name() string { return f.name }
 
 // Read applies read rules: flip rules corrupt one bit of what was read,
 // plain rules fail the call.

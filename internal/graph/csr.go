@@ -58,9 +58,6 @@ func (c *CSR) Size() int { return len(c.label) + len(c.outAdj) }
 // Label returns the label id of v.
 func (c *CSR) Label(v Node) Label { return c.label[v] }
 
-// LabelName returns the label name of v.
-func (c *CSR) LabelName(v Node) string { return c.labels.Name(c.label[v]) }
-
 // Successors returns the sorted successor row of v as a view into the flat
 // array. The returned slice must not be modified.
 func (c *CSR) Successors(v Node) []Node { return c.outAdj[c.outOff[v]:c.outOff[v+1]] }

@@ -31,9 +31,6 @@ type Reordered struct {
 // ToNew translates an original node id into the permuted id space.
 func (r *Reordered) ToNew(v Node) Node { return r.NewID[v] }
 
-// ToOld translates a permuted node id back to the original id space.
-func (r *Reordered) ToOld(v Node) Node { return r.OldID[v] }
-
 // Reorder computes the locality permutation of c (ReorderPerm) and returns
 // the permuted CSR with both id maps. O(|V| log |V| + |E| log d) for max
 // row degree d.
@@ -94,7 +91,7 @@ func ReorderPerm(c *CSR) []Node {
 // self-loops — callers use it only on reachability quotients, which are
 // DAGs with self-loops on cyclic classes by construction. A CSR permuted
 // by this order supports the one-pass batch sweep of
-// queries.BatchReachableTopo.
+// queries.BatchReachableTopoHub.
 func ReorderTopoPerm(c *CSR) []Node {
 	n := c.NumNodes()
 	indeg := make([]int32, n)

@@ -47,7 +47,7 @@ func TestReorderIsIsomorphic(t *testing.T) {
 		}
 		for v := 0; v < c.NumNodes(); v++ {
 			nv := r.ToNew(Node(v))
-			if r.ToOld(nv) != Node(v) {
+			if r.OldID[nv] != Node(v) {
 				t.Fatalf("id maps not inverse at %d", v)
 			}
 			if c.Label(Node(v)) != r.C.Label(nv) {

@@ -31,15 +31,6 @@ type SCC struct {
 // NumComponents returns the number of strongly connected components.
 func (s *SCC) NumComponents() int { return len(s.Members) }
 
-// Support returns the number of member edges behind the condensation edge
-// (a,b), 0 when there is none.
-func (s *SCC) Support(a, b int32) int {
-	if i, ok := slices.BinarySearch(s.Out[a], b); ok {
-		return int(s.OutSupport[a][i])
-	}
-	return 0
-}
-
 // Tarjan computes the strongly connected components of g with an iterative
 // Tarjan algorithm (safe for deep graphs) and returns the decomposition
 // together with the condensation. It runs over a CSR snapshot; callers that
@@ -231,51 +222,4 @@ func AdjFromSortedPairs(pairs []uint64, n int) (adj, radj [][]int32) {
 		radj[b] = append(radj[b], a)
 	}
 	return adj, radj
-}
-
-// TopoRanks returns the topological rank r of every component of the
-// condensation, per Section 5.1 of the paper: r(S) = 0 if S has no child in
-// Gscc, else max over children r(child)+1. All nodes of an SCC share the
-// rank of their component. Because component ids ascend from sinks to
-// sources, a single pass in id order suffices.
-func (s *SCC) TopoRanks() []int32 {
-	ranks := make([]int32, len(s.Members))
-	for id := 0; id < len(s.Members); id++ {
-		r := int32(0)
-		for _, c := range s.Out[id] {
-			if ranks[c]+1 > r {
-				r = ranks[c] + 1
-			}
-		}
-		ranks[id] = r
-	}
-	return ranks
-}
-
-// NodeTopoRanks expands component ranks to per-node ranks.
-func (s *SCC) NodeTopoRanks() []int32 {
-	cr := s.TopoRanks()
-	out := make([]int32, len(s.Comp))
-	for v, c := range s.Comp {
-		out[v] = cr[c]
-	}
-	return out
-}
-
-// CondensationGraph materializes the condensation as a Graph (every
-// component becomes one node carrying the fixed label 0 of a fresh table).
-// Useful for running generic graph algorithms over Gscc.
-func (s *SCC) CondensationGraph() *Graph {
-	labels := NewLabels()
-	l := labels.Intern("scc")
-	g := New(labels)
-	for range s.Members {
-		g.AddNode(l)
-	}
-	for a := range s.Out {
-		for _, b := range s.Out[a] {
-			g.AddEdge(int32(a), b)
-		}
-	}
-	return g
 }

@@ -85,11 +85,11 @@ func TestTarjanEdgeSupport(t *testing.T) {
 	g := buildGraph(3, [][2]Node{{0, 1}, {1, 0}, {0, 2}, {1, 2}})
 	s := Tarjan(g)
 	a, b := s.Comp[0], s.Comp[2]
-	if got := s.Support(a, b); got != 2 {
-		t.Fatalf("Support = %d, want 2", got)
+	if len(s.Out[a]) != 1 || s.Out[a][0] != b {
+		t.Fatalf("condensation out row %v, want [%d]", s.Out[a], b)
 	}
-	if len(s.Out[a]) != 1 {
-		t.Fatal("condensation edge duplicated")
+	if got := s.OutSupport[a][0]; got != 2 {
+		t.Fatalf("support = %d, want 2", got)
 	}
 }
 
@@ -136,44 +136,6 @@ func TestTarjanMutualReachability(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTopoRanks(t *testing.T) {
-	// 0 -> 1 -> 2, 0 -> 2: ranks r(2)=0, r(1)=1, r(0)=2.
-	g := buildGraph(3, [][2]Node{{0, 1}, {1, 2}, {0, 2}})
-	s := Tarjan(g)
-	r := s.NodeTopoRanks()
-	if r[2] != 0 || r[1] != 1 || r[0] != 2 {
-		t.Fatalf("ranks = %v", r)
-	}
-}
-
-func TestTopoRanksCycleShared(t *testing.T) {
-	// Cycle {0,1} above sink 2: both cycle nodes share rank 1.
-	g := buildGraph(3, [][2]Node{{0, 1}, {1, 0}, {1, 2}})
-	s := Tarjan(g)
-	r := s.NodeTopoRanks()
-	if r[0] != r[1] {
-		t.Fatalf("cycle members have different ranks: %v", r)
-	}
-	if r[2] != 0 || r[0] != 1 {
-		t.Fatalf("ranks = %v", r)
-	}
-}
-
-func TestCondensationGraph(t *testing.T) {
-	g := buildGraph(4, [][2]Node{{0, 1}, {1, 0}, {1, 2}, {2, 3}})
-	s := Tarjan(g)
-	cg := s.CondensationGraph()
-	if cg.NumNodes() != s.NumComponents() {
-		t.Fatal("condensation node count mismatch")
-	}
-	if cg.NumEdges() != 2 {
-		t.Fatalf("condensation edges = %d, want 2", cg.NumEdges())
-	}
-	if err := cg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

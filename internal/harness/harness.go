@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -133,16 +132,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs lists all experiment ids, sorted.
-func IDs() []string {
-	var out []string
-	for _, e := range Experiments() {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // forEachLimit runs fn(0..n-1) on a bounded pool of workers (<= 0 means

@@ -115,14 +115,6 @@ func (s *HistSnapshot) Quantile(q float64) time.Duration {
 	return s.Max
 }
 
-// Mean returns the mean observation, 0 with no samples.
-func (s *HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
 // bucketBounds returns bucket i's value range as floats: [0,1) for
 // bucket 0, [2^(i-1), 2^i) otherwise.
 func bucketBounds(i int) (lo, hi float64) {

@@ -76,13 +76,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
 // Value returns the current gauge value (0 on a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -71,15 +71,6 @@ func NewTracer(r *Registry, fam string, slow *SlowLog) *Tracer {
 	return t
 }
 
-// StageHist returns the histogram behind one stage, for subsystems that
-// time a stage directly rather than through a span. Nil on a nil tracer.
-func (t *Tracer) StageHist(st Stage) *Histogram {
-	if t == nil || st >= NumStages {
-		return nil
-	}
-	return t.stage[st]
-}
-
 // Start opens a span for one query, identified by its endpoints. On a
 // nil tracer the returned span is inert and records nothing — not even a
 // clock read.

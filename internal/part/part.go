@@ -133,8 +133,3 @@ func Split(c *graph.CSR, k int) *Partition {
 func (p *Partition) Subgraph(c *graph.CSR, s int) *graph.Graph {
 	return graph.ExtractGroup(c, p.ShardOf, int32(s), p.Nodes[s], p.LocalID)
 }
-
-// Global maps a shard-local id back to its global node id.
-func (p *Partition) Global(shard int, local graph.Node) graph.Node {
-	return p.Nodes[shard][local]
-}

@@ -137,24 +137,6 @@ type Result struct {
 	OK bool
 }
 
-// Contains reports whether (u, v) belongs to the match relation.
-func (r *Result) Contains(u int32, v graph.Node) bool {
-	if !r.OK {
-		return false
-	}
-	set := r.Sets[u]
-	lo, hi := 0, len(set)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if set[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(set) && set[lo] == v
-}
-
 // Size returns the number of pairs in the match relation (0 when no match).
 func (r *Result) Size() int {
 	if !r.OK {

@@ -2,7 +2,6 @@ package queries
 
 import (
 	"math/bits"
-	"slices"
 
 	"repro/internal/graph"
 )
@@ -28,8 +27,8 @@ const MaxBatch = 64
 //
 // The zero-cost composition surface is Begin / Seed / Target / RunForward /
 // RunBackward plus Reached and Lanes, which the sharded routing layer uses
-// to batch its summary hop; BatchReachable, BatchDescendants and
-// BatchAncestors are the packaged forms.
+// to batch its summary hop; BatchReachable and BatchReachableTopoHub are
+// the packaged forms.
 type BatchScratch struct {
 	stamp   []uint32 // per node: epoch at which mask/pend became valid
 	mask    []uint64 // lanes that reached the node by a nonempty path
@@ -52,7 +51,7 @@ type BatchScratch struct {
 	bqueue []graph.Node
 
 	// words/bwords are the forward/backward pending bitmaps of the
-	// topological sweep (BatchReachableTopo); the sweeps clear every bit
+	// topological sweep (BatchReachableTopoHub); the sweeps clear every bit
 	// they set, so both are all-zero between waves and Begin never touches
 	// them.
 	words  []uint64
@@ -417,7 +416,7 @@ type HubDesc interface {
 	Desc(v graph.Node) []uint64
 }
 
-// BatchReachableTopo answers up to MaxBatch reachability queries on a
+// BatchReachableTopoHub answers up to MaxBatch reachability queries on a
 // TOPOLOGICALLY ORDERED CSR — every non-self-loop edge (u,v) has u < v, as
 // produced by graph.ReorderTopoPerm; reachability quotients qualify, being
 // DAGs with self-loops on cyclic classes. It interleaves two strictly
@@ -434,25 +433,21 @@ type HubDesc interface {
 // immediately. Answers equal len(us) scalar ReachableBiCSR calls. The
 // ordering precondition is NOT checked here (it would cost O(|E|));
 // callers own it, tests pin it.
-func BatchReachableTopo(c *graph.CSR, bs *BatchScratch, us, vs []graph.Node, out []bool) {
-	BatchReachableTopoHub(c, bs, nil, us, vs, out)
-}
-
-// BatchReachableTopoHub is BatchReachableTopo with a hub reach-set cache:
-// a lane whose source has a cached row is answered O(1) at seed time, and
-// when the forward sweep pops a cached node x it settles every lane whose
-// target lies in desc(x) as true and expands x for NO lane at all — a lane
-// whose target is outside desc(x) cannot meet below x (a meet w with
-// w ∈ desc(x) ∩ anc(target) would put the target inside desc(x)), so the
-// whole subtree is pruned soundly. On deep quotients this collapses the
+//
+// A non-nil hub is a reach-set cache: a lane whose source has a cached row
+// is answered O(1) at seed time, and when the forward sweep pops a cached
+// node x it settles every lane whose target lies in desc(x) as true and
+// expands x for NO lane at all — a lane whose target is outside desc(x)
+// cannot meet below x (a meet w with w ∈ desc(x) ∩ anc(target) would put
+// the target inside desc(x)), so the whole subtree is pruned soundly. On deep quotients this collapses the
 // sweep at exactly the high-fanout nodes that make it expensive. It
 // returns the lanes answered from rows and the prune events, for the
-// scheduler's hit-rate accounting. A nil hub is BatchReachableTopo.
+// scheduler's hit-rate accounting.
 func BatchReachableTopoHub(c *graph.CSR, bs *BatchScratch, hub HubDesc, us, vs []graph.Node, out []bool) (hubLanes, hubPrunes int) {
 	k := len(us)
 	checkBatch(k)
 	if len(vs) != k || len(out) < k {
-		panic("queries: BatchReachableTopo: us/vs/out length mismatch")
+		panic("queries: BatchReachableTopoHub: us/vs/out length mismatch")
 	}
 	if k == 0 {
 		return
@@ -778,7 +773,7 @@ func BatchReachableTopoHub(c *graph.CSR, bs *BatchScratch, hub HubDesc, us, vs [
 	return hubLanes, hubPrunes
 }
 
-// topoTinyCutoff is the node count below which BatchReachableTopo runs the
+// topoTinyCutoff is the node count below which BatchReachableTopoHub runs the
 // forward drain alone: the sweep finishes within a few bitmap words, so
 // the bidirectional bookkeeping would cost more than it saves.
 const topoTinyCutoff = 256
@@ -844,48 +839,4 @@ func (bs *BatchScratch) growBitmaps(n int) {
 		bs.words = make([]uint64, need)
 		bs.bwords = make([]uint64, need)
 	}
-}
-
-// BatchDescendants computes the descendant sets of up to MaxBatch sources
-// in one lane-mask BFS: out[i] lists, in ascending order, every node
-// reachable from us[i] by a nonempty path (us[i] itself included only when
-// it lies on a cycle), exactly as the scalar Descendants. Rows are freshly
-// allocated.
-func BatchDescendants(c *graph.CSR, bs *BatchScratch, us []graph.Node) [][]graph.Node {
-	checkBatch(len(us))
-	bs.Begin(c.NumNodes())
-	for i, u := range us {
-		bs.Seed(u, 1<<uint(i))
-	}
-	bs.RunForward(c)
-	return bs.collect(len(us))
-}
-
-// BatchAncestors is the predecessor-direction mirror of BatchDescendants:
-// out[i] lists every node with a nonempty path to us[i].
-func BatchAncestors(c *graph.CSR, bs *BatchScratch, us []graph.Node) [][]graph.Node {
-	checkBatch(len(us))
-	bs.Begin(c.NumNodes())
-	for i, u := range us {
-		bs.Seed(u, 1<<uint(i))
-	}
-	bs.RunBackward(c)
-	return bs.collect(len(us))
-}
-
-// collect distributes the reached lane masks into k per-lane sorted rows.
-func (bs *BatchScratch) collect(k int) [][]graph.Node {
-	out := make([][]graph.Node, k)
-	for _, v := range bs.touched {
-		m := bs.mask[v]
-		for m != 0 {
-			i := bits.TrailingZeros64(m)
-			out[i] = append(out[i], v)
-			m &= m - 1
-		}
-	}
-	for i := range out {
-		slices.Sort(out[i])
-	}
-	return out
 }

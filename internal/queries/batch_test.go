@@ -59,52 +59,6 @@ func TestBatchReachableMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchDescendantsAncestorsMatchScalar checks the set-valued forms
-// against the scalar boolean-slice traversals.
-func TestBatchDescendantsAncestorsMatchScalar(t *testing.T) {
-	for name, g := range batchTopologies(9) {
-		c := g.Freeze()
-		n := c.NumNodes()
-		rng := rand.New(rand.NewSource(5))
-		bs := queries.NewBatchScratch(n)
-		us := make([]graph.Node, 32)
-		for i := range us {
-			us[i] = graph.Node(rng.Intn(n))
-		}
-		desc := queries.BatchDescendants(c, bs, us)
-		anc := queries.BatchAncestors(c, bs, us)
-		for i, u := range us {
-			wantD := queries.Descendants(g, u)
-			wantA := queries.Ancestors(g, u)
-			checkSet(t, name+" descendants", u, desc[i], wantD)
-			checkSet(t, name+" ancestors", u, anc[i], wantA)
-		}
-	}
-}
-
-func checkSet(t *testing.T, what string, u graph.Node, got []graph.Node, want []bool) {
-	t.Helper()
-	cnt := 0
-	for _, w := range want {
-		if w {
-			cnt++
-		}
-	}
-	if len(got) != cnt {
-		t.Fatalf("%s of %d: %d nodes, scalar %d", what, u, len(got), cnt)
-	}
-	prev := graph.Node(-1)
-	for _, v := range got {
-		if v <= prev {
-			t.Fatalf("%s of %d: row not sorted/unique at %d", what, u, v)
-		}
-		if !want[v] {
-			t.Fatalf("%s of %d: extra node %d", what, u, v)
-		}
-		prev = v
-	}
-}
-
 // TestBatchScratchReuse checks epoch stamping: the same scratch must give
 // fresh, correct answers across many batches and across graphs of
 // different sizes, with shared and duplicate endpoints.
@@ -231,7 +185,7 @@ func TestBatchReachableTopoMatchesScalar(t *testing.T) {
 					}
 				}
 				out := make([]bool, k)
-				queries.BatchReachableTopo(c, bs, us, vs, out)
+				queries.BatchReachableTopoHub(c, bs, nil, us, vs, out)
 				for i := range us {
 					if want := queries.ReachableCSR(c, sc, us[i], vs[i]); out[i] != want {
 						t.Fatalf("n=%d k=%d round %d: topo QR(%d,%d)=%v scalar %v",
@@ -319,7 +273,7 @@ func TestBatchReachableTopoHubMatchesScalar(t *testing.T) {
 				}
 				out := make([]bool, k)
 				outHub := make([]bool, k)
-				queries.BatchReachableTopo(c, bs, us, vs, out)
+				queries.BatchReachableTopoHub(c, bs, nil, us, vs, out)
 				lanes, prunes := queries.BatchReachableTopoHub(c, bsHub, hub, us, vs, outHub)
 				totLanes += lanes
 				totPrunes += prunes

@@ -47,9 +47,6 @@ type Backend interface {
 	// backend fences itself when t exceeds its own term; a follower adopts
 	// the term without fencing. Equal or lower terms are no-ops.
 	ObserveTerm(t uint64) error
-	// Writable reports whether Apply can currently succeed: a leader that
-	// is not fenced, or a promoted follower.
-	Writable() bool
 	// Info summarizes the store for MsgStats.
 	Info() Info
 }
@@ -126,8 +123,6 @@ func (b storeBackend) Term() uint64 { return b.s.Term() }
 func (b storeBackend) Fenced() bool { return b.s.Fenced() }
 
 func (b storeBackend) ObserveTerm(t uint64) error { return b.s.ObserveTerm(t) }
-
-func (b storeBackend) Writable() bool { return !b.s.Fenced() }
 
 func (b storeBackend) Info() Info {
 	st := b.s.Info()

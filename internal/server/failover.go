@@ -251,18 +251,6 @@ func (f *FailoverClient) rediscoverLocked() error {
 	return nil
 }
 
-// Ping checks liveness of the current endpoint (with failover) and
-// returns its epoch.
-func (f *FailoverClient) Ping() (uint64, error) {
-	var epoch uint64
-	err := f.do(func(c *Client) error {
-		e, err := c.Ping()
-		epoch = e
-		return err
-	})
-	return epoch, err
-}
-
 // Apply submits one update batch to the current leader, following a
 // failover if one happens mid-stream. The returned epoch is the RYW
 // token; subsequent reads through this client are pinned to it
@@ -288,22 +276,6 @@ func (f *FailoverClient) Reachable(u, v graph.Node, minEpoch uint64, onG bool) (
 	var epoch uint64
 	err := f.do(func(c *Client) error {
 		a, e, err := c.Reachable(u, v, minEpoch, onG)
-		ans, epoch = a, e
-		return err
-	})
-	return ans, epoch, err
-}
-
-// BatchReachable asks len(us) queries on one snapshot, pinned like
-// Reachable.
-func (f *FailoverClient) BatchReachable(us, vs []graph.Node, minEpoch uint64) ([]bool, uint64, error) {
-	if t := f.LastEpoch(); t > minEpoch {
-		minEpoch = t
-	}
-	var ans []bool
-	var epoch uint64
-	err := f.do(func(c *Client) error {
-		a, e, err := c.BatchReachable(us, vs, minEpoch)
 		ans, epoch = a, e
 		return err
 	})

@@ -147,7 +147,7 @@ func roundsFixpoint(c *graph.CSR, p *pattern.Pattern) *pattern.Result {
 	for u := range sim {
 		sim[u] = make([]bool, n)
 		for v := range n {
-			sim[u][v] = c.LabelName(graph.Node(v)) == p.Label(int32(u))
+			sim[u][v] = c.Labels().Name(c.Label(graph.Node(v))) == p.Label(int32(u))
 		}
 	}
 	for changed := true; changed; {

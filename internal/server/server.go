@@ -110,16 +110,6 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Serve accepts connections on ln until Close; it owns ln.
-func (s *Server) Serve(ln net.Listener) error {
-	s.ln = ln
-	s.acceptLoop(ln)
-	if s.closed.Load() {
-		return nil
-	}
-	return errors.New("server: accept loop exited")
-}
-
 func (s *Server) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()

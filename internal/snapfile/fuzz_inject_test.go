@@ -54,7 +54,7 @@ func FuzzWriteUnderFaults(f *testing.F) {
 		// …and any temp debris must not masquerade as a snapshot.
 		tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
 		for _, tmp := range tmps {
-			if _, _, err := PeekKind(tmp); err == nil {
+			if _, err := Verify(tmp); err == nil {
 				t.Fatalf("temp debris %s parses as a complete snapshot", filepath.Base(tmp))
 			}
 			os.Remove(tmp)

@@ -467,27 +467,3 @@ func VerifyFS(fsys faultfs.FS, path string) (int64, error) {
 	}
 	return int64(len(data)), nil
 }
-
-// PeekKind reads just the verified header of a snapshot file and returns
-// its kind and epoch, for manifest-less inspection.
-func PeekKind(path string) (Kind, uint64, error) { return PeekKindFS(faultfs.Disk, path) }
-
-// PeekKindFS is PeekKind over an explicit filesystem.
-func PeekKindFS(fsys faultfs.FS, path string) (Kind, uint64, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	var h [headerSize]byte
-	if _, err := io.ReadFull(f, h[:]); err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	if [8]byte(h[:8]) != magic {
-		return 0, 0, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	if crc32.Checksum(h[:44], castagnoli) != binary.LittleEndian.Uint32(h[44:48]) {
-		return 0, 0, fmt.Errorf("%w: header checksum mismatch", ErrFormat)
-	}
-	return Kind(binary.LittleEndian.Uint32(h[12:16])), binary.LittleEndian.Uint64(h[16:24]), nil
-}

@@ -44,8 +44,9 @@ func sameCSR(t *testing.T, what string, a, b *graph.CSR) {
 		t.Fatalf("%s: size %d/%d vs %d/%d", what, a.NumNodes(), a.NumEdges(), b.NumNodes(), b.NumEdges())
 	}
 	for v := 0; v < a.NumNodes(); v++ {
-		if a.LabelName(graph.Node(v)) != b.LabelName(graph.Node(v)) {
-			t.Fatalf("%s: node %d label %q vs %q", what, v, a.LabelName(graph.Node(v)), b.LabelName(graph.Node(v)))
+		la, lb := a.Labels().Name(a.Label(graph.Node(v))), b.Labels().Name(b.Label(graph.Node(v)))
+		if la != lb {
+			t.Fatalf("%s: node %d label %q vs %q", what, v, la, lb)
 		}
 		sa, sb := a.Successors(graph.Node(v)), b.Successors(graph.Node(v))
 		if len(sa) != len(sb) {
@@ -197,13 +198,12 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := WriteStore(path, want); err != nil {
 		t.Fatal(err)
 	}
-	kind, epoch, err := PeekKind(path)
-	if err != nil || kind != KindStore || epoch != 4 {
-		t.Fatalf("PeekKind = %v/%d/%v", kind, epoch, err)
-	}
 	got, err := LoadStore(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got.Epoch != 4 {
+		t.Fatalf("epoch %d after the round trip, want 4", got.Epoch)
 	}
 	sameCSR(t, "G", want.G, got.G)
 }

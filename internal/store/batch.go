@@ -13,7 +13,6 @@ package store
 
 import (
 	"math/bits"
-	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -107,55 +106,6 @@ func (sn *Snapshot) BatchReachable(bs *queries.BatchScratch, us, vs []graph.Node
 	}
 }
 
-// BatchReachableOnG is BatchReachable over the uncompressed (but
-// locality-reordered) snapshot of G — the baseline the compressed batch
-// path is measured against, and the verification path of serve -batch.
-func (sn *Snapshot) BatchReachableOnG(bs *queries.BatchScratch, us, vs []graph.Node, out []bool) {
-	checkBatchArgs(len(us), len(vs), len(out))
-	ro := sn.GOrd()
-	var ru, rv [queries.MaxBatch]graph.Node
-	for off := 0; off < len(us); off += queries.MaxBatch {
-		end := min(off+queries.MaxBatch, len(us))
-		k := end - off
-		for i := 0; i < k; i++ {
-			ru[i], rv[i] = ro.ToNew(us[off+i]), ro.ToNew(vs[off+i])
-		}
-		queries.BatchReachable(ro.C, bs, ru[:k], rv[:k], out[off:end])
-	}
-}
-
-// BatchDescendants computes, for every source, the set of G-nodes
-// reachable from it by a nonempty path — identical to queries.Descendants
-// on G — in one lane BFS per 64-source wave over the small quotient: a
-// reached class contributes all its members to every lane that reached it.
-// Rows are freshly allocated and sorted ascending.
-func (sn *Snapshot) BatchDescendants(bs *queries.BatchScratch, us []graph.Node) [][]graph.Node {
-	rc := sn.Reach.Compressed
-	gr := sn.Reach.Gr
-	out := make([][]graph.Node, len(us))
-	for off := 0; off < len(us); off += queries.MaxBatch {
-		end := min(off+queries.MaxBatch, len(us))
-		bs.Begin(gr.NumNodes())
-		for i := off; i < end; i++ {
-			bs.Seed(rc.ClassOf(us[i]), 1<<uint(i-off))
-		}
-		bs.RunForward(gr)
-		for _, cls := range bs.Reached() {
-			m := bs.Lanes(cls)
-			members := rc.Members[cls]
-			for m != 0 {
-				i := off + bits.TrailingZeros64(m)
-				out[i] = append(out[i], members...)
-				m &= m - 1
-			}
-		}
-	}
-	for i := range out {
-		slices.Sort(out[i])
-	}
-	return out
-}
-
 // BatchReachable answers the batch on the current snapshot, pinning one
 // epoch for all queries. Safe for any number of concurrent callers, also
 // during ApplyBatch. Batches wider than one 64-lane wave are clustered by
@@ -187,27 +137,6 @@ func (s *Store) batchReachable(sn *Snapshot, us, vs []graph.Node) []bool {
 	}
 	bs := s.getBatchScratch()
 	sn.BatchReachable(bs, us, vs, out)
-	s.bscratch.Put(bs)
-	return out
-}
-
-// BatchReachableOnG answers the batch on the current snapshot's
-// uncompressed graph — the baseline path.
-func (s *Store) BatchReachableOnG(us, vs []graph.Node) []bool {
-	s.reads.Add(uint64(len(us)))
-	out := make([]bool, len(us))
-	bs := s.getBatchScratch()
-	s.Snapshot().BatchReachableOnG(bs, us, vs, out)
-	s.bscratch.Put(bs)
-	return out
-}
-
-// BatchDescendants computes every source's descendant set on the current
-// snapshot, one epoch for the whole batch.
-func (s *Store) BatchDescendants(us []graph.Node) [][]graph.Node {
-	s.reads.Add(uint64(len(us)))
-	bs := s.getBatchScratch()
-	out := s.Snapshot().BatchDescendants(bs, us)
 	s.bscratch.Put(bs)
 	return out
 }

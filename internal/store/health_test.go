@@ -91,7 +91,7 @@ func TestInjectedFaultDifferential(t *testing.T) {
 							break
 						}
 						if time.Now().After(deadline) {
-							t.Fatalf("fault window never drained: fired %d, log %v", in.Fired(), in.Log())
+							t.Fatalf("fault window never drained: fired %d", in.Fired())
 						}
 						batch := gen.RandomBatch(rng, mirror, 12, 0.5)
 						if _, err := ts.Apply(batch); err != nil {

@@ -1,51 +1,54 @@
 package store
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/queries"
 )
 
-// TestReachableHop2Fallback covers the Indexes:false configuration: the
-// snapshot method reports the missing index and the Store-level method
-// falls back to the compressed traversal path; with indexes on, both agree
-// with the traversal.
+// TestReachableHop2Fallback covers the Indexes:false configuration: no
+// snapshot carries a 2-hop index, the read paths answer without one, and a
+// checkpoint round trip keeps the index absent even when the reopening
+// options ask for it — the loaded snapshot's configuration wins.
 func TestReachableHop2Fallback(t *testing.T) {
 	g := socialGraph(21, 120, 500)
 	mirror := g.Clone()
-	s := mustOpen(t, g, &Options{Indexes: false})
-	defer s.Close()
-
-	sn := s.Snapshot()
-	sc := queries.NewScratch(0)
+	dir := t.TempDir()
+	s := mustOpen(t, g, &Options{Indexes: false, Dir: dir})
+	batch := gen.RandomBatch(rand.New(rand.NewSource(22)), mirror, 30, 0.5)
+	mirror.Apply(batch)
+	if _, err := s.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	var us, vs []graph.Node
 	for u := graph.Node(0); u < 30; u++ {
 		for v := graph.Node(0); v < 30; v++ {
-			if _, ok := sn.ReachableHop2(u, v); ok {
-				t.Fatalf("Snapshot.ReachableHop2 reported an index with Indexes:false")
-			}
-			want := sn.Reachable(sc, u, v)
-			if got := s.ReachableHop2(u, v); got != want {
-				t.Fatalf("ReachableHop2 fallback (%d,%d)=%v want %v", u, v, got, want)
-			}
+			us, vs = append(us, u), append(vs, v)
 		}
 	}
+	for i, got := range s.BatchReachable(us, vs) {
+		if want := queries.ReachableBi(mirror, us[i], vs[i]); got != want {
+			t.Fatalf("BatchReachable(%d,%d)=%v want %v", us[i], vs[i], got, want)
+		}
+	}
+	diffVsReference(t, "no index", s, mirror)
+	if s.Snapshot().Reach.Index() != nil {
+		t.Fatal("a snapshot carries a 2-hop index with Indexes:false")
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
 
-	s2 := mustOpen(t, mirror.Clone(), nil)
-	defer s2.Close()
-	sn2 := s2.Snapshot()
-	for u := graph.Node(0); u < 30; u++ {
-		for v := graph.Node(0); v < 30; v++ {
-			want := sn2.Reachable(sc, u, v)
-			got, ok := sn2.ReachableHop2(u, v)
-			if !ok || got != want {
-				t.Fatalf("Snapshot.ReachableHop2(%d,%d)=(%v,%v) want (%v,true)", u, v, got, ok, want)
-			}
-			if s2.ReachableHop2(u, v) != want {
-				t.Fatalf("Store.ReachableHop2(%d,%d) != %v", u, v, want)
-			}
-		}
+	r := mustOpen(t, nil, &Options{Indexes: true, Dir: dir})
+	defer r.Close()
+	if r.Snapshot().Reach.Index() != nil {
+		t.Fatal("the checkpoint round trip added a 2-hop index")
 	}
+	diffVsReference(t, "no index, recovered", r, mirror)
 }
 
 // TestCloseLifecycle pins the Close contract on both kinds: a second Close

@@ -28,7 +28,7 @@ import (
 // space, together with the permuted CSR. The permutation is a TOPOLOGICAL
 // level order (reach quotients are DAGs with self-loops), which both packs
 // BFS levels contiguously and unlocks the one-pass batch sweep
-// (queries.BatchReachableTopo) on the published quotient.
+// (queries.BatchReachableTopoHub) on the published quotient.
 // The relabel is O(|Gr|) plus O(|V|) for the class map. The returned
 // Compressed carries no mutable Gr: the permuted CSR beside it is the
 // quotient every store-side reader uses.

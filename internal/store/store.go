@@ -15,8 +15,10 @@
 // All writes funnel through a single writer goroutine. Each ApplyBatch call
 // advances the epoch by one; after a group of batches is applied, the writer
 // publishes a fresh Snapshot — frozen CSR forms of G, the reachability
-// quotient Gr-reach, and the bisimulation quotient Gr-pattern, plus their
-// 2-hop indexes — by swapping one atomic pointer. Consequences:
+// quotient Gr-reach and incPCM's bisimulation quotient Gr-pattern — by
+// swapping one atomic pointer. The writer builds no 2-hop index: the first
+// reader of a reach view that wants one builds it (ReachView.Index), and
+// the pattern view has none. Consequences:
 //
 //   - Readers never block on writers and never observe a partially applied
 //     batch: a batch is invisible until its snapshot swap, then visible in
@@ -104,11 +106,11 @@ type Options struct {
 	// Indexes controls whether each snapshot carries a 2-hop reachability
 	// index built over the reachability quotient (the paper's Fig. 12(d)
 	// point: indexing Gr is cheap where indexing G is not). It is built —
-	// work proportional to the (small) quotient — by the first reader of a
-	// reach view that wants it, or a checkpoint, never by the writer. When
-	// recovering from a durable directory, the loaded snapshot's own
-	// index presence wins, so a store restarts with the configuration it
-	// was serving.
+	// work proportional to the (small) quotient — by the first batch read
+	// of a reach view, whose 2-hop peel probes it, or by a checkpoint, never
+	// by the writer. When recovering from a durable directory, the loaded
+	// snapshot's own index presence wins, so a store restarts with the
+	// configuration it was serving.
 	Indexes bool
 	// Dir enables durability: snapshot checkpoints and the write-ahead
 	// log live here. Empty means in-memory only.
@@ -170,8 +172,8 @@ type ReachView struct {
 
 // Index returns the 2-hop reachability labeling over Gr, nil unless
 // Options.Indexes. The writer does not build it: the first caller on a
-// view does (the batch read path, ReachableHop2, a checkpoint), later ones
-// and every epoch that carries the view over find it built. Safe for
+// view does (the batch read path's peel, a checkpoint), later ones and
+// every epoch that carries the view over find it built. Safe for
 // concurrent use.
 func (rv ReachView) Index() *hop2.Index {
 	if rv.hop == nil {
@@ -270,29 +272,10 @@ func (sn *Snapshot) ReachableOnG(s *queries.Scratch, u, v graph.Node) bool {
 	return queries.ReachableBiCSR(ro.C, s, ro.ToNew(u), ro.ToNew(v))
 }
 
-// ReachableHop2 answers QR(u,v) from the snapshot's 2-hop labels over
-// Gr-reach: no graph traversal at all. It reports ok = false (and an
-// unspecified first result) when the snapshot carries no 2-hop index
-// (Options.Indexes false), letting callers fall back to a traversal-based
-// path.
-func (sn *Snapshot) ReachableHop2(u, v graph.Node) (reachable, ok bool) {
-	idx := sn.Reach.Index()
-	if idx == nil {
-		return false, false
-	}
-	cu, cv := sn.Reach.Compressed.Rewrite(u, v)
-	return idx.Reachable(cu, cv), true
-}
-
 // Match computes the maximum match of p on the compressed graph and expands
 // it back to G via the post-processing function P.
 func (sn *Snapshot) Match(p *pattern.Pattern) *pattern.Result {
 	return pattern.Expand(pattern.MatchCSR(sn.Pattern.Gr, p), sn.Pattern.Compressed)
-}
-
-// MatchOnG computes the maximum match of p directly on the snapshot of G.
-func (sn *Snapshot) MatchOnG(p *pattern.Pattern) *pattern.Result {
-	return pattern.MatchCSR(sn.G, p)
 }
 
 // ApplyResult reports one ApplyBatch call.
@@ -601,21 +584,6 @@ func (s *Store) reachable(sn *Snapshot, u, v graph.Node) bool {
 	return ok
 }
 
-// ReachableHop2 answers QR(u,v) preferring the snapshot's 2-hop index and
-// falling back cleanly to the bidirectional BFS over Gr when the store was
-// opened with Options.Indexes false — it never panics.
-func (s *Store) ReachableHop2(u, v graph.Node) bool {
-	s.reads.Add(1)
-	sn := s.Snapshot()
-	if got, ok := sn.ReachableHop2(u, v); ok {
-		return got
-	}
-	sc := s.getScratch()
-	ok := sn.Reachable(sc, u, v)
-	s.scratch.Put(sc)
-	return ok
-}
-
 // ReachableOnG answers QR(u,v) on the current snapshot of the uncompressed
 // graph — the baseline path.
 func (s *Store) ReachableOnG(u, v graph.Node) bool { return s.reachableOnG(s.Snapshot(), u, v) }
@@ -663,12 +631,6 @@ func (v storeView) BatchReachable(us, vs []graph.Node) []bool {
 
 // Match is Store.Match on the pinned snapshot.
 func (v storeView) Match(p *pattern.Pattern) *pattern.Result { return v.s.match(v.sn, p) }
-
-// MatchOnG answers the pattern query directly on the current snapshot of G.
-func (s *Store) MatchOnG(p *pattern.Pattern) *pattern.Result {
-	s.reads.Add(1)
-	return s.Snapshot().MatchOnG(p)
-}
 
 // Stats summarizes the store at the current snapshot.
 func (s *Store) Stats() Stats {

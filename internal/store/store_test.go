@@ -17,9 +17,10 @@ func socialGraph(seed int64, n, m int) *graph.Graph {
 	return gen.Social(rand.New(rand.NewSource(seed)), n, m, 6)
 }
 
-// TestStoreAnswersMatchBatchRecompression pins the store's three read paths
-// (Reachable on Gr, ReachableOnG, ReachableHop2) and the pattern path
-// against fresh batch compression of the same graph after every batch.
+// TestStoreAnswersMatchBatchRecompression pins the store's two point read
+// paths (Reachable on Gr, ReachableOnG), the snapshot's 2-hop index over Gr
+// (Fig. 12(d)) and the pattern paths on Gr and on G against fresh batch
+// compression of the same graph after every batch.
 func TestStoreAnswersMatchBatchRecompression(t *testing.T) {
 	g := socialGraph(1, 300, 1500)
 	mirror := g.Clone()
@@ -48,6 +49,10 @@ func TestStoreAnswersMatchBatchRecompression(t *testing.T) {
 		}
 
 		ref := reach.Compress(mirror)
+		idx := sn.Reach.Index()
+		if idx == nil {
+			t.Fatalf("round %d: snapshot has no 2-hop index", round)
+		}
 		for i := 0; i < 200; i++ {
 			u := graph.Node(rng.Intn(mirror.NumNodes()))
 			v := graph.Node(rng.Intn(mirror.NumNodes()))
@@ -59,20 +64,20 @@ func TestStoreAnswersMatchBatchRecompression(t *testing.T) {
 			if got := s.ReachableOnG(u, v); got != want {
 				t.Fatalf("round %d: ReachableOnG(%d,%d)=%v want %v", round, u, v, got, want)
 			}
-			if got, ok := sn.ReachableHop2(u, v); !ok || got != want {
-				t.Fatalf("round %d: ReachableHop2(%d,%d)=%v want %v", round, u, v, got, want)
+			if got := idx.Reachable(sn.Reach.Compressed.Rewrite(u, v)); got != want {
+				t.Fatalf("round %d: 2-hop index (%d,%d)=%v want %v", round, u, v, got, want)
 			}
 		}
 
 		want := pattern.Match(mirror, p)
 		got := s.Match(p)
-		onG := s.MatchOnG(p)
+		onG := pattern.MatchCSR(sn.G, p)
 		if want.OK != got.OK || want.Size() != got.Size() {
 			t.Fatalf("round %d: Match via Gr: %v/%d want %v/%d",
 				round, got.OK, got.Size(), want.OK, want.Size())
 		}
 		if want.OK != onG.OK || want.Size() != onG.Size() {
-			t.Fatalf("round %d: MatchOnG: %v/%d want %v/%d",
+			t.Fatalf("round %d: Match on G: %v/%d want %v/%d",
 				round, onG.OK, onG.Size(), want.OK, want.Size())
 		}
 	}

@@ -81,8 +81,8 @@ func TestStoreStressReadersVsWriter(t *testing.T) {
 					t.Errorf("epoch %d: ReachableOnG(%d,%d)=%v want %v", sn.Epoch, u, v, got, want)
 					return
 				}
-				if got, ok := sn.ReachableHop2(u, v); !ok || got != want {
-					t.Errorf("epoch %d: ReachableHop2(%d,%d)=%v want %v", sn.Epoch, u, v, got, want)
+				if idx := sn.Reach.Index(); idx == nil || idx.Reachable(sn.Reach.Compressed.Rewrite(u, v)) != want {
+					t.Errorf("epoch %d: the 2-hop index is missing or answers (%d,%d) wrong, want %v", sn.Epoch, u, v, want)
 					return
 				}
 				if i%32 == 0 {

@@ -307,16 +307,6 @@ func (l *Log) Commit() error {
 	return err
 }
 
-// Sync fsyncs the active segment regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.active.Sync()
-}
-
 // Mark is an opaque log position taken before a group of appends, for
 // Rollback.
 type Mark struct {
