@@ -4,10 +4,27 @@ import "slices"
 
 // This file builds one epoch's CSR from the previous epoch's: a store that
 // publishes a snapshot per batch group changes a handful of rows between
-// two of them, so the new flat arrays are the old ones copied in runs with
-// the changed rows spliced in — a few memmoves and one pass shifting the
-// offsets — instead of 2·|V| per-row appends over the live adjacency
-// lists. The result is a plain CSR; readers cannot tell how it was built.
+// two of them. The new CSR copies the previous one's two row tables (8
+// bytes per node a side) and appends only the replaced successor rows and
+// the rebuilt predecessor rows to the arena the two share; every other row
+// keeps its entries where they are. Readers cannot tell how a CSR was built.
+//
+// Appending in place is allowed only to the CSR that ends at its arena's
+// tip, claimed by one CAS: a second patch of the same CSR, or a patch of an
+// older one, packs a fresh arena instead, so no entry below the end of a
+// built CSR is ever written. Replaced rows leave dead entries behind. A
+// side is packed afresh — rows in node order, no gaps, 1/arenaSlack of its
+// live size spare — when its dead entries would pass 1/arenaSlack of its
+// live ones or its arena is full, so an arena stays within a constant
+// factor of the live adjacency and each patched entry costs amortised O(1).
+
+// arenaSlack sets both compaction thresholds above: a side is packed when
+// its dead entries pass live/arenaSlack, and a packed arena has
+// live/arenaSlack + minSpare entries spare.
+const (
+	arenaSlack = 4
+	minSpare   = 16
+)
 
 // Patcher carries the scratch of Patch between calls. The zero value is
 // ready; a Patcher is owned by one goroutine at a time.
@@ -70,9 +87,10 @@ func (s *StampSet) Add(i Node) bool {
 // empty unless listed; with n below it the rows from n up are dropped, and
 // no kept row may still name one of them. The predecessor side is rebuilt
 // for exactly the nodes whose predecessor set changed — the symmetric
-// difference of each replaced row's old and new contents — and copied for
-// the rest. prev is only read; the result shares nothing with the
-// patcher's scratch, and row and label are not retained.
+// difference of each replaced row's old and new contents — and kept for the
+// rest. prev is only read, and stays valid: the result shares its arenas
+// where it can (see above) but never the patcher's scratch, and row and
+// label are not retained.
 func (p *Patcher) Patch(prev *CSR, n int, ids []Node, row func(k int) []Node, label func(k int) Label) *CSR {
 	nPrev := prev.NumNodes()
 	span := max(n, nPrev)
@@ -173,55 +191,68 @@ func (p *Patcher) Patch(prev *CSR, n int, ids []Node, row func(k int) []Node, la
 			c.label[id] = label(k)
 		}
 	}
-	c.outOff, c.outAdj = patchSide(prev.outOff, prev.outAdj, n, ids, row)
-	c.inOff, c.inAdj = patchSide(prev.inOff, prev.inAdj, n, p.tids, func(k int) []Node {
+	c.out, c.m = patchSide(&prev.out, prev.m, n, ids, row)
+	c.in, _ = patchSide(&prev.in, prev.m, n, p.tids, func(k int) []Node {
 		return p.inFlat[p.inOff[k]:p.inOff[k+1]]
 	})
 	return c
 }
 
-// patchSide splices the replacement rows into one side's flat arrays:
-// unchanged spans are copied whole and their offsets shifted by the bytes
-// gained or lost before them.
-func patchSide(prevOff []int32, prevAdj []Node, n int, ids []Node, row func(k int) []Node) ([]int32, []Node) {
-	keep := min(n, len(prevOff)-1)
-	m := int(prevOff[keep])
+// patchSide returns prev, a side with m live entries, over n nodes with the
+// rows ids[k] replaced by row(k), and its live entry count: in place when
+// prev ends at its arena's tip and the arena has room without passing the
+// dead share, packed into a fresh arena otherwise.
+func patchSide(prev *side, m, n int, ids []Node, row func(k int) []Node) (side, int) {
+	keep := min(n, len(prev.rows))
+	live, need := m, 0
+	for _, r := range prev.rows[keep:] {
+		live -= int(r.hi - r.lo)
+	}
 	for k, id := range ids {
 		if int(id) < keep {
-			m -= int(prevOff[id+1] - prevOff[id])
+			r := prev.rows[id]
+			live -= int(r.hi - r.lo)
 		}
-		m += len(row(k))
+		need += len(row(k))
 	}
-	off := make([]int32, n+1)
-	adj := make([]Node, m)
-	pos, next := int32(0), 0
-	unchanged := func(end int) {
-		if e := min(end, keep); next < e {
-			lo, hi := prevOff[next], prevOff[e]
-			copy(adj[pos:], prevAdj[lo:hi])
-			if d := pos - lo; d == 0 {
-				copy(off[next:e], prevOff[next:e])
-			} else {
-				for v := next; v < e; v++ {
-					off[v] = prevOff[v] + d
-				}
-			}
-			pos += hi - lo
-			next = e
-		}
-		for ; next < end; next++ {
-			off[next] = pos
-		}
+	live += need
+	a, end := prev.ar, len(prev.adj)
+	if end+need > len(a.buf) || arenaSlack*(end+need-live) > live ||
+		!a.tip.CompareAndSwap(int32(end), int32(end+need)) {
+		return pack(prev, live, n, ids, row), live
 	}
+	rows := make([]span, n)
+	copy(rows, prev.rows)
+	pos := int32(end)
 	for k, id := range ids {
-		unchanged(int(id))
-		off[id] = pos
-		pos += int32(copy(adj[pos:], row(k)))
-		next = int(id) + 1
+		r := row(k)
+		rows[id] = span{pos, pos + int32(len(r))}
+		pos += int32(copy(a.buf[pos:], r))
 	}
-	unchanged(n)
-	off[n] = pos
-	return off, adj
+	return side{rows: rows, adj: a.buf[:pos:pos], ar: a}, live
+}
+
+// pack writes prev over n nodes with the rows ids[k] replaced by row(k) —
+// live entries in all — into a fresh arena, in node order with no gaps.
+func pack(prev *side, live, n int, ids []Node, row func(k int) []Node) side {
+	buf := make([]Node, live+live/arenaSlack+minSpare)
+	rows := make([]span, n)
+	pos := int32(0)
+	for v, k := 0, 0; v < n; v++ {
+		var r []Node
+		switch {
+		case k < len(ids) && int(ids[k]) == v:
+			r = row(k)
+			k++
+		case v < len(prev.rows):
+			r = prev.row(Node(v))
+		}
+		rows[v] = span{pos, pos + int32(len(r))}
+		pos += int32(copy(buf[pos:], r))
+	}
+	a := &arena{buf: buf}
+	a.tip.Store(pos)
+	return side{rows: rows, adj: buf[:pos:pos], ar: a, compact: true}
 }
 
 // FreezePatch returns what Freeze would, built by patching prev — the
@@ -291,10 +322,17 @@ func (p *Patcher) ApplyUpdates(prev *CSR, batches [][]Update) (*CSR, []Node) {
 	return c, p.srcs
 }
 
-// Equal reports whether c and d are the same snapshot array for array:
-// labels, both offset tables and both adjacency arrays.
+// Equal reports whether c and d are the same snapshot: labels, and every
+// successor and predecessor row. How either was built does not matter.
 func (c *CSR) Equal(d *CSR) bool {
-	return slices.Equal(c.label, d.label) &&
-		slices.Equal(c.outOff, d.outOff) && slices.Equal(c.outAdj, d.outAdj) &&
-		slices.Equal(c.inOff, d.inOff) && slices.Equal(c.inAdj, d.inAdj)
+	if !slices.Equal(c.label, d.label) || c.m != d.m {
+		return false
+	}
+	for v := range c.label {
+		if !slices.Equal(c.Successors(Node(v)), d.Successors(Node(v))) ||
+			!slices.Equal(c.Predecessors(Node(v)), d.Predecessors(Node(v))) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -19,9 +21,18 @@ func patchByUpdates(p *Patcher, g *Graph, prev *CSR, ups []Update) *CSR {
 	return g.FreezePatch(p, prev, slices.Compact(touched))
 }
 
+// snapshot is a CSR with a Freeze of the graph it must equal, taken when it
+// was built: later patches share its arenas and must never write its rows.
+type snapshot struct{ c, want *CSR }
+
+func (s snapshot) intact() bool { return s.c.Equal(s.want) }
+
 // FuzzCSRPatch decodes an arbitrary graph and update list from bytes and
 // checks that patching the old snapshot by the touched rows equals freezing
-// the updated graph, array for array, over several rounds on one Patcher.
+// the updated graph, over chains of rounds on one Patcher that cross
+// compactions. Every round also patches the previous snapshot a second time
+// down another branch — no longer its arena's tip — and every snapshot of
+// the chain must still equal its Freeze at the end.
 func FuzzCSRPatch(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 1, 1, 2}, []byte{2, 3, 1})                      // insert into an empty row
 	f.Add(uint8(3), []byte{0, 1, 0, 2, 2, 0}, []byte{0, 1, 0, 2, 0, 0})       // first and last row
@@ -30,6 +41,11 @@ func FuzzCSRPatch(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 0, 0, 1, 1, 0, 1, 1}, []byte{0, 0, 0, 1, 1, 0}) // self-loops, a row emptied
 	f.Add(uint8(1), []byte{}, []byte{0, 0, 1})
 	f.Add(uint8(0), []byte{}, []byte{})
+	long := make([]byte, 0, 3*60) // a chain long enough to pack more than once
+	for i := 0; i < 60; i++ {
+		long = append(long, byte(i%5), byte(i*7%9), byte(i%3))
+	}
+	f.Add(uint8(9), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 0}, long)
 	f.Fuzz(func(t *testing.T, n uint8, edges, ups []byte) {
 		g := New(nil)
 		for v := 0; v < int(n); v++ {
@@ -43,9 +59,10 @@ func FuzzCSRPatch(f *testing.F) {
 		for i := 0; i+1 < len(edges); i += 2 {
 			g.AddEdge(node(edges[i]), node(edges[i+1]))
 		}
-		var p, pu Patcher
+		var p, pu, p2 Patcher
 		prev := g.Freeze()
 		prevU := prev
+		chain := []snapshot{{prev, g.Freeze()}}
 		// Three updates per round, so rounds patch a patched snapshot. The
 		// same rounds go through ApplyUpdates as one group of one-update
 		// batches, from the snapshot alone.
@@ -57,6 +74,7 @@ func FuzzCSRPatch(f *testing.F) {
 				round, group = append(round, up), append(group, []Update{up})
 				ups = ups[3:]
 			}
+			before := g.Clone()
 			got := patchByUpdates(&p, g, prev, round)
 			want := g.Freeze()
 			if !got.Equal(want) {
@@ -71,9 +89,143 @@ func FuzzCSRPatch(f *testing.F) {
 					t.Fatalf("ApplyUpdates lists row %d as changed, but it is not", u)
 				}
 			}
+			// prev again, down another branch: got may have claimed its
+			// arena's tip, and the branch must not write over got's rows.
+			flip := []Update{{From: round[0].From, To: round[0].To, Insert: !round[0].Insert}}
+			before.Apply(flip)
+			branch, _ := p2.ApplyUpdates(prev, [][]Update{flip})
+			if !branch.Equal(before.Freeze()) {
+				t.Fatalf("a second patch of the same snapshot differs from Freeze after %v", flip)
+			}
+			chain = append(chain, snapshot{got, want}, snapshot{gotU, want}, snapshot{branch, before.Freeze()})
 			prev, prevU = got, gotU
 		}
+		for i, s := range chain {
+			if !s.intact() {
+				t.Fatalf("snapshot %d of the chain changed after later patches", i)
+			}
+		}
 	})
+}
+
+// TestPatchChainsShareAndCompact drives FreezePatch down one long chain and
+// branches off it: in-place appends, packs for the dead share and for a full
+// arena, and second patches of a CSR that is no longer its arena's tip must
+// all occur, every result equals Freeze, and no snapshot of the chain ever
+// changes.
+func TestPatchChainsShareAndCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 400
+	g := randomGraph(rng, n, 1600, 3)
+	var p, pb Patcher
+	prev := g.Freeze()
+	chain := []snapshot{{prev, g.Freeze()}}
+	var inPlace, packed, branched int
+	for round := 0; round < 300; round++ {
+		var ups []Update
+		for k := 1 + rng.Intn(12); k > 0; k-- {
+			u := Node(rng.Intn(n))
+			if rng.Intn(3) == 0 {
+				u = Node(rng.Intn(4)) // rows replaced again and again leave dead entries
+			}
+			ups = append(ups, Update{From: u, To: Node(rng.Intn(n)), Insert: rng.Intn(2) == 0})
+		}
+		if round%25 == 24 {
+			// A branch: the graph's next state patched from an older
+			// snapshot, whose arena tip has long moved on.
+			old := chain[len(chain)-10]
+			behind := func(s *side) bool { return int(s.ar.tip.Load()) != len(s.adj) }
+			outBehind, inBehind := behind(&old.c.out), behind(&old.c.in)
+			mirror := old.want.Thaw()
+			mirror.Apply(ups)
+			b, _ := pb.ApplyUpdates(old.c, [][]Update{ups})
+			if !b.Equal(mirror.Freeze()) {
+				t.Fatalf("round %d: a patch of an older snapshot differs from Freeze", round)
+			}
+			if b != old.c && (outBehind && b.out.ar == old.c.out.ar || inBehind && b.in.ar == old.c.in.ar) {
+				t.Fatalf("round %d: a patch of a snapshot behind its arena's tip wrote into that arena", round)
+			}
+			if outBehind || inBehind {
+				branched++
+			}
+			chain = append(chain, snapshot{b, mirror.Freeze()})
+		}
+		got := patchByUpdates(&p, g, prev, ups)
+		if !got.Equal(g.Freeze()) {
+			t.Fatalf("round %d: patched snapshot differs from Freeze", round)
+		}
+		for _, sd := range []struct{ a, b *side }{{&got.out, &prev.out}, {&got.in, &prev.in}} {
+			switch {
+			case sd.a.ar == sd.b.ar:
+				inPlace++
+			case sd.a.compact:
+				packed++
+			}
+			if len(sd.a.adj) > len(sd.a.ar.buf) || len(sd.a.ar.buf) > 2*got.m+64 {
+				t.Fatalf("round %d: an arena of %d entries for %d live", round, len(sd.a.ar.buf), got.m)
+			}
+		}
+		chain = append(chain, snapshot{got, g.Freeze()})
+		prev = got
+	}
+	for i, s := range chain {
+		if !s.intact() {
+			t.Fatalf("snapshot %d of the chain changed after later patches", i)
+		}
+	}
+	t.Logf("%d sides patched in place, %d packed, %d branches", inPlace, packed, branched)
+	if inPlace < 400 || packed < 4 || branched == 0 {
+		t.Fatalf("%d sides patched in place and %d packed: the chain does not exercise both", inPlace, packed)
+	}
+}
+
+// TestPatchAllocatesWhatChanged gates the cost of a patch on a graph of
+// social16's size: over 200 chained FreezePatch calls of 32 updates each,
+// every call that packs no side allocates at most the two row tables plus
+// 16 bytes per entry it appends. Allocation counts are deterministic, so
+// this needs no wall clock.
+func TestPatchAllocatesWhatChanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 15500
+	g := randomGraph(rng, n, 79600, 16)
+	var p Patcher
+	prev := g.Freeze()
+	rowTables := 2 * (n*8 + 8192) // a large allocation is rounded up to whole pages
+	var before, after runtime.MemStats
+	inPlace, worst := 0, 0
+	for call := 0; call < 200; call++ {
+		var touched []Node
+		for k := 0; k < 32; k++ {
+			up := Update{From: Node(rng.Intn(n)), To: Node(rng.Intn(n)), Insert: rng.Intn(2) == 0}
+			if g.Apply([]Update{up}) == 1 {
+				touched = append(touched, up.From)
+			}
+		}
+		slices.Sort(touched)
+		touched = slices.Compact(touched)
+		runtime.ReadMemStats(&before)
+		got := g.FreezePatch(&p, prev, touched)
+		runtime.ReadMemStats(&after)
+		if got.out.ar != prev.out.ar || got.in.ar != prev.in.ar {
+			prev = got
+			continue
+		}
+		inPlace++
+		appended := len(got.out.adj) - len(prev.out.adj) + len(got.in.adj) - len(prev.in.adj)
+		alloc := int(after.TotalAlloc - before.TotalAlloc)
+		if alloc > rowTables+16*appended {
+			t.Fatalf("call %d: %d bytes allocated for %d appended entries, want at most %d", call, alloc, appended, rowTables+16*appended)
+		}
+		worst = max(worst, alloc)
+		prev = got
+	}
+	t.Logf("%d of 200 calls patched in place, allocating at most %d bytes; the row tables take up to %d", inPlace, worst, rowTables)
+	if !prev.Equal(g.Freeze()) {
+		t.Fatal("the chain's last snapshot differs from Freeze")
+	}
+	if inPlace < 150 {
+		t.Fatalf("only %d of 200 calls patched in place", inPlace)
+	}
 }
 
 func TestFreezePatchMatchesFreeze(t *testing.T) {
@@ -154,5 +306,57 @@ func TestPatchGrowsAndShrinks(t *testing.T) {
 			t.Fatalf("round %d (%d -> %d nodes, %d rows given): patched snapshot differs from Freeze", round, a.NumNodes(), n, len(ids))
 		}
 		a, prev = b, got
+	}
+}
+
+// TestReadersWhilePatching has readers traverse epoch k's CSR, every row of
+// both sides, while the writer patches epochs k+1… into the arena epoch k
+// lives in. Under -race the detector checks that appending past a CSR's end
+// never touches an entry its readers read; each pass also compares with
+// Freeze.
+func TestReadersWhilePatching(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const n = 1000
+	g := randomGraph(rng, n, 4000, 3)
+	var p Patcher
+	prev := g.Freeze()
+	shared := 0
+	for k := 0; k < 12; k++ {
+		pinned := snapshot{prev, g.Freeze()}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if !pinned.intact() {
+						t.Errorf("epoch %d changed under its reader", k)
+						return
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		for e := 0; e < 6; e++ {
+			var ups []Update
+			for i := 0; i < 10; i++ {
+				ups = append(ups, Update{From: Node(rng.Intn(n)), To: Node(rng.Intn(n)), Insert: rng.Intn(2) == 0})
+			}
+			next := patchByUpdates(&p, g, prev, ups)
+			if next.out.ar == pinned.c.out.ar {
+				shared++
+			}
+			prev = next
+		}
+		close(stop)
+		wg.Wait()
+	}
+	if shared == 0 {
+		t.Fatal("no patch appended to a pinned epoch's arena")
 	}
 }

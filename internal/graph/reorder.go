@@ -16,6 +16,20 @@ import (
 // rewrite their endpoints through the id maps once at entry (O(1)), and
 // the traversal hot loop itself never consults the maps.
 
+// Adjacency is either form of a graph's adjacency, a frozen snapshot or the
+// mutable graph, for code that reads both: the permutation routines here
+// and incPCM's view builder.
+type Adjacency interface {
+	*CSR | *Graph
+	NumNodes() int
+	Labels() *Labels
+	Label(v Node) Label
+	OutDegree(v Node) int
+	InDegree(v Node) int
+	Successors(v Node) []Node
+	Predecessors(v Node) []Node
+}
+
 // Reordered couples a locality-permuted CSR snapshot with its id maps.
 // C's node i corresponds to original node OldID[i]; original node v lives
 // at C's node NewID[v]. Immutable after construction.
@@ -92,7 +106,7 @@ func ReorderPerm(c *CSR) []Node {
 // DAGs with self-loops on cyclic classes by construction. A CSR permuted
 // by this order supports the one-pass batch sweep of
 // queries.BatchReachableTopoHub.
-func ReorderTopoPerm(c *CSR) []Node {
+func ReorderTopoPerm[G Adjacency](c G) []Node {
 	n := c.NumNodes()
 	indeg := make([]int32, n)
 	for v := 0; v < n; v++ {
@@ -145,13 +159,14 @@ func IsTopoOrdered(c *CSR) bool {
 	return ok
 }
 
-// ApplyPerm builds the permuted CSR for a newID permutation, which must be
-// a bijection on [0, NumNodes) — ReorderPerm's output, or a permutation
+// ApplyPerm builds the permuted CSR of c — a snapshot, or a mutable graph
+// frozen straight into the new order — for a newID permutation, which must
+// be a bijection on [0, NumNodes): ReorderPerm's output, or a permutation
 // recovered from a snapshot file (validated there). It panics on a
-// malformed permutation. The label table is shared with c; adjacency rows
-// are remapped so that every CSR invariant (ascending rows) holds in the
-// new id space, in O(|V|+|E|).
-func ApplyPerm(c *CSR, newID []Node) *Reordered {
+// malformed permutation. The result is compact and shares only the label
+// table with c; adjacency rows are remapped so that every CSR invariant
+// (ascending rows) holds in the new id space, in O(|V|+|E|).
+func ApplyPerm[G Adjacency](c G, newID []Node) *Reordered {
 	n := c.NumNodes()
 	if len(newID) != n {
 		panic("graph: ApplyPerm: permutation length mismatch")
@@ -166,40 +181,37 @@ func ApplyPerm(c *CSR, newID []Node) *Reordered {
 		}
 		oldID[nv] = Node(v)
 	}
-	p := &CSR{
-		labels: c.labels,
-		label:  make([]Label, n),
-		outOff: make([]int32, n+1),
-		outAdj: make([]Node, len(c.outAdj)),
-		inOff:  make([]int32, n+1),
-		inAdj:  make([]Node, len(c.inAdj)),
-	}
-	for x := 0; x < n; x++ {
-		old := oldID[x]
-		p.label[x] = c.label[old]
-		p.outOff[x+1] = p.outOff[x] + int32(c.OutDegree(old))
-		p.inOff[x+1] = p.inOff[x] + int32(c.InDegree(old))
-	}
 	// Each side is the transpose of the other, scattered in ascending new
 	// id of the far endpoint, so every row comes out sorted without a sort:
 	// walking sources in new order fills the predecessor rows, walking
-	// targets in new order the successor rows.
-	cursor := make([]int32, n)
-	copy(cursor, p.inOff)
+	// targets in new order the successor rows. A row's hi is its fill
+	// cursor until its walk ends.
+	label := make([]Label, n)
+	outRows, inRows := make([]span, n), make([]span, n)
+	var outPos, inPos int32
+	for x := 0; x < n; x++ {
+		old := oldID[x]
+		label[x] = c.Label(old)
+		outRows[x] = span{outPos, outPos}
+		inRows[x] = span{inPos, inPos}
+		outPos += int32(c.OutDegree(old))
+		inPos += int32(c.InDegree(old))
+	}
+	outAdj, inAdj := make([]Node, outPos), make([]Node, inPos)
 	for x := 0; x < n; x++ {
 		for _, w := range c.Successors(oldID[x]) {
-			nw := newID[w]
-			p.inAdj[cursor[nw]] = Node(x)
-			cursor[nw]++
+			r := &inRows[newID[w]]
+			inAdj[r.hi] = Node(x)
+			r.hi++
 		}
 	}
-	copy(cursor, p.outOff)
 	for y := 0; y < n; y++ {
 		for _, u := range c.Predecessors(oldID[y]) {
-			nu := newID[u]
-			p.outAdj[cursor[nu]] = Node(y)
-			cursor[nu]++
+			r := &outRows[newID[u]]
+			outAdj[r.hi] = Node(y)
+			r.hi++
 		}
 	}
+	p := &CSR{labels: c.Labels(), label: label, m: int(outPos), out: compactSide(outRows, outAdj), in: compactSide(inRows, inAdj)}
 	return &Reordered{C: p, NewID: newID, OldID: oldID}
 }

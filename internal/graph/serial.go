@@ -3,16 +3,19 @@ package graph
 import "fmt"
 
 // This file is the stable serialization surface of the graph substrate:
-// read-only views of a CSR's flat internals for encoders, and validated
-// bulk constructors for decoders. The on-disk layout itself lives in
-// internal/snapfile; graph only promises that the four flat arrays plus the
-// label table reproduce a snapshot exactly.
+// a CSR's flat form for encoders, and validated bulk constructors for
+// decoders. The on-disk layout itself lives in internal/snapfile; graph only
+// promises that the four flat arrays plus the label table reproduce a
+// snapshot exactly, however it was built: a patched CSR and the Freeze of
+// the same graph have one flat form.
 
-// OutOffsets exposes the successor offset table (len |V|+1). Read-only.
-func (c *CSR) OutOffsets() []int32 { return c.outOff }
+// OutOffsets returns the successor offset table (len |V|+1) of the flat
+// form, derived from the row table in O(|V|). Read-only.
+func (c *CSR) OutOffsets() []int32 { return c.out.offsets() }
 
-// OutAdj exposes the flat successor array (len |E|). Read-only.
-func (c *CSR) OutAdj() []Node { return c.outAdj }
+// OutAdj returns the flat successor array (len |E|): the arena itself on a
+// compact CSR, a compacted copy of a patched one. Read-only.
+func (c *CSR) OutAdj() []Node { return c.out.flat(c.m) }
 
 // LabelIDs exposes the per-node label id array (len |V|). Read-only.
 func (c *CSR) LabelIDs() []Label { return c.label }
@@ -35,11 +38,12 @@ func LabelsFromNames(names []string) (*Labels, error) {
 	return l, nil
 }
 
-// CSRFromParts reconstructs a frozen CSR snapshot from its flat arrays, as
-// exposed by LabelIDs, OutOffsets, OutAdj, InOffsets and InAdj. The slices
-// are retained, not copied: a decoder can alias them straight into a file
-// buffer so that loading is O(validation), with no per-edge work beyond one
-// bounds-and-order scan.
+// CSRFromParts reconstructs a compact CSR snapshot from its flat arrays, as
+// returned by LabelIDs, OutOffsets, OutAdj, InOffsets and InAdj. The
+// adjacency arrays are retained, not copied, and never written: a decoder
+// can alias them straight into a file buffer so that loading is
+// O(validation), with no per-edge work beyond one bounds-and-order scan. The
+// row tables are built from the offsets.
 //
 // Validation covers every invariant the read paths rely on for memory
 // safety and search correctness: consistent lengths, monotone offset
@@ -68,15 +72,15 @@ func CSRFromParts(labels *Labels, label []Label, outOff []int32, outAdj []Node, 
 	if err := checkAdjacency("in", n, inOff, inAdj); err != nil {
 		return nil, err
 	}
-	return &CSR{labels: labels, label: label, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}, nil
+	return &CSR{labels: labels, label: label, m: len(outAdj), out: fromOffsets(outOff, outAdj), in: fromOffsets(inOff, inAdj)}, nil
 }
 
 // CSRFromRows builds a CSR from its successor side alone — the label ids,
 // the offset table and the flat rows, validated as CSRFromParts validates
 // them — and derives the predecessor side by one transposition, O(|V|+|E|).
 // It is how a decoder that was sent only the rows (a replica's shipped
-// quotient) gets the exact arrays Freeze would give. The slices are
-// retained, not copied.
+// quotient) gets the compact CSR Freeze would give. outAdj is retained, not
+// copied, and never written.
 func CSRFromRows(labels *Labels, label []Label, outOff []int32, outAdj []Node) (*CSR, error) {
 	if labels == nil {
 		return nil, fmt.Errorf("graph: CSRFromRows: nil label table")
@@ -92,23 +96,24 @@ func CSRFromRows(labels *Labels, label []Label, outOff []int32, outAdj []Node) (
 		return nil, err
 	}
 	// Sources are walked in ascending order, so every predecessor row comes
-	// out sorted.
-	inOff := make([]int32, n+1)
+	// out sorted; a row's hi is its fill cursor until the walk ends.
+	inRows := make([]span, n)
 	for _, w := range outAdj {
-		inOff[w+1]++
+		inRows[w].hi++
 	}
-	for v := 0; v < n; v++ {
-		inOff[v+1] += inOff[v]
+	for v, pos := 0, int32(0); v < n; v++ {
+		deg := inRows[v].hi
+		inRows[v] = span{pos, pos}
+		pos += deg
 	}
 	inAdj := make([]Node, len(outAdj))
-	cursor := append([]int32(nil), inOff[:n]...)
 	for u := 0; u < n; u++ {
 		for _, w := range outAdj[outOff[u]:outOff[u+1]] {
-			inAdj[cursor[w]] = Node(u)
-			cursor[w]++
+			inAdj[inRows[w].hi] = Node(u)
+			inRows[w].hi++
 		}
 	}
-	return &CSR{labels: labels, label: label, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}, nil
+	return &CSR{labels: labels, label: label, m: len(outAdj), out: fromOffsets(outOff, outAdj), in: compactSide(inRows, inAdj)}, nil
 }
 
 // checkLabels validates every label id against the table.

@@ -105,8 +105,8 @@ type Maintainer struct {
 	cyclic []bool       // per gr node
 	gen    uint64
 
-	comp  *reach.Compressed // node-level view of the classes, nil when stale
-	grCSR *graph.CSR        // frozen gr, nil when stale
+	comp *reach.Compressed // node-level view of the classes, nil when stale
+	tbl  []graph.Node      // View's block -> class scratch
 
 	sigma *graph.Labels // Gr's one-label table
 	hidx  []int32       // block -> H node
@@ -174,15 +174,31 @@ func (m *Maintainer) Compressed() *reach.Compressed {
 	return m.comp
 }
 
-// CompressedCSR returns the current compression together with a frozen CSR
-// snapshot of its quotient graph Gr, cached per generation. The returned
-// CSR is immutable and safe to publish to concurrent readers.
-func (m *Maintainer) CompressedCSR() (*reach.Compressed, *graph.CSR) {
-	c := m.Compressed()
-	if m.grCSR == nil {
-		m.grCSR = c.Gr.Freeze()
+// View returns the current compression numbered topologically, with its
+// quotient as a compact CSR — what a store publishes as its reach view. The
+// numbering is Kahn's FIFO level order over Gr (graph.ReorderTopoPerm), so
+// every edge between two classes goes from the smaller id to the larger,
+// which the one-pass batch sweeps need, and BFS levels sit together. The
+// order is composed into the block → class table before the one O(|V|) pass
+// that writes the flat class map, and Gr is frozen straight into permuted
+// order. The Compressed carries no mutable Gr. Nothing is cached: call it
+// once per Generation.
+func (m *Maintainer) View() (*reach.Compressed, *graph.CSR) {
+	newID := graph.ReorderTopoPerm(m.gr)
+	m.tbl = slices.Grow(m.tbl[:0], len(m.node))[:len(m.node)]
+	for _, b := range m.live {
+		m.tbl[b] = newID[m.node[b]]
 	}
-	return c, m.grCSR
+	classOf := make([]graph.Node, m.Graph().NumNodes())
+	for v := range classOf {
+		classOf[v] = m.tbl[m.blockOf[m.cond.CompOf(graph.Node(v))]]
+	}
+	cyclic := make([]bool, len(newID))
+	for k, c := range m.cyclic {
+		cyclic[newID[k]] = c
+	}
+	members := graph.GroupNodes(classOf, len(newID))
+	return reach.AssembleCompressed(nil, classOf, members, cyclic), graph.ApplyPerm(m.gr, newID).C
 }
 
 // Apply applies ΔG and updates the maintained compression so that it
@@ -361,7 +377,7 @@ func (m *Maintainer) regroup() int {
 	}
 	m.gr = graph.BuildFromSortedAdj(m.sigma, make([]graph.Label, len(grRows)), grRows)
 	m.cyclic = grCyclic
-	m.comp, m.grCSR = nil, nil
+	m.comp = nil
 	m.gen++
 	return hn
 }

@@ -2,6 +2,7 @@ package increach
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -273,4 +274,36 @@ func TestStatsAffSmallForLocalChange(t *testing.T) {
 		t.Fatalf("AFF = %d for a local change", st.AffComponents)
 	}
 	checkAgainstBatch(t, m)
+}
+
+// TestViewIsCompressedInTopoOrder holds View to what it replaces: the
+// maintained compression frozen and relabeled by Kahn's order over its
+// quotient, class map, member lists, cyclic flags and both sides of Gr, over
+// random histories; and the numbering is topological.
+func TestViewIsCompressedInTopoOrder(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		m := New(randomGraph(rng, n, rng.Intn(3*n)))
+		for round := 0; round < 8; round++ {
+			m.Apply(randomBatch(rng, m.Graph(), 1+rng.Intn(6)))
+			c := m.Compressed()
+			ro := graph.ApplyPerm(c.Gr.Freeze(), graph.ReorderTopoPerm(c.Gr))
+			rc, gr := m.View()
+			if !gr.Equal(ro.C) || !graph.IsTopoOrdered(gr) {
+				t.Fatalf("seed %d round %d: View's quotient is not the topological relabel of Gr", seed, round)
+			}
+			for v := 0; v < n; v++ {
+				if rc.ClassOf(graph.Node(v)) != ro.NewID[c.ClassOf(graph.Node(v))] {
+					t.Fatalf("seed %d round %d: node %d in class %d, want %d", seed, round, v, rc.ClassOf(graph.Node(v)), ro.NewID[c.ClassOf(graph.Node(v))])
+				}
+			}
+			for k := range c.Members {
+				x := ro.NewID[k]
+				if !slices.Equal(rc.Members[x], c.Members[k]) || rc.CyclicClass[x] != c.CyclicClass[k] {
+					t.Fatalf("seed %d round %d: class %d relabeled %d has members %v cyclic %v, want %v %v", seed, round, k, x, rc.Members[x], rc.CyclicClass[x], c.Members[k], c.CyclicClass[k])
+				}
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package snapfile
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bisim"
@@ -276,4 +277,55 @@ func TestStoreDecodesLegacyPatternIndex(t *testing.T) {
 	if _, err := DecodeStore(w.encode()); err == nil {
 		t.Fatal("trailing block with a foreign tag decoded")
 	}
+}
+
+// TestPatchedEncodesAsFreeze: a CSR patched epoch after epoch, its rows
+// scattered over an arena shared with the epochs before it, encodes to the
+// same bytes as the Freeze of the same graph — for G and for a pattern
+// quotient whose rows and labels were patched.
+func TestPatchedEncodesAsFreeze(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	g := gen.Social(rng, 400, 1600, 4)
+	parts := buildStoreParts(g.Clone(), 9, false)
+	var gp, qp graph.Patcher
+	patched := parts.G
+	for round := 0; round < 30; round++ {
+		var touched []graph.Node
+		for _, up := range gen.RandomBatch(rng, g, 8, 0.5) {
+			if g.Apply([]graph.Update{up}) == 1 {
+				touched = append(touched, up.From)
+			}
+		}
+		slices.Sort(touched)
+		patched = g.FreezePatch(&gp, patched, slices.Compact(touched))
+	}
+	// The quotient: a few rows redrawn, relabeled, over its own node set.
+	q := parts.PatternGr.Thaw()
+	nq := q.NumNodes()
+	var ids []graph.Node
+	for v := 0; v < nq; v += 7 {
+		for _, w := range slices.Clone(q.Successors(graph.Node(v))) {
+			q.RemoveEdge(graph.Node(v), w)
+		}
+		q.AddEdge(graph.Node(v), graph.Node(rng.Intn(nq)))
+		q.SetLabel(graph.Node(v), q.Label(graph.Node((v+1)%nq)))
+		ids = append(ids, graph.Node(v))
+	}
+	pq := qp.Patch(parts.PatternGr, nq, ids,
+		func(k int) []graph.Node { return q.Successors(ids[k]) },
+		func(k int) graph.Label { return q.Label(ids[k]) })
+
+	twin := *parts
+	twin.G, twin.PatternGr = g.Freeze(), q.Freeze()
+	parts.G, parts.PatternGr = patched, pq
+	data := EncodeStore(parts)
+	if !bytes.Equal(data, EncodeStore(&twin)) {
+		t.Fatal("a patched CSR encodes to other bytes than its Freeze twin")
+	}
+	got, err := DecodeStore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCSR(t, "G", twin.G, got.G)
+	sameCSR(t, "PatternGr", twin.PatternGr, got.PatternGr)
 }

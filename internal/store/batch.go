@@ -24,7 +24,7 @@ import (
 // compressed graph, chunking into waves of queries.MaxBatch lanes. Answers
 // are identical to len(us) scalar Reachable calls on the same snapshot.
 //
-// The topological relabeling of the published quotient (reorderReach) is
+// The topological numbering of the published quotient (increach's View) is
 // what makes the wave cheap: after the O(1) rewrite through R, a query
 // whose target class precedes its source class is false outright, a query
 // within one class is the class's cyclic flag, and only the remaining

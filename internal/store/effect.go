@@ -597,7 +597,7 @@ func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, b []byte
 
 // reachView assembles a reach view from a node → class map and the
 // effect's quotient rows, which must be in topological order, as
-// reorderReach leaves them, with no class empty.
+// increach's View numbers them, with no class empty.
 func (s *Store) reachView(classOf []graph.Node, ef *effect) (ReachView, error) {
 	gr, err := graph.CSRFromRows(sigmaLabels, make([]graph.Label, ef.classes), ef.grOff, ef.grAdj)
 	if err != nil {

@@ -2,14 +2,20 @@
 // what the batch group changed. The maintainers already cost |AFF| per
 // batch; this file keeps the step after them from costing |G| again.
 //
-//   - G is the previous CSR with the rows of the group's effective updates
-//     spliced in (graph.FreezePatch), not a walk over every adjacency list.
+//   - G is the previous CSR patched at the rows of the group's effective
+//     updates (graph.FreezePatch): the two row tables are copied and only
+//     the replaced and rebuilt rows are appended, to the adjacency arena
+//     the new CSR shares with the previous epoch's. Nothing below the end
+//     of a published CSR is ever written, so pinned epochs read on.
 //   - The pattern view is incPCM's own (incbisim.Maintainer.View): in a
 //     stable published id space, patched from its change log — the node →
 //     block array copied and patched at the moved nodes, member lists of
 //     unchanged blocks shared between epochs (they are immutable), and only
 //     the quotient rows the change can reach rebuilt, each read off one
-//     member's successors. incPCM decides when a full build is due.
+//     member's successors and appended to the quotient's shared arena the
+//     same way. incPCM decides when a full build is due.
+//   - The reach view, when incRCM's compression moved, is its
+//     topologically numbered View, built in one pass over V.
 //   - The reach 2-hop index is a once-cell on the view (hopCell): the first
 //     reader that wants it builds it, the writer never does.
 //

@@ -140,6 +140,11 @@ func TestSchedRaceStress(t *testing.T) {
 			out    []bool
 		}
 		stop := make(chan struct{})
+		// The writer starts once a pinned batch is under way: that batch
+		// overlaps the writes and finishes before its reader sees stop,
+		// however fast the writes are.
+		started := make(chan struct{})
+		var startOnce sync.Once
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		var seen [][]bool
@@ -155,6 +160,7 @@ func TestSchedRaceStress(t *testing.T) {
 					default:
 					}
 					e0 := k.epoch()
+					startOnce.Do(func() { close(started) })
 					out := k.batch(us, vs)
 					e1 := k.epoch()
 					mu.Lock()
@@ -184,6 +190,7 @@ func TestSchedRaceStress(t *testing.T) {
 				}
 			}(r)
 		}
+		<-started
 		for _, b := range batches {
 			if err := k.apply(b); err != nil {
 				t.Fatalf("%s: ApplyBatch: %v", k.name, err)

@@ -497,13 +497,12 @@ func (w *shardWorker) run() {
 			m.ClearSources()
 			clk.lap(pubFreeze)
 			// The reach view — and with it the shard's 2-hop cell — is
-			// rebuilt only when the shard's compression moved. Locality
-			// pass: the quotient is relabeled by its topological
-			// permutation, baked into the class mapping so the routed read
-			// path and the boundary summary build see one consistent
-			// (permuted) id space.
+			// rebuilt only when the shard's compression moved. incRCM
+			// numbers the quotient topologically in the class mapping
+			// itself, so the routed read path and the boundary summary
+			// build see one consistent id space.
 			if gen := m.Reach.Generation(); gen != reachGen {
-				cached.rc, cached.rGr = reorderReach(m.Reach.CompressedCSR())
+				cached.rc, cached.rGr = m.Reach.View()
 				cached.hop = newHopCell(w.indexes, w.ob)
 				reachGen = gen
 			}

@@ -452,14 +452,14 @@ func (s *Store) publish(epoch uint64) {
 	// A view is rebuilt only when its maintainer's compression moved since
 	// the previous snapshot; an epoch whose updates were all redundant for
 	// a scheme carries that scheme's view — class index, reordered Gr,
-	// 2-hop cell — over untouched. When rebuilt, the quotient is relabeled
-	// by its locality permutation (baked into the class mapping, so queries
-	// need no translation); G's reordered traversal view is materialized
-	// lazily by GOrd, off the write path.
+	// 2-hop cell — over untouched. When rebuilt, incRCM numbers the
+	// quotient in topological level order (baked into the class mapping, so
+	// queries need no translation); G's reordered traversal view is
+	// materialized lazily by GOrd, off the write path.
 	if gen := s.m.Reach.Generation(); gen == s.reachGen {
 		sn.Reach = old.Reach
 	} else {
-		rc, rGr := reorderReach(s.m.Reach.CompressedCSR())
+		rc, rGr := s.m.Reach.View()
 		sn.Reach = ReachView{Gr: rGr, Compressed: rc, hop: newHopCell(s.cfg.Indexes, s.ob)}
 		s.reachGen, reachMoved = gen, true
 	}

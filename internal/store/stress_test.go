@@ -137,3 +137,61 @@ func sameSets(a, b *pattern.Result) bool {
 	}
 	return true
 }
+
+// TestReadersTraverseSharedEpochs has readers walk every row of a pinned
+// epoch's G and pattern quotient, again and again, while the writer patches
+// the epochs after it into the arenas they share. Each pinned CSR must equal
+// the Freeze of its epoch's graph (G) or its own copy taken at the pin (the
+// quotient) on every pass; under -race the detector checks that no patch
+// writes an entry a pinned epoch reads.
+func TestReadersTraverseSharedEpochs(t *testing.T) {
+	const epochs, readers = 40, 3
+	g := socialGraph(11, 1500, 6000)
+	rng := rand.New(rand.NewSource(12))
+	mirror := g.Clone()
+	truth := []*graph.CSR{mirror.Freeze()}
+	batches := make([][]graph.Update, epochs)
+	for i := range batches {
+		batches[i] = gen.RandomBatch(rng, mirror, 12, 0.5)
+		mirror.Apply(batches[i])
+		truth = append(truth, mirror.Freeze())
+	}
+	s := mustOpen(t, g, nil)
+	defer s.Close()
+
+	var done atomic.Bool
+	var passes atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				sn := s.Snapshot()
+				pq := cloneCSR(sn.Pattern.Gr)
+				for pass := 0; pass < 4; pass++ {
+					if !sn.G.Equal(truth[sn.Epoch]) {
+						t.Errorf("epoch %d: pinned G changed under its reader", sn.Epoch)
+						return
+					}
+					if !sn.Pattern.Gr.Equal(pq) {
+						t.Errorf("epoch %d: pinned pattern quotient changed under its reader", sn.Epoch)
+						return
+					}
+					passes.Add(1)
+				}
+			}
+		}()
+	}
+	for _, b := range batches {
+		if _, err := s.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if !s.Snapshot().G.Equal(truth[epochs]) {
+		t.Fatal("the last epoch's G differs from Freeze of the graph")
+	}
+	t.Logf("%d reader passes over %d epochs", passes.Load(), epochs)
+}
