@@ -185,8 +185,7 @@ func (p *Patcher) Patch(prev *CSR, n int, ids []Node, row func(k int) []Node, la
 
 	c := &CSR{labels: prev.labels, label: prev.label}
 	if label != nil {
-		c.label = make([]Label, n)
-		copy(c.label, prev.label)
+		c.label = cloneTo(prev.label, n)
 		for k, id := range ids {
 			c.label[id] = label(k)
 		}
@@ -221,8 +220,7 @@ func patchSide(prev *side, m, n int, ids []Node, row func(k int) []Node) (side, 
 		!a.tip.CompareAndSwap(int32(end), int32(end+need)) {
 		return pack(prev, live, n, ids, row), live
 	}
-	rows := make([]span, n)
-	copy(rows, prev.rows)
+	rows := cloneTo(prev.rows, n)
 	pos := int32(end)
 	for k, id := range ids {
 		r := row(k)
@@ -230,6 +228,17 @@ func patchSide(prev *side, m, n int, ids []Node, row func(k int) []Node) (side, 
 		pos += int32(copy(a.buf[pos:], r))
 	}
 	return side{rows: rows, adj: a.buf[:pos:pos], ar: a}, live
+}
+
+// cloneTo returns the first n entries of s in a fresh slice, zero past s's
+// end. A clone is not cleared before the copy, as make would clear it.
+func cloneTo[E any](s []E, n int) []E {
+	if n <= len(s) {
+		return slices.Clone(s[:n])
+	}
+	c := make([]E, n)
+	copy(c, s)
+	return c
 }
 
 // pack writes prev over n nodes with the rows ids[k] replaced by row(k) —

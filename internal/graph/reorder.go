@@ -16,20 +16,6 @@ import (
 // rewrite their endpoints through the id maps once at entry (O(1)), and
 // the traversal hot loop itself never consults the maps.
 
-// Adjacency is either form of a graph's adjacency, a frozen snapshot or the
-// mutable graph, for code that reads both: the permutation routines here
-// and incPCM's view builder.
-type Adjacency interface {
-	*CSR | *Graph
-	NumNodes() int
-	Labels() *Labels
-	Label(v Node) Label
-	OutDegree(v Node) int
-	InDegree(v Node) int
-	Successors(v Node) []Node
-	Predecessors(v Node) []Node
-}
-
 // Reordered couples a locality-permuted CSR snapshot with its id maps.
 // C's node i corresponds to original node OldID[i]; original node v lives
 // at C's node NewID[v]. Immutable after construction.
@@ -97,53 +83,6 @@ func ReorderPerm(c *CSR) []Node {
 	return newID
 }
 
-// ReorderTopoPerm returns a permutation that is simultaneously a locality
-// order and a TOPOLOGICAL order of c ignoring self-loops: Kahn's algorithm
-// with a FIFO queue numbers the nodes level by level from the sources, so
-// every non-self-loop edge (u,v) satisfies newID[u] < newID[v] and nodes
-// of one BFS level sit contiguously. It panics if c has a cycle beyond
-// self-loops — callers use it only on reachability quotients, which are
-// DAGs with self-loops on cyclic classes by construction. A CSR permuted
-// by this order supports the one-pass batch sweep of
-// queries.BatchReachableTopoHub.
-func ReorderTopoPerm[G Adjacency](c G) []Node {
-	n := c.NumNodes()
-	indeg := make([]int32, n)
-	for v := 0; v < n; v++ {
-		for _, w := range c.Successors(Node(v)) {
-			if w != Node(v) {
-				indeg[w]++
-			}
-		}
-	}
-	newID := make([]Node, n)
-	queue := make([]Node, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, Node(v))
-		}
-	}
-	next := Node(0)
-	for i := 0; i < len(queue); i++ {
-		x := queue[i]
-		newID[x] = next
-		next++
-		for _, w := range c.Successors(x) {
-			if w == x {
-				continue
-			}
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	if int(next) != n {
-		panic("graph: ReorderTopoPerm on a graph with a non-self-loop cycle")
-	}
-	return newID
-}
-
 // IsTopoOrdered reports whether every non-self-loop edge of c goes from a
 // smaller to a larger node id — the precondition of the one-pass batch
 // sweep. O(|E|); used by tests and paranoid callers, not hot paths.
@@ -159,14 +98,13 @@ func IsTopoOrdered(c *CSR) bool {
 	return ok
 }
 
-// ApplyPerm builds the permuted CSR of c — a snapshot, or a mutable graph
-// frozen straight into the new order — for a newID permutation, which must
-// be a bijection on [0, NumNodes): ReorderPerm's output, or a permutation
-// recovered from a snapshot file (validated there). It panics on a
-// malformed permutation. The result is compact and shares only the label
+// ApplyPerm builds the permuted CSR of c for a newID permutation, which
+// must be a bijection on [0, NumNodes): ReorderPerm's output, or a
+// permutation recovered from a snapshot file (validated there). It panics on
+// a malformed permutation. The result is compact and shares only the label
 // table with c; adjacency rows are remapped so that every CSR invariant
 // (ascending rows) holds in the new id space, in O(|V|+|E|).
-func ApplyPerm[G Adjacency](c G, newID []Node) *Reordered {
+func ApplyPerm(c *CSR, newID []Node) *Reordered {
 	n := c.NumNodes()
 	if len(newID) != n {
 		panic("graph: ApplyPerm: permutation length mismatch")
@@ -189,29 +127,29 @@ func ApplyPerm[G Adjacency](c G, newID []Node) *Reordered {
 	label := make([]Label, n)
 	outRows, inRows := make([]span, n), make([]span, n)
 	var outPos, inPos int32
-	for x := 0; x < n; x++ {
-		old := oldID[x]
-		label[x] = c.Label(old)
+	for x, old := range oldID {
+		label[x] = c.label[old]
 		outRows[x] = span{outPos, outPos}
 		inRows[x] = span{inPos, inPos}
-		outPos += int32(c.OutDegree(old))
-		inPos += int32(c.InDegree(old))
+		o, i := c.out.rows[old], c.in.rows[old]
+		outPos += o.hi - o.lo
+		inPos += i.hi - i.lo
 	}
 	outAdj, inAdj := make([]Node, outPos), make([]Node, inPos)
-	for x := 0; x < n; x++ {
-		for _, w := range c.Successors(oldID[x]) {
+	for x, old := range oldID {
+		for _, w := range c.out.row(old) {
 			r := &inRows[newID[w]]
 			inAdj[r.hi] = Node(x)
 			r.hi++
 		}
 	}
-	for y := 0; y < n; y++ {
-		for _, u := range c.Predecessors(oldID[y]) {
+	for y, old := range oldID {
+		for _, u := range c.in.row(old) {
 			r := &outRows[newID[u]]
 			outAdj[r.hi] = Node(y)
 			r.hi++
 		}
 	}
-	p := &CSR{labels: c.Labels(), label: label, m: int(outPos), out: compactSide(outRows, outAdj), in: compactSide(inRows, inAdj)}
+	p := &CSR{labels: c.labels, label: label, m: int(outPos), out: compactSide(outRows, outAdj), in: compactSide(inRows, inAdj)}
 	return &Reordered{C: p, NewID: newID, OldID: oldID}
 }

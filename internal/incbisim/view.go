@@ -44,6 +44,16 @@ type View struct {
 	Compressed *bisim.Compressed
 }
 
+// Adjacency is what making a view reads of G: the maintainer's graph or a
+// frozen snapshot of it.
+type Adjacency interface {
+	*graph.Graph | *graph.CSR
+	Labels() *graph.Labels
+	Label(v graph.Node) graph.Label
+	Successors(v graph.Node) []graph.Node
+	Predecessors(v graph.Node) []graph.Node
+}
+
 // Rows are quotient rows: ascending block ids, each with its label and its
 // successor blocks, Adj[Off[k]:Off[k+1]] for IDs[k].
 type Rows struct {
@@ -86,7 +96,7 @@ type Diff struct {
 // successors, sorted and each once, first being b's first member. Bisimilar
 // nodes have equal successor-block sets, so one member's row is every
 // member's.
-func appendRow[G graph.Adjacency](dst []graph.Node, g G, first graph.Node, blockOf []graph.Node, seen *graph.StampSet, n int) []graph.Node {
+func appendRow[G Adjacency](dst []graph.Node, g G, first graph.Node, blockOf []graph.Node, seen *graph.StampSet, n int) []graph.Node {
 	start := len(dst)
 	seen.Reset(n)
 	for _, w := range g.Successors(first) {
@@ -104,7 +114,7 @@ func appendRow[G graph.Adjacency](dst []graph.Node, g G, first graph.Node, block
 // graph.Reorder's locality permutation, baked into the block map so that
 // queries need no translation. A block that is empty or whose members carry
 // different labels is an error.
-func Build[G graph.Adjacency](g G, blockOf []graph.Node, n int, relabel bool) (View, error) {
+func Build[G Adjacency](g G, blockOf []graph.Node, n int, relabel bool) (View, error) {
 	members := graph.GroupNodes(blockOf, n)
 	label := make([]graph.Label, n)
 	off := make([]int32, n+1)
@@ -164,7 +174,7 @@ type Patcher struct {
 // member's successors and their blocks, hence its contents — plus extra.
 // The rows rebuilt are returned too, valid until the next call; moved must
 // not repeat a node.
-func Patch[G graph.Adjacency](p *Patcher, g G, old View, moved, to []graph.Node, n int, srcs, extra []graph.Node) (View, *Rows, error) {
+func Patch[G Adjacency](p *Patcher, g G, old View, moved, to []graph.Node, n int, srcs, extra []graph.Node) (View, *Rows, error) {
 	oldOf, oldMembers := old.Compressed.ClassMap(), old.Compressed.Members
 	nOld := len(oldMembers)
 	span := max(n, nOld)

@@ -54,6 +54,16 @@
 // affected — is batch cost on the condensation, never a pass over G. The
 // kernel's scratch is kept between batches while it stays sized by H.
 //
+// # The published view
+//
+// The kernel numbers classes topologically (reach.Kernel.Quotient proves
+// it), so the class a block's node holds is already the id a store
+// publishes: every edge of Gr goes from a smaller id to a larger, as the
+// one-pass batch sweeps need. Regroup keeps Gr as the compact CSR a store
+// serves, built once per closure-changing batch, and View costs one gather
+// over V for the flat node → class map and nothing over Gr. The member
+// lists are built only if a reader asks for them (reach.Compressed.Members).
+//
 // Property tests verify after every batch that the maintained compression
 // equals batch recompression (reach.Compress) of the current graph, both
 // as a partition and as a quotient graph, and on small graphs that it is
@@ -101,12 +111,11 @@ type Maintainer struct {
 	live    []int32   // blocks in use (may hold emptied ones until the next regroup)
 	free    []int32   // recyclable block ids
 
-	gr     *graph.Graph // the quotient Gr over the live blocks
-	cyclic []bool       // per gr node
+	gr     *graph.CSR // the quotient Gr over the live blocks, topologically numbered
+	cyclic []bool     // per gr node
 	gen    uint64
 
-	comp *reach.Compressed // node-level view of the classes, nil when stale
-	tbl  []graph.Node      // View's block -> class scratch
+	comp *reach.Compressed // Compressed's result, nil when stale
 
 	sigma *graph.Labels // Gr's one-label table
 	hidx  []int32       // block -> H node
@@ -158,47 +167,33 @@ func (m *Maintainer) Graph() *graph.Graph { return m.cond.Graph() }
 // change.
 func (m *Maintainer) Generation() uint64 { return m.gen }
 
-// Compressed returns the current compression R(G). Gr is maintained by
-// Apply; the node-level class index is materialized here, once per
-// generation.
+// Compressed returns the current compression R(G) with Gr as a mutable
+// graph, for callers outside the store; it is View with Gr thawed, made once
+// per generation.
 func (m *Maintainer) Compressed() *reach.Compressed {
-	if m.comp != nil {
-		return m.comp
+	if m.comp == nil {
+		m.comp = reach.AssembleCompressed(m.gr.Thaw(), m.classMap(), m.cyclic)
 	}
+	return m.comp
+}
+
+// View returns the current compression as a store publishes it: the flat
+// node → class map with the classes' cyclic flags, and Gr as the compact
+// CSR the last regroup built. Class ids are topological (package doc, "The
+// published view"), so the view costs one O(|V|) pass and no work on Gr;
+// the Compressed carries no mutable Gr and builds its member lists on first
+// use. Nothing is cached: call it once per Generation.
+func (m *Maintainer) View() (*reach.Compressed, *graph.CSR) {
+	return reach.AssembleCompressed(nil, m.classMap(), m.cyclic), m.gr
+}
+
+// classMap returns a fresh node → class map.
+func (m *Maintainer) classMap() []graph.Node {
 	classOf := make([]graph.Node, m.Graph().NumNodes())
 	for v := range classOf {
 		classOf[v] = m.node[m.blockOf[m.cond.CompOf(graph.Node(v))]]
 	}
-	members := graph.GroupNodes(classOf, m.gr.NumNodes())
-	m.comp = reach.AssembleCompressed(m.gr, classOf, members, m.cyclic)
-	return m.comp
-}
-
-// View returns the current compression numbered topologically, with its
-// quotient as a compact CSR — what a store publishes as its reach view. The
-// numbering is Kahn's FIFO level order over Gr (graph.ReorderTopoPerm), so
-// every edge between two classes goes from the smaller id to the larger,
-// which the one-pass batch sweeps need, and BFS levels sit together. The
-// order is composed into the block → class table before the one O(|V|) pass
-// that writes the flat class map, and Gr is frozen straight into permuted
-// order. The Compressed carries no mutable Gr. Nothing is cached: call it
-// once per Generation.
-func (m *Maintainer) View() (*reach.Compressed, *graph.CSR) {
-	newID := graph.ReorderTopoPerm(m.gr)
-	m.tbl = slices.Grow(m.tbl[:0], len(m.node))[:len(m.node)]
-	for _, b := range m.live {
-		m.tbl[b] = newID[m.node[b]]
-	}
-	classOf := make([]graph.Node, m.Graph().NumNodes())
-	for v := range classOf {
-		classOf[v] = m.tbl[m.blockOf[m.cond.CompOf(graph.Node(v))]]
-	}
-	cyclic := make([]bool, len(newID))
-	for k, c := range m.cyclic {
-		cyclic[newID[k]] = c
-	}
-	members := graph.GroupNodes(classOf, len(newID))
-	return reach.AssembleCompressed(nil, classOf, members, cyclic), graph.ApplyPerm(m.gr, newID).C
+	return classOf
 }
 
 // Apply applies ΔG and updates the maintained compression so that it
@@ -334,11 +329,12 @@ func (m *Maintainer) regroup() int {
 		start = end
 	}
 
-	classOf, grRows, grCyclic := h.kernel.Quotient(rows, cyclic)
+	classOf, grOff, grAdj, grCyclic := h.kernel.Quotient(rows, cyclic)
+	classes := len(grCyclic)
 
 	// Merge the blocks of each class into its largest one (the first in H
 	// order among equals).
-	keep := slices.Grow(h.keep[:0], len(grRows))[:len(grRows)]
+	keep := slices.Grow(h.keep[:0], classes)[:classes]
 	for k := range keep {
 		keep[k] = -1
 	}
@@ -370,13 +366,16 @@ func (m *Maintainer) regroup() int {
 	// this Gr plus a batch's affected components, so scratch that a larger
 	// one grew — Over's first regroup runs over the whole condensation —
 	// goes.
-	if h.kernel.Cap() > 2*len(grRows)+256 {
+	if h.kernel.Cap() > 2*classes+256 {
 		m.h = hScratch{}
 	} else {
 		h.hb, h.rowBuf, h.rowEnd, h.rows, h.keep = hb[:0], buf[:0], ends[:0], rows[:0], keep[:0]
 	}
-	m.gr = graph.BuildFromSortedAdj(m.sigma, make([]graph.Label, len(grRows)), grRows)
-	m.cyclic = grCyclic
+	gr, err := graph.CSRFromRows(m.sigma, make([]graph.Label, classes), grOff, grAdj)
+	if err != nil {
+		panic("increach: " + err.Error()) // the kernel's rows are well-formed by construction
+	}
+	m.gr, m.cyclic = gr, grCyclic
 	m.comp = nil
 	m.gen++
 	return hn

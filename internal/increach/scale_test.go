@@ -1,6 +1,7 @@
 package increach
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -71,4 +72,40 @@ func median(xs []float64) float64 {
 	xs = slices.Clone(xs)
 	slices.Sort(xs)
 	return xs[len(xs)/2]
+}
+
+// TestViewAllocatesClassMapOnly gates what publishing the reach view costs
+// on social16 after the write-mono stream has run a while: View allocates
+// the flat node → class map, 4 bytes a node of G, and at most viewBytesPerGr
+// a node or edge of Gr besides, plus one page for the rounding of a large
+// allocation — no member lists and no renumbered copy of Gr. Allocation
+// counts, not time, so it needs no QPGC_BENCH_SMOKE.
+func TestViewAllocatesClassMapOnly(t *testing.T) {
+	const viewBytesPerGr, page = 8, 8192
+	g := social16.Build(1)
+	mirror := g.Clone()
+	m := New(g)
+	rng := rand.New(rand.NewSource(1))
+	for range 100 {
+		b := gen.RandomBatch(rng, mirror, 32, 0.5)
+		mirror.Apply(b)
+		m.Apply(b)
+	}
+	_, gr := m.View()
+	var ms runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		m.View()
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	n := g.NumNodes()
+	limit := 4*n + viewBytesPerGr*gr.Size() + page
+	t.Logf("View on social16 after 100 batches: %d B allocated, %.2f B per node of G; |Gr| %d nodes + %d edges; limit %d B",
+		least, float64(least)/float64(n), gr.NumNodes(), gr.NumEdges(), limit)
+	if least > uint64(limit) {
+		t.Errorf("View allocates %d B, want at most %d (4 B per node of G, %d per node or edge of Gr, one page)", least, limit, viewBytesPerGr)
+	}
 }

@@ -54,9 +54,9 @@ func sameReach(t *testing.T, what string, want, got *reach.Compressed) {
 			t.Fatalf("%s: class %d cyclic flag %v, batch says %v", what, c, cyc, !cyc)
 		}
 	}
-	for c, ms := range got.Members {
-		if len(ms) != len(want.Members[toWant[c]]) {
-			t.Fatalf("%s: class %d has %d members, batch has %d", what, c, len(ms), len(want.Members[toWant[c]]))
+	for c, ms := range got.Members() {
+		if len(ms) != len(want.Members()[toWant[c]]) {
+			t.Fatalf("%s: class %d has %d members, batch has %d", what, c, len(ms), len(want.Members()[toWant[c]]))
 		}
 	}
 }

@@ -418,14 +418,15 @@ type HubDesc interface {
 
 // BatchReachableTopoHub answers up to MaxBatch reachability queries on a
 // TOPOLOGICALLY ORDERED CSR — every non-self-loop edge (u,v) has u < v, as
-// produced by graph.ReorderTopoPerm; reachability quotients qualify, being
-// DAGs with self-loops on cyclic classes. It interleaves two strictly
-// in-order sweeps, node for node: a forward sweep draining a pending word
-// bitmap in ascending id (computing every lane's descendant cone) and a
-// backward sweep draining in descending id (computing ancestor cones). In
-// topological order all arrivals at a node precede its own expansion, so
-// each sweep expands every node EXACTLY once — no frontier queue, no
-// re-expansion, a couple of word ORs per edge for all 64 lanes together.
+// the reach quotient kernel numbers its classes (reach.Kernel.Quotient);
+// reachability quotients qualify, being DAGs with self-loops on cyclic
+// classes. It interleaves two strictly in-order sweeps, node for node: a
+// forward sweep draining a pending word bitmap in ascending id (computing
+// every lane's descendant cone) and a backward sweep draining in
+// descending id (computing ancestor cones). In topological order all
+// arrivals at a node precede its own expansion, so each sweep expands
+// every node EXACTLY once — no frontier queue, no re-expansion, a couple
+// of word ORs per edge for all 64 lanes together.
 // Whichever sweep drains first decides every remaining lane (lane i is
 // true iff mask[vs[i]], resp. bmask[us[i]], carries it), so a wave costs
 // about twice the CHEAPER cone side — the lane-parallel analogue of the

@@ -25,14 +25,8 @@ func SCCCompress(g *graph.Graph) *Compressed {
 	}
 	c := &Compressed{
 		Gr:          gr,
-		classOf:     make([]graph.Node, g.NumNodes()),
-		Members:     make([][]graph.Node, n),
+		classOf:     scc.Comp,
 		CyclicClass: make([]bool, n),
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		comp := scc.Comp[v]
-		c.classOf[v] = comp
-		c.Members[comp] = append(c.Members[comp], graph.Node(v))
 	}
 	for comp := 0; comp < n; comp++ {
 		if scc.Cyclic[comp] {

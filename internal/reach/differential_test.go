@@ -69,6 +69,9 @@ func TestCompressMatchesReferencePartition(t *testing.T) {
 		if !samePartition(ref, classOf) {
 			t.Fatalf("trial %d (n=%d m=%d): partition differs from reference", trial, n, m)
 		}
+		if !graph.IsTopoOrdered(c.Gr.Freeze()) {
+			t.Fatalf("trial %d: Gr is not topologically numbered", trial)
+		}
 		// And the quotient must answer reachability identically.
 		for i := 0; i < 50; i++ {
 			u, v := graph.Node(rng.Intn(n)), graph.Node(rng.Intn(n))

@@ -77,6 +77,11 @@
 // descendant bitsets that keeps each node's reduced out-row; a transpose
 // for the in-rows; and grouping the acyclic nodes by the pair of rows, by
 // hash with exact confirmation. Cyclic nodes are singleton classes (fact 2).
+// The grouping walks the nodes in the Kahn order, so a class is numbered by
+// its first member's position and Gr comes out topologically numbered —
+// every edge between two classes goes from the smaller id to the larger
+// (Kernel.Quotient has the proof) — which the one-pass batch sweeps over a
+// store's reach view need, with no renumbering pass.
 //
 // The class rows need no second reduction: class C's row is any member's
 // reduced row mapped to classes. Were the class edge (A,B) redundant, some

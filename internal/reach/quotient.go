@@ -51,14 +51,22 @@ func (k *Kernel) Cap() int { return cap(k.pos) }
 //
 // dag[v] lists v's successors, sorted and free of duplicates and
 // self-loops; cyclic[v] says whether v stands for a cyclic component, which
-// is always a class of its own. Classes are numbered by their smallest
-// node. rows[c] lists the successors of class c, ascending, with c itself
-// when c is cyclic; the rows are transitively reduced, so they are Gr's
-// edge lists as they stand.
+// is always a class of its own. The rows are flat: class c's successors are
+// adj[off[c]:off[c+1]], ascending, with c itself when c is cyclic; they are
+// transitively reduced, so they are Gr's edge lists as they stand.
 //
-// classOf is the kernel's own and valid until its next call; rows (one
-// backing array) and classCyclic belong to the caller.
-func (k *Kernel) Quotient(dag [][]int32, cyclic []bool) (classOf []int32, rows [][]graph.Node, classCyclic []bool) {
+// Classes are numbered by the position of their first member in the
+// kernel's topological order of the DAG, so the quotient is topologically
+// numbered: every edge between two classes goes from the smaller id to the
+// larger. Proof: let a quotient edge run from class A to class B. Members of
+// A share their descendants and members of B their ancestors, so every
+// member of A is a strict ancestor of every member of B; in particular the
+// first member of A is one of the first member of B, and precedes it in a
+// topological order: first(A) < first(B).
+//
+// classOf is the kernel's own and valid until its next call; off, adj and
+// classCyclic belong to the caller.
+func (k *Kernel) Quotient(dag [][]int32, cyclic []bool) (classOf, off []int32, adj []graph.Node, classCyclic []bool) {
 	n := len(dag)
 	k.reduce(dag)
 	k.transpose(n)
@@ -74,27 +82,24 @@ func (k *Kernel) Quotient(dag [][]int32, cyclic []bool) (classOf []int32, rows [
 	for _, p := range k.rep {
 		total += len(k.outRow(p)) + 1
 	}
-	flat := make([]graph.Node, 0, total)
-	rows = make([][]graph.Node, classes)
+	adj = make([]graph.Node, 0, total)
+	off = make([]int32, classes+1)
 	classCyclic = make([]bool, classes)
 	for c, p := range k.rep {
-		start := len(flat)
+		start := len(adj)
 		for _, q := range k.outRow(p) {
-			flat = append(flat, k.classOf[k.order[q]])
+			adj = append(adj, k.classOf[k.order[q]])
 		}
 		if cyclic[k.order[p]] {
 			classCyclic[c] = true
-			flat = append(flat, graph.Node(c))
+			adj = append(adj, graph.Node(c))
 		}
-		row := flat[start:]
+		row := adj[start:]
 		slices.Sort(row)
-		row = slices.Compact(row)
-		flat = flat[:start+len(row)]
-		if len(row) > 0 {
-			rows[c] = flat[start:len(flat):len(flat)]
-		}
+		adj = adj[:start+len(slices.Compact(row))]
+		off[c+1] = int32(len(adj))
 	}
-	return k.classOf[:n], rows, classCyclic
+	return k.classOf[:n], off, adj, classCyclic
 }
 
 // reduce orders the DAG topologically and computes its transitive
@@ -251,8 +256,10 @@ func (k *Kernel) transpose(n int) {
 	}
 }
 
-// group numbers the classes: a cyclic node alone, acyclic nodes by equal
-// (reduced out-row, reduced in-row), found by hash and confirmed exactly.
+// group numbers the classes in topological order (Quotient): walking the
+// positions, a cyclic node opens a class of its own, an acyclic one joins
+// the class of equal (reduced out-row, reduced in-row), found by hash and
+// confirmed exactly, or opens it.
 func (k *Kernel) group(n int, cyclic []bool) {
 	k.classOf = resize(k.classOf, n)
 	size := 1
@@ -263,8 +270,8 @@ func (k *Kernel) group(n int, cyclic []bool) {
 	clear(k.table)
 	mask := uint64(size - 1)
 	k.rep = k.rep[:0]
-	for v := range n {
-		p := k.pos[v]
+	for p, v := range k.order[:n] {
+		p := int32(p)
 		if cyclic[v] {
 			k.classOf[v] = int32(len(k.rep))
 			k.rep = append(k.rep, p)

@@ -120,7 +120,7 @@ func reducedRows(k *Kernel, n int) (out, in [][]int32) {
 // the reduction of the quotient.
 func checkKernel(dag [][]int32, cyclic []bool, k *Kernel) error {
 	n := len(dag)
-	classOf, rows, classCyclic := k.Quotient(dag, cyclic)
+	classOf, off, adj, classCyclic := k.Quotient(dag, cyclic)
 	reach := closure(dag)
 	red := bruteReduced(reach)
 	out, in := reducedRows(k, n)
@@ -146,11 +146,32 @@ func checkKernel(dag [][]int32, cyclic []bool, k *Kernel) error {
 	if !samePartition(bruteClasses(dagGraph(dag, cyclic)), byClass) {
 		return fmt.Errorf("classes %v differ from pairwise reach sets", classOf)
 	}
-	classes := len(rows)
-	for v, c := range classOf {
-		if int(c) >= classes || (v > 0 && int(c) > int(slices.Max(classOf[:v]))+1) {
-			return fmt.Errorf("class %d of node %d is not numbered by smallest member", c, v)
+	// Classes are numbered by their first member along the kernel's order,
+	// which is topological.
+	classes := len(classCyclic)
+	if len(off) != classes+1 {
+		return fmt.Errorf("%d row offsets for %d classes", len(off), classes)
+	}
+	for a, row := range dag {
+		for _, b := range row {
+			if k.pos[a] >= k.pos[b] {
+				return fmt.Errorf("edge %d → %d runs backwards in the kernel's order", a, b)
+			}
 		}
+	}
+	next := int32(0)
+	for _, v := range k.order[:n] {
+		switch c := classOf[v]; {
+		case c > next:
+			return fmt.Errorf("class %d of node %d opens before class %d", c, v, next)
+		case c == next:
+			next++
+		}
+	}
+	if int(next) != classes {
+		return fmt.Errorf("%d classes opened, %d returned", next, classes)
+	}
+	for v, c := range classOf {
 		if classCyclic[c] != cyclic[v] {
 			return fmt.Errorf("class %d cyclic %v, node %d cyclic %v", c, classCyclic[c], v, cyclic[v])
 		}
@@ -175,8 +196,12 @@ func checkKernel(dag [][]int32, cyclic []bool, k *Kernel) error {
 			want[c] = append(want[c], int32(c))
 			slices.Sort(want[c])
 		}
-		if !slices.Equal(rows[c], want[c]) {
-			return fmt.Errorf("class %d: row %v, want %v", c, rows[c], want[c])
+		row := adj[off[c]:off[c+1]]
+		if !slices.Equal(row, want[c]) {
+			return fmt.Errorf("class %d: row %v, want %v", c, row, want[c])
+		}
+		if len(row) > 0 && row[0] < int32(c) {
+			return fmt.Errorf("class %d: edge to class %d breaks the topological numbering", c, row[0])
 		}
 	}
 	return nil
@@ -270,23 +295,24 @@ func TestAncestorDPIsDualOfDescendantDP(t *testing.T) {
 // table an earlier, different input filled still groups exactly.
 func TestSetGrouperExactness(t *testing.T) {
 	// 0 and 1 have rows ({3, 4}, {}); 2 has ({3, 5}, {}), one entry off; 6
-	// has 0's rows but is cyclic.
+	// has 0's rows but is cyclic. Kahn's order is 0 1 2 6 5 3 4, and the
+	// classes are numbered as their first members appear in it.
 	dag := [][]int32{{3, 4}, {3, 4}, {3, 5}, {}, {}, {}, {3, 4}}
 	cyclic := []bool{false, false, false, false, false, false, true}
 	var k Kernel
-	classOf, rows, _ := k.Quotient(dag, cyclic)
-	if want := []int32{0, 0, 1, 2, 3, 4, 5}; !slices.Equal(classOf, want) {
+	classOf, _, _, classCyclic := k.Quotient(dag, cyclic)
+	if want := []int32{0, 0, 1, 4, 5, 3, 2}; !slices.Equal(classOf, want) {
 		t.Fatalf("classes %v, want %v", classOf, want)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("%d classes, want 6", len(rows))
+	if len(classCyclic) != 6 {
+		t.Fatalf("%d classes, want 6", len(classCyclic))
 	}
 
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(120)
 		dag, cyclic := randomDAG(rng, n, rng.Intn(3*n))
-		classOf, _, _ := k.Quotient(dag, cyclic)
+		classOf, _, _, _ := k.Quotient(dag, cyclic)
 		out, in := reducedRows(&k, n)
 		for u := range n {
 			for v := range n {
@@ -324,15 +350,20 @@ func FuzzQuotient(f *testing.F) {
 // cyclic — the shortcut goes and the cyclic class keeps its self-loop.
 func TestKernelSelfLoopAndTR(t *testing.T) {
 	var k Kernel
-	classOf, rows, cyclic := k.Quotient([][]int32{{1, 2}, {2}, {}}, []bool{false, true, false})
+	classOf, off, adj, cyclic := k.Quotient([][]int32{{1, 2}, {2}, {}}, []bool{false, true, false})
 	if !slices.Equal(classOf, []int32{0, 1, 2}) || !slices.Equal(cyclic, []bool{false, true, false}) {
 		t.Fatalf("classes %v, cyclic %v", classOf, cyclic)
 	}
-	if want := [][]graph.Node{{1}, {1, 2}, nil}; !slices.EqualFunc(rows, want, slices.Equal) {
-		t.Fatalf("rows %v, want %v", rows, want)
+	if !slices.Equal(off, []int32{0, 1, 3, 3}) || !slices.Equal(adj, []graph.Node{1, 1, 2}) {
+		t.Fatalf("rows %v over %v, want [1] [1 2] []", off, adj)
 	}
-	gr := graph.BuildFromSortedAdj(nil, make([]graph.Label, len(rows)), rows)
-	if err := gr.Validate(); err != nil {
+	labels := graph.NewLabels()
+	labels.Intern(SigmaLabel)
+	gr, err := graph.CSRFromRows(labels, make([]graph.Label, len(cyclic)), off, adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gr.Thaw().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -341,12 +372,12 @@ func TestKernelSelfLoopAndTR(t *testing.T) {
 // reduced edges become one class edge.
 func TestKernelDedupsClassEdges(t *testing.T) {
 	var k Kernel
-	classOf, rows, _ := k.Quotient([][]int32{{1, 2}, {}, {}}, []bool{false, false, false})
+	classOf, off, adj, _ := k.Quotient([][]int32{{1, 2}, {}, {}}, []bool{false, false, false})
 	if !slices.Equal(classOf, []int32{0, 1, 1}) {
 		t.Fatalf("classes %v, want [0 1 1]", classOf)
 	}
-	if len(rows) != 2 || !slices.Equal(rows[0], []graph.Node{1}) || len(rows[1]) != 0 {
-		t.Fatalf("rows %v, want [[1] []]", rows)
+	if !slices.Equal(off, []int32{0, 1, 1}) || !slices.Equal(adj, []graph.Node{1}) {
+		t.Fatalf("rows %v over %v, want [1] []", off, adj)
 	}
 }
 

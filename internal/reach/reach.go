@@ -2,6 +2,7 @@ package reach
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -22,12 +23,12 @@ type Compressed struct {
 	Gr *graph.Graph
 	// classOf maps every node of G to its class node in Gr (the mapping R).
 	classOf []graph.Node
-	// Members lists, for every class node of Gr, the original nodes it
-	// represents (the inverse index used by post-processing).
-	Members [][]graph.Node
 	// CyclicClass reports whether a class contains a cyclic SCC; such
 	// classes carry a self-loop in Gr.
 	CyclicClass []bool
+
+	members     [][]graph.Node // the inverse index, built by Members
+	membersOnce sync.Once
 }
 
 // ClassOf returns R(v), the class node of Gr representing v.
@@ -37,6 +38,15 @@ func (c *Compressed) ClassOf(v graph.Node) graph.Node { return c.classOf[v] }
 // Read-only; used by the snapshot codec.
 func (c *Compressed) ClassMap() []graph.Node { return c.classOf }
 
+// Members lists, for every class node of Gr, the original nodes it
+// represents, ascending: the inverse index post-processing and the
+// checkpoint encoder read. No query path needs it, so it is built on first
+// use, O(|V|), and kept; safe for concurrent use. Read-only.
+func (c *Compressed) Members() [][]graph.Node {
+	c.membersOnce.Do(func() { c.members = graph.GroupNodes(c.classOf, len(c.CyclicClass)) })
+	return c.members
+}
+
 // Rewrite implements the query rewriting function F: it maps the
 // reachability query QR(u,v) on G to QR(R(u),R(v)) on Gr in O(1).
 func (c *Compressed) Rewrite(u, v graph.Node) (graph.Node, graph.Node) {
@@ -44,7 +54,7 @@ func (c *Compressed) Rewrite(u, v graph.Node) (graph.Node, graph.Node) {
 }
 
 // NumClasses returns |Vr|.
-func (c *Compressed) NumClasses() int { return len(c.Members) }
+func (c *Compressed) NumClasses() int { return len(c.CyclicClass) }
 
 // Ratio returns the compression ratio RCr = |Gr| / |G| for the original
 // graph g. It is NaN for a compression assembled without Gr — the views of
@@ -58,22 +68,22 @@ func (c *Compressed) Ratio(g *graph.Graph) float64 {
 }
 
 // AssembleCompressed packages an externally maintained or decoded quotient
-// with its node mapping into a Compressed value. Used by the incremental
-// maintainer, the store's reorder pass and the snapshot decoder; the store
-// passes a nil gr, since its views carry the quotient as a frozen CSR.
-func AssembleCompressed(gr *graph.Graph, classOf []graph.Node, members [][]graph.Node, cyclic []bool) *Compressed {
-	return &Compressed{Gr: gr, classOf: classOf, Members: members, CyclicClass: cyclic}
+// with its node mapping into a Compressed value: Gr (nil in a store's views,
+// which carry the quotient as a CSR), R as a node → class map, and the
+// classes' cyclic flags. The member index is built on first use.
+func AssembleCompressed(gr *graph.Graph, classOf []graph.Node, cyclic []bool) *Compressed {
+	return &Compressed{Gr: gr, classOf: classOf, CyclicClass: cyclic}
 }
 
 // Compress computes the reachability preserving compression R(G) of g
 // (algorithm compressR, Fig. 5 of the paper, with the SCC optimization of
 // Section 3.2): Tarjan, then the quotient kernel over the condensation. See
 // the package documentation for the construction and its correctness
-// argument.
+// argument. Gr comes out topologically numbered (Kernel.Quotient).
 func Compress(g *graph.Graph) *Compressed {
 	scc := graph.Tarjan(g)
 	var k Kernel
-	classOfComp, rows, cyclic := k.Quotient(scc.Out, scc.Cyclic)
+	classOfComp, off, adj, cyclic := k.Quotient(scc.Out, scc.Cyclic)
 	c := &Compressed{
 		classOf:     make([]graph.Node, g.NumNodes()),
 		CyclicClass: cyclic,
@@ -81,7 +91,12 @@ func Compress(g *graph.Graph) *Compressed {
 	for v := range c.classOf {
 		c.classOf[v] = classOfComp[scc.Comp[v]]
 	}
-	c.Members = graph.GroupNodes(c.classOf, len(rows))
+	rows := make([][]graph.Node, len(cyclic))
+	for r := range rows {
+		if lo, hi := off[r], off[r+1]; lo < hi {
+			rows[r] = adj[lo:hi:hi]
+		}
+	}
 	labels := graph.NewLabels()
 	labels.Intern(SigmaLabel) // σ is label 0, the zero of every entry below
 	c.Gr = graph.BuildFromSortedAdj(labels, make([]graph.Label, len(rows)), rows)

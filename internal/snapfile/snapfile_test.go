@@ -27,7 +27,7 @@ func buildStoreParts(g *graph.Graph, epoch uint64, indexes bool) *StoreParts {
 		GPerm:          graph.ReorderPerm(csr),
 		ReachGr:        rc.Gr.Freeze(),
 		ReachClassOf:   rc.ClassMap(),
-		ReachMembers:   rc.Members,
+		ReachMembers:   rc.Members(),
 		ReachCyclic:    rc.CyclicClass,
 		PatternGr:      pc.Gr.Freeze(),
 		PatternBlockOf: pc.ClassMap(),
@@ -140,7 +140,7 @@ func buildShardedParts(g *graph.Graph, k int, epoch uint64, indexes bool) *Shard
 			G:            locals[s],
 			ReachGr:      grs[s],
 			ReachClassOf: rcs[s].ClassMap(),
-			ReachMembers: rcs[s].Members,
+			ReachMembers: rcs[s].Members(),
 			ReachCyclic:  rcs[s].CyclicClass,
 		}
 		if indexes {

@@ -445,20 +445,32 @@ func (s *Store) recordEffect(old, sn *Snapshot, reachMoved bool, diff *incbisim.
 		ef.moved, ef.to, ef.rows = diff.Moved, diff.To, diff.Rows
 	}
 	if reachMoved {
-		oldOf, newOf := old.Reach.Compressed.ClassMap(), sn.Reach.Compressed.ClassMap()
-		ef.classMap = make([]graph.Node, len(old.Reach.Compressed.Members))
-		for c, mem := range old.Reach.Compressed.Members {
-			ef.classMap[c] = newOf[mem[0]]
-		}
-		for v, c := range oldOf {
-			if newOf[v] != ef.classMap[c] {
-				ef.exNode = append(ef.exNode, graph.Node(v))
-				ef.exClass = append(ef.exClass, newOf[v])
-			}
-		}
+		ef.classMap, ef.exNode, ef.exClass = reachMap(old.Reach.Compressed, sn.Reach.Compressed.ClassMap())
 		ef.setReachGr(sn.Reach)
 	}
 	s.ring.push(ringEntry{lineage: ef.lineage, base: ef.base, epoch: ef.epoch, b: ef.encode()})
+}
+
+// reachMap derives a diff's reach map from the old compression and the new
+// node → class map in one pass over V: each old class maps to the new class
+// of the first node met in it, its smallest member, and the nodes that do
+// not follow their class are the exceptions, ascending. It reads no member
+// lists, so recording an effect never builds them.
+func reachMap(old *reach.Compressed, newOf []graph.Node) (classMap, exNode, exClass []graph.Node) {
+	classMap = make([]graph.Node, old.NumClasses())
+	for c := range classMap {
+		classMap[c] = -1
+	}
+	for v, c := range old.ClassMap() {
+		switch to := newOf[v]; {
+		case classMap[c] < 0:
+			classMap[c] = to
+		case to != classMap[c]:
+			exNode = append(exNode, graph.Node(v))
+			exClass = append(exClass, to)
+		}
+	}
+	return classMap, exNode, exClass
 }
 
 // setReachGr points the effect's reach quotient at rv's.
@@ -577,8 +589,8 @@ func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, b []byte
 	}
 	sn.Reach = old.Reach
 	if ef.reach {
-		if len(ef.classMap) != len(old.Reach.Compressed.Members) {
-			return nil, nil, fmt.Errorf("reach map over %d classes, store has %d", len(ef.classMap), len(old.Reach.Compressed.Members))
+		if len(ef.classMap) != old.Reach.Compressed.NumClasses() {
+			return nil, nil, fmt.Errorf("reach map over %d classes, store has %d", len(ef.classMap), old.Reach.Compressed.NumClasses())
 		}
 		classOf := make([]graph.Node, s.nodes)
 		for v, c := range old.Reach.Compressed.ClassMap() {
@@ -606,13 +618,17 @@ func (s *Store) reachView(classOf []graph.Node, ef *effect) (ReachView, error) {
 	if !graph.IsTopoOrdered(gr) {
 		return ReachView{}, errors.New("reach quotient is not in topological order")
 	}
-	members := graph.GroupNodes(classOf, ef.classes)
-	for c, mem := range members {
-		if len(mem) == 0 {
-			return ReachView{}, fmt.Errorf("reach class %d is empty", c)
+	seen, left := make([]bool, ef.classes), ef.classes
+	for _, c := range classOf {
+		if !seen[c] {
+			seen[c] = true
+			left--
 		}
 	}
-	return ReachView{Gr: gr, Compressed: reach.AssembleCompressed(nil, classOf, members, ef.cyclic), hop: newHopCell(s.cfg.Indexes, s.ob)}, nil
+	if left > 0 {
+		return ReachView{}, fmt.Errorf("reach class %d is empty", slices.Index(seen, false))
+	}
+	return ReachView{Gr: gr, Compressed: reach.AssembleCompressed(nil, classOf, ef.cyclic), hop: newHopCell(s.cfg.Indexes, s.ob)}, nil
 }
 
 // patchPattern applies a diff's pattern part to old over g, the patched G,

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/incbisim"
 	"repro/internal/queries"
+	"repro/internal/reach"
 )
 
 // sameViews holds a follower's snapshot to the leader's, array for array:
@@ -28,7 +30,7 @@ func sameViews(t *testing.T, at string, got, want *Snapshot) {
 		t.Fatalf("%s: reach quotient differs", at)
 	case !slices.Equal(got.Reach.Compressed.ClassMap(), want.Reach.Compressed.ClassMap()):
 		t.Fatalf("%s: reach class map differs", at)
-	case !equalRows(got.Reach.Compressed.Members, want.Reach.Compressed.Members):
+	case !equalRows(got.Reach.Compressed.Members(), want.Reach.Compressed.Members()):
 		t.Fatalf("%s: reach members differ", at)
 	case !slices.Equal(got.Reach.Compressed.CyclicClass, want.Reach.Compressed.CyclicClass):
 		t.Fatalf("%s: reach cyclic flags differ", at)
@@ -39,6 +41,25 @@ func sameViews(t *testing.T, at string, got, want *Snapshot) {
 	case !equalRows(got.Pattern.Compressed.Members, want.Pattern.Compressed.Members):
 		t.Fatalf("%s: pattern members differ", at)
 	}
+}
+
+// membersReachMap derives a diff's reach map from the old compression's
+// member lists: each old class maps to the new class of its smallest
+// member, and the nodes that do not follow their class are the exceptions.
+// It is the reference for reachMap, which needs no member lists.
+func membersReachMap(old, cur *reach.Compressed) (classMap, exNode, exClass []graph.Node) {
+	newOf := cur.ClassMap()
+	classMap = make([]graph.Node, old.NumClasses())
+	for c, mem := range old.Members() {
+		classMap[c] = newOf[mem[0]]
+	}
+	for v, c := range old.ClassMap() {
+		if newOf[v] != classMap[c] {
+			exNode = append(exNode, graph.Node(v))
+			exClass = append(exClass, newOf[v])
+		}
+	}
+	return classMap, exNode, exClass
 }
 
 // TestEffectAppliedEqualsRebuilt is the effect differential. Over seeded
@@ -84,14 +105,23 @@ func TestEffectAppliedEqualsRebuilt(t *testing.T) {
 						t.Fatalf("%s: round %d ships %d effects from %x@%d, leader at %x@%d", at, round, len(effs), fsn.Lineage, fsn.Epoch, leader.Snapshot().Lineage, leader.Snapshot().Epoch)
 					}
 					for _, e := range effs {
-						from := follower.Snapshot().Epoch
-						epoch, image, err := follower.ApplyEffect(log[from:e.Epoch], e.Bytes)
+						before := follower.Snapshot()
+						epoch, image, err := follower.ApplyEffect(log[before.Epoch:e.Epoch], e.Bytes)
 						if err != nil {
 							t.Fatalf("%s: apply effect through %d: %v", at, e.Epoch, err)
 						}
 						shipped, _ := decodeEffect(e.Bytes)
 						if epoch != e.Epoch || image != shipped.image {
 							t.Fatalf("%s: applied at %d (image %v), shipped %d (image %v)", at, epoch, image, e.Epoch, shipped.image)
+						}
+						if !image && shipped.reach {
+							// The leader derives the reach map in one pass;
+							// read off the member lists, the bytes are the same.
+							ref := *shipped
+							ref.classMap, ref.exNode, ref.exClass = membersReachMap(before.Reach.Compressed, follower.Snapshot().Reach.Compressed)
+							if !bytes.Equal(ref.encode(), e.Bytes) {
+								t.Fatalf("%s: the effect through %d differs from the member-based derivation", at, e.Epoch)
+							}
 						}
 						switch {
 						case image:

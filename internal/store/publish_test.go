@@ -439,7 +439,7 @@ func TestPublishScalesWithChange(t *testing.T) {
 	if 4*median(ns4) > median(full4) {
 		t.Errorf("at 4×: a patched publish costs %.2f ms against %.2f ms for the full build, want at most a quarter", median(ns4)/1e6, median(full4)/1e6)
 	}
-	const maxPublishBytesPerNode = 60
+	const maxPublishBytesPerNode = 45
 	for _, factor := range []int{1, 4} {
 		_, _, alloc, retained := publishCost(t, factor, 16, true)
 		perNode := median(alloc) / float64(social16.V*factor)

@@ -789,7 +789,7 @@ func shardedParts(s *ShardedStore, sn *ShardedSnapshot) *snapfile.ShardedParts {
 			G:            sv.G,
 			ReachGr:      sv.Reach.Gr,
 			ReachClassOf: sv.Reach.Compressed.ClassMap(),
-			ReachMembers: sv.Reach.Compressed.Members,
+			ReachMembers: sv.Reach.Compressed.Members(),
 			ReachCyclic:  sv.Reach.Compressed.CyclicClass,
 			ReachIndex:   sv.Reach.Index(),
 		}
@@ -840,7 +840,7 @@ func (s *ShardedStore) load(fsys faultfs.FS, path string) (uint64, error) {
 	shards := make([]ShardView, k)
 	for i := 0; i < k; i++ {
 		sp := &parts.Shards[i]
-		rc := reach.AssembleCompressed(nil, sp.ReachClassOf, sp.ReachMembers, sp.ReachCyclic)
+		rc := reach.AssembleCompressed(nil, sp.ReachClassOf, sp.ReachCyclic)
 		shards[i] = s.shardView(i, sp.G, ReachView{Gr: sp.ReachGr, Compressed: rc, hop: loadedHopCell(sp.ReachIndex)}, parts.Summary)
 	}
 	s.install(&ShardedSnapshot{

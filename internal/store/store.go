@@ -451,11 +451,11 @@ func (s *Store) publish(epoch uint64) {
 
 	// A view is rebuilt only when its maintainer's compression moved since
 	// the previous snapshot; an epoch whose updates were all redundant for
-	// a scheme carries that scheme's view — class index, reordered Gr,
-	// 2-hop cell — over untouched. When rebuilt, incRCM numbers the
-	// quotient in topological level order (baked into the class mapping, so
-	// queries need no translation); G's reordered traversal view is
-	// materialized lazily by GOrd, off the write path.
+	// a scheme carries that scheme's view — class index, Gr, 2-hop cell —
+	// over untouched. When rebuilt, the view is incRCM's Gr as it stands,
+	// topologically numbered by the quotient kernel, with one pass over V
+	// for the class map; G's reordered traversal view is materialized
+	// lazily by GOrd, off the write path.
 	if gen := s.m.Reach.Generation(); gen == s.reachGen {
 		sn.Reach = old.Reach
 	} else {
@@ -522,7 +522,7 @@ func storeParts(sn *Snapshot) *snapfile.StoreParts {
 		GPerm:          sn.GOrd().NewID,
 		ReachGr:        sn.Reach.Gr,
 		ReachClassOf:   sn.Reach.Compressed.ClassMap(),
-		ReachMembers:   sn.Reach.Compressed.Members,
+		ReachMembers:   sn.Reach.Compressed.Members(),
 		ReachCyclic:    sn.Reach.Compressed.CyclicClass,
 		ReachIndex:     sn.Reach.Index(),
 		PatternGr:      sn.Pattern.Gr,
@@ -553,7 +553,7 @@ func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
 		gperm:   parts.GPerm,
 		Reach: ReachView{
 			Gr:         parts.ReachGr,
-			Compressed: reach.AssembleCompressed(nil, parts.ReachClassOf, parts.ReachMembers, parts.ReachCyclic),
+			Compressed: reach.AssembleCompressed(nil, parts.ReachClassOf, parts.ReachCyclic),
 			hop:        loadedHopCell(parts.ReachIndex),
 		},
 		Pattern: PatternView{
