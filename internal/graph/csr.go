@@ -5,17 +5,18 @@ import "sync/atomic"
 // CSR is a frozen, read-optimized snapshot of a Graph: each side —
 // successors and predecessors — is a row table with one (start, end) pair
 // per node over a flat adjacency arena, so traversals walk contiguous memory
-// instead of chasing one heap object per node. A CSR is immutable; it shares
-// the label table (and the label slice) with the graph it was frozen from,
-// and it is safe for concurrent use by any number of goroutines.
+// instead of chasing one heap object per node. A CSR is immutable and safe
+// for concurrent use by any number of goroutines; it shares the label table
+// with the graph it was frozen from.
 //
-// Freeze and the other bulk constructors build compact CSRs: the arena holds
-// the rows in node order with no gaps. Patch (patch.go) builds an epoch's CSR
-// from the previous epoch's by copying the two row tables and appending only
-// the rows that changed to the arena they share, so successive snapshots of
-// an evolving graph cost what changed plus 16 bytes per node, not O(|G|).
-// The arena is append-only: nothing is ever written below the end of a CSR
-// built over it.
+// A Graph keeps its rows in this very layout, so Freeze and Thaw hand the
+// row tables over in O(1), and successive snapshots of an evolving graph
+// share one arena: each costs what changed plus 16 bytes per node, not
+// O(|G|). Patch (patch.go) builds a CSR from another by replacing a batch of
+// rows the same way. The bulk constructors, and Freeze of a graph not
+// written since it was built, packed or cloned, give compact CSRs: the arena
+// holds the rows in node order with no gaps. An arena is append-only:
+// nothing is ever written below the end of a CSR built over it.
 //
 // The mutable *Graph remains the write-side type. Every read-only hot path
 // (Tarjan, the compression DPs, quotient construction, BFS, Paige–Tarjan,
@@ -31,27 +32,28 @@ type CSR struct {
 // span is one row's place in its side's arena.
 type span struct{ lo, hi int32 }
 
-// side is one direction of a CSR: a row table over an arena that patched
-// successors of the CSR share.
+// side is one direction of a CSR: a row table over an arena that later
+// snapshots of the same graph, and patches of the CSR, share.
 type side struct {
 	rows    []span
-	adj     []Node // the arena up to this side's end, capacity clipped
+	adj     []Node // the arena up to this side's end
 	ar      *arena
 	compact bool // rows lie in node order with no gaps: adj is the flat array
 }
 
-// arena is the adjacency storage of a chain of patched CSRs. Entries below
-// tip belong to CSRs already built; a patch of the CSR ending at tip claims
-// the entries after it with one CAS, so two patches of one CSR never write
-// the same entries (the loser packs a fresh arena).
+// arena is the adjacency storage of a chain of CSRs: the snapshots of one
+// graph, or a CSR and its patches. Entries below tip belong to CSRs already
+// built or to the graph writing them; a graph or patch that ends at tip
+// claims the entries after it with one CAS, so two writers never write the
+// same entries (the loser packs a fresh arena).
 type arena struct {
 	buf []Node // len == cap
 	tip atomic.Int32
 }
 
 // compactSide returns the side over rows and adj, which hold the rows in
-// node order with no gaps. adj is retained, never written: its arena ends at
-// its length.
+// node order with no gaps. adj is retained, and its arena ends at its
+// length; only a Graph that owns adj (seal 0) ever writes it.
 func compactSide(rows []span, adj []Node) side {
 	a := &arena{buf: adj[:len(adj):len(adj)]}
 	a.tip.Store(int32(len(adj)))
@@ -95,23 +97,26 @@ func (s *side) flat(m int) []Node {
 	return adj
 }
 
-// Freeze returns a compact CSR snapshot of the graph's current state. Later
-// mutations of g are not reflected in the snapshot. The label slice is
-// shared, so SetLabel after Freeze does show through; relabel-then-freeze if
-// a fully isolated snapshot is needed.
+// Freeze returns a CSR snapshot of the graph's current state, in O(1): the
+// graph hands over its row tables and its label array and seals its arenas,
+// so later writes never show through (see Graph). A graph not written since
+// it was built, packed or cloned freezes compact. Freeze of a graph not
+// written since the last Freeze or its Thaw returns that CSR again.
 func (g *Graph) Freeze() *CSR {
-	n := len(g.label)
-	outRows, inRows := make([]span, n), make([]span, n)
-	outAdj, inAdj := make([]Node, 0, g.m), make([]Node, 0, g.m)
-	for v := 0; v < n; v++ {
-		lo := int32(len(outAdj))
-		outAdj = append(outAdj, g.out[v]...)
-		outRows[v] = span{lo, int32(len(outAdj))}
-		lo = int32(len(inAdj))
-		inAdj = append(inAdj, g.in[v]...)
-		inRows[v] = span{lo, int32(len(inAdj))}
+	if g.frozen == nil {
+		n := len(g.label)
+		g.frozen = &CSR{labels: g.labels, label: g.label[:n:n], m: g.m, out: g.out.freeze(), in: g.in.freeze()}
+		g.labelShared = true
 	}
-	return &CSR{labels: g.labels, label: g.label, m: g.m, out: compactSide(outRows, outAdj), in: compactSide(inRows, inAdj)}
+	return g.frozen
+}
+
+// freeze seals the side and returns it as a CSR's: every row now lies below
+// the seal.
+func (s *wside) freeze() side {
+	end := len(s.adj)
+	s.seal = int32(end)
+	return side{rows: s.rows, adj: s.adj[:end:end], ar: s.ar, compact: s.compact}
 }
 
 // Labels returns the snapshot's label table.
@@ -178,27 +183,27 @@ func (c *CSR) InOffsets() []int32 { return c.in.offsets() }
 // Read-only.
 func (c *CSR) InAdj() []Node { return c.in.flat(c.m) }
 
-// Thaw materializes a mutable Graph equal to the snapshot.
+// Thaw returns a mutable Graph equal to the snapshot, in O(1): the graph
+// takes over the row tables, the arenas and the label array, sealed at the
+// snapshot's end, and copies what it writes (see Graph). The snapshot is
+// only read, and stays valid.
 func (c *CSR) Thaw() *Graph {
 	n := len(c.label)
-	rows := make([][]Node, n)
-	for v := 0; v < n; v++ {
-		row := c.Successors(Node(v))
-		if len(row) > 0 {
-			rows[v] = append([]Node(nil), row...)
-		}
+	return &Graph{
+		labels: c.labels, label: c.label[:n:n], m: c.m,
+		out:    wside{side: c.out, seal: int32(len(c.out.adj))},
+		in:     wside{side: c.in, seal: int32(len(c.in.adj))},
+		frozen: c, labelShared: true,
 	}
-	return BuildFromSortedAdj(c.labels, append([]Label(nil), c.label...), rows)
 }
 
-// BuildFromSortedAdj constructs a Graph in bulk from per-node labels and
-// sorted, duplicate-free successor rows, in O(|V|+|E|) — no per-edge sorted
-// insertion. It takes ownership of label and of every row in out (rows may
-// be nil). Predecessor lists are derived by counting sort into one flat
-// backing array; the per-node views use full slice expressions so a later
-// AddEdge reallocates instead of clobbering a neighbor's row. Rows are
-// validated to be sorted and strictly increasing; violations panic, since a
-// malformed adjacency would silently corrupt every downstream algorithm.
+// BuildFromSortedAdj constructs a compact Graph in bulk from per-node labels
+// and sorted, duplicate-free successor rows, in O(|V|+|E|) — no per-edge
+// sorted insertion. It takes ownership of label; the rows are copied into
+// the graph's arena, and the predecessor side is derived by one
+// transposition. Rows are validated to be sorted and strictly increasing;
+// violations panic, since a malformed adjacency would silently corrupt
+// every downstream algorithm.
 func BuildFromSortedAdj(labels *Labels, label []Label, out [][]Node) *Graph {
 	if labels == nil {
 		labels = NewLabels()
@@ -207,38 +212,49 @@ func BuildFromSortedAdj(labels *Labels, label []Label, out [][]Node) *Graph {
 	if len(out) != n {
 		panic("graph: BuildFromSortedAdj: len(out) != len(label)")
 	}
-	m := 0
-	indeg := make([]int32, n+1)
-	for u := range out {
+	rows := make([]span, n)
+	var adj []Node
+	for u, row := range out {
 		prev := Node(-1)
-		for _, v := range out[u] {
+		for _, v := range row {
 			if v <= prev {
 				panic("graph: BuildFromSortedAdj: row not sorted/unique")
 			}
 			if int(v) < 0 || int(v) >= n {
 				panic("graph: BuildFromSortedAdj: edge references invalid node")
 			}
-			indeg[v]++
 			prev = v
-			m++
+		}
+		rows[u] = span{int32(len(adj)), int32(len(adj) + len(row))}
+		adj = append(adj, row...)
+	}
+	succ := compactSide(rows, adj)
+	return &Graph{labels: labels, label: label, m: len(adj), out: wside{side: succ}, in: wside{side: transpose(&succ, len(adj))}}
+}
+
+// transpose returns the compact predecessor side of the successor side out,
+// which holds m entries. Sources are walked in ascending order, so every
+// predecessor row comes out sorted; a row's hi is its fill cursor until the
+// walk ends.
+func transpose(out *side, m int) side {
+	n := len(out.rows)
+	rows := make([]span, n)
+	for v := range out.rows {
+		for _, w := range out.row(Node(v)) {
+			rows[w].hi++
 		}
 	}
-	// Carve the in-lists out of one flat array; off[v] is the write cursor.
-	flat := make([]Node, m)
-	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + indeg[v]
+	for v, pos := 0, int32(0); v < n; v++ {
+		deg := rows[v].hi
+		rows[v] = span{pos, pos}
+		pos += deg
 	}
-	in := make([][]Node, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] > 0 {
-			in[v] = flat[off[v]:off[v]:off[v+1]]
+	adj := make([]Node, m)
+	for u := range out.rows {
+		for _, w := range out.row(Node(u)) {
+			adj[rows[w].hi] = Node(u)
+			rows[w].hi++
 		}
 	}
-	for u := 0; u < n; u++ {
-		for _, v := range out[u] {
-			in[v] = append(in[v], Node(u))
-		}
-	}
-	return &Graph{labels: labels, label: label, out: out, in: in, m: m}
+	return compactSide(rows, adj)
 }

@@ -2,9 +2,9 @@ package graph
 
 import "slices"
 
-// This file builds one epoch's CSR from the previous epoch's: a store that
-// publishes a snapshot per batch group changes a handful of rows between
-// two of them. The new CSR copies the previous one's two row tables (8
+// This file builds a CSR from another by replacing a batch of rows: how an
+// evolving quotient, whose rows are rebuilt rather than edited, gets its
+// next snapshot. The new CSR copies the previous one's two row tables (8
 // bytes per node a side) and appends only the replaced successor rows and
 // the rebuilt predecessor rows to the arena the two share; every other row
 // keeps its entries where they are. Readers cannot tell how a CSR was built.
@@ -12,11 +12,12 @@ import "slices"
 // Appending in place is allowed only to the CSR that ends at its arena's
 // tip, claimed by one CAS: a second patch of the same CSR, or a patch of an
 // older one, packs a fresh arena instead, so no entry below the end of a
-// built CSR is ever written. Replaced rows leave dead entries behind. A
+// built CSR is ever written. A Graph writes the arenas it freezes into by
+// the same rule (graph.go). Replaced rows leave dead entries behind. A
 // side is packed afresh — rows in node order, no gaps, 1/arenaSlack of its
 // live size spare — when its dead entries would pass 1/arenaSlack of its
 // live ones or its arena is full, so an arena stays within a constant
-// factor of the live adjacency and each patched entry costs amortised O(1).
+// factor of the live adjacency and each written entry costs amortised O(1).
 
 // arenaSlack sets both compaction thresholds above: a side is packed when
 // its dead entries pass live/arenaSlack, and a packed arena has
@@ -38,13 +39,6 @@ type Patcher struct {
 	adds     []Node
 	inOff    []int32
 	inFlat   []Node
-
-	// ApplyUpdates' own scratch, which Patch leaves alone: the group's
-	// updates sorted by edge, and the rows they change.
-	ups     []Update
-	srcs    []Node
-	rowOff  []int32
-	rowFlat []Node
 }
 
 // StampSet is a set over [0, n) emptied in O(1) by moving to the next
@@ -262,73 +256,6 @@ func pack(prev *side, live, n int, ids []Node, row func(k int) []Node) side {
 	a := &arena{buf: buf}
 	a.tip.Store(pos)
 	return side{rows: rows, adj: buf[:pos:pos], ar: a, compact: true}
-}
-
-// FreezePatch returns what Freeze would, built by patching prev — the
-// Freeze (or FreezePatch) of an earlier state of g. touched lists,
-// ascending and without duplicates, every node whose successor list has
-// changed since.
-func (g *Graph) FreezePatch(p *Patcher, prev *CSR, touched []Node) *CSR {
-	return p.Patch(prev, len(g.label), touched, func(k int) []Node { return g.out[touched[k]] }, nil)
-}
-
-// ApplyUpdates returns what Freeze would give after a graph equal to prev
-// applied the batches in order (Graph.Apply, batch by batch), built by
-// patching prev, together with the nodes whose successor rows changed,
-// ascending and valid until the next call. It is FreezePatch for a reader
-// that holds only the snapshot and the raw updates: the last update of an
-// edge decides whether the edge is there, so no mutable graph is needed.
-// When nothing changes it returns prev itself. Every node id must lie in
-// [0, prev.NumNodes()).
-func (p *Patcher) ApplyUpdates(prev *CSR, batches [][]Update) (*CSR, []Node) {
-	p.ups = p.ups[:0]
-	for _, b := range batches {
-		p.ups = append(p.ups, b...)
-	}
-	// Stable, so each edge's updates keep their order and the last one wins.
-	slices.SortStableFunc(p.ups, func(a, b Update) int {
-		if a.From != b.From {
-			return int(a.From - b.From)
-		}
-		return int(a.To - b.To)
-	})
-	p.srcs, p.rowOff, p.rowFlat = p.srcs[:0], p.rowOff[:0], p.rowFlat[:0]
-	for i := 0; i < len(p.ups); {
-		u := p.ups[i].From
-		old := prev.Successors(u)
-		start, k, changed := len(p.rowFlat), 0, false
-		for ; i < len(p.ups) && p.ups[i].From == u; i++ {
-			to := p.ups[i].To
-			if i+1 < len(p.ups) && p.ups[i+1].From == u && p.ups[i+1].To == to {
-				continue // a later update of the same edge decides it
-			}
-			for k < len(old) && old[k] < to {
-				p.rowFlat = append(p.rowFlat, old[k])
-				k++
-			}
-			has := k < len(old) && old[k] == to
-			if has {
-				k++
-			}
-			if p.ups[i].Insert {
-				p.rowFlat = append(p.rowFlat, to)
-			}
-			changed = changed || has != p.ups[i].Insert
-		}
-		if !changed {
-			p.rowFlat = p.rowFlat[:start]
-			continue
-		}
-		p.rowFlat = append(p.rowFlat, old[k:]...)
-		p.srcs = append(p.srcs, u)
-		p.rowOff = append(p.rowOff, int32(start))
-	}
-	if len(p.srcs) == 0 {
-		return prev, nil
-	}
-	p.rowOff = append(p.rowOff, int32(len(p.rowFlat)))
-	c := p.Patch(prev, prev.NumNodes(), p.srcs, func(k int) []Node { return p.rowFlat[p.rowOff[k]:p.rowOff[k+1]] }, nil)
-	return c, p.srcs
 }
 
 // Equal reports whether c and d are the same snapshot: labels, and every

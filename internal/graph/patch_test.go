@@ -4,12 +4,11 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 )
 
-// patchByUpdates applies ups to g and returns FreezePatch from prev over
-// the sources of the updates that changed g.
+// patchByUpdates applies ups to g and returns prev — a snapshot of g's
+// state before — patched at the rows of the updates that changed g.
 func patchByUpdates(p *Patcher, g *Graph, prev *CSR, ups []Update) *CSR {
 	var touched []Node
 	for _, up := range ups {
@@ -18,7 +17,22 @@ func patchByUpdates(p *Patcher, g *Graph, prev *CSR, ups []Update) *CSR {
 		}
 	}
 	slices.Sort(touched)
-	return g.FreezePatch(p, prev, slices.Compact(touched))
+	return patchRows(p, g, prev, slices.Compact(touched))
+}
+
+// freezeApart returns a compact snapshot of g over arenas of its own with
+// no room spare, as the bulk constructors build one: a patch chain started
+// from it never meets g's writes.
+func freezeApart(g *Graph) *CSR {
+	c := g.Freeze()
+	return &CSR{labels: c.labels, label: c.label, m: c.m,
+		out: fromOffsets(c.OutOffsets(), slices.Clone(c.OutAdj())),
+		in:  fromOffsets(c.InOffsets(), slices.Clone(c.InAdj()))}
+}
+
+// patchRows patches prev at the rows ids, ascending, to g's rows there.
+func patchRows(p *Patcher, g *Graph, prev *CSR, ids []Node) *CSR {
+	return p.Patch(prev, g.NumNodes(), ids, func(k int) []Node { return g.Successors(ids[k]) }, nil)
 }
 
 // snapshot is a CSR with a Freeze of the graph it must equal, taken when it
@@ -30,7 +44,8 @@ func (s snapshot) intact() bool { return s.c.Equal(s.want) }
 // FuzzCSRPatch decodes an arbitrary graph and update list from bytes and
 // checks that patching the old snapshot by the touched rows equals freezing
 // the updated graph, over chains of rounds on one Patcher that cross
-// compactions. Every round also patches the previous snapshot a second time
+// compactions. The chain starts from a snapshot over arenas of its own.
+// Every round also patches the previous snapshot a second time
 // down another branch — no longer its arena's tip — and every snapshot of
 // the chain must still equal its Freeze at the end.
 func FuzzCSRPatch(f *testing.F) {
@@ -59,19 +74,14 @@ func FuzzCSRPatch(f *testing.F) {
 		for i := 0; i+1 < len(edges); i += 2 {
 			g.AddEdge(node(edges[i]), node(edges[i+1]))
 		}
-		var p, pu, p2 Patcher
-		prev := g.Freeze()
-		prevU := prev
+		var p, p2 Patcher
+		prev := freezeApart(g)
 		chain := []snapshot{{prev, g.Freeze()}}
-		// Three updates per round, so rounds patch a patched snapshot. The
-		// same rounds go through ApplyUpdates as one group of one-update
-		// batches, from the snapshot alone.
+		// Three updates per round, so rounds patch a patched snapshot.
 		for len(ups) >= 3 {
 			var round []Update
-			var group [][]Update
 			for k := 0; k < 3 && len(ups) >= 3; k++ {
-				up := Update{From: node(ups[0]), To: node(ups[1]), Insert: ups[2]&1 == 1}
-				round, group = append(round, up), append(group, []Update{up})
+				round = append(round, Update{From: node(ups[0]), To: node(ups[1]), Insert: ups[2]&1 == 1})
 				ups = ups[3:]
 			}
 			before := g.Clone()
@@ -80,25 +90,16 @@ func FuzzCSRPatch(f *testing.F) {
 			if !got.Equal(want) {
 				t.Fatalf("patched snapshot differs from Freeze after %v", round)
 			}
-			gotU, changed := pu.ApplyUpdates(prevU, group)
-			if !gotU.Equal(want) {
-				t.Fatalf("ApplyUpdates differs from Freeze after %v", round)
-			}
-			for _, u := range changed {
-				if slices.Equal(prevU.Successors(u), gotU.Successors(u)) {
-					t.Fatalf("ApplyUpdates lists row %d as changed, but it is not", u)
-				}
-			}
 			// prev again, down another branch: got may have claimed its
 			// arena's tip, and the branch must not write over got's rows.
-			flip := []Update{{From: round[0].From, To: round[0].To, Insert: !round[0].Insert}}
-			before.Apply(flip)
-			branch, _ := p2.ApplyUpdates(prev, [][]Update{flip})
+			flip := Update{From: round[0].From, To: round[0].To, Insert: !round[0].Insert}
+			before.Apply([]Update{flip})
+			branch := patchRows(&p2, before, prev, []Node{flip.From})
 			if !branch.Equal(before.Freeze()) {
 				t.Fatalf("a second patch of the same snapshot differs from Freeze after %v", flip)
 			}
-			chain = append(chain, snapshot{got, want}, snapshot{gotU, want}, snapshot{branch, before.Freeze()})
-			prev, prevU = got, gotU
+			chain = append(chain, snapshot{got, want}, snapshot{branch, before.Freeze()})
+			prev = got
 		}
 		for i, s := range chain {
 			if !s.intact() {
@@ -108,7 +109,7 @@ func FuzzCSRPatch(f *testing.F) {
 	})
 }
 
-// TestPatchChainsShareAndCompact drives FreezePatch down one long chain and
+// TestPatchChainsShareAndCompact drives Patch down one long chain and
 // branches off it: in-place appends, packs for the dead share and for a full
 // arena, and second patches of a CSR that is no longer its arena's tip must
 // all occur, every result equals Freeze, and no snapshot of the chain ever
@@ -118,7 +119,7 @@ func TestPatchChainsShareAndCompact(t *testing.T) {
 	const n = 400
 	g := randomGraph(rng, n, 1600, 3)
 	var p, pb Patcher
-	prev := g.Freeze()
+	prev := freezeApart(g)
 	chain := []snapshot{{prev, g.Freeze()}}
 	var inPlace, packed, branched int
 	for round := 0; round < 300; round++ {
@@ -137,8 +138,7 @@ func TestPatchChainsShareAndCompact(t *testing.T) {
 			behind := func(s *side) bool { return int(s.ar.tip.Load()) != len(s.adj) }
 			outBehind, inBehind := behind(&old.c.out), behind(&old.c.in)
 			mirror := old.want.Thaw()
-			mirror.Apply(ups)
-			b, _ := pb.ApplyUpdates(old.c, [][]Update{ups})
+			b := patchByUpdates(&pb, mirror, old.c, ups)
 			if !b.Equal(mirror.Freeze()) {
 				t.Fatalf("round %d: a patch of an older snapshot differs from Freeze", round)
 			}
@@ -180,7 +180,7 @@ func TestPatchChainsShareAndCompact(t *testing.T) {
 }
 
 // TestPatchAllocatesWhatChanged gates the cost of a patch on a graph of
-// social16's size: over 200 chained FreezePatch calls of 32 updates each,
+// social16's size: over 200 chained Patch calls of 32 updates each,
 // every call that packs no side allocates at most the two row tables plus
 // 16 bytes per entry it appends. Allocation counts are deterministic, so
 // this needs no wall clock.
@@ -189,7 +189,7 @@ func TestPatchAllocatesWhatChanged(t *testing.T) {
 	const n = 15500
 	g := randomGraph(rng, n, 79600, 16)
 	var p Patcher
-	prev := g.Freeze()
+	prev := freezeApart(g)
 	rowTables := 2 * (n*8 + 8192) // a large allocation is rounded up to whole pages
 	var before, after runtime.MemStats
 	inPlace, worst := 0, 0
@@ -204,7 +204,7 @@ func TestPatchAllocatesWhatChanged(t *testing.T) {
 		slices.Sort(touched)
 		touched = slices.Compact(touched)
 		runtime.ReadMemStats(&before)
-		got := g.FreezePatch(&p, prev, touched)
+		got := patchRows(&p, g, prev, touched)
 		runtime.ReadMemStats(&after)
 		if got.out.ar != prev.out.ar || got.in.ar != prev.in.ar {
 			prev = got
@@ -225,35 +225,6 @@ func TestPatchAllocatesWhatChanged(t *testing.T) {
 	}
 	if inPlace < 150 {
 		t.Fatalf("only %d of 200 calls patched in place", inPlace)
-	}
-}
-
-func TestFreezePatchMatchesFreeze(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := New(nil)
-	const n = 300
-	for v := 0; v < n; v++ {
-		g.AddNode(Label(v % 5))
-	}
-	for i := 0; i < 1500; i++ {
-		g.AddEdge(Node(rng.Intn(n)), Node(rng.Intn(n)))
-	}
-	var p Patcher
-	prev := g.Freeze()
-	for round := 0; round < 200; round++ {
-		var ups []Update
-		for k := rng.Intn(40); k >= 0; k-- {
-			u := Node(rng.Intn(n))
-			if rng.Intn(4) == 0 {
-				u = 0 // a hub row, hit again and again
-			}
-			ups = append(ups, Update{From: u, To: Node(rng.Intn(n)), Insert: rng.Intn(2) == 0})
-		}
-		got := patchByUpdates(&p, g, prev, ups)
-		if !got.Equal(g.Freeze()) {
-			t.Fatalf("round %d: patched snapshot differs from Freeze", round)
-		}
-		prev = got
 	}
 }
 
@@ -306,57 +277,5 @@ func TestPatchGrowsAndShrinks(t *testing.T) {
 			t.Fatalf("round %d (%d -> %d nodes, %d rows given): patched snapshot differs from Freeze", round, a.NumNodes(), n, len(ids))
 		}
 		a, prev = b, got
-	}
-}
-
-// TestReadersWhilePatching has readers traverse epoch k's CSR, every row of
-// both sides, while the writer patches epochs k+1… into the arena epoch k
-// lives in. Under -race the detector checks that appending past a CSR's end
-// never touches an entry its readers read; each pass also compares with
-// Freeze.
-func TestReadersWhilePatching(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const n = 1000
-	g := randomGraph(rng, n, 4000, 3)
-	var p Patcher
-	prev := g.Freeze()
-	shared := 0
-	for k := 0; k < 12; k++ {
-		pinned := snapshot{prev, g.Freeze()}
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for r := 0; r < 2; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if !pinned.intact() {
-						t.Errorf("epoch %d changed under its reader", k)
-						return
-					}
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-			}()
-		}
-		for e := 0; e < 6; e++ {
-			var ups []Update
-			for i := 0; i < 10; i++ {
-				ups = append(ups, Update{From: Node(rng.Intn(n)), To: Node(rng.Intn(n)), Insert: rng.Intn(2) == 0})
-			}
-			next := patchByUpdates(&p, g, prev, ups)
-			if next.out.ar == pinned.c.out.ar {
-				shared++
-			}
-			prev = next
-		}
-		close(stop)
-		wg.Wait()
-	}
-	if shared == 0 {
-		t.Fatal("no patch appended to a pinned epoch's arena")
 	}
 }

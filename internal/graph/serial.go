@@ -95,25 +95,8 @@ func CSRFromRows(labels *Labels, label []Label, outOff []int32, outAdj []Node) (
 	if err := checkAdjacency("out", n, outOff, outAdj); err != nil {
 		return nil, err
 	}
-	// Sources are walked in ascending order, so every predecessor row comes
-	// out sorted; a row's hi is its fill cursor until the walk ends.
-	inRows := make([]span, n)
-	for _, w := range outAdj {
-		inRows[w].hi++
-	}
-	for v, pos := 0, int32(0); v < n; v++ {
-		deg := inRows[v].hi
-		inRows[v] = span{pos, pos}
-		pos += deg
-	}
-	inAdj := make([]Node, len(outAdj))
-	for u := 0; u < n; u++ {
-		for _, w := range outAdj[outOff[u]:outOff[u+1]] {
-			inAdj[inRows[w].hi] = Node(u)
-			inRows[w].hi++
-		}
-	}
-	return &CSR{labels: labels, label: label, m: len(outAdj), out: fromOffsets(outOff, outAdj), in: compactSide(inRows, inAdj)}, nil
+	succ := fromOffsets(outOff, outAdj)
+	return &CSR{labels: labels, label: label, m: len(outAdj), out: succ, in: transpose(&succ, len(outAdj))}, nil
 }
 
 // checkLabels validates every label id against the table.

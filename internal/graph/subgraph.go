@@ -11,38 +11,24 @@ package graph
 // callers that need them (e.g. a shard coordinator tracking cross-shard
 // edges) extract them separately from c.
 //
-// Successor rows are carved out of one flat backing array with full slice
-// expressions, so a later AddEdge on the returned graph reallocates the row
-// instead of clobbering a neighbor's. Extraction is O(|members| + Σ deg).
+// Extraction is O(|members| + Σ deg).
 func ExtractGroup(c *CSR, groupOf []int32, group int32, members []Node, localID []int32) *Graph {
-	n := len(members)
-	label := make([]Label, n)
-	// First pass: count the edges staying inside the group.
-	total := 0
+	label, rows := make([]Label, len(members)), make([]span, len(members))
+	var adj []Node
 	for i, v := range members {
 		label[i] = c.Label(v)
-		for _, w := range c.Successors(v) {
-			if groupOf[w] == group {
-				total++
-			}
-		}
-	}
-	flat := make([]Node, 0, total)
-	rows := make([][]Node, n)
-	for i, v := range members {
-		start := len(flat)
+		start := int32(len(adj))
 		for _, w := range c.Successors(v) {
 			// members is sorted and localID follows that order, so the
 			// filtered row comes out sorted in local id space too.
 			if groupOf[w] == group {
-				flat = append(flat, localID[w])
+				adj = append(adj, localID[w])
 			}
 		}
-		if len(flat) > start {
-			rows[i] = flat[start:len(flat):len(flat)]
-		}
+		rows[i] = span{start, int32(len(adj))}
 	}
-	return BuildFromSortedAdj(c.Labels(), label, rows)
+	out := compactSide(rows, adj)
+	return &Graph{labels: c.Labels(), label: label, m: len(adj), out: wside{side: out}, in: wside{side: transpose(&out, len(adj))}}
 }
 
 // GroupNodes inverts a class map: it returns, for each of the n classes,

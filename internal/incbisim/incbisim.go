@@ -234,18 +234,8 @@ func (m *Maintainer) Partition() *bisim.Partition {
 	return m.part
 }
 
-// Sources returns, ascending and each once, the nodes whose successor
-// lists changed since the last View or ClearSources: the sources of the
-// effective updates absorbed, which is what graph.FreezePatch needs to
-// bring a snapshot of Graph() taken then up to date. Valid until the next
-// Apply, Absorb, View or ClearSources.
-func (m *Maintainer) Sources() []graph.Node {
-	slices.Sort(m.logSrcs)
-	return m.logSrcs
-}
-
-// ClearSources empties the list Sources returns, for a caller that takes no
-// views: the next View is built in full.
+// ClearSources empties the change log's list of nodes whose successor lists
+// changed, for a caller that takes no views: the next View is built in full.
 func (m *Maintainer) ClearSources() {
 	for _, v := range m.logSrcs {
 		m.srcLogged[v] = false

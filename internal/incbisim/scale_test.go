@@ -146,7 +146,7 @@ func TestViewCostsWhatMoved(t *testing.T) {
 	step := g.NumEdges() / 50
 	for i := 1; i <= 8; i++ {
 		m.Apply(gen.RandomBatch(rng, m.Graph(), step, 0.5))
-		srcs := len(m.Sources())
+		srcs := len(m.logSrcs)
 		v, diff := m.View()
 		if diff.How != Patched {
 			t.Fatalf("batch %d: the view was made %d, want patched", i, diff.How)

@@ -20,11 +20,11 @@ import (
 )
 
 const (
-	// maxPatchShare bounds what a patch may move: a view is built in full
-	// when more than 1/maxPatchShare of the nodes changed block since the
+	// maxMovedShare bounds what a patch may move: a view is built in full
+	// when more than 1/maxMovedShare of the nodes changed block since the
 	// previous one, past which the patch's merges cost what a full build's
 	// single pass does.
-	maxPatchShare = 4
+	maxMovedShare = 4
 	// patternDriftRows bounds how far the layout may drift from
 	// graph.Reorder's BFS order, since a patched row keeps its id and a new
 	// block takes a recycled or trailing one: the view is built in full once
@@ -317,7 +317,7 @@ func (m *Maintainer) View() (View, *Diff) {
 	switch nodes := len(m.mark); {
 	case m.view.Gr != nil && m.viewGen == m.gen:
 		d.How = Kept
-	case m.view.Gr == nil || maxPatchShare*len(m.logNodes) > nodes:
+	case m.view.Gr == nil || maxMovedShare*len(m.logNodes) > nodes:
 		d.How = Built
 		m.view = m.buildView()
 	case m.patched > patternDriftRows*len(m.mid):

@@ -54,15 +54,8 @@ func New(g *graph.Graph) *Pair {
 // Graph returns the maintained graph; mutate it only through Apply.
 func (p *Pair) Graph() *graph.Graph { return p.cond.Graph() }
 
-// Sources returns, ascending and each once, the nodes whose successor
-// lists changed since Pattern's last View or ClearSources — what
-// graph.FreezePatch needs to bring a snapshot of Graph() taken then up to
-// date. incPCM's change log keeps them. Valid until the next Apply, View or
-// ClearSources.
-func (p *Pair) Sources() []graph.Node { return p.Pattern.Sources() }
-
-// ClearSources empties the list Sources returns, for a caller that takes no
-// pattern views.
+// ClearSources empties the change log incPCM keeps for its next view, for a
+// caller that takes no pattern views.
 func (p *Pair) ClearSources() { p.Pattern.ClearSources() }
 
 // Apply applies ΔG to the graph and brings both compressions to

@@ -41,11 +41,11 @@ type StoreParts struct {
 	Labels *graph.Labels
 	// G is the frozen original graph.
 	G *graph.CSR
-	// GPerm is the locality permutation of G (old id -> permuted id) whose
-	// applied form the store's uncompressed read path traverses; it
-	// round-trips so a recovered snapshot serves the exact layout it was
-	// checkpointed with. Nil when the snapshot carries none, in which case
-	// recovery recomputes a permutation.
+	// GPerm is a locality permutation of G (old id -> permuted id), written
+	// when set and validated as a bijection when a file carries one. The
+	// store writes none and reads none: a snapshot builds its reordered
+	// view of G on first use. Files from stores that persisted it still
+	// load. Nil when absent.
 	GPerm []graph.Node
 	// ReachGr is the frozen reachability quotient R(G).
 	ReachGr *graph.CSR

@@ -279,26 +279,21 @@ func TestStoreDecodesLegacyPatternIndex(t *testing.T) {
 	}
 }
 
-// TestPatchedEncodesAsFreeze: a CSR patched epoch after epoch, its rows
-// scattered over an arena shared with the epochs before it, encodes to the
-// same bytes as the Freeze of the same graph — for G and for a pattern
-// quotient whose rows and labels were patched.
+// TestPatchedEncodesAsFreeze: a CSR frozen epoch after epoch off a graph
+// being written, its rows scattered over an arena shared with the epochs
+// before it, encodes to the same bytes as a compact snapshot of the same
+// graph — for G and for a pattern quotient whose rows and labels were
+// patched.
 func TestPatchedEncodesAsFreeze(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := gen.Social(rng, 400, 1600, 4)
 	parts := buildStoreParts(g.Clone(), 9, false)
-	var gp, qp graph.Patcher
-	patched := parts.G
+	var qp graph.Patcher
 	for round := 0; round < 30; round++ {
-		var touched []graph.Node
-		for _, up := range gen.RandomBatch(rng, g, 8, 0.5) {
-			if g.Apply([]graph.Update{up}) == 1 {
-				touched = append(touched, up.From)
-			}
-		}
-		slices.Sort(touched)
-		patched = g.FreezePatch(&gp, patched, slices.Compact(touched))
+		g.Apply(gen.RandomBatch(rng, g, 8, 0.5))
+		g.Freeze()
 	}
+	patched := g.Freeze()
 	// The quotient: a few rows redrawn, relabeled, over its own node set.
 	q := parts.PatternGr.Thaw()
 	nq := q.NumNodes()
@@ -316,7 +311,7 @@ func TestPatchedEncodesAsFreeze(t *testing.T) {
 		func(k int) graph.Label { return q.Label(ids[k]) })
 
 	twin := *parts
-	twin.G, twin.PatternGr = g.Freeze(), q.Freeze()
+	twin.G, twin.PatternGr = g.Clone().Freeze(), q.Clone().Freeze()
 	parts.G, parts.PatternGr = patched, pq
 	data := EncodeStore(parts)
 	if !bytes.Equal(data, EncodeStore(&twin)) {

@@ -190,9 +190,9 @@ func TestBatchStressReadersVsWriter(t *testing.T) {
 }
 
 // TestDurableRoundTripsReorderedView checks end to end that a recovered
-// store serves the same reordered view of G it checkpointed: the
-// permutation comes back from the snapshot file and batched/scalar G-path
-// answers still agree after a pure-load restart.
+// store serves the same reordered view of G it checkpointed: the loaded
+// snapshot builds it on first use from the same G, and batched/scalar
+// G-path answers still agree after a pure-load restart.
 func TestDurableRoundTripsReorderedView(t *testing.T) {
 	dir := t.TempDir()
 	g := socialGraph(31, 200, 800)

@@ -497,8 +497,8 @@ func imageOf(sn *Snapshot, nodes int) *effect {
 // ApplyEffect applies one shipped group: batches, the raw WAL records of
 // the epochs after the current one, and effect, the encoded change those
 // batches made to the source's views — or an image of the views at the
-// group's last epoch. It appends the batches to the WAL unchanged, patches
-// G from them, patches both views from the effect, and publishes once, at
+// group's last epoch. It appends the batches to the WAL unchanged, applies
+// them to G, patches both views from the effect, and publishes once, at
 // the group's last epoch, which it returns; image reports whether an image
 // was installed. It runs no maintainer and drops any the store holds, as a
 // store recovered from a checkpoint holds none. A rejected effect is
@@ -574,11 +574,15 @@ func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, b []byte
 	case !ef.image && (ef.lineage != old.Lineage || ef.base != old.Epoch):
 		return nil, nil, fmt.Errorf("effect starts from views %x@%d, store holds %x@%d", ef.lineage, ef.base, old.Lineage, old.Epoch)
 	}
+	// G is old's thawed with the group's net change applied, frozen again:
+	// old's own CSR when the group changed nothing.
 	sn := &Snapshot{Epoch: ef.epoch, Lineage: ef.lineage}
-	g, srcs := s.gp.ApplyUpdates(old.G, batches)
+	gw := old.G.Thaw()
+	eff := gw.Reduce(slices.Concat(batches...))
+	gw.Apply(eff)
+	g := gw.Freeze()
 	sn.G = g
 	if g == old.G {
-		sn.gperm = old.gperm
 		sn.gord.Store(old.gord.Load())
 	}
 	if ef.image {
@@ -603,7 +607,14 @@ func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, b []byte
 			return nil, nil, err
 		}
 	}
-	sn.Pattern, err = s.patchPattern(old.Pattern, g, srcs, ef)
+	// The rows G changed are the net change's sources: a row the group
+	// changed and changed back is none.
+	srcs := make([]graph.Node, len(eff))
+	for i, up := range eff {
+		srcs[i] = up.From
+	}
+	slices.Sort(srcs)
+	sn.Pattern, err = s.patchPattern(old.Pattern, g, slices.Compact(srcs), ef)
 	return sn, ef, err
 }
 

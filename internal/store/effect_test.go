@@ -64,7 +64,7 @@ func membersReachMap(old, cur *reach.Compressed) (classMap, exNode, exClass []gr
 
 // TestEffectAppliedEqualsRebuilt is the effect differential. Over seeded
 // histories — coalesced groups, groups that change nothing, hub rows,
-// undone groups, the maxPatchShare and drift fallbacks of the leader's
+// undone groups, the moved-share and drift fallbacks of the leader's
 // pattern view — a durable follower store is fed only what a tail round
 // ships: each group's raw batches with the effects the leader's ring chains
 // from the follower's views, or an image. After every group its G and both
@@ -178,7 +178,7 @@ func TestEffectAppliedEqualsRebuilt(t *testing.T) {
 					}
 				}
 			}
-			// The start, the two maxPatchShare fallbacks, the raw round and the
+			// The start, the two moved-share fallbacks, the raw round and the
 			// restart each cost an image; everything else is a diff.
 			if images < 5 || diffs < groups/2 || reachDiffs == 0 {
 				t.Fatalf("%d images, %d diffs (%d moved the reach view): the history did not cover the paths", images, diffs, reachDiffs)
@@ -248,7 +248,7 @@ func TestEffectRejected(t *testing.T) {
 // must apply after it.
 func TestEffectLiesRejected(t *testing.T) {
 	g := gen.Social(rand.New(rand.NewSource(3)), 400, 900, 3)
-	mirror := g.Clone()
+	mirror, base := g.Clone(), g.Clone()
 	leader := mustOpen(t, g.Clone(), nil)
 	defer leader.Close()
 	follower := mustOpen(t, g, &Options{Dir: t.TempDir(), Sync: SyncNone})
@@ -256,6 +256,22 @@ func TestEffectLiesRejected(t *testing.T) {
 	img := leader.Effects(follower.Snapshot().Lineage, 0)
 	if _, _, err := follower.ApplyEffect(nil, img[0].Bytes); err != nil {
 		t.Fatal(err)
+	}
+	// accepted is what the follower took so far, in order; twin opens a
+	// second follower and feeds it the same.
+	type shipment struct {
+		batches [][]graph.Update
+		b       []byte
+	}
+	accepted := []shipment{{nil, img[0].Bytes}}
+	twin := func(t *testing.T) *Store {
+		f := mustOpen(t, base.Clone(), &Options{Dir: t.TempDir(), Sync: SyncNone})
+		for _, sh := range accepted {
+			if _, _, err := f.ApplyEffect(sh.batches, sh.b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
 	}
 	// next applies group on the leader and returns the one effect it ships.
 	next := func(group []graph.Update) []byte {
@@ -275,6 +291,7 @@ func TestEffectLiesRejected(t *testing.T) {
 		edit(ef)
 		return ef.encode()
 	}
+	var body []byte // the honest effect of the group the lies are about
 	refused := func(name string, batches [][]graph.Update, b []byte) {
 		t.Run(name, func(t *testing.T) {
 			before := follower.Snapshot()
@@ -286,6 +303,17 @@ func TestEffectLiesRejected(t *testing.T) {
 			if follower.Snapshot() != before || follower.batches.Load() != before.Epoch {
 				t.Fatal("a rejected effect moved the follower")
 			}
+			// A twin told the same lie then takes the group honestly, though
+			// the lie's thawed G may have written past its G's end.
+			tw := twin(t)
+			defer tw.Close()
+			if _, _, err := tw.ApplyEffect(batches, b); !errors.Is(err, ErrEffect) {
+				t.Fatalf("the twin: ApplyEffect = %v, want ErrEffect", err)
+			}
+			if _, _, err := tw.ApplyEffect(batches, body); err != nil {
+				t.Fatalf("the honest group after the lie: %v", err)
+			}
+			sameViews(t, "honest after "+name, tw.Snapshot(), leader.Snapshot())
 		})
 	}
 	apply := func(batches [][]graph.Update, b []byte) {
@@ -293,13 +321,14 @@ func TestEffectLiesRejected(t *testing.T) {
 			t.Fatalf("the intact effect after the lies: %v", err)
 		}
 		sameViews(t, "intact", follower.Snapshot(), leader.Snapshot())
+		accepted = append(accepted, shipment{batches, b})
 	}
 
 	// Lies about the moves, on the diff of a group that changes nothing: the
 	// views stay, so every lie is the whole of what the diff says.
 	e := mirror.EdgeList()[0]
 	noop := []graph.Update{graph.Insertion(e[0], e[1])}
-	body := next(noop)
+	body = next(noop)
 	pv, fg := follower.Snapshot().Pattern, follower.Snapshot().G
 	blocks := pv.Gr.NumNodes()
 	// Two blocks with one label: emptying the first into the second breaks

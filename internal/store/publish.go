@@ -2,11 +2,12 @@
 // what the batch group changed. The maintainers already cost |AFF| per
 // batch; this file keeps the step after them from costing |G| again.
 //
-//   - G is the previous CSR patched at the rows of the group's effective
-//     updates (graph.FreezePatch): the two row tables are copied and only
-//     the replaced and rebuilt rows are appended, to the adjacency arena
-//     the new CSR shares with the previous epoch's. Nothing below the end
-//     of a published CSR is ever written, so pinned epochs read on.
+//   - G is the maintained graph frozen (graph.Graph.Freeze), in O(1): the
+//     graph keeps its rows in the CSR's layout, so the snapshot takes over
+//     its row tables, and the graph copies them on its next write and
+//     writes the rows it changes past the snapshot's end, in the adjacency
+//     arena the two share. Nothing below the end of a published CSR is
+//     ever written, so pinned epochs read on.
 //   - The pattern view is incPCM's own (incbisim.Maintainer.View): in a
 //     stable published id space, patched from its change log — the node →
 //     block array copied and patched at the moved nodes, member lists of
@@ -21,8 +22,8 @@
 //
 // Everything published is still a plain *graph.CSR / *reach.Compressed /
 // *bisim.Compressed; no read path can tell a patched view from a rebuilt
-// one. The full build remains what open, materialize and load run, and the
-// fallback when a patch would not be cheaper.
+// one. The full build remains what open, materialize and load run, and
+// incPCM's fallback when a patch would not be cheaper.
 package store
 
 import (
@@ -33,12 +34,6 @@ import (
 	"repro/internal/hop2"
 	"repro/internal/obs"
 )
-
-// maxPatchShare bounds one epoch's patch of G: the snapshot is frozen anew
-// rather than patched when the group touched more than 1/maxPatchShare of
-// its rows. Past that point the patch's merges cost what the full build's
-// single pass does. incPCM bounds its view's patches the same way.
-const maxPatchShare = 4
 
 // hopCell builds a reach view's 2-hop index on first use. Views carried
 // from epoch to epoch share the cell, so an index is built at most once per

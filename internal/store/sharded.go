@@ -474,7 +474,6 @@ func (w *shardWorker) run() {
 	}
 	w.local = nil
 	var cached shardEpochView
-	var gp graph.Patcher
 	reachGen := uint64(noGen)
 	for cmd := range w.reqs {
 		if len(cmd.batch) > 0 || cached.g == nil {
@@ -486,14 +485,10 @@ func (w *shardWorker) run() {
 				m.Apply(cmd.batch)
 			}
 			clk := w.ob.startPublish()
-			// The shard's snapshot of its subgraph is the previous one with
-			// the sub-batch's rows spliced in, as on the monolithic store.
-			switch srcs := m.Sources(); {
-			case cached.g == nil || maxPatchShare*len(srcs) > cached.g.NumNodes():
-				cached.g = m.Graph().Freeze()
-			case len(srcs) > 0:
-				cached.g = m.Graph().FreezePatch(&gp, cached.g, srcs)
-			}
+			// The shard's snapshot of its subgraph is its graph frozen, as on
+			// the monolithic store. The shard takes no pattern views, so it
+			// empties the change log they would.
+			cached.g = m.Graph().Freeze()
 			m.ClearSources()
 			clk.lap(pubFreeze)
 			// The reach view — and with it the shard's 2-hop cell — is

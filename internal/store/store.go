@@ -202,10 +202,8 @@ type Snapshot struct {
 	G *graph.CSR
 
 	// gord caches the locality-reordered view of G, materialized on first
-	// use (GOrd); gperm, when non-nil, is a permutation recovered from a
-	// snapshot file that GOrd applies instead of recomputing.
-	gord  atomic.Pointer[graph.Reordered]
-	gperm []graph.Node
+	// use (GOrd).
+	gord atomic.Pointer[graph.Reordered]
 
 	// Batch read-path state. swept and the hub cache are epoch-local by
 	// construction: a fresh snapshot starts with no lanes swept and no hub
@@ -234,24 +232,17 @@ type Snapshot struct {
 
 // GOrd returns the locality-reordered view of G: an isomorphic CSR whose
 // layout follows a BFS-from-hubs permutation, plus the old↔new id maps.
-// The uncompressed traversal paths (ReachableOnG and the batched forms)
-// rewrite their endpoints through it once per query; the maps never
-// appear in the traversal hot loop. The view is materialized lazily on
-// first use — the compressed hot path never needs it, so the writer does
-// not pay the O(|G| log |G|) reorder per published epoch — and is safe
-// for concurrent callers (a race computes it at most twice, identically).
-// See internal/graph/reorder.go.
+// ReachableOnG, the uncompressed traversal path, rewrites its endpoints
+// through it once per query; the maps never appear in the traversal hot
+// loop. The view is materialized lazily on first use — the compressed hot
+// path never needs it, so neither the writer nor a checkpoint pays the
+// O(|G| log |G|) reorder — and is safe for concurrent callers (a race
+// computes it at most twice, identically). See internal/graph/reorder.go.
 func (sn *Snapshot) GOrd() *graph.Reordered {
 	if ro := sn.gord.Load(); ro != nil {
 		return ro
 	}
-	var ro *graph.Reordered
-	if sn.gperm != nil {
-		ro = graph.ApplyPerm(sn.G, sn.gperm)
-	} else {
-		ro = graph.Reorder(sn.G)
-	}
-	sn.gord.CompareAndSwap(nil, ro)
+	sn.gord.CompareAndSwap(nil, graph.Reorder(sn.G))
 	return sn.gord.Load()
 }
 
@@ -324,13 +315,11 @@ type Store struct {
 	// reach view was built at (noGen when it came from a file); the pattern
 	// maintainer tells by itself whether its view moved. full makes the next
 	// publish build every view from scratch — set whenever m is new, so
-	// nothing of the previous snapshot describes it. gp is publish's
-	// scratch (publish.go). Only the writer goroutine (or Open, before it
-	// starts) touches these.
+	// nothing of the previous snapshot describes it. Only the writer
+	// goroutine (or Open, before it starts) touches these.
 	m        *maintain.Pair
 	reachGen uint64
 	full     bool
-	gp       graph.Patcher
 	// ring holds the effects of the latest groups for the followers tailing
 	// this store, es is the scratch of applying shipped ones (effect.go).
 	ring effectRing
@@ -399,8 +388,9 @@ func (s *Store) setMaintainers(g *graph.Graph) {
 }
 
 // materialize builds the incremental maintainers of a store recovered from
-// a snapshot, over its graph with tail folded in: the first write (or a WAL
-// tail) pays the one-time compression cost that the warm restart skipped.
+// a snapshot, over its graph — thawed, in O(1) — with tail folded in: the
+// first write (or a WAL tail) pays the one-time compression cost that the
+// warm restart skipped.
 func (s *Store) materialize(tail [][]graph.Update) {
 	if s.m != nil {
 		return
@@ -422,12 +412,13 @@ func (s *Store) edges() int { return s.Snapshot().G.NumEdges() }
 
 func (s *Store) stop() {}
 
-// publish builds epoch's snapshot and swaps it in: from the maintainers
-// alone when they are new (open, materialize), otherwise from the previous
-// snapshot patched by what the group changed (publish.go). A full build of
-// either view layout draws a new lineage; otherwise, while somebody tails
-// the store, the group's effect goes to the ring (effect.go). Called from
-// Open and then only from the writer goroutine.
+// publish builds epoch's snapshot and swaps it in: G frozen off the
+// maintained graph, and the views from the maintainers alone when they are
+// new (open, materialize), otherwise from the previous snapshot patched by
+// what the group changed (publish.go). A full build of either view layout
+// draws a new lineage; otherwise, while somebody tails the store, the
+// group's effect goes to the ring (effect.go). Called from Open and then
+// only from the writer goroutine.
 func (s *Store) publish(epoch uint64) {
 	clk := s.ob.startPublish()
 	old := s.snap.Load()
@@ -435,17 +426,9 @@ func (s *Store) publish(epoch uint64) {
 	fellBack := false
 	rebuilt, reachMoved := s.full, false
 
-	srcs := s.m.Sources()
-	switch {
-	case s.full:
-		sn.G = s.m.Graph().Freeze()
-	case len(srcs) == 0: // nothing effective: the same G, and its reordered view if one was made
-		sn.G, sn.gperm = old.G, old.gperm
+	sn.G = s.m.Graph().Freeze()
+	if old != nil && sn.G == old.G { // nothing effective: the same G, and its reordered view if one was made
 		sn.gord.Store(old.gord.Load())
-	case maxPatchShare*len(srcs) > s.nodes:
-		sn.G, fellBack = s.m.Graph().Freeze(), true
-	default:
-		sn.G = s.m.Graph().FreezePatch(&s.gp, old.G, srcs)
 	}
 	clk.lap(pubFreeze)
 
@@ -519,7 +502,6 @@ func storeParts(sn *Snapshot) *snapfile.StoreParts {
 	return &snapfile.StoreParts{
 		Epoch:          sn.Epoch,
 		G:              sn.G,
-		GPerm:          sn.GOrd().NewID,
 		ReachGr:        sn.Reach.Gr,
 		ReachClassOf:   sn.Reach.Compressed.ClassMap(),
 		ReachMembers:   sn.Reach.Compressed.Members(),
@@ -540,17 +522,13 @@ func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
 	}
 	s.cfg.Indexes = parts.ReachIndex != nil
 	s.nodes = parts.G.NumNodes()
-	// The locality permutation of G round-trips through the snapshot file:
-	// GOrd applies it instead of recomputing the numbering, so a recovered
-	// snapshot serves the exact layout it checkpointed. Older snapshots
-	// without one fall back to recomputing on first use.
-	// A file records no lineage (nothing new goes to disk): a recovered store
+	// GOrd is built on first use, as on any snapshot; a permutation an older
+	// file carries is not read. A file records no lineage (nothing new goes to disk): a recovered store
 	// is a layout of its own, and a follower that restarts is sent an image.
 	s.install(&Snapshot{
 		Epoch:   parts.Epoch,
 		Lineage: newLineage(),
 		G:       parts.G,
-		gperm:   parts.GPerm,
 		Reach: ReachView{
 			Gr:         parts.ReachGr,
 			Compressed: reach.AssembleCompressed(nil, parts.ReachClassOf, parts.ReachCyclic),
