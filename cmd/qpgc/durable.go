@@ -34,7 +34,9 @@ func openRecovered(dir string) (s store.Handle, info store.DirInfo) {
 	if err != nil {
 		fatal(err)
 	}
-	if s, err = store.OpenDir(store.Options{Dir: dir}); err != nil {
+	o := store.DefaultOptions()
+	o.Dir = dir
+	if s, err = store.OpenDir(o); err != nil {
 		fatal(err)
 	}
 	return s, info

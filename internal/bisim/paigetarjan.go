@@ -11,9 +11,8 @@ import (
 // of the paper for the compression function R.
 func RefinePT(g *graph.Graph) *Partition { return RefinePTCSR(g.Freeze()) }
 
-// RefinePTCSR is RefinePT over a frozen CSR snapshot. Callers that already
-// hold a snapshot (e.g. Compress, which also feeds it to the quotient
-// construction) avoid a second Freeze.
+// RefinePTCSR is RefinePT over a frozen CSR snapshot (Compress hands it
+// the one it also builds the quotient from).
 func RefinePTCSR(c *graph.CSR) *Partition {
 	pt := newPTState(c)
 	pt.run()

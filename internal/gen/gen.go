@@ -24,6 +24,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -49,18 +50,47 @@ func skewedLabel(rng *rand.Rand, nlabels int) int {
 	return i
 }
 
-// newLabeled creates a graph with n nodes labeled with a skewed
-// distribution over nlabels labels.
-func newLabeled(rng *rand.Rand, n, nlabels int) *graph.Graph {
-	g := graph.New(nil)
-	labels := make([]graph.Label, nlabels)
-	for i := range labels {
-		labels[i] = g.Labels().Intern(labelName(i))
+// builder collects a generated graph's node labels and sorted,
+// duplicate-free successor rows, and builds the graph from them in one
+// pass: the generators draw edges in random order, and a graph.Graph
+// written edge by edge moves a row again on its first write after every
+// pack of its arena.
+type builder struct {
+	labels *graph.Labels
+	label  []graph.Label
+	out    [][]graph.Node
+}
+
+// newLabeled starts a graph of n nodes labeled with a skewed distribution
+// over nlabels labels.
+func newLabeled(rng *rand.Rand, n, nlabels int) *builder {
+	b := &builder{labels: graph.NewLabels(), label: make([]graph.Label, n), out: make([][]graph.Node, n)}
+	for i := 0; i < nlabels; i++ {
+		b.labels.Intern(labelName(i))
 	}
-	for i := 0; i < n; i++ {
-		g.AddNode(labels[skewedLabel(rng, nlabels)])
+	for v := range b.label {
+		b.label[v] = graph.Label(skewedLabel(rng, nlabels))
 	}
-	return g
+	return b
+}
+
+func (b *builder) NumNodes() int                        { return len(b.label) }
+func (b *builder) Labels() *graph.Labels                { return b.labels }
+func (b *builder) SetLabel(v graph.Node, l graph.Label) { b.label[v] = l }
+
+// AddEdge inserts (u,v) into u's sorted row; false if it was there (E is a
+// set).
+func (b *builder) AddEdge(u, v graph.Node) bool {
+	i, ok := slices.BinarySearch(b.out[u], v)
+	if !ok {
+		b.out[u] = slices.Insert(b.out[u], i, v)
+	}
+	return !ok
+}
+
+// build hands the rows to graph.BuildFromSortedAdj.
+func (b *builder) build() *graph.Graph {
+	return graph.BuildFromSortedAdj(b.labels, b.label, b.out)
 }
 
 // groupedAttachment wires the given member nodes in groups: each group of
@@ -71,7 +101,7 @@ func newLabeled(rng *rand.Rand, n, nlabels int) *graph.Graph {
 // fans following the same celebrities, stub ASes buying from the same
 // providers, papers citing the same classics, mirrored host layouts.
 // Returns the number of edges added.
-func groupedAttachment(rng *rand.Rand, g *graph.Graph, members, targets []graph.Node, avgGroup, setSize int) int {
+func groupedAttachment(rng *rand.Rand, g *builder, members, targets []graph.Node, avgGroup, setSize int) int {
 	if len(members) == 0 || len(targets) == 0 || setSize < 1 {
 		return 0
 	}
@@ -117,16 +147,16 @@ func groupedAttachment(rng *rand.Rand, g *graph.Graph, members, targets []graph.
 func ErdosRenyi(rng *rand.Rand, n, m, nlabels int) *graph.Graph {
 	g := newLabeled(rng, n, nlabels)
 	addRandomEdges(rng, g, m)
-	return g
+	return g.build()
 }
 
-func addRandomEdges(rng *rand.Rand, g *graph.Graph, m int) {
+func addRandomEdges(rng *rand.Rand, g *builder, m int) {
 	addRandomEdgesWithin(rng, g, m, 0, g.NumNodes())
 }
 
 // addRandomEdgesWithin adds up to m random edges among nodes [lo, hi),
 // leaving other node populations (grouped attachments, sinks) untouched.
-func addRandomEdgesWithin(rng *rand.Rand, g *graph.Graph, m, lo, hi int) {
+func addRandomEdgesWithin(rng *rand.Rand, g *builder, m, lo, hi int) {
 	if hi <= lo {
 		return
 	}
@@ -148,7 +178,7 @@ func Social(rng *rand.Rand, n, m, nlabels int) *graph.Graph {
 	g := newLabeled(rng, n, nlabels)
 	if n < 10 {
 		addRandomEdges(rng, g, m)
-		return g
+		return g.build()
 	}
 	core := n / 5
 	coreEdges := (m * 35) / 100
@@ -186,7 +216,7 @@ func Social(rng *rand.Rand, n, m, nlabels int) *graph.Graph {
 	}
 	added += groupedAttachment(rng, g, fans, hubs, 12, setSize)
 	addRandomEdgesWithin(rng, g, m-added, 0, core)
-	return g
+	return g.build()
 }
 
 func maxInt(a, b int) int {
@@ -218,7 +248,7 @@ func webGen(rng *rand.Rand, n, m, nlabels int, backlink float64) *graph.Graph {
 	g := newLabeled(rng, n, nlabels)
 	if n < 30 {
 		addRandomEdges(rng, g, m)
-		return g
+		return g.build()
 	}
 	// Hosts instantiate a small set of site templates (CMS-generated sites
 	// share page structure), so same-template pages across hosts are
@@ -277,7 +307,7 @@ func webGen(rng *rand.Rand, n, m, nlabels int, backlink float64) *graph.Graph {
 			}
 		}
 	}
-	return g
+	return g.build()
 }
 
 // Citation generates a citation-network-like DAG with temporal
@@ -289,7 +319,7 @@ func webGen(rng *rand.Rand, n, m, nlabels int, backlink float64) *graph.Graph {
 func Citation(rng *rand.Rand, n, m, nlabels int) *graph.Graph {
 	g := newLabeled(rng, n, nlabels)
 	if n < 20 {
-		return g
+		return g.build()
 	}
 	// Classics: the oldest papers, cited by everyone, citing nothing here.
 	classicCount := n / 20
@@ -339,7 +369,7 @@ func Citation(rng *rand.Rand, n, m, nlabels int) *graph.Graph {
 			}
 		}
 	}
-	return g
+	return g.build()
 }
 
 // P2P generates a sparse peer-to-peer-style overlay: a serving core with
@@ -350,7 +380,7 @@ func P2P(rng *rand.Rand, n, m, nlabels int) *graph.Graph {
 	g := newLabeled(rng, n, nlabels)
 	if n < 10 {
 		addRandomEdges(rng, g, m)
-		return g
+		return g.build()
 	}
 	serving := n / 2
 	coreEdges := (m * 2) / 5
@@ -379,7 +409,7 @@ func P2P(rng *rand.Rand, n, m, nlabels int) *graph.Graph {
 	}
 	added += groupedAttachment(rng, g, leechers, seeds, 10, setSize)
 	addRandomEdgesWithin(rng, g, m-added, 0, serving)
-	return g
+	return g.build()
 }
 
 // Internet generates an AS-like tiered topology: a small meshed core,
@@ -391,7 +421,7 @@ func Internet(rng *rand.Rand, n, m, nlabels int) *graph.Graph {
 	g := newLabeled(rng, n, nlabels)
 	if n < 10 {
 		addRandomEdges(rng, g, m)
-		return g
+		return g.build()
 	}
 	core := n / 50
 	if core < 3 {
@@ -455,5 +485,5 @@ func Internet(rng *rand.Rand, n, m, nlabels int) *graph.Graph {
 			added++
 		}
 	}
-	return g
+	return g.build()
 }

@@ -106,7 +106,6 @@ func (g *Graph) Freeze() *CSR {
 	if g.frozen == nil {
 		n := len(g.label)
 		g.frozen = &CSR{labels: g.labels, label: g.label[:n:n], m: g.m, out: g.out.freeze(), in: g.in.freeze()}
-		g.labelShared = true
 	}
 	return g.frozen
 }
@@ -193,7 +192,7 @@ func (c *CSR) Thaw() *Graph {
 		labels: c.labels, label: c.label[:n:n], m: c.m,
 		out:    wside{side: c.out, seal: int32(len(c.out.adj))},
 		in:     wside{side: c.in, seal: int32(len(c.in.adj))},
-		frozen: c, labelShared: true,
+		frozen: c,
 	}
 }
 

@@ -64,7 +64,7 @@ func (m *model) build(labels *Labels) *CSR {
 func FuzzGraphFreeze(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 1, 0, 0, 1, 3, 0, 1, 0, 0, 0, 1, 3})                // write, freeze, write again
 	f.Add([]byte{2, 0, 2, 0, 0, 0, 1, 3, 4, 0, 0, 1, 0, 3, 4, 0, 0, 1, 1, 3}) // two thaws of one snapshot both write and freeze
-	f.Add([]byte{2, 1, 0, 0, 0, 3, 6, 0, 2, 3, 5, 0, 0, 0, 3})                // relabel after a freeze, then clone
+	f.Add([]byte{2, 1, 0, 0, 0, 3, 6, 0, 2, 3, 5, 0, 0, 0, 3})                // write after a freeze, then clone
 	f.Add([]byte{2, 0, 2, 0, 2, 0, 0, 0, 1, 0, 0, 2, 3, 1, 0, 1, 3})          // delete from a row below the seal
 	long := []byte{2, 0, 2, 1, 2, 2, 2, 0}
 	for i := 0; i < 120; i++ { // enough writes between freezes to pack
@@ -101,7 +101,7 @@ func FuzzGraphFreeze(f *testing.F) {
 		var snaps []frozen
 		for len(data) > 0 {
 			n := g.NumNodes()
-			switch op := next() % 7; {
+			switch op := next() % 6; {
 			case op == 2 || n == 0:
 				l := Label(next() % 3)
 				g.AddNode(l)
@@ -117,10 +117,6 @@ func FuzzGraphFreeze(f *testing.F) {
 				g, mirror = s.c.Thaw(), s.at.clone()
 			case op == 5:
 				g = g.Clone()
-			case op == 6:
-				v, l := Node(int(next())%n), Label(next()%3)
-				g.SetLabel(v, l)
-				mirror.label[v] = l
 			}
 			if err := g.Validate(); err != nil {
 				t.Fatal(err)

@@ -13,6 +13,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("# qpgc graph\nn 0 A\nn 1 B\ne 0 1\n")
 	f.Add("n 0 A\ne 0 0\n")
 	f.Add("n 0 A\nn 1 A\ne 1 0\ne 0 1\n")
+	f.Add("n 0 A\nn 1 A\nn 2 B\ne 0 2\ne 0 1\ne 0 2\n") // unsorted, duplicate
 	f.Add("")
 	f.Add("n 1 A\n")         // non-dense id
 	f.Add("e 0 1\n")         // edge before nodes

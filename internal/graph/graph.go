@@ -77,9 +77,9 @@ type Graph struct {
 	in     wside   // sorted predecessor rows
 	// frozen is the CSR that Freeze last returned or Thaw came from, while
 	// the graph is unwritten since: it shares the row tables, and Freeze
-	// returns it again. labelShared marks the label array as some CSR's too.
-	frozen      *CSR
-	labelShared bool
+	// returns it again. The label array is shared too, and only appended to
+	// past a snapshot's end.
+	frozen *CSR
 }
 
 // wside is one side of a Graph: a CSR side whose rows from seal up lie past
@@ -141,15 +141,6 @@ func (g *Graph) Label(v Node) Label { return g.label[v] }
 
 // LabelName returns the label name of v.
 func (g *Graph) LabelName(v Node) string { return g.labels.Name(g.label[v]) }
-
-// SetLabel relabels node v.
-func (g *Graph) SetLabel(v Node, label Label) {
-	g.own()
-	if g.labelShared {
-		g.label, g.labelShared = slices.Clone(g.label), false
-	}
-	g.label[v] = label
-}
 
 func searchNode(s []Node, v Node) (int, bool) {
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })

@@ -218,6 +218,38 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	})
 }
 
+// TestReadAnyEdgeOrder: a file listing its edges shuffled, some twice,
+// reads to the graph the sorted file does.
+func TestReadAnyEdgeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	g := randomTestGraph(rng, 40, 160, 3)
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	var nodes, edges []string
+	for _, l := range lines {
+		if strings.HasPrefix(l, "e ") {
+			edges = append(edges, l)
+		} else {
+			nodes = append(nodes, l)
+		}
+	}
+	edges = append(edges, edges[:10]...)
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	h, err := Read(strings.NewReader(strings.Join(append(nodes, edges...), "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !h.Freeze().Equal(g.Freeze()) {
+		t.Fatal("shuffled edges read to another graph")
+	}
+}
+
 func TestReadErrors(t *testing.T) {
 	cases := []string{
 		"n 1 A\n",        // non-dense id

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -37,9 +38,13 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Read parses a graph in the text format.
+// Read parses a graph in the text format. Rows are collected, sorted and
+// deduplicated, then built in one pass (BuildFromSortedAdj): edges in any
+// order cost no per-edge sorted insertion.
 func Read(r io.Reader) (*Graph, error) {
-	g := New(nil)
+	labels := NewLabels()
+	var label []Label
+	var out [][]Node
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	lineNo := 0
@@ -59,10 +64,11 @@ func Read(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad node id: %v", lineNo, err)
 			}
-			if id != g.NumNodes() {
-				return nil, fmt.Errorf("graph: line %d: node ids must be dense; got %d, want %d", lineNo, id, g.NumNodes())
+			if id != len(label) {
+				return nil, fmt.Errorf("graph: line %d: node ids must be dense; got %d, want %d", lineNo, id, len(label))
 			}
-			g.AddNodeNamed(fields[2])
+			label = append(label, labels.Intern(fields[2]))
+			out = append(out, nil)
 		case "e":
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graph: line %d: want 'e <src> <dst>'", lineNo)
@@ -75,13 +81,20 @@ func Read(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad dst: %v", lineNo, err)
 			}
-			if u < 0 || u >= g.NumNodes() || v < 0 || v >= g.NumNodes() {
+			if u < 0 || u >= len(label) || v < 0 || v >= len(label) {
 				return nil, fmt.Errorf("graph: line %d: edge (%d,%d) references undeclared node", lineNo, u, v)
 			}
-			g.AddEdge(Node(u), Node(v))
+			out[u] = append(out[u], Node(v))
 		default:
 			return nil, fmt.Errorf("graph: line %d: unknown record %q", lineNo, fields[0])
 		}
 	}
-	return g, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	for u, row := range out {
+		slices.Sort(row)
+		out[u] = slices.Compact(row)
+	}
+	return BuildFromSortedAdj(labels, label, out), nil
 }

@@ -262,7 +262,7 @@ func TestPatchGrowsAndShrinks(t *testing.T) {
 			for _, w := range row {
 				b.AddEdge(Node(v), w)
 			}
-			b.SetLabel(Node(v), a.Label(Node(v)))
+			b.label[v] = a.Label(Node(v)) // b is unfrozen: its label array is its own
 		}
 		var ids []Node
 		for v := 0; v < n; v++ {

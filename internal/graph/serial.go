@@ -38,7 +38,7 @@ func LabelsFromNames(names []string) (*Labels, error) {
 	return l, nil
 }
 
-// CSRFromParts reconstructs a compact CSR snapshot from its flat arrays, as
+// CSRFromArrays reconstructs a compact CSR snapshot from its flat arrays, as
 // returned by LabelIDs, OutOffsets, OutAdj, InOffsets and InAdj. The
 // adjacency arrays are retained, not copied, and never written: a decoder
 // can alias them straight into a file buffer so that loading is
@@ -52,16 +52,16 @@ func LabelsFromNames(names []string) (*Labels, error) {
 // cross-check that the in-adjacency is the exact transpose of the
 // out-adjacency (an O(|E| log) pass); callers that need integrity against
 // arbitrary corruption get it from the snapshot file's checksum.
-func CSRFromParts(labels *Labels, label []Label, outOff []int32, outAdj []Node, inOff []int32, inAdj []Node) (*CSR, error) {
+func CSRFromArrays(labels *Labels, label []Label, outOff []int32, outAdj []Node, inOff []int32, inAdj []Node) (*CSR, error) {
 	if labels == nil {
-		return nil, fmt.Errorf("graph: CSRFromParts: nil label table")
+		return nil, fmt.Errorf("graph: CSRFromArrays: nil label table")
 	}
 	n := len(label)
 	if len(outOff) != n+1 || len(inOff) != n+1 {
-		return nil, fmt.Errorf("graph: CSRFromParts: offset tables have %d/%d entries, want %d", len(outOff), len(inOff), n+1)
+		return nil, fmt.Errorf("graph: CSRFromArrays: offset tables have %d/%d entries, want %d", len(outOff), len(inOff), n+1)
 	}
 	if len(outAdj) != len(inAdj) {
-		return nil, fmt.Errorf("graph: CSRFromParts: %d out-edges vs %d in-edges", len(outAdj), len(inAdj))
+		return nil, fmt.Errorf("graph: CSRFromArrays: %d out-edges vs %d in-edges", len(outAdj), len(inAdj))
 	}
 	if err := checkLabels(labels, label); err != nil {
 		return nil, err
@@ -76,7 +76,7 @@ func CSRFromParts(labels *Labels, label []Label, outOff []int32, outAdj []Node, 
 }
 
 // CSRFromRows builds a CSR from its successor side alone — the label ids,
-// the offset table and the flat rows, validated as CSRFromParts validates
+// the offset table and the flat rows, validated as CSRFromArrays validates
 // them — and derives the predecessor side by one transposition, O(|V|+|E|).
 // It is how a decoder that was sent only the rows (a replica's shipped
 // quotient) gets the compact CSR Freeze would give. outAdj is retained, not

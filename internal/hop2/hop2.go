@@ -16,7 +16,6 @@
 package hop2
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/graph"
@@ -164,44 +163,6 @@ func (idx *Index) Entries() int {
 		n += len(idx.lout[c]) + len(idx.lin[c])
 	}
 	return n
-}
-
-// Parts exposes the index internals for serialization: the node→component
-// map, the per-component cyclic flags, and the per-component sorted hub
-// label lists. All returned slices are read-only views.
-func (idx *Index) Parts() (comp []int32, cyclic []bool, lout, lin [][]int32) {
-	return idx.comp, idx.cyclic, idx.lout, idx.lin
-}
-
-// FromParts reconstructs an index from the arrays exposed by Parts, taking
-// ownership of them. It validates exactly what Reachable relies on for
-// memory safety: consistent component counts across the four arrays and
-// every comp entry in range. Hub ids inside lout/lin are checked against
-// the component count; hub list sortedness (a query-correctness, not
-// memory-safety, property) is trusted to the snapshot file's checksum.
-func FromParts(comp []int32, cyclic []bool, lout, lin [][]int32) (*Index, error) {
-	n := len(cyclic)
-	if len(lout) != n || len(lin) != n {
-		return nil, fmt.Errorf("hop2: FromParts: %d/%d label lists for %d components", len(lout), len(lin), n)
-	}
-	for v, c := range comp {
-		if int(c) < 0 || int(c) >= n {
-			return nil, fmt.Errorf("hop2: FromParts: node %d in unknown component %d", v, c)
-		}
-	}
-	for c := 0; c < n; c++ {
-		for _, h := range lout[c] {
-			if int(h) < 0 || int(h) >= n {
-				return nil, fmt.Errorf("hop2: FromParts: Lout(%d) names unknown hub %d", c, h)
-			}
-		}
-		for _, h := range lin[c] {
-			if int(h) < 0 || int(h) >= n {
-				return nil, fmt.Errorf("hop2: FromParts: Lin(%d) names unknown hub %d", c, h)
-			}
-		}
-	}
-	return &Index{comp: comp, cyclic: cyclic, lout: lout, lin: lin}, nil
 }
 
 // MemoryBytes estimates the index footprint under the cost model of

@@ -54,9 +54,10 @@ func sameReach(t *testing.T, what string, want, got *reach.Compressed) {
 			t.Fatalf("%s: class %d cyclic flag %v, batch says %v", what, c, cyc, !cyc)
 		}
 	}
-	for c, ms := range got.Members() {
-		if len(ms) != len(want.Members()[toWant[c]]) {
-			t.Fatalf("%s: class %d has %d members, batch has %d", what, c, len(ms), len(want.Members()[toWant[c]]))
+	wantMembers := graph.GroupNodes(want.ClassMap(), want.NumClasses())
+	for c, ms := range graph.GroupNodes(got.ClassMap(), got.NumClasses()) {
+		if len(ms) != len(wantMembers[toWant[c]]) {
+			t.Fatalf("%s: class %d has %d members, batch has %d", what, c, len(ms), len(wantMembers[toWant[c]]))
 		}
 	}
 }

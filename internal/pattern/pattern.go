@@ -154,10 +154,9 @@ func (r *Result) Size() int {
 // greatest fixpoint. Boolean pattern queries use Match(...).OK.
 func Match(g *graph.Graph, p *Pattern) *Result { return MatchCSR(g.Freeze(), p) }
 
-// MatchCSR is Match over a frozen CSR snapshot. The Freeze is O(|V|+|E|)
-// while the fixpoint is not, so Match simply freezes and delegates; callers
-// evaluating many patterns against one snapshot should freeze once and call
-// MatchCSR directly.
+// MatchCSR is Match over a frozen CSR snapshot. Freeze is O(1) (it hands
+// the graph's row tables over), so Match simply freezes and delegates;
+// callers holding a snapshot — a store's epoch — call MatchCSR on it.
 func MatchCSR(c *graph.CSR, p *Pattern) *Result {
 	r, _ := matchCounted(c, p)
 	return r

@@ -2,7 +2,6 @@ package reach
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -13,9 +12,10 @@ import (
 const SigmaLabel = "σ"
 
 // Compressed is the result of reachability preserving compression: the
-// compressed graph Gr together with the node mapping R and its inverse
-// index, forming the <R,F> pair of Theorem 2 (no post-processing P is
-// needed for reachability).
+// compressed graph Gr together with the node mapping R, forming the <R,F>
+// pair of Theorem 2 (no post-processing P is needed for reachability, so
+// no inverse index is kept: graph.GroupNodes(ClassMap(), NumClasses())
+// lists the members of every class).
 type Compressed struct {
 	// Gr is the compressed graph. Any reachability algorithm runs on it
 	// unmodified. Nil in the views of a store snapshot, which publish the
@@ -26,9 +26,6 @@ type Compressed struct {
 	// CyclicClass reports whether a class contains a cyclic SCC; such
 	// classes carry a self-loop in Gr.
 	CyclicClass []bool
-
-	members     [][]graph.Node // the inverse index, built by Members
-	membersOnce sync.Once
 }
 
 // ClassOf returns R(v), the class node of Gr representing v.
@@ -37,15 +34,6 @@ func (c *Compressed) ClassOf(v graph.Node) graph.Node { return c.classOf[v] }
 // ClassMap exposes the full node mapping R as a slice indexed by node of G.
 // Read-only; used by the snapshot codec.
 func (c *Compressed) ClassMap() []graph.Node { return c.classOf }
-
-// Members lists, for every class node of Gr, the original nodes it
-// represents, ascending: the inverse index post-processing and the
-// checkpoint encoder read. No query path needs it, so it is built on first
-// use, O(|V|), and kept; safe for concurrent use. Read-only.
-func (c *Compressed) Members() [][]graph.Node {
-	c.membersOnce.Do(func() { c.members = graph.GroupNodes(c.classOf, len(c.CyclicClass)) })
-	return c.members
-}
 
 // Rewrite implements the query rewriting function F: it maps the
 // reachability query QR(u,v) on G to QR(R(u),R(v)) on Gr in O(1).
@@ -70,7 +58,7 @@ func (c *Compressed) Ratio(g *graph.Graph) float64 {
 // AssembleCompressed packages an externally maintained or decoded quotient
 // with its node mapping into a Compressed value: Gr (nil in a store's views,
 // which carry the quotient as a CSR), R as a node → class map, and the
-// classes' cyclic flags. The member index is built on first use.
+// classes' cyclic flags.
 func AssembleCompressed(gr *graph.Graph, classOf []graph.Node, cyclic []bool) *Compressed {
 	return &Compressed{Gr: gr, classOf: classOf, CyclicClass: cyclic}
 }

@@ -266,7 +266,7 @@ func TestMembersInverseIndex(t *testing.T) {
 	g := randomGraph(rng, 30, 60)
 	c := Compress(g)
 	seen := make([]bool, g.NumNodes())
-	for cls, ms := range c.Members() {
+	for cls, ms := range graph.GroupNodes(c.ClassMap(), c.NumClasses()) {
 		for _, v := range ms {
 			if seen[v] {
 				t.Fatalf("node %d listed twice", v)

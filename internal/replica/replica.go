@@ -55,15 +55,13 @@ import (
 type Options struct {
 	// Dir is the follower's own durable directory. Required.
 	Dir string
-	// Leader is the leader's replication address, optionally a
-	// comma-separated retry list. Required unless Leaders is set.
+	// Leader is the leader's replication address, or a comma-separated
+	// retry list of sources. Required. A follower rotates through the list
+	// on connection failure or when a source turns out to be stale (its
+	// term is below the follower's), which is how a survivor re-points to a
+	// promoted sibling after failover — any follower's own WAL is a valid
+	// shipping source.
 	Leader string
-	// Leaders is the replication source retry list, merged after Leader.
-	// A follower rotates through it on connection failure or when a source
-	// turns out to be stale (its term is below the follower's), which is
-	// how a survivor re-points to a promoted sibling after failover — any
-	// follower's own WAL is a valid shipping source.
-	Leaders []string
 	// FS is the filesystem the follower's local store runs on. Nil means
 	// the disk; chaos tests inject faults into local durability here.
 	FS faultfs.FS
@@ -216,7 +214,7 @@ var errQuarantine = errors.New("replica: shipped frame rejected")
 func Start(opts Options) (*Follower, error) {
 	leaders := leaderList(opts)
 	if opts.Dir == "" || len(leaders) == 0 {
-		return nil, errors.New("replica: Dir and Leader (or Leaders) are required")
+		return nil, errors.New("replica: Dir and Leader are required")
 	}
 	if opts.ReconnectBackoff == 0 {
 		opts.ReconnectBackoff = 100 * time.Millisecond
@@ -248,10 +246,10 @@ func Start(opts Options) (*Follower, error) {
 	return f, nil
 }
 
-// leaderList merges Leader (comma-split) and Leaders, dropping empties.
+// leaderList splits Leader's retry list, dropping empties.
 func leaderList(opts Options) []string {
 	var out []string
-	for _, addr := range append(strings.Split(opts.Leader, ","), opts.Leaders...) {
+	for _, addr := range strings.Split(opts.Leader, ",") {
 		if addr = strings.TrimSpace(addr); addr != "" {
 			out = append(out, addr)
 		}
@@ -354,11 +352,12 @@ func (f *Follower) noteLeaderTerm(t uint64) {
 // openLocal recovers the directory's store, whichever kind it holds, and
 // wraps it as a backend.
 func openLocal(opts Options) (server.Backend, store.Handle, error) {
-	sync := store.SyncNone
+	o := store.DefaultOptions()
+	o.Dir, o.FS, o.Sync, o.Obs = opts.Dir, opts.FS, store.SyncNone, opts.Obs
 	if opts.SyncAlways {
-		sync = store.SyncAlways
+		o.Sync = store.SyncAlways
 	}
-	s, err := store.OpenDir(store.Options{Dir: opts.Dir, FS: opts.FS, Sync: sync, Obs: opts.Obs})
+	s, err := store.OpenDir(o)
 	if err != nil {
 		return nil, nil, err
 	}

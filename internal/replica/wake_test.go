@@ -200,7 +200,7 @@ func TestSilentSourceRotates(t *testing.T) {
 	if err := store.InstallSnapshot(dir, kind, snapEpoch, data); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Start(Options{Dir: dir, Leaders: []string{mute.Addr().String(), lh.srv.Addr()}, ReconnectBackoff: time.Millisecond})
+	f, err := Start(Options{Dir: dir, Leader: mute.Addr().String() + "," + lh.srv.Addr(), ReconnectBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,9 @@ import (
 	"repro/internal/wal"
 )
 
+// tailBytes bounds one MsgTail round's shipped payload.
+const tailBytes = 1 << 20
+
 // Options configures a Server.
 type Options struct {
 	// Backend serves the queries and writes. Required.
@@ -38,8 +41,6 @@ type Options struct {
 	// EpochWaitTimeout bounds how long a read waits for its minEpoch (the
 	// RYW token) before failing. 0 means 5s.
 	EpochWaitTimeout time.Duration
-	// TailBytes bounds one MsgTail round's shipped payload. 0 means 1 MiB.
-	TailBytes int
 	// Obs, when non-nil, receives the server's instrumentation (request
 	// latency by type, in-flight gauge, rejects, the qpgc_query trace
 	// family) and is what MsgMetrics scrapes. Nil disables both.
@@ -77,9 +78,6 @@ func New(opts Options) *Server {
 	}
 	if s.opts.EpochWaitTimeout == 0 {
 		s.opts.EpochWaitTimeout = 5 * time.Second
-	}
-	if s.opts.TailBytes == 0 {
-		s.opts.TailBytes = 1 << 20
 	}
 	s.ob = newServerObs(s, s.opts)
 	return s
@@ -579,7 +577,7 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 		out []byte
 	}
 	var records []record
-	oldest, err := cs.tail.ReadFrames(s.opts.ShipFS, s.opts.ReplDir, from, s.opts.TailBytes, func(seq uint64, frame []byte) {
+	oldest, err := cs.tail.ReadFrames(s.opts.ShipFS, s.opts.ReplDir, from, tailBytes, func(seq uint64, frame []byte) {
 		out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(frame)), seq)
 		records = append(records, record{seq, append(out, frame...)})
 	})
@@ -592,7 +590,7 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 	// The effects whose frames the read reached go out, each after its
 	// frames; frames past the last of them wait for the next round. With no
 	// effect to send the round is raw: every frame read when the first
-	// effect lies past what TailBytes let it read, else the published ones.
+	// effect lies past what tailBytes let it read, else the published ones.
 	limit := from - 1
 	if len(records) > 0 {
 		limit = records[len(records)-1].seq

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/graph"
-	"repro/internal/hop2"
 	"repro/internal/part"
 )
 
@@ -14,26 +13,45 @@ import (
 // before touching the body.
 const (
 	tagLabels   = 0x0e0 // shared label table
-	tagGPerm    = 0x0f0 // monolithic: locality permutation of G (optional)
+	tagGPerm    = 0x0f0 // retired: locality permutation of G
 	tagG        = 0x100
-	tagReachC   = 0x120
+	tagReachC   = 0x120 // +1, the member rows, is retired
 	tagReachGr  = 0x140
-	tagReachIdx = 0x160
+	tagReachIdx = 0x160 // retired: 2-hop index over the reach quotient
 	tagPatC     = 0x180
 	tagPatGr    = 0x1a0
-	tagPatIdx   = 0x1c0 // no longer written; decoded and dropped from older files
+	tagPatIdx   = 0x1c0 // retired: 2-hop index over the pattern quotient
 	tagMeta     = 0x200 // sharded: K, ShardOf, NodeLabel, CrossOut
 	tagSummary  = 0x300
 	tagStitched = 0x320
-	tagShard0   = 0x1000 // shard s uses tagShard0 + s*tagShardStride
+	tagShard0   = 0x1000 // shard s uses tagShard0 + s*tagShardStr
 	tagShardStr = 0x100
 )
 
-// StoreParts is the complete decoded state of one monolithic Store
-// snapshot: the frozen CSR of G, both compressed artifacts (quotient CSR,
-// node mapping, member index), and the optional 2-hop index over the
-// reachability quotient. Slices alias the load buffer; everything is
-// immutable after decode.
+// retired reports whether tag names a block older encoders wrote and no
+// reader needs: G's locality permutation, the reach member rows and the
+// 2-hop indexes (a presence flag and four label structures, base to
+// base+4). The reader steps over such a block wherever it appears, so files
+// that carry them load as ones that do not. A shard's blocks sit at the
+// monolithic tags' offsets from tagG.
+func retired(tag uint32) bool {
+	if tag >= tagShard0 {
+		tag = tagG + (tag-tagShard0)%tagShardStr
+	}
+	switch {
+	case tag == tagGPerm, tag == tagGPerm+1, tag == tagReachC+1:
+		return true
+	case tag >= tagReachIdx && tag <= tagReachIdx+4, tag >= tagPatIdx && tag <= tagPatIdx+4:
+		return true
+	}
+	return false
+}
+
+// StoreParts is the decoded state of one monolithic Store snapshot: what
+// recovery reads. That is the frozen CSR of G, the reachability quotient
+// with its node mapping and cyclic flags, and the pattern quotient with its
+// node mapping and member index (Expand reads the members). Slices alias
+// the load buffer; everything is immutable after decode.
 type StoreParts struct {
 	// Epoch is the snapshot's batch epoch.
 	Epoch uint64
@@ -41,23 +59,12 @@ type StoreParts struct {
 	Labels *graph.Labels
 	// G is the frozen original graph.
 	G *graph.CSR
-	// GPerm is a locality permutation of G (old id -> permuted id), written
-	// when set and validated as a bijection when a file carries one. The
-	// store writes none and reads none: a snapshot builds its reordered
-	// view of G on first use. Files from stores that persisted it still
-	// load. Nil when absent.
-	GPerm []graph.Node
 	// ReachGr is the frozen reachability quotient R(G).
 	ReachGr *graph.CSR
 	// ReachClassOf maps every node of G to its reach class.
 	ReachClassOf []graph.Node
-	// ReachMembers lists each reach class's member nodes.
-	ReachMembers [][]graph.Node
 	// ReachCyclic flags classes containing a cyclic SCC.
 	ReachCyclic []bool
-	// ReachIndex is the 2-hop index over ReachGr, nil when the snapshot
-	// was taken without indexes.
-	ReachIndex *hop2.Index
 	// PatternGr is the frozen bisimulation quotient.
 	PatternGr *graph.CSR
 	// PatternBlockOf maps every node of G to its bisimulation block.
@@ -86,16 +93,11 @@ func encodeStore(p *StoreParts) *writer {
 	shared := p.G.Labels()
 	w.strings(tagLabels, shared.Names())
 	putCSR(w, tagG, p.G, shared)
-	if p.GPerm == nil {
-		w.u64(tagGPerm, 0)
-	} else {
-		w.u64(tagGPerm, 1)
-		w.int32s(tagGPerm+1, p.GPerm)
-	}
-	putCompressed(w, tagReachC, p.ReachClassOf, p.ReachMembers, p.ReachCyclic)
+	putReach(w, tagReachC, p.ReachClassOf, p.ReachCyclic)
 	putCSR(w, tagReachGr, p.ReachGr, shared)
-	putIndex(w, tagReachIdx, p.ReachIndex)
-	putCompressed(w, tagPatC, p.PatternBlockOf, p.PatternMembers, nil)
+	w.int32s(tagPatC, p.PatternBlockOf)
+	w.rows(tagPatC+1, p.PatternMembers)
+	w.bools(tagPatC+2, nil)
 	putCSR(w, tagPatGr, p.PatternGr, shared)
 	return w
 }
@@ -123,46 +125,32 @@ func DecodeStore(data []byte) (*StoreParts, error) {
 		return nil, err
 	}
 	n := p.G.NumNodes()
-	permPresent, err := r.u64(tagGPerm)
-	if err != nil {
-		return nil, err
-	}
-	if permPresent != 0 {
-		if p.GPerm, err = r.int32s(tagGPerm + 1); err != nil {
-			return nil, err
-		}
-		if err = validatePerm(n, p.GPerm); err != nil {
-			return nil, err
-		}
-	}
-	if p.ReachClassOf, p.ReachMembers, p.ReachCyclic, err = readCompressed(r, tagReachC, true); err != nil {
+	if p.ReachClassOf, p.ReachCyclic, err = readReach(r, tagReachC); err != nil {
 		return nil, err
 	}
 	if p.ReachGr, err = readCSR(r, tagReachGr, p.Labels); err != nil {
 		return nil, err
 	}
-	if err = validateCompressed("reach", n, p.ReachGr.NumNodes(), p.ReachClassOf, p.ReachMembers, p.ReachCyclic); err != nil {
+	if err = validateReach("reach", n, p.ReachGr.NumNodes(), p.ReachClassOf, p.ReachCyclic); err != nil {
 		return nil, err
 	}
-	if p.ReachIndex, err = readIndex(r, tagReachIdx, p.ReachGr.NumNodes()); err != nil {
+	if p.PatternBlockOf, err = r.int32s(tagPatC); err != nil {
 		return nil, err
 	}
-	if p.PatternBlockOf, p.PatternMembers, _, err = readCompressed(r, tagPatC, false); err != nil {
+	if p.PatternMembers, err = r.rows(tagPatC + 1); err != nil {
+		return nil, err
+	}
+	if _, err = r.bools(tagPatC + 2); err != nil { // always empty: a pattern block has no cyclic flags
 		return nil, err
 	}
 	if p.PatternGr, err = readCSR(r, tagPatGr, p.Labels); err != nil {
 		return nil, err
 	}
-	if err = validateCompressed("pattern", n, p.PatternGr.NumNodes(), p.PatternBlockOf, p.PatternMembers, nil); err != nil {
+	if err = validateCompressed("pattern", n, p.PatternGr.NumNodes(), p.PatternBlockOf, p.PatternMembers); err != nil {
 		return nil, err
 	}
-	// Snapshots written while the store still built a 2-hop index over the
-	// pattern quotient end with it. No query path ever read that index, so
-	// it is validated like any block and dropped: old directories still open.
-	if r.left > 0 {
-		if _, err = readIndex(r, tagPatIdx, p.PatternGr.NumNodes()); err != nil {
-			return nil, err
-		}
+	if err = r.end(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -189,12 +177,8 @@ type ShardParts struct {
 	ReachGr *graph.CSR
 	// ReachClassOf maps local nodes to local reach classes.
 	ReachClassOf []graph.Node
-	// ReachMembers lists each local class's member local nodes.
-	ReachMembers [][]graph.Node
 	// ReachCyclic flags cyclic local classes.
 	ReachCyclic []bool
-	// ReachIndex is the 2-hop index over ReachGr, nil when absent.
-	ReachIndex *hop2.Index
 }
 
 // ShardedParts is the complete decoded state of one ShardedStore snapshot:
@@ -247,9 +231,8 @@ func encodeSharded(p *ShardedParts) *writer {
 	for s, sp := range p.Shards {
 		base := uint32(tagShard0 + s*tagShardStr)
 		putCSR(w, base, sp.G, shared)
-		putCompressed(w, base+0x20, sp.ReachClassOf, sp.ReachMembers, sp.ReachCyclic)
+		putReach(w, base+0x20, sp.ReachClassOf, sp.ReachCyclic)
 		putCSR(w, base+0x40, sp.ReachGr, shared)
-		putIndex(w, base+0x60, sp.ReachIndex)
 	}
 	putCSR(w, tagSummary, p.Summary.S, shared)
 	putCSR(w, tagStitched, p.Stitched.Q, shared)
@@ -333,16 +316,13 @@ func DecodeSharded(data []byte) (*ShardedParts, error) {
 		if sp.G.NumNodes() != localCount[s] {
 			return nil, fmt.Errorf("%w: shard %d subgraph has %d nodes, partition assigns %d", ErrFormat, s, sp.G.NumNodes(), localCount[s])
 		}
-		if sp.ReachClassOf, sp.ReachMembers, sp.ReachCyclic, err = readCompressed(r, base+0x20, true); err != nil {
+		if sp.ReachClassOf, sp.ReachCyclic, err = readReach(r, base+0x20); err != nil {
 			return nil, err
 		}
 		if sp.ReachGr, err = readCSR(r, base+0x40, p.Labels); err != nil {
 			return nil, err
 		}
-		if err = validateCompressed(fmt.Sprintf("shard %d reach", s), localCount[s], sp.ReachGr.NumNodes(), sp.ReachClassOf, sp.ReachMembers, sp.ReachCyclic); err != nil {
-			return nil, err
-		}
-		if sp.ReachIndex, err = readIndex(r, base+0x60, sp.ReachGr.NumNodes()); err != nil {
+		if err = validateReach(fmt.Sprintf("shard %d reach", s), localCount[s], sp.ReachGr.NumNodes(), sp.ReachClassOf, sp.ReachCyclic); err != nil {
 			return nil, err
 		}
 		sumClasses += sp.ReachGr.NumNodes()
@@ -384,7 +364,7 @@ func DecodeSharded(data []byte) (*ShardedParts, error) {
 	if len(st.Members) != nb || len(st.ShardOfBlock) != nb {
 		return nil, fmt.Errorf("%w: stitched quotient has %d nodes but %d member lists, %d shard entries", ErrFormat, nb, len(st.Members), len(st.ShardOfBlock))
 	}
-	if err = validateCompressed("stitched", n, nb, st.BlockOf, st.Members, nil); err != nil {
+	if err = validateCompressed("stitched", n, nb, st.BlockOf, st.Members); err != nil {
 		return nil, err
 	}
 	for b, s := range st.ShardOfBlock {
@@ -398,6 +378,9 @@ func DecodeSharded(data []byte) (*ShardedParts, error) {
 		}
 	}
 	p.Stitched = st
+	if err = r.end(); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -471,56 +454,48 @@ func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := graph.CSRFromParts(labels, label, outOff, outAdj, inOff, inAdj)
+	c, err := graph.CSRFromArrays(labels, label, outOff, outAdj, inOff, inAdj)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	return c, nil
 }
 
-// putCompressed writes a compression's node mapping, member index and
-// (for reachability) cyclic flags.
-func putCompressed(w *writer, base uint32, classOf []graph.Node, members [][]graph.Node, cyclic []bool) {
+// putReach writes a reach compression's node mapping and cyclic flags, at
+// base and base+2: base+1 held the member rows older encoders wrote.
+func putReach(w *writer, base uint32, classOf []graph.Node, cyclic []bool) {
 	w.int32s(base, classOf)
-	w.rows(base+1, members)
 	w.bools(base+2, cyclic)
 }
 
-// readCompressed reads the blocks written by putCompressed; range
-// validation happens in validateCompressed once the quotient CSR is known.
-func readCompressed(r *reader, base uint32, wantCyclic bool) (classOf []graph.Node, members [][]graph.Node, cyclic []bool, err error) {
+// readReach reads the blocks written by putReach; range validation happens
+// in validateReach once the quotient CSR is known.
+func readReach(r *reader, base uint32) (classOf []graph.Node, cyclic []bool, err error) {
 	if classOf, err = r.int32s(base); err != nil {
-		return nil, nil, nil, err
-	}
-	if members, err = r.rows(base + 1); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if cyclic, err = r.bools(base + 2); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	if !wantCyclic {
-		cyclic = nil
-	}
-	return classOf, members, cyclic, nil
+	return classOf, cyclic, nil
 }
 
-// validateCompressed checks a node mapping + member index against the node
-// count of G and the class count of the quotient: exactly the invariants
-// Rewrite, Expand and the routing layers rely on to stay in bounds.
-func validateCompressed(what string, n, numClasses int, classOf []graph.Node, members [][]graph.Node, cyclic []bool) error {
-	if len(classOf) != n {
-		return fmt.Errorf("%w: %s maps %d of %d nodes", ErrFormat, what, len(classOf), n)
-	}
-	if len(members) != numClasses {
-		return fmt.Errorf("%w: %s has %d member lists for %d classes", ErrFormat, what, len(members), numClasses)
-	}
-	if cyclic != nil && len(cyclic) != numClasses {
+// validateReach checks a reach node mapping and its cyclic flags against
+// the node count of G and the class count of the quotient.
+func validateReach(what string, n, numClasses int, classOf []graph.Node, cyclic []bool) error {
+	if len(cyclic) != numClasses {
 		return fmt.Errorf("%w: %s has %d cyclic flags for %d classes", ErrFormat, what, len(cyclic), numClasses)
 	}
-	for v, c := range classOf {
-		if int(c) < 0 || int(c) >= numClasses {
-			return fmt.Errorf("%w: %s maps node %d to unknown class %d", ErrFormat, what, v, c)
-		}
+	return validateMap(what, n, numClasses, classOf)
+}
+
+// validateCompressed checks a node mapping and member index against the
+// node count of G and the class count of the quotient: exactly the
+// invariants Rewrite, Expand and the routing layers rely on to stay in
+// bounds.
+func validateCompressed(what string, n, numClasses int, classOf []graph.Node, members [][]graph.Node) error {
+	if len(members) != numClasses {
+		return fmt.Errorf("%w: %s has %d member lists for %d classes", ErrFormat, what, len(members), numClasses)
 	}
 	for c := range members {
 		for _, v := range members[c] {
@@ -529,73 +504,18 @@ func validateCompressed(what string, n, numClasses int, classOf []graph.Node, me
 			}
 		}
 	}
-	return nil
+	return validateMap(what, n, numClasses, classOf)
 }
 
-// validatePerm checks that perm is a bijection on [0, n): exactly the
-// invariant graph.ApplyPerm would otherwise panic on, so a forged file
-// yields an error instead.
-func validatePerm(n int, perm []graph.Node) error {
-	if len(perm) != n {
-		return fmt.Errorf("%w: permutation covers %d of %d nodes", ErrFormat, len(perm), n)
+// validateMap checks that classOf maps each of n nodes into [0, numClasses).
+func validateMap(what string, n, numClasses int, classOf []graph.Node) error {
+	if len(classOf) != n {
+		return fmt.Errorf("%w: %s maps %d of %d nodes", ErrFormat, what, len(classOf), n)
 	}
-	seen := make([]bool, n)
-	for v, nv := range perm {
-		if int(nv) < 0 || int(nv) >= n || seen[nv] {
-			return fmt.Errorf("%w: permutation maps node %d to invalid/duplicate %d", ErrFormat, v, nv)
+	for v, c := range classOf {
+		if int(c) < 0 || int(c) >= numClasses {
+			return fmt.Errorf("%w: %s maps node %d to unknown class %d", ErrFormat, what, v, c)
 		}
-		seen[nv] = true
 	}
 	return nil
-}
-
-// putIndex writes an optional 2-hop index: a presence flag, then the four
-// label structures.
-func putIndex(w *writer, base uint32, idx *hop2.Index) {
-	if idx == nil {
-		w.u64(base, 0)
-		return
-	}
-	w.u64(base, 1)
-	comp, cyclic, lout, lin := idx.Parts()
-	w.int32s(base+1, comp)
-	w.bools(base+2, cyclic)
-	w.rows(base+3, lout)
-	w.rows(base+4, lin)
-}
-
-// readIndex reads an optional 2-hop index and validates it against the
-// node count of the graph it serves.
-func readIndex(r *reader, base uint32, wantNodes int) (*hop2.Index, error) {
-	present, err := r.u64(base)
-	if err != nil {
-		return nil, err
-	}
-	if present == 0 {
-		return nil, nil
-	}
-	comp, err := r.int32s(base + 1)
-	if err != nil {
-		return nil, err
-	}
-	cyclic, err := r.bools(base + 2)
-	if err != nil {
-		return nil, err
-	}
-	lout, err := r.rows(base + 3)
-	if err != nil {
-		return nil, err
-	}
-	lin, err := r.rows(base + 4)
-	if err != nil {
-		return nil, err
-	}
-	if len(comp) != wantNodes {
-		return nil, fmt.Errorf("%w: 2-hop index covers %d of %d nodes", ErrFormat, len(comp), wantNodes)
-	}
-	idx, err := hop2.FromParts(comp, cyclic, lout, lin)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	return idx, nil
 }

@@ -28,14 +28,14 @@ func FuzzWriteUnderFaults(f *testing.F) {
 			return
 		}
 		g := gen.P2P(rand.New(rand.NewSource(seed%64)), 60, 200, 3)
-		parts := buildStoreParts(g, 4, false)
+		parts := buildStoreParts(g, 4)
 		dir := t.TempDir()
 		path := filepath.Join(dir, "snap-0000000000000004.qps")
 		if err := WriteStore(path, parts); err != nil {
 			t.Fatalf("clean write: %v", err)
 		}
 		in := faultfs.NewInject(faultfs.Disk, rules...)
-		next := buildStoreParts(g, 5, false)
+		next := buildStoreParts(g, 5)
 		nextPath := filepath.Join(dir, "snap-0000000000000005.qps")
 		werr := WriteStoreFS(in, nextPath, next)
 		if werr == nil {

@@ -8,16 +8,18 @@ import (
 )
 
 // FuzzDecode drives both snapshot decoders over arbitrary bytes, seeded
-// with valid store and sharded images (the fuzzer mutates them into
+// with valid store and sharded images, new and as older encoders wrote
+// them with their retired blocks (the fuzzer mutates them into
 // truncations and bit flips). Any input must produce a clean error or a
 // valid decode — never a panic, and never an out-of-range structure: the
 // decoders' validation layer is exactly what keeps a forged file from
 // crashing the query paths later.
 func FuzzDecode(f *testing.F) {
 	g := gen.Social(rand.New(rand.NewSource(1)), 60, 200, 3)
-	f.Add(EncodeStore(buildStoreParts(g.Clone(), 3, true)))
-	f.Add(EncodeStore(buildStoreParts(g.Clone(), 1, false)))
-	f.Add(EncodeSharded(buildShardedParts(g.Clone(), 2, 5, true)))
+	f.Add(EncodeStore(buildStoreParts(g.Clone(), 3)))
+	f.Add(readGolden(f, legacyStore))
+	f.Add(EncodeSharded(buildShardedParts(g.Clone(), 2, 5)))
+	f.Add(readGolden(f, legacySharded))
 	f.Add([]byte("QPGSNAP1 but not really"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

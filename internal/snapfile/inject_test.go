@@ -30,8 +30,8 @@ func TestInjectedSnapshotWriteFaults(t *testing.T) {
 		{"torn-rename", faultfs.Rule{Op: faultfs.OpRename, Path: "snap"}},
 	}
 	g := gen.P2P(rand.New(rand.NewSource(7)), 120, 400, 3)
-	mono := buildStoreParts(g, 9, false)
-	shard := buildShardedParts(g, 3, 9, false)
+	mono := buildStoreParts(g, 9)
+	shard := buildShardedParts(g, 3, 9)
 	kinds := []struct {
 		name  string
 		write func(fsys faultfs.FS, path string) error
@@ -93,7 +93,7 @@ func TestInjectedSnapshotWriteFaults(t *testing.T) {
 func TestInjectedBitFlipCaughtOnLoad(t *testing.T) {
 	g := gen.P2P(rand.New(rand.NewSource(8)), 100, 300, 3)
 	path := filepath.Join(t.TempDir(), "snap.qps")
-	if err := WriteStore(path, buildStoreParts(g, 3, false)); err != nil {
+	if err := WriteStore(path, buildStoreParts(g, 3)); err != nil {
 		t.Fatal(err)
 	}
 	// One unbounded flip rule: every load corrupts a different bit (the

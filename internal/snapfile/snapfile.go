@@ -1,9 +1,19 @@
 // Package snapfile implements the durable store's snapshot codec: a
-// versioned, checksummed, flat binary container holding the full query
-// state of one epoch — the CSR of G, both compressed artifacts with their
-// node mappings and member indexes, the optional 2-hop indexes, and (for
-// the sharded store) the per-shard epoch vector, boundary summary and
-// stitched quotient.
+// versioned, checksummed, flat binary container holding what recovery
+// reads of one epoch — the CSR of G, the reachability quotient with its
+// node mapping and cyclic flags (the paper's ⟨R, F⟩; reachability needs no
+// post-processing), the pattern quotient with its node mapping and the
+// member index Expand reads, and (for the sharded store) the per-shard
+// epoch vector, boundary summary and stitched quotient. Nothing derived
+// from these is written: a 2-hop index is rebuilt from the quotient on
+// first use, and a reach member list is GroupNodes over the node mapping.
+//
+// # Retired blocks
+//
+// Older encoders also wrote G's locality permutation, the reach member
+// rows and 2-hop indexes over both quotients. Those tags are retired: the
+// reader steps over such a block wherever it appears, without looking at
+// its body, so one decode path serves old and new files alike.
 //
 // # Layout: slice, don't decode
 //
@@ -63,9 +73,9 @@ func (k Kind) String() string {
 	}
 }
 
-// version 2 added the optional locality-permutation block of G (tagGPerm)
-// to monolithic snapshots; version-1 files are rejected with a clear error
-// rather than recovered without their reordered view.
+// version 2 added the locality-permutation block of G (tagGPerm, since
+// retired); version-1 files are rejected with a clear error. Dropping a
+// retired block needs no new version: readers skip it.
 const (
 	version     = 2
 	headerSize  = 48
@@ -283,43 +293,87 @@ func open(data []byte) (*reader, error) {
 	return &reader{kind: kind, epoch: epoch, payload: payload, left: blocks}, nil
 }
 
-// next consumes one block descriptor, checking tag and element kind, and
-// returns the body view.
-func (r *reader) next(tag uint32, elem uint8, elemSize int) ([]byte, int, error) {
-	if r.left == 0 {
+// next consumes the next block that is not retired, checking its tag and
+// element kind, and returns the body view.
+func (r *reader) next(tag uint32, elem uint8) ([]byte, int, error) {
+	b, ok, err := r.block()
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case !ok:
 		return nil, 0, fmt.Errorf("%w: block %d read past declared block count", ErrFormat, tag)
+	case b.tag != tag || b.elem != elem:
+		return nil, 0, fmt.Errorf("%w: block (tag %d, elem %d), want (tag %d, elem %d)", ErrFormat, b.tag, b.elem, tag, elem)
 	}
-	if r.pos+blockHeader > len(r.payload) {
-		return nil, 0, fmt.Errorf("%w: truncated block descriptor", ErrFormat)
+	return b.body, b.count, nil
+}
+
+// end checks that nothing but retired blocks follows the last block read.
+func (r *reader) end() error {
+	b, ok, err := r.block()
+	if err == nil && ok {
+		err = fmt.Errorf("%w: unexpected block %d after the last", ErrFormat, b.tag)
 	}
-	h := r.payload[r.pos:]
-	gotTag := binary.LittleEndian.Uint32(h[0:4])
-	gotElem := h[4]
-	count := binary.LittleEndian.Uint64(h[8:16])
-	if gotTag != tag || gotElem != elem {
-		return nil, 0, fmt.Errorf("%w: block (tag %d, elem %d), want (tag %d, elem %d)", ErrFormat, gotTag, gotElem, tag, elem)
+	return err
+}
+
+// blockView is one block as block hands it out.
+type blockView struct {
+	tag   uint32
+	elem  uint8
+	body  []byte
+	count int
+}
+
+// block consumes block descriptors and bodies, stepping over retired
+// blocks, and returns the first other one; ok is false when none is left.
+// A retired block's body is not looked at: the payload checksum covered
+// it, and nothing reads it.
+func (r *reader) block() (b blockView, ok bool, err error) {
+	for ; r.left > 0; r.left-- {
+		if r.pos+blockHeader > len(r.payload) {
+			return b, false, fmt.Errorf("%w: truncated block descriptor", ErrFormat)
+		}
+		h := r.payload[r.pos:]
+		b.tag, b.elem = binary.LittleEndian.Uint32(h[0:4]), h[4]
+		count := binary.LittleEndian.Uint64(h[8:16])
+		var size uint64
+		switch b.elem {
+		case elemInt32:
+			size = 4
+		case elemByte:
+			size = 1
+		case elemU64:
+			size = 8
+		default:
+			return b, false, fmt.Errorf("%w: block %d has unknown element kind %d", ErrFormat, b.tag, b.elem)
+		}
+		// Elements are at least one byte, so a legitimate count can never
+		// exceed the payload size; rejecting early keeps the size
+		// arithmetic below overflow-free.
+		if count > uint64(len(r.payload)) {
+			return b, false, fmt.Errorf("%w: block %d claims %d elements in a %d-byte payload", ErrFormat, b.tag, count, len(r.payload))
+		}
+		body := count * size
+		padded := (body + 7) &^ 7
+		if padded > uint64(len(r.payload)-r.pos-blockHeader) {
+			return b, false, fmt.Errorf("%w: block %d claims %d bytes with %d left", ErrFormat, b.tag, body, len(r.payload)-r.pos-blockHeader)
+		}
+		start := r.pos + blockHeader
+		r.pos = start + int(padded)
+		if !retired(b.tag) {
+			r.left--
+			b.body, b.count = r.payload[start:start+int(body)], int(count)
+			return b, true, nil
+		}
 	}
-	// Elements are at least one byte, so a legitimate count can never
-	// exceed the payload size; rejecting early keeps the size arithmetic
-	// below overflow-free.
-	if count > uint64(len(r.payload)) {
-		return nil, 0, fmt.Errorf("%w: block %d claims %d elements in a %d-byte payload", ErrFormat, tag, count, len(r.payload))
-	}
-	body := count * uint64(elemSize)
-	padded := (body + 7) &^ 7
-	if padded > uint64(len(r.payload)-r.pos-blockHeader) {
-		return nil, 0, fmt.Errorf("%w: block %d claims %d bytes with %d left", ErrFormat, tag, body, len(r.payload)-r.pos-blockHeader)
-	}
-	start := r.pos + blockHeader
-	r.pos = start + int(padded)
-	r.left--
-	return r.payload[start : start+int(body)], int(count), nil
+	return b, false, nil
 }
 
 // int32s returns the next int32 block, aliasing the file buffer on
 // little-endian hosts.
 func (r *reader) int32s(tag uint32) ([]int32, error) {
-	body, count, err := r.next(tag, elemInt32, 4)
+	body, count, err := r.next(tag, elemInt32)
 	if err != nil {
 		return nil, err
 	}
@@ -338,13 +392,13 @@ func (r *reader) int32s(tag uint32) ([]int32, error) {
 
 // bytes returns the next byte block as a view.
 func (r *reader) bytes(tag uint32) ([]byte, error) {
-	body, _, err := r.next(tag, elemByte, 1)
+	body, _, err := r.next(tag, elemByte)
 	return body, err
 }
 
 // u64 returns the next scalar block.
 func (r *reader) u64(tag uint32) (uint64, error) {
-	body, count, err := r.next(tag, elemU64, 8)
+	body, count, err := r.next(tag, elemU64)
 	if err != nil {
 		return 0, err
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bisim"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hop2"
 	"repro/internal/part"
 	"repro/internal/queries"
 	"repro/internal/reach"
@@ -17,26 +16,19 @@ import (
 
 // buildStoreParts runs the batch compression pipeline on g and packages
 // the result exactly as the durable store's checkpoint does.
-func buildStoreParts(g *graph.Graph, epoch uint64, indexes bool) *StoreParts {
-	csr := g.Freeze()
+func buildStoreParts(g *graph.Graph, epoch uint64) *StoreParts {
 	rc := reach.Compress(g)
 	pc := bisim.Compress(g)
-	p := &StoreParts{
+	return &StoreParts{
 		Epoch:          epoch,
-		G:              csr,
-		GPerm:          graph.ReorderPerm(csr),
+		G:              g.Freeze(),
 		ReachGr:        rc.Gr.Freeze(),
 		ReachClassOf:   rc.ClassMap(),
-		ReachMembers:   rc.Members(),
 		ReachCyclic:    rc.CyclicClass,
 		PatternGr:      pc.Gr.Freeze(),
 		PatternBlockOf: pc.ClassMap(),
 		PatternMembers: pc.Members,
 	}
-	if indexes {
-		p.ReachIndex = hop2.BuildCSR(p.ReachGr)
-	}
-	return p
 }
 
 func sameCSR(t *testing.T, what string, a, b *graph.CSR) {
@@ -71,50 +63,42 @@ func sameCSR(t *testing.T, what string, a, b *graph.CSR) {
 }
 
 func TestStoreRoundTrip(t *testing.T) {
-	for _, indexes := range []bool{true, false} {
-		g := gen.Social(rand.New(rand.NewSource(7)), 300, 1200, 4)
-		want := buildStoreParts(g.Clone(), 17, indexes)
-		data := EncodeStore(want)
-		got, err := DecodeStore(data)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if got.Epoch != 17 {
-			t.Fatalf("epoch = %d", got.Epoch)
-		}
-		sameCSR(t, "G", want.G, got.G)
-		sameCSR(t, "ReachGr", want.ReachGr, got.ReachGr)
-		sameCSR(t, "PatternGr", want.PatternGr, got.PatternGr)
-		if (got.ReachIndex != nil) != indexes {
-			t.Fatalf("index round trip mismatch (want present=%v)", indexes)
-		}
+	g := gen.Social(rand.New(rand.NewSource(7)), 300, 1200, 4)
+	want := buildStoreParts(g.Clone(), 17)
+	got, err := DecodeStore(EncodeStore(want))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got.Epoch != 17 {
+		t.Fatalf("epoch = %d", got.Epoch)
+	}
+	sameCSR(t, "G", want.G, got.G)
+	sameCSR(t, "ReachGr", want.ReachGr, got.ReachGr)
+	sameCSR(t, "PatternGr", want.PatternGr, got.PatternGr)
+	if !slices.Equal(got.ReachCyclic, want.ReachCyclic) || !slices.Equal(got.PatternBlockOf, want.PatternBlockOf) {
+		t.Fatal("cyclic flags or block map differ after the round trip")
+	}
+	sameReach(t, want.G, got.ReachGr, got.ReachClassOf)
+}
 
-		// Query equivalence: every sampled pair answers identically on the
-		// decoded artifacts, through the compressed path and (when present)
-		// the 2-hop index.
-		rng := rand.New(rand.NewSource(3))
-		sc := queries.NewScratch(0)
-		ref := queries.NewScratch(0)
-		for i := 0; i < 300; i++ {
-			u := graph.Node(rng.Intn(g.NumNodes()))
-			v := graph.Node(rng.Intn(g.NumNodes()))
-			wantAns := queries.ReachableBiCSR(want.G, ref, u, v)
-			cu, cv := got.ReachClassOf[u], got.ReachClassOf[v]
-			if gotAns := queries.ReachableBiCSR(got.ReachGr, sc, cu, cv); gotAns != wantAns {
-				t.Fatalf("pair (%d,%d): decoded Gr says %v, G says %v", u, v, gotAns, wantAns)
-			}
-			if indexes {
-				if gotAns := got.ReachIndex.Reachable(cu, cv); gotAns != wantAns {
-					t.Fatalf("pair (%d,%d): decoded 2-hop says %v, G says %v", u, v, gotAns, wantAns)
-				}
-			}
+// sameReach samples pairs of g and fails unless the quotient gr under
+// classOf answers each as g does.
+func sameReach(t *testing.T, g, gr *graph.CSR, classOf []graph.Node) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	sc, ref := queries.NewScratch(0), queries.NewScratch(0)
+	for i := 0; i < 300; i++ {
+		u, v := graph.Node(rng.Intn(g.NumNodes())), graph.Node(rng.Intn(g.NumNodes()))
+		want := queries.ReachableBiCSR(g, ref, u, v)
+		if got := queries.ReachableBiCSR(gr, sc, classOf[u], classOf[v]); got != want {
+			t.Fatalf("pair (%d,%d): decoded Gr says %v, G says %v", u, v, got, want)
 		}
 	}
 }
 
 // buildShardedParts mirrors the sharded store's epoch-0 publication: split,
 // per-shard compression, summary and stitched quotient.
-func buildShardedParts(g *graph.Graph, k int, epoch uint64, indexes bool) *ShardedParts {
+func buildShardedParts(g *graph.Graph, k int, epoch uint64) *ShardedParts {
 	c := g.Freeze()
 	p := part.Split(c, k)
 	sp := &ShardedParts{
@@ -140,11 +124,7 @@ func buildShardedParts(g *graph.Graph, k int, epoch uint64, indexes bool) *Shard
 			G:            locals[s],
 			ReachGr:      grs[s],
 			ReachClassOf: rcs[s].ClassMap(),
-			ReachMembers: rcs[s].Members(),
 			ReachCyclic:  rcs[s].CyclicClass,
-		}
-		if indexes {
-			sp.Shards[s].ReachIndex = hop2.BuildCSR(grs[s])
 		}
 	}
 	boundary := part.BoundaryNodes(p.CrossOut, p.CrossInDeg)
@@ -159,7 +139,7 @@ func buildShardedParts(g *graph.Graph, k int, epoch uint64, indexes bool) *Shard
 
 func TestShardedRoundTrip(t *testing.T) {
 	g := gen.Citation(rand.New(rand.NewSource(5)), 260, 900, 5)
-	want := buildShardedParts(g, 3, 9, true)
+	want := buildShardedParts(g, 3, 9)
 	data := EncodeSharded(want)
 	got, err := DecodeSharded(data)
 	if err != nil {
@@ -171,8 +151,8 @@ func TestShardedRoundTrip(t *testing.T) {
 	for s := 0; s < 3; s++ {
 		sameCSR(t, "shard G", want.Shards[s].G, got.Shards[s].G)
 		sameCSR(t, "shard ReachGr", want.Shards[s].ReachGr, got.Shards[s].ReachGr)
-		if got.Shards[s].ReachIndex == nil {
-			t.Fatalf("shard %d index missing", s)
+		if !slices.Equal(got.Shards[s].ReachClassOf, want.Shards[s].ReachClassOf) || !slices.Equal(got.Shards[s].ReachCyclic, want.Shards[s].ReachCyclic) {
+			t.Fatalf("shard %d reach map or cyclic flags differ", s)
 		}
 	}
 	sameCSR(t, "summary", want.Summary.S, got.Summary.S)
@@ -194,7 +174,7 @@ func TestShardedRoundTrip(t *testing.T) {
 
 func TestFileRoundTrip(t *testing.T) {
 	g := gen.P2P(rand.New(rand.NewSource(2)), 150, 500, 3)
-	want := buildStoreParts(g, 4, true)
+	want := buildStoreParts(g, 4)
 	path := t.TempDir() + "/snap.qps"
 	if err := WriteStore(path, want); err != nil {
 		t.Fatal(err)
@@ -215,7 +195,7 @@ func TestFileRoundTrip(t *testing.T) {
 // guards the pre-CRC header paths too.)
 func TestEveryBitFlipRejected(t *testing.T) {
 	g := gen.ErdosRenyi(rand.New(rand.NewSource(1)), 40, 120, 3)
-	data := EncodeStore(buildStoreParts(g, 1, false))
+	data := EncodeStore(buildStoreParts(g, 1))
 	for i := 0; i < len(data); i++ {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 1 << uint(i%8)
@@ -230,7 +210,7 @@ func TestEveryBitFlipRejected(t *testing.T) {
 
 func TestTruncationsRejected(t *testing.T) {
 	g := gen.ErdosRenyi(rand.New(rand.NewSource(1)), 30, 90, 2)
-	data := EncodeStore(buildStoreParts(g, 1, true))
+	data := EncodeStore(buildStoreParts(g, 1))
 	for cut := 0; cut < len(data); cut += 7 {
 		if _, err := DecodeStore(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -240,7 +220,7 @@ func TestTruncationsRejected(t *testing.T) {
 
 func TestKindMismatchRejected(t *testing.T) {
 	g := gen.ErdosRenyi(rand.New(rand.NewSource(1)), 30, 90, 2)
-	data := EncodeStore(buildStoreParts(g, 1, false))
+	data := EncodeStore(buildStoreParts(g, 1))
 	if _, err := DecodeSharded(data); err == nil {
 		t.Fatal("store snapshot accepted by sharded decoder")
 	}
@@ -248,30 +228,30 @@ func TestKindMismatchRejected(t *testing.T) {
 
 // TestStoreDecodesLegacyPatternIndex pins backward compatibility: images
 // written when the store still persisted a 2-hop index over the pattern
-// quotient end with that block group, and must keep decoding — to the same
-// parts, the index dropped — whether the index was present or absent.
+// quotient end with that block group, and must keep decoding to the same
+// parts. A retired block is skipped unread, so garbage bodies pass too;
+// a trailing block with any other tag is still rejected.
 func TestStoreDecodesLegacyPatternIndex(t *testing.T) {
 	g := gen.Social(rand.New(rand.NewSource(11)), 200, 800, 3)
-	for _, indexes := range []bool{true, false} {
-		want := buildStoreParts(g.Clone(), 5, indexes)
+	want := buildStoreParts(g.Clone(), 5)
+	for _, present := range []bool{true, false} {
 		w := encodeStore(want)
-		var legacy *hop2.Index
-		if indexes {
-			legacy = hop2.BuildCSR(want.PatternGr)
+		if present {
+			w.u64(tagPatIdx, 1)
+			w.int32s(tagPatIdx+1, []int32{-7, 1 << 30})
+			w.bools(tagPatIdx+2, []bool{true})
+			w.rows(tagPatIdx+3, [][]int32{{99}, {-1}})
+			w.rows(tagPatIdx+4, nil)
+		} else {
+			w.u64(tagPatIdx, 0)
 		}
-		putIndex(w, tagPatIdx, legacy)
 		got, err := DecodeStore(w.encode())
 		if err != nil {
-			t.Fatalf("legacy image (indexes=%v): %v", indexes, err)
+			t.Fatalf("legacy image (index present=%v): %v", present, err)
 		}
 		sameCSR(t, "G", want.G, got.G)
 		sameCSR(t, "PatternGr", want.PatternGr, got.PatternGr)
-		if (got.ReachIndex != nil) != indexes {
-			t.Fatalf("reach index presence = %v, want %v", got.ReachIndex != nil, indexes)
-		}
 	}
-	// A corrupt legacy trailer is still rejected, not skipped blindly.
-	want := buildStoreParts(g.Clone(), 5, false)
 	w := encodeStore(want)
 	w.u64(tagPatIdx+7, 0)
 	if _, err := DecodeStore(w.encode()); err == nil {
@@ -287,7 +267,7 @@ func TestStoreDecodesLegacyPatternIndex(t *testing.T) {
 func TestPatchedEncodesAsFreeze(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := gen.Social(rng, 400, 1600, 4)
-	parts := buildStoreParts(g.Clone(), 9, false)
+	parts := buildStoreParts(g.Clone(), 9)
 	var qp graph.Patcher
 	for round := 0; round < 30; round++ {
 		g.Apply(gen.RandomBatch(rng, g, 8, 0.5))
@@ -297,21 +277,26 @@ func TestPatchedEncodesAsFreeze(t *testing.T) {
 	// The quotient: a few rows redrawn, relabeled, over its own node set.
 	q := parts.PatternGr.Thaw()
 	nq := q.NumNodes()
+	label := slices.Clone(parts.PatternGr.LabelIDs())
 	var ids []graph.Node
 	for v := 0; v < nq; v += 7 {
 		for _, w := range slices.Clone(q.Successors(graph.Node(v))) {
 			q.RemoveEdge(graph.Node(v), w)
 		}
 		q.AddEdge(graph.Node(v), graph.Node(rng.Intn(nq)))
-		q.SetLabel(graph.Node(v), q.Label(graph.Node((v+1)%nq)))
+		label[v] = label[(v+1)%nq]
 		ids = append(ids, graph.Node(v))
 	}
 	pq := qp.Patch(parts.PatternGr, nq, ids,
 		func(k int) []graph.Node { return q.Successors(ids[k]) },
-		func(k int) graph.Label { return q.Label(ids[k]) })
+		func(k int) graph.Label { return label[ids[k]] })
+	rows := make([][]graph.Node, nq)
+	for v := range rows {
+		rows[v] = q.Successors(graph.Node(v))
+	}
 
 	twin := *parts
-	twin.G, twin.PatternGr = g.Clone().Freeze(), q.Clone().Freeze()
+	twin.G, twin.PatternGr = g.Clone().Freeze(), graph.BuildFromSortedAdj(q.Labels(), label, rows).Freeze()
 	parts.G, parts.PatternGr = patched, pq
 	data := EncodeStore(parts)
 	if !bytes.Equal(data, EncodeStore(&twin)) {

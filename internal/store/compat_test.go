@@ -1,0 +1,123 @@
+package store
+
+import (
+	"os"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/snapfile"
+)
+
+// Checkpoints written by the encoder that still persisted G's locality
+// permutation, the reach member rows and the 2-hop indexes (snapfile's
+// golden files; see internal/snapfile/golden_test.go).
+const (
+	legacyStoreFile   = "../snapfile/testdata/legacy-store.qps"
+	legacyShardedFile = "../snapfile/testdata/legacy-sharded.qps"
+)
+
+// installLegacy seeds a fresh directory with a checkpoint an older encoder wrote
+// and returns it with the graph the file holds.
+func installLegacy(t *testing.T, kind string) (string, *graph.Graph) {
+	t.Helper()
+	path, wire := legacyStoreFile, "store"
+	if kind == "sharded" {
+		path, wire = legacyShardedFile, "sharded"
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var epoch uint64
+	var g *graph.Graph
+	if kind == "sharded" {
+		p, err := snapfile.DecodeSharded(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch, g = p.Epoch, shardedGraph(p)
+	} else {
+		p, err := snapfile.DecodeStore(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch, g = p.Epoch, p.G.Thaw().Clone()
+	}
+	dir := t.TempDir()
+	if err := InstallSnapshot(dir, wire, epoch, data); err != nil {
+		t.Fatal(err)
+	}
+	return dir, g
+}
+
+// shardedGraph reassembles the global graph a sharded snapshot holds: each
+// shard's local rows under its ascending global node list, plus the cross
+// rows.
+func shardedGraph(p *snapfile.ShardedParts) *graph.Graph {
+	nodes := make([][]graph.Node, p.K)
+	for v, s := range p.ShardOf {
+		nodes[s] = append(nodes[s], graph.Node(v))
+	}
+	out := make([][]graph.Node, len(p.ShardOf))
+	for s, sp := range p.Shards {
+		for l, v := range nodes[s] {
+			for _, w := range sp.G.Successors(graph.Node(l)) {
+				out[v] = append(out[v], nodes[s][w])
+			}
+		}
+	}
+	for v := range out {
+		out[v] = append(out[v], p.CrossOut[v]...)
+		slices.Sort(out[v])
+	}
+	return graph.BuildFromSortedAdj(p.Labels, slices.Clone(p.NodeLabel), out)
+}
+
+// hopCells counts the reach views of h's current snapshot that have a
+// 2-hop cell, without building an index.
+func hopCells(h Handle) int {
+	var views []ReachView
+	switch s := h.(type) {
+	case *Store:
+		views = append(views, s.Snapshot().Reach)
+	case *ShardedStore:
+		for _, sv := range s.Snapshot().Shards {
+			views = append(views, sv.Reach)
+		}
+	}
+	cells := 0
+	for _, rv := range views {
+		if rv.hop != nil {
+			cells++
+		}
+	}
+	return cells
+}
+
+// TestLegacyCheckpointsOpen: a store recovered from a checkpoint the older
+// encoder wrote — retired blocks and all — answers sampled reach, batch and
+// pattern queries as a fresh build over the same graph does, with its 2-hop
+// indexes as its own Options say, whatever the file carried.
+func TestLegacyCheckpointsOpen(t *testing.T) {
+	forKinds(t, func(t *testing.T, kind string) {
+		for _, indexes := range []bool{false, true} {
+			dir, g := installLegacy(t, kind)
+			h := openKind(t, kind, nil, Options{Indexes: indexes, Dir: dir})
+			if cells := hopCells(h); (cells > 0) != indexes {
+				t.Fatalf("Indexes=%v: recovered views have %d 2-hop cells", indexes, cells)
+			}
+			diffVsReference(t, kind, h, g)
+			us, vs := make([]graph.Node, 0, 512), make([]graph.Node, 0, 512)
+			for i := 0; i < 512; i++ {
+				us, vs = append(us, graph.Node(i*7%g.NumNodes())), append(vs, graph.Node(i*13%g.NumNodes()))
+			}
+			ref := mustOpen(t, g.Clone(), nil)
+			if !slices.Equal(h.BatchReachable(us, vs), ref.BatchReachable(us, vs)) {
+				t.Fatalf("Indexes=%v: batch answers differ from a fresh build", indexes)
+			}
+			ref.Close()
+			h.Close()
+		}
+	})
+}

@@ -140,7 +140,7 @@ func TestSnapshotLoadIsLazy(t *testing.T) {
 		}
 		s.Close()
 
-		r := openKind(t, kind, nil, Options{Dir: dir})
+		r := openKind(t, kind, nil, Options{Indexes: true, Dir: dir})
 		defer r.Close()
 		if materialized(r) {
 			t.Fatal("write-side state built during a clean snapshot load (lazy path broken)")

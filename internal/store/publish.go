@@ -57,19 +57,8 @@ func newHopCell(indexes bool, so *storeObs) *hopCell {
 	return c
 }
 
-// loadedHopCell wraps an index decoded from a checkpoint; nil stays nil.
-func loadedHopCell(idx *hop2.Index) *hopCell {
-	if idx == nil {
-		return nil
-	}
-	return &hopCell{idx: idx}
-}
-
 func (c *hopCell) get(gr *graph.CSR) *hop2.Index {
 	c.once.Do(func() {
-		if c.idx != nil {
-			return
-		}
 		var start time.Time
 		if c.hist != nil {
 			start = time.Now()

@@ -59,8 +59,8 @@ type ShardedOptions struct {
 	// partition is static for the life of the store.
 	Shards int
 	// Indexes controls per-shard 2-hop indexes over the local reachability
-	// quotients, used as the same-shard fast path. On recovery the loaded
-	// snapshot's index presence wins.
+	// quotients, used as the same-shard fast path. As in Options.Indexes, it
+	// decides on open and on recovery alike.
 	Indexes bool
 	// Dir enables durability, as in Options.Dir: checkpoints of the full
 	// epoch vector (per-shard views, boundary summary, stitched quotient)
@@ -764,8 +764,8 @@ func (s *ShardedStore) image() (uint64, func(path string) error) {
 }
 
 // shardedParts projects a published sharded snapshot onto the codec's
-// flat form. Everything referenced is immutable, so this is safe off the
-// coordinator goroutine.
+// flat form, building nothing. Everything referenced is immutable, so this
+// is safe off the coordinator goroutine.
 func shardedParts(s *ShardedStore, sn *ShardedSnapshot) *snapfile.ShardedParts {
 	p := &snapfile.ShardedParts{
 		Epoch:     sn.Epoch,
@@ -784,9 +784,7 @@ func shardedParts(s *ShardedStore, sn *ShardedSnapshot) *snapfile.ShardedParts {
 			G:            sv.G,
 			ReachGr:      sv.Reach.Gr,
 			ReachClassOf: sv.Reach.Compressed.ClassMap(),
-			ReachMembers: sv.Reach.Compressed.Members(),
 			ReachCyclic:  sv.Reach.Compressed.CyclicClass,
-			ReachIndex:   sv.Reach.Index(),
 		}
 	}
 	return p
@@ -801,7 +799,6 @@ func (s *ShardedStore) load(fsys faultfs.FS, path string) (uint64, error) {
 		return 0, err
 	}
 	k := parts.K
-	s.cfg.Indexes = parts.Shards[0].ReachIndex != nil
 
 	// The static partition: ShardOf and the label array are stored; the
 	// dense local ids and per-shard node lists are re-derived exactly as
@@ -836,7 +833,7 @@ func (s *ShardedStore) load(fsys faultfs.FS, path string) (uint64, error) {
 	for i := 0; i < k; i++ {
 		sp := &parts.Shards[i]
 		rc := reach.AssembleCompressed(nil, sp.ReachClassOf, sp.ReachCyclic)
-		shards[i] = s.shardView(i, sp.G, ReachView{Gr: sp.ReachGr, Compressed: rc, hop: loadedHopCell(sp.ReachIndex)}, parts.Summary)
+		shards[i] = s.shardView(i, sp.G, ReachView{Gr: sp.ReachGr, Compressed: rc, hop: newHopCell(s.cfg.Indexes, s.ob)}, parts.Summary)
 	}
 	s.install(&ShardedSnapshot{
 		Epoch:    parts.Epoch,

@@ -107,10 +107,9 @@ type Options struct {
 	// index built over the reachability quotient (the paper's Fig. 12(d)
 	// point: indexing Gr is cheap where indexing G is not). It is built —
 	// work proportional to the (small) quotient — by the first batch read
-	// of a reach view, whose 2-hop peel probes it, or by a checkpoint, never
-	// by the writer. When recovering from a durable directory, the loaded
-	// snapshot's own index presence wins, so a store restarts with the
-	// configuration it was serving.
+	// of a reach view, whose 2-hop peel probes it, never by the writer or a
+	// checkpoint. It decides on open and on recovery alike: a checkpoint
+	// holds no index and no setting.
 	Indexes bool
 	// Dir enables durability: snapshot checkpoints and the write-ahead
 	// log live here. Empty means in-memory only.
@@ -171,9 +170,9 @@ type ReachView struct {
 }
 
 // Index returns the 2-hop reachability labeling over Gr, nil unless
-// Options.Indexes. The writer does not build it: the first caller on a
-// view does (the batch read path's peel, a checkpoint), later ones and
-// every epoch that carries the view over find it built. Safe for
+// Options.Indexes. The writer does not build it, nor does a checkpoint:
+// the first caller on a view does (the batch read path's peel), later ones
+// and every epoch that carries the view over find it built. Safe for
 // concurrent use.
 func (rv ReachView) Index() *hop2.Index {
 	if rv.hop == nil {
@@ -496,17 +495,16 @@ func (s *Store) image() (uint64, func(path string) error) {
 	return sn.Epoch, func(path string) error { return snapfile.WriteStoreFS(s.dur.fs, path, storeParts(sn)) }
 }
 
-// storeParts projects a published snapshot onto the codec's flat form. The
-// snapshot is immutable, so this is safe off the writer goroutine.
+// storeParts projects a published snapshot onto the codec's flat form,
+// building nothing. The snapshot is immutable, so this is safe off the
+// writer goroutine.
 func storeParts(sn *Snapshot) *snapfile.StoreParts {
 	return &snapfile.StoreParts{
 		Epoch:          sn.Epoch,
 		G:              sn.G,
 		ReachGr:        sn.Reach.Gr,
 		ReachClassOf:   sn.Reach.Compressed.ClassMap(),
-		ReachMembers:   sn.Reach.Compressed.Members(),
 		ReachCyclic:    sn.Reach.Compressed.CyclicClass,
-		ReachIndex:     sn.Reach.Index(),
 		PatternGr:      sn.Pattern.Gr,
 		PatternBlockOf: sn.Pattern.Compressed.ClassMap(),
 		PatternMembers: sn.Pattern.Compressed.Members,
@@ -520,11 +518,10 @@ func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.cfg.Indexes = parts.ReachIndex != nil
 	s.nodes = parts.G.NumNodes()
-	// GOrd is built on first use, as on any snapshot; a permutation an older
-	// file carries is not read. A file records no lineage (nothing new goes to disk): a recovered store
-	// is a layout of its own, and a follower that restarts is sent an image.
+	// GOrd and the 2-hop index are built on first use, as on any snapshot.
+	// A file records no lineage: a recovered store is a layout of its own,
+	// and a follower that restarts is sent an image.
 	s.install(&Snapshot{
 		Epoch:   parts.Epoch,
 		Lineage: newLineage(),
@@ -532,7 +529,7 @@ func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
 		Reach: ReachView{
 			Gr:         parts.ReachGr,
 			Compressed: reach.AssembleCompressed(nil, parts.ReachClassOf, parts.ReachCyclic),
-			hop:        loadedHopCell(parts.ReachIndex),
+			hop:        newHopCell(s.cfg.Indexes, s.ob),
 		},
 		Pattern: PatternView{
 			Gr:         parts.PatternGr,
