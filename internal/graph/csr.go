@@ -27,6 +27,10 @@ type CSR struct {
 	m      int  // |E|: the live entries of each side
 	out    side // successors of v are out.adj[out.rows[v].lo:out.rows[v].hi]
 	in     side // predecessors, likewise; each row sorted ascending
+
+	// byLabel[l] lists the nodes labeled l, ascending; built on first use
+	// (NodesLabeled) and never carried over to a CSR patched from this one.
+	byLabel atomic.Pointer[[][]Node]
 }
 
 // span is one row's place in its side's arena.
@@ -132,6 +136,29 @@ func (c *CSR) Size() int { return len(c.label) + c.m }
 
 // Label returns the label id of v.
 func (c *CSR) Label(v Node) Label { return c.label[v] }
+
+// NodesLabeled returns the nodes labeled l in ascending order: empty when no
+// node carries l, including an l past every label the snapshot uses. The
+// grouping is one counting sort over the label array, made by the first
+// call and kept for the CSR's lifetime; concurrent first calls may each
+// make it, identically, and one CAS keeps one. The returned slice must not
+// be modified.
+func (c *CSR) NodesLabeled(l Label) []Node {
+	groups := c.byLabel.Load()
+	if groups == nil {
+		top := Label(-1)
+		for _, x := range c.label {
+			top = max(top, x)
+		}
+		g := GroupNodes(c.label, int(top)+1)
+		c.byLabel.CompareAndSwap(nil, &g)
+		groups = c.byLabel.Load()
+	}
+	if l < 0 || int(l) >= len(*groups) {
+		return nil
+	}
+	return (*groups)[l]
+}
 
 // Successors returns the sorted successor row of v as a view into the
 // arena. The returned slice must not be modified.

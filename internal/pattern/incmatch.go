@@ -81,13 +81,20 @@ func (m *IncMatcher) Apply(batch []graph.Update) {
 	// Deletions only: refine the previous match downward. The O(|V|+|E|)
 	// re-freeze is the same order as building the counters, which the
 	// refinement does once per bounded target anyway.
-	m.ok, _ = refine(m.g.Freeze(), m.p, m.s)
+	c := m.g.Freeze()
+	sc := scratches.Get().(*scratch)
+	defer sc.release(c.NumNodes())
+	m.ok, _ = refine(c, m.p, m.s, sc)
 }
 
+// rematch evaluates the pattern from its label candidates. The matcher
+// keeps its sets across batches, so their flags are its own, not pooled.
 func (m *IncMatcher) rematch() {
 	c := m.g.Freeze()
-	m.s, m.ok = candidates(c, m.p)
+	m.s, m.ok = candidates(c, m.p, make([]bool, m.p.NumNodes()*c.NumNodes()))
 	if m.ok {
-		m.ok, _ = refine(c, m.p, m.s)
+		sc := scratches.Get().(*scratch)
+		defer sc.release(c.NumNodes())
+		m.ok, _ = refine(c, m.p, m.s, sc)
 	}
 }

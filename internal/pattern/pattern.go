@@ -30,8 +30,18 @@
 // so cnt_t[j][v] > 0 iff v has a nonempty path of length <= j+1 into
 // sim(t), and an edge (u,t,k) keeps v in sim(u) iff cnt_t[k−1][v] > 0. All
 // edges into t share t's counters. They are built by one bounded reverse
-// BFS from sim(t) when the first edge into t is examined in pattern-edge
-// order, so a failing pattern fails as early as a round-based refinement.
+// BFS from sim(t) when the first edge into t is examined.
+//
+// Candidates come from the CSR's label index (graph.CSR.NodesLabeled): each
+// pattern node copies its label's group, so only the first Match on a CSR
+// reads its label array.
+// The edges are examined in ascending order of their target's candidate
+// count, ties in pattern-edge order. The cheapest counters are built
+// first, and a pattern that fails usually fails before it builds the
+// expensive ones. The order cannot change the answer: every removal is
+// justified by the current sets, which only shrink, and the drops keep
+// every examined bounded edge settled, so any order reaches the same
+// greatest fixpoint.
 //
 // Call x at level j of t while x ∈ sim(t) ∨ cnt_t[j−1][x] > 0. The drop
 // rule keeps the counters exact: when x stops being at level j it drops,
@@ -63,7 +73,7 @@ package pattern
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"repro/internal/bisim"
 	"repro/internal/graph"
@@ -156,7 +166,10 @@ func Match(g *graph.Graph, p *Pattern) *Result { return MatchCSR(g.Freeze(), p) 
 
 // MatchCSR is Match over a frozen CSR snapshot. Freeze is O(1) (it hands
 // the graph's row tables over), so Match simply freezes and delegates;
-// callers holding a snapshot — a store's epoch — call MatchCSR on it.
+// callers holding a snapshot — a store's epoch — call MatchCSR on it. The
+// first MatchCSR on a CSR builds its label index, O(|V|); later ones pay
+// for the candidates they copy and the counters they build, with their
+// np·|V| membership flags and their counters taken from a pool.
 func MatchCSR(c *graph.CSR, p *Pattern) *Result {
 	r, _ := matchCounted(c, p)
 	return r
@@ -165,11 +178,15 @@ func MatchCSR(c *graph.CSR, p *Pattern) *Result {
 // matchCounted is MatchCSR that also returns the predecessor rows the
 // refinement scanned.
 func matchCounted(c *graph.CSR, p *Pattern) (*Result, int) {
-	s, ok := candidates(c, p)
+	n := c.NumNodes()
+	sc := scratches.Get().(*scratch)
+	defer sc.release(n)
+	s, ok := candidates(c, p, sc.flags(p.NumNodes()*n))
+	defer s.unmark()
 	if !ok {
 		return &Result{OK: false}, 0
 	}
-	ok, rows := refine(c, p, s)
+	ok, rows := refine(c, p, s, sc)
 	if !ok {
 		return &Result{OK: false}, rows
 	}
@@ -178,24 +195,35 @@ func matchCounted(c *graph.CSR, p *Pattern) (*Result, int) {
 
 // Expand is the post-processing function P of the pattern preserving
 // compression <R,F,P>: given the answer of Qp on Gr it produces the answer
-// on G by replacing every class node with its members. Linear in the size
-// of the output (Theorem 4); for Boolean queries it is unnecessary — use
-// the result's OK directly.
+// on G by replacing every class node with its members. Each set's members
+// are marked in a |V|-bit bitmap and read back, ascending, by one sweep
+// over the words they touched: O(out + |V|/64) per set with no sort, linear
+// in the size of the output (Theorem 4) up to the sweep. For Boolean
+// queries it is unnecessary — use the result's OK directly.
 func Expand(r *Result, c *bisim.Compressed) *Result {
 	if !r.OK {
 		return &Result{OK: false}
 	}
 	out := &Result{OK: true, Sets: make([][]graph.Node, len(r.Sets))}
+	marks := make([]uint64, (len(c.ClassMap())+63)/64)
 	for u, classes := range r.Sets {
-		size := 0
+		size, lo, hi := 0, len(marks), 0
 		for _, cls := range classes {
-			size += len(c.Members[cls])
+			ms := c.Members[cls]
+			size += len(ms)
+			for _, v := range ms {
+				w := int(v >> 6)
+				marks[w] |= 1 << (v & 63)
+				lo, hi = min(lo, w), max(hi, w+1)
+			}
 		}
 		set := make([]graph.Node, 0, size)
-		for _, cls := range classes {
-			set = append(set, c.Members[cls]...)
+		for w := lo; w < hi; w++ {
+			for b := marks[w]; b != 0; b &= b - 1 {
+				set = append(set, graph.Node(w<<6|bits.TrailingZeros64(b)))
+			}
+			marks[w] = 0
 		}
-		slices.Sort(set)
 		out.Sets[u] = set
 	}
 	return out

@@ -191,6 +191,13 @@ func TestMatchMissingLabel(t *testing.T) {
 	if Match(g, p).OK {
 		t.Fatal("matched a label absent from the graph")
 	}
+	// A label interned after the snapshot was frozen lies past its label
+	// index's range: no candidates either.
+	c := g.Freeze()
+	g.Labels().Intern("Z")
+	if MatchCSR(c, p).OK {
+		t.Fatal("matched a label no node of the snapshot carries")
+	}
 }
 
 func TestMatchCascadingRefinement(t *testing.T) {
@@ -239,11 +246,12 @@ func TestMatchAgainstBruteForce(t *testing.T) {
 
 // TestPreservationTheorem is the core correctness test of Section 4: for
 // any pattern Qp, Qp(G) = P(Qp(Gr)) where Gr is the bisimulation quotient
-// and P = Expand. The same Match code runs on both graphs.
+// and P = Expand. The same Match code runs on both graphs, of up to 400
+// nodes.
 func TestPreservationTheorem(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(40)
+		n := 1 + rng.Intn(400)
 		g := randomLabeled(rng, n, rng.Intn(4*n), 3)
 		c := bisim.Compress(g)
 		for trial := 0; trial < 5; trial++ {
@@ -476,5 +484,49 @@ func TestExpandNoMatch(t *testing.T) {
 	r := Expand(&Result{OK: false}, c)
 	if r.OK || r.Size() != 0 {
 		t.Fatal("Expand of no-match should be no-match")
+	}
+}
+
+// expandSorted is Expand by concatenation and sort: the reference the
+// bitmap sweep must equal.
+func expandSorted(r *Result, c *bisim.Compressed) *Result {
+	if !r.OK {
+		return &Result{OK: false}
+	}
+	out := &Result{OK: true, Sets: make([][]graph.Node, len(r.Sets))}
+	for u, classes := range r.Sets {
+		set := []graph.Node{}
+		for _, cls := range classes {
+			set = append(set, c.Members[cls]...)
+		}
+		slices.Sort(set)
+		out.Sets[u] = set
+	}
+	return out
+}
+
+// TestExpandMatchesSort holds Expand to expandSorted over random results on
+// random quotients: each set a random subset of the classes in random
+// order, empty sets included, and some results OK=false.
+func TestExpandMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := range 300 {
+		n := 1 + rng.Intn(300)
+		c := bisim.Compress(randomLabeled(rng, n, rng.Intn(3*n), 1+rng.Intn(3)))
+		r := &Result{OK: rng.Intn(8) > 0, Sets: make([][]graph.Node, rng.Intn(5))}
+		for u := range r.Sets {
+			for _, cls := range rng.Perm(c.NumClasses()) {
+				if rng.Intn(3) == 0 {
+					r.Sets[u] = append(r.Sets[u], graph.Node(cls))
+				}
+			}
+		}
+		got, want := Expand(r, c), expandSorted(r, c)
+		if !sameResult(got, want) {
+			t.Fatalf("trial %d: Expand %+v, sorted concatenation %+v", trial, got, want)
+		}
+		if got.OK && len(got.Sets) != len(r.Sets) {
+			t.Fatalf("trial %d: %d sets expanded from %d", trial, len(got.Sets), len(r.Sets))
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -16,6 +18,11 @@ const (
 	// targets; targets past it also go through ReverseWithinCSR. It keeps a
 	// pattern with many nodes from costing np·maxLevel·|V| counters.
 	maxLevels = 64
+	// maxPooledNodes caps, in pattern nodes, the membership flags a
+	// scratch keeps in the pool: a pattern the wire admits (at most 64
+	// nodes) reuses them, and a larger one does not leave np·|V| flags
+	// behind.
+	maxPooledNodes = 64
 )
 
 // sets is a candidate relation sim ⊆ Vp×V under refinement: in[u][v]
@@ -27,63 +34,42 @@ type sets struct {
 	size []int
 }
 
-// candidates resolves every pattern node's label candidates in one pass
-// over c's label array. It returns false when some pattern node has none.
-func candidates(c *graph.CSR, p *Pattern) (*sets, bool) {
+// candidates copies every pattern node's label group out of c's label
+// index and marks it in in, np·|V| flags that are all false on entry (u's
+// flags are in[u·|V|, (u+1)·|V|)). It returns false when some pattern node
+// has no candidate; the flags already marked stay listed in s.list.
+func candidates(c *graph.CSR, p *Pattern, in []bool) (s *sets, ok bool) {
 	np, n := p.NumNodes(), c.NumNodes()
-	// group[u] indexes the distinct label u asks for; slot maps a label id
-	// to its group, -1 for labels no pattern node asks for.
-	group := make([]int32, np)
-	groupOf := make(map[graph.Label]int32)
-	maxID := graph.Label(-1)
+	s = &sets{in: make([][]bool, np), list: make([][]graph.Node, np), size: make([]int, np)}
 	for u := range np {
-		id, ok := c.Labels().Lookup(p.labels[u])
-		if !ok {
-			return nil, false
+		id, known := c.Labels().Lookup(p.labels[u])
+		if !known {
+			return s, false
 		}
-		g, seen := groupOf[id]
-		if !seen {
-			g = int32(len(groupOf))
-			groupOf[id] = g
-			maxID = max(maxID, id)
+		group := c.NodesLabeled(id)
+		if len(group) == 0 {
+			return s, false
 		}
-		group[u] = g
-	}
-	slot := make([]int32, maxID+1)
-	for i := range slot {
-		slot[i] = -1
-	}
-	for id, g := range groupOf {
-		slot[id] = g
-	}
-	members := make([][]graph.Node, len(groupOf))
-	for v, l := range c.LabelIDs() {
-		if l <= maxID && slot[l] >= 0 {
-			members[slot[l]] = append(members[slot[l]], graph.Node(v))
-		}
-	}
-	s := &sets{in: make([][]bool, np), list: make([][]graph.Node, np), size: make([]int, np)}
-	in := make([]bool, np*n)
-	taken := make([]bool, len(groupOf))
-	for u := range np {
-		g := group[u]
-		if len(members[g]) == 0 {
-			return nil, false
-		}
-		// Lists are compacted in place, so pattern nodes asking for one
-		// label each need their own copy.
-		s.list[u] = members[g]
-		if taken[g] {
-			s.list[u] = append([]graph.Node(nil), members[g]...)
-		}
-		taken[g] = true
+		// Lists are compacted in place, so each pattern node gets its own
+		// copy of the shared group.
+		s.list[u] = append([]graph.Node(nil), group...)
 		s.in[u] = in[u*n : (u+1)*n]
-		for _, v := range s.list[u] {
+		for _, v := range group {
 			s.in[u][v] = true
 		}
-		s.size[u] = len(s.list[u])
+		s.size[u] = len(group)
 	}
 	return s, true
+}
+
+// unmark clears every membership flag s still holds, in time linear in its
+// lists: a flag is set only for a node its list holds.
+func (s *sets) unmark() {
+	for u, l := range s.list {
+		for _, v := range l {
+			s.in[u][v] = false
+		}
+	}
 }
 
 // live compacts list[u] to sim(u)'s current members and returns it.
@@ -124,14 +110,43 @@ type farEdge struct {
 	seen  int
 }
 
-// scratch is the pooled memory of one refinement.
+// edgeRef is pattern edge e leaving u, in the refinement's examination
+// order.
+type edgeRef struct {
+	u int32
+	e Edge
+}
+
+// scratch is the pooled memory of one match: its membership flags and its
+// refinement's counters, queue and edge order.
 type scratch struct {
+	in           []bool
 	cnt          []int32
 	stack        []drop
 	front, reach []graph.Node
+	order        []edgeRef
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// flags returns k membership flags, all false. Callers clear what they set
+// (sets.unmark) before release puts the scratch back.
+func (sc *scratch) flags(k int) []bool {
+	if cap(sc.in) < k {
+		sc.in = make([]bool, k)
+	}
+	return sc.in[:k]
+}
+
+// release returns sc to the pool. A flag buffer beyond maxPooledNodes·n is
+// dropped, not pooled.
+func (sc *scratch) release(n int) {
+	if cap(sc.in) > maxPooledNodes*n {
+		sc.in = nil
+	}
+	sc.stack = sc.stack[:0]
+	scratches.Put(sc)
+}
 
 // refiner runs one refinement; see the package doc for the counters and
 // the drop rule.
@@ -155,15 +170,12 @@ type refiner struct {
 // match; on false s is left partly refined. Any superset of the maximum
 // match converges to it: every removal is justified by the current sets,
 // which only shrink (this is what IncMatcher's deletion path relies on).
-// rows counts the predecessor rows the counters scanned.
-func refine(c *graph.CSR, p *Pattern, s *sets) (ok bool, rows int) {
+// rows counts the predecessor rows the counters scanned. sc lends the
+// counters and the queue; its stack may hold drops on return.
+func refine(c *graph.CSR, p *Pattern, s *sets, sc *scratch) (ok bool, rows int) {
 	np, n := p.NumNodes(), c.NumNodes()
 	r := &refiner{c: c, s: s, n: n, lv: make([]int, np), cnt: make([][]int32, np),
-		up: make([][][]int32, np), ver: make([]int, np), sc: scratches.Get().(*scratch)}
-	defer func() {
-		r.sc.stack = r.sc.stack[:0]
-		scratches.Put(r.sc)
-	}()
+		up: make([][][]int32, np), ver: make([]int, np), sc: sc}
 	for _, es := range p.adj {
 		for _, e := range es {
 			if e.Bound != Unbounded && e.Bound <= maxLevel {
@@ -194,27 +206,35 @@ func refine(c *graph.CSR, p *Pattern, s *sets) (ok bool, rows int) {
 		}
 	}
 
-	// Examine the edges in pattern-edge order, building each target's
-	// counters on first use, and settle every cascade before the next edge.
+	// Examine the edges cheapest target first (package doc), building each
+	// target's counters on first use, and settle every cascade before the
+	// next edge.
+	order := sc.order[:0]
 	for u, es := range p.adj {
 		for _, e := range es {
-			if e.Bound != Unbounded && e.Bound <= r.lv[e.To] {
-				if r.cnt[e.To] == nil {
-					r.build(e.To)
-				}
-				lvl := r.level(e.To, e.Bound-1)
-				for _, v := range s.live(int32(u)) {
-					if lvl[v] == 0 {
-						r.remove(int32(u), v)
-					}
-				}
-			} else {
-				r.far = append(r.far, farEdge{u: int32(u), t: e.To, bound: e.Bound})
-				r.runFar(&r.far[len(r.far)-1])
+			order = append(order, edgeRef{u: int32(u), e: e})
+		}
+	}
+	slices.SortStableFunc(order, func(a, b edgeRef) int { return cmp.Compare(s.size[a.e.To], s.size[b.e.To]) })
+	sc.order = order
+	for _, o := range order {
+		u, e := o.u, o.e
+		if e.Bound != Unbounded && e.Bound <= r.lv[e.To] {
+			if r.cnt[e.To] == nil {
+				r.build(e.To)
 			}
-			if !r.drain() {
-				return false, r.rows
+			lvl := r.level(e.To, e.Bound-1)
+			for _, v := range s.live(u) {
+				if lvl[v] == 0 {
+					r.remove(u, v)
+				}
 			}
+		} else {
+			r.far = append(r.far, farEdge{u: u, t: e.To, bound: e.Bound})
+			r.runFar(&r.far[len(r.far)-1])
+		}
+		if !r.drain() {
+			return false, r.rows
 		}
 	}
 	// The counters keep every bounded edge settled; the far edges are rerun

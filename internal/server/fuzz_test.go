@@ -90,6 +90,7 @@ func FuzzHandleRequest(f *testing.F) {
 	f.Add(byte(MsgTail), tailBody(0, 0, 0, 1<<63))  // a lineage the store never drew: an image
 	f.Add(byte(MsgMatch), EncodePattern(make([]byte, 8), farPattern(1<<20)))
 	f.Add(byte(MsgMatch), EncodePattern(make([]byte, 8), farPattern(9)))
+	f.Add(byte(MsgMatch), EncodePattern(make([]byte, 8), wideLabelPattern(65))) // one node past the cap
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
 		srv := fuzzServerInstance()
 		emitted := 0

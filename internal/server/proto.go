@@ -318,10 +318,14 @@ func EncodePattern(buf []byte, p *pattern.Pattern) []byte {
 	return buf
 }
 
-// maxPatternNodes bounds a decoded pattern; queries in this repo use a
-// handful of nodes, and refusal here keeps a forged count from turning
-// into a giant allocation.
-const maxPatternNodes = 1 << 16
+// maxPatternNodes and maxPatternEdges bound a decoded pattern, so one
+// request's match costs at most 64·|Gr| membership flags: the paper's
+// largest pattern has 8 nodes, and 64 is the refinement's counter-level
+// budget. A 65 536-node pattern once cost a single match 2.9 GB.
+const (
+	maxPatternNodes = 64
+	maxPatternEdges = 1024
+)
 
 // decodePattern reads a pattern from c, validating counts against the
 // remaining bytes and edge endpoints against the node count before
@@ -350,7 +354,7 @@ func decodePattern(c *cursor) (*pattern.Pattern, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	if int64(m) > int64(len(c.b)-c.off)/12 {
+	if m > maxPatternEdges || int64(m) > int64(len(c.b)-c.off)/12 {
 		return nil, fmt.Errorf("server: pattern claims %d edges in %d bytes", m, len(c.b)-c.off)
 	}
 	for i := uint32(0); i < m; i++ {

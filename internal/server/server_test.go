@@ -256,6 +256,64 @@ func TestWireRejectsGarbage(t *testing.T) {
 	}
 }
 
+// wideLabelPattern returns a pattern of n nodes labeled L0 and no edges: on
+// a graph with L0 nodes it matches, and its answer holds n sets.
+func wideLabelPattern(n int) *pattern.Pattern {
+	p := pattern.New()
+	for range n {
+		p.AddNode("L0")
+	}
+	return p
+}
+
+// TestWirePatternSizeCapped pins the cost bound on a wire match: a pattern
+// of 64 nodes is answered, one of 65 nodes or of 1 025 edges gets MsgErr,
+// and the connection answers a ping afterwards.
+func TestWirePatternSizeCapped(t *testing.T) {
+	_, srv := startStoreServer(t, testGraph(5), Options{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	bw := bufio.NewWriter(conn)
+	roundTrip := func(mt MsgType, body []byte) MsgType {
+		t.Helper()
+		if err := WriteFrame(bw, mt, body); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ReadFrame(br, nil)
+		if err != nil {
+			t.Fatalf("connection died: %v", err)
+		}
+		return got
+	}
+	manyEdges := testPattern()
+	for range 1024 {
+		manyEdges.AddEdge(0, 1, 1)
+	}
+	for _, tc := range []struct {
+		name string
+		p    *pattern.Pattern
+		want MsgType
+	}{
+		{"64 nodes", wideLabelPattern(64), MsgMatched},
+		{"65 nodes", wideLabelPattern(65), MsgErr},
+		{"1025 edges", manyEdges, MsgErr},
+	} {
+		if got := roundTrip(MsgMatch, EncodePattern(make([]byte, 8), tc.p)); got != tc.want {
+			t.Fatalf("%s: got response 0x%02x, want 0x%02x", tc.name, byte(got), byte(tc.want))
+		}
+	}
+	if got := roundTrip(MsgPing, nil); got != MsgEpoch {
+		t.Fatalf("ping after a refused pattern: got response 0x%02x", byte(got))
+	}
+}
+
 // TestNodeIDValidationBothKinds pins the bounds check on wire input: a
 // sharded-backed server accepts the same ids and rejects the same ones,
 // with the same message, as a monolithic one — on point reads, batch reads
