@@ -353,65 +353,6 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 	}
 }
 
-// Sharded store benchmarks: the partition-parallel counterparts of the
-// store benchmarks above. Routed reads pay local lookups plus a summary
-// hop; builds shard the superlinear compression work.
-
-// BenchmarkShardedOpen measures OpenSharded at k=4 including the epoch-0
-// publication (partition, per-shard pipelines, summary, stitched quotient).
-func BenchmarkShardedOpen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		g := socialGraph(4000, 24000)
-		b.StartTimer()
-		s, _ := store.OpenSharded(g, &store.ShardedOptions{Shards: 4, Indexes: true}) // in-memory: cannot fail
-		b.StopTimer()
-		s.Close()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkShardedReachableParallel measures concurrent routed point reads
-// (same-shard fast path plus cross-shard summary routing) at k=4.
-func BenchmarkShardedReachableParallel(b *testing.B) {
-	g := socialGraph(4000, 24000)
-	pairs := storePairs(g)
-	s, _ := store.OpenSharded(g, &store.ShardedOptions{Shards: 4, Indexes: true}) // in-memory: cannot fail
-	defer s.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := rand.Int()
-		for pb.Next() {
-			p := pairs[i%len(pairs)]
-			s.Reachable(p[0], p[1])
-			i++
-		}
-	})
-}
-
-// BenchmarkShardedApplyBatch measures sharded write-side cost per published
-// epoch: routed sub-batches through the shard writers plus the summary and
-// stitched-quotient rebuild.
-func BenchmarkShardedApplyBatch(b *testing.B) {
-	g := socialGraph(3000, 18000)
-	mirror := g.Clone()
-	s, _ := store.OpenSharded(g, &store.ShardedOptions{Shards: 4, Indexes: true}) // in-memory: cannot fail
-	defer s.Close()
-	rng := rand.New(rand.NewSource(9))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		batch := gen.RandomBatch(rng, mirror, 64, 0.5)
-		mirror.Apply(batch)
-		b.StartTimer()
-		if _, err := s.ApplyBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAHOTransitiveReduction(b *testing.B) {
 	g := gen.Citation(rand.New(rand.NewSource(6)), 2000, 12000, 4)
 	b.ReportAllocs()

@@ -14,19 +14,9 @@ import (
 	"repro/internal/wal"
 )
 
-// displayKind renders a manifest kind for prose ("store" reads badly in
-// "recovered store store").
-func displayKind(kind string) string {
-	if kind == "store" {
-		return "monolithic"
-	}
-	return kind
-}
-
-// openRecovered opens the durable directory as whichever kind its manifest
-// names, for the recover/checkpoint/scrub subcommands; info is the
-// directory as it was before the open.
-func openRecovered(dir string) (s store.Handle, info store.DirInfo) {
+// openRecovered opens the durable directory for the recover/checkpoint/scrub
+// subcommands; info is the directory as it was before the open.
+func openRecovered(dir string) (s *store.Store, info store.DirInfo) {
 	if !store.HasState(dir) {
 		fatal(fmt.Errorf("%s holds no durable store state (no MANIFEST)", dir))
 	}
@@ -36,24 +26,10 @@ func openRecovered(dir string) (s store.Handle, info store.DirInfo) {
 	}
 	o := store.DefaultOptions()
 	o.Dir = dir
-	if s, err = store.OpenDir(o); err != nil {
+	if s, err = store.Open(nil, &o); err != nil {
 		fatal(err)
 	}
 	return s, info
-}
-
-// printStats prints the kind's own summary line of a recovered store.
-func printStats(s store.Handle) {
-	switch s := s.(type) {
-	case *store.ShardedStore:
-		st := s.Stats()
-		fmt.Printf("state: epoch %d  |V|=%d |E|=%d  %d shards  boundary %d  reach classes %d  stitched classes %d\n",
-			st.Epoch, st.Nodes, st.Edges, st.Shards, st.Boundary, st.ReachClasses, st.StitchClasses)
-	case *store.Store:
-		st := s.Stats()
-		fmt.Printf("state: epoch %d  |V|=%d |E|=%d  Gr-reach %d classes (ratio %.2f%%)  Gr-pattern %d classes (ratio %.2f%%)\n",
-			st.Epoch, st.Nodes, st.Edges, st.ReachClasses, 100*st.ReachRatio, st.PatternClasses, 100*st.PatternRatio)
-	}
 }
 
 // cmdCheckpoint forces a synchronous checkpoint of a durable directory:
@@ -68,8 +44,8 @@ func cmdCheckpoint(args []string) {
 	}
 	r, info := openRecovered(*data)
 	defer r.Close()
-	fmt.Printf("recovered %s store at epoch %d (checkpoint was epoch %d, WAL %d bytes)\n",
-		displayKind(info.Kind), r.Epoch(), info.Epoch, info.WALBytes)
+	fmt.Printf("recovered store at epoch %d (checkpoint was epoch %d, WAL %d bytes)\n",
+		r.Epoch(), info.Epoch, info.WALBytes)
 	if err := r.Checkpoint(); err != nil {
 		fatal(err)
 	}
@@ -102,8 +78,8 @@ func cmdRecover(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("manifest: %s store, checkpoint %s (epoch %d, %d bytes), WAL %d bytes in %d segment(s)\n",
-		displayKind(info.Kind), info.Snapshot, info.Epoch, info.SnapshotBytes, info.WALBytes, info.WALSegments)
+	fmt.Printf("manifest: checkpoint %s (epoch %d, %d bytes), WAL %d bytes in %d segment(s)\n",
+		info.Snapshot, info.Epoch, info.SnapshotBytes, info.WALBytes, info.WALSegments)
 	for _, q := range info.Quarantined {
 		fmt.Printf("quarantined (corrupt, preserved by a prior scrub): %s\n", q)
 	}
@@ -114,7 +90,9 @@ func cmdRecover(args []string) {
 	epoch, nodes := r.Epoch(), r.NumNodes()
 	fmt.Printf("recovered in %v: epoch %d (%d batches replayed from the WAL tail)\n",
 		loadTime.Round(time.Microsecond), epoch, epoch-info.Epoch)
-	printStats(r)
+	st := r.Stats()
+	fmt.Printf("state: epoch %d  |V|=%d |E|=%d  Gr-reach %d classes (ratio %.2f%%)  Gr-pattern %d classes (ratio %.2f%%)\n",
+		st.Epoch, st.Nodes, st.Edges, st.ReachClasses, 100*st.ReachRatio, st.PatternClasses, 100*st.PatternRatio)
 	if !*verify {
 		return
 	}

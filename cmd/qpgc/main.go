@@ -8,7 +8,7 @@
 //	qpgc reach     -in g.txt -from 3 -to 17
 //	qpgc gen       -kind social|web|citation|p2p|er -v 1000 -e 5000 -l 4 -out g.txt [-seed n]
 //	qpgc workload  -in g.txt -ops 10000 -write 0.05 -out w.txt [-seed n]
-//	qpgc serve     -listen addr [-in g.txt] [-shards k] [-data dir] [-sync always|none] [-faults plan] [-scrub 1s] [-maxqps n] [-metrics addr] [-slow 5ms]
+//	qpgc serve     -listen addr [-in g.txt] [-data dir] [-sync always|none] [-faults plan] [-scrub 1s] [-maxqps n] [-metrics addr] [-slow 5ms]
 //	qpgc replica   -leader addr[,addr...] -data dir [-listen addr]
 //	qpgc promote   -addr addr [-wait 10s]
 //	qpgc client    -addr addr[,addr...] [-workload w.txt [-wbatch n]] [-from u -to v] [-stats] [-verify [-addrs a,b,c] [-pairs n]]
@@ -23,14 +23,12 @@
 // query preservation.
 //
 // "serve" is a durable host and a network front, nothing else: it opens a
-// concurrent store on the graph — with -shards k > 1, k partition-parallel
-// write pipelines that route cross-shard queries through the boundary
-// summary — and serves it on -listen (the wire protocol of internal/server)
-// until SIGINT/SIGTERM, then prints the requests served, the faults fired
-// and the store's health. "client" is the one driver: it replays a
-// "workload" file over the wire, and with -verify asks every query on G as
-// well as on Gr and holds the two answers to each other at their stamped
-// epoch, then runs the quiesced differential (below).
+// concurrent store on the graph and serves it on -listen (the wire protocol
+// of internal/server) until SIGINT/SIGTERM, then prints the requests
+// served, the faults fired and the store's health. "client" is the one
+// driver: it replays a "workload" file over the wire, and with -verify asks
+// every query on G as well as on Gr and holds the two answers to each other
+// at their stamped epoch, then runs the quiesced differential (below).
 //
 // With -data the serve store is durable: accepted batches are write-ahead
 // logged before acknowledgement and the epoch state checkpoints in the

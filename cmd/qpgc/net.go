@@ -183,8 +183,7 @@ func cmdClient(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s: %s store, epoch %d, |V|=%d |E|=%d, %d shard(s)\n",
-			*addr, in.Kind, in.Epoch, in.Nodes, in.Edges, in.Shards)
+		fmt.Printf("%s: epoch %d, |V|=%d |E|=%d\n", *addr, in.Epoch, in.Nodes, in.Edges)
 		fmt.Printf("%s: %d batches, %d updates, %d reads served\n",
 			*addr, in.Batches, in.Updates, in.Reads)
 	}

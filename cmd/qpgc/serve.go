@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -52,13 +53,13 @@ func cmdWorkload(args []string) {
 	fmt.Printf("wrote %s: %d ops (%d queries, %d updates)\n", *out, len(w), q, u)
 }
 
-// serveFlags are serve's options: the durable host (-in, -shards, -data,
-// -sync, -faults, -scrub) and the network front (-listen, -maxqps,
-// -metrics, -slow).
+// serveFlags are serve's options: the durable host (-in, -data, -sync,
+// -faults, -scrub) and the network front (-listen, -maxqps, -metrics,
+// -slow).
 type serveFlags struct {
 	in, data, sync, faults string
 	listen, metrics        string
-	shards, maxqps         int
+	maxqps                 int
 	scrub, slow            time.Duration
 }
 
@@ -83,18 +84,16 @@ func (f serveFlags) check() error {
 }
 
 // cmdServe hosts a store and fronts it over TCP until SIGINT/SIGTERM. With
-// -shards k > 1 the store is sharded: k partition-parallel write pipelines
-// behind a coordinator. With -data the store is durable: batches are
-// write-ahead logged before acknowledgement, the epoch state checkpoints in
-// the background, the endpoint ships snapshots and WAL segments to
-// replicas, and a directory left by a previous run is recovered instead of
-// rebuilding from -in. On a signal it prints the requests served, the
-// faults fired and, for a durable store, its health and last scrub.
+// -data the store is durable: batches are write-ahead logged before
+// acknowledgement, the epoch state checkpoints in the background, the
+// endpoint ships snapshots and WAL segments to replicas, and a directory
+// left by a previous run is recovered instead of rebuilding from -in. On a
+// signal it prints the requests served, the faults fired and, for a durable
+// store, its health and last scrub.
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var f serveFlags
 	fs.StringVar(&f.in, "in", "", "input graph file (not read when -data recovers)")
-	fs.IntVar(&f.shards, "shards", 1, "shard count (1 = monolithic store; ignored when -data recovers)")
 	fs.StringVar(&f.data, "data", "", "durable directory (snapshot checkpoints + WAL); existing state is recovered")
 	fs.StringVar(&f.sync, "sync", "always", "WAL fsync policy with -data: always|none")
 	fs.StringVar(&f.faults, "faults", "", "fault-injection plan for the durable filesystem (e.g. \"enospc@120+40,sync@300+3%wal-\")")
@@ -140,7 +139,7 @@ func cmdServe(args []string) {
 		fmt.Printf("metrics on http://%s/metrics\n", ms.Addr())
 	}
 	srv, err := server.Start(f.listen, server.Options{
-		Backend: server.NewBackend(st), ReplDir: f.data, MaxQPS: f.maxqps,
+		Backend: server.NewStoreBackend(st), ReplDir: f.data, MaxQPS: f.maxqps,
 		Obs: reg, SlowQuery: f.slow,
 	})
 	if err != nil {
@@ -166,35 +165,21 @@ func cmdServe(args []string) {
 }
 
 // openServed opens the store serve fronts. A -data directory with state is
-// recovered as whichever kind its manifest names, so -in is neither
-// required nor parsed then — skipping that cost is the point of a warm
-// restart. Otherwise -in is loaded into a store of -shards partitions.
-func openServed(f serveFlags, o store.Options) store.Handle {
+// recovered, so -in is neither required nor parsed then — skipping that
+// cost is the point of a warm restart. Otherwise -in is loaded.
+func openServed(f serveFlags, o store.Options) *store.Store {
+	var g *graph.Graph
 	if f.data != "" && store.HasState(f.data) {
 		info, err := store.Inspect(f.data)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("recovering %s store from %s (checkpoint epoch %d, WAL %d bytes in %d segment(s))\n",
-			displayKind(info.Kind), f.data, info.Epoch, info.WALBytes, info.WALSegments)
-		s, err := store.OpenDir(o)
-		if err != nil {
-			fatal(err)
-		}
-		return s
-	}
-	if f.in == "" {
+		fmt.Printf("recovering store from %s (checkpoint epoch %d, WAL %d bytes in %d segment(s))\n",
+			f.data, info.Epoch, info.WALBytes, info.WALSegments)
+	} else if f.in == "" {
 		fatal(errors.New("serve: -in is required (no recoverable state in -data)"))
-	}
-	g := load(f.in)
-	if f.shards > 1 {
-		so := store.DefaultShardedOptions()
-		so.Shards, so.Dir, so.Sync, so.FS, so.ScrubInterval, so.Obs = f.shards, o.Dir, o.Sync, o.FS, o.ScrubInterval, o.Obs
-		s, err := store.OpenSharded(g, &so)
-		if err != nil {
-			fatal(err)
-		}
-		return s
+	} else {
+		g = load(f.in)
 	}
 	s, err := store.Open(g, &o)
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestServeFlagsCheck(t *testing.T) {
-	ok := serveFlags{listen: "127.0.0.1:0", sync: "always", shards: 1}
+	ok := serveFlags{listen: "127.0.0.1:0", sync: "always"}
 	durable := ok
 	durable.data = "d.qpgc"
 	cases := []struct {

@@ -255,8 +255,7 @@ func renderTop(w io.Writer, cur, prev metricSample, dt time.Duration, rpcEpoch u
 		health = "FENCED"
 	}
 	fmt.Fprintf(w, "qpgc top — %s  [%s]  epoch %.0f  %s\n", target, role, epoch, health)
-	fmt.Fprintf(w, "store   shards %.0f  batches %.0f  updates %.0f  reads %.0f  epoch age %.1fs\n",
-		cur.get("qpgc_store_shards"),
+	fmt.Fprintf(w, "store   batches %.0f  updates %.0f  reads %.0f  epoch age %.1fs\n",
 		cur.get("qpgc_store_batches_total"),
 		cur.get("qpgc_store_updates_total"),
 		cur.get("qpgc_store_reads_total"),

@@ -107,35 +107,3 @@ func ExampleOpen() {
 	// pinned epoch 0, a->c: false
 	// stats: 1 batches, 1 updates
 }
-
-func ExampleOpenSharded() {
-	// A 6-node chain across two labeled halves; with 3 shards, edges
-	// between shards route through the boundary summary.
-	g := qpgc.NewGraph()
-	var nodes []qpgc.Node
-	for i := 0; i < 6; i++ {
-		nodes = append(nodes, g.AddNodeNamed(fmt.Sprintf("L%d", i%2)))
-	}
-	for i := 0; i+1 < 6; i++ {
-		g.AddEdge(nodes[i], nodes[i+1])
-	}
-
-	s, _ := qpgc.OpenSharded(g, &qpgc.ShardedOptions{Shards: 3, Indexes: true})
-	defer s.Close()
-
-	fmt.Println("0->5:", s.Reachable(nodes[0], nodes[5]))
-	fmt.Println("5->0:", s.Reachable(nodes[5], nodes[0]))
-
-	res, _ := s.ApplyBatch([]qpgc.Update{qpgc.Insertion(nodes[5], nodes[0])})
-	fmt.Printf("batch visible at epoch %d\n", res.Epoch)
-	fmt.Println("5->0 now:", s.Reachable(nodes[5], nodes[0]))
-
-	st := s.Stats()
-	fmt.Printf("shards: %d, exact answers preserved\n", st.Shards)
-	// Output:
-	// 0->5: true
-	// 5->0: false
-	// batch visible at epoch 1
-	// 5->0 now: true
-	// shards: 3, exact answers preserved
-}

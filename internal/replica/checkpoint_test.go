@@ -19,12 +19,8 @@ import (
 // retiredBlock reports whether a snapshot file block tag is one of those
 // older encoders wrote and snapfile now skips: G's locality permutation
 // (0x0f0, 0x0f1), the reach member rows (0x121) and the reach and pattern
-// 2-hop groups (0x160–0x164, 0x1c0–0x1c4); a shard's blocks sit at the same
-// offsets from 0x100 in its own 0x100-wide range above 0x1000.
+// 2-hop groups (0x160–0x164, 0x1c0–0x1c4).
 func retiredBlock(tag uint32) bool {
-	if tag >= 0x1000 {
-		tag = 0x100 + (tag-0x1000)%0x100
-	}
 	return tag == 0x0f0 || tag == 0x0f1 || tag == 0x121 || tag >= 0x160 && tag <= 0x164 || tag >= 0x1c0 && tag <= 0x1c4
 }
 
@@ -68,47 +64,39 @@ func TestCheckpointBuildsNothing(t *testing.T) {
 	us, vs := pairs(g.NumNodes())
 
 	t.Run("checkpoint", func(t *testing.T) {
-		for _, sharded := range []bool{false, true} {
-			reg := obs.NewRegistry()
-			dir := t.TempDir()
-			var h store.Handle
-			var err error
-			if sharded {
-				h, err = store.OpenSharded(g.Clone(), &store.ShardedOptions{Shards: 3, Indexes: true, Dir: dir, Sync: store.SyncNone, Obs: reg})
-			} else {
-				h, err = store.Open(g.Clone(), &store.Options{Indexes: true, Dir: dir, Sync: store.SyncNone, Obs: reg})
-			}
-			if err != nil {
+		reg := obs.NewRegistry()
+		dir := t.TempDir()
+		s, err := store.Open(g.Clone(), &store.Options{Indexes: true, Dir: dir, Sync: store.SyncNone, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		mirror := g.Clone()
+		rng := rand.New(rand.NewSource(6))
+		for i := 0; i < 4; i++ {
+			b := gen.RandomBatch(rng, mirror, 16, 0.5)
+			mirror.Apply(b)
+			if _, err := s.Apply(b); err != nil {
 				t.Fatal(err)
 			}
-			mirror := g.Clone()
-			rng := rand.New(rand.NewSource(6))
-			for i := 0; i < 4; i++ {
-				b := gen.RandomBatch(rng, mirror, 16, 0.5)
-				mirror.Apply(b)
-				if _, err := h.Apply(b); err != nil {
-					t.Fatal(err)
-				}
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		built := func() uint64 {
+			return reg.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", "index")).Snapshot().Count
+		}
+		if n := built(); n != 0 {
+			t.Fatalf("%d 2-hop indexes built by open, writes and two checkpoints", n)
+		}
+		for _, tag := range checkpointTags(t, dir) {
+			if retiredBlock(tag) {
+				t.Fatalf("the checkpoint holds retired block %#x", tag)
 			}
-			if err := h.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			built := func() uint64 {
-				return reg.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", "index")).Snapshot().Count
-			}
-			if n := built(); n != 0 {
-				t.Fatalf("sharded=%v: %d 2-hop indexes built by open, writes and two checkpoints", sharded, n)
-			}
-			for _, tag := range checkpointTags(t, dir) {
-				if retiredBlock(tag) {
-					t.Fatalf("sharded=%v: the checkpoint holds retired block %#x", sharded, tag)
-				}
-			}
-			h.BatchReachable(us, vs)
-			if n := built(); n == 0 {
-				t.Fatalf("sharded=%v: a batch read built no 2-hop index: the views had no cell", sharded)
-			}
-			h.Close()
+		}
+		s.BatchReachable(us, vs)
+		if n := built(); n == 0 {
+			t.Fatal("a batch read built no 2-hop index: the views had no cell")
 		}
 	})
 
@@ -124,14 +112,14 @@ func TestCheckpointBuildsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		if err := store.InstallSnapshot(dir, "store", p.Epoch, data); err != nil {
+		if err := store.InstallSnapshot(nil, dir, p.Epoch, data); err != nil {
 			t.Fatal(err)
 		}
-		h, err := store.OpenDir(store.Options{Indexes: false, Dir: dir})
+		h, err := store.Open(nil, &store.Options{Indexes: false, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.(*store.Store).Snapshot().Reach.Index() != nil {
+		if h.Snapshot().Reach.Index() != nil {
 			t.Fatal("Indexes off recovered an older file with a 2-hop index")
 		}
 		h.Close()
@@ -143,11 +131,11 @@ func TestCheckpointBuildsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Close()
-		h, err = store.OpenDir(store.Options{Indexes: true, Dir: dir})
+		h, err = store.Open(nil, &store.Options{Indexes: true, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.(*store.Store).Snapshot().Reach.Index() == nil {
+		if h.Snapshot().Reach.Index() == nil {
 			t.Fatal("Indexes on recovered a new file without a 2-hop index")
 		}
 		h.Close()
@@ -182,7 +170,7 @@ func TestCheckpointBuildsNothing(t *testing.T) {
 		if st := local.SchedStats(); st.Hop2Peeled == 0 {
 			t.Fatalf("the follower's batch reads peeled nothing through a 2-hop index: %+v", st)
 		}
-		if local.(*store.Store).Snapshot().Reach.Index() == nil {
+		if local.Snapshot().Reach.Index() == nil {
 			t.Fatal("the follower's reach view has no 2-hop cell")
 		}
 	})

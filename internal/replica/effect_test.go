@@ -17,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/queries"
 	"repro/internal/server"
+	"repro/internal/store"
 )
 
 // TestFollowerRunsNoMaintainer counts what a follower does to keep up over
@@ -255,4 +256,43 @@ func TestChaosBitFlippedEffect(t *testing.T) {
 		t.Fatalf("corrupted effects were not quarantined (%+v)", st)
 	}
 	diffAgainstReference(t, "effect-bitflip", mirror, map[string]server.Backend{"follower": f})
+}
+
+// TestWrappedBackendShipsEffects: a server fronting a wrapper that embeds a
+// store's Backend still ships effects — Effects is a method of Backend, not
+// an optional surface the wrapper would hide — so its follower takes an
+// image, then diffs, and re-derives no batch.
+func TestWrappedBackendShipsEffects(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(63)), 2000, 8000, 5)
+	dir := t.TempDir()
+	s, err := store.Open(g.Clone(), &store.Options{Dir: dir, Sync: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	wrapped := struct{ server.Backend }{server.NewStoreBackend(s)}
+	srv, err := server.Start("127.0.0.1:0", server.Options{Backend: wrapped, ReplDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reg := obs.NewRegistry()
+	f := startFollower(t, srv.Addr(), Options{Obs: reg})
+
+	mirror := g.Clone()
+	rng := rand.New(rand.NewSource(64))
+	for i := 0; i < 20; i++ {
+		batch := gen.RandomBatch(rng, mirror, 10, 0.6)
+		mirror.Apply(batch)
+		epoch, err := s.Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitEpoch(t, f, epoch, 10*time.Second)
+	}
+	diffAgainstReference(t, "wrapped", mirror, map[string]server.Backend{"follower": f})
+	raw := reg.Histogram(obs.Label("qpgc_replica_apply_seconds", "path", "raw")).Snapshot().Count
+	if images, diffs := f.images.Load(), f.diffs.Load(); images < 1 || diffs < 1 || raw != 0 {
+		t.Fatalf("the follower took %d images, %d diffs and %d raw applies; want an image, diffs and no raw", images, diffs, raw)
+	}
 }

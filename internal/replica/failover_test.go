@@ -376,11 +376,11 @@ func TestResyncRacesCheckpoint(t *testing.T) {
 
 	// Bootstrap the follower directory at the current checkpoint...
 	dir := t.TempDir()
-	kind, epoch, data, err := lh.cli.FetchSnapshot()
+	epoch, data, err := lh.cli.FetchSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.InstallSnapshot(dir, kind, epoch, data); err != nil {
+	if err := store.InstallSnapshot(nil, dir, epoch, data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -436,11 +436,11 @@ func TestCloseDuringResync(t *testing.T) {
 		// A follower bootstrapped at the current state, parked while the
 		// leader truncates its runway: its first tail round needs a resync.
 		dir := t.TempDir()
-		kind, epoch, data, err := lh.cli.FetchSnapshot()
+		epoch, data, err := lh.cli.FetchSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := store.InstallSnapshot(dir, kind, epoch, data); err != nil {
+		if err := store.InstallSnapshot(nil, dir, epoch, data); err != nil {
 			t.Fatal(err)
 		}
 		apply(6)

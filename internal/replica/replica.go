@@ -142,9 +142,8 @@ type Follower struct {
 	opts    Options
 	leaders []string // replication source retry list
 
-	mu     sync.RWMutex   // guards b/closer across resync swaps
-	b      server.Backend // local store, swapped on resync
-	closer store.Handle   // the same store's lifecycle and term surface
+	mu sync.RWMutex // guards s across resync swaps
+	s  *store.Store // the local store, swapped on resync
 	// wake is broadcast when what AwaitEpoch waits on moves: the local store
 	// published a batch, was swapped by a resync, or was fenced. Waiters
 	// park here and not on the store, so a swap carries them over.
@@ -228,16 +227,16 @@ func Start(opts Options) (*Follower, error) {
 			return nil, err
 		}
 	}
-	b, closer, err := openLocal(opts)
+	s, err := openLocal(opts)
 	if err != nil {
 		return nil, err
 	}
-	f.b, f.closer = b, closer
+	f.s = s
 	// A snapshot fetched during bootstrap reported the source's term;
 	// adopt it so the local store starts at the cluster's term, not 0.
 	if t := f.leaderTerm.Load(); t > 0 {
-		if err := closer.AdoptTerm(t); err != nil {
-			closer.Close()
+		if err := s.AdoptTerm(t); err != nil {
+			s.Close()
 			return nil, err
 		}
 	}
@@ -287,10 +286,10 @@ func (f *Follower) bindObs(r *obs.Registry) {
 	}
 	r.CounterFunc(obs.Label("qpgc_replica_effects_total", "kind", "diff"), f.diffs.Load)
 	r.CounterFunc(obs.Label("qpgc_replica_effects_total", "kind", "image"), f.images.Load)
-	r.GaugeFunc("qpgc_replica_epoch", func() float64 { return float64(f.backend().Epoch()) })
+	r.GaugeFunc("qpgc_replica_epoch", func() float64 { return float64(f.local().Epoch()) })
 	r.GaugeFunc("qpgc_replica_leader_epoch", func() float64 { return float64(f.leaderEpoch.Load()) })
 	r.GaugeFunc("qpgc_replica_lag_epochs", func() float64 {
-		e, le := f.backend().Epoch(), f.leaderEpoch.Load()
+		e, le := f.local().Epoch(), f.leaderEpoch.Load()
 		if le > e {
 			return float64(le - e)
 		}
@@ -327,14 +326,14 @@ func (f *Follower) bootstrap() error {
 			continue
 		}
 		cli.SetTimeout(snapFrameTimeout)
-		kind, epoch, data, err := cli.FetchSnapshot()
+		epoch, data, err := cli.FetchSnapshot()
 		f.noteLeaderTerm(cli.LastTerm())
 		cli.Close()
 		if err != nil {
 			lastErr = fmt.Errorf("replica: snapshot fetch from %s: %w", addr, err)
 			continue
 		}
-		return store.InstallSnapshot(f.opts.Dir, kind, epoch, data)
+		return store.InstallSnapshot(f.opts.FS, f.opts.Dir, epoch, data)
 	}
 	return lastErr
 }
@@ -349,34 +348,25 @@ func (f *Follower) noteLeaderTerm(t uint64) {
 	}
 }
 
-// openLocal recovers the directory's store, whichever kind it holds, and
-// wraps it as a backend.
-func openLocal(opts Options) (server.Backend, store.Handle, error) {
+// openLocal recovers the directory's store.
+func openLocal(opts Options) (*store.Store, error) {
 	o := store.DefaultOptions()
 	o.Dir, o.FS, o.Sync, o.Obs = opts.Dir, opts.FS, store.SyncNone, opts.Obs
 	if opts.SyncAlways {
 		o.Sync = store.SyncAlways
 	}
-	s, err := store.OpenDir(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return server.NewBackend(s), s, nil
+	return store.Open(nil, &o)
 }
 
-// backend returns the currently serving local store.
-func (f *Follower) backend() server.Backend {
+// local returns the currently serving local store.
+func (f *Follower) local() *store.Store {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.b
+	return f.s
 }
 
-// local returns the currently serving store's lifecycle/term surface.
-func (f *Follower) local() store.Handle {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.closer
-}
+// backend returns the currently serving local store as the server sees it.
+func (f *Follower) backend() server.Backend { return server.NewStoreBackend(f.local()) }
 
 // startTail launches the tail loop with a fresh stop channel.
 func (f *Follower) startTail() {
@@ -454,18 +444,13 @@ func (f *Follower) Close() error {
 	close(f.stop)
 	f.interruptTail()
 	f.wg.Wait()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closer != nil {
-		return f.closer.Close()
-	}
-	return nil
+	return f.local().Close()
 }
 
 // Status reports the follower's replication state.
 func (f *Follower) Status() Status {
 	st := Status{
-		Epoch:       f.backend().Epoch(),
+		Epoch:       f.local().Epoch(),
 		LeaderEpoch: f.leaderEpoch.Load(),
 		Term:        f.local().Term(),
 		LeaderTerm:  f.leaderTerm.Load(),
@@ -521,7 +506,7 @@ var errStaleSource = errors.New("replica: source term is stale")
 // to the next source of the retry list.
 func (f *Follower) tailLoop(tailStop chan struct{}) {
 	stuck := 0
-	lastEpoch := f.backend().Epoch()
+	lastEpoch := f.local().Epoch()
 	for {
 		if f.stopped(tailStop) {
 			return
@@ -543,7 +528,7 @@ func (f *Follower) tailLoop(tailStop chan struct{}) {
 				f.nextLeader++ // rotate: dead or stale source
 				counts = false
 			}
-			if e := f.backend().Epoch(); e > lastEpoch {
+			if e := f.local().Epoch(); e > lastEpoch {
 				lastEpoch, stuck = e, 0
 			} else if counts {
 				stuck++
@@ -554,7 +539,7 @@ func (f *Follower) tailLoop(tailStop chan struct{}) {
 					f.nextLeader++ // the source may be the problem
 				} else {
 					stuck = 0
-					lastEpoch = f.backend().Epoch()
+					lastEpoch = f.local().Epoch()
 				}
 			}
 		}
@@ -606,8 +591,9 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 		cli.SetTimeout(hold + tailMargin)
 		rd := round{f: f}
 		leaderEpoch, err := cli.TailRound(before+1, lineage, hold, rd.frame, rd.effect)
-		// Frames no effect covered — a round cut short, a rejected effect, a
-		// source that ships none — are re-derived, whatever ended the round.
+		// Frames no effect covered — a round cut short before its first
+		// effect, a dropped connection, a rejected effect — are re-derived,
+		// whatever ended the round.
 		if ferr := rd.flush(); err == nil {
 			err = ferr
 		}
@@ -629,7 +615,7 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 			// durable signal that its history is frozen.
 			return fmt.Errorf("%w: source %s at term %d (local %d, fenced=%v)", errStaleSource, f.source(), srcTerm, prevTerm, cli.SourceFenced())
 		}
-		after := f.backend().Epoch()
+		after := f.local().Epoch()
 		if srcTerm > prevTerm && after > leaderEpoch {
 			// First contact with a new-term leader whose frontier is behind
 			// ours: our WAL suffix was never acked on the new timeline and
@@ -649,14 +635,11 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 	}
 }
 
-// position is where the local store stands: its epoch and, when it can take
-// effects (the monolithic kind), the lineage of its views — 0 otherwise.
+// position is where the local store stands: its epoch and the lineage of
+// its views.
 func (f *Follower) position() (epoch, lineage uint64) {
-	if s, ok := f.local().(*store.Store); ok {
-		sn := s.Snapshot()
-		return sn.Epoch, sn.Lineage
-	}
-	return f.backend().Epoch(), 0
+	sn := f.local().Snapshot()
+	return sn.Epoch, sn.Lineage
 }
 
 // round is the follower's side of one tail round: shipped frames wait here
@@ -680,15 +663,15 @@ func (r *round) frame(claimed uint64, frame []byte) error {
 	if seq != claimed {
 		return fmt.Errorf("%w: frame embeds seq %d, leader claims %d", errQuarantine, seq, claimed)
 	}
-	b := r.f.backend()
-	want := b.Epoch() + 1 + uint64(len(r.batches))
+	s := r.f.local()
+	want := s.Epoch() + 1 + uint64(len(r.batches))
 	if seq < want {
 		return nil // duplicate of an already-applied epoch
 	}
 	if seq > want {
 		return fmt.Errorf("%w: gap: got seq %d, want %d", errQuarantine, seq, want)
 	}
-	batch, err := store.DecodeBatch(payload, b.NumNodes())
+	batch, err := store.DecodeBatch(payload, s.NumNodes())
 	if err != nil {
 		return fmt.Errorf("%w: %v", errQuarantine, err)
 	}
@@ -701,8 +684,8 @@ func (r *round) frame(claimed uint64, frame []byte) error {
 // them — patching, not maintaining — and publishes their last epoch. A
 // rejected effect is a quarantine; a local write failure only reconnects.
 func (r *round) effect(epoch uint64, b []byte) error {
-	s, ok := r.f.local().(*store.Store)
-	if last := r.f.backend().Epoch() + uint64(len(r.batches)); !ok || epoch != last {
+	s := r.f.local()
+	if last := s.Epoch() + uint64(len(r.batches)); epoch != last {
 		return fmt.Errorf("%w: an effect through epoch %d after frames through %d", errQuarantine, epoch, last)
 	}
 	var start time.Time
@@ -741,9 +724,9 @@ func (r *round) flush() error {
 		if r.f.ob != nil {
 			start = time.Now()
 		}
-		b := r.f.backend()
-		want := b.Epoch() + 1
-		epoch, err := b.Apply(batch)
+		s := r.f.local()
+		want := s.Epoch() + 1
+		epoch, err := s.Apply(batch)
 		if err != nil {
 			// A local write failure (degraded store, disk fault) is not the
 			// leader's fault; retry after reconnect without quarantining.
@@ -779,7 +762,7 @@ func (f *Follower) resync() error {
 		return fmt.Errorf("replica: resync dial %s: %w", f.source(), err)
 	}
 	cli.SetTimeout(snapFrameTimeout)
-	kind, epoch, data, err := cli.FetchSnapshot()
+	epoch, data, err := cli.FetchSnapshot()
 	f.noteLeaderTerm(cli.LastTerm())
 	cli.Close()
 	if err != nil {
@@ -787,32 +770,27 @@ func (f *Follower) resync() error {
 	}
 	// The image is fully validated by InstallSnapshot before the old state
 	// is touched beyond this point's directory wipe.
-	f.mu.Lock()
-	old := f.closer
-	f.mu.Unlock()
-	if old != nil {
-		old.Close() // final snapshot stays answerable
-	}
+	f.local().Close() // final snapshot stays answerable
 	if err := wipeDir(f.opts.Dir); err != nil {
 		return err
 	}
-	if err := store.InstallSnapshot(f.opts.Dir, kind, epoch, data); err != nil {
+	if err := store.InstallSnapshot(f.opts.FS, f.opts.Dir, epoch, data); err != nil {
 		return err
 	}
-	b, closer, err := openLocal(f.opts)
+	s, err := openLocal(f.opts)
 	if err != nil {
 		return err
 	}
 	// The wipe deleted the TERM file; re-adopt the highest source term so
 	// the fresh store rejoins the cluster at its current term, not 0.
 	if t := f.leaderTerm.Load(); t > 0 {
-		if err := closer.AdoptTerm(t); err != nil {
-			closer.Close()
+		if err := s.AdoptTerm(t); err != nil {
+			s.Close()
 			return err
 		}
 	}
 	f.mu.Lock()
-	f.b, f.closer = b, closer
+	f.s = s
 	f.mu.Unlock()
 	f.wake.Broadcast() // reads held for an epoch now wait on the new store
 	f.caughtUp.Store(false)
@@ -834,7 +812,7 @@ func wipeDir(dir string) error {
 }
 
 // Epoch implements server.Backend: the local published snapshot epoch.
-func (f *Follower) Epoch() uint64 { return f.backend().Epoch() }
+func (f *Follower) Epoch() uint64 { return f.local().Epoch() }
 
 // AwaitEpoch implements server.Backend: it parks until the local store —
 // whichever one is serving by then, a resync may swap it under the wait —
@@ -845,7 +823,7 @@ func (f *Follower) AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan s
 }
 
 // NumNodes implements server.Backend.
-func (f *Follower) NumNodes() int { return f.backend().NumNodes() }
+func (f *Follower) NumNodes() int { return f.local().NumNodes() }
 
 // Reachable implements server.Backend on one pinned local snapshot.
 func (f *Follower) Reachable(u, v graph.Node, onG bool) (bool, uint64) {
@@ -862,14 +840,11 @@ func (f *Follower) Match(p *pattern.Pattern) (*pattern.Result, uint64) {
 	return f.backend().Match(p)
 }
 
-// Effects is what a follower chained off this one is shipped beside the raw
-// frames: the effects the local store applied or published itself, or an
-// image of its views (store.Store.Effects). The tail handler asserts it.
+// Effects implements server.Backend: what a follower chained off this one
+// is shipped beside the raw frames — the effects the local store applied or
+// published itself, or an image of its views (store.Store.Effects).
 func (f *Follower) Effects(lineage, epoch uint64) []store.Effect {
-	if s, ok := f.local().(*store.Store); ok {
-		return s.Effects(lineage, epoch)
-	}
-	return nil
+	return f.local().Effects(lineage, epoch)
 }
 
 // Promote turns this follower into the leader, implementing
@@ -892,7 +867,7 @@ func (f *Follower) Promote(wait time.Duration) (epoch, term uint64, err error) {
 		return 0, 0, errors.New("replica: follower is closed")
 	}
 	if f.promoted.Load() {
-		return f.backend().Epoch(), f.local().Term(), nil
+		return f.local().Epoch(), f.local().Term(), nil
 	}
 	if wait > 0 {
 		if err := f.WaitCaughtUp(wait); err != nil {
@@ -912,7 +887,7 @@ func (f *Follower) Promote(wait time.Duration) (epoch, term uint64, err error) {
 	f.caughtUp.Store(true)
 	f.wake.Broadcast()
 	f.lastErr.Store("")
-	return f.backend().Epoch(), term, nil
+	return f.local().Epoch(), term, nil
 }
 
 // Apply implements server.Backend: it refuses writes until Promote, then
@@ -921,7 +896,7 @@ func (f *Follower) Apply(batch []graph.Update) (uint64, error) {
 	if !f.promoted.Load() {
 		return 0, server.ErrReadOnly
 	}
-	epoch, err := f.backend().Apply(batch)
+	epoch, err := f.local().Apply(batch)
 	f.wake.Broadcast()
 	return epoch, err
 }
@@ -942,8 +917,9 @@ func (f *Follower) ObserveTerm(t uint64) error {
 	return f.local().AdoptTerm(t)
 }
 
-// Fenced reports whether the local store has been fenced by a newer term;
-// the tail handler ships it so chained followers rotate away.
+// Fenced implements server.Backend: whether the local store has been fenced
+// by a newer term; the tail handler ships it so chained followers rotate
+// away.
 func (f *Follower) Fenced() bool { return f.local().Fenced() }
 
 // Writable implements server.Backend: only a promoted, unfenced follower

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -252,7 +253,7 @@ func TestFollowerServesOverWire(t *testing.T) {
 		t.Fatalf("write on follower: %v, want read-only refusal", err)
 	}
 	in, err := fcli.Stats()
-	if err != nil || in.Kind != "store" {
+	if err != nil || in.Writable || in.Nodes != g.NumNodes() {
 		t.Fatalf("follower stats: %+v, %v", in, err)
 	}
 }
@@ -443,11 +444,11 @@ func TestChaosDroppedConnections(t *testing.T) {
 	// bigger than the proxy's cut window); everything after — the tail
 	// traffic under test — goes through the flaky proxy.
 	dir := t.TempDir()
-	kind, epoch, data, err := lh.cli.FetchSnapshot()
+	epoch, data, err := lh.cli.FetchSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.InstallSnapshot(dir, kind, epoch, data); err != nil {
+	if err := store.InstallSnapshot(nil, dir, epoch, data); err != nil {
 		t.Fatal(err)
 	}
 	proxy := startChaosProxy(t, lh.srv.Addr(), 600)
@@ -555,16 +556,37 @@ func TestResyncAfterTruncation(t *testing.T) {
 func TestBootstrapValidatesImage(t *testing.T) {
 	g := matrixTopologies(38)["er"]
 	lh := startLeader(t, g, nil)
-	kind, epoch, data, err := lh.cli.FetchSnapshot()
+	epoch, data, err := lh.cli.FetchSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x40
 	dir := t.TempDir()
-	if err := store.InstallSnapshot(dir, kind, epoch, data); err == nil {
+	if err := store.InstallSnapshot(nil, dir, epoch, data); err == nil {
 		t.Fatal("corrupted snapshot image installed without error")
 	}
 	if store.HasState(dir) {
 		t.Fatal("rejected install left durable state behind")
+	}
+}
+
+// TestBootstrapInstallsThroughFS: the bootstrap install writes through the
+// follower's Options.FS like the rest of its durable state, so a fault there
+// fails Start and leaves nothing that looks recoverable.
+func TestBootstrapInstallsThroughFS(t *testing.T) {
+	g := matrixTopologies(39)["er"]
+	lh := startLeader(t, g, nil)
+	in := faultfs.NewInject(nil, faultfs.Rule{Op: faultfs.OpSync, Path: "snap-", Count: 1})
+	dir := t.TempDir()
+	f, err := Start(Options{Dir: dir, Leader: lh.srv.Addr(), FS: in})
+	if err == nil {
+		f.Close()
+		t.Fatal("a follower whose snapshot fsync failed started")
+	}
+	if !errors.Is(err, faultfs.ErrInjected) || in.Fired() != 1 {
+		t.Fatalf("Start = %v after %d injected fault(s), want the injected fsync failure", err, in.Fired())
+	}
+	if store.HasState(dir) {
+		t.Fatal("a failed install left the directory looking recoverable")
 	}
 }

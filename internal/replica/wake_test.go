@@ -193,11 +193,11 @@ func TestSilentSourceRotates(t *testing.T) {
 	// Bootstrapped by hand: the snapshot transfer's own per-frame deadline is
 	// too long for a unit test to wait out.
 	dir := t.TempDir()
-	kind, snapEpoch, data, err := lh.cli.FetchSnapshot()
+	snapEpoch, data, err := lh.cli.FetchSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.InstallSnapshot(dir, kind, snapEpoch, data); err != nil {
+	if err := store.InstallSnapshot(nil, dir, snapEpoch, data); err != nil {
 		t.Fatal(err)
 	}
 	f, err := Start(Options{Dir: dir, Leader: mute.Addr().String() + "," + lh.srv.Addr(), ReconnectBackoff: time.Millisecond})

@@ -16,8 +16,9 @@ var ErrReadOnly = errors.New("server: read-only replica")
 
 // Backend is what the server needs from a store: snapshot-consistent reads,
 // batch writes returning the visibility epoch, and enough metadata to
-// validate wire input before it reaches the store. Store, ShardedStore and
-// replica followers all satisfy it.
+// validate wire input before it reaches the store. A Store (through
+// NewStoreBackend) and a replica follower satisfy it, and so does a wrapper
+// that embeds either.
 type Backend interface {
 	// Epoch is the latest published snapshot epoch; reads carrying a
 	// larger minEpoch are held until it catches up.
@@ -47,6 +48,14 @@ type Backend interface {
 	// backend fences itself when t exceeds its own term; a follower adopts
 	// the term without fencing. Equal or lower terms are no-ops.
 	ObserveTerm(t uint64) error
+	// Fenced reports whether the backend has fenced itself after observing
+	// a newer term; the tail handler ships it so that followers tell a
+	// deposed source (frozen history) from a healthy one.
+	Fenced() bool
+	// Effects is what a tail round from a follower holding the views at
+	// (lineage, epoch) ships beside the raw frames (store.Store.Effects):
+	// the recorded diffs that chain from there, or else an image.
+	Effects(lineage, epoch uint64) []store.Effect
 	// Info summarizes the store for MsgStats.
 	Info() Info
 }
@@ -60,22 +69,8 @@ type Promoter interface {
 	Promote(wait time.Duration) (epoch, term uint64, err error)
 }
 
-// effectSource is the optional surface of a replication source whose
-// followers can take its views as effects instead of re-deriving them:
-// what a tail round from a follower holding the views at (lineage, epoch)
-// ships beside the raw frames (store.Store.Effects). Store backends and
-// followers implement it — for the sharded kind it returns nothing, and its
-// followers re-derive — and the tail handler asserts it, as it does Fenced.
-type effectSource interface {
-	Effects(lineage, epoch uint64) []store.Effect
-}
-
-// storeBackend fronts a local store of either kind through the surface
-// both share.
-type storeBackend struct{ s store.Handle }
-
-// NewBackend adapts an open store of either kind to the serving interface.
-func NewBackend(s store.Handle) Backend { return storeBackend{s} }
+// storeBackend fronts a local store.
+type storeBackend struct{ s *store.Store }
 
 // NewStoreBackend adapts a Store to the serving interface.
 func NewStoreBackend(s *store.Store) Backend { return storeBackend{s} }
@@ -106,30 +101,23 @@ func (b storeBackend) Match(p *pattern.Pattern) (*pattern.Result, uint64) {
 	return vw.Match(p), vw.Epoch()
 }
 
-// Effects ships a monolithic store's effects; a sharded store has none.
 func (b storeBackend) Effects(lineage, epoch uint64) []store.Effect {
-	if s, ok := b.s.(*store.Store); ok {
-		return s.Effects(lineage, epoch)
-	}
-	return nil
+	return b.s.Effects(lineage, epoch)
 }
 
 func (b storeBackend) Apply(batch []graph.Update) (uint64, error) { return b.s.Apply(batch) }
 
 func (b storeBackend) Term() uint64 { return b.s.Term() }
 
-// Fenced reports the store's fence state; the tail handler uses it to
-// mark shipped history as frozen.
 func (b storeBackend) Fenced() bool { return b.s.Fenced() }
 
 func (b storeBackend) ObserveTerm(t uint64) error { return b.s.ObserveTerm(t) }
 
 func (b storeBackend) Info() Info {
-	st := b.s.Info()
+	st := b.s.Stats()
 	return Info{
-		Kind:  st.Kind,
 		Epoch: st.Epoch, Batches: st.Batches, Updates: st.Updates, Reads: st.Reads,
-		Nodes: st.Nodes, Edges: st.Edges, Shards: st.Shards,
+		Nodes: st.Nodes, Edges: st.Edges,
 		Term: b.s.Term(), Writable: !b.s.Fenced(),
 	}
 }

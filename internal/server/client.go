@@ -400,47 +400,51 @@ func (c *Client) Metrics() (string, uint64, error) {
 	return "", 0, fmt.Errorf("server: unexpected response 0x%02x to metrics", byte(t))
 }
 
+// snapReserve caps the buffer FetchSnapshot reserves before any chunk
+// arrives: the declared size comes from the source, so a larger image grows
+// the buffer as its chunks land instead of on the claim alone.
+const snapReserve = 64 << 20
+
 // FetchSnapshot downloads the leader's newest checkpoint image.
-func (c *Client) FetchSnapshot() (kind string, epoch uint64, data []byte, err error) {
+func (c *Client) FetchSnapshot() (epoch uint64, data []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.arm()
 	if err := WriteFrame(c.bw, MsgSnapshot, nil); err != nil {
-		return "", 0, nil, err
+		return 0, nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		return "", 0, nil, err
+		return 0, nil, err
 	}
 	t, body, err := ReadFrame(c.br, c.buf)
 	if err != nil {
-		return "", 0, nil, err
+		return 0, nil, err
 	}
 	c.buf = body[:0]
 	switch t {
 	case MsgErr:
-		return "", 0, nil, c.decodeErr(body)
+		return 0, nil, c.decodeErr(body)
 	case MsgSnapMeta:
 	default:
-		return "", 0, nil, fmt.Errorf("server: unexpected response 0x%02x to snapshot", byte(t))
+		return 0, nil, fmt.Errorf("server: unexpected response 0x%02x to snapshot", byte(t))
 	}
 	cur := &cursor{b: body}
 	epoch = cur.u64()
 	total := cur.u64()
 	term := cur.u64()
-	kind = string(cur.rest())
-	if cur.err != nil {
-		return "", 0, nil, cur.err
+	if err := cur.fin(); err != nil {
+		return 0, nil, err
 	}
 	c.noteTerm(term)
 	if total > 1<<32 {
-		return "", 0, nil, fmt.Errorf("server: snapshot claims %d bytes", total)
+		return 0, nil, fmt.Errorf("server: snapshot claims %d bytes", total)
 	}
-	data = make([]byte, 0, total)
+	data = make([]byte, 0, min(total, snapReserve))
 	for {
 		c.arm()
 		t, body, err := ReadFrame(c.br, c.buf)
 		if err != nil {
-			return "", 0, nil, err
+			return 0, nil, err
 		}
 		c.buf = body[:0]
 		switch t {
@@ -449,22 +453,22 @@ func (c *Client) FetchSnapshot() (kind string, epoch uint64, data []byte, err er
 			cc.u64() // chunk epoch, redundant with meta
 			chunk := cc.rest()
 			if cc.err != nil {
-				return "", 0, nil, cc.err
+				return 0, nil, cc.err
 			}
 			if uint64(len(data)+len(chunk)) > total {
-				return "", 0, nil, fmt.Errorf("server: snapshot overruns its declared %d bytes", total)
+				return 0, nil, fmt.Errorf("server: snapshot overruns its declared %d bytes", total)
 			}
 			data = append(data, chunk...)
 		case MsgSnapDone:
 			if uint64(len(data)) != total {
-				return "", 0, nil, fmt.Errorf("server: snapshot ended at %d of %d bytes", len(data), total)
+				return 0, nil, fmt.Errorf("server: snapshot ended at %d of %d bytes", len(data), total)
 			}
 			c.noteEpoch(epoch)
-			return kind, epoch, data, nil
+			return epoch, data, nil
 		case MsgErr:
-			return "", 0, nil, c.decodeErr(body)
+			return 0, nil, c.decodeErr(body)
 		default:
-			return "", 0, nil, fmt.Errorf("server: unexpected frame 0x%02x in snapshot stream", byte(t))
+			return 0, nil, fmt.Errorf("server: unexpected frame 0x%02x in snapshot stream", byte(t))
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package server is the network tier: a length-prefixed binary protocol
-// over TCP fronting a Store or ShardedStore, plus the replication source
+// over TCP fronting a Store or a replica follower, plus the replication source
 // that ships snapshot images and raw WAL frames to followers.
 //
 // Every frame is "u32 length | u8 type | body" (length counts the type
@@ -105,7 +105,7 @@ const (
 	// MsgInfo is an encoded Info summary.
 	MsgInfo MsgType = 0x46
 	// MsgSnapMeta opens a snapshot transfer: epoch, u64 total bytes, u64
-	// term, kind.
+	// term.
 	MsgSnapMeta MsgType = 0x47
 	// MsgSnapChunk carries snapshot bytes after the epoch.
 	MsgSnapChunk MsgType = 0x48
@@ -427,18 +427,14 @@ func decodeResult(c *cursor) (*pattern.Result, error) {
 }
 
 // Info is the wire form of a store summary, a flattened cut of
-// store.Stats/ShardedStats shared by both kinds.
+// store.Stats.
 type Info struct {
-	// Kind is "store" or "sharded"; a follower reports its local kind.
-	Kind string
 	// Epoch is the latest published snapshot epoch.
 	Epoch uint64
 	// Batches, Updates and Reads count accepted work, as in store.Stats.
 	Batches, Updates, Reads uint64
 	// Nodes and Edges describe G at the latest snapshot.
 	Nodes, Edges int
-	// Shards is the partition count (1 for monolithic stores).
-	Shards int
 	// Term is the endpoint's leader term (0 before any failover).
 	Term uint64
 	// Writable reports whether the endpoint currently accepts Apply:
@@ -454,15 +450,11 @@ func encodeInfo(buf []byte, in Info) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, in.Reads)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(in.Nodes))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(in.Edges))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(in.Shards))
 	buf = binary.LittleEndian.AppendUint64(buf, in.Term)
 	if in.Writable {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		return append(buf, 1)
 	}
-	buf = append(buf, in.Kind...)
-	return buf
+	return append(buf, 0)
 }
 
 // decodeInfo parses an Info body.
@@ -475,12 +467,10 @@ func decodeInfo(body []byte) (Info, error) {
 	in.Reads = c.u64()
 	in.Nodes = int(c.u32())
 	in.Edges = int(c.u32())
-	in.Shards = int(c.u32())
 	in.Term = c.u64()
 	in.Writable = c.u8() == 1
-	in.Kind = string(c.rest())
-	if c.err != nil {
-		return Info{}, c.err
+	if err := c.fin(); err != nil {
+		return Info{}, err
 	}
 	return in, nil
 }

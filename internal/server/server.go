@@ -484,7 +484,6 @@ func (s *Server) handleSnapshot(body []byte, emit func(MsgType, []byte) error) e
 	meta := binary.LittleEndian.AppendUint64(nil, info.Epoch)
 	meta = binary.LittleEndian.AppendUint64(meta, uint64(len(data)))
 	meta = binary.LittleEndian.AppendUint64(meta, s.backend.Term())
-	meta = append(meta, info.Kind...)
 	if err := emit(MsgSnapMeta, meta); err != nil {
 		return err
 	}
@@ -505,18 +504,11 @@ func (s *Server) handleSnapshot(body []byte, emit func(MsgType, []byte) error) e
 // maxTailHold clamps the hold a MsgTail round may ask for.
 const maxTailHold = 5 * time.Second
 
-// fenced reports whether the backend has fenced itself. Both concrete
-// backends implement it.
-func (s *Server) fenced() bool {
-	fc, ok := s.backend.(interface{ Fenced() bool })
-	return ok && fc.Fenced()
-}
-
 // handleTail ships one round's worth of raw WAL frames from the requested
-// seq — each group's followed by its MsgEffect when the backend is an
-// effect source whose ring chains the follower's lineage, or else by one
-// image after the frames up to it — ending with MsgCaughtUp (current
-// published epoch) or MsgSnapNeeded. A round that asks to be held and finds
+// seq — each group's followed by its MsgEffect when the backend's effect
+// ring chains the follower's lineage, or else by one image after the frames
+// up to it — ending with MsgCaughtUp (current published epoch) or
+// MsgSnapNeeded. A round that asks to be held and finds
 // nothing to ship parks until the published epoch reaches its seq — what is
 // shipped is what has been published, and the swap that publishes it is
 // what wakes the round — or until the hold runs out, the server closes or
@@ -551,7 +543,7 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 	if hold > maxTailHold {
 		hold = maxTailHold
 	}
-	if hold > 0 && s.backend.Epoch() < from && !s.fenced() {
+	if hold > 0 && s.backend.Epoch() < from && !s.backend.Fenced() {
 		// A parked round is an idle follower, not a request in flight: the
 		// latency sample is the service after the wake.
 		s.ob.parkTail(1)
@@ -567,10 +559,7 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 	epoch := s.backend.Epoch()
 	// Asked before the log is read, too: an image is of a snapshot whose
 	// frames are in the log by then.
-	var effects []store.Effect
-	if src, ok := s.backend.(effectSource); ok {
-		effects = src.Effects(lineage, from-1)
-	}
+	effects := s.backend.Effects(lineage, from-1)
 	// Collected before anything is sent: a round that fails ships no frame.
 	type record struct {
 		seq uint64
@@ -631,7 +620,7 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 	// (frozen history, rotate away) from a healthy chained sibling (also
 	// not writable, but advancing).
 	fenced := byte(0)
-	if s.fenced() {
+	if s.backend.Fenced() {
 		fenced = 1
 	}
 	return emit(MsgCaughtUp, append(out, fenced))

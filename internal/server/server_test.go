@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -127,8 +128,8 @@ func TestQueryRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if in.Kind != "store" || in.Nodes != n {
-		t.Fatalf("stats = %+v, want kind store with %d nodes", in, n)
+	if !in.Writable || in.Nodes != n {
+		t.Fatalf("stats = %+v, want a writable store with %d nodes", in, n)
 	}
 }
 
@@ -314,24 +315,13 @@ func TestWirePatternSizeCapped(t *testing.T) {
 	}
 }
 
-// TestNodeIDValidationBothKinds pins the bounds check on wire input: a
-// sharded-backed server accepts the same ids and rejects the same ones,
-// with the same message, as a monolithic one — on point reads, batch reads
-// and writes — and both report the same |V|.
-func TestNodeIDValidationBothKinds(t *testing.T) {
+// TestNodeIDValidation pins the bounds check on wire input: a server
+// accepts every id below |V| and rejects the rest — on point reads, batch
+// reads and writes — and reports |V|.
+func TestNodeIDValidation(t *testing.T) {
 	g := testGraph(6)
 	n := graph.Node(g.NumNodes())
-	_, monoSrv := startStoreServer(t, g.Clone(), Options{})
-	sh, err := store.OpenSharded(g.Clone(), &store.ShardedOptions{Shards: 3, Indexes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sh.Close() })
-	shSrv, err := Start("127.0.0.1:0", Options{Backend: NewBackend(sh)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { shSrv.Close() })
+	_, srv := startStoreServer(t, g.Clone(), Options{})
 
 	// probe runs every request shape with one endpoint at id and returns
 	// the errors' text ("" for an accepted request).
@@ -359,11 +349,7 @@ func TestNodeIDValidationBothKinds(t *testing.T) {
 		return errs
 	}
 	for _, id := range []graph.Node{n - 1, n, n + 1000} {
-		mono, sharded := probe(monoSrv.Addr(), id), probe(shSrv.Addr(), id)
-		if mono != sharded {
-			t.Fatalf("id %d of %d nodes: monolithic server said %q, sharded %q", id, n, mono, sharded)
-		}
-		for i, msg := range mono {
+		for i, msg := range probe(srv.Addr(), id) {
 			if (msg != "") != (id >= n) {
 				t.Fatalf("id %d of %d nodes, request %d: error %q", id, n, i, msg)
 			}
@@ -414,15 +400,15 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 	}
 	defer cli.Close()
 
-	kind, epoch, data, err := cli.FetchSnapshot()
+	epoch, data, err := cli.FetchSnapshot()
 	if err != nil {
 		t.Fatalf("fetch snapshot: %v", err)
 	}
-	if kind != "store" || epoch != 4 {
-		t.Fatalf("snapshot meta kind %q epoch %d, want store/4", kind, epoch)
+	if epoch != 4 {
+		t.Fatalf("snapshot meta epoch %d, want 4", epoch)
 	}
 	dir2 := t.TempDir()
-	if err := store.InstallSnapshot(dir2, kind, epoch, data); err != nil {
+	if err := store.InstallSnapshot(nil, dir2, epoch, data); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 	s2, err := store.Open(nil, &store.Options{Dir: dir2, Sync: store.SyncNone})
@@ -490,6 +476,48 @@ func parseAndApply(s *store.Store, frame []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("batch %d applied at epoch %d", seq, res.Epoch)
 	}
 	return seq, payload, nil
+}
+
+// TestFetchSnapshotBoundsItsReserve: the size a snapshot's meta frame
+// declares comes from the source, so a source that claims a 4 GiB image and
+// then hangs up must cost the client an error, not the claimed bytes.
+func TestFetchSnapshotBoundsItsReserve(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if typ, _, err := ReadFrame(bufio.NewReader(conn), nil); err != nil || typ != MsgSnapshot {
+			return
+		}
+		meta := binary.LittleEndian.AppendUint64(nil, 1) // epoch
+		meta = binary.LittleEndian.AppendUint64(meta, 1<<32)
+		meta = binary.LittleEndian.AppendUint64(meta, 0) // term
+		bw := bufio.NewWriter(conn)
+		WriteFrame(bw, MsgSnapMeta, meta)
+		bw.Flush()
+	}()
+	cli, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = cli.FetchSnapshot()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a snapshot stream cut after its meta frame was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 128<<20 {
+		t.Fatalf("the fetch allocated %d MiB on the strength of the claim alone", grew>>20)
+	}
 }
 
 // TestReadOnlyBackendError checks ErrReadOnly surfaces as a client error.

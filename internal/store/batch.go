@@ -373,10 +373,7 @@ func (sn *ShardedSnapshot) batchWave(brs *BatchRouteScratch, us, vs []graph.Node
 // clustered by shard pair (source shard in the key's high half) so
 // co-batched lanes touch few shards.
 func (s *ShardedStore) BatchReachable(us, vs []graph.Node) []bool {
-	return s.batchReachable(s.Snapshot(), us, vs)
-}
-
-func (s *ShardedStore) batchReachable(sn *ShardedSnapshot, us, vs []graph.Node) []bool {
+	sn := s.Snapshot()
 	checkBatchArgs(len(us), len(vs), len(us))
 	s.reads.Add(uint64(len(us)))
 	out := make([]bool, len(us))

@@ -558,8 +558,6 @@ func HasState(dir string) bool {
 
 // DirInfo summarizes a durable directory without opening a store.
 type DirInfo struct {
-	// Kind is "store" or "sharded".
-	Kind string
 	// Epoch is the newest checkpoint's batch epoch.
 	Epoch uint64
 	// Snapshot is the checkpoint filename; SnapshotBytes its size.
@@ -580,7 +578,7 @@ func Inspect(dir string) (DirInfo, error) {
 	if err != nil {
 		return DirInfo{}, err
 	}
-	info := DirInfo{Kind: m.kind.String(), Epoch: m.epoch, Snapshot: m.snapshot}
+	info := DirInfo{Epoch: m.epoch, Snapshot: m.snapshot}
 	if st, err := os.Stat(filepath.Join(dir, m.snapshot)); err == nil {
 		info.SnapshotBytes = st.Size()
 	}

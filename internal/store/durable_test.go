@@ -89,8 +89,8 @@ func TestCrashRecovery(t *testing.T) {
 				// onto the log tail.
 				tearWAL(t, dir)
 
-				// openKind recovers through OpenDir, so the snapshot's own
-				// shard count is what it checks.
+				// openKind recovers with the entry point the manifest names, so the
+				// snapshot's own shard count is what it checks.
 				r := openKind(t, kind, nil, Options{Dir: dir})
 				defer r.Close()
 				if got := r.Epoch(); got != 7 {

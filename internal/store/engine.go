@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/graph"
-	"repro/internal/pattern"
 	"repro/internal/snapfile"
 )
 
@@ -36,75 +35,8 @@ type pipeline[R any] interface {
 	// image pins the current view for a checkpoint: its epoch and a function
 	// writing it as a snapshot file. Safe on any goroutine.
 	image() (epoch uint64, write func(path string) error)
-	// edges is |E| of the current view. Safe on any goroutine.
-	edges() int
 	// stop releases what materialize started, as the writer exits.
 	stop()
-}
-
-// Handle is the kind-independent surface of an open store — what a server,
-// a replica or a CLI needs when it does not care whether it holds a Store
-// or a ShardedStore. Both satisfy it, almost entirely through the engine
-// they embed.
-type Handle interface {
-	// Epoch is the latest published epoch and NumNodes the static |V|; both
-	// are O(1), cheap enough to call per wire request.
-	Epoch() uint64
-	NumNodes() int
-	// AwaitEpoch blocks until the published epoch reaches min, timeout
-	// passes, cancel is closed or the store is fenced (a fenced store's
-	// history is frozen: there is nothing to wait for), and returns the
-	// epoch it then reads. The epoch swap wakes it; it does not poll.
-	AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64
-	// Info summarizes the store.
-	Info() Info
-
-	// The read paths, on the current snapshot.
-	Reachable(u, v graph.Node) bool
-	ReachableOnG(u, v graph.Node) bool
-	BatchReachable(us, vs []graph.Node) []bool
-	Match(p *pattern.Pattern) *pattern.Result
-	SchedStats() SchedStats
-	// View pins the current snapshot: every read through it answers at the
-	// one epoch it reports, however many epochs publish meanwhile.
-	View() View
-
-	// Apply is ApplyBatch reporting only the visibility epoch.
-	Apply(batch []graph.Update) (uint64, error)
-
-	// The durable lifecycle.
-	Checkpoint() error
-	Health() Health
-	ScrubNow() (ScrubReport, error)
-	Term() uint64
-	Fenced() bool
-	ObserveTerm(t uint64) error
-	AdoptTerm(t uint64) error
-	BumpTerm(min uint64) (uint64, error)
-	Close() error
-}
-
-// View is one pinned snapshot of a store of either kind, read through the
-// store's scratch pools: the epoch it reports is the epoch every answer it
-// gives was computed at — exact, not a lower bound — which is what a
-// server stamps on a response.
-type View interface {
-	Epoch() uint64
-	Reachable(u, v graph.Node) bool
-	ReachableOnG(u, v graph.Node) bool
-	BatchReachable(us, vs []graph.Node) []bool
-	Match(p *pattern.Pattern) *pattern.Result
-}
-
-// Info is the kind-independent summary of a store.
-type Info struct {
-	// Kind is "store" or "sharded"; Shards is 1 for the former.
-	Kind   string
-	Shards int
-	// Epoch, Batches, Updates and Reads count work, as in Stats.
-	Epoch, Batches, Updates, Reads uint64
-	// Nodes and Edges describe G at the latest snapshot.
-	Nodes, Edges int
 }
 
 type applyOutcome[R any] struct {
@@ -125,11 +57,10 @@ type applyReq[R any] struct {
 // ApplyBatch result. The counters sit here by value so a kind's read
 // methods bump them at a fixed offset of the store itself.
 type engine[R any] struct {
-	p      pipeline[R]
-	kind   snapfile.Kind
-	cfg    Options // the kind-independent options
-	shards int
-	nodes  int // static |V|
+	p     pipeline[R]
+	kind  snapfile.Kind
+	cfg   Options // the kind-independent options
+	nodes int     // static |V|
 
 	dur   *durable  // nil for in-memory stores
 	sched scheduler // multi-wave batch scheduler (sched.go)
@@ -157,8 +88,8 @@ type engine[R any] struct {
 // writer, which idles until the open has returned and a first batch
 // arrives — so from here on Close is the one way out, also for an open
 // that fails half way.
-func (e *engine[R]) init(p pipeline[R], kind snapfile.Kind, cfg Options, shards int) {
-	e.p, e.kind, e.cfg, e.shards = p, kind, cfg, shards
+func (e *engine[R]) init(p pipeline[R], kind snapfile.Kind, cfg Options) {
+	e.p, e.kind, e.cfg = p, kind, cfg
 	e.ob = newStoreObs(cfg.Obs)
 	e.reqs = make(chan applyReq[R])
 	e.idle = make(chan struct{})
@@ -178,25 +109,6 @@ func openMode(fn string, g *graph.Graph, dir string) (reopen bool, err error) {
 		err = fmt.Errorf("%w (%s)", ErrStateExists, dir)
 	}
 	return reopen, err
-}
-
-// OpenDir recovers the durable directory o.Dir with the entry point its
-// manifest names, for callers that serve whichever kind they find.
-func OpenDir(o Options) (Handle, error) {
-	m, err := readManifest(o.Dir)
-	if err != nil {
-		return nil, err
-	}
-	var s Handle
-	if m.kind == snapfile.KindSharded {
-		s, err = openSharded(nil, 0, o)
-	} else {
-		s, err = Open(nil, &o)
-	}
-	if err != nil {
-		return nil, err // not s: it would be a typed nil
-	}
-	return s, nil
 }
 
 // create makes a just-built store durable in a fresh directory: the epoch-0
@@ -399,7 +311,7 @@ func (e *engine[R]) ApplyBatch(batch []graph.Update) (R, error) {
 }
 
 // Apply is ApplyBatch reporting only the epoch at which the batch became
-// visible — the write of the kind-independent Handle.
+// visible.
 func (e *engine[R]) Apply(batch []graph.Update) (uint64, error) {
 	out := e.submit(batch)
 	return out.epoch, out.err
@@ -442,15 +354,6 @@ func (e *engine[R]) AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan 
 // NumNodes returns |V| in O(1); the node set is static for the life of a
 // store.
 func (e *engine[R]) NumNodes() int { return e.nodes }
-
-// Info summarizes the store independent of its kind.
-func (e *engine[R]) Info() Info {
-	return Info{
-		Kind: e.kind.String(), Shards: e.shards,
-		Epoch: e.Epoch(), Batches: e.batches.Load(), Updates: e.updates.Load(), Reads: e.reads.Load(),
-		Nodes: e.nodes, Edges: e.p.edges(),
-	}
-}
 
 // SetSchedWorkers overrides how many helper goroutines wide batches may
 // run beside their callers, over all batches in flight; n <= 0 returns to

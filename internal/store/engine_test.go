@@ -29,8 +29,7 @@ func (f *fakePipeline) publish(epoch uint64) {
 func (f *fakePipeline) image() (uint64, func(string) error) {
 	return f.eng.Epoch(), func(string) error { return errors.New("fake pipeline writes no snapshot") }
 }
-func (f *fakePipeline) edges() int { return 0 }
-func (f *fakePipeline) stop()      {}
+func (f *fakePipeline) stop() {}
 
 // TestEngineFailedAppendLeavesNoGap pins the writer loop's contract with no
 // store kind in the way: a group whose WAL append fails is acked to its
@@ -44,7 +43,7 @@ func TestEngineFailedAppendLeavesNoGap(t *testing.T) {
 	e.init(f, snapfile.KindStore, Options{
 		Dir: t.TempDir(), FS: in,
 		WriteRetries: -1, RecoveryInterval: -1, CheckpointBatches: -1, CheckpointBytes: -1,
-	}, 1)
+	})
 	defer e.Close()
 	d, err := newDurable(e.cfg, e.kind)
 	if err != nil {

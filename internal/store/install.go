@@ -12,41 +12,24 @@ import (
 // InstallSnapshot seeds dir with a shipped snapshot image so a follower can
 // bootstrap by ordinary recovery: the bytes are fully decoded and validated
 // first (corrupt or foreign images error before anything is written), then
-// persisted as the directory's checkpoint file and named by a fresh
-// MANIFEST. kind is "store" or "sharded" and must match the image; epoch
-// must match the image's embedded epoch — both guard against a leader and
-// follower disagreeing about what was shipped. Any existing durable state
-// in dir is an error; callers resyncing a diverged follower must wipe the
-// directory first, which keeps a half-replaced store from ever looking
-// recoverable.
-func InstallSnapshot(dir, kind string, epoch uint64, data []byte) error {
-	var k snapfile.Kind
-	switch kind {
-	case "store":
-		k = snapfile.KindStore
-		p, err := snapfile.DecodeStore(data)
-		if err != nil {
-			return fmt.Errorf("store: install snapshot: %w", err)
-		}
-		if p.Epoch != epoch {
-			return fmt.Errorf("store: install snapshot: image is epoch %d, want %d", p.Epoch, epoch)
-		}
-	case "sharded":
-		k = snapfile.KindSharded
-		p, err := snapfile.DecodeSharded(data)
-		if err != nil {
-			return fmt.Errorf("store: install snapshot: %w", err)
-		}
-		if p.Epoch != epoch {
-			return fmt.Errorf("store: install snapshot: image is epoch %d, want %d", p.Epoch, epoch)
-		}
-	default:
-		return fmt.Errorf("store: install snapshot: unknown kind %q", kind)
+// persisted through fsys (nil = the disk) as the directory's checkpoint file
+// and named by a fresh MANIFEST. epoch must match the image's embedded
+// epoch — a guard against a leader and follower disagreeing about what was
+// shipped. Any existing durable state in dir is an error; callers resyncing
+// a diverged follower must wipe the directory first, which keeps a
+// half-replaced store from ever looking recoverable.
+func InstallSnapshot(fsys faultfs.FS, dir string, epoch uint64, data []byte) error {
+	p, err := snapfile.DecodeStore(data)
+	if err != nil {
+		return fmt.Errorf("store: install snapshot: %w", err)
+	}
+	if p.Epoch != epoch {
+		return fmt.Errorf("store: install snapshot: image is epoch %d, want %d", p.Epoch, epoch)
 	}
 	if HasState(dir) {
 		return fmt.Errorf("store: install snapshot: %s already holds durable state", dir)
 	}
-	fsys := faultfs.Disk
+	fsys = faultfs.Or(fsys)
 	if err := fsys.MkdirAll(dir, 0o777); err != nil {
 		return err
 	}
@@ -73,5 +56,5 @@ func InstallSnapshot(dir, kind string, epoch uint64, data []byte) error {
 	if err := syncDir(fsys, dir); err != nil {
 		return err
 	}
-	return writeManifest(fsys, dir, manifest{kind: k, epoch: epoch, snapshot: name})
+	return writeManifest(fsys, dir, manifest{kind: snapfile.KindStore, epoch: epoch, snapshot: name})
 }

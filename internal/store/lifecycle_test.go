@@ -83,7 +83,7 @@ func TestCloseLifecycle(t *testing.T) {
 				if got := s.Reachable(u, v); got != want {
 					t.Fatalf("post-Close Reachable(%d,%d)=%v want %v", u, v, got, want)
 				}
-				if got := s.ReachableOnG(u, v); got != want {
+				if got := reachableOnG(s, u, v); got != want {
 					t.Fatalf("post-Close ReachableOnG(%d,%d)=%v want %v", u, v, got, want)
 				}
 			}

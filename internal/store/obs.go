@@ -206,7 +206,6 @@ func (e *engine[R]) bindObs() {
 	r.CounterFunc("qpgc_store_reads_total", e.reads.Load)
 	r.GaugeFunc("qpgc_store_epoch", func() float64 { return float64(e.Epoch()) })
 	r.GaugeFunc("qpgc_store_epoch_age_seconds", e.ob.ageSeconds)
-	r.GaugeFunc("qpgc_store_shards", func() float64 { return float64(e.shards) })
 	// Batch read-path counters, exactly the SchedStats fields — Prometheus
 	// rate() (or qpgc top's poll deltas) turns these lifetime totals into
 	// the interval rates.

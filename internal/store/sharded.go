@@ -6,6 +6,10 @@
 // that the epoch engine in engine.go drives; the lifecycle and the
 // consistency model are the engine's, exactly as for the unsharded Store.
 //
+// The kind is internal: no facade, server, replica or CLI path opens it,
+// and a directory it wrote does not open as a Store. Only the systems
+// benchmark's sharded workload and this package's tests use it.
+//
 // # Architecture (one writer per shard, routed from a coordinator)
 //
 // OpenSharded splits G into k shards with part.Split (SCC-aware, so local
@@ -171,9 +175,6 @@ type ShardedSnapshot struct {
 	leafHist *obs.Histogram
 	sumHist  *obs.Histogram
 	so       *storeObs
-	// view is this snapshot pinned for View, made once at install so a
-	// pinned read allocates nothing.
-	view shardedView
 }
 
 // shardHubSlot is one shard's lazy hub-cache cell on a ShardedSnapshot.
@@ -520,6 +521,7 @@ func (w *shardWorker) run() {
 type ShardedStore struct {
 	engine[ShardedApplyResult]
 
+	shards int // the partition count k
 	p      *part.Partition
 	labels *graph.Labels
 
@@ -573,8 +575,8 @@ func openSharded(g *graph.Graph, k int, o Options) (*ShardedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedStore{}
-	s.init(s, snapfile.KindSharded, o, k)
+	s := &ShardedStore{shards: k}
+	s.init(s, snapfile.KindSharded, o)
 	s.scratch.New = func() any { return NewRouteScratch() }
 	if reopen {
 		err = s.reopen(s.load)
@@ -923,7 +925,6 @@ func (s *ShardedStore) install(sn *ShardedSnapshot) {
 		sn.sumHist = s.ob.summary
 		sn.so = s.ob
 	}
-	sn.view = shardedView{s, sn}
 	s.snap.Store(sn)
 }
 
@@ -936,67 +937,20 @@ func (s *ShardedStore) getScratch() *RouteScratch { return s.scratch.Get().(*Rou
 
 // Reachable answers QR(u,v) on the current snapshot via the sharded read
 // path. Safe for any number of concurrent callers, also during ApplyBatch.
-func (s *ShardedStore) Reachable(u, v graph.Node) bool { return s.reachable(s.Snapshot(), u, v) }
-
-func (s *ShardedStore) reachable(sn *ShardedSnapshot, u, v graph.Node) bool {
+func (s *ShardedStore) Reachable(u, v graph.Node) bool {
 	s.reads.Add(1)
 	rs := s.getScratch()
-	ok := sn.Reachable(rs, u, v)
-	s.scratch.Put(rs)
-	return ok
-}
-
-// ReachableOnG answers QR(u,v) on the current snapshot's composite
-// uncompressed graph — the sharded baseline path.
-func (s *ShardedStore) ReachableOnG(u, v graph.Node) bool {
-	return s.reachableOnG(s.Snapshot(), u, v)
-}
-
-func (s *ShardedStore) reachableOnG(sn *ShardedSnapshot, u, v graph.Node) bool {
-	s.reads.Add(1)
-	rs := s.getScratch()
-	ok := sn.ReachableOnG(rs, u, v)
+	ok := s.Snapshot().Reachable(rs, u, v)
 	s.scratch.Put(rs)
 	return ok
 }
 
 // Match answers the pattern query on the current snapshot via the stitched
 // quotient with per-shard expansion.
-func (s *ShardedStore) Match(p *pattern.Pattern) *pattern.Result { return s.match(s.Snapshot(), p) }
-
-func (s *ShardedStore) match(sn *ShardedSnapshot, p *pattern.Pattern) *pattern.Result {
+func (s *ShardedStore) Match(p *pattern.Pattern) *pattern.Result {
 	s.reads.Add(1)
-	return sn.Match(p)
+	return s.Snapshot().Match(p)
 }
-
-// View pins the current snapshot for reads that must report the epoch they
-// were answered at.
-func (s *ShardedStore) View() View { return &s.Snapshot().view }
-
-// shardedView is a ShardedStore's View: its read paths on one snapshot.
-type shardedView struct {
-	s  *ShardedStore
-	sn *ShardedSnapshot
-}
-
-// Epoch is the pinned snapshot's epoch.
-func (v shardedView) Epoch() uint64 { return v.sn.Epoch }
-
-// Reachable is ShardedStore.Reachable on the pinned snapshot.
-func (v shardedView) Reachable(a, b graph.Node) bool { return v.s.reachable(v.sn, a, b) }
-
-// ReachableOnG is ShardedStore.ReachableOnG on the pinned snapshot.
-func (v shardedView) ReachableOnG(a, b graph.Node) bool { return v.s.reachableOnG(v.sn, a, b) }
-
-// BatchReachable is ShardedStore.BatchReachable on the pinned snapshot.
-func (v shardedView) BatchReachable(us, vs []graph.Node) []bool {
-	return v.s.batchReachable(v.sn, us, vs)
-}
-
-// Match is ShardedStore.Match on the pinned snapshot.
-func (v shardedView) Match(p *pattern.Pattern) *pattern.Result { return v.s.match(v.sn, p) }
-
-func (s *ShardedStore) edges() int { return s.Snapshot().edges }
 
 // Stats summarizes the store at the current snapshot.
 func (s *ShardedStore) Stats() ShardedStats {

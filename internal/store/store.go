@@ -5,10 +5,11 @@
 // per-epoch snapshots while batches of edge updates land.
 //
 // The lifecycle — request queue, WAL group commit, epoch publication,
-// checkpoints, recovery, health, terms — is the epoch engine in engine.go,
-// which Store and ShardedStore both embed; this file is the monolithic kind:
-// its snapshot type, its read methods, and the k = 1 pipeline the engine
-// drives (maintain.Pair + publish).
+// checkpoints, recovery, health, terms — is the epoch engine in engine.go;
+// this file is the Store: its snapshot type, its read methods, and the
+// pipeline the engine drives (maintain.Pair + publish). The package also
+// holds a second kind, ShardedStore (sharded.go), which embeds the same
+// engine; nothing outside this package and the systems benchmark opens it.
 //
 // # Consistency model (snapshot per epoch, batch-atomic visibility)
 //
@@ -220,9 +221,9 @@ type Snapshot struct {
 	// obsSampleWaves waves pays the clock reads.
 	leafHist *obs.Histogram
 	so       *storeObs
-	// view is this snapshot pinned for View, made once at install so a
-	// pinned read allocates nothing.
-	view storeView
+	// view is this snapshot pinned for Store.View, made once at install so
+	// a pinned read allocates nothing.
+	view View
 	// Reach is the reachability-compressed read path.
 	Reach ReachView
 	// Pattern is the pattern-compressed read path.
@@ -350,7 +351,7 @@ func Open(g *graph.Graph, opts *Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{}
-	s.init(s, snapfile.KindStore, o, 1)
+	s.init(s, snapfile.KindStore, o)
 	// nodes is read when a reader first needs a scratch, long after open
 	// fixed it; the closure must not touch the writer-owned graph.
 	s.scratch.New = func() any { return queries.NewScratch(s.nodes) }
@@ -406,8 +407,6 @@ func (s *Store) apply(epoch uint64, batch []graph.Update) ApplyResult {
 	res.Reach, res.Pattern = s.m.Apply(batch)
 	return res
 }
-
-func (s *Store) edges() int { return s.Snapshot().G.NumEdges() }
 
 func (s *Store) stop() {}
 
@@ -485,7 +484,7 @@ func (s *Store) install(sn *Snapshot) {
 		sn.leafHist = s.ob.leaf
 		sn.so = s.ob
 	}
-	sn.view = storeView{s, sn}
+	sn.view = View{s, sn}
 	s.snap.Store(sn)
 }
 
@@ -582,30 +581,32 @@ func (s *Store) match(sn *Snapshot, p *pattern.Pattern) *pattern.Result {
 
 // View pins the current snapshot for reads that must report the epoch they
 // were answered at.
-func (s *Store) View() View { return &s.Snapshot().view }
+func (s *Store) View() *View { return &s.Snapshot().view }
 
-// storeView is a Store's View: its read paths on one snapshot.
-type storeView struct {
+// View is one pinned snapshot read through its store's scratch pools: the
+// epoch it reports is the epoch every answer it gives was computed at —
+// exact, not a lower bound — which is what a server stamps on a response.
+type View struct {
 	s  *Store
 	sn *Snapshot
 }
 
 // Epoch is the pinned snapshot's epoch.
-func (v storeView) Epoch() uint64 { return v.sn.Epoch }
+func (v *View) Epoch() uint64 { return v.sn.Epoch }
 
 // Reachable is Store.Reachable on the pinned snapshot.
-func (v storeView) Reachable(a, b graph.Node) bool { return v.s.reachable(v.sn, a, b) }
+func (v *View) Reachable(a, b graph.Node) bool { return v.s.reachable(v.sn, a, b) }
 
 // ReachableOnG is Store.ReachableOnG on the pinned snapshot.
-func (v storeView) ReachableOnG(a, b graph.Node) bool { return v.s.reachableOnG(v.sn, a, b) }
+func (v *View) ReachableOnG(a, b graph.Node) bool { return v.s.reachableOnG(v.sn, a, b) }
 
 // BatchReachable is Store.BatchReachable on the pinned snapshot.
-func (v storeView) BatchReachable(us, vs []graph.Node) []bool {
+func (v *View) BatchReachable(us, vs []graph.Node) []bool {
 	return v.s.batchReachable(v.sn, us, vs)
 }
 
 // Match is Store.Match on the pinned snapshot.
-func (v storeView) Match(p *pattern.Pattern) *pattern.Result { return v.s.match(v.sn, p) }
+func (v *View) Match(p *pattern.Pattern) *pattern.Result { return v.s.match(v.sn, p) }
 
 // Stats summarizes the store at the current snapshot.
 func (s *Store) Stats() Stats {

@@ -158,15 +158,24 @@ func TestStoreConcurrentAppliers(t *testing.T) {
 		}
 		wg.Wait()
 
-		st := s.Info()
-		if st.Batches != writers*perWriter {
-			t.Fatalf("batches %d want %d", st.Batches, writers*perWriter)
+		var applied uint64
+		var edges int
+		switch s := s.(type) {
+		case *Store:
+			st := s.Stats()
+			applied, edges = st.Batches, st.Edges
+		case *ShardedStore:
+			st := s.Stats()
+			applied, edges = st.Batches, st.Edges
 		}
-		if st.Edges != mirror.NumEdges() {
-			t.Fatalf("edges %d want %d", st.Edges, mirror.NumEdges())
+		if applied != writers*perWriter {
+			t.Fatalf("batches %d want %d", applied, writers*perWriter)
 		}
-		if st.Epoch != uint64(writers*perWriter) {
-			t.Fatalf("final epoch %d", st.Epoch)
+		if edges != mirror.NumEdges() {
+			t.Fatalf("edges %d want %d", edges, mirror.NumEdges())
+		}
+		if e := s.Epoch(); e != uint64(writers*perWriter) {
+			t.Fatalf("final epoch %d", e)
 		}
 	})
 }

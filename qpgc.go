@@ -19,11 +19,7 @@
 // updates (Section 5) without recompressing from scratch, and served
 // concurrently: a Store (Open) applies batches on a single writer while
 // readers query immutable per-epoch CSR snapshots of G and both compressed
-// graphs without ever blocking. A ShardedStore (OpenSharded) scales the
-// write path to k partition-parallel pipelines — one writer per SCC-aware
-// shard behind a coordinator — and keeps answers exact via a boundary
-// summary graph (cross-shard reachability) and a stitched bisimulation
-// quotient (cross-shard pattern matching).
+// graphs without ever blocking.
 //
 // # Quick start
 //
@@ -112,19 +108,6 @@ type (
 	StoreOptions = store.Options
 )
 
-// Sharded serving. A ShardedStore partitions G into k shards (SCC-aware)
-// with one writer per shard behind a coordinator; per-shard compression
-// pipelines are built and maintained in parallel, cross-shard reachability
-// routes through a frozen boundary summary graph, and pattern queries
-// evaluate on a stitched global bisimulation quotient — answers are exact,
-// identical to the unsharded Store (see internal/store and internal/part).
-type (
-	// ShardedStore is the partition-parallel concurrent store.
-	ShardedStore = store.ShardedStore
-	// ShardedOptions configures OpenSharded.
-	ShardedOptions = store.ShardedOptions
-)
-
 // Fault injection. FaultFS is the filesystem seam threaded through the
 // durable store's WAL and snapshot IO; NewFaultInject wraps a filesystem
 // with a deterministic fault schedule for robustness testing.
@@ -155,15 +138,6 @@ func ParseFaultPlan(spec string) ([]FaultRule, error) { return faultfs.ParsePlan
 // Open with a nil graph recovers a previous run's state from the
 // directory, serving straight from the loaded snapshot. Close it when done.
 func Open(g *Graph, opts *StoreOptions) (*Store, error) { return store.Open(g, opts) }
-
-// OpenSharded returns a running ShardedStore with opts.Shards
-// partition-parallel write pipelines. Pass nil opts for the defaults
-// (4 shards, per-shard 2-hop indexes, in-memory). Durability and recovery
-// work as in Open: set ShardedOptions.Dir, and pass a nil graph to recover
-// an existing directory. Close it when done.
-func OpenSharded(g *Graph, opts *ShardedOptions) (*ShardedStore, error) {
-	return store.OpenSharded(g, opts)
-}
 
 // TwoHopIndex is a 2-hop reachability labeling; build it over G or over a
 // compressed Gr (the paper's Fig. 12(d) point: indexes compose with
