@@ -17,7 +17,7 @@ import (
 // openRecovered opens the durable directory for the recover/checkpoint/scrub
 // subcommands; info is the directory as it was before the open.
 func openRecovered(dir string) (s *store.Store, info store.DirInfo) {
-	if !store.HasState(dir) {
+	if !store.HasState(nil, dir) {
 		fatal(fmt.Errorf("%s holds no durable store state (no MANIFEST)", dir))
 	}
 	info, err := store.Inspect(dir)
@@ -71,7 +71,7 @@ func cmdRecover(args []string) {
 	if *data == "" {
 		fatal(fmt.Errorf("recover: -data is required"))
 	}
-	if !store.HasState(*data) {
+	if !store.HasState(nil, *data) {
 		fatal(fmt.Errorf("%s holds no durable store state (no MANIFEST)", *data))
 	}
 	info, err := store.Inspect(*data)
@@ -134,7 +134,7 @@ func cmdScrub(args []string) {
 	if *data == "" {
 		fatal(fmt.Errorf("scrub: -data is required"))
 	}
-	if !store.HasState(*data) {
+	if !store.HasState(nil, *data) {
 		fatal(fmt.Errorf("%s holds no durable store state (no MANIFEST)", *data))
 	}
 	rep, err := store.ScrubDir(*data)

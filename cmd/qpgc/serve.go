@@ -169,7 +169,7 @@ func cmdServe(args []string) {
 // cost is the point of a warm restart. Otherwise -in is loaded.
 func openServed(f serveFlags, o store.Options) *store.Store {
 	var g *graph.Graph
-	if f.data != "" && store.HasState(f.data) {
+	if f.data != "" && store.HasState(o.FS, f.data) {
 		info, err := store.Inspect(f.data)
 		if err != nil {
 			fatal(err)

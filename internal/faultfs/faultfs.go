@@ -1,6 +1,11 @@
 // Package faultfs abstracts the filesystem operations the durable layer
 // performs — opening, writing, syncing, renaming, truncating, listing —
 // behind a pluggable FS/File pair, so storage faults become injectable.
+// The WAL, the snapshot codec, the store's MANIFEST and TERM files and a
+// follower's directory wipe reach the disk only through an FS. Every whole
+// durable file but a WAL segment, which the WAL creates and appends
+// itself, is put there by WriteFile or ReplaceFile, and SyncDir is the one
+// directory fsync.
 //
 // The default implementation (Disk) passes every call straight to the os
 // package and costs one interface dispatch. The injecting implementation
@@ -16,6 +21,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // File is the subset of *os.File the durable layer uses: sequential reads
@@ -29,8 +35,9 @@ type File interface {
 }
 
 // FS is the filesystem face of the durable layer: every path the WAL, the
-// snapshot codec and the store's manifest machinery touch goes through one
-// of these calls.
+// snapshot codec, the store's MANIFEST and TERM machinery and a follower's
+// directory wipe touch, read or written, goes through one of these calls
+// on the FS the store or follower was opened on.
 type FS interface {
 	// OpenFile is os.OpenFile. Opening a directory read-only for Sync is
 	// allowed, as on POSIX.
@@ -80,3 +87,54 @@ func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(p
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
+
+// WriteFile puts data on disk as the whole content of path: create or
+// truncate, write, fsync, close. On any failure the file is removed
+// (best-effort), so a torn write never lingers under its name.
+func WriteFile(fsys FS, path string, data []byte) error {
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(path)
+	}
+	return err
+}
+
+// ReplaceFile atomically replaces path with data: WriteFile to path+".tmp",
+// rename over path, fsync the directory. A failure before the rename leaves
+// path untouched and no temp file behind; once SyncDir returns, the new
+// content survives a crash.
+func ReplaceFile(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := WriteFile(fsys, tmp, data); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	return SyncDir(fsys, filepath.Dir(path))
+}
+
+// SyncDir fsyncs a directory so the entries created, renamed or removed in
+// it survive a crash.
+func SyncDir(fsys FS, dir string) error {
+	d, err := fsys.OpenFile(dir, os.O_RDONLY, 0)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

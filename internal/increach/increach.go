@@ -61,8 +61,8 @@
 // publishes: every edge of Gr goes from a smaller id to a larger, as the
 // one-pass batch sweeps need. Regroup keeps Gr as the compact CSR a store
 // serves, built once per closure-changing batch, and View costs one gather
-// over V for the flat node → class map and nothing over Gr. The member
-// lists are built only if a reader asks for them (reach.Compressed.Members).
+// over V for the flat node → class map and nothing over Gr. No member
+// lists are kept: a reader that needs them groups the map (graph.GroupNodes).
 //
 // Property tests verify after every batch that the maintained compression
 // equals batch recompression (reach.Compress) of the current graph, both
@@ -181,8 +181,8 @@ func (m *Maintainer) Compressed() *reach.Compressed {
 // node → class map with the classes' cyclic flags, and Gr as the compact
 // CSR the last regroup built. Class ids are topological (package doc, "The
 // published view"), so the view costs one O(|V|) pass and no work on Gr;
-// the Compressed carries no mutable Gr and builds its member lists on first
-// use. Nothing is cached: call it once per Generation.
+// the Compressed carries no mutable Gr and no member lists. Nothing is
+// cached: call it once per Generation.
 func (m *Maintainer) View() (*reach.Compressed, *graph.CSR) {
 	return reach.AssembleCompressed(nil, m.classMap(), m.cyclic), m.gr
 }

@@ -35,7 +35,6 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -65,20 +64,9 @@ type Options struct {
 	// FS is the filesystem the follower's local store runs on. Nil means
 	// the disk; chaos tests inject faults into local durability here.
 	FS faultfs.FS
-	// SyncAlways makes the follower's local WAL fsync once per shipped
-	// batch, like a leader under store.SyncAlways. Off by default: the
-	// leader is the durability authority, and a follower that loses a
-	// machine (not just a process) re-bootstraps anyway. A promoted
-	// follower keeps this policy for its own writes (the term bump itself
-	// is always fsynced); set SyncAlways when a promotion must yield a
-	// fsync-per-batch leader.
-	SyncAlways bool
 	// ReconnectBackoff is the delay before redialing a dropped leader
 	// connection. 0 means 100ms.
 	ReconnectBackoff time.Duration
-	// ResyncAfter is how many consecutive quarantine events without epoch
-	// progress trigger a full wipe-and-re-bootstrap. 0 means 5.
-	ResyncAfter int
 	// Obs, when non-nil, receives the follower's replication metrics (lag,
 	// shipped bytes, quarantines, resyncs) and is passed through to the
 	// local store, so one scrape covers both tiers. Nil disables it.
@@ -199,6 +187,9 @@ const (
 	tailMargin = time.Second
 	// snapFrameTimeout bounds the wait for each frame of a snapshot transfer.
 	snapFrameTimeout = 30 * time.Second
+	// resyncAfter is how many consecutive quarantine events without epoch
+	// progress trigger a full wipe-and-re-bootstrap.
+	resyncAfter = 5
 )
 
 // errQuarantine tags shipped-frame validation failures: the frame is
@@ -218,11 +209,8 @@ func Start(opts Options) (*Follower, error) {
 	if opts.ReconnectBackoff == 0 {
 		opts.ReconnectBackoff = 100 * time.Millisecond
 	}
-	if opts.ResyncAfter == 0 {
-		opts.ResyncAfter = 5
-	}
 	f := &Follower{opts: opts, leaders: leaders, stop: make(chan struct{})}
-	if !store.HasState(opts.Dir) {
+	if !store.HasState(opts.FS, opts.Dir) {
 		if err := f.bootstrap(); err != nil {
 			return nil, err
 		}
@@ -352,9 +340,6 @@ func (f *Follower) noteLeaderTerm(t uint64) {
 func openLocal(opts Options) (*store.Store, error) {
 	o := store.DefaultOptions()
 	o.Dir, o.FS, o.Sync, o.Obs = opts.Dir, opts.FS, store.SyncNone, opts.Obs
-	if opts.SyncAlways {
-		o.Sync = store.SyncAlways
-	}
 	return store.Open(nil, &o)
 }
 
@@ -520,7 +505,7 @@ func (f *Follower) tailLoop(tailStop chan struct{}) {
 			counts := true
 			switch {
 			case errors.Is(err, server.ErrSnapshotNeeded):
-				stuck = f.opts.ResyncAfter // resync now
+				stuck = resyncAfter // resync now
 			case errors.Is(err, errQuarantine):
 				f.quarantines.Add(1)
 			default:
@@ -533,7 +518,7 @@ func (f *Follower) tailLoop(tailStop chan struct{}) {
 			} else if counts {
 				stuck++
 			}
-			if stuck >= f.opts.ResyncAfter {
+			if stuck >= resyncAfter {
 				if rerr := f.resync(); rerr != nil {
 					f.lastErr.Store(rerr.Error())
 					f.nextLeader++ // the source may be the problem
@@ -771,7 +756,7 @@ func (f *Follower) resync() error {
 	// The image is fully validated by InstallSnapshot before the old state
 	// is touched beyond this point's directory wipe.
 	f.local().Close() // final snapshot stays answerable
-	if err := wipeDir(f.opts.Dir); err != nil {
+	if err := wipeDir(faultfs.Or(f.opts.FS), f.opts.Dir); err != nil {
 		return err
 	}
 	if err := store.InstallSnapshot(f.opts.FS, f.opts.Dir, epoch, data); err != nil {
@@ -797,14 +782,15 @@ func (f *Follower) resync() error {
 	return nil
 }
 
-// wipeDir removes every entry of dir, leaving the directory itself.
-func wipeDir(dir string) error {
-	entries, err := os.ReadDir(dir)
+// wipeDir removes every entry of dir through fsys, leaving the directory
+// itself. A store directory is flat, so removing its files empties it.
+func wipeDir(fsys faultfs.FS, dir string) error {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return err
 	}
 	for _, e := range entries {
-		if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
+		if err := fsys.Remove(filepath.Join(dir, e.Name())); err != nil {
 			return err
 		}
 	}

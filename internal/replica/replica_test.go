@@ -543,7 +543,7 @@ func TestResyncAfterTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f2 := startFollower(t, lh.srv.Addr(), Options{Dir: dir, ResyncAfter: 2})
+	f2 := startFollower(t, lh.srv.Addr(), Options{Dir: dir})
 	awaitEpoch(t, f2, token, 15*time.Second)
 	if st := f2.Status(); st.Resyncs == 0 {
 		t.Fatalf("truncated history did not force a resync (status %+v)", st)
@@ -565,7 +565,7 @@ func TestBootstrapValidatesImage(t *testing.T) {
 	if err := store.InstallSnapshot(nil, dir, epoch, data); err == nil {
 		t.Fatal("corrupted snapshot image installed without error")
 	}
-	if store.HasState(dir) {
+	if store.HasState(nil, dir) {
 		t.Fatal("rejected install left durable state behind")
 	}
 }
@@ -586,7 +586,7 @@ func TestBootstrapInstallsThroughFS(t *testing.T) {
 	if !errors.Is(err, faultfs.ErrInjected) || in.Fired() != 1 {
 		t.Fatalf("Start = %v after %d injected fault(s), want the injected fsync failure", err, in.Fired())
 	}
-	if store.HasState(dir) {
+	if store.HasState(nil, dir) {
 		t.Fatal("a failed install left the directory looking recoverable")
 	}
 }

@@ -78,14 +78,15 @@ func EncodeStore(p *StoreParts) []byte {
 	return encodeStore(p).encode()
 }
 
-// WriteStore atomically persists a monolithic snapshot to path.
+// WriteStore atomically persists a monolithic snapshot to path through
+// faultfs.ReplaceFile.
 func WriteStore(path string, p *StoreParts) error {
 	return WriteStoreFS(faultfs.Disk, path, p)
 }
 
 // WriteStoreFS is WriteStore over an explicit filesystem.
 func WriteStoreFS(fsys faultfs.FS, path string, p *StoreParts) error {
-	return encodeStore(p).writeFile(faultfs.Or(fsys), path)
+	return faultfs.ReplaceFile(faultfs.Or(fsys), path, EncodeStore(p))
 }
 
 func encodeStore(p *StoreParts) *writer {
@@ -205,14 +206,15 @@ type ShardedParts struct {
 	Stitched *part.Stitched
 }
 
-// WriteSharded atomically persists a sharded snapshot to path.
+// WriteSharded atomically persists a sharded snapshot to path through
+// faultfs.ReplaceFile.
 func WriteSharded(path string, p *ShardedParts) error {
 	return WriteShardedFS(faultfs.Disk, path, p)
 }
 
 // WriteShardedFS is WriteSharded over an explicit filesystem.
 func WriteShardedFS(fsys faultfs.FS, path string, p *ShardedParts) error {
-	return encodeSharded(p).writeFile(faultfs.Or(fsys), path)
+	return faultfs.ReplaceFile(faultfs.Or(fsys), path, EncodeSharded(p))
 }
 
 // EncodeSharded serializes a sharded snapshot to its file image.

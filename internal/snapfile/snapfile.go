@@ -216,38 +216,6 @@ func (w *writer) encode() []byte {
 	return out
 }
 
-// writeFile persists the image atomically: temp file, fsync, rename,
-// directory fsync. A failure at any step leaves the destination untouched
-// (the temp file is removed best-effort), so a torn snapshot write can
-// never shadow the previous good snapshot.
-func (w *writer) writeFile(fsys faultfs.FS, path string) error {
-	data := w.encode()
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 // reader walks the block sequence of a verified payload.
 type reader struct {
 	kind    Kind

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -146,8 +147,8 @@ func newDurable(o Options, kind snapfile.Kind) (*durable, error) {
 	if o.ScrubInterval > 0 {
 		d.scrubInterval = o.ScrubInterval
 	}
-	if HasState(o.Dir) {
-		m, err := readManifest(o.Dir)
+	if HasState(fsys, o.Dir) {
+		m, err := readManifest(fsys, o.Dir)
 		if err != nil {
 			return nil, err
 		}
@@ -376,12 +377,9 @@ func (d *durable) checkpoint(epoch uint64, write func(path string) error, force 
 		}
 	}
 	name := fmt.Sprintf("snap-%016x.qps", epoch)
+	// write replaces the file through faultfs.ReplaceFile, whose directory
+	// fsync makes the snapshot's entry durable before the manifest names it.
 	if err := write(filepath.Join(d.dir, name)); err != nil {
-		return err
-	}
-	// The snapshot's directory entry must be durable before the manifest
-	// names it.
-	if err := syncDir(d.fs, d.dir); err != nil {
 		return err
 	}
 	if err := writeManifest(d.fs, d.dir, manifest{kind: d.kind, epoch: epoch, snapshot: name}); err != nil {
@@ -469,45 +467,20 @@ type manifest struct {
 	snapshot string
 }
 
-// writeManifest atomically replaces the manifest: temp file, fsync,
-// rename, directory fsync.
+// writeManifest atomically replaces the manifest.
 func writeManifest(fsys faultfs.FS, dir string, m manifest) error {
 	body := fmt.Sprintf("qpgc-durable v1\nkind %v\nepoch %d\nsnapshot %s\n", m.kind, m.epoch, m.snapshot)
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte(body)); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return syncDir(fsys, dir)
+	return faultfs.ReplaceFile(fsys, filepath.Join(dir, manifestName), []byte(body))
 }
 
 // readManifest parses the manifest of dir.
-func readManifest(dir string) (manifest, error) {
-	f, err := os.Open(filepath.Join(dir, manifestName))
+func readManifest(fsys faultfs.FS, dir string) (manifest, error) {
+	b, err := fsys.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return manifest{}, err
 	}
-	defer f.Close()
 	var m manifest
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(bytes.NewReader(b))
 	line := 0
 	for sc.Scan() {
 		line++
@@ -550,9 +523,10 @@ func readManifest(dir string) (manifest, error) {
 }
 
 // HasState reports whether dir holds recoverable durable state (a
-// manifest written by a previous durable store).
-func HasState(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, manifestName))
+// manifest written by a previous durable store), looking through fsys
+// (nil = the disk).
+func HasState(fsys faultfs.FS, dir string) bool {
+	_, err := faultfs.Or(fsys).Stat(filepath.Join(dir, manifestName))
 	return err == nil
 }
 
@@ -571,18 +545,19 @@ type DirInfo struct {
 	Quarantined []string
 }
 
-// Inspect reads a durable directory's manifest and sizes its files, for
-// the CLI's recover/checkpoint subcommands.
+// Inspect reads a durable directory's manifest and sizes its files on the
+// disk (faultfs.Disk), for the CLI's recover/checkpoint subcommands.
 func Inspect(dir string) (DirInfo, error) {
-	m, err := readManifest(dir)
+	fsys := faultfs.Disk
+	m, err := readManifest(fsys, dir)
 	if err != nil {
 		return DirInfo{}, err
 	}
 	info := DirInfo{Epoch: m.epoch, Snapshot: m.snapshot}
-	if st, err := os.Stat(filepath.Join(dir, m.snapshot)); err == nil {
+	if st, err := fsys.Stat(filepath.Join(dir, m.snapshot)); err == nil {
 		info.SnapshotBytes = st.Size()
 	}
-	segs, err := wal.ListDir(nil, dir)
+	segs, err := wal.ListDir(fsys, dir)
 	if err != nil {
 		return DirInfo{}, err
 	}
@@ -590,7 +565,7 @@ func Inspect(dir string) (DirInfo, error) {
 	for _, seg := range segs {
 		info.WALBytes += seg.Size
 	}
-	entries, err := os.ReadDir(dir)
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return DirInfo{}, err
 	}
@@ -649,17 +624,4 @@ func DecodeBatch(payload []byte, numNodes int) ([]graph.Update, error) {
 		}
 	}
 	return batch, nil
-}
-
-// syncDir fsyncs a directory so entry renames survive a crash.
-func syncDir(fsys faultfs.FS, dir string) error {
-	f, err := fsys.OpenFile(dir, os.O_RDONLY, 0)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -98,8 +98,8 @@ func (e *engine[R]) init(p pipeline[R], kind snapfile.Kind, cfg Options) {
 
 // openMode validates the (graph, Dir) combination Open and OpenSharded
 // accept and reports whether the call recovers existing state.
-func openMode(fn string, g *graph.Graph, dir string) (reopen bool, err error) {
-	reopen = dir != "" && HasState(dir)
+func openMode(fn string, g *graph.Graph, fsys faultfs.FS, dir string) (reopen bool, err error) {
+	reopen = dir != "" && HasState(fsys, dir)
 	switch {
 	case g == nil && dir == "":
 		err = fmt.Errorf("store: %s needs a graph when no Dir is set", fn)

@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/snapfile"
 	"repro/internal/wal"
 )
@@ -292,26 +292,11 @@ func (d *durable) recoverOnce(ckpt func(force bool) error) bool {
 	return true
 }
 
-// probe exercises the directory's write path end to end: open, write,
-// fsync, remove.
+// probe exercises the directory's write path end to end: a whole file
+// written and fsynced, then removed.
 func (d *durable) probe() error {
 	path := filepath.Join(d.dir, probeName)
-	f, err := d.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte("qpgc-probe")); err != nil {
-		f.Close()
-		d.fs.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		d.fs.Remove(path)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		d.fs.Remove(path)
+	if err := faultfs.WriteFile(d.fs, path, []byte("qpgc-probe")); err != nil {
 		return err
 	}
 	return d.fs.Remove(path)
@@ -331,7 +316,7 @@ func (d *durable) scrubOnce(ckpt func(force bool) error) ScrubReport {
 			if !seg.Sealed {
 				continue
 			}
-			n, err := d.log.CheckSegment(seg.Name)
+			n, err := wal.CheckSegment(d.fs, d.dir, seg.Name)
 			scrubThrottle(n)
 			rep.Bytes += n
 			switch {
@@ -346,8 +331,6 @@ func (d *durable) scrubOnce(ckpt func(force bool) error) ScrubReport {
 				} else if rep.Err == "" {
 					rep.Err = qerr.Error()
 				}
-			case errors.Is(err, wal.ErrClosed):
-				rep.Err = err.Error()
 			default:
 				if rep.Err == "" {
 					rep.Err = err.Error()
@@ -463,7 +446,7 @@ type DirScrub struct {
 // (sealed segments) or a checkpoint is unreadable.
 func ScrubDir(dir string) (DirScrub, error) {
 	var out DirScrub
-	m, err := readManifest(dir)
+	m, err := readManifest(faultfs.Disk, dir)
 	if err != nil {
 		return out, err
 	}

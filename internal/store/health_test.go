@@ -146,7 +146,7 @@ func TestInjectedFaultDifferential(t *testing.T) {
 						// Close would otherwise return.
 						deadline := time.Now().Add(5 * time.Second)
 						for {
-							m, err := readManifest(dir)
+							m, err := readManifest(faultfs.Disk, dir)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/faultfs"
@@ -26,34 +25,15 @@ func InstallSnapshot(fsys faultfs.FS, dir string, epoch uint64, data []byte) err
 	if p.Epoch != epoch {
 		return fmt.Errorf("store: install snapshot: image is epoch %d, want %d", p.Epoch, epoch)
 	}
-	if HasState(dir) {
+	fsys = faultfs.Or(fsys)
+	if HasState(fsys, dir) {
 		return fmt.Errorf("store: install snapshot: %s already holds durable state", dir)
 	}
-	fsys = faultfs.Or(fsys)
 	if err := fsys.MkdirAll(dir, 0o777); err != nil {
 		return err
 	}
 	name := fmt.Sprintf("snap-%016x.qps", epoch)
-	path := filepath.Join(dir, name)
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fsys.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(path)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(path)
-		return err
-	}
-	if err := syncDir(fsys, dir); err != nil {
+	if err := faultfs.ReplaceFile(fsys, filepath.Join(dir, name), data); err != nil {
 		return err
 	}
 	return writeManifest(fsys, dir, manifest{kind: snapfile.KindStore, epoch: epoch, snapshot: name})

@@ -571,7 +571,7 @@ func OpenSharded(g *graph.Graph, opts *ShardedOptions) (*ShardedStore, error) {
 // openSharded is OpenSharded over the projected options; k is ignored when
 // the call recovers (the checkpoint's own shard count wins).
 func openSharded(g *graph.Graph, k int, o Options) (*ShardedStore, error) {
-	reopen, err := openMode("OpenSharded", g, o.Dir)
+	reopen, err := openMode("OpenSharded", g, o.FS, o.Dir)
 	if err != nil {
 		return nil, err
 	}

@@ -164,7 +164,7 @@ type ReachView struct {
 	// Gr is the frozen reachability quotient R(G).
 	Gr *graph.CSR
 	// Compressed carries the node mapping R (Rewrite/ClassOf) and the
-	// class member index for this epoch.
+	// classes' cyclic flags for this epoch.
 	Compressed *reach.Compressed
 	// hop holds the 2-hop labeling over Gr, nil unless Options.Indexes.
 	hop *hopCell
@@ -346,7 +346,7 @@ func Open(g *graph.Graph, opts *Options) (*Store, error) {
 	if opts != nil {
 		o = *opts
 	}
-	reopen, err := openMode("Open", g, o.Dir)
+	reopen, err := openMode("Open", g, o.FS, o.Dir)
 	if err != nil {
 		return nil, err
 	}

@@ -92,40 +92,16 @@ func decodeTerm(b []byte) (term uint64, fenced bool, err error) {
 	return binary.LittleEndian.Uint64(b[n+1:]), flag == 1, nil
 }
 
-// writeTermFile atomically replaces the TERM file: temp file, fsync,
-// rename, directory fsync — the writeManifest idiom.
+// writeTermFile atomically replaces the TERM file.
 func writeTermFile(fsys faultfs.FS, dir string, term uint64, fenced bool) error {
-	tmp := filepath.Join(dir, termName+".tmp")
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(encodeTerm(term, fenced)); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, termName)); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return syncDir(fsys, dir)
+	return faultfs.ReplaceFile(fsys, filepath.Join(dir, termName), encodeTerm(term, fenced))
 }
 
 // readTermFile loads dir's TERM file. A missing file is term 0, unfenced
 // (pre-failover directories stay openable); a corrupt one is an error so a
 // forged or torn term can never silently regress.
-func readTermFile(dir string) (term uint64, fenced bool, err error) {
-	b, err := os.ReadFile(filepath.Join(dir, termName))
+func readTermFile(fsys faultfs.FS, dir string) (term uint64, fenced bool, err error) {
+	b, err := fsys.ReadFile(filepath.Join(dir, termName))
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, false, nil
 	}
@@ -149,7 +125,7 @@ type termState struct {
 // loadTerm recovers the persisted term at open. A recovered fence is
 // re-armed only by a term bump, never by the recovery loop.
 func (d *durable) loadTerm() error {
-	term, fenced, err := readTermFile(d.dir)
+	term, fenced, err := readTermFile(d.fs, d.dir)
 	if err != nil {
 		return err
 	}

@@ -76,7 +76,7 @@ func openKind(t testing.TB, kind string, g *graph.Graph, o Options) kindStore {
 	t.Helper()
 	sharded := kind == "sharded"
 	if g == nil {
-		m, err := readManifest(o.Dir)
+		m, err := readManifest(faultfs.Disk, o.Dir)
 		if err != nil {
 			t.Fatal(err)
 		}

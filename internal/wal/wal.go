@@ -448,7 +448,7 @@ func (l *Log) TruncateBefore(upTo uint64) error {
 	}
 	l.segs = keep
 	if removed {
-		return syncDir(l.fs, l.dir)
+		return faultfs.SyncDir(l.fs, l.dir)
 	}
 	return nil
 }
@@ -512,45 +512,6 @@ func (l *Log) ActiveSegment() string {
 	return l.segs[len(l.segs)-1].name
 }
 
-// CheckSegment re-reads a sealed segment and verifies every record frame
-// (CRC and sequence continuity), returning the bytes read — the scrubber's
-// rate-accounting unit. Corruption is reported wrapping ErrCorrupt. The
-// read runs outside the log mutex: sealed segments are immutable, and one
-// deleted mid-scrub by a concurrent checkpoint surfaces as ErrNotExist for
-// the caller to skip. Checking the active segment is refused — it is
-// growing under the writer.
-func (l *Log) CheckSegment(name string) (int64, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, ErrClosed
-	}
-	var first uint64
-	found, sealed := false, false
-	for i, s := range l.segs {
-		if s.name == name {
-			first, found, sealed = s.first, true, i < len(l.segs)-1
-			break
-		}
-	}
-	fsys, dir := l.fs, l.dir
-	l.mu.Unlock()
-	if !found {
-		return 0, fmt.Errorf("wal: check of unknown segment %s", name)
-	}
-	if !sealed {
-		return 0, fmt.Errorf("wal: check of active segment %s refused", name)
-	}
-	data, err := fsys.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		return 0, err
-	}
-	if _, _, scanErr := scanSegment(data, first); scanErr != nil {
-		return int64(len(data)), fmt.Errorf("%w: %s: %v", ErrCorrupt, name, scanErr)
-	}
-	return int64(len(data)), nil
-}
-
 // QuarantineSegment renames a corrupt sealed segment to name+".quarantine"
 // and drops it from the log, preserving the evidence while getting it out
 // of the replay path. The caller must immediately force a checkpoint past
@@ -574,7 +535,7 @@ func (l *Log) QuarantineSegment(name string) error {
 			return err
 		}
 		l.segs = append(l.segs[:i], l.segs[i+1:]...)
-		return syncDir(l.fs, l.dir)
+		return faultfs.SyncDir(l.fs, l.dir)
 	}
 	return fmt.Errorf("wal: quarantine of unknown segment %s", name)
 }
@@ -638,7 +599,7 @@ func (l *Log) startSegment(first uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := syncDir(l.fs, l.dir); err != nil {
+	if err := faultfs.SyncDir(l.fs, l.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -720,34 +681,49 @@ func VerifyDir(fsys faultfs.FS, dir string) ([]SegmentCheck, error) {
 	sort.Strings(names) // fixed-width hex: lexicographic == numeric
 	checks := make([]SegmentCheck, 0, len(names))
 	for i, name := range names {
-		c := SegmentCheck{Name: name}
-		first, perr := parseSegmentName(name)
-		if perr != nil {
-			c.Err = perr
-			checks = append(checks, c)
-			continue
-		}
-		data, rerr := fsys.ReadFile(filepath.Join(dir, name))
-		if rerr != nil {
-			c.Err = rerr
-			checks = append(checks, c)
-			continue
-		}
-		c.Bytes = int64(len(data))
-		last, _, serr := scanSegment(data, first)
-		if last >= first {
-			c.Records = last - first + 1
-		}
-		if serr != nil {
-			if i == len(names)-1 {
-				c.Torn = true
-			} else {
-				c.Err = fmt.Errorf("%w: %s: %v", ErrCorrupt, name, serr)
-			}
-		}
-		checks = append(checks, c)
+		checks = append(checks, checkSegment(fsys, dir, name, i == len(names)-1))
 	}
 	return checks, nil
+}
+
+// CheckSegment re-reads the sealed segment name of dir and verifies every
+// record frame (CRC and sequence continuity), returning the bytes read —
+// the scrubber's rate-accounting unit. Damage is reported wrapping
+// ErrCorrupt; a segment deleted since it was listed, by a checkpoint's
+// truncation, surfaces as ErrNotExist. Only a sealed segment can be
+// checked: the active one is growing under its writer.
+func CheckSegment(fsys faultfs.FS, dir, name string) (int64, error) {
+	c := checkSegment(faultfs.Or(fsys), dir, name, false)
+	return c.Bytes, c.Err
+}
+
+// checkSegment is the one per-segment check behind VerifyDir and
+// CheckSegment. Damage on the tail segment (tail) is Torn, not an error.
+func checkSegment(fsys faultfs.FS, dir, name string, tail bool) SegmentCheck {
+	c := SegmentCheck{Name: name}
+	first, err := parseSegmentName(name)
+	if err != nil {
+		c.Err = err
+		return c
+	}
+	data, err := fsys.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		c.Err = err
+		return c
+	}
+	c.Bytes = int64(len(data))
+	last, _, err := scanSegment(data, first)
+	if last >= first {
+		c.Records = last - first + 1
+	}
+	switch {
+	case err == nil:
+	case tail:
+		c.Torn = true
+	default:
+		c.Err = fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
+	}
+	return c
 }
 
 // ListDir lists the segment files of dir in sequence order without opening
@@ -987,17 +963,4 @@ func parseSegmentName(name string) (uint64, error) {
 		return 0, fmt.Errorf("%w: bad segment name %q", ErrCorrupt, name)
 	}
 	return v, nil
-}
-
-// syncDir fsyncs a directory so entry creation/deletion survives a crash.
-func syncDir(fsys faultfs.FS, dir string) error {
-	d, err := fsys.OpenFile(dir, os.O_RDONLY, 0)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
