@@ -8,8 +8,8 @@
 //	qpgc reach     -in g.txt -from 3 -to 17
 //	qpgc gen       -kind social|web|citation|p2p|er -v 1000 -e 5000 -l 4 -out g.txt [-seed n]
 //	qpgc workload  -in g.txt -ops 10000 -write 0.05 -out w.txt [-seed n]
-//	qpgc serve     -listen addr [-in g.txt] [-data dir] [-sync always|none] [-faults plan] [-scrub 1s] [-maxqps n] [-metrics addr] [-slow 5ms]
-//	qpgc replica   -leader addr[,addr...] -data dir [-listen addr]
+//	qpgc serve     -listen addr [-in g.txt] [-data dir] [-sync always|none] [-faults plan] [-scrub 1s] [-metrics addr] [-slow 5ms]
+//	qpgc replica   -leader addr[,addr...] -data dir [-listen addr] [-metrics addr] [-slow 5ms]
 //	qpgc promote   -addr addr [-wait 10s]
 //	qpgc client    -addr addr[,addr...] [-workload w.txt [-wbatch n]] [-from u -to v] [-stats] [-verify [-addrs a,b,c] [-pairs n]]
 //	qpgc top       (-addr addr | -url http://host:port/metrics) [-interval 1s] [-once] [-require fam1,fam2]

@@ -28,15 +28,11 @@ func cmdReplica(args []string) {
 	leader := fs.String("leader", "", "replication source retry list, comma-separated (leader first; siblings after, for failover chaining)")
 	data := fs.String("data", "", "replica durable directory (bootstrapped if empty, recovered otherwise)")
 	listen := fs.String("listen", "", "serve replicated reads over TCP on this address")
-	maxqps := fs.Int("maxqps", 0, "network read admission cap, queries/s (0 = uncapped)")
 	metricsAddr := fs.String("metrics", "", "HTTP side-listener address (/metrics, /debug/vars, /debug/slowlog, /debug/pprof/)")
 	slowQuery := fs.Duration("slow", 0, "slow-query log threshold for network point reads (0 = off)")
 	fs.Parse(args)
 	if *leader == "" || *data == "" {
 		fatal(fmt.Errorf("replica: -leader and -data are required"))
-	}
-	if *maxqps < 0 {
-		fatal(fmt.Errorf("replica: -maxqps must be >= 0 (0 = uncapped), got %d", *maxqps))
 	}
 	var reg *obs.Registry
 	if *metricsAddr != "" || *listen != "" {
@@ -70,7 +66,7 @@ func cmdReplica(args []string) {
 		// endpoint also accepts MsgPromote, which turns this follower into
 		// the leader (see "qpgc promote").
 		srv, err := server.Start(*listen, server.Options{
-			Backend: f, ReplDir: *data, MaxQPS: *maxqps, Obs: reg, SlowQuery: *slowQuery,
+			Backend: f, ReplDir: *data, Obs: reg, SlowQuery: *slowQuery,
 		})
 		if err != nil {
 			fatal(err)

@@ -54,12 +54,10 @@ func cmdWorkload(args []string) {
 }
 
 // serveFlags are serve's options: the durable host (-in, -data, -sync,
-// -faults, -scrub) and the network front (-listen, -maxqps, -metrics,
-// -slow).
+// -faults, -scrub) and the network front (-listen, -metrics, -slow).
 type serveFlags struct {
 	in, data, sync, faults string
 	listen, metrics        string
-	maxqps                 int
 	scrub, slow            time.Duration
 }
 
@@ -77,8 +75,6 @@ func (f serveFlags) check() error {
 		return errors.New("serve: -faults injects into the durable filesystem and requires -data")
 	case f.scrub > 0 && f.data == "":
 		return errors.New("serve: -scrub verifies durable state and requires -data")
-	case f.maxqps < 0:
-		return fmt.Errorf("serve: -maxqps must be >= 0 (0 = uncapped), got %d", f.maxqps)
 	}
 	return nil
 }
@@ -99,7 +95,6 @@ func cmdServe(args []string) {
 	fs.StringVar(&f.faults, "faults", "", "fault-injection plan for the durable filesystem (e.g. \"enospc@120+40,sync@300+3%wal-\")")
 	fs.DurationVar(&f.scrub, "scrub", 0, "background integrity-scrub interval with -data (0 = off)")
 	fs.StringVar(&f.listen, "listen", "", "serve the store over TCP on this address (required; with -data, replicas may tail it)")
-	fs.IntVar(&f.maxqps, "maxqps", 0, "network read admission cap, queries/s (0 = uncapped)")
 	fs.StringVar(&f.metrics, "metrics", "", "HTTP side-listener address (/metrics, /debug/vars, /debug/slowlog, /debug/pprof/)")
 	fs.DurationVar(&f.slow, "slow", 0, "slow-query log threshold for network point reads (0 = off)")
 	fs.Parse(args)
@@ -139,7 +134,7 @@ func cmdServe(args []string) {
 		fmt.Printf("metrics on http://%s/metrics\n", ms.Addr())
 	}
 	srv, err := server.Start(f.listen, server.Options{
-		Backend: server.NewStoreBackend(st), ReplDir: f.data, MaxQPS: f.maxqps,
+		Backend: server.NewStoreBackend(st), ReplDir: f.data,
 		Obs: reg, SlowQuery: f.slow,
 	})
 	if err != nil {

@@ -16,15 +16,14 @@ func TestServeFlagsCheck(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults with -listen", func(*serveFlags) {}, ok, true},
-		{"durable, scrubbed, faulted, capped", func(f *serveFlags) {
-			f.sync, f.scrub, f.faults, f.maxqps = "none", time.Second, "enospc@8+10%wal-", 1000
+		{"durable, scrubbed, faulted", func(f *serveFlags) {
+			f.sync, f.scrub, f.faults = "none", time.Second, "enospc@8+10%wal-"
 		}, durable, true},
 		{"no -listen", func(f *serveFlags) { f.listen = "" }, ok, false},
 		{"-sync maybe", func(f *serveFlags) { f.sync = "maybe" }, durable, false},
 		{"-scrub -1s", func(f *serveFlags) { f.scrub = -time.Second }, durable, false},
 		{"-faults without -data", func(f *serveFlags) { f.faults = "enospc@8" }, ok, false},
 		{"-scrub without -data", func(f *serveFlags) { f.scrub = time.Second }, ok, false},
-		{"-maxqps -1", func(f *serveFlags) { f.maxqps = -1 }, ok, false},
 	}
 	for _, c := range cases {
 		f := c.base

@@ -299,11 +299,10 @@ func renderTop(w io.Writer, cur, prev metricSample, dt time.Duration, rpcEpoch u
 		pub := func(name string) string {
 			return ms(cur.get(`qpgc_store_publish_seconds{stage="` + name + `",quantile="0.5"}`))
 		}
-		fmt.Fprintf(w, "publish freeze %s + reach %s + pattern %s + swap %s  |  index %s on readers (n=%.0f)  |  rows patched p50 %.0f  full builds %.0f\n",
+		fmt.Fprintf(w, "publish freeze %s + reach %s + pattern %s + swap %s  |  index %s on readers (n=%.0f)  |  rows patched p50 %.0f\n",
 			pub("freeze"), pub("reach"), pub("pattern"), pub("swap"), pub("index"),
 			cur.get(`qpgc_store_publish_seconds_count{stage="index"}`),
-			1e9*cur.get(`qpgc_store_publish_patched_rows{quantile="0.5"}`),
-			cur.get("qpgc_store_publish_full_total"))
+			1e9*cur.get(`qpgc_store_publish_patched_rows{quantile="0.5"}`))
 	}
 	fmt.Fprintf(w, "server  inflight %.0f  epoch-waits %.0f  rejects %.0f\n",
 		cur.get("qpgc_server_inflight"),

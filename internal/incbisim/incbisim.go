@@ -160,13 +160,11 @@ type Maintainer struct {
 	srcLogged   []bool // node -> listed in logSrcs
 
 	// The published view (view.go): the one View last returned and the
-	// generation it is of, the block id -> published id map (-1 when not
-	// published) and its inverse, and the rows patched since the last full
-	// build; then View's scratch.
+	// generation it is of, and the block id -> published id map (-1 when
+	// not published) and its inverse; then View's scratch.
 	view     View
 	viewGen  uint64
 	pub, mid []int32
-	patched  int
 	vp       Patcher
 	ps       struct{ holes, fresh, reloc []int32 }
 	diff     Diff
@@ -232,16 +230,6 @@ func (m *Maintainer) Partition() *bisim.Partition {
 		m.part = bisim.PartitionOf(m.top().cls)
 	}
 	return m.part
-}
-
-// ClearSources empties the change log's list of nodes whose successor lists
-// changed, for a caller that takes no views: the next View is built in full.
-func (m *Maintainer) ClearSources() {
-	for _, v := range m.logSrcs {
-		m.srcLogged[v] = false
-	}
-	m.logSrcs = m.logSrcs[:0]
-	m.view = View{}
 }
 
 // resetChanges empties the change log.

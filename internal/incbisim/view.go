@@ -2,14 +2,13 @@ package incbisim
 
 // The published view: the quotient as a frozen CSR beside the node → block
 // map and member lists pattern.Expand reads, made once per generation in a
-// dense id space that keeps an untouched block's id (pub/mid). A view is the
+// dense id space that keeps an untouched block's id (pub/mid). A
+// maintainer's first view is a full build (Build); every later one is the
 // previous one patched where the batches reached (Patch), at the cost of
-// what moved; the first view, a change moving more than a patch is worth
-// and a drifted layout get a full build (Build). Patch and Build are the one
-// way a pattern view is made anywhere — the maintainer runs them over its
-// graph, a store that follows another over its CSR snapshot with the moves
-// and rows it was shipped — and both read a block's quotient row off its
-// first member (appendRow).
+// what moved. Patch and Build are the one way a pattern view is made
+// anywhere — the maintainer runs them over its graph, a store that follows
+// another over its CSR snapshot with the moves and rows it was shipped —
+// and both read a block's quotient row off its first member (appendRow).
 
 import (
 	"fmt"
@@ -17,22 +16,6 @@ import (
 
 	"repro/internal/bisim"
 	"repro/internal/graph"
-)
-
-const (
-	// maxMovedShare bounds what a patch may move: a view is built in full
-	// when more than 1/maxMovedShare of the nodes changed block since the
-	// previous one, past which the patch's merges cost what a full build's
-	// single pass does.
-	maxMovedShare = 4
-	// patternDriftRows bounds how far the layout may drift from
-	// graph.Reorder's BFS order, since a patched row keeps its id and a new
-	// block takes a recycled or trailing one: the view is built in full once
-	// the rows patched since the last full build exceed this many times |Vr|.
-	// Views patched through 2.6×|Vr| rows match within 5 % of a rebuilt
-	// view's speed (EXPERIMENTS.md, "Write path per layer"); the bound is for
-	// the tail nobody measured.
-	patternDriftRows = 2
 )
 
 // View is one published pattern view.
@@ -74,12 +57,8 @@ const (
 	Kept How = iota
 	// Patched is the previous view patched by the Diff's moves and rows.
 	Patched
-	// Built is a full build: the first view, or more moved than a patch is
-	// worth.
+	// Built is a full build: the maintainer's first view.
 	Built
-	// Drifted is a full build because the rows patched since the last one
-	// passed the drift bound.
-	Drifted
 )
 
 // Diff tells how View made its view from the one it returned before.
@@ -305,24 +284,20 @@ func Patch[G Adjacency](p *Patcher, g G, old View, moved, to []graph.Node, n int
 
 // View returns the view of the current partition, and how it was made from
 // the one the previous call returned. The first call builds it in full;
-// later ones patch the previous view by the change log — the blocks and
-// nodes the batches since moved and the sources of their updates — which
-// they then empty, unless more moved than a patch is worth or the layout
-// has drifted. The Diff is valid until the next call. Views form one
-// sequence per maintainer: a caller that publishes them, diffs included,
-// must be the only one calling View.
+// every later one patches the previous view by the change log — the blocks
+// and nodes the batches since moved and the sources of their updates —
+// which it then empties. The Diff is valid until the next call. Views form
+// one sequence per maintainer: a caller that publishes them, diffs
+// included, must be the only one calling View.
 func (m *Maintainer) View() (View, *Diff) {
 	d := &m.diff
 	d.Moved, d.To, d.Rows = d.Moved[:0], d.To[:0], Rows{}
-	switch nodes := len(m.mark); {
-	case m.view.Gr != nil && m.viewGen == m.gen:
-		d.How = Kept
-	case m.view.Gr == nil || maxMovedShare*len(m.logNodes) > nodes:
+	switch {
+	case m.view.Gr == nil:
 		d.How = Built
 		m.view = m.buildView()
-	case m.patched > patternDriftRows*len(m.mid):
-		d.How = Drifted
-		m.view = m.buildView()
+	case m.viewGen == m.gen:
+		d.How = Kept
 	default:
 		d.How = Patched
 		m.view = m.patchView(d)
@@ -350,7 +325,6 @@ func (m *Maintainer) buildView() View {
 		id := top.cls[mem[0]]
 		m.mid[b], m.pub[id] = id, int32(b)
 	}
-	m.patched = 0
 	return v
 }
 
@@ -429,7 +403,6 @@ func (m *Maintainer) patchView(d *Diff) View {
 		panic("incbisim: the change log does not describe the partition: " + err.Error())
 	}
 	d.Rows = *rows
-	m.patched += len(rows.IDs)
 	return v
 }
 

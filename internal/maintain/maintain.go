@@ -54,10 +54,6 @@ func New(g *graph.Graph) *Pair {
 // Graph returns the maintained graph; mutate it only through Apply.
 func (p *Pair) Graph() *graph.Graph { return p.cond.Graph() }
 
-// ClearSources empties the change log incPCM keeps for its next view, for a
-// caller that takes no pattern views.
-func (p *Pair) ClearSources() { p.Pattern.ClearSources() }
-
 // Apply applies ΔG to the graph and brings both compressions to
 // R(G ⊕ ΔG).
 func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {

@@ -7,16 +7,13 @@ import (
 
 // Stage names one leg of a query's life, in pipeline order. A span steps
 // through whichever stages apply to its query — a monolithic point read
-// has no summary hop, an unlimited server has no admission wait — and
-// unvisited stages simply record nothing.
+// has no summary hop — and unvisited stages simply record nothing.
 type Stage uint8
 
 // Query pipeline stages.
 const (
-	// StageAdmission is time spent waiting for the read rate limiter.
-	StageAdmission Stage = iota
 	// StageEpochWait is time spent holding for the read-your-writes epoch.
-	StageEpochWait
+	StageEpochWait Stage = iota
 	// StageWave is the read itself; for batches, the scheduler's waves.
 	StageWave
 	// StageLeaf is time inside the leaf engine (topo sweep, hub-cache
@@ -32,8 +29,6 @@ const (
 // String names the stage for metric labels.
 func (st Stage) String() string {
 	switch st {
-	case StageAdmission:
-		return "admission"
 	case StageEpochWait:
 		return "epoch_wait"
 	case StageWave:
@@ -49,8 +44,8 @@ func (st Stage) String() string {
 // Tracer owns the per-stage histograms one query family feeds, plus an
 // optional slow-query log. Tracers registered under the same family share
 // instruments (Registry lookups are idempotent), so the server's
-// admission/epoch-wait stages and the store's leaf/summary stages land in
-// one family. A nil *Tracer hands out no-op spans.
+// epoch-wait/wave stages and the store's leaf/summary stages land in one
+// family. A nil *Tracer hands out no-op spans.
 type Tracer struct {
 	total *Histogram
 	stage [NumStages]*Histogram

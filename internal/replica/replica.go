@@ -215,19 +215,11 @@ func Start(opts Options) (*Follower, error) {
 			return nil, err
 		}
 	}
-	s, err := openLocal(opts)
+	s, err := f.openLocal()
 	if err != nil {
 		return nil, err
 	}
 	f.s = s
-	// A snapshot fetched during bootstrap reported the source's term;
-	// adopt it so the local store starts at the cluster's term, not 0.
-	if t := f.leaderTerm.Load(); t > 0 {
-		if err := s.AdoptTerm(t); err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
 	f.bindObs(opts.Obs)
 	f.startTail()
 	return f, nil
@@ -308,22 +300,31 @@ func (f *Follower) bindObs(r *obs.Registry) {
 func (f *Follower) bootstrap() error {
 	var lastErr error
 	for _, addr := range f.leaders {
-		cli, err := server.Dial(addr)
+		epoch, data, err := f.fetchSnapshot(addr)
 		if err != nil {
-			lastErr = fmt.Errorf("replica: bootstrap dial %s: %w", addr, err)
-			continue
-		}
-		cli.SetTimeout(snapFrameTimeout)
-		epoch, data, err := cli.FetchSnapshot()
-		f.noteLeaderTerm(cli.LastTerm())
-		cli.Close()
-		if err != nil {
-			lastErr = fmt.Errorf("replica: snapshot fetch from %s: %w", addr, err)
+			lastErr = fmt.Errorf("replica: bootstrap: %w", err)
 			continue
 		}
 		return store.InstallSnapshot(f.opts.FS, f.opts.Dir, epoch, data)
 	}
 	return lastErr
+}
+
+// fetchSnapshot fetches addr's newest checkpoint and folds the term the
+// source reported into the tracked maximum, which openLocal adopts.
+func (f *Follower) fetchSnapshot(addr string) (uint64, []byte, error) {
+	cli, err := server.Dial(addr)
+	if err != nil {
+		return 0, nil, fmt.Errorf("dial %s: %w", addr, err)
+	}
+	defer cli.Close()
+	cli.SetTimeout(snapFrameTimeout)
+	epoch, data, err := cli.FetchSnapshot()
+	f.noteLeaderTerm(cli.LastTerm())
+	if err != nil {
+		return 0, nil, fmt.Errorf("snapshot fetch from %s: %w", addr, err)
+	}
+	return epoch, data, nil
 }
 
 // noteLeaderTerm folds a source-reported term into the tracked maximum.
@@ -336,11 +337,23 @@ func (f *Follower) noteLeaderTerm(t uint64) {
 	}
 }
 
-// openLocal recovers the directory's store.
-func openLocal(opts Options) (*store.Store, error) {
+// openLocal recovers the directory's store at the highest term any source
+// reported, so a store installed from a fetched snapshot — whose directory
+// holds no TERM file — joins the cluster at its current term, not 0.
+func (f *Follower) openLocal() (*store.Store, error) {
 	o := store.DefaultOptions()
-	o.Dir, o.FS, o.Sync, o.Obs = opts.Dir, opts.FS, store.SyncNone, opts.Obs
-	return store.Open(nil, &o)
+	o.Dir, o.FS, o.Sync, o.Obs = f.opts.Dir, f.opts.FS, store.SyncNone, f.opts.Obs
+	s, err := store.Open(nil, &o)
+	if err != nil {
+		return nil, err
+	}
+	if t := f.leaderTerm.Load(); t > 0 {
+		if err := s.AdoptTerm(t); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // local returns the currently serving local store.
@@ -742,16 +755,9 @@ func (f *Follower) noteShipped(bytes uint64, frames int) {
 // snapshot throughout.
 func (f *Follower) resync() error {
 	f.resyncs.Add(1)
-	cli, err := server.Dial(f.source())
+	epoch, data, err := f.fetchSnapshot(f.source())
 	if err != nil {
-		return fmt.Errorf("replica: resync dial %s: %w", f.source(), err)
-	}
-	cli.SetTimeout(snapFrameTimeout)
-	epoch, data, err := cli.FetchSnapshot()
-	f.noteLeaderTerm(cli.LastTerm())
-	cli.Close()
-	if err != nil {
-		return fmt.Errorf("replica: resync fetch from %s: %w", f.source(), err)
+		return fmt.Errorf("replica: resync: %w", err)
 	}
 	// The image is fully validated by InstallSnapshot before the old state
 	// is touched beyond this point's directory wipe.
@@ -762,17 +768,9 @@ func (f *Follower) resync() error {
 	if err := store.InstallSnapshot(f.opts.FS, f.opts.Dir, epoch, data); err != nil {
 		return err
 	}
-	s, err := openLocal(f.opts)
+	s, err := f.openLocal()
 	if err != nil {
 		return err
-	}
-	// The wipe deleted the TERM file; re-adopt the highest source term so
-	// the fresh store rejoins the cluster at its current term, not 0.
-	if t := f.leaderTerm.Load(); t > 0 {
-		if err := s.AdoptTerm(t); err != nil {
-			s.Close()
-			return err
-		}
 	}
 	f.mu.Lock()
 	f.s = s

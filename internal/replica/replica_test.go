@@ -14,6 +14,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -436,7 +437,9 @@ func (p *chaosProxy) accept() {
 
 // TestChaosDroppedConnections tails the leader through a proxy that kills
 // every connection after a few KB: the follower must reconnect its way to
-// full catch-up with no quarantines needed and no wrong answers.
+// full catch-up with no quarantines needed and no wrong answers. No effect
+// fits in the proxy's window, so every batch reaches the follower as raw
+// frames it re-derives — the case the raw path exists for.
 func TestChaosDroppedConnections(t *testing.T) {
 	g := matrixTopologies(35)["web"]
 	lh := startLeader(t, g, nil)
@@ -452,7 +455,8 @@ func TestChaosDroppedConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	proxy := startChaosProxy(t, lh.srv.Addr(), 600)
-	f := startFollower(t, proxy.Addr(), Options{Dir: dir})
+	reg := obs.NewRegistry()
+	f := startFollower(t, proxy.Addr(), Options{Dir: dir, Obs: reg})
 
 	mirror := g.Clone()
 	rng := rand.New(rand.NewSource(11))
@@ -473,6 +477,9 @@ func TestChaosDroppedConnections(t *testing.T) {
 	st := f.Status()
 	if st.Resyncs != 0 {
 		t.Fatalf("connection drops alone forced %d full resyncs", st.Resyncs)
+	}
+	if raw := reg.Histogram(obs.Label("qpgc_replica_apply_seconds", "path", "raw")).Snapshot().Count; raw == 0 {
+		t.Fatal("no shipped batch was re-derived: the raw path went unexercised")
 	}
 	diffAgainstReference(t, "drops", mirror, map[string]server.Backend{"follower": f})
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // serverObs is the network tier's instrumentation: per-message-type
-// request latency, an in-flight gauge, admission/epoch-wait reject counts,
-// and the qpgc_query tracer whose admission/epoch-wait/wave stages join the
-// store's leaf/summary stages in one family (same-family tracers share
+// request latency, an in-flight gauge, epoch-wait reject counts, and the
+// qpgc_query tracer whose epoch-wait/wave stages join the store's
+// leaf/summary stages in one family (same-family tracers share
 // instruments). A nil *serverObs — a server built without a registry — is
 // a no-op at zero per-request cost beyond one nil check.
 type serverObs struct {
@@ -114,8 +114,7 @@ func (ob *serverObs) qtracer() *obs.Tracer {
 	return ob.tracer
 }
 
-// reject counts one read refused at admission or by the epoch-wait
-// timeout.
+// reject counts one read refused while it waited for its epoch.
 func (ob *serverObs) reject() {
 	if ob != nil {
 		ob.rejects.Add(1)

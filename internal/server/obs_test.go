@@ -79,7 +79,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 	// The tracer's span stages are never sampled, so 64 point reads must
 	// show up in full on every pre-engine stage. (The leaf/summary stage
 	// histograms sample 1 wave in obsSampleWaves and may read 0 here.)
-	for _, stage := range []string{"admission", "epoch_wait", "wave"} {
+	for _, stage := range []string{"epoch_wait", "wave"} {
 		series := `qpgc_query_stage_seconds_count{stage="` + stage + `"}`
 		if !strings.Contains(text, series+" 64\n") {
 			t.Fatalf("scrape lacks %s 64:\n%s", series, text)

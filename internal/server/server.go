@@ -33,11 +33,6 @@ type Options struct {
 	// snapshots through. Nil means the disk; chaos tests substitute a
 	// faultfs.Inject to corrupt shipped bytes deterministically.
 	ShipFS faultfs.FS
-	// MaxQPS caps admitted read requests per second (token bucket), 0 = no
-	// cap. It models a node's fixed serving capacity, so a replica set's
-	// aggregate throughput measures capacity multiplication rather than one
-	// machine's core count (serve/replica -maxqps).
-	MaxQPS int
 	// EpochWaitTimeout bounds how long a read waits for its minEpoch (the
 	// RYW token) before failing. 0 means 5s.
 	EpochWaitTimeout time.Duration
@@ -56,7 +51,6 @@ type Options struct {
 type Server struct {
 	opts    Options
 	backend Backend
-	limiter *rateLimiter
 
 	ln     net.Listener
 	mu     sync.Mutex
@@ -73,9 +67,6 @@ type Server struct {
 // New builds a Server; Serve or Start runs it.
 func New(opts Options) *Server {
 	s := &Server{opts: opts, backend: opts.Backend, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
-	if opts.MaxQPS > 0 {
-		s.limiter = newRateLimiter(opts.MaxQPS)
-	}
 	if s.opts.EpochWaitTimeout == 0 {
 		s.opts.EpochWaitTimeout = 5 * time.Second
 	}
@@ -295,12 +286,10 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 		if u >= n || v >= n {
 			return emit(MsgErr, s.errBody(fmt.Errorf("server: node id outside [0,%d)", n)))
 		}
-		// The span walks the point read through the pipeline: admission
-		// wait, epoch wait, then the read itself. The store's leaf and
-		// summary stages land in the same qpgc_query family.
+		// The span walks the point read through the pipeline: epoch wait,
+		// then the read itself. The store's leaf and summary stages land in
+		// the same qpgc_query family.
 		sp := s.ob.qtracer().Start(u, v)
-		s.admitRead()
-		sp.Step(obs.StageAdmission)
 		var reach bool
 		epoch, err := s.pinned(minEpoch, &sp, func() (epoch uint64) {
 			reach, epoch = s.backend.Reachable(graph.Node(u), graph.Node(v), onG == 1)
@@ -320,7 +309,6 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 		return emit(MsgBool, out)
 
 	case MsgBatchReach:
-		s.admitRead()
 		c := &cursor{b: body}
 		minEpoch := c.u64()
 		k := c.u32()
@@ -365,7 +353,6 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 		return emit(MsgBools, out)
 
 	case MsgMatch:
-		s.admitRead()
 		c := &cursor{b: body}
 		minEpoch := c.u64()
 		p, perr := decodePattern(c)
@@ -631,46 +618,4 @@ func (s *Server) emitEffect(emit func(MsgType, []byte) error, e store.Effect) er
 	s.ob.effectBytes(len(e.Bytes))
 	out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(e.Bytes)), e.Epoch)
 	return emit(MsgEffect, append(out, e.Bytes...))
-}
-
-// admitRead blocks until the read rate limiter grants a token (no-op when
-// MaxQPS is unset).
-func (s *Server) admitRead() {
-	if s.limiter != nil {
-		s.limiter.wait()
-	}
-}
-
-// rateLimiter is a token bucket refilled continuously at qps, holding at
-// most one second of burst.
-type rateLimiter struct {
-	mu     sync.Mutex
-	qps    float64
-	tokens float64
-	last   time.Time
-}
-
-func newRateLimiter(qps int) *rateLimiter {
-	return &rateLimiter{qps: float64(qps), tokens: 1, last: time.Now()}
-}
-
-// wait takes one token, sleeping until the refill supplies it.
-func (l *rateLimiter) wait() {
-	for {
-		l.mu.Lock()
-		now := time.Now()
-		l.tokens += now.Sub(l.last).Seconds() * l.qps
-		l.last = now
-		if l.tokens > l.qps {
-			l.tokens = l.qps
-		}
-		if l.tokens >= 1 {
-			l.tokens--
-			l.mu.Unlock()
-			return
-		}
-		need := time.Duration((1 - l.tokens) / l.qps * float64(time.Second))
-		l.mu.Unlock()
-		time.Sleep(need)
-	}
 }

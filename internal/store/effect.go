@@ -550,7 +550,7 @@ func (s *Store) applyEffect(batches [][]graph.Update, b []byte) (uint64, bool, e
 	}
 	s.mark(sn.Epoch)
 	if s.ob != nil {
-		s.ob.notePublish(start, false)
+		s.ob.notePublish(start)
 		s.ob.apply.Observe(time.Since(start))
 	}
 	if s.dur != nil {

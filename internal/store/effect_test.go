@@ -69,10 +69,11 @@ func membersReachMap(old, cur *reach.Compressed) (classMap, exNode, exClass []gr
 
 // TestEffectAppliedEqualsRebuilt is the effect differential. Over seeded
 // histories — coalesced groups, groups that change nothing, hub rows,
-// undone groups, the moved-share and drift fallbacks of the leader's
-// pattern view — a durable follower store is fed only what a tail round
-// ships: each group's raw batches with the effects the leader's ring chains
-// from the follower's views, or an image. After every group its G and both
+// undone groups, groups of large batches — a durable follower store is fed
+// only what a tail round ships: each group's raw batches with the effects
+// the leader's ring chains from the follower's views, or an image. The
+// leader keeps one lineage, so an image is sent only where the follower's
+// own layout breaks the chain. After every group its G and both
 // views equal the leader's array for array (the leader's are those
 // TestPatchedEqualsRebuilt holds to a rebuild), and it holds no maintainer.
 // Two more paths are forced: the follower restarts (a lineage break: the
@@ -183,10 +184,10 @@ func TestEffectAppliedEqualsRebuilt(t *testing.T) {
 					}
 				}
 			}
-			// The start, the two moved-share fallbacks, the raw round and the
-			// restart each cost an image; everything else is a diff.
-			if images < 5 || diffs < groups/2 || reachDiffs == 0 {
-				t.Fatalf("%d images, %d diffs (%d moved the reach view): the history did not cover the paths", images, diffs, reachDiffs)
+			// The start, the raw round and the restart each cost an image;
+			// everything else is a diff.
+			if images != 3 || diffs < groups/2 || reachDiffs == 0 {
+				t.Fatalf("%d images (want 3: start, raw round, restart), %d diffs (%d moved the reach view)", images, diffs, reachDiffs)
 			}
 			t.Logf("%d groups: %d diffs (%d moved the reach view), %d images", groups, diffs, reachDiffs, images)
 		})

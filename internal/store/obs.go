@@ -34,14 +34,9 @@ type storeObs struct {
 	// Publish by stage, qpgc_store_publish_seconds{stage=...}: the snapshot
 	// of G, the reach view, the pattern view and the swap on the writer; the
 	// 2-hop index where it is built, which is the first reader that wants
-	// it. pubFull counts publishes that had a snapshot to patch and rebuilt
-	// a view in full anyway, pubDrift the pattern views among them built in
-	// full because the patched layout drifted; pubRows is the quotient rows
-	// patched per epoch.
+	// it. pubRows is the quotient rows patched per epoch.
 	pubStage [numPubStages]*obs.Histogram
 	pubIndex *obs.Histogram
-	pubFull  *obs.Counter
-	pubDrift *obs.Counter
 	pubRows  *obs.Histogram
 
 	lastPublish atomic.Int64  // unix nanos of the latest publish, for epoch age
@@ -132,8 +127,6 @@ func newStoreObs(r *obs.Registry) *storeObs {
 		summary: r.Histogram(obs.Label("qpgc_query_stage_seconds", "stage", obs.StageSummary.String())),
 
 		pubIndex: r.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", "index")),
-		pubFull:  r.Counter("qpgc_store_publish_full_total"),
-		pubDrift: r.Counter("qpgc_store_publish_drift_total"),
 		pubRows:  r.Histogram("qpgc_store_publish_patched_rows"),
 	}
 	for st, name := range pubStageNames {
@@ -143,9 +136,9 @@ func newStoreObs(r *obs.Registry) *storeObs {
 	return so
 }
 
-// notePublish records one publish begun at start: its latency, whether it
-// fell back to a full build, and the epoch-age anchor.
-func (so *storeObs) notePublish(start time.Time, fellBack bool) {
+// notePublish records one publish begun at start: its latency and the
+// epoch-age anchor.
+func (so *storeObs) notePublish(start time.Time) {
 	if so == nil {
 		return
 	}
@@ -153,9 +146,6 @@ func (so *storeObs) notePublish(start time.Time, fellBack bool) {
 	d := now.Sub(start)
 	so.publish.Observe(d)
 	so.stagePublish.Observe(d)
-	if fellBack {
-		so.pubFull.Inc()
-	}
 	so.lastPublish.Store(now.UnixNano())
 }
 
@@ -164,14 +154,6 @@ func (so *storeObs) notePublish(start time.Time, fellBack bool) {
 func (so *storeObs) notePatched(rows int) {
 	if so != nil {
 		so.pubRows.ObserveNs(int64(rows))
-	}
-}
-
-// noteDrift records a full build of the pattern view made because its
-// patched layout drifted.
-func (so *storeObs) noteDrift() {
-	if so != nil {
-		so.pubDrift.Inc()
 	}
 }
 

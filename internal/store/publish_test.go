@@ -71,9 +71,9 @@ func (h *history) group(i int) (group [][]graph.Update, effective bool) {
 				b = append(b, graph.Update{From: up.From, To: up.To, Insert: !up.Insert})
 			}
 		default:
-			// A full group of large batches is past the share a patch is
-			// worth (two early groups are, for the fallback's sake); the
-			// others stay under it however many batches they coalesce.
+			// Two early full groups are of large batches, so that a patch
+			// covers large moves too; the others stay small however many
+			// batches they coalesce.
 			size := 6 + h.rng.Intn(30)
 			if len(out)+k > 8 && i != 16 && i != 46 {
 				size = 1 + h.rng.Intn(4)
@@ -211,8 +211,9 @@ func pinSharded(at string, sn *ShardedSnapshot) pinned {
 // what a rebuild from the mirror graph gives, a snapshot pinned earlier is
 // bit-identical to its copy, and readers run against it throughout (the
 // race detector checks that sharing between epochs never turns into a
-// write). Each history crosses the full-build fallback at least twice; both
-// paths face the same assertions.
+// write). On the monolithic kind the pattern view is built in full once, at
+// open: every effective epoch after it is a patch, and the history keeps one
+// lineage.
 func TestPatchedEqualsRebuilt(t *testing.T) {
 	histories := []struct {
 		name   string
@@ -258,8 +259,12 @@ func TestPatchedEqualsRebuilt(t *testing.T) {
 				defer func() { close(stop); readers.Wait() }()
 
 				var pins []pinned
+				effectiveEpochs := 0
 				for e := 0; e < epochs; e++ {
 					group, effective := hs.group(e)
+					if effective {
+						effectiveEpochs++
+					}
 					at := fmt.Sprintf("epoch group %d (%d batches)", e, len(group))
 					switch s := h.(type) {
 					case *Store:
@@ -273,9 +278,10 @@ func TestPatchedEqualsRebuilt(t *testing.T) {
 							t.Fatalf("%s: published G differs from Freeze of the graph", at)
 						}
 						checkPatternView(t, at, sn.Pattern, mirror)
-						if sn.Lineage == prev.Lineage {
-							relocated += relocations(prev.Pattern, sn.Pattern)
+						if sn.Lineage != prev.Lineage {
+							t.Fatalf("%s: the lineage changed from %x to %x: a view was built in full after the first", at, prev.Lineage, sn.Lineage)
 						}
+						relocated += relocations(prev.Pattern, sn.Pattern)
 						pins = append(pins, pinMono(at, sn))
 					case *ShardedStore:
 						prev := s.Snapshot()
@@ -323,18 +329,16 @@ func TestPatchedEqualsRebuilt(t *testing.T) {
 						t.Fatalf("the snapshot pinned at %s changed under its reader", p.at)
 					}
 				}
-				full := reg.Counter("qpgc_store_publish_full_total").Value()
-				drifted := reg.Counter("qpgc_store_publish_drift_total").Value()
 				patchedEpochs := reg.Histogram("qpgc_store_publish_patched_rows").Snapshot().Count
 				if kind != "mono" {
 					return
 				}
-				// G has no fallback: only incPCM's share threshold and its
-				// drift bound make full builds.
-				if full-drifted < 1 || drifted < 2 {
-					t.Fatalf("full-build fallback ran %d times, %d of them for drift: want the share threshold crossed and drift at least twice", full, drifted)
+				// An epoch that changed G patched the pattern view; one that
+				// did not kept it.
+				if patchedEpochs != uint64(effectiveEpochs) {
+					t.Fatalf("%d epochs patched the pattern view, want every one of the %d that changed G", patchedEpochs, effectiveEpochs)
 				}
-				t.Logf("%d epochs, %d patched the pattern view, %d full-build fallbacks, %d of them for drift", epochs, patchedEpochs, full, drifted)
+				t.Logf("%d epochs, %d patched the pattern view under one lineage", epochs, patchedEpochs)
 			})
 		}
 	})
@@ -365,8 +369,8 @@ var social16 = gen.Dataset{Name: "social16", V: 15500, E: 79600, Labels: 16, Kin
 // alone cost: its time, the bytes it allocated, and — when retain is set,
 // at the price of two collections an epoch — the bytes the new snapshot
 // keeps alive beyond what the previous one already did. Every fourth epoch
-// is forced down the full-build path — G frozen anew, both views rebuilt —
-// and timed into full instead.
+// is forced down the full-build path — new maintainers, untimed, then both
+// views built from them — and timed into full instead.
 func publishCost(tb testing.TB, factor, epochs int, retain bool) (ns, full, alloc, retained []float64) {
 	d := social16
 	d.V, d.E = d.V*factor, d.E*factor
@@ -383,8 +387,8 @@ func publishCost(tb testing.TB, factor, epochs int, retain bool) (ns, full, allo
 		s.materialize(nil)
 		s.apply(uint64(e), b)
 		old := s.Snapshot()
-		if s.full = e%4 == 0; s.full {
-			s.m.ClearSources() // incPCM builds its next view in full
+		if e%4 == 0 {
+			s.setMaintainers(s.m.Graph()) // new maintainers: the next publish builds in full
 		}
 		if retain {
 			runtime.GC()

@@ -487,10 +487,8 @@ func (w *shardWorker) run() {
 			}
 			clk := w.ob.startPublish()
 			// The shard's snapshot of its subgraph is its graph frozen, as on
-			// the monolithic store. The shard takes no pattern views, so it
-			// empties the change log they would.
+			// the monolithic store.
 			cached.g = m.Graph().Freeze()
-			m.ClearSources()
 			clk.lap(pubFreeze)
 			// The reach view — and with it the shard's 2-hop cell — is
 			// rebuilt only when the shard's compression moved. incRCM
@@ -876,7 +874,7 @@ func (s *ShardedStore) publish(epoch uint64) {
 	}
 	s.install(&ShardedSnapshot{Epoch: epoch, Shards: shards, Summary: summary, Stitched: stitched})
 	clk.lap(pubSwap)
-	s.ob.notePublish(clk.start, false)
+	s.ob.notePublish(clk.start)
 }
 
 // setBoundary caches the global boundary list and its per-shard split.

@@ -193,9 +193,10 @@ type Snapshot struct {
 	// Epoch counts applied batches: a snapshot with Epoch = k reflects
 	// exactly the first k batches accepted by the store.
 	Epoch uint64
-	// Lineage names the layout of the two views: drawn at random by every
-	// full view build, kept by every patch and by a follower that applies
-	// this layout's effects. Two snapshots with the same (Lineage, Epoch)
+	// Lineage names the layout of the two views: drawn at random when a
+	// store builds its maintainers (open, materialize, promotion) or loads a
+	// checkpoint, kept by every patch and by a follower that applies this
+	// layout's effects. Two snapshots with the same (Lineage, Epoch)
 	// hold the same views array for array (effect.go).
 	Lineage uint64
 	// G is the frozen original graph at this epoch, in public node ids.
@@ -314,8 +315,9 @@ type Store struct {
 	// reachGen is the reach maintainer's generation the current snapshot's
 	// reach view was built at (noGen when it came from a file); the pattern
 	// maintainer tells by itself whether its view moved. full makes the next
-	// publish build every view from scratch — set whenever m is new, so
-	// nothing of the previous snapshot describes it. Only the writer
+	// publish build every view from scratch and draw a new lineage — set
+	// whenever m is new, so nothing of the previous snapshot describes it,
+	// and only then. Only the writer
 	// goroutine (or Open, before it starts) touches these.
 	m        *maintain.Pair
 	reachGen uint64
@@ -413,16 +415,15 @@ func (s *Store) stop() {}
 // publish builds epoch's snapshot and swaps it in: G frozen off the
 // maintained graph, and the views from the maintainers alone when they are
 // new (open, materialize), otherwise from the previous snapshot patched by
-// what the group changed (publish.go). A full build of either view layout
-// draws a new lineage; otherwise, while somebody tails the store, the
-// group's effect goes to the ring (effect.go). Called from Open and then
-// only from the writer goroutine.
+// what the group changed (publish.go). New maintainers draw a new lineage;
+// otherwise, while somebody tails the store, the group's effect goes to the
+// ring (effect.go). Called from Open and then only from the writer
+// goroutine.
 func (s *Store) publish(epoch uint64) {
 	clk := s.ob.startPublish()
 	old := s.snap.Load()
 	sn := &Snapshot{Epoch: epoch}
-	fellBack := false
-	rebuilt, reachMoved := s.full, false
+	reachMoved := false
 
 	sn.G = s.m.Graph().Freeze()
 	if old != nil && sn.G == old.G { // nothing effective: the same G, and its reordered view if one was made
@@ -446,35 +447,28 @@ func (s *Store) publish(epoch uint64) {
 	}
 	clk.lap(pubReach)
 
-	// The pattern view is incPCM's own: patched from its change log, which
-	// this empties, or built in full. A new maintainer's first is a full
-	// build; one that absorbed nothing effective hands back the previous.
+	// The pattern view is incPCM's own: a new maintainer's first is a full
+	// build, every later one is patched from its change log, which this
+	// empties, or is the previous when nothing effective was absorbed.
 	var diff *incbisim.Diff
 	sn.Pattern, diff = s.m.Pattern.View()
-	switch diff.How {
-	case incbisim.Patched:
+	if diff.How == incbisim.Patched {
 		s.ob.notePatched(len(diff.Rows.IDs))
-	case incbisim.Built, incbisim.Drifted:
-		fellBack = fellBack || !s.full
-		rebuilt = true
-		if diff.How == incbisim.Drifted {
-			s.ob.noteDrift()
-		}
 	}
 	clk.lap(pubPattern)
 
-	s.full = false
-	if rebuilt {
+	if s.full {
 		sn.Lineage = newLineage()
 	} else {
 		sn.Lineage = old.Lineage
 	}
 	s.install(sn)
-	if !rebuilt && s.ring.on.Load() {
+	if !s.full && s.ring.on.Load() {
 		s.recordEffect(old, sn, reachMoved, diff)
 	}
+	s.full = false
 	clk.lap(pubSwap)
-	s.ob.notePublish(clk.start, fellBack)
+	s.ob.notePublish(clk.start)
 }
 
 // install makes sn the current snapshot.
