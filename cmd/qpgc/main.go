@@ -81,7 +81,7 @@
 // serve and replica instrument every layer (store, scheduler, WAL, health,
 // replication, server) through the internal/obs registry: -metrics starts
 // an HTTP side-listener serving the Prometheus text exposition on /metrics
-// (plus /debug/vars, /debug/slowlog and the Go runtime's live profiles
+// (plus /debug/slowlog and the Go runtime's live profiles
 // under /debug/pprof/), the same text answers the MsgMetrics RPC on
 // -listen, and -slow records network point reads slower than the
 // threshold into a ring-buffer slow-query log. "top" polls either

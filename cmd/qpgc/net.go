@@ -28,7 +28,7 @@ func cmdReplica(args []string) {
 	leader := fs.String("leader", "", "replication source retry list, comma-separated (leader first; siblings after, for failover chaining)")
 	data := fs.String("data", "", "replica durable directory (bootstrapped if empty, recovered otherwise)")
 	listen := fs.String("listen", "", "serve replicated reads over TCP on this address")
-	metricsAddr := fs.String("metrics", "", "HTTP side-listener address (/metrics, /debug/vars, /debug/slowlog, /debug/pprof/)")
+	metricsAddr := fs.String("metrics", "", "HTTP side-listener address (/metrics, /debug/slowlog, /debug/pprof/)")
 	slowQuery := fs.Duration("slow", 0, "slow-query log threshold for network point reads (0 = off)")
 	fs.Parse(args)
 	if *leader == "" || *data == "" {

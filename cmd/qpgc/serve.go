@@ -95,7 +95,7 @@ func cmdServe(args []string) {
 	fs.StringVar(&f.faults, "faults", "", "fault-injection plan for the durable filesystem (e.g. \"enospc@120+40,sync@300+3%wal-\")")
 	fs.DurationVar(&f.scrub, "scrub", 0, "background integrity-scrub interval with -data (0 = off)")
 	fs.StringVar(&f.listen, "listen", "", "serve the store over TCP on this address (required; with -data, replicas may tail it)")
-	fs.StringVar(&f.metrics, "metrics", "", "HTTP side-listener address (/metrics, /debug/vars, /debug/slowlog, /debug/pprof/)")
+	fs.StringVar(&f.metrics, "metrics", "", "HTTP side-listener address (/metrics, /debug/slowlog, /debug/pprof/)")
 	fs.DurationVar(&f.slow, "slow", 0, "slow-query log threshold for network point reads (0 = off)")
 	fs.Parse(args)
 	if err := f.check(); err != nil {

@@ -345,19 +345,16 @@ func renderTop(w io.Writer, cur, prev metricSample, dt time.Duration, rpcEpoch u
 			cur.get("qpgc_replica_resyncs_total"),
 			cur.get("qpgc_replica_tail_rounds_total"),
 			cur.get("qpgc_server_tail_held"))
-		// How shipped groups landed: as the source's effect (patched, no
-		// maintainer), as an image of its views, or re-derived batch by batch.
-		applied := func(path string) float64 {
-			return cur.get(`qpgc_replica_apply_seconds_count{path="` + path + `"}`)
+		// How shipped groups landed, the follower's two transitions: a diff
+		// of the source's views or an image of them, patched either way with
+		// no maintainer.
+		applied := func(path string) (float64, string) {
+			return cur.get(`qpgc_replica_apply_seconds_count{path="` + path + `"}`),
+				ms(cur.get(`qpgc_replica_apply_seconds{path="` + path + `",quantile="0.5"}`))
 		}
-		effect, image, raw := applied("effect"), applied("image"), applied("raw")
-		var share float64
-		if n := effect + image + raw; n > 0 {
-			share = 100 * effect / n
-		}
-		fmt.Fprintf(w, "apply   effect %.0f%% (%.0f, p50 %s)  image %.0f  raw %.0f (p50 %s)\n",
-			share, effect, ms(cur.get(`qpgc_replica_apply_seconds{path="effect",quantile="0.5"}`)),
-			image, raw, ms(cur.get(`qpgc_replica_apply_seconds{path="raw",quantile="0.5"}`)))
+		effects, effectP50 := applied("effect")
+		images, imageP50 := applied("image")
+		fmt.Fprintf(w, "apply   effects %.0f (p50 %s)  images %.0f (p50 %s)\n", effects, effectP50, images, imageP50)
 	} else if held := cur.get("qpgc_server_tail_held"); held > 0 {
 		fmt.Fprintf(w, "repl    followers parked %.0f\n", held)
 	}

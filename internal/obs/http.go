@@ -9,9 +9,8 @@ import (
 )
 
 // MetricsServer is the HTTP side-listener serving a registry: /metrics
-// (Prometheus text), /debug/vars (expvar-style JSON), /debug/slowlog (the
-// retained slow-query entries as text), and the Go runtime's live profiles
-// under /debug/pprof/.
+// (Prometheus text), /debug/slowlog (the retained slow-query entries as
+// text), and the Go runtime's live profiles under /debug/pprof/.
 type MetricsServer struct {
 	ln  net.Listener
 	srv *http.Server
@@ -29,10 +28,6 @@ func ListenAndServe(addr string, r *Registry) (*MetricsServer, error) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		r.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		r.WriteJSON(w)
 	})
 	mux.HandleFunc("/debug/slowlog", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")

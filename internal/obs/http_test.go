@@ -30,7 +30,7 @@ func TestMetricsServerRoutes(t *testing.T) {
 		}
 		return resp.StatusCode, string(body)
 	}
-	for _, path := range []string{"/metrics", "/debug/vars", "/debug/slowlog", "/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline"} {
+	for _, path := range []string{"/metrics", "/debug/slowlog", "/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline"} {
 		if code, _ := get(path); code != http.StatusOK {
 			t.Errorf("GET %s = %d, want 200", path, code)
 		}

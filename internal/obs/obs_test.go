@@ -265,7 +265,7 @@ func TestSlowLogThresholdGate(t *testing.T) {
 	}
 }
 
-func TestRenderPrometheusAndJSON(t *testing.T) {
+func TestRenderPrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("qpgc_requests_total").Add(7)
 	r.Gauge("qpgc_inflight").Set(2)
@@ -289,14 +289,6 @@ func TestRenderPrometheusAndJSON(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("prometheus text missing %q:\n%s", want, text)
-		}
-	}
-	var sb strings.Builder
-	r.WriteJSON(&sb)
-	js := sb.String()
-	for _, want := range []string{`"qpgc_requests_total": 7`, `"count": 2`, `"qpgc_age_seconds": 1.5`} {
-		if !strings.Contains(js, want) {
-			t.Fatalf("json missing %q:\n%s", want, js)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -95,81 +94,6 @@ func (r *Registry) PrometheusText() string {
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	return sb.String()
-}
-
-// WriteJSON renders every instrument as one JSON object keyed by metric
-// name (expvar style): counters and gauges as numbers, histograms as
-// objects with count/sum/max and the standard quantiles, slow logs as
-// entry counts. No-op on nil.
-func (r *Registry) WriteJSON(w io.Writer) {
-	if r == nil {
-		io.WriteString(w, "{}\n")
-		return
-	}
-	r.mu.Lock()
-	type snap struct {
-		name string
-		kind byte // c, g, h
-		val  float64
-		cfn  func() uint64
-		gfn  func() float64
-		hist HistSnapshot
-	}
-	var items []snap
-	for name, c := range r.counters {
-		items = append(items, snap{name: name, kind: 'c', val: float64(c.Value())})
-	}
-	for name, fn := range r.cfuncs {
-		items = append(items, snap{name: name, kind: 'c', cfn: fn})
-	}
-	for name, g := range r.gauges {
-		items = append(items, snap{name: name, kind: 'g', val: float64(g.Value())})
-	}
-	for name, fn := range r.gfuncs {
-		items = append(items, snap{name: name, kind: 'g', gfn: fn})
-	}
-	for name, h := range r.hists {
-		items = append(items, snap{name: name, kind: 'h', hist: h.Snapshot()})
-	}
-	for name, l := range r.slows {
-		items = append(items, snap{name: name + "_total", kind: 'c', val: float64(l.Count())})
-	}
-	r.mu.Unlock()
-
-	byName := make(map[string]int, len(items))
-	names := make([]string, 0, len(items))
-	for i := range items {
-		it := &items[i]
-		if it.cfn != nil {
-			it.val = float64(it.cfn())
-		}
-		if it.gfn != nil {
-			it.val = it.gfn()
-		}
-		byName[it.name] = i
-		names = append(names, it.name)
-	}
-	// Deterministic output order.
-	sort.Strings(names)
-	io.WriteString(w, "{")
-	for i, name := range names {
-		if i > 0 {
-			io.WriteString(w, ",")
-		}
-		it := items[byName[name]]
-		switch it.kind {
-		case 'h':
-			fmt.Fprintf(w, "\n%q: {\"count\": %d, \"sum_seconds\": %v, \"max_seconds\": %v",
-				name, it.hist.Count, it.hist.Sum.Seconds(), it.hist.Max.Seconds())
-			for _, rq := range renderQuantiles {
-				fmt.Fprintf(w, ", \"p%s\": %v", strings.TrimPrefix(rq.label, "0."), it.hist.Quantile(rq.q).Seconds())
-			}
-			io.WriteString(w, "}")
-		default:
-			fmt.Fprintf(w, "\n%q: %v", name, it.val)
-		}
-	}
-	io.WriteString(w, "\n}\n")
 }
 
 // suffixed inserts a suffix into an inline-label name before the braces:

@@ -24,8 +24,7 @@ import (
 // fifty writes on a graph large enough that the leader's pattern view never
 // falls back to a full build: its maintainers record no observation — the
 // condensation, incRCM and incPCM never run — its one tail connection is
-// sent one image, everything after that comes as diffs, and no batch is
-// re-derived.
+// sent one image, and everything after that comes as diffs.
 func TestFollowerRunsNoMaintainer(t *testing.T) {
 	g := gen.Social(rand.New(rand.NewSource(61)), 2000, 8000, 5)
 	lh := startLeader(t, g, nil)
@@ -61,9 +60,8 @@ func TestFollowerRunsNoMaintainer(t *testing.T) {
 	if st.Reconnects != 0 || st.Quarantines != 0 || st.Resyncs != 0 {
 		t.Fatalf("a clean run saw %+v", st)
 	}
-	raw := count(obs.Label("qpgc_replica_apply_seconds", "path", "raw"))
-	if images, diffs := f.images.Load(), f.diffs.Load(); images != 1 || raw != 0 || diffs < writes/2 {
-		t.Fatalf("one connection took %d images, %d diffs and %d raw applies; want 1 image, 0 raw", images, diffs, raw)
+	if images, diffs := f.images.Load(), f.diffs.Load(); images != 1 || diffs < writes/2 {
+		t.Fatalf("one connection took %d images and %d diffs; want 1 image", images, diffs)
 	}
 	text := reg.PrometheusText()
 	for _, series := range []string{`qpgc_replica_effects_total{kind="diff"}`, `qpgc_replica_apply_seconds_count{path="effect"}`} {
@@ -73,6 +71,64 @@ func TestFollowerRunsNoMaintainer(t *testing.T) {
 	}
 	apply := reg.Histogram(obs.Label("qpgc_replica_apply_seconds", "path", "effect")).Snapshot()
 	t.Logf("%d writes: %d diffs, 1 image, effect apply p50 %v", writes, f.diffs.Load(), apply.Quantile(0.5))
+}
+
+// TestFarBehindFollowerCatchesUpByImage restarts a follower more WAL
+// behind than one tail round's byte budget: its views' lineage is new, so
+// nothing chains, and it must catch up with exactly one image — the round
+// reads through it however many bytes that takes — with no maintainer
+// observation and exact answers.
+func TestFarBehindFollowerCatchesUpByImage(t *testing.T) {
+	g := matrixTopologies(41)["social"]
+	lh := startLeader(t, g, nil)
+	dir := t.TempDir()
+	f := startFollower(t, lh.srv.Addr(), Options{Dir: dir})
+
+	mirror := g.Clone()
+	rng := rand.New(rand.NewSource(42))
+	write := func(updates int) uint64 {
+		t.Helper()
+		batch := gen.RandomBatch(rng, mirror, updates, 0.5)
+		mirror.Apply(batch)
+		epoch, err := lh.cli.Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return epoch
+	}
+	awaitEpoch(t, f, write(10), 10*time.Second)
+	f.Close()
+	var token uint64
+	for i := 0; i < 48; i++ {
+		token = write(3000) // ≈ 27 KB of WAL each
+	}
+
+	reg := obs.NewRegistry()
+	f = startFollower(t, lh.srv.Addr(), Options{Dir: dir, Obs: reg})
+	// Caught up, and not only at the epoch: the round that shipped it has
+	// returned, its bytes counted.
+	if err := f.WaitCaughtUp(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if e := f.Epoch(); e != token {
+		t.Fatalf("caught up at epoch %d, leader at %d", e, token)
+	}
+	if shipped := f.shippedBytes.Load(); shipped <= 1<<20 {
+		t.Fatalf("the restarted follower was shipped %d bytes, not more than a round's 1 MiB budget", shipped)
+	}
+	diffAgainstReference(t, "far-behind", mirror, map[string]server.Backend{"follower": f})
+	for _, stage := range []string{"scc", "reach", "pattern"} {
+		if n := reg.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", stage)).Snapshot().Count; n != 0 {
+			t.Fatalf("the follower's %s maintainer ran %d times", stage, n)
+		}
+	}
+	if st := f.Status(); st.Quarantines != 0 || st.Resyncs != 0 {
+		t.Fatalf("the catch-up saw %+v", st)
+	}
+	if images := f.images.Load(); images != 1 {
+		t.Fatalf("the catch-up took %d images and %d diffs, want 1 image", images, f.diffs.Load())
+	}
+	t.Logf("%d bytes shipped behind one image", f.shippedBytes.Load())
 }
 
 // TestFollowerReadsAtStampedEpoch reads from a follower's server while the
@@ -261,7 +317,7 @@ func TestChaosBitFlippedEffect(t *testing.T) {
 // TestWrappedBackendShipsEffects: a server fronting a wrapper that embeds a
 // store's Backend still ships effects — Effects is a method of Backend, not
 // an optional surface the wrapper would hide — so its follower takes an
-// image, then diffs, and re-derives no batch.
+// image, then diffs.
 func TestWrappedBackendShipsEffects(t *testing.T) {
 	g := gen.Social(rand.New(rand.NewSource(63)), 2000, 8000, 5)
 	dir := t.TempDir()
@@ -291,8 +347,7 @@ func TestWrappedBackendShipsEffects(t *testing.T) {
 		awaitEpoch(t, f, epoch, 10*time.Second)
 	}
 	diffAgainstReference(t, "wrapped", mirror, map[string]server.Backend{"follower": f})
-	raw := reg.Histogram(obs.Label("qpgc_replica_apply_seconds", "path", "raw")).Snapshot().Count
-	if images, diffs := f.images.Load(), f.diffs.Load(); images < 1 || diffs < 1 || raw != 0 {
-		t.Fatalf("the follower took %d images, %d diffs and %d raw applies; want an image, diffs and no raw", images, diffs, raw)
+	if images, diffs := f.images.Load(), f.diffs.Load(); images < 1 || diffs < 1 {
+		t.Fatalf("the follower took %d images and %d diffs; want an image and diffs", images, diffs)
 	}
 }

@@ -6,8 +6,10 @@
 // The follower appends the frames to its own WAL, patches its G from them
 // and its views from the effect, and publishes — it runs no maintainer and
 // holds none until Promote builds them. A round that cannot chain the
-// follower's views brings one image of the leader's instead; frames no
-// effect covers are re-derived through the local maintainers.
+// follower's views brings one image of the leader's instead. So a follower
+// has two transitions, a diff and an image: frames that arrive without
+// their effect — a round cut short by a dropped connection or a rejected
+// effect — are not applied, and the next round ships them again.
 //
 // The design leans entirely on one invariant the storage layer already
 // guarantees: a WAL record's sequence number IS the batch's epoch. A
@@ -237,18 +239,17 @@ func leaderList(opts Options) []string {
 }
 
 // The ways a shipped group reaches the local store, the path label of
-// qpgc_replica_apply_seconds: a diff of the source's views, an image of
-// them, or the raw frames re-derived by the local maintainers.
+// qpgc_replica_apply_seconds: a diff of the source's views or an image of
+// them.
 const (
 	pathEffect = iota
 	pathImage
-	pathRaw
 	numPaths
 )
 
 // followerObs is the follower's directly fed instruments.
 type followerObs struct {
-	apply [numPaths]*obs.Histogram // per group (effect, image) or per batch (raw)
+	apply [numPaths]*obs.Histogram // per group
 }
 
 // bindObs registers the follower's replication metrics: scrape-time
@@ -261,7 +262,7 @@ func (f *Follower) bindObs(r *obs.Registry) {
 	}
 	f.shipped = r.Counter("qpgc_replica_shipped_bytes_total")
 	f.ob = &followerObs{}
-	for p, name := range [numPaths]string{"effect", "image", "raw"} {
+	for p, name := range [numPaths]string{"effect", "image"} {
 		f.ob.apply[p] = r.Histogram(obs.Label("qpgc_replica_apply_seconds", "path", name))
 	}
 	r.CounterFunc(obs.Label("qpgc_replica_effects_total", "kind", "diff"), f.diffs.Load)
@@ -588,13 +589,9 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 		before, lineage := f.position()
 		cli.SetTimeout(hold + tailMargin)
 		rd := round{f: f}
+		// Frames still buffered when the round ends had no effect: they are
+		// dropped with rd, and the next round ships them again.
 		leaderEpoch, err := cli.TailRound(before+1, lineage, hold, rd.frame, rd.effect)
-		// Frames no effect covered — a round cut short before its first
-		// effect, a dropped connection, a rejected effect — are re-derived,
-		// whatever ended the round.
-		if ferr := rd.flush(); err == nil {
-			err = ferr
-		}
 		if f.stopped(tailStop) {
 			return nil // also when the stop is what failed the round
 		}
@@ -708,45 +705,11 @@ func (r *round) effect(epoch uint64, b []byte) error {
 		r.f.ob.apply[path].Observe(time.Since(start))
 	}
 	r.f.wake.Broadcast()
-	r.f.noteShipped(r.bytes, len(r.batches))
+	r.f.shipped.Add(r.bytes)
+	r.f.shippedBytes.Add(r.bytes)
+	r.f.shippedFrames.Add(uint64(len(r.batches)))
 	r.batches, r.bytes = nil, 0
 	return nil
-}
-
-// flush re-derives the frames no effect covered: each batch through the
-// local store's own write path, maintainers and all, at exactly its seq.
-func (r *round) flush() error {
-	defer func() { r.batches, r.bytes = nil, 0 }()
-	for _, batch := range r.batches {
-		var start time.Time
-		if r.f.ob != nil {
-			start = time.Now()
-		}
-		s := r.f.local()
-		want := s.Epoch() + 1
-		epoch, err := s.Apply(batch)
-		if err != nil {
-			// A local write failure (degraded store, disk fault) is not the
-			// leader's fault; retry after reconnect without quarantining.
-			return fmt.Errorf("replica: local apply: %w", err)
-		}
-		r.f.wake.Broadcast()
-		if epoch != want {
-			return fmt.Errorf("%w: batch %d applied at epoch %d; replica diverged", errQuarantine, want, epoch)
-		}
-		if r.f.ob != nil {
-			r.f.ob.apply[pathRaw].Observe(time.Since(start))
-		}
-	}
-	r.f.noteShipped(r.bytes, len(r.batches))
-	return nil
-}
-
-// noteShipped counts frames applied and their bytes.
-func (f *Follower) noteShipped(bytes uint64, frames int) {
-	f.shipped.Add(bytes)
-	f.shippedBytes.Add(bytes)
-	f.shippedFrames.Add(uint64(frames))
 }
 
 // resync is the last-resort recovery: fetch a fresh snapshot, wipe the

@@ -436,10 +436,12 @@ func (p *chaosProxy) accept() {
 }
 
 // TestChaosDroppedConnections tails the leader through a proxy that kills
-// every connection after a few KB: the follower must reconnect its way to
-// full catch-up with no quarantines needed and no wrong answers. No effect
-// fits in the proxy's window, so every batch reaches the follower as raw
-// frames it re-derives — the case the raw path exists for.
+// every connection after 16 KiB: the follower must reconnect its way to
+// full catch-up with no resync needed and no wrong answers. The window holds
+// one group and its effect, so a round cut short loses only frames no effect
+// covered yet, which the next round ships again — and no maintainer runs.
+// (A window that cannot carry one group and its effect never catches up;
+// the bootstrap snapshot could not cross it either.)
 func TestChaosDroppedConnections(t *testing.T) {
 	g := matrixTopologies(35)["web"]
 	lh := startLeader(t, g, nil)
@@ -454,7 +456,7 @@ func TestChaosDroppedConnections(t *testing.T) {
 	if err := store.InstallSnapshot(nil, dir, epoch, data); err != nil {
 		t.Fatal(err)
 	}
-	proxy := startChaosProxy(t, lh.srv.Addr(), 600)
+	proxy := startChaosProxy(t, lh.srv.Addr(), 16<<10)
 	reg := obs.NewRegistry()
 	f := startFollower(t, proxy.Addr(), Options{Dir: dir, Obs: reg})
 
@@ -478,8 +480,11 @@ func TestChaosDroppedConnections(t *testing.T) {
 	if st.Resyncs != 0 {
 		t.Fatalf("connection drops alone forced %d full resyncs", st.Resyncs)
 	}
-	if raw := reg.Histogram(obs.Label("qpgc_replica_apply_seconds", "path", "raw")).Snapshot().Count; raw == 0 {
-		t.Fatal("no shipped batch was re-derived: the raw path went unexercised")
+	t.Logf("%d connections dropped, %d reconnects, %d images, %d diffs", proxy.drops.Load(), st.Reconnects, f.images.Load(), f.diffs.Load())
+	for _, stage := range []string{"scc", "reach", "pattern"} {
+		if n := reg.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", stage)).Snapshot().Count; n != 0 {
+			t.Fatalf("the follower's %s maintainer ran %d times", stage, n)
+		}
 	}
 	diffAgainstReference(t, "drops", mirror, map[string]server.Backend{"follower": f})
 }

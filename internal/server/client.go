@@ -475,15 +475,15 @@ func (c *Client) FetchSnapshot() (epoch uint64, data []byte, err error) {
 
 // TailRound asks for WAL frames from seq, letting the source park the round
 // for up to hold while it has published nothing at or past from (0 = answer
-// at once). lineage names the views the caller holds at from-1 (0: it takes
-// no effects). fn is called once per shipped frame with the leader's claimed
-// seq and the raw WAL frame (CRC intact; validate with wal.ParseRecord), and
-// effect once per shipped effect with the last epoch it covers and its bytes
-// (store.Store.ApplyEffect decodes them); a nil effect makes a shipped one
-// an error. It returns the leader's published epoch from the closing
-// MsgCaughtUp, or ErrSnapshotNeeded when from has been truncated away. What
-// fn and effect are passed aliases the read buffer — decode within the
-// call. A timeout set with SetTimeout must cover the hold. Close, from
+// at once). lineage names the views the caller holds at from-1; a source
+// that cannot chain them ships an image. fn is called once per shipped frame
+// with the leader's claimed seq and the raw WAL frame (CRC intact; validate
+// with wal.ParseRecord), and effect once per shipped effect, after the frames
+// it covers, with the last epoch it covers and its bytes
+// (store.Store.ApplyEffect decodes them). It returns the leader's published
+// epoch from the closing MsgCaughtUp, or ErrSnapshotNeeded when from has
+// been truncated away. What fn and effect are passed aliases the read
+// buffer — decode within the call. A timeout set with SetTimeout must cover the hold. Close, from
 // another goroutine, is what interrupts a parked round.
 func (c *Client) TailRound(from, lineage uint64, hold time.Duration, fn func(seq uint64, frame []byte) error, effect func(epoch uint64, b []byte) error) (leaderEpoch uint64, err error) {
 	c.mu.Lock()
@@ -525,9 +525,6 @@ func (c *Client) TailRound(from, lineage uint64, hold time.Duration, fn func(seq
 			b := cur.rest()
 			if cur.err != nil {
 				return 0, cur.err
-			}
-			if effect == nil {
-				return 0, errors.New("server: an effect shipped to a round that takes none")
 			}
 			if err := effect(epoch, b); err != nil {
 				return 0, err

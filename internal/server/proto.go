@@ -57,15 +57,17 @@ const (
 	MsgSnapshot MsgType = 0x07
 	// MsgTail asks for WAL frames from u64 fromSeq, followed by the u64
 	// callerTerm (0 = no claim), the u32 hold in milliseconds and the u64
-	// lineage of the follower's views (store.Snapshot.Lineage; 0 = it takes
-	// no effects, ship raw frames only): MsgRecord frames for what is on
-	// disk, each group's followed by its MsgEffect, then MsgCaughtUp (or
-	// MsgSnapNeeded when fromSeq predates the oldest retained segment). A
-	// source whose effect ring chains the follower's (lineage, fromSeq-1)
-	// ships the frames as far as the last effect it can send and no further;
-	// one that cannot ships one image instead (a MsgEffect of the current
-	// snapshot's views, after the frames up to it); with no effect to send
-	// the round is raw. It is a long poll.
+	// lineage of the follower's views (store.Snapshot.Lineage): MsgRecord
+	// frames for what is on disk, each group's followed by its MsgEffect,
+	// then MsgCaughtUp (or MsgSnapNeeded when fromSeq predates the oldest
+	// retained segment). A source whose effect ring chains the follower's
+	// (lineage, fromSeq-1) ships diffs; one that cannot ships one image
+	// instead (a MsgEffect of the current snapshot's views, after the frames
+	// up to it). A round ships whole groups and nothing else: every frame it
+	// sends is followed by the effect that covers it. It reads through its
+	// first effect however many bytes that takes, then cuts at an effect
+	// boundary within tailBytes; with no effect to send it ships no frame.
+	// It is a long poll.
 	// With a hold, a source whose published epoch is below fromSeq parks
 	// the round and answers when the epoch swap that publishes fromSeq
 	// wakes it, or when the hold (clamped by the server) runs out, the
@@ -137,8 +139,8 @@ const (
 	// views — or an image of the source's views: the epoch is the last one it
 	// covers, the rest opaque, CRC-checked bytes that only the follower's
 	// store decodes (store.Store.ApplyEffect). A follower applies the frames
-	// and the effect as one group and runs no maintainer; frames no effect
-	// covers it re-derives.
+	// and the effect as one group and runs no maintainer; frames that arrive
+	// without their effect it does not apply.
 	MsgEffect MsgType = 0x4f
 )
 

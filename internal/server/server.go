@@ -451,8 +451,9 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 const snapChunkBytes = 1 << 20
 
 // handleSnapshot streams the newest checkpoint: meta, chunks, done. The
-// bytes are read through the ship FS and not validated here — the
-// follower's InstallSnapshot fully decodes the image before trusting it.
+// MANIFEST that names it and its bytes are read through the ship FS and not
+// validated here — the follower's InstallSnapshot fully decodes the image
+// before trusting it.
 func (s *Server) handleSnapshot(body []byte, emit func(MsgType, []byte) error) error {
 	if s.opts.ReplDir == "" {
 		return emit(MsgErr, s.errBody(errors.New("server: not a replication source")))
@@ -460,7 +461,7 @@ func (s *Server) handleSnapshot(body []byte, emit func(MsgType, []byte) error) e
 	if len(body) != 0 {
 		return emit(MsgErr, s.errBody(errors.New("server: snapshot takes no body")))
 	}
-	info, err := store.Inspect(s.opts.ReplDir)
+	info, err := store.InspectFS(s.opts.ShipFS, s.opts.ReplDir)
 	if err != nil {
 		return emit(MsgErr, s.errBody(err))
 	}
@@ -491,11 +492,11 @@ func (s *Server) handleSnapshot(body []byte, emit func(MsgType, []byte) error) e
 // maxTailHold clamps the hold a MsgTail round may ask for.
 const maxTailHold = 5 * time.Second
 
-// handleTail ships one round's worth of raw WAL frames from the requested
-// seq — each group's followed by its MsgEffect when the backend's effect
-// ring chains the follower's lineage, or else by one image after the frames
-// up to it — ending with MsgCaughtUp (current published epoch) or
-// MsgSnapNeeded. A round that asks to be held and finds
+// handleTail ships one round's worth of whole groups from the requested seq
+// — each group's raw WAL frames followed by its MsgEffect when the
+// backend's effect ring chains the follower's lineage, or else one image
+// after the frames up to it — ending with MsgCaughtUp (current published
+// epoch) or MsgSnapNeeded. A round that asks to be held and finds
 // nothing to ship parks until the published epoch reaches its seq — what is
 // shipped is what has been published, and the swap that publishes it is
 // what wakes the round — or until the hold runs out, the server closes or
@@ -547,39 +548,37 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 	// Asked before the log is read, too: an image is of a snapshot whose
 	// frames are in the log by then.
 	effects := s.backend.Effects(lineage, from-1)
-	// Collected before anything is sent: a round that fails ships no frame.
+	// A round ships whole groups: a frame goes out only with the effect that
+	// covers it. The read goes on through the first effect, however many
+	// bytes that takes; past it, tailBytes cuts at the last effect the read
+	// reached, and the frames after it wait for the next round. With no
+	// effect to send there is nothing to ship. Collected before anything is
+	// sent: a round that fails ships no frame.
 	type record struct {
 		seq uint64
 		out []byte
 	}
 	var records []record
-	oldest, err := cs.tail.ReadFrames(s.opts.ShipFS, s.opts.ReplDir, from, tailBytes, func(seq uint64, frame []byte) {
-		out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(frame)), seq)
-		records = append(records, record{seq, append(out, frame...)})
-	})
-	if err != nil {
-		return emit(MsgErr, s.errBody(err))
+	read := from - 1 // the last frame read
+	for at := from; len(effects) > 0 && read < effects[0].Epoch; at = read + 1 {
+		oldest, err := cs.tail.ReadFrames(s.opts.ShipFS, s.opts.ReplDir, at, tailBytes, func(seq uint64, frame []byte) {
+			out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(frame)), seq)
+			records = append(records, record{seq, append(out, frame...)})
+			read = seq
+		})
+		if err != nil {
+			return emit(MsgErr, s.errBody(err))
+		}
+		if at < oldest {
+			return emit(MsgSnapNeeded, binary.LittleEndian.AppendUint64(nil, oldest))
+		}
+		if read < at {
+			break // the log ends short of the effect
+		}
 	}
-	if from < oldest {
-		return emit(MsgSnapNeeded, binary.LittleEndian.AppendUint64(nil, oldest))
-	}
-	// The effects whose frames the read reached go out, each after its
-	// frames; frames past the last of them wait for the next round. With no
-	// effect to send the round is raw: every frame read when the first
-	// effect lies past what tailBytes let it read, else the published ones.
-	limit := from - 1
-	if len(records) > 0 {
-		limit = records[len(records)-1].seq
-	}
-	fit := 0
-	for fit < len(effects) && effects[fit].Epoch <= limit {
-		fit++
-	}
-	switch {
-	case fit > 0:
-		limit = effects[fit-1].Epoch
-	case len(effects) == 0:
-		limit = min(limit, epoch)
+	fit, limit := 0, from-1 // the effects that go out, and the last frame they cover
+	for ; fit < len(effects) && effects[fit].Epoch <= read; fit++ {
+		limit = effects[fit].Epoch
 	}
 	next := 0
 	for _, r := range records {

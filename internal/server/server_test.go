@@ -420,20 +420,42 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 		t.Fatalf("installed store at epoch %d, want 4", got)
 	}
 
-	// Tail from 5: three records then caught-up at 7.
+	// Tail from 5: three records, then an image of the leader's views at 7
+	// (the installed store's lineage is its own, which the leader cannot
+	// chain), then caught-up at 7.
 	next := s2.Snapshot().Epoch + 1
-	leaderEpoch, err := cli.TailRound(next, 0, 0, func(seq uint64, frame []byte) error {
-		pseq, _, err := parseAndApply(s2, frame)
+	var batches [][]graph.Update
+	images := 0
+	leaderEpoch, err := cli.TailRound(next, s2.Snapshot().Lineage, 0, func(seq uint64, frame []byte) error {
+		pseq, batch, err := parseFrame(s2, frame)
 		if err != nil {
 			return err
 		}
 		if pseq != seq {
 			t.Fatalf("frame claims seq %d, embeds %d", seq, pseq)
 		}
+		if want := s2.Snapshot().Epoch + 1 + uint64(len(batches)); seq != want {
+			return fmt.Errorf("frame %d shipped where %d is due", seq, want)
+		}
+		batches = append(batches, batch)
 		return nil
-	}, nil)
+	}, func(epoch uint64, b []byte) error {
+		applied, image, err := s2.ApplyEffect(batches, b)
+		if err != nil {
+			return err
+		}
+		if !image || applied != epoch || len(batches) != 3 {
+			return fmt.Errorf("effect through %d applied at %d after %d frames (image %v), want an image after 3", epoch, applied, len(batches), image)
+		}
+		images++
+		batches = nil
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("tail: %v", err)
+	}
+	if images != 1 || len(batches) != 0 {
+		t.Fatalf("tail applied %d images and left %d frames without an effect", images, len(batches))
 	}
 	if leaderEpoch != 7 || s2.Snapshot().Epoch != 7 {
 		t.Fatalf("after tail: leader %d, local %d, want 7/7", leaderEpoch, s2.Snapshot().Epoch)
@@ -452,14 +474,50 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = cli.TailRound(1, 0, 0, func(uint64, []byte) error { return nil }, nil)
+	_, err = cli.TailRound(1, s2.Snapshot().Lineage, 0, func(uint64, []byte) error { return nil }, func(uint64, []byte) error { return nil })
 	if err != ErrSnapshotNeeded {
 		t.Fatalf("tail(1) after truncation: %v, want ErrSnapshotNeeded", err)
 	}
 }
 
-// parseAndApply validates one shipped frame and applies it to s.
-func parseAndApply(s *store.Store, frame []byte) (uint64, []byte, error) {
+// TestSnapshotManifestReadsThroughShipFS: the MANIFEST that names the
+// checkpoint a source ships is read through the ship FS, as the checkpoint's
+// bytes are, so a read fault armed on it fails the fetch; the next fetch,
+// past the fault, succeeds.
+func TestSnapshotManifestReadsThroughShipFS(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(testGraph(8), &store.Options{Dir: dir, Sync: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	inject := faultfs.NewInject(nil, faultfs.Rule{Op: faultfs.OpRead, Path: "MANIFEST", Count: 1})
+	srv, err := Start("127.0.0.1:0", Options{Backend: NewStoreBackend(s), ReplDir: dir, ShipFS: inject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, _, err := cli.FetchSnapshot(); err == nil || !strings.Contains(err.Error(), "MANIFEST") {
+		t.Fatalf("a fetch whose MANIFEST read faulted came back %v", err)
+	}
+	if inject.Fired() != 1 {
+		t.Fatalf("the MANIFEST fault fired %d times, want 1", inject.Fired())
+	}
+	if _, data, err := cli.FetchSnapshot(); err != nil || len(data) == 0 {
+		t.Fatalf("the fetch after the fault: %d bytes, %v", len(data), err)
+	}
+}
+
+// parseFrame validates one shipped frame and decodes its batch for s.
+func parseFrame(s *store.Store, frame []byte) (uint64, []graph.Update, error) {
 	seq, payload, _, err := wal.ParseRecord(frame)
 	if err != nil {
 		return 0, nil, err
@@ -468,14 +526,7 @@ func parseAndApply(s *store.Store, frame []byte) (uint64, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	res, err := s.ApplyBatch(batch)
-	if err != nil {
-		return 0, nil, err
-	}
-	if res.Epoch != seq {
-		return 0, nil, fmt.Errorf("batch %d applied at epoch %d", seq, res.Epoch)
-	}
-	return seq, payload, nil
+	return seq, batch, nil
 }
 
 // TestFetchSnapshotBoundsItsReserve: the size a snapshot's meta frame
@@ -701,9 +752,10 @@ func TestHeldReadWakesOnSwap(t *testing.T) {
 		err   error
 	}
 	done := make(chan round, 1)
+	lineage := s.Snapshot().Lineage // the tail holds the views at epoch 1
 	start := time.Now()
 	go func() {
-		epoch, err := tail.TailRound(2, 0, maxTailHold, func(uint64, []byte) error { return nil }, nil)
+		epoch, err := tail.TailRound(2, lineage, maxTailHold, func(uint64, []byte) error { return nil }, func(uint64, []byte) error { return nil })
 		done <- round{epoch, err}
 	}()
 	waitFor(t, "the tail round to be parked", func() bool { return srv.ob.tailHeld.Load() == 1 })
@@ -720,7 +772,7 @@ func TestHeldReadWakesOnSwap(t *testing.T) {
 	if d := time.Since(start); d > maxTailHold/2 {
 		t.Fatalf("the fence released the round after %v of a %v hold", d, maxTailHold)
 	}
-	if _, err := tail.TailRound(2, 0, maxTailHold, func(uint64, []byte) error { return nil }, nil); err != nil || !tail.SourceFenced() {
+	if _, err := tail.TailRound(2, lineage, maxTailHold, func(uint64, []byte) error { return nil }, func(uint64, []byte) error { return nil }); err != nil || !tail.SourceFenced() {
 		t.Fatalf("round on a fenced source: fenced %v, %v", tail.SourceFenced(), err)
 	}
 	if d := time.Since(start); d > maxTailHold/2 {

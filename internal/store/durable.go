@@ -545,10 +545,15 @@ type DirInfo struct {
 	Quarantined []string
 }
 
-// Inspect reads a durable directory's manifest and sizes its files on the
-// disk (faultfs.Disk), for the CLI's recover/checkpoint subcommands.
-func Inspect(dir string) (DirInfo, error) {
-	fsys := faultfs.Disk
+// Inspect is InspectFS on the disk, for the CLI's recover/checkpoint
+// subcommands.
+func Inspect(dir string) (DirInfo, error) { return InspectFS(faultfs.Disk, dir) }
+
+// InspectFS reads a durable directory's manifest and sizes its files through
+// fsys (nil = the disk): a replication source names the checkpoint it ships
+// through the FS it reads the checkpoint's bytes through.
+func InspectFS(fsys faultfs.FS, dir string) (DirInfo, error) {
+	fsys = faultfs.Or(fsys)
 	m, err := readManifest(fsys, dir)
 	if err != nil {
 		return DirInfo{}, err

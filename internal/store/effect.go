@@ -13,8 +13,8 @@
 //
 // Diffs are only valid against the exact layout they were taken from, so
 // every snapshot carries a lineage: a random id drawn by each full view
-// build (open, materialize, the pattern view's fallbacks, a load) and kept
-// by every patch. An effect names the (lineage, epoch) of the views it
+// build (a store building its maintainers — open, materialize, promotion —
+// or loading a checkpoint) and kept by every patch. An effect names the (lineage, epoch) of the views it
 // starts from. A follower whose pair the ring cannot chain — after a
 // bootstrap, a restart, a ring miss or a lineage break — is sent one image
 // of the current snapshot's views instead, and from then on the diffs.
@@ -415,13 +415,10 @@ func (r *effectRing) chain(lineage, epoch uint64) []Effect {
 // Effects returns what a tail round from a follower whose views are at
 // (lineage, epoch) ships beside the raw frames after epoch: the effects the
 // ring chains from there, in order; failing that, one image of the current
-// snapshot's views; nothing when the follower takes no effects (lineage 0)
-// or already holds the current views. The first call turns recording on: a
-// store nobody tails records no effects. Safe on any goroutine.
+// snapshot's views; nothing when the follower already holds the current
+// views. The first call turns recording on: a store nobody tails records no
+// effects. Safe on any goroutine.
 func (s *Store) Effects(lineage, epoch uint64) []Effect {
-	if lineage == 0 {
-		return nil
-	}
 	// On before the pin: a group published after the pin is recorded, one
 	// published before it is in the image.
 	s.ring.on.Store(true)

@@ -14,7 +14,8 @@
 //     unchanged blocks shared between epochs (they are immutable), and only
 //     the quotient rows the change can reach rebuilt, each read off one
 //     member's successors and appended to the quotient's shared arena the
-//     same way. incPCM decides when a full build is due.
+//     same way. incPCM builds a view in full only at a maintainer's first
+//     view and patches every later one.
 //   - The reach view, when incRCM's compression moved, is its
 //     topologically numbered View, built in one pass over V.
 //   - The reach 2-hop index is a once-cell on the view (hopCell): the first
@@ -22,8 +23,8 @@
 //
 // Everything published is still a plain *graph.CSR / *reach.Compressed /
 // *bisim.Compressed; no read path can tell a patched view from a rebuilt
-// one. The full build remains what open, materialize and load run, and
-// incPCM's fallback when a patch would not be cheaper.
+// one. The full build is what open, materialize and load run, and only
+// they.
 package store
 
 import (
