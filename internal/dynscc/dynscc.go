@@ -14,8 +14,38 @@
 // a Tarjan pass over the whole member set runs only when the peel exceeds
 // its budget (see "Splitting a component"); an inter-component deletion
 // decrements a member-edge support count and drops the condensation edge at
-// zero. Component adjacency is kept as small sorted slices and all traversal
-// scratch is stamp-cleared, so a batch allocates only when a list grows.
+// zero. All traversal scratch is stamp-cleared, so a batch allocates only
+// when an arena below is repacked.
+//
+// # Storage
+//
+// Nothing the condensation keeps holds a pointer. Each component slot is one
+// 28-byte record: its member list's handle and count, a span of the out
+// arena and one of the in arena, the size class of each span's region, and
+// its flags. The out arena holds every component's successor row, ascending,
+// with the member-edge support of each condensation edge in a parallel
+// array; the in arena holds the predecessor rows. Members form a circular
+// doubly linked list through two links per node, so a merge splices lists
+// and a split unlinks exactly the nodes that leave. New adopts Tarjan's flat
+// out, support and in arrays as the arenas as they stand, each row in a
+// region of its own length.
+//
+// Rows are edited by the rule graph.Graph's rows follow, with no seal, since
+// no snapshot shares these arenas, and one addition: a row that outgrows its
+// region gets the next power-of-two region, as a slice gets capacity. A row
+// that grows within its region is edited in place; a region that grows is
+// extended in place when it ends at the arena's tip, else copied to the
+// tip. A removal shifts inside the row, and a row whose region is its own
+// length gives the entry back. When a region must move and the arena is
+// full, or its dead entries pass a quarter of the rest, the arena is packed
+// afresh: regions in id order, the moving one last. The powers of two are
+// for the giant SCC, whose predecessor row on social16 holds 12 088 of the
+// in arena's 13 604 entries: copied to the tip on every growth, it repacked
+// the arena on almost every write that touched it. A split carves each new
+// part's two rows whole, from one scan of its members' edges. Writes
+// therefore touch only the row being edited, entries past every live
+// region, or a fresh arena: a row read before an edit of another row still
+// reads the same.
 //
 // Apply records, per batch, what the consumers need to find their affected
 // areas: how many updates left the transitive closure unchanged, which
@@ -116,10 +146,10 @@
 //
 // Every step moves at least one part out of R and keeps the lemma's
 // premises, and each search costs about twice the side that ran dry, so the
-// work follows what leaves C rather than C — bar one scan of C's member
-// list, which hands the peeled nodes over in member order. When the scan
-// finds every boundary node verified, R keeps C's identity and a Tarjan
-// pass restricted to the peeled nodes decomposes them into parts. The peel
+// work follows what leaves C rather than C, down to unlinking the peeled
+// nodes from C's member list one by one. When the scan finds every boundary
+// node verified, R keeps C's identity and a Tarjan pass restricted to the
+// peeled nodes decomposes them into parts. The peel
 // gives up, and the same Tarjan pass runs over all of C, once its probes
 // have visited |C| nodes or the peeled nodes pass half of C. Before that R
 // holds at least half of C and, when more than one part left, more than any
@@ -128,20 +158,63 @@ package dynscc
 
 import (
 	"math"
+	"math/bits"
 	"slices"
+	"unsafe"
 
 	"repro/internal/graph"
 )
 
+// comp is one component slot: its members — a circular list through
+// Cond.next and Cond.prev, handled by the last — its rows as spans of the
+// two arenas with the log class of each row's region, and its flags.
+// Package doc, "Storage".
 type comp struct {
-	members []graph.Node
-	// out lists successor components ascending; sup[i] counts the member
-	// edges behind the condensation edge to out[i]. in lists predecessor
-	// components ascending.
-	out, sup, in []int32
-	cyclic       bool
-	dead         bool
+	last   graph.Node
+	size   int32
+	sp     [2]span  // the successor row (outs) and the predecessor row (ins)
+	lg     [2]uint8 // per row: 0 when its region is its n entries, else 1 + log2 of the region
+	cyclic bool
+	dead   bool
 }
+
+// span is a row: n entries of an arena from at.
+type span struct{ at, n int32 }
+
+// The two arenas and the row of a record each indexes.
+const (
+	outs = iota // successor rows, ascending, with the supports beside them
+	ins         // predecessor rows, ascending
+)
+
+// region returns the arena entries id's row on side s owns from its start.
+func (r *comp) region(s int) int {
+	if r.lg[s] == 0 {
+		return int(r.sp[s].n)
+	}
+	return 1 << (r.lg[s] - 1)
+}
+
+// class returns the log class of the smallest power-of-two region that
+// holds n > 0 entries.
+func class(n int) uint8 { return uint8(bits.Len(uint(n-1))) + 1 }
+
+// arena holds rows back to back. sup, on the out side only, holds beside
+// each entry the member edges behind that condensation edge. dead counts the
+// entries below the tip that no row's region covers.
+type arena struct {
+	ent, sup []int32
+	dead     int
+}
+
+// An arena is packed when a region must move and its dead entries pass a
+// 1/arenaSlack share of what the regions hold, or it is full; it is packed
+// with a 1/arenaSlack share of what they hold, and minSpare more, free at
+// the tip.
+const (
+	arenaSlack = 4
+	minSpare   = 16
+)
 
 // Delta is the change log of one Apply call. Positions are recorded as
 // nodes, not component ids, so that a consumer resolving them through
@@ -189,8 +262,12 @@ type Cond struct {
 	g      *graph.Graph
 	compOf []int32
 	comps  []comp
-	free   []int32 // ids dead since before the current batch
-	delta  Delta
+	ar     [2]arena // rows: outs, ins
+	// Member lists: node -> the next and the previous member of its
+	// component, around a circle.
+	next, prev []graph.Node
+	free       []int32 // ids dead since before the current batch
+	delta      Delta
 
 	// Stamp-cleared marks over component ids (cmark) and node ids (nmark):
 	// a mark is set iff it equals a stamp handed out for the current
@@ -237,23 +314,30 @@ type nframe struct {
 func New(g *graph.Graph) *Cond {
 	s := graph.Tarjan(g)
 	n := s.NumComponents()
+	out, sup, in := s.Flat()
 	c := &Cond{
 		g:      g,
 		compOf: s.Comp,
 		comps:  make([]comp, n),
+		ar:     [2]arena{{ent: out, sup: sup}, {ent: in}},
+		next:   make([]graph.Node, g.NumNodes()),
+		prev:   make([]graph.Node, g.NumNodes()),
 		cmark:  make([]uint32, n),
 		cbits:  make([]uint16, n),
 		nmark:  make([]uint32, g.NumNodes()),
 	}
-	// The rows of s are capacity-limited views into flat arrays, so a later
-	// append to one reallocates instead of clobbering its neighbor.
+	var at [2]int32
 	for id := range c.comps {
-		c.comps[id] = comp{
-			members: s.Members[id],
-			out:     s.Out[id],
-			sup:     s.OutSupport[id],
-			in:      s.In[id],
-			cyclic:  s.Cyclic[id],
+		ms := s.Members[id]
+		prev := ms[len(ms)-1]
+		for _, v := range ms {
+			c.next[prev], c.prev[v], prev = v, prev, v
+		}
+		r := &c.comps[id]
+		r.last, r.size, r.cyclic = prev, int32(len(ms)), s.Cyclic[id]
+		for side, rows := range [2][][]int32{s.Out, s.In} {
+			r.sp[side] = span{at[side], int32(len(rows[id]))}
+			at[side] += r.sp[side].n
 		}
 	}
 	return c
@@ -272,12 +356,234 @@ func (c *Cond) Live(id int32) bool { return !c.comps[id].dead }
 // CompOf returns the component of node v.
 func (c *Cond) CompOf(v graph.Node) int32 { return c.compOf[v] }
 
-// Out returns the successor components of id, ascending. Read-only.
-func (c *Cond) Out(id int32) []int32 { return c.comps[id].out }
+// Out returns the successor components of id, ascending. Read-only, and
+// valid until the next Apply.
+func (c *Cond) Out(id int32) []int32 { return c.row(id, outs) }
 
 // Cyclic reports whether component id contains a cycle (more than one
 // member, or a self-loop).
 func (c *Cond) Cyclic(id int32) bool { return c.comps[id].cyclic }
+
+// Footprint returns the bytes c's own tables hold, read off their
+// capacities: the component records, the two arenas, the per-node and
+// per-component arrays, the change log and the traversal scratch. The graph
+// is not counted.
+func (c *Cond) Footprint() int {
+	n := int(unsafe.Sizeof(comp{}))*cap(c.comps) + 2*cap(c.cbits) + 8*(cap(c.frames)+cap(c.nframes))
+	for _, s := range [][]int32{
+		c.compOf, c.ar[outs].ent, c.ar[outs].sup, c.ar[ins].ent, c.next, c.prev, c.free,
+		c.delta.Touched, c.delta.Moved, c.delta.Dead, c.area[0], c.area[1], c.area[2],
+		c.nidx, c.nlow, c.npart, c.bufA, c.bufB, c.bufC, c.nbufA, c.nbufB, c.nbufC,
+	} {
+		n += 4 * cap(s)
+	}
+	for _, s := range [][]uint32{c.cmark, c.nmark, c.nver} {
+		n += 4 * cap(s)
+	}
+	return n
+}
+
+// row returns id's row on side s.
+func (c *Cond) row(id int32, s int) []int32 {
+	r := c.comps[id].sp[s]
+	return c.ar[s].ent[r.at : r.at+r.n : r.at+r.n]
+}
+
+// sup returns the supports beside id's successor row.
+func (c *Cond) sup(id int32) []int32 {
+	r := c.comps[id].sp[outs]
+	return c.ar[outs].sup[r.at : r.at+r.n : r.at+r.n]
+}
+
+// deg returns the length of id's row on side s.
+func (c *Cond) deg(id int32, s int) int { return int(c.comps[id].sp[s].n) }
+
+// first returns the first member of component id.
+func (c *Cond) first(id int32) graph.Node { return c.next[c.comps[id].last] }
+
+// push appends node v to component id's member list.
+func (c *Cond) push(id int32, v graph.Node) {
+	r := &c.comps[id]
+	if r.size == 0 {
+		c.next[v], c.prev[v] = v, v
+	} else {
+		f := c.next[r.last]
+		c.next[r.last], c.prev[v], c.next[v], c.prev[f] = v, r.last, f, v
+	}
+	r.last = v
+	r.size++
+}
+
+// unlink takes node v out of component id's member list.
+func (c *Cond) unlink(id int32, v graph.Node) {
+	r := &c.comps[id]
+	p, n := c.prev[v], c.next[v]
+	c.next[p], c.prev[n] = n, p
+	if r.last == v {
+		r.last = p
+	}
+	r.size--
+}
+
+// splice appends component x's member list to host's.
+func (c *Cond) splice(host, x int32) {
+	h, o := &c.comps[host], &c.comps[x]
+	hf, xf := c.next[h.last], c.next[o.last]
+	c.next[h.last], c.prev[xf] = xf, h.last
+	c.next[o.last], c.prev[hf] = hf, o.last
+	h.last = o.last
+	h.size += o.size
+}
+
+// members appends the members of id to dst, in list order.
+func (c *Cond) members(dst []graph.Node, id int32) []graph.Node {
+	v := c.first(id)
+	for k := c.comps[id].size; k > 0; k-- {
+		dst = append(dst, v)
+		v = c.next[v]
+	}
+	return dst
+}
+
+// insertAt inserts x, with support k on the out side, at position i of id's
+// row on side s (package doc, "Storage").
+func (c *Cond) insertAt(id int32, s, i int, x, k int32) {
+	c.reserve(id, s, 1)
+	a := &c.ar[s]
+	r := &c.comps[id].sp[s]
+	at, n := int(r.at), int(r.n)
+	copy(a.ent[at+i+1:at+n+1], a.ent[at+i:at+n])
+	a.ent[at+i] = x
+	if s == outs {
+		copy(a.sup[at+i+1:at+n+1], a.sup[at+i:at+n])
+		a.sup[at+i] = k
+	}
+	r.n++
+}
+
+// reserve makes room in id's region on side s for k more entries. A region
+// that is too small grows to the next power of two that holds them: in
+// place when it ends at the arena's tip and the arena has room, else at the
+// tip, else in a fresh arena.
+func (c *Cond) reserve(id int32, s, k int) {
+	a := &c.ar[s]
+	r := &c.comps[id]
+	sp := &r.sp[s]
+	at, n, have := int(sp.at), int(sp.n), r.region(s)
+	if n+k <= have {
+		return
+	}
+	lg := class(n + k)
+	want := 1 << (lg - 1)
+	if end := len(a.ent); at+have == end && at+want <= cap(a.ent) {
+		a.ent = a.ent[:at+want]
+		if s == outs {
+			a.sup = a.sup[:at+want]
+		}
+	} else if arenaSlack*a.dead > end-a.dead || end+want > cap(a.ent) {
+		c.pack(s, id, want)
+	} else {
+		a.ent = a.ent[:end+want]
+		copy(a.ent[end:], a.ent[at:at+n])
+		if s == outs {
+			a.sup = a.sup[:end+want]
+			copy(a.sup[end:], a.sup[at:at+n])
+		}
+		a.dead += have
+		sp.at = int32(end)
+	}
+	r.lg[s] = lg
+}
+
+// removeAt removes the entry at position i of id's row on side s.
+func (c *Cond) removeAt(id int32, s, i int) {
+	a := &c.ar[s]
+	r := &c.comps[id].sp[s]
+	at, n := int(r.at), int(r.n)
+	copy(a.ent[at+i:at+n], a.ent[at+i+1:at+n])
+	if s == outs {
+		copy(a.sup[at+i:at+n], a.sup[at+i+1:at+n])
+	}
+	r.n--
+	c.dropped(id, s, 1)
+}
+
+// dropped accounts for the k entries id's row on side s just gave up at its
+// end. A row whose region is its entries gives them up with them: to the
+// arena's tip when the row ended there, else as dead entries. A grown
+// region keeps them.
+func (c *Cond) dropped(id int32, s, k int) {
+	r := &c.comps[id]
+	if r.lg[s] != 0 {
+		return
+	}
+	a := &c.ar[s]
+	sp := &r.sp[s]
+	if end := int(sp.at+sp.n) + k; end == len(a.ent) {
+		a.ent = a.ent[:end-k]
+		if s == outs {
+			a.sup = a.sup[:end-k]
+		}
+	} else {
+		a.dead += k
+	}
+}
+
+// carve writes vals, with sups beside them on the out side, into id's empty
+// row on side s.
+func (c *Cond) carve(id int32, s int, vals, sups []int32) {
+	if len(vals) == 0 {
+		return
+	}
+	c.reserve(id, s, len(vals))
+	r := &c.comps[id].sp[s]
+	copy(c.ar[s].ent[r.at:], vals)
+	if s == outs {
+		copy(c.ar[s].sup[r.at:], sups)
+	}
+	r.n = int32(len(vals))
+}
+
+// pack copies the regions of side s into a fresh arena, in id order but for
+// last's (-1 for none), which goes at the tip in a region of want entries.
+// A 1/arenaSlack share of what the regions hold, and minSpare more, is left
+// free past it.
+func (c *Cond) pack(s int, last int32, want int) {
+	a := &c.ar[s]
+	held := len(a.ent) - a.dead + want
+	if last >= 0 {
+		held -= c.comps[last].region(s)
+	}
+	size := held + held/arenaSlack + minSpare
+	ent := make([]int32, 0, size)
+	var sup []int32
+	if s == outs {
+		sup = make([]int32, 0, size)
+	}
+	put := func(id int32, region int) {
+		r := &c.comps[id].sp[s]
+		lo, hi := r.at, r.at+r.n
+		r.at = int32(len(ent))
+		ent = append(ent, a.ent[lo:hi]...)
+		ent = ent[:int(r.at)+region]
+		if s == outs {
+			sup = append(sup, a.sup[lo:hi]...)
+			sup = sup[:len(ent)]
+		}
+	}
+	for id := range int32(len(c.comps)) {
+		switch region := c.comps[id].region(s); {
+		case region == 0:
+			c.comps[id].sp[s].at = 0 // within any arena
+		case id != last:
+			put(id, region)
+		}
+	}
+	if last >= 0 {
+		put(last, want)
+	}
+	a.ent, a.sup, a.dead = ent, sup, 0
+}
 
 // Apply applies the effective update list eff — as returned by
 // Graph().Reduce: every update changes the graph — to the graph and the
@@ -332,7 +638,7 @@ func (c *Cond) remove(u, v graph.Node) {
 	a, b := c.compOf[u], c.compOf[v]
 	if a == b {
 		if u == v {
-			if len(c.comps[a].members) > 1 {
+			if c.comps[a].size > 1 {
 				d.Redundant++
 				return
 			}
@@ -351,12 +657,12 @@ func (c *Cond) remove(u, v graph.Node) {
 		}
 		d.Splits++
 		for _, p := range c.split(a, u, v, part, fromU) {
-			d.Touched = append(d.Touched, c.comps[p].members[0])
+			d.Touched = append(d.Touched, c.first(p))
 		}
 		c.lossArea(c.compOf[u], c.compOf[v], a)
 		return
 	}
-	if c.decSupport(a, b) > 0 {
+	if c.decSupport(a, b, 1) > 0 {
 		d.Redundant++ // another member edge keeps the condensation edge
 		return
 	}
@@ -406,7 +712,7 @@ func (c *Cond) reaches(a, b int32) bool {
 	fwd := append(c.bufA[:0], a)
 	bwd := append(c.bufB[:0], b)
 	next := c.bufC[:0]
-	fdeg, bdeg := len(c.comps[a].out), len(c.comps[b].in)
+	fdeg, bdeg := c.deg(a, outs), c.deg(b, ins)
 	found := false
 search:
 	for len(fwd) > 0 && len(bwd) > 0 {
@@ -414,7 +720,7 @@ search:
 		if fdeg <= bdeg {
 			fdeg = 0
 			for _, x := range fwd {
-				for _, t := range c.comps[x].out {
+				for _, t := range c.row(x, outs) {
 					if mark[t] == bs {
 						found = true
 						break search
@@ -422,7 +728,7 @@ search:
 					if mark[t] != fs {
 						mark[t] = fs
 						next = append(next, t)
-						fdeg += len(c.comps[t].out)
+						fdeg += c.deg(t, outs)
 					}
 				}
 			}
@@ -430,7 +736,7 @@ search:
 		} else {
 			bdeg = 0
 			for _, x := range bwd {
-				for _, f := range c.comps[x].in {
+				for _, f := range c.row(x, ins) {
 					if mark[f] == fs {
 						found = true
 						break search
@@ -438,7 +744,7 @@ search:
 					if mark[f] != bs {
 						mark[f] = bs
 						next = append(next, f)
-						bdeg += len(c.comps[f].in)
+						bdeg += c.deg(f, ins)
 					}
 				}
 			}
@@ -452,26 +758,34 @@ search:
 // addSupport adds n member edges to the condensation edge (a,b), creating
 // it when absent.
 func (c *Cond) addSupport(a, b, n int32) {
-	ca := &c.comps[a]
-	i, ok := slices.BinarySearch(ca.out, b)
+	i, ok := slices.BinarySearch(c.row(a, outs), b)
 	if ok {
-		ca.sup[i] += n
+		c.sup(a)[i] += n
 		return
 	}
-	ca.out = slices.Insert(ca.out, i, b)
-	ca.sup = slices.Insert(ca.sup, i, n)
-	cb := &c.comps[b]
-	j, _ := slices.BinarySearch(cb.in, a)
-	cb.in = slices.Insert(cb.in, j, a)
+	c.insertAt(a, outs, i, b, n)
+	c.insertIn(b, a)
 }
 
-// decSupport removes one member edge from the condensation edge (a,b),
+// insertIn adds a to b's predecessor row.
+func (c *Cond) insertIn(b, a int32) {
+	j, _ := slices.BinarySearch(c.row(b, ins), a)
+	c.insertAt(b, ins, j, a, 0)
+}
+
+// insertOut adds b, with support n, to a's successor row alone.
+func (c *Cond) insertOut(a, b, n int32) {
+	i, _ := slices.BinarySearch(c.row(a, outs), b)
+	c.insertAt(a, outs, i, b, n)
+}
+
+// decSupport removes n member edges from the condensation edge (a,b),
 // dropping the edge at zero, and returns the support left.
-func (c *Cond) decSupport(a, b int32) int32 {
-	ca := &c.comps[a]
-	i, _ := slices.BinarySearch(ca.out, b)
-	ca.sup[i]--
-	left := ca.sup[i]
+func (c *Cond) decSupport(a, b, n int32) int32 {
+	i, _ := slices.BinarySearch(c.row(a, outs), b)
+	sup := c.sup(a)
+	sup[i] -= n
+	left := sup[i]
 	if left == 0 {
 		c.dropArc(a, b, i)
 	}
@@ -480,12 +794,14 @@ func (c *Cond) decSupport(a, b int32) int32 {
 
 // dropArc deletes the condensation edge (a,b), at index i of a's out list.
 func (c *Cond) dropArc(a, b int32, i int) {
-	ca := &c.comps[a]
-	ca.out = slices.Delete(ca.out, i, i+1)
-	ca.sup = slices.Delete(ca.sup, i, i+1)
-	cb := &c.comps[b]
-	j, _ := slices.BinarySearch(cb.in, a)
-	cb.in = slices.Delete(cb.in, j, j+1)
+	c.removeAt(a, outs, i)
+	c.removeIn(b, a)
+}
+
+// removeIn deletes a from b's predecessor row.
+func (c *Cond) removeIn(b, a int32) {
+	j, _ := slices.BinarySearch(c.row(b, ins), a)
+	c.removeAt(b, ins, j)
 }
 
 // pathSet returns the components on some condensation path src ⇝ dst,
@@ -494,7 +810,7 @@ func (c *Cond) dropArc(a, b int32, i int) {
 // smaller degree (an unrestricted search out of a hub would visit its
 // whole cone). The result aliases scratch valid until the next call.
 func (c *Cond) pathSet(src, dst int32) []int32 {
-	forward := len(c.comps[src].out) <= len(c.comps[dst].in)
+	forward := c.deg(src, outs) <= c.deg(dst, ins)
 	start, stop := src, dst
 	if !forward {
 		start, stop = dst, src
@@ -507,9 +823,9 @@ func (c *Cond) pathSet(src, dst int32) []int32 {
 	mark[start] = no
 	for len(frames) > 0 {
 		f := &frames[len(frames)-1]
-		adj := c.comps[f.c].out
+		adj := c.row(f.c, outs)
 		if !forward {
-			adj = c.comps[f.c].in
+			adj = c.row(f.c, ins)
 		}
 		if int(f.i) < len(adj) {
 			t := adj[f.i]
@@ -550,8 +866,7 @@ func (c *Cond) mergeCycle(a, b int32) {
 	host := set[0]
 	hostCost := -1
 	for _, x := range set {
-		cx := &c.comps[x]
-		if cost := len(cx.members) + len(cx.out) + len(cx.in); cost > hostCost {
+		if cost := int(c.comps[x].size) + c.deg(x, outs) + c.deg(x, ins); cost > hostCost {
 			hostCost, host = cost, x
 		}
 	}
@@ -564,57 +879,61 @@ func (c *Cond) mergeCycle(a, b int32) {
 		if x == host {
 			continue
 		}
-		old := c.comps[x]
-		h := &c.comps[host]
-		h.members = append(h.members, old.members...)
-		for _, v := range old.members {
+		v := c.first(x)
+		for k := c.comps[x].size; k > 0; k-- {
 			c.compOf[v] = host
+			c.delta.Moved = append(c.delta.Moved, v)
+			v = c.next[v]
 		}
-		c.delta.Moved = append(c.delta.Moved, old.members...)
-		for i, t := range old.out {
+		c.splice(host, x)
+		// x's rows are read as they stand: no edit below writes to them
+		// (package doc, "Storage").
+		sup := c.sup(x)
+		for i, t := range c.row(x, outs) {
 			if mark[t] == ms {
 				continue // now internal to the merged component
 			}
-			ct := &c.comps[t]
-			j, _ := slices.BinarySearch(ct.in, x)
-			ct.in = slices.Delete(ct.in, j, j+1)
-			c.addSupport(host, t, old.sup[i])
+			c.removeIn(t, x)
+			c.addSupport(host, t, sup[i])
 		}
-		for _, f := range old.in {
+		for _, f := range c.row(x, ins) {
 			if mark[f] == ms {
 				continue
 			}
-			cf := &c.comps[f]
-			j, _ := slices.BinarySearch(cf.out, x)
-			s := cf.sup[j]
-			cf.out = slices.Delete(cf.out, j, j+1)
-			cf.sup = slices.Delete(cf.sup, j, j+1)
+			j, _ := slices.BinarySearch(c.row(f, outs), x)
+			s := c.sup(f)[j]
+			c.removeAt(f, outs, j)
 			c.addSupport(f, host, s)
 		}
 		c.kill(x)
 	}
 	// The host's own edges to absorbed components became internal.
-	h := &c.comps[host]
-	k := 0
-	for i, t := range h.out {
-		if mark[t] != ms {
-			h.out[k], h.sup[k] = t, h.sup[i]
-			k++
+	for side := range c.ar {
+		row, sup := c.row(host, side), []int32(nil)
+		if side == outs {
+			sup = c.sup(host)
 		}
-	}
-	h.out, h.sup = h.out[:k], h.sup[:k]
-	k = 0
-	for _, f := range h.in {
-		if mark[f] != ms {
-			h.in[k] = f
-			k++
+		k := 0
+		for i, t := range row {
+			if mark[t] != ms {
+				row[k] = t
+				if sup != nil {
+					sup[k] = sup[i]
+				}
+				k++
+			}
 		}
+		c.comps[host].sp[side].n = int32(k)
+		c.dropped(host, side, len(row)-k)
 	}
-	h.in = h.in[:k]
-	h.cyclic = true
+	c.comps[host].cyclic = true
 }
 
+// kill marks x dead; its rows' regions are dead with it.
 func (c *Cond) kill(x int32) {
+	for side := range c.ar {
+		c.ar[side].dead += c.comps[x].region(side)
+	}
 	c.comps[x] = comp{dead: true}
 	c.delta.Dead = append(c.delta.Dead, x)
 }
@@ -707,67 +1026,94 @@ func (c *Cond) split(a int32, u, v graph.Node, part []graph.Node, fromU bool) []
 		c.nidx, c.nlow, c.npart = make([]int32, n), make([]int32, n), make([]int32, n)
 		c.nver = make([]uint32, n)
 	}
-	ids := c.peel(a, u, v, part, fromU)
+	ids, left := c.peel(a, u, v, part, fromU)
 	if ids == nil {
 		c.delta.Resplits++
-		ids = c.decompose(a)
+		ids, left = c.decompose(a)
 	}
 
 	ms := c.cstamps(1)
 	for _, id := range ids {
 		c.cmark[id] = ms
 	}
-	// Hand the peeled nodes, already labeled in compOf, to their components,
-	// in a's member order. This scan of a's list is split's one step that
-	// costs |a| rather than what leaves it: a read of compOf per member.
-	members := c.comps[a].members
-	keep := members[:0]
-	for _, x := range members {
-		id := c.compOf[x]
-		if id == a {
-			keep = append(keep, x)
-			continue
+	// Hand the nodes that left, already labeled in compOf, to their parts.
+	for _, x := range left {
+		if id := c.compOf[x]; id != a {
+			c.unlink(a, x)
+			c.push(id, x)
+			c.delta.Moved = append(c.delta.Moved, x)
 		}
-		c.comps[id].members = append(c.comps[id].members, x)
-		c.delta.Moved = append(c.delta.Moved, x)
 	}
-	c.comps[a].members = keep
 
-	// Re-count the edges at the peeled nodes. An edge to or from outside
-	// the old component moves its support from a to the new part; an edge
-	// that was internal to a now crosses parts. Edges between two peeled
-	// parts are counted from their tail's successor scan only.
+	// Carve each new part's rows from its members' edges. An edge to or from
+	// outside the old component moves its support from a to the part; an
+	// edge that was internal to a now crosses parts. Edges between two new
+	// parts are entered in the tail's successor row and the head's
+	// predecessor row, each from its own scan.
 	for _, id := range ids {
 		if id == a {
 			continue
 		}
-		for _, x := range c.comps[id].members {
-			for _, w := range c.g.Successors(x) {
-				cw := c.compOf[w]
-				if cw == id {
-					continue
-				}
-				if c.cmark[cw] != ms {
-					c.decSupport(a, cw)
-				}
-				c.addSupport(id, cw, 1)
+		vals, sups := c.adjacent(id, true)
+		c.carve(id, outs, vals, sups)
+		for i, cw := range vals {
+			if c.cmark[cw] != ms {
+				c.decSupport(a, cw, sups[i])
 			}
-			for _, w := range c.g.Predecessors(x) {
-				cw := c.compOf[w]
-				if c.cmark[cw] != ms {
-					c.decSupport(cw, a)
-					c.addSupport(cw, id, 1)
-				} else if cw == a {
-					c.addSupport(a, id, 1)
-				}
+			if c.cmark[cw] != ms || cw == a {
+				c.insertIn(cw, id)
+			}
+		}
+		vals, sups = c.adjacent(id, false)
+		c.carve(id, ins, vals, nil)
+		for i, cw := range vals {
+			if c.cmark[cw] != ms {
+				c.decSupport(cw, a, sups[i])
+			}
+			if c.cmark[cw] != ms || cw == a {
+				c.insertOut(cw, id, sups[i])
 			}
 		}
 	}
 	for _, id := range ids {
-		m := c.comps[id].members
-		c.comps[id].cyclic = len(m) > 1 || c.g.HasEdge(m[0], m[0])
+		f := c.first(id)
+		c.comps[id].cyclic = c.comps[id].size > 1 || c.g.HasEdge(f, f)
 	}
 	return ids
+}
+
+// adjacent lists the components other than id that id's members have edges
+// to (forward) or from, ascending, with the member edges behind each. Both
+// lists alias scratch valid until the next call.
+func (c *Cond) adjacent(id int32, forward bool) (comps, edges []int32) {
+	all := c.bufC[:0]
+	x := c.first(id)
+	for k := c.comps[id].size; k > 0; k-- {
+		nbrs := c.g.Successors(x)
+		if !forward {
+			nbrs = c.g.Predecessors(x)
+		}
+		for _, w := range nbrs {
+			if cw := c.compOf[w]; cw != id {
+				all = append(all, cw)
+			}
+		}
+		x = c.next[x]
+	}
+	slices.Sort(all)
+	edges = c.bufA[:0]
+	k := 0
+	for i, cw := range all {
+		if i > 0 && cw == all[k-1] {
+			edges[k-1]++
+			continue
+		}
+		all[k] = cw
+		edges = append(edges, 1)
+		k++
+	}
+	c.bufC, c.bufA = all[:0], edges[:0]
+	return all[:k], edges
 }
 
 // Labels peel gives the nodes it takes out of R in compOf: members of S and
@@ -781,13 +1127,13 @@ const (
 // a out of it by the loop of the package doc, starting from part — exactly
 // u's new component (fromU) or v's. On success it labels each peeled node
 // with the fresh id of its part in compOf and returns those ids, then a,
-// which the rest keeps. It gives up (nil), leaving compOf as it found it,
-// once its probes have visited as many nodes as a has or the peeled nodes
-// outnumber the rest.
-func (c *Cond) peel(a int32, u, v graph.Node, part []graph.Node, fromU bool) []int32 {
-	size := len(c.comps[a].members)
+// which the rest keeps, and the peeled nodes. It gives up (nil), leaving
+// compOf as it found it, once its probes have visited as many nodes as a
+// has or the peeled nodes outnumber the rest.
+func (c *Cond) peel(a int32, u, v graph.Node, part []graph.Node, fromU bool) ([]int32, []graph.Node) {
+	size := int(c.comps[a].size)
 	if 2*len(part) > size {
-		return nil
+		return nil, nil
 	}
 	// S ∪ T in the order taken out of R; its own backing, as every probe
 	// reuses part's.
@@ -872,7 +1218,7 @@ scan:
 		for _, x := range peeled {
 			c.compOf[x] = a
 		}
-		return nil
+		return nil, nil
 	}
 	ids := c.tarjan(peeled, inS, c.bufB[:0])
 	nS := len(ids)
@@ -891,14 +1237,15 @@ scan:
 	}
 	ids = append(ids, a)
 	c.bufB = ids[:0]
-	return ids
+	return ids, peeled
 }
 
 // decompose is the general path of split: a Tarjan pass over all of a's
 // members. The members of every part but the largest are labeled with a
-// fresh id in compOf.
-func (c *Cond) decompose(a int32) []int32 {
-	members := c.comps[a].members
+// fresh id in compOf. It returns the parts' ids and a's members.
+func (c *Cond) decompose(a int32) ([]int32, []graph.Node) {
+	members := c.members(c.nbufC[:0], a)
+	c.nbufC = members[:0]
 	sizes := c.tarjan(members, a, c.bufB[:0])
 	largest := 0
 	for p, size := range sizes {
@@ -918,7 +1265,7 @@ func (c *Cond) decompose(a int32) []int32 {
 	for _, x := range members {
 		c.compOf[x] = ids[c.npart[x]]
 	}
-	return ids
+	return ids, members
 }
 
 // tarjan runs Tarjan's algorithm over the nodes labeled label in compOf,
@@ -1073,7 +1420,7 @@ func (c *Cond) lossArea(t, h, host int32) {
 		}
 	}
 	for _, x := range bestArea {
-		c.delta.Touched = append(c.delta.Touched, c.comps[x].members[0])
+		c.delta.Touched = append(c.delta.Touched, c.first(x))
 	}
 }
 
@@ -1131,9 +1478,9 @@ func (c *Cond) cone(area, seeds []int32, skip, bit, keep uint16, forward bool, l
 		}
 		i := len(queue)
 		for visit(s); i < len(queue) && len(area) < limit; i++ {
-			adj := c.comps[queue[i]].out
+			adj := c.row(queue[i], outs)
 			if !forward {
-				adj = c.comps[queue[i]].in
+				adj = c.row(queue[i], ins)
 			}
 			for _, x := range adj {
 				if visit(x); len(area) >= limit {
@@ -1169,9 +1516,9 @@ func (c *Cond) sweep(dst []int32, seed int32, bit uint16, forward bool) []int32 
 	first := len(dst)
 	dst = append(dst, seed)
 	for i := first; i < len(dst); i++ {
-		adj := c.comps[dst[i]].out
+		adj := c.row(dst[i], outs)
 		if !forward {
-			adj = c.comps[dst[i]].in
+			adj = c.row(dst[i], ins)
 		}
 		for _, x := range adj {
 			if set(x) {

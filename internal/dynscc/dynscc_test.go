@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -39,7 +40,7 @@ func checkAgainstTarjan(t *testing.T, what string, c *Cond) {
 			continue
 		}
 		live++
-		ms := c.comps[id].members
+		ms := c.members(nil, id)
 		if len(ms) == 0 {
 			t.Fatalf("%s: live component %d has no members", what, id)
 		}
@@ -73,16 +74,86 @@ func checkAgainstTarjan(t *testing.T, what string, c *Cond) {
 			if j, ok := slices.BinarySearch(s.Out[ref], toRef[b]); ok {
 				want = int(s.OutSupport[ref][j])
 			}
-			if got := int(c.comps[id].sup[i]); got != want || want == 0 {
+			if got := int(c.sup(id)[i]); got != want || want == 0 {
 				t.Fatalf("%s: edge (%d,%d) support %d, Tarjan counts %d", what, id, b, got, want)
 			}
-			if _, ok := slices.BinarySearch(c.comps[b].in, id); !ok {
+			if _, ok := slices.BinarySearch(c.row(b, ins), id); !ok {
 				t.Fatalf("%s: edge (%d,%d) missing from the in list", what, id, b)
 			}
 		}
-		if in := c.comps[id].in; !slices.IsSorted(in) || len(in) != len(s.In[ref]) {
+		if in := c.row(id, ins); !slices.IsSorted(in) || len(in) != len(s.In[ref]) {
 			t.Fatalf("%s: component %d in list %v, Tarjan has %d edges", what, id, in, len(s.In[ref]))
 		}
+	}
+	checkStorage(t, what, c)
+}
+
+// checkStorage fails unless c's tables are consistent with themselves
+// (package doc, "Storage"): every live component's member list closes on
+// itself after exactly its count, the members of all of them cover each
+// node once, the regions of each arena's rows hold them and lie below its
+// tip without overlapping, and its dead count is what they leave uncovered.
+func checkStorage(t *testing.T, what string, c *Cond) {
+	t.Helper()
+	seen := make([]bool, c.Graph().NumNodes())
+	for id := int32(0); id < int32(c.NumSlots()); id++ {
+		if !c.Live(id) {
+			if r := c.comps[id]; r.size != 0 || r.sp != [2]span{} || r.lg != [2]uint8{} {
+				t.Fatalf("%s: dead slot %d keeps %d members and rows %v", what, id, r.size, r.sp)
+			}
+			continue
+		}
+		for _, v := range c.members(nil, id) {
+			if seen[v] {
+				t.Fatalf("%s: node %d listed twice", what, v)
+			}
+			seen[v] = true
+		}
+		if last := c.comps[id].last; c.next[last] != c.first(id) || c.members(nil, id)[c.comps[id].size-1] != last {
+			t.Fatalf("%s: component %d's member list does not close at its last member", what, id)
+		}
+		for _, v := range c.members(nil, id) {
+			if c.prev[c.next[v]] != v {
+				t.Fatalf("%s: component %d's member list links %d forward to %d, back to %d", what, id, v, c.next[v], c.prev[c.next[v]])
+			}
+		}
+	}
+	for v, ok := range seen {
+		if !ok {
+			t.Fatalf("%s: node %d is in no member list", what, v)
+		}
+	}
+	for side := range c.ar {
+		a := c.ar[side]
+		if side == outs && (len(a.sup) != len(a.ent) || cap(a.sup) < cap(a.ent)) {
+			t.Fatalf("%s: supports %d/%d beside %d/%d out entries", what, len(a.sup), cap(a.sup), len(a.ent), cap(a.ent))
+		}
+		owner := make([]int32, len(a.ent))
+		live := 0
+		for id := range c.comps {
+			r, region := c.comps[id].sp[side], c.comps[id].region(side)
+			if r.n < 0 || int(r.n) > region || region > 0 && (r.at < 0 || int(r.at)+region > len(a.ent)) {
+				t.Fatalf("%s: side %d row %v of %d in a region of %d passes the tip %d", what, side, r, id, region, len(a.ent))
+			}
+			for i := int(r.at); i < int(r.at)+region; i++ {
+				if owner[i] != 0 {
+					t.Fatalf("%s: side %d entry %d in the regions of %d and %d", what, side, i, owner[i]-1, id)
+				}
+				owner[i] = int32(id) + 1
+			}
+			live += region
+		}
+		if a.dead != len(a.ent)-live {
+			t.Fatalf("%s: side %d counts %d dead entries, its regions leave %d", what, side, a.dead, len(a.ent)-live)
+		}
+	}
+}
+
+// TestRecordFitsHalfALine holds a component slot's record to half a cache
+// line: the loss-area sweeps read one per component they mark.
+func TestRecordFitsHalfALine(t *testing.T) {
+	if size := unsafe.Sizeof(comp{}); size > 32 {
+		t.Fatalf("a component record takes %d bytes, want at most 32", size)
 	}
 }
 
@@ -362,7 +433,7 @@ func TestSplitStaysLocal(t *testing.T) {
 	}
 	g.AddEdge(prev, 1)
 	c := New(g)
-	if n := len(c.comps[c.CompOf(0)].members); n != g.NumNodes() {
+	if n := int(c.comps[c.CompOf(0)].size); n != g.NumNodes() {
 		t.Fatalf("setup: the SCC has %d of %d nodes", n, g.NumNodes())
 	}
 
@@ -376,8 +447,8 @@ func TestSplitStaysLocal(t *testing.T) {
 		t.Fatalf("%d nodes moved, want the %d chain nodes", len(d.Moved), 4*chain)
 	}
 	for _, end := range []graph.Node{u, v} {
-		if len(c.comps[c.CompOf(end)].members) != 2 {
-			t.Fatalf("node %d ended in a part of %d nodes, want its 2-cycle", end, len(c.comps[c.CompOf(end)].members))
+		if int(c.comps[c.CompOf(end)].size) != 2 {
+			t.Fatalf("node %d ended in a part of %d nodes, want its 2-cycle", end, int(c.comps[c.CompOf(end)].size))
 		}
 	}
 	if limit := core / 20; c.work.visits > limit {

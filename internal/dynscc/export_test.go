@@ -56,6 +56,6 @@ func (c *Cond) lossAreaSweep(t, h, host int32) {
 		}
 	}
 	for _, x := range areas[best] {
-		c.delta.Touched = append(c.delta.Touched, c.comps[x].members[0])
+		c.delta.Touched = append(c.delta.Touched, c.first(x))
 	}
 }

@@ -26,10 +26,18 @@ type SCC struct {
 	// Cyclic reports whether a component contains a cycle: it has more than
 	// one member or a self-loop.
 	Cyclic []bool
+
+	outFlat, supFlat, inFlat []int32 // what Out, OutSupport and In are carved from
 }
 
 // NumComponents returns the number of strongly connected components.
 func (s *SCC) NumComponents() int { return len(s.Members) }
+
+// Flat returns the arrays Out, OutSupport and In are carved from: in each,
+// the rows lie back to back in component order, so row a starts where row
+// a−1 ends. A caller that adopts them owns them and must not read the rows
+// after writing to them.
+func (s *SCC) Flat() (out, support, in []int32) { return s.outFlat, s.supFlat, s.inFlat }
 
 // Tarjan computes the strongly connected components of g with an iterative
 // Tarjan algorithm (safe for deep graphs) and returns the decomposition
@@ -160,14 +168,14 @@ func TarjanCSR(c *CSR) *SCC {
 			pairs = append(pairs, uint64(uint32(a))<<32|uint64(uint32(b)))
 		}
 	}
-	s.Out, s.In, s.OutSupport = condense(pairs, len(members))
+	s.condense(pairs, len(members))
 	return s
 }
 
 // condense turns packed (a,b) component pairs (a != b, with multiplicity)
 // into sorted CSR-backed Out/In adjacency plus the support counts aligned
 // with Out.
-func condense(pairs []uint64, numComp int) (out, in, support [][]int32) {
+func (s *SCC) condense(pairs []uint64, numComp int) {
 	slices.Sort(pairs)
 	// Dedup in place, counting multiplicities; distinct pairs stay sorted,
 	// so the counts line up with the Out rows carved below.
@@ -182,30 +190,30 @@ func condense(pairs []uint64, numComp int) (out, in, support [][]int32) {
 		distinct = append(distinct, pairs[i])
 		i = j
 	}
-	out, in = AdjFromSortedPairs(distinct, numComp)
-	support = make([][]int32, numComp)
+	s.Out, s.In, s.outFlat, s.inFlat = adjFromSortedPairs(distinct, numComp)
+	s.supFlat = counts[:len(counts):len(counts)]
+	s.OutSupport = make([][]int32, numComp)
 	off := 0
-	for a := range out {
-		support[a] = counts[off : off+len(out[a]) : off+len(out[a])]
-		off += len(out[a])
+	for a, row := range s.Out {
+		s.OutSupport[a] = counts[off : off+len(row) : off+len(row)]
+		off += len(row)
 	}
-	return out, in, support
 }
 
-// AdjFromSortedPairs expands sorted, deduplicated packed (a<<32|b) pairs
+// adjFromSortedPairs expands sorted, deduplicated packed (a<<32|b) pairs
 // into forward and reverse adjacency rows carved out of two flat backing
-// arrays (capacity-limited views, so a later append reallocates instead of
-// clobbering a neighbor). Rows come out sorted ascending on both sides.
-// Shared by the condensation and the quotient builders.
-func AdjFromSortedPairs(pairs []uint64, n int) (adj, radj [][]int32) {
+// arrays, which it returns too (capacity-limited views, so a later append
+// reallocates instead of clobbering a neighbor). Rows come out sorted
+// ascending on both sides.
+func adjFromSortedPairs(pairs []uint64, n int) (adj, radj [][]int32, outFlat, inFlat []int32) {
 	outDeg := make([]int32, n)
 	inDeg := make([]int32, n)
 	for _, p := range pairs {
 		outDeg[p>>32]++
 		inDeg[uint32(p)]++
 	}
-	outFlat := make([]int32, len(pairs))
-	inFlat := make([]int32, len(pairs))
+	outFlat = make([]int32, len(pairs))
+	inFlat = make([]int32, len(pairs))
 	adj = make([][]int32, n)
 	radj = make([][]int32, n)
 	oo, io := int32(0), int32(0)
@@ -221,5 +229,5 @@ func AdjFromSortedPairs(pairs []uint64, n int) (adj, radj [][]int32) {
 		adj[a] = append(adj[a], b)
 		radj[b] = append(radj[b], a)
 	}
-	return adj, radj
+	return adj, radj, outFlat, inFlat
 }

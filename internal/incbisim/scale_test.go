@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dynscc"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // social16 is the benchmark's write-heavy graph (benchmark/workloads.go);
@@ -23,43 +24,69 @@ var social16 = gen.Dataset{Name: "social16", V: 15500, E: 79600, Labels: 16, Kin
 // 120 batches of 32 is between 6 and 7 at 1× and at 4×, the median 2.
 const resignedPerUpdate = 10
 
-// patternCost builds social16 scaled by factor, absorbs batches 32-update
-// mixed batches after a warm-up and returns incPCM's own time per batch —
-// the condensation is applied outside the clock — with the nodes it
-// re-signed. Batches that changed the depth build a level and are counted
-// apart: what they cost is |V|, seldom.
-func patternCost(tb testing.TB, factor, batches int) (ns, resigned []float64, deepened, scans int) {
+// patternRun is social16 scaled by factor under a stream of 32-update mixed
+// batches, absorbed one at a time by step.
+type patternRun struct {
+	tb              testing.TB
+	factor          int
+	g               *graph.Graph
+	mirror          *graph.Graph
+	cond            *dynscc.Cond
+	m               *Maintainer
+	rng             *rand.Rand
+	batch           int
+	ns              []float64 // incPCM's own time per batch, the condensation applied outside the clock
+	resigned        []float64 // nodes re-signed per batch
+	deepened, scans int
+}
+
+// patternWarm is the batches a patternRun absorbs before it records any.
+const patternWarm = 8
+
+func newPatternRun(tb testing.TB, factor int) *patternRun {
 	d := social16
 	d.V, d.E = d.V*factor, d.E*factor
 	g := d.Build(1)
-	mirror := g.Clone()
 	cond := dynscc.New(g)
-	m := Over(cond)
-	rng := rand.New(rand.NewSource(1))
-	const warm = 8
-	for i := 0; i < warm+batches; i++ {
-		b := gen.RandomBatch(rng, mirror, 32, 0.5)
-		mirror.Apply(b)
-		eff := g.Reduce(b)
-		cond.Apply(eff)
-		start := time.Now()
-		st := m.Absorb(eff)
-		took := time.Since(start)
-		scans += st.RepScans
-		switch {
-		case st.Fallbacks != 0:
-			tb.Fatalf("batch %d at %d× refined from the seed: %+v", i, factor, st)
-		case st.LevelRebuilds != 0:
-			deepened++
-		case st.DirtyNodes > resignedPerUpdate*st.EffectiveUpdates:
-			tb.Fatalf("batch %d at %d×: %d effective updates re-signed %d nodes of %d, want at most %d×",
-				i, factor, st.EffectiveUpdates, st.DirtyNodes, d.V, resignedPerUpdate)
-		case i >= warm:
-			ns = append(ns, float64(took))
-			resigned = append(resigned, float64(st.DirtyNodes))
-		}
+	return &patternRun{tb: tb, factor: factor, g: g, mirror: g.Clone(), cond: cond, m: Over(cond), rng: rand.New(rand.NewSource(1))}
+}
+
+// step absorbs the next batch and records its time and the nodes it
+// re-signed. Batches that changed the depth build a level and are counted
+// apart: what they cost is |V|, seldom.
+func (r *patternRun) step() {
+	i := r.batch
+	r.batch++
+	b := gen.RandomBatch(r.rng, r.mirror, 32, 0.5)
+	r.mirror.Apply(b)
+	eff := r.g.Reduce(b)
+	r.cond.Apply(eff)
+	start := time.Now()
+	st := r.m.Absorb(eff)
+	took := time.Since(start)
+	r.scans += st.RepScans
+	switch {
+	case st.Fallbacks != 0:
+		r.tb.Fatalf("batch %d at %d× refined from the seed: %+v", i, r.factor, st)
+	case st.LevelRebuilds != 0:
+		r.deepened++
+	case st.DirtyNodes > resignedPerUpdate*st.EffectiveUpdates:
+		r.tb.Fatalf("batch %d at %d×: %d effective updates re-signed %d nodes of %d, want at most %d×",
+			i, r.factor, st.EffectiveUpdates, st.DirtyNodes, r.g.NumNodes(), resignedPerUpdate)
+	case i >= patternWarm:
+		r.ns = append(r.ns, float64(took))
+		r.resigned = append(r.resigned, float64(st.DirtyNodes))
 	}
-	return ns, resigned, deepened, scans
+}
+
+// patternCost returns a patternRun at factor that has absorbed its warm-up
+// and then batches recorded batches.
+func patternCost(tb testing.TB, factor, batches int) *patternRun {
+	r := newPatternRun(tb, factor)
+	for range patternWarm + batches {
+		r.step()
+	}
+	return r
 }
 
 func median(xs []float64) float64 {
@@ -80,18 +107,23 @@ func TestPatternApplyScalesWithChange(t *testing.T) {
 		t.Skip("set QPGC_BENCH_SMOKE=1 to run the benchmark regression smoke")
 	}
 	const batches = 120
-	ns1, re1, deep1, scans1 := patternCost(t, 1, batches)
-	ns4, re4, deep4, scans4 := patternCost(t, 4, batches)
-	t.Logf("incPCM per 32-update batch at 1×: %.3f ms, %.0f nodes re-signed (max %.0f), %d batches changed the depth, %d scans for a representative",
-		median(ns1)/1e6, median(re1), slices.Max(re1), deep1, scans1)
-	t.Logf("incPCM per 32-update batch at 4×: %.3f ms, %.0f nodes re-signed (max %.0f), %d batches changed the depth, %d scans for a representative",
-		median(ns4)/1e6, median(re4), slices.Max(re4), deep4, scans4)
-	if median(ns4) > 2*median(ns1) {
-		t.Errorf("absorbing a batch takes %.3f ms at 4× against %.3f ms at 1×, want at most twice", median(ns4)/1e6, median(ns1)/1e6)
+	// The two sizes take turns batch by batch, so that a slow stretch of the
+	// host lands on both rather than on whichever ran during it.
+	r1, r4 := newPatternRun(t, 1), newPatternRun(t, 4)
+	for range patternWarm + batches {
+		r1.step()
+		r4.step()
+	}
+	for _, r := range []*patternRun{r1, r4} {
+		t.Logf("incPCM per 32-update batch at %d×: %.3f ms, %.0f nodes re-signed (max %.0f), %d batches changed the depth, %d scans for a representative",
+			r.factor, median(r.ns)/1e6, median(r.resigned), slices.Max(r.resigned), r.deepened, r.scans)
+	}
+	if median(r4.ns) > 2*median(r1.ns) {
+		t.Errorf("absorbing a batch takes %.3f ms at 4× against %.3f ms at 1×, want at most twice", median(r4.ns)/1e6, median(r1.ns)/1e6)
 	}
 	// The one step that reads a whole level: a count too.
-	if scans1 > batches/4 || scans4 > batches/4 {
-		t.Errorf("%d and %d scans of a level for a lost representative in %d batches, want at most one batch in four", scans1, scans4, batches)
+	if r1.scans > batches/4 || r4.scans > batches/4 {
+		t.Errorf("%d and %d scans of a level for a lost representative in %d batches, want at most one batch in four", r1.scans, r4.scans, batches)
 	}
 }
 
@@ -100,14 +132,14 @@ func TestPatternApplyScalesWithChange(t *testing.T) {
 func BenchmarkIncPCMApply(b *testing.B) {
 	for _, factor := range []int{1, 4} {
 		b.Run(fmt.Sprintf("social16x%d", factor), func(b *testing.B) {
-			ns, resigned, _, _ := patternCost(b, factor, b.N+3)
+			r := patternCost(b, factor, b.N+3)
 			var sumNs, sumRe float64
-			for i := range ns {
-				sumNs += ns[i]
-				sumRe += resigned[i]
+			for i := range r.ns {
+				sumNs += r.ns[i]
+				sumRe += r.resigned[i]
 			}
-			b.ReportMetric(sumNs/float64(len(ns)), "ns/batch")
-			b.ReportMetric(sumRe/float64(len(ns)), "resigned/batch")
+			b.ReportMetric(sumNs/float64(len(r.ns)), "ns/batch")
+			b.ReportMetric(sumRe/float64(len(r.ns)), "resigned/batch")
 		})
 	}
 }

@@ -14,7 +14,11 @@
 //     compression — untouched), and logs where the closure changed. It
 //     may be shared with incbisim (see Over).
 //   - The class layer, this package, keeps the reachability classes as
-//     blocks of condensation components and regroups them on Gr.
+//     blocks of condensation components and regroups them on Gr. A block is
+//     an intrusive doubly linked list over component ids — a head and a
+//     size per block, a next and a prev per component — so singling a
+//     component out allocates nothing, a merge relinks, and the tables hold
+//     no pointer.
 //
 // # Regrouping on Gr
 //
@@ -101,15 +105,16 @@ type Stats struct {
 type Maintainer struct {
 	cond *dynscc.Cond
 
-	// Classes are blocks of components. Block ids are stable across
-	// batches (only affected components move), so a regroup touches the
-	// affected components and the blocks of H, not every component.
-	blockOf []int32   // component -> block, -1 when dead
-	pos     []int32   // component -> index in blocks[blockOf]
-	blocks  [][]int32 // block -> components; empty when free
-	node    []int32   // block -> node of gr
-	live    []int32   // blocks in use (may hold emptied ones until the next regroup)
-	free    []int32   // recyclable block ids
+	// Classes are blocks of components, each an intrusive doubly linked
+	// list over component ids. Block ids are stable across batches (only
+	// affected components move), so a regroup touches the affected
+	// components and the blocks of H, not every component.
+	blockOf    []int32 // component -> block, -1 when dead
+	next, prev []int32 // component -> its neighbours in its block's list, -1 past the ends
+	head, size []int32 // block -> first component (its representative) and count; size 0 when free
+	node       []int32 // block -> node of gr
+	live       []int32 // blocks in use (may hold emptied ones until the next regroup)
+	free       []int32 // recyclable block ids
 
 	gr     *graph.CSR // the quotient Gr over the live blocks, topologically numbered
 	cyclic []bool     // per gr node
@@ -241,7 +246,8 @@ func (m *Maintainer) Absorb(eff int, d *dynscc.Delta) Stats {
 func (m *Maintainer) growTo(n int) {
 	for len(m.blockOf) < n {
 		m.blockOf = append(m.blockOf, -1)
-		m.pos = append(m.pos, 0)
+		m.next = append(m.next, -1)
+		m.prev = append(m.prev, -1)
 		m.mark = append(m.mark, 0)
 	}
 }
@@ -252,11 +258,16 @@ func (m *Maintainer) detach(c int32) {
 	if b < 0 {
 		return
 	}
-	list := m.blocks[b]
-	last := list[len(list)-1]
-	list[m.pos[c]] = last
-	m.pos[last] = m.pos[c]
-	m.blocks[b] = list[:len(list)-1]
+	p, n := m.prev[c], m.next[c]
+	if p >= 0 {
+		m.next[p] = n
+	} else {
+		m.head[b] = n
+	}
+	if n >= 0 {
+		m.prev[n] = p
+	}
+	m.size[b]--
 	m.blockOf[c] = -1
 }
 
@@ -266,27 +277,65 @@ func (m *Maintainer) singleOut(c int32) {
 	if n := len(m.free); n > 0 {
 		b = m.free[n-1]
 		m.free = m.free[:n-1]
-		m.blocks[b] = append(m.blocks[b], c)
 	} else {
-		b = int32(len(m.blocks))
-		m.blocks = append(m.blocks, []int32{c})
+		b = int32(len(m.head))
+		m.head = append(m.head, 0)
+		m.size = append(m.size, 0)
 		m.node = append(m.node, 0)
 		m.hidx = append(m.hidx, 0)
 	}
-	m.blockOf[c], m.pos[c] = b, 0
+	m.head[b], m.size[b] = c, 1
+	m.next[c], m.prev[c] = -1, -1
+	m.blockOf[c] = b
 	m.live = append(m.live, b)
+}
+
+// merge moves block b's components into block into, right after its head,
+// and frees b.
+func (m *Maintainer) merge(b, into int32) {
+	first, last := m.head[b], int32(-1)
+	for c := first; c >= 0; c = m.next[c] {
+		m.blockOf[c] = into
+		last = c
+	}
+	h := m.head[into]
+	after := m.next[h]
+	m.next[h], m.prev[first] = first, h
+	m.next[last] = after
+	if after >= 0 {
+		m.prev[after] = last
+	}
+	m.size[into] += m.size[b]
+	m.size[b] = 0
+	m.free = append(m.free, b)
+}
+
+// Footprint returns the bytes m's own tables hold, read off their
+// capacities: the blocks, the per-component arrays, the classes' flags and
+// the regroup's scratch, the quotient kernel's included. The condensation
+// and the published Gr are not counted.
+func (m *Maintainer) Footprint() int {
+	h := &m.h
+	n := cap(m.cyclic) + cap(h.cyclic) + 24*cap(h.rows) + h.kernel.Footprint()
+	for _, s := range [][]int32{
+		m.blockOf, m.next, m.prev, m.head, m.size, m.node, m.live, m.free, m.hidx,
+		h.hb, h.seen, h.rowBuf, h.rowEnd, h.keep,
+	} {
+		n += 4 * cap(s)
+	}
+	return n + 4*cap(m.mark)
 }
 
 // regroup recomputes the classes and Gr from the current blocks, whose
 // members must be mutually equivalent: it runs the quotient kernel over the
-// block quotient H and merges the blocks it puts in one class. It returns
-// |H|.
+// block quotient H, one representative per block — its head — and merges
+// the blocks it puts in one class. It returns |H|.
 func (m *Maintainer) regroup() int {
 	h := &m.h
 	// H's nodes are the non-empty blocks.
 	hb := h.hb[:0]
 	for _, b := range m.live {
-		if len(m.blocks[b]) == 0 {
+		if m.size[b] == 0 {
 			m.free = append(m.free, b)
 			continue
 		}
@@ -308,7 +357,7 @@ func (m *Maintainer) regroup() int {
 	buf := h.rowBuf[:0]
 	ends := h.rowEnd[:0]
 	for i, b := range hb {
-		rep := m.blocks[b][0]
+		rep := m.head[b]
 		start := len(buf)
 		seen[i] = int32(i) + 1
 		for _, t := range m.cond.Out(rep) {
@@ -339,22 +388,14 @@ func (m *Maintainer) regroup() int {
 		keep[k] = -1
 	}
 	for i, b := range hb {
-		if k := classOf[i]; keep[k] < 0 || len(m.blocks[b]) > len(m.blocks[keep[k]]) {
+		if k := classOf[i]; keep[k] < 0 || m.size[b] > m.size[keep[k]] {
 			keep[k] = b
 		}
 	}
 	for i, b := range hb {
-		into := keep[classOf[i]]
-		if b == into {
-			continue
+		if into := keep[classOf[i]]; b != into {
+			m.merge(b, into)
 		}
-		for _, c := range m.blocks[b] {
-			m.blockOf[c] = into
-			m.pos[c] = int32(len(m.blocks[into]))
-			m.blocks[into] = append(m.blocks[into], c)
-		}
-		m.blocks[b] = m.blocks[b][:0]
-		m.free = append(m.free, b)
 	}
 	m.live = m.live[:0]
 	for k, b := range keep {

@@ -54,6 +54,11 @@ func New(g *graph.Graph) *Pair {
 // Graph returns the maintained graph; mutate it only through Apply.
 func (p *Pair) Graph() *graph.Graph { return p.cond.Graph() }
 
+// Footprints returns the bytes the condensation's and incRCM's tables hold
+// (dynscc.Cond.Footprint, increach.Maintainer.Footprint), read off slice
+// capacities.
+func (p *Pair) Footprints() (scc, reach int) { return p.cond.Footprint(), p.Reach.Footprint() }
+
 // Apply applies ΔG to the graph and brings both compressions to
 // R(G ⊕ ΔG).
 func (p *Pair) Apply(batch []graph.Update) (increach.Stats, incbisim.Stats) {

@@ -45,6 +45,18 @@ type Kernel struct {
 // Cap returns the number of nodes the kernel's scratch is sized for.
 func (k *Kernel) Cap() int { return cap(k.pos) }
 
+// Footprint returns the bytes k's scratch holds, read off its capacities.
+func (k *Kernel) Footprint() int {
+	n := 8 * cap(k.arena)
+	for _, s := range [][]int32{
+		k.order, k.pos, k.parents, k.slot, k.hi, k.free, k.kids,
+		k.red, k.redLo, k.redHi, k.inOff, k.in, k.classOf, k.rep, k.table,
+	} {
+		n += 4 * cap(s)
+	}
+	return n
+}
+
 // Quotient partitions the nodes of a DAG into reachability classes and
 // returns the class of each node together with the quotient's rows and
 // cyclic flags.

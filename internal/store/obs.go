@@ -38,6 +38,10 @@ type storeObs struct {
 	pubStage [numPubStages]*obs.Histogram
 	pubIndex *obs.Histogram
 	pubRows  *obs.Histogram
+	// The bytes the write side's tables hold, qpgc_store_heap_bytes{owner=...},
+	// read off slice capacities at publish: the condensation (scc) and
+	// incRCM (reach).
+	heapSCC, heapReach *obs.Gauge
 
 	lastPublish atomic.Int64  // unix nanos of the latest publish, for epoch age
 	tick        atomic.Uint32 // wave sample clock for sampleWave
@@ -128,6 +132,9 @@ func newStoreObs(r *obs.Registry) *storeObs {
 
 		pubIndex: r.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", "index")),
 		pubRows:  r.Histogram("qpgc_store_publish_patched_rows"),
+
+		heapSCC:   r.Gauge(obs.Label("qpgc_store_heap_bytes", "owner", "scc")),
+		heapReach: r.Gauge(obs.Label("qpgc_store_heap_bytes", "owner", "reach")),
 	}
 	for st, name := range pubStageNames {
 		so.pubStage[st] = r.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", name))
@@ -155,6 +162,16 @@ func (so *storeObs) notePatched(rows int) {
 	if so != nil {
 		so.pubRows.ObserveNs(int64(rows))
 	}
+}
+
+// noteHeap sets the heap gauges from the maintainers' footprints.
+func (so *storeObs) noteHeap(m *maintain.Pair) {
+	if so == nil || m == nil {
+		return
+	}
+	scc, reach := m.Footprints()
+	so.heapSCC.Set(int64(scc))
+	so.heapReach.Set(int64(reach))
 }
 
 // ageSeconds is the epoch-age gauge: seconds since the latest publish.

@@ -113,6 +113,17 @@ func TestApplyStageHistograms(t *testing.T) {
 		if rows := reg.Histogram("qpgc_store_publish_patched_rows").Snapshot(); rows.Count == 0 || rows.Count > batches {
 			t.Fatalf("patched-rows histogram observed %d epochs of %d", rows.Count, batches)
 		}
+		// The write side's tables, by owner, as the last publish counted them.
+		scc, reach := s.m.Footprints()
+		for owner, want := range map[string]int{"scc": scc, "reach": reach} {
+			name := obs.Label("qpgc_store_heap_bytes", "owner", owner)
+			if got := reg.Gauge(name).Value(); got != int64(want) || want <= 0 {
+				t.Fatalf("%s reads %d, the maintainers hold %d", name, got, want)
+			}
+			if text := reg.PrometheusText(); !strings.Contains(text, name) {
+				t.Fatalf("/metrics does not list %s", name)
+			}
+		}
 
 		bare := mustOpen(t, g.Clone(), nil)
 		defer bare.Close()

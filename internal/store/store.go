@@ -467,6 +467,7 @@ func (s *Store) publish(epoch uint64) {
 		s.recordEffect(old, sn, reachMoved, diff)
 	}
 	s.full = false
+	s.ob.noteHeap(s.m)
 	clk.lap(pubSwap)
 	s.ob.notePublish(clk.start)
 }
