@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -97,6 +98,42 @@ func TestDatasetsMatchRecordedGraphs(t *testing.T) {
 		}
 		if got := graphHash(g); got != w.hash {
 			t.Errorf("%s (%d labels) seed %d hashes to %s, recorded %s", w.name, w.labels, w.seed, got, w.hash)
+		}
+	}
+}
+
+// TestRandomBatchMatchesRecorded holds RandomBatch to the batches it drew
+// when it still materialized the edge list on every call (hashes recorded
+// then): on the benchmark's two graphs, under the benchmark's update model
+// (32 updates, half insertions, each batch applied to the graph the next is
+// drawn over), three seeds of 50 batches each must come out the same.
+func TestRandomBatchMatchesRecorded(t *testing.T) {
+	want := map[string][3]string{
+		"social16":  {"dc0130e90fc869d5", "a8b0ff837b372738", "732db3f7d9db3b0b"},
+		"webcore16": {"ba13dea1e4a084a2", "f9d444d601d768b7", "119ee1ec312da027"},
+	}
+	for _, d := range []Dataset{
+		{Name: "social16", V: 15500, E: 79600, Labels: 16, Kind: KindSocial},
+		{Name: "webcore16", V: 16300, E: 75000, Labels: 16, Kind: KindWebCore},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			g := d.Build(1)
+			rng := rand.New(rand.NewSource(seed))
+			h := sha256.New()
+			for i := 0; i < 50; i++ {
+				b := RandomBatch(rng, g, 32, 0.5)
+				for _, u := range b {
+					ins := uint64(0)
+					if u.Insert {
+						ins = 1
+					}
+					h.Write(binary.LittleEndian.AppendUint64(nil, uint64(u.From)<<33|uint64(u.To)<<1|ins))
+				}
+				g.Apply(b)
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != want[d.Name][seed-1] {
+				t.Errorf("%s seed %d: 50 batches hash to %s, recorded %s", d.Name, seed, got, want[d.Name][seed-1])
+			}
 		}
 	}
 }

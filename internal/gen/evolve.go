@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/graph"
 )
@@ -80,21 +81,41 @@ func GrowPowerLaw(rng *rand.Rand, g *graph.Graph, rate, hubBias float64) []graph
 // RandomBatch produces a mixed update batch over g: size updates, a
 // fraction insertFrac of which are insertions of fresh random edges, the
 // rest deletions of existing edges. The batch is NOT applied to g.
+//
+// A deletion draws uniformly among the edges not yet drawn, as a
+// swap-remove over g's edge list in ascending (u,v) order would, without
+// materializing it: the k-th edge is found through a prefix sum over
+// out-degrees, and the positions a swap-remove overwrote are kept aside.
 func RandomBatch(rng *rand.Rand, g *graph.Graph, size int, insertFrac float64) []graph.Update {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil
 	}
-	edges := g.EdgeList()
+	left := g.NumEdges()
+	var first []int // first[u] is the list position of u's first edge; built at the first deletion
+	moved := map[int][2]graph.Node{}
+	at := func(k int) [2]graph.Node {
+		if e, ok := moved[k]; ok {
+			return e
+		}
+		if first == nil {
+			first = make([]int, n+1)
+			for u := 0; u < n; u++ {
+				first[u+1] = first[u] + g.OutDegree(graph.Node(u))
+			}
+		}
+		u := sort.SearchInts(first, k+1) - 1
+		return [2]graph.Node{graph.Node(u), g.Successors(graph.Node(u))[k-first[u]]}
+	}
 	var batch []graph.Update
 	for i := 0; i < size; i++ {
-		if rng.Float64() < insertFrac || len(edges) == 0 {
+		if rng.Float64() < insertFrac || left == 0 {
 			batch = append(batch, graph.Insertion(graph.Node(rng.Intn(n)), graph.Node(rng.Intn(n))))
 		} else {
-			k := rng.Intn(len(edges))
-			e := edges[k]
-			edges[k] = edges[len(edges)-1]
-			edges = edges[:len(edges)-1]
+			k := rng.Intn(left)
+			e := at(k)
+			left--
+			moved[k] = at(left)
 			batch = append(batch, graph.Deletion(e[0], e[1]))
 		}
 	}

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -111,8 +112,16 @@ func TestCheckpointBuildsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Laid into a directory as a checkpoint is: the file, then a
+		// MANIFEST naming it. No source ships it — a source's image is of its
+		// own snapshot, in the current encoding.
 		dir := t.TempDir()
-		if err := store.InstallSnapshot(nil, dir, p.Epoch, data); err != nil {
+		name := fmt.Sprintf("snap-%016x.qps", p.Epoch)
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		manifest := fmt.Sprintf("qpgc-durable v1\nkind store\nepoch %d\nsnapshot %s\n", p.Epoch, name)
+		if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(manifest), 0o666); err != nil {
 			t.Fatal(err)
 		}
 		h, err := store.Open(nil, &store.Options{Indexes: false, Dir: dir})

@@ -52,7 +52,7 @@ func virtualDir(t *testing.T, name string) string {
 	return dir
 }
 
-// TestDurableFilesStayOnTheirFS opens a store, an installed snapshot and a
+// TestDurableFilesStayOnTheirFS opens a store, an installed image and a
 // follower on a filesystem whose directories the real disk does not have:
 // every durable file they write and every one they read back at reopen —
 // snapshots, WAL, MANIFEST, TERM — goes through the FS they were opened on.
@@ -103,28 +103,19 @@ func TestDurableFilesStayOnTheirFS(t *testing.T) {
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
+		img := s.Effects(0, 0)[0].Bytes
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 
-		// The reopened store's checkpoint, installed into a second directory.
-		entries, err := fsys.ReadDir(dir)
+		// The reopened store's image, installed into a second directory and
+		// read back from it.
+		dir2 := virtualDir(t, "installed")
+		s, err = store.OpenImage(img, &store.Options{Dir: dir2, FS: fsys})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var data []byte
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), "snap-") && strings.HasSuffix(e.Name(), ".qps") {
-				if data, err = fsys.ReadFile(filepath.Join(dir, e.Name())); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if data == nil {
-			t.Fatalf("no checkpoint under %s", dir)
-		}
-		dir2 := virtualDir(t, "installed")
-		if err := store.InstallSnapshot(fsys, dir2, epoch, data); err != nil {
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		s, err = store.Open(nil, &store.Options{Dir: dir2, FS: fsys})
@@ -156,11 +147,22 @@ func TestDurableFilesStayOnTheirFS(t *testing.T) {
 			token = epoch
 		}
 		awaitEpoch(t, f, token, 10*time.Second)
-		if err := f.resync(); err != nil {
-			t.Fatalf("resync through the FS: %v", err)
-		}
+		// A resync installs an image over the follower's own state, through
+		// the FS; the write after it wakes the round that asks for it.
+		f.resync()
 		if st := f.Status(); st.Resyncs != 1 {
 			t.Fatalf("follower resynced %d times, want 1", st.Resyncs)
+		}
+		batch := gen.RandomBatch(rng, mirror, 10, 0.6)
+		mirror.Apply(batch)
+		token, err := lh.cli.Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); f.images.Load() < 2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the resync's image never landed: %+v", f.Status())
+			}
 		}
 		awaitEpoch(t, f, token, 10*time.Second)
 		diffAgainstReference(t, "follower", mirror, map[string]server.Backend{"follower": f})

@@ -8,8 +8,12 @@ package replica
 
 import (
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -366,26 +370,46 @@ func TestPromoteWaitReportsLag(t *testing.T) {
 	}
 }
 
-// TestResyncRacesCheckpoint is satellite (c): the leader truncates its WAL
-// history between a follower's snapshot bootstrap and its first tail round
-// — the shipped-from position is gone, and the follower must notice and
-// re-bootstrap, not serve a gap.
-func TestResyncRacesCheckpoint(t *testing.T) {
-	g := matrixTopologies(55)["p2p"]
-	lh := startLeader(t, g, nil)
+// gatedFS holds, once armed, the first create of a file whose name starts
+// with prefix until release is closed, closing entered when it does.
+type gatedFS struct {
+	faultfs.FS
+	prefix           string
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
 
-	// Bootstrap the follower directory at the current checkpoint...
+func (g *gatedFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	if flag&os.O_CREATE != 0 && strings.HasPrefix(filepath.Base(name), g.prefix) && g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.FS.OpenFile(name, flag, perm)
+}
+
+// imageDir makes a fresh directory hold the leader's current snapshot, as a
+// follower that started there would: through the image install.
+func imageDir(t *testing.T, lh *leaderHarness) string {
+	t.Helper()
 	dir := t.TempDir()
-	epoch, data, err := lh.cli.FetchSnapshot()
+	s, err := store.OpenImage(lh.store.Effects(0, 0)[0].Bytes, &store.Options{Dir: dir, Sync: store.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.InstallSnapshot(nil, dir, epoch, data); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
 
-	// ...then, before its first MsgTail, the leader advances and checkpoints
-	// the history away.
+// TestResyncRacesCheckpoint: an image lands on a store whose background
+// checkpoint is in flight — a view of the history the image replaces. The
+// install waits the checkpoint out, and no checkpoint names the replaced
+// history afterwards: the MANIFEST names the image's epoch, below the
+// replaced one, and a follower started on the directory converges.
+func TestResyncRacesCheckpoint(t *testing.T) {
+	g := matrixTopologies(55)["p2p"]
+	lh := startLeader(t, g, nil)
 	mirror := g.Clone()
 	rng := rand.New(rand.NewSource(23))
 	var token uint64
@@ -398,21 +422,72 @@ func TestResyncRacesCheckpoint(t *testing.T) {
 		}
 		token = e
 	}
-	if err := lh.store.Checkpoint(); err != nil {
+	img := lh.store.Effects(0, 0)[0].Bytes
+
+	// A store on a history of its own, 16 writes long, checkpointing after
+	// every write; the last checkpoint is held at its snapshot file.
+	dir := t.TempDir()
+	gate := &gatedFS{FS: faultfs.Disk, prefix: "snap-", entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := store.Open(g.Clone(), &store.Options{Dir: dir, FS: gate, Sync: store.SyncNone, CheckpointBatches: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
+	other := g.Clone()
+	orng := rand.New(rand.NewSource(24))
+	for i := 0; i < 16; i++ {
+		if i == 15 {
+			time.Sleep(20 * time.Millisecond) // let the last unheld checkpoint finish
+			gate.armed.Store(true)
+		}
+		batch := gen.RandomBatch(orng, other, 15, 0.6)
+		other.Apply(batch)
+		if _, err := s.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no background checkpoint reached the gate")
+	}
+	installed := make(chan error, 1)
+	go func() {
+		_, _, err := s.ApplyEffect(nil, img)
+		installed <- err
+	}()
+	select {
+	case err := <-installed:
+		t.Fatalf("the install finished (%v) with a checkpoint of the replaced history in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate.release)
+	if err := <-installed; err != nil {
+		t.Fatal(err)
+	}
+	names := func(when string) {
+		info, err := store.Inspect(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Epoch != token {
+			t.Fatalf("%s: the MANIFEST names epoch %d (%s), want the image's %d", when, info.Epoch, info.Snapshot, token)
+		}
+	}
+	names("after the install")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names("after close")
 
 	f := startFollower(t, lh.srv.Addr(), Options{Dir: dir})
 	awaitEpoch(t, f, token, 15*time.Second)
-	if st := f.Status(); st.Resyncs == 0 {
-		t.Fatalf("truncation between snapshot and first tail did not force a resync (%+v)", st)
-	}
 	diffAgainstReference(t, "race", mirror, map[string]server.Backend{"follower": f})
 }
 
-// TestCloseDuringResync is the other half of satellite (c): Close racing
-// an in-flight wipe-and-re-bootstrap must neither hang nor corrupt the
-// directory — whatever state the race leaves behind, a restart converges.
+// TestCloseDuringResync: Close racing an in-flight image install must
+// neither hang nor corrupt the directory — whatever state the race leaves
+// behind, a restart converges.
 func TestCloseDuringResync(t *testing.T) {
 	g := matrixTopologies(56)["social"]
 	lh := startLeader(t, g, nil)
@@ -433,16 +508,9 @@ func TestCloseDuringResync(t *testing.T) {
 	}
 
 	for round, nap := range []time.Duration{0, 500 * time.Microsecond, 2 * time.Millisecond, 8 * time.Millisecond} {
-		// A follower bootstrapped at the current state, parked while the
-		// leader truncates its runway: its first tail round needs a resync.
-		dir := t.TempDir()
-		epoch, data, err := lh.cli.FetchSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.InstallSnapshot(nil, dir, epoch, data); err != nil {
-			t.Fatal(err)
-		}
+		// A follower directory at the current state, parked while the
+		// leader truncates its runway: its first tail round brings an image.
+		dir := imageDir(t, lh)
 		apply(6)
 		if err := lh.store.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -465,7 +533,8 @@ func TestCloseDuringResync(t *testing.T) {
 		wg.Wait()
 
 		// Whatever the race left on disk, a fresh follower on the same
-		// directory (re-bootstrapping if the wipe won) must converge exactly.
+		// directory (starting from an image if the install left no state)
+		// must converge exactly.
 		f2 := startFollower(t, lh.srv.Addr(), Options{Dir: dir})
 		awaitEpoch(t, f2, token, 15*time.Second)
 		diffAgainstReference(t, "close-race", mirror, map[string]server.Backend{"follower": f2})

@@ -1,15 +1,19 @@
 // Package replica turns a durable store directory into a read replica: it
-// bootstraps from the leader's newest snapfile checkpoint, then tails the
-// leader's WAL — one long-polled round after another, each answered when
-// the leader publishes an epoch. Each group of raw frames arrives with its
-// effect: what those batches did to the leader's views (store/effect.go).
-// The follower appends the frames to its own WAL, patches its G from them
-// and its views from the effect, and publishes — it runs no maintainer and
-// holds none until Promote builds them. A round that cannot chain the
-// follower's views brings one image of the leader's instead. So a follower
-// has two transitions, a diff and an image: frames that arrive without
-// their effect — a round cut short by a dropped connection or a rejected
-// effect — are not applied, and the next round ships them again.
+// tails a source's WAL — one long-polled round after another, each answered
+// when the source publishes an epoch. Each group of raw frames arrives with
+// its effect: what those batches did to the source's views
+// (store/effect.go). The follower appends the frames to its own WAL,
+// patches its G from them and its views from the effect, and publishes — it
+// runs no maintainer and holds none until Promote builds them. A round that
+// cannot chain the follower's views brings one image of the source's
+// snapshot instead, G included, which the follower's store installs in
+// place of everything it held (store/install.go). So a follower has two
+// transitions, a diff and an image, both through store.Store.ApplyEffect,
+// and keeps one store for its whole life; one in an empty directory starts
+// from the image of a round asked from 1 with lineage 0, through the same
+// install. Frames that arrive without their effect — a round cut short by a
+// dropped connection or a rejected effect — are not applied, and the next
+// round ships them again.
 //
 // The design leans entirely on one invariant the storage layer already
 // guarantees: a WAL record's sequence number IS the batch's epoch. A
@@ -28,16 +32,17 @@
 // views and agree with its patched G (store.Store.ApplyEffect checks).
 // Any violation is a quarantine event: the connection
 // is dropped and catch-up restarts from the follower's own epoch — wrong
-// answers are never served. A follower that cannot make progress (or whose
-// tail position the leader has truncated) wipes its directory and
-// re-bootstraps from a fresh snapshot, keeping the old snapshot serving
-// reads until the new store is live.
+// answers are never served. A follower that cannot make progress resyncs:
+// its next round asks for an image, which replaces its state in place while
+// the old snapshot keeps serving reads until the new one is published. A
+// source whose WAL no longer holds the follower's position sends an image
+// unasked.
 package replica
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,7 +96,8 @@ type Status struct {
 	Promoted bool
 	// Quarantines counts rejected shipped frames (CRC/seq/decode/apply
 	// violations); Reconnects counts dropped leader connections;
-	// Resyncs counts full snapshot re-bootstraps.
+	// Resyncs counts the follower's requests for an image (an image a
+	// source sends unasked is not one).
 	Quarantines, Reconnects, Resyncs uint64
 	// Err is the most recent replication error, "" when none.
 	Err string
@@ -132,12 +138,12 @@ type Follower struct {
 	opts    Options
 	leaders []string // replication source retry list
 
-	mu sync.RWMutex // guards s across resync swaps
-	s  *store.Store // the local store, swapped on resync
-	// wake is broadcast when what AwaitEpoch waits on moves: the local store
-	// published a batch, was swapped by a resync, or was fenced. Waiters
-	// park here and not on the store, so a swap carries them over.
+	s *store.Store // the local store, for the follower's whole life
+	// wake is broadcast when caughtUp turns true; WaitCaughtUp parks on it.
+	// Epoch waits park on the store itself.
 	wake store.Wake
+	// wantImage makes the next tail round ask for an image (resync).
+	wantImage atomic.Bool
 
 	leaderEpoch atomic.Uint64
 	leaderTerm  atomic.Uint64 // highest term any source reported
@@ -187,10 +193,8 @@ const (
 	// tailMargin is what a round may take on top of its hold before the
 	// source counts as silent and the follower rotates to the next one.
 	tailMargin = time.Second
-	// snapFrameTimeout bounds the wait for each frame of a snapshot transfer.
-	snapFrameTimeout = 30 * time.Second
 	// resyncAfter is how many consecutive quarantine events without epoch
-	// progress trigger a full wipe-and-re-bootstrap.
+	// progress make the follower ask for an image.
 	resyncAfter = 5
 )
 
@@ -199,10 +203,10 @@ const (
 // plain IO errors, which only reconnect.
 var errQuarantine = errors.New("replica: shipped frame rejected")
 
-// Start bootstraps (if dir holds no durable state) and opens the local
-// store, then begins tailing the leader in the background. A dir that
-// already holds state — a restarted follower — skips the snapshot and
-// catches up from its own recovered epoch.
+// Start opens the local store, then begins tailing the leader in the
+// background. A dir that already holds state — a restarted follower —
+// catches up from its own recovered epoch; one that holds none starts from
+// an image (openLocal).
 func Start(opts Options) (*Follower, error) {
 	leaders := leaderList(opts)
 	if opts.Dir == "" || len(leaders) == 0 {
@@ -212,11 +216,6 @@ func Start(opts Options) (*Follower, error) {
 		opts.ReconnectBackoff = 100 * time.Millisecond
 	}
 	f := &Follower{opts: opts, leaders: leaders, stop: make(chan struct{})}
-	if !store.HasState(opts.FS, opts.Dir) {
-		if err := f.bootstrap(); err != nil {
-			return nil, err
-		}
-	}
 	s, err := f.openLocal()
 	if err != nil {
 		return nil, err
@@ -296,38 +295,6 @@ func (f *Follower) bindObs(r *obs.Registry) {
 	})
 }
 
-// bootstrap fetches a source's newest checkpoint and installs it as this
-// directory's initial durable state, trying each leader in order.
-func (f *Follower) bootstrap() error {
-	var lastErr error
-	for _, addr := range f.leaders {
-		epoch, data, err := f.fetchSnapshot(addr)
-		if err != nil {
-			lastErr = fmt.Errorf("replica: bootstrap: %w", err)
-			continue
-		}
-		return store.InstallSnapshot(f.opts.FS, f.opts.Dir, epoch, data)
-	}
-	return lastErr
-}
-
-// fetchSnapshot fetches addr's newest checkpoint and folds the term the
-// source reported into the tracked maximum, which openLocal adopts.
-func (f *Follower) fetchSnapshot(addr string) (uint64, []byte, error) {
-	cli, err := server.Dial(addr)
-	if err != nil {
-		return 0, nil, fmt.Errorf("dial %s: %w", addr, err)
-	}
-	defer cli.Close()
-	cli.SetTimeout(snapFrameTimeout)
-	epoch, data, err := cli.FetchSnapshot()
-	f.noteLeaderTerm(cli.LastTerm())
-	if err != nil {
-		return 0, nil, fmt.Errorf("snapshot fetch from %s: %w", addr, err)
-	}
-	return epoch, data, nil
-}
-
 // noteLeaderTerm folds a source-reported term into the tracked maximum.
 func (f *Follower) noteLeaderTerm(t uint64) {
 	for {
@@ -338,13 +305,30 @@ func (f *Follower) noteLeaderTerm(t uint64) {
 	}
 }
 
-// openLocal recovers the directory's store at the highest term any source
-// reported, so a store installed from a fetched snapshot — whose directory
-// holds no TERM file — joins the cluster at its current term, not 0.
+// openLocal opens the follower's store: the directory's own state, or — in
+// a directory that holds none — the image one tail round from 1 with
+// lineage 0 brings, asked of each source in turn (store.OpenImage). The
+// store then adopts the highest term any source reported, so a follower
+// whose directory holds no TERM file joins the cluster at its current term,
+// not 0.
 func (f *Follower) openLocal() (*store.Store, error) {
 	o := store.DefaultOptions()
 	o.Dir, o.FS, o.Sync, o.Obs = f.opts.Dir, f.opts.FS, store.SyncNone, f.opts.Obs
-	s, err := store.Open(nil, &o)
+	var s *store.Store
+	var err error
+	if store.HasState(f.opts.FS, f.opts.Dir) {
+		s, err = store.Open(nil, &o)
+	} else {
+		for _, addr := range f.leaders {
+			var img []byte
+			if img, err = f.image(addr); err == nil {
+				if s, err = store.OpenImage(img, &o); err == nil {
+					f.images.Add(1)
+					break
+				}
+			}
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -357,14 +341,36 @@ func (f *Follower) openLocal() (*store.Store, error) {
 	return s, nil
 }
 
-// local returns the currently serving local store.
-func (f *Follower) local() *store.Store {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.s
+// image asks addr for an image in one tail round and folds the term the
+// source reported into the tracked maximum.
+func (f *Follower) image(addr string) ([]byte, error) {
+	cli, err := server.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	defer cli.Close()
+	cli.SetTimeout(tailMargin)
+	var img []byte
+	_, err = cli.TailRound(1, 0, 0, func(uint64, []byte) error {
+		return errors.New("a frame in a round that asked for an image")
+	}, func(_ uint64, b []byte) error {
+		img = bytes.Clone(b) // b aliases the connection's read buffer
+		return nil
+	})
+	f.noteLeaderTerm(cli.LastTerm())
+	if err == nil && img == nil {
+		err = errors.New("the round brought no image")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("replica: image from %s: %w", addr, err)
+	}
+	return img, nil
 }
 
-// backend returns the currently serving local store as the server sees it.
+// local returns the local store.
+func (f *Follower) local() *store.Store { return f.s }
+
+// backend returns the local store as the server sees it.
 func (f *Follower) backend() server.Backend { return server.NewStoreBackend(f.local()) }
 
 // startTail launches the tail loop with a fresh stop channel.
@@ -500,9 +506,9 @@ var errStaleSource = errors.New("replica: source term is stale")
 // tailLoop dials, tails, and recovers until Close (or stopTail, closed by
 // Promote). Each connection runs tail rounds from the follower's own
 // epoch; validation failures drop the connection (quarantine), repeated
-// failure without progress triggers a full resync, ErrSnapshotNeeded
-// re-bootstraps immediately, and connection or staleness failures rotate
-// to the next source of the retry list.
+// failure without progress makes the next round ask for an image (resync),
+// and connection or staleness failures rotate to the next source of the
+// retry list.
 func (f *Follower) tailLoop(tailStop chan struct{}) {
 	stuck := 0
 	lastEpoch := f.local().Epoch()
@@ -514,18 +520,14 @@ func (f *Follower) tailLoop(tailStop chan struct{}) {
 			f.lastErr.Store(err.Error())
 			// Only integrity failures count toward the resync trigger: a
 			// flapping TCP connection or a briefly absent leader heals by
-			// reconnecting, and wiping the directory for it would turn a
-			// network blip into a full re-bootstrap.
-			counts := true
-			switch {
-			case errors.Is(err, server.ErrSnapshotNeeded):
-				stuck = resyncAfter // resync now
-			case errors.Is(err, errQuarantine):
+			// reconnecting, and an image for it would turn a network blip
+			// into a full-state transfer.
+			counts := errors.Is(err, errQuarantine)
+			if counts {
 				f.quarantines.Add(1)
-			default:
+			} else {
 				f.reconnects.Add(1)
 				f.nextLeader++ // rotate: dead or stale source
-				counts = false
 			}
 			if e := f.local().Epoch(); e > lastEpoch {
 				lastEpoch, stuck = e, 0
@@ -533,13 +535,8 @@ func (f *Follower) tailLoop(tailStop chan struct{}) {
 				stuck++
 			}
 			if stuck >= resyncAfter {
-				if rerr := f.resync(); rerr != nil {
-					f.lastErr.Store(rerr.Error())
-					f.nextLeader++ // the source may be the problem
-				} else {
-					stuck = 0
-					lastEpoch = f.local().Epoch()
-				}
+				f.resync()
+				stuck, lastEpoch = 0, f.local().Epoch()
 			}
 		}
 		select {
@@ -586,12 +583,18 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 	cli.SetTerm(f.local().Term())
 	hold := time.Duration(0)
 	for {
-		before, lineage := f.position()
+		sn := f.local().Snapshot()
+		before, from, lineage := sn.Epoch, sn.Epoch+1, sn.Lineage
+		if f.wantImage.Load() {
+			// Lineage 0 chains nothing: the source answers with an image at
+			// once, however far ahead of it this follower is.
+			from, lineage, hold = 1, 0, 0
+		}
 		cli.SetTimeout(hold + tailMargin)
 		rd := round{f: f}
 		// Frames still buffered when the round ends had no effect: they are
 		// dropped with rd, and the next round ships them again.
-		leaderEpoch, err := cli.TailRound(before+1, lineage, hold, rd.frame, rd.effect)
+		leaderEpoch, err := cli.TailRound(from, lineage, hold, rd.frame, rd.effect)
 		if f.stopped(tailStop) {
 			return nil // also when the stop is what failed the round
 		}
@@ -611,11 +614,14 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 			return fmt.Errorf("%w: source %s at term %d (local %d, fenced=%v)", errStaleSource, f.source(), srcTerm, prevTerm, cli.SourceFenced())
 		}
 		after := f.local().Epoch()
-		if srcTerm > prevTerm && after > leaderEpoch {
+		if srcTerm > prevTerm && after > leaderEpoch && !rd.image {
 			// First contact with a new-term leader whose frontier is behind
 			// ours: our WAL suffix was never acked on the new timeline and
-			// would silently diverge if kept. Wipe and re-bootstrap.
-			return fmt.Errorf("replica: local epoch %d extends past term-%d leader frontier %d: %w", after, srcTerm, leaderEpoch, server.ErrSnapshotNeeded)
+			// would silently diverge if kept. The next round asks for an
+			// image, and the term is adopted once it is in.
+			f.lastErr.Store(fmt.Sprintf("replica: local epoch %d extends past term-%d leader frontier %d", after, srcTerm, leaderEpoch))
+			f.resync()
+			continue
 		}
 		if err := local.AdoptTerm(srcTerm); err != nil {
 			return err
@@ -630,13 +636,6 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 	}
 }
 
-// position is where the local store stands: its epoch and the lineage of
-// its views.
-func (f *Follower) position() (epoch, lineage uint64) {
-	sn := f.local().Snapshot()
-	return sn.Epoch, sn.Lineage
-}
-
 // round is the follower's side of one tail round: shipped frames wait here
 // until the effect that covers them arrives, and go into the local store
 // with it as one group.
@@ -644,6 +643,7 @@ type round struct {
 	f       *Follower
 	batches [][]graph.Update
 	bytes   uint64 // of the frames buffered
+	image   bool   // an image was installed: the local state is the source's
 }
 
 // frame validates one shipped WAL frame end to end and buffers its batch:
@@ -676,18 +676,16 @@ func (r *round) frame(claimed uint64, frame []byte) error {
 }
 
 // effect applies the buffered frames together with the effect that covers
-// them — patching, not maintaining — and publishes their last epoch. A
-// rejected effect is a quarantine; a local write failure only reconnects.
-func (r *round) effect(epoch uint64, b []byte) error {
-	s := r.f.local()
-	if last := s.Epoch() + uint64(len(r.batches)); epoch != last {
-		return fmt.Errorf("%w: an effect through epoch %d after frames through %d", errQuarantine, epoch, last)
-	}
+// them — patching, not maintaining — or an image, and publishes the last
+// epoch. The store checks that a diff ends where the frames do and that an
+// image comes alone. A rejected effect is a quarantine; a local write
+// failure only reconnects.
+func (r *round) effect(_ uint64, b []byte) error {
 	var start time.Time
 	if r.f.ob != nil {
 		start = time.Now()
 	}
-	_, image, err := s.ApplyEffect(r.batches, b)
+	_, image, err := r.f.local().ApplyEffect(r.batches, b)
 	if errors.Is(err, store.ErrEffect) {
 		return fmt.Errorf("%w: %v", errQuarantine, err)
 	}
@@ -698,13 +696,14 @@ func (r *round) effect(epoch uint64, b []byte) error {
 	if image {
 		path = pathImage
 		r.f.images.Add(1)
+		r.f.wantImage.Store(false)
+		r.image = true
 	} else {
 		r.f.diffs.Add(1)
 	}
 	if r.f.ob != nil {
 		r.f.ob.apply[path].Observe(time.Since(start))
 	}
-	r.f.wake.Broadcast()
 	r.f.shipped.Add(r.bytes)
 	r.f.shippedBytes.Add(r.bytes)
 	r.f.shippedFrames.Add(uint64(len(r.batches)))
@@ -712,61 +711,22 @@ func (r *round) effect(epoch uint64, b []byte) error {
 	return nil
 }
 
-// resync is the last-resort recovery: fetch a fresh snapshot, wipe the
-// directory, install, and reopen — swapping the serving backend only once
-// the new store is live. Reads keep answering on the old store's final
-// snapshot throughout.
-func (f *Follower) resync() error {
+// resync makes the next tail round ask for an image, which replaces the
+// local state in place (store/install.go): the last resort of a follower
+// that cannot make progress, or that is ahead of a new leader.
+func (f *Follower) resync() {
 	f.resyncs.Add(1)
-	epoch, data, err := f.fetchSnapshot(f.source())
-	if err != nil {
-		return fmt.Errorf("replica: resync: %w", err)
-	}
-	// The image is fully validated by InstallSnapshot before the old state
-	// is touched beyond this point's directory wipe.
-	f.local().Close() // final snapshot stays answerable
-	if err := wipeDir(faultfs.Or(f.opts.FS), f.opts.Dir); err != nil {
-		return err
-	}
-	if err := store.InstallSnapshot(f.opts.FS, f.opts.Dir, epoch, data); err != nil {
-		return err
-	}
-	s, err := f.openLocal()
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.s = s
-	f.mu.Unlock()
-	f.wake.Broadcast() // reads held for an epoch now wait on the new store
-	f.caughtUp.Store(false)
-	return nil
-}
-
-// wipeDir removes every entry of dir through fsys, leaving the directory
-// itself. A store directory is flat, so removing its files empties it.
-func wipeDir(fsys faultfs.FS, dir string) error {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := fsys.Remove(filepath.Join(dir, e.Name())); err != nil {
-			return err
-		}
-	}
-	return nil
+	f.wantImage.Store(true)
 }
 
 // Epoch implements server.Backend: the local published snapshot epoch.
 func (f *Follower) Epoch() uint64 { return f.local().Epoch() }
 
-// AwaitEpoch implements server.Backend: it parks until the local store —
-// whichever one is serving by then, a resync may swap it under the wait —
-// has published min, timeout passes, cancel is closed or the store is
+// AwaitEpoch implements server.Backend: it parks on the local store until
+// it has published min, timeout passes, cancel is closed or the store is
 // fenced, and returns the epoch then current.
 func (f *Follower) AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
-	return f.wake.AwaitEpoch(f, min, timeout, cancel)
+	return f.local().AwaitEpoch(min, timeout, cancel)
 }
 
 // NumNodes implements server.Backend.
@@ -789,7 +749,7 @@ func (f *Follower) Match(p *pattern.Pattern) (*pattern.Result, uint64) {
 
 // Effects implements server.Backend: what a follower chained off this one
 // is shipped beside the raw frames — the effects the local store applied or
-// published itself, or an image of its views (store.Store.Effects).
+// published itself, or an image of its snapshot (store.Store.Effects).
 func (f *Follower) Effects(lineage, epoch uint64) []store.Effect {
 	return f.local().Effects(lineage, epoch)
 }
@@ -843,9 +803,7 @@ func (f *Follower) Apply(batch []graph.Update) (uint64, error) {
 	if !f.promoted.Load() {
 		return 0, server.ErrReadOnly
 	}
-	epoch, err := f.local().Apply(batch)
-	f.wake.Broadcast()
-	return epoch, err
+	return f.local().Apply(batch)
 }
 
 // Term implements server.Backend: the local store's durable leader term.
@@ -857,9 +815,7 @@ func (f *Follower) Term() uint64 { return f.local().Term() }
 // leader and fences itself when superseded.
 func (f *Follower) ObserveTerm(t uint64) error {
 	if f.promoted.Load() {
-		err := f.local().ObserveTerm(t)
-		f.wake.Broadcast() // a fence releases whatever waits on epochs that will not come
-		return err
+		return f.local().ObserveTerm(t)
 	}
 	return f.local().AdoptTerm(t)
 }

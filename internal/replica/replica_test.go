@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -441,24 +442,17 @@ func (p *chaosProxy) accept() {
 // one group and its effect, so a round cut short loses only frames no effect
 // covered yet, which the next round ships again — and no maintainer runs.
 // (A window that cannot carry one group and its effect never catches up;
-// the bootstrap snapshot could not cross it either.)
+// an image, which holds G, cannot cross this one either.)
 func TestChaosDroppedConnections(t *testing.T) {
 	g := matrixTopologies(35)["web"]
 	lh := startLeader(t, g, nil)
-	// Bootstrap the follower directory directly (the snapshot image is
-	// bigger than the proxy's cut window); everything after — the tail
-	// traffic under test — goes through the flaky proxy.
-	dir := t.TempDir()
-	epoch, data, err := lh.cli.FetchSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.InstallSnapshot(nil, dir, epoch, data); err != nil {
-		t.Fatal(err)
-	}
+	// The proxy is first in the retry list and the leader second: the
+	// bootstrap image, bigger than the proxy's cut window, fails through the
+	// proxy and comes directly; the tail rounds under test start at the
+	// proxy.
 	proxy := startChaosProxy(t, lh.srv.Addr(), 16<<10)
 	reg := obs.NewRegistry()
-	f := startFollower(t, proxy.Addr(), Options{Dir: dir, Obs: reg})
+	f := startFollower(t, proxy.Addr()+","+lh.srv.Addr(), Options{Obs: reg})
 
 	mirror := g.Clone()
 	rng := rand.New(rand.NewSource(11))
@@ -525,8 +519,9 @@ func TestRestartPreservesRYW(t *testing.T) {
 }
 
 // TestResyncAfterTruncation parks a follower, lets the leader checkpoint
-// its WAL history away, and checks the follower wipes and re-bootstraps
-// instead of serving stale or wrong answers.
+// its WAL history away, and checks the follower takes one image in place —
+// no request of its own, no wipe — instead of serving stale or wrong
+// answers.
 func TestResyncAfterTruncation(t *testing.T) {
 	g := matrixTopologies(37)["er"]
 	lh := startLeader(t, g, nil)
@@ -557,24 +552,23 @@ func TestResyncAfterTruncation(t *testing.T) {
 
 	f2 := startFollower(t, lh.srv.Addr(), Options{Dir: dir})
 	awaitEpoch(t, f2, token, 15*time.Second)
-	if st := f2.Status(); st.Resyncs == 0 {
-		t.Fatalf("truncated history did not force a resync (status %+v)", st)
+	if st := f2.Status(); st.Resyncs != 0 || f2.images.Load() != 1 {
+		t.Fatalf("truncated history took %d images and %d resyncs, want one image and none (status %+v)", f2.images.Load(), st.Resyncs, st)
 	}
 	diffAgainstReference(t, "resync", mirror, map[string]server.Backend{"follower": f2})
 }
 
-// TestBootstrapValidatesImage feeds a follower a corrupted snapshot and
-// checks InstallSnapshot rejects it before any state lands on disk.
+// TestBootstrapValidatesImage feeds a follower a corrupted image and
+// checks the empty-directory install rejects it before any state lands on
+// disk.
 func TestBootstrapValidatesImage(t *testing.T) {
 	g := matrixTopologies(38)["er"]
 	lh := startLeader(t, g, nil)
-	epoch, data, err := lh.cli.FetchSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := slices.Clone(lh.store.Effects(0, 0)[0].Bytes)
 	data[len(data)/2] ^= 0x40
 	dir := t.TempDir()
-	if err := store.InstallSnapshot(nil, dir, epoch, data); err == nil {
+	if s, err := store.OpenImage(data, &store.Options{Dir: dir}); err == nil {
+		s.Close()
 		t.Fatal("corrupted snapshot image installed without error")
 	}
 	if store.HasState(nil, dir) {

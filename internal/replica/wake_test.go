@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
 // parkedLeader starts a leader whose registry says how many tail rounds are
@@ -78,10 +77,8 @@ func TestTailIsEventDriven(t *testing.T) {
 }
 
 // TestHeldReadFollowsResync parks a read on a follower's server for an epoch
-// the follower's current store will never publish, and resyncs the follower
-// to a snapshot that has it: the read must come back from the new store. A
-// wait parked on the store that was serving when it began would sit on a
-// closed store until its timeout.
+// the follower has not published, and resyncs the follower to an image that
+// has it: the read must come back, released by the install's publication.
 func TestHeldReadFollowsResync(t *testing.T) {
 	g := matrixTopologies(42)["er"]
 	lh := startLeader(t, g, nil)
@@ -115,16 +112,15 @@ func TestHeldReadFollowsResync(t *testing.T) {
 		t.Fatalf("a read pinned past the follower's epoch answered %+v", a)
 	case <-time.After(30 * time.Millisecond):
 	}
-	if err := f.resync(); err != nil {
-		t.Fatal(err)
-	}
+	f.resync()
+	f.startTail()
 	select {
 	case a := <-got:
 		if a.err != nil || !a.reach || a.epoch != epoch {
 			t.Fatalf("the read held across the resync came back %+v, want the edge seen at epoch %d", a, epoch)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("the read held across the resync is still waiting on the store the resync closed")
+		t.Fatal("the read held across the resync is still waiting")
 	}
 }
 
@@ -169,10 +165,6 @@ func TestSilentSourceRotates(t *testing.T) {
 	t.Parallel()
 	g := matrixTopologies(44)["er"]
 	lh := startLeader(t, g, nil)
-	epoch, err := lh.store.Apply([]graph.Update{graph.Insertion(0, graph.Node(g.NumNodes()-1))})
-	if err != nil {
-		t.Fatal(err)
-	}
 	mute, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -190,23 +182,20 @@ func TestSilentSourceRotates(t *testing.T) {
 			}()
 		}
 	}()
-	// Bootstrapped by hand: the snapshot transfer's own per-frame deadline is
-	// too long for a unit test to wait out.
-	dir := t.TempDir()
-	snapEpoch, data, err := lh.cli.FetchSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.InstallSnapshot(nil, dir, snapEpoch, data); err != nil {
-		t.Fatal(err)
-	}
-	f, err := Start(Options{Dir: dir, Leader: mute.Addr().String() + "," + lh.srv.Addr(), ReconnectBackoff: time.Millisecond})
+	// The bootstrap round, too, gives the silent source tailMargin and then
+	// asks the leader.
+	f, err := Start(Options{Dir: t.TempDir(), Leader: mute.Addr().String() + "," + lh.srv.Addr(), ReconnectBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// The first round of a connection asks for no hold, so the silent source
-	// is given tailMargin and no more.
+	// A write the follower's tail must fetch. The first round of a
+	// connection asks for no hold, so the silent source is given tailMargin
+	// and no more.
+	epoch, err := lh.store.Apply([]graph.Update{graph.Insertion(0, graph.Node(g.NumNodes()-1))})
+	if err != nil {
+		t.Fatal(err)
+	}
 	awaitEpoch(t, f, epoch, tailMargin+2*time.Second)
 	if st := f.Status(); st.Reconnects < 1 {
 		t.Fatalf("the follower reached the leader without leaving the silent source: %+v", st)

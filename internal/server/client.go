@@ -15,11 +15,6 @@ import (
 	"repro/internal/store"
 )
 
-// ErrSnapshotNeeded is returned by Tail when the requested seq predates
-// the leader's oldest retained WAL segment: the follower's state is too
-// old to catch up by log shipping and must re-bootstrap from a snapshot.
-var ErrSnapshotNeeded = errors.New("server: tail position truncated; snapshot needed")
-
 // ErrFenced matches (via errors.Is) a WireError reporting that the
 // endpoint fenced itself after observing a newer leader term: a newer
 // leader exists somewhere and the client should rediscover it.
@@ -400,79 +395,6 @@ func (c *Client) Metrics() (string, uint64, error) {
 	return "", 0, fmt.Errorf("server: unexpected response 0x%02x to metrics", byte(t))
 }
 
-// snapReserve caps the buffer FetchSnapshot reserves before any chunk
-// arrives: the declared size comes from the source, so a larger image grows
-// the buffer as its chunks land instead of on the claim alone.
-const snapReserve = 64 << 20
-
-// FetchSnapshot downloads the leader's newest checkpoint image.
-func (c *Client) FetchSnapshot() (epoch uint64, data []byte, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.arm()
-	if err := WriteFrame(c.bw, MsgSnapshot, nil); err != nil {
-		return 0, nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, nil, err
-	}
-	t, body, err := ReadFrame(c.br, c.buf)
-	if err != nil {
-		return 0, nil, err
-	}
-	c.buf = body[:0]
-	switch t {
-	case MsgErr:
-		return 0, nil, c.decodeErr(body)
-	case MsgSnapMeta:
-	default:
-		return 0, nil, fmt.Errorf("server: unexpected response 0x%02x to snapshot", byte(t))
-	}
-	cur := &cursor{b: body}
-	epoch = cur.u64()
-	total := cur.u64()
-	term := cur.u64()
-	if err := cur.fin(); err != nil {
-		return 0, nil, err
-	}
-	c.noteTerm(term)
-	if total > 1<<32 {
-		return 0, nil, fmt.Errorf("server: snapshot claims %d bytes", total)
-	}
-	data = make([]byte, 0, min(total, snapReserve))
-	for {
-		c.arm()
-		t, body, err := ReadFrame(c.br, c.buf)
-		if err != nil {
-			return 0, nil, err
-		}
-		c.buf = body[:0]
-		switch t {
-		case MsgSnapChunk:
-			cc := &cursor{b: body}
-			cc.u64() // chunk epoch, redundant with meta
-			chunk := cc.rest()
-			if cc.err != nil {
-				return 0, nil, cc.err
-			}
-			if uint64(len(data)+len(chunk)) > total {
-				return 0, nil, fmt.Errorf("server: snapshot overruns its declared %d bytes", total)
-			}
-			data = append(data, chunk...)
-		case MsgSnapDone:
-			if uint64(len(data)) != total {
-				return 0, nil, fmt.Errorf("server: snapshot ended at %d of %d bytes", len(data), total)
-			}
-			c.noteEpoch(epoch)
-			return epoch, data, nil
-		case MsgErr:
-			return 0, nil, c.decodeErr(body)
-		default:
-			return 0, nil, fmt.Errorf("server: unexpected frame 0x%02x in snapshot stream", byte(t))
-		}
-	}
-}
-
 // TailRound asks for WAL frames from seq, letting the source park the round
 // for up to hold while it has published nothing at or past from (0 = answer
 // at once). lineage names the views the caller holds at from-1; a source
@@ -480,11 +402,11 @@ func (c *Client) FetchSnapshot() (epoch uint64, data []byte, err error) {
 // with the leader's claimed seq and the raw WAL frame (CRC intact; validate
 // with wal.ParseRecord), and effect once per shipped effect, after the frames
 // it covers, with the last epoch it covers and its bytes
-// (store.Store.ApplyEffect decodes them). It returns the leader's published
-// epoch from the closing MsgCaughtUp, or ErrSnapshotNeeded when from has
-// been truncated away. What fn and effect are passed aliases the read
-// buffer — decode within the call. A timeout set with SetTimeout must cover the hold. Close, from
-// another goroutine, is what interrupts a parked round.
+// (store.Store.ApplyEffect decodes them); an image comes alone. It returns
+// the leader's published epoch from the closing MsgCaughtUp. What fn and
+// effect are passed aliases the read buffer — decode within the call. A
+// timeout set with SetTimeout must cover the hold. Close, from another
+// goroutine, is what interrupts a parked round.
 func (c *Client) TailRound(from, lineage uint64, hold time.Duration, fn func(seq uint64, frame []byte) error, effect func(epoch uint64, b []byte) error) (leaderEpoch uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -543,8 +465,6 @@ func (c *Client) TailRound(from, lineage uint64, hold time.Duration, fn func(seq
 			c.srcFenced = fenced == 1
 			c.epochMu.Unlock()
 			return e, nil
-		case MsgSnapNeeded:
-			return 0, ErrSnapshotNeeded
 		case MsgErr:
 			return 0, c.decodeErr(body)
 		default:

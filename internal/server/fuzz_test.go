@@ -81,7 +81,7 @@ func FuzzHandleRequest(f *testing.F) {
 	f.Add(byte(MsgMatch), make([]byte, 16))
 	f.Add(byte(MsgApply), binary.LittleEndian.AppendUint32(nil, 0))
 	f.Add(byte(MsgStats), []byte{})
-	f.Add(byte(MsgSnapshot), []byte{})
+	f.Add(byte(MsgTail), tailBody(0, 0, 0, 0)) // from 1 with lineage 0: an image
 	f.Add(byte(MsgTail), tailBody(1, 0, 0, 0))
 	f.Add(byte(MsgTail), tailBody(1<<40, 3, 1<<31, 0)) // a hold far past the clamp
 	f.Add(byte(MsgTail), tailBody(1, 0, 0, 0)[:16])    // the pre-hold body: short

@@ -39,8 +39,6 @@ func typeName(t MsgType) string {
 		return "apply"
 	case MsgStats:
 		return "stats"
-	case MsgSnapshot:
-		return "snapshot"
 	case MsgTail:
 		return "tail"
 	case MsgMetrics:
@@ -59,7 +57,9 @@ func newServerObs(s *Server, o Options) *serverObs {
 	}
 	ob := &serverObs{reg: r}
 	for t := MsgPing; t <= MsgMetrics; t++ {
-		ob.hists[t] = r.Histogram(obs.Label("qpgc_server_request_seconds", "type", typeName(t)))
+		if name := typeName(t); name != "other" {
+			ob.hists[t] = r.Histogram(obs.Label("qpgc_server_request_seconds", "type", name))
+		}
 	}
 	ob.other = r.Histogram(obs.Label("qpgc_server_request_seconds", "type", "other"))
 	var slow *obs.SlowLog

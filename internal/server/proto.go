@@ -1,6 +1,6 @@
 // Package server is the network tier: a length-prefixed binary protocol
 // over TCP fronting a Store or a replica follower, plus the replication source
-// that ships snapshot images and raw WAL frames to followers.
+// that ships followers raw WAL frames with their effects, or images.
 //
 // Every frame is "u32 length | u8 type | body" (length counts the type
 // byte and body, little-endian throughout). Every response body begins
@@ -52,21 +52,20 @@ const (
 	MsgApply MsgType = 0x05
 	// MsgStats asks for a store summary (MsgInfo response).
 	MsgStats MsgType = 0x06
-	// MsgSnapshot asks the replication source for the newest checkpoint:
-	// MsgSnapMeta, then MsgSnapChunk frames, then MsgSnapDone.
-	MsgSnapshot MsgType = 0x07
 	// MsgTail asks for WAL frames from u64 fromSeq, followed by the u64
 	// callerTerm (0 = no claim), the u32 hold in milliseconds and the u64
-	// lineage of the follower's views (store.Snapshot.Lineage): MsgRecord
-	// frames for what is on disk, each group's followed by its MsgEffect,
-	// then MsgCaughtUp (or MsgSnapNeeded when fromSeq predates the oldest
-	// retained segment). A source whose effect ring chains the follower's
-	// (lineage, fromSeq-1) ships diffs; one that cannot ships one image
-	// instead (a MsgEffect of the current snapshot's views, after the frames
-	// up to it). A round ships whole groups and nothing else: every frame it
-	// sends is followed by the effect that covers it. It reads through its
-	// first effect however many bytes that takes, then cuts at an effect
-	// boundary within tailBytes; with no effect to send it ships no frame.
+	// lineage of the follower's views (store.Snapshot.Lineage), then ends
+	// with MsgCaughtUp. A source whose effect ring chains the follower's
+	// (lineage, fromSeq-1) ships diffs: MsgRecord frames for what is on
+	// disk, each group's followed by its MsgEffect. A round ships whole
+	// groups and nothing else: every frame it sends is followed by the
+	// effect that covers it. It reads through its first effect however many
+	// bytes that takes, then cuts at an effect boundary within tailBytes;
+	// with no effect to send it ships no frame. A source that cannot chain
+	// them — or whose WAL no longer holds fromSeq — ships one image instead:
+	// a single MsgEffect of its current snapshot, G included, with no frame.
+	// Lineage 0 chains nothing, so a follower asks for an image — to start
+	// in an empty directory, or to resync — with fromSeq 1 and lineage 0.
 	// It is a long poll.
 	// With a hold, a source whose published epoch is below fromSeq parks
 	// the round and answers when the epoch swap that publishes fromSeq
@@ -106,13 +105,6 @@ const (
 	MsgApplied MsgType = 0x45
 	// MsgInfo is an encoded Info summary.
 	MsgInfo MsgType = 0x46
-	// MsgSnapMeta opens a snapshot transfer: epoch, u64 total bytes, u64
-	// term.
-	MsgSnapMeta MsgType = 0x47
-	// MsgSnapChunk carries snapshot bytes after the epoch.
-	MsgSnapChunk MsgType = 0x48
-	// MsgSnapDone closes a snapshot transfer.
-	MsgSnapDone MsgType = 0x49
 	// MsgRecord ships one raw WAL frame after the u64 record seq. The frame
 	// bytes are exactly what the leader's log holds — CRC intact — so the
 	// follower, not the shipping path, is the integrity gate.
@@ -123,10 +115,6 @@ const (
 	// the u64 leader term and a u8 fenced flag. A fenced source's WAL is safe,
 	// frozen history that can never advance — followers rotate away.
 	MsgCaughtUp MsgType = 0x4b
-	// MsgSnapNeeded rejects a tail round: fromSeq predates the oldest
-	// retained WAL segment (the epoch is the oldest available seq); the
-	// follower must re-bootstrap from a fresh snapshot.
-	MsgSnapNeeded MsgType = 0x4c
 	// MsgMetricsText carries the Prometheus text exposition after the
 	// epoch; empty text when the server runs without a registry.
 	MsgMetricsText MsgType = 0x4d
@@ -136,11 +124,11 @@ const (
 	MsgPromoted MsgType = 0x4e
 	// MsgEffect ships, inside a tail round, the effect of the group whose
 	// MsgRecord frames precede it — what those batches did to the source's
-	// views — or an image of the source's views: the epoch is the last one it
-	// covers, the rest opaque, CRC-checked bytes that only the follower's
-	// store decodes (store.Store.ApplyEffect). A follower applies the frames
-	// and the effect as one group and runs no maintainer; frames that arrive
-	// without their effect it does not apply.
+	// views — or an image of the source's whole snapshot, with no frame: the
+	// epoch is the last one it covers, the rest opaque, CRC-checked bytes
+	// that only the follower's store decodes (store.Store.ApplyEffect). A
+	// follower applies the frames and the effect as one group and runs no
+	// maintainer; frames that arrive without their effect it does not apply.
 	MsgEffect MsgType = 0x4f
 )
 

@@ -26,11 +26,11 @@ type Options struct {
 	// Backend serves the queries and writes. Required.
 	Backend Backend
 	// ReplDir, when set, is the backend's durable directory: the server
-	// answers MsgSnapshot/MsgTail from it, making this node a replication
-	// source. Empty disables replication serving.
+	// answers MsgTail from its WAL, making this node a replication source.
+	// Empty disables replication serving.
 	ReplDir string
-	// ShipFS is the filesystem the replication source reads segments and
-	// snapshots through. Nil means the disk; chaos tests substitute a
+	// ShipFS is the filesystem the replication source reads WAL segments
+	// through. Nil means the disk; chaos tests substitute a
 	// faultfs.Inject to corrupt shipped bytes deterministically.
 	ShipFS faultfs.FS
 	// EpochWaitTimeout bounds how long a read waits for its minEpoch (the
@@ -47,7 +47,7 @@ type Options struct {
 }
 
 // Server answers the wire protocol on a listener: queries and writes
-// against its Backend, snapshot and WAL-frame shipping for followers.
+// against its Backend, WAL-frame and effect shipping for followers.
 type Server struct {
 	opts    Options
 	backend Backend
@@ -418,9 +418,6 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 		out = append(out, s.ob.scrape()...)
 		return emit(MsgMetricsText, out)
 
-	case MsgSnapshot:
-		return s.handleSnapshot(body, emit)
-
 	case MsgTail:
 		return s.handleTail(body, emit, cs)
 
@@ -447,56 +444,15 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 	}
 }
 
-// snapChunkBytes is the snapshot transfer chunk size.
-const snapChunkBytes = 1 << 20
-
-// handleSnapshot streams the newest checkpoint: meta, chunks, done. The
-// MANIFEST that names it and its bytes are read through the ship FS and not
-// validated here — the follower's InstallSnapshot fully decodes the image
-// before trusting it.
-func (s *Server) handleSnapshot(body []byte, emit func(MsgType, []byte) error) error {
-	if s.opts.ReplDir == "" {
-		return emit(MsgErr, s.errBody(errors.New("server: not a replication source")))
-	}
-	if len(body) != 0 {
-		return emit(MsgErr, s.errBody(errors.New("server: snapshot takes no body")))
-	}
-	info, err := store.InspectFS(s.opts.ShipFS, s.opts.ReplDir)
-	if err != nil {
-		return emit(MsgErr, s.errBody(err))
-	}
-	data, err := faultfs.Or(s.opts.ShipFS).ReadFile(s.opts.ReplDir + "/" + info.Snapshot)
-	if err != nil {
-		return emit(MsgErr, s.errBody(err))
-	}
-	meta := binary.LittleEndian.AppendUint64(nil, info.Epoch)
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(len(data)))
-	meta = binary.LittleEndian.AppendUint64(meta, s.backend.Term())
-	if err := emit(MsgSnapMeta, meta); err != nil {
-		return err
-	}
-	for off := 0; off < len(data); off += snapChunkBytes {
-		end := off + snapChunkBytes
-		if end > len(data) {
-			end = len(data)
-		}
-		chunk := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+end-off), info.Epoch)
-		chunk = append(chunk, data[off:end]...)
-		if err := emit(MsgSnapChunk, chunk); err != nil {
-			return err
-		}
-	}
-	return emit(MsgSnapDone, binary.LittleEndian.AppendUint64(nil, info.Epoch))
-}
-
 // maxTailHold clamps the hold a MsgTail round may ask for.
 const maxTailHold = 5 * time.Second
 
 // handleTail ships one round's worth of whole groups from the requested seq
 // — each group's raw WAL frames followed by its MsgEffect when the
-// backend's effect ring chains the follower's lineage, or else one image
-// after the frames up to it — ending with MsgCaughtUp (current published
-// epoch) or MsgSnapNeeded. A round that asks to be held and finds
+// backend's effect ring chains the follower's lineage — or else one image,
+// which holds G and goes without frames, as it does when the log no longer
+// holds the requested seq; it ends with MsgCaughtUp (current published
+// epoch). A round that asks to be held and finds
 // nothing to ship parks until the published epoch reaches its seq — what is
 // shipped is what has been published, and the swap that publishes it is
 // what wakes the round — or until the hold runs out, the server closes or
@@ -545,22 +501,21 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 	// the chance to ship, so a follower told of an epoch it was not sent
 	// knows the round went wrong.
 	epoch := s.backend.Epoch()
-	// Asked before the log is read, too: an image is of a snapshot whose
-	// frames are in the log by then.
 	effects := s.backend.Effects(lineage, from-1)
+	image := len(effects) > 0 && effects[0].Image
 	// A round ships whole groups: a frame goes out only with the effect that
 	// covers it. The read goes on through the first effect, however many
 	// bytes that takes; past it, tailBytes cuts at the last effect the read
 	// reached, and the frames after it wait for the next round. With no
-	// effect to send there is nothing to ship. Collected before anything is
-	// sent: a round that fails ships no frame.
+	// effect to send, or an image, there is no frame to ship. Collected
+	// before anything is sent: a round that fails ships no frame.
 	type record struct {
 		seq uint64
 		out []byte
 	}
 	var records []record
 	read := from - 1 // the last frame read
-	for at := from; len(effects) > 0 && read < effects[0].Epoch; at = read + 1 {
+	for at := from; !image && len(effects) > 0 && read < effects[0].Epoch; at = read + 1 {
 		oldest, err := cs.tail.ReadFrames(s.opts.ShipFS, s.opts.ReplDir, at, tailBytes, func(seq uint64, frame []byte) {
 			out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(frame)), seq)
 			records = append(records, record{seq, append(out, frame...)})
@@ -570,14 +525,19 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 			return emit(MsgErr, s.errBody(err))
 		}
 		if at < oldest {
-			return emit(MsgSnapNeeded, binary.LittleEndian.AppendUint64(nil, oldest))
+			// The log no longer holds what the follower needs next.
+			records, effects, image = nil, s.backend.Effects(0, 0), true
+			break
 		}
 		if read < at {
 			break // the log ends short of the effect
 		}
 	}
 	fit, limit := 0, from-1 // the effects that go out, and the last frame they cover
-	for ; fit < len(effects) && effects[fit].Epoch <= read; fit++ {
+	if image {
+		fit = 1
+	}
+	for ; !image && fit < len(effects) && effects[fit].Epoch <= read; fit++ {
 		limit = effects[fit].Epoch
 	}
 	next := 0
@@ -595,7 +555,7 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 			next++
 		}
 	}
-	for ; next < fit; next++ { // an image of the views the follower is at
+	for ; next < fit; next++ { // an image, which comes with no frame
 		if err := s.emitEffect(emit, effects[next]); err != nil {
 			return err
 		}

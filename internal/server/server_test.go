@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -358,12 +358,13 @@ func TestNodeIDValidation(t *testing.T) {
 }
 
 // TestSnapshotAndTailShipping exercises the replication source directly:
-// fetch the checkpoint, install it elsewhere, tail the WAL to catch up.
+// an image round starts a copy elsewhere, and tail rounds catch it up with
+// frames and diffs; a position the WAL no longer holds gets an image.
 func TestSnapshotAndTailShipping(t *testing.T) {
 	g := testGraph(6)
 	dir := t.TempDir()
 	// Tiny segments force rotation per batch, so checkpoints actually
-	// drop sealed segments and the snapshot-needed path is reachable.
+	// drop sealed segments and a truncated position is reachable.
 	s, err := store.Open(g.Clone(), &store.Options{Dir: dir, Sync: store.SyncNone, WALSegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -371,23 +372,20 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 	defer s.Close()
 	rng := rand.New(rand.NewSource(7))
 	mirror := g.Clone()
-	for i := 0; i < 4; i++ {
-		batch := gen.RandomBatch(rng, mirror, 10, 0.5)
-		mirror.Apply(batch)
-		if _, err := s.ApplyBatch(batch); err != nil {
-			t.Fatal(err)
+	apply := func(k int) {
+		for i := 0; i < k; i++ {
+			batch := gen.RandomBatch(rng, mirror, 10, 0.5)
+			mirror.Apply(batch)
+			if _, err := s.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	apply(4)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		batch := gen.RandomBatch(rng, mirror, 10, 0.5)
-		mirror.Apply(batch)
-		if _, err := s.ApplyBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
+	apply(3)
 
 	srv, err := Start("127.0.0.1:0", Options{Backend: NewStoreBackend(s), ReplDir: dir})
 	if err != nil {
@@ -400,65 +398,70 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 	}
 	defer cli.Close()
 
-	epoch, data, err := cli.FetchSnapshot()
-	if err != nil {
-		t.Fatalf("fetch snapshot: %v", err)
-	}
-	if epoch != 4 {
-		t.Fatalf("snapshot meta epoch %d, want 4", epoch)
-	}
-	dir2 := t.TempDir()
-	if err := store.InstallSnapshot(nil, dir2, epoch, data); err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	s2, err := store.Open(nil, &store.Options{Dir: dir2, Sync: store.SyncNone})
-	if err != nil {
-		t.Fatalf("open installed: %v", err)
-	}
-	defer s2.Close()
-	if got := s2.Snapshot().Epoch; got != 4 {
-		t.Fatalf("installed store at epoch %d, want 4", got)
-	}
-
-	// Tail from 5: three records, then an image of the leader's views at 7
-	// (the installed store's lineage is its own, which the leader cannot
-	// chain), then caught-up at 7.
-	next := s2.Snapshot().Epoch + 1
-	var batches [][]graph.Update
-	images := 0
-	leaderEpoch, err := cli.TailRound(next, s2.Snapshot().Lineage, 0, func(seq uint64, frame []byte) error {
-		pseq, batch, err := parseFrame(s2, frame)
-		if err != nil {
-			return err
-		}
-		if pseq != seq {
-			t.Fatalf("frame claims seq %d, embeds %d", seq, pseq)
-		}
-		if want := s2.Snapshot().Epoch + 1 + uint64(len(batches)); seq != want {
-			return fmt.Errorf("frame %d shipped where %d is due", seq, want)
-		}
-		batches = append(batches, batch)
-		return nil
+	// An image round, from 1 with lineage 0: no frame, one image of the
+	// current snapshot at 7 — not of the checkpoint at 4.
+	var img []byte
+	leaderEpoch, err := cli.TailRound(1, 0, 0, func(seq uint64, _ []byte) error {
+		return fmt.Errorf("frame %d shipped in an image round", seq)
 	}, func(epoch uint64, b []byte) error {
-		applied, image, err := s2.ApplyEffect(batches, b)
-		if err != nil {
-			return err
+		if img != nil || epoch != 7 {
+			return fmt.Errorf("a second image, or one at %d", epoch)
 		}
-		if !image || applied != epoch || len(batches) != 3 {
-			return fmt.Errorf("effect through %d applied at %d after %d frames (image %v), want an image after 3", epoch, applied, len(batches), image)
-		}
-		images++
-		batches = nil
+		img = slices.Clone(b)
 		return nil
 	})
+	if err != nil || img == nil || leaderEpoch != 7 {
+		t.Fatalf("image round: leader at %d, %d image bytes, %v", leaderEpoch, len(img), err)
+	}
+	s2, err := store.OpenImage(img, &store.Options{Dir: t.TempDir(), Sync: store.SyncNone})
 	if err != nil {
+		t.Fatalf("open the image: %v", err)
+	}
+	defer s2.Close()
+	if got := s2.Snapshot().Epoch; got != 7 {
+		t.Fatalf("the image's store at epoch %d, want 7", got)
+	}
+
+	// Tail from 8: the image carried the leader's lineage, so three writes
+	// come as three records, each followed by its diff.
+	apply(3)
+	var batches [][]graph.Update
+	diffs := 0
+	tail := func(from uint64) (uint64, error) {
+		return cli.TailRound(from, s2.Snapshot().Lineage, 0, func(seq uint64, frame []byte) error {
+			pseq, batch, err := parseFrame(s2, frame)
+			if err != nil {
+				return err
+			}
+			if pseq != seq {
+				t.Fatalf("frame claims seq %d, embeds %d", seq, pseq)
+			}
+			if want := s2.Snapshot().Epoch + 1 + uint64(len(batches)); seq != want {
+				return fmt.Errorf("frame %d shipped where %d is due", seq, want)
+			}
+			batches = append(batches, batch)
+			return nil
+		}, func(epoch uint64, b []byte) error {
+			applied, image, err := s2.ApplyEffect(batches, b)
+			if err != nil {
+				return err
+			}
+			if image || applied != epoch || len(batches) != 1 {
+				return fmt.Errorf("effect through %d applied at %d after %d frames (image %v), want a diff after 1", epoch, applied, len(batches), image)
+			}
+			diffs++
+			batches = nil
+			return nil
+		})
+	}
+	if leaderEpoch, err = tail(8); err != nil {
 		t.Fatalf("tail: %v", err)
 	}
-	if images != 1 || len(batches) != 0 {
-		t.Fatalf("tail applied %d images and left %d frames without an effect", images, len(batches))
+	if diffs != 3 || len(batches) != 0 {
+		t.Fatalf("tail applied %d diffs and left %d frames without an effect", diffs, len(batches))
 	}
-	if leaderEpoch != 7 || s2.Snapshot().Epoch != 7 {
-		t.Fatalf("after tail: leader %d, local %d, want 7/7", leaderEpoch, s2.Snapshot().Epoch)
+	if leaderEpoch != 10 || s2.Snapshot().Epoch != 10 {
+		t.Fatalf("after tail: leader %d, local %d, want 10/10", leaderEpoch, s2.Snapshot().Epoch)
 	}
 	// Both stores now answer identically.
 	n := g.NumNodes()
@@ -470,49 +473,23 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 		}
 	}
 
-	// A tail position below the oldest retained segment demands a snapshot.
+	// A position below the oldest retained segment gets an image, though
+	// the ring still chains it.
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = cli.TailRound(1, s2.Snapshot().Lineage, 0, func(uint64, []byte) error { return nil }, func(uint64, []byte) error { return nil })
-	if err != ErrSnapshotNeeded {
-		t.Fatalf("tail(1) after truncation: %v, want ErrSnapshotNeeded", err)
-	}
-}
-
-// TestSnapshotManifestReadsThroughShipFS: the MANIFEST that names the
-// checkpoint a source ships is read through the ship FS, as the checkpoint's
-// bytes are, so a read fault armed on it fails the fetch; the next fetch,
-// past the fault, succeeds.
-func TestSnapshotManifestReadsThroughShipFS(t *testing.T) {
-	dir := t.TempDir()
-	s, err := store.Open(testGraph(8), &store.Options{Dir: dir, Sync: store.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	inject := faultfs.NewInject(nil, faultfs.Rule{Op: faultfs.OpRead, Path: "MANIFEST", Count: 1})
-	srv, err := Start("127.0.0.1:0", Options{Backend: NewStoreBackend(s), ReplDir: dir, ShipFS: inject})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, _, err := cli.FetchSnapshot(); err == nil || !strings.Contains(err.Error(), "MANIFEST") {
-		t.Fatalf("a fetch whose MANIFEST read faulted came back %v", err)
-	}
-	if inject.Fired() != 1 {
-		t.Fatalf("the MANIFEST fault fired %d times, want 1", inject.Fired())
-	}
-	if _, data, err := cli.FetchSnapshot(); err != nil || len(data) == 0 {
-		t.Fatalf("the fetch after the fault: %d bytes, %v", len(data), err)
+	images := 0
+	_, err = cli.TailRound(8, s2.Snapshot().Lineage, 0, func(seq uint64, _ []byte) error {
+		return fmt.Errorf("frame %d shipped from a truncated position", seq)
+	}, func(epoch uint64, b []byte) error {
+		if _, image, err := s2.ApplyEffect(nil, b); err != nil || !image || epoch != 10 {
+			return fmt.Errorf("effect through %d (image %v): %v, want the image at 10", epoch, image, err)
+		}
+		images++
+		return nil
+	})
+	if err != nil || images != 1 {
+		t.Fatalf("tail(8) after truncation: %d images, %v", images, err)
 	}
 }
 
@@ -527,48 +504,6 @@ func parseFrame(s *store.Store, frame []byte) (uint64, []graph.Update, error) {
 		return 0, nil, err
 	}
 	return seq, batch, nil
-}
-
-// TestFetchSnapshotBoundsItsReserve: the size a snapshot's meta frame
-// declares comes from the source, so a source that claims a 4 GiB image and
-// then hangs up must cost the client an error, not the claimed bytes.
-func TestFetchSnapshotBoundsItsReserve(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		if typ, _, err := ReadFrame(bufio.NewReader(conn), nil); err != nil || typ != MsgSnapshot {
-			return
-		}
-		meta := binary.LittleEndian.AppendUint64(nil, 1) // epoch
-		meta = binary.LittleEndian.AppendUint64(meta, 1<<32)
-		meta = binary.LittleEndian.AppendUint64(meta, 0) // term
-		bw := bufio.NewWriter(conn)
-		WriteFrame(bw, MsgSnapMeta, meta)
-		bw.Flush()
-	}()
-	cli, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err = cli.FetchSnapshot()
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a snapshot stream cut after its meta frame was accepted")
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 128<<20 {
-		t.Fatalf("the fetch allocated %d MiB on the strength of the claim alone", grew>>20)
-	}
 }
 
 // TestReadOnlyBackendError checks ErrReadOnly surfaces as a client error.

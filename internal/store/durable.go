@@ -316,11 +316,12 @@ func (d *durable) maybeCheckpoint(epoch uint64, image func() (uint64, func(path 
 		return
 	}
 	epoch, write := image()
+	pinned := func() (uint64, func(path string) error) { return epoch, write }
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
 		defer d.busy.Store(false)
-		d.noteErr(d.withRetry(func() error { return d.checkpoint(epoch, write, false) }))
+		d.noteErr(d.withRetry(func() error { return d.checkpoint(pinned, false) }))
 	}()
 }
 
@@ -356,16 +357,20 @@ func (d *durable) shouldCheckpoint(epoch uint64) bool {
 	return false
 }
 
-// checkpoint makes epoch the directory's newest checkpoint: write writes
-// the snapshot image to the path it is given, then the manifest is swapped
-// and the WAL prefix the checkpoint covers is truncated, along with older
-// snapshot files. Concurrent and repeated calls are safe; a checkpoint at
-// or below the newest one is a no-op unless forced, which rewrites it. The
-// scrubber needs that after quarantining the manifest's own snapshot — the
-// epoch did not advance, only the file is gone.
-func (d *durable) checkpoint(epoch uint64, write func(path string) error, force bool) error {
+// checkpoint makes the view pin returns the directory's newest
+// checkpoint: its write writes the snapshot image to the path it is given,
+// then the manifest is swapped and the WAL prefix the checkpoint covers is
+// truncated, along with every other snapshot file. pin runs under the
+// checkpoint lock, which an image install holds until its view serves, so a
+// checkpoint never pins the history an install replaced. Concurrent and
+// repeated calls are safe; a checkpoint at or below the newest one is a
+// no-op unless forced, which rewrites it. The scrubber needs that after
+// quarantining the manifest's own snapshot — the epoch did not advance, only
+// the file is gone.
+func (d *durable) checkpoint(pin func() (uint64, func(path string) error), force bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	epoch, write := pin()
 	last := d.lastCkpt.Load()
 	if d.ckptEver.Load() && epoch <= last {
 		if !force {
@@ -376,7 +381,7 @@ func (d *durable) checkpoint(epoch uint64, write func(path string) error, force 
 			epoch = last
 		}
 	}
-	name := fmt.Sprintf("snap-%016x.qps", epoch)
+	name := snapshotName(epoch)
 	// write replaces the file through faultfs.ReplaceFile, whose directory
 	// fsync makes the snapshot's entry durable before the manifest names it.
 	if err := write(filepath.Join(d.dir, name)); err != nil {
@@ -392,11 +397,15 @@ func (d *durable) checkpoint(epoch uint64, write func(path string) error, force 
 			return err
 		}
 	}
-	return d.removeOldSnapshots(epoch)
+	return d.removeSnapshotsBut(epoch)
 }
 
-// removeOldSnapshots deletes snapshot files below the newest checkpoint.
-func (d *durable) removeOldSnapshots(newest uint64) error {
+// snapshotName is the file name of the checkpoint at epoch.
+func snapshotName(epoch uint64) string { return fmt.Sprintf("snap-%016x.qps", epoch) }
+
+// removeSnapshotsBut deletes every snapshot file but the checkpoint at
+// keep's.
+func (d *durable) removeSnapshotsBut(keep uint64) error {
 	entries, err := d.fs.ReadDir(d.dir)
 	if err != nil {
 		return err
@@ -411,7 +420,7 @@ func (d *durable) removeOldSnapshots(newest uint64) error {
 		if err != nil {
 			continue // not ours; leave it alone
 		}
-		if epoch < newest {
+		if epoch != keep {
 			if err := d.fs.Remove(filepath.Join(d.dir, name)); err != nil && !os.IsNotExist(err) {
 				return err
 			}
@@ -545,15 +554,10 @@ type DirInfo struct {
 	Quarantined []string
 }
 
-// Inspect is InspectFS on the disk, for the CLI's recover/checkpoint
-// subcommands.
-func Inspect(dir string) (DirInfo, error) { return InspectFS(faultfs.Disk, dir) }
-
-// InspectFS reads a durable directory's manifest and sizes its files through
-// fsys (nil = the disk): a replication source names the checkpoint it ships
-// through the FS it reads the checkpoint's bytes through.
-func InspectFS(fsys faultfs.FS, dir string) (DirInfo, error) {
-	fsys = faultfs.Or(fsys)
+// Inspect reads a durable directory's manifest and sizes its files on the
+// disk, for the CLI's recover/checkpoint subcommands.
+func Inspect(dir string) (DirInfo, error) {
+	fsys := faultfs.Disk
 	m, err := readManifest(fsys, dir)
 	if err != nil {
 		return DirInfo{}, err

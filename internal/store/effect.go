@@ -14,17 +14,19 @@
 // Diffs are only valid against the exact layout they were taken from, so
 // every snapshot carries a lineage: a random id drawn by each full view
 // build (a store building its maintainers — open, materialize, promotion —
-// or loading a checkpoint) and kept by every patch. An effect names the (lineage, epoch) of the views it
-// starts from. A follower whose pair the ring cannot chain — after a
-// bootstrap, a restart, a ring miss or a lineage break — is sent one image
-// of the current snapshot's views instead, and from then on the diffs.
+// or loading a checkpoint) and kept by every patch. An effect names the
+// (lineage, epoch) of the views it starts from. A follower whose pair the
+// ring cannot chain — after a bootstrap, a restart, a ring miss or a
+// lineage break — is sent one image of the current snapshot instead, G
+// included (install.go), and from then on the diffs.
 //
 // Effect bytes are untrusted input: the decoder checks every count and id
 // and a CRC over the whole. The follower runs the moves through the patch
 // the leader ran (incbisim.Patch), which checks them, and it checks that
 // the rows the patch rebuilds from its own patched G are exactly the rows
-// shipped, labels included. Nothing here goes to disk: the WAL of raw batches
-// stays the one record, and a store that restarts draws a new lineage.
+// shipped, labels included. A diff never goes to disk: the WAL of raw
+// batches stays the one record of a group, an image is installed as the
+// checkpoint it is, and a store that restarts draws a new lineage.
 package store
 
 import (
@@ -60,13 +62,16 @@ const (
 // was applied.
 var ErrEffect = errors.New("store: shipped effect rejected")
 
-// Effect is one unit a replication source ships beside the raw WAL frames.
+// Effect is one unit a replication source ships: a diff, after the raw WAL
+// frames of its group, or an image, alone.
 type Effect struct {
-	// Epoch is the last epoch it covers: a source ships the frames up to
-	// Epoch, then the effect.
+	// Epoch is the last epoch it covers: a source ships a diff's frames up
+	// to Epoch, then the diff; an image is the snapshot at Epoch.
 	Epoch uint64
+	// Image reports an image, which holds G and comes with no frames.
+	Image bool
 	// Bytes is the encoding — one group's change to the views, or an image
-	// of them — opaque outside this package and CRC-checked.
+	// of the whole snapshot — opaque outside this package and CRC-checked.
 	Bytes []byte
 }
 
@@ -88,28 +93,25 @@ var sigmaLabels = func() *graph.Labels {
 	return l
 }()
 
-// effect is the decoded form of one effect or image.
+// effect is the decoded form of one diff.
 type effect struct {
-	image       bool
 	lineage     uint64
-	base, epoch uint64 // the views at (lineage, base) become epoch's; base == epoch for an image
+	base, epoch uint64 // the views at (lineage, base) become epoch's
 	nodes       int
 
-	// The pattern view: blocks is the new block count. A diff lists the
-	// nodes whose block id changed (ascending) with their new ids, and the
-	// rebuilt quotient rows; an image the whole node → block map.
+	// The pattern view: blocks is the new block count; the nodes whose
+	// block id changed (ascending) with their new ids, and the rebuilt
+	// quotient rows.
 	blocks    int
 	moved, to []graph.Node
 	rows      incbisim.Rows
-	blockOf   []graph.Node
 
-	// The reach view, in a diff only when it moved: an old class → new class
-	// map with the nodes that do not follow it (ascending), or an image's
-	// whole node → class map; then the new quotient's rows and cyclic flags.
+	// The reach view, only when it moved: an old class → new class map with
+	// the nodes that do not follow it (ascending), then the new quotient's
+	// rows and cyclic flags.
 	reach           bool
 	classMap        []graph.Node
 	exNode, exClass []graph.Node
-	classOf         []graph.Node
 	classes         int
 	grOff           []int32
 	grAdj           []graph.Node
@@ -122,34 +124,24 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // the pattern part; the reach part; a CRC-32C of everything before it.
 // Counts and ids are u32, little-endian.
 func (ef *effect) encode() []byte {
-	b := make([]byte, 0, 64+4*(2*len(ef.moved)+3*len(ef.rows.IDs)+len(ef.rows.Adj)+len(ef.blockOf)+
-		len(ef.classMap)+2*len(ef.exNode)+len(ef.classOf)+ef.classes+len(ef.grAdj)))
-	kind := byte(0)
-	if ef.image {
-		kind = 1
-	}
-	b = append(b, effectVersion, kind)
+	b := make([]byte, 0, 64+4*(2*len(ef.moved)+3*len(ef.rows.IDs)+len(ef.rows.Adj)+
+		len(ef.classMap)+2*len(ef.exNode)+ef.classes+len(ef.grAdj)))
+	b = append(b, effectVersion, kindDiff)
 	b = binary.LittleEndian.AppendUint64(b, ef.lineage)
 	b = binary.LittleEndian.AppendUint64(b, ef.base)
 	b = binary.LittleEndian.AppendUint64(b, ef.epoch)
 	b = appendU32(b, ef.nodes)
 	b = appendU32(b, ef.blocks)
-	if ef.image {
-		b = appendIDs(b, ef.blockOf)
+	b = appendU32(b, len(ef.moved))
+	b = appendIDs(b, ef.moved)
+	b = appendIDs(b, ef.to)
+	b = appendU32(b, len(ef.rows.IDs))
+	b = appendIDs(b, ef.rows.IDs)
+	b = appendIDs(b, ef.rows.Label)
+	b = appendRows(b, ef.rows.Off, ef.rows.Adj)
+	if !ef.reach {
+		b = append(b, 0)
 	} else {
-		b = appendU32(b, len(ef.moved))
-		b = appendIDs(b, ef.moved)
-		b = appendIDs(b, ef.to)
-		b = appendU32(b, len(ef.rows.IDs))
-		b = appendIDs(b, ef.rows.IDs)
-		b = appendIDs(b, ef.rows.Label)
-		b = appendRows(b, ef.rows.Off, ef.rows.Adj)
-	}
-	switch {
-	case ef.image:
-		b = appendU32(b, ef.classes)
-		b = appendIDs(b, ef.classOf)
-	case ef.reach:
 		b = append(b, 1)
 		b = appendU32(b, ef.classes)
 		b = appendU32(b, len(ef.classMap))
@@ -157,10 +149,6 @@ func (ef *effect) encode() []byte {
 		b = appendU32(b, len(ef.exNode))
 		b = appendIDs(b, ef.exNode)
 		b = appendIDs(b, ef.exClass)
-	default:
-		b = append(b, 0)
-	}
-	if ef.reach {
 		b = appendRows(b, ef.grOff, ef.grAdj)
 		for _, c := range ef.cyclic {
 			if c {
@@ -296,7 +284,7 @@ func (r *effectReader) rows(what string, n, bound int) ([]int32, []graph.Node) {
 	return off, adj
 }
 
-// decodeEffect parses and validates an encoded effect: checksum, version,
+// decodeEffect parses and validates an encoded diff: checksum, version,
 // every count against what the body can hold, every id against its range,
 // every list that must be ascending. What needs the follower's own state —
 // |V|, the old views, the graph — is checked where the effect is applied.
@@ -312,42 +300,34 @@ func decodeEffect(b []byte) (*effect, error) {
 	if v := r.u8(); v != effectVersion {
 		return nil, fmt.Errorf("effect version %d, want %d", v, effectVersion)
 	}
-	kind := r.u8()
-	if kind > 1 {
-		return nil, fmt.Errorf("effect kind %d", kind)
+	if kind := r.u8(); kind != kindDiff {
+		return nil, fmt.Errorf("effect kind %d, want a diff", kind)
 	}
-	ef := &effect{image: kind == 1, lineage: r.u64(), base: r.u64(), epoch: r.u64()}
+	ef := &effect{lineage: r.u64(), base: r.u64(), epoch: r.u64()}
 	ef.nodes = r.count("node", 0, math.MaxInt32)
 	ef.blocks = r.count("block", 0, ef.nodes)
-	if ef.image != (ef.base == ef.epoch) || ef.epoch < ef.base {
+	if ef.epoch <= ef.base {
 		r.fail("effect spans epochs %d..%d", ef.base, ef.epoch)
 	}
-	if ef.image {
-		ef.blockOf = r.ids("block of node", ef.nodes, ef.blocks, false)
+	k := r.count("move", 8, ef.nodes)
+	ef.moved = r.ids("moved node", k, ef.nodes, true)
+	ef.to = r.ids("new block", k, ef.blocks, false)
+	n := r.count("row", 12, ef.blocks)
+	ef.rows.IDs = r.ids("row", n, ef.blocks, true)
+	ef.rows.Label = r.ids("row label", n, math.MaxInt32, false)
+	ef.rows.Off, ef.rows.Adj = r.rows("pattern", n, ef.blocks)
+	switch r.u8() {
+	case 0:
+	case 1:
 		ef.reach = true
 		ef.classes = r.count("class", 0, ef.nodes)
-		ef.classOf = r.ids("class of node", ef.nodes, ef.classes, false)
-	} else {
-		k := r.count("move", 8, ef.nodes)
-		ef.moved = r.ids("moved node", k, ef.nodes, true)
-		ef.to = r.ids("new block", k, ef.blocks, false)
-		n := r.count("row", 12, ef.blocks)
-		ef.rows.IDs = r.ids("row", n, ef.blocks, true)
-		ef.rows.Label = r.ids("row label", n, math.MaxInt32, false)
-		ef.rows.Off, ef.rows.Adj = r.rows("pattern", n, ef.blocks)
-		switch r.u8() {
-		case 0:
-		case 1:
-			ef.reach = true
-			ef.classes = r.count("class", 0, ef.nodes)
-			m := r.count("old class", 4, ef.nodes)
-			ef.classMap = r.ids("new class", m, ef.classes, false)
-			k := r.count("exception", 8, ef.nodes)
-			ef.exNode = r.ids("excepted node", k, ef.nodes, true)
-			ef.exClass = r.ids("excepted class", k, ef.classes, false)
-		default:
-			r.fail("reach flag out of range")
-		}
+		m := r.count("old class", 4, ef.nodes)
+		ef.classMap = r.ids("new class", m, ef.classes, false)
+		k := r.count("exception", 8, ef.nodes)
+		ef.exNode = r.ids("excepted node", k, ef.nodes, true)
+		ef.exClass = r.ids("excepted class", k, ef.classes, false)
+	default:
+		r.fail("reach flag out of range")
 	}
 	if ef.reach {
 		ef.grOff, ef.grAdj = r.rows("reach", ef.classes, ef.classes)
@@ -398,6 +378,15 @@ func (r *effectRing) push(e ringEntry) {
 	r.bytes.Store(total)
 }
 
+// reset drops every effect: an image install replaced the history they
+// describe.
+func (r *effectRing) reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ents = nil
+	r.bytes.Store(0)
+}
+
 // chain returns the effects that lead, one after another, on from the views
 // at (lineage, epoch).
 func (r *effectRing) chain(lineage, epoch uint64) []Effect {
@@ -412,12 +401,14 @@ func (r *effectRing) chain(lineage, epoch uint64) []Effect {
 	return out
 }
 
-// Effects returns what a tail round from a follower whose views are at
-// (lineage, epoch) ships beside the raw frames after epoch: the effects the
-// ring chains from there, in order; failing that, one image of the current
-// snapshot's views; nothing when the follower already holds the current
-// views. The first call turns recording on: a store nobody tails records no
-// effects. Safe on any goroutine.
+// Effects returns what a tail round ships a follower whose views are at
+// (lineage, epoch): the diffs the ring chains from there, in order, each
+// after the raw frames of its group; failing that, one image of the current
+// snapshot, which holds G and goes without frames; nothing when the
+// follower already holds the current views or is ahead of them. Lineage 0
+// chains nothing, so Effects(0, 0) is always an image. The first call turns
+// recording on: a store nobody tails records no effects. Safe on any
+// goroutine.
 func (s *Store) Effects(lineage, epoch uint64) []Effect {
 	// On before the pin: a group published after the pin is recorded, one
 	// published before it is in the image.
@@ -429,7 +420,7 @@ func (s *Store) Effects(lineage, epoch uint64) []Effect {
 	if sn.Epoch < epoch || sn.Epoch == epoch && sn.Lineage == lineage {
 		return nil
 	}
-	return []Effect{{Epoch: sn.Epoch, Bytes: imageOf(sn, s.nodes).encode()}}
+	return []Effect{{Epoch: sn.Epoch, Image: true, Bytes: encodeImage(sn)}}
 }
 
 // recordEffect files the effect of the group publish just installed, old →
@@ -442,8 +433,10 @@ func (s *Store) recordEffect(old, sn *Snapshot, reachMoved bool, diff *incbisim.
 		ef.moved, ef.to, ef.rows = diff.Moved, diff.To, diff.Rows
 	}
 	if reachMoved {
-		ef.classMap, ef.exNode, ef.exClass = reachMap(old.Reach.Compressed, sn.Reach.Compressed.ClassMap())
-		ef.setReachGr(sn.Reach)
+		rv := sn.Reach
+		ef.reach, ef.classes = true, rv.Gr.NumNodes()
+		ef.classMap, ef.exNode, ef.exClass = reachMap(old.Reach.Compressed, rv.Compressed.ClassMap())
+		ef.grOff, ef.grAdj, ef.cyclic = rv.Gr.OutOffsets(), rv.Gr.OutAdj(), rv.Compressed.CyclicClass
 	}
 	s.ring.push(ringEntry{lineage: ef.lineage, base: ef.base, epoch: ef.epoch, b: ef.encode()})
 }
@@ -470,47 +463,60 @@ func reachMap(old *reach.Compressed, newOf []graph.Node) (classMap, exNode, exCl
 	return classMap, exNode, exClass
 }
 
-// setReachGr points the effect's reach quotient at rv's.
-func (ef *effect) setReachGr(rv ReachView) {
-	ef.reach = true
-	ef.classes = rv.Gr.NumNodes()
-	ef.grOff, ef.grAdj = rv.Gr.OutOffsets(), rv.Gr.OutAdj()
-	ef.cyclic = rv.Compressed.CyclicClass
-}
-
-// imageOf is the image of sn's views: both node maps and the reach
-// quotient. The pattern quotient is not sent; a follower builds it from the
-// block map over its own G, as incPCM builds its views (incbisim.Build).
-func imageOf(sn *Snapshot, nodes int) *effect {
-	ef := &effect{
-		image: true, lineage: sn.Lineage, base: sn.Epoch, epoch: sn.Epoch, nodes: nodes,
-		blocks: sn.Pattern.Gr.NumNodes(), blockOf: sn.Pattern.Compressed.ClassMap(),
-		classOf: sn.Reach.Compressed.ClassMap(),
-	}
-	ef.setReachGr(sn.Reach)
-	return ef
-}
-
 // ApplyEffect applies one shipped group: batches, the raw WAL records of
 // the epochs after the current one, and effect, the encoded change those
-// batches made to the source's views — or an image of the views at the
-// group's last epoch. It appends the batches to the WAL unchanged, applies
-// them to G, patches both views from the effect, and publishes once, at
-// the group's last epoch, which it returns; image reports whether an image
-// was installed. It runs no maintainer and drops any the store holds, as a
-// store recovered from a checkpoint holds none. A rejected effect is
-// ErrEffect and changes nothing; a failed WAL append is returned as is.
+// batches made to the source's views; or, with no batches, an image, which
+// replaces the store's whole state — G, both views and, on a durable store,
+// the directory (install.go). A diff's batches are appended to the WAL
+// unchanged and applied to G, both views are patched from the diff, and
+// the group publishes once, at its last epoch. It returns the epoch
+// published and whether effect was an image. It runs no maintainer and
+// drops any the store holds, as a store recovered from a checkpoint holds
+// none. A rejected effect is ErrEffect and changes nothing; a failed WAL
+// append or install is returned as is.
 func (s *Store) ApplyEffect(batches [][]graph.Update, effect []byte) (epoch uint64, image bool, err error) {
+	image = isImage(effect)
 	out := s.submitTask(func() applyOutcome[ApplyResult] {
 		var o applyOutcome[ApplyResult]
-		o.epoch, image, o.err = s.applyEffect(batches, effect)
+		if image {
+			o.epoch, o.err = s.applyImage(batches, effect)
+		} else {
+			o.epoch, o.err = s.applyEffect(batches, effect)
+		}
 		return o
 	})
 	return out.epoch, image, out.err
 }
 
-// applyEffect is ApplyEffect on the writer goroutine.
-func (s *Store) applyEffect(batches [][]graph.Update, b []byte) (uint64, bool, error) {
+// applyImage is ApplyEffect's image half, on the writer goroutine.
+func (s *Store) applyImage(batches [][]graph.Update, b []byte) (uint64, error) {
+	var start time.Time
+	if s.ob != nil {
+		start = time.Now()
+	}
+	img, err := decodeImage(b)
+	switch {
+	case err != nil:
+	case len(batches) > 0:
+		err = fmt.Errorf("an image comes with %d frames, want none", len(batches))
+	case img.parts.G.NumNodes() != s.nodes:
+		err = fmt.Errorf("image over %d nodes, store has %d", img.parts.G.NumNodes(), s.nodes)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrEffect, err)
+	}
+	if err := s.installImage(img); err != nil {
+		return 0, err
+	}
+	if s.ob != nil {
+		s.ob.notePublish(start)
+		s.ob.apply.Observe(time.Since(start))
+	}
+	return img.parts.Epoch, nil
+}
+
+// applyEffect is ApplyEffect's diff half, on the writer goroutine.
+func (s *Store) applyEffect(batches [][]graph.Update, b []byte) (uint64, error) {
 	var start time.Time
 	if s.ob != nil {
 		start = time.Now()
@@ -518,7 +524,7 @@ func (s *Store) applyEffect(batches [][]graph.Update, b []byte) (uint64, bool, e
 	old := s.Snapshot()
 	sn, ef, err := s.effectSnapshot(old, batches, b)
 	if err != nil {
-		return 0, false, fmt.Errorf("%w: %v", ErrEffect, err)
+		return 0, fmt.Errorf("%w: %v", ErrEffect, err)
 	}
 	if s.dur != nil && len(batches) > 0 {
 		var built time.Time
@@ -530,7 +536,7 @@ func (s *Store) applyEffect(batches [][]graph.Update, b []byte) (uint64, bool, e
 			epochs[i] = old.Epoch + uint64(i) + 1
 		}
 		if err := s.dur.appendGroup(epochs, func(i int) []graph.Update { return batches[i] }); err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		if s.ob != nil {
 			s.ob.stageWAL.Observe(time.Since(built))
@@ -542,7 +548,7 @@ func (s *Store) applyEffect(batches [][]graph.Update, b []byte) (uint64, bool, e
 	}
 	s.m = nil
 	s.install(sn)
-	if !ef.image && s.ring.on.Load() {
+	if s.ring.on.Load() {
 		s.ring.push(ringEntry{lineage: ef.lineage, base: ef.base, epoch: ef.epoch, b: bytes.Clone(b)})
 	}
 	s.mark(sn.Epoch)
@@ -553,7 +559,7 @@ func (s *Store) applyEffect(batches [][]graph.Update, b []byte) (uint64, bool, e
 	if s.dur != nil {
 		s.dur.maybeCheckpoint(sn.Epoch, s.image)
 	}
-	return sn.Epoch, ef.image, nil
+	return sn.Epoch, nil
 }
 
 // effectSnapshot builds the snapshot a shipped group makes of old, without
@@ -568,7 +574,7 @@ func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, b []byte
 		return nil, nil, fmt.Errorf("effect over %d nodes, store has %d", ef.nodes, s.nodes)
 	case ef.epoch != last || s.batches.Load() != old.Epoch:
 		return nil, nil, fmt.Errorf("effect ends at epoch %d, the shipped frames at %d", ef.epoch, last)
-	case !ef.image && (ef.lineage != old.Lineage || ef.base != old.Epoch):
+	case ef.lineage != old.Lineage || ef.base != old.Epoch:
 		return nil, nil, fmt.Errorf("effect starts from views %x@%d, store holds %x@%d", ef.lineage, ef.base, old.Lineage, old.Epoch)
 	}
 	// G is old's thawed with the group's net change applied, frozen again:
@@ -581,12 +587,6 @@ func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, b []byte
 	sn.G = g
 	if g == old.G {
 		sn.gord.Store(old.gord.Load())
-	}
-	if ef.image {
-		if sn.Reach, err = s.reachView(ef.classOf, ef); err == nil {
-			sn.Pattern, err = incbisim.Build(g, ef.blockOf, ef.blocks, false)
-		}
-		return sn, ef, err
 	}
 	sn.Reach = old.Reach
 	if ef.reach {

@@ -377,8 +377,7 @@ func (e *engine[R]) SchedStats() SchedStats {
 // persist checkpoints the current view; Checkpoint, the recovery loop and
 // the scrubber call it (force rewrites even at the newest epoch).
 func (e *engine[R]) persist(force bool) error {
-	epoch, write := e.p.image()
-	return e.dur.checkpoint(epoch, write, force)
+	return e.dur.checkpoint(e.p.image, force)
 }
 
 // Checkpoint synchronously writes the current snapshot to the durable

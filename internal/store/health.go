@@ -350,7 +350,7 @@ func (d *durable) scrubOnce(ckpt func(force bool) error) ScrubReport {
 	}
 	current := ""
 	if d.ckptEver.Load() {
-		current = fmt.Sprintf("snap-%016x.qps", d.lastCkpt.Load())
+		current = snapshotName(d.lastCkpt.Load())
 	}
 	corruptCurrent := false
 	for _, e := range entries {

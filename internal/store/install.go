@@ -1,40 +1,204 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 
 	"repro/internal/faultfs"
 	"repro/internal/snapfile"
+	"repro/internal/wal"
 )
 
-// InstallSnapshot seeds dir with a shipped snapshot image so a follower can
-// bootstrap by ordinary recovery: the bytes are fully decoded and validated
-// first (corrupt or foreign images error before anything is written), then
-// persisted through fsys (nil = the disk) as the directory's checkpoint file
-// and named by a fresh MANIFEST. epoch must match the image's embedded
-// epoch — a guard against a leader and follower disagreeing about what was
-// shipped. Any existing durable state in dir is an error; callers resyncing
-// a diverged follower must wipe the directory first, which keeps a
-// half-replaced store from ever looking recoverable.
-func InstallSnapshot(fsys faultfs.FS, dir string, epoch uint64, data []byte) error {
-	p, err := snapfile.DecodeStore(data)
+// An image is the whole of one published snapshot — G and both views — in
+// the checkpoint's own encoding (snapfile), with the lineage of its views.
+// It is every full-state transfer a follower takes: a source ships one
+// whenever its effect ring cannot chain the follower's views (a bootstrap, a
+// restart, a ring miss, a lineage break, a position the source's WAL no
+// longer holds), and a follower with an empty directory starts from one.
+// Its wire form is the effect version, kind 1, the u64 lineage, the
+// snapfile bytes and a CRC-32C of everything before it. The snapfile bytes
+// carry checksums of their own and its decoder validates every structure, so
+// an image is checked as strictly as a checkpoint file is at recovery.
+
+// Effect kinds, the second byte of every shipped effect.
+const (
+	kindDiff  = 0
+	kindImage = 1
+)
+
+// imageHeader is the bytes of an image before its snapfile encoding.
+const imageHeader = 10
+
+// encodeImage returns the image of sn.
+func encodeImage(sn *Snapshot) []byte {
+	data := snapfile.EncodeStore(storeParts(sn))
+	b := make([]byte, 0, imageHeader+len(data)+4)
+	b = append(b, effectVersion, kindImage)
+	b = binary.LittleEndian.AppendUint64(b, sn.Lineage)
+	b = append(b, data...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// isImage reports whether shipped effect bytes claim to be an image;
+// decodeImage checks the claim.
+func isImage(b []byte) bool { return len(b) > 1 && b[1] == kindImage }
+
+// image is a decoded image: the lineage of its views, its snapfile encoding
+// in a buffer of its own — the decoded parts alias it — and those parts.
+type image struct {
+	lineage uint64
+	data    []byte
+	parts   *snapfile.StoreParts
+}
+
+// decodeImage parses and validates an image end to end.
+func decodeImage(b []byte) (*image, error) {
+	if len(b) < imageHeader+4 {
+		return nil, fmt.Errorf("image of %d bytes", len(b))
+	}
+	body := b[:len(b)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
+		return nil, errors.New("image checksum mismatch")
+	}
+	if b[0] != effectVersion || b[1] != kindImage {
+		return nil, fmt.Errorf("image version %d kind %d", b[0], b[1])
+	}
+	// A copy: shipped bytes alias a connection's read buffer, and the
+	// snapshot serves from the decoded arrays.
+	img := &image{lineage: binary.LittleEndian.Uint64(b[2:]), data: bytes.Clone(body[imageHeader:])}
+	p, err := snapfile.DecodeStore(img.data)
 	if err != nil {
-		return fmt.Errorf("store: install snapshot: %w", err)
+		return nil, err
 	}
-	if p.Epoch != epoch {
-		return fmt.Errorf("store: install snapshot: image is epoch %d, want %d", p.Epoch, epoch)
+	img.parts = p
+	return img, nil
+}
+
+// OpenImage creates a store from an image (Store.Effects ships them) in
+// opts.Dir, which must hold no state: the install ApplyEffect runs on a live
+// store, over a directory with nothing to replace. A directory an install
+// left half done — no MANIFEST — holds no state. The store holds no
+// maintainer until its first write or promotion builds them.
+func OpenImage(b []byte, opts *Options) (*Store, error) {
+	o := DefaultOptions()
+	if opts != nil {
+		o = *opts
 	}
-	fsys = faultfs.Or(fsys)
-	if HasState(fsys, dir) {
-		return fmt.Errorf("store: install snapshot: %s already holds durable state", dir)
+	if o.Dir != "" && HasState(o.FS, o.Dir) {
+		return nil, fmt.Errorf("store: %s already holds durable state", o.Dir)
 	}
-	if err := fsys.MkdirAll(dir, 0o777); err != nil {
+	img, err := decodeImage(b)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrEffect, err)
+	}
+	return start(o, func(s *Store) error {
+		s.nodes = img.parts.G.NumNodes()
+		if o.Dir != "" {
+			d, err := newDurable(o, snapfile.KindStore)
+			if err != nil {
+				return err
+			}
+			s.dur = d
+		}
+		if err := s.installImage(img); err != nil {
+			return err
+		}
+		if s.dur != nil {
+			s.dur.startBackground(s.persist)
+		}
+		return nil
+	})
+}
+
+// installImage makes img the store's whole state: on a durable store the
+// directory's first (durable.install), then the snapshot at (lineage, its
+// epoch), with no maintainer and no effect of the replaced history. The
+// epoch may be below the current one: a survivor that got ahead of a new
+// leader. Writer goroutine, or an open before the writer has work.
+func (s *Store) installImage(img *image) error {
+	p := img.parts
+	sn := s.snapshotOf(p, img.lineage)
+	swap := func() {
+		s.m = nil
+		s.ring.reset()
+		s.batches.Store(p.Epoch)
+		s.install(sn)
+	}
+	if s.dur == nil {
+		swap()
+	} else if err := s.dur.install(p.Epoch, img.data, swap); err != nil {
 		return err
 	}
-	name := fmt.Sprintf("snap-%016x.qps", epoch)
-	if err := faultfs.ReplaceFile(fsys, filepath.Join(dir, name), data); err != nil {
+	s.mark(p.Epoch)
+	return nil
+}
+
+// install replaces the directory's state with the snapshot file data at
+// epoch and runs swap, the store's in-memory half, under the checkpoint
+// lock: a checkpoint pins its view under that lock too, so none pins the
+// replaced history once this has begun. In order:
+//
+//  1. wait out a background checkpoint in flight, whose view is of the
+//     history being replaced;
+//  2. remove the MANIFEST: until step 5 the directory holds no state, and a
+//     crash leaves it for the next start to fill from a fresh image;
+//  3. write the snapshot file (faultfs.ReplaceFile, whose directory fsync
+//     also makes step 2 durable);
+//  4. reset the WAL to epoch+1, removing every other segment;
+//  5. write the MANIFEST for epoch;
+//  6. remove every other snapshot file;
+//  7. swap.
+//
+// A failure after step 2 leaves the directory without state while the
+// store still serves the replaced view, so it degrades the write path: the
+// recovery loop's checkpoint of the serving view makes the directory whole
+// again, as after any failed append.
+func (d *durable) install(epoch uint64, data []byte, swap func()) error {
+	d.wg.Wait()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.fs.Remove(filepath.Join(d.dir, manifestName)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	return writeManifest(fsys, dir, manifest{kind: snapfile.KindStore, epoch: epoch, snapshot: name})
+	d.ckptEver.Store(false)
+	name := snapshotName(epoch)
+	err := faultfs.ReplaceFile(d.fs, filepath.Join(d.dir, name), data)
+	if err == nil {
+		err = d.resetLog(epoch + 1)
+	}
+	if err == nil {
+		err = writeManifest(d.fs, d.dir, manifest{kind: d.kind, epoch: epoch, snapshot: name})
+	}
+	if err != nil {
+		d.degrade(err)
+		return err
+	}
+	d.lastCkpt.Store(epoch)
+	d.ckptEver.Store(true)
+	err = d.removeSnapshotsBut(epoch)
+	swap()
+	return err
+}
+
+// resetLog starts the WAL afresh at next, removing every segment: the open
+// log's, or — before the log is opened — whatever a crashed install left.
+func (d *durable) resetLog(next uint64) error {
+	if d.log != nil {
+		return d.log.Reset(next)
+	}
+	segs, err := wal.ListDir(d.fs, d.dir)
+	if err != nil {
+		return err
+	}
+	for _, seg := range segs {
+		if err := d.fs.Remove(filepath.Join(d.dir, seg.Name)); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return d.openLog(next)
 }

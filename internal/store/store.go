@@ -352,20 +352,27 @@ func Open(g *graph.Graph, opts *Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	return start(o, func(s *Store) error {
+		if reopen {
+			return s.reopen(s.load)
+		}
+		s.nodes = g.NumNodes()
+		s.setMaintainers(g)
+		s.advance(0)
+		return s.create()
+	})
+}
+
+// start runs open on a new store under o — Open's or OpenImage's way of
+// giving it a snapshot — and binds its metrics; a store whose open fails is
+// closed.
+func start(o Options, open func(s *Store) error) (*Store, error) {
 	s := &Store{}
 	s.init(s, snapfile.KindStore, o)
 	// nodes is read when a reader first needs a scratch, long after open
 	// fixed it; the closure must not touch the writer-owned graph.
 	s.scratch.New = func() any { return queries.NewScratch(s.nodes) }
-	if reopen {
-		err = s.reopen(s.load)
-	} else {
-		s.nodes = g.NumNodes()
-		s.setMaintainers(g)
-		s.advance(0)
-		err = s.create()
-	}
-	if err != nil {
+	if err := open(s); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -506,19 +513,26 @@ func storeParts(sn *Snapshot) *snapfile.StoreParts {
 }
 
 // load reassembles the snapshot a checkpoint file holds and installs it —
-// the monolithic half of recovery; the engine replays the WAL tail.
+// the monolithic half of recovery; the engine replays the WAL tail. A file
+// records no lineage: a recovered store is a layout of its own, and a
+// follower that restarts is sent an image.
 func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
 	parts, err := snapfile.LoadStoreFS(fsys, path)
 	if err != nil {
 		return 0, err
 	}
 	s.nodes = parts.G.NumNodes()
-	// GOrd and the 2-hop index are built on first use, as on any snapshot.
-	// A file records no lineage: a recovered store is a layout of its own,
-	// and a follower that restarts is sent an image.
-	s.install(&Snapshot{
+	s.install(s.snapshotOf(parts, newLineage()))
+	return parts.Epoch, nil
+}
+
+// snapshotOf reassembles the snapshot a checkpoint's parts hold, with views
+// of the given lineage, slicing the parts' arrays: GOrd and the 2-hop index
+// are built on first use, as on any snapshot.
+func (s *Store) snapshotOf(parts *snapfile.StoreParts, lineage uint64) *Snapshot {
+	return &Snapshot{
 		Epoch:   parts.Epoch,
-		Lineage: newLineage(),
+		Lineage: lineage,
 		G:       parts.G,
 		Reach: ReachView{
 			Gr:         parts.ReachGr,
@@ -529,8 +543,7 @@ func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
 			Gr:         parts.PatternGr,
 			Compressed: bisim.AssembleCompressed(nil, parts.PatternBlockOf, parts.PatternMembers),
 		},
-	})
-	return parts.Epoch, nil
+	}
 }
 
 // Snapshot returns the current epoch's immutable query state. Use it to pin

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -98,18 +97,12 @@ func openKind(t testing.TB, kind string, g *graph.Graph, o Options) kindStore {
 	return h
 }
 
-// installKind seeds a fresh directory with a checkpoint image of either
-// kind, as a shipped image is installed: the file, then a manifest naming it.
+// installKind seeds a fresh directory with a checkpoint file of either
+// kind: the file, then a manifest naming it.
 func installKind(t testing.TB, kind snapfile.Kind, epoch uint64, data []byte) string {
 	t.Helper()
 	dir := t.TempDir()
-	if kind == snapfile.KindStore {
-		if err := InstallSnapshot(nil, dir, epoch, data); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-	name := fmt.Sprintf("snap-%016x.qps", epoch)
+	name := snapshotName(epoch)
 	if err := os.WriteFile(filepath.Join(dir, name), data, 0o666); err != nil {
 		t.Fatal(err)
 	}
