@@ -51,10 +51,12 @@
 // store's filesystem (see the rule DSL in internal/faultfs:
 // "enospc@120+40,sync@300+3%wal-") to demonstrate exactly that machinery.
 //
-// With -data the serve endpoint also ships snapshots and WAL segments, so
-// "replica" can follow it: a replica bootstraps its -data from the
-// leader's snapshot, tails the WAL (each shipped record's sequence number
-// is the batch epoch it reproduces), and serves read queries on -listen.
+// With -data the serve endpoint also ships WAL frames and images of its
+// snapshot, so "replica" can follow it: a replica starts an empty -data
+// from one image of the leader's snapshot, tails the WAL (each shipped
+// record's sequence number is the batch epoch it reproduces), and serves
+// read queries on -listen. A replica the leader cannot chain is sent one
+// image again, which replaces its state in place.
 // Every response carries the epoch it was answered at; reads may pin a
 // minimum epoch, which a lagging replica holds — so a session that writes
 // to the leader and reads from a replica still reads its own writes.

@@ -19,14 +19,14 @@ import (
 	"repro/internal/server"
 )
 
-// cmdReplica runs a read replica: bootstrap from the leader's snapshot
-// (or recover a previous run's directory), tail the leader's WAL, and —
-// with -listen — serve read queries from the replicated state. It runs
-// until SIGINT/SIGTERM and prints the replication counters on exit.
+// cmdReplica runs a read replica: start from an image of the leader's
+// snapshot (or recover a previous run's directory), tail the leader's WAL,
+// and — with -listen — serve read queries from the replicated state. It
+// runs until SIGINT/SIGTERM and prints the replication counters on exit.
 func cmdReplica(args []string) {
 	fs := flag.NewFlagSet("replica", flag.ExitOnError)
 	leader := fs.String("leader", "", "replication source retry list, comma-separated (leader first; siblings after, for failover chaining)")
-	data := fs.String("data", "", "replica durable directory (bootstrapped if empty, recovered otherwise)")
+	data := fs.String("data", "", "replica durable directory (started from an image of the leader's snapshot if empty, recovered otherwise)")
 	listen := fs.String("listen", "", "serve replicated reads over TCP on this address")
 	metricsAddr := fs.String("metrics", "", "HTTP side-listener address (/metrics, /debug/slowlog, /debug/pprof/)")
 	slowQuery := fs.Duration("slow", 0, "slow-query log threshold for network point reads (0 = off)")

@@ -6,14 +6,12 @@
 // patches its G from them and its views from the effect, and publishes — it
 // runs no maintainer and holds none until Promote builds them. A round that
 // cannot chain the follower's views brings one image of the source's
-// snapshot instead, G included, which the follower's store installs in
-// place of everything it held (store/install.go). So a follower has two
-// transitions, a diff and an image, both through store.Store.ApplyEffect,
-// and keeps one store for its whole life; one in an empty directory starts
-// from the image of a round asked from 1 with lineage 0, through the same
-// install. Frames that arrive without their effect — a round cut short by a
-// dropped connection or a rejected effect — are not applied, and the next
-// round ships them again.
+// snapshot instead, G included, installed in place (store/install.go). So a
+// follower keeps one store for its whole life and has two transitions, a
+// diff and an image, both through store.Store.ApplyEffect; one in an empty
+// directory starts from an image through the same install. Frames that
+// arrive without their effect are not applied: the next round ships them
+// again.
 //
 // The design leans entirely on one invariant the storage layer already
 // guarantees: a WAL record's sequence number IS the batch's epoch. A
@@ -33,10 +31,8 @@
 // Any violation is a quarantine event: the connection
 // is dropped and catch-up restarts from the follower's own epoch — wrong
 // answers are never served. A follower that cannot make progress resyncs:
-// its next round asks for an image, which replaces its state in place while
-// the old snapshot keeps serving reads until the new one is published. A
-// source whose WAL no longer holds the follower's position sends an image
-// unasked.
+// its next round asks for an image, and the old snapshot serves reads until
+// the image's is published.
 package replica
 
 import (
@@ -51,7 +47,6 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/pattern"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -139,6 +134,10 @@ type Follower struct {
 	leaders []string // replication source retry list
 
 	s *store.Store // the local store, for the follower's whole life
+	// backend is s as the server reads it: the follower serves its reads,
+	// epoch waits, terms, fence and effects (to followers chained off it)
+	// as they are. Apply, ObserveTerm and Info are the follower's own.
+	backend
 	// wake is broadcast when caughtUp turns true; WaitCaughtUp parks on it.
 	// Epoch waits park on the store itself.
 	wake store.Wake
@@ -198,6 +197,9 @@ const (
 	resyncAfter = 5
 )
 
+// backend is server.Backend under the unexported name Follower embeds it by.
+type backend = server.Backend
+
 // errQuarantine tags shipped-frame validation failures: the frame is
 // rejected, the connection dropped, and catch-up restarts — as opposed to
 // plain IO errors, which only reconnect.
@@ -220,7 +222,7 @@ func Start(opts Options) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.s = s
+	f.s, f.backend = s, server.NewStoreBackend(s)
 	f.bindObs(opts.Obs)
 	f.startTail()
 	return f, nil
@@ -369,9 +371,6 @@ func (f *Follower) image(addr string) ([]byte, error) {
 
 // local returns the local store.
 func (f *Follower) local() *store.Store { return f.s }
-
-// backend returns the local store as the server sees it.
-func (f *Follower) backend() server.Backend { return server.NewStoreBackend(f.local()) }
 
 // startTail launches the tail loop with a fresh stop channel.
 func (f *Follower) startTail() {
@@ -719,41 +718,6 @@ func (f *Follower) resync() {
 	f.wantImage.Store(true)
 }
 
-// Epoch implements server.Backend: the local published snapshot epoch.
-func (f *Follower) Epoch() uint64 { return f.local().Epoch() }
-
-// AwaitEpoch implements server.Backend: it parks on the local store until
-// it has published min, timeout passes, cancel is closed or the store is
-// fenced, and returns the epoch then current.
-func (f *Follower) AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
-	return f.local().AwaitEpoch(min, timeout, cancel)
-}
-
-// NumNodes implements server.Backend.
-func (f *Follower) NumNodes() int { return f.local().NumNodes() }
-
-// Reachable implements server.Backend on one pinned local snapshot.
-func (f *Follower) Reachable(u, v graph.Node, onG bool) (bool, uint64) {
-	return f.backend().Reachable(u, v, onG)
-}
-
-// BatchReachable implements server.Backend on one pinned local snapshot.
-func (f *Follower) BatchReachable(us, vs []graph.Node) ([]bool, uint64) {
-	return f.backend().BatchReachable(us, vs)
-}
-
-// Match implements server.Backend on one pinned local snapshot.
-func (f *Follower) Match(p *pattern.Pattern) (*pattern.Result, uint64) {
-	return f.backend().Match(p)
-}
-
-// Effects implements server.Backend: what a follower chained off this one
-// is shipped beside the raw frames — the effects the local store applied or
-// published itself, or an image of its snapshot (store.Store.Effects).
-func (f *Follower) Effects(lineage, epoch uint64) []store.Effect {
-	return f.local().Effects(lineage, epoch)
-}
-
 // Promote turns this follower into the leader, implementing
 // server.Promoter. When wait > 0 it first blocks until the tail has
 // drained (surfacing a *LagError naming the remaining lag on timeout),
@@ -806,9 +770,6 @@ func (f *Follower) Apply(batch []graph.Update) (uint64, error) {
 	return f.local().Apply(batch)
 }
 
-// Term implements server.Backend: the local store's durable leader term.
-func (f *Follower) Term() uint64 { return f.local().Term() }
-
 // ObserveTerm implements server.Backend. An unpromoted follower ADOPTS a
 // newer term (its leader's claim — fencing itself would make it unable to
 // apply the very frames that term ships); a promoted follower acts as a
@@ -820,11 +781,6 @@ func (f *Follower) ObserveTerm(t uint64) error {
 	return f.local().AdoptTerm(t)
 }
 
-// Fenced implements server.Backend: whether the local store has been fenced
-// by a newer term; the tail handler ships it so chained followers rotate
-// away.
-func (f *Follower) Fenced() bool { return f.local().Fenced() }
-
 // Writable implements server.Backend: only a promoted, unfenced follower
 // accepts writes.
 func (f *Follower) Writable() bool { return f.promoted.Load() && !f.local().Fenced() }
@@ -833,7 +789,7 @@ func (f *Follower) Writable() bool { return f.promoted.Load() && !f.local().Fenc
 // with the follower's own writability (the local store believes it is
 // writable; an unpromoted follower is not).
 func (f *Follower) Info() server.Info {
-	in := f.backend().Info()
+	in := f.backend.Info()
 	in.Term = f.local().Term()
 	in.Writable = f.Writable()
 	return in

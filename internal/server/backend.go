@@ -52,9 +52,9 @@ type Backend interface {
 	// a newer term; the tail handler ships it so that followers tell a
 	// deposed source (frozen history) from a healthy one.
 	Fenced() bool
-	// Effects is what a tail round from a follower holding the views at
-	// (lineage, epoch) ships beside the raw frames (store.Store.Effects):
-	// the recorded diffs that chain from there, or else an image.
+	// Effects is what a tail round ships a follower holding the views at
+	// (lineage, epoch) (store.Store.Effects): the recorded diffs that chain
+	// from there, each after its frames, or else an image, alone.
 	Effects(lineage, epoch uint64) []store.Effect
 	// Info summarizes the store for MsgStats.
 	Info() Info

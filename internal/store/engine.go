@@ -345,10 +345,12 @@ func (e *engine[R]) Close() error {
 func (e *engine[R]) Epoch() uint64 { return e.epoch.Load() }
 
 // AwaitEpoch blocks until the published epoch reaches min, timeout passes,
-// cancel is closed or the store is fenced, and returns the epoch it then
-// reads. It parks on the wake-up advance broadcasts; nothing polls.
+// cancel is closed or the store is fenced — a fenced store publishes
+// nothing more — and returns the epoch it then reads. It parks on the
+// wake-up advance broadcasts; nothing polls.
 func (e *engine[R]) AwaitEpoch(min uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
-	return e.wake.AwaitEpoch(e, min, timeout, cancel)
+	e.wake.Await(func() bool { return e.Epoch() >= min || e.Fenced() }, timeout, cancel)
+	return e.Epoch()
 }
 
 // NumNodes returns |V| in O(1); the node set is static for the life of a

@@ -14,25 +14,20 @@ import (
 	"repro/internal/wal"
 )
 
-// An image is the whole of one published snapshot — G and both views — in
-// the checkpoint's own encoding (snapfile), with the lineage of its views.
-// It is every full-state transfer a follower takes: a source ships one
-// whenever its effect ring cannot chain the follower's views (a bootstrap, a
-// restart, a ring miss, a lineage break, a position the source's WAL no
-// longer holds), and a follower with an empty directory starts from one.
-// Its wire form is the effect version, kind 1, the u64 lineage, the
-// snapfile bytes and a CRC-32C of everything before it. The snapfile bytes
-// carry checksums of their own and its decoder validates every structure, so
-// an image is checked as strictly as a checkpoint file is at recovery.
+// An image is one published snapshot — G and both views — in the
+// checkpoint's own encoding, with the lineage of its views: every
+// full-state transfer a follower takes. Its wire form is the effect
+// version, kind 1, the u64 lineage, the snapfile bytes (checksummed and
+// validated by snapfile, as a checkpoint is at recovery) and a CRC-32C of
+// everything before it.
 
-// Effect kinds, the second byte of every shipped effect.
+// The effect kinds, the second byte of every shipped effect, and the bytes
+// of an image before its snapfile encoding.
 const (
-	kindDiff  = 0
-	kindImage = 1
+	kindDiff    = 0
+	kindImage   = 1
+	imageHeader = 10
 )
-
-// imageHeader is the bytes of an image before its snapfile encoding.
-const imageHeader = 10
 
 // encodeImage returns the image of sn.
 func encodeImage(sn *Snapshot) []byte {
@@ -80,10 +75,9 @@ func decodeImage(b []byte) (*image, error) {
 }
 
 // OpenImage creates a store from an image (Store.Effects ships them) in
-// opts.Dir, which must hold no state: the install ApplyEffect runs on a live
-// store, over a directory with nothing to replace. A directory an install
-// left half done — no MANIFEST — holds no state. The store holds no
-// maintainer until its first write or promotion builds them.
+// opts.Dir, which must hold no state — a directory an install left half
+// done has none — through the install ApplyEffect runs on a live store. The
+// store holds no maintainer until its first write or promotion.
 func OpenImage(b []byte, opts *Options) (*Store, error) {
 	o := DefaultOptions()
 	if opts != nil {
@@ -115,11 +109,10 @@ func OpenImage(b []byte, opts *Options) (*Store, error) {
 	})
 }
 
-// installImage makes img the store's whole state: on a durable store the
-// directory's first (durable.install), then the snapshot at (lineage, its
-// epoch), with no maintainer and no effect of the replaced history. The
-// epoch may be below the current one: a survivor that got ahead of a new
-// leader. Writer goroutine, or an open before the writer has work.
+// installImage makes img the store's whole state, the directory's first,
+// with no maintainer and no effect of the replaced history. Its epoch may
+// be below the current one: a survivor that got ahead of a new leader.
+// Writer goroutine, or an open before the writer has work.
 func (s *Store) installImage(img *image) error {
 	p := img.parts
 	sn := s.snapshotOf(p, img.lineage)
@@ -139,25 +132,16 @@ func (s *Store) installImage(img *image) error {
 }
 
 // install replaces the directory's state with the snapshot file data at
-// epoch and runs swap, the store's in-memory half, under the checkpoint
-// lock: a checkpoint pins its view under that lock too, so none pins the
-// replaced history once this has begun. In order:
-//
-//  1. wait out a background checkpoint in flight, whose view is of the
-//     history being replaced;
-//  2. remove the MANIFEST: until step 5 the directory holds no state, and a
-//     crash leaves it for the next start to fill from a fresh image;
-//  3. write the snapshot file (faultfs.ReplaceFile, whose directory fsync
-//     also makes step 2 durable);
-//  4. reset the WAL to epoch+1, removing every other segment;
-//  5. write the MANIFEST for epoch;
-//  6. remove every other snapshot file;
-//  7. swap.
-//
-// A failure after step 2 leaves the directory without state while the
-// store still serves the replaced view, so it degrades the write path: the
-// recovery loop's checkpoint of the serving view makes the directory whole
-// again, as after any failed append.
+// epoch, then runs swap, the store's in-memory half, still under the
+// checkpoint lock a checkpoint pins its view under. In order: wait out a
+// background checkpoint in flight (its view is of the replaced history);
+// remove the MANIFEST, so that until the new one a crash leaves no state
+// for the next start to fill from a fresh image; write the snapshot file
+// (ReplaceFile's directory fsync also makes the removal durable); reset the
+// WAL to epoch+1; write the MANIFEST; remove every other snapshot file;
+// swap. A failure in between leaves the directory without state under a
+// store serving the replaced view, so it degrades the write path: the
+// recovery loop's checkpoint of that view makes the directory whole again.
 func (d *durable) install(epoch uint64, data []byte, swap func()) error {
 	d.wg.Wait()
 	d.mu.Lock()

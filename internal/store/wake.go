@@ -8,8 +8,8 @@ import (
 
 // Wake is the wake-up an epoch swap broadcasts: whoever moves a condition
 // others wait on — the engine publishing an epoch or fencing itself, a
-// follower swapping its store or catching up — calls Broadcast after the
-// move, and AwaitEpoch (or Await) parks until what it waits for is there. It replaces sleep-and-poll loops: a
+// follower catching up — calls Broadcast after the move, and Await parks
+// until what it waits for is there. It replaces sleep-and-poll loops: a
 // waiter costs nothing while parked and runs the moment the swap lands. The
 // zero value is ready; with nobody parked Broadcast is one uncontended lock.
 type Wake struct {
@@ -17,7 +17,7 @@ type Wake struct {
 	ch chan struct{} // non-nil while someone is parked; Broadcast closes it
 }
 
-// Broadcast wakes every parked AwaitEpoch to look again and,
+// Broadcast wakes every parked Await to look again and,
 // if anyone was parked, yields the processor so that they run before the
 // caller goes on. Call it after the state the condition reads has changed,
 // and before telling anyone else about the change: the engine broadcasts
@@ -39,18 +39,6 @@ func (w *Wake) Broadcast() {
 		close(ch)
 		runtime.Gosched()
 	}
-}
-
-// AwaitEpoch parks until src has published min, timeout passes, cancel is
-// closed or src is fenced — a fenced store publishes nothing more, there is
-// nothing to wait for — and returns the epoch src then reports. src must not
-// call back into the Wake.
-func (w *Wake) AwaitEpoch(src interface {
-	Epoch() uint64
-	Fenced() bool
-}, min uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
-	w.Await(func() bool { return src.Epoch() >= min || src.Fenced() }, timeout, cancel)
-	return src.Epoch()
 }
 
 // Await parks until ready reports true, timeout passes or cancel is closed,
