@@ -457,7 +457,7 @@ func FuzzDecodeEffect(f *testing.F) {
 	defer s.Close()
 	s.Effects(0, 0) // the first call turns recording on
 	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		b := gen.RandomBatch(rng, mirror, 6, 0.6)
 		mirror.Apply(b)
 		sn := s.Snapshot()
