@@ -533,12 +533,11 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 			break // the log ends short of the effect
 		}
 	}
-	fit, limit := 0, from-1 // the effects that go out, and the last frame they cover
-	if image {
-		fit = 1
-	}
-	for ; !image && fit < len(effects) && effects[fit].Epoch <= read; fit++ {
-		limit = effects[fit].Epoch
+	fit, limit := 1, from-1 // the effects that go out, and the last frame they cover
+	if !image {
+		for fit = 0; fit < len(effects) && effects[fit].Epoch <= read; fit++ {
+			limit = effects[fit].Epoch
+		}
 	}
 	next := 0
 	for _, r := range records {

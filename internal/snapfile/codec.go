@@ -74,9 +74,10 @@ type StoreParts struct {
 }
 
 // EncodeStore serializes a monolithic snapshot to its file image.
-func EncodeStore(p *StoreParts) []byte {
-	return encodeStore(p).encode()
-}
+func EncodeStore(p *StoreParts) []byte { return AppendStore(nil, p) }
+
+// AppendStore appends the file image of a monolithic snapshot to dst.
+func AppendStore(dst []byte, p *StoreParts) []byte { return encodeStore(p, dst).encode() }
 
 // WriteStore atomically persists a monolithic snapshot to path through
 // faultfs.ReplaceFile.
@@ -89,8 +90,8 @@ func WriteStoreFS(fsys faultfs.FS, path string, p *StoreParts) error {
 	return faultfs.ReplaceFile(faultfs.Or(fsys), path, EncodeStore(p))
 }
 
-func encodeStore(p *StoreParts) *writer {
-	w := newWriter(KindStore, p.Epoch)
+func encodeStore(p *StoreParts, dst []byte) *writer {
+	w := newWriter(KindStore, p.Epoch, dst)
 	shared := p.G.Labels()
 	w.strings(tagLabels, shared.Names())
 	putCSR(w, tagG, p.G, shared)
@@ -223,7 +224,7 @@ func EncodeSharded(p *ShardedParts) []byte {
 }
 
 func encodeSharded(p *ShardedParts) *writer {
-	w := newWriter(KindSharded, p.Epoch)
+	w := newWriter(KindSharded, p.Epoch, nil)
 	shared := p.Labels
 	w.strings(tagLabels, shared.Names())
 	w.u64(tagMeta, uint64(p.K))

@@ -46,6 +46,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"unsafe"
 
 	"repro/internal/faultfs"
@@ -101,16 +102,21 @@ const (
 	elemU64   = 3
 )
 
-// writer accumulates array blocks for one snapshot file.
+// writer accumulates array blocks for one snapshot file, appended to what
+// buf held when it was made: the file starts at base, with its header's
+// bytes reserved for encode to fill in.
 type writer struct {
 	kind   Kind
 	epoch  uint64
 	buf    []byte
+	base   int
 	blocks uint64
 }
 
-func newWriter(kind Kind, epoch uint64) *writer {
-	return &writer{kind: kind, epoch: epoch, buf: make([]byte, 0, 1<<16)}
+func newWriter(kind Kind, epoch uint64, dst []byte) *writer {
+	w := &writer{kind: kind, epoch: epoch, base: len(dst)}
+	w.buf = append(slices.Grow(dst, headerSize+1<<16), make([]byte, headerSize)...)
+	return w
 }
 
 // block appends a block descriptor; the caller appends body bytes and then
@@ -123,7 +129,7 @@ func (w *writer) block(tag uint32, elem uint8, count int) {
 }
 
 func (w *writer) pad() {
-	for len(w.buf)%8 != 0 {
+	for (len(w.buf)-w.base)%8 != 0 {
 		w.buf = append(w.buf, 0)
 	}
 }
@@ -200,20 +206,19 @@ func (w *writer) rows(tag uint32, v [][]int32) {
 	w.int32s(tag, flat)
 }
 
-// encode assembles the complete file image.
+// encode fills in the header and appends the payload checksum, completing
+// the file image in place.
 func (w *writer) encode() []byte {
-	out := make([]byte, 0, headerSize+len(w.buf)+4)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, version)
-	out = binary.LittleEndian.AppendUint32(out, uint32(w.kind))
-	out = binary.LittleEndian.AppendUint64(out, w.epoch)
-	out = binary.LittleEndian.AppendUint64(out, w.blocks)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(w.buf)))
-	out = binary.LittleEndian.AppendUint32(out, 0) // reserved
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
-	out = append(out, w.buf...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(w.buf, castagnoli))
-	return out
+	payload := w.buf[w.base+headerSize:]
+	h := append(w.buf[w.base:w.base], magic[:]...)
+	h = binary.LittleEndian.AppendUint32(h, version)
+	h = binary.LittleEndian.AppendUint32(h, uint32(w.kind))
+	h = binary.LittleEndian.AppendUint64(h, w.epoch)
+	h = binary.LittleEndian.AppendUint64(h, w.blocks)
+	h = binary.LittleEndian.AppendUint64(h, uint64(len(payload)))
+	h = binary.LittleEndian.AppendUint32(h, 0) // reserved
+	binary.LittleEndian.AppendUint32(h, crc32.Checksum(h, castagnoli))
+	return binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(payload, castagnoli))
 }
 
 // reader walks the block sequence of a verified payload.

@@ -235,7 +235,7 @@ func TestStoreDecodesLegacyPatternIndex(t *testing.T) {
 	g := gen.Social(rand.New(rand.NewSource(11)), 200, 800, 3)
 	want := buildStoreParts(g.Clone(), 5)
 	for _, present := range []bool{true, false} {
-		w := encodeStore(want)
+		w := encodeStore(want, nil)
 		if present {
 			w.u64(tagPatIdx, 1)
 			w.int32s(tagPatIdx+1, []int32{-7, 1 << 30})
@@ -252,7 +252,7 @@ func TestStoreDecodesLegacyPatternIndex(t *testing.T) {
 		sameCSR(t, "G", want.G, got.G)
 		sameCSR(t, "PatternGr", want.PatternGr, got.PatternGr)
 	}
-	w := encodeStore(want)
+	w := encodeStore(want, nil)
 	w.u64(tagPatIdx+7, 0)
 	if _, err := DecodeStore(w.encode()); err == nil {
 		t.Fatal("trailing block with a foreign tag decoded")

@@ -31,11 +31,8 @@ const (
 
 // encodeImage returns the image of sn.
 func encodeImage(sn *Snapshot) []byte {
-	data := snapfile.EncodeStore(storeParts(sn))
-	b := make([]byte, 0, imageHeader+len(data)+4)
-	b = append(b, effectVersion, kindImage)
-	b = binary.LittleEndian.AppendUint64(b, sn.Lineage)
-	b = append(b, data...)
+	b := binary.LittleEndian.AppendUint64([]byte{effectVersion, kindImage}, sn.Lineage)
+	b = snapfile.AppendStore(b, storeParts(sn))
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
