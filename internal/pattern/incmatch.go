@@ -84,7 +84,7 @@ func (m *IncMatcher) Apply(batch []graph.Update) {
 	c := m.g.Freeze()
 	sc := scratches.Get().(*scratch)
 	defer sc.release(c.NumNodes())
-	m.ok, _ = refine(c, m.p, m.s, sc)
+	m.ok, _ = refine(c, m.p, m.s, sc, fewerRows)
 }
 
 // rematch evaluates the pattern from its label candidates. The matcher
@@ -95,6 +95,6 @@ func (m *IncMatcher) rematch() {
 	if m.ok {
 		sc := scratches.Get().(*scratch)
 		defer sc.release(c.NumNodes())
-		m.ok, _ = refine(c, m.p, m.s, sc)
+		m.ok, _ = refine(c, m.p, m.s, sc, fewerRows)
 	}
 }

@@ -32,6 +32,22 @@
 // edges into t share t's counters. They are built by one bounded reverse
 // BFS from sim(t) when the first edge into t is examined.
 //
+// Only the top level, j = K_t−1, is built from either side (the direction
+// choice of direction-optimizing BFS: Beamer, Asanović & Patterson, SC
+// 2012). Nothing reads it but the edges (u,t,K_t), at v ∈ sim(u). A push
+// scans the in-rows of the level's input — sim(t) when K_t = 1, else the
+// nodes first reached one level down — and counts every node; a pull
+// scans the out-row of each candidate q ∈ sim(u) and sets cnt_t[K_t−1][q]
+// by the formula above, the value a push writes there. The build pulls iff
+// Σ_u |sim(u)| over those edges is below the input's size: both are set
+// sizes already held, so the choice costs O(1) per target. (Summing the
+// rows' lengths instead cost more than it saved when most patterns fail
+// after one or two builds.) The lower levels are always pushed and
+// complete, since each defines the next level's input. A node that is no
+// candidate keeps top count 0 after a pull, and drops still reach it: its
+// counter falls below 0 and never returns to 0, so a drop there does
+// nothing — the drain acts on a count that reaches exactly 0.
+//
 // Candidates come from the CSR's label index (graph.CSR.NodesLabeled): each
 // pattern node copies its label's group, so only the first Match on a CSR
 // reads its label array.
@@ -63,8 +79,9 @@
 //     drop, and deciding after it counts the drop twice
 //     (TestMatchSelfLoopTwoBounds).
 //
-// Each drop scans one predecessor row, so a Match costs O(Σ_t K_t·(|V|+|E|))
-// rather than rounds × |Ep| × (|V| + k·|E|). An edge with bound * or above
+// Each drop scans one predecessor row and a pull one successor row per
+// candidate, so a Match costs O(Σ_t K_t·(|V|+|E|)) rather than rounds ×
+// |Ep| × (|V| + k·|E|). An edge with bound * or above
 // maxLevel, and every edge into a target past the maxLevels budget, is
 // refined by queries.ReverseWithinCSR instead, rerun only while its target
 // set has changed; its removals feed the counters like any other. So no
@@ -175,22 +192,21 @@ func MatchCSR(c *graph.CSR, p *Pattern) *Result {
 	return r
 }
 
-// matchCounted is MatchCSR that also returns the predecessor rows the
-// refinement scanned.
-func matchCounted(c *graph.CSR, p *Pattern) (*Result, int) {
+// matchCounted is MatchCSR that also returns the work its refinement did.
+func matchCounted(c *graph.CSR, p *Pattern) (*Result, work) {
 	n := c.NumNodes()
 	sc := scratches.Get().(*scratch)
 	defer sc.release(n)
 	s, ok := candidates(c, p, sc.flags(p.NumNodes()*n))
 	defer s.unmark()
 	if !ok {
-		return &Result{OK: false}, 0
+		return &Result{OK: false}, work{}
 	}
-	ok, rows := refine(c, p, s, sc)
+	ok, w := refine(c, p, s, sc, fewerRows)
 	if !ok {
-		return &Result{OK: false}, rows
+		return &Result{OK: false}, w
 	}
-	return s.result(), rows
+	return s.result(), w
 }
 
 // Expand is the post-processing function P of the pattern preserving

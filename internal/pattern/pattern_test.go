@@ -323,6 +323,13 @@ func FuzzMatch(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4}, []byte{0, 0, 0, 0, 2, 0, 0, 3})
 	f.Add([]byte{5, 0, 0, 0, 1, 0, 0, 0, 1, 1, 2, 2, 3, 3, 2, 4, 5, 5, 4}, []byte{2, 0, 0, 1, 0, 1, 3, 1, 0, 3, 1, 1, 1})
 	f.Add([]byte{2, 0, 1, 0, 0, 1, 1, 2}, []byte{1, 0, 0, 0, 1, 11, 1, 0, 0})
+	// Three on which the set-size rule pulls the top level (fewer source
+	// candidates than rows a push scans): bound 1 from two B nodes, one
+	// without an A successor, into three A nodes; bound 2 through two C
+	// nodes; and the self-loop with bounds 2 and 3 on the one B node.
+	f.Add([]byte{4, 1, 0, 0, 0, 1, 0, 1, 1, 2, 2, 3, 4, 4}, []byte{1, 1, 0, 0, 1, 1})
+	f.Add([]byte{5, 1, 0, 0, 0, 2, 2, 4, 1, 5, 2, 0, 4, 1, 2, 2, 3}, []byte{1, 1, 0, 0, 1, 2})
+	f.Add([]byte{4, 1, 0, 0, 0, 0, 1, 0, 2, 0, 3, 1, 4, 2, 0, 1}, []byte{0, 1, 0, 0, 2, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, gb, pb []byte) {
 		if len(gb) == 0 || len(pb) == 0 {
 			return

@@ -148,12 +148,35 @@ func (sc *scratch) release(n int) {
 	scratches.Put(sc)
 }
 
+// direction is how build counts a target's top level: from the side that
+// scans fewer rows, or, for the tests that hold the two against each
+// other, always one way.
+type direction uint8
+
+const (
+	fewerRows direction = iota
+	push
+	pull
+)
+
+// work is what one refinement scanned: predecessor rows (counter builds
+// and drops), adjacency entries in both directions (the in-rows a build
+// pushes and a drop scans, the out-rows a pull reads), and how many
+// targets had their counters built and how many of those pulled their top
+// level.
+type work struct {
+	rows, entries int
+	built, pulled int
+}
+
 // refiner runs one refinement; see the package doc for the counters and
 // the drop rule.
 type refiner struct {
 	c      *graph.CSR
+	p      *Pattern
 	s      *sets
 	n      int
+	dir    direction
 	lv     []int       // lv[t]: t's counter levels K_t, 0 if t has none
 	cnt    [][]int32   // cnt[t]: level j at [j·n, (j+1)·n); nil until built
 	up     [][][]int32 // up[t][j]: sources u of the edges (u, t, j+1)
@@ -161,7 +184,7 @@ type refiner struct {
 	far    []farEdge
 	sc     *scratch
 	used   int // counters of sc.cnt handed out
-	rows   int // predecessor rows scanned
+	work   work
 	failed bool
 }
 
@@ -170,11 +193,20 @@ type refiner struct {
 // match; on false s is left partly refined. Any superset of the maximum
 // match converges to it: every removal is justified by the current sets,
 // which only shrink (this is what IncMatcher's deletion path relies on).
-// rows counts the predecessor rows the counters scanned. sc lends the
-// counters and the queue; its stack may hold drops on return.
-func refine(c *graph.CSR, p *Pattern, s *sets, sc *scratch) (ok bool, rows int) {
+// dir says how each target's top counter level is built; the answer does
+// not depend on it. sc lends the counters and the queue; its stack may
+// hold drops on return.
+func refine(c *graph.CSR, p *Pattern, s *sets, sc *scratch, dir direction) (ok bool, w work) {
+	r := newRefiner(c, p, s, sc, dir)
+	ok = r.run()
+	return ok, r.work
+}
+
+// newRefiner sizes the counter levels of every bounded target of p and
+// lends them from sc; none is built yet.
+func newRefiner(c *graph.CSR, p *Pattern, s *sets, sc *scratch, dir direction) *refiner {
 	np, n := p.NumNodes(), c.NumNodes()
-	r := &refiner{c: c, s: s, n: n, lv: make([]int, np), cnt: make([][]int32, np),
+	r := &refiner{c: c, p: p, s: s, n: n, dir: dir, lv: make([]int, np), cnt: make([][]int32, np),
 		up: make([][][]int32, np), ver: make([]int, np), sc: sc}
 	for _, es := range p.adj {
 		for _, e := range es {
@@ -205,12 +237,16 @@ func refine(c *graph.CSR, p *Pattern, s *sets, sc *scratch) (ok bool, rows int) 
 			}
 		}
 	}
+	return r
+}
 
-	// Examine the edges cheapest target first (package doc), building each
-	// target's counters on first use, and settle every cascade before the
-	// next edge.
+// run examines the edges cheapest target first (package doc), building each
+// target's counters on first use, and settles every cascade before the
+// next edge.
+func (r *refiner) run() bool {
+	s, sc := r.s, r.sc
 	order := sc.order[:0]
-	for u, es := range p.adj {
+	for u, es := range r.p.adj {
 		for _, e := range es {
 			order = append(order, edgeRef{u: int32(u), e: e})
 		}
@@ -234,7 +270,7 @@ func refine(c *graph.CSR, p *Pattern, s *sets, sc *scratch) (ok bool, rows int) 
 			r.runFar(&r.far[len(r.far)-1])
 		}
 		if !r.drain() {
-			return false, r.rows
+			return false
 		}
 	}
 	// The counters keep every bounded edge settled; the far edges are rerun
@@ -246,12 +282,12 @@ func refine(c *graph.CSR, p *Pattern, s *sets, sc *scratch) (ok bool, rows int) 
 				changed = true
 				r.runFar(f)
 				if !r.drain() {
-					return false, r.rows
+					return false
 				}
 			}
 		}
 	}
-	return true, r.rows
+	return true
 }
 
 // level returns cnt_t[j].
@@ -262,42 +298,89 @@ func (r *refiner) level(t int32, j int) []int32 {
 // build computes t's counters by one bounded reverse BFS from sim(t):
 // level 0 counts successors in sim(t), and level j+1 is level j plus the
 // in-rows of the nodes first reached at level j (those not in sim(t) whose
-// level-j count just left 0).
+// level-j count just left 0). The top level, which only the candidates of
+// the edges (u, t, K_t) read, is pushed that way or pulled at those
+// candidates, whichever scans fewer rows (package doc).
 func (r *refiner) build(t int32) {
 	k, n, in := r.lv[t], r.n, r.s.in[t]
 	r.cnt[t] = r.sc.cnt[r.used : r.used+k*n]
 	r.used += k * n
 	clear(r.cnt[t])
-	front := r.sc.front[:0]
-	lvl := r.level(t, 0)
-	members := r.s.live(t)
-	r.rows += len(members)
-	for _, x := range members {
-		for _, q := range r.c.Predecessors(x) {
-			if lvl[q] == 0 && !in[q] {
-				front = append(front, q)
-			}
-			lvl[q]++
+	r.work.built++
+	// src is the level's input: sim(t) at level 0, then the nodes first
+	// reached one level down.
+	src, front, reach := r.s.live(t), r.sc.front[:0], r.sc.reach[:0]
+	var prev []int32
+	for j := range k {
+		lvl := r.level(t, j)
+		if j == k-1 && r.pulls(t, len(src)) {
+			r.pull(t, lvl, prev)
+			break
 		}
-	}
-	reach := r.sc.reach[:0]
-	for j := 1; j < k; j++ {
-		prev := lvl
-		lvl = r.level(t, j)
 		copy(lvl, prev)
-		reach = reach[:0]
-		r.rows += len(front)
-		for _, x := range front {
-			for _, q := range r.c.Predecessors(x) {
+		r.work.rows += len(src)
+		for _, x := range src {
+			preds := r.c.Predecessors(x)
+			r.work.entries += len(preds)
+			for _, q := range preds {
 				if lvl[q] == 0 && !in[q] {
 					reach = append(reach, q)
 				}
 				lvl[q]++
 			}
 		}
-		front, reach = reach, front
+		prev = lvl
+		front, reach = reach, front[:0]
+		src = front
 	}
 	r.sc.front, r.sc.reach = front, reach
+}
+
+// pulls reports whether t's top level is pulled: when the candidates that
+// read it are fewer than the in-rows a push would scan. Both sides are set
+// sizes already held, so the choice costs O(|up|).
+func (r *refiner) pulls(t int32, rows int) bool {
+	switch r.dir {
+	case push:
+		return false
+	case pull:
+		return true
+	}
+	cands := 0
+	for _, u := range r.up[t][r.lv[t]-1] {
+		cands += r.s.size[u]
+	}
+	return cands < rows
+}
+
+// pull sets t's top level at each candidate q ∈ sim(u) of the edges
+// (u, t, K_t) to its successors in sim(t) or, above level 0, with a positive
+// count one level down (prev): the value a push writes there. Every other
+// node keeps 0, which its drops take below 0 (drain).
+func (r *refiner) pull(t int32, lvl, prev []int32) {
+	in := r.s.in[t]
+	r.work.pulled++
+	for _, u := range r.up[t][r.lv[t]-1] {
+		for _, q := range r.s.live(u) {
+			succ := r.c.Successors(q)
+			r.work.entries += len(succ)
+			var c int32
+			if prev == nil {
+				for _, x := range succ {
+					if in[x] {
+						c++
+					}
+				}
+			} else {
+				for _, x := range succ {
+					if in[x] || prev[x] > 0 {
+						c++
+					}
+				}
+			}
+			lvl[q] = c
+		}
+	}
 }
 
 // remove takes v out of sim(u) and queues the drops it causes at u's
@@ -333,9 +416,13 @@ func (r *refiner) drain() bool {
 		r.sc.stack = r.sc.stack[:len(r.sc.stack)-1]
 		t, j := d.t, int(d.j)
 		lvl, in := r.level(t, j), r.s.in[t]
-		r.rows++
-		for _, q := range r.c.Predecessors(d.x) {
-			if lvl[q]--; lvl[q] > 0 {
+		preds := r.c.Predecessors(d.x)
+		r.work.rows++
+		r.work.entries += len(preds)
+		for _, q := range preds {
+			// A pulled top level holds no count off its candidates, so
+			// there a drop takes 0 below 0 and reaches nothing.
+			if lvl[q]--; lvl[q] != 0 {
 				continue
 			}
 			// Decide q's drop one level up before removing it anywhere:

@@ -50,8 +50,8 @@ func retired(tag uint32) bool {
 // StoreParts is the decoded state of one monolithic Store snapshot: what
 // recovery reads. That is the frozen CSR of G, the reachability quotient
 // with its node mapping and cyclic flags, and the pattern quotient with its
-// node mapping and member index (Expand reads the members). Slices alias
-// the load buffer; everything is immutable after decode.
+// node mapping and member index (Expand reads the members). The arrays
+// are the decode's own; everything is immutable after decode.
 type StoreParts struct {
 	// Epoch is the snapshot's batch epoch.
 	Epoch uint64
@@ -104,9 +104,8 @@ func encodeStore(p *StoreParts, dst []byte) *writer {
 	return w
 }
 
-// DecodeStore decodes and validates a monolithic snapshot image. Returned
-// slices alias data; the caller keeps the buffer alive as long as the
-// snapshot serves.
+// DecodeStore decodes and validates a monolithic snapshot image. Nothing
+// returned aliases data.
 func DecodeStore(data []byte) (*StoreParts, error) {
 	r, err := open(data)
 	if err != nil {
@@ -164,7 +163,7 @@ func LoadStore(path string) (*StoreParts, error) {
 
 // LoadStoreFS is LoadStore over an explicit filesystem.
 func LoadStoreFS(fsys faultfs.FS, path string) (*StoreParts, error) {
-	data, err := readFileAligned(faultfs.Or(fsys), path)
+	data, err := faultfs.Or(fsys).ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +393,7 @@ func LoadSharded(path string) (*ShardedParts, error) {
 
 // LoadShardedFS is LoadSharded over an explicit filesystem.
 func LoadShardedFS(fsys faultfs.FS, path string) (*ShardedParts, error) {
-	data, err := readFileAligned(faultfs.Or(fsys), path)
+	data, err := faultfs.Or(fsys).ReadFile(path)
 	if err != nil {
 		return nil, err
 	}

@@ -15,19 +15,20 @@
 // reader steps over such a block wherever it appears, without looking at
 // its body, so one decode path serves old and new files alike.
 //
-// # Layout: slice, don't decode
+// # Layout: one copy per block
 //
 // The file is a 48-byte header, a sequence of typed array blocks, and a
 // trailing CRC-32C over the payload. Every block is a 16-byte descriptor
 // (tag, element kind, count) followed by the raw little-endian element
 // data padded to 8 bytes, so every block body is 8-aligned relative to the
-// file start. The loader reads the file into one 8-aligned buffer, checks
-// the checksum, and hands out []int32 views that alias the buffer
-// directly — loading a snapshot costs one sequential read plus an O(|V|+|E|)
-// bounds-validation scan, never a per-element decode or per-row allocation.
-// (The same property makes the layout mmap-ready: nothing in a block body
-// needs rewriting to be used in place.) On big-endian hosts the views fall
-// back to copy-and-swap, preserving the on-disk format.
+// file start. The loader reads the file, checks the checksum, and copies
+// each int32 block into an array of its own — one memmove on little-endian
+// hosts, copy-and-swap on big-endian ones — so loading a snapshot costs one
+// sequential read, one copy and an O(|V|+|E|) bounds-validation scan,
+// never a per-element decode or per-row allocation. Nothing decoded
+// aliases the input: once a decode returns, the buffer it read (a file, or
+// an image a follower was shipped) can be collected while the decoded
+// arrays serve.
 //
 // # Integrity and safety
 //
@@ -44,8 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
 	"slices"
 	"unsafe"
 
@@ -225,15 +224,13 @@ func (w *writer) encode() []byte {
 type reader struct {
 	kind    Kind
 	epoch   uint64
-	payload []byte // 8-aligned backing; block bodies are aliased from it
+	payload []byte
 	pos     int
 	left    uint64 // blocks remaining
 }
 
 // open verifies the header and payload checksums of a complete file image
-// and returns a reader positioned at the first block. data must be
-// 8-aligned for zero-copy views; misaligned input (possible under the
-// fuzzer) is copied into an aligned buffer first.
+// and returns a reader positioned at the first block.
 func open(data []byte) (*reader, error) {
 	if len(data) < headerSize+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any snapshot", ErrFormat, len(data))
@@ -257,11 +254,6 @@ func open(data []byte) (*reader, error) {
 	payload := data[headerSize : headerSize+int(payloadLen)]
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[headerSize+int(payloadLen):]) {
 		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrFormat)
-	}
-	if uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 != 0 {
-		aligned := alignedBuf(len(data))
-		copy(aligned, data)
-		payload = aligned[headerSize : headerSize+int(payloadLen)]
 	}
 	return &reader{kind: kind, epoch: epoch, payload: payload, left: blocks}, nil
 }
@@ -343,8 +335,7 @@ func (r *reader) block() (b blockView, ok bool, err error) {
 	return b, false, nil
 }
 
-// int32s returns the next int32 block, aliasing the file buffer on
-// little-endian hosts.
+// int32s returns the next int32 block copied into an array of its own.
 func (r *reader) int32s(tag uint32) ([]int32, error) {
 	body, count, err := r.next(tag, elemInt32)
 	if err != nil {
@@ -353,17 +344,19 @@ func (r *reader) int32s(tag uint32) ([]int32, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	if hostLE {
-		return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(body))), count), nil
-	}
 	out := make([]int32, count)
+	if hostLE {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), 4*count), body)
+		return out, nil
+	}
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
 	}
 	return out, nil
 }
 
-// bytes returns the next byte block as a view.
+// bytes returns the next byte block as a view of the payload, which its
+// callers copy out of.
 func (r *reader) bytes(tag uint32) ([]byte, error) {
 	body, _, err := r.next(tag, elemByte)
 	return body, err
@@ -422,8 +415,8 @@ func (r *reader) strings(tag uint32) ([]string, error) {
 	return out, nil
 }
 
-// rows reads a ragged array written by writer.rows; rows alias the flat
-// block.
+// rows reads a ragged array written by writer.rows; rows alias one flat
+// array.
 func (r *reader) rows(tag uint32) ([][]int32, error) {
 	off, err := r.int32s(tag)
 	if err != nil {
@@ -450,34 +443,6 @@ func (r *reader) rows(tag uint32) ([][]int32, error) {
 	return out, nil
 }
 
-// alignedBuf allocates an 8-aligned byte buffer of the given size.
-func alignedBuf(size int) []byte {
-	backing := make([]uint64, (size+7)/8)
-	if size == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&backing[0])), size)
-}
-
-// readFileAligned reads a whole file into an 8-aligned buffer so the
-// zero-copy int32 views are correctly aligned.
-func readFileAligned(fsys faultfs.FS, path string) ([]byte, error) {
-	st, err := fsys.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := alignedBuf(int(st.Size()))
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // Verify re-reads the snapshot at path and checks its header and payload
 // checksums without decoding any blocks, returning the bytes read — the
 // scrubber's rate-accounting unit. Damage is reported wrapping ErrFormat.
@@ -485,7 +450,7 @@ func Verify(path string) (int64, error) { return VerifyFS(faultfs.Disk, path) }
 
 // VerifyFS is Verify over an explicit filesystem.
 func VerifyFS(fsys faultfs.FS, path string) (int64, error) {
-	data, err := readFileAligned(fsys, path)
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}

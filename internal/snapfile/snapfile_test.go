@@ -3,8 +3,10 @@ package snapfile
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	"repro/internal/bisim"
 	"repro/internal/gen"
@@ -79,6 +81,30 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal("cyclic flags or block map differ after the round trip")
 	}
 	sameReach(t, want.G, got.ReachGr, got.ReachClassOf)
+}
+
+// TestDecodedPartsPinNoBuffer decodes a store and a sharded snapshot and
+// drops the buffers they were decoded from: nothing decoded may reach them.
+func TestDecodedPartsPinNoBuffer(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(7)), 300, 1200, 4)
+	store, sharded := EncodeStore(buildStoreParts(g.Clone(), 17)), EncodeSharded(buildShardedParts(g, 3, 17))
+	sp, err := DecodeStore(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shp, err := DecodeSharded(sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, wsh := weak.Make(&store[0]), weak.Make(&sharded[0])
+	store, sharded = nil, nil
+	runtime.GC()
+	runtime.GC()
+	if ws.Value() != nil || wsh.Value() != nil {
+		t.Fatal("the decoded parts still reach the buffer they were decoded from")
+	}
+	runtime.KeepAlive(sp)
+	runtime.KeepAlive(shp)
 }
 
 // sameReach samples pairs of g and fails unless the quotient gr under

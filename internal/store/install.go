@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,7 +40,8 @@ func encodeImage(sn *Snapshot) []byte {
 func isImage(b []byte) bool { return len(b) > 1 && b[1] == kindImage }
 
 // image is a decoded image: the lineage of its views, its snapfile encoding
-// in a buffer of its own — the decoded parts alias it — and those parts.
+// — a view of the shipped bytes, which the install writes to disk — and the
+// parts decoded from it, which own their arrays.
 type image struct {
 	lineage uint64
 	data    []byte
@@ -60,9 +60,10 @@ func decodeImage(b []byte) (*image, error) {
 	if b[0] != effectVersion || b[1] != kindImage {
 		return nil, fmt.Errorf("image version %d kind %d", b[0], b[1])
 	}
-	// A copy: shipped bytes alias a connection's read buffer, and the
-	// snapshot serves from the decoded arrays.
-	img := &image{lineage: binary.LittleEndian.Uint64(b[2:]), data: bytes.Clone(body[imageHeader:])}
+	// No copy: the decoded parts own their arrays, so the shipped bytes,
+	// which may alias a connection's read buffer, are needed only until the
+	// install returns.
+	img := &image{lineage: binary.LittleEndian.Uint64(b[2:]), data: body[imageHeader:]}
 	p, err := snapfile.DecodeStore(img.data)
 	if err != nil {
 		return nil, err

@@ -17,19 +17,23 @@ type Wake struct {
 	ch chan struct{} // non-nil while someone is parked; Broadcast closes it
 }
 
-// Broadcast wakes every parked Await to look again and,
-// if anyone was parked, yields the processor so that they run before the
-// caller goes on. Call it after the state the condition reads has changed,
-// and before telling anyone else about the change: the engine broadcasts
-// an epoch before it sends the batch's results, and the order is measured,
-// not taste. With one P a parked tail round that ships its frame before
-// the ack is flushed costs the ack that one service, ≈ 0.1 ms. Without the
-// yield the result send takes the woken round's turn, the ack is flushed
-// first and the follower's socket is written last; netpoll hands out the
-// goroutine of the socket written last first, and the follower's apply of
-// the batch runs ahead of the client reading its ack: the ack lands ≈ 1 ms
-// into that apply (EXPERIMENTS.md, "Visibility on a follower", has both
-// event logs).
+// Broadcast wakes every parked Await to look again and, if anyone was
+// parked, yields the processor. Call it after the state the condition reads
+// has changed, and before telling anyone else about the change: the engine
+// broadcasts an epoch before it sends the batch's results. At one P the
+// yield usually lets a parked tail round ship its frame before the ack is
+// flushed, for ≈ 0.04 ms of service, so the follower's apply of the batch
+// runs after the client has read its ack. Without the yield the result send
+// takes the woken round's turn, the follower's socket is written last,
+// netpoll runs the goroutine of the socket written last first, and the ack
+// lands ≈ 1 ms into the follower's apply. The yield is no guarantee:
+// Gosched puts the caller behind every goroutine runnable at that moment,
+// not only the ones it woke, and a GC cycle or the background checkpoint
+// can still hand the follower's read and apply the processor first. Over
+// 168 traced writes on wire-repl the follower went first in 4, and in about
+// half the writes the benchmark's timer-driven speedometer also ran inside
+// the yield, for 0.1–0.26 ms (EXPERIMENTS.md, "Visibility on a follower",
+// has the traces and the earlier one-P event logs).
 func (w *Wake) Broadcast() {
 	w.mu.Lock()
 	ch := w.ch
