@@ -64,16 +64,6 @@ func compactSide(rows []span, adj []Node) side {
 	return side{rows: rows, adj: a.buf, ar: a, compact: true}
 }
 
-// fromOffsets returns the compact side of an offset table (len |V|+1) over
-// the flat array adj.
-func fromOffsets(off []int32, adj []Node) side {
-	rows := make([]span, len(off)-1)
-	for v := range rows {
-		rows[v] = span{off[v], off[v+1]}
-	}
-	return compactSide(rows, adj)
-}
-
 func (s *side) row(v Node) []Node {
 	r := s.rows[v]
 	return s.adj[r.lo:r.hi]
@@ -259,28 +249,33 @@ func BuildFromSortedAdj(labels *Labels, label []Label, out [][]Node) *Graph {
 }
 
 // transpose returns the compact predecessor side of the successor side out,
-// which holds m entries. Sources are walked in ascending order, so every
-// predecessor row comes out sorted; a row's hi is its fill cursor until the
-// walk ends.
+// which holds m entries.
 func transpose(out *side, m int) side {
-	n := len(out.rows)
-	rows := make([]span, n)
+	in := make([]span, len(out.rows))
 	for v := range out.rows {
 		for _, w := range out.row(Node(v)) {
-			rows[w].hi++
+			in[w].hi++
 		}
 	}
-	for v, pos := 0, int32(0); v < n; v++ {
-		deg := rows[v].hi
-		rows[v] = span{pos, pos}
+	return fill(out, in, m)
+}
+
+// fill completes the predecessor side of out from in, whose row v holds v's
+// in-degree in hi. Sources are walked in ascending order, so every
+// predecessor row comes out sorted; a row's hi is its fill cursor until the
+// walk ends.
+func fill(out *side, in []span, m int) side {
+	for v, pos := 0, int32(0); v < len(in); v++ {
+		deg := in[v].hi
+		in[v] = span{pos, pos}
 		pos += deg
 	}
 	adj := make([]Node, m)
 	for u := range out.rows {
 		for _, w := range out.row(Node(u)) {
-			adj[rows[w].hi] = Node(u)
-			rows[w].hi++
+			adj[in[w].hi] = Node(u)
+			in[w].hi++
 		}
 	}
-	return compactSide(rows, adj)
+	return compactSide(in, adj)
 }

@@ -25,9 +25,12 @@ func patchByUpdates(p *Patcher, g *Graph, prev *CSR, ups []Update) *CSR {
 // from it never meets g's writes.
 func freezeApart(g *Graph) *CSR {
 	c := g.Freeze()
-	return &CSR{labels: c.labels, label: c.label, m: c.m,
-		out: fromOffsets(c.OutOffsets(), slices.Clone(c.OutAdj())),
-		in:  fromOffsets(c.InOffsets(), slices.Clone(c.InAdj()))}
+	off, rows := c.OutOffsets(), make([]span, c.NumNodes())
+	for v := range rows {
+		rows[v] = span{off[v], off[v+1]}
+	}
+	out := compactSide(rows, slices.Clone(c.OutAdj()))
+	return &CSR{labels: c.labels, label: c.label, m: c.m, out: out, in: transpose(&out, c.m)}
 }
 
 // patchRows patches prev at the rows ids, ascending, to g's rows there.

@@ -5,9 +5,9 @@ import "fmt"
 // This file is the stable serialization surface of the graph substrate:
 // a CSR's flat form for encoders, and validated bulk constructors for
 // decoders. The on-disk layout itself lives in internal/snapfile; graph only
-// promises that the four flat arrays plus the label table reproduce a
+// promises that the successor side plus the label table reproduce a
 // snapshot exactly, however it was built: a patched CSR and the Freeze of
-// the same graph have one flat form.
+// the same graph have one flat form, and the predecessor side is derived.
 
 // OutOffsets returns the successor offset table (len |V|+1) of the flat
 // form, derived from the row table in O(|V|). Read-only.
@@ -38,65 +38,87 @@ func LabelsFromNames(names []string) (*Labels, error) {
 	return l, nil
 }
 
-// CSRFromArrays reconstructs a compact CSR snapshot from its flat arrays, as
-// returned by LabelIDs, OutOffsets, OutAdj, InOffsets and InAdj. The
-// adjacency arrays are retained, not copied, and never written: a decoder
-// can alias them straight into a file buffer so that loading is
-// O(validation), with no per-edge work beyond one bounds-and-order scan. The
-// row tables are built from the offsets.
+// CSRFromRows builds a CSR from its successor side alone — the label ids,
+// the offset table and the flat rows — and derives the predecessor side by
+// one transposition, O(|V|+|E|). It is how a decoder that was sent only the
+// rows (a snapshot file, a replica's shipped quotient) gets the compact CSR
+// Freeze would give. outAdj is retained, not copied, and never written.
 //
 // Validation covers every invariant the read paths rely on for memory
-// safety and search correctness: consistent lengths, monotone offset
-// tables covering the whole adjacency arrays, node ids in range, rows
-// strictly increasing, and label ids known to the table. It does not
-// cross-check that the in-adjacency is the exact transpose of the
-// out-adjacency (an O(|E| log) pass); callers that need integrity against
-// arbitrary corruption get it from the snapshot file's checksum.
-func CSRFromArrays(labels *Labels, label []Label, outOff []int32, outAdj []Node, inOff []int32, inAdj []Node) (*CSR, error) {
-	if labels == nil {
-		return nil, fmt.Errorf("graph: CSRFromArrays: nil label table")
-	}
-	n := len(label)
-	if len(outOff) != n+1 || len(inOff) != n+1 {
-		return nil, fmt.Errorf("graph: CSRFromArrays: offset tables have %d/%d entries, want %d", len(outOff), len(inOff), n+1)
-	}
-	if len(outAdj) != len(inAdj) {
-		return nil, fmt.Errorf("graph: CSRFromArrays: %d out-edges vs %d in-edges", len(outAdj), len(inAdj))
-	}
-	if err := checkLabels(labels, label); err != nil {
-		return nil, err
-	}
-	if err := checkAdjacency("out", n, outOff, outAdj); err != nil {
-		return nil, err
-	}
-	if err := checkAdjacency("in", n, inOff, inAdj); err != nil {
-		return nil, err
-	}
-	return &CSR{labels: labels, label: label, m: len(outAdj), out: fromOffsets(outOff, outAdj), in: fromOffsets(inOff, inAdj)}, nil
-}
-
-// CSRFromRows builds a CSR from its successor side alone — the label ids,
-// the offset table and the flat rows, validated as CSRFromArrays validates
-// them — and derives the predecessor side by one transposition, O(|V|+|E|).
-// It is how a decoder that was sent only the rows (a replica's shipped
-// quotient) gets the compact CSR Freeze would give. outAdj is retained, not
-// copied, and never written.
+// safety and search correctness: consistent lengths, a monotone offset
+// table covering the whole adjacency array, node ids in range, rows
+// strictly increasing, and label ids known to the table. The predecessor
+// side is derived, so it agrees with the successor side by construction.
 func CSRFromRows(labels *Labels, label []Label, outOff []int32, outAdj []Node) (*CSR, error) {
-	if labels == nil {
-		return nil, fmt.Errorf("graph: CSRFromRows: nil label table")
-	}
 	n := len(label)
 	if len(outOff) != n+1 {
 		return nil, fmt.Errorf("graph: CSRFromRows: offset table has %d entries, want %d", len(outOff), n+1)
 	}
+	if outOff[0] != 0 || int(outOff[n]) != len(outAdj) {
+		return nil, fmt.Errorf("graph: CSRFromRows: offsets span [%d,%d], want [0,%d]", outOff[0], outOff[n], len(outAdj))
+	}
+	rows := make([]span, n)
+	for v := range rows {
+		lo, hi := outOff[v], outOff[v+1]
+		if hi < lo || int(hi) > len(outAdj) {
+			return nil, fmt.Errorf("graph: CSRFromRows: offsets decrease or overrun at node %d", v)
+		}
+		rows[v] = span{lo, hi}
+	}
+	return fromSuccessors(labels, label, rows, outAdj)
+}
+
+// CSRFromDegrees is CSRFromRows with the successor side given by its
+// out-degrees instead of an offset table: row v is the next deg[v] entries
+// of outAdj. The degrees are read, not retained, so a decoder can pass a
+// view of a narrow on-disk array straight through.
+func CSRFromDegrees[D uint8 | uint16 | int32](labels *Labels, label []Label, deg []D, outAdj []Node) (*CSR, error) {
+	if len(deg) != len(label) {
+		return nil, fmt.Errorf("graph: CSRFromDegrees: %d degrees for %d nodes", len(deg), len(label))
+	}
+	rows := make([]span, len(deg))
+	m, pos := int64(len(outAdj)), int64(0)
+	for v, d := range deg {
+		end := pos + int64(d)
+		if end < pos || end > m {
+			return nil, fmt.Errorf("graph: CSRFromDegrees: degree %d of node %d overruns %d edges", d, v, m)
+		}
+		rows[v] = span{int32(pos), int32(end)}
+		pos = end
+	}
+	if pos != m {
+		return nil, fmt.Errorf("graph: CSRFromDegrees: degrees sum to %d of %d edges", pos, m)
+	}
+	return fromSuccessors(labels, label, rows, outAdj)
+}
+
+// fromSuccessors validates the labels and the successor rows over adj —
+// row spans already checked to lie in adj — and derives the predecessor
+// side. The validation pass also counts in-degrees, so the derivation costs
+// one more walk over the rows.
+func fromSuccessors(labels *Labels, label []Label, rows []span, adj []Node) (*CSR, error) {
+	if labels == nil {
+		return nil, fmt.Errorf("graph: nil label table")
+	}
 	if err := checkLabels(labels, label); err != nil {
 		return nil, err
 	}
-	if err := checkAdjacency("out", n, outOff, outAdj); err != nil {
-		return nil, err
+	in := make([]span, len(rows))
+	for v, r := range rows {
+		prev := Node(-1)
+		for _, w := range adj[r.lo:r.hi] {
+			if uint(w) >= uint(len(in)) {
+				return nil, fmt.Errorf("graph: row of node %d references invalid node %d", v, w)
+			}
+			if w <= prev {
+				return nil, fmt.Errorf("graph: row of node %d not sorted/unique", v)
+			}
+			in[w].hi++
+			prev = w
+		}
 	}
-	succ := fromOffsets(outOff, outAdj)
-	return &CSR{labels: labels, label: label, m: len(outAdj), out: succ, in: transpose(&succ, len(outAdj))}, nil
+	out := compactSide(rows, adj)
+	return &CSR{labels: labels, label: label, m: len(adj), out: out, in: fill(&out, in, len(adj))}, nil
 }
 
 // checkLabels validates every label id against the table.
@@ -105,31 +127,6 @@ func checkLabels(labels *Labels, label []Label) error {
 	for v, lb := range label {
 		if lb < 0 || lb >= nl {
 			return fmt.Errorf("graph: node %d has unknown label id %d", v, lb)
-		}
-	}
-	return nil
-}
-
-// checkAdjacency validates one offset table + flat adjacency pair: offsets
-// monotone from 0 to len(adj), every row sorted strictly increasing, every
-// referenced node id in [0, n).
-func checkAdjacency(side string, n int, off []int32, adj []Node) error {
-	if off[0] != 0 || int(off[n]) != len(adj) {
-		return fmt.Errorf("graph: %s offsets span [%d,%d], want [0,%d]", side, off[0], off[n], len(adj))
-	}
-	for v := 0; v < n; v++ {
-		if off[v+1] < off[v] || int(off[v+1]) > len(adj) {
-			return fmt.Errorf("graph: %s offsets decrease or overrun at node %d", side, v)
-		}
-		prev := Node(-1)
-		for _, w := range adj[off[v]:off[v+1]] {
-			if w <= prev {
-				return fmt.Errorf("graph: %s row of node %d not sorted/unique", side, v)
-			}
-			if int(w) < 0 || int(w) >= n {
-				return fmt.Errorf("graph: %s row of node %d references invalid node %d", side, v, w)
-			}
-			prev = w
 		}
 	}
 	return nil

@@ -19,10 +19,16 @@ import (
 
 // retiredBlock reports whether a snapshot file block tag is one of those
 // older encoders wrote and snapfile now skips: G's locality permutation
-// (0x0f0, 0x0f1), the reach member rows (0x121) and the reach and pattern
-// 2-hop groups (0x160–0x164, 0x1c0–0x1c4).
+// (0x0f0, 0x0f1), the reach and pattern member rows (0x121, 0x181), the
+// reach and pattern 2-hop groups (0x160–0x164, 0x1c0–0x1c4) and the
+// predecessor side, base+5 and base+6, of each CSR (bases 0x100, 0x140,
+// 0x1a0).
 func retiredBlock(tag uint32) bool {
-	return tag == 0x0f0 || tag == 0x0f1 || tag == 0x121 || tag >= 0x160 && tag <= 0x164 || tag >= 0x1c0 && tag <= 0x1c4
+	switch tag {
+	case 0x0f0, 0x0f1, 0x121, 0x181, 0x105, 0x106, 0x145, 0x146, 0x1a5, 0x1a6:
+		return true
+	}
+	return tag >= 0x160 && tag <= 0x164 || tag >= 0x1c0 && tag <= 0x1c4
 }
 
 // checkpointTags lists the block tags of the checkpoint file dir's manifest
@@ -37,12 +43,18 @@ func checkpointTags(t *testing.T, dir string) []uint32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elemSize := map[byte]int{1: 4, 2: 1, 3: 8}
+	// Element kinds: int32, byte, u64, and int32 arrays stored in one or
+	// two bytes.
+	elemSize := map[byte]int{1: 4, 2: 1, 3: 8, 4: 1, 5: 2}
 	var tags []uint32
 	for pos := 48; pos < len(data)-4; {
 		n := int(binary.LittleEndian.Uint64(data[pos+8:]))
-		tags = append(tags, binary.LittleEndian.Uint32(data[pos:]))
-		pos += 16 + (n*elemSize[data[pos+4]]+7)&^7
+		tag, size := binary.LittleEndian.Uint32(data[pos:]), elemSize[data[pos+4]]
+		if size == 0 {
+			t.Fatalf("block %#x has unknown element kind %d", tag, data[pos+4])
+		}
+		tags = append(tags, tag)
+		pos += 16 + (n*size+7)&^7
 	}
 	return tags
 }

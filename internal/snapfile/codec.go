@@ -18,7 +18,7 @@ const (
 	tagReachC   = 0x120 // +1, the member rows, is retired
 	tagReachGr  = 0x140
 	tagReachIdx = 0x160 // retired: 2-hop index over the reach quotient
-	tagPatC     = 0x180
+	tagPatC     = 0x180 // +1, the member rows, is retired
 	tagPatGr    = 0x1a0
 	tagPatIdx   = 0x1c0 // retired: 2-hop index over the pattern quotient
 	tagMeta     = 0x200 // sharded: K, ShardOf, NodeLabel, CrossOut
@@ -29,20 +29,28 @@ const (
 )
 
 // retired reports whether tag names a block older encoders wrote and no
-// reader needs: G's locality permutation, the reach member rows and the
-// 2-hop indexes (a presence flag and four label structures, base to
-// base+4). The reader steps over such a block wherever it appears, so files
-// that carry them load as ones that do not. A shard's blocks sit at the
-// monolithic tags' offsets from tagG.
+// reader needs: G's locality permutation, the reach and pattern member
+// rows, the 2-hop indexes (a presence flag and four label structures, base
+// to base+4) and the predecessor side of every CSR (offsets and rows, base+5
+// and base+6). The reader steps over such a block wherever it appears, so
+// files that carry them load as ones that do not. A shard's blocks sit at
+// the monolithic tags' offsets from tagG.
 func retired(tag uint32) bool {
 	if tag >= tagShard0 {
 		tag = tagG + (tag-tagShard0)%tagShardStr
 	}
-	switch {
-	case tag == tagGPerm, tag == tagGPerm+1, tag == tagReachC+1:
+	switch tag {
+	case tagGPerm, tagGPerm + 1, tagReachC + 1, tagPatC + 1:
 		return true
+	}
+	switch {
 	case tag >= tagReachIdx && tag <= tagReachIdx+4, tag >= tagPatIdx && tag <= tagPatIdx+4:
 		return true
+	}
+	for _, base := range [...]uint32{tagG, tagReachGr, tagPatGr, tagSummary, tagStitched} {
+		if tag == base+5 || tag == base+6 {
+			return true
+		}
 	}
 	return false
 }
@@ -50,8 +58,9 @@ func retired(tag uint32) bool {
 // StoreParts is the decoded state of one monolithic Store snapshot: what
 // recovery reads. That is the frozen CSR of G, the reachability quotient
 // with its node mapping and cyclic flags, and the pattern quotient with its
-// node mapping and member index (Expand reads the members). The arrays
-// are the decode's own; everything is immutable after decode.
+// node mapping and member index (Expand reads the members; the decode
+// derives them from the mapping). The arrays are the decode's own;
+// everything is immutable after decode.
 type StoreParts struct {
 	// Epoch is the snapshot's batch epoch.
 	Epoch uint64
@@ -69,7 +78,8 @@ type StoreParts struct {
 	PatternGr *graph.CSR
 	// PatternBlockOf maps every node of G to its bisimulation block.
 	PatternBlockOf []graph.Node
-	// PatternMembers lists each block's member nodes.
+	// PatternMembers lists each block's member nodes, ascending. It is not
+	// written: the decoder groups PatternBlockOf, and the encoder ignores it.
 	PatternMembers [][]graph.Node
 }
 
@@ -98,7 +108,6 @@ func encodeStore(p *StoreParts, dst []byte) *writer {
 	putReach(w, tagReachC, p.ReachClassOf, p.ReachCyclic)
 	putCSR(w, tagReachGr, p.ReachGr, shared)
 	w.int32s(tagPatC, p.PatternBlockOf)
-	w.rows(tagPatC+1, p.PatternMembers)
 	w.bools(tagPatC+2, nil)
 	putCSR(w, tagPatGr, p.PatternGr, shared)
 	return w
@@ -138,18 +147,16 @@ func DecodeStore(data []byte) (*StoreParts, error) {
 	if p.PatternBlockOf, err = r.int32s(tagPatC); err != nil {
 		return nil, err
 	}
-	if p.PatternMembers, err = r.rows(tagPatC + 1); err != nil {
-		return nil, err
-	}
 	if _, err = r.bools(tagPatC + 2); err != nil { // always empty: a pattern block has no cyclic flags
 		return nil, err
 	}
 	if p.PatternGr, err = readCSR(r, tagPatGr, p.Labels); err != nil {
 		return nil, err
 	}
-	if err = validateCompressed("pattern", n, p.PatternGr.NumNodes(), p.PatternBlockOf, p.PatternMembers); err != nil {
+	if err = validateMap("pattern", n, p.PatternGr.NumNodes(), p.PatternBlockOf); err != nil {
 		return nil, err
 	}
+	p.PatternMembers = graph.GroupNodes(p.PatternBlockOf, p.PatternGr.NumNodes())
 	if err = r.end(); err != nil {
 		return nil, err
 	}
@@ -366,7 +373,7 @@ func DecodeSharded(data []byte) (*ShardedParts, error) {
 	if len(st.Members) != nb || len(st.ShardOfBlock) != nb {
 		return nil, fmt.Errorf("%w: stitched quotient has %d nodes but %d member lists, %d shard entries", ErrFormat, nb, len(st.Members), len(st.ShardOfBlock))
 	}
-	if err = validateCompressed("stitched", n, nb, st.BlockOf, st.Members); err != nil {
+	if err = validateMap("stitched", n, nb, st.BlockOf); err != nil {
 		return nil, err
 	}
 	for b, s := range st.ShardOfBlock {
@@ -374,6 +381,9 @@ func DecodeSharded(data []byte) (*ShardedParts, error) {
 			return nil, fmt.Errorf("%w: stitched block %d in unknown shard %d", ErrFormat, b, s)
 		}
 		for _, v := range st.Members[b] {
+			if int(v) < 0 || int(v) >= n {
+				return nil, fmt.Errorf("%w: stitched block %d contains invalid node %d", ErrFormat, b, v)
+			}
 			if p.ShardOf[v] != s {
 				return nil, fmt.Errorf("%w: stitched block %d claims shard %d but member %d lives in shard %d", ErrFormat, b, s, v, p.ShardOf[v])
 			}
@@ -400,34 +410,45 @@ func LoadShardedFS(fsys faultfs.FS, path string) (*ShardedParts, error) {
 	return DecodeSharded(data)
 }
 
-// putCSR writes one CSR. When the CSR's label table is not the file's
-// shared table it is embedded privately (e.g. the σ table of a
-// reachability quotient).
+// CSR flag bits, in the u64 block at a CSR's base tag.
+const (
+	csrPrivateLabels = 1 << 0 // base+1 holds the CSR's own label table
+	csrDegrees       = 1 << 1 // base+3 holds out-degrees, not an offset table
+)
+
+// putCSR writes one CSR's successor side: label ids, out-degrees and the
+// flat rows. The predecessor side is derived on load. When the CSR's label
+// table is not the file's shared table it is embedded privately (e.g. the σ
+// table of a reachability quotient).
 func putCSR(w *writer, base uint32, c *graph.CSR, shared *graph.Labels) {
 	private := c.Labels() != shared
-	var flags uint64
+	flags := uint64(csrDegrees)
 	if private {
-		flags |= 1
+		flags |= csrPrivateLabels
 	}
 	w.u64(base, flags)
 	if private {
 		w.strings(base+1, c.Labels().Names())
 	}
 	w.int32s(base+2, c.LabelIDs())
-	w.int32s(base+3, c.OutOffsets())
+	deg := make([]int32, c.NumNodes())
+	for v := range deg {
+		deg[v] = int32(c.OutDegree(graph.Node(v)))
+	}
+	w.int32s(base+3, deg)
 	w.int32s(base+4, c.OutAdj())
-	w.int32s(base+5, c.InOffsets())
-	w.int32s(base+6, c.InAdj())
 }
 
-// readCSR reads one CSR written by putCSR, fully validated.
+// readCSR reads one CSR written by putCSR, fully validated, deriving its
+// predecessor side. Files older encoders wrote hold an offset table at
+// base+3 and the predecessor side at the retired tags base+5 and base+6.
 func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 	flags, err := r.u64(base)
 	if err != nil {
 		return nil, err
 	}
 	labels := shared
-	if flags&1 != 0 {
+	if flags&csrPrivateLabels != 0 {
 		names, err := r.strings(base + 1)
 		if err != nil {
 			return nil, err
@@ -440,27 +461,37 @@ func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	outOff, err := r.int32s(base + 3)
+	rows, err := r.next(base+3, elemInt32)
 	if err != nil {
 		return nil, err
 	}
-	outAdj, err := r.int32s(base + 4)
+	adj, err := r.int32s(base + 4)
 	if err != nil {
 		return nil, err
 	}
-	inOff, err := r.int32s(base + 5)
-	if err != nil {
-		return nil, err
+	var c *graph.CSR
+	if flags&csrDegrees != 0 {
+		c, err = fromDegrees(labels, label, rows, adj)
+	} else {
+		c, err = graph.CSRFromRows(labels, label, rows.int32s(), adj)
 	}
-	inAdj, err := r.int32s(base + 6)
-	if err != nil {
-		return nil, err
-	}
-	c, err := graph.CSRFromArrays(labels, label, outOff, outAdj, inOff, inAdj)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	return c, nil
+}
+
+// fromDegrees builds a CSR over the out-degree block deg, read in place at
+// one or two bytes where the host allows. Four-byte degrees need a node of
+// out-degree 2^16 or more, and are widened first.
+func fromDegrees(labels *graph.Labels, label []graph.Label, deg blockView, adj []graph.Node) (*graph.CSR, error) {
+	if deg.elem == elemU8 {
+		return graph.CSRFromDegrees(labels, label, deg.body, adj)
+	}
+	if v, ok := u16s(deg); ok {
+		return graph.CSRFromDegrees(labels, label, v, adj)
+	}
+	return graph.CSRFromDegrees(labels, label, deg.int32s(), adj)
 }
 
 // putReach writes a reach compression's node mapping and cyclic flags, at
@@ -487,24 +518,6 @@ func readReach(r *reader, base uint32) (classOf []graph.Node, cyclic []bool, err
 func validateReach(what string, n, numClasses int, classOf []graph.Node, cyclic []bool) error {
 	if len(cyclic) != numClasses {
 		return fmt.Errorf("%w: %s has %d cyclic flags for %d classes", ErrFormat, what, len(cyclic), numClasses)
-	}
-	return validateMap(what, n, numClasses, classOf)
-}
-
-// validateCompressed checks a node mapping and member index against the
-// node count of G and the class count of the quotient: exactly the
-// invariants Rewrite, Expand and the routing layers rely on to stay in
-// bounds.
-func validateCompressed(what string, n, numClasses int, classOf []graph.Node, members [][]graph.Node) error {
-	if len(members) != numClasses {
-		return fmt.Errorf("%w: %s has %d member lists for %d classes", ErrFormat, what, len(members), numClasses)
-	}
-	for c := range members {
-		for _, v := range members[c] {
-			if int(v) < 0 || int(v) >= n {
-				return fmt.Errorf("%w: %s class %d contains invalid node %d", ErrFormat, what, c, v)
-			}
-		}
 	}
 	return validateMap(what, n, numClasses, classOf)
 }

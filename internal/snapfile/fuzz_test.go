@@ -1,47 +1,119 @@
 package snapfile
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
-// FuzzDecode drives both snapshot decoders over arbitrary bytes, seeded
-// with valid store and sharded images, new and as older encoders wrote
-// them with their retired blocks (the fuzzer mutates them into
-// truncations and bit flips). Any input must produce a clean error or a
-// valid decode — never a panic, and never an out-of-range structure: the
-// decoders' validation layer is exactly what keeps a forged file from
-// crashing the query paths later.
+// FuzzDecode drives both snapshot decoders over edited snapshot images.
+// Its bases are valid store and sharded images whose int32 blocks take one,
+// two and (in the files older encoders wrote, retired blocks and all) four
+// bytes; an input picks a base and a script of edits to it (see edit).
+// After the edits the image is resealed — its payload length and both
+// checksums recomputed — so that a mutation reaches the block walk and the
+// validators behind the checksums instead of failing them; the script
+// itself is decoded too, as arbitrary bytes. The script, not the image, is
+// what the fuzzer mutates and minimizes, so both stay cheap on 40 KB bases.
+// Any input must produce a clean error or a valid decode: never a panic,
+// never an out-of-range structure, every CSR's predecessor side the
+// transpose of its successor side, and the pattern members the grouping of
+// the block map. The decoders' validation layer is exactly what keeps a
+// forged file from crashing the query paths later.
 func FuzzDecode(f *testing.F) {
-	g := gen.Social(rand.New(rand.NewSource(1)), 60, 200, 3)
-	f.Add(EncodeStore(buildStoreParts(g.Clone(), 3)))
-	f.Add(readGolden(f, legacyStore))
-	f.Add(EncodeSharded(buildShardedParts(g.Clone(), 2, 5)))
-	f.Add(readGolden(f, legacySharded))
-	f.Add([]byte("QPGSNAP1 but not really"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, err := DecodeStore(data); err == nil {
-			// A decode that succeeds must uphold the invariants it claims
-			// to validate.
-			n := p.G.NumNodes()
-			for _, c := range p.ReachClassOf {
-				if int(c) < 0 || int(c) >= p.ReachGr.NumNodes() {
-					t.Fatalf("accepted store snapshot with class %d of %d", c, p.ReachGr.NumNodes())
-				}
-			}
-			if len(p.PatternBlockOf) != n {
-				t.Fatalf("accepted store snapshot with %d block entries for %d nodes", len(p.PatternBlockOf), n)
-			}
-		}
-		if p, err := DecodeSharded(data); err == nil {
-			for v, s := range p.ShardOf {
-				if int(s) < 0 || int(s) >= p.K {
-					t.Fatalf("accepted sharded snapshot with node %d in shard %d of %d", v, s, p.K)
-				}
-			}
-		}
+	small := gen.Social(rand.New(rand.NewSource(1)), 60, 200, 3)
+	wide := gen.Social(rand.New(rand.NewSource(2)), 300, 700, 3)
+	bases := [][]byte{
+		EncodeStore(buildStoreParts(small.Clone(), 3)), // every int32 block in one byte
+		readGolden(f, legacyStore),                     // four bytes, offset tables, retired blocks
+		EncodeSharded(buildShardedParts(small, 2, 5)),
+		readGolden(f, legacySharded),
+		EncodeStore(buildStoreParts(wide, 4)), // node ids in two bytes
+	}
+	for b := range bases {
+		f.Add(uint8(b), []byte(nil))
+	}
+	f.Add(uint8(0), []byte{0, 0x40, 0x00, 0x10})                // a bit of the first block's body flipped
+	f.Add(uint8(4), []byte{2, 0x00, 0x01, 0, 1, 0x48, 0x00, 7}) // a cut at byte 256, then byte 72 set
+	f.Fuzz(func(t *testing.T, base uint8, edits []byte) {
+		checkDecodes(t, edits)
+		checkDecodes(t, edit(bases[int(base)%len(bases)], edits))
 	})
+}
+
+// edit applies a script of edits to a copy of image and reseals it. Every
+// four bytes of the script are one edit: an op, a little-endian 16-bit
+// position taken modulo the image's length, and a value. Op 0 (mod 4) xors
+// the byte at the position with the value, 1 sets it, 2 cuts the image
+// there, and 3 inserts the value before it.
+func edit(image, script []byte) []byte {
+	out := slices.Clone(image)
+	for ; len(script) >= 4 && len(out) > 0; script = script[4:] {
+		pos, val := int(binary.LittleEndian.Uint16(script[1:]))%len(out), script[3]
+		switch script[0] % 4 {
+		case 0:
+			out[pos] ^= val
+		case 1:
+			out[pos] = val
+		case 2:
+			out = out[:pos]
+		case 3:
+			out = slices.Insert(out, pos, val)
+		}
+	}
+	return reseal(out)
+}
+
+// reseal sets the header's payload length and both checksums of data to
+// match its bytes, in place, unless it is too short to hold a header.
+func reseal(data []byte) []byte {
+	if len(data) < headerSize+4 {
+		return data
+	}
+	end := len(data) - 4
+	binary.LittleEndian.PutUint64(data[32:40], uint64(end-headerSize))
+	binary.LittleEndian.PutUint32(data[44:48], crc32.Checksum(data[:44], castagnoli))
+	binary.LittleEndian.PutUint32(data[end:], crc32.Checksum(data[headerSize:end], castagnoli))
+	return data
+}
+
+// checkDecodes decodes data as either kind and holds a decode that
+// succeeds to the invariants it claims to validate.
+func checkDecodes(t *testing.T, data []byte) {
+	t.Helper()
+	if p, err := DecodeStore(data); err == nil {
+		n := p.G.NumNodes()
+		for _, c := range p.ReachClassOf {
+			if int(c) < 0 || int(c) >= p.ReachGr.NumNodes() {
+				t.Fatalf("accepted store snapshot with class %d of %d", c, p.ReachGr.NumNodes())
+			}
+		}
+		if len(p.PatternBlockOf) != n {
+			t.Fatalf("accepted store snapshot with %d block entries for %d nodes", len(p.PatternBlockOf), n)
+		}
+		if want := graph.GroupNodes(p.PatternBlockOf, p.PatternGr.NumNodes()); !slices.EqualFunc(p.PatternMembers, want, slices.Equal) {
+			t.Fatal("accepted store snapshot whose pattern members are not the grouping of its block map")
+		}
+		checkTranspose(t, "G", p.G)
+		checkTranspose(t, "ReachGr", p.ReachGr)
+		checkTranspose(t, "PatternGr", p.PatternGr)
+	}
+	if p, err := DecodeSharded(data); err == nil {
+		for v, s := range p.ShardOf {
+			if int(s) < 0 || int(s) >= p.K {
+				t.Fatalf("accepted sharded snapshot with node %d in shard %d of %d", v, s, p.K)
+			}
+		}
+		for _, sp := range p.Shards {
+			checkTranspose(t, "shard G", sp.G)
+			checkTranspose(t, "shard ReachGr", sp.ReachGr)
+		}
+		checkTranspose(t, "summary", p.Summary.S)
+		checkTranspose(t, "stitched", p.Stitched.Q)
+	}
 }

@@ -5,10 +5,13 @@ import (
 	"os"
 	"slices"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // The golden files were written by the encoder that still persisted G's
-// locality permutation, the reach member rows and the 2-hop indexes: a
+// locality permutation, the member rows, the 2-hop indexes and both row
+// directions of every CSR, every int32 block at four bytes: a
 // monolithic checkpoint of a store at epoch 6, re-encoded with G's
 // permutation and the pattern quotient's 2-hop trailer added, and a
 // 3-shard checkpoint as that store wrote it.
@@ -31,14 +34,58 @@ func readGolden(t testing.TB, path string) []byte {
 func blockTags(t *testing.T, data []byte) []uint32 {
 	t.Helper()
 	var tags []uint32
-	size := map[uint8]uint64{elemInt32: 4, elemByte: 1, elemU64: 8}
+	for _, b := range walkBlocks(t, data) {
+		tags = append(tags, b.tag)
+	}
+	return tags
+}
+
+// walkBlocks returns every block of a file image, retired ones included,
+// by walking the descriptors; an element kind it does not know fails the
+// test rather than mis-walk the rest.
+func walkBlocks(t *testing.T, data []byte) []blockView {
+	t.Helper()
+	size := map[uint8]uint64{elemInt32: 4, elemByte: 1, elemU64: 8, elemU8: 1, elemU16: 2}
+	var blocks []blockView
 	for pos := headerSize; pos < len(data)-4; {
 		tag, elem := binary.LittleEndian.Uint32(data[pos:]), data[pos+4]
 		n := binary.LittleEndian.Uint64(data[pos+8:])
-		tags = append(tags, tag)
-		pos += blockHeader + int((n*size[elem]+7)&^7)
+		w, ok := size[elem]
+		if !ok {
+			t.Fatalf("block %#x has unknown element kind %d", tag, elem)
+		}
+		start := pos + blockHeader
+		blocks = append(blocks, blockView{tag: tag, elem: elem, body: data[start : start+int(n*w)], count: int(n)})
+		pos = start + int((n*w+7)&^7)
 	}
-	return tags
+	return blocks
+}
+
+// storedInts returns the int32 blocks tagged tag, widened, in file order.
+func storedInts(t *testing.T, data []byte, tag uint32) [][]int32 {
+	t.Helper()
+	var out [][]int32
+	for _, b := range walkBlocks(t, data) {
+		if b.tag == tag && intKind(b.elem) {
+			out = append(out, b.int32s())
+		}
+	}
+	return out
+}
+
+// sameStoredIn fails unless the predecessor side an older encoder stored
+// for the CSR at base — offsets at base+5, rows at base+6 — is the one the
+// decode derived.
+func sameStoredIn(t *testing.T, data []byte, what string, base uint32, c *graph.CSR) {
+	t.Helper()
+	off, adj := storedInts(t, data, base+5), storedInts(t, data, base+6)
+	if len(off) != 1 || len(adj) != 1 {
+		t.Fatalf("%s: %d stored in-offset and %d in-row blocks, want 1 each", what, len(off), len(adj))
+	}
+	if !slices.Equal(off[0], c.InOffsets()) || !slices.Equal(adj[0], c.InAdj()) {
+		t.Fatalf("%s: the derived predecessor side differs from the stored one", what)
+	}
+	checkTranspose(t, what, c)
 }
 
 func retiredTags(tags []uint32) []uint32 {
@@ -52,12 +99,14 @@ func retiredTags(tags []uint32) []uint32 {
 }
 
 // TestLegacyFilesDecode: files the older encoder wrote carry every retired
-// block, decode to valid parts, and re-encode to a file that carries none
-// and decodes to the same parts.
+// block, decode to valid parts whose derived predecessor sides and pattern
+// members are the ones the file stored, and re-encode to a file that
+// carries none and decodes to the same parts.
 func TestLegacyFilesDecode(t *testing.T) {
 	data := readGolden(t, legacyStore)
-	want := []uint32{tagGPerm, tagGPerm + 1, tagReachC + 1, tagReachIdx, tagReachIdx + 1, tagReachIdx + 2, tagReachIdx + 3, tagReachIdx + 4,
-		tagPatIdx, tagPatIdx + 1, tagPatIdx + 2, tagPatIdx + 3, tagPatIdx + 4}
+	want := []uint32{tagG + 5, tagG + 6, tagGPerm, tagGPerm + 1, tagReachC + 1, tagReachGr + 5, tagReachGr + 6,
+		tagReachIdx, tagReachIdx + 1, tagReachIdx + 2, tagReachIdx + 3, tagReachIdx + 4,
+		tagPatC + 1, tagPatGr + 5, tagPatGr + 6, tagPatIdx, tagPatIdx + 1, tagPatIdx + 2, tagPatIdx + 3, tagPatIdx + 4}
 	if got := retiredTags(blockTags(t, data)); !slices.Equal(got, want) {
 		t.Fatalf("golden store file carries retired tags %#x, want %#x", got, want)
 	}
@@ -66,6 +115,16 @@ func TestLegacyFilesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameReach(t, p.G, p.ReachGr, p.ReachClassOf)
+	sameStoredIn(t, data, "G", tagG, p.G)
+	sameStoredIn(t, data, "ReachGr", tagReachGr, p.ReachGr)
+	sameStoredIn(t, data, "PatternGr", tagPatGr, p.PatternGr)
+	off := []int32{0}
+	for _, m := range p.PatternMembers {
+		off = append(off, off[len(off)-1]+int32(len(m)))
+	}
+	if members := storedInts(t, data, tagPatC+1); len(members) != 2 || !slices.Equal(off, members[0]) || !slices.Equal(slices.Concat(p.PatternMembers...), members[1]) {
+		t.Fatal("the derived pattern members differ from the stored ones")
+	}
 	again := EncodeStore(p)
 	if got := retiredTags(blockTags(t, again)); got != nil {
 		t.Fatalf("re-encoded store file carries retired tags %#x", got)
@@ -77,7 +136,8 @@ func TestLegacyFilesDecode(t *testing.T) {
 	sameCSR(t, "G", p.G, q.G)
 	sameCSR(t, "ReachGr", p.ReachGr, q.ReachGr)
 	sameCSR(t, "PatternGr", p.PatternGr, q.PatternGr)
-	if !slices.Equal(p.ReachClassOf, q.ReachClassOf) || !slices.Equal(p.ReachCyclic, q.ReachCyclic) || !slices.Equal(p.PatternBlockOf, q.PatternBlockOf) {
+	if !slices.Equal(p.ReachClassOf, q.ReachClassOf) || !slices.Equal(p.ReachCyclic, q.ReachCyclic) || !slices.Equal(p.PatternBlockOf, q.PatternBlockOf) ||
+		!slices.EqualFunc(p.PatternMembers, q.PatternMembers, slices.Equal) {
 		t.Fatal("maps differ after the re-encode")
 	}
 	t.Logf("store: %d bytes as written, %d re-encoded", len(data), len(again))
@@ -90,6 +150,13 @@ func TestLegacyFilesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for s, shard := range sp.Shards {
+		base := uint32(tagShard0 + s*tagShardStr)
+		sameStoredIn(t, data, "shard G", base, shard.G)
+		sameStoredIn(t, data, "shard ReachGr", base+0x40, shard.ReachGr)
+	}
+	sameStoredIn(t, data, "summary", tagSummary, sp.Summary.S)
+	sameStoredIn(t, data, "stitched", tagStitched, sp.Stitched.Q)
 	again = EncodeSharded(sp)
 	if got := retiredTags(blockTags(t, again)); got != nil {
 		t.Fatalf("re-encoded sharded file carries retired tags %#x", got)
@@ -107,6 +174,10 @@ func TestLegacyFilesDecode(t *testing.T) {
 			t.Fatalf("shard %d maps differ after the re-encode", s)
 		}
 	}
+	sameCSR(t, "summary", sp.Summary.S, sq.Summary.S)
 	sameCSR(t, "stitched", sp.Stitched.Q, sq.Stitched.Q)
+	if !slices.Equal(sp.Stitched.BlockOf, sq.Stitched.BlockOf) || !slices.EqualFunc(sp.Stitched.Members, sq.Stitched.Members, slices.Equal) {
+		t.Fatal("stitched map or members differ after the re-encode")
+	}
 	t.Logf("sharded: %d bytes as written, %d re-encoded", len(data), len(again))
 }

@@ -2,33 +2,50 @@
 // versioned, checksummed, flat binary container holding what recovery
 // reads of one epoch — the CSR of G, the reachability quotient with its
 // node mapping and cyclic flags (the paper's ⟨R, F⟩; reachability needs no
-// post-processing), the pattern quotient with its node mapping and the
-// member index Expand reads, and (for the sharded store) the per-shard
-// epoch vector, boundary summary and stitched quotient. Nothing derived
-// from these is written: a 2-hop index is rebuilt from the quotient on
-// first use, and a reach member list is GroupNodes over the node mapping.
+// post-processing), the pattern quotient with its node mapping, and (for
+// the sharded store) the per-shard epoch vector, boundary summary and
+// stitched quotient. Nothing derivable from these is written: a CSR is
+// stored as its successor side alone (label ids, out-degrees, flat rows)
+// and its predecessor side is one transposition on load; the pattern
+// member index is one counting sort over the node mapping; a 2-hop index
+// is rebuilt from the quotient on first use, and a reach member list is
+// GroupNodes over the node mapping.
 //
 // # Retired blocks
 //
-// Older encoders also wrote G's locality permutation, the reach member
-// rows and 2-hop indexes over both quotients. Those tags are retired: the
-// reader steps over such a block wherever it appears, without looking at
-// its body, so one decode path serves old and new files alike.
+// Older encoders also wrote G's locality permutation, the reach and
+// pattern member rows, 2-hop indexes over both quotients and the
+// predecessor side of every CSR. Those tags are retired: the reader steps
+// over such a block wherever it appears, without looking at its body, so
+// one decode path serves old and new files alike. Their CSRs carry an
+// offset table where new files carry out-degrees; a flag bit in each CSR's
+// leading block tells the two apart.
 //
-// # Layout: one copy per block
+// # Layout: blocks at their narrowest width
 //
 // The file is a 48-byte header, a sequence of typed array blocks, and a
 // trailing CRC-32C over the payload. Every block is a 16-byte descriptor
 // (tag, element kind, count) followed by the raw little-endian element
 // data padded to 8 bytes, so every block body is 8-aligned relative to the
-// file start. The loader reads the file, checks the checksum, and copies
-// each int32 block into an array of its own — one memmove on little-endian
-// hosts, copy-and-swap on big-endian ones — so loading a snapshot costs one
-// sequential read, one copy and an O(|V|+|E|) bounds-validation scan,
-// never a per-element decode or per-row allocation. Nothing decoded
-// aliases the input: once a decode returns, the buffer it read (a file, or
-// an image a follower was shipped) can be collected while the decoded
-// arrays serve.
+// file start. An int32 array is stored at the narrowest width that holds
+// every value unsigned — one, two or four bytes, four for any negative
+// value — so node ids below 2^16 take two bytes and label ids below 2^8
+// one. The loader reads the file, checks the checksum, and widens each
+// int32 block into an array of its own: one memmove for a four-byte block
+// on a little-endian host, a tight widening loop otherwise. Out-degrees
+// of one or two bytes are read in place, straight into the CSR's row
+// table. Loading a snapshot thus costs one sequential read, one widening
+// copy per block, an O(|V|+|E|) validation scan and the transpositions,
+// never a per-row allocation. Nothing decoded aliases the input: once a
+// decode returns, the buffer it read (a file, or an image a follower was
+// shipped) can be collected while the decoded arrays serve.
+//
+// # Compatibility
+//
+// A reader accepts every element kind an older encoder wrote, and files
+// that carry retired blocks. A reader older than the narrow element kinds
+// rejects a file that uses them with ErrFormat (unknown element kind), so
+// followers must be upgraded before their leader ships them an image.
 //
 // # Integrity and safety
 //
@@ -37,7 +54,9 @@
 // re-validated against the invariants the read paths rely on for memory
 // safety (offset monotonicity, id ranges, partition consistency), so even
 // an adversarial file that forges its checksums yields an error, never a
-// panic — the property the fuzz targets pin down.
+// panic — the property the fuzz targets pin down. The predecessor sides and
+// the pattern members are derived, so they agree with what they are derived
+// from by construction.
 package snapfile
 
 import (
@@ -75,7 +94,8 @@ func (k Kind) String() string {
 
 // version 2 added the locality-permutation block of G (tagGPerm, since
 // retired); version-1 files are rejected with a clear error. Dropping a
-// retired block needs no new version: readers skip it.
+// retired block needs no new version: readers skip it. Nor did the narrow
+// element kinds: a reader that predates them rejects them as unknown.
 const (
 	version     = 2
 	headerSize  = 48
@@ -95,11 +115,34 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // zero-copy slice views; the on-disk format is little-endian either way.
 var hostLE = binary.NativeEndian.Uint16([]byte{0x01, 0x00}) == 1
 
+// Element kinds. An int32 array is stored at the narrowest width that holds
+// every value unsigned — elemU8, elemU16, or elemInt32 when a value needs
+// more or is negative — and any int32 reader accepts all three.
 const (
 	elemInt32 = 1
 	elemByte  = 2
 	elemU64   = 3
+	elemU8    = 4
+	elemU16   = 5
 )
+
+// elemSize is the byte width of an element kind, 0 for an unknown kind.
+func elemSize(elem uint8) int {
+	switch elem {
+	case elemByte, elemU8:
+		return 1
+	case elemU16:
+		return 2
+	case elemInt32:
+		return 4
+	case elemU64:
+		return 8
+	}
+	return 0
+}
+
+// intKind reports whether elem is one of the int32 array widths.
+func intKind(elem uint8) bool { return elem == elemInt32 || elem == elemU8 || elem == elemU16 }
 
 // writer accumulates array blocks for one snapshot file, appended to what
 // buf held when it was made: the file starts at base, with its header's
@@ -133,11 +176,29 @@ func (w *writer) pad() {
 	}
 }
 
-// int32s writes an int32 array block. On little-endian hosts the body is
-// one bulk copy of the slice's memory.
+// int32s writes an int32 array block at the narrowest width that holds
+// every value unsigned: one OR over the values picks it. At four bytes the
+// body is one bulk copy of the slice's memory on little-endian hosts.
 func (w *writer) int32s(tag uint32, v []int32) {
-	w.block(tag, elemInt32, len(v))
-	if len(v) > 0 {
+	var top uint32
+	for _, x := range v {
+		top |= uint32(x)
+	}
+	switch {
+	case top < 1<<8:
+		w.block(tag, elemU8, len(v))
+		body := w.grow(len(v))
+		for i, x := range v {
+			body[i] = uint8(x)
+		}
+	case top < 1<<16:
+		w.block(tag, elemU16, len(v))
+		body := w.grow(2 * len(v))
+		for i, x := range v {
+			binary.LittleEndian.PutUint16(body[2*i:], uint16(x))
+		}
+	default:
+		w.block(tag, elemInt32, len(v))
 		if hostLE {
 			w.buf = append(w.buf, unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))...)
 		} else {
@@ -147,6 +208,14 @@ func (w *writer) int32s(tag uint32, v []int32) {
 		}
 	}
 	w.pad()
+}
+
+// grow extends the buffer by n bytes and returns them for the caller to
+// fill.
+func (w *writer) grow(n int) []byte {
+	at := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:at+n]
+	return w.buf[at:]
 }
 
 // bytes writes a raw byte array block.
@@ -259,18 +328,19 @@ func open(data []byte) (*reader, error) {
 }
 
 // next consumes the next block that is not retired, checking its tag and
-// element kind, and returns the body view.
-func (r *reader) next(tag uint32, elem uint8) ([]byte, int, error) {
+// element kind, and returns it. An int32 reader (elem elemInt32) accepts
+// every int32 width; every other reader demands its exact kind.
+func (r *reader) next(tag uint32, elem uint8) (blockView, error) {
 	b, ok, err := r.block()
 	switch {
 	case err != nil:
-		return nil, 0, err
+		return b, err
 	case !ok:
-		return nil, 0, fmt.Errorf("%w: block %d read past declared block count", ErrFormat, tag)
-	case b.tag != tag || b.elem != elem:
-		return nil, 0, fmt.Errorf("%w: block (tag %d, elem %d), want (tag %d, elem %d)", ErrFormat, b.tag, b.elem, tag, elem)
+		return b, fmt.Errorf("%w: block %d read past declared block count", ErrFormat, tag)
+	case b.tag != tag || b.elem != elem && !(elem == elemInt32 && intKind(b.elem)):
+		return b, fmt.Errorf("%w: block (tag %d, elem %d), want (tag %d, elem %d)", ErrFormat, b.tag, b.elem, tag, elem)
 	}
-	return b.body, b.count, nil
+	return b, nil
 }
 
 // end checks that nothing but retired blocks follows the last block read.
@@ -302,15 +372,8 @@ func (r *reader) block() (b blockView, ok bool, err error) {
 		h := r.payload[r.pos:]
 		b.tag, b.elem = binary.LittleEndian.Uint32(h[0:4]), h[4]
 		count := binary.LittleEndian.Uint64(h[8:16])
-		var size uint64
-		switch b.elem {
-		case elemInt32:
-			size = 4
-		case elemByte:
-			size = 1
-		case elemU64:
-			size = 8
-		default:
+		size := uint64(elemSize(b.elem))
+		if size == 0 {
 			return b, false, fmt.Errorf("%w: block %d has unknown element kind %d", ErrFormat, b.tag, b.elem)
 		}
 		// Elements are at least one byte, so a legitimate count can never
@@ -335,43 +398,79 @@ func (r *reader) block() (b blockView, ok bool, err error) {
 	return b, false, nil
 }
 
-// int32s returns the next int32 block copied into an array of its own.
+// int32s returns the next int32 block widened into an array of its own.
 func (r *reader) int32s(tag uint32) ([]int32, error) {
-	body, count, err := r.next(tag, elemInt32)
+	b, err := r.next(tag, elemInt32)
 	if err != nil {
 		return nil, err
 	}
-	if count == 0 {
-		return nil, nil
+	return b.int32s(), nil
+}
+
+// int32s widens an int32 block of any width into an array of its own.
+func (b blockView) int32s() []int32 {
+	if b.count == 0 {
+		return nil
 	}
-	out := make([]int32, count)
-	if hostLE {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), 4*count), body)
-		return out, nil
+	out := make([]int32, b.count)
+	switch b.elem {
+	case elemU8:
+		widen(out, b.body)
+	case elemU16:
+		if v, ok := u16s(b); ok {
+			widen(out, v)
+		} else {
+			for i := range out {
+				out[i] = int32(binary.LittleEndian.Uint16(b.body[2*i:]))
+			}
+		}
+	default:
+		if hostLE {
+			copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), 4*b.count), b.body)
+		} else {
+			for i := range out {
+				out[i] = int32(binary.LittleEndian.Uint32(b.body[4*i:]))
+			}
+		}
 	}
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
+	return out
+}
+
+// widen copies the narrow values src into dst, which is at least as long.
+func widen[T uint8 | uint16](dst []int32, src []T) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = int32(x)
 	}
-	return out, nil
+}
+
+// u16s returns a two-byte block's body as a []uint16 in place — on a
+// little-endian host, when the body is 2-aligned — and false otherwise. An
+// image embedded in a larger message is aligned only to its own start.
+func u16s(b blockView) ([]uint16, bool) {
+	if b.elem != elemU16 || !hostLE || b.count == 0 || uintptr(unsafe.Pointer(&b.body[0]))%2 != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*uint16)(unsafe.Pointer(&b.body[0])), b.count), true
 }
 
 // bytes returns the next byte block as a view of the payload, which its
 // callers copy out of.
 func (r *reader) bytes(tag uint32) ([]byte, error) {
-	body, _, err := r.next(tag, elemByte)
-	return body, err
+	b, err := r.next(tag, elemByte)
+	return b.body, err
 }
 
 // u64 returns the next scalar block.
 func (r *reader) u64(tag uint32) (uint64, error) {
-	body, count, err := r.next(tag, elemU64)
+	b, err := r.next(tag, elemU64)
 	if err != nil {
 		return 0, err
 	}
-	if count != 1 {
-		return 0, fmt.Errorf("%w: scalar block %d holds %d values", ErrFormat, tag, count)
+	if b.count != 1 {
+		return 0, fmt.Errorf("%w: scalar block %d holds %d values", ErrFormat, tag, b.count)
 	}
-	return binary.LittleEndian.Uint64(body), nil
+	return binary.LittleEndian.Uint64(b.body), nil
 }
 
 // bools returns the next bool block (copied: Go bools must be 0 or 1 in
@@ -407,8 +506,8 @@ func (r *reader) strings(tag uint32) ([]string, error) {
 	}
 	out := make([]string, n)
 	for i := 0; i < n; i++ {
-		if off[i+1] < off[i] {
-			return nil, fmt.Errorf("%w: string offsets decrease at %d", ErrFormat, i)
+		if off[i+1] < off[i] || int(off[i+1]) > len(blob) {
+			return nil, fmt.Errorf("%w: string offsets decrease or overrun at %d", ErrFormat, i)
 		}
 		out[i] = string(blob[off[i]:off[i+1]])
 	}
@@ -435,8 +534,8 @@ func (r *reader) rows(tag uint32) ([][]int32, error) {
 	}
 	out := make([][]int32, n)
 	for i := 0; i < n; i++ {
-		if off[i+1] < off[i] {
-			return nil, fmt.Errorf("%w: row offsets decrease at %d", ErrFormat, i)
+		if off[i+1] < off[i] || int(off[i+1]) > len(flat) {
+			return nil, fmt.Errorf("%w: row offsets decrease or overrun at %d", ErrFormat, i)
 		}
 		out[i] = flat[off[i]:off[i+1]:off[i+1]]
 	}

@@ -64,6 +64,27 @@ func sameCSR(t *testing.T, what string, a, b *graph.CSR) {
 	}
 }
 
+// checkTranspose fails unless c's predecessor side is the transpose of its
+// successor side: the same edges, every row ascending.
+func checkTranspose(t *testing.T, what string, c *graph.CSR) {
+	t.Helper()
+	n := c.NumNodes()
+	want := make([][]graph.Node, n)
+	for u := range n {
+		for _, w := range c.Successors(graph.Node(u)) {
+			want[w] = append(want[w], graph.Node(u))
+		}
+	}
+	for v := range n {
+		if got := c.Predecessors(graph.Node(v)); !slices.Equal(got, want[v]) {
+			t.Fatalf("%s: node %d has predecessors %v, the successor rows give %v", what, v, got, want[v])
+		}
+	}
+	if len(c.InAdj()) != c.NumEdges() {
+		t.Fatalf("%s: %d predecessor entries for %d edges", what, len(c.InAdj()), c.NumEdges())
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	g := gen.Social(rand.New(rand.NewSource(7)), 300, 1200, 4)
 	want := buildStoreParts(g.Clone(), 17)
@@ -334,4 +355,111 @@ func TestPatchedEncodesAsFreeze(t *testing.T) {
 	}
 	sameCSR(t, "G", twin.G, got.G)
 	sameCSR(t, "PatternGr", twin.PatternGr, got.PatternGr)
+}
+
+// shifted returns a copy of data starting off bytes into a fresh buffer,
+// so that its blocks are aligned only to its own start, as an image
+// embedded in a larger message is.
+func shifted(data []byte, off int) []byte {
+	return append(make([]byte, off, off+len(data)), data...)[off:]
+}
+
+// TestIntBlockWidths: an int32 block is stored at the narrowest width that
+// holds every value unsigned — one, two or four bytes, four for any
+// negative value — and reads back as written, from an aligned buffer and
+// from shifted ones. Only the int32 reader accepts the narrow kinds: the
+// byte reader still demands its own, and the int32 reader refuses it.
+func TestIntBlockWidths(t *testing.T) {
+	for _, c := range []struct {
+		v     int32
+		width int
+	}{{0, 1}, {255, 1}, {256, 2}, {65535, 2}, {65536, 4}, {-1, 4}} {
+		want := []int32{3, c.v, 0}
+		w := newWriter(KindStore, 1, nil)
+		w.int32s(0x7, want)
+		data := w.encode()
+		if blocks := walkBlocks(t, data); len(blocks) != 1 || elemSize(blocks[0].elem) != c.width {
+			t.Fatalf("value %d: blocks %+v, want one of width %d", c.v, blocks, c.width)
+		}
+		for off := range 4 {
+			r, err := open(shifted(data, off))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.int32s(0x7)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("value %d at offset %d: read %v, %v", c.v, off, got, err)
+			}
+			if err := r.end(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.bytes(0x7); err == nil {
+			t.Fatalf("value %d: the byte reader accepted an int32 block", c.v)
+		}
+	}
+	w := newWriter(KindStore, 1, nil)
+	w.bytes(0x7, []byte{1, 2})
+	r, err := open(w.encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.int32s(0x7); err == nil {
+		t.Fatal("the int32 reader accepted a byte block")
+	}
+}
+
+// TestDegreeWidths builds one CSR, with a hub of out-degree 299, from its
+// out-degrees stored at two bytes, read in place and, from a shifted
+// buffer, widened, and at four bytes, widened: all must give the CSR the
+// degrees came from. At
+// one byte the hub's degree is cut to 255, and degrees that no longer cover
+// the rows, overrun them or are negative must fail.
+func TestDegreeWidths(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(4)), 300, 1500, 3)
+	for v := 1; v < g.NumNodes(); v++ {
+		g.AddEdge(0, graph.Node(v))
+	}
+	c := g.Freeze()
+	deg := make([]int32, c.NumNodes())
+	for v := range deg {
+		deg[v] = int32(c.OutDegree(graph.Node(v)))
+	}
+	for _, elem := range []uint8{elemU8, elemU16, elemInt32} {
+		size := elemSize(elem)
+		body := make([]byte, size*len(deg))
+		for v, d := range deg {
+			for k := range size {
+				body[size*v+k] = byte(d >> (8 * k))
+			}
+		}
+		for off := range 3 {
+			b := blockView{elem: elem, body: shifted(body, off), count: len(deg)}
+			got, err := fromDegrees(c.Labels(), c.LabelIDs(), b, c.OutAdj())
+			if elem == elemU8 {
+				if err == nil {
+					t.Fatal("one-byte degrees that undershoot the rows decoded")
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("width %d at offset %d: %v", size, off, err)
+			}
+			sameCSR(t, "from degrees", c, got)
+			checkTranspose(t, "from degrees", got)
+		}
+	}
+	bad := slices.Clone(deg)
+	bad[1]++
+	if _, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), bad, c.OutAdj()); err == nil {
+		t.Fatal("degrees that overrun the rows decoded")
+	}
+	bad[1] = -1
+	if _, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), bad, c.OutAdj()); err == nil {
+		t.Fatal("a negative degree decoded")
+	}
 }

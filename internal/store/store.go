@@ -508,7 +508,6 @@ func storeParts(sn *Snapshot) *snapfile.StoreParts {
 		ReachCyclic:    sn.Reach.Compressed.CyclicClass,
 		PatternGr:      sn.Pattern.Gr,
 		PatternBlockOf: sn.Pattern.Compressed.ClassMap(),
-		PatternMembers: sn.Pattern.Compressed.Members,
 	}
 }
 
