@@ -70,9 +70,8 @@ func CSRFromRows(labels *Labels, label []Label, outOff []int32, outAdj []Node) (
 
 // CSRFromDegrees is CSRFromRows with the successor side given by its
 // out-degrees instead of an offset table: row v is the next deg[v] entries
-// of outAdj. The degrees are read, not retained, so a decoder can pass a
-// view of a narrow on-disk array straight through.
-func CSRFromDegrees[D uint8 | uint16 | int32](labels *Labels, label []Label, deg []D, outAdj []Node) (*CSR, error) {
+// of outAdj. The degrees are read, not retained.
+func CSRFromDegrees(labels *Labels, label []Label, deg []int32, outAdj []Node) (*CSR, error) {
 	if len(deg) != len(label) {
 		return nil, fmt.Errorf("graph: CSRFromDegrees: %d degrees for %d nodes", len(deg), len(label))
 	}

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -17,23 +16,9 @@ import (
 	"repro/internal/store"
 )
 
-// retiredBlock reports whether a snapshot file block tag is one of those
-// older encoders wrote and snapfile now skips: G's locality permutation
-// (0x0f0, 0x0f1), the reach and pattern member rows (0x121, 0x181), the
-// reach and pattern 2-hop groups (0x160–0x164, 0x1c0–0x1c4) and the
-// predecessor side, base+5 and base+6, of each CSR (bases 0x100, 0x140,
-// 0x1a0).
-func retiredBlock(tag uint32) bool {
-	switch tag {
-	case 0x0f0, 0x0f1, 0x121, 0x181, 0x105, 0x106, 0x145, 0x146, 0x1a5, 0x1a6:
-		return true
-	}
-	return tag >= 0x160 && tag <= 0x164 || tag >= 0x1c0 && tag <= 0x1c4
-}
-
-// checkpointTags lists the block tags of the checkpoint file dir's manifest
-// names, walking the block descriptors after the 48-byte header.
-func checkpointTags(t *testing.T, dir string) []uint32 {
+// checkpointRetired returns the tags of the retired blocks the checkpoint
+// file dir's manifest names carries.
+func checkpointRetired(t *testing.T, dir string) []uint32 {
 	t.Helper()
 	info, err := store.Inspect(dir)
 	if err != nil {
@@ -43,18 +28,9 @@ func checkpointTags(t *testing.T, dir string) []uint32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Element kinds: int32, byte, u64, and int32 arrays stored in one or
-	// two bytes.
-	elemSize := map[byte]int{1: 4, 2: 1, 3: 8, 4: 1, 5: 2}
-	var tags []uint32
-	for pos := 48; pos < len(data)-4; {
-		n := int(binary.LittleEndian.Uint64(data[pos+8:]))
-		tag, size := binary.LittleEndian.Uint32(data[pos:]), elemSize[data[pos+4]]
-		if size == 0 {
-			t.Fatalf("block %#x has unknown element kind %d", tag, data[pos+4])
-		}
-		tags = append(tags, tag)
-		pos += 16 + (n*size+7)&^7
+	tags, err := snapfile.RetiredTags(data)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return tags
 }
@@ -102,10 +78,8 @@ func TestCheckpointBuildsNothing(t *testing.T) {
 		if n := built(); n != 0 {
 			t.Fatalf("%d 2-hop indexes built by open, writes and two checkpoints", n)
 		}
-		for _, tag := range checkpointTags(t, dir) {
-			if retiredBlock(tag) {
-				t.Fatalf("the checkpoint holds retired block %#x", tag)
-			}
+		if tags := checkpointRetired(t, dir); tags != nil {
+			t.Fatalf("the checkpoint holds retired blocks %#x", tags)
 		}
 		s.BatchReachable(us, vs)
 		if n := built(); n == 0 {

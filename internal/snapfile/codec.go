@@ -461,7 +461,7 @@ func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := r.next(base+3, elemInt32)
+	rows, err := r.int32s(base + 3)
 	if err != nil {
 		return nil, err
 	}
@@ -471,27 +471,14 @@ func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 	}
 	var c *graph.CSR
 	if flags&csrDegrees != 0 {
-		c, err = fromDegrees(labels, label, rows, adj)
+		c, err = graph.CSRFromDegrees(labels, label, rows, adj)
 	} else {
-		c, err = graph.CSRFromRows(labels, label, rows.int32s(), adj)
+		c, err = graph.CSRFromRows(labels, label, rows, adj)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	return c, nil
-}
-
-// fromDegrees builds a CSR over the out-degree block deg, read in place at
-// one or two bytes where the host allows. Four-byte degrees need a node of
-// out-degree 2^16 or more, and are widened first.
-func fromDegrees(labels *graph.Labels, label []graph.Label, deg blockView, adj []graph.Node) (*graph.CSR, error) {
-	if deg.elem == elemU8 {
-		return graph.CSRFromDegrees(labels, label, deg.body, adj)
-	}
-	if v, ok := u16s(deg); ok {
-		return graph.CSRFromDegrees(labels, label, v, adj)
-	}
-	return graph.CSRFromDegrees(labels, label, deg.int32s(), adj)
 }
 
 // putReach writes a reach compression's node mapping and cyclic flags, at

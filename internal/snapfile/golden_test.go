@@ -1,7 +1,6 @@
 package snapfile
 
 import (
-	"encoding/binary"
 	"os"
 	"slices"
 	"testing"
@@ -29,36 +28,24 @@ func readGolden(t testing.TB, path string) []byte {
 	return data
 }
 
-// blockTags lists the tag of every block of a file image, retired ones
-// included, by walking the descriptors.
-func blockTags(t *testing.T, data []byte) []uint32 {
-	t.Helper()
-	var tags []uint32
-	for _, b := range walkBlocks(t, data) {
-		tags = append(tags, b.tag)
-	}
-	return tags
-}
-
-// walkBlocks returns every block of a file image, retired ones included,
-// by walking the descriptors; an element kind it does not know fails the
-// test rather than mis-walk the rest.
+// walkBlocks returns every block of a file image, retired ones included.
 func walkBlocks(t *testing.T, data []byte) []blockView {
 	t.Helper()
-	size := map[uint8]uint64{elemInt32: 4, elemByte: 1, elemU64: 8, elemU8: 1, elemU16: 2}
-	var blocks []blockView
-	for pos := headerSize; pos < len(data)-4; {
-		tag, elem := binary.LittleEndian.Uint32(data[pos:]), data[pos+4]
-		n := binary.LittleEndian.Uint64(data[pos+8:])
-		w, ok := size[elem]
-		if !ok {
-			t.Fatalf("block %#x has unknown element kind %d", tag, elem)
-		}
-		start := pos + blockHeader
-		blocks = append(blocks, blockView{tag: tag, elem: elem, body: data[start : start+int(n*w)], count: int(n)})
-		pos = start + int((n*w+7)&^7)
+	r, err := open(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return blocks
+	var blocks []blockView
+	for {
+		b, ok, err := r.step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return blocks
+		}
+		blocks = append(blocks, b)
+	}
 }
 
 // storedInts returns the int32 blocks tagged tag, widened, in file order.
@@ -88,14 +75,15 @@ func sameStoredIn(t *testing.T, data []byte, what string, base uint32, c *graph.
 	checkTranspose(t, what, c)
 }
 
-func retiredTags(tags []uint32) []uint32 {
-	var out []uint32
-	for _, tag := range tags {
-		if retired(tag) {
-			out = append(out, tag)
-		}
+// retiredTags returns the tags of the retired blocks a file image carries,
+// a ragged array's two blocks under one tag listed once.
+func retiredTags(t *testing.T, data []byte) []uint32 {
+	t.Helper()
+	tags, err := RetiredTags(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return slices.Compact(out)
+	return slices.Compact(tags)
 }
 
 // TestLegacyFilesDecode: files the older encoder wrote carry every retired
@@ -107,7 +95,7 @@ func TestLegacyFilesDecode(t *testing.T) {
 	want := []uint32{tagG + 5, tagG + 6, tagGPerm, tagGPerm + 1, tagReachC + 1, tagReachGr + 5, tagReachGr + 6,
 		tagReachIdx, tagReachIdx + 1, tagReachIdx + 2, tagReachIdx + 3, tagReachIdx + 4,
 		tagPatC + 1, tagPatGr + 5, tagPatGr + 6, tagPatIdx, tagPatIdx + 1, tagPatIdx + 2, tagPatIdx + 3, tagPatIdx + 4}
-	if got := retiredTags(blockTags(t, data)); !slices.Equal(got, want) {
+	if got := retiredTags(t, data); !slices.Equal(got, want) {
 		t.Fatalf("golden store file carries retired tags %#x, want %#x", got, want)
 	}
 	p, err := DecodeStore(data)
@@ -126,7 +114,7 @@ func TestLegacyFilesDecode(t *testing.T) {
 		t.Fatal("the derived pattern members differ from the stored ones")
 	}
 	again := EncodeStore(p)
-	if got := retiredTags(blockTags(t, again)); got != nil {
+	if got := retiredTags(t, again); got != nil {
 		t.Fatalf("re-encoded store file carries retired tags %#x", got)
 	}
 	q, err := DecodeStore(again)
@@ -143,7 +131,7 @@ func TestLegacyFilesDecode(t *testing.T) {
 	t.Logf("store: %d bytes as written, %d re-encoded", len(data), len(again))
 
 	data = readGolden(t, legacySharded)
-	if got := retiredTags(blockTags(t, data)); len(got) == 0 {
+	if got := retiredTags(t, data); len(got) == 0 {
 		t.Fatal("golden sharded file carries no retired block")
 	}
 	sp, err := DecodeSharded(data)
@@ -158,7 +146,7 @@ func TestLegacyFilesDecode(t *testing.T) {
 	sameStoredIn(t, data, "summary", tagSummary, sp.Summary.S)
 	sameStoredIn(t, data, "stitched", tagStitched, sp.Stitched.Q)
 	again = EncodeSharded(sp)
-	if got := retiredTags(blockTags(t, again)); got != nil {
+	if got := retiredTags(t, again); got != nil {
 		t.Fatalf("re-encoded sharded file carries retired tags %#x", got)
 	}
 	sq, err := DecodeSharded(again)

@@ -357,45 +357,35 @@ func TestPatchedEncodesAsFreeze(t *testing.T) {
 	sameCSR(t, "PatternGr", twin.PatternGr, got.PatternGr)
 }
 
-// shifted returns a copy of data starting off bytes into a fresh buffer,
-// so that its blocks are aligned only to its own start, as an image
-// embedded in a larger message is.
-func shifted(data []byte, off int) []byte {
-	return append(make([]byte, off, off+len(data)), data...)[off:]
-}
-
 // TestIntBlockWidths: an int32 block is stored at the narrowest width that
 // holds every value unsigned — one, two or four bytes, four for any
-// negative value — and reads back as written, from an aligned buffer and
-// from shifted ones. Only the int32 reader accepts the narrow kinds: the
-// byte reader still demands its own, and the int32 reader refuses it.
+// negative value — and reads back as written. Only the int32 reader
+// accepts the narrow kinds: the byte reader still demands its own, and the
+// int32 reader refuses it.
 func TestIntBlockWidths(t *testing.T) {
 	for _, c := range []struct {
 		v     int32
 		width int
 	}{{0, 1}, {255, 1}, {256, 2}, {65535, 2}, {65536, 4}, {-1, 4}} {
-		want := []int32{3, c.v, 0}
+		want := []int32{3, c.v, 0, 1, 2, c.v, 7}
 		w := newWriter(KindStore, 1, nil)
 		w.int32s(0x7, want)
 		data := w.encode()
 		if blocks := walkBlocks(t, data); len(blocks) != 1 || elemSize(blocks[0].elem) != c.width {
 			t.Fatalf("value %d: blocks %+v, want one of width %d", c.v, blocks, c.width)
 		}
-		for off := range 4 {
-			r, err := open(shifted(data, off))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := r.int32s(0x7)
-			if err != nil || !slices.Equal(got, want) {
-				t.Fatalf("value %d at offset %d: read %v, %v", c.v, off, got, err)
-			}
-			if err := r.end(); err != nil {
-				t.Fatal(err)
-			}
-		}
 		r, err := open(data)
 		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.int32s(0x7)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("value %d: read %v, %v", c.v, got, err)
+		}
+		if err := r.end(); err != nil {
+			t.Fatal(err)
+		}
+		if r, err = open(data); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.bytes(0x7); err == nil {
@@ -413,13 +403,11 @@ func TestIntBlockWidths(t *testing.T) {
 	}
 }
 
-// TestDegreeWidths builds one CSR, with a hub of out-degree 299, from its
-// out-degrees stored at two bytes, read in place and, from a shifted
-// buffer, widened, and at four bytes, widened: all must give the CSR the
-// degrees came from. At
-// one byte the hub's degree is cut to 255, and degrees that no longer cover
-// the rows, overrun them or are negative must fail.
-func TestDegreeWidths(t *testing.T) {
+// TestCSRFromDegrees builds one CSR, with a hub of out-degree 299, from
+// its out-degrees: it must be the CSR the degrees came from, with the
+// transpose for its predecessor side. Degrees that no longer cover the rows
+// (the hub's cut to 255), overrun them or are negative must fail.
+func TestCSRFromDegrees(t *testing.T) {
 	g := gen.Social(rand.New(rand.NewSource(4)), 300, 1500, 3)
 	for v := 1; v < g.NumNodes(); v++ {
 		g.AddEdge(0, graph.Node(v))
@@ -429,37 +417,20 @@ func TestDegreeWidths(t *testing.T) {
 	for v := range deg {
 		deg[v] = int32(c.OutDegree(graph.Node(v)))
 	}
-	for _, elem := range []uint8{elemU8, elemU16, elemInt32} {
-		size := elemSize(elem)
-		body := make([]byte, size*len(deg))
-		for v, d := range deg {
-			for k := range size {
-				body[size*v+k] = byte(d >> (8 * k))
-			}
-		}
-		for off := range 3 {
-			b := blockView{elem: elem, body: shifted(body, off), count: len(deg)}
-			got, err := fromDegrees(c.Labels(), c.LabelIDs(), b, c.OutAdj())
-			if elem == elemU8 {
-				if err == nil {
-					t.Fatal("one-byte degrees that undershoot the rows decoded")
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("width %d at offset %d: %v", size, off, err)
-			}
-			sameCSR(t, "from degrees", c, got)
-			checkTranspose(t, "from degrees", got)
-		}
+	got, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), deg, c.OutAdj())
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := slices.Clone(deg)
-	bad[1]++
-	if _, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), bad, c.OutAdj()); err == nil {
-		t.Fatal("degrees that overrun the rows decoded")
-	}
-	bad[1] = -1
-	if _, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), bad, c.OutAdj()); err == nil {
-		t.Fatal("a negative degree decoded")
+	sameCSR(t, "from degrees", c, got)
+	checkTranspose(t, "from degrees", got)
+	for _, bad := range []struct {
+		what string
+		deg  int32
+	}{{"undershoot the rows", 255}, {"overrun the rows", 300}, {"are negative", -1}} {
+		d := slices.Clone(deg)
+		d[0] = bad.deg
+		if _, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), d, c.OutAdj()); err == nil {
+			t.Fatalf("degrees that %s decoded", bad.what)
+		}
 	}
 }
