@@ -25,7 +25,7 @@ func patchByUpdates(p *Patcher, g *Graph, prev *CSR, ups []Update) *CSR {
 // from it never meets g's writes.
 func freezeApart(g *Graph) *CSR {
 	c := g.Freeze()
-	off, rows := c.OutOffsets(), make([]span, c.NumNodes())
+	off, rows := c.out.offsets(), make([]span, c.NumNodes())
 	for v := range rows {
 		rows[v] = span{off[v], off[v+1]}
 	}

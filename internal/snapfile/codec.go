@@ -18,7 +18,7 @@ const (
 	tagReachC   = 0x120 // +1, the member rows, is retired
 	tagReachGr  = 0x140
 	tagReachIdx = 0x160 // retired: 2-hop index over the reach quotient
-	tagPatC     = 0x180 // +1, the member rows, is retired
+	tagPatC     = 0x180 // +1, the member rows, and +2, empty cyclic flags, are retired
 	tagPatGr    = 0x1a0
 	tagPatIdx   = 0x1c0 // retired: 2-hop index over the pattern quotient
 	tagMeta     = 0x200 // sharded: K, ShardOf, NodeLabel, CrossOut
@@ -30,17 +30,18 @@ const (
 
 // retired reports whether tag names a block older encoders wrote and no
 // reader needs: G's locality permutation, the reach and pattern member
-// rows, the 2-hop indexes (a presence flag and four label structures, base
-// to base+4) and the predecessor side of every CSR (offsets and rows, base+5
-// and base+6). The reader steps over such a block wherever it appears, so
-// files that carry them load as ones that do not. A shard's blocks sit at
-// the monolithic tags' offsets from tagG.
+// rows, the pattern quotient's cyclic flags (always empty), the 2-hop
+// indexes (a presence flag and four label structures, base to base+4) and
+// the predecessor side of every CSR (offsets and rows, base+5 and base+6).
+// The reader steps over such a block wherever it appears, so files that
+// carry them load as ones that do not. A shard's blocks sit at the
+// monolithic tags' offsets from tagG.
 func retired(tag uint32) bool {
 	if tag >= tagShard0 {
 		tag = tagG + (tag-tagShard0)%tagShardStr
 	}
 	switch tag {
-	case tagGPerm, tagGPerm + 1, tagReachC + 1, tagPatC + 1:
+	case tagGPerm, tagGPerm + 1, tagReachC + 1, tagPatC + 1, tagPatC + 2:
 		return true
 	}
 	switch {
@@ -108,7 +109,6 @@ func encodeStore(p *StoreParts, dst []byte) *writer {
 	putReach(w, tagReachC, p.ReachClassOf, p.ReachCyclic)
 	putCSR(w, tagReachGr, p.ReachGr, shared)
 	w.int32s(tagPatC, p.PatternBlockOf)
-	w.bools(tagPatC+2, nil)
 	putCSR(w, tagPatGr, p.PatternGr, shared)
 	return w
 }
@@ -145,9 +145,6 @@ func DecodeStore(data []byte) (*StoreParts, error) {
 		return nil, err
 	}
 	if p.PatternBlockOf, err = r.int32s(tagPatC); err != nil {
-		return nil, err
-	}
-	if _, err = r.bools(tagPatC + 2); err != nil { // always empty: a pattern block has no cyclic flags
 		return nil, err
 	}
 	if p.PatternGr, err = readCSR(r, tagPatGr, p.Labels); err != nil {
@@ -514,9 +511,15 @@ func validateMap(what string, n, numClasses int, classOf []graph.Node) error {
 	if len(classOf) != n {
 		return fmt.Errorf("%w: %s maps %d of %d nodes", ErrFormat, what, len(classOf), n)
 	}
-	for v, c := range classOf {
-		if int(c) < 0 || int(c) >= numClasses {
-			return fmt.Errorf("%w: %s maps node %d to unknown class %d", ErrFormat, what, v, c)
+	return validateIDs(what+" class of node", classOf, numClasses, false)
+}
+
+// validateIDs checks that every id lies in [0, bound) and, when ascending,
+// that the ids strictly increase.
+func validateIDs(what string, ids []int32, bound int, ascending bool) error {
+	for i, id := range ids {
+		if id < 0 || int(id) >= bound || ascending && i > 0 && id <= ids[i-1] {
+			return fmt.Errorf("%w: %s %d: id %d out of range or order", ErrFormat, what, i, id)
 		}
 	}
 	return nil

@@ -11,10 +11,11 @@ import (
 	"repro/internal/graph"
 )
 
-// FuzzDecode drives both snapshot decoders over edited snapshot images.
-// Its bases are valid store and sharded images whose int32 blocks take one,
-// two and (in the files older encoders wrote, retired blocks and all) four
-// bytes; an input picks a base and a script of edits to it (see edit).
+// FuzzDecode drives the three decoders over edited files. Its bases are
+// valid store and sharded images whose int32 blocks take one, two and (in
+// the files older encoders wrote, retired blocks and all) four bytes, and
+// two diffs a store recorded, one with a reach part and one without; an
+// input picks a base and a script of edits to it (see edit).
 // After the edits the image is resealed — its payload length and both
 // checksums recomputed — so that a mutation reaches the block walk and the
 // validators behind the checksums instead of failing them; the script
@@ -22,9 +23,10 @@ import (
 // what the fuzzer mutates and minimizes, so both stay cheap on 40 KB bases.
 // Any input must produce a clean error or a valid decode: never a panic,
 // never an out-of-range structure, every CSR's predecessor side the
-// transpose of its successor side, and the pattern members the grouping of
-// the block map. The decoders' validation layer is exactly what keeps a
-// forged file from crashing the query paths later.
+// transpose of its successor side, the pattern members the grouping of
+// the block map, and a diff that decodes re-encoded to the very bytes it
+// came from. The decoders' validation layer is exactly what keeps a forged
+// file from crashing the query paths later.
 func FuzzDecode(f *testing.F) {
 	small := gen.Social(rand.New(rand.NewSource(1)), 60, 200, 3)
 	wide := gen.Social(rand.New(rand.NewSource(2)), 300, 700, 3)
@@ -34,6 +36,8 @@ func FuzzDecode(f *testing.F) {
 		EncodeSharded(buildShardedParts(small, 2, 5)),
 		readGolden(f, legacySharded),
 		EncodeStore(buildStoreParts(wide, 4)), // node ids in two bytes
+		readGolden(f, diffReach),
+		readGolden(f, diffPattern),
 	}
 	for b := range bases {
 		f.Add(uint8(b), []byte(nil))
@@ -82,7 +86,7 @@ func reseal(data []byte) []byte {
 	return data
 }
 
-// checkDecodes decodes data as either kind and holds a decode that
+// checkDecodes decodes data as every kind and holds a decode that
 // succeeds to the invariants it claims to validate.
 func checkDecodes(t *testing.T, data []byte) {
 	t.Helper()
@@ -115,5 +119,13 @@ func checkDecodes(t *testing.T, data []byte) {
 		}
 		checkTranspose(t, "summary", p.Summary.S)
 		checkTranspose(t, "stitched", p.Stitched.Q)
+	}
+	if d, err := DecodeDiff(data); err == nil {
+		if again := AppendDiff(nil, d); !slices.Equal(again, data) {
+			t.Fatalf("decoded diff re-encodes to %d bytes, not the %d it came from", len(again), len(data))
+		}
+		if d.Reach != nil {
+			checkTranspose(t, "diff ReachGr", d.Reach.Gr)
+		}
 	}
 }

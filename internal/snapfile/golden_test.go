@@ -94,7 +94,7 @@ func TestLegacyFilesDecode(t *testing.T) {
 	data := readGolden(t, legacyStore)
 	want := []uint32{tagG + 5, tagG + 6, tagGPerm, tagGPerm + 1, tagReachC + 1, tagReachGr + 5, tagReachGr + 6,
 		tagReachIdx, tagReachIdx + 1, tagReachIdx + 2, tagReachIdx + 3, tagReachIdx + 4,
-		tagPatC + 1, tagPatGr + 5, tagPatGr + 6, tagPatIdx, tagPatIdx + 1, tagPatIdx + 2, tagPatIdx + 3, tagPatIdx + 4}
+		tagPatC + 1, tagPatC + 2, tagPatGr + 5, tagPatGr + 6, tagPatIdx, tagPatIdx + 1, tagPatIdx + 2, tagPatIdx + 3, tagPatIdx + 4}
 	if got := retiredTags(t, data); !slices.Equal(got, want) {
 		t.Fatalf("golden store file carries retired tags %#x, want %#x", got, want)
 	}

@@ -1,10 +1,12 @@
-// Package snapfile implements the durable store's snapshot codec: a
-// versioned, checksummed, flat binary container holding what recovery
-// reads of one epoch — the CSR of G, the reachability quotient with its
-// node mapping and cyclic flags (the paper's ⟨R, F⟩; reachability needs no
-// post-processing), the pattern quotient with its node mapping, and (for
-// the sharded store) the per-shard epoch vector, boundary summary and
-// stitched quotient. Nothing derivable from these is written: a CSR is
+// Package snapfile is the one binary codec for what the durable store
+// writes and ships: checkpoints, the images a follower installs, and the
+// diffs it applies between them (diff.go). A file is a versioned,
+// checksummed, flat binary container. A checkpoint or an image holds what
+// recovery reads of one epoch — the CSR of G, the reachability quotient
+// with its node mapping and cyclic flags (the paper's ⟨R, F⟩; reachability
+// needs no post-processing), the pattern quotient with its node mapping,
+// and (for the sharded store) the per-shard epoch vector, boundary summary
+// and stitched quotient. Nothing derivable from these is written: a CSR is
 // stored as its successor side alone (label ids, out-degrees, flat rows)
 // and its predecessor side is one transposition on load; the pattern
 // member index is one counting sort over the node mapping; a 2-hop index
@@ -14,12 +16,12 @@
 // # Retired blocks
 //
 // Older encoders also wrote G's locality permutation, the reach and
-// pattern member rows, 2-hop indexes over both quotients and the
-// predecessor side of every CSR. Those tags are retired: the reader steps
-// over such a block wherever it appears, without looking at its body, so
-// one decode path serves old and new files alike. Their CSRs carry an
-// offset table where new files carry out-degrees; a flag bit in each CSR's
-// leading block tells the two apart.
+// pattern member rows, the pattern quotient's always-empty cyclic flags,
+// 2-hop indexes over both quotients and the predecessor side of every CSR.
+// Those tags are retired: the reader steps over such a block wherever it
+// appears, without looking at its body, so one decode path serves old and
+// new files alike. Their CSRs carry an offset table where new files carry
+// out-degrees; a flag bit in each CSR's leading block tells the two apart.
 //
 // # Layout: blocks at their narrowest width
 //
@@ -45,7 +47,9 @@
 // A reader accepts every element kind an older encoder wrote, and files
 // that carry retired blocks. A reader older than the narrow element kinds
 // rejects a file that uses them with ErrFormat (unknown element kind), so
-// followers must be upgraded before their leader ships them an image.
+// followers must be upgraded before their leader ships them an image. A
+// diff lives only on the wire and has no older form: its decoder accepts
+// exactly the bytes its encoder writes.
 //
 // # Integrity and safety
 //
@@ -78,6 +82,8 @@ const (
 	KindStore Kind = 1
 	// KindSharded is a ShardedStore snapshot.
 	KindSharded Kind = 2
+	// KindDiff is one group's change to a Store's views (diff.go).
+	KindDiff Kind = 3
 )
 
 // String names the kind for manifests and error messages.
@@ -87,6 +93,8 @@ func (k Kind) String() string {
 		return "store"
 	case KindSharded:
 		return "sharded"
+	case KindDiff:
+		return "diff"
 	default:
 		return fmt.Sprintf("kind(%d)", uint32(k))
 	}
@@ -111,8 +119,9 @@ var ErrFormat = errors.New("snapfile: invalid snapshot")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// hostLE reports whether this machine is little-endian, enabling the
-// zero-copy slice views; the on-disk format is little-endian either way.
+// hostLE reports whether this machine is little-endian, where a four-byte
+// int32 block is one bulk copy of the slice's memory each way; the encoding
+// is little-endian either way.
 var hostLE = binary.NativeEndian.Uint16([]byte{0x01, 0x00}) == 1
 
 // Element kinds. An int32 array is stored at the narrowest width that holds
@@ -156,9 +165,7 @@ type writer struct {
 }
 
 func newWriter(kind Kind, epoch uint64, dst []byte) *writer {
-	w := &writer{kind: kind, epoch: epoch, base: len(dst)}
-	w.buf = append(slices.Grow(dst, headerSize+1<<16), make([]byte, headerSize)...)
-	return w
+	return &writer{kind: kind, epoch: epoch, base: len(dst), buf: append(dst, make([]byte, headerSize)...)}
 }
 
 // block appends a block descriptor; the caller appends body bytes and then

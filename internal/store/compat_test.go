@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -175,5 +177,61 @@ func TestShardedCheckpointBuildsNothing(t *testing.T) {
 	s.BatchReachable(us, vs)
 	if n := built(); n == 0 {
 		t.Fatal("a batch read built no 2-hop index: the views had no cell")
+	}
+}
+
+// Effect frames the encoder wrote before a diff was a snapfile file, for the
+// history TestOlderEffectFrames replays: the leader's image at epoch 3 (kind
+// 1, whose frame is unchanged) and its diff from 3 to 4 in the older
+// encoding (kind 0), every id in four bytes.
+const (
+	olderImage = "testdata/kind1-image.bin"
+	olderDiff  = "testdata/kind0-diff.bin"
+)
+
+// TestOlderEffectFrames: a follower installs an image the older encoder
+// wrote as the snapshot it was taken of, and refuses that encoder's diff
+// with ErrEffect, unmoved. So followers go first in an upgrade: a new
+// follower under an old leader makes progress through images only.
+func TestOlderEffectFrames(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(3)), 400, 900, 3)
+	mirror := g.Clone()
+	leader := mustOpen(t, g.Clone(), nil)
+	defer leader.Close()
+	rng := rand.New(rand.NewSource(4))
+	var batches [][]graph.Update
+	for i := 0; i < 4; i++ {
+		b := gen.RandomBatch(rng, mirror, 40, 0.5)
+		mirror.Apply(b)
+		batches = append(batches, b)
+	}
+	for _, b := range batches[:3] {
+		if _, err := leader.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := os.ReadFile(olderImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diff, err := os.ReadFile(olderDiff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := mustOpen(t, g, &Options{Dir: t.TempDir(), Sync: SyncNone})
+	defer follower.Close()
+	if epoch, image, err := follower.ApplyEffect(nil, img); err != nil || !image || epoch != 3 {
+		t.Fatalf("the older image: epoch %d, image %v, %v", epoch, image, err)
+	}
+	installed := follower.Snapshot()
+	if lineage := binary.LittleEndian.Uint64(img[2:]); installed.Lineage != lineage || installed.Epoch != 3 {
+		t.Fatalf("installed %x@%d, the image holds %x@3", installed.Lineage, installed.Epoch, lineage)
+	}
+	sameArrays(t, "older image", installed, leader.Snapshot())
+	if _, _, err := follower.ApplyEffect(batches[3:], diff); !errors.Is(err, ErrEffect) {
+		t.Fatalf("the older diff: ApplyEffect = %v, want ErrEffect", err)
+	}
+	if follower.Snapshot() != installed || follower.batches.Load() != installed.Epoch {
+		t.Fatal("a refused diff moved the follower")
 	}
 }

@@ -2,10 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,15 +13,24 @@ import (
 	"repro/internal/incbisim"
 	"repro/internal/queries"
 	"repro/internal/reach"
+	"repro/internal/snapfile"
 )
 
-// sameViews holds a follower's snapshot to the leader's, array for array:
-// G, both quotients, both node maps, both member indexes, the cyclic flags.
+// sameViews holds a follower's snapshot to the leader's: the same epoch and
+// lineage, and sameArrays.
 func sameViews(t *testing.T, at string, got, want *Snapshot) {
 	t.Helper()
-	switch {
-	case got.Epoch != want.Epoch || got.Lineage != want.Lineage:
+	if got.Epoch != want.Epoch || got.Lineage != want.Lineage {
 		t.Fatalf("%s: follower at %x@%d, leader at %x@%d", at, got.Lineage, got.Epoch, want.Lineage, want.Epoch)
+	}
+	sameArrays(t, at, got, want)
+}
+
+// sameArrays holds a snapshot to another array for array: G, both
+// quotients, both node maps, both member indexes, the cyclic flags.
+func sameArrays(t *testing.T, at string, got, want *Snapshot) {
+	t.Helper()
+	switch {
 	case !got.G.Equal(want.G):
 		t.Fatalf("%s: G differs", at)
 	case !got.Reach.Gr.Equal(want.Reach.Gr):
@@ -120,23 +127,27 @@ func TestEffectAppliedEqualsRebuilt(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: apply effect through %d: %v", at, e.Epoch, err)
 						}
-						shipped, _ := decodeEffect(e.Bytes) // nil for an image
+						shipped, err := decodeEffect(e.Bytes)
+						if err != nil {
+							t.Fatal(err)
+						}
 						if epoch != e.Epoch || image != e.Image {
 							t.Fatalf("%s: applied at %d (image %v), shipped %d (image %v)", at, epoch, image, e.Epoch, e.Image)
 						}
-						if !image && shipped.reach {
+						if !image && shipped.diff.Reach != nil {
 							// The leader derives the reach map in one pass;
 							// read off the member lists, the bytes are the same.
-							ref := *shipped
-							ref.classMap, ref.exNode, ref.exClass = membersReachMap(before.Reach.Compressed, follower.Snapshot().Reach.Compressed)
-							if !bytes.Equal(ref.encode(), e.Bytes) {
+							ref, rd := *shipped.diff, *shipped.diff.Reach
+							rd.ClassMap, rd.ExNode, rd.ExClass = membersReachMap(before.Reach.Compressed, follower.Snapshot().Reach.Compressed)
+							ref.Reach = &rd
+							if !bytes.Equal(encodeDiff(shipped.lineage, &ref), e.Bytes) {
 								t.Fatalf("%s: the effect through %d differs from the member-based derivation", at, e.Epoch)
 							}
 						}
 						switch {
 						case image:
 							images++
-						case shipped.reach:
+						case shipped.diff.Reach != nil:
 							reachDiffs++
 							fallthrough
 						default:
@@ -219,7 +230,7 @@ func TestEffectRejected(t *testing.T) {
 	if len(eff) != 1 {
 		t.Fatalf("want one diff, got %d effects", len(eff))
 	}
-	if _, err := decodeEffect(eff[0].Bytes); err != nil || eff[0].Image {
+	if ef, err := decodeEffect(eff[0].Bytes); err != nil || ef.diff == nil || eff[0].Image {
 		t.Fatalf("want a diff, got an image or %v", err)
 	}
 	body := eff[0].Bytes
@@ -293,13 +304,13 @@ func TestEffectLiesRejected(t *testing.T) {
 		}
 		return effs[0].Bytes
 	}
-	lie := func(body []byte, edit func(ef *effect)) []byte {
+	lie := func(body []byte, edit func(d *snapfile.DiffParts)) []byte {
 		ef, err := decodeEffect(body)
-		if err != nil {
+		if err != nil || ef.diff == nil {
 			t.Fatalf("want a diff, got an image or %v", err)
 		}
-		edit(ef)
-		return ef.encode()
+		edit(ef.diff)
+		return encodeDiff(ef.lineage, ef.diff)
 	}
 	var body []byte // the honest effect of the group the lies are about
 	refused := func(name string, batches [][]graph.Update, b []byte) {
@@ -371,17 +382,17 @@ func TestEffectLiesRejected(t *testing.T) {
 		t.Fatal("the graph offers no two blocks of one label or no stray node")
 	}
 	group := [][]graph.Update{noop}
-	refused("block left empty", group, lie(body, func(ef *effect) {
-		ef.moved = slices.Clone(pv.Compressed.Members[from])
-		ef.to = slices.Repeat([]graph.Node{into}, len(ef.moved))
+	refused("block left empty", group, lie(body, func(d *snapfile.DiffParts) {
+		d.Moved = slices.Clone(pv.Compressed.Members[from])
+		d.To = slices.Repeat([]graph.Node{into}, len(d.Moved))
 	}))
-	refused("dropped block still holds a node", group, lie(body, func(ef *effect) { ef.blocks-- }))
-	refused("new block with no member", group, lie(body, func(ef *effect) { ef.blocks++ }))
-	refused("moved node with the wrong label", group, lie(body, func(ef *effect) {
-		ef.moved, ef.to = []graph.Node{stray}, []graph.Node{other}
+	refused("dropped block still holds a node", group, lie(body, func(d *snapfile.DiffParts) { d.Blocks-- }))
+	refused("new block with no member", group, lie(body, func(d *snapfile.DiffParts) { d.Blocks++ }))
+	refused("moved node with the wrong label", group, lie(body, func(d *snapfile.DiffParts) {
+		d.Moved, d.To = []graph.Node{stray}, []graph.Node{other}
 		ids := []graph.Node{pv.Compressed.ClassOf(stray), other}
 		slices.Sort(ids)
-		ef.rows = shipRows(ids, []graph.Label{pv.Gr.Label(ids[0]), pv.Gr.Label(ids[1])},
+		d.Rows = shipRows(ids, []graph.Label{pv.Gr.Label(ids[0]), pv.Gr.Label(ids[1])},
 			[][]graph.Node{pv.Gr.Successors(ids[0]), pv.Gr.Successors(ids[1])})
 	}))
 	apply(group, body)
@@ -390,25 +401,26 @@ func TestEffectLiesRejected(t *testing.T) {
 	b := gen.RandomBatch(rand.New(rand.NewSource(4)), mirror, 40, 0.5)
 	mirror.Apply(b)
 	body = next(b)
-	shipped, _ := decodeEffect(body)
+	ef, _ := decodeEffect(body)
+	shipped := ef.diff
 	k := -1
-	for i := range shipped.rows.IDs {
-		if len(shipped.rows.Row(i)) > 0 {
+	for i := range shipped.Rows.IDs {
+		if len(shipped.Rows.Row(i)) > 0 {
 			k = i
 			break
 		}
 	}
-	if len(shipped.moved) == 0 || k < 0 {
-		t.Fatalf("the diff moves %d nodes and rebuilds %d rows, none of them non-empty", len(shipped.moved), len(shipped.rows.IDs))
+	if len(shipped.Moved) == 0 || k < 0 {
+		t.Fatalf("the diff moves %d nodes and rebuilds %d rows, none of them non-empty", len(shipped.Moved), len(shipped.Rows.IDs))
 	}
 	// edited re-ships the rows with row k as edit leaves it, or without it.
-	edited := func(edit func(label graph.Label, row []graph.Node) (graph.Label, []graph.Node, bool)) func(ef *effect) {
-		return func(ef *effect) {
+	edited := func(edit func(label graph.Label, row []graph.Node) (graph.Label, []graph.Node, bool)) func(d *snapfile.DiffParts) {
+		return func(d *snapfile.DiffParts) {
 			var ids []graph.Node
 			var labels []graph.Label
 			var rows [][]graph.Node
-			for i, id := range ef.rows.IDs {
-				label, row, keep := ef.rows.Label[i], ef.rows.Row(i), true
+			for i, id := range d.Rows.IDs {
+				label, row, keep := d.Rows.Label[i], d.Rows.Row(i), true
 				if i == k {
 					label, row, keep = edit(label, row)
 				}
@@ -416,7 +428,7 @@ func TestEffectLiesRejected(t *testing.T) {
 					ids, labels, rows = append(ids, id), append(labels, label), append(rows, row)
 				}
 			}
-			ef.rows = shipRows(ids, labels, rows)
+			d.Rows = shipRows(ids, labels, rows)
 		}
 	}
 	group = [][]graph.Update{b}
@@ -443,46 +455,47 @@ func shipRows(ids []graph.Node, labels []graph.Label, rows [][]graph.Node) incbi
 	return r
 }
 
-// FuzzDecodeEffect holds the diff decoder to the wire contract: whatever
-// arrives errors or decodes, never panics, and what decodes re-encodes to
-// the same bytes. It is seeded with diffs only: an image is snapfile's
-// encoding under a checksum, which snapfile's FuzzDecode holds.
-func FuzzDecodeEffect(f *testing.F) {
-	g := gen.Social(rand.New(rand.NewSource(5)), 120, 300, 3)
+// TestEffectRingHoldsNoSpare: the ring counts its entries by length, so each
+// must hold no capacity beyond it — not the leader's, whose encoder grows
+// its buffer as it writes, nor a follower's, whose shipped bytes may sit in
+// a larger read buffer.
+func TestEffectRingHoldsNoSpare(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(7)), 400, 900, 3)
 	mirror := g.Clone()
-	s, err := Open(g, nil)
-	if err != nil {
-		f.Fatal(err)
+	leader := mustOpen(t, g.Clone(), nil)
+	defer leader.Close()
+	follower := mustOpen(t, g, nil)
+	defer follower.Close()
+	img := leader.Effects(0, 0)
+	if _, _, err := follower.ApplyEffect(nil, img[0].Bytes); err != nil {
+		t.Fatal(err)
 	}
-	defer s.Close()
-	s.Effects(0, 0) // the first call turns recording on
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 5; i++ {
-		b := gen.RandomBatch(rng, mirror, 6, 0.6)
+	follower.Effects(0, 0) // records what it applies from here on
+	rng := rand.New(rand.NewSource(8))
+	for range 8 {
+		b := gen.RandomBatch(rng, mirror, 40, 0.5)
 		mirror.Apply(b)
-		sn := s.Snapshot()
-		applyGroup(&s.engine, [][]graph.Update{b})
-		for _, e := range s.Effects(sn.Lineage, sn.Epoch) {
-			f.Add(e.Bytes)
+		fsn := follower.Snapshot()
+		if _, err := leader.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		effs := leader.Effects(fsn.Lineage, fsn.Epoch)
+		if len(effs) != 1 || effs[0].Image {
+			t.Fatalf("want one diff, got %d effects", len(effs))
+		}
+		shipped := append(make([]byte, 0, 4*len(effs[0].Bytes)), effs[0].Bytes...)
+		if _, _, err := follower.ApplyEffect([][]graph.Update{b}, shipped); err != nil {
+			t.Fatal(err)
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte{effectVersion, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// As sent, and with the checksum made to fit, so the fuzzer reaches
-		// past it into the structure.
-		fixed := slices.Clone(data)
-		if n := len(fixed); n >= 4 {
-			binary.LittleEndian.PutUint32(fixed[n-4:], crc32.Checksum(fixed[:n-4], castagnoli))
+	for name, s := range map[string]*Store{"leader": leader, "follower": follower} {
+		if len(s.ring.ents) != 8 {
+			t.Fatalf("%s: the ring holds %d effects, want 8", name, len(s.ring.ents))
 		}
-		for _, in := range [][]byte{data, fixed} {
-			ef, err := decodeEffect(in)
-			if err != nil {
-				continue
-			}
-			if again := ef.encode(); !slices.Equal(again, in) {
-				t.Fatalf("decoded effect re-encodes to %d bytes, not the %d it came from", len(again), len(in))
+		for _, e := range s.ring.ents {
+			if cap(e.b) != len(e.b) {
+				t.Fatalf("%s: the effect through %d holds %d bytes in %d", name, e.epoch, len(e.b), cap(e.b))
 			}
 		}
-	})
+	}
 }

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -14,63 +12,9 @@ import (
 )
 
 // An image is one published snapshot — G and both views — in the
-// checkpoint's own encoding, with the lineage of its views: every
-// full-state transfer a follower takes. Its wire form is the effect
-// version, kind 1, the u64 lineage, the snapfile bytes (checksummed and
-// validated by snapfile, as a checkpoint is at recovery) and a CRC-32C of
-// everything before it.
-
-// The effect kinds, the second byte of every shipped effect, and the bytes
-// of an image before its snapfile encoding.
-const (
-	kindDiff    = 0
-	kindImage   = 1
-	imageHeader = 10
-)
-
-// encodeImage returns the image of sn.
-func encodeImage(sn *Snapshot) []byte {
-	b := binary.LittleEndian.AppendUint64([]byte{effectVersion, kindImage}, sn.Lineage)
-	b = snapfile.AppendStore(b, storeParts(sn))
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
-}
-
-// isImage reports whether shipped effect bytes claim to be an image;
-// decodeImage checks the claim.
-func isImage(b []byte) bool { return len(b) > 1 && b[1] == kindImage }
-
-// image is a decoded image: the lineage of its views, its snapfile encoding
-// — a view of the shipped bytes, which the install writes to disk — and the
-// parts decoded from it, which own their arrays.
-type image struct {
-	lineage uint64
-	data    []byte
-	parts   *snapfile.StoreParts
-}
-
-// decodeImage parses and validates an image end to end.
-func decodeImage(b []byte) (*image, error) {
-	if len(b) < imageHeader+4 {
-		return nil, fmt.Errorf("image of %d bytes", len(b))
-	}
-	body := b[:len(b)-4]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
-		return nil, errors.New("image checksum mismatch")
-	}
-	if b[0] != effectVersion || b[1] != kindImage {
-		return nil, fmt.Errorf("image version %d kind %d", b[0], b[1])
-	}
-	// No copy: the decoded parts own their arrays, so the shipped bytes,
-	// which may alias a connection's read buffer, are needed only until the
-	// install returns.
-	img := &image{lineage: binary.LittleEndian.Uint64(b[2:]), data: body[imageHeader:]}
-	p, err := snapfile.DecodeStore(img.data)
-	if err != nil {
-		return nil, err
-	}
-	img.parts = p
-	return img, nil
-}
+// checkpoint's own encoding, in an effect frame of kind kindImage
+// (effect.go): every full-state transfer a follower takes. snapfile checks
+// and validates it as it does a checkpoint at recovery.
 
 // OpenImage creates a store from an image (Store.Effects ships them) in
 // opts.Dir, which must hold no state — a directory an install left half
@@ -84,12 +28,15 @@ func OpenImage(b []byte, opts *Options) (*Store, error) {
 	if o.Dir != "" && HasState(o.FS, o.Dir) {
 		return nil, fmt.Errorf("store: %s already holds durable state", o.Dir)
 	}
-	img, err := decodeImage(b)
+	img, err := decodeEffect(b)
+	if err == nil && img.image == nil {
+		err = errors.New("a diff, not an image")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEffect, err)
 	}
 	return start(o, func(s *Store) error {
-		s.nodes = img.parts.G.NumNodes()
+		s.nodes = img.image.G.NumNodes()
 		if o.Dir != "" {
 			d, err := newDurable(o, snapfile.KindStore)
 			if err != nil {
@@ -111,8 +58,8 @@ func OpenImage(b []byte, opts *Options) (*Store, error) {
 // with no maintainer and no effect of the replaced history. Its epoch may
 // be below the current one: a survivor that got ahead of a new leader.
 // Writer goroutine, or an open before the writer has work.
-func (s *Store) installImage(img *image) error {
-	p := img.parts
+func (s *Store) installImage(img *effect) error {
+	p := img.image
 	sn := s.snapshotOf(p, img.lineage)
 	swap := func() {
 		s.m = nil
