@@ -552,6 +552,11 @@ func TestResyncAfterTruncation(t *testing.T) {
 
 	f2 := startFollower(t, lh.srv.Addr(), Options{Dir: dir})
 	awaitEpoch(t, f2, token, 15*time.Second)
+	// Caught up, and not only at the epoch: the image is published before
+	// the round that shipped it counts it.
+	if err := f2.WaitCaughtUp(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if st := f2.Status(); st.Resyncs != 0 || f2.images.Load() != 1 {
 		t.Fatalf("truncated history took %d images and %d resyncs, want one image and none (status %+v)", f2.images.Load(), st.Resyncs, st)
 	}

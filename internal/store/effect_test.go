@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"slices"
 	"testing"
@@ -498,4 +500,58 @@ func TestEffectRingHoldsNoSpare(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecodeEffect holds the effect frame parser to the wire contract:
+// whatever arrives errors or decodes, never panics, and a diff that decodes
+// re-encodes to the same frame. Its bases are five diffs a store recorded;
+// an input picks one and a script of edits to it — every three bytes a
+// little-endian 16-bit position, taken modulo the frame's length, and a
+// value xored in there — after which the frame's checksum is made to fit,
+// so an edit reaches the version, kind and lineage behind it. The script is
+// decoded as a frame too, as arbitrary bytes. The fuzzer mutates the small
+// script, not the frame, so it stays cheap. What lies inside a frame is
+// snapfile's encoding, which snapfile's FuzzDecode edits and reseals.
+func FuzzDecodeEffect(f *testing.F) {
+	g := gen.Social(rand.New(rand.NewSource(5)), 120, 300, 3)
+	mirror := g.Clone()
+	s, err := Open(g, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	s.Effects(0, 0) // the first call turns recording on
+	rng := rand.New(rand.NewSource(6))
+	var bases [][]byte
+	for len(bases) < 5 {
+		b := gen.RandomBatch(rng, mirror, 6, 0.6)
+		mirror.Apply(b)
+		sn := s.Snapshot()
+		applyGroup(&s.engine, [][]graph.Update{b})
+		for _, e := range s.Effects(sn.Lineage, sn.Epoch) {
+			bases = append(bases, e.Bytes)
+		}
+	}
+	for b := range bases {
+		f.Add(uint8(b), []byte(nil))
+	}
+	f.Add(uint8(0), []byte{1, 0, kindDiff}) // kind 0, the older diff encoding
+	f.Add(uint8(1), []byte{0, 0, 0x40})     // a version byte the parser does not know
+	f.Fuzz(func(t *testing.T, base uint8, script []byte) {
+		frame := slices.Clone(bases[int(base)%len(bases)])
+		for e := script; len(e) >= 3; e = e[3:] {
+			frame[int(binary.LittleEndian.Uint16(e))%len(frame)] ^= e[2]
+		}
+		n := len(frame)
+		binary.LittleEndian.PutUint32(frame[n-4:], crc32.Checksum(frame[:n-4], castagnoli))
+		for _, in := range [][]byte{script, frame} {
+			ef, err := decodeEffect(in)
+			if err != nil || ef.diff == nil {
+				continue
+			}
+			if again := encodeDiff(ef.lineage, ef.diff); !slices.Equal(again, in) {
+				t.Fatalf("decoded diff re-encodes to %d bytes, not the %d it came from", len(again), len(in))
+			}
+		}
+	})
 }
