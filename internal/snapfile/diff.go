@@ -1,7 +1,6 @@
 package snapfile
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -95,11 +94,7 @@ func AppendDiff(dst []byte, d *DiffParts) []byte {
 	return w.encode()
 }
 
-// DecodeDiff decodes and validates a diff. A diff has one encoding: bytes
-// AppendDiff would not write for what they decode to — a block wider than
-// it needs, padding that is not zero, a retired block — are refused, so a
-// diff a follower passes on is the one its leader wrote. Nothing returned
-// aliases data.
+// DecodeDiff decodes and validates a diff. Nothing returned aliases data.
 func DecodeDiff(data []byte) (*DiffParts, error) {
 	r, err := open(data)
 	if err != nil {
@@ -126,7 +121,6 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 	d.Moved, d.To = ints(tagDiff+3), ints(tagDiff+4)
 	d.Rows.IDs, d.Rows.Label = ints(tagDiff+5), ints(tagDiff+6)
 	deg, flat := ints(tagDiff+7), ints(tagDiff+8)
-	var flags []byte
 	switch reach := u64(tagDiffReach); {
 	case err != nil:
 	case reach > 1:
@@ -134,7 +128,7 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 	case reach == 1:
 		d.Reach = &ReachDiff{ClassMap: ints(tagDiffReach + 1), ExNode: ints(tagDiffReach + 2), ExClass: ints(tagDiffReach + 3)}
 		if err == nil {
-			flags, err = r.bytes(tagDiffReach + 4)
+			d.Reach.Cyclic, err = r.bools(tagDiffReach + 4)
 		}
 		if err == nil {
 			d.Reach.Gr, err = readCSR(r, tagDiffGr, nil)
@@ -144,10 +138,7 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 		err = r.end()
 	}
 	if err == nil {
-		err = d.validate(nodes, blocks, deg, flat, flags)
-	}
-	if err == nil && !bytes.Equal(AppendDiff(make([]byte, 0, len(data)), d), data) {
-		err = fmt.Errorf("%w: a diff not in the encoding of what it holds", ErrFormat)
+		err = d.validate(nodes, blocks, deg, flat)
 	}
 	if err != nil {
 		return nil, err
@@ -156,9 +147,9 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 }
 
 // validate checks the decoded blocks of a diff against one another and
-// fills in what they describe: the counts, the pattern rows from their
-// out-degrees and flat ids, and the reach part's cyclic flags, each 0 or 1.
-func (d *DiffParts) validate(nodes, blocks uint64, deg, flat []int32, flags []byte) error {
+// fills in what they describe: the counts and the pattern rows from their
+// out-degrees and flat ids.
+func (d *DiffParts) validate(nodes, blocks uint64, deg, flat []int32) error {
 	switch {
 	case nodes > math.MaxInt32 || blocks > nodes:
 		return fmt.Errorf("%w: %d blocks over %d nodes", ErrFormat, blocks, nodes)
@@ -199,25 +190,15 @@ func (d *DiffParts) validate(nodes, blocks uint64, deg, flat []int32, flags []by
 	switch {
 	case classes > d.Nodes || len(rd.ClassMap) > d.Nodes:
 		return fmt.Errorf("%w: %d new and %d old classes over %d nodes", ErrFormat, classes, len(rd.ClassMap), d.Nodes)
-	case len(rd.ExClass) != len(rd.ExNode) || len(flags) != classes:
+	case len(rd.ExClass) != len(rd.ExNode) || len(rd.Cyclic) != classes:
 		return fmt.Errorf("%w: %d exceptions with %d classes, %d cyclic flags for %d classes",
-			ErrFormat, len(rd.ExNode), len(rd.ExClass), len(flags), classes)
+			ErrFormat, len(rd.ExNode), len(rd.ExClass), len(rd.Cyclic), classes)
 	case !graph.IsTopoOrdered(rd.Gr):
 		return fmt.Errorf("%w: reach quotient is not in topological order", ErrFormat)
 	}
-	if err := cmp.Or(
+	return cmp.Or(
 		validateIDs("new class", rd.ClassMap, classes, false),
 		validateIDs("excepted node", rd.ExNode, d.Nodes, true),
 		validateIDs("excepted class", rd.ExClass, classes, false),
-	); err != nil {
-		return err
-	}
-	rd.Cyclic = make([]bool, classes)
-	for c, f := range flags {
-		if f > 1 {
-			return fmt.Errorf("%w: cyclic flag %d of class %d", ErrFormat, f, c)
-		}
-		rd.Cyclic[c] = f == 1
-	}
-	return nil
+	)
 }

@@ -2,9 +2,7 @@ package snapfile
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"slices"
 	"testing"
 )
 
@@ -16,10 +14,10 @@ const (
 	diffPattern = "testdata/diff-pattern.qpd"
 )
 
-// TestDiffHasOneEncoding: a diff decodes and re-encodes to its own bytes,
-// and the same diff with anything its encoder would not write — here a
-// retired block, which a checkpoint's reader steps over — is refused.
-func TestDiffHasOneEncoding(t *testing.T) {
+// TestRecordedDiffsRoundTrip: the recorded diffs decode to what they hold,
+// re-encode to their own bytes and are not checkpoints; a cyclic flag other
+// than 0 or 1 is refused.
+func TestRecordedDiffsRoundTrip(t *testing.T) {
 	for _, path := range []string{diffReach, diffPattern} {
 		data := readGolden(t, path)
 		d, err := DecodeDiff(data)
@@ -32,17 +30,27 @@ func TestDiffHasOneEncoding(t *testing.T) {
 		if again := AppendDiff(nil, d); !bytes.Equal(again, data) {
 			t.Fatalf("%s: re-encodes to %d bytes, not the %d it came from", path, len(again), len(data))
 		}
-		// A retired block of no elements, appended after the last.
-		extra := binary.LittleEndian.AppendUint32(slices.Clone(data[:len(data)-4]), tagGPerm)
-		extra = append(extra, elemU8, 0, 0, 0)
-		extra = binary.LittleEndian.AppendUint64(extra, 0)
-		binary.LittleEndian.PutUint64(extra[24:], binary.LittleEndian.Uint64(extra[24:])+1)
-		extra = reseal(append(extra, 0, 0, 0, 0))
-		if _, err := DecodeDiff(extra); !errors.Is(err, ErrFormat) {
-			t.Fatalf("%s with a retired block: DecodeDiff = %v, want ErrFormat", path, err)
-		}
 		if _, err := DecodeStore(data); !errors.Is(err, ErrFormat) {
 			t.Fatalf("%s: DecodeStore = %v, want ErrFormat", path, err)
 		}
+	}
+	data := readGolden(t, diffReach)
+	r, err := open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		start := headerSize + r.pos + blockHeader
+		b, ok, err := r.step()
+		if err != nil || !ok {
+			t.Fatalf("no cyclic flags block: %v", err)
+		}
+		if b.tag == tagDiffReach+4 {
+			data[start] = 2
+			break
+		}
+	}
+	if _, err := DecodeDiff(reseal(data)); !errors.Is(err, ErrFormat) {
+		t.Fatalf("a cyclic flag of 2: DecodeDiff = %v, want ErrFormat", err)
 	}
 }

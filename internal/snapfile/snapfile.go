@@ -497,8 +497,8 @@ func (r *reader) u64(tag uint32) (uint64, error) {
 	return binary.LittleEndian.Uint64(b.body), nil
 }
 
-// bools returns the next bool block (copied: Go bools must be 0 or 1 in
-// memory, which a raw view could violate).
+// bools returns the next bool block, refusing a byte other than the 0 or 1
+// writer.bools writes.
 func (r *reader) bools(tag uint32) ([]bool, error) {
 	body, err := r.bytes(tag)
 	if err != nil {
@@ -506,7 +506,10 @@ func (r *reader) bools(tag uint32) ([]bool, error) {
 	}
 	out := make([]bool, len(body))
 	for i, b := range body {
-		out[i] = b != 0
+		if b > 1 {
+			return nil, fmt.Errorf("%w: bool %d of block %d is %d", ErrFormat, i, tag, b)
+		}
+		out[i] = b == 1
 	}
 	return out, nil
 }

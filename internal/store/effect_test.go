@@ -504,7 +504,8 @@ func TestEffectRingHoldsNoSpare(t *testing.T) {
 
 // FuzzDecodeEffect holds the effect frame parser to the wire contract:
 // whatever arrives errors or decodes, never panics, and a diff that decodes
-// re-encodes to the same frame. Its bases are five diffs a store recorded;
+// re-encodes to a frame of the same lineage that decodes and re-encodes to
+// itself. Its bases are five diffs a store recorded;
 // an input picks one and a script of edits to it — every three bytes a
 // little-endian 16-bit position, taken modulo the frame's length, and a
 // value xored in there — after which the frame's checksum is made to fit,
@@ -549,8 +550,13 @@ func FuzzDecodeEffect(f *testing.F) {
 			if err != nil || ef.diff == nil {
 				continue
 			}
-			if again := encodeDiff(ef.lineage, ef.diff); !slices.Equal(again, in) {
-				t.Fatalf("decoded diff re-encodes to %d bytes, not the %d it came from", len(again), len(in))
+			again := encodeDiff(ef.lineage, ef.diff)
+			back, err := decodeEffect(again)
+			if err != nil || back.diff == nil || back.lineage != ef.lineage {
+				t.Fatalf("decoded diff of lineage %d re-encodes to a frame that does not decode to a diff of it: %v", ef.lineage, err)
+			}
+			if !slices.Equal(encodeDiff(back.lineage, back.diff), again) {
+				t.Fatal("a diff's frame decoded and re-encoded changes")
 			}
 		}
 	})
