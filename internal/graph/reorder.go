@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"cmp"
-	"slices"
-)
-
 // This file implements locality-aware CSR reordering: a node permutation
 // chosen so that frontier expansion walks near-sequential memory, plus the
 // machinery to apply it. A BFS that visits nodes in discovery order touches
@@ -32,8 +27,7 @@ type Reordered struct {
 func (r *Reordered) ToNew(v Node) Node { return r.NewID[v] }
 
 // Reorder computes the locality permutation of c (ReorderPerm) and returns
-// the permuted CSR with both id maps. O(|V| log |V| + |E| log d) for max
-// row degree d.
+// the permuted CSR with both id maps, in O(|V|+|E|).
 func Reorder(c *CSR) *Reordered {
 	return ApplyPerm(c, ReorderPerm(c))
 }
@@ -44,19 +38,24 @@ func Reorder(c *CSR) *Reordered {
 // fan out to — the regions every traversal spends its time in — end up
 // contiguous at the front of the permuted arrays; untouched tails keep
 // relative order among themselves per root. The permutation is
-// deterministic for a given CSR.
+// deterministic for a given CSR. The roots are ordered by one counting sort
+// over the out-degrees, which are at most |V|: nodes placed in ascending id
+// order keep it within a degree.
 func ReorderPerm(c *CSR) []Node {
 	n := c.NumNodes()
-	roots := make([]Node, n)
-	for v := range roots {
-		roots[v] = Node(v)
+	start := make([]int32, n+1) // start[n-d]: where degree d's nodes begin
+	for v := range n {
+		start[n-c.OutDegree(Node(v))]++
 	}
-	slices.SortFunc(roots, func(a, b Node) int {
-		if d := cmp.Compare(c.OutDegree(b), c.OutDegree(a)); d != 0 {
-			return d
-		}
-		return cmp.Compare(a, b)
-	})
+	for i, sum := 0, int32(0); i <= n; i++ {
+		start[i], sum = sum, sum+start[i]
+	}
+	roots := make([]Node, n)
+	for v := range n {
+		i := n - c.OutDegree(Node(v))
+		roots[start[i]] = Node(v)
+		start[i]++
+	}
 	newID := make([]Node, n)
 	for v := range newID {
 		newID[v] = -1

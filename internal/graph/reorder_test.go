@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -31,6 +33,57 @@ func TestReorderIsPermutation(t *testing.T) {
 				t.Fatalf("seed %d: node %d mapped to invalid/duplicate %d", seed, v, nv)
 			}
 			seen[nv] = true
+		}
+	}
+}
+
+// TestReorderPermRootOrder holds ReorderPerm to its definition, a BFS
+// numbering from roots sorted by descending out-degree, ties by ascending
+// id, with the roots ordered by a comparison sort: on random graphs, on one
+// with a hub of out-degree |V| (every node, itself included) and on one
+// with no edges.
+func TestReorderPermRootOrder(t *testing.T) {
+	want := func(c *CSR) []Node {
+		roots := make([]Node, c.NumNodes())
+		for v := range roots {
+			roots[v] = Node(v)
+		}
+		slices.SortFunc(roots, func(a, b Node) int {
+			return cmp.Or(cmp.Compare(c.OutDegree(b), c.OutDegree(a)), cmp.Compare(a, b))
+		})
+		newID := slices.Repeat([]Node{-1}, c.NumNodes())
+		next := Node(0)
+		for _, r := range roots {
+			if newID[r] >= 0 {
+				continue
+			}
+			newID[r], next = next, next+1
+			for queue := []Node{r}; len(queue) > 0; queue = queue[1:] {
+				for _, w := range c.Successors(queue[0]) {
+					if newID[w] < 0 {
+						newID[w], next = next, next+1
+						queue = append(queue, w)
+					}
+				}
+			}
+		}
+		return newID
+	}
+	hub := New(nil)
+	for range 40 {
+		hub.AddNodeNamed("A")
+	}
+	for v := range 40 {
+		hub.AddEdge(7, Node(v))
+		hub.AddEdge(Node(v), Node((v*3)%40))
+	}
+	cases := []*CSR{hub.Freeze(), randomCSR(9, 50, 0)}
+	for seed := int64(10); seed < 30; seed++ {
+		cases = append(cases, randomCSR(seed, 1+int(seed)*7, int(seed)*int(seed)))
+	}
+	for i, c := range cases {
+		if got := ReorderPerm(c); !slices.Equal(got, want(c)) {
+			t.Fatalf("case %d: ReorderPerm %v, the comparison sort gives %v", i, got, want(c))
 		}
 	}
 }

@@ -144,6 +144,24 @@ func BenchmarkIncPCMApply(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild reports a full view build with the locality relabel — what
+// every open, materialize and promotion runs once — over the benchmark's two
+// graphs as generated, their maximum bisimulations as the partitions.
+func BenchmarkBuild(b *testing.B) {
+	webcore16 := gen.Dataset{Name: "webcore16", V: 16300, E: 75000, Labels: 16, Kind: gen.KindWebCore}
+	for _, d := range []gen.Dataset{social16, webcore16} {
+		b.Run(d.Name, func(b *testing.B) {
+			g := d.Build(1)
+			part := New(g).Partition()
+			for b.Loop() {
+				if _, err := Build(g, slices.Clone(part.BlockOf), part.NumBlocks(), true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // viewReadsPerChange is the ceiling on the adjacency rows a patched view
 // reads — the predecessors of each moved node and every quotient row it
 // rebuilds — as a multiple of the nodes moved plus the sources of the

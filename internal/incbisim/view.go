@@ -7,8 +7,10 @@ package incbisim
 // previous one patched where the batches reached (Patch), at the cost of
 // what moved. Patch and Build are the one way a pattern view is made
 // anywhere — the maintainer runs them over its graph, a store that follows
-// another over its CSR snapshot with the moves and rows it was shipped —
-// and both read a block's quotient row off its first member (appendRow).
+// another over its CSR snapshot with the moves and rows it was shipped, a
+// snapshot decode over the graph and block map it read — and both read a
+// block's quotient row off its first member: Build all rows at once by
+// graph.Quotient, Patch the rows it rebuilds one by one (appendRow).
 
 import (
 	"fmt"
@@ -88,34 +90,26 @@ func appendRow[G Adjacency](dst []graph.Node, g G, first graph.Node, blockOf []g
 }
 
 // Build returns the view over g of the partition blockOf into n blocks,
-// taking ownership of blockOf: each row is read off the block's first
-// member, and when relabel is set the quotient is relabeled by
+// taking ownership of blockOf: the quotient is graph.Quotient over the
+// blocks' first members, and when relabel is set it is relabeled by
 // graph.Reorder's locality permutation, baked into the block map so that
 // queries need no translation. A block that is empty or whose members carry
-// different labels is an error.
+// different labels is an error; every id blockOf holds must lie in [0, n).
 func Build[G Adjacency](g G, blockOf []graph.Node, n int, relabel bool) (View, error) {
 	members := graph.GroupNodes(blockOf, n)
-	label := make([]graph.Label, n)
-	off := make([]int32, n+1)
-	var adj []graph.Node
-	var seen graph.StampSet
+	label, first := make([]graph.Label, n), make([]graph.Node, n)
 	for b, mem := range members {
 		if len(mem) == 0 {
 			return View{}, fmt.Errorf("pattern block %d is empty", b)
 		}
-		label[b] = g.Label(mem[0])
+		first[b], label[b] = mem[0], g.Label(mem[0])
 		for _, v := range mem[1:] {
 			if g.Label(v) != label[b] {
 				return View{}, fmt.Errorf("node %d in pattern block %d is labeled %d, the block %d", v, b, g.Label(v), label[b])
 			}
 		}
-		adj = appendRow(adj, g, mem[0], blockOf, &seen, n)
-		off[b+1] = int32(len(adj))
 	}
-	gr, err := graph.CSRFromRows(g.Labels(), label, off, adj)
-	if err != nil {
-		return View{}, err
-	}
+	gr := graph.Quotient(g, label, first, blockOf)
 	if relabel {
 		ro := graph.Reorder(gr)
 		for v, b := range blockOf {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/graph"
+	"repro/internal/incbisim"
 	"repro/internal/part"
 )
 
@@ -19,7 +20,7 @@ const (
 	tagReachGr  = 0x140
 	tagReachIdx = 0x160 // retired: 2-hop index over the reach quotient
 	tagPatC     = 0x180 // +1, the member rows, and +2, empty cyclic flags, are retired
-	tagPatGr    = 0x1a0
+	tagPatGr    = 0x1a0 // retired: the pattern quotient, derived on load
 	tagPatIdx   = 0x1c0 // retired: 2-hop index over the pattern quotient
 	tagMeta     = 0x200 // sharded: K, ShardOf, NodeLabel, CrossOut
 	tagSummary  = 0x300
@@ -30,9 +31,10 @@ const (
 
 // retired reports whether tag names a block older encoders wrote and no
 // reader needs: G's locality permutation, the reach and pattern member
-// rows, the pattern quotient's cyclic flags (always empty), the 2-hop
-// indexes (a presence flag and four label structures, base to base+4) and
-// the predecessor side of every CSR (offsets and rows, base+5 and base+6).
+// rows, the pattern quotient (its CSR, base to base+6) and its cyclic flags
+// (always empty), the 2-hop indexes (a presence flag and four label
+// structures, base to base+4) and the predecessor side of every CSR
+// (offsets and rows, base+5 and base+6).
 // The reader steps over such a block wherever it appears, so files that
 // carry them load as ones that do not. A shard's blocks sit at the
 // monolithic tags' offsets from tagG.
@@ -45,10 +47,11 @@ func retired(tag uint32) bool {
 		return true
 	}
 	switch {
-	case tag >= tagReachIdx && tag <= tagReachIdx+4, tag >= tagPatIdx && tag <= tagPatIdx+4:
+	case tag >= tagReachIdx && tag <= tagReachIdx+4, tag >= tagPatIdx && tag <= tagPatIdx+4,
+		tag >= tagPatGr && tag <= tagPatGr+6:
 		return true
 	}
-	for _, base := range [...]uint32{tagG, tagReachGr, tagPatGr, tagSummary, tagStitched} {
+	for _, base := range [...]uint32{tagG, tagReachGr, tagSummary, tagStitched} {
 		if tag == base+5 || tag == base+6 {
 			return true
 		}
@@ -59,9 +62,10 @@ func retired(tag uint32) bool {
 // StoreParts is the decoded state of one monolithic Store snapshot: what
 // recovery reads. That is the frozen CSR of G, the reachability quotient
 // with its node mapping and cyclic flags, and the pattern quotient with its
-// node mapping and member index (Expand reads the members; the decode
-// derives them from the mapping). The arrays are the decode's own;
-// everything is immutable after decode.
+// node mapping and member index (Expand reads the members). Of the pattern
+// view only the mapping is written: the decode derives the quotient and the
+// members from it and G. The arrays are the decode's own; everything is
+// immutable after decode.
 type StoreParts struct {
 	// Epoch is the snapshot's batch epoch.
 	Epoch uint64
@@ -75,7 +79,8 @@ type StoreParts struct {
 	ReachClassOf []graph.Node
 	// ReachCyclic flags classes containing a cyclic SCC.
 	ReachCyclic []bool
-	// PatternGr is the frozen bisimulation quotient.
+	// PatternGr is the frozen bisimulation quotient. It is not written: it
+	// is derived on decode, and the encoder ignores it.
 	PatternGr *graph.CSR
 	// PatternBlockOf maps every node of G to its bisimulation block.
 	PatternBlockOf []graph.Node
@@ -109,7 +114,6 @@ func encodeStore(p *StoreParts, dst []byte) *writer {
 	putReach(w, tagReachC, p.ReachClassOf, p.ReachCyclic)
 	putCSR(w, tagReachGr, p.ReachGr, shared)
 	w.int32s(tagPatC, p.PatternBlockOf)
-	putCSR(w, tagPatGr, p.PatternGr, shared)
 	return w
 }
 
@@ -147,17 +151,33 @@ func DecodeStore(data []byte) (*StoreParts, error) {
 	if p.PatternBlockOf, err = r.int32s(tagPatC); err != nil {
 		return nil, err
 	}
-	if p.PatternGr, err = readCSR(r, tagPatGr, p.Labels); err != nil {
-		return nil, err
-	}
-	if err = validateMap("pattern", n, p.PatternGr.NumNodes(), p.PatternBlockOf); err != nil {
-		return nil, err
-	}
-	p.PatternMembers = graph.GroupNodes(p.PatternBlockOf, p.PatternGr.NumNodes())
 	if err = r.end(); err != nil {
 		return nil, err
 	}
+	if err = derivePattern(p); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// derivePattern makes the pattern quotient and members of p from G and the
+// block map, as a view is made anywhere (incbisim.Build): the blocks number
+// max(PatternBlockOf)+1, and each must be non-empty and single-labelled.
+func derivePattern(p *StoreParts) error {
+	n := p.G.NumNodes()
+	if err := validateMap("pattern", n, n, p.PatternBlockOf); err != nil {
+		return err
+	}
+	blocks := 0
+	for _, b := range p.PatternBlockOf {
+		blocks = max(blocks, int(b)+1)
+	}
+	v, err := incbisim.Build(p.G, p.PatternBlockOf, blocks, false)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	p.PatternGr, p.PatternMembers = v.Gr, v.Compressed.Members
+	return nil
 }
 
 // LoadStore reads and decodes a monolithic snapshot file.
@@ -411,23 +431,30 @@ func LoadShardedFS(fsys faultfs.FS, path string) (*ShardedParts, error) {
 const (
 	csrPrivateLabels = 1 << 0 // base+1 holds the CSR's own label table
 	csrDegrees       = 1 << 1 // base+3 holds out-degrees, not an offset table
+	csrOneLabel      = 1 << 2 // the private table holds one name, every node's label; base+2 is not written
 )
 
 // putCSR writes one CSR's successor side: label ids, out-degrees and the
 // flat rows. The predecessor side is derived on load. When the CSR's label
 // table is not the file's shared table it is embedded privately (e.g. the σ
-// table of a reachability quotient).
+// table of a reachability quotient); when that table holds one name, every
+// node carries it and the label ids are not written.
 func putCSR(w *writer, base uint32, c *graph.CSR, shared *graph.Labels) {
 	private := c.Labels() != shared
 	flags := uint64(csrDegrees)
 	if private {
 		flags |= csrPrivateLabels
+		if c.Labels().Count() == 1 {
+			flags |= csrOneLabel
+		}
 	}
 	w.u64(base, flags)
 	if private {
 		w.strings(base+1, c.Labels().Names())
 	}
-	w.int32s(base+2, c.LabelIDs())
+	if flags&csrOneLabel == 0 {
+		w.int32s(base+2, c.LabelIDs())
+	}
 	deg := make([]int32, c.NumNodes())
 	for v := range deg {
 		deg[v] = int32(c.OutDegree(graph.Node(v)))
@@ -438,7 +465,8 @@ func putCSR(w *writer, base uint32, c *graph.CSR, shared *graph.Labels) {
 
 // readCSR reads one CSR written by putCSR, fully validated, deriving its
 // predecessor side. Files older encoders wrote hold an offset table at
-// base+3 and the predecessor side at the retired tags base+5 and base+6.
+// base+3 and the predecessor side at the retired tags base+5 and base+6,
+// and write the label ids of a one-name table.
 func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 	flags, err := r.u64(base)
 	if err != nil {
@@ -454,9 +482,15 @@ func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 		}
 	}
-	label, err := r.int32s(base + 2)
-	if err != nil {
-		return nil, err
+	oneLabel := flags&csrOneLabel != 0
+	if want := uint64(csrPrivateLabels | csrDegrees); oneLabel && (flags&want != want || labels.Count() != 1) {
+		return nil, fmt.Errorf("%w: CSR %#x flags %#x one label without a one-name private table and degrees", ErrFormat, base, flags)
+	}
+	var label []graph.Label
+	if !oneLabel {
+		if label, err = r.int32s(base + 2); err != nil {
+			return nil, err
+		}
 	}
 	rows, err := r.int32s(base + 3)
 	if err != nil {
@@ -465,6 +499,9 @@ func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 	adj, err := r.int32s(base + 4)
 	if err != nil {
 		return nil, err
+	}
+	if oneLabel {
+		label = make([]graph.Label, len(rows))
 	}
 	var c *graph.CSR
 	if flags&csrDegrees != 0 {

@@ -25,8 +25,12 @@ import (
 // Any input must produce a clean error or a valid decode: never a panic,
 // never an out-of-range structure, every CSR's predecessor side the
 // transpose of its successor side, the pattern members the grouping of
-// the block map, and a diff that decodes re-encoded to bytes that decode
-// to the same parts. The decoders' validation layer is exactly what keeps a
+// the block map, the pattern quotient's rows and labels the ones its
+// blocks' first members give, and a diff that decodes re-encoded to bytes
+// that decode to the same parts. Besides a seed per base, the seeds edit
+// the store file the current encoder writes where the new format's
+// decoding derives: its block map (an id past |V|, a hole, two labels in a
+// block) and its reach quotient's one-label flag. The decoders' validation layer is exactly what keeps a
 // forged file from crashing the query paths later. A kept input names its
 // base by index modulo len(bases), so a base added to the list moves the
 // kept inputs: re-record their base bytes to keep what each one edits.
@@ -47,10 +51,33 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(uint8(0), []byte{0, 0x40, 0x00, 0x10})                // a bit of the first block's body flipped
 	f.Add(uint8(4), []byte{2, 0x00, 0x01, 0, 1, 0x48, 0x00, 7}) // a cut at byte 256, then byte 72 set
+	last := small.NumNodes() - 1
+	for _, e := range [][3]int{{tagPatC, 0, 200}, {tagPatC, last, last}, {tagPatC, 0, 1}, {tagReachGr, 0, csrPrivateLabels | csrDegrees}} {
+		f.Add(uint8(0), setByte(f, bases[0], uint32(e[0]), e[1], byte(e[2])))
+	}
 	f.Fuzz(func(t *testing.T, base uint8, edits []byte) {
 		checkDecodes(t, edits)
 		checkDecodes(t, edit(bases[int(base)%len(bases)], edits))
 	})
+}
+
+// setByte returns the edit that sets byte i of the body of the block tagged
+// tag in image to val.
+func setByte(f *testing.F, image []byte, tag uint32, i int, val byte) []byte {
+	r, err := open(image)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for {
+		start := headerSize + r.pos + blockHeader
+		b, ok, err := r.step()
+		if err != nil || !ok {
+			f.Fatalf("no block %#x: %v", tag, err)
+		}
+		if b.tag == tag {
+			return []byte{1, byte(start + i), byte((start + i) >> 8), val}
+		}
+	}
 }
 
 // edit applies a script of edits to a copy of image and reseals it. Every
@@ -106,6 +133,7 @@ func checkDecodes(t *testing.T, data []byte) {
 		if want := graph.GroupNodes(p.PatternBlockOf, p.PatternGr.NumNodes()); !slices.EqualFunc(p.PatternMembers, want, slices.Equal) {
 			t.Fatal("accepted store snapshot whose pattern members are not the grouping of its block map")
 		}
+		checkPatternRows(t, p)
 		checkTranspose(t, "G", p.G)
 		checkTranspose(t, "ReachGr", p.ReachGr)
 		checkTranspose(t, "PatternGr", p.PatternGr)
@@ -133,6 +161,32 @@ func checkDecodes(t *testing.T, data []byte) {
 		}
 		if d.Reach != nil {
 			checkTranspose(t, "diff ReachGr", d.Reach.Gr)
+		}
+	}
+}
+
+// checkPatternRows fails unless every block of p's pattern view is
+// non-empty and single-labelled and its quotient row is its first member's
+// successor blocks, sorted and each once, with the member's label.
+func checkPatternRows(t *testing.T, p *StoreParts) {
+	t.Helper()
+	for b, mem := range p.PatternMembers {
+		if len(mem) == 0 {
+			t.Fatalf("accepted store snapshot with empty pattern block %d", b)
+		}
+		var want []graph.Node
+		for _, w := range p.G.Successors(mem[0]) {
+			want = append(want, p.PatternBlockOf[w])
+		}
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := p.PatternGr.Successors(graph.Node(b)); !slices.Equal(got, want) {
+			t.Fatalf("pattern block %d has row %v, its first member gives %v", b, got, want)
+		}
+		for _, v := range mem {
+			if l := p.G.Label(v); l != p.PatternGr.Label(graph.Node(b)) {
+				t.Fatalf("pattern block %d is labelled %d, its member %d %d", b, p.PatternGr.Label(graph.Node(b)), v, l)
+			}
 		}
 	}
 }

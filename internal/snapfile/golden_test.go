@@ -9,14 +9,17 @@ import (
 )
 
 // The golden files were written by the encoder that still persisted G's
-// locality permutation, the member rows, the 2-hop indexes and both row
-// directions of every CSR, every int32 block at four bytes: a
-// monolithic checkpoint of a store at epoch 6, re-encoded with G's
+// locality permutation, the member rows, the pattern quotient, the 2-hop
+// indexes and both row directions of every CSR, every int32 block at four
+// bytes: a monolithic checkpoint of a store at epoch 6, re-encoded with G's
 // permutation and the pattern quotient's 2-hop trailer added, and a
-// 3-shard checkpoint as that store wrote it.
+// 3-shard checkpoint as that store wrote it. The legacy diff is the one in
+// diffReach as the encoder that wrote the label ids of a one-name table
+// recorded it.
 const (
-	legacyStore   = "testdata/legacy-store.qps"
-	legacySharded = "testdata/legacy-sharded.qps"
+	legacyStore     = "testdata/legacy-store.qps"
+	legacySharded   = "testdata/legacy-sharded.qps"
+	legacyDiffReach = "testdata/legacy-diff-reach.qpd"
 )
 
 func readGolden(t testing.TB, path string) []byte {
@@ -87,14 +90,16 @@ func retiredTags(t *testing.T, data []byte) []uint32 {
 }
 
 // TestLegacyFilesDecode: files the older encoder wrote carry every retired
-// block, decode to valid parts whose derived predecessor sides and pattern
-// members are the ones the file stored, and re-encode to a file that
-// carries none and decodes to the same parts.
+// block, decode to valid parts whose derived predecessor sides, pattern
+// quotient and pattern members are the ones the file stored, and re-encode
+// to a file that carries none and decodes to the same parts. A diff that
+// carries the label ids of its reach quotient's one-name table decodes to
+// the parts of the one that does not.
 func TestLegacyFilesDecode(t *testing.T) {
 	data := readGolden(t, legacyStore)
 	want := []uint32{tagG + 5, tagG + 6, tagGPerm, tagGPerm + 1, tagReachC + 1, tagReachGr + 5, tagReachGr + 6,
 		tagReachIdx, tagReachIdx + 1, tagReachIdx + 2, tagReachIdx + 3, tagReachIdx + 4,
-		tagPatC + 1, tagPatC + 2, tagPatGr + 5, tagPatGr + 6, tagPatIdx, tagPatIdx + 1, tagPatIdx + 2, tagPatIdx + 3, tagPatIdx + 4}
+		tagPatC + 1, tagPatC + 2, tagPatGr, tagPatGr + 2, tagPatGr + 3, tagPatGr + 4, tagPatGr + 5, tagPatGr + 6, tagPatIdx, tagPatIdx + 1, tagPatIdx + 2, tagPatIdx + 3, tagPatIdx + 4}
 	if got := retiredTags(t, data); !slices.Equal(got, want) {
 		t.Fatalf("golden store file carries retired tags %#x, want %#x", got, want)
 	}
@@ -106,6 +111,11 @@ func TestLegacyFilesDecode(t *testing.T) {
 	sameStoredIn(t, data, "G", tagG, p.G)
 	sameStoredIn(t, data, "ReachGr", tagReachGr, p.ReachGr)
 	sameStoredIn(t, data, "PatternGr", tagPatGr, p.PatternGr)
+	for k, want := range [][]int32{p.PatternGr.LabelIDs(), offsets(p.PatternGr), p.PatternGr.OutAdj()} {
+		if got := storedInts(t, data, tagPatGr+2+uint32(k)); len(got) != 1 || !slices.Equal(got[0], want) {
+			t.Fatalf("PatternGr: block %#x of the derived quotient differs from the stored one", tagPatGr+2+k)
+		}
+	}
 	off := []int32{0}
 	for _, m := range p.PatternMembers {
 		off = append(off, off[len(off)-1]+int32(len(m)))
@@ -168,4 +178,30 @@ func TestLegacyFilesDecode(t *testing.T) {
 		t.Fatal("stitched map or members differ after the re-encode")
 	}
 	t.Logf("sharded: %d bytes as written, %d re-encoded", len(data), len(again))
+
+	data = readGolden(t, legacyDiffReach)
+	if got := storedInts(t, data, tagDiffGr+2); len(got) != 1 {
+		t.Fatalf("legacy diff carries %d label-id blocks for its reach quotient, want 1", len(got))
+	}
+	old, err := DecodeDiff(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DecodeDiff(readGolden(t, diffReach))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameDiff(old, d) {
+		t.Fatal("the legacy diff decodes to other parts than the diff it was recorded as")
+	}
+	t.Logf("diff: %d bytes as written, %d re-encoded", len(data), len(AppendDiff(nil, old)))
+}
+
+// offsets returns the offset table of c's successor side.
+func offsets(c *graph.CSR) []int32 {
+	off := make([]int32, c.NumNodes()+1)
+	for v := range c.NumNodes() {
+		off[v+1] = off[v] + int32(c.OutDegree(graph.Node(v)))
+	}
+	return off
 }

@@ -4,24 +4,29 @@
 // checksummed, flat binary container. A checkpoint or an image holds what
 // recovery reads of one epoch — the CSR of G, the reachability quotient
 // with its node mapping and cyclic flags (the paper's ⟨R, F⟩; reachability
-// needs no post-processing), the pattern quotient with its node mapping,
-// and (for the sharded store) the per-shard epoch vector, boundary summary
-// and stitched quotient. Nothing derivable from these is written: a CSR is
-// stored as its successor side alone (label ids, out-degrees, flat rows)
-// and its predecessor side is one transposition on load; the pattern
-// member index is one counting sort over the node mapping; a 2-hop index
-// is rebuilt from the quotient on first use, and a reach member list is
-// GroupNodes over the node mapping.
+// needs no post-processing), the pattern view's node mapping, and (for the
+// sharded store) the per-shard epoch vector, boundary summary and stitched
+// quotient. Nothing derivable from these is written: a CSR is stored as its
+// successor side alone (label ids, out-degrees, flat rows) and its
+// predecessor side is one transposition on load; the label ids of a CSR
+// whose private table holds one name are all that name's; the pattern
+// quotient is a function of G and the node mapping (bisimilar nodes have
+// equal successor-block sets), made on load as a view is made anywhere
+// (incbisim.Build), and its member index is one counting sort over the
+// mapping; a 2-hop index is rebuilt from the quotient on first use, and a
+// reach member list is GroupNodes over the node mapping.
 //
 // # Retired blocks
 //
 // Older encoders also wrote G's locality permutation, the reach and
-// pattern member rows, the pattern quotient's always-empty cyclic flags,
-// 2-hop indexes over both quotients and the predecessor side of every CSR.
-// Those tags are retired: the reader steps over such a block wherever it
-// appears, without looking at its body, so one decode path serves old and
-// new files alike. Their CSRs carry an offset table where new files carry
-// out-degrees; a flag bit in each CSR's leading block tells the two apart.
+// pattern member rows, the pattern quotient and its always-empty cyclic
+// flags, 2-hop indexes over both quotients and the predecessor side of
+// every CSR. Those tags are retired: the reader steps over such a block
+// wherever it appears, without looking at its body, so one decode path
+// serves old and new files alike. Their CSRs carry an offset table where
+// new files carry out-degrees, and label ids where new files carry a
+// one-name table alone; flag bits in each CSR's leading block tell the
+// forms apart.
 //
 // # Layout: blocks at their narrowest width
 //
@@ -46,10 +51,12 @@
 //
 // A reader accepts every element kind an older encoder wrote, and files
 // that carry retired blocks. A reader older than the narrow element kinds
-// rejects a file that uses them with ErrFormat (unknown element kind), so
-// followers must be upgraded before their leader ships them an image. A
-// diff lives only on the wire and has no older form: its decoder accepts
-// exactly the bytes its encoder writes.
+// rejects a file that uses them with ErrFormat (unknown element kind), as
+// one that predates the derived pattern quotient rejects a file without it
+// (the blocks end where it expects the quotient's), so followers must be
+// upgraded before their leader ships them an image. A diff lives only on
+// the wire; its decoder accepts what its encoder writes and, for a reach
+// quotient's one-name table, the label ids an older encoder wrote too.
 //
 // # Integrity and safety
 //
@@ -58,9 +65,10 @@
 // re-validated against the invariants the read paths rely on for memory
 // safety (offset monotonicity, id ranges, partition consistency), so even
 // an adversarial file that forges its checksums yields an error, never a
-// panic — the property the fuzz targets pin down. The predecessor sides and
-// the pattern members are derived, so they agree with what they are derived
-// from by construction.
+// panic — the property the fuzz targets pin down. The predecessor sides,
+// the pattern quotient and the pattern members are derived, so they agree
+// with what they are derived from by construction; a block map whose ids
+// leave a block empty or put two labels in one is refused.
 package snapfile
 
 import (

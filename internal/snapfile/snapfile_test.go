@@ -2,6 +2,7 @@ package snapfile
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -309,8 +310,8 @@ func TestStoreDecodesLegacyPatternIndex(t *testing.T) {
 // TestPatchedEncodesAsFreeze: a CSR frozen epoch after epoch off a graph
 // being written, its rows scattered over an arena shared with the epochs
 // before it, encodes to the same bytes as a compact snapshot of the same
-// graph — for G and for a pattern quotient whose rows and labels were
-// patched.
+// graph — for G in a store file, and for a quotient whose rows and labels
+// were patched as a CSR block group.
 func TestPatchedEncodesAsFreeze(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := gen.Social(rng, 400, 1600, 4)
@@ -343,18 +344,37 @@ func TestPatchedEncodesAsFreeze(t *testing.T) {
 	}
 
 	twin := *parts
-	twin.G, twin.PatternGr = g.Clone().Freeze(), graph.BuildFromSortedAdj(q.Labels(), label, rows).Freeze()
-	parts.G, parts.PatternGr = patched, pq
+	twin.G = g.Clone().Freeze()
+	parts.G = patched
 	data := EncodeStore(parts)
 	if !bytes.Equal(data, EncodeStore(&twin)) {
-		t.Fatal("a patched CSR encodes to other bytes than its Freeze twin")
+		t.Fatal("a patched G encodes to other bytes than its Freeze twin")
 	}
 	got, err := DecodeStore(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameCSR(t, "G", twin.G, got.G)
-	sameCSR(t, "PatternGr", twin.PatternGr, got.PatternGr)
+
+	frozen := graph.BuildFromSortedAdj(q.Labels(), label, rows).Freeze()
+	var images [2][]byte
+	for i, c := range []*graph.CSR{pq, frozen} {
+		w := newWriter(KindStore, 9, nil)
+		putCSR(w, tagG, c, c.Labels())
+		images[i] = w.encode()
+	}
+	if !bytes.Equal(images[0], images[1]) {
+		t.Fatal("a patched quotient encodes to other bytes than its Freeze twin")
+	}
+	r, err := open(images[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gq, err := readCSR(r, tagG, frozen.Labels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCSR(t, "quotient", frozen, gq)
 }
 
 // TestIntBlockWidths: an int32 block is stored at the narrowest width that
@@ -431,6 +451,115 @@ func TestCSRFromDegrees(t *testing.T) {
 		d[0] = bad.deg
 		if _, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), d, c.OutAdj()); err == nil {
 			t.Fatalf("degrees that %s decoded", bad.what)
+		}
+	}
+}
+
+// TestDerivedPatternRefusesBadMaps: the decode derives the pattern
+// quotient from G and the block map, so a block map that leaves a block id
+// unused, puts two labels in one block or names an id out of range is
+// refused with ErrFormat, never a panic; the map it was edited from decodes
+// to the quotient bisim.Compress built.
+func TestDerivedPatternRefusesBadMaps(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(11)), 200, 800, 3)
+	want := buildStoreParts(g.Clone(), 5)
+	got, err := DecodeStore(EncodeStore(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCSR(t, "PatternGr", want.PatternGr, got.PatternGr)
+	if !slices.EqualFunc(got.PatternMembers, want.PatternMembers, slices.Equal) {
+		t.Fatal("derived members differ from the compression's")
+	}
+	c, of := want.G, want.PatternBlockOf
+	top := slices.Max(of)
+	other := slices.IndexFunc(of, func(b int32) bool { return c.Label(want.PatternMembers[top][0]) != c.Label(want.PatternMembers[b][0]) })
+	if other < 0 {
+		t.Fatal("every block carries the last block's label")
+	}
+	for _, bad := range []struct {
+		what string
+		edit func(of []int32)
+	}{
+		{"a block id hole", func(of []int32) {
+			for v := range of {
+				if of[v] >= 3 {
+					of[v]++
+				}
+			}
+		}},
+		{"a mixed-label block", func(of []int32) {
+			for _, v := range want.PatternMembers[top] {
+				of[v] = of[other]
+			}
+		}},
+		{"an id past |V|", func(of []int32) { of[0] = int32(len(of)) }},
+		{"a negative id", func(of []int32) { of[0] = -1 }},
+	} {
+		parts := *want
+		parts.PatternBlockOf = slices.Clone(of)
+		bad.edit(parts.PatternBlockOf)
+		if _, err := DecodeStore(EncodeStore(&parts)); !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: DecodeStore = %v, want ErrFormat", bad.what, err)
+		}
+	}
+}
+
+// TestOneLabelCSR: a CSR whose private table holds one name is written
+// without its label ids and reads back with every node under that name; a
+// flag that claims so for a CSR without a one-name private table, or
+// without degrees, is refused.
+func TestOneLabelCSR(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(3)), 150, 600, 3)
+	gr := reach.Compress(g).Gr.Freeze()
+	if gr.Labels().Count() != 1 {
+		t.Fatalf("the reach quotient's table holds %d names", gr.Labels().Count())
+	}
+	w := newWriter(KindStore, 1, nil)
+	putCSR(w, tagG, gr, nil)
+	data := w.encode()
+	if got := storedInts(t, data, tagG+2); got != nil {
+		t.Fatalf("a one-label CSR wrote %d label-id blocks", len(got))
+	}
+	r, err := open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := readCSR(r, tagG, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCSR(t, "one-label", gr, back)
+
+	one, two := gr.Labels(), graph.NewLabels()
+	two.Intern("a")
+	two.Intern("b")
+	deg := make([]int32, gr.NumNodes())
+	for v := range deg {
+		deg[v] = int32(gr.OutDegree(graph.Node(v)))
+	}
+	for _, bad := range []struct {
+		what    string
+		flags   uint64
+		private *graph.Labels
+	}{
+		{"a two-name private table", csrOneLabel | csrDegrees | csrPrivateLabels, two},
+		{"the shared table", csrOneLabel | csrDegrees, nil},
+		{"an offset table", csrOneLabel | csrPrivateLabels, one},
+	} {
+		w := newWriter(KindStore, 1, nil)
+		w.u64(tagG, bad.flags)
+		if bad.private != nil {
+			w.strings(tagG+1, bad.private.Names())
+		}
+		w.int32s(tagG+3, deg)
+		w.int32s(tagG+4, gr.OutAdj())
+		r, err := open(w.encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readCSR(r, tagG, one); !errors.Is(err, ErrFormat) {
+			t.Fatalf("one label over %s: readCSR = %v, want ErrFormat", bad.what, err)
 		}
 	}
 }

@@ -3,41 +3,70 @@ package store
 import (
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/snapfile"
 )
 
 // maxCheckpointBytesPerEdge bounds a checkpoint's size per edge of G on
-// the write-mono inputs: the measured 4.56 B plus 10 %. A checkpoint that
-// stored both row directions of every CSR, the pattern member rows and
-// every int32 block at four bytes took 18.9 B.
-const maxCheckpointBytesPerEdge = 5.0
+// the write-mono inputs, and maxWebcoreCheckpointBytesPerEdge on the
+// read-inproc inputs: the measured 3.27 and 3.42 B plus 10 %. A checkpoint
+// that stored the pattern quotient and the label ids of the reach
+// quotient's one-name table took 4.56 and 5.68 B; one that also stored both
+// row directions of every CSR, the pattern member rows and every int32
+// block at four bytes took 18.9 B on write-mono's.
+const (
+	maxCheckpointBytesPerEdge        = 3.6
+	maxWebcoreCheckpointBytesPerEdge = 3.8
+)
 
 // maxEffectBytesPerGroup bounds the mean diff a leader ships per group on
-// the write-mono inputs: the measured 8 989 B plus 10 %. The diff that
-// wrote every id in four bytes took 16 254 B.
-const maxEffectBytesPerGroup = 9888
+// the write-mono inputs: the measured 7 883 B plus 10 %. The diff that wrote
+// the label ids of the reach quotient's one-name table took 8 989 B, the
+// one that wrote every id in four bytes 16 254 B.
+const maxEffectBytesPerGroup = 8671
 
-// writeMono applies the benchmark's write-mono inputs (benchmark/workloads.go)
-// to a store opened on social16 with opts: the 120 batches of 32 updates
-// seed 1 draws, one group each. each, when not nil, is called once with a
-// nil snapshot before the first group, then after every group with the
-// snapshot before it. It returns the store and the graph the batches made.
+// webcore16 is the benchmark's read-heavy graph (benchmark/workloads.go).
+var webcore16 = gen.Dataset{Name: "webcore16", V: 16300, E: 75000, Labels: 16, Kind: gen.KindWebCore}
+
+// benchInput is one of the benchmark's write lists (benchmark/workloads.go):
+// a graph and how many batches of 32 updates seed 1 draws on it.
+type benchInput struct {
+	d      gen.Dataset
+	writes int
+}
+
+var (
+	writeMonoInput  = benchInput{social16, 120}
+	readInprocInput = benchInput{webcore16, 36}
+)
+
+// writeMono applies the benchmark's write-mono inputs to a store opened on
+// social16 with opts, behind QPGC_BENCH_SMOKE; see applyInput.
 func writeMono(t testing.TB, opts *Options, each func(s *Store, before *Snapshot)) (*Store, *graph.Graph) {
 	if os.Getenv("QPGC_BENCH_SMOKE") == "" {
 		t.Skip("set QPGC_BENCH_SMOKE=1 to run the benchmark regression smoke")
 	}
-	g := social16.Build(1)
+	return applyInput(t, writeMonoInput, opts, each)
+}
+
+// applyInput applies a benchmark write list to a store opened on its graph
+// with opts, one group a batch. each, when not nil, is called once with a
+// nil snapshot before the first group, then after every group with the
+// snapshot before it. It returns the store and the graph the batches made.
+func applyInput(t testing.TB, in benchInput, opts *Options, each func(s *Store, before *Snapshot)) (*Store, *graph.Graph) {
+	g := in.d.Build(1)
 	mirror := g.Clone()
 	s := mustOpen(t, g, opts)
 	rng := rand.New(rand.NewSource(1 ^ 0x5eed)) // the benchmark's draw for seed 1
 	if each != nil {
 		each(s, nil)
 	}
-	for range 120 {
+	for range in.writes {
 		b := gen.RandomBatch(rng, mirror, 32, 0.5)
 		mirror.Apply(b)
 		before := s.Snapshot()
@@ -52,26 +81,88 @@ func writeMono(t testing.TB, opts *Options, each func(s *Store, before *Snapshot
 }
 
 // TestCheckpointBytesPerEdge gates what a checkpoint writes on the
-// write-mono inputs, checkpointed after the last batch. A checkpoint holds
-// the successor side of G and of both quotients and the node maps, each
-// int32 block at the narrowest width that holds it; the predecessor sides
-// and the pattern members are derived on load. The size is deterministic;
-// it runs with the other regression smokes, behind QPGC_BENCH_SMOKE.
+// write-mono and the read-inproc inputs, checkpointed after the last batch.
+// A checkpoint holds the successor side of G and of the reach quotient and
+// both node maps, each int32 block at the narrowest width that holds it;
+// the predecessor sides, the pattern quotient and its members are derived
+// on load. Each logs how long the file takes to decode, the best of five.
+// The sizes are deterministic; they run with the other regression smokes,
+// behind QPGC_BENCH_SMOKE.
 func TestCheckpointBytesPerEdge(t *testing.T) {
-	dir := t.TempDir()
-	s, mirror := writeMono(t, &Options{Dir: dir, Sync: SyncNone}, nil)
-	defer s.Close()
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+	if os.Getenv("QPGC_BENCH_SMOKE") == "" {
+		t.Skip("set QPGC_BENCH_SMOKE=1 to run the benchmark regression smoke")
 	}
-	info, err := Inspect(dir)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		in      benchInput
+		maxEdge float64
+	}{{writeMonoInput, maxCheckpointBytesPerEdge}, {readInprocInput, maxWebcoreCheckpointBytesPerEdge}} {
+		t.Run(c.in.d.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, mirror := applyInput(t, c.in, &Options{Dir: dir, Sync: SyncNone}, nil)
+			defer s.Close()
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			info, err := Inspect(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, info.Snapshot))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var best time.Duration
+			for pass := range 5 {
+				start := time.Now()
+				if _, err := snapfile.DecodeStore(data); err != nil {
+					t.Fatal(err)
+				}
+				if d := time.Since(start); pass == 0 || d < best {
+					best = d
+				}
+			}
+			perEdge := float64(info.SnapshotBytes) / float64(mirror.NumEdges())
+			t.Logf("checkpoint at epoch %d: %d B for %d edges of G, %.2f B per edge, decoded in %.2f ms",
+				info.Epoch, info.SnapshotBytes, mirror.NumEdges(), perEdge, float64(best.Microseconds())/1e3)
+			if perEdge > c.maxEdge {
+				t.Errorf("the checkpoint takes %.2f B per edge of G, want at most %.1f", perEdge, c.maxEdge)
+			}
+		})
 	}
-	perEdge := float64(info.SnapshotBytes) / float64(mirror.NumEdges())
-	t.Logf("checkpoint at epoch %d: %d B for %d edges of G, %.2f B per edge", info.Epoch, info.SnapshotBytes, mirror.NumEdges(), perEdge)
-	if perEdge > maxCheckpointBytesPerEdge {
-		t.Errorf("the checkpoint takes %.2f B per edge of G, want at most %.1f", perEdge, maxCheckpointBytesPerEdge)
+}
+
+// TestDerivedPatternViewRoundTrip: a checkpoint and an image hold no
+// pattern quotient; their decode derives it from G and the block map. On
+// the write-mono and the read-inproc inputs, a store checkpointed after the
+// last batch and reopened with an empty WAL tail, and a store opened on an
+// image of the same snapshot, serve the snapshot closed array for array:
+// both sides of both quotients, the node maps, the members.
+func TestDerivedPatternViewRoundTrip(t *testing.T) {
+	for _, in := range []benchInput{writeMonoInput, readInprocInput} {
+		t.Run(in.d.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := applyInput(t, in, &Options{Dir: dir, Sync: SyncNone}, nil)
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			before := s.Snapshot()
+			img := encodeImage(before)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r := mustOpen(t, nil, &Options{Dir: dir, Sync: SyncNone})
+			defer r.Close()
+			if got := r.Snapshot(); got.Epoch != before.Epoch {
+				t.Fatalf("recovered epoch %d, closed at %d", got.Epoch, before.Epoch)
+			}
+			sameArrays(t, "recovered", r.Snapshot(), before)
+			f, err := OpenImage(img, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			sameViews(t, "image", f.Snapshot(), before)
+		})
 	}
 }
 
