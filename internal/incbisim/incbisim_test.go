@@ -1,6 +1,8 @@
 package incbisim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -304,5 +306,23 @@ func TestChangeLogCoversEveryMove(t *testing.T) {
 			lm.check(t, m, round)
 			checkView(t, m, m.Graph(), round)
 		}
+	}
+}
+
+// TestRowsDigestIsFNV1a holds Rows.Digest to the standard library's FNV-1a
+// over each row's id, label, degree and successor blocks as four
+// little-endian bytes each, so a leader and a follower on any two builds
+// agree on it; rows whose offsets start past 0 digest as their contents.
+func TestRowsDigestIsFNV1a(t *testing.T) {
+	r := Rows{IDs: []graph.Node{2, 5}, Label: []graph.Label{1, 0}, Off: []int32{3, 5, 5}, Adj: []graph.Node{9, 9, 9, 0, 70000}}
+	h := fnv.New64a()
+	for _, x := range []int32{2, 1, 2, 0, 70000, 5, 0, 0} {
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(x)))
+	}
+	if got, want := r.Digest(), h.Sum64(); got != want {
+		t.Fatalf("Digest = %#x, FNV-1a of the rows' words %#x", got, want)
+	}
+	if got, want := (&Rows{}).Digest(), fnv.New64a().Sum64(); got != want {
+		t.Fatalf("no rows digest to %#x, want FNV-1a's offset basis %#x", got, want)
 	}
 }

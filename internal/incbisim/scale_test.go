@@ -163,11 +163,12 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // viewReadsPerChange is the ceiling on the adjacency rows a patched view
-// reads — the predecessors of each moved node and every quotient row it
-// rebuilds — as a multiple of the nodes moved plus the sources of the
-// updates since the previous view. Measured on the stream below, every one
-// of the eight batches reads 1.2–1.3 per change: 319–542 nodes moved (4–7 %
-// of 7 750), ≈ 760 sources, ≈ 1 100 rows rebuilt of 2 600–5 000.
+// reads — the predecessors and the successors of each moved node and every
+// quotient row it rebuilds — as a multiple of the nodes moved plus the
+// sources of the updates since the previous view. Measured on the stream
+// below, every one of the eight batches reads 1.6–1.7 per change: 319–542
+// nodes moved (4–7 % of 7 750), ≈ 760 sources, ≈ 1 100 rows rebuilt of
+// 2 600–5 000.
 const viewReadsPerChange = 2
 
 // TestViewCostsWhatMoved holds View to the paper's claim on the Fig. 12(g)

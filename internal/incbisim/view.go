@@ -7,9 +7,9 @@ package incbisim
 // previous one patched where the batches reached (Patch), at the cost of
 // what moved. Patch and Build are the one way a pattern view is made
 // anywhere — the maintainer runs them over its graph, a store that follows
-// another over its CSR snapshot with the moves and rows it was shipped, a
-// snapshot decode over the graph and block map it read — and both read a
-// block's quotient row off its first member: Build all rows at once by
+// another over its CSR snapshot with the moves it was shipped, a snapshot
+// decode over the graph and block map it read — and both read a block's
+// quotient row off its first member: Build all rows at once by
 // graph.Quotient, Patch the rows it rebuilds one by one (appendRow).
 
 import (
@@ -51,13 +51,35 @@ type Rows struct {
 // Row returns the successor blocks of IDs[k].
 func (r *Rows) Row(k int) []graph.Node { return r.Adj[r.Off[k]:r.Off[k+1]] }
 
+// Digest returns the 64-bit FNV-1a hash of each row's id, label, degree and
+// successor blocks in order, every value as four little-endian bytes: the
+// same in every process, so two stores that rebuilt the same rows agree.
+func (r *Rows) Digest() uint64 {
+	h := uint64(14695981039346656037)
+	word := func(x int32) {
+		for range 4 {
+			h = (h ^ uint64(uint8(x))) * 1099511628211
+			x >>= 8
+		}
+	}
+	for k, id := range r.IDs {
+		word(id)
+		word(r.Label[k])
+		word(r.Off[k+1] - r.Off[k])
+		for _, b := range r.Row(k) {
+			word(b)
+		}
+	}
+	return h
+}
+
 // How says how View made the view it returned.
 type How uint8
 
 const (
 	// Kept is the previous call's view: nothing changed since.
 	Kept How = iota
-	// Patched is the previous view patched by the Diff's moves and rows.
+	// Patched is the previous view patched by the Diff's moves.
 	Patched
 	// Built is a full build: the maintainer's first view.
 	Built
@@ -137,24 +159,25 @@ type Patcher struct {
 
 // Patch returns the view old becomes over g when each node moved[i] goes to
 // block to[i] and the blocks number n. srcs are the nodes whose successor
-// lists changed since old, extra more rows to rebuild. Moves are checked
-// first: no surviving block may be left empty, every dropped block must be
-// emptied, every new block must gain a member, and every moved node must
-// carry its new block's label. Then the member lists of the blocks that
-// gained or lost a member are carved anew, and the rows the change reaches
-// are read off g: those blocks, the blocks of srcs and every block with an
-// edge into a moved node — a row outside these keeps its members, its first
-// member's successors and their blocks, hence its contents — plus extra.
-// The rows rebuilt are returned too, valid until the next call; moved must
-// not repeat a node.
-func Patch[G Adjacency](p *Patcher, g G, old View, moved, to []graph.Node, n int, srcs, extra []graph.Node) (View, *Rows, error) {
+// lists changed since old. Moves are checked first: no surviving block may
+// be left empty, every dropped block must be emptied, every new block must
+// gain a member, and every moved node must carry its new block's label.
+// Then the member lists of the blocks that gained or lost a member are
+// carved anew, and the rows the change reaches are read off g: those
+// blocks, the blocks of srcs and every block with an edge into a moved node
+// — a row outside these keeps its members, its first member's successors
+// and their blocks, hence its contents. Last, every moved node's successor
+// blocks must be its new block's row, as they are for any member of a
+// bisimulation's block. The rows rebuilt are returned too, valid until the
+// next call; moved must not repeat a node.
+func Patch[G Adjacency](p *Patcher, g G, old View, moved, to []graph.Node, n int, srcs []graph.Node) (View, *Rows, error) {
 	oldOf, oldMembers := old.Compressed.ClassMap(), old.Compressed.Members
 	nOld := len(oldMembers)
 	span := max(n, nOld)
 	p.reads = 0
 	r := &p.rows
 	r.IDs, r.Label, r.Off, r.Adj = r.IDs[:0], r.Label[:0], r.Off[:0], r.Adj[:0]
-	if len(moved) == 0 && n == nOld && len(srcs) == 0 && len(extra) == 0 {
+	if len(moved) == 0 && n == nOld && len(srcs) == 0 {
 		return old, r, nil
 	}
 	nb := slices.Clone(oldOf)
@@ -257,9 +280,6 @@ func Patch[G Adjacency](p *Patcher, g G, old View, moved, to []graph.Node, n int
 			add(nb[u])
 		}
 	}
-	for _, b := range extra {
-		add(b)
-	}
 	slices.Sort(r.IDs)
 	for _, b := range r.IDs {
 		first := nm[b][0]
@@ -268,7 +288,18 @@ func Patch[G Adjacency](p *Patcher, g G, old View, moved, to []graph.Node, n int
 		r.Adj = appendRow(r.Adj, g, first, nb, &p.seen, n)
 	}
 	r.Off = append(r.Off, int32(len(r.Adj)))
-	p.reads += len(r.IDs)
+	p.reads += len(r.IDs) + len(moved)
+	// Each moved node's row is read past the rows' end and dropped; its new
+	// block, which gained it, is among the rows.
+	end := len(r.Adj)
+	for i, v := range moved {
+		k, _ := slices.BinarySearch(r.IDs, to[i])
+		r.Adj = appendRow(r.Adj, g, v, nb, &p.seen, n)
+		if got := r.Adj[end:]; !slices.Equal(got, r.Row(k)) {
+			return View{}, nil, fmt.Errorf("node %d moved into pattern block %d reaches blocks %v, the block's row is %v", v, to[i], got, r.Row(k))
+		}
+		r.Adj = r.Adj[:end]
+	}
 	if len(moved) == 0 && len(r.IDs) == 0 && n == nOld {
 		return old, r, nil
 	}
@@ -392,7 +423,7 @@ func (m *Maintainer) patchView(d *Diff) View {
 	for _, v := range d.Moved {
 		d.To = append(d.To, m.pub[top.cls[v]])
 	}
-	v, rows, err := Patch(&m.vp, m.g, old, d.Moved, d.To, n, m.logSrcs, nil)
+	v, rows, err := Patch(&m.vp, m.g, old, d.Moved, d.To, n, m.logSrcs)
 	if err != nil {
 		panic("incbisim: the change log does not describe the partition: " + err.Error())
 	}

@@ -437,7 +437,17 @@ func TestResyncRacesCheckpoint(t *testing.T) {
 	orng := rand.New(rand.NewSource(24))
 	for i := 0; i < 16; i++ {
 		if i == 15 {
-			time.Sleep(20 * time.Millisecond) // let the last unheld checkpoint finish
+			// The background checkpoints skip a write that asks while one
+			// is in flight, so the MANIFEST need never name epoch 15 on its
+			// own. A checkpoint taken here waits out the one in flight,
+			// under the same lock, and names it: then none is left to take
+			// the place of the last write's.
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if info, err := store.Inspect(dir); err != nil || info.Epoch != 15 {
+				t.Fatalf("the MANIFEST names epoch %d (%v), want 15", info.Epoch, err)
+			}
 			gate.armed.Store(true)
 		}
 		batch := gen.RandomBatch(orng, other, 15, 0.6)

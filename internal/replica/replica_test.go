@@ -446,10 +446,9 @@ func (p *chaosProxy) accept() {
 func TestChaosDroppedConnections(t *testing.T) {
 	g := matrixTopologies(35)["web"]
 	lh := startLeader(t, g, nil)
-	// The proxy is first in the retry list and the leader second: the
-	// bootstrap image, bigger than the proxy's cut window, fails through the
-	// proxy and comes directly; the tail rounds under test start at the
-	// proxy.
+	// The proxy is first in the retry list and the leader second. The
+	// bootstrap image (≈ 2 KB) and the tail rounds go through the proxy,
+	// and twenty writes carry a connection past its window.
 	proxy := startChaosProxy(t, lh.srv.Addr(), 16<<10)
 	reg := obs.NewRegistry()
 	f := startFollower(t, proxy.Addr()+","+lh.srv.Addr(), Options{Obs: reg})
@@ -457,7 +456,7 @@ func TestChaosDroppedConnections(t *testing.T) {
 	mirror := g.Clone()
 	rng := rand.New(rand.NewSource(11))
 	var token uint64
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 20; i++ {
 		batch := gen.RandomBatch(rng, mirror, 15, 0.6)
 		mirror.Apply(batch)
 		epoch, err := lh.cli.Apply(batch)

@@ -6,25 +6,27 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/incbisim"
 )
 
 // A diff is one group's change to a monolithic store's views, what a
 // follower applies instead of maintaining them (internal/store/effect.go):
-// how the pattern view's node → block map moved and the quotient rows
-// incPCM rebuilt, and — when the reach view moved — an old class → new
-// class map with the nodes that do not follow it, plus the new reach
-// quotient. Its blocks sit at tagDiff and tagDiffReach.
+// how the pattern view's node → block map moved with the digest of the
+// quotient rows incPCM rebuilt, and — when the reach view moved — an old
+// class → new class map with the nodes that do not follow it, plus the new
+// reach quotient. Its blocks sit at tagDiff and tagDiffReach. Tags
+// tagDiff+5 to tagDiff+8 held the rebuilt rows themselves in an older
+// layout, which is refused: where the decoder reads the digest, it finds
+// the row ids.
 const (
-	tagDiff      = 0x400 // base epoch, |V|, block count, moves, rows
+	tagDiff      = 0x400 // base epoch, |V|, block count, moves, row digest (+9)
 	tagDiffReach = 0x420 // presence flag, class map, exceptions, cyclic flags
 	tagDiffGr    = 0x440 // the reach quotient, through putCSR
 )
 
 // DiffParts is the decoded form of one diff. Every field is the decode's
 // own; a decode checks everything that needs no state: counts, id ranges,
-// ascending lists, sorted rows, Epoch > Base. What needs the follower's
-// views and graph is checked where the diff is applied.
+// ascending lists, Epoch > Base. What needs the follower's views and graph
+// is checked where the diff is applied.
 type DiffParts struct {
 	// Epoch is the epoch the diff brings the views to, Base the one they
 	// start from.
@@ -36,9 +38,9 @@ type DiffParts struct {
 	// Moved lists, ascending, the nodes whose block id changed; To holds
 	// their new blocks.
 	Moved, To []graph.Node
-	// Rows are the pattern quotient rows the change rebuilt, ascending by
-	// id, each row's successor blocks ascending.
-	Rows incbisim.Rows
+	// Digest is incbisim.Rows.Digest of the pattern quotient rows the
+	// change rebuilt.
+	Digest uint64
 	// Reach is the reach view's change, nil when the reach view did not
 	// move.
 	Reach *ReachDiff
@@ -58,9 +60,8 @@ type ReachDiff struct {
 	Cyclic []bool
 }
 
-// AppendDiff appends the encoding of d to dst: the pattern rows as
-// out-degrees plus flat ids, the reach quotient as any CSR with its own
-// label table, every int32 array at its narrowest width.
+// AppendDiff appends the encoding of d to dst: the reach quotient as any
+// CSR with its own label table, every int32 array at its narrowest width.
 func AppendDiff(dst []byte, d *DiffParts) []byte {
 	w := newWriter(KindDiff, d.Epoch, dst)
 	w.u64(tagDiff, d.Base)
@@ -68,19 +69,7 @@ func AppendDiff(dst []byte, d *DiffParts) []byte {
 	w.u64(tagDiff+2, uint64(d.Blocks))
 	w.int32s(tagDiff+3, d.Moved)
 	w.int32s(tagDiff+4, d.To)
-	rows := d.Rows
-	w.int32s(tagDiff+5, rows.IDs)
-	w.int32s(tagDiff+6, rows.Label)
-	deg := make([]int32, len(rows.IDs))
-	var flat []graph.Node
-	if len(deg) > 0 {
-		for k := range deg {
-			deg[k] = rows.Off[k+1] - rows.Off[k]
-		}
-		flat = rows.Adj[rows.Off[0]:rows.Off[len(deg)]]
-	}
-	w.int32s(tagDiff+7, deg)
-	w.int32s(tagDiff+8, flat)
+	w.u64(tagDiff+9, d.Digest)
 	if d.Reach == nil {
 		w.u64(tagDiffReach, 0)
 		return w.encode()
@@ -119,8 +108,7 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 	d := &DiffParts{Epoch: r.epoch, Base: u64(tagDiff)}
 	nodes, blocks := u64(tagDiff+1), u64(tagDiff+2)
 	d.Moved, d.To = ints(tagDiff+3), ints(tagDiff+4)
-	d.Rows.IDs, d.Rows.Label = ints(tagDiff+5), ints(tagDiff+6)
-	deg, flat := ints(tagDiff+7), ints(tagDiff+8)
+	d.Digest = u64(tagDiff + 9)
 	switch reach := u64(tagDiffReach); {
 	case err != nil:
 	case reach > 1:
@@ -138,7 +126,7 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 		err = r.end()
 	}
 	if err == nil {
-		err = d.validate(nodes, blocks, deg, flat)
+		err = d.validate(nodes, blocks)
 	}
 	if err != nil {
 		return nil, err
@@ -147,40 +135,22 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 }
 
 // validate checks the decoded blocks of a diff against one another and
-// fills in what they describe: the counts and the pattern rows from their
-// out-degrees and flat ids.
-func (d *DiffParts) validate(nodes, blocks uint64, deg, flat []int32) error {
+// fills in the counts.
+func (d *DiffParts) validate(nodes, blocks uint64) error {
 	switch {
 	case nodes > math.MaxInt32 || blocks > nodes:
 		return fmt.Errorf("%w: %d blocks over %d nodes", ErrFormat, blocks, nodes)
 	case d.Epoch <= d.Base:
 		return fmt.Errorf("%w: diff spans epochs %d..%d", ErrFormat, d.Base, d.Epoch)
-	case len(d.To) != len(d.Moved) || len(d.Rows.Label) != len(d.Rows.IDs) || len(deg) != len(d.Rows.IDs):
-		return fmt.Errorf("%w: %d moves to %d blocks, %d rows with %d labels and %d degrees",
-			ErrFormat, len(d.Moved), len(d.To), len(d.Rows.IDs), len(d.Rows.Label), len(deg))
+	case len(d.To) != len(d.Moved):
+		return fmt.Errorf("%w: %d moves to %d blocks", ErrFormat, len(d.Moved), len(d.To))
 	}
 	d.Nodes, d.Blocks = int(nodes), int(blocks)
 	if err := cmp.Or(
 		validateIDs("moved node", d.Moved, d.Nodes, true),
 		validateIDs("new block", d.To, d.Blocks, false),
-		validateIDs("row", d.Rows.IDs, d.Blocks, true),
-		validateIDs("row label", d.Rows.Label, math.MaxInt32, false),
 	); err != nil {
 		return err
-	}
-	d.Rows.Off, d.Rows.Adj = make([]int32, len(deg)+1), flat
-	for k, n := range deg {
-		end := int64(d.Rows.Off[k]) + int64(n)
-		if n < 0 || end > int64(len(flat)) {
-			return fmt.Errorf("%w: pattern row %d overruns %d ids", ErrFormat, k, len(flat))
-		}
-		d.Rows.Off[k+1] = int32(end)
-		if err := validateIDs("pattern row", flat[d.Rows.Off[k]:end], d.Blocks, true); err != nil {
-			return err
-		}
-	}
-	if int(d.Rows.Off[len(deg)]) != len(flat) {
-		return fmt.Errorf("%w: pattern rows hold %d of %d ids", ErrFormat, d.Rows.Off[len(deg)], len(flat))
 	}
 	rd := d.Reach
 	if rd == nil {

@@ -30,10 +30,12 @@ import (
 // that decode to the same parts. Besides a seed per base, the seeds edit
 // the store file the current encoder writes where the new format's
 // decoding derives: its block map (an id past |V|, a hole, two labels in a
-// block) and its reach quotient's one-label flag. The decoders' validation layer is exactly what keeps a
-// forged file from crashing the query paths later. A kept input names its
-// base by index modulo len(bases), so a base added to the list moves the
-// kept inputs: re-record their base bytes to keep what each one edits.
+// block) and its reach quotient's one-label flag; one more sets a byte of a
+// recorded diff's row digest. The decoders' validation layer is exactly
+// what keeps a forged file from crashing the query paths later. A kept
+// input names its base by index modulo len(bases), so a base added to the
+// list moves the kept inputs: re-record their base bytes to keep what each
+// one edits.
 func FuzzDecode(f *testing.F) {
 	small := gen.Social(rand.New(rand.NewSource(1)), 60, 200, 3)
 	wide := gen.Social(rand.New(rand.NewSource(2)), 300, 700, 3)
@@ -55,6 +57,7 @@ func FuzzDecode(f *testing.F) {
 	for _, e := range [][3]int{{tagPatC, 0, 200}, {tagPatC, last, last}, {tagPatC, 0, 1}, {tagReachGr, 0, csrPrivateLabels | csrDegrees}} {
 		f.Add(uint8(0), setByte(f, bases[0], uint32(e[0]), e[1], byte(e[2])))
 	}
+	f.Add(uint8(5), setByte(f, bases[5], tagDiff+9, 7, 0))
 	f.Fuzz(func(t *testing.T, base uint8, edits []byte) {
 		checkDecodes(t, edits)
 		checkDecodes(t, edit(bases[int(base)%len(bases)], edits))

@@ -55,8 +55,9 @@
 // one that predates the derived pattern quotient rejects a file without it
 // (the blocks end where it expects the quotient's), so followers must be
 // upgraded before their leader ships them an image. A diff lives only on
-// the wire; its decoder accepts what its encoder writes and, for a reach
-// quotient's one-name table, the label ids an older encoder wrote too.
+// the wire; its decoder accepts only what its encoder writes, and refuses
+// a diff in an older layout (one that shipped the rebuilt pattern rows), so
+// that the follower takes an image instead.
 //
 // # Integrity and safety
 //

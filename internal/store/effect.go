@@ -1,15 +1,16 @@
 // Effects: what a follower applies instead of re-running maintenance.
 //
 // At publish, a store somebody tails records the effect of the group it
-// just swapped in: how the pattern view's node → block map moved and the
-// quotient rows incPCM's patch rebuilt, and — when the reach view moved —
-// an old class → new class map with the nodes that do not follow it, plus
-// the new reach quotient. That is O(|moved| + |rows|) and O(|Gr| + |AFF|),
-// not O(|V|). The effects live in a ring bounded by effectRingBytes and go
-// out beside the raw WAL frames of their groups (server.MsgEffect). A
-// follower holding the views the effect starts from patches G from the raw
-// frames, patches both views from the effect, and publishes once: no
-// dynscc, no incRCM, no incPCM, and no maintainer state at all.
+// just swapped in: how the pattern view's node → block map moved with a
+// 64-bit digest of the quotient rows incPCM's patch rebuilt, and — when the
+// reach view moved — an old class → new class map with the nodes that do
+// not follow it, plus the new reach quotient. That is O(|moved|) and
+// O(|Gr| + |AFF|), not O(|V|). The effects live in a ring bounded by
+// effectRingBytes and go out beside the raw WAL frames of their groups
+// (server.MsgEffect). A follower holding the views the effect starts from
+// patches G from the raw frames, patches both views from the effect, and
+// publishes once: no dynscc, no incRCM, no incPCM, and no maintainer state
+// at all.
 //
 // Diffs are only valid against the exact layout they were taken from, so
 // every snapshot carries a lineage: a random id drawn by each full view
@@ -28,12 +29,15 @@
 //
 // Effect bytes are untrusted input: the frame's CRC covers the whole, and
 // snapfile's decoders check every count, id range and order that needs no
-// state. The follower runs the moves through the patch the leader ran
-// (incbisim.Patch), which checks them, and it checks that the rows the
-// patch rebuilds from its own patched G are exactly the rows shipped,
-// labels included. A diff never goes to disk: the WAL of raw
-// batches stays the one record of a group, an image is installed as the
-// checkpoint it is, and a store that restarts draws a new lineage.
+// state. The follower patches G batch by batch, as the leader's maintainers
+// took it, so its changed sources are the ones the leader's patch took, and
+// runs the moves through that patch (incbisim.Patch), which checks them and
+// rebuilds every row the change reaches off its own G. Those rows must
+// digest to the shipped digest: as strong as shipping them, but for a 2⁻⁶⁴
+// collision. A diff in the older layout, which shipped the rows, is
+// refused, and the follower takes an image. A diff never goes to disk: the
+// WAL of raw batches stays the one record of a group, an image is installed
+// as the checkpoint it is, and a store that restarts draws a new lineage.
 package store
 
 import (
@@ -240,14 +244,12 @@ func (s *Store) Effects(lineage, epoch uint64) []Effect {
 }
 
 // recordEffect files the effect of the group publish just installed, old →
-// sn, in the ring; diff is how incPCM made sn's pattern view. Writer
-// goroutine, before the epoch is marked: a tail round woken by the swap
-// finds it there.
+// sn, in the ring; diff is how incPCM made sn's pattern view, and lists no
+// move and no row unless it patched it. Writer goroutine, before the epoch
+// is marked: a tail round woken by the swap finds it there.
 func (s *Store) recordEffect(old, sn *Snapshot, reachMoved bool, diff *incbisim.Diff) {
-	d := &snapfile.DiffParts{Epoch: sn.Epoch, Base: old.Epoch, Nodes: s.nodes, Blocks: sn.Pattern.Gr.NumNodes()}
-	if diff.How == incbisim.Patched {
-		d.Moved, d.To, d.Rows = diff.Moved, diff.To, diff.Rows
-	}
+	d := &snapfile.DiffParts{Epoch: sn.Epoch, Base: old.Epoch, Nodes: s.nodes, Blocks: sn.Pattern.Gr.NumNodes(),
+		Moved: diff.Moved, To: diff.To, Digest: diff.Rows.Digest()}
 	if reachMoved {
 		rv := sn.Reach
 		d.Reach = &snapfile.ReachDiff{Gr: rv.Gr, Cyclic: rv.Compressed.CyclicClass}
@@ -385,34 +387,43 @@ func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, ef *effe
 	case ef.lineage != old.Lineage || d.Base != old.Epoch:
 		return nil, fmt.Errorf("effect starts from views %x@%d, store holds %x@%d", ef.lineage, d.Base, old.Lineage, old.Epoch)
 	}
-	// G is old's thawed with the group's net change applied, frozen again:
-	// old's own CSR when the group changed nothing.
+	// G is old's thawed with the group applied batch by batch, frozen
+	// again: old's own CSR when the group changed nothing. The rows G
+	// changed are the sources of each batch's effective updates, as the
+	// leader's maintainers absorbed them: a row one batch changed and a
+	// later one changed back is one too.
 	sn := &Snapshot{Epoch: d.Epoch, Lineage: ef.lineage}
 	gw := old.G.Thaw()
-	eff := gw.Reduce(slices.Concat(batches...))
-	gw.Apply(eff)
+	var srcs []graph.Node
+	for _, batch := range batches {
+		eff := gw.Reduce(batch)
+		gw.Apply(eff)
+		for _, up := range eff {
+			srcs = append(srcs, up.From)
+		}
+	}
 	g := gw.Freeze()
-	sn.G = g
+	sn.G, sn.Reach = g, old.Reach
 	if g == old.G {
 		sn.gord.Store(old.gord.Load())
 	}
-	sn.Reach = old.Reach
+	var err error
 	if d.Reach != nil {
-		var err error
 		if sn.Reach, err = s.reachView(old.Reach.Compressed, d.Reach); err != nil {
 			return nil, err
 		}
 	}
-	// The rows G changed are the net change's sources: a row the group
-	// changed and changed back is none.
-	srcs := make([]graph.Node, len(eff))
-	for i, up := range eff {
-		srcs[i] = up.From
+	// The shipped moves go through incPCM's own patch, which checks them
+	// and rebuilds every row the change reaches; those must digest to the
+	// shipped digest.
+	var rows *incbisim.Rows
+	if sn.Pattern, rows, err = incbisim.Patch(&s.es, g, old.Pattern, d.Moved, d.To, d.Blocks, srcs); err != nil {
+		return nil, err
 	}
-	slices.Sort(srcs)
-	var err error
-	sn.Pattern, err = s.patchPattern(old.Pattern, g, slices.Compact(srcs), d)
-	return sn, err
+	if got := rows.Digest(); got != d.Digest {
+		return nil, fmt.Errorf("the %d quotient rows the change reaches digest to %#x, the diff names %#x", len(rows.IDs), got, d.Digest)
+	}
+	return sn, nil
 }
 
 // reachView assembles the reach view a diff's reach part makes of old:
@@ -440,34 +451,4 @@ func (s *Store) reachView(old *reach.Compressed, rd *snapfile.ReachDiff) (ReachV
 		return ReachView{}, fmt.Errorf("reach class %d is empty", slices.Index(seen, false))
 	}
 	return ReachView{Gr: rd.Gr, Compressed: reach.AssembleCompressed(nil, classOf, rd.Cyclic), hop: newHopCell(s.cfg.Indexes, s.ob)}, nil
-}
-
-// patchPattern applies a diff's pattern part to old over g, the patched G,
-// whose changed rows are srcs: the shipped moves go through incPCM's own
-// patch, which checks them and rebuilds every row the change reaches plus
-// the shipped ones. It must rebuild no row beyond those shipped, and each
-// shipped row and label must be what it read off g.
-func (s *Store) patchPattern(old PatternView, g *graph.CSR, srcs []graph.Node, d *snapfile.DiffParts) (PatternView, error) {
-	pv, rows, err := incbisim.Patch(&s.es, g, old, d.Moved, d.To, d.Blocks, srcs, d.Rows.IDs)
-	if err != nil {
-		return PatternView{}, err
-	}
-	if len(rows.IDs) != len(d.Rows.IDs) {
-		for _, r := range rows.IDs {
-			if _, ok := slices.BinarySearch(d.Rows.IDs, r); !ok {
-				return PatternView{}, fmt.Errorf("the change reaches quotient row %d, which was not shipped", r)
-			}
-		}
-	}
-	// Each shipped row is among those rebuilt: found by id, not position.
-	for k, r := range d.Rows.IDs {
-		j, _ := slices.BinarySearch(rows.IDs, r)
-		switch {
-		case rows.Label[j] != d.Rows.Label[k]:
-			return PatternView{}, fmt.Errorf("row %d labeled %d, its members are %d", r, d.Rows.Label[k], rows.Label[j])
-		case !slices.Equal(rows.Row(j), d.Rows.Row(k)):
-			return PatternView{}, fmt.Errorf("row %d lists blocks %v, its first member reaches %v", r, d.Rows.Row(k), rows.Row(j))
-		}
-	}
-	return pv, nil
 }

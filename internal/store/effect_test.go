@@ -268,7 +268,9 @@ func TestEffectRejected(t *testing.T) {
 // fits — but lie about the views: each is a real diff decoded, edited and
 // re-encoded. Each lie is one that only its own check catches; it must be
 // refused whole, ErrEffect and the follower unmoved, and the intact effect
-// must apply after it.
+// must apply after it. A lie about the rows is a digest of rows other than
+// the ones the follower rebuilds; a lie about a move that leaves every
+// rebuilt row as it was carries the digest of those rows.
 func TestEffectLiesRejected(t *testing.T) {
 	g := gen.Social(rand.New(rand.NewSource(3)), 400, 900, 3)
 	mirror, base := g.Clone(), g.Clone()
@@ -366,22 +368,38 @@ func TestEffectLiesRejected(t *testing.T) {
 		}
 	}
 	// A node nothing points at, not first in its block, moved into a block
-	// of another label whose first member precedes it: no row changes.
-	var stray, other graph.Node = -1, -1
-	for v := graph.Node(0); int(v) < fg.NumNodes() && other < 0; v++ {
+	// whose first member precedes it: no row changes. other is such a block
+	// of another label, same one of the node's own label; the maximum
+	// bisimulation puts the node in no other block of its label, so same's
+	// row is not the blocks its successors reach.
+	var stray, other, same graph.Node = -1, -1, -1
+	for v := graph.Node(0); int(v) < fg.NumNodes() && (other < 0 || same < 0); v++ {
 		b := pv.Compressed.ClassOf(v)
 		if fg.InDegree(v) > 0 || pv.Compressed.Members[b][0] == v {
 			continue
 		}
+		other, same = -1, -1
 		for q := range pv.Compressed.Members {
-			if pv.Gr.Label(graph.Node(q)) != fg.Label(v) && pv.Compressed.Members[q][0] < v {
-				stray, other = v, graph.Node(q)
-				break
+			switch {
+			case graph.Node(q) == b || pv.Compressed.Members[q][0] > v:
+			case pv.Gr.Label(graph.Node(q)) != fg.Label(v):
+				other = graph.Node(q)
+			default:
+				same = graph.Node(q)
 			}
 		}
+		stray = v
 	}
-	if into < 0 || other < 0 {
+	if into < 0 || other < 0 || same < 0 {
 		t.Fatal("the graph offers no two blocks of one label or no stray node")
+	}
+	// unmoved are the rows of stray's block and q as they stand, which a
+	// move of stray into q leaves as they are.
+	unmoved := func(q graph.Node) incbisim.Rows {
+		ids := []graph.Node{pv.Compressed.ClassOf(stray), q}
+		slices.Sort(ids)
+		return packRows(ids, []graph.Label{pv.Gr.Label(ids[0]), pv.Gr.Label(ids[1])},
+			[][]graph.Node{pv.Gr.Successors(ids[0]), pv.Gr.Successors(ids[1])})
 	}
 	group := [][]graph.Update{noop}
 	refused("block left empty", group, lie(body, func(d *snapfile.DiffParts) {
@@ -392,37 +410,54 @@ func TestEffectLiesRejected(t *testing.T) {
 	refused("new block with no member", group, lie(body, func(d *snapfile.DiffParts) { d.Blocks++ }))
 	refused("moved node with the wrong label", group, lie(body, func(d *snapfile.DiffParts) {
 		d.Moved, d.To = []graph.Node{stray}, []graph.Node{other}
-		ids := []graph.Node{pv.Compressed.ClassOf(stray), other}
-		slices.Sort(ids)
-		d.Rows = shipRows(ids, []graph.Label{pv.Gr.Label(ids[0]), pv.Gr.Label(ids[1])},
-			[][]graph.Node{pv.Gr.Successors(ids[0]), pv.Gr.Successors(ids[1])})
+		r := unmoved(other)
+		d.Digest = r.Digest()
+	}))
+	refused("moved node outside its new block's row", group, lie(body, func(d *snapfile.DiffParts) {
+		d.Moved, d.To = []graph.Node{stray}, []graph.Node{same}
+		r := unmoved(same)
+		d.Digest = r.Digest()
 	}))
 	apply(group, body)
 
-	// Lies about the rows, on a diff that moves nodes and rebuilds rows.
+	// Lies about the rows, on a diff that moves nodes and rebuilds rows: the
+	// digest of the rows the follower rebuilds, one of them edited.
 	b := gen.RandomBatch(rand.New(rand.NewSource(4)), mirror, 40, 0.5)
-	mirror.Apply(b)
+	eff := mirror.Reduce(b)
+	mirror.Apply(eff)
 	body = next(b)
 	ef, _ := decodeEffect(body)
 	shipped := ef.diff
+	srcs := make([]graph.Node, len(eff))
+	for i, up := range eff {
+		srcs[i] = up.From
+	}
+	var p incbisim.Patcher
+	_, honest, err := incbisim.Patch(&p, mirror, pv, shipped.Moved, shipped.To, shipped.Blocks, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if honest.Digest() != shipped.Digest {
+		t.Fatal("the rows a patch of the mirror rebuilds are not the ones the leader digested")
+	}
 	k := -1
-	for i := range shipped.Rows.IDs {
-		if len(shipped.Rows.Row(i)) > 0 {
+	for i := range honest.IDs {
+		if len(honest.Row(i)) > 0 {
 			k = i
 			break
 		}
 	}
 	if len(shipped.Moved) == 0 || k < 0 {
-		t.Fatalf("the diff moves %d nodes and rebuilds %d rows, none of them non-empty", len(shipped.Moved), len(shipped.Rows.IDs))
+		t.Fatalf("the diff moves %d nodes and rebuilds %d rows, none of them non-empty", len(shipped.Moved), len(honest.IDs))
 	}
-	// edited re-ships the rows with row k as edit leaves it, or without it.
+	// edited digests the rows with row k as edit leaves it, or without it.
 	edited := func(edit func(label graph.Label, row []graph.Node) (graph.Label, []graph.Node, bool)) func(d *snapfile.DiffParts) {
 		return func(d *snapfile.DiffParts) {
 			var ids []graph.Node
 			var labels []graph.Label
 			var rows [][]graph.Node
-			for i, id := range d.Rows.IDs {
-				label, row, keep := d.Rows.Label[i], d.Rows.Row(i), true
+			for i, id := range honest.IDs {
+				label, row, keep := honest.Label[i], honest.Row(i), true
 				if i == k {
 					label, row, keep = edit(label, row)
 				}
@@ -430,7 +465,8 @@ func TestEffectLiesRejected(t *testing.T) {
 					ids, labels, rows = append(ids, id), append(labels, label), append(rows, row)
 				}
 			}
-			d.Rows = shipRows(ids, labels, rows)
+			r := packRows(ids, labels, rows)
+			d.Digest = r.Digest()
 		}
 	}
 	group = [][]graph.Update{b}
@@ -446,9 +482,9 @@ func TestEffectLiesRejected(t *testing.T) {
 	apply(group, body)
 }
 
-// shipRows packs rows ids, ascending, with their labels and successor
-// blocks as an effect carries them.
-func shipRows(ids []graph.Node, labels []graph.Label, rows [][]graph.Node) incbisim.Rows {
+// packRows packs rows ids, ascending, with their labels and successor
+// blocks as incbisim.Patch returns them.
+func packRows(ids []graph.Node, labels []graph.Label, rows [][]graph.Node) incbisim.Rows {
 	r := incbisim.Rows{IDs: ids, Label: labels, Off: []int32{0}}
 	for _, row := range rows {
 		r.Adj = append(r.Adj, row...)
@@ -511,8 +547,10 @@ func TestEffectRingHoldsNoSpare(t *testing.T) {
 // value xored in there — after which the frame's checksum is made to fit,
 // so an edit reaches the version, kind and lineage behind it. The script is
 // decoded as a frame too, as arbitrary bytes. The fuzzer mutates the small
-// script, not the frame, so it stays cheap. What lies inside a frame is
-// snapfile's encoding, which snapfile's FuzzDecode edits and reseals.
+// script, not the frame, so it stays cheap. Besides a seed per base, the
+// seeds edit the kind, the version and a bit of the row digest. What lies
+// inside a frame is snapfile's encoding, which snapfile's FuzzDecode edits
+// and reseals.
 func FuzzDecodeEffect(f *testing.F) {
 	g := gen.Social(rand.New(rand.NewSource(5)), 120, 300, 3)
 	mirror := g.Clone()
@@ -538,6 +576,12 @@ func FuzzDecodeEffect(f *testing.F) {
 	}
 	f.Add(uint8(0), []byte{1, 0, kindDiff}) // kind 0, the older diff encoding
 	f.Add(uint8(1), []byte{0, 0, 0x40})     // a version byte the parser does not know
+	ef, err := decodeEffect(bases[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	at := bytes.Index(bases[0], binary.LittleEndian.AppendUint64(nil, ef.diff.Digest))
+	f.Add(uint8(0), []byte{byte(at), byte(at >> 8), 1}) // a bit of the row digest
 	f.Fuzz(func(t *testing.T, base uint8, script []byte) {
 		frame := slices.Clone(bases[int(base)%len(bases)])
 		for e := script; len(e) >= 3; e = e[3:] {
