@@ -60,9 +60,10 @@ func cmdReplica(args []string) {
 		fmt.Printf("replica: caught up at epoch %d\n", f.Epoch())
 	}
 	if *listen != "" {
-		// ReplDir makes the follower itself a replication source (its own
-		// WAL is valid shipping state), so siblings can chain off it and a
-		// promotion target can be tailed the moment it takes over. The
+		// ReplDir makes the follower itself a replication source (it ships
+		// from its own effect ring, which records the diffs it applies), so
+		// siblings can chain off it and a promotion target can be tailed the
+		// moment it takes over. The
 		// endpoint also accepts MsgPromote, which turns this follower into
 		// the leader (see "qpgc promote").
 		srv, err := server.Start(*listen, server.Options{

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -210,26 +211,39 @@ func TestFollowerReadsAtStampedEpoch(t *testing.T) {
 	t.Logf("%d reads across %d epochs landed as effects (%d diffs)", len(reads), writes, f.diffs.Load())
 }
 
-// effectFlipProxy forwards a follower's tail connection to its source and
-// flips one bit inside the effect bytes of the first limit MsgEffect frames
-// coming back: corruption on the wire, past everything the source checks.
-// It counts the frames it forwards by type.
-type effectFlipProxy struct {
-	ln      net.Listener
-	target  string
-	limit   int64
-	flipped atomic.Int64
-	frames  [256]atomic.Int64
-	wg      sync.WaitGroup
+// proxyPlan is what an effectProxy does to the effects it forwards.
+type proxyPlan struct {
+	// flip flips one bit inside the effect bytes of the first flip
+	// MsgEffect frames: corruption on the wire, past everything the source
+	// checks.
+	flip int64
+	// cut forwards the first half of each of the first cut diffs, then
+	// drops the connection: a shipment cut mid-frame.
+	cut int64
+	// stray sends a frame of type 0x4a — the raw WAL frame older sources
+	// shipped beside each diff — ahead of each of the first stray diffs.
+	stray int64
 }
 
-func startEffectFlipProxy(t *testing.T, target string, limit int64) *effectFlipProxy {
+// effectProxy forwards a follower's tail connection to its source and does
+// to the effects coming back what its plan says. It counts the frames it
+// forwards by type.
+type effectProxy struct {
+	ln                    net.Listener
+	target                string
+	plan                  proxyPlan
+	flipped, cuts, strays atomic.Int64
+	frames                [256]atomic.Int64
+	wg                    sync.WaitGroup
+}
+
+func startEffectProxy(t *testing.T, target string, plan proxyPlan) *effectProxy {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &effectFlipProxy{ln: ln, target: target, limit: limit}
+	p := &effectProxy{ln: ln, target: target, plan: plan}
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -252,7 +266,7 @@ func startEffectFlipProxy(t *testing.T, target string, limit int64) *effectFlipP
 	return p
 }
 
-func (p *effectFlipProxy) serve(conn net.Conn) {
+func (p *effectProxy) serve(conn net.Conn) {
 	defer conn.Close()
 	up, err := net.Dial("tcp", p.target)
 	if err != nil {
@@ -274,9 +288,21 @@ func (p *effectFlipProxy) serve(conn net.Conn) {
 			return
 		}
 		p.frames[frame[0]].Add(1)
-		// Past the type byte and the epoch: a bit of the effect itself.
-		if server.MsgType(frame[0]) == server.MsgEffect && len(frame) > 20 && p.flipped.Add(1) <= p.limit {
+		// Past the type byte and the epoch, the effect itself: its second
+		// byte is its kind, 2 for a diff.
+		effect := server.MsgType(frame[0]) == server.MsgEffect && len(frame) > 20
+		diff := effect && frame[10] == 2
+		if effect && p.flipped.Add(1) <= p.plan.flip {
 			frame[9+(len(frame)-9)/2] ^= 0x08
+		}
+		if diff && p.cuts.Add(1) <= p.plan.cut {
+			conn.Write(append(hdr[:], frame[:len(frame)/2]...))
+			return
+		}
+		if diff && p.strays.Add(1) <= p.plan.stray {
+			if _, err := conn.Write([]byte{9, 0, 0, 0, 0x4a, 1, 0, 0, 0, 0, 0, 0, 0}); err != nil {
+				return
+			}
 		}
 		if _, err := conn.Write(append(hdr[:], frame...)); err != nil {
 			return
@@ -284,14 +310,13 @@ func (p *effectFlipProxy) serve(conn net.Conn) {
 	}
 }
 
-// TestChaosBitFlippedEffect is TestChaosBitFlippedShipment for the effect
-// frames: bits flipped in the first shipped effects on the wire. The
-// follower must quarantine each corrupted effect — never apply it — and
-// still converge to exact answers.
+// TestChaosBitFlippedEffect flips bits in the first shipped effects on the
+// wire. The follower must quarantine each corrupted effect — never apply
+// it — and still converge to exact answers.
 func TestChaosBitFlippedEffect(t *testing.T) {
 	g := matrixTopologies(39)["social"]
 	lh := startLeader(t, g, nil)
-	proxy := startEffectFlipProxy(t, lh.srv.Addr(), 3)
+	proxy := startEffectProxy(t, lh.srv.Addr(), proxyPlan{flip: 3})
 	// The proxy first: the bootstrap image it flips is refused, and the
 	// leader behind it supplies one; the tail rounds start at the proxy.
 	f := startFollower(t, proxy.ln.Addr().String()+","+lh.srv.Addr(), Options{})
@@ -354,4 +379,75 @@ func TestWrappedBackendShipsEffects(t *testing.T) {
 	if images, diffs := f.images.Load(), f.diffs.Load(); images < 1 || diffs < 1 {
 		t.Fatalf("the follower took %d images and %d diffs; want an image and diffs", images, diffs)
 	}
+}
+
+// TestTailReadsNoWAL runs a leader whose store fails every read of a WAL
+// segment after open, in a directory the real disk does not have: its
+// follower catches up through twenty writes by diffs alone, so no tail
+// round reads a WAL file — through the store's FS or past it.
+func TestTailReadsNoWAL(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(65)), 2000, 8000, 5)
+	noWAL := faultfs.NewInject(rootedFS{root: t.TempDir()}, faultfs.Rule{Op: faultfs.OpRead, Path: "wal-"})
+	dir := virtualDir(t, "leader")
+	s, err := store.Open(g.Clone(), &store.Options{Dir: dir, FS: noWAL, Sync: store.SyncNone, WALSegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv, err := server.Start("127.0.0.1:0", server.Options{Backend: server.NewStoreBackend(s), ReplDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	f := startFollower(t, srv.Addr(), Options{})
+
+	mirror := g.Clone()
+	rng := rand.New(rand.NewSource(66))
+	const writes = 20
+	for i := 0; i < writes; i++ {
+		batch := gen.RandomBatch(rng, mirror, 10, 0.6)
+		mirror.Apply(batch)
+		epoch, err := s.Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitEpoch(t, f, epoch, 10*time.Second)
+	}
+	diffAgainstReference(t, "no-wal-reads", mirror, map[string]server.Backend{"follower": f})
+	if images, diffs := f.images.Load(), f.diffs.Load(); images != 1 || diffs != writes {
+		t.Fatalf("the follower took %d images and %d diffs, want its bootstrap image and %d diffs", images, diffs, writes)
+	}
+	if n := noWAL.Fired(); n != 0 {
+		t.Fatalf("the leader read its WAL %d times", n)
+	}
+}
+
+// TestStrayFrameIsQuarantined tails a source that sends, ahead of each
+// diff, the raw WAL frame (type 0x4a) an older source shipped: each such
+// round is a quarantine, not a reconnect, so the follower resyncs and
+// converges on images instead of reconnecting forever.
+func TestStrayFrameIsQuarantined(t *testing.T) {
+	g := matrixTopologies(67)["social"]
+	lh := startLeader(t, g, nil)
+	proxy := startEffectProxy(t, lh.srv.Addr(), proxyPlan{stray: 1 << 40})
+	f := startFollower(t, proxy.ln.Addr().String(), Options{})
+
+	mirror := g.Clone()
+	rng := rand.New(rand.NewSource(68))
+	var token uint64
+	for i := 0; i < 6; i++ {
+		batch := gen.RandomBatch(rng, mirror, 15, 0.6)
+		mirror.Apply(batch)
+		epoch, err := lh.cli.Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		token = epoch
+	}
+	awaitEpoch(t, f, token, 15*time.Second)
+	st := f.Status()
+	if proxy.strays.Load() == 0 || st.Quarantines < resyncAfter || st.Resyncs == 0 || f.diffs.Load() != 0 {
+		t.Fatalf("after %d stray frames: %+v, %d diffs; want quarantines, a resync and no diff", proxy.strays.Load(), st, f.diffs.Load())
+	}
+	diffAgainstReference(t, "stray", mirror, map[string]server.Backend{"follower": f})
 }

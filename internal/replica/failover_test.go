@@ -437,10 +437,8 @@ func TestResyncRacesCheckpoint(t *testing.T) {
 	orng := rand.New(rand.NewSource(24))
 	for i := 0; i < 16; i++ {
 		if i == 15 {
-			// The background checkpoints skip a write that asks while one
-			// is in flight, so the MANIFEST need never name epoch 15 on its
-			// own. A checkpoint taken here waits out the one in flight,
-			// under the same lock, and names it: then none is left to take
+			// A checkpoint taken here waits out the one in flight, under
+			// the same lock, and names epoch 15: then none is left to take
 			// the place of the last write's.
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -463,7 +461,7 @@ func TestResyncRacesCheckpoint(t *testing.T) {
 	}
 	installed := make(chan error, 1)
 	go func() {
-		_, _, err := s.ApplyEffect(nil, img)
+		_, _, err := s.ApplyEffect(img)
 		installed <- err
 	}()
 	select {

@@ -47,12 +47,11 @@ func sameState(t *testing.T, at string, got, want *store.Snapshot) {
 }
 
 // TestBootstrapIsOneImage counts a fresh follower's bootstrap on the wire:
-// exactly one image and no MsgRecord frame, though the source has a
-// checkpoint and a WAL tail to offer, and the source reads no snapshot file
-// through its ship FS — any read there fails.
+// exactly one image, though the source has a checkpoint and a WAL tail to
+// offer, and the source reads no snapshot file — any read there fails.
 func TestBootstrapIsOneImage(t *testing.T) {
 	g := matrixTopologies(58)["web"]
-	ship := faultfs.NewInject(nil, faultfs.Rule{Op: faultfs.OpOpen | faultfs.OpRead, Path: "snap-"})
+	ship := faultfs.NewInject(nil, faultfs.Rule{Op: faultfs.OpRead, Path: "snap-"})
 	lh := startLeader(t, g, ship)
 	mirror := g.Clone()
 	rng := rand.New(rand.NewSource(59))
@@ -71,7 +70,7 @@ func TestBootstrapIsOneImage(t *testing.T) {
 		}
 		token = epoch
 	}
-	proxy := startEffectFlipProxy(t, lh.srv.Addr(), 0)
+	proxy := startEffectProxy(t, lh.srv.Addr(), proxyPlan{})
 	f := startFollower(t, proxy.ln.Addr().String(), Options{})
 	if err := f.WaitCaughtUp(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -79,11 +78,11 @@ func TestBootstrapIsOneImage(t *testing.T) {
 	if e := f.Epoch(); e != token {
 		t.Fatalf("bootstrapped at epoch %d, source at %d", e, token)
 	}
-	if images, effects, records := f.images.Load(), proxy.frames[server.MsgEffect].Load(), proxy.frames[server.MsgRecord].Load(); images != 1 || effects != 1 || records != 0 {
-		t.Fatalf("the bootstrap took %d images: %d effects and %d records on the wire, want 1 and 0", images, effects, records)
+	if images, effects := f.images.Load(), proxy.frames[server.MsgEffect].Load(); images != 1 || effects != 1 {
+		t.Fatalf("the bootstrap took %d images: %d effects on the wire, want 1", images, effects)
 	}
 	if n := ship.Fired(); n != 0 {
-		t.Fatalf("the source read a snapshot file through its ship FS %d times", n)
+		t.Fatalf("the source read a snapshot file %d times", n)
 	}
 	diffAgainstReference(t, "bootstrap", mirror, map[string]server.Backend{"follower": f})
 }
@@ -171,7 +170,7 @@ func TestImageInstallAtEveryCrashPoint(t *testing.T) {
 					t.Fatal(oerr)
 				}
 				in.AddRule(faultfs.Rule{Op: allOps, After: k, Count: 1})
-				_, _, err = s.ApplyEffect(nil, img)
+				_, _, err = s.ApplyEffect(img)
 				in.Disarm() // the install is over; Close is not under test
 				s.Close()
 			} else {

@@ -1,17 +1,15 @@
 // Package replica turns a durable store directory into a read replica: it
-// tails a source's WAL — one long-polled round after another, each answered
-// when the source publishes an epoch. Each group of raw frames arrives with
-// its effect: what those batches did to the source's views
-// (store/effect.go). The follower appends the frames to its own WAL,
-// patches its G from them and its views from the effect, and publishes — it
+// tails a source's effect ring — one long-polled round after another, each
+// answered when the source publishes an epoch. Each group arrives as one
+// diff: the group's raw batches and what they did to the source's views
+// (store/effect.go). The follower appends the batches to its own WAL,
+// patches its G from them and its views from the rest, and publishes — it
 // runs no maintainer and holds none until Promote builds them. A round that
 // cannot chain the follower's views brings one image of the source's
 // snapshot instead, G included, installed in place (store/install.go). So a
 // follower keeps one store for its whole life and has two transitions, a
 // diff and an image, both through store.Store.ApplyEffect; one in an empty
-// directory starts from an image through the same install. Frames that
-// arrive without their effect are not applied: the next round ships them
-// again.
+// directory starts from an image through the same install.
 //
 // The design leans entirely on one invariant the storage layer already
 // guarantees: a WAL record's sequence number IS the batch's epoch. A
@@ -23,16 +21,16 @@
 // so a SIGKILLed follower recovers to an epoch it already served — RYW
 // tokens never move backward across a crash.
 //
-// Shipped bytes are untrusted. Every frame is re-validated with
-// wal.ParseRecord (CRC), its embedded seq must equal both the claimed seq
-// and the follower's next epoch, and the decoded batch must apply at
-// exactly that epoch; an effect must decode, chain from the follower's own
-// views and agree with its patched G (store.Store.ApplyEffect checks).
-// Any violation is a quarantine event: the connection
-// is dropped and catch-up restarts from the follower's own epoch — wrong
-// answers are never served. A follower that cannot make progress resyncs:
-// its next round asks for an image, and the old snapshot serves reads until
-// the image's is published.
+// Shipped bytes are untrusted. An effect must pass its CRC and decode, a
+// diff must chain from the follower's own views — its base the follower's
+// epoch, one batch per epoch after it — and agree with its patched G
+// (store.Store.ApplyEffect checks); a round must bring nothing but
+// effects. Any violation is a quarantine event: the connection is dropped
+// and catch-up restarts from the follower's own epoch — wrong answers are
+// never served. A follower that cannot make progress resyncs: its next
+// round asks for an image, and the old snapshot serves reads until the
+// image's is published. A source of an older version, which ships raw WAL
+// frames beside its diffs, is such a case: its follower gets images only.
 package replica
 
 import (
@@ -49,7 +47,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/store"
-	"repro/internal/wal"
 )
 
 // Options configures a Follower.
@@ -89,8 +86,9 @@ type Status struct {
 	// Promoted reports this follower has been promoted to leader: it has
 	// stopped tailing and serves writes.
 	Promoted bool
-	// Quarantines counts rejected shipped frames (CRC/seq/decode/apply
-	// violations); Reconnects counts dropped leader connections;
+	// Quarantines counts rejected shipments (a CRC, decode or apply
+	// violation, or a frame a round does not carry); Reconnects counts
+	// dropped leader connections;
 	// Resyncs counts the follower's requests for an image (an image a
 	// source sends unasked is not one).
 	Quarantines, Reconnects, Resyncs uint64
@@ -99,16 +97,16 @@ type Status struct {
 }
 
 // LagError is the structured failure WaitCaughtUp returns on timeout: how
-// far behind the follower is, in epochs and (estimated from the mean
-// shipped frame size) bytes.
+// far behind the follower is, in epochs and (estimated from the diff bytes
+// shipped per epoch) bytes.
 type LagError struct {
 	// Wait is the timeout that expired.
 	Wait time.Duration
 	// Epoch and LeaderEpoch are the follower's and leader's positions;
 	// LagEpochs their difference.
 	Epoch, LeaderEpoch, LagEpochs uint64
-	// LagBytes estimates the outstanding WAL payload from the mean size of
-	// frames shipped so far (0 when nothing has shipped yet).
+	// LagBytes estimates the outstanding diff bytes from the mean diff
+	// bytes per epoch applied so far (0 when no diff has been applied yet).
 	LagBytes uint64
 	// LastErr is the most recent replication error, "" when none.
 	LastErr string
@@ -153,16 +151,16 @@ type Follower struct {
 	resyncs     atomic.Uint64
 	lastErr     atomic.Value  // string
 	tailRounds  atomic.Uint64 // MsgTail rounds completed
-	shipped     *obs.Counter  // bytes of WAL frames applied; nil without Obs
+	shipped     *obs.Counter  // bytes of diffs applied; nil without Obs
 	// diffs and images count the shipped effects applied, by kind; ob times
 	// every apply by path (nil without Obs: then no clock is read).
 	diffs, images atomic.Uint64
 	ob            *followerObs
 
-	// shippedBytes/shippedFrames estimate the mean shipped frame size for
+	// shippedBytes/shippedEpochs estimate the diff bytes per epoch for
 	// LagError.LagBytes, independent of Obs.
 	shippedBytes  atomic.Uint64
-	shippedFrames atomic.Uint64
+	shippedEpochs atomic.Uint64
 
 	nextLeader int // rotation cursor; tail goroutine only
 
@@ -200,10 +198,10 @@ const (
 // backend is server.Backend under the unexported name Follower embeds it by.
 type backend = server.Backend
 
-// errQuarantine tags shipped-frame validation failures: the frame is
+// errQuarantine tags shipment validation failures: the shipment is
 // rejected, the connection dropped, and catch-up restarts — as opposed to
 // plain IO errors, which only reconnect.
-var errQuarantine = errors.New("replica: shipped frame rejected")
+var errQuarantine = errors.New("replica: shipment rejected")
 
 // Start opens the local store, then begins tailing the leader in the
 // background. A dir that already holds state — a restarted follower —
@@ -353,9 +351,7 @@ func (f *Follower) image(addr string) ([]byte, error) {
 	defer cli.Close()
 	cli.SetTimeout(tailMargin)
 	var img []byte
-	_, err = cli.TailRound(1, 0, 0, func(uint64, []byte) error {
-		return errors.New("a frame in a round that asked for an image")
-	}, func(_ uint64, b []byte) error {
+	_, err = cli.TailRound(1, 0, 0, func(_ uint64, b []byte) error {
 		img = bytes.Clone(b) // b aliases the connection's read buffer
 		return nil
 	})
@@ -491,8 +487,8 @@ func (f *Follower) WaitCaughtUp(timeout time.Duration) error {
 		LagEpochs:   st.Lag,
 		LastErr:     st.Err,
 	}
-	if frames := f.shippedFrames.Load(); frames > 0 {
-		lag.LagBytes = st.Lag * (f.shippedBytes.Load() / frames)
+	if epochs := f.shippedEpochs.Load(); epochs > 0 {
+		lag.LagBytes = st.Lag * (f.shippedBytes.Load() / epochs)
 	}
 	return lag
 }
@@ -554,10 +550,9 @@ func (f *Follower) source() string {
 }
 
 // errNothingShipped tags a round that reported an epoch the follower does
-// not have and shipped nothing toward it. The source read its epoch before
-// its log, so this is no race: the source's read position has lost track of
-// its log (a rollback under it), or the log is damaged where the follower
-// needs it. A fresh connection reads from the directory again.
+// not have and shipped nothing toward it. The source reads its epoch before
+// its effect ring, which ships a diff or an image toward any epoch it
+// reports, so this is no race but a faulty source; the follower reconnects.
 var errNothingShipped = errors.New("replica: source shipped nothing of what it has published")
 
 // tailConn runs tail rounds on one source connection until an error or
@@ -591,11 +586,12 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 		}
 		cli.SetTimeout(hold + tailMargin)
 		rd := round{f: f}
-		// Frames still buffered when the round ends had no effect: they are
-		// dropped with rd, and the next round ships them again.
-		leaderEpoch, err := cli.TailRound(from, lineage, hold, rd.frame, rd.effect)
+		leaderEpoch, err := cli.TailRound(from, lineage, hold, rd.effect)
 		if f.stopped(tailStop) {
 			return nil // also when the stop is what failed the round
+		}
+		if errors.Is(err, server.ErrUnexpectedFrame) {
+			return fmt.Errorf("%w: %v", errQuarantine, err)
 		}
 		if err != nil {
 			return err
@@ -635,56 +631,22 @@ func (f *Follower) tailConn(tailStop chan struct{}) error {
 	}
 }
 
-// round is the follower's side of one tail round: shipped frames wait here
-// until the effect that covers them arrives, and go into the local store
-// with it as one group.
+// round is the follower's side of one tail round.
 type round struct {
-	f       *Follower
-	batches [][]graph.Update
-	bytes   uint64 // of the frames buffered
-	image   bool   // an image was installed: the local state is the source's
+	f     *Follower
+	image bool // an image was installed: the local state is the source's
 }
 
-// frame validates one shipped WAL frame end to end and buffers its batch:
-// its seq must be the next after the local epoch and the frames already
-// buffered. Frames at or below that are duplicates from segment re-reads
-// and are skipped; anything else that does not line up is quarantined.
-func (r *round) frame(claimed uint64, frame []byte) error {
-	seq, payload, _, err := wal.ParseRecord(frame)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errQuarantine, err)
-	}
-	if seq != claimed {
-		return fmt.Errorf("%w: frame embeds seq %d, leader claims %d", errQuarantine, seq, claimed)
-	}
-	s := r.f.local()
-	want := s.Epoch() + 1 + uint64(len(r.batches))
-	if seq < want {
-		return nil // duplicate of an already-applied epoch
-	}
-	if seq > want {
-		return fmt.Errorf("%w: gap: got seq %d, want %d", errQuarantine, seq, want)
-	}
-	batch, err := store.DecodeBatch(payload, s.NumNodes())
-	if err != nil {
-		return fmt.Errorf("%w: %v", errQuarantine, err)
-	}
-	r.batches = append(r.batches, batch)
-	r.bytes += uint64(len(frame))
-	return nil
-}
-
-// effect applies the buffered frames together with the effect that covers
-// them — patching, not maintaining — or an image, and publishes the last
-// epoch. The store checks that a diff ends where the frames do and that an
-// image comes alone. A rejected effect is a quarantine; a local write
-// failure only reconnects.
+// effect applies one shipped effect — a diff, patching rather than
+// maintaining, or an image — and publishes its last epoch. A rejected
+// effect is a quarantine; a local write failure only reconnects.
 func (r *round) effect(_ uint64, b []byte) error {
 	var start time.Time
 	if r.f.ob != nil {
 		start = time.Now()
 	}
-	_, image, err := r.f.local().ApplyEffect(r.batches, b)
+	before := r.f.local().Epoch()
+	epoch, image, err := r.f.local().ApplyEffect(b)
 	if errors.Is(err, store.ErrEffect) {
 		return fmt.Errorf("%w: %v", errQuarantine, err)
 	}
@@ -699,14 +661,13 @@ func (r *round) effect(_ uint64, b []byte) error {
 		r.image = true
 	} else {
 		r.f.diffs.Add(1)
+		r.f.shipped.Add(uint64(len(b)))
+		r.f.shippedBytes.Add(uint64(len(b)))
+		r.f.shippedEpochs.Add(epoch - before)
 	}
 	if r.f.ob != nil {
 		r.f.ob.apply[path].Observe(time.Since(start))
 	}
-	r.f.shipped.Add(r.bytes)
-	r.f.shippedBytes.Add(r.bytes)
-	r.f.shippedFrames.Add(uint64(len(r.batches)))
-	r.batches, r.bytes = nil, 0
 	return nil
 }
 

@@ -16,7 +16,7 @@ import (
 // parked on it, and awaitParked blocks until n are.
 func parkedLeader(t *testing.T, g *graph.Graph) (*leaderHarness, *obs.Registry) {
 	reg := obs.NewRegistry()
-	return startLeaderWith(t, g, server.Options{Obs: reg}), reg
+	return startLeaderWith(t, g, nil, server.Options{Obs: reg}), reg
 }
 
 func awaitParked(t *testing.T, reg *obs.Registry, n string) {

@@ -30,6 +30,11 @@ var ErrStaleTerm = errors.New("server: stale leader term")
 // the store re-arms itself, so the same batch may be retried later.
 var ErrDegraded = errors.New("server: write path degraded")
 
+// ErrUnexpectedFrame reports a tail round that brought a frame type a round
+// does not carry — such as the raw WAL frame (type 0x4a) older sources
+// shipped beside each diff. The stream position is lost; the round fails.
+var ErrUnexpectedFrame = errors.New("server: unexpected frame in tail round")
+
 // WireError is a server-reported failure, carrying the error code and the
 // epoch the endpoint was at. errors.Is matches it against ErrReadOnly,
 // ErrFenced, ErrStaleTerm and ErrDegraded by code.
@@ -395,19 +400,18 @@ func (c *Client) Metrics() (string, uint64, error) {
 	return "", 0, fmt.Errorf("server: unexpected response 0x%02x to metrics", byte(t))
 }
 
-// TailRound asks for WAL frames from seq, letting the source park the round
-// for up to hold while it has published nothing at or past from (0 = answer
-// at once). lineage names the views the caller holds at from-1; a source
-// that cannot chain them ships an image. fn is called once per shipped frame
-// with the leader's claimed seq and the raw WAL frame (CRC intact; validate
-// with wal.ParseRecord), and effect once per shipped effect, after the frames
-// it covers, with the last epoch it covers and its bytes
-// (store.Store.ApplyEffect decodes them); an image comes alone. It returns
-// the leader's published epoch from the closing MsgCaughtUp. What fn and
-// effect are passed aliases the read buffer — decode within the call. A
-// timeout set with SetTimeout must cover the hold. Close, from another
-// goroutine, is what interrupts a parked round.
-func (c *Client) TailRound(from, lineage uint64, hold time.Duration, fn func(seq uint64, frame []byte) error, effect func(epoch uint64, b []byte) error) (leaderEpoch uint64, err error) {
+// TailRound asks for the groups from seq on, letting the source park the
+// round for up to hold while it has published nothing at or past from (0 =
+// answer at once). lineage names the views the caller holds at from-1; a
+// source that cannot chain them ships an image. effect is called once per
+// shipped effect, a diff carrying its group's batches or an image, with the
+// last epoch it covers and its bytes (store.Store.ApplyEffect decodes
+// them). It returns the leader's published epoch from the closing
+// MsgCaughtUp; a frame of any other type fails the round with
+// ErrUnexpectedFrame. What effect is passed aliases the read buffer —
+// decode within the call. A timeout set with SetTimeout must cover the
+// hold. Close, from another goroutine, is what interrupts a parked round.
+func (c *Client) TailRound(from, lineage uint64, hold time.Duration, effect func(epoch uint64, b []byte) error) (leaderEpoch uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.arm()
@@ -429,18 +433,6 @@ func (c *Client) TailRound(from, lineage uint64, hold time.Duration, fn func(seq
 		}
 		c.buf = body[:0]
 		switch t {
-		case MsgRecord:
-			cur := &cursor{b: body}
-			seq := cur.u64()
-			frame := cur.rest()
-			if cur.err != nil {
-				return 0, cur.err
-			}
-			if err := fn(seq, frame); err != nil {
-				// The handler rejected a frame; the stream position is lost,
-				// so surface it and let the follower reconnect.
-				return 0, err
-			}
 		case MsgEffect:
 			cur := &cursor{b: body}
 			epoch := cur.u64()
@@ -468,7 +460,7 @@ func (c *Client) TailRound(from, lineage uint64, hold time.Duration, fn func(seq
 		case MsgErr:
 			return 0, c.decodeErr(body)
 		default:
-			return 0, fmt.Errorf("server: unexpected frame 0x%02x in tail stream", byte(t))
+			return 0, fmt.Errorf("%w: type 0x%02x", ErrUnexpectedFrame, byte(t))
 		}
 	}
 }

@@ -52,18 +52,14 @@ const (
 	MsgApply MsgType = 0x05
 	// MsgStats asks for a store summary (MsgInfo response).
 	MsgStats MsgType = 0x06
-	// MsgTail asks for WAL frames from u64 fromSeq, followed by the u64
+	// MsgTail asks for the groups from u64 fromSeq, followed by the u64
 	// callerTerm (0 = no claim), the u32 hold in milliseconds and the u64
 	// lineage of the follower's views (store.Snapshot.Lineage), then ends
-	// with MsgCaughtUp. A source whose effect ring chains the follower's
-	// (lineage, fromSeq-1) ships diffs: MsgRecord frames for what is on
-	// disk, each group's followed by its MsgEffect. A round ships whole
-	// groups and nothing else: every frame it sends is followed by the
-	// effect that covers it. It reads through its first effect however many
-	// bytes that takes, then cuts at an effect boundary within tailBytes;
-	// with no effect to send it ships no frame. A source that cannot chain
-	// them — or whose WAL no longer holds fromSeq — ships one image instead:
-	// a single MsgEffect of its current snapshot, G included, with no frame.
+	// with MsgCaughtUp. A round ships from the source's effect ring alone
+	// and reads no file: when the ring chains the follower's (lineage,
+	// fromSeq-1), one MsgEffect per group, each diff carrying its group's
+	// raw batches; when it cannot, one image instead, a single MsgEffect of
+	// the current snapshot, G included. A round sends no other frame type.
 	// Lineage 0 chains nothing, so a follower asks for an image — to start
 	// in an empty directory, or to resync — with fromSeq 1 and lineage 0.
 	// It is a long poll.
@@ -105,13 +101,9 @@ const (
 	MsgApplied MsgType = 0x45
 	// MsgInfo is an encoded Info summary.
 	MsgInfo MsgType = 0x46
-	// MsgRecord ships one raw WAL frame after the u64 record seq. The frame
-	// bytes are exactly what the leader's log holds — CRC intact — so the
-	// follower, not the shipping path, is the integrity gate.
-	MsgRecord MsgType = 0x4a
 	// MsgCaughtUp ends a tail round: the epoch is the source's published
-	// epoch as read before the round read its log — every record up to it
-	// was there to ship — the follower's staleness reference, followed by
+	// epoch as read before the round read its effect ring — every group up
+	// to it was there to ship — the follower's staleness reference, followed by
 	// the u64 leader term and a u8 fenced flag. A fenced source's WAL is safe,
 	// frozen history that can never advance — followers rotate away.
 	MsgCaughtUp MsgType = 0x4b
@@ -122,13 +114,14 @@ const (
 	// follower's frontier (every batch acked at or below it survived the
 	// failover), followed by the u64 new term.
 	MsgPromoted MsgType = 0x4e
-	// MsgEffect ships, inside a tail round, the effect of the group whose
-	// MsgRecord frames precede it — what those batches did to the source's
-	// views — or an image of the source's whole snapshot, with no frame: the
-	// epoch is the last one it covers, the rest opaque, CRC-checked bytes
-	// that only the follower's store decodes (store.Store.ApplyEffect). A
-	// follower applies the frames and the effect as one group and runs no
-	// maintainer; frames that arrive without their effect it does not apply.
+	// MsgEffect ships, inside a tail round, one group — its raw batches and
+	// what they did to the source's views — or an image of the source's
+	// whole snapshot: the epoch is the last one it covers, the rest opaque,
+	// CRC-checked bytes that only the follower's store decodes
+	// (store.Store.ApplyEffect). A follower applies a group as one and runs
+	// no maintainer. Type 0x4a, the raw WAL frame older sources shipped
+	// beside each diff, is retired: a round that brings one fails
+	// (ErrUnexpectedFrame).
 	MsgEffect MsgType = 0x4f
 )
 

@@ -10,29 +10,21 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faultfs"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/store"
-	"repro/internal/wal"
 )
-
-// tailBytes bounds one MsgTail round's shipped payload.
-const tailBytes = 1 << 20
 
 // Options configures a Server.
 type Options struct {
 	// Backend serves the queries and writes. Required.
 	Backend Backend
-	// ReplDir, when set, is the backend's durable directory: the server
-	// answers MsgTail from its WAL, making this node a replication source.
-	// Empty disables replication serving.
+	// ReplDir, when set, makes this node a replication source: the server
+	// answers MsgTail from the backend's effect ring. No file under it is
+	// read; any non-empty value switches shipping on. Empty disables
+	// replication serving.
 	ReplDir string
-	// ShipFS is the filesystem the replication source reads WAL segments
-	// through. Nil means the disk; chaos tests substitute a
-	// faultfs.Inject to corrupt shipped bytes deterministically.
-	ShipFS faultfs.FS
 	// EpochWaitTimeout bounds how long a read waits for its minEpoch (the
 	// RYW token) before failing. 0 means 5s.
 	EpochWaitTimeout time.Duration
@@ -47,7 +39,7 @@ type Options struct {
 }
 
 // Server answers the wire protocol on a listener: queries and writes
-// against its Backend, WAL-frame and effect shipping for followers.
+// against its Backend, effect shipping for followers.
 type Server struct {
 	opts    Options
 	backend Backend
@@ -148,11 +140,8 @@ func (s *Server) Close() error {
 // Requests counts frames handled since start.
 func (s *Server) Requests() uint64 { return s.requests.Load() }
 
-// connState is what one connection keeps between its requests.
+// connState is what one connection keeps while it handles a request.
 type connState struct {
-	// tail is where the connection's last MsgTail round stopped reading
-	// the WAL, so the next one costs what was appended since.
-	tail wal.Cursor
 	// start is when the request being handled began, for its latency
 	// sample; a tail round that was parked restarts it when it wakes. Zero
 	// without a registry.
@@ -168,7 +157,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var buf []byte
 	var cs connState
-	defer cs.tail.Close()
 	emit := func(t MsgType, body []byte) error {
 		return WriteFrame(bw, t, body)
 	}
@@ -447,20 +435,16 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 // maxTailHold clamps the hold a MsgTail round may ask for.
 const maxTailHold = 5 * time.Second
 
-// handleTail ships one round's worth of whole groups from the requested seq
-// — each group's raw WAL frames followed by its MsgEffect when the
-// backend's effect ring chains the follower's lineage — or else one image,
-// which holds G and goes without frames, as it does when the log no longer
-// holds the requested seq; it ends with MsgCaughtUp (current published
-// epoch). A round that asks to be held and finds
-// nothing to ship parks until the published epoch reaches its seq — what is
-// shipped is what has been published, and the swap that publishes it is
-// what wakes the round — or until the hold runs out, the server closes or
-// the backend is fenced; a fenced backend never parks a round. The frames
-// are read through the ship FS and split by the connection's wal.Cursor,
-// which validates no checksum — the follower's wal.ParseRecord is the single
-// integrity gate for frames, as its store's decoder is for effects (chaos
-// tests inject faults right here and on the wire to prove it).
+// handleTail ships one round from the backend's effect ring: the diffs
+// that chain from the follower's (lineage, from-1), each carrying its
+// group's batches, or else one image, which holds G; it ends with
+// MsgCaughtUp (current published epoch). A round that asks to be held and
+// finds nothing to ship parks until the published epoch reaches its seq —
+// what is shipped is what has been published, and the swap that publishes
+// it is what wakes the round — or until the hold runs out, the server
+// closes or the backend is fenced; a fenced backend never parks a round.
+// No file is read: the follower's store decoder is the single integrity
+// gate for what ships (chaos tests corrupt it on the wire to prove it).
 func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *connState) error {
 	c := &cursor{b: body}
 	from := c.u64()
@@ -474,7 +458,7 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 		return emit(MsgErr, s.errBody(errors.New("server: not a replication source")))
 	}
 	// A follower that adopted a newer term fences a stale source just by
-	// asking it: the shipped WAL stays readable (it is frozen, safe
+	// asking it: the shipped history stays readable (it is frozen, safe
 	// history), but the source's write path shuts before it can diverge.
 	if callerTerm > s.backend.Term() {
 		s.backend.ObserveTerm(callerTerm)
@@ -497,65 +481,12 @@ func (s *Server) handleTail(body []byte, emit func(MsgType, []byte) error, cs *c
 			cs.start = time.Now()
 		}
 	}
-	// Read before the log is: what the round reports published, it has had
-	// the chance to ship, so a follower told of an epoch it was not sent
-	// knows the round went wrong.
+	// Read before the ring is: what the round reports published, it has
+	// had the chance to ship, so a follower told of an epoch it was not
+	// sent knows the round went wrong.
 	epoch := s.backend.Epoch()
-	effects := s.backend.Effects(lineage, from-1)
-	image := len(effects) > 0 && effects[0].Image
-	// A round ships whole groups: a frame goes out only with the effect that
-	// covers it. The read goes on through the first effect, however many
-	// bytes that takes; past it, tailBytes cuts at the last effect the read
-	// reached, and the frames after it wait for the next round. With no
-	// effect to send, or an image, there is no frame to ship. Collected
-	// before anything is sent: a round that fails ships no frame.
-	type record struct {
-		seq uint64
-		out []byte
-	}
-	var records []record
-	read := from - 1 // the last frame read
-	for at := from; !image && len(effects) > 0 && read < effects[0].Epoch; at = read + 1 {
-		oldest, err := cs.tail.ReadFrames(s.opts.ShipFS, s.opts.ReplDir, at, tailBytes, func(seq uint64, frame []byte) {
-			out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(frame)), seq)
-			records = append(records, record{seq, append(out, frame...)})
-			read = seq
-		})
-		if err != nil {
-			return emit(MsgErr, s.errBody(err))
-		}
-		if at < oldest {
-			// The log no longer holds what the follower needs next.
-			records, effects, image = nil, s.backend.Effects(0, 0), true
-			break
-		}
-		if read < at {
-			break // the log ends short of the effect
-		}
-	}
-	fit, limit := 1, from-1 // the effects that go out, and the last frame they cover
-	if !image {
-		for fit = 0; fit < len(effects) && effects[fit].Epoch <= read; fit++ {
-			limit = effects[fit].Epoch
-		}
-	}
-	next := 0
-	for _, r := range records {
-		if r.seq > limit {
-			break
-		}
-		if err := emit(MsgRecord, r.out); err != nil {
-			return err
-		}
-		for next < fit && effects[next].Epoch == r.seq {
-			if err := s.emitEffect(emit, effects[next]); err != nil {
-				return err
-			}
-			next++
-		}
-	}
-	for ; next < fit; next++ { // an image, which comes with no frame
-		if err := s.emitEffect(emit, effects[next]); err != nil {
+	for _, e := range s.backend.Effects(lineage, from-1) {
+		if err := s.emitEffect(emit, e); err != nil {
 			return err
 		}
 	}

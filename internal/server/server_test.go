@@ -359,7 +359,8 @@ func TestNodeIDValidation(t *testing.T) {
 
 // TestSnapshotAndTailShipping exercises the replication source directly:
 // an image round starts a copy elsewhere, and tail rounds catch it up with
-// frames and diffs; a position the WAL no longer holds gets an image.
+// diffs, each carrying its group's batches, from the effect ring alone — a
+// position the WAL no longer holds still chains by diffs.
 func TestSnapshotAndTailShipping(t *testing.T) {
 	g := testGraph(6)
 	dir := t.TempDir()
@@ -398,12 +399,10 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 	}
 	defer cli.Close()
 
-	// An image round, from 1 with lineage 0: no frame, one image of the
-	// current snapshot at 7 — not of the checkpoint at 4.
+	// An image round, from 1 with lineage 0: one image of the current
+	// snapshot at 7 — not of the checkpoint at 4.
 	var img []byte
-	leaderEpoch, err := cli.TailRound(1, 0, 0, func(seq uint64, _ []byte) error {
-		return fmt.Errorf("frame %d shipped in an image round", seq)
-	}, func(epoch uint64, b []byte) error {
+	leaderEpoch, err := cli.TailRound(1, 0, 0, func(epoch uint64, b []byte) error {
 		if img != nil || epoch != 7 {
 			return fmt.Errorf("a second image, or one at %d", epoch)
 		}
@@ -422,43 +421,34 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 		t.Fatalf("the image's store at epoch %d, want 7", got)
 	}
 
-	// Tail from 8: the image carried the leader's lineage, so three writes
-	// come as three records, each followed by its diff.
+	// Three writes, then a checkpoint that drops the WAL segments holding
+	// them: the image carried the leader's lineage, so a tail from 8 still
+	// comes as three diffs, and no image.
 	apply(3)
-	var batches [][]graph.Update
-	diffs := 0
-	tail := func(from uint64) (uint64, error) {
-		return cli.TailRound(from, s2.Snapshot().Lineage, 0, func(seq uint64, frame []byte) error {
-			pseq, batch, err := parseFrame(s2, frame)
-			if err != nil {
-				return err
-			}
-			if pseq != seq {
-				t.Fatalf("frame claims seq %d, embeds %d", seq, pseq)
-			}
-			if want := s2.Snapshot().Epoch + 1 + uint64(len(batches)); seq != want {
-				return fmt.Errorf("frame %d shipped where %d is due", seq, want)
-			}
-			batches = append(batches, batch)
-			return nil
-		}, func(epoch uint64, b []byte) error {
-			applied, image, err := s2.ApplyEffect(batches, b)
-			if err != nil {
-				return err
-			}
-			if image || applied != epoch || len(batches) != 1 {
-				return fmt.Errorf("effect through %d applied at %d after %d frames (image %v), want a diff after 1", epoch, applied, len(batches), image)
-			}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := wal.ListDir(nil, dir); err != nil || len(segs) == 0 || segs[0].First <= 8 {
+		t.Fatalf("after the checkpoint the WAL holds %v (%v), want nothing at or below epoch 8", segs, err)
+	}
+	diffs, images := 0, 0
+	leaderEpoch, err = cli.TailRound(8, s2.Snapshot().Lineage, 0, func(epoch uint64, b []byte) error {
+		applied, image, err := s2.ApplyEffect(b)
+		if err != nil {
+			return err
+		}
+		if image {
+			images++
+		} else {
 			diffs++
-			batches = nil
-			return nil
-		})
-	}
-	if leaderEpoch, err = tail(8); err != nil {
-		t.Fatalf("tail: %v", err)
-	}
-	if diffs != 3 || len(batches) != 0 {
-		t.Fatalf("tail applied %d diffs and left %d frames without an effect", diffs, len(batches))
+		}
+		if applied != epoch {
+			return fmt.Errorf("effect through %d applied at %d", epoch, applied)
+		}
+		return nil
+	})
+	if err != nil || diffs != 3 || images != 0 {
+		t.Fatalf("tail(8) below the oldest segment: %d diffs, %d images, %v; want 3 diffs", diffs, images, err)
 	}
 	if leaderEpoch != 10 || s2.Snapshot().Epoch != 10 {
 		t.Fatalf("after tail: leader %d, local %d, want 10/10", leaderEpoch, s2.Snapshot().Epoch)
@@ -472,38 +462,6 @@ func TestSnapshotAndTailShipping(t *testing.T) {
 			t.Fatalf("QR(%d,%d) = %v on leader, %v on caught-up copy", u, v, a, b)
 		}
 	}
-
-	// A position below the oldest retained segment gets an image, though
-	// the ring still chains it.
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	images := 0
-	_, err = cli.TailRound(8, s2.Snapshot().Lineage, 0, func(seq uint64, _ []byte) error {
-		return fmt.Errorf("frame %d shipped from a truncated position", seq)
-	}, func(epoch uint64, b []byte) error {
-		if _, image, err := s2.ApplyEffect(nil, b); err != nil || !image || epoch != 10 {
-			return fmt.Errorf("effect through %d (image %v): %v, want the image at 10", epoch, image, err)
-		}
-		images++
-		return nil
-	})
-	if err != nil || images != 1 {
-		t.Fatalf("tail(8) after truncation: %d images, %v", images, err)
-	}
-}
-
-// parseFrame validates one shipped frame and decodes its batch for s.
-func parseFrame(s *store.Store, frame []byte) (uint64, []graph.Update, error) {
-	seq, payload, _, err := wal.ParseRecord(frame)
-	if err != nil {
-		return 0, nil, err
-	}
-	batch, err := store.DecodeBatch(payload, s.Snapshot().G.NumNodes())
-	if err != nil {
-		return 0, nil, err
-	}
-	return seq, batch, nil
 }
 
 // TestReadOnlyBackendError checks ErrReadOnly surfaces as a client error.
@@ -690,7 +648,7 @@ func TestHeldReadWakesOnSwap(t *testing.T) {
 	lineage := s.Snapshot().Lineage // the tail holds the views at epoch 1
 	start := time.Now()
 	go func() {
-		epoch, err := tail.TailRound(2, lineage, maxTailHold, func(uint64, []byte) error { return nil }, func(uint64, []byte) error { return nil })
+		epoch, err := tail.TailRound(2, lineage, maxTailHold, func(uint64, []byte) error { return nil })
 		done <- round{epoch, err}
 	}()
 	waitFor(t, "the tail round to be parked", func() bool { return srv.ob.tailHeld.Load() == 1 })
@@ -707,7 +665,7 @@ func TestHeldReadWakesOnSwap(t *testing.T) {
 	if d := time.Since(start); d > maxTailHold/2 {
 		t.Fatalf("the fence released the round after %v of a %v hold", d, maxTailHold)
 	}
-	if _, err := tail.TailRound(2, lineage, maxTailHold, func(uint64, []byte) error { return nil }, func(uint64, []byte) error { return nil }); err != nil || !tail.SourceFenced() {
+	if _, err := tail.TailRound(2, lineage, maxTailHold, func(uint64, []byte) error { return nil }); err != nil || !tail.SourceFenced() {
 		t.Fatalf("round on a fenced source: fenced %v, %v", tail.SourceFenced(), err)
 	}
 	if d := time.Since(start); d > maxTailHold/2 {

@@ -8,24 +8,26 @@ import (
 	"repro/internal/graph"
 )
 
-// A diff is one group's change to a monolithic store's views, what a
-// follower applies instead of maintaining them (internal/store/effect.go):
-// how the pattern view's node → block map moved with the digest of the
-// quotient rows incPCM rebuilt, and — when the reach view moved — an old
-// class → new class map with the nodes that do not follow it, plus the new
-// reach quotient. Its blocks sit at tagDiff and tagDiffReach. Tags
-// tagDiff+5 to tagDiff+8 held the rebuilt rows themselves in an older
-// layout, which is refused: where the decoder reads the digest, it finds
-// the row ids.
+// A diff is one group of a monolithic store, what a follower applies
+// instead of maintaining its views (internal/store/effect.go): the group's
+// raw batches, how the pattern view's node → block map moved with the
+// digest of the quotient rows incPCM rebuilt, and — when the reach view
+// moved — an old class → new class map with the nodes that do not follow
+// it, plus the new reach quotient. Its blocks sit at tagDiff and
+// tagDiffReach. Tags tagDiff+5 to tagDiff+8 held the rebuilt rows
+// themselves in an older layout, which is refused: where the decoder reads
+// the digest, it finds the row ids. A diff of the layout before the
+// batches, which went beside it as WAL frames, is refused too: where the
+// decoder reads the batch counts, it finds the reach flag.
 const (
-	tagDiff      = 0x400 // base epoch, |V|, block count, moves, row digest (+9)
+	tagDiff      = 0x400 // base epoch, |V|, block count, moves, row digest (+9), batches (+10 to +13)
 	tagDiffReach = 0x420 // presence flag, class map, exceptions, cyclic flags
 	tagDiffGr    = 0x440 // the reach quotient, through putCSR
 )
 
 // DiffParts is the decoded form of one diff. Every field is the decode's
 // own; a decode checks everything that needs no state: counts, id ranges,
-// ascending lists, Epoch > Base. What needs the follower's views and graph
+// ascending lists, Epoch > Base, one batch per epoch. What needs the follower's views and graph
 // is checked where the diff is applied.
 type DiffParts struct {
 	// Epoch is the epoch the diff brings the views to, Base the one they
@@ -33,6 +35,9 @@ type DiffParts struct {
 	Epoch, Base uint64
 	// Nodes is |V| of the graph the views cover.
 	Nodes int
+	// Batches are the group's raw batches, as the source's WAL logged them:
+	// Epoch − Base of them, epoch Base+1's first.
+	Batches [][]graph.Update
 	// Blocks is the new pattern quotient's block count.
 	Blocks int
 	// Moved lists, ascending, the nodes whose block id changed; To holds
@@ -60,8 +65,10 @@ type ReachDiff struct {
 	Cyclic []bool
 }
 
-// AppendDiff appends the encoding of d to dst: the reach quotient as any
-// CSR with its own label table, every int32 array at its narrowest width.
+// AppendDiff appends the encoding of d to dst: the batches as their update
+// counts and their updates' sources, targets and insert flags, the reach
+// quotient as any CSR with its own label table, every int32 array at its
+// narrowest width.
 func AppendDiff(dst []byte, d *DiffParts) []byte {
 	w := newWriter(KindDiff, d.Epoch, dst)
 	w.u64(tagDiff, d.Base)
@@ -70,6 +77,21 @@ func AppendDiff(dst []byte, d *DiffParts) []byte {
 	w.int32s(tagDiff+3, d.Moved)
 	w.int32s(tagDiff+4, d.To)
 	w.u64(tagDiff+9, d.Digest)
+	counts, total := make([]int32, len(d.Batches)), 0
+	for i, batch := range d.Batches {
+		counts[i] = int32(len(batch))
+		total += len(batch)
+	}
+	from, to, insert := make([]int32, 0, total), make([]int32, 0, total), make([]bool, 0, total)
+	for _, batch := range d.Batches {
+		for _, up := range batch {
+			from, to, insert = append(from, up.From), append(to, up.To), append(insert, up.Insert)
+		}
+	}
+	w.int32s(tagDiff+10, counts)
+	w.int32s(tagDiff+11, from)
+	w.int32s(tagDiff+12, to)
+	w.bools(tagDiff+13, insert)
 	if d.Reach == nil {
 		w.u64(tagDiffReach, 0)
 		return w.encode()
@@ -109,6 +131,11 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 	nodes, blocks := u64(tagDiff+1), u64(tagDiff+2)
 	d.Moved, d.To = ints(tagDiff+3), ints(tagDiff+4)
 	d.Digest = u64(tagDiff + 9)
+	counts, from, to := ints(tagDiff+10), ints(tagDiff+11), ints(tagDiff+12)
+	var insert []bool
+	if err == nil {
+		insert, err = r.bools(tagDiff + 13)
+	}
 	switch reach := u64(tagDiffReach); {
 	case err != nil:
 	case reach > 1:
@@ -128,10 +155,48 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 	if err == nil {
 		err = d.validate(nodes, blocks)
 	}
+	if err == nil {
+		err = d.batches(counts, from, to, insert)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// batches checks the batch blocks of a diff whose counts validate has
+// checked and assembles them into d.Batches: one count per epoch the diff
+// spans, the counts summing to the length of each update block, and every
+// node id below |V|.
+func (d *DiffParts) batches(counts, from, to []int32, insert []bool) error {
+	if uint64(len(counts)) != d.Epoch-d.Base {
+		return fmt.Errorf("%w: %d batches for epochs %d..%d", ErrFormat, len(counts), d.Base+1, d.Epoch)
+	}
+	total := 0
+	for i, c := range counts {
+		if c < 0 || int(c) > len(from)-total {
+			return fmt.Errorf("%w: batch %d claims %d of %d updates", ErrFormat, i, c, len(from))
+		}
+		total += int(c)
+	}
+	if total != len(from) || len(to) != len(from) || len(insert) != len(from) {
+		return fmt.Errorf("%w: batches of %d updates over %d sources, %d targets and %d flags", ErrFormat, total, len(from), len(to), len(insert))
+	}
+	if err := cmp.Or(
+		validateIDs("update source", from, d.Nodes, false),
+		validateIDs("update target", to, d.Nodes, false),
+	); err != nil {
+		return err
+	}
+	ups := make([]graph.Update, total)
+	for i := range ups {
+		ups[i] = graph.Update{From: from[i], To: to[i], Insert: insert[i]}
+	}
+	d.Batches = make([][]graph.Update, len(counts))
+	for i, c := range counts {
+		d.Batches[i], ups = ups[:c:c], ups[c:]
+	}
+	return nil
 }
 
 // validate checks the decoded blocks of a diff against one another and

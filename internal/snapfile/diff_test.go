@@ -3,12 +3,16 @@ package snapfile
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // The diff files are two diffs a store recorded for groups of a seeded
-// history on a 120-node social graph: one that moved the reach view and one
-// that moved only the pattern view.
+// history on a 120-node social graph, FuzzDecodeEffect's in the store
+// package (epochs 0..1 and 2..3): one that moved the reach view and one
+// that moved only the pattern view, each carrying its one batch.
 const (
 	diffReach   = "testdata/diff-reach.qpd"
 	diffPattern = "testdata/diff-pattern.qpd"
@@ -52,5 +56,32 @@ func TestRecordedDiffsRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeDiff(reseal(data)); !errors.Is(err, ErrFormat) {
 		t.Fatalf("a cyclic flag of 2: DecodeDiff = %v, want ErrFormat", err)
+	}
+}
+
+// TestDiffBatchesChecked: a diff carries one batch per epoch it spans, each
+// update's ids below |V|; the recorded diffs re-encoded with one batch too
+// many or too few, or with a source or target id at |V|, are refused.
+func TestDiffBatchesChecked(t *testing.T) {
+	d, err := DecodeDiff(readGolden(t, diffReach))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(d.Batches)) != d.Epoch-d.Base || len(d.Batches[0]) == 0 {
+		t.Fatalf("the recorded diff spans epochs %d..%d with %d batches", d.Base+1, d.Epoch, len(d.Batches))
+	}
+	batch := d.Batches[0]
+	past := graph.Node(d.Nodes)
+	for name, batches := range map[string][][]graph.Update{
+		"no batch":         nil,
+		"a batch too many": {batch, batch},
+		"source at |V|":    {append(slices.Clone(batch), graph.Insertion(past, 0))},
+		"target at |V|":    {append(slices.Clone(batch), graph.Deletion(0, past))},
+	} {
+		e := *d
+		e.Batches = batches
+		if _, err := DecodeDiff(AppendDiff(nil, &e)); !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: DecodeDiff = %v, want ErrFormat", name, err)
+		}
 	}
 }

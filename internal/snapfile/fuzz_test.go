@@ -27,11 +27,12 @@ import (
 // transpose of its successor side, the pattern members the grouping of
 // the block map, the pattern quotient's rows and labels the ones its
 // blocks' first members give, and a diff that decodes re-encoded to bytes
-// that decode to the same parts. Besides a seed per base, the seeds edit
-// the store file the current encoder writes where the new format's
-// decoding derives: its block map (an id past |V|, a hole, two labels in a
-// block) and its reach quotient's one-label flag; one more sets a byte of a
-// recorded diff's row digest. The decoders' validation layer is exactly
+// that decode to the same parts, its batches included. Besides a seed per
+// base, the seeds edit the store file the current encoder writes where the
+// new format's decoding derives: its block map (an id past |V|, a hole, two
+// labels in a block) and its reach quotient's one-label flag; two more set
+// a byte of a recorded diff's row digest and a batch update's source to
+// |V|. The decoders' validation layer is exactly
 // what keeps a forged file from crashing the query paths later. A kept
 // input names its base by index modulo len(bases), so a base added to the
 // list moves the kept inputs: re-record their base bytes to keep what each
@@ -58,6 +59,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(uint8(0), setByte(f, bases[0], uint32(e[0]), e[1], byte(e[2])))
 	}
 	f.Add(uint8(5), setByte(f, bases[5], tagDiff+9, 7, 0))
+	f.Add(uint8(5), setByte(f, bases[5], tagDiff+11, 0, 120))
 	f.Fuzz(func(t *testing.T, base uint8, edits []byte) {
 		checkDecodes(t, edits)
 		checkDecodes(t, edit(bases[int(base)%len(bases)], edits))

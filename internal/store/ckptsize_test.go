@@ -25,10 +25,12 @@ const (
 )
 
 // maxEffectBytesPerGroup bounds the mean diff a leader ships per group on
-// the write-mono inputs: the measured 7 057 B plus 10 %. The diff that
-// shipped the rebuilt pattern rows took 7 883 B, the one that also wrote
-// the label ids of the reach quotient's one-name table 8 989 B, the one
-// that wrote every id in four bytes 16 254 B.
+// the write-mono inputs: 7 057 B plus 10 %, set before a diff carried its
+// group's batches, which it still holds at the measured 7 289 B (32
+// updates a group). The diff that shipped the rebuilt pattern rows took
+// 7 883 B, the one that also wrote the label ids of the reach quotient's
+// one-name table 8 989 B, the one that wrote every id in four bytes
+// 16 254 B.
 const maxEffectBytesPerGroup = 7763
 
 // webcore16 is the benchmark's read-heavy graph (benchmark/workloads.go).
@@ -168,8 +170,8 @@ func TestDerivedPatternViewRoundTrip(t *testing.T) {
 }
 
 // TestEffectBytesPerGroup gates the diffs a leader ships on the write-mono
-// inputs: the mean frame over the 120 groups, each a diff with the views'
-// change at snapfile's narrowest widths. It logs how long a follower takes
+// inputs: the mean frame over the 120 groups, each a diff with its batches
+// and the views' change at snapfile's narrowest widths. It logs how long a follower takes
 // to decode one, the best of five passes over all of them. The sizes are
 // deterministic; it runs with the other regression smokes, behind
 // QPGC_BENCH_SMOKE.

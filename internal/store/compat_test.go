@@ -220,7 +220,7 @@ func TestOlderEffectFrames(t *testing.T) {
 	}
 	follower := mustOpen(t, g, &Options{Dir: t.TempDir(), Sync: SyncNone})
 	defer follower.Close()
-	if epoch, image, err := follower.ApplyEffect(nil, img); err != nil || !image || epoch != 3 {
+	if epoch, image, err := follower.ApplyEffect(img); err != nil || !image || epoch != 3 {
 		t.Fatalf("the older image: epoch %d, image %v, %v", epoch, image, err)
 	}
 	installed := follower.Snapshot()
@@ -228,7 +228,7 @@ func TestOlderEffectFrames(t *testing.T) {
 		t.Fatalf("installed %x@%d, the image holds %x@3", installed.Lineage, installed.Epoch, lineage)
 	}
 	sameArrays(t, "older image", installed, leader.Snapshot())
-	if _, _, err := follower.ApplyEffect(batches[3:], diff); !errors.Is(err, ErrEffect) {
+	if _, _, err := follower.ApplyEffect(diff); !errors.Is(err, ErrEffect) {
 		t.Fatalf("the older diff: ApplyEffect = %v, want ErrEffect", err)
 	}
 	if follower.Snapshot() != installed || follower.batches.Load() != installed.Epoch {

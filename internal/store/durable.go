@@ -307,7 +307,10 @@ func (d *durable) appendGroup(epochs []uint64, batch func(i int) []graph.Update)
 // to persist — on the calling (writer) goroutine, so the checkpoint covers
 // the epoch that crossed the threshold — and the write itself runs off it;
 // the concurrency choreography (single-flight CAS, close-time wait, error
-// recording) lives here.
+// recording) lives here. A threshold crossed while a checkpoint is in
+// flight finds it busy, so when one finishes it asks again at the epoch
+// published by then, and goes on through image, pinned under the
+// checkpoint lock as an install requires.
 func (d *durable) maybeCheckpoint(epoch uint64, image func() (uint64, func(path string) error)) {
 	if !d.shouldCheckpoint(epoch) {
 		return
@@ -316,12 +319,22 @@ func (d *durable) maybeCheckpoint(epoch uint64, image func() (uint64, func(path 
 		return
 	}
 	epoch, write := image()
-	pinned := func() (uint64, func(path string) error) { return epoch, write }
+	pin := func() (uint64, func(path string) error) { return epoch, write }
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		defer d.busy.Store(false)
-		d.noteErr(d.withRetry(func() error { return d.checkpoint(pinned, false) }))
+		for {
+			err := d.withRetry(func() error { return d.checkpoint(pin, false) })
+			d.noteErr(err)
+			d.busy.Store(false)
+			// A failure is left to the next write, and an epoch already
+			// checkpointed asks nothing: a log whose live segment alone is
+			// past the byte threshold would otherwise spin here.
+			if now, _ := image(); err != nil || now <= d.lastCkpt.Load() || !d.shouldCheckpoint(now) || !d.busy.CompareAndSwap(false, true) {
+				return
+			}
+			pin = image
+		}
 	}()
 }
 

@@ -217,6 +217,38 @@ func TestBackgroundCheckpoint(t *testing.T) {
 	})
 }
 
+// TestCheckpointCatchesUp: with a checkpoint after every write, quick
+// writes cross the threshold while a background checkpoint is in flight;
+// the one that finishes asks again, so the MANIFEST reaches the last epoch
+// with no further write.
+func TestCheckpointCatchesUp(t *testing.T) {
+	forKinds(t, func(t *testing.T, kind string) {
+		g := gen.Social(rand.New(rand.NewSource(13)), 400, 1600, 3)
+		mirror := g.Clone()
+		dir := t.TempDir()
+		s := openKind(t, kind, g, Options{Dir: dir, Sync: SyncNone, CheckpointBatches: 1})
+		defer s.Close()
+		rng := rand.New(rand.NewSource(14))
+		const writes = 15
+		for i := 0; i < writes; i++ {
+			batch := gen.RandomBatch(rng, mirror, 15, 0.6)
+			mirror.Apply(batch)
+			if _, err := s.Apply(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			info, err := Inspect(dir)
+			if err == nil && info.Epoch == writes {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the MANIFEST names epoch %d (%v) 2 s after write %d", info.Epoch, err, writes)
+			}
+		}
+	})
+}
+
 // TestDurableOpenErrors pins the Open/OpenSharded contract around
 // existing state.
 func TestDurableOpenErrors(t *testing.T) {

@@ -1,16 +1,16 @@
 // Effects: what a follower applies instead of re-running maintenance.
 //
 // At publish, a store somebody tails records the effect of the group it
-// just swapped in: how the pattern view's node → block map moved with a
-// 64-bit digest of the quotient rows incPCM's patch rebuilt, and — when the
-// reach view moved — an old class → new class map with the nodes that do
-// not follow it, plus the new reach quotient. That is O(|moved|) and
-// O(|Gr| + |AFF|), not O(|V|). The effects live in a ring bounded by
-// effectRingBytes and go out beside the raw WAL frames of their groups
-// (server.MsgEffect). A follower holding the views the effect starts from
-// patches G from the raw frames, patches both views from the effect, and
-// publishes once: no dynscc, no incRCM, no incPCM, and no maintainer state
-// at all.
+// just swapped in: the group's raw batches, how the pattern view's node →
+// block map moved with a 64-bit digest of the quotient rows incPCM's patch
+// rebuilt, and — when the reach view moved — an old class → new class map
+// with the nodes that do not follow it, plus the new reach quotient. That
+// is O(|ΔG| + |moved|) and O(|Gr| + |AFF|), not O(|V|). The effects live in
+// a ring bounded by effectRingBytes, and a tail round ships them from there
+// alone (server.MsgEffect). A follower holding the views the effect starts
+// from patches G from the effect's batches, patches both views from the
+// rest, and publishes once: no dynscc, no incRCM, no incPCM, and no
+// maintainer state at all.
 //
 // Diffs are only valid against the exact layout they were taken from, so
 // every snapshot carries a lineage: a random id drawn by each full view
@@ -34,10 +34,12 @@
 // runs the moves through that patch (incbisim.Patch), which checks them and
 // rebuilds every row the change reaches off its own G. Those rows must
 // digest to the shipped digest: as strong as shipping them, but for a 2⁻⁶⁴
-// collision. A diff in the older layout, which shipped the rows, is
-// refused, and the follower takes an image. A diff never goes to disk: the
-// WAL of raw batches stays the one record of a group, an image is installed
-// as the checkpoint it is, and a store that restarts draws a new lineage.
+// collision. A diff in an older layout — one that shipped the rows, or one
+// that shipped the batches beside it as WAL frames — is refused, and the
+// follower takes an image. A diff never goes to disk: the follower logs its
+// batches to its own WAL, which stays the one record of a group, an image
+// is installed as the checkpoint it is, and a store that restarts draws a
+// new lineage.
 package store
 
 import (
@@ -80,13 +82,13 @@ const (
 // was applied.
 var ErrEffect = errors.New("store: shipped effect rejected")
 
-// Effect is one unit a replication source ships: a diff, after the raw WAL
-// frames of its group, or an image, alone.
+// Effect is one unit a replication source ships: a diff, which carries its
+// group's batches, or an image.
 type Effect struct {
-	// Epoch is the last epoch it covers: a source ships a diff's frames up
-	// to Epoch, then the diff; an image is the snapshot at Epoch.
+	// Epoch is the last epoch it covers: a diff's group ends at Epoch; an
+	// image is the snapshot at Epoch.
 	Epoch uint64
-	// Image reports an image, which holds G and comes with no frames.
+	// Image reports an image, which holds G.
 	Image bool
 	// Bytes is the encoding — one group's change to the views, or an image
 	// of the whole snapshot — opaque outside this package and CRC-checked.
@@ -222,9 +224,9 @@ func (r *effectRing) chain(lineage, epoch uint64) []Effect {
 }
 
 // Effects returns what a tail round ships a follower whose views are at
-// (lineage, epoch): the diffs the ring chains from there, in order, each
-// after the raw frames of its group; failing that, one image of the current
-// snapshot, which holds G and goes without frames; nothing when the
+// (lineage, epoch): the diffs the ring chains from there, in order;
+// failing that, one image of the current snapshot, which holds G; nothing
+// when the
 // follower already holds the current views or is ahead of them. Lineage 0
 // chains nothing, so Effects(0, 0) is always an image. The first call turns
 // recording on: a store nobody tails records no effects. Safe on any
@@ -243,12 +245,13 @@ func (s *Store) Effects(lineage, epoch uint64) []Effect {
 	return []Effect{{Epoch: sn.Epoch, Image: true, Bytes: encodeImage(sn)}}
 }
 
-// recordEffect files the effect of the group publish just installed, old →
-// sn, in the ring; diff is how incPCM made sn's pattern view, and lists no
-// move and no row unless it patched it. Writer goroutine, before the epoch
-// is marked: a tail round woken by the swap finds it there.
-func (s *Store) recordEffect(old, sn *Snapshot, reachMoved bool, diff *incbisim.Diff) {
-	d := &snapfile.DiffParts{Epoch: sn.Epoch, Base: old.Epoch, Nodes: s.nodes, Blocks: sn.Pattern.Gr.NumNodes(),
+// recordEffect files the effect of the group publish is about to install,
+// old → sn, in the ring; batches are the group's, diff is how incPCM made
+// sn's pattern view, and lists no move and no row unless it patched it.
+// Writer goroutine, before sn is installed: a tail round that finds sn
+// published finds its effect there.
+func (s *Store) recordEffect(old, sn *Snapshot, batches [][]graph.Update, reachMoved bool, diff *incbisim.Diff) {
+	d := &snapfile.DiffParts{Epoch: sn.Epoch, Base: old.Epoch, Nodes: s.nodes, Batches: batches, Blocks: sn.Pattern.Gr.NumNodes(),
 		Moved: diff.Moved, To: diff.To, Digest: diff.Rows.Digest()}
 	if reachMoved {
 		rv := sn.Reach
@@ -280,18 +283,17 @@ func reachMap(old *reach.Compressed, newOf []graph.Node) (classMap, exNode, exCl
 	return classMap, exNode, exClass
 }
 
-// ApplyEffect applies one shipped group: batches, the raw WAL records of
-// the epochs after the current one, and effect, the encoded change those
-// batches made to the source's views; or, with no batches, an image, which
-// replaces the store's whole state — G, both views and, on a durable store,
-// the directory (install.go). A diff's batches are appended to the WAL
-// unchanged and applied to G, both views are patched from the diff, and
-// the group publishes once, at its last epoch. It returns the epoch
-// published and whether effect was an image. It runs no maintainer and
-// drops any the store holds, as a store recovered from a checkpoint holds
-// none. A rejected effect is ErrEffect and changes nothing; a failed WAL
-// append or install is returned as is.
-func (s *Store) ApplyEffect(batches [][]graph.Update, effect []byte) (epoch uint64, image bool, err error) {
+// ApplyEffect applies one shipped effect: a diff, which carries the raw
+// batches of the epochs after the current one and the change they made to
+// the source's views; or an image, which replaces the store's whole state
+// — G, both views and, on a durable store, the directory (install.go). A
+// diff's batches are appended to the WAL unchanged and applied to G, both
+// views are patched from the diff, and the group publishes once, at its
+// last epoch. It returns the epoch published and whether effect was an
+// image. It runs no maintainer and drops any the store holds, as a store
+// recovered from a checkpoint holds none. A rejected effect is ErrEffect
+// and changes nothing; a failed WAL append or install is returned as is.
+func (s *Store) ApplyEffect(effect []byte) (epoch uint64, image bool, err error) {
 	out := s.submitTask(func() applyOutcome[ApplyResult] {
 		var start time.Time
 		if s.ob != nil {
@@ -304,9 +306,9 @@ func (s *Store) ApplyEffect(batches [][]graph.Update, effect []byte) (epoch uint
 			o.err = fmt.Errorf("%w: %v", ErrEffect, err)
 		case ef.image != nil:
 			image = true
-			o.epoch, o.err = s.applyImage(batches, ef)
+			o.epoch, o.err = s.applyImage(ef)
 		default:
-			o.epoch, o.err = s.applyEffect(batches, ef, effect)
+			o.epoch, o.err = s.applyEffect(ef, effect)
 		}
 		if o.err == nil && s.ob != nil {
 			s.ob.notePublish(start)
@@ -318,16 +320,9 @@ func (s *Store) ApplyEffect(batches [][]graph.Update, effect []byte) (epoch uint
 }
 
 // applyImage is ApplyEffect's image half, on the writer goroutine.
-func (s *Store) applyImage(batches [][]graph.Update, img *effect) (uint64, error) {
-	var err error
-	switch {
-	case len(batches) > 0:
-		err = fmt.Errorf("an image comes with %d frames, want none", len(batches))
-	case img.image.G.NumNodes() != s.nodes:
-		err = fmt.Errorf("image over %d nodes, store has %d", img.image.G.NumNodes(), s.nodes)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrEffect, err)
+func (s *Store) applyImage(img *effect) (uint64, error) {
+	if n := img.image.G.NumNodes(); n != s.nodes {
+		return 0, fmt.Errorf("%w: image over %d nodes, store has %d", ErrEffect, n, s.nodes)
 	}
 	if err := s.installImage(img); err != nil {
 		return 0, err
@@ -337,13 +332,14 @@ func (s *Store) applyImage(batches [][]graph.Update, img *effect) (uint64, error
 
 // applyEffect is ApplyEffect's diff half, on the writer goroutine; b is the
 // diff's frame, which the ring keeps for followers of this store.
-func (s *Store) applyEffect(batches [][]graph.Update, ef *effect, b []byte) (uint64, error) {
+func (s *Store) applyEffect(ef *effect, b []byte) (uint64, error) {
 	old := s.Snapshot()
-	sn, err := s.effectSnapshot(old, batches, ef)
+	sn, err := s.effectSnapshot(old, ef)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrEffect, err)
 	}
-	if s.dur != nil && len(batches) > 0 {
+	batches := ef.diff.Batches
+	if s.dur != nil {
 		var built time.Time
 		if s.ob != nil {
 			built = time.Now()
@@ -364,10 +360,10 @@ func (s *Store) applyEffect(batches [][]graph.Update, ef *effect, b []byte) (uin
 		s.updates.Add(uint64(len(batch)))
 	}
 	s.m = nil
-	s.install(sn)
-	if s.ring.on.Load() {
+	if s.ring.on.Load() { // before the swap, as publish records
 		s.ring.push(ringEntry{lineage: ef.lineage, base: ef.diff.Base, epoch: sn.Epoch, b: b})
 	}
+	s.install(sn)
 	s.mark(sn.Epoch)
 	if s.dur != nil {
 		s.dur.maybeCheckpoint(sn.Epoch, s.image)
@@ -377,13 +373,13 @@ func (s *Store) applyEffect(batches [][]graph.Update, ef *effect, b []byte) (uin
 
 // effectSnapshot builds the snapshot a shipped diff makes of old, without
 // installing it.
-func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, ef *effect) (*Snapshot, error) {
+func (s *Store) effectSnapshot(old *Snapshot, ef *effect) (*Snapshot, error) {
 	d := ef.diff
-	switch last := old.Epoch + uint64(len(batches)); {
+	switch {
 	case d.Nodes != s.nodes:
 		return nil, fmt.Errorf("effect over %d nodes, store has %d", d.Nodes, s.nodes)
-	case d.Epoch != last || s.batches.Load() != old.Epoch:
-		return nil, fmt.Errorf("effect ends at epoch %d, the shipped frames at %d", d.Epoch, last)
+	case s.batches.Load() != old.Epoch:
+		return nil, fmt.Errorf("store logged epoch %d, published %d", s.batches.Load(), old.Epoch)
 	case ef.lineage != old.Lineage || d.Base != old.Epoch:
 		return nil, fmt.Errorf("effect starts from views %x@%d, store holds %x@%d", ef.lineage, d.Base, old.Lineage, old.Epoch)
 	}
@@ -395,7 +391,7 @@ func (s *Store) effectSnapshot(old *Snapshot, batches [][]graph.Update, ef *effe
 	sn := &Snapshot{Epoch: d.Epoch, Lineage: ef.lineage}
 	gw := old.G.Thaw()
 	var srcs []graph.Node
-	for _, batch := range batches {
+	for _, batch := range d.Batches {
 		eff := gw.Reduce(batch)
 		gw.Apply(eff)
 		for _, up := range eff {

@@ -79,8 +79,9 @@ func membersReachMap(old, cur *reach.Compressed) (classMap, exNode, exClass []gr
 // TestEffectAppliedEqualsRebuilt is the effect differential. Over seeded
 // histories — coalesced groups, groups that change nothing, hub rows,
 // undone groups, groups of large batches — a durable follower store is fed
-// only what a tail round ships: each group's raw batches with the effects
-// the leader's ring chains from the follower's views, or an image. The
+// only what a tail round ships: the effects the leader's ring chains from
+// the follower's views, each diff carrying its group's raw batches, or an
+// image. The
 // leader keeps one lineage, so an image is sent only where the follower's
 // own layout breaks the chain. After every group its G and both
 // views equal the leader's array for array (the leader's are those
@@ -121,11 +122,7 @@ func TestEffectAppliedEqualsRebuilt(t *testing.T) {
 					}
 					for _, e := range effs {
 						before := follower.Snapshot()
-						batches := log[before.Epoch:e.Epoch]
-						if e.Image {
-							batches = nil // an image holds G: it comes with no frames
-						}
-						epoch, image, err := follower.ApplyEffect(batches, e.Bytes)
+						epoch, image, err := follower.ApplyEffect(e.Bytes)
 						if err != nil {
 							t.Fatalf("%s: apply effect through %d: %v", at, e.Epoch, err)
 						}
@@ -135,6 +132,9 @@ func TestEffectAppliedEqualsRebuilt(t *testing.T) {
 						}
 						if epoch != e.Epoch || image != e.Image {
 							t.Fatalf("%s: applied at %d (image %v), shipped %d (image %v)", at, epoch, image, e.Epoch, e.Image)
+						}
+						if !image && !slices.EqualFunc(shipped.diff.Batches, log[before.Epoch:e.Epoch], slices.Equal) {
+							t.Fatalf("%s: the diff through %d carries other batches than its group's", at, e.Epoch)
 						}
 						if !image && shipped.diff.Reach != nil {
 							// The leader derives the reach map in one pass;
@@ -222,7 +222,7 @@ func TestEffectRejected(t *testing.T) {
 	follower := mustOpen(t, g, &Options{Dir: t.TempDir(), Sync: SyncNone})
 	defer follower.Close()
 	img := leader.Effects(follower.Snapshot().Lineage, 0)
-	if _, _, err := follower.ApplyEffect(nil, img[0].Bytes); err != nil {
+	if _, _, err := follower.ApplyEffect(img[0].Bytes); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
@@ -232,25 +232,29 @@ func TestEffectRejected(t *testing.T) {
 	if len(eff) != 1 {
 		t.Fatalf("want one diff, got %d effects", len(eff))
 	}
-	if ef, err := decodeEffect(eff[0].Bytes); err != nil || ef.diff == nil || eff[0].Image {
+	ef, err := decodeEffect(eff[0].Bytes)
+	if err != nil || ef.diff == nil || eff[0].Image {
 		t.Fatalf("want a diff, got an image or %v", err)
 	}
 	body := eff[0].Bytes
 	flipped := slices.Clone(body)
 	flipped[len(flipped)/2] ^= 0x10
-	cases := map[string]struct {
-		batches [][]graph.Update
-		effect  []byte
-	}{
-		"bit flip":        {[][]graph.Update{b}, flipped},
-		"truncated":       {[][]graph.Update{b}, body[:len(body)-7]},
-		"no frames":       {nil, body},
-		"frames past it":  {[][]graph.Update{b, b}, body},
-		"other raw batch": {[][]graph.Update{gen.RandomBatch(rng, mirror, 40, 0.5)}, body},
+	// withBatches is the diff re-encoded, CRC and all, carrying batches.
+	withBatches := func(batches ...[]graph.Update) []byte {
+		d := *ef.diff
+		d.Batches = batches
+		return encodeDiff(ef.lineage, &d)
+	}
+	cases := map[string][]byte{
+		"bit flip":        flipped,
+		"truncated":       body[:len(body)-7],
+		"no batches":      withBatches(),
+		"batches past it": withBatches(b, b),
+		"other raw batch": withBatches(gen.RandomBatch(rng, mirror, 40, 0.5)),
 	}
 	before := follower.Snapshot()
 	for name, c := range cases {
-		_, _, err := follower.ApplyEffect(c.batches, c.effect)
+		_, _, err := follower.ApplyEffect(c)
 		if !errors.Is(err, ErrEffect) {
 			t.Fatalf("%s: ApplyEffect = %v, want ErrEffect", name, err)
 		}
@@ -258,7 +262,7 @@ func TestEffectRejected(t *testing.T) {
 			t.Fatalf("%s: a rejected effect moved the follower", name)
 		}
 	}
-	if _, _, err := follower.ApplyEffect([][]graph.Update{b}, body); err != nil {
+	if _, _, err := follower.ApplyEffect(body); err != nil {
 		t.Fatalf("the intact effect after the rejections: %v", err)
 	}
 	sameViews(t, "after", follower.Snapshot(), leader.Snapshot())
@@ -279,20 +283,16 @@ func TestEffectLiesRejected(t *testing.T) {
 	follower := mustOpen(t, g, &Options{Dir: t.TempDir(), Sync: SyncNone})
 	defer follower.Close()
 	img := leader.Effects(follower.Snapshot().Lineage, 0)
-	if _, _, err := follower.ApplyEffect(nil, img[0].Bytes); err != nil {
+	if _, _, err := follower.ApplyEffect(img[0].Bytes); err != nil {
 		t.Fatal(err)
 	}
 	// accepted is what the follower took so far, in order; twin opens a
 	// second follower and feeds it the same.
-	type shipment struct {
-		batches [][]graph.Update
-		b       []byte
-	}
-	accepted := []shipment{{nil, img[0].Bytes}}
+	accepted := [][]byte{img[0].Bytes}
 	twin := func(t *testing.T) *Store {
 		f := mustOpen(t, base.Clone(), &Options{Dir: t.TempDir(), Sync: SyncNone})
-		for _, sh := range accepted {
-			if _, _, err := f.ApplyEffect(sh.batches, sh.b); err != nil {
+		for _, b := range accepted {
+			if _, _, err := f.ApplyEffect(b); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -317,10 +317,10 @@ func TestEffectLiesRejected(t *testing.T) {
 		return encodeDiff(ef.lineage, ef.diff)
 	}
 	var body []byte // the honest effect of the group the lies are about
-	refused := func(name string, batches [][]graph.Update, b []byte) {
+	refused := func(name string, b []byte) {
 		t.Run(name, func(t *testing.T) {
 			before := follower.Snapshot()
-			_, _, err := follower.ApplyEffect(batches, b)
+			_, _, err := follower.ApplyEffect(b)
 			if !errors.Is(err, ErrEffect) {
 				t.Fatalf("ApplyEffect = %v, want ErrEffect", err)
 			}
@@ -332,21 +332,21 @@ func TestEffectLiesRejected(t *testing.T) {
 			// the lie's thawed G may have written past its G's end.
 			tw := twin(t)
 			defer tw.Close()
-			if _, _, err := tw.ApplyEffect(batches, b); !errors.Is(err, ErrEffect) {
+			if _, _, err := tw.ApplyEffect(b); !errors.Is(err, ErrEffect) {
 				t.Fatalf("the twin: ApplyEffect = %v, want ErrEffect", err)
 			}
-			if _, _, err := tw.ApplyEffect(batches, body); err != nil {
+			if _, _, err := tw.ApplyEffect(body); err != nil {
 				t.Fatalf("the honest group after the lie: %v", err)
 			}
 			sameViews(t, "honest after "+name, tw.Snapshot(), leader.Snapshot())
 		})
 	}
-	apply := func(batches [][]graph.Update, b []byte) {
-		if _, _, err := follower.ApplyEffect(batches, b); err != nil {
+	apply := func(b []byte) {
+		if _, _, err := follower.ApplyEffect(b); err != nil {
 			t.Fatalf("the intact effect after the lies: %v", err)
 		}
 		sameViews(t, "intact", follower.Snapshot(), leader.Snapshot())
-		accepted = append(accepted, shipment{batches, b})
+		accepted = append(accepted, b)
 	}
 
 	// Lies about the moves, on the diff of a group that changes nothing: the
@@ -401,24 +401,23 @@ func TestEffectLiesRejected(t *testing.T) {
 		return packRows(ids, []graph.Label{pv.Gr.Label(ids[0]), pv.Gr.Label(ids[1])},
 			[][]graph.Node{pv.Gr.Successors(ids[0]), pv.Gr.Successors(ids[1])})
 	}
-	group := [][]graph.Update{noop}
-	refused("block left empty", group, lie(body, func(d *snapfile.DiffParts) {
+	refused("block left empty", lie(body, func(d *snapfile.DiffParts) {
 		d.Moved = slices.Clone(pv.Compressed.Members[from])
 		d.To = slices.Repeat([]graph.Node{into}, len(d.Moved))
 	}))
-	refused("dropped block still holds a node", group, lie(body, func(d *snapfile.DiffParts) { d.Blocks-- }))
-	refused("new block with no member", group, lie(body, func(d *snapfile.DiffParts) { d.Blocks++ }))
-	refused("moved node with the wrong label", group, lie(body, func(d *snapfile.DiffParts) {
+	refused("dropped block still holds a node", lie(body, func(d *snapfile.DiffParts) { d.Blocks-- }))
+	refused("new block with no member", lie(body, func(d *snapfile.DiffParts) { d.Blocks++ }))
+	refused("moved node with the wrong label", lie(body, func(d *snapfile.DiffParts) {
 		d.Moved, d.To = []graph.Node{stray}, []graph.Node{other}
 		r := unmoved(other)
 		d.Digest = r.Digest()
 	}))
-	refused("moved node outside its new block's row", group, lie(body, func(d *snapfile.DiffParts) {
+	refused("moved node outside its new block's row", lie(body, func(d *snapfile.DiffParts) {
 		d.Moved, d.To = []graph.Node{stray}, []graph.Node{same}
 		r := unmoved(same)
 		d.Digest = r.Digest()
 	}))
-	apply(group, body)
+	apply(body)
 
 	// Lies about the rows, on a diff that moves nodes and rebuilds rows: the
 	// digest of the rows the follower rebuilds, one of them edited.
@@ -469,17 +468,16 @@ func TestEffectLiesRejected(t *testing.T) {
 			d.Digest = r.Digest()
 		}
 	}
-	group = [][]graph.Update{b}
-	refused("wrong row", group, lie(body, edited(func(l graph.Label, row []graph.Node) (graph.Label, []graph.Node, bool) {
+	refused("wrong row", lie(body, edited(func(l graph.Label, row []graph.Node) (graph.Label, []graph.Node, bool) {
 		return l, row[:len(row)-1], true
 	})))
-	refused("missing reachable row", group, lie(body, edited(func(graph.Label, []graph.Node) (graph.Label, []graph.Node, bool) {
+	refused("missing reachable row", lie(body, edited(func(graph.Label, []graph.Node) (graph.Label, []graph.Node, bool) {
 		return 0, nil, false
 	})))
-	refused("wrong row label", group, lie(body, edited(func(l graph.Label, row []graph.Node) (graph.Label, []graph.Node, bool) {
+	refused("wrong row label", lie(body, edited(func(l graph.Label, row []graph.Node) (graph.Label, []graph.Node, bool) {
 		return (l + 1) % graph.Label(fg.Labels().Count()), row, true
 	})))
-	apply(group, body)
+	apply(body)
 }
 
 // packRows packs rows ids, ascending, with their labels and successor
@@ -505,7 +503,7 @@ func TestEffectRingHoldsNoSpare(t *testing.T) {
 	follower := mustOpen(t, g, nil)
 	defer follower.Close()
 	img := leader.Effects(0, 0)
-	if _, _, err := follower.ApplyEffect(nil, img[0].Bytes); err != nil {
+	if _, _, err := follower.ApplyEffect(img[0].Bytes); err != nil {
 		t.Fatal(err)
 	}
 	follower.Effects(0, 0) // records what it applies from here on
@@ -522,7 +520,7 @@ func TestEffectRingHoldsNoSpare(t *testing.T) {
 			t.Fatalf("want one diff, got %d effects", len(effs))
 		}
 		shipped := append(make([]byte, 0, 4*len(effs[0].Bytes)), effs[0].Bytes...)
-		if _, _, err := follower.ApplyEffect([][]graph.Update{b}, shipped); err != nil {
+		if _, _, err := follower.ApplyEffect(shipped); err != nil {
 			t.Fatal(err)
 		}
 	}

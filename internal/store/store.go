@@ -324,8 +324,11 @@ type Store struct {
 	full     bool
 	// ring holds the effects of the latest groups for the followers tailing
 	// this store, es is the scratch of applying shipped ones (effect.go).
-	ring effectRing
-	es   incbisim.Patcher
+	// group holds the batches of the group being applied while the ring
+	// records, for its effect; writer goroutine only.
+	ring  effectRing
+	es    incbisim.Patcher
+	group [][]graph.Update
 
 	snap     atomic.Pointer[Snapshot]
 	scratch  sync.Pool // *queries.Scratch
@@ -414,6 +417,9 @@ func (s *Store) materialize(tail [][]graph.Update) {
 func (s *Store) apply(epoch uint64, batch []graph.Update) ApplyResult {
 	res := ApplyResult{Epoch: epoch}
 	res.Reach, res.Pattern = s.m.Apply(batch)
+	if s.ring.on.Load() {
+		s.group = append(s.group, batch)
+	}
 	return res
 }
 
@@ -469,11 +475,15 @@ func (s *Store) publish(epoch uint64) {
 	} else {
 		sn.Lineage = old.Lineage
 	}
-	s.install(sn)
-	if !s.full && s.ring.on.Load() {
-		s.recordEffect(old, sn, reachMoved, diff)
+	// The effect goes to the ring before the swap: a tail round that finds
+	// sn published finds its effect too, and does not take sn as a ring
+	// miss. A group the ring started recording partway through is not
+	// recorded: a follower it leaves unchained is sent an image.
+	if !s.full && s.ring.on.Load() && uint64(len(s.group)) == epoch-old.Epoch {
+		s.recordEffect(old, sn, s.group, reachMoved, diff)
 	}
-	s.full = false
+	s.install(sn)
+	s.group, s.full = nil, false
 	s.ob.noteHeap(s.m)
 	clk.lap(pubSwap)
 	s.ob.notePublish(clk.start)

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	iofs "io/fs"
 	"os"
 	"path/filepath"
@@ -755,184 +754,6 @@ func ListDir(fsys faultfs.FS, dir string) ([]SegmentInfo, error) {
 		segs[i].Sealed = true
 	}
 	return segs, nil
-}
-
-// Cursor reads raw frames out of a live log directory for shipping and
-// remembers where it stopped, so that a reader who continues from there
-// pays for what was appended since and not for the log's history. It holds
-// the newest segment open, read up to a frame boundary at its end, and the
-// seq of the frame that comes next; a read asking for exactly that seq
-// reads on from there — no directory listing, no byte read twice — and
-// follows a rotation by opening the successor, which that seq names.
-// Whatever the position cannot explain drops it: a read from any other seq,
-// a segment that ends mid-frame or holds an impossible size field, a read
-// cut by its byte budget, a read error. The read after that goes through
-// the directory, as the first one does. The zero Cursor is ready; Close
-// releases the open segment. A Cursor is not safe for concurrent use.
-//
-// The position trusts that bytes once read from the newest segment stay
-// where they were. A log rolled back below it (Log.Rollback, Log.Reset, a
-// wiped directory) can leave it reading nothing, or frames that fail their
-// checksum; it does not notice by itself. Its reader does — see ReadFrames
-// on who validates — and a reader that is owed frames and gets none should
-// start over with a fresh Cursor.
-type Cursor struct {
-	f      faultfs.File // the newest segment, read to its end; nil = no position
-	first  uint64       // f's first seq, from its name
-	next   uint64       // seq of the next frame f yields
-	oldest uint64       // first seq of the oldest segment at the last listing
-	buf    []byte       // read scratch
-}
-
-// Close drops the position and the segment held open for it. The Cursor
-// stays usable: its next read goes through the directory.
-func (c *Cursor) Close() {
-	if c.f != nil {
-		c.f.Close()
-		c.f = nil
-	}
-}
-
-// ReadFrames calls fn, in order, with every frame (header + body, exactly
-// as logged) at seq >= from, until maxBytes of them have been passed — at
-// least one regardless, so a single record larger than the budget still
-// ships. The frame aliases a buffer fn must not keep. oldest is the first
-// seq of the oldest segment on disk as of the Cursor's last listing, 0 for
-// an empty directory; when from < oldest the records asked for were
-// truncated away, nothing is passed, and the caller needs a snapshot
-// instead. Every byte is read through fsys.OpenFile(...).Read (nil = the
-// real disk), so a fault-injecting fsys sees all that ships.
-//
-// Frames are split by their size field WITHOUT validating checksums: the
-// reader's ParseRecord stays the single integrity gate, so damage anywhere
-// on the shipping path — this disk, the read seam, the wire — is caught by
-// the same check. A segment's records run consecutively from its filename's
-// seq, so position determines each frame's seq; the body's embedded seq may
-// be the very corruption being shipped for the reader to reject, and is not
-// trusted for pagination. An incomplete or impossible frame at the end of
-// the newest segment is the writer mid-append (or local damage the scrubber
-// will deal with), not an error: reading stops there and the next call picks
-// it up. In a sealed segment it is an error.
-func (c *Cursor) ReadFrames(fsys faultfs.FS, dir string, from uint64, maxBytes int, fn func(seq uint64, frame []byte)) (oldest uint64, err error) {
-	fsys = faultfs.Or(fsys)
-	total := 0
-	if c.f != nil && c.next == from {
-		for {
-			next, why, cut, err := c.split(c.f, c.next, from, maxBytes, &total, fn)
-			if err != nil || why != "" || cut {
-				c.Close()
-				return c.oldest, err
-			}
-			c.next = next
-			if next == c.first {
-				return c.oldest, nil // an empty segment has no successor
-			}
-			// A log that rotated names the successor after the seq this
-			// segment stopped short of; no such file means none was made.
-			succ, err := fsys.OpenFile(filepath.Join(dir, segmentName(next)), os.O_RDONLY, 0)
-			if err != nil {
-				return c.oldest, nil
-			}
-			c.f.Close()
-			c.f, c.first = succ, next
-		}
-	}
-	c.Close()
-	segs, err := ListDir(fsys, dir)
-	if err != nil || len(segs) == 0 {
-		return 0, err
-	}
-	c.oldest = segs[0].First
-	if from < c.oldest {
-		return c.oldest, nil
-	}
-	// The segment containing from is the last one whose first seq is <= from.
-	start := 0
-	for i, s := range segs {
-		if s.First <= from {
-			start = i
-		}
-	}
-	for _, s := range segs[start:] {
-		f, err := fsys.OpenFile(filepath.Join(dir, s.Name), os.O_RDONLY, 0)
-		if err != nil {
-			return c.oldest, err
-		}
-		next, why, cut, err := c.split(f, s.First, from, maxBytes, &total, fn)
-		if err == nil && why == "" && !cut && !s.Sealed {
-			c.f, c.first, c.next = f, s.First, next // the next read continues here
-			return c.oldest, nil
-		}
-		f.Close()
-		if err != nil || cut || !s.Sealed {
-			return c.oldest, err
-		}
-		if why != "" {
-			return c.oldest, fmt.Errorf("wal: sealed segment %s %s", s.Name, why)
-		}
-	}
-	return c.oldest, nil
-}
-
-// split reads f from where it stands to its end and passes fn the whole
-// frames at seq >= from, numbering them from seq; total counts the bytes
-// passed against maxBytes. It returns the seq after the last whole frame
-// and how the read ended: cut by the budget, an error, or at the end of f —
-// on a frame boundary (why == "") or short of one, why saying how.
-func (c *Cursor) split(f faultfs.File, seq, from uint64, maxBytes int, total *int, fn func(seq uint64, frame []byte)) (next uint64, why string, cut bool, err error) {
-	buf := c.buf[:0]
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 32<<10)
-	}
-	defer func() {
-		if cap(buf) <= 1<<20 { // a backlog's buffer is not kept for the connection's life
-			c.buf = buf
-		} else {
-			c.buf = nil
-		}
-	}()
-	for {
-		if len(buf) == cap(buf) { // one frame wider than the buffer: grow as its bytes arrive
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, rerr := f.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		off := 0
-		for len(buf)-off >= frameHeader {
-			size := int(binary.LittleEndian.Uint32(buf[off:]))
-			if size < seqBytes || size > MaxRecordBytes {
-				return seq, fmt.Sprintf("has impossible record size %d", size), false, nil
-			}
-			if len(buf)-off < frameHeader+size {
-				break
-			}
-			frame := buf[off : off+frameHeader+size]
-			off += len(frame)
-			at := seq
-			if seq++; at < from {
-				continue
-			}
-			fn(at, frame)
-			if *total += len(frame); *total >= maxBytes {
-				return seq, "", true, nil
-			}
-		}
-		buf = buf[:copy(buf, buf[off:])]
-		if rerr != nil && rerr != io.EOF {
-			return seq, "", false, rerr
-		}
-		if n > 0 && rerr == nil {
-			continue
-		}
-		switch {
-		case len(buf) == 0:
-		case len(buf) < frameHeader:
-			why = fmt.Sprintf("has a %d-byte tail", len(buf))
-		default:
-			why = "ends mid-record"
-		}
-		return seq, why, false, nil
-	}
 }
 
 // listSegments returns the names of all segment files in dir.

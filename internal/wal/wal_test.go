@@ -311,95 +311,3 @@ func frameRecord(seq uint64, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[frameHeader:], castagnoli))
 	return b
 }
-
-// ReadFrames is a shipping read with no position to continue from: a zero
-// Cursor, read once and dropped.
-func ReadFrames(fsys faultfs.FS, dir string, from uint64, maxBytes int, fn func(seq uint64, frame []byte)) (uint64, error) {
-	var c Cursor
-	defer c.Close()
-	return c.ReadFrames(fsys, dir, from, maxBytes, fn)
-}
-
-// TestReadFrames pins the shipping read: frames come back whole and in
-// order with position-derived seqs from any starting point, one call stops
-// at its byte budget but always ships a frame, a start below the oldest
-// segment reports that segment's first seq and ships nothing, checksums are
-// NOT validated (a flipped body byte ships for ParseRecord to reject), and
-// an incomplete frame is tolerated at the end of the newest segment only.
-// Every row reads through a zero Cursor; TestTailCursorEqualsColdRead pins
-// a Cursor that lives on to the same answers.
-func TestReadFrames(t *testing.T) {
-	dir := t.TempDir()
-	l := open(t, dir, 5, &Options{SegmentBytes: 64, Sync: SyncNone}) // a few records per segment
-	appendN(t, l, 5, 16)
-	l.Close()
-	segs, err := ListDir(nil, dir)
-	if err != nil || len(segs) < 3 || segs[0].First != 5 || segs[len(segs)-1].Sealed || !segs[0].Sealed {
-		t.Fatalf("ListDir = %+v, %v: want >= 3 segments from seq 5, all but the last sealed", segs, err)
-	}
-
-	read := func(from uint64, maxBytes int) (seqs []uint64, oldest uint64, err error) {
-		oldest, err = ReadFrames(nil, dir, from, maxBytes, func(seq uint64, frame []byte) {
-			got, payload, n, perr := ParseRecord(frame)
-			if perr != nil || got != seq || n != len(frame) || string(payload) != fmt.Sprintf("payload-%d", seq) {
-				t.Errorf("frame at seq %d: ParseRecord = (%d, %q, %d, %v) of %d bytes", seq, got, payload, n, perr, len(frame))
-			}
-			seqs = append(seqs, seq)
-		})
-		return seqs, oldest, err
-	}
-	for _, from := range []uint64{5, 6, 11, 16, 17} {
-		seqs, oldest, err := read(from, 1<<20)
-		if err != nil || oldest != 5 || len(seqs) != int(17-from) || (len(seqs) > 0 && (seqs[0] != from || seqs[len(seqs)-1] != 16)) {
-			t.Fatalf("ReadFrames(from %d) = seqs %v, oldest %d, %v", from, seqs, oldest, err)
-		}
-	}
-	if seqs, _, err := read(7, 1); err != nil || len(seqs) != 1 || seqs[0] != 7 {
-		t.Fatalf("ReadFrames with a 1-byte budget = %v, %v: want exactly record 7", seqs, err)
-	}
-	if seqs, oldest, err := read(3, 1<<20); err != nil || oldest != 5 || len(seqs) != 0 {
-		t.Fatalf("ReadFrames below the oldest segment = %v, oldest %d, %v: want nothing shipped, oldest 5", seqs, oldest, err)
-	}
-	if oldest, err := ReadFrames(nil, t.TempDir(), 1, 1<<20, func(uint64, []byte) { t.Error("frame from an empty directory") }); oldest != 0 || err != nil {
-		t.Fatalf("ReadFrames on an empty directory = %d, %v", oldest, err)
-	}
-
-	// A flipped body byte in a sealed segment still ships: no CRC check here.
-	sealed := filepath.Join(dir, segs[0].Name)
-	data, err := os.ReadFile(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[frameHeader+seqBytes] ^= 0x40
-	if err := os.WriteFile(sealed, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	var rejected int
-	if _, err := ReadFrames(nil, dir, 5, 1<<20, func(seq uint64, frame []byte) {
-		if _, _, _, perr := ParseRecord(frame); perr != nil {
-			rejected++
-		}
-	}); err != nil || rejected != 1 {
-		t.Fatalf("ReadFrames over a bit-flipped record: %v, %d frames failing ParseRecord, want it shipped for the reader to reject", err, rejected)
-	}
-
-	// Mid-append on the newest segment: stop quietly before the partial frame.
-	newest := filepath.Join(dir, segs[len(segs)-1].Name)
-	f, err := os.OpenFile(newest, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(frameRecord(17, []byte("payload-17"))[:11])
-	f.Close()
-	var last uint64
-	if _, err := ReadFrames(nil, dir, 12, 1<<20, func(seq uint64, _ []byte) { last = seq }); err != nil || last != 16 {
-		t.Fatalf("ReadFrames with the writer mid-append: last seq %d, %v, want 16 and no error", last, err)
-	}
-	// The same cut in a sealed segment is damage.
-	if err := os.Truncate(sealed, int64(len(data)-3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrames(nil, dir, 5, 1<<20, func(uint64, []byte) {}); err == nil {
-		t.Fatal("ReadFrames accepted a sealed segment ending mid-record")
-	}
-}
