@@ -86,6 +86,28 @@
 // refined by queries.ReverseWithinCSR instead, rerun only while its target
 // set has changed; its removals feed the counters like any other. So no
 // counter array costs k·|V| for a bound k a client chose.
+//
+// # Counting without branches
+//
+// The push of a level, the pull of a top level and the compaction of a
+// candidate list do almost nothing per adjacency entry but test a flag the
+// data decides: whether the entry is reached first, in sim(t) or counted
+// one level down, or still a member. The outcome of such a test is close
+// to random, so a branch on it is mispredicted often enough to set the
+// loop's speed. These loops therefore add the test's outcome as 0 or 1
+// (b2i) instead of branching on it. A push writes every predecessor to the
+// frontier and advances the frontier's length only past a first reach,
+// and a compaction writes every entry back and advances past a member. A
+// pull adds 1 per successor in sim(t) or counted one level down. The
+// rows scanned, their order and every count are those of the branching
+// loops, and so are the answers and the work counts. A pushed top level
+// keeps no frontier, since no level reads one above it. A list as long as
+// its set has lost no member since its last walk, and is returned
+// unwalked. On the benchmark's 32 patterns this cut a pass's time, Expand
+// included, by about 40 % on social16 and 25 % on webcore16
+// (EXPERIMENTS.md). The
+// drain and run's removal scans keep their branches: rewritten the same
+// way, neither was faster in three of four paired passes.
 package pattern
 
 import (

@@ -330,6 +330,14 @@ func FuzzMatch(f *testing.F) {
 	f.Add([]byte{4, 1, 0, 0, 0, 1, 0, 1, 1, 2, 2, 3, 4, 4}, []byte{1, 1, 0, 0, 1, 1})
 	f.Add([]byte{5, 1, 0, 0, 0, 2, 2, 4, 1, 5, 2, 0, 4, 1, 2, 2, 3}, []byte{1, 1, 0, 0, 1, 2})
 	f.Add([]byte{4, 1, 0, 0, 0, 0, 1, 0, 2, 0, 3, 1, 4, 2, 0, 1}, []byte{0, 1, 0, 0, 2, 0, 0, 3})
+	// Two on the loops that count without branches: bound 1 from two B
+	// nodes into one A node, so K_t = 1 and the top level is pushed with
+	// no frontier kept; bound 2 from two B nodes over three C nodes into
+	// one A node, so the top level is pulled over the level below, and of
+	// the two B nodes one counts a successor by that level alone and the
+	// other counts none.
+	f.Add([]byte{2, 0, 1, 1, 1, 0, 2, 1}, []byte{1, 1, 0, 0, 1, 1})
+	f.Add([]byte{5, 0, 2, 2, 1, 1, 2, 1, 0, 2, 0, 5, 0, 3, 1, 4, 3}, []byte{1, 1, 0, 0, 1, 2})
 	f.Fuzz(func(t *testing.T, gb, pb []byte) {
 		if len(gb) == 0 || len(pb) == 0 {
 			return
@@ -366,6 +374,52 @@ func FuzzMatch(f *testing.F) {
 			t.Fatalf("edges %v pattern %+v\ngot %+v\nwant %+v", g.EdgeList(), p.adj, got, want)
 		}
 	})
+}
+
+// TestLiveListsTheSet interleaves random removals from candidate sets
+// with walks: after every walk, live(u) must be sim(u) in ascending order,
+// whether the walk returned the list as it was (nothing removed since the
+// last walk) or compacted it. Both must happen.
+func TestLiveListsTheSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	kept, compacted := 0, 0
+	for trial := range 500 {
+		n := 1 + rng.Intn(60)
+		g := randomLabeled(rng, n, 0, 1+rng.Intn(3))
+		p := randomPattern(rng, 1+rng.Intn(3), 0, 3, 1)
+		s, ok := candidates(g.Freeze(), p, make([]bool, p.NumNodes()*n))
+		if !ok {
+			continue
+		}
+		for range 4 * n {
+			u := int32(rng.Intn(p.NumNodes()))
+			if v := rng.Intn(n); rng.Intn(3) > 0 {
+				if s.in[u][v] {
+					s.in[u][v] = false
+					s.size[u]--
+				}
+				continue
+			}
+			if len(s.list[u]) == s.size[u] {
+				kept++
+			} else {
+				compacted++
+			}
+			var want []graph.Node
+			for v, in := range s.in[u] {
+				if in {
+					want = append(want, graph.Node(v))
+				}
+			}
+			if got := s.live(u); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: live(%d) = %v, sim = %v", trial, u, got, want)
+			}
+		}
+	}
+	t.Logf("%d walks kept the list, %d compacted it", kept, compacted)
+	if kept == 0 || compacted == 0 {
+		t.Errorf("%d walks kept the list and %d compacted it, want some of each", kept, compacted)
+	}
 }
 
 // TestIncMatcherDeletionHistories runs deletion-only histories over 1 000

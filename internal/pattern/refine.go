@@ -72,16 +72,32 @@ func (s *sets) unmark() {
 	}
 }
 
-// live compacts list[u] to sim(u)'s current members and returns it.
+// live compacts list[u] to sim(u)'s current members and returns it. A
+// list as long as the set holds no removed node, so it is returned as it
+// is; otherwise every entry is written back and kept by a count (package
+// doc, "Counting without branches").
 func (s *sets) live(u int32) []graph.Node {
-	in, l := s.in[u], s.list[u][:0]
-	for _, v := range s.list[u] {
-		if in[v] {
-			l = append(l, v)
-		}
+	l := s.list[u]
+	if len(l) == s.size[u] {
+		return l
 	}
-	s.list[u] = l
-	return l
+	in, m := s.in[u], 0
+	for _, v := range l {
+		l[m] = v
+		m += b2i(in[v])
+	}
+	s.list[u] = l[:m]
+	return l[:m]
+}
+
+// b2i is 1 for true and 0 for false. The compiler lowers it to a flag
+// move, so a loop that adds it instead of testing has no branch on the
+// data.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // result returns the relation as a Result. Its sets are the compacted
@@ -300,40 +316,67 @@ func (r *refiner) level(t int32, j int) []int32 {
 // in-rows of the nodes first reached at level j (those not in sim(t) whose
 // level-j count just left 0). The top level, which only the candidates of
 // the edges (u, t, K_t) read, is pushed that way or pulled at those
-// candidates, whichever scans fewer rows (package doc).
+// candidates, whichever scans fewer rows (package doc); a pushed top level
+// keeps no frontier, since no level reads one above it.
 func (r *refiner) build(t int32) {
-	k, n, in := r.lv[t], r.n, r.s.in[t]
-	r.cnt[t] = r.sc.cnt[r.used : r.used+k*n]
-	r.used += k * n
+	k, in := r.lv[t], r.s.in[t]
+	r.cnt[t] = r.sc.cnt[r.used : r.used+k*r.n]
+	r.used += k * r.n
 	clear(r.cnt[t])
 	r.work.built++
 	// src is the level's input: sim(t) at level 0, then the nodes first
-	// reached one level down.
-	src, front, reach := r.s.live(t), r.sc.front[:0], r.sc.reach[:0]
+	// reached one level down, held in front while reach takes the next.
+	src, front, reach := r.s.live(t), r.sc.front, r.sc.reach
 	var prev []int32
 	for j := range k {
 		lvl := r.level(t, j)
-		if j == k-1 && r.pulls(t, len(src)) {
+		top := j == k-1
+		if top && r.pulls(t, len(src)) {
 			r.pull(t, lvl, prev)
 			break
 		}
 		copy(lvl, prev)
 		r.work.rows += len(src)
-		for _, x := range src {
-			preds := r.c.Predecessors(x)
-			r.work.entries += len(preds)
-			for _, q := range preds {
-				if lvl[q] == 0 && !in[q] {
-					reach = append(reach, q)
+		if top {
+			for _, x := range src {
+				preds := r.c.Predecessors(x)
+				r.work.entries += len(preds)
+				for _, q := range preds {
+					lvl[q]++
 				}
-				lvl[q]++
 			}
+			break
 		}
-		prev = lvl
-		front, reach = reach, front[:0]
-		src = front
+		reach = r.push(src, lvl, in, reach)
+		prev, src = lvl, reach
+		front, reach = reach, front
 	}
-	r.sc.front, r.sc.reach = front, reach
+	r.sc.front, r.sc.reach = front[:0], reach[:0]
+}
+
+// push adds the in-rows of src to lvl and returns, in next's storage, the
+// nodes it reached first: those not in in whose count left 0. Every
+// predecessor is written to the frontier, and the frontier's length
+// advances only past a first reach, so the loop has no branch on the data.
+// No node is reached twice, so the frontier needs the level's entries or
+// |V|+1 slots, whichever is fewer; it grows once, before the scan.
+func (r *refiner) push(src []graph.Node, lvl []int32, in []bool, next []graph.Node) []graph.Node {
+	entries := 0
+	for _, x := range src {
+		entries += len(r.c.Predecessors(x))
+	}
+	r.work.entries += entries
+	next = slices.Grow(next[:0], min(entries, r.n+1))
+	next = next[:cap(next)]
+	m := 0
+	for _, x := range src {
+		for _, q := range r.c.Predecessors(x) {
+			next[m] = q
+			m += b2i(lvl[q] == 0) & b2i(!in[q])
+			lvl[q]++
+		}
+	}
+	return next[:m]
 }
 
 // pulls reports whether t's top level is pulled: when the candidates that
@@ -364,21 +407,17 @@ func (r *refiner) pull(t int32, lvl, prev []int32) {
 		for _, q := range r.s.live(u) {
 			succ := r.c.Successors(q)
 			r.work.entries += len(succ)
-			var c int32
+			c := 0
 			if prev == nil {
 				for _, x := range succ {
-					if in[x] {
-						c++
-					}
+					c += b2i(in[x])
 				}
 			} else {
 				for _, x := range succ {
-					if in[x] || prev[x] > 0 {
-						c++
-					}
+					c += b2i(in[x]) | b2i(prev[x] > 0)
 				}
 			}
-			lvl[q] = c
+			lvl[q] = int32(c)
 		}
 	}
 }

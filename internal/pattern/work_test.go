@@ -47,7 +47,7 @@ const maxMatchBytes = 32 << 10
 
 // benchPatterns opens a store on d built from seed 1 and draws the
 // benchmark's 32 patterns on it.
-func benchPatterns(t *testing.T, d gen.Dataset) (*store.Store, []*pattern.Pattern) {
+func benchPatterns(t testing.TB, d gen.Dataset) (*store.Store, []*pattern.Pattern) {
 	t.Helper()
 	g := d.Build(1)
 	prng := rand.New(rand.NewSource(1))
@@ -105,6 +105,26 @@ func TestMatchWorkBounded(t *testing.T) {
 			if w.Entries > gate.maxEntries {
 				t.Errorf("32 patterns scanned %d adjacency entries, want at most %d", w.Entries, gate.maxEntries)
 			}
+		})
+	}
+}
+
+// BenchmarkMatchPass runs the benchmark's 32 patterns over each graph's
+// epoch-0 pattern quotient, the refinement alone (no Expand), and reports
+// the time per pattern.
+func BenchmarkMatchPass(b *testing.B) {
+	for _, gate := range workGates {
+		b.Run(gate.d.Name, func(b *testing.B) {
+			s, pats := benchPatterns(b, gate.d)
+			gr := s.Snapshot().Pattern.Gr
+			passes := 0
+			for b.Loop() {
+				for _, p := range pats {
+					pattern.MatchCSR(gr, p)
+				}
+				passes++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(passes*len(pats)), "ns/pattern")
 		})
 	}
 }

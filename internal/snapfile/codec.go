@@ -120,44 +120,63 @@ func encodeStore(p *StoreParts, dst []byte) *writer {
 // DecodeStore decodes and validates a monolithic snapshot image. Nothing
 // returned aliases data.
 func DecodeStore(data []byte) (*StoreParts, error) {
-	r, err := open(data)
+	p, views, err := DecodeStoreGraph(data)
 	if err != nil {
 		return nil, err
 	}
-	if r.kind != KindStore {
-		return nil, fmt.Errorf("%w: kind %v, want %v", ErrFormat, r.kind, KindStore)
-	}
-	p := &StoreParts{Epoch: r.epoch}
-	names, err := r.strings(tagLabels)
-	if err != nil {
-		return nil, err
-	}
-	if p.Labels, err = graph.LabelsFromNames(names); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	if p.G, err = readCSR(r, tagG, p.Labels); err != nil {
-		return nil, err
-	}
-	n := p.G.NumNodes()
-	if p.ReachClassOf, p.ReachCyclic, err = readReach(r, tagReachC); err != nil {
-		return nil, err
-	}
-	if p.ReachGr, err = readCSR(r, tagReachGr, p.Labels); err != nil {
-		return nil, err
-	}
-	if err = validateReach("reach", n, p.ReachGr.NumNodes(), p.ReachClassOf, p.ReachCyclic); err != nil {
-		return nil, err
-	}
-	if p.PatternBlockOf, err = r.int32s(tagPatC); err != nil {
-		return nil, err
-	}
-	if err = r.end(); err != nil {
-		return nil, err
-	}
-	if err = derivePattern(p); err != nil {
+	if err := views(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// DecodeStoreGraph decodes a monolithic snapshot image as far as G: the
+// parts it returns hold the epoch, the labels and G. views decodes and
+// validates the rest — both views — into the same parts; a caller that
+// builds the views from G anyway (a recovery with a WAL tail) skips it.
+// The image's checksum covers all of it either way. Nothing returned
+// aliases data.
+func DecodeStoreGraph(data []byte) (p *StoreParts, views func() error, err error) {
+	r, err := open(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if r.kind != KindStore {
+		return nil, nil, fmt.Errorf("%w: kind %v, want %v", ErrFormat, r.kind, KindStore)
+	}
+	p = &StoreParts{Epoch: r.epoch}
+	names, err := r.strings(tagLabels)
+	if err != nil {
+		return nil, nil, err
+	}
+	if p.Labels, err = graph.LabelsFromNames(names); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	if p.G, err = readCSR(r, tagG, p.Labels); err != nil {
+		return nil, nil, err
+	}
+	return p, func() error { return readViews(r, p) }, nil
+}
+
+// readViews decodes the reach and pattern views that follow G in r into p.
+func readViews(r *reader, p *StoreParts) (err error) {
+	n := p.G.NumNodes()
+	if p.ReachClassOf, p.ReachCyclic, err = readReach(r, tagReachC); err != nil {
+		return err
+	}
+	if p.ReachGr, err = readCSR(r, tagReachGr, p.Labels); err != nil {
+		return err
+	}
+	if err = validateReach("reach", n, p.ReachGr.NumNodes(), p.ReachClassOf, p.ReachCyclic); err != nil {
+		return err
+	}
+	if p.PatternBlockOf, err = r.int32s(tagPatC); err != nil {
+		return err
+	}
+	if err = r.end(); err != nil {
+		return err
+	}
+	return derivePattern(p)
 }
 
 // derivePattern makes the pattern quotient and members of p from G and the

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/snapfile"
 )
 
 // tearWAL simulates the writer dying mid-append of an unacknowledged
@@ -163,6 +164,74 @@ func TestSnapshotLoadIsLazy(t *testing.T) {
 		}
 		diffVsReference(t, "lazy+write", r, mirror)
 	})
+}
+
+// TestTailRecoveryDecodesOnlyG pins what recovery reads of a checkpoint
+// that a WAL tail follows: G alone, since the tail's publish rebuilds both
+// views from it. The checkpoint is rewritten, checksum intact, with a
+// pattern block map that mixes labels, which the views' decode refuses.
+// With a tail behind it the store recovers anyway, equal to an
+// uninterrupted run; once a checkpoint at the last epoch leaves the tail
+// empty, the same rewrite is refused, because those views are installed.
+func TestTailRecoveryDecodesOnlyG(t *testing.T) {
+	g := gen.Social(rand.New(rand.NewSource(3)), 250, 1000, 4)
+	mirror := g.Clone()
+	dir := t.TempDir()
+	s := mustOpen(t, g, &Options{Dir: dir})
+	rng := rand.New(rand.NewSource(4))
+	write := func(st *Store, batches int) {
+		for range batches {
+			batch := gen.RandomBatch(rng, mirror, 30, 0.5)
+			mirror.Apply(batch)
+			if _, err := st.Apply(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(s, 2)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	write(s, 3)
+	s.Close()
+	spoil := func() {
+		t.Helper()
+		info, err := Inspect(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, info.Snapshot)
+		parts, err := snapfile.LoadStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(parts.PatternBlockOf)
+		if err := snapfile.WriteStore(path, parts); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	spoil()
+	r, err := Open(nil, &Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("recovery with a WAL tail decoded the checkpoint's views: %v", err)
+	}
+	if got := r.Epoch(); got != 5 {
+		t.Fatalf("recovered epoch %d, want 5 (2 checkpointed + 3 in the tail)", got)
+	}
+	diffVsReference(t, "tail", r, mirror)
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+
+	spoil()
+	if r, err := Open(nil, &Options{Dir: dir}); !errors.Is(err, snapfile.ErrFormat) {
+		if err == nil {
+			r.Close()
+		}
+		t.Fatalf("recovery with an empty tail opened a checkpoint whose views do not decode: %v", err)
+	}
 }
 
 // TestBackgroundCheckpoint drives enough batches through a small

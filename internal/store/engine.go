@@ -23,8 +23,9 @@ import (
 // never do — each kind answers queries from its own typed snapshot pointer.
 type pipeline[R any] interface {
 	// materialize builds the write-side state (maintainers, shard writers)
-	// from the current view plus tail — recovery's WAL tail, nil for the
-	// first write after a warm restart — unless it already exists.
+	// from the current view plus tail unless it already exists. The engine
+	// passes nil: the first write after a warm restart, a promotion.
+	// Recovery's WAL tail goes to the finish a kind's load returns.
 	materialize(tail [][]graph.Update)
 	// apply folds one accepted batch into the write-side state and reports
 	// the kind's result for it, stamped with epoch.
@@ -132,16 +133,18 @@ func (e *engine[R]) create() error {
 	return nil
 }
 
-// reopen recovers a durable directory: load reassembles and installs the
-// kind's view from the newest checkpoint (setting e.nodes) and reports its
-// epoch; the WAL tail is then folded in. With an empty tail no compression
-// work happens at all.
-func (e *engine[R]) reopen(load func(fsys faultfs.FS, path string) (epoch uint64, err error)) error {
+// reopen recovers a durable directory. load decodes the newest checkpoint
+// as far as its epoch and G (setting e.nodes), and returns finish, which
+// takes the WAL tail: with an empty tail it installs the kind's views from
+// the checkpoint, and no compression work happens at all; with a tail it
+// builds the write side over the checkpoint's graph with the tail folded
+// in, and the engine publishes the result.
+func (e *engine[R]) reopen(load func(fsys faultfs.FS, path string) (epoch uint64, finish func(tail [][]graph.Update) error, err error)) error {
 	d, err := newDurable(e.cfg, e.kind)
 	if err != nil {
 		return err
 	}
-	epoch, err := load(d.fs, d.snapshotPath())
+	epoch, finish, err := load(d.fs, d.snapshotPath())
 	if err != nil {
 		return err
 	}
@@ -157,13 +160,15 @@ func (e *engine[R]) reopen(load func(fsys faultfs.FS, path string) (epoch uint64
 	if err != nil {
 		return err
 	}
+	// The tail exists only when the last run crashed or closed between
+	// checkpoints. The write-side state is built from scratch either way,
+	// so the tail is folded into the graph first and the result is
+	// compressed once — maintained state is a function of the graph alone,
+	// so the answers equal the uninterrupted run's.
+	if err := finish(tail); err != nil {
+		return err
+	}
 	if len(tail) > 0 {
-		// The tail exists only when the last run crashed or closed between
-		// checkpoints. The write-side state is built from scratch either
-		// way, so the tail is folded into the graph first and the result
-		// is compressed once — maintained state is a function of the graph
-		// alone, so the answers equal the uninterrupted run's.
-		e.p.materialize(tail)
 		epoch += uint64(len(tail))
 		e.updates.Store(updates)
 		e.advance(epoch)

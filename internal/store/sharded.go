@@ -792,11 +792,12 @@ func shardedParts(s *ShardedStore, sn *ShardedSnapshot) *snapfile.ShardedParts {
 
 // load rebuilds the static partition and the full epoch vector from a
 // checkpoint file by slicing, and installs it — the sharded half of
-// recovery; the engine replays the WAL tail.
-func (s *ShardedStore) load(fsys faultfs.FS, path string) (uint64, error) {
+// recovery; the engine replays the WAL tail, and the returned finish starts
+// the shard writers over it with a tail folded in.
+func (s *ShardedStore) load(fsys faultfs.FS, path string) (uint64, func(tail [][]graph.Update) error, error) {
 	parts, err := snapfile.LoadShardedFS(fsys, path)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	k := parts.K
 
@@ -841,7 +842,12 @@ func (s *ShardedStore) load(fsys faultfs.FS, path string) (uint64, error) {
 		Summary:  parts.Summary,
 		Stitched: parts.Stitched,
 	})
-	return parts.Epoch, nil
+	return parts.Epoch, func(tail [][]graph.Update) error {
+		if len(tail) > 0 {
+			s.materialize(tail)
+		}
+		return nil
+	}, nil
 }
 
 // publish completes the group's round trip, then assembles and swaps in

@@ -400,14 +400,18 @@ func (s *Store) setMaintainers(g *graph.Graph) {
 }
 
 // materialize builds the incremental maintainers of a store recovered from
-// a snapshot, over its graph — thawed, in O(1) — with tail folded in: the
-// first write (or a WAL tail) pays the one-time compression cost that the
-// warm restart skipped.
+// a snapshot, over its graph, with tail folded in: the first write pays
+// the one-time compression cost that the warm restart skipped.
 func (s *Store) materialize(tail [][]graph.Update) {
-	if s.m != nil {
-		return
+	if s.m == nil {
+		s.build(s.Snapshot().G, tail)
 	}
-	g := s.Snapshot().G.Thaw()
+}
+
+// build makes the maintainers over c — thawed, in O(1) — with tail folded
+// in.
+func (s *Store) build(c *graph.CSR, tail [][]graph.Update) {
+	g := c.Thaw()
 	for _, batch := range tail {
 		g.Apply(batch)
 	}
@@ -521,18 +525,35 @@ func storeParts(sn *Snapshot) *snapfile.StoreParts {
 	}
 }
 
-// load reassembles the snapshot a checkpoint file holds and installs it —
-// the monolithic half of recovery; the engine replays the WAL tail. A file
+// load decodes a checkpoint file as far as G — the monolithic half of
+// recovery; the engine replays the WAL tail and hands it to the returned
+// finish. With an empty tail, finish decodes the views and installs the
+// snapshot the file holds. With a tail, the views the file holds would be
+// thrown away, so finish decodes none: it builds the maintainers over G
+// with the tail folded in, and the engine publishes their snapshot. A file
 // records no lineage: a recovered store is a layout of its own, and a
 // follower that restarts is sent an image.
-func (s *Store) load(fsys faultfs.FS, path string) (uint64, error) {
-	parts, err := snapfile.LoadStoreFS(fsys, path)
+func (s *Store) load(fsys faultfs.FS, path string) (uint64, func(tail [][]graph.Update) error, error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
+	}
+	parts, views, err := snapfile.DecodeStoreGraph(data)
+	if err != nil {
+		return 0, nil, err
 	}
 	s.nodes = parts.G.NumNodes()
-	s.install(s.snapshotOf(parts, newLineage()))
-	return parts.Epoch, nil
+	return parts.Epoch, func(tail [][]graph.Update) error {
+		if len(tail) > 0 {
+			s.build(parts.G, tail)
+			return nil
+		}
+		if err := views(); err != nil {
+			return err
+		}
+		s.install(s.snapshotOf(parts, newLineage()))
+		return nil
+	}, nil
 }
 
 // snapshotOf reassembles the snapshot a checkpoint's parts hold, with views
