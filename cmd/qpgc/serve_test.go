@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -30,6 +31,25 @@ func TestServeFlagsCheck(t *testing.T) {
 		c.edit(&f)
 		if err := f.check(); (err == nil) != c.ok {
 			t.Errorf("%s: check() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestTopShowsCompressionRatios: qpgc top prints each quotient's size and
+// its compression ratio, |Gr| / |G|, from the store's size gauges.
+func TestTopShowsCompressionRatios(t *testing.T) {
+	var b strings.Builder
+	renderTop(&b, metricSample{
+		"qpgc_store_graph_nodes":                      100,
+		"qpgc_store_graph_edges":                      300,
+		`qpgc_store_quotient_nodes{scheme="reach"}`:   20,
+		`qpgc_store_quotient_edges{scheme="reach"}`:   30,
+		`qpgc_store_quotient_nodes{scheme="pattern"}`: 60,
+		`qpgc_store_quotient_edges{scheme="pattern"}`: 140,
+	}, nil, 0, 0, "test")
+	for _, want := range []string{"reach Gr 20 + 30 = 0.125 of |G|", "pattern Gr 60 + 140 = 0.500 of |G|"} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("qpgc top does not show %q:\n%s", want, b.String())
 		}
 	}
 }

@@ -260,6 +260,19 @@ func renderTop(w io.Writer, cur, prev metricSample, dt time.Duration, rpcEpoch u
 		cur.get("qpgc_store_updates_total"),
 		cur.get("qpgc_store_reads_total"),
 		cur.get("qpgc_store_epoch_age_seconds"))
+	if g := cur.get("qpgc_store_graph_nodes") + cur.get("qpgc_store_graph_edges"); g > 0 {
+		// The paper's compression ratios, |Gr| / |G| with |G| = |V| + |E|.
+		quot := func(scheme string) (float64, float64) {
+			n := cur.get(`qpgc_store_quotient_nodes{scheme="` + scheme + `"}`)
+			e := cur.get(`qpgc_store_quotient_edges{scheme="` + scheme + `"}`)
+			return n, e
+		}
+		rn, re := quot("reach")
+		pn, pe := quot("pattern")
+		fmt.Fprintf(w, "size    G %.0f nodes %.0f edges  |  reach Gr %.0f + %.0f = %.3f of |G|  pattern Gr %.0f + %.0f = %.3f of |G|\n",
+			cur.get("qpgc_store_graph_nodes"), cur.get("qpgc_store_graph_edges"),
+			rn, re, (rn+re)/g, pn, pe, (pn+pe)/g)
+	}
 	fmt.Fprintf(w, "rates   %.0f req/s  %.0f read/s  %.0f update/s  %.0f wave/s\n",
 		rate(cur, prev, dt, "qpgc_server_requests_total"),
 		rate(cur, prev, dt, "qpgc_store_reads_total"),

@@ -39,7 +39,7 @@ func TestNodesLabeledMatchesScan(t *testing.T) {
 		c := g.Freeze()
 		checkLabelIndex(t, "frozen", c)
 
-		dec, err := CSRFromRows(c.Labels(), c.LabelIDs(), c.out.offsets(), c.OutAdj())
+		dec, err := CSRFromRows(c.Labels(), c.LabelIDs(), c.out.offsets(), c.out.flat(c.m))
 		if err != nil {
 			t.Fatal(err)
 		}

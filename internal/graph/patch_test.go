@@ -29,7 +29,7 @@ func freezeApart(g *Graph) *CSR {
 	for v := range rows {
 		rows[v] = span{off[v], off[v+1]}
 	}
-	out := compactSide(rows, slices.Clone(c.OutAdj()))
+	out := compactSide(rows, slices.Clone(c.out.flat(c.m)))
 	return &CSR{labels: c.labels, label: c.label, m: c.m, out: out, in: transpose(&out, c.m)}
 }
 

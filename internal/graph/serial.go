@@ -9,10 +9,6 @@ import "fmt"
 // snapshot exactly, however it was built: a patched CSR and the Freeze of
 // the same graph have one flat form, and the predecessor side is derived.
 
-// OutAdj returns the flat successor array (len |E|): the arena itself on a
-// compact CSR, a compacted copy of a patched one. Read-only.
-func (c *CSR) OutAdj() []Node { return c.out.flat(c.m) }
-
 // LabelIDs exposes the per-node label id array (len |V|). Read-only.
 func (c *CSR) LabelIDs() []Label { return c.label }
 

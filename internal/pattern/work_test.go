@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -132,8 +133,9 @@ func BenchmarkMatchPass(b *testing.B) {
 // TestMatchAllocatesWhatItTouches holds Snapshot.Match — the match on the
 // pattern quotient and its expansion to G — to maxMatchBytes per pattern
 // over the benchmark's 32 patterns, once the label index is built and the
-// scratch pool is warm. It counts bytes, not time, but sits behind
-// QPGC_BENCH_SMOKE because building the graphs takes seconds.
+// scratch pool is warm, on one P and with the collector held off across
+// the measured rounds. It counts bytes, not time, but sits behind QPGC_BENCH_SMOKE
+// because building the graphs takes seconds.
 func TestMatchAllocatesWhatItTouches(t *testing.T) {
 	if os.Getenv("QPGC_BENCH_SMOKE") == "" {
 		t.Skip("set QPGC_BENCH_SMOKE=1 to run the benchmark regression smoke")
@@ -142,9 +144,15 @@ func TestMatchAllocatesWhatItTouches(t *testing.T) {
 		t.Run(gate.d.Name, func(t *testing.T) {
 			s, pats := benchPatterns(t, gate.d)
 			sn := s.Snapshot()
+			// One P, so every Match finds the scratch the one before it put
+			// back in that P's slot of the pool; a collection during the
+			// measured rounds would empty the pool. Either way its refill
+			// would count as the matches'.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			for _, p := range pats {
 				sn.Match(p)
 			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			const rounds = 8
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

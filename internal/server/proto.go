@@ -46,9 +46,12 @@ const (
 	// (EncodePattern).
 	MsgMatch MsgType = 0x04
 	// MsgApply submits one update batch: u64 callerTerm (0 = no term
-	// claim), then the WAL payload encoding (store.EncodeBatch). A caller
-	// term above the endpoint's fences it; below, the write is rejected as
-	// stale. The MsgApplied response carries the RYW token and the term.
+	// claim), then the batch in the batch codec (store.EncodeBatch), which
+	// a WAL record and a diff's batches also use. The server also takes
+	// the older form, nine bytes an update, that older clients send. A
+	// caller term above the endpoint's fences it; below, the write is
+	// rejected as stale. The MsgApplied response carries the RYW token and
+	// the term.
 	MsgApply MsgType = 0x05
 	// MsgStats asks for a store summary (MsgInfo response).
 	MsgStats MsgType = 0x06

@@ -257,6 +257,52 @@ func TestWireRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestApplyAcceptsOlderBatchForm: a MsgApply whose batch is in the form
+// older clients send — a 32-bit count, then nine bytes an update — is
+// applied as the current form is: the same edges land, and the answer is
+// the next epoch.
+func TestApplyAcceptsOlderBatchForm(t *testing.T) {
+	g := testGraph(6)
+	var ins []graph.Node
+	for v := graph.Node(1); len(ins) < 3; v++ {
+		if !g.HasEdge(0, v) {
+			ins = append(ins, v)
+		}
+	}
+	s, srv := startStoreServer(t, g, Options{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	body := binary.LittleEndian.AppendUint64(nil, 0) // no term claim
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(ins)))
+	for _, v := range ins {
+		body = binary.LittleEndian.AppendUint32(body, 0)
+		body = binary.LittleEndian.AppendUint32(body, uint32(v))
+		body = append(body, 1)
+	}
+	if err := WriteFrame(bw, MsgApply, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mt, resp, err := ReadFrame(br, nil)
+	if err != nil || mt != MsgApplied {
+		t.Fatalf("an older-form batch: response 0x%02x %q, %v", byte(mt), resp, err)
+	}
+	if epoch := binary.LittleEndian.Uint64(resp); epoch != 1 {
+		t.Fatalf("applied at epoch %d, want 1", epoch)
+	}
+	for _, v := range ins {
+		if !s.Snapshot().G.HasEdge(0, v) {
+			t.Fatalf("edge (0,%d) of the older-form batch is not in G", v)
+		}
+	}
+}
+
 // wideLabelPattern returns a pattern of n nodes labeled L0 and no edges: on
 // a graph with L0 nodes it matches, and its answer holds n sets.
 func wideLabelPattern(n int) *pattern.Pattern {

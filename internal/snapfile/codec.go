@@ -1,7 +1,9 @@
 package snapfile
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/faultfs"
 	"repro/internal/graph"
@@ -90,10 +92,7 @@ type StoreParts struct {
 }
 
 // EncodeStore serializes a monolithic snapshot to its file image.
-func EncodeStore(p *StoreParts) []byte { return AppendStore(nil, p) }
-
-// AppendStore appends the file image of a monolithic snapshot to dst.
-func AppendStore(dst []byte, p *StoreParts) []byte { return encodeStore(p, dst).encode() }
+func EncodeStore(p *StoreParts) []byte { return encodeStore(p).encode() }
 
 // WriteStore atomically persists a monolithic snapshot to path through
 // faultfs.ReplaceFile.
@@ -106,8 +105,8 @@ func WriteStoreFS(fsys faultfs.FS, path string, p *StoreParts) error {
 	return faultfs.ReplaceFile(faultfs.Or(fsys), path, EncodeStore(p))
 }
 
-func encodeStore(p *StoreParts, dst []byte) *writer {
-	w := newWriter(KindStore, p.Epoch, dst)
+func encodeStore(p *StoreParts) *writer {
+	w := newWriter(KindStore, p.Epoch, nil)
 	shared := p.G.Labels()
 	w.strings(tagLabels, shared.Names())
 	putCSR(w, tagG, p.G, shared)
@@ -446,21 +445,39 @@ func LoadShardedFS(fsys faultfs.FS, path string) (*ShardedParts, error) {
 	return DecodeSharded(data)
 }
 
-// CSR flag bits, in the u64 block at a CSR's base tag.
+// CSR flag bits, in the u64 block at a CSR's base tag. Bits csrRiceShift
+// and up hold the Rice parameter of a CSR whose rows are gaps.
 const (
 	csrPrivateLabels = 1 << 0 // base+1 holds the CSR's own label table
 	csrDegrees       = 1 << 1 // base+3 holds out-degrees, not an offset table
 	csrOneLabel      = 1 << 2 // the private table holds one name, every node's label; base+2 is not written
+	csrGaps          = 1 << 3 // base+4 is a byte block: the rows as Rice-coded gaps
+	csrZigzagFirst   = 1 << 4 // a row's first entry is a zigzag gap from its source, not an id
+	csrRiceShift     = 8
+	csrKnown         = csrPrivateLabels | csrDegrees | csrOneLabel | csrGaps | csrZigzagFirst | 31<<csrRiceShift
 )
 
 // putCSR writes one CSR's successor side: label ids, out-degrees and the
-// flat rows. The predecessor side is derived on load. When the CSR's label
+// rows. The predecessor side is derived on load. When the CSR's label
 // table is not the file's shared table it is embedded privately (e.g. the σ
 // table of a reachability quotient); when that table holds one name, every
-// node carries it and the label ids are not written.
+// node carries it and the label ids are not written. A row is sorted and
+// holds each id once, so it is written as the gaps between its entries
+// (entry minus the one before, minus one) in one Rice code for the whole
+// CSR (planRows picks its parameter), after its first entry: an id at the
+// width of the largest, or a zigzag gap from the row's source in the Rice
+// code, whichever the CSR's rows take fewer bits in.
 func putCSR(w *writer, base uint32, c *graph.CSR, shared *graph.Labels) {
 	private := c.Labels() != shared
-	flags := uint64(csrDegrees)
+	deg := make([]int32, c.NumNodes())
+	for v := range deg {
+		deg[v] = int32(c.OutDegree(graph.Node(v)))
+	}
+	plan := planRows(c)
+	flags := uint64(csrDegrees|csrGaps) | uint64(plan.k)<<csrRiceShift
+	if plan.zigzag {
+		flags |= csrZigzagFirst
+	}
 	if private {
 		flags |= csrPrivateLabels
 		if c.Labels().Count() == 1 {
@@ -474,18 +491,199 @@ func putCSR(w *writer, base uint32, c *graph.CSR, shared *graph.Labels) {
 	if flags&csrOneLabel == 0 {
 		w.int32s(base+2, c.LabelIDs())
 	}
-	deg := make([]int32, c.NumNodes())
-	for v := range deg {
-		deg[v] = int32(c.OutDegree(graph.Node(v)))
-	}
 	w.int32s(base+3, deg)
-	w.int32s(base+4, c.OutAdj())
+	putRows(w, base+4, c, plan)
+}
+
+// rowPlan is how putRows codes a CSR's rows: the Rice parameter k,
+// whether a row's first entry is a zigzag gap from its source (else an id
+// of idBits bits), and a bound on the bits that takes.
+type rowPlan struct {
+	k       uint
+	zigzag  bool
+	idBits  uint
+	maxBits uint64
+}
+
+// zigzag maps d to 2d for d ≥ 0 and to -2d-1 below.
+func zigzag(d int64) uint64 { return uint64(d<<1 ^ d>>63) }
+
+// riceBound bounds from above the length of the Rice codes of parameter k
+// of n values that sum to sum: k+1 bits each, and unary parts that sum to
+// at most sum shifted by k.
+func riceBound(n, sum uint64, k uint) uint64 { return n*uint64(k+1) + sum>>k }
+
+// planRows picks the Rice parameter and the rule for a row's first entry
+// that code c's rows in the fewest bits, counted from the rows' ends: the
+// gaps of a row sum to its last entry minus its first minus the gaps'
+// count, so it reads two entries a row.
+func planRows(c *graph.CSR) rowPlan {
+	var rows, gaps, gapSum, firstSum uint64
+	for v := range c.NumNodes() {
+		row := c.Successors(graph.Node(v))
+		if len(row) == 0 {
+			continue
+		}
+		d := uint64(len(row) - 1)
+		rows, gaps = rows+1, gaps+d
+		firstSum += zigzag(int64(row[0]) - int64(v))
+		gapSum += uint64(row[d]-row[0]) - d
+	}
+	p := rowPlan{idBits: uint(bits.Len(uint(max(c.NumNodes()-1, 0)))), maxBits: ^uint64(0)}
+	for k := uint(0); k < 32; k++ {
+		g := riceBound(gaps, gapSum, k)
+		if t := g + rows*uint64(p.idBits); t < p.maxBits {
+			p.k, p.zigzag, p.maxBits = k, false, t
+		}
+		if t := g + riceBound(rows, firstSum, k); t < p.maxBits {
+			p.k, p.zigzag, p.maxBits = k, true, t
+		}
+	}
+	return p
+}
+
+// putRows writes c's rows at tag as plan says, as a byte block, coding
+// them in place at the end of the writer's buffer.
+func putRows(w *writer, tag uint32, c *graph.CSR, plan rowPlan) {
+	at0 := len(w.buf)
+	w.block(tag, elemByte, 0, 0)
+	start := len(w.buf)
+	buf := w.grow(int((plan.maxBits+7)/8) + 8)
+	k, mask := plan.k, uint64(1)<<plan.k-1
+	var acc uint64
+	fill, at := uint(0), 0
+	for v := range c.NumNodes() {
+		row := c.Successors(graph.Node(v))
+		if len(row) == 0 {
+			continue
+		}
+		// Each entry is a Rice code — g>>k zero bits, a one bit, the k low
+		// bits of g — of its gap, or of its zigzag gap from v for the
+		// first; or the first is an id.
+		g := zigzag(int64(row[0]) - int64(v))
+		for i, x := range row {
+			if i > 0 {
+				g = uint64(x - row[i-1] - 1)
+			} else if !plan.zigzag {
+				acc, fill, at = emit(buf, acc, fill, at, uint64(x), plan.idBits)
+				continue
+			}
+			q := uint(g >> k)
+			if q+k >= 56 {
+				q, acc, fill, at = riceZeros(q, k, buf, acc, fill, at)
+			}
+			acc, fill, at = emit(buf, acc, fill, at, (1|(g&mask)<<1)<<q, q+k+1)
+		}
+	}
+	n := at + int(fill+7)/8
+	binary.LittleEndian.PutUint64(w.buf[at0+8:], uint64(n))
+	w.buf = w.buf[:start+n]
+	w.pad()
+}
+
+// readRows decodes the rows putRows wrote at tag for a CSR of the given
+// out-degrees under flags, each entry checked to lie below the node count
+// and above the entry before it. The code must end in the block's last
+// byte.
+func readRows(r *reader, tag uint32, flags uint64, deg []int32) ([]graph.Node, error) {
+	body, err := r.bytes(tag)
+	if err != nil {
+		return nil, err
+	}
+	n := uint64(len(deg))
+	// Every entry takes a bit, but an id-coded first one when the CSR has
+	// one node; so a count past this bound is forged, and is refused
+	// before anything is made for it.
+	total := uint64(0)
+	for v, d := range deg {
+		if d < 0 || uint64(d) > n {
+			return nil, fmt.Errorf("%w: CSR %#x node %d has out-degree %d of %d nodes", ErrFormat, tag, v, d, n)
+		}
+		total += uint64(d)
+	}
+	if total > 8*uint64(len(body))+n {
+		return nil, fmt.Errorf("%w: CSR %#x claims %d entries in %d bytes of rows", ErrFormat, tag, total, len(body))
+	}
+	k, zigzag := uint(flags>>csrRiceShift), flags&csrZigzagFirst != 0
+	idBits := uint(bits.Len64(max(n, 1) - 1))
+	out := make([]graph.Node, total)
+	// The codes are read from bb, which holds the nb bits from bit 8·pos−nb
+	// of body on and is topped up by the next four bytes whenever it holds
+	// fewer than 32: that load does not wait for a code's length. A code
+	// longer than bb holds goes through bitReader.
+	var bb uint64
+	var nb, pos uint
+	mask := uint64(1)<<k - 1
+	adj := out
+	for v, d := range deg {
+		if d == 0 {
+			continue
+		}
+		row := adj[:d]
+		adj = adj[d:]
+		if nb < 32 {
+			bb |= uint64(load32(body, pos)) << (nb & 63)
+			pos, nb = pos+4, nb+32
+		}
+		var x uint64
+		switch q := uint(bits.TrailingZeros64(bb)); {
+		case !zigzag:
+			x, bb, nb = bb&(1<<idBits-1), bb>>(idBits&63), nb-idBits
+		case q+1+k <= nb:
+			x, bb, nb = uint64(q)<<k|bb>>(q+1)&mask, bb>>((q+1+k)&63), nb-(q+1+k)
+		default:
+			var ok bool
+			if x, ok, bb, nb, pos = riceSlow(body, nb, pos, k); !ok {
+				return nil, fmt.Errorf("%w: CSR %#x row %d: a code runs past the rows", ErrFormat, tag, v)
+			}
+		}
+		if zigzag {
+			x = uint64(int64(v) + (int64(x>>1) ^ -int64(x&1)))
+		}
+		if x >= n {
+			return nil, fmt.Errorf("%w: CSR %#x row %d starts outside %d nodes", ErrFormat, tag, v, n)
+		}
+		row[0] = graph.Node(x)
+		for j := 1; j < len(row); j++ {
+			if nb < 32 {
+				bb |= uint64(load32(body, pos)) << (nb & 63)
+				pos, nb = pos+4, nb+32
+			}
+			var g uint64
+			if q := uint(bits.TrailingZeros64(bb)); q+1+k <= nb {
+				g, bb, nb = uint64(q)<<k|bb>>(q+1)&mask, bb>>((q+1+k)&63), nb-(q+1+k)
+			} else {
+				var ok bool
+				if g, ok, bb, nb, pos = riceSlow(body, nb, pos, k); !ok {
+					return nil, fmt.Errorf("%w: CSR %#x row %d: a code runs past the rows", ErrFormat, tag, v)
+				}
+			}
+			if x += g + 1; x >= n {
+				return nil, fmt.Errorf("%w: CSR %#x row %d runs past node %d", ErrFormat, tag, v, n)
+			}
+			row[j] = graph.Node(x)
+		}
+	}
+	if p := 8*pos - nb; (p+7)/8 != uint(len(body)) {
+		return nil, fmt.Errorf("%w: CSR %#x rows end at bit %d of a %d-byte block", ErrFormat, tag, p, len(body))
+	}
+	return out, nil
+}
+
+// riceSlow is readRows's reader for a code longer than its bit buffer
+// holds, nb bits up to byte pos: it reads the code through bitReader and
+// returns it with the buffer after it, the rest of one byte.
+func riceSlow(body []byte, nb, pos, k uint) (uint64, bool, uint64, uint, uint) {
+	r := bitReader{buf: body, p: 8*pos - nb}
+	g, ok := r.rice(k)
+	off := r.p & 7
+	return g, ok, load(body, r.p>>3) & 0xff >> off, 8 - off, r.p>>3 + 1
 }
 
 // readCSR reads one CSR written by putCSR, fully validated, deriving its
 // predecessor side. Files older encoders wrote hold an offset table at
-// base+3 and the predecessor side at the retired tags base+5 and base+6,
-// and write the label ids of a one-name table.
+// base+3 or the rows as ids at base+4, the predecessor side at the retired
+// tags base+5 and base+6, and write the label ids of a one-name table.
 func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 	flags, err := r.u64(base)
 	if err != nil {
@@ -501,9 +699,16 @@ func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 		}
 	}
-	oneLabel := flags&csrOneLabel != 0
-	if want := uint64(csrPrivateLabels | csrDegrees); oneLabel && (flags&want != want || labels.Count() != 1) {
-		return nil, fmt.Errorf("%w: CSR %#x flags %#x one label without a one-name private table and degrees", ErrFormat, base, flags)
+	oneLabel, gaps := flags&csrOneLabel != 0, flags&csrGaps != 0
+	switch {
+	case flags&^csrKnown != 0:
+		return nil, fmt.Errorf("%w: CSR %#x flags %#x", ErrFormat, base, flags)
+	case oneLabel && (flags&csrPrivateLabels == 0 || labels.Count() != 1):
+		return nil, fmt.Errorf("%w: CSR %#x flags %#x one label without a one-name private table", ErrFormat, base, flags)
+	case (oneLabel || gaps) && flags&csrDegrees == 0:
+		return nil, fmt.Errorf("%w: CSR %#x flags %#x want degrees", ErrFormat, base, flags)
+	case !gaps && flags&^(csrPrivateLabels|csrDegrees|csrOneLabel) != 0:
+		return nil, fmt.Errorf("%w: CSR %#x flags %#x code ids as gaps", ErrFormat, base, flags)
 	}
 	var label []graph.Label
 	if !oneLabel {
@@ -515,12 +720,20 @@ func readCSR(r *reader, base uint32, shared *graph.Labels) (*graph.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	adj, err := r.int32s(base + 4)
-	if err != nil {
-		return nil, err
-	}
 	if oneLabel {
 		label = make([]graph.Label, len(rows))
+	}
+	var adj []graph.Node
+	if gaps {
+		if len(label) != len(rows) {
+			return nil, fmt.Errorf("%w: CSR %#x has %d degrees for %d nodes", ErrFormat, base, len(rows), len(label))
+		}
+		adj, err = readRows(r, base+4, flags, rows)
+	} else {
+		adj, err = r.int32s(base + 4)
+	}
+	if err != nil {
+		return nil, err
 	}
 	var c *graph.CSR
 	if flags&csrDegrees != 0 {

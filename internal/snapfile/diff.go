@@ -14,13 +14,17 @@ import (
 // digest of the quotient rows incPCM rebuilt, and — when the reach view
 // moved — an old class → new class map with the nodes that do not follow
 // it, plus the new reach quotient. Its blocks sit at tagDiff and
-// tagDiffReach. Tags tagDiff+5 to tagDiff+8 held the rebuilt rows
-// themselves in an older layout, which is refused: where the decoder reads
-// the digest, it finds the row ids. A diff of the layout before the
-// batches, which went beside it as WAL frames, is refused too: where the
-// decoder reads the batch counts, it finds the reach flag.
+// tagDiffReach. The batches are one byte block of the batch codec's
+// encodings (batch.go), one after another. Older layouts are refused, so
+// that the follower takes an image instead: where the decoder reads the
+// batch block, a diff that carried its batches as four int32 and bool
+// blocks (tags tagDiff+10 to tagDiff+13) has its batch counts; where it
+// reads the digest, one that shipped the rebuilt rows themselves (tags
+// tagDiff+5 to tagDiff+8) has their row ids; and where it reads the batch
+// block, one from before a diff carried its batches, which went beside it
+// as WAL frames, has the reach flag.
 const (
-	tagDiff      = 0x400 // base epoch, |V|, block count, moves, row digest (+9), batches (+10 to +13)
+	tagDiff      = 0x400 // base epoch, |V|, block count, moves, row digest (+9), batches (+14)
 	tagDiffReach = 0x420 // presence flag, class map, exceptions, cyclic flags
 	tagDiffGr    = 0x440 // the reach quotient, through putCSR
 )
@@ -65,10 +69,9 @@ type ReachDiff struct {
 	Cyclic []bool
 }
 
-// AppendDiff appends the encoding of d to dst: the batches as their update
-// counts and their updates' sources, targets and insert flags, the reach
-// quotient as any CSR with its own label table, every int32 array at its
-// narrowest width.
+// AppendDiff appends the encoding of d to dst: the batches through the
+// batch codec, the reach quotient as any CSR with its own label table,
+// every int32 array at its exact bit width.
 func AppendDiff(dst []byte, d *DiffParts) []byte {
 	w := newWriter(KindDiff, d.Epoch, dst)
 	w.u64(tagDiff, d.Base)
@@ -77,21 +80,11 @@ func AppendDiff(dst []byte, d *DiffParts) []byte {
 	w.int32s(tagDiff+3, d.Moved)
 	w.int32s(tagDiff+4, d.To)
 	w.u64(tagDiff+9, d.Digest)
-	counts, total := make([]int32, len(d.Batches)), 0
-	for i, batch := range d.Batches {
-		counts[i] = int32(len(batch))
-		total += len(batch)
-	}
-	from, to, insert := make([]int32, 0, total), make([]int32, 0, total), make([]bool, 0, total)
+	var batches []byte
 	for _, batch := range d.Batches {
-		for _, up := range batch {
-			from, to, insert = append(from, up.From), append(to, up.To), append(insert, up.Insert)
-		}
+		batches = AppendBatch(batches, batch)
 	}
-	w.int32s(tagDiff+10, counts)
-	w.int32s(tagDiff+11, from)
-	w.int32s(tagDiff+12, to)
-	w.bools(tagDiff+13, insert)
+	w.bytes(tagDiff+14, batches)
 	if d.Reach == nil {
 		w.u64(tagDiffReach, 0)
 		return w.encode()
@@ -131,10 +124,9 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 	nodes, blocks := u64(tagDiff+1), u64(tagDiff+2)
 	d.Moved, d.To = ints(tagDiff+3), ints(tagDiff+4)
 	d.Digest = u64(tagDiff + 9)
-	counts, from, to := ints(tagDiff+10), ints(tagDiff+11), ints(tagDiff+12)
-	var insert []bool
+	var batches []byte
 	if err == nil {
-		insert, err = r.bools(tagDiff + 13)
+		batches, err = r.bytes(tagDiff + 14)
 	}
 	switch reach := u64(tagDiffReach); {
 	case err != nil:
@@ -156,7 +148,7 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 		err = d.validate(nodes, blocks)
 	}
 	if err == nil {
-		err = d.batches(counts, from, to, insert)
+		err = d.batches(batches)
 	}
 	if err != nil {
 		return nil, err
@@ -164,37 +156,22 @@ func DecodeDiff(data []byte) (*DiffParts, error) {
 	return d, nil
 }
 
-// batches checks the batch blocks of a diff whose counts validate has
-// checked and assembles them into d.Batches: one count per epoch the diff
-// spans, the counts summing to the length of each update block, and every
-// node id below |V|.
-func (d *DiffParts) batches(counts, from, to []int32, insert []bool) error {
-	if uint64(len(counts)) != d.Epoch-d.Base {
-		return fmt.Errorf("%w: %d batches for epochs %d..%d", ErrFormat, len(counts), d.Base+1, d.Epoch)
+// batches decodes the batch block of a diff whose counts validate has
+// checked into d.Batches: one batch per epoch the diff spans, filling the
+// block, every node id below |V|.
+func (d *DiffParts) batches(data []byte) error {
+	if span := d.Epoch - d.Base; span > uint64(len(data)) {
+		return fmt.Errorf("%w: %d bytes of batches for epochs %d..%d", ErrFormat, len(data), d.Base+1, d.Epoch)
 	}
-	total := 0
-	for i, c := range counts {
-		if c < 0 || int(c) > len(from)-total {
-			return fmt.Errorf("%w: batch %d claims %d of %d updates", ErrFormat, i, c, len(from))
+	d.Batches = make([][]graph.Update, d.Epoch-d.Base)
+	for i := range d.Batches {
+		var err error
+		if d.Batches[i], data, err = decodeBatch(data, d.Nodes); err != nil {
+			return fmt.Errorf("%w: batch %d: %v", ErrFormat, i, err)
 		}
-		total += int(c)
 	}
-	if total != len(from) || len(to) != len(from) || len(insert) != len(from) {
-		return fmt.Errorf("%w: batches of %d updates over %d sources, %d targets and %d flags", ErrFormat, total, len(from), len(to), len(insert))
-	}
-	if err := cmp.Or(
-		validateIDs("update source", from, d.Nodes, false),
-		validateIDs("update target", to, d.Nodes, false),
-	); err != nil {
-		return err
-	}
-	ups := make([]graph.Update, total)
-	for i := range ups {
-		ups[i] = graph.Update{From: from[i], To: to[i], Insert: insert[i]}
-	}
-	d.Batches = make([][]graph.Update, len(counts))
-	for i, c := range counts {
-		d.Batches[i], ups = ups[:c:c], ups[c:]
+	if len(data) != 0 {
+		return fmt.Errorf("%w: %d bytes after the batches for epochs %d..%d", ErrFormat, len(data), d.Base+1, d.Epoch)
 	}
 	return nil
 }

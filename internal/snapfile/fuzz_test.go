@@ -13,10 +13,11 @@ import (
 )
 
 // FuzzDecode drives the three decoders over edited files. Its bases are
-// valid store and sharded images whose int32 blocks take one, two and (in
-// the files older encoders wrote, retired blocks and all) four bytes, and
-// two diffs a store recorded, one with a reach part and one without; an
-// input picks a base and a script of edits to it (see edit).
+// valid store and sharded images whose int32 blocks are packed at their bit
+// widths and whose rows are Rice-coded gaps, the files older encoders
+// wrote, with every int32 block at four bytes and retired blocks, and two
+// diffs a store recorded, one with a reach part and one without; an input
+// picks a base and a script of edits to it (see edit).
 // After the edits the image is resealed — its payload length and both
 // checksums recomputed — so that a mutation reaches the block walk and the
 // validators behind the checksums instead of failing them; the script
@@ -30,9 +31,10 @@ import (
 // that decode to the same parts, its batches included. Besides a seed per
 // base, the seeds edit the store file the current encoder writes where the
 // new format's decoding derives: its block map (an id past |V|, a hole, two
-// labels in a block) and its reach quotient's one-label flag; two more set
-// a byte of a recorded diff's row digest and a batch update's source to
-// |V|. The decoders' validation layer is exactly
+// labels in a block) and its reach quotient's one-label flag, and its
+// bit-level blocks (see below); three more set a byte of a recorded diff's
+// row digest, a batch update's source past |V| and a batch's id width. The
+// decoders' validation layer is exactly
 // what keeps a forged file from crashing the query paths later. A kept
 // input names its base by index modulo len(bases), so a base added to the
 // list moves the kept inputs: re-record their base bytes to keep what each
@@ -59,7 +61,18 @@ func FuzzDecode(f *testing.F) {
 		f.Add(uint8(0), setByte(f, bases[0], uint32(e[0]), e[1], byte(e[2])))
 	}
 	f.Add(uint8(5), setByte(f, bases[5], tagDiff+9, 7, 0))
-	f.Add(uint8(5), setByte(f, bases[5], tagDiff+11, 0, 120))
+	f.Add(uint8(5), setByte(f, bases[5], tagDiff+14, batchHeader, 0xff)) // the first update's source past |V|
+	f.Add(uint8(5), setByte(f, bases[5], tagDiff+14, 4, 0x7f))           // a batch id width of 63
+	// The current encoding's bit-level blocks: a packed block's width byte
+	// (G's label ids), G's Rice parameter and first-entry rule, G's rows
+	// with their byte count cut or the file cut inside them, and a run of
+	// zero bits in them that makes a gap past |V|.
+	f.Add(uint8(0), setByte(f, bases[0], tagG+2, 5-blockHeader, 40))
+	f.Add(uint8(0), setByte(f, bases[0], tagG, 1, 29))
+	f.Add(uint8(0), xorByte(f, bases[0], tagG, 0, csrZigzagFirst))
+	f.Add(uint8(4), setByte(f, bases[4], tagG+4, 8-blockHeader, 100))
+	f.Add(uint8(4), editByte(f, 2, bases[4], tagG+4, 40, 0))
+	f.Add(uint8(4), append(setByte(f, bases[4], tagG+4, 40, 0), setByte(f, bases[4], tagG+4, 41, 0)...))
 	f.Fuzz(func(t *testing.T, base uint8, edits []byte) {
 		checkDecodes(t, edits)
 		checkDecodes(t, edit(bases[int(base)%len(bases)], edits))
@@ -67,8 +80,19 @@ func FuzzDecode(f *testing.F) {
 }
 
 // setByte returns the edit that sets byte i of the body of the block tagged
-// tag in image to val.
+// tag in image to val; a negative i counts back into its descriptor.
 func setByte(f *testing.F, image []byte, tag uint32, i int, val byte) []byte {
+	return editByte(f, 1, image, tag, i, val)
+}
+
+// xorByte is setByte with the byte xored with val.
+func xorByte(f *testing.F, image []byte, tag uint32, i int, val byte) []byte {
+	return editByte(f, 0, image, tag, i, val)
+}
+
+// editByte returns the edit op makes at byte i of the body of the block
+// tagged tag in image.
+func editByte(f *testing.F, op byte, image []byte, tag uint32, i int, val byte) []byte {
 	r, err := open(image)
 	if err != nil {
 		f.Fatal(err)
@@ -80,7 +104,7 @@ func setByte(f *testing.F, image []byte, tag uint32, i int, val byte) []byte {
 			f.Fatalf("no block %#x: %v", tag, err)
 		}
 		if b.tag == tag {
-			return []byte{1, byte(start + i), byte((start + i) >> 8), val}
+			return []byte{op, byte(start + i), byte((start + i) >> 8), val}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package snapfile
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"slices"
@@ -14,14 +15,21 @@ import (
 // indexes and both row directions of every CSR, every int32 block at four
 // bytes: a monolithic checkpoint of a store at epoch 6, re-encoded with G's
 // permutation and the pattern quotient's 2-hop trailer added, and a
-// 3-shard checkpoint as that store wrote it. The legacy diff is the one in
-// diffReach as an encoder that shipped the rebuilt pattern rows and wrote
-// the label ids of a one-name table recorded it.
+// 3-shard checkpoint as that store wrote it. The legacy diffs are the one
+// in diffReach as an encoder that shipped the rebuilt pattern rows and
+// wrote the label ids of a one-name table recorded it, and as the encoder
+// after it, which carried the batches as four blocks of ids and flags and
+// every int32 block at one, two or four bytes, did.
 const (
-	legacyStore     = "testdata/legacy-store.qps"
-	legacySharded   = "testdata/legacy-sharded.qps"
-	legacyDiffReach = "testdata/legacy-diff-reach.qpd"
+	legacyStore       = "testdata/legacy-store.qps"
+	legacySharded     = "testdata/legacy-sharded.qps"
+	legacyDiffReach   = "testdata/legacy-diff-reach.qpd"
+	legacyDiffBatches = "testdata/legacy-diff-batches.qpd"
 )
+
+// currentStore is legacyStore as the current encoder writes it: every
+// int32 block packed at its bit width, the rows as Rice-coded gaps.
+const currentStore = "testdata/store.qps"
 
 func readGolden(t testing.TB, path string) []byte {
 	t.Helper()
@@ -94,8 +102,9 @@ func retiredTags(t *testing.T, data []byte) []uint32 {
 // block, decode to valid parts whose derived predecessor sides, pattern
 // quotient and pattern members are the ones the file stored, and re-encode
 // to a file that carries none and decodes to the same parts. A diff that
-// ships its pattern rows is refused with ErrFormat: the layout that held
-// them is gone, and a follower refused one takes an image.
+// ships its pattern rows, or carries its batches as blocks of ids, is
+// refused with ErrFormat: the layouts that held them are gone, and a
+// follower refused one takes an image.
 func TestLegacyFilesDecode(t *testing.T) {
 	data := readGolden(t, legacyStore)
 	want := []uint32{tagG + 5, tagG + 6, tagGPerm, tagGPerm + 1, tagReachC + 1, tagReachGr + 5, tagReachGr + 6,
@@ -112,7 +121,7 @@ func TestLegacyFilesDecode(t *testing.T) {
 	sameStoredIn(t, data, "G", tagG, p.G)
 	sameStoredIn(t, data, "ReachGr", tagReachGr, p.ReachGr)
 	sameStoredIn(t, data, "PatternGr", tagPatGr, p.PatternGr)
-	for k, want := range [][]int32{p.PatternGr.LabelIDs(), offsets(p.PatternGr), p.PatternGr.OutAdj()} {
+	for k, want := range [][]int32{p.PatternGr.LabelIDs(), offsets(p.PatternGr), outAdj(p.PatternGr)} {
 		if got := storedInts(t, data, tagPatGr+2+uint32(k)); len(got) != 1 || !slices.Equal(got[0], want) {
 			t.Fatalf("PatternGr: block %#x of the derived quotient differs from the stored one", tagPatGr+2+k)
 		}
@@ -187,6 +196,57 @@ func TestLegacyFilesDecode(t *testing.T) {
 	if _, err := DecodeDiff(data); !errors.Is(err, ErrFormat) {
 		t.Fatalf("a diff that ships its rows: DecodeDiff = %v, want ErrFormat", err)
 	}
+	data = readGolden(t, legacyDiffBatches)
+	if got := storedInts(t, data, tagDiff+11); len(got) != 1 || len(got[0]) == 0 {
+		t.Fatalf("legacy diff carries %d blocks of update sources, want 1 that lists some", len(got))
+	}
+	if _, err := DecodeDiff(data); !errors.Is(err, ErrFormat) {
+		t.Fatalf("a diff that carries its batches as id blocks: DecodeDiff = %v, want ErrFormat", err)
+	}
+}
+
+// TestCurrentLayoutGolden pins the current layout: the golden checkpoint
+// written in it decodes to the parts the legacy one does, and the encoder
+// writes those parts to the golden's bytes — a change of layout shows
+// here. Its G and reach quotient carry their rows as gaps, and no block
+// of it takes four bytes a value.
+func TestCurrentLayoutGolden(t *testing.T) {
+	data := readGolden(t, currentStore)
+	want, err := DecodeStore(readGolden(t, legacyStore))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := DecodeStore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCSR(t, "G", want.G, p.G)
+	sameCSR(t, "ReachGr", want.ReachGr, p.ReachGr)
+	sameCSR(t, "PatternGr", want.PatternGr, p.PatternGr)
+	if !slices.Equal(want.ReachClassOf, p.ReachClassOf) || !slices.Equal(want.ReachCyclic, p.ReachCyclic) || !slices.Equal(want.PatternBlockOf, p.PatternBlockOf) {
+		t.Fatal("the golden checkpoint's maps differ from the legacy one's")
+	}
+	if again := EncodeStore(p); !bytes.Equal(again, data) {
+		t.Fatalf("the golden checkpoint re-encodes to %d bytes, not its %d", len(again), len(data))
+	}
+	for _, b := range walkBlocks(t, data) {
+		switch {
+		case b.elem == elemInt32:
+			t.Fatalf("block %#x takes four bytes a value", b.tag)
+		case (b.tag == tagG+4 || b.tag == tagReachGr+4) && b.elem != elemByte:
+			t.Fatalf("rows block %#x is of element kind %d, not gaps", b.tag, b.elem)
+		}
+	}
+	t.Logf("%d bytes; the legacy file took %d", len(data), len(readGolden(t, legacyStore)))
+}
+
+// outAdj returns c's successor rows, flat, in node order.
+func outAdj(c *graph.CSR) []graph.Node {
+	var adj []graph.Node
+	for v := range c.NumNodes() {
+		adj = append(adj, c.Successors(graph.Node(v))...)
+	}
+	return adj
 }
 
 // offsets returns the offset table of c's successor side.

@@ -28,36 +28,55 @@
 // one-name table alone; flag bits in each CSR's leading block tell the
 // forms apart.
 //
-// # Layout: blocks at their narrowest width
+// # Layout: blocks at their bit widths, rows as gaps
 //
 // The file is a 48-byte header, a sequence of typed array blocks, and a
 // trailing CRC-32C over the payload. Every block is a 16-byte descriptor
-// (tag, element kind, count) followed by the raw little-endian element
-// data padded to 8 bytes, so every block body is 8-aligned relative to the
-// file start. An int32 array is stored at the narrowest width that holds
-// every value unsigned — one, two or four bytes, four for any negative
-// value — so node ids below 2^16 take two bytes and label ids below 2^8
-// one. The loader reads the file, checks the checksum, and widens each
-// int32 block into an array of its own: one memmove for a four-byte block
-// on a little-endian host, a tight widening loop otherwise, with no
-// alignment asked of the input. Loading a snapshot thus costs one
-// sequential read, one widening copy per block, an O(|V|+|E|) validation
-// scan and the transpositions, never a per-row allocation. Nothing decoded
-// aliases the input: once a decode returns, the buffer it read (a file, or
-// an image a follower was shipped) can be collected while the decoded
-// arrays serve.
+// (tag, element kind, a width byte, count) followed by the element data
+// padded to 8 bytes, so every block body is 8-aligned relative to the file
+// start. An int32 array is stored at the exact bit width that holds every
+// value unsigned, at least one bit: one OR over the values picks it. At
+// eight, sixteen and 32 bits (32 for any negative value) it is a plain
+// little-endian array of one, two or four bytes a value; at any other
+// width it is packed, that width in the descriptor's width byte, the bits
+// of bits.go. So node ids below 2^14 take fourteen bits and 16 label ids
+// four. A CSR's rows (codec.go) are sorted and hold each id once, so they
+// are written as gaps, each an entry minus the one before minus one, in
+// one Rice code per CSR after each row's first entry; the CSR's flag block
+// holds the Rice parameter and whether a first entry is an id or a zigzag
+// gap from the row's source, both chosen by counting the bits each would
+// take (planRows). The loader reads the file, checks the checksum, and
+// widens each int32 block into an array of its own — one memmove for a
+// four-byte block on a little-endian host, one load a value otherwise,
+// with no alignment asked of the input — and decodes each CSR's rows from
+// their gaps. Loading a snapshot thus costs one sequential read, one
+// decoding pass per block, an O(|V|+|E|) validation scan and the
+// transpositions, never a per-row allocation. Nothing decoded aliases the
+// input: once a decode returns, the buffer it read (a file, or an image a
+// follower was shipped) can be collected while the decoded arrays serve.
+//
+// The batch codec (batch.go) is the encoding of one update batch wherever
+// one is stored or sent: a WAL record, a client's apply request and, one
+// per epoch, a diff's batches. Its ids take the bit width of the largest,
+// its insert flags a bit each.
 //
 // # Compatibility
 //
-// A reader accepts every element kind an older encoder wrote, and files
-// that carry retired blocks. A reader older than the narrow element kinds
-// rejects a file that uses them with ErrFormat (unknown element kind), as
-// one that predates the derived pattern quotient rejects a file without it
-// (the blocks end where it expects the quotient's), so followers must be
-// upgraded before their leader ships them an image. A diff lives only on
-// the wire; its decoder accepts only what its encoder writes, and refuses
-// a diff in an older layout (one that shipped the rebuilt pattern rows), so
-// that the follower takes an image instead.
+// A reader accepts every element kind an older encoder wrote, CSRs whose
+// rows are ids, and files that carry retired blocks. A reader older than
+// the packed element kind rejects a file that uses it with ErrFormat
+// (unknown element kind), as one older than the narrow kinds rejects
+// those and one that predates the derived pattern quotient rejects a file
+// without it (the blocks end where it expects the quotient's), so
+// followers must be upgraded before their leader ships them an image. A
+// diff lives only on the wire; its decoder accepts only what its encoder
+// writes, and refuses a diff in an older layout (one that shipped the
+// rebuilt pattern rows, or carried its batches as blocks of ids and
+// flags), so that the follower takes an image instead. DecodeBatch reads
+// the older batch form, nine bytes an update, as well as the current one,
+// so WAL segments an older store wrote replay and older clients can still
+// apply; an older server refuses the current form, so servers are
+// upgraded before their clients.
 //
 // # Integrity and safety
 //
@@ -77,6 +96,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -133,34 +153,44 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // is little-endian either way.
 var hostLE = binary.NativeEndian.Uint16([]byte{0x01, 0x00}) == 1
 
-// Element kinds. An int32 array is stored at the narrowest width that holds
-// every value unsigned — elemU8, elemU16, or elemInt32 when a value needs
-// more or is negative — and any int32 reader accepts all three.
+// Element kinds. An int32 array is stored at the exact bit width that
+// holds every value unsigned: elemU8 and elemU16 at eight and sixteen bits,
+// elemInt32 at 32 or when a value is negative, elemPacked at any other
+// width from 1 to 31, which the block descriptor's sixth byte holds. Any
+// int32 reader accepts all four.
 const (
-	elemInt32 = 1
-	elemByte  = 2
-	elemU64   = 3
-	elemU8    = 4
-	elemU16   = 5
+	elemInt32  = 1
+	elemByte   = 2
+	elemU64    = 3
+	elemU8     = 4
+	elemU16    = 5
+	elemPacked = 6
 )
 
-// elemSize is the byte width of an element kind, 0 for an unknown kind.
-func elemSize(elem uint8) int {
+// elemBits is the bit width of an element kind, whose descriptor holds
+// width, and 0 for an unknown kind or a packed width outside 1..32.
+func elemBits(elem, width uint8) uint {
 	switch elem {
 	case elemByte, elemU8:
-		return 1
-	case elemU16:
-		return 2
-	case elemInt32:
-		return 4
-	case elemU64:
 		return 8
+	case elemU16:
+		return 16
+	case elemInt32:
+		return 32
+	case elemU64:
+		return 64
+	case elemPacked:
+		if width >= 1 && width <= 32 {
+			return uint(width)
+		}
 	}
 	return 0
 }
 
-// intKind reports whether elem is one of the int32 array widths.
-func intKind(elem uint8) bool { return elem == elemInt32 || elem == elemU8 || elem == elemU16 }
+// intKind reports whether elem is one of the int32 array kinds.
+func intKind(elem uint8) bool {
+	return elem == elemInt32 || elem == elemU8 || elem == elemU16 || elem == elemPacked
+}
 
 // writer accumulates array blocks for one snapshot file, appended to what
 // buf held when it was made: the file starts at base, with its header's
@@ -178,10 +208,10 @@ func newWriter(kind Kind, epoch uint64, dst []byte) *writer {
 }
 
 // block appends a block descriptor; the caller appends body bytes and then
-// calls pad.
-func (w *writer) block(tag uint32, elem uint8, count int) {
+// calls pad. width is a packed block's bit width, 0 for every other kind.
+func (w *writer) block(tag uint32, elem, width uint8, count int) {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, tag)
-	w.buf = append(w.buf, elem, 0, 0, 0)
+	w.buf = append(w.buf, elem, width, 0, 0)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(count))
 	w.blocks++
 }
@@ -192,29 +222,30 @@ func (w *writer) pad() {
 	}
 }
 
-// int32s writes an int32 array block at the narrowest width that holds
-// every value unsigned: one OR over the values picks it. At four bytes the
-// body is one bulk copy of the slice's memory on little-endian hosts.
+// int32s writes an int32 array block at the exact bit width that holds
+// every value unsigned, at least one: one OR over the values picks it.
+// Eight and sixteen bits are whole bytes; at 32 the body is one bulk copy
+// of the slice's memory on little-endian hosts.
 func (w *writer) int32s(tag uint32, v []int32) {
 	var top uint32
 	for _, x := range v {
 		top |= uint32(x)
 	}
-	switch {
-	case top < 1<<8:
-		w.block(tag, elemU8, len(v))
+	switch width := max(bits.Len32(top), 1); width {
+	case 8:
+		w.block(tag, elemU8, 0, len(v))
 		body := w.grow(len(v))
 		for i, x := range v {
 			body[i] = uint8(x)
 		}
-	case top < 1<<16:
-		w.block(tag, elemU16, len(v))
+	case 16:
+		w.block(tag, elemU16, 0, len(v))
 		body := w.grow(2 * len(v))
 		for i, x := range v {
 			binary.LittleEndian.PutUint16(body[2*i:], uint16(x))
 		}
-	default:
-		w.block(tag, elemInt32, len(v))
+	case 32:
+		w.block(tag, elemInt32, 0, len(v))
 		if hostLE {
 			w.buf = append(w.buf, unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))...)
 		} else {
@@ -222,6 +253,9 @@ func (w *writer) int32s(tag uint32, v []int32) {
 				w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(x))
 			}
 		}
+	default:
+		w.block(tag, elemPacked, uint8(width), len(v))
+		w.buf = pack(w.buf, v, uint(width))
 	}
 	w.pad()
 }
@@ -236,14 +270,14 @@ func (w *writer) grow(n int) []byte {
 
 // bytes writes a raw byte array block.
 func (w *writer) bytes(tag uint32, v []byte) {
-	w.block(tag, elemByte, len(v))
+	w.block(tag, elemByte, 0, len(v))
 	w.buf = append(w.buf, v...)
 	w.pad()
 }
 
 // u64 writes a single-scalar block (flags, counts).
 func (w *writer) u64(tag uint32, v uint64) {
-	w.block(tag, elemU64, 1)
+	w.block(tag, elemU64, 0, 1)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
@@ -372,6 +406,7 @@ func (r *reader) end() error {
 type blockView struct {
 	tag   uint32
 	elem  uint8
+	width uint // a packed block's bit width
 	body  []byte
 	count int
 }
@@ -397,19 +432,19 @@ func (r *reader) step() (b blockView, ok bool, err error) {
 		return b, false, fmt.Errorf("%w: truncated block descriptor", ErrFormat)
 	}
 	h := r.payload[r.pos:]
-	b.tag, b.elem = binary.LittleEndian.Uint32(h[0:4]), h[4]
+	b.tag, b.elem, b.width = binary.LittleEndian.Uint32(h[0:4]), h[4], uint(h[5])
 	count := binary.LittleEndian.Uint64(h[8:16])
-	size := uint64(elemSize(b.elem))
+	size := uint64(elemBits(b.elem, h[5]))
 	if size == 0 {
-		return b, false, fmt.Errorf("%w: block %d has unknown element kind %d", ErrFormat, b.tag, b.elem)
+		return b, false, fmt.Errorf("%w: block %d has unknown element kind %d (width %d)", ErrFormat, b.tag, b.elem, h[5])
 	}
-	// Elements are at least one byte, so a legitimate count can never
-	// exceed the payload size; rejecting early keeps the size arithmetic
+	// Elements are at least one bit, so a legitimate count can never
+	// exceed the payload's bits; rejecting early keeps the size arithmetic
 	// below overflow-free.
-	if count > uint64(len(r.payload)) {
+	if count > 8*uint64(len(r.payload)) {
 		return b, false, fmt.Errorf("%w: block %d claims %d elements in a %d-byte payload", ErrFormat, b.tag, count, len(r.payload))
 	}
-	body := count * size
+	body := (count*size + 7) / 8
 	padded := (body + 7) &^ 7
 	if padded > uint64(len(r.payload)-r.pos-blockHeader) {
 		return b, false, fmt.Errorf("%w: block %d claims %d bytes with %d left", ErrFormat, b.tag, body, len(r.payload)-r.pos-blockHeader)
@@ -457,6 +492,8 @@ func (b blockView) int32s() []int32 {
 	}
 	out := make([]int32, b.count)
 	switch b.elem {
+	case elemPacked:
+		unpack(out, b.body, b.width)
 	case elemU8:
 		out := out[:len(b.body)]
 		for i, x := range b.body {

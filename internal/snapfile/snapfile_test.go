@@ -283,7 +283,7 @@ func TestStoreDecodesLegacyPatternIndex(t *testing.T) {
 	g := gen.Social(rand.New(rand.NewSource(11)), 200, 800, 3)
 	want := buildStoreParts(g.Clone(), 5)
 	for _, present := range []bool{true, false} {
-		w := encodeStore(want, nil)
+		w := encodeStore(want)
 		if present {
 			w.u64(tagPatIdx, 1)
 			w.int32s(tagPatIdx+1, []int32{-7, 1 << 30})
@@ -300,7 +300,7 @@ func TestStoreDecodesLegacyPatternIndex(t *testing.T) {
 		sameCSR(t, "G", want.G, got.G)
 		sameCSR(t, "PatternGr", want.PatternGr, got.PatternGr)
 	}
-	w := encodeStore(want, nil)
+	w := encodeStore(want)
 	w.u64(tagPatIdx+7, 0)
 	if _, err := DecodeStore(w.encode()); err == nil {
 		t.Fatal("trailing block with a foreign tag decoded")
@@ -377,21 +377,27 @@ func TestPatchedEncodesAsFreeze(t *testing.T) {
 	sameCSR(t, "quotient", frozen, gq)
 }
 
-// TestIntBlockWidths: an int32 block is stored at the narrowest width that
-// holds every value unsigned — one, two or four bytes, four for any
-// negative value — and reads back as written. Only the int32 reader
-// accepts the narrow kinds: the byte reader still demands its own, and the
-// int32 reader refuses it.
+// TestIntBlockWidths: an int32 block is stored at the exact bit width that
+// holds every value unsigned, at least one bit — eight and sixteen as whole
+// bytes, 32 for any negative value — and reads back as written, on the
+// fast unpack path and off it. Only the int32 reader accepts the narrow
+// kinds: the byte reader still demands its own, and the int32 reader
+// refuses it.
 func TestIntBlockWidths(t *testing.T) {
 	for _, c := range []struct {
 		v     int32
-		width int
-	}{{0, 1}, {255, 1}, {256, 2}, {65535, 2}, {65536, 4}, {-1, 4}} {
-		want := []int32{3, c.v, 0, 1, 2, c.v, 7}
+		n     int
+		width uint
+	}{{0, 7, 3}, {255, 7, 8}, {256, 7, 9}, {65535, 7, 16}, {65536, 7, 17}, {1 << 30, 7, 31}, {-1, 7, 32},
+		{5000, 300, 13}, {1<<31 - 1, 300, 31}, {1, 0, 1}} {
+		want := make([]int32, c.n)
+		for i := range want {
+			want[i] = []int32{3, c.v, 0, 1, 2, c.v, 7}[i%7]
+		}
 		w := newWriter(KindStore, 1, nil)
 		w.int32s(0x7, want)
 		data := w.encode()
-		if blocks := walkBlocks(t, data); len(blocks) != 1 || elemSize(blocks[0].elem) != c.width {
+		if blocks := walkBlocks(t, data); len(blocks) != 1 || elemBits(blocks[0].elem, uint8(blocks[0].width)) != c.width {
 			t.Fatalf("value %d: blocks %+v, want one of width %d", c.v, blocks, c.width)
 		}
 		r, err := open(data)
@@ -399,7 +405,7 @@ func TestIntBlockWidths(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := r.int32s(0x7)
-		if err != nil || !slices.Equal(got, want) {
+		if err != nil || len(got) != len(want) || len(want) > 0 && !slices.Equal(got, want) {
 			t.Fatalf("value %d: read %v, %v", c.v, got, err)
 		}
 		if err := r.end(); err != nil {
@@ -437,7 +443,7 @@ func TestCSRFromDegrees(t *testing.T) {
 	for v := range deg {
 		deg[v] = int32(c.OutDegree(graph.Node(v)))
 	}
-	got, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), deg, c.OutAdj())
+	got, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), deg, outAdj(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +455,7 @@ func TestCSRFromDegrees(t *testing.T) {
 	}{{"undershoot the rows", 255}, {"overrun the rows", 300}, {"are negative", -1}} {
 		d := slices.Clone(deg)
 		d[0] = bad.deg
-		if _, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), d, c.OutAdj()); err == nil {
+		if _, err := graph.CSRFromDegrees(c.Labels(), c.LabelIDs(), d, outAdj(c)); err == nil {
 			t.Fatalf("degrees that %s decoded", bad.what)
 		}
 	}
@@ -553,7 +559,7 @@ func TestOneLabelCSR(t *testing.T) {
 			w.strings(tagG+1, bad.private.Names())
 		}
 		w.int32s(tagG+3, deg)
-		w.int32s(tagG+4, gr.OutAdj())
+		w.int32s(tagG+4, outAdj(gr))
 		r, err := open(w.encode())
 		if err != nil {
 			t.Fatal(err)
@@ -561,5 +567,50 @@ func TestOneLabelCSR(t *testing.T) {
 		if _, err := readCSR(r, tagG, one); !errors.Is(err, ErrFormat) {
 			t.Fatalf("one label over %s: readCSR = %v, want ErrFormat", bad.what, err)
 		}
+	}
+}
+
+// TestRowsAsGaps: rows that sit next to their sources code their first
+// entries as zigzag gaps, and rows spread over the ids code them as ids;
+// a gap far above the rest, whose unary part runs past a 64-bit word,
+// round-trips through the long-code paths of the writer and the reader.
+func TestRowsAsGaps(t *testing.T) {
+	const n = 5000
+	labels := graph.NewLabels()
+	labels.Intern("a")
+	for _, c := range []struct {
+		name   string
+		row    func(v int) []graph.Node
+		zigzag bool
+	}{
+		{"local", func(v int) []graph.Node { return []graph.Node{graph.Node((v + 1) % n)} }, true},
+		{"spread", func(v int) []graph.Node { return []graph.Node{graph.Node(v * 7919 % n)} }, false},
+		{"long run", func(v int) []graph.Node {
+			if v == 0 {
+				return []graph.Node{1, 2, n - 1}
+			}
+			return []graph.Node{graph.Node((v + 1) % n)}
+		}, true},
+	} {
+		out := make([][]graph.Node, n)
+		for v := range out {
+			out[v] = c.row(v)
+			slices.Sort(out[v])
+		}
+		g := graph.BuildFromSortedAdj(labels, make([]graph.Label, n), out).Freeze()
+		if plan := planRows(g); plan.zigzag != c.zigzag {
+			t.Fatalf("%s: first entries as zigzag gaps %v, want %v (k = %d)", c.name, plan.zigzag, c.zigzag, plan.k)
+		}
+		w := newWriter(KindStore, 1, nil)
+		putCSR(w, tagG, g, labels)
+		r, err := open(w.encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := readCSR(r, tagG, labels)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sameCSR(t, c.name, g, got)
 	}
 }

@@ -14,24 +14,26 @@ import (
 
 // maxCheckpointBytesPerEdge bounds a checkpoint's size per edge of G on
 // the write-mono inputs, and maxWebcoreCheckpointBytesPerEdge on the
-// read-inproc inputs: the measured 3.27 and 3.42 B plus 10 %. A checkpoint
-// that stored the pattern quotient and the label ids of the reach
-// quotient's one-name table took 4.56 and 5.68 B; one that also stored both
-// row directions of every CSR, the pattern member rows and every int32
-// block at four bytes took 18.9 B on write-mono's.
+// read-inproc inputs: the measured 2.33 and 2.39 B plus 10 %. One that
+// stored the rows as ids and every int32 block at one, two or four bytes
+// took 3.27 and 3.42 B; one that also stored the pattern quotient and the
+// label ids of the reach quotient's one-name table 4.56 and 5.68 B; one
+// that also stored both row directions of every CSR, the pattern member
+// rows and every int32 block at four bytes 18.9 B on write-mono's.
 const (
-	maxCheckpointBytesPerEdge        = 3.6
-	maxWebcoreCheckpointBytesPerEdge = 3.8
+	maxCheckpointBytesPerEdge        = 2.6
+	maxWebcoreCheckpointBytesPerEdge = 2.7
 )
 
 // maxEffectBytesPerGroup bounds the mean diff a leader ships per group on
-// the write-mono inputs: 7 057 B plus 10 %, set before a diff carried its
-// group's batches, which it still holds at the measured 7 289 B (32
-// updates a group). The diff that shipped the rebuilt pattern rows took
-// 7 883 B, the one that also wrote the label ids of the reach quotient's
-// one-name table 8 989 B, the one that wrote every id in four bytes
-// 16 254 B.
-const maxEffectBytesPerGroup = 7763
+// the write-mono inputs: the measured 4 951 B plus 10 % (32 updates a
+// group). The diff that carried its batches as blocks of ids and flags and
+// stored its reach quotient's rows as ids took 7 289 B, the one before it
+// carried its batches 7 057 B, the one that shipped the rebuilt pattern
+// rows 7 883 B, the one that also wrote the label ids of the reach
+// quotient's one-name table 8 989 B, the one that wrote every id in four
+// bytes 16 254 B.
+const maxEffectBytesPerGroup = 5446
 
 // webcore16 is the benchmark's read-heavy graph (benchmark/workloads.go).
 var webcore16 = gen.Dataset{Name: "webcore16", V: 16300, E: 75000, Labels: 16, Kind: gen.KindWebCore}
@@ -85,10 +87,10 @@ func applyInput(t testing.TB, in benchInput, opts *Options, each func(s *Store, 
 
 // TestCheckpointBytesPerEdge gates what a checkpoint writes on the
 // write-mono and the read-inproc inputs, checkpointed after the last batch.
-// A checkpoint holds the successor side of G and of the reach quotient and
-// both node maps, each int32 block at the narrowest width that holds it;
-// the predecessor sides, the pattern quotient and its members are derived
-// on load. Each logs how long the file takes to decode, the best of five.
+// A checkpoint holds the successor side of G and of the reach quotient, its
+// rows as Rice-coded gaps, and both node maps, each int32 block at the
+// exact bit width that holds it; the predecessor sides, the pattern
+// quotient and its members are derived on load. Each logs how long the file takes to decode, the best of five.
 // The sizes are deterministic; they run with the other regression smokes,
 // behind QPGC_BENCH_SMOKE.
 func TestCheckpointBytesPerEdge(t *testing.T) {
@@ -171,10 +173,10 @@ func TestDerivedPatternViewRoundTrip(t *testing.T) {
 
 // TestEffectBytesPerGroup gates the diffs a leader ships on the write-mono
 // inputs: the mean frame over the 120 groups, each a diff with its batches
-// and the views' change at snapfile's narrowest widths. It logs how long a follower takes
-// to decode one, the best of five passes over all of them. The sizes are
-// deterministic; it runs with the other regression smokes, behind
-// QPGC_BENCH_SMOKE.
+// in the batch codec and the views' change at snapfile's bit widths. It
+// logs how long a follower takes to decode one, the best of five passes
+// over all of them. The sizes are deterministic; it runs with the other
+// regression smokes, behind QPGC_BENCH_SMOKE.
 func TestEffectBytesPerGroup(t *testing.T) {
 	var diffs [][]byte
 	reachParts := 0
@@ -214,5 +216,61 @@ func TestEffectBytesPerGroup(t *testing.T) {
 		float64(best.Nanoseconds())/float64(len(diffs))/1e3)
 	if mean > maxEffectBytesPerGroup {
 		t.Errorf("a diff takes %.0f B on average, want at most %d", mean, maxEffectBytesPerGroup)
+	}
+}
+
+// codecInputs are the checkpoints the benchmark's write-mono and
+// read-inproc runs take: at epochs 116 and 32 of their write lists.
+var codecInputs = []struct {
+	in    benchInput
+	epoch uint64
+}{{writeMonoInput, 116}, {readInprocInput, 32}}
+
+// checkpointParts returns the parts a checkpoint of in's store writes at
+// epoch.
+func checkpointParts(b *testing.B, in benchInput, epoch uint64) *snapfile.StoreParts {
+	var parts *snapfile.StoreParts
+	s, _ := applyInput(b, in, nil, func(s *Store, _ *Snapshot) {
+		if sn := s.Snapshot(); sn.Epoch == epoch {
+			parts = storeParts(sn)
+		}
+	})
+	s.Close()
+	return parts
+}
+
+// BenchmarkEncodeStore times encoding the benchmark's checkpoints, per edge
+// of G: what a checkpoint and an image each pay before they write or ship.
+func BenchmarkEncodeStore(b *testing.B) {
+	for _, c := range codecInputs {
+		b.Run(c.in.d.Name, func(b *testing.B) {
+			p := checkpointParts(b, c.in, c.epoch)
+			b.SetBytes(int64(len(snapfile.EncodeStore(p))))
+			b.ResetTimer()
+			for range b.N {
+				snapfile.EncodeStore(p)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.G.NumEdges()), "ns/edge")
+		})
+	}
+}
+
+// BenchmarkDecodeStore times decoding the benchmark's checkpoints, both
+// views included, per edge of G: what a recovery with an empty WAL tail and
+// a follower's image install each pay.
+func BenchmarkDecodeStore(b *testing.B) {
+	for _, c := range codecInputs {
+		b.Run(c.in.d.Name, func(b *testing.B) {
+			p := checkpointParts(b, c.in, c.epoch)
+			data := snapfile.EncodeStore(p)
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for range b.N {
+				if _, err := snapfile.DecodeStore(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.G.NumEdges()), "ns/edge")
+		})
 	}
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -599,51 +598,16 @@ func Inspect(dir string) (DirInfo, error) {
 	return info, nil
 }
 
-// EncodeBatch appends the WAL payload encoding of one batch to buf: a u32
-// update count, then 9 bytes per update (from, to, insert flag). The same
-// encoding is the Apply payload of the wire protocol and the unit of WAL
-// shipping, so leaders replicate the bytes they logged without re-encoding.
-func EncodeBatch(buf []byte, batch []graph.Update) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(batch)))
-	for _, u := range batch {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(u.From))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(u.To))
-		if u.Insert {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
+// EncodeBatch appends the encoding of one batch to buf: what a WAL record
+// holds, what a client's Apply request carries and what a diff carries per
+// epoch. It is snapfile.AppendBatch: node ids at the bit width of the
+// largest, the insert flags as bits.
+func EncodeBatch(buf []byte, batch []graph.Update) []byte { return snapfile.AppendBatch(buf, batch) }
 
-// DecodeBatch parses a WAL batch payload, validating the declared count
-// against the payload size, node ids against numNodes, and the insert
-// flag's domain — corrupt or foreign payloads error, never panic.
+// DecodeBatch parses a batch encoding — the current one, or the nine bytes
+// an update older WAL segments and clients wrote — validating the declared
+// count against the payload size, node ids against numNodes, and the
+// insert flag's domain: corrupt or foreign payloads error, never panic.
 func DecodeBatch(payload []byte, numNodes int) ([]graph.Update, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("batch payload of %d bytes", len(payload))
-	}
-	count := int(binary.LittleEndian.Uint32(payload))
-	if count < 0 || len(payload) != 4+9*count {
-		return nil, fmt.Errorf("batch claims %d updates in %d bytes", count, len(payload))
-	}
-	batch := make([]graph.Update, count)
-	for i := 0; i < count; i++ {
-		rec := payload[4+9*i:]
-		from := int32(binary.LittleEndian.Uint32(rec[0:4]))
-		to := int32(binary.LittleEndian.Uint32(rec[4:8]))
-		if int(from) < 0 || int(from) >= numNodes || int(to) < 0 || int(to) >= numNodes {
-			return nil, fmt.Errorf("update %d references node outside [0,%d)", i, numNodes)
-		}
-		switch rec[8] {
-		case 0:
-			batch[i] = graph.Deletion(from, to)
-		case 1:
-			batch[i] = graph.Insertion(from, to)
-		default:
-			return nil, fmt.Errorf("update %d has insert flag %d", i, rec[8])
-		}
-	}
-	return batch, nil
+	return snapfile.DecodeBatch(payload, numNodes)
 }

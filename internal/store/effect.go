@@ -115,7 +115,7 @@ func frame(kind byte, lineage uint64, body func([]byte) []byte) []byte {
 
 // encodeImage returns the image of sn.
 func encodeImage(sn *Snapshot) []byte {
-	return frame(kindImage, sn.Lineage, func(b []byte) []byte { return snapfile.AppendStore(b, storeParts(sn)) })
+	return frame(kindImage, sn.Lineage, func(b []byte) []byte { return append(b, sn.encoded()...) })
 }
 
 // encodeDiff returns the frame of diff d between views of lineage.

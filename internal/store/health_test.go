@@ -74,7 +74,9 @@ func TestInjectedFaultDifferential(t *testing.T) {
 						o.CheckpointBatches = 3
 					}
 					if sched.mode == "scrub" {
-						o.WALSegmentBytes = 384
+						// A segment of three or so records, so that the
+						// stream seals some for the scrub to read.
+						o.WALSegmentBytes = 128
 					}
 					ts := openKind(t, kind, g, o)
 

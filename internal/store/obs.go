@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/maintain"
 	"repro/internal/obs"
 )
@@ -42,6 +43,12 @@ type storeObs struct {
 	// read off slice capacities at publish: the condensation (scc) and
 	// incRCM (reach).
 	heapSCC, heapReach *obs.Gauge
+	// The sizes of the installed snapshot's graphs, set at install from the
+	// counts their CSRs hold: qpgc_store_graph_{nodes,edges} for G and
+	// qpgc_store_quotient_{nodes,edges}{scheme=...} for the reach and
+	// pattern quotients — the paper's compression ratios, live.
+	graphNodes, graphEdges *obs.Gauge
+	quotNodes, quotEdges   [2]*obs.Gauge // reach, pattern
 
 	lastPublish atomic.Int64  // unix nanos of the latest publish, for epoch age
 	tick        atomic.Uint32 // wave sample clock for sampleWave
@@ -139,6 +146,11 @@ func newStoreObs(r *obs.Registry) *storeObs {
 	for st, name := range pubStageNames {
 		so.pubStage[st] = r.Histogram(obs.Label("qpgc_store_publish_seconds", "stage", name))
 	}
+	so.graphNodes, so.graphEdges = r.Gauge("qpgc_store_graph_nodes"), r.Gauge("qpgc_store_graph_edges")
+	for i, scheme := range [2]string{"reach", "pattern"} {
+		so.quotNodes[i] = r.Gauge(obs.Label("qpgc_store_quotient_nodes", "scheme", scheme))
+		so.quotEdges[i] = r.Gauge(obs.Label("qpgc_store_quotient_edges", "scheme", scheme))
+	}
 	so.lastPublish.Store(time.Now().UnixNano())
 	return so
 }
@@ -172,6 +184,17 @@ func (so *storeObs) noteHeap(m *maintain.Pair) {
 	scc, reach := m.Footprints()
 	so.heapSCC.Set(int64(scc))
 	so.heapReach.Set(int64(reach))
+}
+
+// noteSizes sets the size gauges from the node and edge counts of sn's
+// graph and quotients: no clock, no walk.
+func (so *storeObs) noteSizes(sn *Snapshot) {
+	so.graphNodes.Set(int64(sn.G.NumNodes()))
+	so.graphEdges.Set(int64(sn.G.NumEdges()))
+	for i, gr := range [2]*graph.CSR{sn.Reach.Gr, sn.Pattern.Gr} {
+		so.quotNodes[i].Set(int64(gr.NumNodes()))
+		so.quotEdges[i].Set(int64(gr.NumEdges()))
+	}
 }
 
 // ageSeconds is the epoch-age gauge: seconds since the latest publish.

@@ -157,3 +157,43 @@ func TestApplyStageHistograms(t *testing.T) {
 		}
 	})
 }
+
+// TestSizeGauges: the size gauges read the installed snapshot's node and
+// edge counts — G's and both quotients' — after open, after every publish
+// and on a store opened from an image.
+func TestSizeGauges(t *testing.T) {
+	check := func(t *testing.T, reg *obs.Registry, sn *Snapshot) {
+		t.Helper()
+		for name, want := range map[string]int{
+			"qpgc_store_graph_nodes":                                    sn.G.NumNodes(),
+			"qpgc_store_graph_edges":                                    sn.G.NumEdges(),
+			obs.Label("qpgc_store_quotient_nodes", "scheme", "reach"):   sn.Reach.Gr.NumNodes(),
+			obs.Label("qpgc_store_quotient_edges", "scheme", "reach"):   sn.Reach.Gr.NumEdges(),
+			obs.Label("qpgc_store_quotient_nodes", "scheme", "pattern"): sn.Pattern.Gr.NumNodes(),
+			obs.Label("qpgc_store_quotient_edges", "scheme", "pattern"): sn.Pattern.Gr.NumEdges(),
+		} {
+			if got := reg.Gauge(name).Value(); got != int64(want) || want == 0 {
+				t.Fatalf("epoch %d: %s reads %d, the snapshot holds %d", sn.Epoch, name, got, want)
+			}
+		}
+	}
+	g := gen.Social(rand.New(rand.NewSource(3)), 400, 1600, 3)
+	reg := obs.NewRegistry()
+	s := mustOpen(t, g.Clone(), &Options{Obs: reg})
+	defer s.Close()
+	check(t, reg, s.Snapshot())
+	rng := rand.New(rand.NewSource(4))
+	for range 4 {
+		if _, err := s.Apply(gen.RandomBatch(rng, g, 64, 0.3)); err != nil {
+			t.Fatal(err)
+		}
+		check(t, reg, s.Snapshot())
+	}
+	freg := obs.NewRegistry()
+	f, err := OpenImage(encodeImage(s.Snapshot()), &Options{Obs: freg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	check(t, freg, f.Snapshot())
+}

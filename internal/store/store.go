@@ -215,6 +215,12 @@ type Snapshot struct {
 	swept   atomic.Uint64 // lanes this snapshot has swept, counted up to the hub-cache gate
 	hubOnce sync.Once
 	hub     atomic.Pointer[hubCache]
+	// file is the snapshot's snapfile image, encoded by the first
+	// checkpoint or shipped image that asks for it (encoded) and shared by
+	// the rest: a store that checkpoints its epoch 0 and ships it to a
+	// follower encodes it once.
+	fileOnce sync.Once
+	file     []byte
 	// leafHist, when non-nil, times each wave's leaf-engine work
 	// (qpgc_query_stage_seconds{stage="leaf"}); copied from the store's
 	// instruments at publish so BatchReachable pays only a nil check when
@@ -499,6 +505,7 @@ func (s *Store) install(sn *Snapshot) {
 	if s.ob != nil {
 		sn.leafHist = s.ob.leaf
 		sn.so = s.ob
+		s.ob.noteSizes(sn)
 	}
 	sn.view = View{s, sn}
 	s.snap.Store(sn)
@@ -507,7 +514,14 @@ func (s *Store) install(sn *Snapshot) {
 // image pins the current snapshot for a checkpoint.
 func (s *Store) image() (uint64, func(path string) error) {
 	sn := s.Snapshot()
-	return sn.Epoch, func(path string) error { return snapfile.WriteStoreFS(s.dur.fs, path, storeParts(sn)) }
+	return sn.Epoch, func(path string) error { return faultfs.ReplaceFile(faultfs.Or(s.dur.fs), path, sn.encoded()) }
+}
+
+// encoded returns sn's snapfile image, encoding it on the first call. The
+// bytes are shared: callers do not write them.
+func (sn *Snapshot) encoded() []byte {
+	sn.fileOnce.Do(func() { sn.file = snapfile.EncodeStore(storeParts(sn)) })
+	return sn.file
 }
 
 // storeParts projects a published snapshot onto the codec's flat form,
