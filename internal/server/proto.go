@@ -28,6 +28,13 @@ import (
 // field cannot make a peer attempt a multi-gigabyte allocation.
 const MaxFrame = 1 << 26
 
+// maxApplyUpdates bounds the updates one MsgApply may carry: as many as
+// fit in a frame at nine bytes an update, the older batch form. The
+// current form packs an update in as few as one bit, so without the bound
+// one frame could make the server allocate half a billion updates, 6 GB,
+// before it checked any of them.
+const maxApplyUpdates = MaxFrame / 9
+
 // MsgType tags a frame. Requests and responses share one space; servers
 // reject response-typed requests and vice versa.
 type MsgType byte
@@ -48,10 +55,10 @@ const (
 	// MsgApply submits one update batch: u64 callerTerm (0 = no term
 	// claim), then the batch in the batch codec (store.EncodeBatch), which
 	// a WAL record and a diff's batches also use. The server also takes
-	// the older form, nine bytes an update, that older clients send. A
-	// caller term above the endpoint's fences it; below, the write is
-	// rejected as stale. The MsgApplied response carries the RYW token and
-	// the term.
+	// the older form, nine bytes an update, that older clients send, and
+	// refuses a batch of more than maxApplyUpdates updates. A caller term
+	// above the endpoint's fences it; below, the write is rejected as
+	// stale. The MsgApplied response carries the RYW token and the term.
 	MsgApply MsgType = 0x05
 	// MsgStats asks for a store summary (MsgInfo response).
 	MsgStats MsgType = 0x06

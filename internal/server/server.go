@@ -13,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/pattern"
+	"repro/internal/snapfile"
 	"repro/internal/store"
 )
 
@@ -380,7 +381,7 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 				return emit(MsgErr, s.errBody(fmt.Errorf("%w: caller term %d, endpoint term %d", errStaleTerm, callerTerm, local)))
 			}
 		}
-		batch, err := store.DecodeBatch(body[8:], s.backend.NumNodes())
+		batch, err := snapfile.DecodeBatchAtMost(body[8:], s.backend.NumNodes(), maxApplyUpdates)
 		if err != nil {
 			return emit(MsgErr, s.errBody(err))
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -300,6 +301,44 @@ func TestApplyAcceptsOlderBatchForm(t *testing.T) {
 		if !s.Snapshot().G.HasEdge(0, v) {
 			t.Fatalf("edge (0,%d) of the older-form batch is not in G", v)
 		}
+	}
+}
+
+// TestApplyRefusesOversizedBatch: a MsgApply whose batch declares more
+// updates than maxApplyUpdates is refused before they are allocated. The
+// forged batch has ids of width 0, one bit an update, so it fits in under
+// a megabyte of frame and would decode into about 90 MB.
+func TestApplyRefusesOversizedBatch(t *testing.T) {
+	s, srv := startStoreServer(t, testGraph(6), Options{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	const count = maxApplyUpdates + 1
+	body := binary.LittleEndian.AppendUint64(nil, 0) // no term claim
+	body = binary.LittleEndian.AppendUint32(body, 1<<31|count)
+	body = append(body, 1<<6) // the current form, ids of width 0
+	body = append(body, make([]byte, (count+7)/8)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := WriteFrame(bw, MsgApply, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mt, resp, err := ReadFrame(br, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil || mt != MsgErr || !strings.Contains(string(resp), "more than") {
+		t.Fatalf("a batch of %d updates: response 0x%02x %q, %v", count, byte(mt), resp, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+		t.Fatalf("refusing the batch allocated %d MB", grew>>20)
+	}
+	if epoch := s.Snapshot().Epoch; epoch != 0 {
+		t.Fatalf("the store is at epoch %d after a refused batch", epoch)
 	}
 }
 

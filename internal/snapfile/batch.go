@@ -3,6 +3,7 @@ package snapfile
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/graph"
@@ -61,13 +62,22 @@ func batchBytes(n int, w uint) int { return int((uint64(n)*uint64(2*w+1) + 7) / 
 // declared count against the payload size, node ids against numNodes, and
 // the flags — corrupt or foreign payloads error, never panic.
 func DecodeBatch(payload []byte, numNodes int) ([]graph.Update, error) {
+	return DecodeBatchAtMost(payload, numNodes, math.MaxInt)
+}
+
+// DecodeBatchAtMost is DecodeBatch for a payload from a sender that is not
+// trusted: a batch that declares more than most updates is refused before
+// they are allocated. The current form takes as little as one bit an
+// update (ids of width 0), so the payload size alone lets n bytes ask for
+// 8n updates of twelve bytes each.
+func DecodeBatchAtMost(payload []byte, numNodes, most int) ([]graph.Update, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("batch payload of %d bytes", len(payload))
 	}
 	if binary.LittleEndian.Uint32(payload)&batchNew == 0 {
-		return decodeOldBatch(payload, numNodes)
+		return decodeOldBatch(payload, numNodes, most)
 	}
-	batch, rest, err := decodeBatch(payload, numNodes)
+	batch, rest, err := decodeBatch(payload, numNodes, most)
 	if err == nil && len(rest) != 0 {
 		err = fmt.Errorf("batch of %d updates followed by %d bytes", len(batch), len(rest))
 	}
@@ -77,9 +87,9 @@ func DecodeBatch(payload []byte, numNodes int) ([]graph.Update, error) {
 	return batch, nil
 }
 
-// decodeBatch decodes the batch data starts with, in the current form, and
-// returns it with the bytes after it.
-func decodeBatch(data []byte, numNodes int) (batch []graph.Update, rest []byte, err error) {
+// decodeBatch decodes the batch data starts with, in the current form, of
+// at most most updates, and returns it with the bytes after it.
+func decodeBatch(data []byte, numNodes, most int) (batch []graph.Update, rest []byte, err error) {
 	if len(data) < batchHeader {
 		return nil, nil, fmt.Errorf("batch header of %d bytes", len(data))
 	}
@@ -87,6 +97,9 @@ func decodeBatch(data []byte, numNodes int) (batch []graph.Update, rest []byte, 
 	count, w := int(h&^batchNew), uint(form&^batchVersion)
 	if h&batchNew == 0 || form&^63 != batchVersion || w > 32 {
 		return nil, nil, fmt.Errorf("batch header %#x, form %#x", h, form)
+	}
+	if count > most {
+		return nil, nil, fmt.Errorf("batch claims %d updates, more than %d", count, most)
 	}
 	size := batchBytes(count, w)
 	body := data[batchHeader:]
@@ -107,10 +120,13 @@ func decodeBatch(data []byte, numNodes int) (batch []graph.Update, rest []byte, 
 	return batch, rest, nil
 }
 
-// decodeOldBatch decodes the older form: a 32-bit count, then nine bytes an
-// update.
-func decodeOldBatch(payload []byte, numNodes int) ([]graph.Update, error) {
+// decodeOldBatch decodes the older form, of at most most updates: a 32-bit
+// count, then nine bytes an update.
+func decodeOldBatch(payload []byte, numNodes, most int) ([]graph.Update, error) {
 	count := int(binary.LittleEndian.Uint32(payload))
+	if count > most {
+		return nil, fmt.Errorf("batch claims %d updates, more than %d", count, most)
+	}
 	if len(payload) != 4+9*count {
 		return nil, fmt.Errorf("batch claims %d updates in %d bytes", count, len(payload))
 	}

@@ -166,7 +166,7 @@ func (d *DiffParts) batches(data []byte) error {
 	d.Batches = make([][]graph.Update, d.Epoch-d.Base)
 	for i := range d.Batches {
 		var err error
-		if d.Batches[i], data, err = decodeBatch(data, d.Nodes); err != nil {
+		if d.Batches[i], data, err = decodeBatch(data, d.Nodes, math.MaxInt); err != nil {
 			return fmt.Errorf("%w: batch %d: %v", ErrFormat, i, err)
 		}
 	}

@@ -43,11 +43,11 @@ func FuzzDecode(f *testing.F) {
 	small := gen.Social(rand.New(rand.NewSource(1)), 60, 200, 3)
 	wide := gen.Social(rand.New(rand.NewSource(2)), 300, 700, 3)
 	bases := [][]byte{
-		EncodeStore(buildStoreParts(small.Clone(), 3)), // every int32 block in one byte
+		EncodeStore(buildStoreParts(small.Clone(), 3)), // node ids at six bits
 		readGolden(f, legacyStore),                     // four bytes, offset tables, retired blocks
 		EncodeSharded(buildShardedParts(small, 2, 5)),
 		readGolden(f, legacySharded),
-		EncodeStore(buildStoreParts(wide, 4)), // node ids in two bytes
+		EncodeStore(buildStoreParts(wide, 4)), // node ids at nine bits
 		readGolden(f, diffReach),
 		readGolden(f, diffPattern),
 	}

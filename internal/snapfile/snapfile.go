@@ -35,22 +35,21 @@
 // (tag, element kind, a width byte, count) followed by the element data
 // padded to 8 bytes, so every block body is 8-aligned relative to the file
 // start. An int32 array is stored at the exact bit width that holds every
-// value unsigned, at least one bit: one OR over the values picks it. At
-// eight, sixteen and 32 bits (32 for any negative value) it is a plain
-// little-endian array of one, two or four bytes a value; at any other
-// width it is packed, that width in the descriptor's width byte, the bits
-// of bits.go. So node ids below 2^14 take fourteen bits and 16 label ids
-// four. A CSR's rows (codec.go) are sorted and hold each id once, so they
-// are written as gaps, each an entry minus the one before minus one, in
-// one Rice code per CSR after each row's first entry; the CSR's flag block
-// holds the Rice parameter and whether a first entry is an id or a zigzag
-// gap from the row's source, both chosen by counting the bits each would
-// take (planRows). The loader reads the file, checks the checksum, and
-// widens each int32 block into an array of its own — one memmove for a
-// four-byte block on a little-endian host, one load a value otherwise,
-// with no alignment asked of the input — and decodes each CSR's rows from
-// their gaps. Loading a snapshot thus costs one sequential read, one
-// decoding pass per block, an O(|V|+|E|) validation scan and the
+// value unsigned, at least one bit: one OR over the values picks it. At 32
+// bits (any negative value) it is a plain little-endian array of four bytes
+// a value; at any narrower width it is packed, that width in the
+// descriptor's width byte, the bits of bits.go. So node ids below 2^14 take
+// fourteen bits and 16 label ids four. A CSR's rows (codec.go) are sorted
+// and hold each id once, so they are written as gaps, each an entry minus
+// the one before minus one, in one Rice code per CSR after each row's first
+// entry; the CSR's flag block holds the Rice parameter and whether a first
+// entry is an id or a zigzag gap from the row's source, both chosen by
+// counting the bits each would take (planRows). The loader reads the file,
+// checks the checksum, and widens each int32 block into an array of its own
+// — one memmove for a four-byte block on a little-endian host, one load a
+// value otherwise, with no alignment asked of the input — and decodes each
+// CSR's rows from their gaps. Loading a snapshot thus costs one sequential
+// read, one decoding pass per block, an O(|V|+|E|) validation scan and the
 // transpositions, never a per-row allocation. Nothing decoded aliases the
 // input: once a decode returns, the buffer it read (a file, or an image a
 // follower was shipped) can be collected while the decoded arrays serve.
@@ -154,10 +153,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var hostLE = binary.NativeEndian.Uint16([]byte{0x01, 0x00}) == 1
 
 // Element kinds. An int32 array is stored at the exact bit width that
-// holds every value unsigned: elemU8 and elemU16 at eight and sixteen bits,
-// elemInt32 at 32 or when a value is negative, elemPacked at any other
-// width from 1 to 31, which the block descriptor's sixth byte holds. Any
-// int32 reader accepts all four.
+// holds every value unsigned: elemInt32 at 32 or when a value is
+// negative, elemPacked at any width from 1 to 31, which the block
+// descriptor's sixth byte holds. Older files hold elemU8 and elemU16
+// blocks, one and two bytes a value; any int32 reader accepts all four.
 const (
 	elemInt32  = 1
 	elemByte   = 2
@@ -223,28 +222,18 @@ func (w *writer) pad() {
 }
 
 // int32s writes an int32 array block at the exact bit width that holds
-// every value unsigned, at least one: one OR over the values picks it.
-// Eight and sixteen bits are whole bytes; at 32 the body is one bulk copy
-// of the slice's memory on little-endian hosts.
+// every value unsigned, at least one: one OR over the values picks it. At
+// 32 the body is one bulk copy of the slice's memory on little-endian
+// hosts; every narrower width is packed.
 func (w *writer) int32s(tag uint32, v []int32) {
 	var top uint32
 	for _, x := range v {
 		top |= uint32(x)
 	}
-	switch width := max(bits.Len32(top), 1); width {
-	case 8:
-		w.block(tag, elemU8, 0, len(v))
-		body := w.grow(len(v))
-		for i, x := range v {
-			body[i] = uint8(x)
-		}
-	case 16:
-		w.block(tag, elemU16, 0, len(v))
-		body := w.grow(2 * len(v))
-		for i, x := range v {
-			binary.LittleEndian.PutUint16(body[2*i:], uint16(x))
-		}
-	case 32:
+	if width := max(bits.Len32(top), 1); width < 32 {
+		w.block(tag, elemPacked, uint8(width), len(v))
+		w.buf = pack(w.buf, v, uint(width))
+	} else {
 		w.block(tag, elemInt32, 0, len(v))
 		if hostLE {
 			w.buf = append(w.buf, unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))...)
@@ -253,9 +242,6 @@ func (w *writer) int32s(tag uint32, v []int32) {
 				w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(x))
 			}
 		}
-	default:
-		w.block(tag, elemPacked, uint8(width), len(v))
-		w.buf = pack(w.buf, v, uint(width))
 	}
 	w.pad()
 }

@@ -378,11 +378,10 @@ func TestPatchedEncodesAsFreeze(t *testing.T) {
 }
 
 // TestIntBlockWidths: an int32 block is stored at the exact bit width that
-// holds every value unsigned, at least one bit — eight and sixteen as whole
-// bytes, 32 for any negative value — and reads back as written, on the
-// fast unpack path and off it. Only the int32 reader accepts the narrow
-// kinds: the byte reader still demands its own, and the int32 reader
-// refuses it.
+// holds every value unsigned, at least one bit, 32 for any negative value,
+// and reads back as written, on the fast unpack path and off it. Only the
+// int32 reader accepts the narrow kinds: the byte reader still demands its
+// own, and the int32 reader refuses it.
 func TestIntBlockWidths(t *testing.T) {
 	for _, c := range []struct {
 		v     int32
@@ -416,6 +415,27 @@ func TestIntBlockWidths(t *testing.T) {
 		}
 		if _, err := r.bytes(0x7); err == nil {
 			t.Fatalf("value %d: the byte reader accepted an int32 block", c.v)
+		}
+	}
+	// Older encoders wrote eight and sixteen bits as one and two bytes a
+	// value; the int32 reader still widens both. The values are below 256,
+	// so each one's low byte is all that is set.
+	want := []int32{3, 200, 0, 1, 2, 255, 7, 9, 130}
+	for _, elem := range []uint8{elemU8, elemU16} {
+		w := newWriter(KindStore, 1, nil)
+		w.block(0x7, elem, 0, len(want))
+		size := int(elemBits(elem, 0) / 8)
+		body := w.grow(size * len(want))
+		for i, x := range want {
+			body[size*i] = byte(x)
+		}
+		w.pad()
+		r, err := open(w.encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.int32s(0x7); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("element kind %d: read %v, %v", elem, got, err)
 		}
 	}
 	w := newWriter(KindStore, 1, nil)

@@ -218,7 +218,8 @@ type Snapshot struct {
 	// file is the snapshot's snapfile image, encoded by the first
 	// checkpoint or shipped image that asks for it (encoded) and shared by
 	// the rest: a store that checkpoints its epoch 0 and ships it to a
-	// follower encodes it once.
+	// follower encodes it once. The bytes live as long as the snapshot,
+	// 0.17 MB on social16, which is superseded at the next publish.
 	fileOnce sync.Once
 	file     []byte
 	// leafHist, when non-nil, times each wave's leaf-engine work
