@@ -77,6 +77,7 @@ type Client struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	buf  []byte
+	out  []byte // BatchReachable's request buffer, reused up to maxKeptBuffer
 
 	timeout atomic.Int64 // per-request deadline, ns; 0 = none
 
@@ -260,16 +261,10 @@ func (c *Client) BatchReachable(us, vs []graph.Node, minEpoch uint64) ([]bool, u
 	if len(us) != len(vs) {
 		return nil, 0, fmt.Errorf("server: %d sources vs %d targets", len(us), len(vs))
 	}
-	req := binary.LittleEndian.AppendUint64(nil, minEpoch)
-	req = binary.LittleEndian.AppendUint32(req, uint32(len(us)))
-	for _, u := range us {
-		req = binary.LittleEndian.AppendUint32(req, uint32(u))
-	}
-	for _, v := range vs {
-		req = binary.LittleEndian.AppendUint32(req, uint32(v))
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	req := encodeBatchReach(c.out[:0], minEpoch, us, vs)
+	c.out = reuse(req)
 	t, body, err := c.roundTrip(MsgBatchReach, req)
 	if err != nil {
 		return nil, 0, err

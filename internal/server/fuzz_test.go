@@ -179,10 +179,13 @@ func roundsFixpoint(c *graph.CSR, p *pattern.Pattern) *pattern.Result {
 }
 
 // maxFarAllocPerNode caps the bytes one far-bound MsgMatch may allocate per
-// node of G. The match allocates ≈ 39 (candidate sets, one reverse BFS at a
-// time, the expanded answer); counters sized by the bound would need up to
-// 4·2^20.
-const maxFarAllocPerNode = 96
+// node of G. The request allocates 27.8–29.8 (candidate sets, one reverse
+// BFS at a time, the expanded answer, its encode and decode), and up to 33.7
+// under the race detector, whose sync.Pool drops scratches at random; the
+// cap is that plus 10 %. Encoding an id at a time into a buffer grown from 8
+// bytes, and decoding into one array per set, took 37.1–39.1; counters sized
+// by the bound would need up to 4·2^20.
+const maxFarAllocPerNode = 37
 
 // TestMatchFarBoundsOverWire sends patterns with bounds 2^20 (the most the
 // wire accepts) and 9 (one past the counter levels) through handleRequest on

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
@@ -104,7 +105,10 @@ const (
 	// MsgBools is a batch answer: epoch, u32 n, n bytes.
 	MsgBools MsgType = 0x43
 	// MsgMatched is a match result: epoch, u8 ok, u32 k, then k node sets
-	// (u32 len, len u32 ids).
+	// (u32 len, len u32 ids). The server sizes the body first and writes it
+	// in one pass into a buffer its connection reuses; the client reads
+	// every id into one array and hands each set out as a view of it. Both
+	// keep the layout every earlier server and client used.
 	MsgMatched MsgType = 0x44
 	// MsgApplied acknowledges an Apply: the epoch is the batch's RYW
 	// token, followed by the u64 term it was accepted under.
@@ -371,45 +375,67 @@ func decodePattern(c *cursor) (*pattern.Pattern, error) {
 }
 
 // encodeResult appends a match result: u8 ok, u32 set count, then each
-// set's u32 length and node ids.
+// set's u32 length and node ids. It sizes the result first and grows buf
+// once, so it never reallocates per id: into a buffer that already holds
+// the bytes, such as a connection's reused one, it allocates nothing.
 func encodeResult(buf []byte, r *pattern.Result) []byte {
-	if r.OK {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Sets)))
+	n := 5 + 4*len(r.Sets)
 	for _, set := range r.Sets {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(set)))
-		for _, v := range set {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-		}
+		n += 4 * len(set)
+	}
+	buf, b := grow(buf, n)
+	b[0] = 0
+	if r.OK {
+		b[0] = 1
+	}
+	binary.LittleEndian.PutUint32(b[1:5], uint32(len(r.Sets)))
+	b = b[5:]
+	for _, set := range r.Sets {
+		binary.LittleEndian.PutUint32(b[:4], uint32(len(set)))
+		putNodes(b[4:], set)
+		b = b[4+4*len(set):]
 	}
 	return buf
 }
 
-// decodeResult reads a match result from c.
+// decodeResult reads a match result from c. Every id goes into one array
+// sized from the bytes left, and each set is a view of it whose capacity
+// ends where the set does, so appending to one set cannot overwrite the
+// next.
 func decodeResult(c *cursor) (*pattern.Result, error) {
-	r := &pattern.Result{OK: c.u8() == 1}
+	ok := c.u8()
 	k := c.u32()
 	if c.err != nil {
 		return nil, c.err
 	}
+	if ok > 1 {
+		return nil, fmt.Errorf("server: result ok flag %d, want 0 or 1", ok)
+	}
+	r := &pattern.Result{OK: ok == 1}
 	if int64(k) > int64(len(c.b)-c.off)/4 {
 		return nil, fmt.Errorf("server: result claims %d sets in %d bytes", k, len(c.b)-c.off)
 	}
+	// What the k length words leave holds at most this many ids: a set
+	// longer than what is left of it overruns the message.
+	flat := make([]graph.Node, (len(c.b)-c.off-4*int(k))/4)
 	r.Sets = make([][]graph.Node, k)
-	for i := uint32(0); i < k; i++ {
+	for i := range r.Sets {
 		ln := c.u32()
 		if c.err != nil {
 			return nil, c.err
 		}
-		if int64(ln) > int64(len(c.b)-c.off)/4 {
+		if int64(ln) > int64(len(flat)) {
 			return nil, fmt.Errorf("server: result set of %d ids overruns message", ln)
 		}
-		set := make([]graph.Node, ln)
-		for j := uint32(0); j < ln; j++ {
-			set[j] = graph.Node(c.u32())
+		set := flat[:ln:ln]
+		flat = flat[ln:]
+		src := c.take(4 * len(set))
+		if c.err != nil {
+			return nil, c.err
+		}
+		for j := range set {
+			set[j] = graph.Node(binary.LittleEndian.Uint32(src))
+			src = src[4:]
 		}
 		r.Sets[i] = set
 	}
@@ -417,6 +443,66 @@ func decodeResult(c *cursor) (*pattern.Result, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// encodeBools appends a batch answer after its epoch: u32 n, then one byte
+// per answer, 1 for reachable and 0 for not.
+func encodeBools(buf []byte, res []bool) []byte {
+	buf, b := grow(buf, 4+len(res))
+	binary.LittleEndian.PutUint32(b[:4], uint32(len(res)))
+	b = b[4 : 4+len(res)]
+	for i, ok := range res {
+		var v byte
+		if ok {
+			v = 1
+		}
+		b[i] = v
+	}
+	return buf
+}
+
+// encodeBatchReach appends a MsgBatchReach body: u64 minEpoch, u32 n, n u32
+// sources, n u32 targets. us and vs have the same length.
+func encodeBatchReach(buf []byte, minEpoch uint64, us, vs []graph.Node) []byte {
+	buf, b := grow(buf, 12+8*len(us))
+	binary.LittleEndian.PutUint64(b[:8], minEpoch)
+	binary.LittleEndian.PutUint32(b[8:12], uint32(len(us)))
+	putNodes(b[12:], us)
+	putNodes(b[12+4*len(us):], vs)
+	return buf
+}
+
+// grow extends buf by n bytes, reallocating at most once, and returns it
+// with the n new bytes, which the caller overwrites: a reused buffer holds
+// an earlier message's bytes there.
+func grow(buf []byte, n int) ([]byte, []byte) {
+	off := len(buf)
+	buf = slices.Grow(buf, n)[:off+n]
+	return buf, buf[off:]
+}
+
+// putNodes writes ids into b as little-endian u32s.
+func putNodes(b []byte, ids []graph.Node) {
+	for _, v := range ids {
+		binary.LittleEndian.PutUint32(b, uint32(v))
+		b = b[4:]
+	}
+}
+
+// maxKeptBuffer bounds the buffer a connection keeps between requests for
+// the responses it encodes, and a Client for the batch requests it encodes
+// — the size of the connection's write buffer. An answer larger than that
+// is encoded into a buffer of its own, dropped once it is sent, so one
+// large answer does not stay alive for as long as its connection does.
+const maxKeptBuffer = 64 << 10
+
+// reuse empties b for the next message, or drops it when it is larger than
+// maxKeptBuffer.
+func reuse(b []byte) []byte {
+	if cap(b) > maxKeptBuffer {
+		return nil
+	}
+	return b[:0]
 }
 
 // Info is the wire form of a store summary, a flattened cut of

@@ -147,6 +147,10 @@ type connState struct {
 	// sample; a tail round that was parked restarts it when it wakes. Zero
 	// without a registry.
 	start time.Time
+	// out is the buffer MsgMatched and MsgBools answers are encoded into,
+	// kept for the next request while it is no larger than maxKeptBuffer.
+	// emit is done with an answer before the next request is read.
+	out []byte
 }
 
 // serveConn runs one connection's request loop: frames in, frames out,
@@ -330,15 +334,8 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 			s.ob.reject()
 			return emit(MsgErr, s.errBody(err))
 		}
-		out := binary.LittleEndian.AppendUint64(nil, epoch)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(res)))
-		for _, b := range res {
-			if b {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
-			}
-		}
+		out := encodeBools(binary.LittleEndian.AppendUint64(cs.out[:0], epoch), res)
+		cs.out = reuse(out)
 		return emit(MsgBools, out)
 
 	case MsgMatch:
@@ -360,8 +357,8 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 			s.ob.reject()
 			return emit(MsgErr, s.errBody(err))
 		}
-		out := binary.LittleEndian.AppendUint64(nil, epoch)
-		out = encodeResult(out, res)
+		out := encodeResult(binary.LittleEndian.AppendUint64(cs.out[:0], epoch), res)
+		cs.out = reuse(out)
 		return emit(MsgMatched, out)
 
 	case MsgApply:
