@@ -4,11 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/graph"
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -156,7 +155,20 @@ func cmdScrub(args []string) {
 		return
 	}
 	if len(rep.Corrupt) > 0 {
-		quarantineCorrupt(*data, rep.Corrupt)
+		info, err := store.Inspect(*data)
+		if err != nil {
+			fatal(err)
+		}
+		if slices.Contains(rep.Corrupt, info.Snapshot) {
+			fatal(fmt.Errorf("the current checkpoint %s is corrupt and the WAL behind it was already truncated: no local copy of that state remains — restore %s from a replica or backup (the live scrubber, qpgc serve -scrub, repairs this case from memory before it is fatal)", info.Snapshot, *data))
+		}
+		segs, err := wal.QuarantineFrom(faultfs.Disk, *data, rep.Corrupt)
+		if err != nil {
+			fatal(err)
+		}
+		for _, seg := range segs {
+			fmt.Printf("quarantined: %s (preserved as %s.quarantine)\n", seg.Name, seg.Name)
+		}
 	}
 	r, _ := openRecovered(*data)
 	defer r.Close()
@@ -170,37 +182,4 @@ func cmdScrub(args []string) {
 	}
 	fmt.Printf("repaired: recovered the surviving prefix and checkpointed it at epoch %d\n", epoch)
 	fmt.Printf("batches after epoch %d, if any were acked, are lost with the quarantined segments\n", epoch)
-}
-
-// quarantineCorrupt renames the corrupt files aside before recovery. A
-// corrupt WAL segment drags every later segment with it: replay cannot
-// skip a hole, so the recoverable state ends just before the first corrupt
-// record either way, and keeping the suffix would only fail the next open.
-func quarantineCorrupt(dir string, corrupt []string) {
-	info, err := store.Inspect(dir)
-	if err != nil {
-		fatal(err)
-	}
-	bad := make(map[string]bool, len(corrupt))
-	for _, c := range corrupt {
-		if c == info.Snapshot {
-			fatal(fmt.Errorf("the current checkpoint %s is corrupt and the WAL behind it was already truncated: no local copy of that state remains — restore %s from a replica or backup (the live scrubber, qpgc serve -scrub, repairs this case from memory before it is fatal)", c, dir))
-		}
-		bad[c] = true
-	}
-	segs, err := wal.ListDir(nil, dir)
-	if err != nil {
-		fatal(err)
-	}
-	first := slices.IndexFunc(segs, func(s wal.SegmentInfo) bool { return bad[s.Name] })
-	if first < 0 {
-		return
-	}
-	for _, s := range segs[first:] {
-		path := filepath.Join(dir, s.Name)
-		if err := os.Rename(path, path+".quarantine"); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("quarantined: %s (preserved as %s.quarantine)\n", s.Name, s.Name)
-	}
 }

@@ -51,12 +51,14 @@
 // store's filesystem (see the rule DSL in internal/faultfs:
 // "enospc@120+40,sync@300+3%wal-") to demonstrate exactly that machinery.
 //
-// With -data the serve endpoint also ships WAL frames and images of its
-// snapshot, so "replica" can follow it: a replica starts an empty -data
-// from one image of the leader's snapshot, tails the WAL (each shipped
-// record's sequence number is the batch epoch it reproduces), and serves
-// read queries on -listen. A replica the leader cannot chain is sent one
-// image again, which replaces its state in place.
+// With -data the serve endpoint also ships the effect of each batch group —
+// its batches and what they did to the compressed views — and images of
+// its snapshot, so "replica" can follow it: a replica starts an empty -data
+// from one image of the leader's snapshot, then applies one effect per
+// group (logging its batches to its own WAL, each at the epoch it
+// reproduces, and patching its views), and serves read queries on -listen.
+// A replica the leader cannot chain is sent one image again, which
+// replaces its state in place.
 // Every response carries the epoch it was answered at; reads may pin a
 // minimum epoch, which a lagging replica holds — so a session that writes
 // to the leader and reads from a replica still reads its own writes.
@@ -74,11 +76,11 @@
 // accepting writes — the printed epoch frontier is the guarantee that no
 // batch acked at or below it was lost. replica -leader takes a
 // comma-separated retry list, so a surviving follower re-points to a
-// promoted sibling (any follower's own WAL is a valid shipping source and
-// serving replicas expose it). client -addr likewise takes an endpoint
-// set: on a fenced, stale-term or connection error it rediscovers the
-// current leader with capped backoff and retries, keeping
-// read-your-writes across the switch.
+// promoted sibling (any follower keeps the effects it applies for
+// followers of its own, and serving replicas expose them). client -addr
+// likewise takes an endpoint set: on a fenced, stale-term or connection
+// error it rediscovers the current leader with capped backoff and retries,
+// keeping read-your-writes across the switch.
 //
 // serve and replica instrument every layer (store, scheduler, WAL, health,
 // replication, server) through the internal/obs registry: -metrics starts

@@ -64,9 +64,13 @@
 // it), so the class a block's node holds is already the id a store
 // publishes: every edge of Gr goes from a smaller id to a larger, as the
 // one-pass batch sweeps need. Regroup keeps Gr as the compact CSR a store
-// serves, built once per closure-changing batch, and View costs one gather
-// over V for the flat node → class map and nothing over Gr. No member
-// lists are kept: a reader that needs them groups the map (graph.GroupNodes).
+// serves, built once per closure-changing batch. No member lists are kept:
+// a reader that needs them groups the map (graph.GroupNodes).
+//
+// The view's whole life is in view.go: View makes it, in one gather over V
+// after a regroup, and diffs it against the one before in the same gather;
+// Patch applies a shipped diff; Assemble makes a decoded view. A store only
+// swaps views in.
 //
 // Property tests verify after every batch that the maintained compression
 // equals batch recompression (reach.Compress) of the current graph, both
@@ -118,7 +122,11 @@ type Maintainer struct {
 
 	gr     *graph.CSR // the quotient Gr over the live blocks, topologically numbered
 	cyclic []bool     // per gr node
-	gen    uint64
+	gen    uint64     // regroups so far
+
+	view    View   // the last view View returned; Gr nil before the first
+	viewGen uint64 // gen when view was made
+	diff    Diff   // View's diff, reused
 
 	comp *reach.Compressed // Compressed's result, nil when stale
 
@@ -167,38 +175,14 @@ func Over(cond *dynscc.Cond) *Maintainer {
 // Graph returns the maintained graph; mutate only through Apply.
 func (m *Maintainer) Graph() *graph.Graph { return m.cond.Graph() }
 
-// Generation counts the batches that changed the compression: two calls
-// returning the same value bracket a span in which Compressed did not
-// change.
-func (m *Maintainer) Generation() uint64 { return m.gen }
-
 // Compressed returns the current compression R(G) with Gr as a mutable
 // graph, for callers outside the store; it is View with Gr thawed, made once
-// per generation.
+// per regroup.
 func (m *Maintainer) Compressed() *reach.Compressed {
 	if m.comp == nil {
-		m.comp = reach.AssembleCompressed(m.gr.Thaw(), m.classMap(), m.cyclic)
+		m.comp = reach.AssembleCompressed(m.gr.Thaw(), m.classMap(nil), m.cyclic)
 	}
 	return m.comp
-}
-
-// View returns the current compression as a store publishes it: the flat
-// node → class map with the classes' cyclic flags, and Gr as the compact
-// CSR the last regroup built. Class ids are topological (package doc, "The
-// published view"), so the view costs one O(|V|) pass and no work on Gr;
-// the Compressed carries no mutable Gr and no member lists. Nothing is
-// cached: call it once per Generation.
-func (m *Maintainer) View() (*reach.Compressed, *graph.CSR) {
-	return reach.AssembleCompressed(nil, m.classMap(), m.cyclic), m.gr
-}
-
-// classMap returns a fresh node → class map.
-func (m *Maintainer) classMap() []graph.Node {
-	classOf := make([]graph.Node, m.Graph().NumNodes())
-	for v := range classOf {
-		classOf[v] = m.node[m.blockOf[m.cond.CompOf(graph.Node(v))]]
-	}
-	return classOf
 }
 
 // Apply applies ΔG and updates the maintained compression so that it

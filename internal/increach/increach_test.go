@@ -288,7 +288,8 @@ func TestViewIsCompressedInTopoOrder(t *testing.T) {
 		m := New(randomGraph(rng, n, rng.Intn(3*n)))
 		for round := 0; round < 8; round++ {
 			m.Apply(randomBatch(rng, m.Graph(), 1+rng.Intn(6)))
-			rc, gr := m.View()
+			v, _ := m.View(false)
+			rc, gr := v.Compressed, v.Gr
 			if !graph.IsTopoOrdered(gr) {
 				t.Fatalf("seed %d round %d: View's quotient is not topologically numbered", seed, round)
 			}

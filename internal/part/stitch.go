@@ -36,9 +36,6 @@ type Stitched struct {
 	ShardOfBlock []int32
 }
 
-// NumBlocks returns the number of stitched classes.
-func (st *Stitched) NumBlocks() int { return len(st.Members) }
-
 // BuildStitched assembles the stitched quotient for one epoch. locals are
 // the shards' frozen local subgraph snapshots, parts the shards' current
 // bisimulation partitions (over local ids), crossOut the epoch's

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/store"
 )
@@ -51,17 +52,23 @@ const maxMatchBytes = 32 << 10
 func benchPatterns(t testing.TB, d gen.Dataset) (*store.Store, []*pattern.Pattern) {
 	t.Helper()
 	g := d.Build(1)
-	prng := rand.New(rand.NewSource(1))
-	pats := make([]*pattern.Pattern, 32)
-	for i := range pats {
-		pats[i] = gen.Pattern(prng, g, patternSpec)
-	}
+	pats := drawPatterns(g)
 	s, err := store.Open(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
 	return s, pats
+}
+
+// drawPatterns draws the benchmark's 32 patterns on g, from seed 1.
+func drawPatterns(g *graph.Graph) []*pattern.Pattern {
+	prng := rand.New(rand.NewSource(1))
+	pats := make([]*pattern.Pattern, 32)
+	for i := range pats {
+		pats[i] = gen.Pattern(prng, g, patternSpec)
+	}
+	return pats
 }
 
 // TestMatchWorkBounded runs the benchmark's 32 patterns on each graph's

@@ -16,8 +16,8 @@
 // follower's catch-up position is therefore just its own store epoch; its
 // staleness is the leader epoch minus that; and the read-your-writes token
 // a leader hands out on Apply is directly comparable to any follower's
-// published snapshot. Applying a shipped record through the follower's own
-// durable store re-logs it in the follower's WAL before acknowledgement,
+// published snapshot. Applying a diff through the follower's own durable
+// store logs its batches in the follower's WAL before the group publishes,
 // so a SIGKILLed follower recovers to an epoch it already served — RYW
 // tokens never move backward across a crash.
 //
@@ -57,8 +57,8 @@ type Options struct {
 	// retry list of sources. Required. A follower rotates through the list
 	// on connection failure or when a source turns out to be stale (its
 	// term is below the follower's), which is how a survivor re-points to a
-	// promoted sibling after failover — any follower's own WAL is a valid
-	// shipping source.
+	// promoted sibling after failover — any follower is a valid source, as
+	// it keeps the effects it applies in a ring of its own.
 	Leader string
 	// FS is the filesystem the follower's local store runs on. Nil means
 	// the disk; chaos tests inject faults into local durability here.
@@ -151,14 +151,14 @@ type Follower struct {
 	resyncs     atomic.Uint64
 	lastErr     atomic.Value  // string
 	tailRounds  atomic.Uint64 // MsgTail rounds completed
-	shipped     *obs.Counter  // bytes of diffs applied; nil without Obs
 	// diffs and images count the shipped effects applied, by kind; ob times
 	// every apply by path (nil without Obs: then no clock is read).
 	diffs, images atomic.Uint64
 	ob            *followerObs
 
-	// shippedBytes/shippedEpochs estimate the diff bytes per epoch for
-	// LagError.LagBytes, independent of Obs.
+	// shippedBytes/shippedEpochs count the bytes and epochs of the diffs
+	// applied: qpgc_replica_shipped_bytes_total, and the diff bytes per
+	// epoch LagError.LagBytes estimates from.
 	shippedBytes  atomic.Uint64
 	shippedEpochs atomic.Uint64
 
@@ -252,14 +252,14 @@ type followerObs struct {
 }
 
 // bindObs registers the follower's replication metrics: scrape-time
-// callbacks over the atomics Status already reads, the shipped-bytes counter
-// and the apply histograms a round feeds. The local store registered its own
+// callbacks over the atomics Status already reads, and the apply histograms
+// a round feeds. The local store registered its own
 // families when openLocal passed Obs through. No-op on a nil registry.
 func (f *Follower) bindObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	f.shipped = r.Counter("qpgc_replica_shipped_bytes_total")
+	r.CounterFunc("qpgc_replica_shipped_bytes_total", f.shippedBytes.Load)
 	f.ob = &followerObs{}
 	for p, name := range [numPaths]string{"effect", "image"} {
 		f.ob.apply[p] = r.Histogram(obs.Label("qpgc_replica_apply_seconds", "path", name))
@@ -661,7 +661,6 @@ func (r *round) effect(_ uint64, b []byte) error {
 		r.image = true
 	} else {
 		r.f.diffs.Add(1)
-		r.f.shipped.Add(uint64(len(b)))
 		r.f.shippedBytes.Add(uint64(len(b)))
 		r.f.shippedEpochs.Add(epoch - before)
 	}

@@ -64,9 +64,9 @@ func startLeader(t *testing.T, g *graph.Graph, fsys faultfs.FS) *leaderHarness {
 func startLeaderWith(t *testing.T, g *graph.Graph, fsys faultfs.FS, opts server.Options) *leaderHarness {
 	t.Helper()
 	dir := t.TempDir()
-	// Tiny segments exercise rotation and mid-segment boundaries;
-	// SyncNone keeps the test fast (process-kill durability is all these
-	// tests rely on).
+	// Tiny segments rotate the leader's WAL often while it ships effects,
+	// which come from its ring, not its WAL; SyncNone keeps the test fast
+	// (process-kill durability is all these tests rely on).
 	s, err := store.Open(g.Clone(), &store.Options{Dir: dir, FS: fsys, Sync: store.SyncNone, WALSegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)

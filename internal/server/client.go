@@ -76,7 +76,7 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-	buf  []byte
+	buf  []byte // the read buffer, reused up to maxKeptBuffer
 	out  []byte // BatchReachable's request buffer, reused up to maxKeptBuffer
 
 	timeout atomic.Int64 // per-request deadline, ns; 0 = none
@@ -181,7 +181,7 @@ func (c *Client) roundTrip(t MsgType, body []byte) (MsgType, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	c.buf = rbody[:0]
+	c.buf = reuse(rbody[:0])
 	return rt, rbody, nil
 }
 
@@ -426,7 +426,7 @@ func (c *Client) TailRound(from, lineage uint64, hold time.Duration, effect func
 		if err != nil {
 			return 0, err
 		}
-		c.buf = body[:0]
+		c.buf = reuse(body[:0])
 		switch t {
 		case MsgEffect:
 			cur := &cursor{b: body}

@@ -1,6 +1,7 @@
 // Package server is the network tier: a length-prefixed binary protocol
 // over TCP fronting a Store or a replica follower, plus the replication source
-// that ships followers raw WAL frames with their effects, or images.
+// that ships followers the effect of each group — its raw batches and what
+// they did to the views — or an image of its snapshot.
 //
 // Every frame is "u32 length | u8 type | body" (length counts the type
 // byte and body, little-endian throughout). Every response body begins
@@ -489,11 +490,11 @@ func putNodes(b []byte, ids []graph.Node) {
 	}
 }
 
-// maxKeptBuffer bounds the buffer a connection keeps between requests for
-// the responses it encodes, and a Client for the batch requests it encodes
-// — the size of the connection's write buffer. An answer larger than that
-// is encoded into a buffer of its own, dropped once it is sent, so one
-// large answer does not stay alive for as long as its connection does.
+// maxKeptBuffer bounds every buffer a connection keeps between messages,
+// for the frames it reads and those it encodes, on either side, to the size
+// of its write buffer. A larger message gets a buffer of its own, dropped
+// once handled (a follower allocates one per image it reads), so one large
+// request or answer does not stay alive as long as its connection does.
 const maxKeptBuffer = 64 << 10
 
 // reuse empties b for the next message, or drops it when it is larger than

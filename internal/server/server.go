@@ -170,7 +170,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		buf = body[:0] // reuse; handleRequest never retains body
+		buf = reuse(body[:0]) // handleRequest never retains body
 		s.requests.Add(1)
 		if s.ob != nil {
 			s.ob.inflight.Add(1)

@@ -760,3 +760,55 @@ func TestHeldReadWakesOnSwap(t *testing.T) {
 		t.Fatalf("%d tail rounds still count as parked", held)
 	}
 }
+
+// TestIdleConnectionKeepsSmallBuffers sends one 1 048 576-pair
+// BatchReachable and then a Ping over one connection, and holds what the
+// idle connection pair keeps: the client's read and request buffers at
+// most maxKeptBuffer each, and the live heap of both sides at most four
+// such buffers above what it was after a first Ping. A connection that
+// kept its largest frame held the 8 MiB request on the server and the
+// 1 MiB answer in the client until it closed.
+func TestIdleConnectionKeepsSmallBuffers(t *testing.T) {
+	g := testGraph(1)
+	_, srv := startStoreServer(t, g, Options{})
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	if _, err := cli.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	before := live()
+	const pairs = 1 << 20
+	us, vs := make([]graph.Node, pairs), make([]graph.Node, pairs)
+	rng := rand.New(rand.NewSource(3))
+	for i := range us {
+		us[i], vs[i] = graph.Node(rng.Intn(g.NumNodes())), graph.Node(rng.Intn(g.NumNodes()))
+	}
+	got, _, err := cli.BatchReachable(us, vs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != pairs {
+		t.Fatalf("%d answers to %d pairs", len(got), pairs)
+	}
+	us, vs, got = nil, nil, nil
+	if _, err := cli.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	grown := live() - before
+	t.Logf("the idle connection pair holds %d B more than before the batch", grown)
+	if cap(cli.buf) > maxKeptBuffer || cap(cli.out) > maxKeptBuffer {
+		t.Errorf("the client keeps a %d B read buffer and a %d B request buffer, want at most %d each", cap(cli.buf), cap(cli.out), maxKeptBuffer)
+	}
+	if grown > 4*maxKeptBuffer {
+		t.Errorf("the idle connection pair holds %d B more than before the batch, want at most %d", grown, 4*maxKeptBuffer)
+	}
+}

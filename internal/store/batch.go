@@ -85,7 +85,7 @@ func (sn *Snapshot) BatchReachable(bs *queries.BatchScratch, us, vs []graph.Node
 		if timed {
 			leafStart = time.Now()
 		}
-		hl, hp := queries.BatchReachableTopoHub(gr, bs, sn.hubFor(), ru[:nl], rv[:nl], lout[:nl])
+		hl, hp := queries.BatchReachableTopoHub(gr, bs, sn.hub.get(gr, sn.swept.Load()), ru[:nl], rv[:nl], lout[:nl])
 		if timed {
 			sn.leafHist.Observe(time.Since(leafStart))
 		}
@@ -260,9 +260,9 @@ func (sn *ShardedSnapshot) batchWave(brs *BatchRouteScratch, us, vs []graph.Node
 		}
 		// The hub-pruned sweep, as on the unsharded path: each shard's
 		// quotient lazily memoizes its high-fanout reach-sets once the
-		// snapshot has swept enough lanes (hubForShard), and the sweep
+		// snapshot has swept enough lanes (hubSlot), and the sweep
 		// answers cached-hub lanes O(1) and prunes subtrees at hub rows.
-		hl, hp := queries.BatchReachableTopoHub(sh.Reach.Gr, brs.local, sn.hubForShard(s), ru[:nl], rv[:nl], lout[:nl])
+		hl, hp := queries.BatchReachableTopoHub(sh.Reach.Gr, brs.local, sn.hubs[s].get(sh.Reach.Gr, sn.swept.Load()), ru[:nl], rv[:nl], lout[:nl])
 		if hl > 0 {
 			sn.bstats.hubLanes.Add(uint64(hl))
 		}

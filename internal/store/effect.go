@@ -1,16 +1,17 @@
 // Effects: what a follower applies instead of re-running maintenance.
 //
 // At publish, a store somebody tails records the effect of the group it
-// just swapped in: the group's raw batches, how the pattern view's node →
-// block map moved with a 64-bit digest of the quotient rows incPCM's patch
-// rebuilt, and — when the reach view moved — an old class → new class map
-// with the nodes that do not follow it, plus the new reach quotient. That
-// is O(|ΔG| + |moved|) and O(|Gr| + |AFF|), not O(|V|). The effects live in
-// a ring bounded by effectRingBytes, and a tail round ships them from there
-// alone (server.MsgEffect). A follower holding the views the effect starts
-// from patches G from the effect's batches, patches both views from the
-// rest, and publishes once: no dynscc, no incRCM, no incPCM, and no
-// maintainer state at all.
+// just swapped in: the group's raw batches and the maintainers' own diffs —
+// how incPCM moved the pattern view's node → block map, with a 64-bit
+// digest of the quotient rows its patch rebuilt, and, when incRCM rebuilt
+// the reach view, its old class → new class map with the nodes that do not
+// follow it, plus the new reach quotient. That is O(|ΔG| + |moved|) and
+// O(|Gr| + |AFF|), not O(|V|). The effects live in a ring bounded by
+// effectRingBytes, and a tail round ships them from there alone
+// (server.MsgEffect). A follower holding the views the effect starts from
+// patches G from the effect's batches, patches both views from the rest,
+// and publishes once: no dynscc, no incRCM, no incPCM, and no maintainer
+// state at all.
 //
 // Diffs are only valid against the exact layout they were taken from, so
 // every snapshot carries a lineage: a random id drawn by each full view
@@ -34,12 +35,13 @@
 // runs the moves through that patch (incbisim.Patch), which checks them and
 // rebuilds every row the change reaches off its own G. Those rows must
 // digest to the shipped digest: as strong as shipping them, but for a 2⁻⁶⁴
-// collision. A diff in an older layout — one that shipped the rows, or one
-// that shipped the batches beside it as WAL frames — is refused, and the
-// follower takes an image. A diff never goes to disk: the follower logs its
-// batches to its own WAL, which stays the one record of a group, an image
-// is installed as the checkpoint it is, and a store that restarts draws a
-// new lineage.
+// collision. The reach map goes through incRCM's (increach.Patch), which
+// refuses one that misses an old class or leaves a new class empty. A diff
+// in an older layout — one that shipped the rows, or one that shipped the
+// batches beside it as WAL frames — is refused, and the follower takes an
+// image. A diff never goes to disk: the follower logs its batches to its
+// own WAL, which stays the one record of a group, an image is installed as
+// the checkpoint it is, and a store that restarts draws a new lineage.
 package store
 
 import (
@@ -56,7 +58,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/incbisim"
-	"repro/internal/reach"
+	"repro/internal/increach"
 	"repro/internal/snapfile"
 )
 
@@ -246,41 +248,19 @@ func (s *Store) Effects(lineage, epoch uint64) []Effect {
 }
 
 // recordEffect files the effect of the group publish is about to install,
-// old → sn, in the ring; batches are the group's, diff is how incPCM made
-// sn's pattern view, and lists no move and no row unless it patched it.
-// Writer goroutine, before sn is installed: a tail round that finds sn
-// published finds its effect there.
-func (s *Store) recordEffect(old, sn *Snapshot, batches [][]graph.Update, reachMoved bool, diff *incbisim.Diff) {
+// old → sn, in the ring; batches are the group's, rd and pd are how incRCM
+// and incPCM made sn's views. A reach diff — incRCM's own, taken as it made
+// the view — goes with a rebuilt reach view only; pd lists no move and no
+// row unless incPCM patched its view. Writer goroutine, before sn is
+// installed: a tail round that finds sn published finds its effect there.
+func (s *Store) recordEffect(old, sn *Snapshot, batches [][]graph.Update, rd *increach.Diff, pd *incbisim.Diff) {
 	d := &snapfile.DiffParts{Epoch: sn.Epoch, Base: old.Epoch, Nodes: s.nodes, Batches: batches, Blocks: sn.Pattern.Gr.NumNodes(),
-		Moved: diff.Moved, To: diff.To, Digest: diff.Rows.Digest()}
-	if reachMoved {
-		rv := sn.Reach
-		d.Reach = &snapfile.ReachDiff{Gr: rv.Gr, Cyclic: rv.Compressed.CyclicClass}
-		d.Reach.ClassMap, d.Reach.ExNode, d.Reach.ExClass = reachMap(old.Reach.Compressed, rv.Compressed.ClassMap())
+		Moved: pd.Moved, To: pd.To, Digest: pd.Rows.Digest()}
+	if rd.How == increach.Rebuilt {
+		d.Reach = &snapfile.ReachDiff{ClassMap: rd.ClassMap, ExNode: rd.ExNode, ExClass: rd.ExClass,
+			Gr: sn.Reach.Gr, Cyclic: sn.Reach.Compressed.CyclicClass}
 	}
 	s.ring.push(ringEntry{lineage: sn.Lineage, base: d.Base, epoch: d.Epoch, b: encodeDiff(sn.Lineage, d)})
-}
-
-// reachMap derives a diff's reach map from the old compression and the new
-// node → class map in one pass over V: each old class maps to the new class
-// of the first node met in it, its smallest member, and the nodes that do
-// not follow their class are the exceptions, ascending. It reads no member
-// lists, so recording an effect never builds them.
-func reachMap(old *reach.Compressed, newOf []graph.Node) (classMap, exNode, exClass []graph.Node) {
-	classMap = make([]graph.Node, old.NumClasses())
-	for c := range classMap {
-		classMap[c] = -1
-	}
-	for v, c := range old.ClassMap() {
-		switch to := newOf[v]; {
-		case classMap[c] < 0:
-			classMap[c] = to
-		case to != classMap[c]:
-			exNode = append(exNode, graph.Node(v))
-			exClass = append(exClass, to)
-		}
-	}
-	return classMap, exNode, exClass
 }
 
 // ApplyEffect applies one shipped effect: a diff, which carries the raw
@@ -306,7 +286,9 @@ func (s *Store) ApplyEffect(effect []byte) (epoch uint64, image bool, err error)
 			o.err = fmt.Errorf("%w: %v", ErrEffect, err)
 		case ef.image != nil:
 			image = true
-			o.epoch, o.err = s.applyImage(ef)
+			if o.err = s.installImage(ef); o.err == nil {
+				o.epoch = ef.image.Epoch
+			}
 		default:
 			o.epoch, o.err = s.applyEffect(ef, effect)
 		}
@@ -317,17 +299,6 @@ func (s *Store) ApplyEffect(effect []byte) (epoch uint64, image bool, err error)
 		return o
 	})
 	return out.epoch, image, out.err
-}
-
-// applyImage is ApplyEffect's image half, on the writer goroutine.
-func (s *Store) applyImage(img *effect) (uint64, error) {
-	if n := img.image.G.NumNodes(); n != s.nodes {
-		return 0, fmt.Errorf("%w: image over %d nodes, store has %d", ErrEffect, n, s.nodes)
-	}
-	if err := s.installImage(img); err != nil {
-		return 0, err
-	}
-	return img.image.Epoch, nil
 }
 
 // applyEffect is ApplyEffect's diff half, on the writer goroutine; b is the
@@ -403,16 +374,19 @@ func (s *Store) effectSnapshot(old *Snapshot, ef *effect) (*Snapshot, error) {
 	if g == old.G {
 		sn.gord.Store(old.gord.Load())
 	}
-	var err error
-	if d.Reach != nil {
-		if sn.Reach, err = s.reachView(old.Reach.Compressed, d.Reach); err != nil {
+	if rd := d.Reach; rd != nil {
+		prev := increach.View{Gr: old.Reach.Gr, Compressed: old.Reach.Compressed}
+		rv, err := increach.Patch(prev, rd.ClassMap, rd.ExNode, rd.ExClass, rd.Gr, rd.Cyclic)
+		if err != nil {
 			return nil, err
 		}
+		sn.Reach = newReachView(rv, s.cfg.Indexes, s.ob)
 	}
 	// The shipped moves go through incPCM's own patch, which checks them
 	// and rebuilds every row the change reaches; those must digest to the
 	// shipped digest.
 	var rows *incbisim.Rows
+	var err error
 	if sn.Pattern, rows, err = incbisim.Patch(&s.es, g, old.Pattern, d.Moved, d.To, d.Blocks, srcs); err != nil {
 		return nil, err
 	}
@@ -420,31 +394,4 @@ func (s *Store) effectSnapshot(old *Snapshot, ef *effect) (*Snapshot, error) {
 		return nil, fmt.Errorf("the %d quotient rows the change reaches digest to %#x, the diff names %#x", len(rows.IDs), got, d.Digest)
 	}
 	return sn, nil
-}
-
-// reachView assembles the reach view a diff's reach part makes of old:
-// each node follows its old class through the class map unless it is an
-// exception, and no class of the shipped quotient may be left empty.
-func (s *Store) reachView(old *reach.Compressed, rd *snapfile.ReachDiff) (ReachView, error) {
-	if len(rd.ClassMap) != old.NumClasses() {
-		return ReachView{}, fmt.Errorf("reach map over %d classes, store has %d", len(rd.ClassMap), old.NumClasses())
-	}
-	classOf := make([]graph.Node, s.nodes)
-	for v, c := range old.ClassMap() {
-		classOf[v] = rd.ClassMap[c]
-	}
-	for i, v := range rd.ExNode {
-		classOf[v] = rd.ExClass[i]
-	}
-	seen, left := make([]bool, rd.Gr.NumNodes()), rd.Gr.NumNodes()
-	for _, c := range classOf {
-		if !seen[c] {
-			seen[c] = true
-			left--
-		}
-	}
-	if left > 0 {
-		return ReachView{}, fmt.Errorf("reach class %d is empty", slices.Index(seen, false))
-	}
-	return ReachView{Gr: rd.Gr, Compressed: reach.AssembleCompressed(nil, classOf, rd.Cyclic), hop: newHopCell(s.cfg.Indexes, s.ob)}, nil
 }

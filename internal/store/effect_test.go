@@ -60,7 +60,8 @@ func reachMembers(c *reach.Compressed) [][]graph.Node {
 // membersReachMap derives a diff's reach map from the old compression's
 // member lists: each old class maps to the new class of its smallest
 // member, and the nodes that do not follow their class are the exceptions.
-// It is the reference for reachMap, which needs no member lists.
+// It is the reference for incRCM's own diff (increach.Maintainer.View),
+// which needs no member lists.
 func membersReachMap(old, cur *reach.Compressed) (classMap, exNode, exClass []graph.Node) {
 	newOf := cur.ClassMap()
 	classMap = make([]graph.Node, old.NumClasses())

@@ -11,6 +11,7 @@ package store
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -131,21 +132,30 @@ func buildHubCache(gr *graph.CSR) *hubCache {
 	return h
 }
 
-// hubFor returns the snapshot's hub cache for the batch sweep, building it
-// at most once after the amortization gate opens. Before the gate (or on a
-// quotient too small to profit) it returns nil and the sweep runs plain.
-func (sn *Snapshot) hubFor() queries.HubDesc {
-	if h := sn.hub.Load(); h != nil {
+// hubSlot is one reach quotient's lazy hub-cache cell on a snapshot. A
+// fresh snapshot starts with empty slots, so a cached hub reach-set never
+// outlives its epoch.
+type hubSlot struct {
+	once sync.Once
+	hub  atomic.Pointer[hubCache]
+}
+
+// get returns the hub cache over gr for the batch sweep, building it at
+// most once after the amortization gate opens, swept being the lanes the
+// snapshot has swept. Before the gate (or on a quotient too small to
+// profit) it returns nil and the sweep runs plain.
+func (c *hubSlot) get(gr *graph.CSR, swept uint64) queries.HubDesc {
+	if h := c.hub.Load(); h != nil {
 		if len(h.rows) == 0 {
 			return nil
 		}
 		return h
 	}
-	if sn.Reach.Gr.NumNodes() < hubCacheMinNodes || sn.swept.Load() < hubCacheBuildLanes {
+	if gr.NumNodes() < hubCacheMinNodes || swept < hubCacheBuildLanes {
 		return nil
 	}
-	sn.hubOnce.Do(func() { sn.hub.Store(buildHubCache(sn.Reach.Gr)) })
-	if h := sn.hub.Load(); h != nil && len(h.rows) > 0 {
+	c.once.Do(func() { c.hub.Store(buildHubCache(gr)) })
+	if h := c.hub.Load(); h != nil && len(h.rows) > 0 {
 		return h
 	}
 	return nil

@@ -56,10 +56,14 @@ func OpenImage(b []byte, opts *Options) (*Store, error) {
 
 // installImage makes img the store's whole state, the directory's first,
 // with no maintainer and no effect of the replaced history. Its epoch may
-// be below the current one: a survivor that got ahead of a new leader.
-// Writer goroutine, or an open before the writer has work.
+// be below the current one: a survivor that got ahead of a new leader. An
+// image over another node count is ErrEffect. Writer goroutine, or an open
+// before the writer has work.
 func (s *Store) installImage(img *effect) error {
 	p := img.image
+	if n := p.G.NumNodes(); n != s.nodes {
+		return fmt.Errorf("%w: image over %d nodes, store has %d", ErrEffect, n, s.nodes)
+	}
 	sn := s.snapshotOf(p, img.lineage)
 	swap := func() {
 		s.m = nil

@@ -155,6 +155,17 @@ func newStoreObs(r *obs.Registry) *storeObs {
 	return so
 }
 
+// newPair takes ownership of g and builds both maintainers over it, the
+// write-side state of a store or a shard, feeding so's meter when set.
+func (so *storeObs) newPair(g *graph.Graph) *maintain.Pair {
+	m := maintain.New(g)
+	if so != nil {
+		m.Meter = &so.meter
+		so.meter.PatternLevels.Set(int64(m.Pattern.Levels()))
+	}
+	return m
+}
+
 // notePublish records one publish begun at start: its latency and the
 // epoch-age anchor.
 func (so *storeObs) notePublish(start time.Time) {

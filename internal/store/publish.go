@@ -16,8 +16,9 @@
 //     member's successors and appended to the quotient's shared arena the
 //     same way. incPCM builds a view in full only at a maintainer's first
 //     view and patches every later one.
-//   - The reach view, when incRCM's compression moved, is its
-//     topologically numbered View, built in one pass over V.
+//   - The reach view is incRCM's own (increach.Maintainer.View): the
+//     previous one when no regroup moved the compression, otherwise its
+//     topologically numbered Gr with one pass over V for the class map.
 //   - The reach 2-hop index is a once-cell on the view (hopCell): the first
 //     reader that wants it builds it, the writer never does.
 //
@@ -33,6 +34,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hop2"
+	"repro/internal/increach"
 	"repro/internal/obs"
 )
 
@@ -45,17 +47,17 @@ type hopCell struct {
 	hist *obs.Histogram // qpgc_store_publish_seconds{stage="index"}; nil when metrics are off
 }
 
-// newHopCell returns the cell of a freshly built reach view, nil when the
-// store runs without indexes.
-func newHopCell(indexes bool, so *storeObs) *hopCell {
-	if !indexes {
-		return nil
+// newReachView returns the read path of a reach view new to the store,
+// with an empty 2-hop cell unless the store runs without indexes.
+func newReachView(v increach.View, indexes bool, so *storeObs) ReachView {
+	rv := ReachView{Gr: v.Gr, Compressed: v.Compressed}
+	if indexes {
+		rv.hop = &hopCell{}
+		if so != nil {
+			rv.hop.hist = so.pubIndex
+		}
 	}
-	c := &hopCell{}
-	if so != nil {
-		c.hist = so.pubIndex
-	}
-	return c
+	return rv
 }
 
 func (c *hopCell) get(gr *graph.CSR) *hop2.Index {

@@ -388,7 +388,7 @@ func publishCost(tb testing.TB, factor, epochs int, retain bool) (ns, full, allo
 		s.apply(uint64(e), b)
 		old := s.Snapshot()
 		if e%4 == 0 {
-			s.setMaintainers(s.m.Graph()) // new maintainers: the next publish builds in full
+			s.m = s.ob.newPair(s.m.Graph()) // new maintainers: the next publish builds in full
 		}
 		if retain {
 			runtime.GC()

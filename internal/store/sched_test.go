@@ -246,7 +246,7 @@ func TestHubCacheEpochInvariant(t *testing.T) {
 	}
 	us, vs := randomPairs(rng, 3000, 600)
 	got := s.BatchReachable(us, vs) // 600 lanes > hubCacheBuildLanes: gate opens
-	h := sn.hub.Load()
+	h := sn.hub.hub.Load()
 	if h == nil || len(h.rows) == 0 {
 		t.Fatal("hub cache not built despite an amortizing lane volume on a large quotient")
 	}
@@ -262,7 +262,7 @@ func TestHubCacheEpochInvariant(t *testing.T) {
 	if sn2 == sn {
 		t.Fatal("epoch swap did not publish a fresh snapshot")
 	}
-	if sn2.hub.Load() != nil {
+	if sn2.hub.hub.Load() != nil {
 		t.Fatal("fresh snapshot inherited a hub cache from the previous epoch")
 	}
 	if sn2.swept.Load() != 0 {

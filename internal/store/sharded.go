@@ -46,7 +46,7 @@ import (
 	"repro/internal/bisim"
 	"repro/internal/faultfs"
 	"repro/internal/graph"
-	"repro/internal/maintain"
+	"repro/internal/increach"
 	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/pattern"
@@ -79,26 +79,6 @@ type ShardedOptions struct {
 	CheckpointBytes int64
 	// FS is the filesystem the durable layer runs on, as in Options.FS.
 	FS faultfs.FS
-	// The self-healing fields apply to the coordinator's write path: the
-	// sharded store logs the global update stream through one WAL, so
-	// health is a whole-store property, not per shard.
-
-	// WriteRetries is how many times a failed WAL append group is retried
-	// in place (with capped exponential backoff) before the write path
-	// degrades. 0 means the default (4); negative disables retries.
-	WriteRetries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt up to a cap. 0 means the default (5ms).
-	RetryBackoff time.Duration
-	// RecoveryInterval is how often a degraded store re-probes its
-	// directory to re-arm the write path. 0 means the default (250ms);
-	// negative disables background recovery.
-	RecoveryInterval time.Duration
-	// ScrubInterval enables the background integrity scrubber at this
-	// cadence; 0 (the default) disables it. ScrubNow works either way.
-	ScrubInterval time.Duration
-	// WALSegmentBytes is the WAL segment rotation threshold, as in Options.
-	WALSegmentBytes int64
 	// Obs, when non-nil, receives the store's metrics, as in Options.Obs;
 	// the sharded store additionally exposes per-shard batch latency
 	// (qpgc_shard_batch_seconds{shard="k"}), the input a self-tuning
@@ -116,11 +96,6 @@ func (o ShardedOptions) durableCfg() Options {
 		CheckpointBatches: o.CheckpointBatches,
 		CheckpointBytes:   o.CheckpointBytes,
 		FS:                o.FS,
-		WriteRetries:      o.WriteRetries,
-		RetryBackoff:      o.RetryBackoff,
-		RecoveryInterval:  o.RecoveryInterval,
-		ScrubInterval:     o.ScrubInterval,
-		WALSegmentBytes:   o.WALSegmentBytes,
 		Obs:               o.Obs,
 	}
 }
@@ -167,7 +142,7 @@ type ShardedSnapshot struct {
 	// hubs holds one lazy hub reach-set cache per shard quotient, gated and
 	// invalidated exactly like Snapshot.hub (hubcache.go): a write publishes
 	// a new snapshot with empty slots.
-	hubs []shardHubSlot
+	hubs []hubSlot
 	// leafHist/sumHist, when non-nil, time each wave's local leaf phase and
 	// cross-shard summary hop (qpgc_query_stage_seconds); copied from the
 	// store's instruments at publish. so shares the sampling clock: only 1
@@ -175,35 +150,6 @@ type ShardedSnapshot struct {
 	leafHist *obs.Histogram
 	sumHist  *obs.Histogram
 	so       *storeObs
-}
-
-// shardHubSlot is one shard's lazy hub-cache cell on a ShardedSnapshot.
-type shardHubSlot struct {
-	once sync.Once
-	hub  atomic.Pointer[hubCache]
-}
-
-// hubForShard returns shard s's hub cache for the batch sweep, building it
-// at most once per (snapshot, shard) after the amortization gate opens —
-// the sharded mirror of Snapshot.hubFor, gated on the snapshot-wide lane
-// count and the shard quotient's size.
-func (sn *ShardedSnapshot) hubForShard(s int) queries.HubDesc {
-	slot := &sn.hubs[s]
-	if h := slot.hub.Load(); h != nil {
-		if len(h.rows) == 0 {
-			return nil
-		}
-		return h
-	}
-	gr := sn.Shards[s].Reach.Gr
-	if gr.NumNodes() < hubCacheMinNodes || sn.swept.Load() < hubCacheBuildLanes {
-		return nil
-	}
-	slot.once.Do(func() { slot.hub.Store(buildHubCache(gr)) })
-	if h := slot.hub.Load(); h != nil && len(h.rows) > 0 {
-		return h
-	}
-	return nil
 }
 
 // RouteScratch is reusable traversal state for queries against a
@@ -427,14 +373,8 @@ type ShardedStats struct {
 	// Nodes and Edges describe the composite G at the latest snapshot
 	// (local edges of all shards plus cross-shard edges).
 	Nodes, Edges int
-	// CrossEdges and Boundary describe the cut: cross-shard edges and
-	// boundary nodes.
-	CrossEdges, Boundary int
-	// SummaryEdges counts edges of the boundary summary graph.
-	SummaryEdges int
-	// ReachClasses sums the per-shard reachability quotient sizes;
-	// StitchClasses counts the stitched pattern quotient's blocks.
-	ReachClasses, StitchClasses int
+	// CrossEdges counts the cut: the cross-shard edges.
+	CrossEdges int
 }
 
 // shardCmd asks a shard writer to apply a local sub-batch (possibly empty)
@@ -448,11 +388,9 @@ type shardCmd struct {
 // shardEpochView is one shard's contribution to a publish, filled in by
 // the shard writer.
 type shardEpochView struct {
-	g    *graph.CSR
-	rGr  *graph.CSR
-	rc   *reach.Compressed
-	hop  *hopCell
-	part *bisim.Partition
+	g     *graph.CSR
+	reach ReachView
+	part  *bisim.Partition
 }
 
 // shardWorker owns one shard's incremental maintainers; only its writer
@@ -468,14 +406,9 @@ type shardWorker struct {
 
 func (w *shardWorker) run() {
 	defer close(w.done)
-	m := maintain.New(w.local)
-	if w.ob != nil {
-		m.Meter = &w.ob.meter
-		w.ob.meter.PatternLevels.Set(int64(m.Pattern.Levels()))
-	}
+	m := w.ob.newPair(w.local)
 	w.local = nil
 	var cached shardEpochView
-	reachGen := uint64(noGen)
 	for cmd := range w.reqs {
 		if len(cmd.batch) > 0 || cached.g == nil {
 			var start time.Time
@@ -491,14 +424,12 @@ func (w *shardWorker) run() {
 			cached.g = m.Graph().Freeze()
 			clk.lap(pubFreeze)
 			// The reach view — and with it the shard's 2-hop cell — is
-			// rebuilt only when the shard's compression moved. incRCM
-			// numbers the quotient topologically in the class mapping
-			// itself, so the routed read path and the boundary summary
-			// build see one consistent id space.
-			if gen := m.Reach.Generation(); gen != reachGen {
-				cached.rc, cached.rGr = m.Reach.View()
-				cached.hop = newHopCell(w.indexes, w.ob)
-				reachGen = gen
+			// new only when the shard's compression moved. incRCM numbers
+			// the quotient topologically in the class mapping itself, so
+			// the routed read path and the boundary summary build see one
+			// consistent id space.
+			if rv, d := m.Reach.View(false); d.How != increach.Kept {
+				cached.reach = newReachView(rv, w.indexes, w.ob)
 			}
 			clk.lap(pubReach)
 			cached.part = m.Pattern.Partition()
@@ -833,8 +764,8 @@ func (s *ShardedStore) load(fsys faultfs.FS, path string) (uint64, func(tail [][
 	shards := make([]ShardView, k)
 	for i := 0; i < k; i++ {
 		sp := &parts.Shards[i]
-		rc := reach.AssembleCompressed(nil, sp.ReachClassOf, sp.ReachCyclic)
-		shards[i] = s.shardView(i, sp.G, ReachView{Gr: sp.ReachGr, Compressed: rc, hop: newHopCell(s.cfg.Indexes, s.ob)}, parts.Summary)
+		rv := newReachView(increach.Assemble(sp.ReachGr, sp.ReachClassOf, sp.ReachCyclic), s.cfg.Indexes, s.ob)
+		shards[i] = s.shardView(i, sp.G, rv, parts.Summary)
 	}
 	s.install(&ShardedSnapshot{
 		Epoch:    parts.Epoch,
@@ -867,7 +798,7 @@ func (s *ShardedStore) publish(epoch uint64) {
 	locals := make([]*graph.CSR, k)
 	parts := make([]*bisim.Partition, k)
 	for i, v := range s.views {
-		rcs[i], grs[i], locals[i], parts[i] = v.rc, v.rGr, v.g, v.part
+		rcs[i], grs[i], locals[i], parts[i] = v.reach.Compressed, v.reach.Gr, v.g, v.part
 	}
 	summary := part.BuildSummary(s.boundary, s.crossOut, s.shardBoundary, s.p.LocalID, rcs, grs)
 	clk.lap(pubReach)
@@ -876,7 +807,7 @@ func (s *ShardedStore) publish(epoch uint64) {
 
 	shards := make([]ShardView, k)
 	for i, v := range s.views {
-		shards[i] = s.shardView(i, v.g, ReachView{Gr: v.rGr, Compressed: v.rc, hop: v.hop}, summary)
+		shards[i] = s.shardView(i, v.g, v.reach, summary)
 	}
 	s.install(&ShardedSnapshot{Epoch: epoch, Shards: shards, Summary: summary, Stitched: stitched})
 	clk.lap(pubSwap)
@@ -922,7 +853,7 @@ func (s *ShardedStore) install(sn *ShardedSnapshot) {
 	for i := range sn.Shards {
 		sn.edges += sn.Shards[i].G.NumEdges()
 	}
-	sn.hubs = make([]shardHubSlot, s.shards)
+	sn.hubs = make([]hubSlot, s.shards)
 	sn.bstats = &s.bstats
 	if s.ob != nil {
 		sn.leafHist = s.ob.leaf
@@ -959,21 +890,14 @@ func (s *ShardedStore) Match(p *pattern.Pattern) *pattern.Result {
 // Stats summarizes the store at the current snapshot.
 func (s *ShardedStore) Stats() ShardedStats {
 	sn := s.Snapshot()
-	st := ShardedStats{
-		Epoch:         sn.Epoch,
-		Batches:       s.batches.Load(),
-		Updates:       s.updates.Load(),
-		Reads:         s.reads.Load(),
-		Shards:        s.shards,
-		Nodes:         s.nodes,
-		Edges:         sn.edges,
-		CrossEdges:    sn.crossEdges,
-		Boundary:      sn.Summary.NumBoundary(),
-		SummaryEdges:  sn.Summary.S.NumEdges(),
-		StitchClasses: sn.Stitched.NumBlocks(),
+	return ShardedStats{
+		Epoch:      sn.Epoch,
+		Batches:    s.batches.Load(),
+		Updates:    s.updates.Load(),
+		Reads:      s.reads.Load(),
+		Shards:     s.shards,
+		Nodes:      s.nodes,
+		Edges:      sn.edges,
+		CrossEdges: sn.crossEdges,
 	}
-	for i := range sn.Shards {
-		st.ReachClasses += sn.Shards[i].Reach.Gr.NumNodes()
-	}
-	return st
 }

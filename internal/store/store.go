@@ -211,10 +211,9 @@ type Snapshot struct {
 	// cache, so a cached hub reach-set never outlives its epoch (see
 	// hubcache.go). bstats is the store's lifetime counters. All of it is
 	// metadata only — no query-visible state ever changes after publication.
-	bstats  *batchCounters
-	swept   atomic.Uint64 // lanes this snapshot has swept, counted up to the hub-cache gate
-	hubOnce sync.Once
-	hub     atomic.Pointer[hubCache]
+	bstats *batchCounters
+	swept  atomic.Uint64 // lanes this snapshot has swept, counted up to the hub-cache gate
+	hub    hubSlot
 	// file is the snapshot's snapfile image, encoded by the first
 	// checkpoint or shipped image that asks for it (encoded) and shared by
 	// the rest: a store that checkpoints its epoch 0 and ships it to a
@@ -318,17 +317,10 @@ type Store struct {
 	// m owns the authoritative write-side state: the graph and both
 	// incremental maintainers over it. It is nil in a store recovered from
 	// a snapshot until the first write forces materialize — the lazy path
-	// that makes a warm restart O(read) instead of O(recompress).
-	// reachGen is the reach maintainer's generation the current snapshot's
-	// reach view was built at (noGen when it came from a file); the pattern
-	// maintainer tells by itself whether its view moved. full makes the next
-	// publish build every view from scratch and draw a new lineage — set
-	// whenever m is new, so nothing of the previous snapshot describes it,
-	// and only then. Only the writer
-	// goroutine (or Open, before it starts) touches these.
-	m        *maintain.Pair
-	reachGen uint64
-	full     bool
+	// that makes a warm restart O(read) instead of O(recompress). Each
+	// maintainer makes its own views and says how (publish); only the
+	// writer goroutine (or Open, before it starts) touches m.
+	m *maintain.Pair
 	// ring holds the effects of the latest groups for the followers tailing
 	// this store, es is the scratch of applying shipped ones (effect.go).
 	// group holds the batches of the group being applied while the ring
@@ -367,7 +359,7 @@ func Open(g *graph.Graph, opts *Options) (*Store, error) {
 			return s.reopen(s.load)
 		}
 		s.nodes = g.NumNodes()
-		s.setMaintainers(g)
+		s.m = s.ob.newPair(g)
 		s.advance(0)
 		return s.create()
 	})
@@ -391,21 +383,6 @@ func start(o Options, open func(s *Store) error) (*Store, error) {
 	return s, nil
 }
 
-// noGen is a maintainer generation no maintainer reports: views tagged with
-// it are always rebuilt by the next publish.
-const noGen = ^uint64(0)
-
-// setMaintainers takes ownership of g and compresses it under both schemes
-// as the store's write-side state.
-func (s *Store) setMaintainers(g *graph.Graph) {
-	s.m = maintain.New(g)
-	s.reachGen, s.full = noGen, true
-	if s.ob != nil {
-		s.m.Meter = &s.ob.meter
-		s.ob.meter.PatternLevels.Set(int64(s.m.Pattern.Levels()))
-	}
-}
-
 // materialize builds the incremental maintainers of a store recovered from
 // a snapshot, over its graph, with tail folded in: the first write pays
 // the one-time compression cost that the warm restart skipped.
@@ -422,7 +399,7 @@ func (s *Store) build(c *graph.CSR, tail [][]graph.Update) {
 	for _, batch := range tail {
 		g.Apply(batch)
 	}
-	s.setMaintainers(g)
+	s.m = s.ob.newPair(g)
 }
 
 func (s *Store) apply(epoch uint64, batch []graph.Update) ApplyResult {
@@ -437,17 +414,16 @@ func (s *Store) apply(epoch uint64, batch []graph.Update) ApplyResult {
 func (s *Store) stop() {}
 
 // publish builds epoch's snapshot and swaps it in: G frozen off the
-// maintained graph, and the views from the maintainers alone when they are
-// new (open, materialize), otherwise from the previous snapshot patched by
-// what the group changed (publish.go). New maintainers draw a new lineage;
-// otherwise, while somebody tails the store, the group's effect goes to the
-// ring (effect.go). Called from Open and then only from the writer
-// goroutine.
+// maintained graph, and each view its maintainer's own — built in full when
+// the maintainers are new (open, materialize, promotion), otherwise the
+// previous one carried over or remade from what the group changed
+// (publish.go). Views that come back built draw a new lineage; otherwise,
+// while somebody tails the store, the group's effect goes to the ring
+// (effect.go). Called from Open and then only from the writer goroutine.
 func (s *Store) publish(epoch uint64) {
 	clk := s.ob.startPublish()
 	old := s.snap.Load()
 	sn := &Snapshot{Epoch: epoch}
-	reachMoved := false
 
 	sn.G = s.m.Graph().Freeze()
 	if old != nil && sn.G == old.G { // nothing effective: the same G, and its reordered view if one was made
@@ -455,46 +431,38 @@ func (s *Store) publish(epoch uint64) {
 	}
 	clk.lap(pubFreeze)
 
-	// A view is rebuilt only when its maintainer's compression moved since
-	// the previous snapshot; an epoch whose updates were all redundant for
-	// a scheme carries that scheme's view — class index, Gr, 2-hop cell —
-	// over untouched. When rebuilt, the view is incRCM's Gr as it stands,
-	// topologically numbered by the quotient kernel, with one pass over V
-	// for the class map; G's reordered traversal view is materialized
-	// lazily by GOrd, off the write path.
-	if gen := s.m.Reach.Generation(); gen == s.reachGen {
+	// incRCM diffs its view only for a group the ring records, and the ring
+	// records no group it started recording partway through: a follower
+	// such a group leaves unchained is sent an image. A kept view carries
+	// over whole — class index, Gr, 2-hop cell.
+	record := old != nil && s.ring.on.Load() && uint64(len(s.group)) == epoch-old.Epoch
+	rv, rd := s.m.Reach.View(record)
+	if rd.How == increach.Kept {
 		sn.Reach = old.Reach
 	} else {
-		rc, rGr := s.m.Reach.View()
-		sn.Reach = ReachView{Gr: rGr, Compressed: rc, hop: newHopCell(s.cfg.Indexes, s.ob)}
-		s.reachGen, reachMoved = gen, true
+		sn.Reach = newReachView(rv, s.cfg.Indexes, s.ob)
 	}
 	clk.lap(pubReach)
-
-	// The pattern view is incPCM's own: a new maintainer's first is a full
-	// build, every later one is patched from its change log, which this
-	// empties, or is the previous when nothing effective was absorbed.
-	var diff *incbisim.Diff
-	sn.Pattern, diff = s.m.Pattern.View()
-	if diff.How == incbisim.Patched {
-		s.ob.notePatched(len(diff.Rows.IDs))
+	var pd *incbisim.Diff
+	sn.Pattern, pd = s.m.Pattern.View()
+	if pd.How == incbisim.Patched {
+		s.ob.notePatched(len(pd.Rows.IDs))
 	}
 	clk.lap(pubPattern)
 
-	if s.full {
+	// The effect goes to the ring before the swap: a tail round that finds
+	// sn published finds its effect too, and does not take sn as a ring
+	// miss.
+	if rd.How == increach.Built || pd.How == incbisim.Built {
 		sn.Lineage = newLineage()
 	} else {
 		sn.Lineage = old.Lineage
-	}
-	// The effect goes to the ring before the swap: a tail round that finds
-	// sn published finds its effect too, and does not take sn as a ring
-	// miss. A group the ring started recording partway through is not
-	// recorded: a follower it leaves unchained is sent an image.
-	if !s.full && s.ring.on.Load() && uint64(len(s.group)) == epoch-old.Epoch {
-		s.recordEffect(old, sn, s.group, reachMoved, diff)
+		if record {
+			s.recordEffect(old, sn, s.group, rd, pd)
+		}
 	}
 	s.install(sn)
-	s.group, s.full = nil, false
+	s.group = nil
 	s.ob.noteHeap(s.m)
 	clk.lap(pubSwap)
 	s.ob.notePublish(clk.start)
@@ -579,11 +547,7 @@ func (s *Store) snapshotOf(parts *snapfile.StoreParts, lineage uint64) *Snapshot
 		Epoch:   parts.Epoch,
 		Lineage: lineage,
 		G:       parts.G,
-		Reach: ReachView{
-			Gr:         parts.ReachGr,
-			Compressed: reach.AssembleCompressed(nil, parts.ReachClassOf, parts.ReachCyclic),
-			hop:        newHopCell(s.cfg.Indexes, s.ob),
-		},
+		Reach:   newReachView(increach.Assemble(parts.ReachGr, parts.ReachClassOf, parts.ReachCyclic), s.cfg.Indexes, s.ob),
 		Pattern: PatternView{
 			Gr:         parts.PatternGr,
 			Compressed: bisim.AssembleCompressed(nil, parts.PatternBlockOf, parts.PatternMembers),

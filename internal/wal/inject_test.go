@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -270,5 +271,63 @@ func TestQuarantineAndReset(t *testing.T) {
 	appendN(t, l2, 100, 102)
 	if got := collect(t, l2, 100); len(got) != 3 {
 		t.Fatalf("replay after Reset got %d records, want 3", len(got))
+	}
+}
+
+// TestQuarantineFromTakesLaterSegments holds the offline repair's rule on a
+// closed log: a corrupt middle segment is set aside with every segment
+// after it, and the earlier ones stay. The renames and the directory sync
+// go through the given FS: a rename fault cuts a pass short with the
+// corrupt segment still in place, so the next pass finds it again, and a
+// sync fault fails the pass that renamed everything.
+func TestQuarantineFromTakesLaterSegments(t *testing.T) {
+	dir := t.TempDir()
+	l := open(t, dir, 1, &Options{SegmentBytes: 128, Sync: SyncNone})
+	appendN(t, l, 1, 40)
+	l.Close()
+	segs, err := ListDir(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 4 {
+		t.Fatalf("only %d segments", len(segs))
+	}
+	victim := segs[1].Name
+	corrupt := []string{"snap-0000000000000001.qps", victim}
+	names := func() []string {
+		cur, err := ListDir(nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, s := range cur {
+			out = append(out, s.Name)
+		}
+		return out
+	}
+
+	in := faultfs.NewInject(nil, faultfs.Rule{Op: faultfs.OpRename, After: 1, Count: 1})
+	if _, err := QuarantineFrom(in, dir, corrupt); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("QuarantineFrom under a rename fault = %v, want the injected error", err)
+	}
+	if got := names(); !slices.Contains(got, victim) || len(got) != len(segs)-1 {
+		t.Fatalf("after a cut pass the log holds %v: want every segment but the newest", got)
+	}
+
+	in = faultfs.NewInject(nil, faultfs.Rule{Op: faultfs.OpSync})
+	if _, err := QuarantineFrom(in, dir, corrupt); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("QuarantineFrom under a sync fault = %v, want the injected error", err)
+	}
+	in.Disarm()
+	if got, err := QuarantineFrom(in, dir, corrupt); err != nil || got != nil {
+		t.Fatalf("a pass over the repaired log set aside %v (%v), want nothing", got, err)
+	}
+	if got := names(); !slices.Equal(got, []string{segs[0].Name}) {
+		t.Fatalf("the log holds %v, want only %s, the segment before the corrupt one", got, segs[0].Name)
+	}
+	for _, s := range segs[1:] {
+		if _, err := in.Stat(filepath.Join(dir, s.Name+".quarantine")); err != nil {
+			t.Errorf("%s was not preserved: %v", s.Name, err)
+		}
 	}
 }

@@ -43,6 +43,7 @@ import (
 	iofs "io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -511,6 +512,9 @@ func (l *Log) ActiveSegment() string {
 	return l.segs[len(l.segs)-1].name
 }
 
+// quarantineSuffix is appended to the name of a segment set aside.
+const quarantineSuffix = ".quarantine"
+
 // QuarantineSegment renames a corrupt sealed segment to name+".quarantine"
 // and drops it from the log, preserving the evidence while getting it out
 // of the replay path. The caller must immediately force a checkpoint past
@@ -530,13 +534,39 @@ func (l *Log) QuarantineSegment(name string) error {
 			return fmt.Errorf("wal: quarantine of active segment %s refused", name)
 		}
 		path := filepath.Join(l.dir, name)
-		if err := l.fs.Rename(path, path+".quarantine"); err != nil {
+		if err := l.fs.Rename(path, path+quarantineSuffix); err != nil {
 			return err
 		}
 		l.segs = append(l.segs[:i], l.segs[i+1:]...)
 		return faultfs.SyncDir(l.fs, l.dir)
 	}
 	return fmt.Errorf("wal: quarantine of unknown segment %s", name)
+}
+
+// QuarantineFrom renames, offline and through fsys, the first segment of
+// dir named in corrupt and every later one to name+".quarantine", then
+// syncs dir: replay cannot skip a hole, so a corrupt segment takes every
+// later one with it. Renames go newest first, so a pass cut short leaves
+// the corrupt segment for the next pass to find. It returns the segments
+// set aside, oldest first; names that are no segment of dir are ignored.
+func QuarantineFrom(fsys faultfs.FS, dir string, corrupt []string) ([]SegmentInfo, error) {
+	fsys = faultfs.Or(fsys)
+	segs, err := ListDir(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	first := slices.IndexFunc(segs, func(s SegmentInfo) bool { return slices.Contains(corrupt, s.Name) })
+	if first < 0 {
+		return nil, nil
+	}
+	segs = segs[first:]
+	for i := len(segs) - 1; i >= 0; i-- {
+		path := filepath.Join(dir, segs[i].Name)
+		if err := fsys.Rename(path, path+quarantineSuffix); err != nil {
+			return nil, err
+		}
+	}
+	return segs, faultfs.SyncDir(fsys, dir)
 }
 
 // Reset discards every segment and starts an empty log whose next record
