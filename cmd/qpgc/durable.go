@@ -116,8 +116,12 @@ func cmdRecover(args []string) {
 
 // cmdScrub verifies a durable directory's integrity. The default is an
 // offline walk: every snapshot and WAL segment is re-read and checked
-// against its stored CRC-32C sums without opening the store, reporting torn
-// tails (healable) separately from corrupt sealed state (data loss). With
+// against its stored CRC-32C sums without opening the store. A torn tail —
+// damage at the end of the newest segment with no intact record after it,
+// or a zeroed sector before the next one, all a crash can leave — is
+// healable and reported apart. Any other damage,
+// in a sealed segment or in the newest one ahead of intact records, is
+// corruption: acked batches are lost and the store refuses to open. With
 // -repair corrupt WAL segments are quarantined as *.quarantine — together
 // with every later segment, since replay must stop at the first hole — the
 // surviving prefix is recovered and folded into a fresh checkpoint, and the

@@ -88,8 +88,11 @@ type Client struct {
 }
 
 // Dial connects to a server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+func Dial(addr string) (*Client, error) { return dial(addr, 10*time.Second) }
+
+// dial connects to a server, giving up on the connection after timeout.
+func dial(addr string, timeout time.Duration) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}

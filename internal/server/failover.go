@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -209,13 +208,7 @@ func (f *FailoverClient) rediscoverLocked() error {
 	}
 	var lastErr error
 	for _, addr := range f.opts.Endpoints {
-		conn, err := net.DialTimeout("tcp", addr, f.opts.RequestTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		conn.Close()
-		cli, err := Dial(addr)
+		cli, err := dial(addr, f.opts.RequestTimeout)
 		if err != nil {
 			lastErr = err
 			continue

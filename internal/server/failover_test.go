@@ -4,7 +4,9 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,6 +175,96 @@ func TestFailoverClientSwitchesLeader(t *testing.T) {
 	if !info.Writable || info.Term != 2 {
 		t.Fatalf("stats after failover = %+v, want writable at term 2", info)
 	}
+}
+
+// countingProxy forwards every connection it accepts to a target address
+// and counts the accepts.
+type countingProxy struct {
+	addr    string
+	accepts atomic.Int64
+}
+
+func startCountingProxy(t *testing.T, target string) *countingProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	p := &countingProxy{addr: ln.Addr().String()}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.accepts.Add(1)
+			go func() {
+				defer c.Close()
+				up, err := net.Dial("tcp", target)
+				if err != nil {
+					return
+				}
+				go func() {
+					io.Copy(up, c)
+					up.Close()
+				}()
+				io.Copy(c, up)
+			}()
+		}
+	}()
+	return p
+}
+
+// TestRediscoveryDialsEachEndpointOnce counts the connections a
+// FailoverClient opens: each discovery, the first and the one a leader
+// change forces, connects once to every endpoint.
+func TestRediscoveryDialsEachEndpointOnce(t *testing.T) {
+	s, err := store.Open(testGraph(34), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	shared := NewStoreBackend(s)
+	a := &role{Backend: shared, term: 1, writable: true}
+	b := &role{Backend: shared, term: 1}
+	var proxies []*countingProxy
+	for _, r := range []*role{a, b} {
+		srv, err := Start("127.0.0.1:0", Options{Backend: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		proxies = append(proxies, startCountingProxy(t, srv.Addr()))
+	}
+	accepts := func(want int64) {
+		t.Helper()
+		for i, p := range proxies {
+			if got := p.accepts.Load(); got != want {
+				t.Fatalf("endpoint %d accepted %d connection(s), want %d", i, got, want)
+			}
+		}
+	}
+
+	cli, err := DialFailover(FailoverOptions{
+		Endpoints:  []string{proxies[1].addr, proxies[0].addr},
+		MaxBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	accepts(1)
+
+	a.set(false, 2)
+	b.set(true, 2)
+	if _, err := cli.Apply([]graph.Update{graph.Insertion(0, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if cli.Failovers() != 1 || cli.Endpoint() != proxies[1].addr {
+		t.Fatalf("after the leader change: %d failover(s) to %s, want 1 to %s", cli.Failovers(), cli.Endpoint(), proxies[1].addr)
+	}
+	accepts(2)
 }
 
 // TestFailoverClientExhaustsAttempts: when no endpoint will ever take the

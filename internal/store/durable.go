@@ -412,30 +412,42 @@ func (d *durable) checkpoint(pin func() (uint64, func(path string) error), force
 	return d.removeSnapshotsBut(epoch)
 }
 
+// A checkpoint file is named snap-<epoch as 16 hex digits>.qps.
+const snapPrefix, snapSuffix = "snap-", ".qps"
+
 // snapshotName is the file name of the checkpoint at epoch.
-func snapshotName(epoch uint64) string { return fmt.Sprintf("snap-%016x.qps", epoch) }
+func snapshotName(epoch uint64) string { return fmt.Sprintf(snapPrefix+"%016x"+snapSuffix, epoch) }
+
+// listSnapshots lists by name the checkpoint files of dir: those that
+// snapshotName names. Any other file is not ours and is left out.
+func listSnapshots(fsys faultfs.FS, dir string) ([]string, error) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		hex := strings.TrimSuffix(strings.TrimPrefix(e.Name(), snapPrefix), snapSuffix)
+		if epoch, err := strconv.ParseUint(hex, 16, 64); err == nil && e.Name() == snapshotName(epoch) {
+			names = append(names, e.Name())
+		}
+	}
+	return names, nil
+}
 
 // removeSnapshotsBut deletes every snapshot file but the checkpoint at
 // keep's.
 func (d *durable) removeSnapshotsBut(keep uint64) error {
-	entries, err := d.fs.ReadDir(d.dir)
+	names, err := listSnapshots(d.fs, d.dir)
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".qps") {
+	for _, name := range names {
+		if name == snapshotName(keep) {
 			continue
 		}
-		hex := strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".qps")
-		epoch, err := strconv.ParseUint(hex, 16, 64)
-		if err != nil {
-			continue // not ours; leave it alone
-		}
-		if epoch != keep {
-			if err := d.fs.Remove(filepath.Join(d.dir, name)); err != nil && !os.IsNotExist(err) {
-				return err
-			}
+		if err := d.fs.Remove(filepath.Join(d.dir, name)); err != nil && !os.IsNotExist(err) {
+			return err
 		}
 	}
 	return nil

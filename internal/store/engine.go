@@ -239,7 +239,10 @@ func (e *engine[R]) run() {
 		// the background recovery loop re-arms it: with the log behind the
 		// write-side state, continuing would acknowledge updates a restart
 		// silently forgets.
-		start := time.Now()
+		var start time.Time
+		if e.ob != nil {
+			start = time.Now()
+		}
 		epochs := make([]uint64, len(pending))
 		for i := range pending {
 			epochs[i] = e.batches.Add(1)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	iofs "io/fs"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/faultfs"
@@ -309,8 +307,8 @@ func (d *durable) probe() error {
 func (d *durable) scrubOnce(ckpt func(force bool) error) ScrubReport {
 	var rep ScrubReport
 
-	// Sealed WAL segments. The active segment is skipped — it is growing
-	// under the writer and its tail is healed on open anyway.
+	// Sealed WAL segments. The active segment is skipped: it is growing
+	// under the writer, and Open judged its damage when the store opened.
 	if d.log != nil {
 		for _, seg := range d.log.Segments() {
 			if !seg.Sealed {
@@ -340,7 +338,7 @@ func (d *durable) scrubOnce(ckpt func(force bool) error) ScrubReport {
 	}
 
 	// Snapshot files: the manifest's current one plus any stragglers.
-	entries, err := d.fs.ReadDir(d.dir)
+	names, err := listSnapshots(d.fs, d.dir)
 	if err != nil {
 		if rep.Err == "" {
 			rep.Err = err.Error()
@@ -353,11 +351,7 @@ func (d *durable) scrubOnce(ckpt func(force bool) error) ScrubReport {
 		current = snapshotName(d.lastCkpt.Load())
 	}
 	corruptCurrent := false
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".qps") {
-			continue
-		}
+	for _, name := range names {
 		path := filepath.Join(d.dir, name)
 		n, verr := snapfile.VerifyFS(d.fs, path)
 		scrubThrottle(n)
@@ -434,16 +428,18 @@ type DirScrub struct {
 	// Torn names the WAL tail segment carrying a torn (healable) tail, ""
 	// when none.
 	Torn string
-	// Corrupt lists files whose checksums fail: real data loss (sealed
-	// segments) or a damaged snapshot.
+	// Corrupt lists files whose checksums fail: a WAL segment whose damage
+	// is no torn tail (acknowledged batches lost) or a damaged snapshot.
 	Corrupt []string
 }
 
 // ScrubDir verifies every snapshot and WAL segment checksum of a durable
-// directory without opening a store and without modifying anything. A torn
-// tail on the final WAL segment is reported as Torn, not Corrupt — opening
-// the store heals it. Corrupt entries mean acknowledged data was lost
-// (sealed segments) or a checkpoint is unreadable.
+// directory without opening a store and without modifying anything. WAL
+// segments are judged as wal.Open judges them: a torn tail on the final
+// segment is reported as Torn — opening the store heals it — and any other
+// damage as Corrupt, as is an unreadable checkpoint. A Corrupt segment
+// means acknowledged batches were lost, and the store refuses to open
+// until it is set aside.
 func ScrubDir(dir string) (DirScrub, error) {
 	var out DirScrub
 	m, err := readManifest(faultfs.Disk, dir)
@@ -460,7 +456,6 @@ func ScrubDir(dir string) (DirScrub, error) {
 	if err != nil {
 		return out, err
 	}
-	sort.Slice(checks, func(i, j int) bool { return checks[i].Name < checks[j].Name })
 	for _, c := range checks {
 		out.Checked++
 		out.Bytes += c.Bytes

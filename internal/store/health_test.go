@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // faultTopologies is the injection matrix's graph zoo: three structurally
@@ -481,6 +483,80 @@ func TestScrubDirOffline(t *testing.T) {
 	if !strings.HasPrefix(got.Torn, "wal-") {
 		t.Fatalf("torn name %q", got.Torn)
 	}
+}
+
+// TestActiveSegmentFlipIsCorrupt flips a bit in the first record of a
+// directory's active WAL segment, ahead of intact records. No crash leaves
+// that — a crash only cuts the end of the last write — so ScrubDir lists
+// the segment Corrupt, not Torn, and Open refuses the directory instead of
+// dropping the acked batches after the flip. Once the segment is set aside
+// the store reopens at the epoch before it, with every answer that epoch's.
+func TestActiveSegmentFlipIsCorrupt(t *testing.T) {
+	g := faultTopologies(39)["social"]
+	mirrors := []*graph.Graph{g.Clone()}
+	dir := t.TempDir()
+	s, err := Open(g.Clone(), &Options{
+		Indexes: true, Dir: dir,
+		CheckpointBatches: -1, CheckpointBytes: -1, WALSegmentBytes: 384,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20; i++ {
+		mirror := mirrors[len(mirrors)-1].Clone()
+		batch := gen.RandomBatch(rng, mirror, 12, 0.5)
+		mirror.Apply(batch)
+		mirrors = append(mirrors, mirror)
+		if _, err := s.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	segs, err := wal.ListDir(nil, dir)
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("ListDir = %v (%v), want sealed segments and an active one", segs, err)
+	}
+	active := segs[len(segs)-1]
+	if checks, err := wal.VerifyDir(nil, dir); err != nil || checks[len(checks)-1].Records < 2 {
+		t.Fatalf("VerifyDir = %+v (%v), want at least 2 records in the active segment %s", checks, err, active.Name)
+	}
+	path := filepath.Join(dir, active.Name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[16] ^= 0x20 // the first record's first payload byte
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := ScrubDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rep.Corrupt, []string{active.Name}) || rep.Torn != "" {
+		t.Fatalf("ScrubDir = %+v, want %s Corrupt and no torn tail", rep, active.Name)
+	}
+	if r, err := Open(nil, &Options{Dir: dir}); !errors.Is(err, wal.ErrCorrupt) {
+		if err == nil {
+			r.Close()
+		}
+		t.Fatalf("Open over the flipped segment = %v, want wal.ErrCorrupt", err)
+	}
+	if _, err := wal.QuarantineFrom(nil, dir, rep.Corrupt); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(nil, &Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen after the segment was set aside: %v", err)
+	}
+	defer r.Close()
+	if got := r.Epoch(); got != active.First-1 {
+		t.Fatalf("reopened at epoch %d, want %d, the epoch before %s", got, active.First-1, active.Name)
+	}
+	diffVsReference(t, "quarantined", r, mirrors[active.First-1])
 }
 
 // flipFileBit flips one bit at a byte offset (clamped into the file).

@@ -116,10 +116,10 @@ func readTermFile(fsys faultfs.FS, dir string) (term uint64, fenced bool, err er
 }
 
 // termState is the in-memory side of the TERM file, embedded in durable.
+// The persisted fenced flag lives in memory as the health state Fenced.
 type termState struct {
 	term   atomic.Uint64
-	fenced atomic.Bool // mirrors the persisted flag
-	termMu sync.Mutex  // serializes term transitions and TERM writes
+	termMu sync.Mutex // serializes term transitions and TERM writes
 }
 
 // loadTerm recovers the persisted term at open. A recovered fence is
@@ -130,7 +130,6 @@ func (d *durable) loadTerm() error {
 		return err
 	}
 	d.term.Store(term)
-	d.fenced.Store(fenced)
 	if fenced {
 		d.fenceNow(fmt.Errorf("%w: term %d (recovered from %s)", ErrFenced, term, termName))
 	}
@@ -153,7 +152,6 @@ func (d *durable) observeTerm(t uint64) error {
 		return nil
 	}
 	d.term.Store(t)
-	d.fenced.Store(true)
 	d.fenceNow(fmt.Errorf("%w: term %d superseded by %d", ErrFenced, cur, t))
 	if err := writeTermFile(d.fs, d.dir, t, true); err != nil {
 		return fmt.Errorf("store: persist fence at term %d: %w", t, err)
@@ -174,7 +172,7 @@ func (d *durable) adoptTerm(t uint64) error {
 	if t <= d.term.Load() {
 		return nil
 	}
-	if err := writeTermFile(d.fs, d.dir, t, d.fenced.Load()); err != nil {
+	if err := writeTermFile(d.fs, d.dir, t, HealthState(d.health.Load()) == Fenced); err != nil {
 		return fmt.Errorf("store: persist adopted term %d: %w", t, err)
 	}
 	d.term.Store(t)
@@ -197,7 +195,6 @@ func (d *durable) bumpTerm(min uint64) (uint64, error) {
 		return 0, fmt.Errorf("store: persist term bump to %d: %w", next, err)
 	}
 	d.term.Store(next)
-	d.fenced.Store(false)
 	d.unfence()
 	return next, nil
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -35,10 +36,11 @@ func FuzzParseRecord(f *testing.F) {
 	})
 }
 
-// FuzzScanSegment drives the whole-segment scanner (the torn-tail healer)
-// over arbitrary input: it must terminate without panicking and report a
-// truncation offset that both lies inside the input and marks a cleanly
-// re-scannable prefix.
+// FuzzScanSegment drives the segment walker over arbitrary input, as the
+// active segment and as a sealed one: it must terminate without panicking,
+// report a truncation offset that both lies inside the input and marks a
+// cleanly re-scannable prefix, judge both roles alike up to the damage, and
+// never call damage in a sealed segment torn.
 func FuzzScanSegment(f *testing.F) {
 	var seg []byte
 	for seq := uint64(1); seq <= 5; seq++ {
@@ -47,16 +49,26 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add(seg, uint64(1))
 	f.Add(seg[:len(seg)-3], uint64(1))
 	f.Add([]byte("garbage"), uint64(9))
+	damaged := slices.Clone(seg)
+	damaged[len(frameRecord(1, []byte("payload")))+frameHeader+seqBytes] ^= 1 // record 2's payload, records 3-5 intact after it
+	f.Add(damaged, uint64(1))
+	lost := slices.Concat(seg, make([]byte, 2*sector), frameRecord(6, []byte("payload"))) // a zeroed page ahead of an intact record
+	f.Add(lost, uint64(1))
 	f.Fuzz(func(t *testing.T, data []byte, first uint64) {
-		last, good, err := scanSegment(data, first)
+		info := SegmentInfo{Name: segmentName(first), First: first}
+		last, good, torn, err := scanSegment(data, info, true, nil)
 		if good < 0 || good > int64(len(data)) {
 			t.Fatalf("truncation offset %d outside [0,%d]", good, len(data))
 		}
-		if _, good2, err2 := scanSegment(data[:good], first); err2 != nil || good2 != good {
-			t.Fatalf("healed prefix does not re-scan cleanly: %v", err2)
+		if _, good2, torn2, err2 := scanSegment(data[:good], info, true, nil); err2 != nil || torn2 || good2 != good {
+			t.Fatalf("healed prefix does not re-scan cleanly: torn %v, %v", torn2, err2)
 		}
 		if err == nil && last != first-1 && good == 0 {
 			t.Fatalf("clean scan reported records but consumed nothing")
+		}
+		slast, sgood, storn, serr := scanSegment(data, info, false, nil)
+		if storn || slast != last || sgood != good || (serr == nil) != (err == nil && !torn) {
+			t.Fatalf("sealed scan (%d, %d, torn %v, %v) disagrees with the tail scan (%d, %d, torn %v, %v)", slast, sgood, storn, serr, last, good, torn, err)
 		}
 	})
 }

@@ -252,12 +252,12 @@ func TestQuarantineAndReset(t *testing.T) {
 	if err := l2.QuarantineSegment(l2.ActiveSegment()); err == nil {
 		t.Fatal("QuarantineSegment accepted the active segment")
 	}
-	names, err := listSegments(faultfs.Disk, dir)
+	names, err := ListDir(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range names {
-		if n == victim.Name {
+		if n.Name == victim.Name {
 			t.Fatal("quarantined segment still listed as live")
 		}
 	}
@@ -271,6 +271,35 @@ func TestQuarantineAndReset(t *testing.T) {
 	appendN(t, l2, 100, 102)
 	if got := collect(t, l2, 100); len(got) != 3 {
 		t.Fatalf("replay after Reset got %d records, want 3", len(got))
+	}
+}
+
+// TestFailedRollbackLeavesTailActive rolls back a group that rotated the
+// log, with the truncate of the marked segment failing. That segment is the
+// last one again, so it is the active one: TruncateBefore keeps it,
+// QuarantineSegment refuses it, and Segments does not call it sealed.
+func TestFailedRollbackLeavesTailActive(t *testing.T) {
+	in := faultfs.NewInject(faultfs.Disk)
+	l := open(t, t.TempDir(), 1, &Options{SegmentBytes: 64, Sync: SyncNone, FS: in})
+	defer l.Close()
+	appendN(t, l, 1, 3) // 3 frames of 25 bytes: the next append rotates
+	m := l.TailMark()
+	if err := l.Append(4, []byte("x")); err != nil || l.SegmentCount() != 2 {
+		t.Fatalf("Append = %v with %d segments, want a rotation", err, l.SegmentCount())
+	}
+	in.AddRule(faultfs.Rule{Op: faultfs.OpTruncate, Count: 1})
+	if err := l.Rollback(m); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("Rollback = %v, want the injected truncate fault", err)
+	}
+	if err := l.TruncateBefore(l.LastSeq()); err != nil {
+		t.Fatalf("TruncateBefore: %v", err)
+	}
+	segs := l.Segments()
+	if len(segs) != 1 || segs[0].Sealed {
+		t.Fatalf("Segments = %+v, want the marked segment, unsealed", segs)
+	}
+	if err := l.QuarantineSegment(segs[0].Name); err == nil {
+		t.Fatal("QuarantineSegment took the active segment")
 	}
 }
 

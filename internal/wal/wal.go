@@ -27,15 +27,26 @@
 // the sequence number of its first record. When the active segment exceeds
 // Options.SegmentBytes it is sealed (synced, closed) and a fresh segment
 // starts, so TruncateBefore can drop whole files that a checkpoint has made
-// obsolete without rewriting anything. On open, sealed segments must parse
-// completely — corruption there means real data loss and is reported as an
-// error — while the last segment is scanned record by record and truncated
-// at the first invalid frame (short header, impossible size, CRC mismatch,
-// or non-consecutive seq), recovering from a crash that tore the final
-// write.
+// obsolete without rewriting anything.
+//
+// One walker, scanSegment, reads the records of every segment for Open,
+// Replay and the scrubbers, and it alone judges damage (a short header, an
+// impossible size, a CRC mismatch or a seq out of order). The crash model
+// is ALICE's (Pillai et al., OSDI 2014): a crash leaves a prefix of the
+// log's synced writes, so it can damage only the end of the last segment,
+// and of that segment's unsynced tail a filesystem without ordered data
+// may keep a later page while an earlier one reads back as zeros. Damage
+// in the last segment is therefore a torn tail, which Open cuts off, when
+// no intact record (its CRC holds, its seq above the last good one)
+// follows it, or when a zero-filled sector lies between it and the first
+// intact record. Any other damage, in a sealed segment or before an intact
+// record, is a flipped bit that no crash explains: it is an error wrapping
+// ErrCorrupt that names the segment and the offset, and Open refuses the
+// log rather than drop the acknowledged records after it.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -75,13 +86,15 @@ const MaxRecordBytes = 1 << 28
 const (
 	frameHeader = 8 // u32 size + u32 crc
 	seqBytes    = 8
+	minFrame    = frameHeader + seqBytes // an empty payload's frame
+	sector      = 512                    // the unit a disk writes whole
 	segPrefix   = "wal-"
 	segSuffix   = ".seg"
 )
 
-// ErrCorrupt reports corruption outside the recoverable torn tail: a sealed
-// segment that does not parse, or a segment whose first record disagrees
-// with its filename. Errors wrapping it mean acknowledged data was lost.
+// ErrCorrupt reports damage that is no torn tail: a sealed segment that does
+// not parse, or intact records after damage in the last one. Errors
+// wrapping it mean acknowledged data was lost.
 var ErrCorrupt = errors.New("wal: corrupt segment")
 
 // ErrClosed is returned by operations on a closed log.
@@ -109,12 +122,6 @@ type Options struct {
 // fsync on every commit.
 func DefaultOptions() Options { return Options{SegmentBytes: 4 << 20, Sync: SyncAlways} }
 
-type segment struct {
-	name  string
-	first uint64 // seq of the segment's first record (from the filename)
-	size  int64
-}
-
 // Log is a segmented write-ahead log. All methods are safe for concurrent
 // use; in the store exactly one goroutine appends while checkpoints
 // truncate concurrently.
@@ -123,7 +130,7 @@ type Log struct {
 	dir    string
 	fs     faultfs.FS
 	opts   Options
-	segs   []segment // ascending by first; last is active
+	segs   []SegmentInfo // ascending by First; last is active, the rest sealed (Sealed is set only on copies)
 	active faultfs.File
 	next   uint64 // seq the next Append must carry
 	frame  []byte // reusable framing buffer
@@ -141,9 +148,8 @@ type Log struct {
 // the caller's expected next sequence number — the recovered store epoch
 // plus one; it names the first segment of an empty log and guards against
 // a log that lags the snapshot it accompanies (appends then resume at
-// nextSeq in a fresh segment). Sealed segments failing to parse, or a
-// scanned tail that has advanced beyond any caller expectation mismatch,
-// surface as errors wrapping ErrCorrupt.
+// nextSeq in a fresh segment). A torn tail is truncated; any other damage
+// fails the open with an error wrapping ErrCorrupt.
 func Open(dir string, nextSeq uint64, opts *Options) (*Log, error) {
 	o := DefaultOptions()
 	if opts != nil {
@@ -161,56 +167,42 @@ func Open(dir string, nextSeq uint64, opts *Options) (*Log, error) {
 	l.appends = o.Obs.Counter("qpgc_wal_appends_total")
 	l.commits = o.Obs.Counter("qpgc_wal_group_commits_total")
 	l.commitBatches = o.Obs.Counter("qpgc_wal_group_commit_batches_total")
-	names, err := listSegments(fsys, dir)
+	segs, err := ListDir(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
+	if len(segs) == 0 {
 		l.next = nextSeq
 		if err := l.startSegment(nextSeq); err != nil {
 			return nil, err
 		}
 		return l, nil
 	}
-	for _, name := range names {
-		first, err := parseSegmentName(name)
-		if err != nil {
-			return nil, err
-		}
-		l.segs = append(l.segs, segment{name: name, first: first})
-	}
-	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].first < l.segs[j].first })
+	l.segs = segs
 
-	// Sealed segments must parse completely; the last one may carry a torn
-	// tail, which is cut off in place.
+	// A torn tail on the last segment is cut off in place; any other damage
+	// fails the open.
 	for i := range l.segs {
 		s := &l.segs[i]
-		data, err := fsys.ReadFile(filepath.Join(dir, s.name))
+		path := filepath.Join(dir, s.Name)
+		data, err := fsys.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		last, good, scanErr := scanSegment(data, s.first)
-		sealed := i < len(l.segs)-1
-		if scanErr != nil && sealed {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, s.name, scanErr)
+		last, good, torn, err := scanSegment(data, *s, i == len(l.segs)-1, nil)
+		if torn {
+			err = fsys.Truncate(path, good)
 		}
-		if !sealed && int(good) < len(data) {
-			if err := fsys.Truncate(filepath.Join(dir, s.name), good); err != nil {
-				return nil, err
-			}
-			data = data[:good]
+		if err != nil {
+			return nil, err
 		}
-		s.size = int64(len(data))
-		if last >= s.first { // segment holds at least one record
-			l.next = last + 1
-		} else {
-			l.next = s.first
-		}
+		s.Size = good
+		l.next = last + 1
 	}
 
 	// Re-open the last segment for appending.
 	tail := &l.segs[len(l.segs)-1]
-	f, err := fsys.OpenFile(filepath.Join(dir, tail.name), os.O_WRONLY|os.O_APPEND, 0o666)
+	f, err := fsys.OpenFile(filepath.Join(dir, tail.Name), os.O_WRONLY|os.O_APPEND, 0o666)
 	if err != nil {
 		return nil, err
 	}
@@ -224,11 +216,11 @@ func Open(dir string, nextSeq uint64, opts *Options) (*Log, error) {
 	// later gap accounting.
 	if nextSeq > l.next {
 		l.next = nextSeq
-		if tail.size == 0 {
+		if tail.Size == 0 {
 			if err := l.active.Close(); err != nil {
 				return nil, err
 			}
-			if err := fsys.Remove(filepath.Join(dir, tail.name)); err != nil {
+			if err := fsys.Remove(filepath.Join(dir, tail.Name)); err != nil {
 				return nil, err
 			}
 			l.segs = l.segs[:len(l.segs)-1]
@@ -259,7 +251,7 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 	if size > MaxRecordBytes {
 		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", size)
 	}
-	if l.segs[len(l.segs)-1].size >= l.opts.SegmentBytes {
+	if l.segs[len(l.segs)-1].Size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -273,7 +265,7 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 	if _, err := l.active.Write(l.frame); err != nil {
 		return err
 	}
-	l.segs[len(l.segs)-1].size += int64(len(l.frame))
+	l.segs[len(l.segs)-1].Size += int64(len(l.frame))
 	l.next = seq + 1
 	l.appends.Add(1)
 	l.pending++
@@ -322,7 +314,7 @@ func (l *Log) TailMark() Mark {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	tail := l.segs[len(l.segs)-1]
-	return Mark{segIndex: len(l.segs) - 1, segName: tail.name, size: tail.size, next: l.next}
+	return Mark{segIndex: len(l.segs) - 1, segName: tail.Name, size: tail.Size, next: l.next}
 }
 
 // Rollback truncates the log back to a TailMark, erasing every record
@@ -338,7 +330,7 @@ func (l *Log) Rollback(m Mark) error {
 	if l.closed {
 		return ErrClosed
 	}
-	if m.segIndex >= len(l.segs) || l.segs[m.segIndex].name != m.segName {
+	if m.segIndex >= len(l.segs) || l.segs[m.segIndex].Name != m.segName {
 		return fmt.Errorf("wal: rollback mark names unknown segment %s", m.segName)
 	}
 	// Drop whole segments the group caused to be created. The close error
@@ -346,7 +338,7 @@ func (l *Log) Rollback(m Mark) error {
 	// the marked segment is reopened below either way.
 	l.active.Close()
 	for _, s := range l.segs[m.segIndex+1:] {
-		if err := l.fs.Remove(filepath.Join(l.dir, s.name)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		if err := l.fs.Remove(filepath.Join(l.dir, s.Name)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 			return err
 		}
 	}
@@ -360,7 +352,7 @@ func (l *Log) Rollback(m Mark) error {
 		return err
 	}
 	l.active = f
-	l.segs[m.segIndex].size = m.size
+	l.segs[m.segIndex].Size = m.size
 	l.next = m.next
 	l.pending = 0 // the rolled-back group's appends will never group-commit
 	return l.active.Sync()
@@ -368,57 +360,46 @@ func (l *Log) Rollback(m Mark) error {
 
 // Replay streams every record with seq >= from to fn, in sequence order.
 // It must not run concurrently with Append (the store replays before its
-// writer starts). A decoding error in any segment — all tails were already
-// healed by Open — is reported wrapping ErrCorrupt, as is a sequence gap
-// between segments that the replay range needs: a missing sealed segment
-// means acknowledged records were lost, and recovery must fail loudly
-// rather than serve a state with silently dropped batches. Gaps entirely
-// below from are fine (checkpoint truncation works in whole segments).
+// writer starts). Damage in any segment — Open already healed the tail, so
+// the walker judges every segment as sealed — is reported wrapping
+// ErrCorrupt, as is a sequence gap between segments that the replay range
+// needs: a missing sealed segment means acknowledged records were lost,
+// and recovery must fail loudly rather than serve a state with silently
+// dropped batches. Gaps entirely below from are fine (checkpoint
+// truncation works in whole segments).
 func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	havePrev := false
+	visit := func(seq uint64, payload []byte) error {
+		if seq < from {
+			return nil
+		}
+		return fn(seq, payload)
+	}
 	var prevLast uint64
-	for _, s := range l.segs {
-		if havePrev && s.first != prevLast+1 {
-			if s.first < prevLast+1 {
-				return fmt.Errorf("%w: segment %s overlaps seq %d", ErrCorrupt, s.name, prevLast)
+	for i, s := range l.segs {
+		if i > 0 && s.First != prevLast+1 {
+			if s.First < prevLast+1 {
+				return fmt.Errorf("%w: segment %s overlaps seq %d", ErrCorrupt, s.Name, prevLast)
 			}
-			if s.first > from { // the missing range [prevLast+1, s.first) intersects [from, ∞)
-				return fmt.Errorf("%w: records %d-%d missing before %s", ErrCorrupt, prevLast+1, s.first-1, s.name)
+			if s.First > from { // the missing range [prevLast+1, s.First) intersects [from, ∞)
+				return fmt.Errorf("%w: records %d-%d missing before %s", ErrCorrupt, prevLast+1, s.First-1, s.Name)
 			}
 		}
-		havePrev = true
-		prevLast = s.first - 1 // advanced by the scan below
-		if s.size == 0 {
-			continue
+		prevLast = s.First - 1
+		if s.Size == 0 {
+			continue // no record to replay, no file to read
 		}
-		data, err := l.fs.ReadFile(filepath.Join(l.dir, s.name))
+		data, err := l.fs.ReadFile(filepath.Join(l.dir, s.Name))
 		if err != nil {
 			return err
 		}
-		off := 0
-		seq := s.first
-		for off < len(data) {
-			gotSeq, payload, n, err := ParseRecord(data[off:])
-			if err != nil {
-				return fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, s.name, off, err)
-			}
-			if gotSeq != seq {
-				return fmt.Errorf("%w: %s at offset %d: seq %d, want %d", ErrCorrupt, s.name, off, gotSeq, seq)
-			}
-			if gotSeq >= from {
-				if err := fn(gotSeq, payload); err != nil {
-					return err
-				}
-			}
-			off += n
-			seq++
+		if prevLast, _, _, err = scanSegment(data, s, false, visit); err != nil { // Open healed the tail
+			return err
 		}
-		prevLast = seq - 1
 	}
 	return nil
 }
@@ -435,10 +416,9 @@ func (l *Log) TruncateBefore(upTo uint64) error {
 	keep := l.segs[:0]
 	removed := false
 	for i, s := range l.segs {
-		sealed := i < len(l.segs)-1
 		// A sealed segment's records end just before its successor's first.
-		if sealed && l.segs[i+1].first <= upTo+1 {
-			if err := l.fs.Remove(filepath.Join(l.dir, s.name)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		if i < len(l.segs)-1 && l.segs[i+1].First <= upTo+1 {
+			if err := l.fs.Remove(filepath.Join(l.dir, s.Name)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 				return err
 			}
 			removed = true
@@ -467,7 +447,7 @@ func (l *Log) SizeBytes() int64 {
 	defer l.mu.Unlock()
 	var n int64
 	for _, s := range l.segs {
-		n += s.size
+		n += s.Size
 	}
 	return n
 }
@@ -497,11 +477,16 @@ type SegmentInfo struct {
 func (l *Log) Segments() []SegmentInfo {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	infos := make([]SegmentInfo, len(l.segs))
-	for i, s := range l.segs {
-		infos[i] = SegmentInfo{Name: s.name, First: s.first, Size: s.size, Sealed: i < len(l.segs)-1}
+	return markSealed(slices.Clone(l.segs))
+}
+
+// markSealed sets Sealed on every segment of segs but the last and returns
+// segs: a segment is sealed exactly when a later one exists.
+func markSealed(segs []SegmentInfo) []SegmentInfo {
+	for i := range segs {
+		segs[i].Sealed = i < len(segs)-1
 	}
-	return infos
+	return segs
 }
 
 // ActiveSegment returns the name of the segment currently accepting
@@ -509,7 +494,7 @@ func (l *Log) Segments() []SegmentInfo {
 func (l *Log) ActiveSegment() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.segs[len(l.segs)-1].name
+	return l.segs[len(l.segs)-1].Name
 }
 
 // quarantineSuffix is appended to the name of a segment set aside.
@@ -527,7 +512,7 @@ func (l *Log) QuarantineSegment(name string) error {
 		return ErrClosed
 	}
 	for i, s := range l.segs {
-		if s.name != name {
+		if s.Name != name {
 			continue
 		}
 		if i == len(l.segs)-1 {
@@ -582,7 +567,7 @@ func (l *Log) Reset(nextSeq uint64) error {
 	}
 	l.active.Close() // ignore errors: the handle may be poisoned by a failed fsync
 	for _, s := range l.segs {
-		if err := l.fs.Remove(filepath.Join(l.dir, s.name)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		if err := l.fs.Remove(filepath.Join(l.dir, s.Name)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 			return err
 		}
 	}
@@ -633,13 +618,13 @@ func (l *Log) startSegment(first uint64) error {
 		return err
 	}
 	l.active = f
-	l.segs = append(l.segs, segment{name: name, first: first})
+	l.segs = append(l.segs, SegmentInfo{Name: name, First: first})
 	return nil
 }
 
 // ParseRecord decodes the first record framed in b, returning its sequence
 // number, a payload view into b, and the total frame length consumed. It
-// is the unit the torn-tail scanner and the fuzz target exercise: any
+// is the unit the segment walker and the fuzz target exercise: any
 // input — truncated, bit-flipped, or adversarial — yields an error, never
 // a panic or an allocation proportional to a corrupt size field.
 func ParseRecord(b []byte) (seq uint64, payload []byte, n int, err error) {
@@ -660,26 +645,60 @@ func ParseRecord(b []byte) (seq uint64, payload []byte, n int, err error) {
 	return binary.LittleEndian.Uint64(body[:seqBytes]), body[seqBytes:], frameHeader + size, nil
 }
 
-// scanSegment walks data record by record, verifying framing and that
-// sequence numbers run consecutively from first. It returns the last valid
-// seq (first-1 when none), the byte offset just past the last valid
-// record — the truncation point for a torn tail — and the error that
-// stopped the scan (nil for a clean segment).
-func scanSegment(data []byte, first uint64) (last uint64, good int64, err error) {
-	off := 0
-	seq := first
+// scanSegment is the one walker over a segment's records and the one place
+// that judges damage: Open, Replay and the scrubbers all read its verdict.
+// It checks every frame and that seqs run consecutively from seg.First,
+// handing each intact record to visit when visit is non-nil; a visit error
+// stops the walk and comes back as is. It returns the last intact seq
+// (seg.First-1 when none), the offset just past that record, and one of
+// three verdicts:
+//   - clean (torn false, err nil): every byte belongs to an intact record;
+//   - torn: damage in the last segment (tail) that a crash explains, to be
+//     truncated at good: no intact record follows it, or a zero-filled
+//     sector lies between it and the first intact record — a page of the
+//     unsynced tail that never reached disk while a later one did;
+//   - corrupt: any other damage, as an error wrapping ErrCorrupt that names
+//     the segment and the offset.
+//
+// An intact record is a frame whose CRC holds and whose seq is above the
+// last good one, and at most seg.First+p/minFrame at offset p, since at
+// most p/minFrame records fit before it.
+func scanSegment(data []byte, seg SegmentInfo, tail bool, visit func(seq uint64, payload []byte) error) (last uint64, good int64, torn bool, err error) {
+	next, off := seg.First, 0
 	for off < len(data) {
-		gotSeq, _, n, perr := ParseRecord(data[off:])
-		if perr != nil {
-			return seq - 1, int64(off), perr
+		seq, payload, n, perr := ParseRecord(data[off:])
+		if perr == nil && seq != next {
+			perr = fmt.Errorf("seq %d, want %d", seq, next)
 		}
-		if gotSeq != seq {
-			return seq - 1, int64(off), fmt.Errorf("seq %d, want %d", gotSeq, seq)
+		if perr != nil {
+			err = fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.Name, off, perr)
+			break
+		}
+		if visit != nil {
+			if err := visit(seq, payload); err != nil {
+				return next - 1, int64(off), false, err
+			}
 		}
 		off += n
-		seq++
+		next++
 	}
-	return seq - 1, int64(off), nil
+	if err == nil || !tail {
+		return next - 1, int64(off), false, err
+	}
+	p := off
+	for ; p < len(data); p++ {
+		if seq, _, _, perr := ParseRecord(data[p:]); perr == nil && seq >= next && seq-seg.First <= uint64(p/minFrame) {
+			break
+		}
+	}
+	torn = p == len(data)
+	for s := (off + sector - 1) / sector * sector; !torn && s+sector <= p; s += sector {
+		torn = bytes.Count(data[s:s+sector], []byte{0}) == sector
+	}
+	if torn {
+		err = nil
+	}
+	return next - 1, int64(off), torn, err
 }
 
 // SegmentCheck is one segment's result from VerifyDir.
@@ -689,28 +708,26 @@ type SegmentCheck struct {
 	Bytes int64
 	// Records counts the valid records scanned before any damage.
 	Records uint64
-	// Torn reports a damaged tail on the final segment: recoverable — Open
-	// truncates it. Err carries damage on a sealed segment (real data
-	// loss) or a read failure.
+	// Torn reports a torn tail on the final segment — damage with no intact
+	// record after it, which Open truncates. Err carries any other damage,
+	// wrapping ErrCorrupt, or a read failure.
 	Torn bool
 	Err  error
 }
 
 // VerifyDir scans every WAL segment in dir offline — without opening a
-// Log and without modifying anything — verifying frame CRCs and sequence
-// continuity. Results come back in segment order. Damage on the final
-// segment is reported as Torn (Open would heal it by truncation); damage
-// anywhere else wraps ErrCorrupt in Err. A nil fsys means the real disk.
+// Log and without modifying anything — with the walker Open uses, so a
+// segment Open would refuse carries Err and a tail Open would cut is Torn.
+// Results come back in segment order. A nil fsys means the real disk.
 func VerifyDir(fsys faultfs.FS, dir string) ([]SegmentCheck, error) {
 	fsys = faultfs.Or(fsys)
-	names, err := listSegments(fsys, dir)
+	segs, err := ListDir(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(names) // fixed-width hex: lexicographic == numeric
-	checks := make([]SegmentCheck, 0, len(names))
-	for i, name := range names {
-		checks = append(checks, checkSegment(fsys, dir, name, i == len(names)-1))
+	checks := make([]SegmentCheck, len(segs))
+	for i, s := range segs {
+		checks[i] = checkSegment(fsys, dir, s, i == len(segs)-1)
 	}
 	return checks, nil
 }
@@ -722,36 +739,26 @@ func VerifyDir(fsys faultfs.FS, dir string) ([]SegmentCheck, error) {
 // truncation, surfaces as ErrNotExist. Only a sealed segment can be
 // checked: the active one is growing under its writer.
 func CheckSegment(fsys faultfs.FS, dir, name string) (int64, error) {
-	c := checkSegment(faultfs.Or(fsys), dir, name, false)
+	first, err := parseSegmentName(name)
+	if err != nil {
+		return 0, err
+	}
+	c := checkSegment(faultfs.Or(fsys), dir, SegmentInfo{Name: name, First: first}, false)
 	return c.Bytes, c.Err
 }
 
 // checkSegment is the one per-segment check behind VerifyDir and
-// CheckSegment. Damage on the tail segment (tail) is Torn, not an error.
-func checkSegment(fsys faultfs.FS, dir, name string, tail bool) SegmentCheck {
-	c := SegmentCheck{Name: name}
-	first, err := parseSegmentName(name)
-	if err != nil {
-		c.Err = err
-		return c
-	}
-	data, err := fsys.ReadFile(filepath.Join(dir, name))
+// CheckSegment.
+func checkSegment(fsys faultfs.FS, dir string, s SegmentInfo, tail bool) SegmentCheck {
+	c := SegmentCheck{Name: s.Name}
+	data, err := fsys.ReadFile(filepath.Join(dir, s.Name))
 	if err != nil {
 		c.Err = err
 		return c
 	}
 	c.Bytes = int64(len(data))
-	last, _, err := scanSegment(data, first)
-	if last >= first {
-		c.Records = last - first + 1
-	}
-	switch {
-	case err == nil:
-	case tail:
-		c.Torn = true
-	default:
-		c.Err = fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
-	}
+	last, _, torn, err := scanSegment(data, s, tail, nil)
+	c.Records, c.Torn, c.Err = last+1-s.First, torn, err
 	return c
 }
 
@@ -771,7 +778,7 @@ func ListDir(fsys faultfs.FS, dir string) ([]SegmentInfo, error) {
 		}
 		first, err := parseSegmentName(e.Name())
 		if err != nil {
-			continue // not a name this package wrote; Open refuses the directory
+			continue // not a name this package wrote, so not a segment
 		}
 		seg := SegmentInfo{Name: e.Name(), First: first}
 		if fi, err := e.Info(); err == nil { // gone since the listing: size 0
@@ -780,25 +787,7 @@ func ListDir(fsys faultfs.FS, dir string) ([]SegmentInfo, error) {
 		segs = append(segs, seg)
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].First < segs[j].First })
-	for i := 0; i < len(segs)-1; i++ {
-		segs[i].Sealed = true
-	}
-	return segs, nil
-}
-
-// listSegments returns the names of all segment files in dir.
-func listSegments(fsys faultfs.FS, dir string) ([]string, error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), segPrefix) && strings.HasSuffix(e.Name(), segSuffix) {
-			names = append(names, e.Name())
-		}
-	}
-	return names, nil
+	return markSealed(segs), nil
 }
 
 // segmentName formats the filename for a segment whose first record is seq.

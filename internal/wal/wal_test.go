@@ -7,10 +7,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
-
-	"repro/internal/faultfs"
 )
 
 func open(t *testing.T, dir string, next uint64, opts *Options) *Log {
@@ -129,8 +128,8 @@ func TestTornTailRecovery(t *testing.T) {
 		appendN(t, l, 1, 10)
 		l.Close()
 
-		segs, _ := listSegments(faultfs.Disk, dir)
-		path := filepath.Join(dir, segs[len(segs)-1])
+		segs, _ := ListDir(nil, dir)
+		path := filepath.Join(dir, segs[len(segs)-1].Name)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -164,8 +163,8 @@ func TestBitFlipDetected(t *testing.T) {
 	appendN(t, l, 1, 5)
 	l.Close()
 
-	segs, _ := listSegments(faultfs.Disk, dir)
-	path := filepath.Join(dir, segs[0])
+	segs, _ := ListDir(nil, dir)
+	path := filepath.Join(dir, segs[0].Name)
 	data, _ := os.ReadFile(path)
 	data[len(data)-3] ^= 0x40 // flip a bit inside the last record's payload
 	os.WriteFile(path, data, 0o666)
@@ -174,6 +173,108 @@ func TestBitFlipDetected(t *testing.T) {
 	defer l2.Close()
 	if l2.LastSeq() != 4 {
 		t.Fatalf("LastSeq = %d, want 4 (flipped record dropped)", l2.LastSeq())
+	}
+}
+
+// TestTailFlipIsTornOnlyInTheLastRecord flips each bit of a 4-record final
+// segment in turn. A crash can only cut the end of the last write, so a
+// flip inside record 4 is a torn tail that Open truncates, while a flip in
+// records 1-3, with intact records after it, is corruption that Open and
+// VerifyDir report instead of dropping the records that follow.
+func TestTailFlipIsTornOnlyInTheLastRecord(t *testing.T) {
+	dir := t.TempDir()
+	l := open(t, dir, 1, nil)
+	appendN(t, l, 1, 4)
+	l.Close()
+	segs, err := ListDir(nil, dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("ListDir = %v (%v), want one segment", segs, err)
+	}
+	path := filepath.Join(dir, segs[0].Name)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec4 := len(clean) - len(frameRecord(4, []byte("payload-4")))
+	for bit := 0; bit < 8*len(clean); bit++ {
+		data := slices.Clone(clean)
+		data[bit/8] ^= 1 << (bit % 8)
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		checks, err := VerifyDir(nil, dir)
+		if err != nil || len(checks) != 1 {
+			t.Fatalf("bit %d: VerifyDir = %v (%v)", bit, checks, err)
+		}
+		l2, oerr := Open(dir, 1, nil)
+		if oerr == nil {
+			last := l2.LastSeq()
+			l2.Close()
+			if bit/8 < rec4 {
+				t.Fatalf("bit %d (before record 4): Open kept %d records, want ErrCorrupt", bit, last)
+			}
+			if last != 3 {
+				t.Fatalf("bit %d (in record 4): LastSeq = %d, want 3", bit, last)
+			}
+		}
+		c := checks[0]
+		if bit/8 >= rec4 {
+			if oerr != nil || !c.Torn || c.Err != nil || c.Records != 3 {
+				t.Fatalf("bit %d (in record 4): Open = %v, VerifyDir = %+v, want a torn tail after 3 records", bit, oerr, c)
+			}
+			continue
+		}
+		if !errors.Is(oerr, ErrCorrupt) || c.Torn || !errors.Is(c.Err, ErrCorrupt) {
+			t.Fatalf("bit %d (before record 4): Open = %v, VerifyDir = %+v, want ErrCorrupt from both", bit, oerr, c)
+		}
+	}
+}
+
+// TestLostTailPageIsTorn persists an unsynced tail out of order, as a crash
+// can: one page never reached disk and reads as zeros, while the page after
+// it did. Open cuts that tail at the last record before the page and
+// VerifyDir calls it torn. The same page holding non-zero bytes, which no
+// lost write leaves, is corruption.
+func TestLostTailPageIsTorn(t *testing.T) {
+	payload := []byte(strings.Repeat("p", 200))
+	frame := len(frameRecord(1, payload))
+	for _, fill := range []byte{0, 0x5a} {
+		dir := t.TempDir()
+		l := open(t, dir, 1, &Options{Sync: SyncNone})
+		for seq := uint64(1); seq <= 40; seq++ { // 40 frames run past the page [4096, 8192)
+			if err := l.Append(seq, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		segs, _ := ListDir(nil, dir)
+		path := filepath.Join(dir, segs[0].Name)
+		data, err := os.ReadFile(path)
+		if err != nil || len(data) < 8192+2*frame {
+			t.Fatalf("segment of %d bytes (%v), want one past the page", len(data), err)
+		}
+		for i := 4096; i < 8192; i++ {
+			data[i] = fill
+		}
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		checks, err := VerifyDir(nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l2, oerr := Open(dir, 1, nil)
+		if fill != 0 {
+			if !errors.Is(oerr, ErrCorrupt) || checks[0].Torn || !errors.Is(checks[0].Err, ErrCorrupt) {
+				t.Fatalf("garbage page: Open = %v, VerifyDir = %+v, want ErrCorrupt from both", oerr, checks[0])
+			}
+			continue
+		}
+		want := uint64(4096 / frame) // the records that end before the page
+		if oerr != nil || l2.LastSeq() != want || !checks[0].Torn || checks[0].Records != want {
+			t.Fatalf("zeroed page: Open = %v, VerifyDir = %+v, want a torn tail after %d records", oerr, checks[0], want)
+		}
+		l2.Close()
 	}
 }
 
@@ -186,8 +287,8 @@ func TestSealedCorruptionIsAnError(t *testing.T) {
 	}
 	l.Close()
 
-	segs, _ := listSegments(faultfs.Disk, dir)
-	path := filepath.Join(dir, segs[0]) // a sealed segment
+	segs, _ := ListDir(nil, dir)
+	path := filepath.Join(dir, segs[0].Name) // a sealed segment
 	data, _ := os.ReadFile(path)
 	data[9] ^= 0xff
 	os.WriteFile(path, data, 0o666)
@@ -225,9 +326,8 @@ func TestMissingSegmentDetected(t *testing.T) {
 		t.Skipf("only %d segments", l.SegmentCount())
 	}
 	l.Close()
-	segs, _ := listSegments(faultfs.Disk, dir)
-	sort.Strings(segs)
-	victim := segs[1] // a sealed middle segment
+	segs, _ := ListDir(nil, dir)
+	victim := segs[1].Name // a sealed middle segment
 	victimFirst, _ := parseSegmentName(victim)
 	if err := os.Remove(filepath.Join(dir, victim)); err != nil {
 		t.Fatal(err)
@@ -240,7 +340,7 @@ func TestMissingSegmentDetected(t *testing.T) {
 		t.Fatalf("Replay across the gap = %v, want ErrCorrupt", err)
 	}
 	// Replaying only records after the gap must still work.
-	nextFirst, _ := parseSegmentName(segs[2])
+	nextFirst, _ := parseSegmentName(segs[2].Name)
 	got := collect(t, l2, nextFirst)
 	for seq := nextFirst; seq <= 60; seq++ {
 		if _, ok := got[seq]; !ok {
