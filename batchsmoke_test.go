@@ -205,7 +205,7 @@ func TestIncrementalBeatsBatchRegression(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	g := gen.Social(rng, 4000, 24000, 8)
 	mirror := g.Clone()
-	pair := maintain.New(g)
+	pair := maintain.New(g, nil)
 	var incremental, batch time.Duration
 	for i := 0; i < 20; i++ {
 		b := gen.RandomBatch(rng, mirror, 32, 0.5)

@@ -153,81 +153,68 @@ func TarjanCSR(c *CSR) *SCC {
 		}
 	}
 
-	// Condensation: project every edge to a packed component pair, sort,
-	// and dedup; the Out/In rows and the support counts come out sorted
-	// inside flat backing arrays.
-	pairs := make([]uint64, 0, c.NumEdges())
-	for u := 0; u < n; u++ {
-		a := comp[u]
-		for _, v := range c.Successors(Node(u)) {
-			b := comp[v]
-			if a == b {
-				s.Cyclic[a] = true // self-loop or intra-SCC edge
-				continue
+	// Condensation, component by component. Walking a's members, cnt[b]
+	// counts the edges into b; it is zero before b's first, so it also marks
+	// the targets a's row already holds. Each row is sorted on its own and
+	// cnt is zeroed again through it. rows and sup are scratch, copied out at
+	// their exact length: dynscc adopts the flat arrays as arenas and reads
+	// their capacity.
+	cnt := make([]int32, numComp)
+	ends := make([]int32, numComp)
+	var rows, sup []int32
+	for a, ms := range members {
+		start := len(rows)
+		for _, u := range ms {
+			for _, v := range c.Successors(u) {
+				b := comp[v]
+				if b == int32(a) {
+					s.Cyclic[a] = true // self-loop or intra-SCC edge
+					continue
+				}
+				if cnt[b] == 0 {
+					rows = append(rows, b)
+				}
+				cnt[b]++
 			}
-			pairs = append(pairs, uint64(uint32(a))<<32|uint64(uint32(b)))
 		}
+		row := rows[start:]
+		slices.Sort(row)
+		for _, b := range row {
+			sup = append(sup, cnt[b])
+			cnt[b] = 0
+		}
+		ends[a] = int32(len(rows))
 	}
-	s.condense(pairs, len(members))
-	return s
-}
+	s.outFlat = make([]int32, len(rows))
+	s.supFlat = make([]int32, len(rows))
+	s.inFlat = make([]int32, len(rows))
+	copy(s.outFlat, rows)
+	copy(s.supFlat, sup)
 
-// condense turns packed (a,b) component pairs (a != b, with multiplicity)
-// into sorted CSR-backed Out/In adjacency plus the support counts aligned
-// with Out.
-func (s *SCC) condense(pairs []uint64, numComp int) {
-	slices.Sort(pairs)
-	// Dedup in place, counting multiplicities; distinct pairs stay sorted,
-	// so the counts line up with the Out rows carved below.
-	distinct := pairs[:0]
-	var counts []int32
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			j++
-		}
-		counts = append(counts, int32(j-i))
-		distinct = append(distinct, pairs[i])
-		i = j
-	}
-	s.Out, s.In, s.outFlat, s.inFlat = adjFromSortedPairs(distinct, numComp)
-	s.supFlat = counts[:len(counts):len(counts)]
+	// Out and OutSupport are carved at the row ends; In is Out transposed,
+	// cnt counting in-degrees. Visiting sources by ascending id leaves every
+	// in-row sorted.
+	s.Out = make([][]int32, numComp)
 	s.OutSupport = make([][]int32, numComp)
-	off := 0
+	s.In = make([][]int32, numComp)
+	lo := int32(0)
+	for a, hi := range ends {
+		s.Out[a] = s.outFlat[lo:hi:hi]
+		s.OutSupport[a] = s.supFlat[lo:hi:hi]
+		lo = hi
+	}
+	for _, b := range rows {
+		cnt[b]++
+	}
+	lo = 0
+	for b, deg := range cnt {
+		s.In[b] = s.inFlat[lo : lo : lo+deg]
+		lo += deg
+	}
 	for a, row := range s.Out {
-		s.OutSupport[a] = counts[off : off+len(row) : off+len(row)]
-		off += len(row)
+		for _, b := range row {
+			s.In[b] = append(s.In[b], int32(a))
+		}
 	}
-}
-
-// adjFromSortedPairs expands sorted, deduplicated packed (a<<32|b) pairs
-// into forward and reverse adjacency rows carved out of two flat backing
-// arrays, which it returns too (capacity-limited views, so a later append
-// reallocates instead of clobbering a neighbor). Rows come out sorted
-// ascending on both sides.
-func adjFromSortedPairs(pairs []uint64, n int) (adj, radj [][]int32, outFlat, inFlat []int32) {
-	outDeg := make([]int32, n)
-	inDeg := make([]int32, n)
-	for _, p := range pairs {
-		outDeg[p>>32]++
-		inDeg[uint32(p)]++
-	}
-	outFlat = make([]int32, len(pairs))
-	inFlat = make([]int32, len(pairs))
-	adj = make([][]int32, n)
-	radj = make([][]int32, n)
-	oo, io := int32(0), int32(0)
-	for v := 0; v < n; v++ {
-		adj[v] = outFlat[oo : oo : oo+outDeg[v]]
-		radj[v] = inFlat[io : io : io+inDeg[v]]
-		oo += outDeg[v]
-		io += inDeg[v]
-	}
-	for _, p := range pairs {
-		a := int32(p >> 32)
-		b := int32(uint32(p))
-		adj[a] = append(adj[a], b)
-		radj[b] = append(radj[b], a)
-	}
-	return adj, radj, outFlat, inFlat
+	return s
 }

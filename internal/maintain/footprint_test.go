@@ -28,7 +28,7 @@ func TestFootprintPerNode(t *testing.T) {
 	social16 := gen.Dataset{Name: "social16", V: 15500, E: 79600, Labels: 16, Kind: gen.KindSocial}
 	g := social16.Build(1)
 	mirror := g.Clone()
-	p := New(g)
+	p := New(g, nil)
 	rng := rand.New(rand.NewSource(1 ^ 0x5eed))
 	for range 120 {
 		b := gen.RandomBatch(rng, mirror, 32, 0.5)

@@ -30,9 +30,10 @@ type Pair struct {
 	Meter *Meter
 }
 
-// Meter is the instruments a Pair feeds, once per Apply. The two Aff
-// histograms hold the paper's measure next to the clocks: counts, observed
-// on the histogram's nanosecond scale like every count in internal/obs.
+// Meter is the instruments a Pair feeds, once per Apply and, for the build
+// stages and the depth, once when New builds it. The two Aff histograms
+// hold the paper's measure next to the clocks: counts, observed on the
+// histogram's nanosecond scale like every count in internal/obs.
 type Meter struct {
 	SCCTime                *obs.Histogram // the batch reduced and applied to the graph and the condensation
 	ReachTime, PatternTime *obs.Histogram // incRCM; incPCM
@@ -43,12 +44,34 @@ type Meter struct {
 	Resplits               *obs.Counter   // SCC splits re-decomposed whole rather than peeled
 	LossSwept              *obs.Histogram // components the condensation's loss-area sweeps marked
 	RepScans               *obs.Counter   // scans of a whole level incPCM made for a lost representative
+
+	SCCBuild, ReachBuild, PatternBuild *obs.Histogram // New: the condensation; incRCM and incPCM over it
 }
 
-// New takes ownership of g and compresses it under both schemes.
-func New(g *graph.Graph) *Pair {
-	cond := dynscc.New(g)
-	return &Pair{cond: cond, Reach: increach.Over(cond), Pattern: incbisim.Over(cond)}
+// New takes ownership of g and compresses it under both schemes. mt, when
+// non-nil, becomes the pair's Meter and receives what the build took by
+// stage; with none New reads no clock.
+func New(g *graph.Graph, mt *Meter) *Pair {
+	var t0, t1, t2 time.Time
+	if mt != nil {
+		t0 = time.Now()
+	}
+	p := &Pair{cond: dynscc.New(g), Meter: mt}
+	if mt != nil {
+		t1 = time.Now()
+		mt.SCCBuild.Observe(t1.Sub(t0))
+	}
+	p.Reach = increach.Over(p.cond)
+	if mt != nil {
+		t2 = time.Now()
+		mt.ReachBuild.Observe(t2.Sub(t1))
+	}
+	p.Pattern = incbisim.Over(p.cond)
+	if mt != nil {
+		mt.PatternBuild.Observe(time.Since(t2))
+		mt.PatternLevels.Set(int64(p.Pattern.Levels()))
+	}
+	return p
 }
 
 // Graph returns the maintained graph; mutate it only through Apply.

@@ -107,7 +107,7 @@ func TestDifferentialBenchmarkShapes(t *testing.T) {
 				t.Parallel()
 				g := d.Build(3)
 				mirror := g.Clone()
-				pair := New(g.Clone())
+				pair := New(g.Clone(), nil)
 				rm := increach.New(g.Clone())
 				pm := incbisim.New(g)
 				rng := rand.New(rand.NewSource(17))
@@ -160,7 +160,7 @@ func TestDifferentialSmallDense(t *testing.T) {
 			g.AddEdge(graph.Node(rng.Intn(n)), graph.Node(rng.Intn(n)))
 		}
 		mirror := g.Clone()
-		p := New(g)
+		p := New(g, nil)
 		for round := 0; round < 20; round++ {
 			share := []float64{0, 0.3, 0.5, 1}[rng.Intn(4)]
 			batch := gen.RandomBatch(rng, mirror, 1+rng.Intn(10), share)

@@ -21,15 +21,19 @@ type Kernel struct {
 	pos   []int32 // node -> position (in-degree while Kahn runs)
 
 	// The reduction pass, indexed by position. A node's strict descendant
-	// set lives in an arena slot of words uint64s over positions; it is
-	// released, cleared, once every parent has read it.
-	parents []int32 // parents that have not yet run
-	slot    []int32 // arena slot of the descendant set, -1 when empty
-	hi      []int32 // one past the last word the descendant set occupies
-	arena   []uint64
-	free    []int32
-	words   int
-	kids    []int32 // one node's children, as positions
+	// set lives in a slot of words uint64s over positions; it is released,
+	// cleared, once every parent has read it. Slots lie in chunks of
+	// chunkSlots, each chunkSlots*chunkWords long, so the arena grows
+	// without copying what it holds; slot s is in chunk s>>chunkShift.
+	parents    []int32 // parents that have not yet run
+	slot       []int32 // slot of the descendant set, -1 when empty
+	hi         []int32 // one past the last word the descendant set occupies
+	chunks     [][]uint64
+	chunkWords int   // the words a slot of every chunk has room for
+	slots      int32 // slots handed out this pass
+	free       []int32
+	words      int
+	kids       []int32 // one node's children, as positions
 
 	// The reduced rows, as ascending positions: the out-row of position p is
 	// red[redLo[p]:redHi[p]], its in-row in[inOff[p]:inOff[p+1]].
@@ -42,12 +46,22 @@ type Kernel struct {
 	table   []int32 // open addressing over (out-row, in-row): class+1, 0 when empty
 }
 
+// chunkShift sets the slots per arena chunk, a power of two so that a set
+// is found by shift and mask.
+const (
+	chunkShift = 6
+	chunkSlots = 1 << chunkShift
+)
+
 // Cap returns the number of nodes the kernel's scratch is sized for.
 func (k *Kernel) Cap() int { return cap(k.pos) }
 
 // Footprint returns the bytes k's scratch holds, read off its capacities.
 func (k *Kernel) Footprint() int {
-	n := 8 * cap(k.arena)
+	n := 0
+	for _, c := range k.chunks {
+		n += 8 * cap(c)
+	}
 	for _, s := range [][]int32{
 		k.order, k.pos, k.parents, k.slot, k.hi, k.free, k.kids,
 		k.red, k.redLo, k.redHi, k.inOff, k.in, k.classOf, k.rep, k.table,
@@ -168,11 +182,14 @@ func (k *Kernel) reduce(dag [][]int32) {
 		}
 	}
 
-	// Every free arena slot is all zero (a set is cleared when released,
-	// and all are released by the end of a pass), so the arena can be
-	// carved anew for this input's word count.
+	// Every slot is all zero (a set is cleared when released, and all are
+	// released by the end of a pass), so the chunks can be carved anew for
+	// this input's word count while they have room for it.
 	k.words = (n + 63) / 64
-	k.arena, k.free = k.arena[:0], k.free[:0]
+	if k.words > k.chunkWords {
+		k.chunks, k.chunkWords = nil, k.words
+	}
+	k.slots, k.free = 0, k.free[:0]
 
 	// Children first. A node's children, by ascending position, are its
 	// candidate reduced row: a child is redundant iff an earlier child
@@ -198,12 +215,12 @@ func (k *Kernel) reduce(dag [][]int32) {
 			red = append(red, q)
 			if set == nil {
 				s = k.alloc()
-				set = k.arena[int(s)*k.words : int(s+1)*k.words]
+				set = k.set(s)
 			}
 			set[q>>6] |= 1 << (q & 63)
 			hi = max(hi, q>>6+1)
 			if cs := k.slot[q]; cs >= 0 {
-				child := k.arena[int(cs)*k.words : int(cs+1)*k.words]
+				child := k.set(cs)
 				for i := (q + 1) >> 6; i < k.hi[q]; i++ {
 					set[i] |= child[i]
 				}
@@ -231,9 +248,18 @@ func (k *Kernel) alloc() int32 {
 		k.free = k.free[:n-1]
 		return s
 	}
-	s := int32(len(k.arena) / k.words)
-	k.arena = append(k.arena, make([]uint64, k.words)...)
+	s := k.slots
+	if int(s>>chunkShift) == len(k.chunks) {
+		k.chunks = append(k.chunks, make([]uint64, chunkSlots*k.chunkWords))
+	}
+	k.slots++
 	return s
+}
+
+// set returns the words of slot s.
+func (k *Kernel) set(s int32) []uint64 {
+	at := int(s&(chunkSlots-1)) * k.words
+	return k.chunks[s>>chunkShift][at : at+k.words]
 }
 
 // release clears the descendant set of position p and frees its slot.
@@ -242,7 +268,7 @@ func (k *Kernel) release(p int32) {
 	if s < 0 {
 		return
 	}
-	clear(k.arena[int(s)*k.words+int((p+1)>>6) : int(s)*k.words+int(k.hi[p])])
+	clear(k.set(s)[(p+1)>>6 : k.hi[p]])
 	k.free = append(k.free, s)
 	k.slot[p] = -1
 }

@@ -27,7 +27,10 @@ type storeObs struct {
 	// through meter, which also carries the affected area next to the
 	// clocks — qpgc_store_aff{scheme=...} — incPCM's depth and its scans
 	// for a lost representative, and the condensation's whole-component
-	// re-splits and loss-area sweeps.
+	// re-splits and loss-area sweeps. The meter also times each build of
+	// the maintainers, qpgc_store_build_seconds{stage=...}: the condensation,
+	// incRCM and incPCM, once per open, tail recovery, materialize or
+	// promotion (per shard when sharded).
 	stageWAL, stagePublish *obs.Histogram
 	meter                  maintain.Meter
 	leaf                   *obs.Histogram // qpgc_query stage: leaf engine time per wave (sampled)
@@ -122,6 +125,9 @@ func newStoreObs(r *obs.Registry) *storeObs {
 		stageWAL:     r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "wal")),
 		stagePublish: r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "publish")),
 		meter: maintain.Meter{
+			SCCBuild:      r.Histogram(obs.Label("qpgc_store_build_seconds", "stage", "scc")),
+			ReachBuild:    r.Histogram(obs.Label("qpgc_store_build_seconds", "stage", "reach")),
+			PatternBuild:  r.Histogram(obs.Label("qpgc_store_build_seconds", "stage", "pattern")),
 			SCCTime:       r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "scc")),
 			ReachTime:     r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "reach")),
 			PatternTime:   r.Histogram(obs.Label("qpgc_store_apply_seconds", "stage", "pattern")),
@@ -158,12 +164,10 @@ func newStoreObs(r *obs.Registry) *storeObs {
 // newPair takes ownership of g and builds both maintainers over it, the
 // write-side state of a store or a shard, feeding so's meter when set.
 func (so *storeObs) newPair(g *graph.Graph) *maintain.Pair {
-	m := maintain.New(g)
-	if so != nil {
-		m.Meter = &so.meter
-		so.meter.PatternLevels.Set(int64(m.Pattern.Levels()))
+	if so == nil {
+		return maintain.New(g, nil)
 	}
-	return m
+	return maintain.New(g, &so.meter)
 }
 
 // notePublish records one publish begun at start: its latency and the

@@ -158,6 +158,85 @@ func TestApplyStageHistograms(t *testing.T) {
 	})
 }
 
+// TestBuildStageHistograms: every build of the maintainers — open, tail
+// recovery, materialize on the first write after a clean recovery, and
+// promotion — observes qpgc_store_build_seconds once per stage, and a
+// recovery that builds none observes nothing; a sharded store observes one
+// build per shard.
+func TestBuildStageHistograms(t *testing.T) {
+	builds := func(t *testing.T, r *obs.Registry, want uint64) {
+		t.Helper()
+		for _, stage := range []string{"scc", "reach", "pattern"} {
+			h := r.Histogram(obs.Label("qpgc_store_build_seconds", "stage", stage)).Snapshot()
+			if h.Count != want || (want > 0 && h.Sum <= 0) {
+				t.Fatalf("build stage %s observed %d builds (%v), want %d", stage, h.Count, h.Sum, want)
+			}
+		}
+		if want > 0 && !strings.Contains(r.PrometheusText(), "qpgc_store_build_seconds") {
+			t.Fatal("/metrics does not list qpgc_store_build_seconds")
+		}
+	}
+	g := gen.Social(rand.New(rand.NewSource(7)), 400, 1600, 3)
+	rng := rand.New(rand.NewSource(8))
+	dir := t.TempDir()
+	write := func(s *Store) {
+		t.Helper()
+		if _, err := s.ApplyBatch(gen.RandomBatch(rng, g, 16, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopen := func(r *obs.Registry) *Store {
+		t.Helper()
+		s, err := Open(nil, &Options{Dir: dir, Obs: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	reg := obs.NewRegistry()
+	s := mustOpen(t, g.Clone(), &Options{Dir: dir, Obs: reg})
+	builds(t, reg, 1)
+	write(s)
+	write(s)
+	builds(t, reg, 1)
+	s.Close()
+
+	reg = obs.NewRegistry()
+	s = reopen(reg) // the two batches are a WAL tail
+	builds(t, reg, 1)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	reg = obs.NewRegistry()
+	s = reopen(reg) // from the checkpoint alone: no maintainers yet
+	builds(t, reg, 0)
+	write(s)
+	builds(t, reg, 1)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	reg = obs.NewRegistry()
+	s = reopen(reg)
+	if _, err := s.BumpTerm(0); err != nil {
+		t.Fatal(err)
+	}
+	builds(t, reg, 1)
+	s.Close()
+
+	reg = obs.NewRegistry()
+	sh := mustOpenSharded(t, g.Clone(), &ShardedOptions{Shards: 2, Obs: reg})
+	defer sh.Close()
+	if _, err := sh.ApplyBatch(gen.RandomBatch(rng, g, 16, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	builds(t, reg, 2)
+}
+
 // TestSizeGauges: the size gauges read the installed snapshot's node and
 // edge counts — G's and both quotients' — after open, after every publish
 // and on a store opened from an image.
