@@ -75,13 +75,14 @@ func Quotient(g *graph.Graph, p *Partition) *Compressed {
 // quotient builds the compressed graph in bulk: each class's row (including
 // its self-loop from intra-class member edges) is collected from its
 // members' edges with a per-class stamp for deduplication, sorted — rows are
-// short — and handed to graph.BuildFromSortedAdj. No per-edge sorted
-// insertion, no hash-based dedup and no sort over all of E.
+// short — and the flat rows become Gr by graph.CSRFromRows, which keeps
+// them. No per-edge sorted insertion, no hash-based dedup and no sort over
+// all of E.
 func quotient(c *graph.CSR, p *Partition) *Compressed {
 	numBlocks := p.NumBlocks()
 	seen := make([]int32, numBlocks) // class -> 1 + the last source class that listed it
 	flat := make([]graph.Node, 0, numBlocks)
-	end := make([]int32, numBlocks)
+	off := make([]int32, numBlocks+1)
 	labelArr := make([]graph.Label, numBlocks)
 	for a, members := range p.Blocks {
 		start := len(flat)
@@ -94,17 +95,13 @@ func quotient(c *graph.CSR, p *Partition) *Compressed {
 			}
 		}
 		slices.Sort(flat[start:])
-		end[a] = int32(len(flat))
+		off[a+1] = int32(len(flat))
 		labelArr[a] = c.Label(members[0])
 	}
-	// Rows are carved only now: flat may have moved while it grew.
-	rows := make([][]graph.Node, numBlocks)
-	start := int32(0)
-	for a, e := range end {
-		rows[a] = flat[start:e:e]
-		start = e
+	gr, err := graph.CSRFromRows(c.Labels(), labelArr, off, flat)
+	if err != nil {
+		panic("bisim: " + err.Error()) // the rows are sorted and in range by construction
 	}
-	gr := graph.BuildFromSortedAdj(c.Labels(), labelArr, rows)
 
 	// Copy the member lists into one flat backing array (the Compressed
 	// value must not alias the partition's storage).
@@ -116,7 +113,7 @@ func quotient(c *graph.CSR, p *Partition) *Compressed {
 		members[b] = memFlat[start:len(memFlat):len(memFlat)]
 	}
 	return &Compressed{
-		Gr:      gr,
+		Gr:      gr.Thaw(),
 		blockOf: append([]graph.Node(nil), p.BlockOf...),
 		Members: members,
 	}

@@ -314,7 +314,8 @@ type nframe struct {
 func New(g *graph.Graph) *Cond {
 	s := graph.Tarjan(g)
 	n := s.NumComponents()
-	out, sup, in := s.Flat()
+	outOff, out, sup := s.OutRows()
+	inOff, in := s.InRows()
 	c := &Cond{
 		g:      g,
 		compOf: s.Comp,
@@ -326,18 +327,16 @@ func New(g *graph.Graph) *Cond {
 		cbits:  make([]uint16, n),
 		nmark:  make([]uint32, g.NumNodes()),
 	}
-	var at [2]int32
 	for id := range c.comps {
-		ms := s.Members[id]
+		ms := s.Members(int32(id))
 		prev := ms[len(ms)-1]
 		for _, v := range ms {
 			c.next[prev], c.prev[v], prev = v, prev, v
 		}
 		r := &c.comps[id]
 		r.last, r.size, r.cyclic = prev, int32(len(ms)), s.Cyclic[id]
-		for side, rows := range [2][][]int32{s.Out, s.In} {
-			r.sp[side] = span{at[side], int32(len(rows[id]))}
-			at[side] += r.sp[side].n
+		for side, off := range [2][]int32{outOff, inOff} {
+			r.sp[side] = span{off[id], off[id+1] - off[id]}
 		}
 	}
 	return c

@@ -46,8 +46,8 @@ func checkAgainstTarjan(t *testing.T, what string, c *Cond) {
 		}
 		ref := s.Comp[ms[0]]
 		toRef[id] = ref
-		if len(ms) != len(s.Members[ref]) {
-			t.Fatalf("%s: component %d has %d members, Tarjan's has %d", what, id, len(ms), len(s.Members[ref]))
+		if len(ms) != len(s.Members(ref)) {
+			t.Fatalf("%s: component %d has %d members, Tarjan's has %d", what, id, len(ms), len(s.Members(ref)))
 		}
 		for _, v := range ms {
 			if c.CompOf(v) != id || s.Comp[v] != ref {
@@ -63,16 +63,16 @@ func checkAgainstTarjan(t *testing.T, what string, c *Cond) {
 	}
 	for id, ref := range toRef {
 		out := c.Out(id)
-		if !slices.IsSorted(out) || len(out) != len(s.Out[ref]) {
-			t.Fatalf("%s: component %d out list %v, Tarjan has %d edges", what, id, out, len(s.Out[ref]))
+		if !slices.IsSorted(out) || len(out) != len(s.Out(ref)) {
+			t.Fatalf("%s: component %d out list %v, Tarjan has %d edges", what, id, out, len(s.Out(ref)))
 		}
 		for i, b := range out {
 			if !c.Live(b) {
 				t.Fatalf("%s: edge (%d,%d) points at a dead component", what, id, b)
 			}
 			want := 0
-			if j, ok := slices.BinarySearch(s.Out[ref], toRef[b]); ok {
-				want = int(s.OutSupport[ref][j])
+			if j, ok := slices.BinarySearch(s.Out(ref), toRef[b]); ok {
+				want = int(s.Support(ref)[j])
 			}
 			if got := int(c.sup(id)[i]); got != want || want == 0 {
 				t.Fatalf("%s: edge (%d,%d) support %d, Tarjan counts %d", what, id, b, got, want)
@@ -81,8 +81,8 @@ func checkAgainstTarjan(t *testing.T, what string, c *Cond) {
 				t.Fatalf("%s: edge (%d,%d) missing from the in list", what, id, b)
 			}
 		}
-		if in := c.row(id, ins); !slices.IsSorted(in) || len(in) != len(s.In[ref]) {
-			t.Fatalf("%s: component %d in list %v, Tarjan has %d edges", what, id, in, len(s.In[ref]))
+		if in := c.row(id, ins); !slices.IsSorted(in) || len(in) != len(s.In(ref)) {
+			t.Fatalf("%s: component %d in list %v, Tarjan has %d edges", what, id, in, len(s.In(ref)))
 		}
 	}
 	checkStorage(t, what, c)

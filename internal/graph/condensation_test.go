@@ -3,6 +3,7 @@ package graph_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // checkCondensation holds the condensation TarjanCSR returns for c to one
 // counted edge by edge in a map, independent of how TarjanCSR builds it:
-// every row of Out, OutSupport and In, the cyclic flags, and the flat arrays
+// every row of Out, Support and In, the cyclic flags, and the flat arrays
 // the rows are carved from, back to back and with capacity equal to length
 // (dynscc adopts them as arenas and reads their capacity).
 func checkCondensation(t *testing.T, what string, c *graph.CSR) {
@@ -21,8 +22,8 @@ func checkCondensation(t *testing.T, what string, c *graph.CSR) {
 	k := s.NumComponents()
 	support := map[[2]int32]int32{}
 	cyclic := make([]bool, k)
-	for id, ms := range s.Members {
-		cyclic[id] = len(ms) > 1
+	for id := range int32(k) {
+		cyclic[id] = len(s.Members(id)) > 1
 	}
 	for u := range c.NumNodes() {
 		for _, v := range c.Successors(graph.Node(u)) {
@@ -42,8 +43,10 @@ func checkCondensation(t *testing.T, what string, c *graph.CSR) {
 		out[p[0]] = append(out[p[0]], p[1])
 		in[p[1]] = append(in[p[1]], p[0])
 	}
-	if len(s.Out) != k || len(s.OutSupport) != k || len(s.In) != k || len(s.Cyclic) != k {
-		t.Fatalf("%s: %d components, rows %d/%d/%d, flags %d", what, k, len(s.Out), len(s.OutSupport), len(s.In), len(s.Cyclic))
+	outOff, flatOut, flatSup := s.OutRows()
+	inOff, flatIn := s.InRows()
+	if len(outOff) != k+1 || len(inOff) != k+1 || len(s.Cyclic) != k {
+		t.Fatalf("%s: %d components, row offsets %d/%d, flags %d", what, k, len(outOff), len(inOff), len(s.Cyclic))
 	}
 	var wantOut, wantSup, wantIn []int32
 	for a := range k {
@@ -53,11 +56,12 @@ func checkCondensation(t *testing.T, what string, c *graph.CSR) {
 		for i, b := range out[a] {
 			sup[i] = support[[2]int32{int32(a), b}]
 		}
-		if !slices.Equal(s.Out[a], out[a]) || !slices.Equal(s.OutSupport[a], sup) || !slices.Equal(s.In[a], in[a]) {
+		id := int32(a)
+		if !slices.Equal(s.Out(id), out[a]) || !slices.Equal(s.Support(id), sup) || !slices.Equal(s.In(id), in[a]) {
 			t.Fatalf("%s: component %d has out %v support %v in %v, want %v %v %v",
-				what, a, s.Out[a], s.OutSupport[a], s.In[a], out[a], sup, in[a])
+				what, a, s.Out(id), s.Support(id), s.In(id), out[a], sup, in[a])
 		}
-		for _, row := range [][]int32{s.Out[a], s.OutSupport[a], s.In[a]} {
+		for _, row := range [][]int32{s.Out(id), s.Support(id), s.In(id)} {
 			if cap(row) != len(row) {
 				t.Fatalf("%s: a row of component %d has capacity %d beyond its %d entries", what, a, cap(row), len(row))
 			}
@@ -67,7 +71,6 @@ func checkCondensation(t *testing.T, what string, c *graph.CSR) {
 		}
 		wantOut, wantSup, wantIn = append(wantOut, out[a]...), append(wantSup, sup...), append(wantIn, in[a]...)
 	}
-	flatOut, flatSup, flatIn := s.Flat()
 	for _, f := range []struct {
 		name      string
 		got, want []int32
@@ -79,27 +82,45 @@ func checkCondensation(t *testing.T, what string, c *graph.CSR) {
 	}
 }
 
+// workload is a benchmark graph with the number of batches its write list
+// applies before the measurement.
+type workload struct {
+	d        gen.Dataset
+	writes   int
+	maxBytes uint64 // what TarjanCSR may allocate on it
+}
+
+// coldBuilds are the benchmark's two graphs after their write lists:
+// social16 after write-mono's 120 seed-1 batches, webcore16 after
+// read-inproc's 36. Every open, tail recovery and promotion runs TarjanCSR
+// over such a graph. The byte bounds are the measured values plus 10 %:
+// 1 240 368 B and 722 128 B (the worst at GOMAXPROCS 1, 2 and 4), against
+// 2 525 696 B and 1 274 448 B when every row also had a slice header in a
+// [][] table beside its flat array.
+var coldBuilds = []workload{
+	{gen.Dataset{Name: "social16", V: 15500, E: 79600, Labels: 16, Kind: gen.KindSocial}, 120, 1_364_500},
+	{gen.Dataset{Name: "webcore16", V: 16300, E: 75000, Labels: 16, Kind: gen.KindWebCore}, 36, 794_400},
+}
+
+// writtenGraph is w's graph after its write list, drawn as
+// benchmark/workloads.go draws it.
+func writtenGraph(w workload) *graph.Graph {
+	g := w.d.Build(1)
+	rng := rand.New(rand.NewSource(1 ^ 0x5eed))
+	for range w.writes {
+		g.Apply(gen.RandomBatch(rng, g, 32, 0.5))
+	}
+	return g
+}
+
 // TestTarjanCondensationMatchesReference holds TarjanCSR's condensation to
-// the edge-by-edge count of checkCondensation on the benchmark's two graphs
-// after their write lists (social16 after write-mono's 120 seed-1 batches,
-// webcore16 after read-inproc's 36, drawn as benchmark/workloads.go draws
-// them), on random graphs with self-loops, on the empty graph and on a
-// single SCC. dynscc's own differentials take graph.Tarjan as their oracle,
-// so they cannot judge it.
+// the edge-by-edge count of checkCondensation on coldBuilds' graphs, on
+// random graphs with self-loops, on the empty graph and on a single SCC.
+// dynscc's own differentials take graph.Tarjan as their oracle, so they
+// cannot judge it.
 func TestTarjanCondensationMatchesReference(t *testing.T) {
-	for _, w := range []struct {
-		d      gen.Dataset
-		writes int
-	}{
-		{gen.Dataset{Name: "social16", V: 15500, E: 79600, Labels: 16, Kind: gen.KindSocial}, 120},
-		{gen.Dataset{Name: "webcore16", V: 16300, E: 75000, Labels: 16, Kind: gen.KindWebCore}, 36},
-	} {
-		g := w.d.Build(1)
-		rng := rand.New(rand.NewSource(1 ^ 0x5eed))
-		for range w.writes {
-			g.Apply(gen.RandomBatch(rng, g, 32, 0.5))
-		}
-		checkCondensation(t, w.d.Name, g.Freeze())
+	for _, w := range coldBuilds {
+		checkCondensation(t, w.d.Name, writtenGraph(w).Freeze())
 	}
 
 	rng := rand.New(rand.NewSource(7))
@@ -133,4 +154,30 @@ func TestTarjanCondensationMatchesReference(t *testing.T) {
 		t.Fatalf("the ring has %d components, want 1", s.NumComponents())
 	}
 	checkCondensation(t, "single SCC", ring.Freeze())
+}
+
+// condensed keeps what TarjanCSR returns on the heap, as a caller's
+// condensation is.
+var condensed *graph.SCC
+
+// TestTarjanAllocates gates the bytes TarjanCSR allocates on coldBuilds'
+// graphs: each row stored once, in a flat array with per-component
+// offsets. Allocation is deterministic, so this needs no clock.
+func TestTarjanAllocates(t *testing.T) {
+	for _, w := range coldBuilds {
+		c := writtenGraph(w).Freeze()
+		var before, after runtime.MemStats
+		worst := uint64(0)
+		for range 3 {
+			runtime.ReadMemStats(&before)
+			condensed = graph.TarjanCSR(c)
+			runtime.ReadMemStats(&after)
+			worst = max(worst, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s: TarjanCSR allocates %d B over %d components (%.1f B per node of G)",
+			w.d.Name, worst, condensed.NumComponents(), float64(worst)/float64(c.NumNodes()))
+		if worst > w.maxBytes {
+			t.Errorf("%s: TarjanCSR allocates %d B, want at most %d", w.d.Name, worst, w.maxBytes)
+		}
+	}
 }

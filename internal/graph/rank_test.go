@@ -36,8 +36,8 @@ func TestEdgeSupportConsistency(t *testing.T) {
 		g := randomTestGraph(rng, n, rng.Intn(4*n), 2)
 		s := Tarjan(g)
 		sum := 0
-		for _, sup := range s.OutSupport {
-			for _, k := range sup {
+		for a := range int32(s.NumComponents()) {
+			for _, k := range s.Support(a) {
 				sum += int(k)
 			}
 		}

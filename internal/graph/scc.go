@@ -9,35 +9,55 @@ import "slices"
 // condensation has an edge from component a to component b (a != b) then
 // a > b. Equivalently, components listed in ascending id order form a
 // topological order of the condensation from sinks to sources.
+//
+// Every row — a component's members, its successor and predecessor rows
+// and the successor row's supports — is stored once: per-component offsets
+// over one flat array per kind, read through Members, Out, Support and In,
+// or whole through OutRows and InRows.
 type SCC struct {
 	// Comp maps each node to its component id.
 	Comp []int32
-	// Members lists the nodes of each component.
-	Members [][]Node
-	// Out and In are the deduplicated adjacency lists of the condensation
-	// (no self-loops at the component level), sorted ascending. The rows
-	// are views into two flat backing arrays (CSR layout) and must not be
-	// modified or appended to.
-	Out, In [][]int32
-	// OutSupport is aligned with Out: OutSupport[a][i] counts the member
-	// edges (u,v) in E with comp(u)=a, comp(v)=Out[a][i]. Incremental
-	// maintenance seeds its support counters from it.
-	OutSupport [][]int32
 	// Cyclic reports whether a component contains a cycle: it has more than
 	// one member or a self-loop.
 	Cyclic []bool
 
-	outFlat, supFlat, inFlat []int32 // what Out, OutSupport and In are carved from
+	// Each row lies once, in a flat array, rows back to back in component
+	// order: row a of members is members[memOff[a]:memOff[a+1]], of out and
+	// sup out[outOff[a]:outOff[a+1]], of in in[inOff[a]:inOff[a+1]].
+	memOff, outOff, inOff []int32
+	members               []Node
+	out, sup, in          []int32
 }
 
 // NumComponents returns the number of strongly connected components.
-func (s *SCC) NumComponents() int { return len(s.Members) }
+func (s *SCC) NumComponents() int { return len(s.Cyclic) }
 
-// Flat returns the arrays Out, OutSupport and In are carved from: in each,
-// the rows lie back to back in component order, so row a starts where row
-// a−1 ends. A caller that adopts them owns them and must not read the rows
-// after writing to them.
-func (s *SCC) Flat() (out, support, in []int32) { return s.outFlat, s.supFlat, s.inFlat }
+// Members returns the nodes of component a, ascending.
+func (s *SCC) Members(a int32) []Node { return s.members[s.memOff[a]:s.memOff[a+1]:s.memOff[a+1]] }
+
+// Out returns the successor components of a in the condensation, ascending
+// and without a itself.
+func (s *SCC) Out(a int32) []int32 { return s.out[s.outOff[a]:s.outOff[a+1]:s.outOff[a+1]] }
+
+// Support is aligned with Out(a): Support(a)[i] counts the member edges
+// (u,v) in E with comp(u) = a, comp(v) = Out(a)[i]. Incremental maintenance
+// seeds its support counters from these counts.
+func (s *SCC) Support(a int32) []int32 { return s.sup[s.outOff[a]:s.outOff[a+1]:s.outOff[a+1]] }
+
+// In returns the predecessor components of a in the condensation,
+// ascending and without a itself.
+func (s *SCC) In(a int32) []int32 { return s.in[s.inOff[a]:s.inOff[a+1]:s.inOff[a+1]] }
+
+// OutRows returns the successor side in CSR layout: Out(a) is
+// adj[off[a]:off[a+1]], and support[i] is the support of adj[i]. The rows
+// returned by Out, Support and In are views into these arrays and must not
+// be modified or appended to; a caller that adopts the arrays owns them and
+// must not read the rows after writing to them.
+func (s *SCC) OutRows() (off, adj, support []int32) { return s.outOff, s.out, s.sup }
+
+// InRows returns the predecessor side in CSR layout: In(a) is
+// adj[off[a]:off[a+1]]. Ownership is as for OutRows.
+func (s *SCC) InRows() (off, adj []int32) { return s.inOff, s.in }
 
 // Tarjan computes the strongly connected components of g with an iterative
 // Tarjan algorithm (safe for deep graphs) and returns the decomposition
@@ -56,11 +76,8 @@ func TarjanCSR(c *CSR) *SCC {
 		index[i] = undef
 	}
 	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = undef
-	}
 	stack := make([]Node, 0, n)
-	var compSize []int32
+	numComp := int32(0)
 
 	// Explicit DFS frames: node plus position in its successor list.
 	type frame struct {
@@ -109,49 +126,42 @@ func TarjanCSR(c *CSR) *SCC {
 				}
 			}
 			if low[v] == index[v] {
-				id := int32(len(compSize))
-				size := int32(0)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp[w] = id
-					size++
+					comp[w] = numComp
 					if w == v {
 						break
 					}
 				}
-				compSize = append(compSize, size)
+				numComp++
 			}
 		}
 	}
 
-	// Members rows are carved out of one flat array by counting sort over
-	// node ids (one allocation instead of one per component); each row
-	// comes out sorted ascending.
-	numComp := len(compSize)
-	membersFlat := make([]Node, n)
-	members := make([][]Node, numComp)
-	off := int32(0)
-	for id := 0; id < numComp; id++ {
-		members[id] = membersFlat[off : off : off+compSize[id]]
-		off += compSize[id]
-	}
-	for v := 0; v < n; v++ {
-		id := comp[v]
-		members[id] = append(members[id], Node(v))
-	}
-
+	// Members by counting sort over node ids, each row ascending; cnt holds
+	// the fill cursors.
 	s := &SCC{
 		Comp:    comp,
-		Members: members,
 		Cyclic:  make([]bool, numComp),
+		memOff:  make([]int32, numComp+1),
+		members: make([]Node, n),
+		outOff:  make([]int32, numComp+1),
+		inOff:   make([]int32, numComp+1),
 	}
-	for id, ms := range members {
-		if len(ms) > 1 {
-			s.Cyclic[id] = true
-		}
+	for _, a := range comp {
+		s.memOff[a+1]++
 	}
+	for a := range numComp {
+		s.memOff[a+1] += s.memOff[a]
+	}
+	cnt := slices.Clone(s.memOff[:numComp])
+	for v, a := range comp {
+		s.members[cnt[a]] = Node(v)
+		cnt[a]++
+	}
+	clear(cnt)
 
 	// Condensation, component by component. Walking a's members, cnt[b]
 	// counts the edges into b; it is zero before b's first, so it also marks
@@ -159,15 +169,15 @@ func TarjanCSR(c *CSR) *SCC {
 	// cnt is zeroed again through it. rows and sup are scratch, copied out at
 	// their exact length: dynscc adopts the flat arrays as arenas and reads
 	// their capacity.
-	cnt := make([]int32, numComp)
-	ends := make([]int32, numComp)
 	var rows, sup []int32
-	for a, ms := range members {
+	for a := range numComp {
 		start := len(rows)
+		ms := s.Members(a)
+		s.Cyclic[a] = len(ms) > 1
 		for _, u := range ms {
 			for _, v := range c.Successors(u) {
 				b := comp[v]
-				if b == int32(a) {
+				if b == a {
 					s.Cyclic[a] = true // self-loop or intra-SCC edge
 					continue
 				}
@@ -183,37 +193,28 @@ func TarjanCSR(c *CSR) *SCC {
 			sup = append(sup, cnt[b])
 			cnt[b] = 0
 		}
-		ends[a] = int32(len(rows))
+		s.outOff[a+1] = int32(len(rows))
 	}
-	s.outFlat = make([]int32, len(rows))
-	s.supFlat = make([]int32, len(rows))
-	s.inFlat = make([]int32, len(rows))
-	copy(s.outFlat, rows)
-	copy(s.supFlat, sup)
+	s.out = make([]int32, len(rows))
+	s.sup = make([]int32, len(rows))
+	copy(s.out, rows)
+	copy(s.sup, sup)
 
-	// Out and OutSupport are carved at the row ends; In is Out transposed,
-	// cnt counting in-degrees. Visiting sources by ascending id leaves every
+	// In is Out transposed: cnt counts in-degrees, then serves as each
+	// row's fill cursor. Visiting sources by ascending id leaves every
 	// in-row sorted.
-	s.Out = make([][]int32, numComp)
-	s.OutSupport = make([][]int32, numComp)
-	s.In = make([][]int32, numComp)
-	lo := int32(0)
-	for a, hi := range ends {
-		s.Out[a] = s.outFlat[lo:hi:hi]
-		s.OutSupport[a] = s.supFlat[lo:hi:hi]
-		lo = hi
-	}
 	for _, b := range rows {
 		cnt[b]++
 	}
-	lo = 0
 	for b, deg := range cnt {
-		s.In[b] = s.inFlat[lo : lo : lo+deg]
-		lo += deg
+		s.inOff[b+1] = s.inOff[b] + deg
+		cnt[b] = s.inOff[b]
 	}
-	for a, row := range s.Out {
-		for _, b := range row {
-			s.In[b] = append(s.In[b], int32(a))
+	s.in = make([]int32, len(rows))
+	for a := range numComp {
+		for _, b := range s.Out(a) {
+			s.in[cnt[b]] = a
+			cnt[b]++
 		}
 	}
 	return s

@@ -66,9 +66,9 @@ func TestTarjanReverseTopoOrder(t *testing.T) {
 		g := randomTestGraph(rng, 2+rng.Intn(40), rng.Intn(120), 2)
 		s := Tarjan(g)
 		ok := true
-		for a := range s.Out {
-			for _, b := range s.Out[a] {
-				if int32(a) <= b {
+		for a := range int32(s.NumComponents()) {
+			for _, b := range s.Out(a) {
+				if a <= b {
 					ok = false
 				}
 			}
@@ -85,10 +85,10 @@ func TestTarjanEdgeSupport(t *testing.T) {
 	g := buildGraph(3, [][2]Node{{0, 1}, {1, 0}, {0, 2}, {1, 2}})
 	s := Tarjan(g)
 	a, b := s.Comp[0], s.Comp[2]
-	if len(s.Out[a]) != 1 || s.Out[a][0] != b {
-		t.Fatalf("condensation out row %v, want [%d]", s.Out[a], b)
+	if len(s.Out(a)) != 1 || s.Out(a)[0] != b {
+		t.Fatalf("condensation out row %v, want [%d]", s.Out(a), b)
 	}
-	if got := s.OutSupport[a][0]; got != 2 {
+	if got := s.Support(a)[0]; got != 2 {
 		t.Fatalf("support = %d, want 2", got)
 	}
 }

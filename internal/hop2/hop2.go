@@ -33,8 +33,8 @@ type Index struct {
 func Build(g *graph.Graph) *Index { return BuildCSR(g.Freeze()) }
 
 // BuildCSR constructs the index from a frozen CSR snapshot; the pruned
-// BFS passes then run over the snapshot's condensation, whose adjacency
-// rows are views into flat arrays.
+// BFS passes then run over the snapshot's condensation, reading its rows
+// through Out and In, views into its flat arrays.
 func BuildCSR(c *graph.CSR) *Index {
 	s := graph.TarjanCSR(c)
 	n := s.NumComponents()
@@ -52,8 +52,8 @@ func BuildCSR(c *graph.CSR) *Index {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(a, b int32) int {
-		da := len(s.Out[a]) + len(s.In[a])
-		db := len(s.Out[b]) + len(s.In[b])
+		da := len(s.Out(a)) + len(s.In(a))
+		db := len(s.Out(b)) + len(s.In(b))
 		if da != db {
 			return db - da
 		}
@@ -77,7 +77,7 @@ func BuildCSR(c *graph.CSR) *Index {
 			if x != hub {
 				idx.lin[x] = append(idx.lin[x], hub)
 			}
-			for _, w := range s.Out[x] {
+			for _, w := range s.Out(x) {
 				if !visited[w] {
 					visited[w] = true
 					stamp = append(stamp, w)
@@ -103,7 +103,7 @@ func BuildCSR(c *graph.CSR) *Index {
 			if x != hub {
 				idx.lout[x] = append(idx.lout[x], hub)
 			}
-			for _, w := range s.In[x] {
+			for _, w := range s.In(x) {
 				if !visited[w] {
 					visited[w] = true
 					stamp = append(stamp, w)

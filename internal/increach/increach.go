@@ -144,9 +144,8 @@ type hScratch struct {
 	hb     []int32 // H node -> block
 	seen   []int32 // H node -> row stamp
 	cyclic []bool  // H node -> cyclic
-	rowBuf []int32
-	rowEnd []int32
-	rows   [][]int32
+	rowBuf []int32 // H's rows, back to back
+	rowOff []int32 // H node i's row is rowBuf[rowOff[i]:rowOff[i+1]]
 	keep   []int32 // class -> block its classmates merge into
 }
 
@@ -300,10 +299,10 @@ func (m *Maintainer) merge(b, into int32) {
 // and the published Gr are not counted.
 func (m *Maintainer) Footprint() int {
 	h := &m.h
-	n := cap(m.cyclic) + cap(h.cyclic) + 24*cap(h.rows) + h.kernel.Footprint()
+	n := cap(m.cyclic) + cap(h.cyclic) + h.kernel.Footprint()
 	for _, s := range [][]int32{
 		m.blockOf, m.next, m.prev, m.head, m.size, m.node, m.live, m.free, m.hidx,
-		h.hb, h.seen, h.rowBuf, h.rowEnd, h.keep,
+		h.hb, h.seen, h.rowBuf, h.rowOff, h.keep,
 	} {
 		n += 4 * cap(s)
 	}
@@ -339,7 +338,7 @@ func (m *Maintainer) regroup() int {
 	// quotient. H is a DAG — blocks that reached each other would share a
 	// component — with a cyclic flag where the block is a cyclic component.
 	buf := h.rowBuf[:0]
-	ends := h.rowEnd[:0]
+	off := append(h.rowOff[:0], 0)
 	for i, b := range hb {
 		rep := m.head[b]
 		start := len(buf)
@@ -351,18 +350,11 @@ func (m *Maintainer) regroup() int {
 			}
 		}
 		slices.Sort(buf[start:])
-		ends = append(ends, int32(len(buf)))
+		off = append(off, int32(len(buf)))
 		cyclic[i] = m.cond.Cyclic(rep)
 	}
-	// Rows are carved only now: buf may have moved while it grew.
-	rows := slices.Grow(h.rows[:0], hn)[:hn]
-	start := int32(0)
-	for i, end := range ends {
-		rows[i] = buf[start:end:end]
-		start = end
-	}
 
-	classOf, grOff, grAdj, grCyclic := h.kernel.Quotient(rows, cyclic)
+	classOf, grOff, grAdj, grCyclic := h.kernel.Quotient(off, buf, cyclic)
 	classes := len(grCyclic)
 
 	// Merge the blocks of each class into its largest one (the first in H
@@ -394,7 +386,7 @@ func (m *Maintainer) regroup() int {
 	if h.kernel.Cap() > 2*classes+256 {
 		m.h = hScratch{}
 	} else {
-		h.hb, h.rowBuf, h.rowEnd, h.rows, h.keep = hb[:0], buf[:0], ends[:0], rows[:0], keep[:0]
+		h.hb, h.rowBuf, h.rowOff, h.keep = hb[:0], buf[:0], off[:0], keep[:0]
 	}
 	gr, err := graph.CSRFromRows(m.sigma, make([]graph.Label, classes), grOff, grAdj)
 	if err != nil {

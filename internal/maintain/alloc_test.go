@@ -10,13 +10,15 @@ import (
 )
 
 // Bytes New may allocate: the measured value plus 10 %. Measured at
-// 12 233 792 B on social16 and 9 996 728 B on webcore16 (the worst of
-// three builds at GOMAXPROCS 1, 2 and 4), against 19 404 568 B and
-// 11 915 840 B when the condensation came from one sorted array of
-// component pairs and the reach kernel's arena grew by copying.
+// 10 664 176 B on social16 and 9 313 208 B on webcore16 (the worst of
+// three builds at GOMAXPROCS 1, 2 and 4), against 12 233 792 B and
+// 9 996 728 B when the condensation and the reach kernel's input kept a
+// [][] row table beside each flat array, and 19 404 568 B and 11 915 840 B
+// when the condensation came from one sorted array of component pairs and
+// the reach kernel's arena grew by copying.
 const (
-	socialBuildBytes  = 13_458_000
-	webcoreBuildBytes = 10_997_000
+	socialBuildBytes  = 11_730_600
+	webcoreBuildBytes = 10_244_600
 )
 
 // TestColdBuildAllocates gates the bytes New allocates — the condensation,

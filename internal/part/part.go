@@ -104,7 +104,7 @@ func Split(c *graph.CSR, k int) *Partition {
 	scc := graph.TarjanCSR(c)
 	shardOfComp := make([]int32, scc.NumComponents())
 	for comp := range shardOfComp {
-		rep := scc.Members[comp][0] // members are sorted: the smallest id
+		rep := scc.Members(int32(comp))[0] // members are sorted: the smallest id
 		shardOfComp[comp] = int32(fnv1a(rep, c.Label(rep)) % uint64(k))
 	}
 	for v := 0; v < n; v++ {

@@ -42,7 +42,7 @@ func TestSplitInvariants(t *testing.T) {
 			// SCC-awareness: strongly connected nodes share a shard.
 			scc := graph.TarjanCSR(c)
 			for v := 0; v < n; v++ {
-				rep := scc.Members[scc.Comp[v]][0]
+				rep := scc.Members(scc.Comp[v])[0]
 				if p.ShardOf[v] != p.ShardOf[rep] {
 					t.Fatalf("%s k=%d: SCC of %d straddles shards", name, k, v)
 				}

@@ -12,29 +12,16 @@ import (
 func SCCCompress(g *graph.Graph) *Compressed {
 	scc := graph.Tarjan(g)
 	n := scc.NumComponents()
-	labels := graph.NewLabels()
-	sigma := labels.Intern(SigmaLabel)
-	gr := graph.New(labels)
-	for i := 0; i < n; i++ {
-		gr.AddNode(sigma)
-	}
-	for a := range scc.Out {
-		for _, b := range scc.Out[a] {
-			gr.AddEdge(int32(a), b)
+	off := make([]int32, n+1)
+	var adj []graph.Node
+	for a := range int32(n) {
+		adj = append(adj, scc.Out(a)...)
+		if scc.Cyclic[a] {
+			adj = append(adj, a) // after Out(a), whose ids are all below a
 		}
+		off[a+1] = int32(len(adj))
 	}
-	c := &Compressed{
-		Gr:          gr,
-		classOf:     scc.Comp,
-		CyclicClass: make([]bool, n),
-	}
-	for comp := 0; comp < n; comp++ {
-		if scc.Cyclic[comp] {
-			c.CyclicClass[comp] = true
-			gr.AddEdge(int32(comp), int32(comp))
-		}
-	}
-	return c
+	return &Compressed{Gr: sigmaGraph(off, adj), classOf: scc.Comp, CyclicClass: scc.Cyclic}
 }
 
 // AHOReduce computes the transitive reduction of g in the sense of Aho,
@@ -55,8 +42,8 @@ func AHOReduce(g *graph.Graph) *graph.Graph {
 
 	// Simple cycle through each nontrivial SCC; keep self-loops of trivial
 	// cyclic components (they are part of the closure).
-	for comp := 0; comp < n; comp++ {
-		ms := scc.Members[comp]
+	for comp := range int32(n) {
+		ms := scc.Members(comp)
 		if len(ms) > 1 {
 			for i := range ms {
 				out.AddEdge(ms[i], ms[(i+1)%len(ms)])
@@ -68,11 +55,12 @@ func AHOReduce(g *graph.Graph) *graph.Graph {
 
 	// Transitive reduction of the condensation, realized by one member
 	// edge per kept condensation edge.
+	off, adj, _ := scc.OutRows()
 	var k Kernel
-	k.reduce(scc.Out)
+	k.reduce(off, adj)
 	for p, a := range k.order {
 		for _, q := range k.outRow(int32(p)) {
-			out.AddEdge(scc.Members[a][0], scc.Members[k.order[q]][0])
+			out.AddEdge(scc.Members(a)[0], scc.Members(k.order[q])[0])
 		}
 	}
 	return out

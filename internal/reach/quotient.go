@@ -75,11 +75,15 @@ func (k *Kernel) Footprint() int {
 // returns the class of each node together with the quotient's rows and
 // cyclic flags.
 //
-// dag[v] lists v's successors, sorted and free of duplicates and
-// self-loops; cyclic[v] says whether v stands for a cyclic component, which
-// is always a class of its own. The rows are flat: class c's successors are
-// adj[off[c]:off[c+1]], ascending, with c itself when c is cyclic; they are
-// transitively reduced, so they are Gr's edge lists as they stand.
+// The DAG's rows are flat: v's successors are dagAdj[dagOff[v]:dagOff[v+1]],
+// sorted and free of duplicates and self-loops, and dagOff has one entry
+// more than the DAG has nodes; cyclic[v] says whether v stands for a cyclic
+// component, which is always a class of its own. Both arrays are only read,
+// so a caller passes the rows it holds — a condensation's OutRows, incRCM's
+// row buffer — as they stand. The result's rows are flat too: class c's
+// successors are adj[off[c]:off[c+1]], ascending, with c itself when c is
+// cyclic; they are transitively reduced, so they are Gr's edge lists as they
+// stand.
 //
 // Classes are numbered by the position of their first member in the
 // kernel's topological order of the DAG, so the quotient is topologically
@@ -92,9 +96,9 @@ func (k *Kernel) Footprint() int {
 //
 // classOf is the kernel's own and valid until its next call; off, adj and
 // classCyclic belong to the caller.
-func (k *Kernel) Quotient(dag [][]int32, cyclic []bool) (classOf, off []int32, adj []graph.Node, classCyclic []bool) {
-	n := len(dag)
-	k.reduce(dag)
+func (k *Kernel) Quotient(dagOff, dagAdj []int32, cyclic []bool) (classOf, off []int32, adj []graph.Node, classCyclic []bool) {
+	n := len(dagOff) - 1
+	k.reduce(dagOff, dagAdj)
 	k.transpose(n)
 	k.group(n, cyclic)
 
@@ -128,11 +132,11 @@ func (k *Kernel) Quotient(dag [][]int32, cyclic []bool) (classOf, off []int32, a
 	return k.classOf[:n], off, adj, classCyclic
 }
 
-// reduce orders the DAG topologically and computes its transitive
-// reduction: afterwards order/pos are set and red/redLo/redHi hold every
-// position's reduced out-row.
-func (k *Kernel) reduce(dag [][]int32) {
-	n := len(dag)
+// reduce orders the DAG whose row v is adj[off[v]:off[v+1]] topologically
+// and computes its transitive reduction: afterwards order/pos are set and
+// red/redLo/redHi hold every position's reduced out-row.
+func (k *Kernel) reduce(off, adj []int32) {
+	n := len(off) - 1
 	k.pos = resize(k.pos, n)
 	k.order = resize(k.order, n)
 	k.parents = resize(k.parents, n)
@@ -149,10 +153,8 @@ func (k *Kernel) reduce(dag [][]int32) {
 	// queued; no parent decrements it after that.
 	indeg := k.pos
 	clear(indeg)
-	for _, row := range dag {
-		for _, b := range row {
-			indeg[b]++
-		}
+	for _, b := range adj[off[0]:off[n]] {
+		indeg[b]++
 	}
 	order := k.order[:0]
 	for v := range n {
@@ -161,7 +163,8 @@ func (k *Kernel) reduce(dag [][]int32) {
 		}
 	}
 	for i := 0; i < len(order); i++ {
-		for _, b := range dag[order[i]] {
+		v := order[i]
+		for _, b := range adj[off[v]:off[v+1]] {
 			if indeg[b]--; indeg[b] == 0 {
 				order = append(order, b)
 			}
@@ -176,10 +179,8 @@ func (k *Kernel) reduce(dag [][]int32) {
 	}
 	parents := k.parents
 	clear(parents)
-	for _, row := range dag {
-		for _, b := range row {
-			parents[pos[b]]++
-		}
+	for _, b := range adj[off[0]:off[n]] {
+		parents[pos[b]]++
 	}
 
 	// Every slot is all zero (a set is cleared when released, and all are
@@ -200,7 +201,8 @@ func (k *Kernel) reduce(dag [][]int32) {
 	red := k.red
 	for p := int32(n - 1); p >= 0; p-- {
 		kids := k.kids[:0]
-		for _, b := range dag[order[p]] {
+		v := order[p]
+		for _, b := range adj[off[v]:off[v+1]] {
 			kids = append(kids, pos[b])
 		}
 		slices.Sort(kids)

@@ -35,6 +35,35 @@ func randomDAG(rng *rand.Rand, n, m int) ([][]int32, []bool) {
 	return dag, cyclic
 }
 
+// flatRows lays rows out as the kernel reads them: offsets over one flat
+// array.
+func flatRows(rows [][]int32) (off, adj []int32) {
+	off = make([]int32, 1, len(rows)+1)
+	for _, row := range rows {
+		adj = append(adj, row...)
+		off = append(off, int32(len(adj)))
+	}
+	return off, adj
+}
+
+// quotient runs k over the DAG given as rows.
+func quotient(k *Kernel, dag [][]int32, cyclic []bool) (classOf, off []int32, adj []graph.Node, classCyclic []bool) {
+	dagOff, dagAdj := flatRows(dag)
+	return k.Quotient(dagOff, dagAdj, cyclic)
+}
+
+// sccOut runs k over the condensation s as Compress does, and returns the
+// condensation's successor rows.
+func sccOut(k *Kernel, s *graph.SCC) [][]int32 {
+	off, adj, _ := s.OutRows()
+	k.Quotient(off, adj, s.Cyclic)
+	rows := make([][]int32, s.NumComponents())
+	for a := range rows {
+		rows[a] = s.Out(int32(a))
+	}
+	return rows
+}
+
 // dagGraph is the graph a kernel input stands for: the DAG with a self-loop
 // on every cyclic node.
 func dagGraph(dag [][]int32, cyclic []bool) *graph.Graph {
@@ -120,7 +149,7 @@ func reducedRows(k *Kernel, n int) (out, in [][]int32) {
 // the reduction of the quotient.
 func checkKernel(dag [][]int32, cyclic []bool, k *Kernel) error {
 	n := len(dag)
-	classOf, off, adj, classCyclic := k.Quotient(dag, cyclic)
+	classOf, off, adj, classCyclic := quotient(k, dag, cyclic)
 	reach := closure(dag)
 	red := bruteReduced(reach)
 	out, in := reducedRows(k, n)
@@ -241,9 +270,9 @@ func TestDescendantDPMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(30)
 		s := graph.Tarjan(randomGraph(rng, n, rng.Intn(3*n)))
-		k.Quotient(s.Out, s.Cyclic)
+		sout := sccOut(&k, s)
 		out, _ := reducedRows(&k, s.NumComponents())
-		want, got := closure(s.Out), closure(out)
+		want, got := closure(sout), closure(out)
 		for c := range want {
 			if !slices.Equal(got[c], want[c]) {
 				t.Logf("seed %d: component %d reaches %v along reduced rows, %v in the condensation", seed, c, got[c], want[c])
@@ -267,7 +296,7 @@ func TestAncestorDPIsDualOfDescendantDP(t *testing.T) {
 		n := 1 + rng.Intn(30)
 		s := graph.Tarjan(randomGraph(rng, n, rng.Intn(3*n)))
 		nc := s.NumComponents()
-		k.Quotient(s.Out, s.Cyclic)
+		sccOut(&k, s)
 		out, in := reducedRows(&k, nc)
 		desc, anc := closure(out), closure(in)
 		for a := range nc {
@@ -300,7 +329,7 @@ func TestSetGrouperExactness(t *testing.T) {
 	dag := [][]int32{{3, 4}, {3, 4}, {3, 5}, {}, {}, {}, {3, 4}}
 	cyclic := []bool{false, false, false, false, false, false, true}
 	var k Kernel
-	classOf, _, _, classCyclic := k.Quotient(dag, cyclic)
+	classOf, _, _, classCyclic := quotient(&k, dag, cyclic)
 	if want := []int32{0, 0, 1, 4, 5, 3, 2}; !slices.Equal(classOf, want) {
 		t.Fatalf("classes %v, want %v", classOf, want)
 	}
@@ -312,7 +341,7 @@ func TestSetGrouperExactness(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(120)
 		dag, cyclic := randomDAG(rng, n, rng.Intn(3*n))
-		classOf, _, _, _ := k.Quotient(dag, cyclic)
+		classOf, _, _, _ := quotient(&k, dag, cyclic)
 		out, in := reducedRows(&k, n)
 		for u := range n {
 			for v := range n {
@@ -350,7 +379,7 @@ func FuzzQuotient(f *testing.F) {
 // cyclic — the shortcut goes and the cyclic class keeps its self-loop.
 func TestKernelSelfLoopAndTR(t *testing.T) {
 	var k Kernel
-	classOf, off, adj, cyclic := k.Quotient([][]int32{{1, 2}, {2}, {}}, []bool{false, true, false})
+	classOf, off, adj, cyclic := quotient(&k, [][]int32{{1, 2}, {2}, {}}, []bool{false, true, false})
 	if !slices.Equal(classOf, []int32{0, 1, 2}) || !slices.Equal(cyclic, []bool{false, true, false}) {
 		t.Fatalf("classes %v, cyclic %v", classOf, cyclic)
 	}
@@ -372,7 +401,7 @@ func TestKernelSelfLoopAndTR(t *testing.T) {
 // reduced edges become one class edge.
 func TestKernelDedupsClassEdges(t *testing.T) {
 	var k Kernel
-	classOf, off, adj, _ := k.Quotient([][]int32{{1, 2}, {}, {}}, []bool{false, false, false})
+	classOf, off, adj, _ := quotient(&k, [][]int32{{1, 2}, {}, {}}, []bool{false, false, false})
 	if !slices.Equal(classOf, []int32{0, 1, 1}) {
 		t.Fatalf("classes %v, want [0 1 1]", classOf)
 	}
@@ -389,5 +418,5 @@ func TestKernelRejectsCycles(t *testing.T) {
 		}
 	}()
 	var k Kernel
-	k.Quotient([][]int32{{1}, {0}}, []bool{false, false})
+	quotient(&k, [][]int32{{1}, {0}}, []bool{false, false})
 }

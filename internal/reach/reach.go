@@ -70,8 +70,9 @@ func AssembleCompressed(gr *graph.Graph, classOf []graph.Node, cyclic []bool) *C
 // argument. Gr comes out topologically numbered (Kernel.Quotient).
 func Compress(g *graph.Graph) *Compressed {
 	scc := graph.Tarjan(g)
+	sccOff, sccOut, _ := scc.OutRows()
 	var k Kernel
-	classOfComp, off, adj, cyclic := k.Quotient(scc.Out, scc.Cyclic)
+	classOfComp, off, adj, cyclic := k.Quotient(sccOff, sccOut, scc.Cyclic)
 	c := &Compressed{
 		classOf:     make([]graph.Node, g.NumNodes()),
 		CyclicClass: cyclic,
@@ -79,14 +80,18 @@ func Compress(g *graph.Graph) *Compressed {
 	for v := range c.classOf {
 		c.classOf[v] = classOfComp[scc.Comp[v]]
 	}
-	rows := make([][]graph.Node, len(cyclic))
-	for r := range rows {
-		if lo, hi := off[r], off[r+1]; lo < hi {
-			rows[r] = adj[lo:hi:hi]
-		}
-	}
+	c.Gr = sigmaGraph(off, adj)
+	return c
+}
+
+// sigmaGraph builds the graph whose node v, labeled σ, has the successors
+// adj[off[v]:off[v+1]], sorted and in range; it keeps adj.
+func sigmaGraph(off []int32, adj []graph.Node) *graph.Graph {
 	labels := graph.NewLabels()
 	labels.Intern(SigmaLabel) // σ is label 0, the zero of every entry below
-	c.Gr = graph.BuildFromSortedAdj(labels, make([]graph.Label, len(rows)), rows)
-	return c
+	gr, err := graph.CSRFromRows(labels, make([]graph.Label, len(off)-1), off, adj)
+	if err != nil {
+		panic("reach: " + err.Error()) // the callers' rows are well-formed by construction
+	}
+	return gr.Thaw()
 }
